@@ -48,6 +48,34 @@
 //! the coordinator only — shards are independent daemons with their own
 //! lifecycles.
 //!
+//! ## Threads, parking and wake-ups
+//!
+//! The front side is thread-per-connection: one accept thread, and one
+//! handler thread per client connection that owns its own [`ShardPool`]
+//! (so the fan-out path takes no lock beyond the write gate). Every
+//! thread *parks in the kernel* and is woken by the event it waits for —
+//! there is no timer, tick or poll anywhere on the request path:
+//!
+//! * a handler parks in a blocking `read` with no timeout, does exactly
+//!   one `read` per turn ([`Conn::fill_once`]) and serves every complete
+//!   line that read buffered before it reads again, so a request is
+//!   fanned out the moment its bytes arrive and a pipelined burst is
+//!   never left behind a blocked `read`;
+//! * the accept thread parks in a blocking `accept`;
+//! * `shutdown` (the protocol op or [`CoordHandle::stop`]) sets the flag
+//!   and wakes the accept thread with a loopback connection to the
+//!   listener's own port; the accept thread then calls
+//!   `shutdown(Both)` on its clone of every live front stream, which
+//!   turns each parked `read` into EOF, and joins the handlers.
+//!
+//! An idle coordinator therefore makes no wake-ups at all, whatever the
+//! number of parked connections. Thread-per-connection stays for now
+//! because the alternative is the shard daemon's readiness loop, and
+//! sharing that loop between `rkrd` and the coordinator is a refactor of
+//! its own (ROADMAP item 2) that should not be half-done inside a latency
+//! fix; blocking streams give the same "woken by the bytes" behaviour
+//! with the fan-out code unchanged.
+//!
 //! ## Loopback quickstart
 //!
 //! ```no_run
@@ -73,12 +101,17 @@ pub mod metrics;
 pub mod pool;
 
 use std::io;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use rkranks_server::conn::{Conn, Fill, LineStatus};
+use rkranks_server::log::{self, LogLevel};
+use rkranks_server::metrics::duration_ns;
 use rkranks_server::{ConnectPolicy, HelloReply, Reply, Request, StatsReply, PROTOCOL_VERSION};
 
 pub use metrics::CoordMetrics;
@@ -124,19 +157,34 @@ struct CoordShared {
     /// in [`ShardPool::scatter_query`] is a fallback, not the norm.
     write_gate: RwLock<()>,
     shutdown: AtomicBool,
+    /// Where a loopback connection reaches the coordinator's own
+    /// listener — how [`CoordShared::request_shutdown`] wakes the accept
+    /// thread out of its blocking `accept`.
+    wake_addr: SocketAddr,
+}
+
+impl CoordShared {
+    /// Raise the shutdown flag and wake the accept thread, which closes
+    /// every live front connection and joins the handlers.
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // The connection itself is the message; a failed connect means
+        // the listener is already gone.
+        let _ = TcpStream::connect(self.wake_addr);
+    }
 }
 
 /// A running coordinator's handle: its bound address and the accept
 /// thread to join after a client sends `shutdown`.
 pub struct CoordHandle {
-    addr: std::net::SocketAddr,
-    thread: std::thread::JoinHandle<()>,
+    addr: SocketAddr,
+    thread: JoinHandle<()>,
     shared: Arc<CoordShared>,
 }
 
 impl CoordHandle {
     /// The address the coordinator is listening on.
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -148,7 +196,7 @@ impl CoordHandle {
     /// Ask the coordinator to stop without a protocol `shutdown` (used
     /// by tests and signal handlers); pair with [`CoordHandle::join`].
     pub fn stop(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.request_shutdown();
     }
 
     /// Wait for the accept loop (and every handler it spawned) to exit.
@@ -161,7 +209,7 @@ impl CoordHandle {
 pub fn spawn_coord(addr: impl ToSocketAddrs, config: CoordConfig) -> io::Result<CoordHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    let shared = Arc::new(new_shared(config)?);
+    let shared = Arc::new(new_shared(config, local)?);
     let accept_shared = Arc::clone(&shared);
     let thread = std::thread::Builder::new()
         .name("coord-accept".into())
@@ -176,12 +224,12 @@ pub fn spawn_coord(addr: impl ToSocketAddrs, config: CoordConfig) -> io::Result<
 /// Run the coordinator on the calling thread until a client sends
 /// `shutdown`. The CLI path (`rkr coord`).
 pub fn serve_coord(listener: TcpListener, config: CoordConfig) -> io::Result<()> {
-    let shared = Arc::new(new_shared(config)?);
+    let shared = Arc::new(new_shared(config, listener.local_addr()?)?);
     accept_loop(listener, shared);
     Ok(())
 }
 
-fn new_shared(config: CoordConfig) -> io::Result<CoordShared> {
+fn new_shared(config: CoordConfig, local: SocketAddr) -> io::Result<CoordShared> {
     if config.shards.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -194,64 +242,101 @@ fn new_shared(config: CoordConfig) -> io::Result<CoordShared> {
         metrics,
         write_gate: RwLock::new(()),
         shutdown: AtomicBool::new(false),
+        wake_addr: loopback_of(local),
     })
 }
 
-/// How often parked loops (accept, idle connections) re-check the
-/// shutdown flag.
-const POLL_TICK: Duration = Duration::from_millis(25);
+/// The address a local connection to a listener bound at `local` must
+/// dial: a wildcard bind (`0.0.0.0`, `::`) is reachable on loopback.
+fn loopback_of(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
+}
 
+/// How long the accept thread backs off after an `accept` *error* (fd
+/// exhaustion, above all) before trying again — the one sleep in this
+/// crate, and only on that error path.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Accept front connections until shutdown: park in a blocking `accept`,
+/// spawn one handler thread per connection, and keep a clone of each live
+/// stream so shutdown can turn every handler's parked `read` into EOF.
 fn accept_loop(listener: TcpListener, shared: Arc<CoordShared>) {
-    listener
-        .set_nonblocking(true)
-        .expect("cannot make the listener non-blocking");
-    let mut handlers = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    let mut handlers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    // One log line per burst of accept errors; the next successful
+    // accept re-arms it (the discipline of rkrd's `accept_ready`).
+    let mut error_logged = false;
+    loop {
+        let accepted = listener
+            .accept()
+            .and_then(|(stream, _)| Ok((stream.try_clone()?, stream)));
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // What was accepted is the wake-up connection (or a client
+            // that raced it): dropped unserved either way.
+            break;
+        }
+        match accepted {
+            Ok((waker, stream)) => {
+                error_logged = false;
+                handlers.retain(|(_, h)| !h.is_finished());
                 let conn_shared = Arc::clone(&shared);
                 if let Ok(h) = std::thread::Builder::new()
                     .name("coord-conn".into())
                     .spawn(move || handle_conn(stream, conn_shared))
                 {
-                    handlers.push(h);
+                    handlers.push((waker, h));
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_TICK),
-            Err(_) => std::thread::sleep(POLL_TICK),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                shared.metrics.accept_errors.inc();
+                if !error_logged && log::enabled(LogLevel::Error) {
+                    log::write(
+                        LogLevel::Error,
+                        format_args!(
+                            "coordinator accept failed: {e} (fd limit? counting, not \
+                             logging, further errors in this burst)"
+                        ),
+                    );
+                }
+                error_logged = true;
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            }
         }
-        handlers.retain(|h| !h.is_finished());
     }
-    for h in handlers {
+    for (waker, _) in &handlers {
+        let _ = waker.shutdown(Shutdown::Both);
+    }
+    for (_, h) in handlers {
         let _ = h.join();
     }
 }
 
-/// Serve one frontside connection: a blocking stream with a short read
-/// timeout driven through the shard daemon's own [`Conn`] framing layer
-/// (in-place line extraction, bounded lines, buffered writes), so the
-/// coordinator and the shards reject oversize input and frame replies
-/// identically.
+/// Serve one frontside connection: a blocking stream driven through the
+/// shard daemon's own [`Conn`] framing layer (in-place line extraction,
+/// bounded lines, buffered writes), so the coordinator and the shards
+/// reject oversize input and frame replies identically. The thread parks
+/// in `read` with no timeout; each turn is exactly one `read`, then every
+/// complete line it buffered is served before the next `read` — reading
+/// again first could block with requests already in hand. The connection
+/// ends on EOF, which is also how shutdown reaches a parked handler.
 fn handle_conn(stream: TcpStream, shared: Arc<CoordShared>) {
     let max_line = shared.config.max_line_bytes;
-    if stream.set_read_timeout(Some(POLL_TICK)).is_err() || stream.set_nodelay(true).is_err() {
+    if stream.set_nodelay(true).is_err() {
         return;
     }
     shared.metrics.connections_open.add(1);
     let mut conn = Conn::new(stream);
     let mut pool = ShardPool::new(&shared.config, Arc::clone(&shared.metrics));
-    'serve: loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // A timed-out blocking read surfaces as `WouldBlock` on Unix
-        // (which `fill` absorbs) but as `TimedOut` on some platforms —
-        // both mean "nothing arrived this tick", not a dead peer.
-        let fill = match conn.fill(max_line) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => Fill::Idle,
-            Err(_) => break,
-        };
+    'serve: while let Ok(fill) = conn.fill_once() {
+        // A request's clock starts when the `read` that completed its
+        // line returns — or, for a pipelined successor, when the reply
+        // before it was handed to the socket.
+        let mut started = Instant::now();
         loop {
             let parsed = match conn.peek_line(max_line) {
                 LineStatus::Partial => break,
@@ -276,10 +361,12 @@ fn handle_conn(stream: TcpStream, shared: Arc<CoordShared>) {
             let Some(result) = parsed else { continue };
             let reply = match result {
                 Ok(Request::Shutdown) => {
-                    shared.shutdown.store(true, Ordering::SeqCst);
                     let mut line = Reply::Shutdown.to_json().render();
                     line.push('\n');
+                    // Farewell first: the wake-up makes the accept thread
+                    // close this socket along with the others.
                     conn.send_final(line.as_bytes());
+                    shared.request_shutdown();
                     break 'serve;
                 }
                 Ok(req) => execute(&shared, &mut pool, req),
@@ -288,12 +375,20 @@ fn handle_conn(stream: TcpStream, shared: Arc<CoordShared>) {
             if send_reply(&mut conn, &reply).is_err() {
                 break 'serve;
             }
+            shared
+                .metrics
+                .request_seconds
+                .record(duration_ns(started.elapsed()));
+            started = Instant::now();
         }
         conn.compact();
-        if conn.try_flush().is_err() || fill == Fill::Eof {
+        if fill == Fill::Eof {
             break;
         }
     }
+    // The accept thread still holds a clone of this socket; dropping ours
+    // alone would leave the peer waiting for a close that never comes.
+    let _ = conn.stream.shutdown(Shutdown::Both);
     shared.metrics.connections_open.sub(1);
 }
 

@@ -36,6 +36,9 @@ pub struct CoordMetrics {
     /// Candidate entries surviving the merge truncation — together with
     /// `candidates_received` this is the coordinator's prune rate.
     pub candidates_returned: Arc<Counter>,
+    /// Front-side `accept` failures (fd exhaustion above all): counted
+    /// always, logged once per burst.
+    pub accept_errors: Arc<Counter>,
 
     /// Transport failures per shard, indexed by shard position.
     pub shard_errors: Vec<Arc<Counter>>,
@@ -44,6 +47,12 @@ pub struct CoordMetrics {
     /// includes time spent draining earlier ones — it is the observed
     /// straggler profile of the pipelined fan-out, not isolated RPC time.
     pub shard_seconds: Vec<Arc<Histogram>>,
+    /// The coordinator's own request time: from the `read` that completed
+    /// a request line returning to its reply being handed to the socket
+    /// (parse, fan-out, every shard round-trip, merge, encode, write).
+    /// What a client sees beyond this is the front connection's wire
+    /// time; `request − slowest shard` is the coordinator's own cost.
+    pub request_seconds: Arc<Histogram>,
 
     /// Shards observed per fan-out round (drops below the fleet size
     /// exactly when dead shards are being skipped).
@@ -104,8 +113,18 @@ impl CoordMetrics {
                 "rkrd_coord_candidates_returned_total",
                 "candidate entries surviving the global merge",
             ),
+            accept_errors: r.counter(
+                "rkrd_coord_accept_errors_total",
+                "front-side accept failures (fd exhaustion?)",
+            ),
             shard_errors,
             shard_seconds,
+            request_seconds: r.histogram_scaled(
+                "rkrd_coord_request_seconds",
+                "request line read to reply handed to the socket; minus the slowest \
+                 rkrd_coord_shard_seconds it is the coordinator's own cost",
+                ns,
+            ),
             fanout_width: r.histogram(
                 "rkrd_coord_fanout_width",
                 "shards contacted per fan-out round",
@@ -155,5 +174,27 @@ mod tests {
         assert_eq!(m.shard_errors[2].get(), 1);
         assert_eq!(m.shard_seconds[1].count(), 1);
         assert_eq!(m.shards.get(), 3);
+    }
+
+    #[test]
+    fn request_latency_and_accept_errors_are_registered_and_record() {
+        let m = CoordMetrics::new(2);
+        m.request_seconds
+            .record(duration_ns(Duration::from_micros(80)));
+        m.accept_errors.inc();
+        assert_eq!(m.request_seconds.count(), 1);
+        assert_eq!(m.request_seconds.sum(), 80_000);
+        let snap = m.registry.snapshot();
+        let sample = |name: &str| {
+            snap.samples
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("{name} is not registered"))
+        };
+        assert!(sample("rkrd_coord_request_seconds")
+            .help
+            .contains("coordinator's own cost"));
+        sample("rkrd_coord_accept_errors_total");
+        assert_eq!(m.accept_errors.get(), 1);
     }
 }

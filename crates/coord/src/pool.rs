@@ -188,17 +188,19 @@ impl ShardPool {
         self.shards[i].client = None;
     }
 
-    /// One pipelined fan-out round: write `req` to every shard in `idxs`,
-    /// then collect the replies in order. A shard that fails at either
-    /// phase gets its connection dropped (the next round redials) and an
-    /// `Err` slot; the round itself never fails.
+    /// One pipelined fan-out round: render `req` once, write the same
+    /// bytes to every shard in `idxs`, then collect the replies in order.
+    /// A shard that fails at either phase gets its connection dropped
+    /// (the next round redials) and an `Err` slot; the round itself never
+    /// fails.
     fn fan_out(&mut self, idxs: &[usize], req: &Request) -> Vec<Result<Reply, ShardError>> {
         self.metrics.fanouts.inc();
         self.metrics.fanout_width.record(idxs.len() as u64);
+        let line = req.to_line();
         let mut slots: Vec<Slot> = Vec::with_capacity(idxs.len());
         for &i in idxs {
             let sent = self.ensure(i).and_then(|c| {
-                c.send(req)
+                c.send_line(&line)
                     .map_err(|e| ShardError::Transient(e.to_string()))
             });
             match sent {

@@ -7,16 +7,19 @@
 //! is killed.
 
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rkranks_coord::{spawn_coord, CoordConfig};
+use rkranks_coord::{spawn_coord, CoordConfig, CoordHandle};
 use rkranks_core::{BoundConfig, EngineContext, QueryRequest, RkrIndex};
 use rkranks_datasets::workload::default_update_stream;
 use rkranks_datasets::zipf::Zipf;
 use rkranks_datasets::{collab_graph, CollabParams};
 use rkranks_graph::{Graph, GraphStore, ShardMap};
-use rkranks_server::{spawn, Client, ServerConfig, ServerHandle, UpdateOp};
+use rkranks_server::{spawn, Client, Reply, ServerConfig, ServerHandle, UpdateOp};
 
 const K: u32 = 5;
 const K_MAX: u32 = 16;
@@ -55,8 +58,17 @@ fn expected_ranks(g: &Graph) -> BTreeMap<u32, Vec<u32>> {
 /// Spawn the whole fleet: `SHARDS` shard daemons over replicas of `g`,
 /// each owning its consistent-hash slice.
 fn spawn_fleet(g: &Graph, cache_capacity: usize, merge_every: u64) -> Vec<ServerHandle> {
-    let map = ShardMap::new(SHARDS, SHARD_SEED);
-    (0..SHARDS)
+    spawn_shards(g, SHARDS, cache_capacity, merge_every)
+}
+
+fn spawn_shards(
+    g: &Graph,
+    shards: u32,
+    cache_capacity: usize,
+    merge_every: u64,
+) -> Vec<ServerHandle> {
+    let map = ShardMap::new(shards, SHARD_SEED);
+    (0..shards)
         .map(|i| {
             spawn(
                 g.clone(),
@@ -377,5 +389,180 @@ fn handshake_verifies_roles_and_misordered_fleets_are_refused() {
         let c = Client::connect(shard.addr()).expect("connect shard");
         c.shutdown().expect("shard shutdown");
         shard.join();
+    }
+}
+
+/// A two-shard fleet with the result cache on, and a coordinator in
+/// front of it — the shape the latency and framing tests below share.
+fn spawn_cached_pair(g: &Graph) -> (Vec<ServerHandle>, CoordHandle) {
+    let fleet = spawn_shards(g, 2, 1024, 0);
+    let coord =
+        spawn_coord("127.0.0.1:0", CoordConfig::new(shard_addrs(&fleet))).expect("bind coord");
+    (fleet, coord)
+}
+
+fn shutdown_fleet(fleet: Vec<ServerHandle>) {
+    for shard in fleet {
+        let c = Client::connect(shard.addr()).expect("connect shard");
+        c.shutdown().expect("shard shutdown");
+        shard.join();
+    }
+}
+
+/// One reply off a raw front connection, bounded by the stream's read
+/// timeout.
+fn read_reply(reader: &mut BufReader<TcpStream>) -> Reply {
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).expect("reply within the bound");
+    assert!(n > 0, "coordinator closed the connection");
+    Reply::from_line(line.trim()).expect("a protocol reply line")
+}
+
+/// The latency regression guard: a cached query through the coordinator
+/// costs round-trips, not timer ticks. 200 hits took 6.4 s when every
+/// request slept out a 25 ms (32 ms observed) receive timeout; they take
+/// milliseconds without one. The bound is generous on purpose — it fails
+/// on any reintroduced tick, not on a noisy host.
+#[test]
+fn cached_queries_through_the_coordinator_pay_no_timer() {
+    let g = test_graph();
+    let (fleet, coord) = spawn_cached_pair(&g);
+    let mut client = Client::connect(coord.addr()).expect("connect");
+    let warm = client.query(7, K).expect("warming query");
+    assert!(!warm.cached);
+
+    let started = Instant::now();
+    for i in 0..200 {
+        let reply = client.query(7, K).expect("cached query");
+        assert!(
+            reply.cached,
+            "query {i} must be served from the shard caches"
+        );
+        assert_eq!(reply.entries, warm.entries);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "200 cached queries took {elapsed:?}: something on the coordinator's \
+         request path is waiting on a clock"
+    );
+
+    let m = coord.metrics();
+    client.shutdown().expect("coordinator shutdown");
+    coord.join();
+    // The coordinator timed each of them itself (read only after the
+    // join: a reply reaches the client before its sample is recorded).
+    assert_eq!(m.request_seconds.count(), 201);
+    assert_eq!(m.accept_errors.get(), 0);
+    shutdown_fleet(fleet);
+}
+
+/// Framing edges of the one-read-then-serve loop: a request that ends
+/// exactly on a read-chunk boundary (one chunk, then two) must be served
+/// without waiting for more bytes, a pipelined burst that arrives in one
+/// segment must be answered completely and in order, and an oversize
+/// line must end in an error line and a close the peer can see.
+#[test]
+fn framing_edges_of_the_one_read_then_serve_loop() {
+    let g = test_graph();
+    let (fleet, coord) = spawn_cached_pair(&g);
+    let mut stream = TcpStream::connect(coord.addr()).expect("connect raw");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+
+    for total in [4096usize, 8192] {
+        let mut line = format!(r#"{{"op":"query","node":3,"k":{K}}}"#);
+        line.push_str(&" ".repeat(total - 1 - line.len()));
+        line.push('\n');
+        assert_eq!(line.len(), total);
+        stream.write_all(line.as_bytes()).unwrap();
+        let reply = read_reply(&mut reader);
+        assert!(
+            matches!(reply, Reply::Query(_)),
+            "{total}-byte request got: {reply:?}"
+        );
+    }
+
+    let burst = r#"{"op":"stats"}"#.to_string() + "\n";
+    stream.write_all(burst.repeat(64).as_bytes()).unwrap();
+    for i in 0..64 {
+        match read_reply(&mut reader) {
+            Reply::Stats(s) => assert_eq!(s.queries, 2, "burst reply {i}"),
+            other => panic!("burst reply {i} is not a stats reply: {other:?}"),
+        }
+    }
+
+    drop((stream, reader));
+    coord.stop();
+    coord.join();
+
+    // A line over the cap is refused with one error line and then the
+    // coordinator hangs up — the peer must see the close, not a socket
+    // held open by the accept thread's clone of it.
+    let small = CoordConfig {
+        max_line_bytes: 64,
+        ..CoordConfig::new(shard_addrs(&fleet))
+    };
+    let coord = spawn_coord("127.0.0.1:0", small).expect("bind small-line coord");
+    let mut stream = TcpStream::connect(coord.addr()).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    stream.write_all(&[b'x'; 200]).unwrap();
+    let mut rest = String::new();
+    stream
+        .read_to_string(&mut rest)
+        .expect("error line, then EOF, within the bound");
+    assert!(rest.contains("exceeds 64 bytes"), "got: {rest}");
+    coord.stop();
+    coord.join();
+    shutdown_fleet(fleet);
+}
+
+/// Shutdown without a tick: idle front connections are parked in `read`
+/// with no timeout, so both `CoordHandle::stop()` and a protocol
+/// `shutdown` from one client must wake the accept thread and close every
+/// other parked connection (each client observes EOF) promptly.
+#[test]
+fn shutdown_closes_parked_connections_promptly() {
+    let g = test_graph();
+    for by_protocol in [false, true] {
+        let (fleet, coord) = spawn_cached_pair(&g);
+        let mut parked: Vec<TcpStream> = (0..8)
+            .map(|_| TcpStream::connect(coord.addr()).expect("connect idle"))
+            .collect();
+        // A round-trip on each proves its handler thread is up and parked
+        // again before the shutdown races it.
+        for s in &mut parked {
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.write_all(b"{\"op\":\"hello\"}\n").unwrap();
+            read_reply(&mut BufReader::new(s.try_clone().unwrap()));
+        }
+        assert_eq!(coord.metrics().connections_open.get(), 8);
+
+        let started = Instant::now();
+        if by_protocol {
+            let ctl = Client::connect(coord.addr()).expect("connect ctl");
+            ctl.shutdown().expect("coordinator shutdown");
+        } else {
+            coord.stop();
+        }
+        coord.join();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "shutdown (protocol: {by_protocol}) with 8 parked connections took {elapsed:?}"
+        );
+        for (i, s) in parked.iter_mut().enumerate() {
+            let mut rest = Vec::new();
+            let n = s
+                .read_to_end(&mut rest)
+                .unwrap_or_else(|e| panic!("parked client {i} saw {e}, not EOF"));
+            assert_eq!(n, 0, "parked client {i} got unexpected bytes");
+        }
+        shutdown_fleet(fleet);
     }
 }

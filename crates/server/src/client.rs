@@ -174,8 +174,14 @@ impl Client {
     /// Send `req` without waiting for the reply — half of a pipelined
     /// exchange; pair each send with one [`Client::recv`] in order.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        let mut line = req.to_json().render();
-        line.push('\n');
+        self.send_line(&req.to_line())
+    }
+
+    /// [`Client::send`] for a line rendered beforehand with
+    /// [`Request::to_line`] — a fan-out renders once and writes the same
+    /// bytes to every peer.
+    pub fn send_line(&mut self, line: &str) -> Result<(), ClientError> {
+        debug_assert!(line.ends_with('\n'), "a request line ends in a newline");
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
         Ok(())
@@ -327,10 +333,7 @@ impl Client {
     /// transport failure is still an error; a server-side `ok:false`
     /// line is returned verbatim, not converted.
     pub fn raw(&mut self, req: &Request) -> Result<String, ClientError> {
-        let mut line = req.to_json().render();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
+        self.send(req)?;
         let mut reply_line = String::new();
         if self.reader.read_line(&mut reply_line)? == 0 {
             return Err(ClientError::Protocol("server closed the connection".into()));

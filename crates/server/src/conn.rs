@@ -1,7 +1,14 @@
-//! Per-connection transport: buffered non-blocking reads with in-place
-//! line extraction, and a buffered outbound side with write backpressure.
+//! Per-connection transport: buffered reads with in-place line
+//! extraction, and a buffered outbound side with write backpressure.
 //!
-//! A [`Conn`] never blocks and never allocates per request line:
+//! A [`Conn`] never allocates per request line, and whether it blocks is
+//! the stream's mode, not the type's: `rkrd`'s event loops hand it a
+//! non-blocking stream and drive it with [`Conn::fill`], which never
+//! blocks there; the coordinator's per-connection handlers hand it a
+//! blocking stream and park in [`Conn::fill_once`] until a request
+//! arrives. Either way no call reads again once a `read` has come back
+//! short — the kernel buffer was drained, so a second `read` could only
+//! report `WouldBlock` (non-blocking) or sleep (blocking).
 //!
 //! * **Inbound** bytes land in one growable buffer; complete lines are
 //!   handed to the protocol layer as borrowed slices ([`Conn::peek_line`])
@@ -20,16 +27,15 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-/// Read chunk size for one non-blocking `read` call.
+/// Read chunk size for one `read` call.
 const CHUNK: usize = 4096;
 
-/// One multiplexed client connection: the non-blocking stream plus its
-/// inbound and outbound buffers and flow-control state.
+/// One client connection: the stream plus its inbound and outbound
+/// buffers and flow-control state.
 pub struct Conn {
     /// The underlying stream. The server's event loops run it
-    /// non-blocking; the coordinator's per-connection handlers run it
-    /// blocking with a read timeout (a timed-out `read` surfaces as
-    /// `WouldBlock`, which [`Conn::fill`] treats as "nothing available").
+    /// non-blocking and multiplexed; the coordinator's per-connection
+    /// handlers run it blocking, with no read timeout, one thread each.
     pub stream: TcpStream,
     /// Inbound bytes; `start..` is the unconsumed suffix.
     buf: Vec<u8>,
@@ -56,7 +62,7 @@ pub struct Conn {
 }
 
 /// What one fill pass observed on the socket.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fill {
     /// New bytes arrived.
     Progress,
@@ -104,34 +110,47 @@ impl Conn {
         self.out.len() - self.out_pos
     }
 
+    /// One `read` of up to `CHUNK` bytes into the inbound buffer: the
+    /// whole read side of a blocking connection (the caller serves what
+    /// is buffered, then calls again and parks), and the step
+    /// [`Conn::fill`] loops over. `Interrupted` is retried; other I/O
+    /// errors except `WouldBlock` surface as `Err`.
+    pub fn fill_once(&mut self) -> io::Result<Fill> {
+        let mut chunk = [0u8; CHUNK];
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return Ok(Fill::Eof),
+                Ok(n) => {
+                    self.buf.extend_from_slice(&chunk[..n]);
+                    return Ok(Fill::Progress);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(Fill::Idle),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Read everything currently available, stopping early once the
     /// unconsumed inbound buffer exceeds `max_line` — the readiness loop
     /// is level-triggered (and the poll loop revisits every pass), so the
-    /// rest is picked up after the buffered lines are served. Non-blocking;
-    /// I/O errors other than `WouldBlock`/`Interrupted` surface as `Err`.
+    /// rest is picked up after the buffered lines are served. A short
+    /// read ends the pass too: it drained the kernel buffer, and whatever
+    /// arrives later raises readiness again.
     pub fn fill(&mut self, max_line: usize) -> io::Result<Fill> {
-        let mut chunk = [0u8; CHUNK];
         let mut progressed = false;
         loop {
             if self.buffered() > max_line {
                 // Enough buffered to either serve lines or reject one.
                 return Ok(Fill::Progress);
             }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Ok(Fill::Eof),
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return Ok(if progressed {
-                        Fill::Progress
-                    } else {
-                        Fill::Idle
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+            let before = self.buf.len();
+            match self.fill_once()? {
+                // A full chunk may have left more behind: read on.
+                Fill::Progress if self.buf.len() - before == CHUNK => progressed = true,
+                Fill::Idle if progressed => return Ok(Fill::Progress),
+                // A short read, nothing at all, or EOF.
+                end => return Ok(end),
             }
         }
     }
@@ -311,6 +330,25 @@ mod tests {
             "fill must stop near the cap, got {}",
             conn.buffered()
         );
+    }
+
+    #[test]
+    fn a_short_read_ends_the_fill_pass_without_a_confirming_read() {
+        // On a *blocking* socket a second `read` after the kernel buffer
+        // was drained would sleep the whole receive timeout.
+        let (mut client, mut conn) = pair();
+        conn.stream.set_nonblocking(false).unwrap();
+        let timeout = std::time::Duration::from_secs(5);
+        conn.stream.set_read_timeout(Some(timeout)).unwrap();
+        client.write_all(b"hello\n").unwrap();
+        let start = std::time::Instant::now();
+        assert_eq!(conn.fill(1024).unwrap(), Fill::Progress);
+        assert!(
+            start.elapsed() < timeout / 5,
+            "fill read again after a short read: {:?}",
+            start.elapsed()
+        );
+        assert!(matches!(conn.peek_line(1024), LineStatus::Line(b"hello")));
     }
 
     #[test]

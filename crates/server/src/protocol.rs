@@ -299,6 +299,14 @@ pub enum Request {
 }
 
 impl Request {
+    /// The request as it travels: [`Request::to_json`] rendered, plus the
+    /// terminating newline.
+    pub fn to_line(&self) -> String {
+        let mut line = self.to_json().render();
+        line.push('\n');
+        line
+    }
+
     /// Encode for the wire (without the trailing newline).
     pub fn to_json(&self) -> Json {
         match self {
