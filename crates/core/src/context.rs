@@ -14,7 +14,37 @@
 //!
 //! One private SDS driver (`run_sds`) is the single implementation
 //! behind the static, dynamic, and indexed variants; the public
-//! `query_*` methods are thin configurations of it. Indexed queries take an
+//! `query_*` methods are thin configurations of it.
+//!
+//! ## The kRank ladder
+//!
+//! The paper's only abort bound, `kRank`, is `u32::MAX` until `R` holds
+//! `k` exact ranks, so the first refinements — hubs next to `q` —
+//! enumerate balls of thousands of nodes for a final `kRank` of a few
+//! dozen. `run_sds` therefore *guesses* `kRank`: it runs the unchanged
+//! algorithm (`sds_pass`) with the pruning bound clamped to
+//! `min(kRank, G + 1)` for a guess `G` and **accepts the pass only if `R`
+//! ends full with its real k-th rank `≤ G`**; otherwise it discards the
+//! pass and runs the next rung. The ladder has two rungs today: `G = 8k`,
+//! then `u32::MAX` — the paper's algorithm as written, accepted
+//! unconditionally (`LADDER_GUESS_PER_K` says why not more). Soundness
+//! in three lines: `kRank` only ever falls, so in an accepted pass every
+//! bound used, `min(kRank_t, G+1)`, is `≥` the final `kRank`; a prune under
+//! a bound `≥` the final `kRank` is one the paper's algorithm is also
+//! entitled to make (Theorem 1/2 argue from the *final* `kRank`); hence
+//! the rank multiset is the paper's (ties at the k-th rank excepted, as
+//! ever). A guess `≥ |V|` cannot prune anything a rank could reach and is
+//! run as `u32::MAX`, so small graphs pay nothing. Conversely any guess `≥`
+//! the true `kRank` is accepted, because no candidate ranked `≤ G` (nor any
+//! of its SDS ancestors) is ever pruned by the clamp.
+//!
+//! Stats, limits and traces span the whole ladder: [`QueryStats`] sums all
+//! passes (`sds_passes` says how many), a deadline or refine budget is
+//! charged against that running total, and a tripped limit returns the
+//! current pass's `R` — exact entries — with the collector's *real* k-th
+//! rank as `k_rank_bound`, never the guess.
+//!
+//! Indexed queries take an
 //! [`IndexAccess`], which either mutates a live [`RkrIndex`] in place (the
 //! paper's sequential-dynamic mode) or reads a frozen snapshot and logs
 //! discoveries to a private [`crate::index::IndexDelta`] for a later
@@ -31,12 +61,33 @@ use rkranks_graph::{
 use crate::engine::BoundConfig;
 use crate::index::{IndexAccess, IndexBuildStats, IndexDelta, IndexParams, RkrIndex};
 use crate::refine::{refine_rank, refine_rank_unbounded, RefineHooks, RefineOutcome};
-use crate::request::{Completion, Limits, QueryOutcome, QueryRequest, Strategy};
+use crate::request::{Completion, Limits, PartialReason, QueryOutcome, QueryRequest, Strategy};
 use crate::result::{QueryResult, TopKCollector};
 use crate::scratch::Stamped;
 use crate::spec::{Partition, QuerySpec};
 use crate::stats::{QueryStageStats, QueryStats};
-use crate::trace::{PopDecision, QueryTrace, TraceEvent};
+use crate::trace::{PassSummary, PopDecision, QueryTrace, TraceEvent};
+
+/// The guessed rung of the kRank ladder, as a multiple of `k`; a pass
+/// that does not prove it is followed by the unbounded one. Measured with
+/// `rkr-bench` (25k-node DBLP-like graph, k = 10; 10.8 ms p50 and 30
+/// queries/s on `engine_cold` without the ladder), interleaved runs per
+/// setting. The median query's `kRank` is below `8k`: a `4k` guess sends
+/// it to the second pass (p50 0.60 ms), `8k` / `16k` / `64k` do not (0.31 /
+/// 0.38 / 0.62 ms), and the rejected guess costs next to nothing unsharded.
+/// More rungs (`4k`, ×4 per rung) prove a guess for the mid-weight
+/// queries too — 182 against 74 queries/s on `engine_cold`, 2,640 against
+/// 630 on `serve_churn`, same p50 — but they shrink the timed scripts to
+/// 0.65 s and 0.15 s, and on the shared reference host runs that short
+/// repeat no better than ±4–8 %: over ten runs `queries_per_s` spread
+/// (q3 − q1) 5–15 on `engine_cold` and 115–124 on `serve_churn`, beyond
+/// the quarter of the *previous* level (7.8 and 60) within which
+/// `BENCHMARK.json` can tell a change from noise. Two rungs spread 2–4
+/// and 25–38. Finer rungs are a follow-up against the level this one
+/// sets (ROADMAP item 1). On a shard slice, where a rejected pass costs as
+/// much as an accepted one, two rungs are also the fastest setting
+/// measured (`fleet_scatter` 56 queries/s against 46 with ×4 rungs).
+const LADDER_GUESS_PER_K: u32 = 8;
 
 /// Immutable, `Sync` query-evaluation state bound to one graph snapshot:
 /// share it across worker threads via `&` or `Arc`, give each worker its
@@ -434,7 +485,9 @@ impl EngineContext {
         Ok((out.result, out.trace.expect("trace was requested")))
     }
 
-    /// The shared SDS driver. `dynamic = None` is the static algorithm.
+    /// The shared SDS driver: the kRank ladder (module docs)
+    /// over [`EngineContext::sds_pass`]. `dynamic = None` is the static
+    /// algorithm.
     #[allow(clippy::too_many_arguments)] // the private hub every strategy configures
     fn run_sds(
         &self,
@@ -447,6 +500,83 @@ impl EngineContext {
         limits: &Limits,
     ) -> Result<(QueryResult, Completion)> {
         self.validate(q, k)?;
+        scratch.ensure_capacity(self.graph.num_nodes());
+        let start = Instant::now();
+        let mut stats = QueryStats::default();
+        let mut guess = k.saturating_mul(LADDER_GUESS_PER_K);
+        loop {
+            // No rank exceeds |V|: such a guess prunes nothing, so run the
+            // plain algorithm, whose pass is accepted unconditionally.
+            if guess >= self.graph.num_nodes() {
+                guess = u32::MAX;
+            }
+            if let Some(t) = trace.as_deref_mut() {
+                t.events.clear();
+            }
+            let (calls, settles) = (stats.refinement_calls, stats.refinement_settles);
+            let (collector, tripped) = self.sds_pass(
+                scratch,
+                q,
+                k,
+                guess,
+                dynamic,
+                index.as_deref_mut(),
+                trace.as_deref_mut(),
+                limits,
+                &mut stats,
+            )?;
+            let accepted = tripped.is_none() && collector.proves_guess();
+            if let Some(t) = trace.as_deref_mut() {
+                t.passes.push(PassSummary {
+                    guess,
+                    k_rank: collector.k_rank(),
+                    accepted,
+                    refinements: stats.refinement_calls - calls,
+                    settles: stats.refinement_settles - settles,
+                });
+            }
+            let completion = match tripped {
+                // Everything in this pass's `R` is exact, and its real
+                // k-th rank bounds the complete answer's — the guess does
+                // not, it was never proved.
+                Some(reason) => Completion::Partial {
+                    reason,
+                    k_rank_bound: collector.k_rank(),
+                },
+                None if !accepted => {
+                    guess = u32::MAX;
+                    continue;
+                }
+                None => {
+                    stats.k_rank_guess = guess;
+                    Completion::Complete
+                }
+            };
+            stats.elapsed = start.elapsed();
+            return Ok((collector.into_result(stats), completion));
+        }
+    }
+
+    /// One pass of the paper's SDS algorithm under a `kRank` guess
+    /// (`u32::MAX`: none — Algorithms 1/3 as written). Returns the pass's
+    /// collector and the limit that cut it short, if any. The caller may
+    /// use the collector's entries only if a limit tripped (they are exact,
+    /// `R` is merely incomplete) or [`TopKCollector::proves_guess`] holds.
+    /// Counters accumulate into `stats`, which is also what `limits` is
+    /// charged against.
+    #[allow(clippy::too_many_arguments)]
+    fn sds_pass(
+        &self,
+        scratch: &mut QueryScratch,
+        q: NodeId,
+        k: u32,
+        guess: u32,
+        dynamic: Option<BoundConfig>,
+        mut index: Option<&mut IndexAccess<'_>>,
+        mut trace: Option<&mut QueryTrace>,
+        limits: &Limits,
+        stats: &mut QueryStats,
+    ) -> Result<(TopKCollector, Option<PartialReason>)> {
         // The hub strategies are meaningless without a distance substrate:
         // fail loudly rather than silently degrading to dynamic-three.
         let oracle = match dynamic {
@@ -459,11 +589,9 @@ impl EngineContext {
             })?),
             _ => None,
         };
-        scratch.ensure_capacity(self.graph.num_nodes());
-        let start = Instant::now();
-        let mut stats = QueryStats::default();
-        let mut collector = TopKCollector::new(k);
-        let mut completion = Completion::Complete;
+        stats.sds_passes += 1;
+        let mut collector = TopKCollector::with_guess(k, guess);
+        let mut tripped = None;
 
         let graph = &*self.graph;
         let spec = self.spec();
@@ -513,27 +641,25 @@ impl EngineContext {
         sds_ws.begin(q);
         while let Some((u, d)) = sds_ws.settle_next() {
             // Best-effort limits, checked at refinement granularity: a
-            // tripped limit keeps everything refined so far (all entries
-            // in `R` carry exact ranks) and reports the current `kRank`
-            // as the bound the complete answer cannot exceed.
-            if let Some(reason) = limits.exceeded(&stats) {
-                completion = Completion::Partial {
-                    reason,
-                    k_rank_bound: collector.k_rank(),
-                };
+            // tripped limit keeps everything refined so far in this pass
+            // (all entries in `R` carry exact ranks).
+            tripped = limits.exceeded(stats);
+            if tripped.is_some() {
                 break;
             }
             stats.sds_popped += 1;
             if u == q {
                 record(&mut trace, u, d, PopDecision::Root);
-                expand(tgraph, spec, q, sds_ws, pred, depth2, &mut stats, u, d);
+                expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
                 continue;
             }
             let parent_lb = match pred.get(u.index()) {
                 p if p == u32::MAX || NodeId(p) == q => 0,
                 p => eff_lb.get(p as usize),
             };
-            let k_rank = collector.k_rank();
+            // Every prune below compares against the guess-clamped bound;
+            // `collector.k_rank()` stays the real k-th rank.
+            let k_rank = collector.prune_bound();
 
             if !spec.is_candidate(u) || !self.owns(u) {
                 // Conduit node (bichromatic `V2`, or a candidate another
@@ -552,7 +678,7 @@ impl EngineContext {
                 let subtree_pruned = dynamic.is_some() && descendant_lb >= k_rank;
                 record(&mut trace, u, d, PopDecision::Conduit { subtree_pruned });
                 if !subtree_pruned {
-                    expand(tgraph, spec, q, sds_ws, pred, depth2, &mut stats, u, d);
+                    expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
                 }
                 continue;
             }
@@ -566,8 +692,8 @@ impl EngineContext {
                     if !in_result.get(u.index()) && collector.offer(u, r) {
                         in_result.set(u.index(), true);
                     }
-                    if r <= collector.k_rank() {
-                        expand(tgraph, spec, q, sds_ws, pred, depth2, &mut stats, u, d);
+                    if r <= collector.prune_bound() {
+                        expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
                     }
                     continue;
                 }
@@ -598,7 +724,7 @@ impl EngineContext {
                     }
                     None => 0,
                 };
-                record_bound_win(&mut stats, parent_lb, height_b, count_b, check_b);
+                record_bound_win(stats, parent_lb, height_b, count_b, check_b);
                 let lb = parent_lb.max(height_b).max(count_b).max(check_b).max(hub_b);
                 if lb >= k_rank {
                     stats.pruned_by_bound += 1;
@@ -625,9 +751,7 @@ impl EngineContext {
                 index: index.as_deref_mut(),
             };
             let refine_start = Instant::now();
-            let refined = refine_rank(
-                graph, spec, refine_ws, u, q, d, k_rank, &mut hooks, &mut stats,
-            );
+            let refined = refine_rank(graph, spec, refine_ws, u, q, d, k_rank, &mut hooks, stats);
             stats.refine_time += refine_start.elapsed();
             match refined {
                 RefineOutcome::Exact(r) => {
@@ -646,7 +770,7 @@ impl EngineContext {
                         },
                     );
                     // Algorithm 1/3: completed refinement ⇒ expand.
-                    expand(tgraph, spec, q, sds_ws, pred, depth2, &mut stats, u, d);
+                    expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
                 }
                 RefineOutcome::Pruned { lower_bound } => {
                     record(
@@ -661,8 +785,7 @@ impl EngineContext {
             }
         }
 
-        stats.elapsed = start.elapsed();
-        Ok((collector.into_result(stats), completion))
+        Ok((collector, tripped))
     }
 }
 
@@ -774,6 +897,9 @@ fn record_bound_win(stats: &mut QueryStats, parent: u32, height: u32, count: u32
         w.check += 1;
     }
 }
+
+#[cfg(test)]
+mod ladder_tests;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,403 @@
+//! Tests of the kRank ladder (see the [`super`] module docs).
+//!
+//! The metamorphic relation under test is ROADMAP 6(d)'s "any `k_rank_hint`
+//! ≥ the true `kRank` leaves the answer unchanged", stated for the single
+//! pass the ladder is built from: a guess `≥` naive's `kRank` is accepted
+//! and yields naive's rank multiset; a guess below it is rejected, never
+//! returned short or wrong.
+
+use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, Just, ProptestConfig};
+use proptest::strategy::Strategy as PropStrategy;
+use proptest::test_runner::TestCaseError;
+use rkranks_graph::{rank_matrix, EdgeDirection, GraphBuilder, HubLabels, HubOrder, ShardSlice};
+
+use super::*;
+use crate::index::IndexDelta;
+
+fn arb_graph(directed: bool, max_nodes: u32, max_extra: usize) -> impl PropStrategy<Value = Graph> {
+    (3..=max_nodes).prop_flat_map(move |n| {
+        // Weights in {1, 2, 3}: heavy ties, where guess == kRank is most
+        // likely to be off by one.
+        let weight = (1u32..=3).prop_map(f64::from).boxed();
+        let backbone = proptest::collection::vec(weight.clone(), (n - 1) as usize);
+        let extra = proptest::collection::vec((0..n, 0..n, weight), 0..=max_extra);
+        (Just(n), backbone, extra).prop_map(move |(n, bb, extra)| {
+            let mut b = GraphBuilder::new(if directed {
+                EdgeDirection::Directed
+            } else {
+                EdgeDirection::Undirected
+            });
+            b.reserve_nodes(n);
+            for (i, w) in bb.into_iter().enumerate() {
+                let v = i as u32 + 1;
+                b.add_edge(v, v / 2, w).unwrap();
+            }
+            for (u, v, w) in extra {
+                if u != v {
+                    b.add_edge(u, v, w).unwrap();
+                }
+            }
+            b.build().unwrap()
+        })
+    })
+}
+
+/// Where an indexed pass reads and writes.
+enum Binding {
+    None,
+    /// One evolving index shared by every pass of the test case: earlier
+    /// (also rejected) passes seed and sharpen later ones.
+    Live(RkrIndex),
+    Snapshot(RkrIndex, IndexDelta),
+}
+
+impl Binding {
+    fn access(&mut self) -> Option<IndexAccess<'_>> {
+        match self {
+            Binding::None => None,
+            Binding::Live(index) => Some(IndexAccess::Live(index)),
+            Binding::Snapshot(snapshot, delta) => Some(IndexAccess::Snapshot { snapshot, delta }),
+        }
+    }
+}
+
+/// One pass under `guess`: the rank multiset if the pass was accepted.
+fn pass(
+    ctx: &EngineContext,
+    scratch: &mut QueryScratch,
+    q: NodeId,
+    k: u32,
+    guess: u32,
+    dynamic: Option<BoundConfig>,
+    binding: &mut Binding,
+) -> Option<Vec<u32>> {
+    let limits = Limits::for_request(&QueryRequest::new(q, k));
+    let mut stats = QueryStats::default();
+    let mut access = binding.access();
+    let (collector, tripped) = ctx
+        .sds_pass(
+            scratch,
+            q,
+            k,
+            guess,
+            dynamic,
+            access.as_mut(),
+            None,
+            &limits,
+            &mut stats,
+        )
+        .unwrap();
+    assert_eq!(tripped, None);
+    collector
+        .proves_guess()
+        .then(|| collector.into_result(stats).ranks())
+}
+
+/// Every guess from 0 past the largest possible rank, plus the unbounded
+/// rung, against naive — for every query node `ctx` accepts.
+fn check_every_guess(
+    ctx: &EngineContext,
+    k: u32,
+    dynamic: Option<BoundConfig>,
+    binding: &mut Binding,
+) -> std::result::Result<(), TestCaseError> {
+    let n = ctx.graph().num_nodes();
+    let mut scratch = ctx.new_scratch();
+    for q in ctx.graph().nodes() {
+        let naive = QueryRequest::new(q, k).with_strategy(Strategy::Naive);
+        let Ok(truth) = ctx.execute(&mut scratch, &naive) else {
+            continue; // bichromatic: q outside the query class
+        };
+        let truth = truth.result.ranks();
+        // `None`: fewer than k candidates reach q, no finite guess holds.
+        let k_rank = (truth.len() == k as usize).then(|| truth[truth.len() - 1]);
+        for guess in (0..=n + 1).chain([u32::MAX]) {
+            let got = pass(ctx, &mut scratch, q, k, guess, dynamic, binding);
+            if guess == u32::MAX || k_rank.is_some_and(|kr| guess >= kr) {
+                prop_assert_eq!(
+                    got.as_ref(),
+                    Some(&truth),
+                    "q={} k={} guess={} {:?}: a guess >= kRank {:?} must be accepted as naive's answer",
+                    q, k, guess, dynamic, k_rank
+                );
+            } else {
+                prop_assert!(
+                    got.is_none(),
+                    "q={q} k={k} guess={guess} {dynamic:?}: accepted {got:?} below kRank {k_rank:?}"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+const UNINDEXED: [Option<BoundConfig>; 5] = [
+    None, // static
+    Some(BoundConfig::PARENT_ONLY),
+    Some(BoundConfig::PARENT_HEIGHT),
+    Some(BoundConfig::PARENT_COUNT),
+    Some(BoundConfig::ALL),
+];
+
+fn check_context(ctx: &EngineContext, k: u32) -> std::result::Result<(), TestCaseError> {
+    for dynamic in UNINDEXED {
+        check_every_guess(ctx, k, dynamic, &mut Binding::None)?;
+    }
+    let all = Some(BoundConfig::ALL);
+    let live = RkrIndex::empty(ctx.graph().num_nodes(), 64);
+    check_every_guess(ctx, k, all, &mut Binding::Live(live))?;
+    let (built, _) = ctx.build_index(&IndexParams {
+        hub_fraction: 0.3,
+        prefix_fraction: 0.5,
+        k_max: 64,
+        ..Default::default()
+    });
+    let delta = IndexDelta::for_index(&built);
+    check_every_guess(ctx, k, all, &mut Binding::Snapshot(built, delta))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn undirected_guesses(g in arb_graph(false, 12, 14), k in 1u32..5) {
+        check_context(&EngineContext::new(g), k)?;
+    }
+
+    #[test]
+    fn directed_guesses(g in arb_graph(true, 11, 16), k in 1u32..5) {
+        check_context(&EngineContext::new(g), k)?;
+    }
+
+    #[test]
+    fn bichromatic_guesses(
+        g in arb_graph(false, 12, 14),
+        v2 in proptest::collection::vec(any::<bool>(), 12),
+        k in 1u32..4,
+    ) {
+        let mask: Vec<bool> = v2.into_iter().take(g.num_nodes() as usize).collect();
+        check_context(&EngineContext::bichromatic(g, Partition::from_v2_mask(mask)), k)?;
+    }
+
+    #[test]
+    fn sharded_slice_guesses(g in arb_graph(false, 12, 14), k in 1u32..4, seed in any::<u64>()) {
+        for slice in 0..2 {
+            let ctx = EngineContext::new(&g).with_shard_slice(ShardSlice::new(slice, 2, seed));
+            check_context(&ctx, k)?;
+        }
+    }
+}
+
+/// A hub with `LEAVES` unit-weight leaves, a unit-weight tail of `TAIL`
+/// nodes hanging off the hub, and `q` a leaf five times as far out. The
+/// hub and every near leaf have the other near leaves and the first four
+/// tail nodes closer than `q` and tie at rank `K_RANK`, the true `kRank`
+/// for k up to `LEAVES` — beyond the guessed rung for small k, within it
+/// for larger k, with `|V|` large enough that the guess stays finite.
+const LEAVES: u32 = 40;
+const TAIL: u32 = 100;
+const K_RANK: u32 = LEAVES + 5;
+const HUB: NodeId = NodeId(0);
+const Q: NodeId = NodeId(LEAVES + 1);
+
+fn star_with_tail() -> Graph {
+    let mut b = GraphBuilder::new(EdgeDirection::Undirected);
+    for leaf in 1..=LEAVES {
+        b.add_edge(HUB.0, leaf, 1.0).unwrap();
+    }
+    b.add_edge(HUB.0, Q.0, 5.0).unwrap();
+    let mut prev = HUB.0;
+    for t in Q.0 + 1..=Q.0 + TAIL {
+        b.add_edge(prev, t, 1.0).unwrap();
+        prev = t;
+    }
+    b.build().unwrap()
+}
+
+/// The ladder as specified: how many passes a query with true `kRank`
+/// `k_rank` (`None`: `R` can never fill) takes on `n` nodes, and the guess
+/// the last one runs under.
+fn rungs(k: u32, n: u32, k_rank: Option<u32>) -> (u64, u32) {
+    let guess = k * LADDER_GUESS_PER_K;
+    if guess >= n {
+        (1, u32::MAX)
+    } else if k_rank.is_some_and(|kr| kr <= guess) {
+        (1, guess)
+    } else {
+        (2, u32::MAX)
+    }
+}
+
+#[test]
+fn every_strategy_agrees_with_naive_on_either_rung() {
+    let g = star_with_tail();
+    let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
+    let ctx = EngineContext::new(&g).with_oracle(Arc::new(labels));
+    let mut scratch = ctx.new_scratch();
+    // k = 1, 2: kRank is beyond the guess, the unbounded rung answers;
+    // k = 8: the guess holds.
+    let mut seen = Vec::new();
+    for k in [1, 2, 8] {
+        let naive = ctx
+            .execute(
+                &mut scratch,
+                &QueryRequest::new(Q, k).with_strategy(Strategy::Naive),
+            )
+            .unwrap();
+        assert_eq!(naive.result.ranks(), vec![K_RANK; k as usize]);
+        assert_eq!(naive.stats().sds_passes, 0, "naive has no ladder");
+        let (passes, guess) = rungs(k, g.num_nodes(), Some(K_RANK));
+        seen.push((passes, guess == u32::MAX));
+        for strategy in Strategy::ALL {
+            if strategy == Strategy::Naive {
+                continue;
+            }
+            let mut index = RkrIndex::empty(g.num_nodes(), 16);
+            let req = QueryRequest::new(Q, k).with_strategy(strategy);
+            let out = ctx
+                .execute_with(&mut scratch, Some(&mut IndexAccess::Live(&mut index)), &req)
+                .unwrap();
+            assert!(out.is_complete());
+            assert_eq!(out.result.ranks(), naive.result.ranks(), "{strategy} k={k}");
+            assert_eq!(out.stats().sds_passes, passes, "{strategy} k={k}");
+            assert_eq!(out.stats().k_rank_guess, guess, "{strategy} k={k}");
+            assert_eq!(out.stage.sds_passes, passes);
+        }
+    }
+    assert_eq!(seen, [(2, true), (2, true), (1, false)]);
+}
+
+#[test]
+fn too_few_reachable_candidates_end_on_the_unbounded_rung() {
+    // Only 1 and 2 reach q = 0; the other 97 nodes make |V| large enough
+    // for a finite guess, which `R` can never prove.
+    let mut b = GraphBuilder::new(EdgeDirection::Directed);
+    b.reserve_nodes(100);
+    b.add_edge(1, 0, 1.0).unwrap();
+    b.add_edge(2, 1, 1.0).unwrap();
+    for v in 3..100 {
+        b.add_edge(0, v, 1.0).unwrap();
+    }
+    let ctx = EngineContext::new(b.build().unwrap());
+    let mut scratch = ctx.new_scratch();
+    let (passes, _) = rungs(5, 100, None);
+    assert_eq!(passes, 2);
+    for strategy in [Strategy::Static, Strategy::Dynamic(BoundConfig::ALL)] {
+        let req = QueryRequest::new(NodeId(0), 5).with_strategy(strategy);
+        let out = ctx.execute(&mut scratch, &req).unwrap();
+        assert!(out.is_complete());
+        assert_eq!(out.result.nodes(), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(out.stats().sds_passes, passes, "{strategy}");
+        assert_eq!(out.stats().k_rank_guess, u32::MAX, "{strategy}");
+    }
+    // A graph smaller than the first guess starts on the unbounded rung.
+    let tiny = rkranks_graph::graph_from_edges(EdgeDirection::Directed, [(1, 0, 1.0), (2, 1, 1.0)]);
+    let ctx = EngineContext::new(tiny.unwrap());
+    let out = ctx
+        .execute(&mut ctx.new_scratch(), &QueryRequest::new(NodeId(0), 5))
+        .unwrap();
+    assert_eq!(out.result.entries.len(), 2);
+    assert_eq!(out.stats().sds_passes, 1);
+    assert_eq!(out.stats().k_rank_guess, u32::MAX);
+}
+
+/// Limits are charged against the whole ladder: the rejected pass spends
+/// one refinement (the hub, aborted under the guess), so a budget of two
+/// trips *inside* the second pass, after the hub's one completed
+/// refinement.
+#[test]
+fn budget_trips_in_a_later_pass_with_exact_entries_and_the_real_bound() {
+    let g = star_with_tail();
+    let ranks = rank_matrix(&g);
+    let ctx = EngineContext::new(&g);
+    let mut scratch = ctx.new_scratch();
+    let (passes, _) = rungs(1, g.num_nodes(), Some(K_RANK));
+    let req = QueryRequest::new(Q, 1)
+        .with_refine_budget(passes)
+        .with_trace();
+    let out = ctx.execute(&mut scratch, &req).unwrap();
+    assert_eq!(passes, 2);
+    assert_eq!(out.stats().sds_passes, passes);
+    assert_eq!(
+        out.stats().refinement_calls,
+        passes,
+        "the budget spans passes"
+    );
+    assert_eq!(out.stats().k_rank_guess, 0, "no pass was accepted");
+    assert_eq!(out.result.nodes(), vec![HUB]);
+    for e in &out.result.entries {
+        assert_eq!(Some(e.rank), ranks[e.node.index()][Q.index()], "{}", e.node);
+    }
+    // R is full (k = 1), so the bound is its real k-th rank — not the
+    // guess the pass ran under, which nothing has proved.
+    assert_eq!(
+        out.completion,
+        Completion::Partial {
+            reason: PartialReason::RefineBudgetExhausted,
+            k_rank_bound: K_RANK,
+        }
+    );
+    let trace = out.trace.as_ref().unwrap();
+    assert_eq!(trace.passes.len() as u64, passes);
+    assert!(trace.passes.iter().all(|p| !p.accepted));
+
+    // Tripping before R fills leaves the bound open, whatever the guess.
+    let (passes, _) = rungs(2, g.num_nodes(), Some(K_RANK));
+    let req = QueryRequest::new(Q, 2).with_refine_budget(passes);
+    let out = ctx.execute(&mut scratch, &req).unwrap();
+    assert_eq!(out.stats().sds_passes, passes);
+    assert_eq!(out.result.nodes(), vec![HUB]);
+    assert_eq!(
+        out.completion,
+        Completion::Partial {
+            reason: PartialReason::RefineBudgetExhausted,
+            k_rank_bound: u32::MAX,
+        }
+    );
+}
+
+#[test]
+fn tracing_changes_neither_the_answer_nor_the_counters() {
+    let g = star_with_tail();
+    let ctx = EngineContext::new(&g);
+    let mut scratch = ctx.new_scratch();
+    for strategy in [Strategy::Static, Strategy::Dynamic(BoundConfig::ALL)] {
+        let req = QueryRequest::new(Q, 2).with_strategy(strategy);
+        let plain = ctx.execute(&mut scratch, &req).unwrap();
+        let traced = ctx.execute(&mut scratch, &req.with_trace()).unwrap();
+        assert_eq!(plain.result.entries, traced.result.entries);
+        let counters = |s: &QueryStats| {
+            (
+                s.sds_passes,
+                s.k_rank_guess,
+                s.sds_popped,
+                s.refinement_calls,
+                s.refinements_pruned,
+                s.refinement_settles,
+                s.refinement_pushes,
+                s.pruned_by_bound,
+            )
+        };
+        assert_eq!(counters(plain.stats()), counters(traced.stats()));
+
+        // One summary per pass, which together account for every
+        // refinement; only the last is accepted, and `events` is its alone.
+        let trace = traced.trace.unwrap();
+        let stats = &traced.result.stats;
+        assert_eq!(trace.passes.len() as u64, stats.sds_passes);
+        let (last, rejected) = trace.passes.split_last().unwrap();
+        assert!(last.accepted && rejected.iter().all(|p| !p.accepted));
+        assert_eq!(last.guess, stats.k_rank_guess);
+        assert_eq!(last.k_rank, K_RANK);
+        assert_eq!(
+            trace.passes.iter().map(|p| p.refinements).sum::<u64>(),
+            stats.refinement_calls
+        );
+        assert_eq!(
+            trace.passes.iter().map(|p| p.settles).sum::<u64>(),
+            stats.refinement_settles
+        );
+        assert_eq!(trace.refined_nodes().len() as u64, last.refinements);
+        assert!(trace.render(None).starts_with("pass 1 guess "));
+    }
+}

@@ -87,5 +87,5 @@ pub use telemetry::{
     render_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, MetricSample, MetricValue,
     MetricsSnapshot, Registry,
 };
-pub use trace::{PopDecision, QueryTrace, TraceEvent};
+pub use trace::{PassSummary, PopDecision, QueryTrace, TraceEvent};
 pub use validate::{assert_equivalent, results_equivalent};

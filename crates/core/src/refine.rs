@@ -105,11 +105,17 @@ pub fn refine_rank(
         for (t, w) in targets.iter().zip(weights.iter()) {
             let nd = d + *w;
             // Algorithm 2 line 13: only distances strictly below d(p,q)
-            // can contribute to the rank. `q` itself is excluded outright:
-            // by Definition 1 it never counts toward its own rank, and
-            // floating-point summation order can make a forward path to q
-            // come out one ulp below the transpose-computed `dpq`.
-            if nd >= dpq || *t == q {
+            // can contribute to the rank. Rows are `(weight, target)`
+            // sorted (a `Graph` invariant) and float addition is
+            // monotone, so every later edge of the row fails too.
+            if nd >= dpq {
+                break;
+            }
+            // `q` itself is excluded outright: by Definition 1 it never
+            // counts toward its own rank, and floating-point summation
+            // order can make a forward path to q come out one ulp below
+            // the transpose-computed `dpq`.
+            if *t == q {
                 continue;
             }
             if ws.relax(*t, nd) == RelaxOutcome::Inserted {
@@ -522,5 +528,62 @@ mod tests {
             )
         };
         assert_eq!(out, RefineOutcome::Exact(1));
+    }
+}
+
+/// The row cutoff is a `break`, which is exact only because rows are
+/// `(weight, target)`-sorted; ties and zero weights are where an
+/// off-by-one would show. Weights come from `{0, 1, 1, 2}` (so most rows
+/// are all-equal or zero-led) and parallel arcs are kept.
+#[cfg(test)]
+mod cutoff_props {
+    use super::*;
+    use proptest::prelude::*;
+    use rkranks_graph::{distance, rank_matrix, DedupPolicy, EdgeDirection, GraphBuilder};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn refine_rank_matches_rank_matrix_on_tie_heavy_multigraphs(
+            n in 2u32..10,
+            raw in proptest::collection::vec((0u32..10, 0u32..10, 0usize..4), 1..40),
+            directed in any::<bool>(),
+        ) {
+            let mut b = GraphBuilder::new(if directed {
+                EdgeDirection::Directed
+            } else {
+                EdgeDirection::Undirected
+            })
+            .dedup_policy(DedupPolicy::KeepAll);
+            b.reserve_nodes(n);
+            for (u, v, w) in raw {
+                if u % n != v % n {
+                    b.add_edge(u % n, v % n, [0.0, 1.0, 1.0, 2.0][w]).unwrap();
+                }
+            }
+            let g = b.build().unwrap();
+            let truth = rank_matrix(&g);
+            let mut ws = DijkstraWorkspace::new(n);
+            for p in g.nodes() {
+                for q in g.nodes() {
+                    let Some(rank) = truth[p.index()][q.index()] else {
+                        continue; // p == q, or q unreachable from p
+                    };
+                    let got = refine_rank(
+                        &g,
+                        QuerySpec::Mono,
+                        &mut ws,
+                        p,
+                        q,
+                        distance(&g, p, q),
+                        u32::MAX,
+                        &mut RefineHooks::none(),
+                        &mut QueryStats::default(),
+                    );
+                    prop_assert_eq!(got, RefineOutcome::Exact(rank), "Rank({},{}) in {:?}", p, q, g);
+                }
+            }
+        }
     }
 }

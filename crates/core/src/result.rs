@@ -6,6 +6,13 @@
 //! max-heap keyed by rank where only *strict* improvements displace
 //! entries, so earlier-discovered nodes win rank ties (Definition 2 allows
 //! any tie-break; ours is deterministic given the traversal order).
+//!
+//! A collector may also carry a **guess** `G` for the final `kRank` (the
+//! SDS driver's kRank ladder, see [`crate::context`]): pruning then
+//! uses [`TopKCollector::prune_bound`] = `min(kRank, G + 1)` — "act as if
+//! `R` already proved `kRank ≤ G`" — while [`TopKCollector::k_rank`] keeps
+//! reporting the real k-th rank, and [`TopKCollector::proves_guess`] says
+//! whether `R` ended up proving what was assumed.
 
 use std::collections::BinaryHeap;
 
@@ -53,6 +60,8 @@ impl QueryResult {
 #[derive(Debug)]
 pub struct TopKCollector {
     k: usize,
+    /// Assumed upper bound on the final `kRank` (`u32::MAX`: none).
+    guess: u32,
     // max-heap on (rank, node): the root is the current kRank entry.
     heap: BinaryHeap<(u32, NodeId)>,
 }
@@ -60,8 +69,17 @@ pub struct TopKCollector {
 impl TopKCollector {
     /// Collector for `k ≥ 1` results.
     pub fn new(k: u32) -> Self {
+        Self::with_guess(k, u32::MAX)
+    }
+
+    /// Collector for `k ≥ 1` results whose pruning bound is clamped as if
+    /// the final `kRank` were known to be at most `guess`. The caller must
+    /// discard the pass unless [`TopKCollector::proves_guess`] holds at its
+    /// end. `u32::MAX` means no guess.
+    pub fn with_guess(k: u32, guess: u32) -> Self {
         TopKCollector {
             k: k as usize,
+            guess,
             heap: BinaryHeap::with_capacity(k as usize + 1),
         }
     }
@@ -78,6 +96,23 @@ impl TopKCollector {
         } else {
             self.heap.peek().map_or(u32::MAX, |&(r, _)| r)
         }
+    }
+
+    /// The bound candidates are pruned against: the real `kRank`, clamped
+    /// to `guess + 1` so that exactly the candidates ranked above the
+    /// guess become useless (pruning is `lower bound ≥ bound`, refinement
+    /// aborts strictly above it — the same semantics `kRank` has).
+    #[inline]
+    pub fn prune_bound(&self) -> u32 {
+        self.k_rank().min(self.guess.saturating_add(1))
+    }
+
+    /// `true` when every prune made under [`TopKCollector::prune_bound`]
+    /// is justified in hindsight: `R` is full and its real k-th rank is
+    /// within the guess, so each bound used was ≥ the final `kRank`.
+    /// Always `true` without a guess.
+    pub fn proves_guess(&self) -> bool {
+        self.guess == u32::MAX || self.k_rank() <= self.guess
     }
 
     /// Number of entries currently held.

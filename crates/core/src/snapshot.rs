@@ -338,6 +338,12 @@ mod tests {
         let (store2, index2) = round_trip(&store, &index);
         assert_eq!(store2.graph_epoch(), 1);
         assert_eq!(*store2.snapshot(), *store.snapshot());
+        // the reloaded CSR keeps the (weight, target) row order refinement
+        // relies on: node 1's lightest edge is the 0.5 one just added
+        let reloaded = store2.snapshot();
+        let (targets, weights) = reloaded.out_neighbors(NodeId(1));
+        assert_eq!((targets[0], weights[0]), (NodeId(2), 0.5));
+        assert!(weights.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(index2.graph_epoch(), 1);
         assert_eq!(index2.epoch(), 5, "index epoch must survive the restart");
         assert_eq!(index2.lookup(NodeId(0), NodeId(1)), Some(2));

@@ -5,6 +5,12 @@
 //! proxy for pruning power. [`QueryStats`] captures both plus the
 //! lower-level counters the bound analysis (Table 11) and our ablations
 //! need.
+//!
+//! An SDS query may take several passes of the kRank ladder
+//! (see [`crate::context`]). Every counter and timer here is the **sum
+//! over all passes** — the work the query actually did — and
+//! [`QueryStats::sds_passes`] / [`QueryStats::k_rank_guess`] say how many
+//! passes that was and under which guess the last one was accepted.
 
 use std::ops::AddAssign;
 use std::time::Duration;
@@ -84,6 +90,14 @@ pub struct QueryStats {
     pub pruned_by_oracle: u64,
     /// Which bound component supplied the max at each evaluation.
     pub bound_wins: BoundWins,
+    /// Passes of the kRank ladder the SDS driver ran (0 for the
+    /// naive baseline, which has no ladder).
+    pub sds_passes: u64,
+    /// The `kRank` guess the accepted pass ran under: `u32::MAX` when the
+    /// ladder ended on its unbounded rung, 0 when no pass was accepted
+    /// (naive, or a limit tripped first). After [`QueryStats::absorb`],
+    /// the largest over the absorbed queries.
+    pub k_rank_guess: u32,
     /// Wall-clock time for the query.
     pub elapsed: Duration,
     /// Wall-clock time spent inside rank refinement (a subset of
@@ -105,6 +119,8 @@ impl QueryStats {
         self.oracle_lookups += other.oracle_lookups;
         self.pruned_by_oracle += other.pruned_by_oracle;
         self.bound_wins += other.bound_wins;
+        self.sds_passes += other.sds_passes;
+        self.k_rank_guess = self.k_rank_guess.max(other.k_rank_guess);
         self.elapsed += other.elapsed;
         self.refine_time += other.refine_time;
     }
@@ -118,6 +134,8 @@ impl QueryStats {
             pruned_by_bound: self.pruned_by_bound as f64 / n as f64,
             index_exact_hits: self.index_exact_hits as f64 / n as f64,
             refinement_settles: self.refinement_settles as f64 / n as f64,
+            sds_passes: self.sds_passes as f64 / n as f64,
+            max_k_rank_guess: self.k_rank_guess,
             seconds: self.elapsed.as_secs_f64() / n as f64,
         }
     }
@@ -143,6 +161,10 @@ pub struct QueryStageStats {
     pub candidates_pruned: u64,
     /// Rank-refinement invocations.
     pub refine_calls: u64,
+    /// Ladder passes the query took ([`QueryStats::sds_passes`]).
+    pub sds_passes: u64,
+    /// The accepted `kRank` guess ([`QueryStats::k_rank_guess`]).
+    pub k_rank_guess: u32,
 }
 
 impl QueryStageStats {
@@ -154,6 +176,8 @@ impl QueryStageStats {
             refine,
             candidates_pruned: stats.pruned_by_bound + stats.index_exact_hits,
             refine_calls: stats.refinement_calls,
+            sds_passes: stats.sds_passes,
+            k_rank_guess: stats.k_rank_guess,
         }
     }
 
@@ -176,6 +200,11 @@ pub struct MeanStats {
     pub index_exact_hits: f64,
     /// Mean refinement settles per query.
     pub refinement_settles: f64,
+    /// Mean ladder passes per query.
+    pub sds_passes: f64,
+    /// Largest accepted `kRank` guess among the queries (`u32::MAX`: some
+    /// query needed the unbounded rung).
+    pub max_k_rank_guess: u32,
     /// Mean seconds per query.
     pub seconds: f64,
 }
@@ -211,10 +240,19 @@ mod tests {
         let b = QueryStats {
             refinement_calls: 3,
             pruned_by_bound: 5,
+            sds_passes: 3,
+            k_rank_guess: 640,
             elapsed: Duration::from_millis(10),
             ..Default::default()
         };
         a.absorb(&b);
+        a.absorb(&QueryStats {
+            sds_passes: 1,
+            k_rank_guess: 40,
+            ..Default::default()
+        });
+        assert_eq!(a.sds_passes, 4);
+        assert_eq!(a.k_rank_guess, 640); // the largest guess, not a sum
         assert_eq!(a.refinement_calls, 5);
         assert_eq!(a.pruned_by_bound, 5);
         assert_eq!(a.elapsed, Duration::from_millis(10));
@@ -224,11 +262,15 @@ mod tests {
     fn mean_over_divides() {
         let total = QueryStats {
             refinement_calls: 10,
+            sds_passes: 6,
+            k_rank_guess: 160,
             elapsed: Duration::from_secs(2),
             ..Default::default()
         };
         let m = total.mean_over(4);
         assert!((m.refinement_calls - 2.5).abs() < 1e-12);
+        assert!((m.sds_passes - 1.5).abs() < 1e-12);
+        assert_eq!(m.max_k_rank_guess, 160);
         assert!((m.seconds - 0.5).abs() < 1e-12);
     }
 

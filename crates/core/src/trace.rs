@@ -5,6 +5,12 @@
 //! can terminate here, since the lower bounds of ranks for Frank, Sid and
 //! George are already larger than kRank") decision by decision rather than
 //! only by final answer.
+//!
+//! The driver may run several passes of its kRank ladder (see
+//! [`crate::context`]). `events` holds the **accepted (last) pass** — the
+//! one whose decisions produced the answer — and `passes` holds one
+//! [`PassSummary`] per pass run, so "why was this query slow" can be
+//! answered with "its guess of 80 failed: kRank was 2,126".
 
 use rkranks_graph::{Distance, NodeId};
 
@@ -56,11 +62,30 @@ pub struct TraceEvent {
     pub decision: PopDecision,
 }
 
+/// One pass of the kRank ladder.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PassSummary {
+    /// The `kRank` guess the pass ran under (`u32::MAX`: unbounded).
+    pub guess: u32,
+    /// The collector's real k-th rank when the pass ended (`u32::MAX`
+    /// while `R` held fewer than `k` entries).
+    pub k_rank: u32,
+    /// Whether `R` proved the guess. A rejected pass is discarded and the
+    /// next guess runs, unless a limit tripped (then this is the last one).
+    pub accepted: bool,
+    /// Rank refinements started in this pass.
+    pub refinements: u64,
+    /// Nodes settled by this pass's refinements.
+    pub settles: u64,
+}
+
 /// An ordered trace of one query.
 #[derive(Clone, Debug, Default)]
 pub struct QueryTrace {
-    /// Events in pop order.
+    /// Events of the last pass, in pop order.
     pub events: Vec<TraceEvent>,
+    /// One summary per ladder pass, in the order they ran.
+    pub passes: Vec<PassSummary>,
 }
 
 impl QueryTrace {
@@ -100,6 +125,22 @@ impl QueryTrace {
     pub fn render(&self, names: Option<&[&str]>) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
+        let bound = |r: u32| match r {
+            u32::MAX => "unbounded".to_string(),
+            r => r.to_string(),
+        };
+        for (i, p) in self.passes.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "pass {} guess {:<9} {} (kRank {}; {} refinements, {} settles)",
+                i + 1,
+                bound(p.guess),
+                if p.accepted { "accepted" } else { "rejected" },
+                bound(p.k_rank),
+                p.refinements,
+                p.settles,
+            );
+        }
         let name = |n: NodeId| -> String {
             match names {
                 Some(ns) if n.index() < ns.len() => ns[n.index()].to_string(),
@@ -187,6 +228,22 @@ mod tests {
                     decision: PopDecision::RefinementPruned { lower_bound: 6 },
                 },
             ],
+            passes: vec![
+                PassSummary {
+                    guess: 2,
+                    k_rank: u32::MAX,
+                    accepted: false,
+                    refinements: 3,
+                    settles: 9,
+                },
+                PassSummary {
+                    guess: 8,
+                    k_rank: 3,
+                    accepted: true,
+                    refinements: 2,
+                    settles: 7,
+                },
+            ],
         }
     }
 
@@ -205,6 +262,10 @@ mod tests {
         assert!(plain.contains("pop 1"));
         assert!(plain.contains("entered R"));
         assert!(plain.contains("bound-pruned (LB 5 >= kRank 4)"));
+        assert!(plain.contains("pass 1 guess 2         rejected (kRank unbounded; 3 refinements"));
+        assert!(
+            plain.contains("pass 2 guess 8         accepted (kRank 3; 2 refinements, 7 settles)")
+        );
         let named = t.render(Some(&["q", "Bob", "Carol", "Dan", "Eve"]));
         assert!(named.contains("pop Bob"));
         assert!(named.contains("index hit -> rank 2"));

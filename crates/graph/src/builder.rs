@@ -145,9 +145,7 @@ impl GraphBuilder {
         };
 
         match dedup {
-            DedupPolicy::KeepAll => {
-                arcs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-            }
+            DedupPolicy::KeepAll => {}
             DedupPolicy::KeepMin | DedupPolicy::KeepLast => {
                 // HashMap dedup is fine here: construction is cold code.
                 let mut best: HashMap<(u32, u32), f64> = HashMap::with_capacity(arcs.len());
@@ -173,11 +171,11 @@ impl GraphBuilder {
                     }
                 }
                 arcs = best.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-                arcs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
             }
         }
 
-        let csr = Csr::from_sorted_arcs(num_nodes, &arcs);
+        // `from_arcs` orders every row: HashMap order never reaches the CSR.
+        let csr = Csr::from_arcs(num_nodes, &arcs);
         Ok(Graph::from_csr(csr, direction))
     }
 }

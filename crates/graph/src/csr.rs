@@ -4,11 +4,19 @@
 //! graph stores each edge in both directions). Neighbor iteration is a pair
 //! of contiguous slices — the single hottest access pattern in every
 //! algorithm of the paper.
+//!
+//! **Row order is an invariant:** every row is sorted by `(weight, target)`
+//! ascending. Every `Csr` is born in `Csr::from_arcs` ([`Csr::transpose`]
+//! included), which establishes it, so a traversal that only wants edges
+//! with `d + w < bound` may stop at the first edge that fails the test
+//! (float addition is monotone: `w1 <= w2` implies `d + w1 <= d + w2`).
+//! `rkranks-core`'s rank refinement relies on exactly that.
 
 use crate::node::NodeId;
 use crate::weight::Distance;
 
-/// CSR adjacency: `offsets[u]..offsets[u+1]` indexes into `targets`/`weights`.
+/// CSR adjacency: `offsets[u]..offsets[u+1]` indexes into `targets`/`weights`;
+/// each row is sorted by `(weight, target)` (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Csr {
     offsets: Vec<u32>,
@@ -17,15 +25,14 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build from a sorted arc list `(source, target, weight)`.
+    /// Build from an arc list `(source, target, weight)` in any order.
     ///
-    /// `arcs` must be sorted by source (this is an internal constructor; the
-    /// public entry point is [`crate::builder::GraphBuilder`]).
-    pub(crate) fn from_sorted_arcs(num_nodes: u32, arcs: &[(u32, u32, f64)]) -> Csr {
-        debug_assert!(
-            arcs.windows(2).all(|w| w[0].0 <= w[1].0),
-            "arcs must be sorted by source"
-        );
+    /// Counting-sorts the arcs into their rows, then orders each row by
+    /// `(weight, target)`: `O(m + Σ d log d)`, and rows are short. Weights
+    /// must be valid (non-NaN); the public entry points
+    /// ([`crate::builder::GraphBuilder`], [`crate::GraphStore`]) validate
+    /// them.
+    pub(crate) fn from_arcs(num_nodes: u32, arcs: &[(u32, u32, f64)]) -> Csr {
         let n = num_nodes as usize;
         let mut offsets = vec![0u32; n + 1];
         for &(u, _, _) in arcs {
@@ -34,17 +41,47 @@ impl Csr {
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let mut targets = Vec::with_capacity(arcs.len());
-        let mut weights = Vec::with_capacity(arcs.len());
-        for &(_, v, w) in arcs {
-            targets.push(NodeId(v));
-            weights.push(w);
+        let mut cursor = offsets.clone();
+        let mut targets = vec![NodeId(0); arcs.len()];
+        let mut weights = vec![0.0; arcs.len()];
+        for &(u, v, w) in arcs {
+            let slot = cursor[u as usize] as usize;
+            targets[slot] = NodeId(v);
+            weights[slot] = w;
+            cursor[u as usize] += 1;
         }
-        Csr {
+        let mut row: Vec<(Distance, NodeId)> = Vec::new();
+        for i in 0..n {
+            let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+            row.clear();
+            row.extend(
+                weights[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(targets[lo..hi].iter().copied()),
+            );
+            row.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for (slot, &(w, t)) in (lo..hi).zip(&row) {
+                weights[slot] = w;
+                targets[slot] = t;
+            }
+        }
+        let csr = Csr {
             offsets,
             targets,
             weights,
-        }
+        };
+        debug_assert!(csr.rows_are_sorted());
+        csr
+    }
+
+    /// The row-order invariant, checked: every row ascends by
+    /// `(weight, target)`.
+    pub(crate) fn rows_are_sorted(&self) -> bool {
+        (0..self.num_nodes()).all(|u| {
+            let (t, w) = self.neighbors(NodeId(u));
+            (1..t.len()).all(|i| (w[i - 1], t[i - 1]) <= (w[i], t[i]))
+        })
     }
 
     /// Number of nodes.
@@ -81,34 +118,13 @@ impl Csr {
         t.iter().copied().zip(w.iter().copied())
     }
 
-    /// Reverse every arc, producing the transpose adjacency.
+    /// Reverse every arc, producing the transpose adjacency (its rows
+    /// `(weight, target)`-sorted like any other `Csr`'s).
     pub fn transpose(&self) -> Csr {
-        let n = self.num_nodes() as usize;
-        let mut counts = vec![0u32; n + 1];
-        for &t in &self.targets {
-            counts[t.index() + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts; // reuse as write cursors
-        let mut targets = vec![NodeId(0); self.targets.len()];
-        let mut weights = vec![0.0; self.weights.len()];
-        for u in 0..n as u32 {
-            let (ts, ws) = self.neighbors(NodeId(u));
-            for (t, w) in ts.iter().zip(ws.iter()) {
-                let slot = cursor[t.index()] as usize;
-                targets[slot] = NodeId(u);
-                weights[slot] = *w;
-                cursor[t.index()] += 1;
-            }
-        }
-        Csr {
-            offsets,
-            targets,
-            weights,
-        }
+        let arcs: Vec<_> = (0..self.num_nodes())
+            .flat_map(|u| self.edges(NodeId(u)).map(move |(t, w)| (t.0, u, w)))
+            .collect();
+        Csr::from_arcs(self.num_nodes(), &arcs)
     }
 
     /// Heap memory footprint in bytes (used by index-size accounting).
@@ -125,7 +141,7 @@ mod tests {
 
     fn sample() -> Csr {
         // 0 -> 1 (1.0), 0 -> 2 (2.0), 1 -> 2 (0.5), 3 isolated
-        Csr::from_sorted_arcs(4, &[(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5)])
+        Csr::from_arcs(4, &[(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5)])
     }
 
     #[test]
@@ -161,9 +177,9 @@ mod tests {
         let t = c.transpose();
         assert_eq!(t.num_arcs(), 3);
         let (ts, ws) = t.neighbors(NodeId(2));
-        // incoming arcs of 2: from 0 (2.0) and from 1 (0.5)
-        assert_eq!(ts, &[NodeId(0), NodeId(1)]);
-        assert_eq!(ws, &[2.0, 0.5]);
+        // incoming arcs of 2: from 1 (0.5) and from 0 (2.0), lightest first
+        assert_eq!(ts, &[NodeId(1), NodeId(0)]);
+        assert_eq!(ws, &[0.5, 2.0]);
         assert_eq!(t.degree(NodeId(0)), 0);
     }
 

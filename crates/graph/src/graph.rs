@@ -72,7 +72,15 @@ impl Graph {
         self.num_arcs() as f64 / self.num_nodes() as f64
     }
 
-    /// Neighbor slice pair `(targets, weights)` of `u`.
+    /// Neighbor slice pair `(targets, weights)` of `u`, sorted by
+    /// `(weight, target)` ascending — lightest edge first.
+    ///
+    /// The order is an invariant of every graph this crate produces
+    /// (builder, [`crate::GraphStore`] commits, [`Graph::transpose`], file
+    /// and snapshot loads all go through the same CSR constructors). A
+    /// distance-bounded traversal may therefore `break` out of a row at the
+    /// first edge with `d + w >= bound`; `rkranks-core`'s `refine_rank`
+    /// does, and that early exit is most of its per-settle cost on hub rows.
     #[inline(always)]
     pub fn out_neighbors(&self, u: NodeId) -> (&[NodeId], &[Distance]) {
         self.csr.neighbors(u)

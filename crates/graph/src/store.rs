@@ -180,16 +180,15 @@ impl GraphStore {
     /// Take ownership of `graph` as the epoch-0 snapshot.
     pub fn new(graph: Graph) -> GraphStore {
         let direction = graph.direction();
-        let mut edges = BTreeMap::new();
-        for u in graph.nodes() {
-            for (v, w) in graph.edges(u) {
-                // Undirected CSRs store both arcs; keep each edge once.
-                if direction == EdgeDirection::Undirected && v.0 < u.0 {
-                    continue;
-                }
-                edges.insert(canonical(direction, u.0, v.0), w);
-            }
-        }
+        // Collected, not inserted one by one: rows are weight-ordered, so
+        // keys arrive out of order, and `collect` sorts once and bulk-builds.
+        let edges = graph
+            .nodes()
+            .flat_map(|u| graph.edges(u).map(move |(v, w)| (u.0, v.0, w)))
+            // Undirected CSRs store both arcs; keep each edge once.
+            .filter(|&(u, v, _)| direction == EdgeDirection::Directed || u <= v)
+            .map(|(u, v, w)| (canonical(direction, u, v), w))
+            .collect();
         GraphStore {
             direction,
             edges,
@@ -434,12 +433,11 @@ impl GraphStore {
         Ok(self.commit())
     }
 
-    /// Rebuild the CSR from the canonical edge set — the same sorted-arc
-    /// construction `GraphBuilder` uses, so snapshots are identical to
-    /// from-scratch builds of the same edge list.
+    /// Rebuild the CSR from the canonical edge set — the same
+    /// `Csr::from_arcs` construction `GraphBuilder` uses, so snapshots are
+    /// identical to from-scratch builds of the same edge list.
     fn rebuild(&self) -> Graph {
         let arcs: Vec<(u32, u32, f64)> = match self.direction {
-            // BTreeMap iteration is already (u, v)-sorted.
             EdgeDirection::Directed => self.edges().collect(),
             EdgeDirection::Undirected => {
                 let mut a = Vec::with_capacity(self.edges.len() * 2);
@@ -447,11 +445,10 @@ impl GraphStore {
                     a.push((u, v, w));
                     a.push((v, u, w));
                 }
-                a.sort_unstable_by(|x, y| x.0.cmp(&y.0).then(x.1.cmp(&y.1)));
                 a
             }
         };
-        Graph::from_csr(Csr::from_sorted_arcs(self.num_nodes, &arcs), self.direction)
+        Graph::from_csr(Csr::from_arcs(self.num_nodes, &arcs), self.direction)
     }
 }
 

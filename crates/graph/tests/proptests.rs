@@ -351,3 +351,92 @@ mod hub_label_props {
         }
     }
 }
+
+/// Row order — the invariant distance-bounded traversals rely on.
+///
+/// Every row of every graph this crate hands out is sorted by
+/// `(weight, target)`: straight from the builder under each dedup policy,
+/// after any committed update batch, after a transpose, and after a file
+/// round-trip. Weights are drawn from `{0, 1, 2}` so ties (where the
+/// target breaks the order) and zero weights are the common case.
+mod row_order_props {
+    use super::*;
+    use rkranks_graph::{
+        read_graph, write_graph, DedupPolicy, GraphBuilder, GraphDelta, GraphStore,
+    };
+
+    fn rows_sorted(g: &Graph) -> bool {
+        g.nodes().all(|u| {
+            let (t, w) = g.out_neighbors(u);
+            (1..t.len()).all(|i| (w[i - 1], t[i - 1]) <= (w[i], t[i]))
+        })
+    }
+
+    fn tie_heavy(edges: &[(u32, u32, f64)]) -> Vec<(u32, u32, f64)> {
+        edges
+            .iter()
+            .map(|&(u, v, w)| (u, v, (w as u32 % 3) as f64))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn rows_sorted_after_build_transpose_and_reload(
+            (n, edges) in arb_edges(12, 30),
+            directed in any::<bool>(),
+        ) {
+            let dir = if directed { EdgeDirection::Directed } else { EdgeDirection::Undirected };
+            for policy in [DedupPolicy::KeepMin, DedupPolicy::KeepLast, DedupPolicy::KeepAll] {
+                let mut b = GraphBuilder::new(dir).dedup_policy(policy);
+                b.reserve_nodes(n);
+                for (u, v, w) in tie_heavy(&edges) {
+                    b.add_edge(u, v, w).unwrap();
+                }
+                let g = b.build().unwrap();
+                prop_assert!(rows_sorted(&g), "{policy:?}: {g:?}");
+                let t = g.transpose();
+                prop_assert!(rows_sorted(&t), "{policy:?} transpose: {t:?}");
+                prop_assert_eq!(t.transpose(), g.clone());
+
+                let mut file = Vec::new();
+                write_graph(&g, &mut file).unwrap();
+                let back = read_graph(file.as_slice()).unwrap();
+                prop_assert!(rows_sorted(&back), "{policy:?} reloaded: {back:?}");
+                if policy != DedupPolicy::KeepAll {
+                    // (the reader dedups, so parallel arcs do not round-trip)
+                    prop_assert_eq!(back, g);
+                }
+            }
+        }
+
+        #[test]
+        fn rows_stay_sorted_across_commits(
+            (n, edges) in arb_edges(10, 14),
+            stream in proptest::collection::vec((0u32..10, 0u32..10, 0u32..3, any::<bool>()), 1..24),
+            directed in any::<bool>(),
+        ) {
+            let dir = if directed { EdgeDirection::Directed } else { EdgeDirection::Undirected };
+            let mut store = GraphStore::new(build(dir, n, &tie_heavy(&edges)));
+            for chunk in stream.chunks(5) {
+                for &(u, v, w, remove) in chunk {
+                    let (u, v, w) = (u % n, v % n, f64::from(w));
+                    // Whatever fits the current edge set: an invalid delta
+                    // (self-loop) is refused and stages nothing.
+                    let delta = match (store.contains_edge(u, v), remove) {
+                        (true, true) => GraphDelta::RemoveEdge { u, v },
+                        (true, false) => GraphDelta::Reweight { u, v, w },
+                        (false, _) => GraphDelta::AddEdge { u, v, w },
+                    };
+                    let _ = store.stage(delta);
+                }
+                let snapshot = store.commit();
+                prop_assert!(rows_sorted(&snapshot), "epoch {}: {snapshot:?}", store.graph_epoch());
+                // ...and is the graph a from-scratch build of the same edges gives.
+                let edges: Vec<_> = store.edges().collect();
+                prop_assert_eq!(&*snapshot, &build(dir, store.num_nodes(), &edges));
+            }
+        }
+    }
+}

@@ -734,6 +734,13 @@ pub struct SlowQueryRecord {
     pub filter_ns: u64,
     /// Nanoseconds in rank refinement (0 for cache hits).
     pub refine_ns: u64,
+    /// Passes of the engine's kRank ladder (0 for cache hits
+    /// and the naive strategy) — with `k_rank_guess`, the usual answer to
+    /// "why was this query slow": its true `kRank` is large.
+    pub sds_passes: u64,
+    /// The `kRank` guess the accepted pass ran under (`u32::MAX`: the
+    /// unbounded last rung; 0: none, e.g. a partial answer).
+    pub k_rank_guess: u32,
     /// `"complete"` or `"partial"` (deadline or budget tripped).
     pub completion: String,
 }
@@ -750,6 +757,8 @@ impl SlowQueryRecord {
             ("total_ns".into(), Json::num(self.total_ns as f64)),
             ("filter_ns".into(), Json::num(self.filter_ns as f64)),
             ("refine_ns".into(), Json::num(self.refine_ns as f64)),
+            ("sds_passes".into(), Json::num(self.sds_passes as f64)),
+            ("k_rank_guess".into(), Json::num(self.k_rank_guess)),
             ("completion".into(), Json::Str(self.completion.clone())),
         ])
     }
@@ -774,6 +783,8 @@ impl SlowQueryRecord {
             total_ns: field_u64(v, "total_ns")?,
             filter_ns: field_u64(v, "filter_ns")?,
             refine_ns: field_u64(v, "refine_ns")?,
+            sds_passes: field_u64(v, "sds_passes")?,
+            k_rank_guess: field_u32(v, "k_rank_guess")?,
             completion: text("completion")?,
         })
     }
@@ -1432,6 +1443,8 @@ mod tests {
                 total_ns: 51031,
                 filter_ns: 40100,
                 refine_ns: 9000,
+                sds_passes: 7,
+                k_rank_guess: u32::MAX,
                 completion: "complete".into(),
             },
             SlowQueryRecord {
@@ -1444,6 +1457,8 @@ mod tests {
                 total_ns: 12,
                 filter_ns: 0,
                 refine_ns: 0,
+                sds_passes: 0,
+                k_rank_guess: 0,
                 completion: "partial".into(),
             },
         ]));

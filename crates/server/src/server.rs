@@ -1352,6 +1352,8 @@ fn note_served(
         total_ns: duration_ns(total),
         filter_ns: stage.map_or(0, |s| duration_ns(s.filter)),
         refine_ns: stage.map_or(0, |s| duration_ns(s.refine)),
+        sds_passes: stage.map_or(0, |s| s.sds_passes),
+        k_rank_guess: stage.map_or(0, |s| s.k_rank_guess),
         completion: if outcome == QueryOutcome::Partial {
             "partial".to_string()
         } else {
@@ -2304,10 +2306,13 @@ mod tests {
         assert!(!log[0].cached);
         assert_eq!(log[0].completion, "complete");
         assert!(log[0].total_ns >= log[0].filter_ns + log[0].refine_ns);
+        assert!(log[0].sds_passes >= 1 && log[0].k_rank_guess > 0);
         assert!(log[1].cached, "the repeat is a cache hit");
+        assert_eq!(log[1].sds_passes, 0, "hits run no ladder");
         assert_eq!(log[1].filter_ns, 0, "hits do no stage work");
         assert_eq!(log[1].refine_ns, 0);
         assert_eq!(log[2].strategy, "naive");
+        assert_eq!(log[2].sds_passes, 0, "naive has no ladder");
 
         let snap = client.metrics().unwrap();
         assert_eq!(counter_value(&snap, "rkrd_slow_queries_total"), 3);

@@ -1,0 +1,125 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of one rkr-bench workload — the procedure
+# every perf PR reports (ROADMAP "Open items"; choosing-metrics §8) as one
+# command.
+#
+#   scripts/bench_pairs.sh PARENT_REF WORKLOAD [PAIRS=10] [SEED=1]
+#
+# PARENT_REF is any commit-ish; the change is the working tree as it
+# stands. The parent is exported with `git archive` (no worktree or branch
+# is left behind, and a dirty checkout is no obstacle) and each side is
+# built once into its own target directory. Each pair runs the acceptance
+# driver's form (`--workload W --seed S --seconds 12 --trace 0`) once per
+# side, alternating which side goes first. Every run is printed, then each
+# side's quartiles and the number of pairs the change wins per end-to-end
+# metric (a tie counts for neither side). A gain holds when the change
+# wins at least 9 of 10 pairs and the medians differ by more than the
+# parent's own q1..q3 spread.
+#
+# Everything is written under a fresh directory below $TMPDIR (default
+# /tmp), removed on exit.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+    echo "usage: $0 PARENT_REF WORKLOAD [PAIRS=10] [SEED=1]" >&2
+    exit 2
+fi
+PARENT_REF="$1"
+WORKLOAD="$2"
+PAIRS="${3:-10}"
+SEED="${4:-1}"
+
+cd "$(dirname "$0")/.."
+PARENT_SHA="$(git rev-parse --verify "$PARENT_REF^{commit}")"
+
+WORK="$(mktemp -d "${TMPDIR:-/tmp}/rkr-bench-pairs.XXXXXX")"
+trap 'rm -rf "$WORK"' EXIT
+
+mkdir "$WORK/parent-src"
+git archive "$PARENT_SHA" | tar -x -C "$WORK/parent-src"
+
+# build SIDE SOURCE_DIR: the benchmark binary, built the way BENCHMARK.json
+# builds it, into the side's own target directory.
+build() {
+    CARGO_TARGET_DIR="$WORK/$1-target" cargo build --release --offline --quiet \
+        --manifest-path "$2/crates/rkr-bench/Cargo.toml"
+}
+echo "building parent $PARENT_SHA" >&2
+build parent "$WORK/parent-src"
+echo "building change (working tree on $(git rev-parse --short HEAD))" >&2
+build change .
+
+METRICS="setup_s query_p50_ms queries_per_s peak_rss_mb"
+
+# run SIDE PAIR: one acceptance-form run; appends "pair value..." to the
+# side's table and prints the run.
+run() {
+    local side="$1" pair="$2" line row="" value
+    # The harness writes its results files under $CARGO_TARGET_DIR/bench.
+    line="$(CARGO_TARGET_DIR="$WORK/$side-target" "$WORK/$side-target/release/rkr-bench" \
+        --workload "$WORKLOAD" --seed "$SEED" --seconds 12 --trace 0 | tail -n 1)"
+    for m in $METRICS; do
+        value="$(printf '%s\n' "$line" | sed -n "s/.*\"$m\":{\"value\":\([-0-9.eE+]*\).*/\1/p")"
+        if [ -z "$value" ]; then
+            echo "no $m in the $side run's last line: $line" >&2
+            exit 1
+        fi
+        row="$row $value"
+    done
+    local failed
+    failed="$(printf '%s\n' "$line" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')"
+    echo "$pair$row" >> "$WORK/$side.runs"
+    printf '  %-6s' "$side"
+    local i=2
+    for m in $METRICS; do
+        printf ' %s=%s' "$m" "$(echo "$pair$row" | cut -d' ' -f"$i")"
+        i=$((i + 1))
+    done
+    printf ' failed=%s\n' "$failed"
+}
+
+echo "workload $WORKLOAD, seed $SEED, $PAIRS pairs, parent $PARENT_SHA"
+for pair in $(seq 1 "$PAIRS"); do
+    if [ $((pair % 2)) -eq 1 ]; then
+        echo "pair $pair (parent first)"
+        run parent "$pair"
+        run change "$pair"
+    else
+        echo "pair $pair (change first)"
+        run change "$pair"
+        run parent "$pair"
+    fi
+done
+
+echo
+printf '%-14s %-7s %12s %12s %12s   %s\n' metric side q1 median q3 "change wins"
+col=2
+for m in $METRICS; do
+    case "$m" in
+        queries_per_s) better=higher ;;
+        *) better=lower ;;
+    esac
+    for side in parent change; do
+        cut -d' ' -f"$col" "$WORK/$side.runs" | sort -g | awk -v m="$m" -v side="$side" '
+            { v[NR] = $1 }
+            # linear interpolation between order statistics (R type 7)
+            function q(p,    h, lo) {
+                h = (NR - 1) * p + 1; lo = int(h)
+                return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+            }
+            END { printf "%-14s %-7s %12.6g %12.6g %12.6g", m, side, q(0.25), q(0.5), q(0.75) }'
+        if [ "$side" = change ]; then
+            # both tables are in pair order: line i of each is pair i
+            paste -d' ' "$WORK/parent.runs" "$WORK/change.runs" | awk -v c="$col" -v better="$better" '
+                {
+                    p = $(c); ch = $(c + 5)
+                    if (ch == p) ties++
+                    else if ((better == "lower") == (ch < p)) wins++
+                }
+                END { printf "   %d of %d (%d ties, %s is better)\n", wins, NR, ties, better }'
+        else
+            echo
+        fi
+    done
+    col=$((col + 1))
+done

@@ -901,14 +901,16 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
             println!("{} slow quer(ies), oldest first:", records.len());
             for r in &records {
                 println!(
-                    "  node {:>8} k {:>4}  {:<14} {:>9.3}ms (filter {:.3}ms, refine {:.3}ms) \
-                     {}{} epoch {}/{}",
+                    "  node {:>8} k {:>4}  {:<14} {:>9.3}ms (filter {:.3}ms, refine {:.3}ms, \
+                     {} passes to kRank guess {}) {}{} epoch {}/{}",
                     r.node,
                     r.k,
                     r.strategy,
                     r.total_ns as f64 / 1e6,
                     r.filter_ns as f64 / 1e6,
                     r.refine_ns as f64 / 1e6,
+                    r.sds_passes,
+                    guess_label(r.k_rank_guess),
                     if r.cached { "cached " } else { "" },
                     r.completion,
                     r.epoch,
@@ -1046,6 +1048,15 @@ fn cmd_query_remote(flags: &Flags, addr: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Human form of `QueryStats::k_rank_guess`.
+fn guess_label(guess: u32) -> String {
+    match guess {
+        0 => "none".to_string(),
+        u32::MAX => "unbounded".to_string(),
+        g => g.to_string(),
+    }
+}
+
 fn cmd_query(flags: &Flags) -> Result<(), String> {
     if let Some(addr) = flags.get("remote") {
         return cmd_query_remote(flags, addr);
@@ -1140,6 +1151,14 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
         println!(
             "oracle: {} lookups, {} candidates pruned by the hub bound",
             result.stats.oracle_lookups, result.stats.pruned_by_oracle
+        );
+    }
+    if result.stats.sds_passes > 0 {
+        println!(
+            "ladder: {} passes, {} refinement settles in all; accepted kRank guess {}",
+            result.stats.sds_passes,
+            result.stats.refinement_settles,
+            guess_label(result.stats.k_rank_guess)
         );
     }
     if let Some(trace) = &outcome.trace {
