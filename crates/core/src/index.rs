@@ -26,6 +26,26 @@
 //! `Rank(u, q) ≥ kRank` — `u` still cannot strictly improve the result.
 //! Both cases make the §5.3 prune safe; this is why [`RkrIndex`] refuses
 //! queries with `k > k_max`.
+//!
+//! ### The build stops at its `M`-th nearest node
+//!
+//! [`RkrIndex::build`] runs each hub's `M`-truncated SSSP (§5.2) on
+//! [`BoundedBrowser`] with `limit = M` and `counted = spec.is_counted`: a
+//! settled node's row is relaxed only while `d + w ≤ τ`, where `τ` is the
+//! `M`-th smallest insertion-time tentative distance among the counted
+//! nodes discovered so far (`∞` before there are `M`), so the frontier
+//! that a truncated run throws away at its `M`-th settle is never built.
+//! The bound is exact: `M` distinct counted nodes have final distance ≤
+//! `τ`, so the `M`-th nearest is within `τ`; every node within `τ` has all
+//! its shortest-path prefixes within `τ` and is found with its exact
+//! distance; hence the first `M` counted settles carry the distances and
+//! ranks of the unbounded run. **Tie rule:** the cut is strict, so the tie
+//! group at the `M`-th distance is discovered whole and the frontier peek
+//! behind every Check-dictionary value sees a pending tie exactly when the
+//! unbounded run would; *which* members of a tie group straddling the cut
+//! are enumerated is heap order, arbitrary with and without the bound.
+//! [`IndexBuildStats::relaxations`] and [`IndexBuildStats::pushes`] report
+//! the work next to the settle count.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -35,7 +55,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rkranks_graph::centrality::{closeness_sampled, top_by_score, top_degree_nodes};
 use rkranks_graph::rank::RankCounter;
-use rkranks_graph::{DijkstraWorkspace, Graph, NodeId};
+use rkranks_graph::{BoundedBrowser, DijkstraWorkspace, Graph, NodeId};
 
 use crate::spec::QuerySpec;
 
@@ -93,7 +113,7 @@ impl Default for IndexParams {
 }
 
 /// Construction-time statistics (Table 15's data).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct IndexBuildStats {
     /// Number of hubs selected (`H`).
     pub hubs: u32,
@@ -101,8 +121,39 @@ pub struct IndexBuildStats {
     pub prefix: u32,
     /// Wall-clock build time.
     pub build_time: Duration,
-    /// Total nodes settled across all hub SSSPs.
+    /// Total nodes settled across all hub SSSPs (the hubs themselves
+    /// excluded).
     pub settles: u64,
+    /// Total edges relaxed across all hub SSSPs. Each settle also pays at
+    /// most one failed cut-off test, which is not an edge relaxed.
+    pub relaxations: u64,
+    /// Total frontier insertions across all hub SSSPs.
+    pub pushes: u64,
+}
+
+impl IndexBuildStats {
+    /// Edges relaxed per settled node — the build's waste gauge: an
+    /// unbounded traversal pays the mean degree of the settled nodes (≈ 200
+    /// from degree-first hubs), the bounded one little more than the edges
+    /// that feed its `M` settles.
+    pub fn edges_per_settle(&self) -> f64 {
+        self.relaxations as f64 / self.settles.max(1) as f64
+    }
+}
+
+impl std::fmt::Display for IndexBuildStats {
+    /// `H hubs x prefix M: S settles, E edges/settle, built in T`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} hubs x prefix {}: {} settles, {:.2} edges/settle, built in {:.2?}",
+            self.hubs,
+            self.prefix,
+            self.settles,
+            self.edges_per_settle(),
+            self.build_time
+        )
+    }
 }
 
 /// The two-dictionary index of §5.2.
@@ -174,15 +225,20 @@ impl RkrIndex {
         index.hubs = hubs.clone();
 
         let threads = threads.clamp(1, hubs.len().max(1));
-        let mut settles = 0u64;
+        // The work counters sum over hubs, and over workers below.
+        let mut stats = IndexBuildStats {
+            hubs: hub_count,
+            prefix,
+            ..Default::default()
+        };
         if threads == 1 {
             let mut ws = DijkstraWorkspace::new(n);
             for &hub in &hubs {
-                settles += index.enumerate_from(graph, spec, &mut ws, hub, prefix);
+                index.enumerate_from(graph, spec, &mut ws, hub, prefix, &mut stats);
             }
         } else {
             let chunk = hubs.len().div_ceil(threads);
-            let mut partials: Vec<(RkrIndex, u64)> = Vec::new();
+            let mut partials: Vec<(RkrIndex, IndexBuildStats)> = Vec::new();
             std::thread::scope(|s| {
                 let handles: Vec<_> = hubs
                     .chunks(chunk)
@@ -190,11 +246,11 @@ impl RkrIndex {
                         s.spawn(move || {
                             let mut part = RkrIndex::empty(n, params.k_max);
                             let mut ws = DijkstraWorkspace::new(n);
-                            let mut settles = 0u64;
+                            let mut work = IndexBuildStats::default();
                             for &hub in chunk {
-                                settles += part.enumerate_from(graph, spec, &mut ws, hub, prefix);
+                                part.enumerate_from(graph, spec, &mut ws, hub, prefix, &mut work);
                             }
-                            (part, settles)
+                            (part, work)
                         })
                     })
                     .collect();
@@ -202,17 +258,14 @@ impl RkrIndex {
                     partials.push(h.join().expect("index build worker panicked"));
                 }
             });
-            for (part, part_settles) in partials {
-                settles += part_settles;
+            for (part, work) in partials {
+                stats.settles += work.settles;
+                stats.relaxations += work.relaxations;
+                stats.pushes += work.pushes;
                 index.merge_from(&part);
             }
         }
-        let stats = IndexBuildStats {
-            hubs: hub_count,
-            prefix,
-            build_time: start.elapsed(),
-            settles,
-        };
+        stats.build_time = start.elapsed();
         (index, stats)
     }
 
@@ -297,7 +350,9 @@ impl RkrIndex {
 
     /// Run a truncated SSSP from `source`, enumerating up to `limit`
     /// counted nodes, offering each to the Reverse Rank Dictionary and
-    /// raising `check[source]`. Returns the number of settles.
+    /// raising `check[source]`. The traversal is bounded by its own
+    /// `limit`-th nearest counted node (module docs); its settles, edges
+    /// relaxed and pushes are added to `work`.
     ///
     /// This is the build-time primitive; query-time refinements use the
     /// incremental hooks ([`RkrIndex::offer`] / [`RkrIndex::raise_check`])
@@ -309,19 +364,20 @@ impl RkrIndex {
         ws: &mut DijkstraWorkspace,
         source: NodeId,
         limit: u32,
-    ) -> u64 {
-        use rkranks_graph::DistanceBrowser;
+        work: &mut IndexBuildStats,
+    ) {
         let mut counter = RankCounter::new();
-        let mut settles = 0u64;
-        let mut browser = DistanceBrowser::new(graph, ws, source);
-        browser.next(); // skip the source itself
+        let mut browser =
+            BoundedBrowser::new(graph, ws, source, limit as usize, |v| spec.is_counted(v));
         loop {
             let Some((v, d)) = browser.next() else {
-                // Frontier exhausted: everything reachable was enumerated.
+                // Nothing left within the cut-off. Short of `limit` that is
+                // the whole reachable set; at `limit` the loop has left
+                // below.
                 self.raise_check(source, counter.unsettled_rank_lower_bound(None));
                 break;
             };
-            settles += 1;
+            work.settles += 1;
             if !spec.is_counted(v) {
                 continue;
             }
@@ -333,7 +389,8 @@ impl RkrIndex {
                 break;
             }
         }
-        settles
+        work.relaxations += browser.relaxations();
+        work.pushes += browser.pushes();
     }
 
     /// Largest query `k` this index supports.
@@ -430,13 +487,11 @@ impl RkrIndex {
     /// ranks are exact) first entry. Returns whether the list changed.
     pub fn offer(&mut self, target: NodeId, source: NodeId, rank: u32) -> bool {
         let list = &mut self.rrd[target.index()];
-        // Fast reject: full and not better than the current worst.
-        if list.len() == self.k_max as usize {
-            if let Some(&(worst, _)) = list.last() {
-                if rank >= worst && !list.iter().any(|&(_, s)| s == source) {
-                    return false;
-                }
-            }
+        // Fast reject: full and not better than the current worst — listed
+        // already or not, `source` leaves the list as it is.
+        if list.len() == self.k_max as usize && list.last().is_some_and(|&(worst, _)| rank >= worst)
+        {
+            return false;
         }
         if list.iter().any(|&(_, s)| s == source) {
             return false;
@@ -899,6 +954,12 @@ mod tests {
         let (seq, s1) = RkrIndex::build(&g, QuerySpec::Mono, &params);
         let (par, s2) = RkrIndex::build_parallel(&g, QuerySpec::Mono, &params, 3);
         assert_eq!(s1.settles, s2.settles);
+        assert_eq!(
+            (s1.relaxations, s1.pushes),
+            (s2.relaxations, s2.pushes),
+            "work counters sum over workers"
+        );
+        assert!(s1.pushes > 0 && s1.pushes <= s1.relaxations);
         assert_eq!(seq.hubs(), par.hubs());
         assert_eq!(seq.rrd_entries(), par.rrd_entries());
         for u in g.nodes() {

@@ -5,10 +5,33 @@
 
 use proptest::prelude::*;
 use rkranks_core::refine::{refine_rank, refine_rank_unbounded, RefineHooks, RefineOutcome};
-use rkranks_core::{QuerySpec, QueryStats, RkrIndex, TopKCollector};
-use rkranks_graph::{
-    rank_matrix, sssp, DijkstraWorkspace, EdgeDirection, Graph, GraphBuilder, NodeId,
+use rkranks_core::{
+    HubStrategy, IndexParams, Partition, QuerySpec, QueryStats, RkrIndex, TopKCollector,
 };
+use rkranks_graph::{
+    rank_matrix, sssp, DedupPolicy, DijkstraWorkspace, DistanceBrowser, EdgeDirection, Graph,
+    GraphBuilder, NodeId, RankCounter,
+};
+
+/// The body of `RkrIndex::offer` before its fast reject lost the
+/// duplicate-source scan (both outcomes of that scan rejected), on one
+/// Reverse Rank Dictionary list.
+fn offer_reference(list: &mut Vec<(u32, NodeId)>, k_max: u32, source: NodeId, rank: u32) -> bool {
+    if list.len() == k_max as usize {
+        if let Some(&(worst, _)) = list.last() {
+            if rank >= worst && !list.iter().any(|&(_, s)| s == source) {
+                return false;
+            }
+        }
+    }
+    if list.iter().any(|&(_, s)| s == source) {
+        return false;
+    }
+    let pos = list.partition_point(|&(r, s)| (r, s) < (rank, source));
+    list.insert(pos, (rank, source));
+    list.truncate(k_max as usize);
+    true
+}
 
 fn arb_graph(max_nodes: u32) -> impl Strategy<Value = Graph> {
     (2..=max_nodes).prop_flat_map(move |n| {
@@ -30,8 +53,222 @@ fn arb_graph(max_nodes: u32) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Tie-heavy on purpose: weights from `{0, 1, 1, 2}`, parallel arcs kept,
+/// no backbone (unreachable parts are the norm), either direction.
+fn arb_tie_heavy_graph(max_nodes: u32) -> impl Strategy<Value = Graph> {
+    (2..=max_nodes).prop_flat_map(move |n| {
+        let edges = proptest::collection::vec((0..n, 0..n, 0usize..4), 0..36);
+        (Just(n), edges, any::<bool>()).prop_map(|(n, edges, directed)| {
+            let dir = if directed {
+                EdgeDirection::Directed
+            } else {
+                EdgeDirection::Undirected
+            };
+            let mut b = GraphBuilder::new(dir).dedup_policy(DedupPolicy::KeepAll);
+            b.reserve_nodes(n);
+            for (u, v, w) in edges {
+                if u != v {
+                    b.add_edge(u, v, [0.0, 1.0, 1.0, 2.0][w]).unwrap();
+                }
+            }
+            b.build().unwrap()
+        })
+    })
+}
+
+/// Index parameters over the whole (h, m) square, `K` small enough to
+/// evict and large enough not to.
+fn arb_index_params() -> impl Strategy<Value = IndexParams> {
+    (0.05f64..1.0, 0.05f64..1.0, 1u32..16, any::<bool>()).prop_map(|(h, m, k_max, degree)| {
+        IndexParams {
+            hub_fraction: h,
+            prefix_fraction: m,
+            k_max,
+            strategy: if degree {
+                HubStrategy::DegreeFirst
+            } else {
+                HubStrategy::Random
+            },
+            ..Default::default()
+        }
+    })
+}
+
+/// Mono, or bichromatic over a random `V2` mask.
+fn arb_v2_mask(max_nodes: u32) -> impl Strategy<Value = Option<Vec<bool>>> {
+    (
+        any::<bool>(),
+        proptest::collection::vec(any::<bool>(), max_nodes as usize),
+    )
+        .prop_map(|(mono, mask)| (!mono).then_some(mask))
+}
+
+fn partition_for(g: &Graph, mask: &Option<Vec<bool>>) -> Option<Partition> {
+    mask.as_ref()
+        .map(|m| Partition::from_v2_mask(m[..g.num_nodes() as usize].to_vec()))
+}
+
+fn spec_of(partition: &Option<Partition>) -> QuerySpec<'_> {
+    partition
+        .as_ref()
+        .map_or(QuerySpec::Mono, QuerySpec::Bichromatic)
+}
+
+/// `Rank(u, ·)` by Definition 1 (Definition 3 when bichromatic), straight
+/// from the distances: `None` for `u` itself and for unreachable nodes.
+fn true_ranks(g: &Graph, spec: QuerySpec<'_>, u: NodeId) -> Vec<Option<u32>> {
+    let dist = sssp(g, u);
+    g.nodes()
+        .map(|v| {
+            (v != u && dist[v.index()].is_finite()).then(|| {
+                let closer = g
+                    .nodes()
+                    .filter(|&p| p != u && spec.is_counted(p) && dist[p.index()] < dist[v.index()]);
+                closer.count() as u32 + 1
+            })
+        })
+        .collect()
+}
+
+/// The build as it was before its traversal was bounded: the same hubs and
+/// prefix, each hub's truncated SSSP on the unbounded [`DistanceBrowser`]
+/// (the previous body of `RkrIndex::enumerate_from`). Returns the index and
+/// the ranks each hub offered, in offer order.
+fn reference_build(
+    g: &Graph,
+    spec: QuerySpec<'_>,
+    built: &RkrIndex,
+    prefix: u32,
+) -> (RkrIndex, Vec<Vec<u32>>) {
+    let mut index = RkrIndex::empty(g.num_nodes(), built.k_max());
+    let mut ws = DijkstraWorkspace::new(g.num_nodes());
+    let mut offered = Vec::new();
+    for &hub in built.hubs() {
+        let mut ranks = Vec::new();
+        let mut counter = RankCounter::new();
+        let mut browser = DistanceBrowser::new(g, &mut ws, hub);
+        browser.next(); // skip the source itself
+        loop {
+            let Some((v, d)) = browser.next() else {
+                index.raise_check(hub, counter.unsettled_rank_lower_bound(None));
+                break;
+            };
+            if !spec.is_counted(v) {
+                continue;
+            }
+            let r = counter.on_settle(d);
+            index.offer(v, hub, r);
+            ranks.push(r);
+            if counter.settled() >= prefix {
+                let next = browser.workspace().peek_frontier().map(|(_, d)| d);
+                index.raise_check(hub, counter.unsettled_rank_lower_bound(next));
+                break;
+            }
+        }
+        offered.push(ranks);
+    }
+    (index, offered)
+}
+
+/// What `RkrIndex::build` must share with [`reference_build`].
+///
+/// Always: the hubs' offered rank sequences. With every node counted: the
+/// Check Dictionary. On tie-free distances: everything. (A bichromatic
+/// check value may differ under ties, with and without the bound: a
+/// conduit node tied with the last enumerated node pops before or after it
+/// by heap order, and only when it is still queued does the tie-aware
+/// bound step down. Both values are sound —
+/// `built_index_is_sound_under_ties` pins that.)
+fn assert_build_matches_reference(
+    g: &Graph,
+    mask: &Option<Vec<bool>>,
+    params: &IndexParams,
+) -> Result<(), TestCaseError> {
+    let partition = partition_for(g, mask);
+    let spec = spec_of(&partition);
+    let (built, stats) = RkrIndex::build(g, spec, params);
+    let (reference, offered) = reference_build(g, spec, &built, stats.prefix);
+
+    let tie_free = built.hubs().iter().all(|&hub| {
+        let mut d: Vec<f64> = sssp(g, hub).into_iter().filter(|d| d.is_finite()).collect();
+        d.sort_by(f64::total_cmp);
+        d.windows(2).all(|w| w[0] < w[1])
+    });
+    if tie_free || !spec.is_bichromatic() {
+        for u in g.nodes() {
+            prop_assert_eq!(built.check(u), reference.check(u), "check[{}]", u);
+        }
+    }
+    if tie_free {
+        for v in g.nodes() {
+            prop_assert_eq!(
+                built.top_entries(v, u32::MAX),
+                reference.top_entries(v, u32::MAX),
+                "rrd[{}]",
+                v
+            );
+        }
+    }
+    // One entry per (target, hub): with K ≥ H nothing was evicted and the
+    // dictionary still holds every offer.
+    if built.k_max() as usize >= built.hubs().len() {
+        for (&hub, want) in built.hubs().iter().zip(&offered) {
+            let mut got: Vec<u32> = g.nodes().filter_map(|v| built.lookup(v, hub)).collect();
+            got.sort_unstable();
+            prop_assert_eq!(&got, want, "ranks offered by hub {}", hub);
+        }
+    }
+    // every offer is a settle (conduit nodes settle without one)
+    prop_assert!(stats.settles >= offered.iter().map(|r| r.len() as u64).sum::<u64>());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn build_matches_unbounded_reference(
+        g in arb_graph(12),
+        tie_heavy in arb_tie_heavy_graph(12),
+        mask in arb_v2_mask(12),
+        params in arb_index_params(),
+    ) {
+        assert_build_matches_reference(&g, &mask, &params)?;
+        assert_build_matches_reference(&tie_heavy, &mask, &params)?;
+    }
+
+    /// The Check Dictionary's invariant on a *built* index: with `K ≥ |V|`
+    /// nothing is evicted, so every dictionary entry is an exact rank and
+    /// every pair the dictionary does not hold ranks at or above the
+    /// source's check value.
+    #[test]
+    fn built_index_is_sound_under_ties(
+        g in arb_tie_heavy_graph(12),
+        mask in arb_v2_mask(12),
+        params in arb_index_params(),
+    ) {
+        let partition = partition_for(&g, &mask);
+        let spec = spec_of(&partition);
+        let params = IndexParams { k_max: g.num_nodes(), ..params };
+        let (index, _) = RkrIndex::build(&g, spec, &params);
+        let matrix = rank_matrix(&g);
+        for u in g.nodes() {
+            let truth = true_ranks(&g, spec, u);
+            if !spec.is_bichromatic() {
+                prop_assert_eq!(&truth, &matrix[u.index()]);
+            }
+            for v in g.nodes().filter(|&v| spec.is_counted(v)) {
+                match (index.lookup(v, u), truth[v.index()]) {
+                    (Some(r), truth) => prop_assert_eq!(Some(r), truth, "Rank({},{})", u, v),
+                    (None, Some(truth)) => prop_assert!(
+                        truth >= index.check(u),
+                        "Rank({u},{v}) = {truth} < check {}", index.check(u)
+                    ),
+                    (None, None) => {}
+                }
+            }
+        }
+    }
 
     #[test]
     fn bounded_refinement_is_exact(g in arb_graph(12)) {
@@ -108,10 +345,15 @@ proptest! {
         // (ranks for a fixed (target, source) pair are unique in real use;
         // here we just require: sorted, capped, sources unique).
         let mut idx = RkrIndex::empty(8, k_max);
+        let mut reference: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); 8];
         let mut offered: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 8];
         for (target, source, rank) in ops {
             if target == source { continue; }
-            idx.offer(NodeId(target), NodeId(source), rank);
+            let changed = idx.offer(NodeId(target), NodeId(source), rank);
+            prop_assert_eq!(
+                changed,
+                offer_reference(&mut reference[target as usize], k_max, NodeId(source), rank)
+            );
             let l = &mut offered[target as usize];
             if !l.iter().any(|&(_, s)| s == source) {
                 l.push((rank, source));
@@ -119,6 +361,8 @@ proptest! {
         }
         for t in 0..8u32 {
             let got = idx.top_entries(NodeId(t), u32::MAX);
+            // the same lists as the previous body leaves
+            prop_assert_eq!(got, reference[t as usize].as_slice());
             // sorted by (rank, source)
             prop_assert!(got.windows(2).all(|w| w[0] <= w[1]));
             // capped
@@ -199,4 +443,32 @@ proptest! {
             prop_assert_eq!(back.top_entries(NodeId(v), 10), idx.top_entries(NodeId(v), 10));
         }
     }
+}
+
+/// A host-independent guard on the build's work: at the served parameters
+/// each settle relaxes a handful of edges, not the row of every node it
+/// settles (the unbounded traversal paid ≈ 200 from degree-first hubs on
+/// the 25k fixture).
+#[test]
+fn build_relaxes_a_handful_of_edges_per_settle() {
+    use rkranks_datasets::{dblp_like, Scale};
+    let g = dblp_like(Scale::Small, 42);
+    let params = IndexParams {
+        hub_fraction: 0.05,
+        prefix_fraction: 0.05,
+        k_max: 32,
+        ..Default::default()
+    };
+    let (_, stats) = RkrIndex::build(&g, QuerySpec::Mono, &params);
+    assert_eq!(
+        stats.settles,
+        u64::from(stats.hubs) * u64::from(stats.prefix)
+    );
+    assert!(
+        stats.relaxations <= 4 * stats.settles,
+        "{} edges relaxed for {} settles",
+        stats.relaxations,
+        stats.settles
+    );
+    assert!(stats.settles <= stats.pushes && stats.pushes <= stats.relaxations);
 }

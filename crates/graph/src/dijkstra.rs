@@ -7,11 +7,44 @@
 //! Dijkstras. [`DijkstraWorkspace`] makes each of them allocation-free and
 //! O(touched) instead of O(|V|) by stamping per-node state with a generation
 //! counter.
+//!
+//! ### Bounded truncated traversal
+//!
+//! A caller that will take only the `limit` nearest *counted* nodes
+//! (the index builder's `M`-prefix, k-NN, top-k sets) drives
+//! [`BoundedBrowser`] instead of [`DistanceBrowser`]. It keeps a cut-off
+//! `τ` — the `limit`-th smallest *insertion-time* tentative distance among
+//! the counted nodes discovered so far (`∞` until `limit` of them have
+//! been discovered) — and a settled node's row is relaxed only while
+//! `d + w ≤ τ`: rows are `(weight, target)`-sorted (the `Csr` invariant)
+//! and float addition is monotone, so the first edge past `τ` ends the
+//! row. Soundness:
+//!
+//! 1. at any moment `limit` distinct counted nodes have final distance ≤
+//!    their insertion-time tentative ≤ `τ`, so the `limit`-th nearest
+//!    counted node is within `τ` (decrease-keys are ignored: `τ` is only
+//!    looser for it, never wrong);
+//! 2. every node within `τ` has all its shortest-path prefixes within `τ`
+//!    (weights are non-negative, `τ` never grows) and is therefore found
+//!    with its exact distance — conduit nodes that are not counted are
+//!    relaxed like any other;
+//! 3. hence the first `limit` counted settles carry the same distances and
+//!    ranks as the unbounded run.
+//!
+//! **Tie rule.** The cut is strict (`d + w > τ` ends the row), so the whole
+//! tie group at the `limit`-th distance is discovered: after the `limit`-th
+//! counted settle [`DijkstraWorkspace::peek_frontier`] still shows a
+//! pending tie exactly when the unbounded run would. Only *which* members
+//! of a tie group straddling the cut settle first may differ — that is
+//! heap order, arbitrary on both sides.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::graph::Graph;
 use crate::heap::{IndexedHeap, PushOutcome};
 use crate::node::NodeId;
-use crate::weight::{Distance, INF};
+use crate::weight::{cmp_dist, Distance, INF};
 
 /// Outcome of relaxing an edge into the frontier.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,6 +66,10 @@ pub struct DijkstraWorkspace {
     settled_stamp: Vec<u32>,
     generation: u32,
     heap: IndexedHeap,
+    /// Storage of [`BoundedBrowser`]'s cut-off heap, parked here between
+    /// traversals so a build's thousands of truncated SSSPs share one
+    /// allocation.
+    cutoff_buf: BinaryHeap<TotalDistance>,
 }
 
 impl DijkstraWorkspace {
@@ -44,6 +81,7 @@ impl DijkstraWorkspace {
             settled_stamp: vec![0; n as usize],
             generation: 0,
             heap: IndexedHeap::new(n),
+            cutoff_buf: BinaryHeap::new(),
         }
     }
 
@@ -141,10 +179,30 @@ impl DijkstraWorkspace {
     /// step. Returns the settled node.
     #[inline]
     pub fn step(&mut self, graph: &Graph) -> Option<(NodeId, Distance)> {
+        self.step_within(graph, INF, |_, _, _| INF)
+    }
+
+    /// The one Dijkstra step, under a cut-off: settle the next node and
+    /// relax its out-edges in row order while `d + w ≤ tau`, ending the row
+    /// at the first edge past it (exact: rows are `(weight, target)`-sorted
+    /// and float addition is monotone). `relaxed` sees every edge that was
+    /// relaxed — target, tentative distance, outcome — and returns the
+    /// cut-off for the rest of the row. Returns the settled node.
+    #[inline]
+    pub fn step_within(
+        &mut self,
+        graph: &Graph,
+        mut tau: Distance,
+        mut relaxed: impl FnMut(NodeId, Distance, RelaxOutcome) -> Distance,
+    ) -> Option<(NodeId, Distance)> {
         let (v, d) = self.settle_next()?;
         let (targets, weights) = graph.out_neighbors(v);
         for (t, w) in targets.iter().zip(weights.iter()) {
-            self.relax(*t, d + *w);
+            let nd = d + *w;
+            if nd > tau {
+                break;
+            }
+            tau = relaxed(*t, nd, self.relax(*t, nd));
         }
         Some((v, d))
     }
@@ -187,6 +245,188 @@ impl Iterator for DistanceBrowser<'_, '_> {
     #[inline]
     fn next(&mut self) -> Option<(NodeId, Distance)> {
         self.ws.step(self.graph)
+    }
+}
+
+/// A distance under [`cmp_dist`]'s total order, so a std heap can hold it.
+#[derive(Clone, Copy, Debug)]
+struct TotalDistance(Distance);
+
+impl Ord for TotalDistance {
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_dist(self.0, other.0)
+    }
+}
+
+impl PartialOrd for TotalDistance {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for TotalDistance {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for TotalDistance {}
+
+/// The cut-off `τ` of a bounded traversal: the `limit` smallest
+/// insertion-time tentative distances among the counted nodes discovered so
+/// far, in a max-heap — its top is `τ` once it is full.
+#[derive(Debug)]
+struct Cutoff {
+    limit: usize,
+    /// Never longer than `limit`.
+    nearest: BinaryHeap<TotalDistance>,
+}
+
+impl Cutoff {
+    /// `∞` until `limit` counted nodes have been discovered, then the
+    /// largest of the `limit` smallest tentative distances (nothing at all
+    /// is within a `limit` of 0).
+    #[inline]
+    fn tau(&self) -> Distance {
+        if self.nearest.len() < self.limit {
+            INF
+        } else {
+            self.nearest.peek().map_or(f64::NEG_INFINITY, |top| top.0)
+        }
+    }
+
+    /// A counted node entered the frontier at tentative distance `d ≤ τ`.
+    #[inline]
+    fn discovered(&mut self, d: Distance) {
+        if self.nearest.len() < self.limit {
+            self.nearest.push(TotalDistance(d));
+        } else if let Some(mut top) = self.nearest.peek_mut() {
+            if d < top.0 {
+                top.0 = d; // re-sifted when `top` drops
+            }
+        }
+    }
+}
+
+/// [`DistanceBrowser`] for a caller that takes only the `limit` nearest
+/// *counted* nodes: yields `(node, distance)` in nondecreasing distance
+/// order, the source excluded, without feeding a frontier it will never
+/// pop (see the module docs for the cut-off `τ`, why it is exact, and the
+/// tie rule).
+///
+/// Everything yielded carries its exact distance; the stream ends when the
+/// frontier is empty or its top lies past `τ`. It always covers the first
+/// `limit` counted settles and the whole tie group of the last of them,
+/// and is the complete enumeration when fewer than `limit` counted nodes
+/// are reachable.
+///
+/// ```
+/// use rkranks_graph::{graph_from_edges, BoundedBrowser, DijkstraWorkspace, EdgeDirection, NodeId};
+/// let g = graph_from_edges(
+///     EdgeDirection::Undirected,
+///     [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (3, 4, 1.0)],
+/// )
+/// .unwrap();
+/// let mut ws = DijkstraWorkspace::new(g.num_nodes());
+/// let mut nearest = BoundedBrowser::new(&g, &mut ws, NodeId(0), 2, |_| true);
+/// assert_eq!(nearest.next(), Some((NodeId(1), 1.0)));
+/// assert_eq!(nearest.next(), Some((NodeId(2), 2.0)));
+/// // node 3 lies past the cut-off and was never pushed
+/// assert_eq!(nearest.pushes(), 2);
+/// ```
+pub struct BoundedBrowser<'g, 'w, F> {
+    graph: &'g Graph,
+    ws: &'w mut DijkstraWorkspace,
+    counted: F,
+    cutoff: Cutoff,
+    relaxations: u64,
+    pushes: u64,
+}
+
+impl<'g, 'w, F: Fn(NodeId) -> bool> BoundedBrowser<'g, 'w, F> {
+    /// Begin browsing from `source` for the `limit` nearest nodes that
+    /// satisfy `counted` (the source never counts). Any traversal
+    /// previously using `ws` is invalidated.
+    pub fn new(
+        graph: &'g Graph,
+        ws: &'w mut DijkstraWorkspace,
+        source: NodeId,
+        limit: usize,
+        counted: F,
+    ) -> Self {
+        ws.ensure_capacity(graph.num_nodes());
+        ws.begin(source);
+        let mut nearest = std::mem::take(&mut ws.cutoff_buf);
+        nearest.clear();
+        let mut browser = BoundedBrowser {
+            graph,
+            ws,
+            counted,
+            cutoff: Cutoff { limit, nearest },
+            relaxations: 0,
+            pushes: 0,
+        };
+        browser.step(); // the source: settled and relaxed here, never yielded
+        browser
+    }
+
+    /// Access the underlying workspace (e.g. to peek at the frontier for a
+    /// tie pending at the cut).
+    pub fn workspace(&self) -> &DijkstraWorkspace {
+        self.ws
+    }
+
+    /// Edges relaxed so far, i.e. within the cut-off when their row was
+    /// scanned (each settle also pays at most one failed cut-off test).
+    pub fn relaxations(&self) -> u64 {
+        self.relaxations
+    }
+
+    /// Frontier insertions so far (the source excluded).
+    pub fn pushes(&self) -> u64 {
+        self.pushes
+    }
+
+    #[inline]
+    fn step(&mut self) -> Option<(NodeId, Distance)> {
+        let BoundedBrowser {
+            graph,
+            ws,
+            counted,
+            cutoff,
+            relaxations,
+            pushes,
+        } = self;
+        ws.step_within(graph, cutoff.tau(), |t, nd, outcome| {
+            *relaxations += 1;
+            if outcome == RelaxOutcome::Inserted {
+                *pushes += 1;
+                if counted(t) {
+                    cutoff.discovered(nd);
+                }
+            }
+            cutoff.tau()
+        })
+    }
+}
+
+impl<F: Fn(NodeId) -> bool> Iterator for BoundedBrowser<'_, '_, F> {
+    type Item = (NodeId, Distance);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, Distance)> {
+        // Past τ a queued distance may still be tentative (the rows that
+        // would have decreased it were cut short); within it, it is final.
+        match self.ws.peek_frontier() {
+            Some((_, d)) if d <= self.cutoff.tau() => self.step(),
+            _ => None,
+        }
+    }
+}
+
+impl<F> Drop for BoundedBrowser<'_, '_, F> {
+    fn drop(&mut self) {
+        self.ws.cutoff_buf = std::mem::take(&mut self.cutoff.nearest);
     }
 }
 
@@ -250,8 +490,7 @@ pub fn k_nearest(
     source: NodeId,
     k: usize,
 ) -> Vec<(NodeId, Distance)> {
-    DistanceBrowser::new(graph, ws, source)
-        .filter(|&(v, _)| v != source)
+    BoundedBrowser::new(graph, ws, source, k, |_| true)
         .take(k)
         .collect()
 }
@@ -350,6 +589,97 @@ mod tests {
         // k larger than reachable set
         let knn = k_nearest(&g, &mut ws, NodeId(0), 10);
         assert_eq!(knn.len(), 3);
+    }
+
+    #[test]
+    fn cutoff_is_the_limit_th_smallest_discovery() {
+        let mut c = Cutoff {
+            limit: 3,
+            nearest: BinaryHeap::new(),
+        };
+        assert_eq!(c.tau(), INF);
+        for d in [5.0, 9.0] {
+            c.discovered(d);
+            assert_eq!(c.tau(), INF, "fewer than `limit` discovered");
+        }
+        c.discovered(7.0);
+        assert_eq!(c.tau(), 9.0);
+        c.discovered(9.0); // not below the top: no change
+        assert_eq!(c.tau(), 9.0);
+        c.discovered(1.0); // evicts 9.0
+        assert_eq!(c.tau(), 7.0);
+        c.discovered(2.0); // evicts 7.0
+        assert_eq!(c.tau(), 5.0);
+        assert_eq!(c.nearest.len(), 3);
+    }
+
+    #[test]
+    fn bounded_browser_stops_feeding_the_frontier() {
+        // Star with a far tail: 0-1 (1), 0-2 (2), 0-3 (2), 0-4 (5), 4-5 (1).
+        let g = graph_from_edges(
+            EdgeDirection::Undirected,
+            [
+                (0, 1, 1.0),
+                (0, 2, 2.0),
+                (0, 3, 2.0),
+                (0, 4, 5.0),
+                (4, 5, 1.0),
+            ],
+        )
+        .unwrap();
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        let mut b = BoundedBrowser::new(&g, &mut ws, NodeId(0), 2, |_| true);
+        // the cut is strict: the whole tie group at the 2nd distance is in
+        assert_eq!(b.pushes(), 3);
+        assert_eq!(b.next(), Some((NodeId(1), 1.0)));
+        let (_, d) = b.next().unwrap();
+        assert_eq!(d, 2.0);
+        assert_eq!(b.workspace().peek_frontier().map(|(_, d)| d), Some(2.0));
+        assert_eq!(b.next().map(|(_, d)| d), Some(2.0));
+        // node 4 was never pushed, so the stream ends here
+        assert_eq!(b.next(), None);
+        assert_eq!(b.pushes(), 3);
+        // 3 edges out of the source and node 1's edge back (1 + 1 ≤ τ = 2);
+        // the edges back from 2 and 3 lie past the cut-off
+        assert_eq!(b.relaxations(), 4);
+        drop(b);
+
+        // limit 0 takes nothing; a limit past the reachable set takes all
+        assert_eq!(
+            BoundedBrowser::new(&g, &mut ws, NodeId(0), 0, |_| true).next(),
+            None
+        );
+        assert_eq!(
+            BoundedBrowser::new(&g, &mut ws, NodeId(0), 9, |_| true).count(),
+            5
+        );
+    }
+
+    #[test]
+    fn bounded_browser_counts_only_counted_nodes() {
+        // Path 0-1-2-3-4 with unit weights; only even nodes count, so the
+        // odd ones are conduits: relaxed, settled, yielded — never counted.
+        let g = graph_from_edges(
+            EdgeDirection::Undirected,
+            [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
+        )
+        .unwrap();
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        let order: Vec<_> =
+            BoundedBrowser::new(&g, &mut ws, NodeId(0), 1, |v| v.0 % 2 == 0).collect();
+        assert_eq!(order, vec![(NodeId(1), 1.0), (NodeId(2), 2.0)]);
+    }
+
+    #[test]
+    fn bounded_browser_returns_its_buffer_to_the_workspace() {
+        let g = paperish();
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        assert_eq!(ws.cutoff_buf.capacity(), 0);
+        BoundedBrowser::new(&g, &mut ws, NodeId(0), 2, |_| true).for_each(drop);
+        let parked = ws.cutoff_buf.capacity();
+        assert!(parked >= 2);
+        BoundedBrowser::new(&g, &mut ws, NodeId(3), 2, |_| true).for_each(drop);
+        assert_eq!(ws.cutoff_buf.capacity(), parked);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!   epoch-tagged `Arc<Graph>` snapshots — the substrate for serving
 //!   queries while the graph changes;
 //! * a decrease-key [`IndexedHeap`] — the priority queue of Algorithms 1–4;
-//! * reusable, generation-stamped [`DijkstraWorkspace`]s and the lazy
-//!   [`DistanceBrowser`] ("distance browsing") that rank refinement,
-//!   index building, and k-NN all share;
+//! * reusable, generation-stamped [`DijkstraWorkspace`]s, the lazy
+//!   [`DistanceBrowser`] ("distance browsing") for full SSSPs, and its
+//!   truncated form [`BoundedBrowser`], which stops feeding the frontier
+//!   at the `limit`-th nearest node — index building, k-NN and top-k sets
+//!   all share it;
 //! * tie-aware rank semantics ([`RankCounter`], [`rank_between`],
 //!   [`rank_matrix`]) implementing Definition 1 exactly;
 //! * the competitor queries (top-k, reverse top-k) used by the paper's
@@ -57,7 +59,8 @@ pub mod weight;
 
 pub use builder::{graph_from_edges, DedupPolicy, EdgeDirection, GraphBuilder};
 pub use dijkstra::{
-    distance, k_nearest, shortest_path_tree, sssp, DijkstraWorkspace, DistanceBrowser, RelaxOutcome,
+    distance, k_nearest, shortest_path_tree, sssp, BoundedBrowser, DijkstraWorkspace,
+    DistanceBrowser, RelaxOutcome,
 };
 pub use error::{GraphError, Result};
 pub use graph::Graph;

@@ -6,7 +6,7 @@
 //! All membership here is tie-aware: `u` is in the top-k of `v` iff
 //! `Rank(v,u) ≤ k`.
 
-use crate::dijkstra::{DijkstraWorkspace, DistanceBrowser};
+use crate::dijkstra::{BoundedBrowser, DijkstraWorkspace};
 use crate::graph::Graph;
 use crate::node::NodeId;
 use crate::rank::RankCounter;
@@ -17,10 +17,9 @@ use crate::rank::RankCounter;
 pub fn top_k_set(graph: &Graph, ws: &mut DijkstraWorkspace, source: NodeId, k: u32) -> Vec<NodeId> {
     let mut counter = RankCounter::new();
     let mut out = Vec::with_capacity(k as usize);
-    for (v, d) in DistanceBrowser::new(graph, ws, source) {
-        if v == source {
-            continue;
-        }
+    // The k nearest bound the traversal; the tie group at the k-th distance
+    // is within the browser's cut-off, so it is enumerated whole.
+    for (v, d) in BoundedBrowser::new(graph, ws, source, k as usize, |_| true) {
         if counter.on_settle(d) > k {
             break;
         }
@@ -52,12 +51,8 @@ pub fn reverse_top_k(graph: &Graph, q: NodeId, k: u32) -> Vec<NodeId> {
             continue;
         }
         let mut counter = RankCounter::new();
-        for (u, d) in DistanceBrowser::new(graph, &mut ws, v) {
-            if u == v {
-                continue;
-            }
-            let r = counter.on_settle(d);
-            if r > k {
+        for (u, d) in BoundedBrowser::new(graph, &mut ws, v, k as usize, |_| true) {
+            if counter.on_settle(d) > k {
                 break;
             }
             if u == q {

@@ -440,3 +440,286 @@ mod row_order_props {
         }
     }
 }
+
+/// The bounded truncated traversal against the unbounded one.
+///
+/// [`BoundedBrowser`] stops feeding its frontier at the `limit`-th nearest
+/// counted node; everything a truncated caller reads from it — distances,
+/// ranks, the tie pending at the cut, the full enumeration when the limit
+/// is never reached — must be what [`DistanceBrowser`] gives. Graphs are
+/// directed and undirected, with parallel arcs (`KeepAll`), zero weights,
+/// heavy ties (`{0, 1, 1, 2}`) and unreachable parts; every `limit` in
+/// `1..=n+1` from every source, under a random `counted` predicate.
+mod bounded_browser_props {
+    use super::*;
+    use rkranks_graph::{
+        k_nearest, reverse_top_k, top_k_set, BoundedBrowser, DedupPolicy, GraphBuilder, RankCounter,
+    };
+
+    /// No backbone: isolated nodes and several components are the norm.
+    /// Weights come from `{0, 1, 1, 2}`.
+    fn arb_tie_heavy_edges(
+        max_nodes: u32,
+        max_edges: usize,
+    ) -> impl Strategy<Value = (u32, Vec<(u32, u32, f64)>)> {
+        (2..=max_nodes).prop_flat_map(move |n| {
+            let edges = proptest::collection::vec((0..n, 0..n, 0usize..4), 0..=max_edges);
+            (Just(n), edges).prop_map(|(n, e)| {
+                let edges = e
+                    .into_iter()
+                    .filter(|(u, v, _)| u != v)
+                    .map(|(u, v, w)| (u, v, [0.0, 1.0, 1.0, 2.0][w]))
+                    .collect();
+                (n, edges)
+            })
+        })
+    }
+
+    /// `counted` as a node mask: all nodes, or a random subset.
+    fn arb_counted(max_nodes: u32) -> impl Strategy<Value = Vec<bool>> {
+        (
+            any::<bool>(),
+            proptest::collection::vec(any::<bool>(), max_nodes as usize),
+        )
+            .prop_map(|(all, mask)| if all { vec![true; mask.len()] } else { mask })
+    }
+
+    fn multigraph(direction: EdgeDirection, n: u32, edges: &[(u32, u32, f64)]) -> Graph {
+        let mut b = GraphBuilder::new(direction).dedup_policy(DedupPolicy::KeepAll);
+        b.reserve_nodes(n);
+        for &(u, v, w) in edges {
+            b.add_edge(u, v, w).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// Drive `browser` (already past the source) up to and including its
+    /// `limit`-th counted settle; `true` when it got there.
+    fn take_counted(
+        browser: &mut impl Iterator<Item = (NodeId, f64)>,
+        limit: usize,
+        counted: &[bool],
+    ) -> (Vec<(NodeId, f64)>, bool) {
+        let mut settles = Vec::new();
+        let mut taken = 0;
+        for (v, d) in browser {
+            settles.push((v, d));
+            taken += usize::from(counted[v.index()]);
+            if counted[v.index()] && taken == limit {
+                return (settles, true);
+            }
+        }
+        (settles, false)
+    }
+
+    /// "A tie is pending at the cut": the frontier top ties with the last
+    /// settle.
+    fn tie_pending(settles: &[(NodeId, f64)], ws: &DijkstraWorkspace) -> bool {
+        ws.peek_frontier().map(|(_, d)| d) == settles.last().map(|&(_, d)| d)
+    }
+
+    fn counted_ranks(settles: &[(NodeId, f64)], counted: &[bool]) -> Vec<(f64, u32)> {
+        let mut counter = RankCounter::new();
+        settles
+            .iter()
+            .filter(|(v, _)| counted[v.index()])
+            .map(|&(_, d)| (d, counter.on_settle(d)))
+            .collect()
+    }
+
+    fn assert_bounded_matches_unbounded(g: &Graph, counted: &[bool]) -> Result<(), TestCaseError> {
+        let n = g.num_nodes() as usize;
+        let all_counted = counted[..n].iter().all(|&c| c);
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        let mut ws_ref = DijkstraWorkspace::new(g.num_nodes());
+        for s in g.nodes() {
+            let dist = sssp(g, s);
+            let full: Vec<(NodeId, f64)> =
+                DistanceBrowser::new(g, &mut ws_ref, s).skip(1).collect();
+            let reachable_counted = full.iter().filter(|(v, _)| counted[v.index()]).count();
+            let mut finite: Vec<f64> = full.iter().map(|&(_, d)| d).collect();
+            finite.dedup();
+            let tie_free = finite.len() == full.len();
+
+            for limit in 1..=n + 1 {
+                let mut unbounded = DistanceBrowser::new(g, &mut ws_ref, s);
+                unbounded.next(); // the source
+                let (want, reached) = take_counted(&mut unbounded, limit, counted);
+                let want_pending = reached.then(|| tie_pending(&want, unbounded.workspace()));
+
+                let mut bounded = BoundedBrowser::new(g, &mut ws, s, limit, |v| counted[v.index()]);
+                let (got, reached) = take_counted(&mut bounded, limit, counted);
+                let got_pending = reached.then(|| tie_pending(&got, bounded.workspace()));
+                if got_pending == Some(true) {
+                    // a tie the frontier claims is a real one
+                    let (u, du) = bounded.workspace().peek_frontier().unwrap();
+                    prop_assert_eq!(du, dist[u.index()], "s={} limit={}", s, limit);
+                }
+                prop_assert!(bounded.pushes() <= bounded.relaxations());
+                // whatever it yields past the cut is final too (it stops at
+                // the first frontier distance that may not be)
+                for (v, d) in bounded {
+                    prop_assert_eq!(d, dist[v.index()], "s={} limit={} v={}", s, limit, v);
+                }
+
+                // every yielded distance is final
+                for &(v, d) in &got {
+                    prop_assert_eq!(d, dist[v.index()], "s={} limit={} v={}", s, limit, v);
+                }
+                // same distances and ranks for the counted settles
+                prop_assert_eq!(
+                    counted_ranks(&got, counted),
+                    counted_ranks(&want, counted),
+                    "s={} limit={}",
+                    s,
+                    limit
+                );
+                prop_assert_eq!(got_pending.is_some(), want_pending.is_some());
+                if let (Some(got_pending), Some(&(_, last))) = (got_pending, got.last()) {
+                    // A counted node still unsettled at the cut distance
+                    // must show as a pending tie (the Check Dictionary's
+                    // soundness hangs on it) ...
+                    let is_at_cut = |v: NodeId, d: f64| v != s && counted[v.index()] && d == last;
+                    let settled_at_cut = got.iter().filter(|&&(v, d)| is_at_cut(v, d)).count();
+                    let all_at_cut = g.nodes().filter(|&v| is_at_cut(v, dist[v.index()])).count();
+                    if all_at_cut > settled_at_cut {
+                        prop_assert!(
+                            got_pending,
+                            "s={} limit={}: tie at the cut missed",
+                            s,
+                            limit
+                        );
+                    }
+                    // ... and with every node counted the answer is the
+                    // unbounded run's, whatever the heap order (conduit
+                    // nodes tied at the cut may pop before or after it).
+                    if all_counted {
+                        prop_assert_eq!(Some(got_pending), want_pending, "s={} limit={}", s, limit);
+                    }
+                }
+                if tie_free {
+                    prop_assert_eq!(&got, &want, "s={} limit={}", s, limit);
+                }
+                if reachable_counted < limit {
+                    // never bounded: the same traversal, step for step
+                    prop_assert_eq!(&got, &full, "s={} limit={}", s, limit);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The previous (unbounded) body of `top_k_set`.
+    fn top_k_set_reference(
+        g: &Graph,
+        ws: &mut DijkstraWorkspace,
+        s: NodeId,
+        k: u32,
+    ) -> Vec<NodeId> {
+        let mut counter = RankCounter::new();
+        let mut out = Vec::new();
+        for (v, d) in DistanceBrowser::new(g, ws, s) {
+            if v == s {
+                continue;
+            }
+            if counter.on_settle(d) > k {
+                break;
+            }
+            out.push(v);
+        }
+        out
+    }
+
+    /// The previous (unbounded) body of `reverse_top_k`.
+    fn reverse_top_k_reference(g: &Graph, q: NodeId, k: u32) -> Vec<NodeId> {
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        g.nodes()
+            .filter(|&v| v != q && top_k_set_reference(g, &mut ws, v, k).contains(&q))
+            .collect()
+    }
+
+    fn assert_topk_callers_match_references(g: &Graph) -> Result<(), TestCaseError> {
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        let mut ws_ref = DijkstraWorkspace::new(g.num_nodes());
+        for k in 0..=g.num_nodes() + 1 {
+            for s in g.nodes() {
+                let dist = sssp(g, s);
+                // whole tie groups are in the set, so it is determined; the
+                // order inside a tie group is heap order
+                let got = top_k_set(g, &mut ws, s, k);
+                let want = top_k_set_reference(g, &mut ws_ref, s, k);
+                let dists =
+                    |set: &[NodeId]| set.iter().map(|v| dist[v.index()]).collect::<Vec<_>>();
+                prop_assert_eq!(dists(&got), dists(&want), "s={} k={}", s, k);
+                let sorted = |mut set: Vec<NodeId>| {
+                    set.sort_unstable();
+                    set
+                };
+                prop_assert_eq!(sorted(got), sorted(want), "s={} k={}", s, k);
+
+                prop_assert_eq!(
+                    reverse_top_k(g, s, k),
+                    reverse_top_k_reference(g, s, k),
+                    "q={} k={}",
+                    s,
+                    k
+                );
+
+                // k_nearest: the same distance sequence, membership up to
+                // the last tie group
+                let knn = k_nearest(g, &mut ws, s, k as usize);
+                let want: Vec<f64> = DistanceBrowser::new(g, &mut ws_ref, s)
+                    .skip(1)
+                    .take(k as usize)
+                    .map(|(_, d)| d)
+                    .collect();
+                prop_assert_eq!(
+                    knn.iter().map(|&(_, d)| d).collect::<Vec<_>>(),
+                    want,
+                    "s={} k={}",
+                    s,
+                    k
+                );
+                for (v, d) in knn {
+                    prop_assert!(v != s && d == dist[v.index()]);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bounded_browser_matches_unbounded_on_random_graphs(
+            (n, edges) in arb_edges(12, 20),
+            directed in any::<bool>(),
+            counted in arb_counted(12),
+        ) {
+            let dir = if directed { EdgeDirection::Directed } else { EdgeDirection::Undirected };
+            assert_bounded_matches_unbounded(&build(dir, n, &edges), &counted)?;
+        }
+
+        #[test]
+        fn bounded_browser_matches_unbounded_on_tie_heavy_multigraphs(
+            (n, edges) in arb_tie_heavy_edges(12, 30),
+            directed in any::<bool>(),
+            counted in arb_counted(12),
+        ) {
+            let dir = if directed { EdgeDirection::Directed } else { EdgeDirection::Undirected };
+            assert_bounded_matches_unbounded(&multigraph(dir, n, &edges), &counted)?;
+        }
+
+        #[test]
+        fn truncated_callers_match_their_unbounded_bodies(
+            (n, edges) in arb_edges(10, 16),
+            (tn, tie_edges) in arb_tie_heavy_edges(10, 24),
+            directed in any::<bool>(),
+        ) {
+            let dir = if directed { EdgeDirection::Directed } else { EdgeDirection::Undirected };
+            assert_topk_callers_match_references(&build(dir, n, &edges))?;
+            assert_topk_callers_match_references(&multigraph(dir, tn, &tie_edges))?;
+        }
+    }
+}

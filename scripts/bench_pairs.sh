@@ -16,6 +16,14 @@
 # wins at least 9 of 10 pairs and the medians differ by more than the
 # parent's own q1..q3 spread.
 #
+# Last comes the check the acceptance driver makes before any of that: a
+# cell whose runs spread wider than its regression bound (`bound` in
+# BENCHMARK.json, times the parent's median) is "spread too widely to
+# tell" and the PR is refused whatever the medians say. Per metric each
+# side's q3 - q1 and max - min are printed beside that bound, and a cell
+# over it is flagged. The metric names, directions and bounds are read from
+# BENCHMARK.json, which is never written.
+#
 # Everything is written under a fresh directory below $TMPDIR (default
 # /tmp), removed on exit.
 set -euo pipefail
@@ -49,7 +57,18 @@ build parent "$WORK/parent-src"
 echo "building change (working tree on $(git rev-parse --short HEAD))" >&2
 build change .
 
-METRICS="setup_s query_p50_ms queries_per_s peak_rss_mb"
+# "name better bound" per end-to-end metric, as BENCHMARK.json declares them.
+END_TO_END="$(awk '
+    /"end_to_end"/ { on = 1 }
+    /"per_layer"/  { on = 0 }
+    on && $1 == "\"name\":"   { name = $2 }
+    on && $1 == "\"better\":" { better = $2 }
+    on && $1 == "\"bound\":"  { print name, better, $2 }' BENCHMARK.json | tr -d '",')"
+METRICS="$(printf '%s\n' "$END_TO_END" | cut -d' ' -f1 | tr '\n' ' ')"
+if [ -z "$METRICS" ]; then
+    echo "no end_to_end metrics found in BENCHMARK.json" >&2
+    exit 1
+fi
 
 # run SIDE PAIR: one acceptance-form run; appends "pair value..." to the
 # side's table and prints the run.
@@ -91,28 +110,31 @@ for pair in $(seq 1 "$PAIRS"); do
     fi
 done
 
+# stats SIDE COL: "q1 median q3 min max" of one column of a side's table.
+stats() {
+    cut -d' ' -f"$2" "$WORK/$1.runs" | sort -g | awk '
+        { v[NR] = $1 }
+        # linear interpolation between order statistics (R type 7)
+        function q(p,    h, lo) {
+            h = (NR - 1) * p + 1; lo = int(h)
+            return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+        }
+        END { printf "%.6g %.6g %.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75), v[1], v[NR] }'
+}
+
 echo
 printf '%-14s %-7s %12s %12s %12s   %s\n' metric side q1 median q3 "change wins"
+columns=$(($(printf '%s\n' "$END_TO_END" | wc -l) + 1))
 col=2
-for m in $METRICS; do
-    case "$m" in
-        queries_per_s) better=higher ;;
-        *) better=lower ;;
-    esac
+while read -r m better _; do
     for side in parent change; do
-        cut -d' ' -f"$col" "$WORK/$side.runs" | sort -g | awk -v m="$m" -v side="$side" '
-            { v[NR] = $1 }
-            # linear interpolation between order statistics (R type 7)
-            function q(p,    h, lo) {
-                h = (NR - 1) * p + 1; lo = int(h)
-                return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
-            }
-            END { printf "%-14s %-7s %12.6g %12.6g %12.6g", m, side, q(0.25), q(0.5), q(0.75) }'
+        read -r q1 median q3 _ _ <<< "$(stats "$side" "$col")"
+        printf '%-14s %-7s %12s %12s %12s' "$m" "$side" "$q1" "$median" "$q3"
         if [ "$side" = change ]; then
             # both tables are in pair order: line i of each is pair i
-            paste -d' ' "$WORK/parent.runs" "$WORK/change.runs" | awk -v c="$col" -v better="$better" '
+            paste -d' ' "$WORK/parent.runs" "$WORK/change.runs" | awk -v c="$col" -v n="$columns" -v better="$better" '
                 {
-                    p = $(c); ch = $(c + 5)
+                    p = $(c); ch = $(c + n)
                     if (ch == p) ties++
                     else if ((better == "lower") == (ch < p)) wins++
                 }
@@ -122,4 +144,20 @@ for m in $METRICS; do
         fi
     done
     col=$((col + 1))
-done
+done <<< "$END_TO_END"
+
+echo
+echo "spread of each side's runs against the regression bound (bound x parent median)"
+printf '%-14s %-7s %12s %12s %12s\n' metric side "q3-q1" "max-min" bound
+col=2
+while read -r m _ bound; do
+    limit="$(stats parent "$col" | awk -v bound="$bound" '{ print bound * $2 }')"
+    for side in parent change; do
+        stats "$side" "$col" | awk -v m="$m" -v side="$side" -v limit="$limit" '{
+            flag = ($3 - $1 > limit) ? "   q3-q1 exceeds the bound: unresolvable" \
+                 : ($5 - $4 > limit) ? "   max-min exceeds the bound" : ""
+            printf "%-14s %-7s %12.6g %12.6g %12.6g%s\n", m, side, $3 - $1, $5 - $4, limit, flag
+        }'
+    done
+    col=$((col + 1))
+done <<< "$END_TO_END"

@@ -283,10 +283,7 @@ fn cmd_build_index(flags: &Flags) -> Result<(), String> {
     let (index, stats) = RkrIndex::build_parallel(&g, QuerySpec::Mono, &params, threads.max(1));
     save_index(&index, out).map_err(|e| e.to_string())?;
     println!(
-        "built index: {} hubs x prefix {} in {:.2?} ({} rrd entries, ~{} bytes) -> {out}",
-        stats.hubs,
-        stats.prefix,
-        stats.build_time,
+        "built index: {stats} ({} rrd entries, ~{} bytes) -> {out}",
         index.rrd_entries(),
         index.heap_bytes()
     );
@@ -348,9 +345,10 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
                         k_max: k.max(IndexParams::default().k_max),
                         ..Default::default()
                     };
-                    EngineContext::new(std::sync::Arc::clone(&g))
-                        .build_index(&params)
-                        .0
+                    let (index, stats) =
+                        EngineContext::new(std::sync::Arc::clone(&g)).build_index(&params);
+                    eprintln!("({stats})");
+                    index
                 }
             };
             let start = Instant::now();
@@ -1107,7 +1105,9 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
             Some(path) => load_index_for_edge_file(path)?,
             None => {
                 eprintln!("(no --index given; building a default one)");
-                engine.build_index(&IndexParams::default()).0
+                let (index, stats) = engine.build_index(&IndexParams::default());
+                eprintln!("({stats})");
+                index
             }
         };
         let out = engine
