@@ -95,7 +95,7 @@ fn shard_addrs(fleet: &[ServerHandle]) -> Vec<String> {
 
 /// The tentpole acceptance test: 4 concurrent Zipf clients against the
 /// coordinator, across cache on/off × merge cadences, every answer
-/// rank-identical to single-box `query_dynamic`.
+/// rank-identical to single-box `dynamic-three`.
 #[test]
 fn scatter_gather_matches_single_box_across_zipf_matrix() {
     let g = test_graph();

@@ -66,12 +66,10 @@ pub fn bichromatic_brute_force(
 
 #[cfg(test)]
 mod tests {
-    // Deprecated query_* shims exercised on purpose: equivalence tests
-    // for the execute path they delegate to.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::engine::{BoundConfig, QueryEngine};
+    use crate::engine::QueryEngine;
+    use crate::request::QueryRequest;
+    use crate::validate::assert_all_strategies_match;
     use rkranks_graph::{graph_from_edges, EdgeDirection};
 
     /// Line 0-1-2-3-4 with stores at the ends (V2 = {0, 4}).
@@ -128,16 +126,11 @@ mod tests {
     #[test]
     fn engine_matches_brute_force_on_line() {
         let (g, p) = line_with_stores();
-        let mut engine = QueryEngine::bichromatic(&g, p.clone());
+        let engine = QueryEngine::bichromatic(&g, p.clone());
         for &q in &[NodeId(0), NodeId(4)] {
             for k in 1..=3 {
                 let expect = bichromatic_brute_force(&g, &p, q, k);
-                let naive = engine.query_naive(q, k).unwrap();
-                let stat = engine.query_static(q, k).unwrap();
-                let dynamic = engine.query_dynamic(q, k, BoundConfig::ALL).unwrap();
-                assert_eq!(expect.ranks(), naive.ranks(), "naive q={q} k={k}");
-                assert_eq!(expect.ranks(), stat.ranks(), "static q={q} k={k}");
-                assert_eq!(expect.ranks(), dynamic.ranks(), "dynamic q={q} k={k}");
+                assert_all_strategies_match(engine.context(), None, q, k, &expect);
             }
         }
     }
@@ -146,19 +139,15 @@ mod tests {
     fn engine_rejects_community_query() {
         let (g, p) = line_with_stores();
         let mut engine = QueryEngine::bichromatic(&g, p);
-        assert!(engine
-            .query_dynamic(NodeId(2), 1, BoundConfig::ALL)
-            .is_err());
+        assert!(engine.execute(&QueryRequest::new(NodeId(2), 1)).is_err());
     }
 
     #[test]
     fn v2_nodes_never_appear_in_results() {
         let (g, p) = line_with_stores();
         let mut engine = QueryEngine::bichromatic(&g, p.clone());
-        let r = engine
-            .query_dynamic(NodeId(0), 5, BoundConfig::ALL)
-            .unwrap();
-        for e in &r.entries {
+        let r = engine.execute(&QueryRequest::new(NodeId(0), 5)).unwrap();
+        for e in &r.result.entries {
             assert!(!p.is_v2(e.node), "store {} leaked into results", e.node);
         }
     }

@@ -13,8 +13,8 @@
 //!   and reusable across queries so steady-state queries allocate nothing.
 //!
 //! One private SDS driver (`run_sds`) is the single implementation
-//! behind the static, dynamic, and indexed variants; the public
-//! `query_*` methods are thin configurations of it.
+//! behind the static, dynamic, and indexed variants; each [`Strategy`] is
+//! a thin configuration of it.
 //!
 //! ## The kRank ladder
 //!
@@ -59,7 +59,7 @@ use rkranks_graph::{
 };
 
 use crate::engine::BoundConfig;
-use crate::index::{IndexAccess, IndexBuildStats, IndexDelta, IndexParams, RkrIndex};
+use crate::index::{IndexAccess, IndexBuildStats, IndexParams, RkrIndex};
 use crate::refine::{refine_rank, refine_rank_unbounded, RefineHooks, RefineOutcome};
 use crate::request::{Completion, Limits, PartialReason, QueryOutcome, QueryRequest, Strategy};
 use crate::result::{QueryResult, TopKCollector};
@@ -237,8 +237,7 @@ impl EngineContext {
         Ok(())
     }
 
-    /// Execute a [`QueryRequest`] that needs no index — the single entry
-    /// point behind every `query_*` shim.
+    /// Execute a [`QueryRequest`] that needs no index.
     ///
     /// [`Strategy::Indexed`] requests are rejected here (the strategy
     /// needs an index binding); hand them to
@@ -351,138 +350,6 @@ impl EngineContext {
         }
         stats.elapsed = start.elapsed();
         Ok((collector.into_result(stats), completion))
-    }
-
-    /// §2 naive baseline (deprecated shim over [`EngineContext::execute`]).
-    #[deprecated(note = "build a QueryRequest with Strategy::Naive and call execute")]
-    pub fn query_naive(
-        &self,
-        scratch: &mut QueryScratch,
-        q: NodeId,
-        k: u32,
-    ) -> Result<QueryResult> {
-        let req = QueryRequest::new(q, k).with_strategy(Strategy::Naive);
-        Ok(self.execute(scratch, &req)?.result)
-    }
-
-    /// §3 static SDS-tree (deprecated shim over
-    /// [`EngineContext::execute`]).
-    #[deprecated(note = "build a QueryRequest with Strategy::Static and call execute")]
-    pub fn query_static(
-        &self,
-        scratch: &mut QueryScratch,
-        q: NodeId,
-        k: u32,
-    ) -> Result<QueryResult> {
-        let req = QueryRequest::new(q, k).with_strategy(Strategy::Static);
-        Ok(self.execute(scratch, &req)?.result)
-    }
-
-    /// §4 dynamic bounded SDS-tree (deprecated shim over
-    /// [`EngineContext::execute`]).
-    #[deprecated(note = "build a QueryRequest with Strategy::Dynamic and call execute")]
-    pub fn query_dynamic(
-        &self,
-        scratch: &mut QueryScratch,
-        q: NodeId,
-        k: u32,
-        bounds: BoundConfig,
-    ) -> Result<QueryResult> {
-        let req = QueryRequest::new(q, k).with_strategy(Strategy::Dynamic(bounds));
-        Ok(self.execute(scratch, &req)?.result)
-    }
-
-    /// §5 dynamic SDS-tree with the index mutated in place — the paper's
-    /// sequential-dynamic mode (deprecated shim over
-    /// [`EngineContext::execute_with`] + [`IndexAccess::Live`]).
-    #[deprecated(note = "build a QueryRequest with Strategy::Indexed and call execute_with")]
-    pub fn query_indexed(
-        &self,
-        scratch: &mut QueryScratch,
-        index: &mut RkrIndex,
-        q: NodeId,
-        k: u32,
-        bounds: BoundConfig,
-    ) -> Result<QueryResult> {
-        let req = QueryRequest::new(q, k).with_strategy(Strategy::Indexed(bounds));
-        Ok(self
-            .execute_with(scratch, Some(&mut IndexAccess::Live(index)), &req)?
-            .result)
-    }
-
-    /// §5 dynamic SDS-tree against a *frozen* index snapshot, logging every
-    /// discovery to `delta` instead of mutating the snapshot (deprecated
-    /// shim over [`EngineContext::execute_with`] +
-    /// [`IndexAccess::Snapshot`]).
-    ///
-    /// Because the index only ever *prunes* work (result correctness never
-    /// depends on its contents), the result ranks are identical to the
-    /// dynamic strategy; what the snapshot loses versus the
-    /// sequential-dynamic mode is only the intra-batch sharpening. Many
-    /// workers can therefore query one snapshot concurrently and merge
-    /// their deltas back later via [`RkrIndex::merge_delta`].
-    #[deprecated(note = "build a QueryRequest with Strategy::Indexed and call execute_with")]
-    pub fn query_indexed_snapshot(
-        &self,
-        scratch: &mut QueryScratch,
-        snapshot: &RkrIndex,
-        delta: &mut IndexDelta,
-        q: NodeId,
-        k: u32,
-        bounds: BoundConfig,
-    ) -> Result<QueryResult> {
-        let req = QueryRequest::new(q, k).with_strategy(Strategy::Indexed(bounds));
-        let access = &mut IndexAccess::Snapshot { snapshot, delta };
-        Ok(self.execute_with(scratch, Some(access), &req)?.result)
-    }
-
-    /// Static SDS-tree with a full decision trace (deprecated shim).
-    #[deprecated(note = "set QueryRequest::trace and call execute")]
-    pub fn query_static_traced(
-        &self,
-        scratch: &mut QueryScratch,
-        q: NodeId,
-        k: u32,
-    ) -> Result<(QueryResult, QueryTrace)> {
-        let req = QueryRequest::new(q, k)
-            .with_strategy(Strategy::Static)
-            .with_trace();
-        let out = self.execute(scratch, &req)?;
-        Ok((out.result, out.trace.expect("trace was requested")))
-    }
-
-    /// Dynamic SDS-tree with a full decision trace (deprecated shim; see
-    /// [`crate::trace`]).
-    #[deprecated(note = "set QueryRequest::trace and call execute")]
-    pub fn query_dynamic_traced(
-        &self,
-        scratch: &mut QueryScratch,
-        q: NodeId,
-        k: u32,
-        bounds: BoundConfig,
-    ) -> Result<(QueryResult, QueryTrace)> {
-        let req = QueryRequest::new(q, k)
-            .with_strategy(Strategy::Dynamic(bounds))
-            .with_trace();
-        let out = self.execute(scratch, &req)?;
-        Ok((out.result, out.trace.expect("trace was requested")))
-    }
-
-    /// Live-indexed SDS-tree with a full decision trace (deprecated shim).
-    #[deprecated(note = "set QueryRequest::trace and call execute_with")]
-    pub fn query_indexed_traced(
-        &self,
-        scratch: &mut QueryScratch,
-        index: &mut RkrIndex,
-        q: NodeId,
-        k: u32,
-        bounds: BoundConfig,
-    ) -> Result<(QueryResult, QueryTrace)> {
-        let req = QueryRequest::new(q, k)
-            .with_strategy(Strategy::Indexed(bounds))
-            .with_trace();
-        let out = self.execute_with(scratch, Some(&mut IndexAccess::Live(index)), &req)?;
-        Ok((out.result, out.trace.expect("trace was requested")))
     }
 
     /// The shared SDS driver: the kRank ladder (module docs)
@@ -903,19 +770,31 @@ mod ladder_tests;
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `query_*` shims are exercised on purpose: these
-    // tests double as equivalence tests between the old surface and the
-    // `execute` path it now delegates to.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::index::IndexDelta;
+    use crate::validate::assert_all_strategies_match;
     use rkranks_graph::{graph_from_edges, EdgeDirection};
+
+    const INDEXED: Strategy = Strategy::Indexed(BoundConfig::ALL);
+    const HUB: Strategy = Strategy::Dynamic(BoundConfig::HUB);
 
     fn star_tail() -> Graph {
         graph_from_edges(
             EdgeDirection::Undirected,
             [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (3, 4, 1.0)],
+        )
+        .unwrap()
+    }
+
+    /// A 40-ring with 20 chords: big enough that each of three shards
+    /// owns several nodes.
+    fn chorded_ring() -> Graph {
+        graph_from_edges(
+            EdgeDirection::Undirected,
+            (0..40u32)
+                .map(|i| (i, (i + 1) % 40, 1.0 + f64::from(i % 5)))
+                .chain((0..20u32).map(|i| (i, i + 20, 2.0)))
+                .collect::<Vec<_>>(),
         )
         .unwrap()
     }
@@ -932,12 +811,9 @@ mod tests {
         let ctx = EngineContext::new(&g);
         let mut a = ctx.new_scratch();
         let mut b = ctx.new_scratch();
-        let ra = ctx
-            .query_dynamic(&mut a, NodeId(0), 2, BoundConfig::ALL)
-            .unwrap();
-        let rb = ctx
-            .query_dynamic(&mut b, NodeId(0), 2, BoundConfig::ALL)
-            .unwrap();
+        let req = QueryRequest::new(NodeId(0), 2);
+        let ra = ctx.execute(&mut a, &req).unwrap().result;
+        let rb = ctx.execute(&mut b, &req).unwrap().result;
         assert_eq!(ra.entries, rb.entries);
     }
 
@@ -964,10 +840,8 @@ mod tests {
             let mut s = ref_ctx.new_scratch();
             g.nodes()
                 .map(|q| {
-                    ref_ctx
-                        .query_dynamic(&mut s, q, 2, BoundConfig::ALL)
-                        .unwrap()
-                        .entries
+                    let req = QueryRequest::new(q, 2);
+                    ref_ctx.execute(&mut s, &req).unwrap().result.entries
                 })
                 .collect()
         };
@@ -977,8 +851,8 @@ mod tests {
                 scope.spawn(|| {
                     let mut s = ctx.new_scratch();
                     for (q, want) in g.nodes().zip(&expected) {
-                        let got = ctx.query_dynamic(&mut s, q, 2, BoundConfig::ALL).unwrap();
-                        assert_eq!(&got.entries, want, "q={q}");
+                        let got = ctx.execute(&mut s, &QueryRequest::new(q, 2)).unwrap();
+                        assert_eq!(&got.result.entries, want, "q={q}");
                     }
                 });
             }
@@ -993,13 +867,16 @@ mod tests {
         let mut index = RkrIndex::empty(g.num_nodes(), 10);
         let mut delta = IndexDelta::for_index(&index);
         for q in g.nodes() {
-            let want = ctx
-                .query_dynamic(&mut scratch, q, 2, BoundConfig::ALL)
-                .unwrap();
+            let req = QueryRequest::new(q, 2);
+            let want = ctx.execute(&mut scratch, &req).unwrap().result;
+            let access = &mut IndexAccess::Snapshot {
+                snapshot: &index,
+                delta: &mut delta,
+            };
             let got = ctx
-                .query_indexed_snapshot(&mut scratch, &index, &mut delta, q, 2, BoundConfig::ALL)
+                .execute_with(&mut scratch, Some(access), &req.with_strategy(INDEXED))
                 .unwrap();
-            assert_eq!(want.ranks(), got.ranks(), "q={q}");
+            assert_eq!(want.ranks(), got.result.ranks(), "q={q}");
         }
         // The snapshot itself never changed...
         assert_eq!(index.rrd_entries(), 0);
@@ -1008,10 +885,11 @@ mod tests {
         assert!(!delta.is_empty());
         index.merge_delta(&delta);
         assert!(index.rrd_entries() > 0);
+        let req = QueryRequest::new(NodeId(0), 2).with_strategy(INDEXED);
         let r = ctx
-            .query_indexed(&mut scratch, &mut index, NodeId(0), 2, BoundConfig::ALL)
+            .execute_with(&mut scratch, Some(&mut IndexAccess::Live(&mut index)), &req)
             .unwrap();
-        assert!(r.stats.index_exact_hits > 0);
+        assert!(r.stats().index_exact_hits > 0);
     }
 
     #[test]
@@ -1028,9 +906,8 @@ mod tests {
             let mut s = ctx.new_scratch();
             g.nodes()
                 .map(|q| {
-                    ctx.query_dynamic(&mut s, q, 3, BoundConfig::ALL)
-                        .unwrap()
-                        .ranks()
+                    let req = QueryRequest::new(q, 3);
+                    ctx.execute(&mut s, &req).unwrap().result.ranks()
                 })
                 .collect()
         };
@@ -1041,17 +918,13 @@ mod tests {
                     let mut s = ctx.new_scratch();
                     let mut delta = IndexDelta::for_index(index);
                     for (q, want) in g.nodes().zip(&expected) {
-                        let got = ctx
-                            .query_indexed_snapshot(
-                                &mut s,
-                                index,
-                                &mut delta,
-                                q,
-                                3,
-                                BoundConfig::ALL,
-                            )
-                            .unwrap();
-                        assert_eq!(&got.ranks(), want, "q={q}");
+                        let access = &mut IndexAccess::Snapshot {
+                            snapshot: index,
+                            delta: &mut delta,
+                        };
+                        let req = QueryRequest::new(q, 3).with_strategy(INDEXED);
+                        let got = ctx.execute_with(&mut s, Some(access), &req).unwrap();
+                        assert_eq!(&got.result.ranks(), want, "q={q}");
                     }
                 });
             }
@@ -1061,15 +934,7 @@ mod tests {
     #[test]
     fn sharded_contexts_partition_candidates_and_merge_exactly() {
         use rkranks_graph::ShardSlice;
-        // A graph big enough that every shard owns several nodes.
-        let g = graph_from_edges(
-            EdgeDirection::Undirected,
-            (0..40u32)
-                .map(|i| (i, (i + 1) % 40, 1.0 + f64::from(i % 5)))
-                .chain((0..20u32).map(|i| (i, i + 20, 2.0)))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let g = chorded_ring();
         const K: u32 = 4;
         const SHARDS: u32 = 3;
         const SEED: u64 = 0xFEED;
@@ -1079,15 +944,12 @@ mod tests {
             .map(|i| EngineContext::new(&g).with_shard_slice(ShardSlice::new(i, SHARDS, SEED)))
             .collect();
         for q in g.nodes() {
-            let want = whole
-                .query_dynamic(&mut scratch, q, K, BoundConfig::ALL)
-                .unwrap();
+            let req = QueryRequest::new(q, K);
+            let want = whole.execute(&mut scratch, &req).unwrap().result;
             // Scatter: each shard answers over its owned candidates...
             let mut merged: Vec<(u32, NodeId)> = Vec::new();
             for ctx in &shard_ctxs {
-                let part = ctx
-                    .query_dynamic(&mut scratch, q, K, BoundConfig::ALL)
-                    .unwrap();
+                let part = ctx.execute(&mut scratch, &req).unwrap().result;
                 for e in &part.entries {
                     // no shard ever returns a candidate it does not own
                     assert!(
@@ -1123,23 +985,20 @@ mod tests {
         });
         let mut scratch = whole.new_scratch();
         for q in g.nodes() {
-            let want = whole
-                .query_dynamic(&mut scratch, q, 2, BoundConfig::ALL)
-                .unwrap();
+            let req = QueryRequest::new(q, 2);
+            let want = whole.execute(&mut scratch, &req).unwrap().result;
             let mut merged: Vec<(u32, NodeId)> = Vec::new();
             for i in 0..2 {
                 let ctx = EngineContext::new(&g).with_shard_slice(ShardSlice::new(i, 2, 99));
                 let mut delta = IndexDelta::for_index(&index);
+                let access = &mut IndexAccess::Snapshot {
+                    snapshot: &index,
+                    delta: &mut delta,
+                };
                 let part = ctx
-                    .query_indexed_snapshot(
-                        &mut scratch,
-                        &index,
-                        &mut delta,
-                        q,
-                        2,
-                        BoundConfig::ALL,
-                    )
-                    .unwrap();
+                    .execute_with(&mut scratch, Some(access), &req.with_strategy(INDEXED))
+                    .unwrap()
+                    .result;
                 for e in &part.entries {
                     assert!(
                         ctx.shard_slice().unwrap().owns(e.node),
@@ -1161,35 +1020,25 @@ mod tests {
         let g = star_tail();
         let ctx = EngineContext::new(&g);
         let mut s = ctx.new_scratch();
-        let err = ctx
-            .query_dynamic(&mut s, NodeId(0), 2, BoundConfig::HUB)
-            .unwrap_err();
+        let req = QueryRequest::new(NodeId(0), 2).with_strategy(HUB);
+        let err = ctx.execute(&mut s, &req).unwrap_err();
         assert!(err.to_string().contains("oracle"), "{err}");
     }
 
     #[test]
     fn hub_oracle_queries_match_dynamic_exactly() {
         use rkranks_graph::{HubLabels, HubOrder};
-        let g = graph_from_edges(
-            EdgeDirection::Undirected,
-            (0..40u32)
-                .map(|i| (i, (i + 1) % 40, 1.0 + f64::from(i % 5)))
-                .chain((0..20u32).map(|i| (i, i + 20, 2.0)))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let g = chorded_ring();
         let plain = EngineContext::new(&g);
         let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
         let hub = EngineContext::new(&g).with_oracle(Arc::new(labels));
         let mut scratch = plain.new_scratch();
         let mut lookups = 0;
         for q in g.nodes() {
-            let want = plain
-                .query_dynamic(&mut scratch, q, 4, BoundConfig::ALL)
-                .unwrap();
-            let got = hub
-                .query_dynamic(&mut scratch, q, 4, BoundConfig::HUB)
-                .unwrap();
+            let req = QueryRequest::new(q, 4);
+            let want = plain.execute(&mut scratch, &req).unwrap().result;
+            let got = hub.execute(&mut scratch, &req.with_strategy(HUB));
+            let got = got.unwrap().result;
             assert_eq!(want.ranks(), got.ranks(), "q={q}");
             lookups += got.stats.oracle_lookups;
         }
@@ -1211,18 +1060,13 @@ mod tests {
             ],
         )
         .unwrap();
-        let plain = EngineContext::new(&g);
         let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
         let hub = EngineContext::new(&g).with_oracle(Arc::new(labels));
-        let mut scratch = plain.new_scratch();
+        let mut scratch = hub.new_scratch();
         for q in g.nodes() {
-            let want = plain
-                .query_dynamic(&mut scratch, q, 2, BoundConfig::ALL)
-                .unwrap();
-            let got = hub
-                .query_dynamic(&mut scratch, q, 2, BoundConfig::HUB)
-                .unwrap();
-            assert_eq!(want.ranks(), got.ranks(), "q={q}");
+            let req = QueryRequest::new(q, 2).with_strategy(Strategy::Naive);
+            let naive = hub.execute(&mut scratch, &req).unwrap().result;
+            assert_all_strategies_match(&hub, None, q, 2, &naive);
         }
     }
 
@@ -1230,18 +1074,13 @@ mod tests {
     fn dijkstra_oracle_backend_is_rank_identical_too() {
         use rkranks_graph::DijkstraOracle;
         let g = star_tail();
-        let plain = EngineContext::new(&g);
         let oracle = DijkstraOracle::new(Arc::new(g.clone()), 0);
         let hub = EngineContext::new(&g).with_oracle(Arc::new(oracle));
-        let mut scratch = plain.new_scratch();
+        let mut scratch = hub.new_scratch();
         for q in g.nodes() {
-            let want = plain
-                .query_dynamic(&mut scratch, q, 2, BoundConfig::ALL)
-                .unwrap();
-            let got = hub
-                .query_dynamic(&mut scratch, q, 2, BoundConfig::HUB)
-                .unwrap();
-            assert_eq!(want.ranks(), got.ranks(), "q={q}");
+            let req = QueryRequest::new(q, 2).with_strategy(Strategy::Naive);
+            let naive = hub.execute(&mut scratch, &req).unwrap().result;
+            assert_all_strategies_match(&hub, None, q, 2, &naive);
         }
     }
 
@@ -1269,8 +1108,8 @@ mod tests {
         let mut scratch = QueryScratch::new(small.num_nodes());
         let ctx = EngineContext::new(&big);
         let r = ctx
-            .query_dynamic(&mut scratch, NodeId(0), 2, BoundConfig::ALL)
+            .execute(&mut scratch, &QueryRequest::new(NodeId(0), 2))
             .unwrap();
-        assert_eq!(r.entries.len(), 2);
+        assert_eq!(r.result.entries.len(), 2);
     }
 }

@@ -1,25 +1,21 @@
 //! The query engine facade: bound configuration and the single-threaded
 //! entry point for [`QueryRequest`] execution.
 //!
-//! The paper's strategies are selected by [`Strategy`] inside a
+//! The paper's strategies are selected by [`crate::Strategy`] inside a
 //! [`QueryRequest`] and run by [`QueryEngine::execute`] (or
 //! [`QueryEngine::execute_with`] when an index is bound):
 //!
-//! * [`Strategy::Naive`] — §2's brute force: refine every node.
-//! * [`Strategy::Static`] — §3 / Algorithm 1: build the SDS-tree
+//! * [`Naive`](crate::Strategy::Naive) — §2's brute force: refine every node.
+//! * [`Static`](crate::Strategy::Static) — §3 / Algorithm 1: build the SDS-tree
 //!   (Dijkstra on the transpose rooted at `q`), refine every popped node,
 //!   and expand only nodes whose refinement completed (Theorem 1).
-//! * [`Strategy::Dynamic`] — §4: delay the candidate decision to
-//!   pop time and skip refinement when the Theorem-2 lower bound
+//! * [`Dynamic`](crate::Strategy::Dynamic) — §4: delay the candidate decision
+//!   to pop time and skip refinement when the Theorem-2 lower bound
 //!   `max(height, parent-rank, lcount)` already meets `kRank`.
-//! * [`Strategy::Indexed`] — §5 / Algorithms 3–4: additionally
+//! * [`Indexed`](crate::Strategy::Indexed) — §5 / Algorithms 3–4: additionally
 //!   seed `R` from the Reverse Rank Dictionary, take exact ranks from it,
 //!   prune on the Check Dictionary, and write every refinement discovery
 //!   back into the index (live mode) or a write-log (snapshot mode).
-//!
-//! The old `query_*` methods survive as `#[deprecated]` one-line shims
-//! over `execute`, so code (and tests) written against them keeps
-//! working — and doubles as an equivalence suite for the new path.
 //!
 //! [`QueryEngine`] is a convenience bundle of the two halves the engine is
 //! really made of: a shared, `Sync` [`EngineContext`] (graph, lazily built
@@ -30,14 +26,12 @@
 
 use std::sync::Arc;
 
-use rkranks_graph::{Graph, NodeId, Result};
+use rkranks_graph::{Graph, Result};
 
 use crate::context::{EngineContext, QueryScratch};
-use crate::index::{IndexAccess, IndexBuildStats, IndexDelta, IndexParams, RkrIndex};
-use crate::request::{QueryOutcome, QueryRequest, Strategy};
-use crate::result::QueryResult;
+use crate::index::{IndexAccess, IndexBuildStats, IndexParams, RkrIndex};
+use crate::request::{QueryOutcome, QueryRequest};
 use crate::spec::{Partition, QuerySpec};
-use crate::trace::QueryTrace;
 
 /// Which Theorem-2 components the dynamic search uses. The parent-rank
 /// bound (Lemma 1) is always on — it is what makes the SDS-tree a
@@ -135,20 +129,6 @@ impl std::str::FromStr for BoundConfig {
     }
 }
 
-/// Algorithm selector for the deprecated dispatcher [`QueryEngine::query`].
-#[deprecated(note = "use rkranks_core::Strategy with QueryRequest instead")]
-#[derive(Debug)]
-pub enum Algorithm<'i> {
-    /// §2 brute force.
-    Naive,
-    /// §3 static SDS-tree.
-    Static,
-    /// §4 dynamic bounded SDS-tree.
-    Dynamic(BoundConfig),
-    /// §5 dynamic SDS-tree with the (mutated) index.
-    Indexed(&'i mut RkrIndex, BoundConfig),
-}
-
 /// Reusable query-evaluation state bound to one graph: a thin facade over
 /// an [`EngineContext`] + [`QueryScratch`] pair for single-threaded use.
 pub struct QueryEngine {
@@ -220,128 +200,18 @@ impl QueryEngine {
     ) -> Result<QueryOutcome> {
         self.ctx.execute_with(&mut self.scratch, index, req)
     }
-
-    /// Dispatch on an [`Algorithm`] value (deprecated; used by old
-    /// experiment harnesses).
-    #[allow(deprecated)]
-    #[deprecated(note = "build a QueryRequest with a Strategy and call execute/execute_with")]
-    pub fn query(&mut self, algorithm: Algorithm<'_>, q: NodeId, k: u32) -> Result<QueryResult> {
-        match algorithm {
-            Algorithm::Naive => self.query_naive(q, k),
-            Algorithm::Static => self.query_static(q, k),
-            Algorithm::Dynamic(b) => self.query_dynamic(q, k, b),
-            Algorithm::Indexed(idx, b) => self.query_indexed(idx, q, k, b),
-        }
-    }
-
-    /// §2 naive baseline (deprecated shim over [`QueryEngine::execute`]).
-    #[deprecated(note = "build a QueryRequest with Strategy::Naive and call execute")]
-    pub fn query_naive(&mut self, q: NodeId, k: u32) -> Result<QueryResult> {
-        let req = QueryRequest::new(q, k).with_strategy(Strategy::Naive);
-        Ok(self.execute(&req)?.result)
-    }
-
-    /// §3 static SDS-tree (deprecated shim over [`QueryEngine::execute`]).
-    #[deprecated(note = "build a QueryRequest with Strategy::Static and call execute")]
-    pub fn query_static(&mut self, q: NodeId, k: u32) -> Result<QueryResult> {
-        let req = QueryRequest::new(q, k).with_strategy(Strategy::Static);
-        Ok(self.execute(&req)?.result)
-    }
-
-    /// §4 dynamic bounded SDS-tree (deprecated shim over
-    /// [`QueryEngine::execute`]).
-    #[deprecated(note = "build a QueryRequest with Strategy::Dynamic and call execute")]
-    pub fn query_dynamic(&mut self, q: NodeId, k: u32, bounds: BoundConfig) -> Result<QueryResult> {
-        let req = QueryRequest::new(q, k).with_strategy(Strategy::Dynamic(bounds));
-        Ok(self.execute(&req)?.result)
-    }
-
-    /// §5 dynamic SDS-tree with the index updated in place (deprecated
-    /// shim over [`QueryEngine::execute_with`] + [`IndexAccess::Live`]).
-    #[deprecated(note = "build a QueryRequest with Strategy::Indexed and call execute_with")]
-    pub fn query_indexed(
-        &mut self,
-        index: &mut RkrIndex,
-        q: NodeId,
-        k: u32,
-        bounds: BoundConfig,
-    ) -> Result<QueryResult> {
-        let req = QueryRequest::new(q, k).with_strategy(Strategy::Indexed(bounds));
-        Ok(self
-            .execute_with(Some(&mut IndexAccess::Live(index)), &req)?
-            .result)
-    }
-
-    /// §5 against a frozen index snapshot: reads consult `snapshot`, every
-    /// discovery is logged to `delta` for a later
-    /// [`RkrIndex::merge_delta`] (deprecated shim over
-    /// [`QueryEngine::execute_with`] + [`IndexAccess::Snapshot`]).
-    #[deprecated(note = "build a QueryRequest with Strategy::Indexed and call execute_with")]
-    pub fn query_indexed_snapshot(
-        &mut self,
-        snapshot: &RkrIndex,
-        delta: &mut IndexDelta,
-        q: NodeId,
-        k: u32,
-        bounds: BoundConfig,
-    ) -> Result<QueryResult> {
-        let req = QueryRequest::new(q, k).with_strategy(Strategy::Indexed(bounds));
-        let access = &mut IndexAccess::Snapshot { snapshot, delta };
-        Ok(self.execute_with(Some(access), &req)?.result)
-    }
-
-    /// Static query with a full decision trace (deprecated shim).
-    #[deprecated(note = "set QueryRequest::trace and call execute")]
-    pub fn query_static_traced(&mut self, q: NodeId, k: u32) -> Result<(QueryResult, QueryTrace)> {
-        let req = QueryRequest::new(q, k)
-            .with_strategy(Strategy::Static)
-            .with_trace();
-        let out = self.execute(&req)?;
-        Ok((out.result, out.trace.expect("trace was requested")))
-    }
-
-    /// Dynamic query with a full decision trace (deprecated shim; see
-    /// [`crate::trace`]).
-    #[deprecated(note = "set QueryRequest::trace and call execute")]
-    pub fn query_dynamic_traced(
-        &mut self,
-        q: NodeId,
-        k: u32,
-        bounds: BoundConfig,
-    ) -> Result<(QueryResult, QueryTrace)> {
-        let req = QueryRequest::new(q, k)
-            .with_strategy(Strategy::Dynamic(bounds))
-            .with_trace();
-        let out = self.execute(&req)?;
-        Ok((out.result, out.trace.expect("trace was requested")))
-    }
-
-    /// Live-indexed query with a full decision trace (deprecated shim).
-    #[deprecated(note = "set QueryRequest::trace and call execute_with")]
-    pub fn query_indexed_traced(
-        &mut self,
-        index: &mut RkrIndex,
-        q: NodeId,
-        k: u32,
-        bounds: BoundConfig,
-    ) -> Result<(QueryResult, QueryTrace)> {
-        let req = QueryRequest::new(q, k)
-            .with_strategy(Strategy::Indexed(bounds))
-            .with_trace();
-        let out = self.execute_with(Some(&mut IndexAccess::Live(index)), &req)?;
-        Ok((out.result, out.trace.expect("trace was requested")))
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `query_*` shims are exercised on purpose: these
-    // tests double as equivalence tests between the old surface and the
-    // `execute` path it now delegates to.
-    #![allow(deprecated)]
-
     use super::*;
-    use rkranks_graph::{graph_from_edges, EdgeDirection};
+    use crate::index::IndexDelta;
+    use crate::request::Strategy;
+    use crate::validate::assert_all_strategies_match;
+    use rkranks_graph::{graph_from_edges, EdgeDirection, HubLabels, HubOrder, NodeId};
+
+    const NAIVE: Strategy = Strategy::Naive;
+    const INDEXED: Strategy = Strategy::Indexed(BoundConfig::ALL);
 
     /// 0 is the hub; 1..=3 at distances 1, 2, 3; 4 hangs off 3.
     fn star_tail() -> Graph {
@@ -355,14 +225,21 @@ mod tests {
     #[test]
     fn all_algorithms_agree_on_star_tail() {
         let g = star_tail();
-        let mut engine = QueryEngine::new(&g);
+        let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
+        let mut engine =
+            QueryEngine::from_context(EngineContext::new(&g).with_oracle(Arc::new(labels)));
+        let (built, _) = engine.build_index(&IndexParams {
+            hub_fraction: 0.5,
+            prefix_fraction: 0.5,
+            k_max: 4,
+            ..Default::default()
+        });
         for q in g.nodes() {
             for k in 1..=4 {
-                let naive = engine.query_naive(q, k).unwrap();
-                let stat = engine.query_static(q, k).unwrap();
-                let dynamic = engine.query_dynamic(q, k, BoundConfig::ALL).unwrap();
-                assert_eq!(naive.ranks(), stat.ranks(), "static q={q} k={k}");
-                assert_eq!(naive.ranks(), dynamic.ranks(), "dynamic q={q} k={k}");
+                let req = QueryRequest::new(q, k).with_strategy(NAIVE);
+                let naive = engine.execute(&req).unwrap().result;
+                assert_all_strategies_match(engine.context(), None, q, k, &naive);
+                assert_all_strategies_match(engine.context(), Some(&built), q, k, &naive);
             }
         }
     }
@@ -372,13 +249,16 @@ mod tests {
         let g = star_tail();
         let mut engine = QueryEngine::new(&g);
         for q in g.nodes() {
-            let s = engine.query_static(q, 2).unwrap();
-            let d = engine.query_dynamic(q, 2, BoundConfig::ALL).unwrap();
+            let req = QueryRequest::new(q, 2);
+            let s = engine
+                .execute(&req.with_strategy(Strategy::Static))
+                .unwrap();
+            let d = engine.execute(&req).unwrap();
             assert!(
-                d.stats.refinement_calls <= s.stats.refinement_calls,
+                d.stats().refinement_calls <= s.stats().refinement_calls,
                 "q={q}: dynamic {} > static {}",
-                d.stats.refinement_calls,
-                s.stats.refinement_calls
+                d.stats().refinement_calls,
+                s.stats().refinement_calls
             );
         }
     }
@@ -387,19 +267,22 @@ mod tests {
     fn k_zero_and_bad_nodes_are_rejected() {
         let g = star_tail();
         let mut engine = QueryEngine::new(&g);
-        assert!(engine.query_static(NodeId(0), 0).is_err());
-        assert!(engine.query_static(NodeId(99), 1).is_err());
-        assert!(engine.query_naive(NodeId(0), 0).is_err());
+        for (q, k, strategy) in [
+            (0, 0, Strategy::Static),
+            (99, 1, Strategy::Static),
+            (0, 0, NAIVE),
+        ] {
+            let req = QueryRequest::new(NodeId(q), k).with_strategy(strategy);
+            assert!(engine.execute(&req).is_err(), "{strategy} q={q} k={k}");
+        }
     }
 
     #[test]
     fn k_larger_than_graph_returns_all_candidates() {
         let g = star_tail();
         let mut engine = QueryEngine::new(&g);
-        let r = engine
-            .query_dynamic(NodeId(0), 10, BoundConfig::ALL)
-            .unwrap();
-        assert_eq!(r.entries.len(), 4); // everyone but q
+        let r = engine.execute(&QueryRequest::new(NodeId(0), 10)).unwrap();
+        assert_eq!(r.result.entries.len(), 4); // everyone but q
     }
 
     #[test]
@@ -407,17 +290,21 @@ mod tests {
         let g = star_tail();
         let mut engine = QueryEngine::new(&g);
         let mut idx = RkrIndex::empty(g.num_nodes(), 2);
+        let k3 = QueryRequest::new(NodeId(0), 3).with_strategy(INDEXED);
+        let k2 = QueryRequest::new(NodeId(0), 2).with_strategy(INDEXED);
         assert!(engine
-            .query_indexed(&mut idx, NodeId(0), 3, BoundConfig::ALL)
+            .execute_with(Some(&mut IndexAccess::Live(&mut idx)), &k3)
             .is_err());
         assert!(engine
-            .query_indexed(&mut idx, NodeId(0), 2, BoundConfig::ALL)
+            .execute_with(Some(&mut IndexAccess::Live(&mut idx)), &k2)
             .is_ok());
         // snapshot mode enforces the same K bound
         let mut delta = IndexDelta::for_index(&idx);
-        assert!(engine
-            .query_indexed_snapshot(&idx, &mut delta, NodeId(0), 3, BoundConfig::ALL)
-            .is_err());
+        let access = &mut IndexAccess::Snapshot {
+            snapshot: &idx,
+            delta: &mut delta,
+        };
+        assert!(engine.execute_with(Some(access), &k3).is_err());
     }
 
     #[test]
@@ -425,23 +312,21 @@ mod tests {
         let g = star_tail();
         let mut engine = QueryEngine::new(&g);
         let mut idx = RkrIndex::empty(g.num_nodes(), 10);
-        for q in g.nodes() {
-            let expect = engine.query_dynamic(q, 2, BoundConfig::ALL).unwrap();
+        // every node, then a repeat query that must still be correct
+        for q in g.nodes().chain([NodeId(0)]) {
+            let req = QueryRequest::new(q, 2);
+            let expect = engine.execute(&req).unwrap().result;
             let got = engine
-                .query_indexed(&mut idx, q, 2, BoundConfig::ALL)
-                .unwrap();
+                .execute_with(
+                    Some(&mut IndexAccess::Live(&mut idx)),
+                    &req.with_strategy(INDEXED),
+                )
+                .unwrap()
+                .result;
             assert_eq!(expect.ranks(), got.ranks(), "q={q}");
         }
         // the index absorbed refinement results
         assert!(idx.rrd_entries() > 0);
-        // a repeat query must still be correct
-        let expect = engine
-            .query_dynamic(NodeId(0), 2, BoundConfig::ALL)
-            .unwrap();
-        let got = engine
-            .query_indexed(&mut idx, NodeId(0), 2, BoundConfig::ALL)
-            .unwrap();
-        assert_eq!(expect.ranks(), got.ranks());
     }
 
     #[test]
@@ -451,10 +336,16 @@ mod tests {
         let idx = RkrIndex::empty(g.num_nodes(), 10);
         let mut delta = IndexDelta::for_index(&idx);
         for q in g.nodes() {
-            let expect = engine.query_dynamic(q, 2, BoundConfig::ALL).unwrap();
+            let req = QueryRequest::new(q, 2);
+            let expect = engine.execute(&req).unwrap().result;
+            let access = &mut IndexAccess::Snapshot {
+                snapshot: &idx,
+                delta: &mut delta,
+            };
             let got = engine
-                .query_indexed_snapshot(&idx, &mut delta, q, 2, BoundConfig::ALL)
-                .unwrap();
+                .execute_with(Some(access), &req.with_strategy(INDEXED))
+                .unwrap()
+                .result;
             assert_eq!(expect.ranks(), got.ranks(), "q={q}");
         }
         assert!(!delta.is_empty());
@@ -471,9 +362,9 @@ mod tests {
         .unwrap();
         let mut engine = QueryEngine::new(&g);
         for q in g.nodes() {
-            let naive = engine.query_naive(q, 2).unwrap();
-            let dynamic = engine.query_dynamic(q, 2, BoundConfig::ALL).unwrap();
-            assert_eq!(naive.ranks(), dynamic.ranks(), "q={q}");
+            let req = QueryRequest::new(q, 2).with_strategy(NAIVE);
+            let naive = engine.execute(&req).unwrap().result;
+            assert_all_strategies_match(engine.context(), None, q, 2, &naive);
         }
     }
 
@@ -482,11 +373,10 @@ mod tests {
         // 1 -> 0: only node 1 can reach 0; node 2 cannot.
         let g = graph_from_edges(EdgeDirection::Directed, [(1, 0, 1.0), (0, 2, 1.0)]).unwrap();
         let mut engine = QueryEngine::new(&g);
-        let r = engine
-            .query_dynamic(NodeId(0), 3, BoundConfig::ALL)
-            .unwrap();
+        let req = QueryRequest::new(NodeId(0), 3);
+        let r = engine.execute(&req).unwrap().result;
         assert_eq!(r.nodes(), vec![NodeId(1)]);
-        let n = engine.query_naive(NodeId(0), 3).unwrap();
+        let n = engine.execute(&req.with_strategy(NAIVE)).unwrap().result;
         assert_eq!(n.nodes(), vec![NodeId(1)]);
     }
 
@@ -494,34 +384,13 @@ mod tests {
     fn bound_wins_are_recorded_in_dynamic_mode() {
         let g = star_tail();
         let mut engine = QueryEngine::new(&g);
-        let r = engine
-            .query_dynamic(NodeId(0), 1, BoundConfig::ALL)
+        let req = QueryRequest::new(NodeId(0), 1);
+        let r = engine.execute(&req).unwrap();
+        assert!(r.stats().bound_wins.total() > 0);
+        let s = engine
+            .execute(&req.with_strategy(Strategy::Static))
             .unwrap();
-        assert!(r.stats.bound_wins.total() > 0);
-        let s = engine.query_static(NodeId(0), 1).unwrap();
-        assert_eq!(s.stats.bound_wins.total(), 0);
-    }
-
-    #[test]
-    fn algorithm_dispatcher_matches_direct_calls() {
-        let g = star_tail();
-        let mut engine = QueryEngine::new(&g);
-        let mut idx = RkrIndex::empty(g.num_nodes(), 10);
-        let q = NodeId(0);
-        let direct = engine.query_dynamic(q, 2, BoundConfig::ALL).unwrap();
-        let via_enum = engine
-            .query(Algorithm::Dynamic(BoundConfig::ALL), q, 2)
-            .unwrap();
-        assert_eq!(direct.entries, via_enum.entries);
-        let direct = engine.query_naive(q, 2).unwrap();
-        let via_enum = engine.query(Algorithm::Naive, q, 2).unwrap();
-        assert_eq!(direct.entries, via_enum.entries);
-        let via_enum = engine
-            .query(Algorithm::Indexed(&mut idx, BoundConfig::ALL), q, 2)
-            .unwrap();
-        assert_eq!(direct.ranks(), via_enum.ranks());
-        let via_enum = engine.query(Algorithm::Static, q, 2).unwrap();
-        assert_eq!(direct.ranks(), via_enum.ranks());
+        assert_eq!(s.stats().bound_wins.total(), 0);
     }
 
     #[test]
@@ -529,25 +398,35 @@ mod tests {
         let g = star_tail();
         let mut engine = QueryEngine::new(&g);
         let mut idx = RkrIndex::empty(g.num_nodes(), 10);
+        let indexed_trace = |engine: &mut QueryEngine, idx: &mut RkrIndex, q| {
+            let req = QueryRequest::new(q, 2).with_strategy(INDEXED).with_trace();
+            engine
+                .execute_with(Some(&mut IndexAccess::Live(idx)), &req)
+                .unwrap()
+        };
         for q in g.nodes() {
-            let plain = engine.query_dynamic(q, 2, BoundConfig::ALL).unwrap();
-            let (traced, trace) = engine.query_dynamic_traced(q, 2, BoundConfig::ALL).unwrap();
-            assert_eq!(plain.entries, traced.entries);
+            let req = QueryRequest::new(q, 2);
+            let plain = engine.execute(&req).unwrap().result;
+            let traced = engine.execute(&req.with_trace()).unwrap();
+            assert_eq!(plain.entries, traced.result.entries);
             // every pop produced exactly one event
-            assert_eq!(trace.events.len() as u64, traced.stats.sds_popped);
+            assert_eq!(
+                traced.trace.unwrap().events.len() as u64,
+                traced.result.stats.sds_popped
+            );
 
-            let plain = engine.query_static(q, 2).unwrap();
-            let (traced, _) = engine.query_static_traced(q, 2).unwrap();
-            assert_eq!(plain.entries, traced.entries);
+            let req = req.with_strategy(Strategy::Static);
+            let plain = engine.execute(&req).unwrap().result;
+            let traced = engine.execute(&req.with_trace()).unwrap();
+            assert_eq!(plain.entries, traced.result.entries);
+            assert!(traced.trace.is_some());
 
-            let (traced, _) = engine
-                .query_indexed_traced(&mut idx, q, 2, BoundConfig::ALL)
-                .unwrap();
-            assert_eq!(plain.ranks(), traced.ranks());
+            let traced = indexed_trace(&mut engine, &mut idx, q);
+            assert_eq!(plain.ranks(), traced.result.ranks());
         }
         // warm index produces index-hit events on a repeat query
-        let (_, trace) = engine
-            .query_indexed_traced(&mut idx, NodeId(0), 2, BoundConfig::ALL)
+        let trace = indexed_trace(&mut engine, &mut idx, NodeId(0))
+            .trace
             .unwrap();
         assert!(
             !trace.index_hit_nodes().is_empty(),

@@ -270,7 +270,7 @@ impl RkrIndex {
     }
 
     /// Apply a write-log produced by snapshot-mode queries
-    /// ([`crate::EngineContext::query_indexed_snapshot`]).
+    /// ([`IndexAccess::Snapshot`]).
     ///
     /// Merge order cannot affect the merged state: the Reverse Rank
     /// Dictionary keeps the K smallest `(rank, source)` pairs and the
@@ -780,10 +780,6 @@ fn select_hubs(
 
 #[cfg(test)]
 mod tests {
-    // Deprecated query_* shims exercised on purpose: equivalence tests
-    // for the execute path they delegate to.
-    #![allow(deprecated)]
-
     use super::*;
     use rkranks_graph::{graph_from_edges, EdgeDirection};
 
@@ -1168,16 +1164,23 @@ mod tests {
     /// decision identical.
     #[test]
     fn merge_delta_idempotent_for_query_deltas() {
-        use crate::context::EngineContext;
+        use crate::context::{EngineContext, QueryScratch};
         use crate::engine::BoundConfig;
+        use crate::request::{QueryRequest, Strategy};
         let g = line();
         let ctx = EngineContext::new(&g);
         let mut scratch = ctx.new_scratch();
+        let snapshot_query =
+            |s: &mut QueryScratch, snapshot: &RkrIndex, delta: &mut IndexDelta, q| {
+                let req =
+                    QueryRequest::new(q, 2).with_strategy(Strategy::Indexed(BoundConfig::ALL));
+                let access = &mut IndexAccess::Snapshot { snapshot, delta };
+                ctx.execute_with(s, Some(access), &req).unwrap().result
+            };
         let index = RkrIndex::empty(g.num_nodes(), 8);
         let mut delta = IndexDelta::for_index(&index);
         for q in g.nodes() {
-            ctx.query_indexed_snapshot(&mut scratch, &index, &mut delta, q, 2, BoundConfig::ALL)
-                .unwrap();
+            snapshot_query(&mut scratch, &index, &mut delta, q);
         }
         assert!(!delta.is_empty());
         let mut merged_once = index.clone();
@@ -1197,12 +1200,8 @@ mod tests {
         for q in g.nodes() {
             let mut d1 = IndexDelta::for_index(&merged_once);
             let mut d2 = IndexDelta::for_index(&merged_twice);
-            let a = ctx
-                .query_indexed_snapshot(&mut scratch, &merged_once, &mut d1, q, 2, BoundConfig::ALL)
-                .unwrap();
-            let b = ctx
-                .query_indexed_snapshot(&mut s2, &merged_twice, &mut d2, q, 2, BoundConfig::ALL)
-                .unwrap();
+            let a = snapshot_query(&mut scratch, &merged_once, &mut d1, q);
+            let b = snapshot_query(&mut s2, &merged_twice, &mut d2, q);
             assert_eq!(a.entries, b.entries, "q={q}");
             assert_eq!(a.stats.pruned_by_bound, b.stats.pruned_by_bound, "q={q}");
             assert_eq!(a.stats.index_exact_hits, b.stats.index_exact_hits, "q={q}");

@@ -201,13 +201,10 @@ pub fn load_index<P: AsRef<Path>>(path: P) -> Result<RkrIndex> {
 
 #[cfg(test)]
 mod tests {
-    // Deprecated query_* shims exercised on purpose: equivalence tests
-    // for the execute path they delegate to.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::engine::{BoundConfig, QueryEngine};
-    use crate::index::IndexParams;
+    use crate::index::{IndexAccess, IndexParams};
+    use crate::request::{QueryRequest, Strategy};
     use crate::spec::QuerySpec;
     use rkranks_graph::{graph_from_edges, EdgeDirection};
 
@@ -263,22 +260,20 @@ mod tests {
         )
         .unwrap();
         let mut engine = QueryEngine::new(&g);
+        let mut live = |idx: &mut RkrIndex, q| {
+            let req = QueryRequest::new(q, 2).with_strategy(Strategy::Indexed(BoundConfig::ALL));
+            let access = &mut IndexAccess::Live(idx);
+            engine.execute_with(Some(access), &req).unwrap().result
+        };
         let mut idx = RkrIndex::empty(g.num_nodes(), 4);
         for q in g.nodes() {
-            engine
-                .query_indexed(&mut idx, q, 2, BoundConfig::ALL)
-                .unwrap();
+            live(&mut idx, q);
         }
-        let back = round_trip(&idx);
         // and the loaded index answers identically
-        let mut loaded = back;
+        let mut loaded = round_trip(&idx);
         for q in g.nodes() {
-            let a = engine
-                .query_indexed(&mut idx, q, 2, BoundConfig::ALL)
-                .unwrap();
-            let b = engine
-                .query_indexed(&mut loaded, q, 2, BoundConfig::ALL)
-                .unwrap();
+            let a = live(&mut idx, q);
+            let b = live(&mut loaded, q);
             assert_eq!(a.entries, b.entries, "q={q}");
         }
     }

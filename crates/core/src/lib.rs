@@ -73,8 +73,6 @@ pub mod trace;
 pub mod validate;
 
 pub use context::{EngineContext, QueryScratch};
-#[allow(deprecated)]
-pub use engine::Algorithm;
 pub use engine::{BoundConfig, QueryEngine};
 pub use index::{HubStrategy, IndexAccess, IndexBuildStats, IndexDelta, IndexParams, RkrIndex};
 pub use index_io::{load_index, read_index, save_index, write_index};
@@ -88,4 +86,4 @@ pub use telemetry::{
     MetricsSnapshot, Registry,
 };
 pub use trace::{PassSummary, PopDecision, QueryTrace, TraceEvent};
-pub use validate::{assert_equivalent, results_equivalent};
+pub use validate::{assert_all_strategies_match, assert_equivalent, results_equivalent};

@@ -1,10 +1,9 @@
 //! The unified query API: one typed request, one executor, one outcome.
 //!
-//! The paper's three strategies (§3 static, §4 dynamic, §5 indexed) plus
-//! the naive baseline, traced variants, and live/snapshot index modes had
-//! grown into a combinatorial surface of `query_*` methods, and every
-//! consumer (CLI, serving daemon, eval harness) re-implemented its own
-//! dispatch on top. This module collapses all of it into plain data:
+//! The paper's three strategies (§3 static, §4 dynamic, §5 indexed), the
+//! naive baseline, traced variants, and live/snapshot index modes are
+//! plain data, so every consumer (CLI, serving daemon, eval harness)
+//! shares one dispatch:
 //!
 //! * [`Strategy`] — *which algorithm*, as a value with a stable string
 //!   form (`"dynamic-height"`, `"indexed-three"`, …). [`Strategy::name`]
@@ -19,8 +18,7 @@
 //!   short.
 //!
 //! The single entry point is [`crate::EngineContext::execute`] (or
-//! [`crate::EngineContext::execute_with`] when an index is bound); the
-//! old `query_*` methods survive as deprecated one-line shims over it.
+//! [`crate::EngineContext::execute_with`] when an index is bound).
 //!
 //! ## Partial results
 //!

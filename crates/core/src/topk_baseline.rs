@@ -85,12 +85,9 @@ pub fn reverse_k_ranks_by_doubling(graph: &Graph, q: NodeId, k: u32) -> Result<D
 
 #[cfg(test)]
 mod tests {
-    // Deprecated query_* shims exercised on purpose: equivalence tests
-    // for the execute path they delegate to.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::engine::QueryEngine;
+    use crate::request::{QueryRequest, Strategy};
     use crate::validate::results_equivalent;
     use rkranks_graph::{graph_from_edges, EdgeDirection};
 
@@ -115,7 +112,8 @@ mod tests {
         let mut engine = QueryEngine::new(&g);
         for q in g.nodes() {
             for k in 1..=4 {
-                let naive = engine.query_naive(q, k).unwrap();
+                let req = QueryRequest::new(q, k).with_strategy(Strategy::Naive);
+                let naive = engine.execute(&req).unwrap().result;
                 let doubled = reverse_k_ranks_by_doubling(&g, q, k).unwrap();
                 assert!(
                     results_equivalent(&naive, &doubled.result),
@@ -143,8 +141,9 @@ mod tests {
         let g = sample();
         let mut engine = QueryEngine::new(&g);
         let framework = engine
-            .query_dynamic(NodeId(0), 2, crate::BoundConfig::ALL)
-            .unwrap();
+            .execute(&QueryRequest::new(NodeId(0), 2))
+            .unwrap()
+            .result;
         let doubled = reverse_k_ranks_by_doubling(&g, NodeId(0), 2).unwrap();
         assert!(
             doubled.result.stats.refinement_calls > framework.stats.refinement_calls,

@@ -3,17 +3,34 @@
 //! on randomized graphs — including directed graphs, tie-heavy integer
 //! weights, and evolving indexes across query streams.
 
-// NOTE: these tests deliberately keep driving the deprecated `query_*`
-// shims — they double as equivalence tests proving the shims and the
-// unified `QueryRequest`/`execute` path compute the same answers.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 use rkranks_core::{
-    results_equivalent, BoundConfig, HubStrategy, IndexParams, Partition, QueryEngine, QueryResult,
+    assert_all_strategies_match, assert_equivalent, results_equivalent, BoundConfig, EngineContext,
+    HubStrategy, IndexAccess, IndexParams, Partition, QueryEngine, QueryRequest, QueryResult,
     RkrIndex,
 };
-use rkranks_graph::{EdgeDirection, Graph, GraphBuilder};
+use rkranks_graph::{EdgeDirection, Graph, GraphBuilder, NodeId};
+
+// (`Strategy` alone is proptest's trait in this file.)
+const NAIVE: rkranks_core::Strategy = rkranks_core::Strategy::Naive;
+const INDEXED: rkranks_core::Strategy = rkranks_core::Strategy::Indexed(BoundConfig::ALL);
+
+/// Every strategy against `reference` over `index` as it stands, then one
+/// live indexed query so the next call sees what this one taught it.
+fn check_and_evolve(
+    ctx: &EngineContext,
+    index: &mut RkrIndex,
+    q: NodeId,
+    k: u32,
+    reference: &QueryResult,
+) {
+    assert_all_strategies_match(ctx, Some(index), q, k, reference);
+    let req = QueryRequest::new(q, k).with_strategy(INDEXED);
+    let access = &mut IndexAccess::Live(index);
+    let got = ctx.execute_with(&mut ctx.new_scratch(), Some(access), &req);
+    let label = format!("evolving index q={q} k={k}");
+    assert_equivalent(&label, reference, &got.unwrap().result);
+}
 
 fn arb_graph(
     directed: bool,
@@ -52,56 +69,24 @@ fn arb_graph(
     })
 }
 
-fn check_all_algorithms(g: &Graph, k: u32) -> Result<(), TestCaseError> {
-    let mut engine = QueryEngine::new(g);
+fn check_all_algorithms(g: &Graph, k: u32) {
+    let ctx = EngineContext::new(g);
+    let mut scratch = ctx.new_scratch();
     // One evolving index shared across all query nodes, plus a prebuilt one.
     let mut evolving = RkrIndex::empty(g.num_nodes(), 64);
-    let (mut prebuilt, _) = RkrIndex::build(
-        g,
-        rkranks_core::QuerySpec::Mono,
-        &IndexParams {
-            hub_fraction: 0.3,
-            prefix_fraction: 0.5,
-            k_max: 64,
-            strategy: HubStrategy::DegreeFirst,
-            ..Default::default()
-        },
-    );
+    let (mut prebuilt, _) = ctx.build_index(&IndexParams {
+        hub_fraction: 0.3,
+        prefix_fraction: 0.5,
+        k_max: 64,
+        strategy: HubStrategy::DegreeFirst,
+        ..Default::default()
+    });
     for q in g.nodes() {
-        let naive = engine.query_naive(q, k).unwrap();
-        let check = |label: &str, other: &QueryResult| {
-            prop_assert!(
-                results_equivalent(&naive, other),
-                "{label} diverged at q={q} k={k}\n naive: {:?}\n other: {:?}\n graph: {:?}",
-                naive.entries,
-                other.entries,
-                g
-            );
-            Ok(())
-        };
-        check("static", &engine.query_static(q, k).unwrap())?;
-        for bounds in [
-            BoundConfig::PARENT_ONLY,
-            BoundConfig::PARENT_COUNT,
-            BoundConfig::PARENT_HEIGHT,
-            BoundConfig::ALL,
-        ] {
-            check(bounds.name(), &engine.query_dynamic(q, k, bounds).unwrap())?;
-        }
-        check(
-            "indexed-evolving",
-            &engine
-                .query_indexed(&mut evolving, q, k, BoundConfig::ALL)
-                .unwrap(),
-        )?;
-        check(
-            "indexed-prebuilt",
-            &engine
-                .query_indexed(&mut prebuilt, q, k, BoundConfig::ALL)
-                .unwrap(),
-        )?;
+        let req = QueryRequest::new(q, k).with_strategy(NAIVE);
+        let naive = ctx.execute(&mut scratch, &req).unwrap().result;
+        check_and_evolve(&ctx, &mut evolving, q, k, &naive);
+        check_and_evolve(&ctx, &mut prebuilt, q, k, &naive);
     }
-    Ok(())
 }
 
 proptest! {
@@ -109,22 +94,22 @@ proptest! {
 
     #[test]
     fn undirected_real_weights(g in arb_graph(false, 14, 20, false), k in 1u32..6) {
-        check_all_algorithms(&g, k)?;
+        check_all_algorithms(&g, k);
     }
 
     #[test]
     fn undirected_tie_heavy(g in arb_graph(false, 12, 16, true), k in 1u32..6) {
-        check_all_algorithms(&g, k)?;
+        check_all_algorithms(&g, k);
     }
 
     #[test]
     fn directed_real_weights(g in arb_graph(true, 12, 20, false), k in 1u32..6) {
-        check_all_algorithms(&g, k)?;
+        check_all_algorithms(&g, k);
     }
 
     #[test]
     fn directed_tie_heavy(g in arb_graph(true, 10, 14, true), k in 1u32..5) {
-        check_all_algorithms(&g, k)?;
+        check_all_algorithms(&g, k);
     }
 
     #[test]
@@ -140,7 +125,9 @@ proptest! {
         let mut first: Vec<QueryResult> = Vec::new();
         for round in 0..rounds {
             for (i, q) in g.nodes().enumerate() {
-                let r = engine.query_indexed(&mut idx, q, k, BoundConfig::ALL).unwrap();
+                let req = QueryRequest::new(q, k).with_strategy(INDEXED);
+                let access = &mut IndexAccess::Live(&mut idx);
+                let r = engine.execute_with(Some(access), &req).unwrap().result;
                 if round == 0 {
                     first.push(r);
                 } else {
@@ -172,21 +159,14 @@ proptest! {
         if !mask.iter().any(|&b| b) { mask[0] = true; }
         if mask.iter().all(|&b| b) { mask[n - 1] = false; }
         let part = Partition::from_v2_mask(mask);
-        let mut engine = QueryEngine::bichromatic(&g, part.clone());
+        let ctx = EngineContext::bichromatic(&g, part.clone());
         let mut idx = RkrIndex::empty(g.num_nodes(), 64);
         for q in g.nodes() {
             if !part.is_v2(q) {
                 continue;
             }
             let expect = rkranks_core::bichromatic::bichromatic_brute_force(&g, &part, q, k);
-            let naive = engine.query_naive(q, k).unwrap();
-            let stat = engine.query_static(q, k).unwrap();
-            let dynamic = engine.query_dynamic(q, k, BoundConfig::ALL).unwrap();
-            let indexed = engine.query_indexed(&mut idx, q, k, BoundConfig::ALL).unwrap();
-            prop_assert!(results_equivalent(&expect, &naive), "naive q={q}");
-            prop_assert!(results_equivalent(&expect, &stat), "static q={q}");
-            prop_assert!(results_equivalent(&expect, &dynamic), "dynamic q={q}");
-            prop_assert!(results_equivalent(&expect, &indexed), "indexed q={q}");
+            check_and_evolve(&ctx, &mut idx, q, k, &expect);
         }
     }
 }

@@ -1,18 +1,21 @@
 //! Satellite coverage for index persistence: build a real index on a
 //! dataset-sized graph, save it to disk, reload it, and require the loaded
 //! index to be byte-for-byte equivalent in behaviour — identical
-//! `query_indexed` results and identical pruning state.
-
-// NOTE: these tests deliberately keep driving the deprecated `query_*`
-// shims — they double as equivalence tests proving the shims and the
-// unified `QueryRequest`/`execute` path compute the same answers.
-#![allow(deprecated)]
+//! indexed-query results and identical pruning state.
 
 use rkranks_core::{
-    load_index, save_index, BoundConfig, HubStrategy, IndexParams, QueryEngine, QuerySpec, RkrIndex,
+    assert_all_strategies_match, load_index, save_index, BoundConfig, HubStrategy, IndexAccess,
+    IndexParams, QueryEngine, QueryRequest, QueryResult, QuerySpec, RkrIndex, Strategy,
 };
 use rkranks_datasets::{collab_graph, CollabParams};
 use rkranks_graph::NodeId;
+
+/// One live indexed-three query: `index` learns from it.
+fn live(engine: &mut QueryEngine, index: &mut RkrIndex, q: NodeId, k: u32) -> QueryResult {
+    let req = QueryRequest::new(q, k).with_strategy(Strategy::Indexed(BoundConfig::ALL));
+    let access = &mut IndexAccess::Live(index);
+    engine.execute_with(Some(access), &req).unwrap().result
+}
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("rkranks-index-io-roundtrip");
@@ -63,18 +66,14 @@ fn prebuilt_index_save_load_query_equivalence() {
     let (mut a, mut b) = (built, loaded);
     for q in g.nodes().step_by(7) {
         for k in [1, 3, 8] {
-            let ra = engine
-                .query_indexed(&mut a, q, k, BoundConfig::ALL)
-                .unwrap();
-            let rb = engine
-                .query_indexed(&mut b, q, k, BoundConfig::ALL)
-                .unwrap();
+            let naive = engine
+                .execute(&QueryRequest::new(q, k).with_strategy(Strategy::Naive))
+                .unwrap()
+                .result;
+            assert_all_strategies_match(engine.context(), Some(&b), q, k, &naive);
+            let ra = live(&mut engine, &mut a, q, k);
+            let rb = live(&mut engine, &mut b, q, k);
             assert_eq!(ra.entries, rb.entries, "q={q} k={k}");
-            let naive = engine.query_naive(q, k).unwrap();
-            assert!(
-                rkranks_core::results_equivalent(&naive, &rb),
-                "loaded index diverged from naive at q={q} k={k}"
-            );
         }
     }
 }
@@ -88,9 +87,7 @@ fn evolved_index_survives_save_load_save_cycle() {
     let mut engine = QueryEngine::new(&g);
     let mut idx = RkrIndex::empty(g.num_nodes(), 16);
     for q in g.nodes() {
-        engine
-            .query_indexed(&mut idx, q, 4, BoundConfig::ALL)
-            .unwrap();
+        live(&mut engine, &mut idx, q, 4);
     }
     assert!(
         idx.rrd_entries() > 0,
@@ -111,12 +108,8 @@ fn evolved_index_survives_save_load_save_cycle() {
 
     let mut reloaded = reloaded;
     for q in g.nodes().step_by(5) {
-        let a = engine
-            .query_indexed(&mut idx, q, 4, BoundConfig::ALL)
-            .unwrap();
-        let b = engine
-            .query_indexed(&mut reloaded, q, 4, BoundConfig::ALL)
-            .unwrap();
+        let a = live(&mut engine, &mut idx, q, 4);
+        let b = live(&mut engine, &mut reloaded, q, 4);
         assert_eq!(a.entries, b.entries, "q={q}");
     }
 }

@@ -1,6 +1,6 @@
 //! The unified request API: strategy string round-trips (property
-//! tested), `QuerySpec::validate_query` error paths, execute/shim
-//! equivalence, and the partial-result invariants.
+//! tested), `QuerySpec::validate_query` error paths, and the
+//! partial-result invariants.
 //!
 //! ## Partial-result invariants under test
 //!
@@ -314,35 +314,5 @@ fn validate_query_error_paths() {
         assert!(err.to_string().contains("V2"), "{strategy}: {err}");
         let ok = QueryRequest::new(NodeId(1), 1).with_strategy(strategy);
         assert!(ctx.execute(&mut scratch, &ok).is_ok(), "{strategy}");
-    }
-}
-
-/// The deprecated shims and the new entry point are the same computation.
-#[test]
-#[allow(deprecated)]
-fn shims_are_equivalent_to_execute() {
-    let g = graph_from_edges(
-        EdgeDirection::Undirected,
-        [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (3, 4, 1.0)],
-    )
-    .unwrap();
-    let ctx = EngineContext::new(&g);
-    let mut scratch = ctx.new_scratch();
-    for q in g.nodes() {
-        let via_shim = ctx
-            .query_dynamic(&mut scratch, q, 2, BoundConfig::ALL)
-            .unwrap();
-        let via_execute = ctx.execute(&mut scratch, &QueryRequest::new(q, 2)).unwrap();
-        assert_eq!(via_shim.entries, via_execute.result.entries);
-        assert!(via_execute.is_complete());
-
-        let via_shim = ctx.query_naive(&mut scratch, q, 2).unwrap();
-        let via_execute = ctx
-            .execute(
-                &mut scratch,
-                &QueryRequest::new(q, 2).with_strategy(Strategy::Naive),
-            )
-            .unwrap();
-        assert_eq!(via_shim.entries, via_execute.result.entries);
     }
 }

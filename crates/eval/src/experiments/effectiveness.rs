@@ -109,9 +109,8 @@ mod tests {
     fn table4_rates_are_valid_percentages() {
         // The paper's falling-with-k shape only emerges when k ≪ |V|; on
         // the 300-node tiny graph k=100 covers a third of the graph and
-        // agreement trivially rises, so here we only check validity. The
-        // shape itself is asserted by the small/medium harness runs
-        // recorded in EXPERIMENTS.md.
+        // agreement trivially rises, so here we only check validity; the
+        // shape shows in `experiments table4 --scale small`.
         let tables = table4(&tiny_ctx());
         let rates: Vec<f64> = tables[0]
             .rows

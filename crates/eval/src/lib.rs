@@ -1,14 +1,13 @@
 //! # rkranks-eval
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation section (§6) on the synthetic stand-in datasets. See the
-//! repository `README.md` for the exhibit-to-module index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! evaluation section (§6) on the synthetic stand-in datasets; one module
+//! of [`experiments`] per exhibit.
 //!
-//! Run everything:
+//! Run everything (`-- list` names each experiment and its exhibit):
 //!
 //! ```text
-//! cargo run --release -p rkranks-eval --bin experiments -- all --scale small
+//! cargo run --release -p rkranks_eval --bin experiments -- all --scale small
 //! ```
 
 #![warn(missing_docs)]

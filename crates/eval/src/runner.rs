@@ -215,7 +215,7 @@ pub fn run_indexed_batch(
 }
 
 /// [`run_indexed_batch`], additionally returning each query's result in
-/// input order (equivalence tests compare these against `query_dynamic`).
+/// input order (equivalence tests compare these against the dynamic strategy).
 pub fn run_indexed_batch_collect(
     graph: impl Into<Arc<Graph>>,
     partition: Option<&Partition>,

@@ -1,5 +1,5 @@
 //! Property test: parallel snapshot-indexed serving is rank-identical to
-//! single-threaded `query_dynamic`.
+//! single-threaded `execute` under the default strategy (`dynamic-three`).
 //!
 //! The index never decides correctness — it only seeds `R` with exact
 //! ranks and prunes candidates it can prove hopeless — so snapshot-mode
@@ -7,13 +7,8 @@
 //! returns, for every thread count and delta-merge cadence. This is the
 //! invariant that makes the concurrent serving mode safe to deploy.
 
-// NOTE: these tests deliberately keep driving the deprecated `query_*`
-// shims — they double as equivalence tests proving the shims and the
-// unified `QueryRequest`/`execute` path compute the same answers.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
-use rkranks_core::{BoundConfig, EngineContext, HubStrategy, IndexParams, RkrIndex};
+use rkranks_core::{BoundConfig, EngineContext, HubStrategy, IndexParams, QueryRequest, RkrIndex};
 use rkranks_eval::runner::{env_threads, run_indexed_batch_collect, IndexedMode};
 use rkranks_graph::{EdgeDirection, Graph, GraphBuilder, NodeId};
 
@@ -61,9 +56,8 @@ fn dynamic_ranks(g: &Graph, queries: &[NodeId], k: u32) -> Vec<Vec<u32>> {
     queries
         .iter()
         .map(|&q| {
-            ctx.query_dynamic(&mut scratch, q, k, BoundConfig::ALL)
-                .unwrap()
-                .ranks()
+            let out = ctx.execute(&mut scratch, &QueryRequest::new(q, k));
+            out.unwrap().result.ranks()
         })
         .collect()
 }

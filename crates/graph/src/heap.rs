@@ -4,8 +4,7 @@
 //! node's tentative distance can shrink while queued ("if t ∈ Q and
 //! t.dis > dis then t.dis ← dis"). A position-indexed binary heap gives
 //! O(log n) decrease-key without the duplicate entries a lazy-deletion heap
-//! would allocate; `crates/bench/benches/substrate.rs` measures this choice
-//! against a lazy `BinaryHeap`.
+//! would allocate.
 //!
 //! Items are `u32` node ids. The position array is sized once for the graph
 //! and reset in O(heap size) on [`IndexedHeap::clear`], so a long-lived

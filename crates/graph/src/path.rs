@@ -5,8 +5,7 @@
 //! applications built on them do (the supermarket case study recommends a
 //! community — the promotion team then wants the route). Bidirectional
 //! Dijkstra also gives a cheaper `d(p,q)` for ad-hoc pair queries than a
-//! one-sided early-exit search; `bench/substrate.rs`-style comparisons can
-//! quantify it.
+//! one-sided early-exit search.
 
 use crate::dijkstra::DijkstraWorkspace;
 use crate::graph::Graph;

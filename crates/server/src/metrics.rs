@@ -313,7 +313,7 @@ impl Metrics {
 
     /// Position of `strategy` in the `rkrd_query_seconds` family.
     ///
-    /// Every parseable strategy is one of [`Strategy::ALL`]'s ten values
+    /// Every parseable strategy is one of [`Strategy::ALL`]'s twelve values
     /// (canonical names cover all bound combinations), so this is a
     /// total mapping.
     pub fn strategy_index(strategy: Strategy) -> usize {

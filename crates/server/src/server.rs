@@ -142,7 +142,8 @@ impl std::str::FromStr for DistanceBackend {
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads; each serves one connection at a time.
+    /// Worker threads; each multiplexes its share of the connections on
+    /// one event loop.
     pub workers: usize,
     /// Result-cache entries (`0` disables caching entirely).
     pub cache_capacity: usize,

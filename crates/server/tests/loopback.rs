@@ -1,6 +1,6 @@
 //! Loopback integration: concurrent clients issuing a Zipf-skewed workload
 //! against a live `rkrd` daemon must get results rank-identical to
-//! in-process `query_dynamic`, across cache on/off and multiple merge
+//! in-process `dynamic-three`, across cache on/off and multiple merge
 //! cadences — and the `stats` op's hit/miss and epoch counters must show
 //! the cache and the epoch-based invalidation actually working.
 

@@ -2,15 +2,12 @@
 //! agree, results verify against independently computed ranks, and
 //! everything is deterministic per seed.
 
-// NOTE: these tests deliberately keep driving the deprecated `query_*`
-// shims — they double as equivalence tests proving the shims and the
-// unified `QueryRequest`/`execute` path compute the same answers.
-#![allow(deprecated)]
+use std::sync::Arc;
 
 use reverse_k_ranks::prelude::*;
-use rkranks_core::results_equivalent;
+use rkranks_core::assert_all_strategies_match;
 use rkranks_datasets::{dblp_like, epinions_like, sf_like};
-use rkranks_graph::rank_between;
+use rkranks_graph::{rank_between, HubLabels, HubOrder};
 
 fn verify_result_ranks(g: &Graph, q: NodeId, result: &rkranks_core::QueryResult) {
     let mut ws = DijkstraWorkspace::new(g.num_nodes());
@@ -25,25 +22,34 @@ fn verify_result_ranks(g: &Graph, q: NodeId, result: &rkranks_core::QueryResult)
     }
 }
 
-#[test]
-fn dblp_like_all_algorithms_agree() {
-    let g = dblp_like(Scale::Tiny, 5);
-    let mut engine = QueryEngine::new(&g);
-    let (mut idx, _) = engine.build_index(&IndexParams {
+/// `ctx` with hub labels attached — so [`assert_all_strategies_match`]
+/// runs the hub members too — and an index built for it.
+fn with_hub_labels_and_index(ctx: EngineContext) -> (EngineContext, RkrIndex) {
+    let (labels, _) = HubLabels::build(ctx.graph(), HubOrder::Degree, 0);
+    let ctx = ctx.with_oracle(Arc::new(labels));
+    let (built, _) = ctx.build_index(&IndexParams {
         k_max: 20,
         ..Default::default()
     });
+    (ctx, built)
+}
+
+/// `naive(q, k)`, each entry re-verified by an independent rank count.
+fn verified_naive(ctx: &EngineContext, q: NodeId, k: u32) -> QueryResult {
+    let req = QueryRequest::new(q, k).with_strategy(Strategy::Naive);
+    let naive = ctx.execute(&mut ctx.new_scratch(), &req).unwrap().result;
+    verify_result_ranks(ctx.graph(), q, &naive);
+    naive
+}
+
+#[test]
+fn dblp_like_all_algorithms_agree() {
+    let g = dblp_like(Scale::Tiny, 5);
+    let (ctx, built) = with_hub_labels_and_index(EngineContext::new(&g));
     for q in [NodeId(0), NodeId(7), NodeId(150), NodeId(299)] {
-        let naive = engine.query_naive(q, 10).unwrap();
-        verify_result_ranks(&g, q, &naive);
-        let s = engine.query_static(q, 10).unwrap();
-        let d = engine.query_dynamic(q, 10, BoundConfig::ALL).unwrap();
-        let i = engine
-            .query_indexed(&mut idx, q, 10, BoundConfig::ALL)
-            .unwrap();
-        assert!(results_equivalent(&naive, &s), "static q={q}");
-        assert!(results_equivalent(&naive, &d), "dynamic q={q}");
-        assert!(results_equivalent(&naive, &i), "indexed q={q}");
+        let naive = verified_naive(&ctx, q, 10);
+        assert_all_strategies_match(&ctx, None, q, 10, &naive);
+        assert_all_strategies_match(&ctx, Some(&built), q, 10, &naive);
     }
 }
 
@@ -51,12 +57,11 @@ fn dblp_like_all_algorithms_agree() {
 fn epinions_like_directed_agreement() {
     let g = epinions_like(Scale::Tiny, 5);
     assert!(g.is_directed());
-    let mut engine = QueryEngine::new(&g);
+    let (ctx, built) = with_hub_labels_and_index(EngineContext::new(&g));
     for q in [NodeId(1), NodeId(42), NodeId(250)] {
-        let naive = engine.query_naive(q, 5).unwrap();
-        verify_result_ranks(&g, q, &naive);
-        let d = engine.query_dynamic(q, 5, BoundConfig::ALL).unwrap();
-        assert!(results_equivalent(&naive, &d), "dynamic q={q}");
+        let naive = verified_naive(&ctx, q, 5);
+        assert_all_strategies_match(&ctx, None, q, 5, &naive);
+        assert_all_strategies_match(&ctx, Some(&built), q, 5, &naive);
     }
 }
 
@@ -65,20 +70,14 @@ fn road_network_bichromatic_agreement() {
     let net = sf_like(Scale::Tiny, 5);
     let g = &net.graph;
     let part = Partition::from_v2_nodes(g.num_nodes(), &net.stores);
-    let mut engine = QueryEngine::bichromatic(g, part.clone());
-    let (mut idx, _) = engine.build_index(&IndexParams {
-        k_max: 20,
-        ..Default::default()
-    });
+    let (ctx, built) = with_hub_labels_and_index(EngineContext::bichromatic(g, part.clone()));
     for &q in net.stores.iter().take(4) {
         let expect = rkranks_core::bichromatic::bichromatic_brute_force(g, &part, q, 5);
-        let d = engine.query_dynamic(q, 5, BoundConfig::ALL).unwrap();
-        let i = engine
-            .query_indexed(&mut idx, q, 5, BoundConfig::ALL)
-            .unwrap();
-        assert!(results_equivalent(&expect, &d), "dynamic q={q}");
-        assert!(results_equivalent(&expect, &i), "indexed q={q}");
+        assert_all_strategies_match(&ctx, None, q, 5, &expect);
+        assert_all_strategies_match(&ctx, Some(&built), q, 5, &expect);
         // no store ever appears among the community results
+        let d = ctx.execute(&mut ctx.new_scratch(), &QueryRequest::new(q, 5));
+        let d = d.unwrap().result;
         assert!(d.entries.iter().all(|e| !part.is_v2(e.node)));
     }
 }
@@ -91,9 +90,9 @@ fn same_seed_same_results() {
     let mut ea = QueryEngine::new(&a);
     let mut eb = QueryEngine::new(&b);
     for q in [NodeId(3), NodeId(99)] {
-        let ra = ea.query_dynamic(q, 7, BoundConfig::ALL).unwrap();
-        let rb = eb.query_dynamic(q, 7, BoundConfig::ALL).unwrap();
-        assert_eq!(ra.entries, rb.entries);
+        let ra = ea.execute(&QueryRequest::new(q, 7)).unwrap();
+        let rb = eb.execute(&QueryRequest::new(q, 7)).unwrap();
+        assert_eq!(ra.result.entries, rb.result.entries);
     }
 }
 
@@ -102,10 +101,10 @@ fn k_exceeding_candidates_returns_everyone_reachable() {
     let g = dblp_like(Scale::Tiny, 2);
     let mut engine = QueryEngine::new(&g);
     let r = engine
-        .query_dynamic(NodeId(0), 10_000, BoundConfig::ALL)
+        .execute(&QueryRequest::new(NodeId(0), 10_000))
         .unwrap();
     // the graph is connected: every other node ranks q somewhere
-    assert_eq!(r.entries.len() as u32, g.num_nodes() - 1);
+    assert_eq!(r.result.entries.len() as u32, g.num_nodes() - 1);
 }
 
 #[test]
@@ -116,12 +115,10 @@ fn engine_reuse_across_queries_is_clean() {
     let mut engine = QueryEngine::new(&g);
     for i in 0..50u32 {
         let q = NodeId(i % g.num_nodes());
-        engine.query_dynamic(q, 5, BoundConfig::ALL).unwrap();
+        engine.execute(&QueryRequest::new(q, 5)).unwrap();
     }
-    let q = NodeId(123 % g.num_nodes());
-    let reused = engine.query_dynamic(q, 5, BoundConfig::ALL).unwrap();
-    let fresh = QueryEngine::new(&g)
-        .query_dynamic(q, 5, BoundConfig::ALL)
-        .unwrap();
-    assert_eq!(reused.entries, fresh.entries);
+    let req = QueryRequest::new(NodeId(123 % g.num_nodes()), 5);
+    let reused = engine.execute(&req).unwrap();
+    let fresh = QueryEngine::new(&g).execute(&req).unwrap();
+    assert_eq!(reused.result.entries, fresh.result.entries);
 }

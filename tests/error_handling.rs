@@ -1,11 +1,6 @@
 //! Error-path integration: every misuse of the public API must fail loudly
 //! and descriptively, never silently return a wrong answer.
 
-// NOTE: these tests deliberately keep driving the deprecated `query_*`
-// shims — they double as equivalence tests proving the shims and the
-// unified `QueryRequest`/`execute` path compute the same answers.
-#![allow(deprecated)]
-
 use reverse_k_ranks::prelude::*;
 use rkranks_core::{load_index, save_index};
 use rkranks_datasets::toy;
@@ -17,14 +12,16 @@ fn invalid_k_is_rejected_by_every_algorithm() {
     let g = toy::paper_example();
     let mut engine = QueryEngine::new(&g);
     let mut idx = RkrIndex::empty(g.num_nodes(), 10);
-    assert!(engine.query_naive(toy::ALICE, 0).is_err());
-    assert!(engine.query_static(toy::ALICE, 0).is_err());
-    assert!(engine
-        .query_dynamic(toy::ALICE, 0, BoundConfig::ALL)
-        .is_err());
-    assert!(engine
-        .query_indexed(&mut idx, toy::ALICE, 0, BoundConfig::ALL)
-        .is_err());
+    for strategy in Strategy::ALL {
+        let req = QueryRequest::new(toy::ALICE, 0).with_strategy(strategy);
+        let err = engine
+            .execute_with(Some(&mut IndexAccess::Live(&mut idx)), &req)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("k must be positive"),
+            "{strategy}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -32,7 +29,7 @@ fn out_of_range_query_node_is_rejected() {
     let g = toy::paper_example();
     let mut engine = QueryEngine::new(&g);
     let err = engine
-        .query_dynamic(NodeId(999), 2, BoundConfig::ALL)
+        .execute(&QueryRequest::new(NodeId(999), 2))
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("999"), "message should name the node: {msg}");
@@ -43,8 +40,9 @@ fn indexed_k_above_k_max_is_rejected_with_explanation() {
     let g = toy::paper_example();
     let mut engine = QueryEngine::new(&g);
     let mut idx = RkrIndex::empty(g.num_nodes(), 3);
+    let req = QueryRequest::new(toy::ALICE, 5).with_strategy(Strategy::Indexed(BoundConfig::ALL));
     let err = engine
-        .query_indexed(&mut idx, toy::ALICE, 5, BoundConfig::ALL)
+        .execute_with(Some(&mut IndexAccess::Live(&mut idx)), &req)
         .unwrap_err();
     let msg = err.to_string();
     assert!(
@@ -60,9 +58,9 @@ fn bichromatic_query_from_candidate_class_is_rejected() {
     // V2 = {Eric}: everyone else is a candidate
     let part = Partition::from_v2_nodes(g.num_nodes(), &[toy::ERIC]);
     let mut engine = QueryEngine::bichromatic(&g, part);
-    assert!(engine.query_dynamic(toy::ERIC, 1, BoundConfig::ALL).is_ok());
+    assert!(engine.execute(&QueryRequest::new(toy::ERIC, 1)).is_ok());
     let err = engine
-        .query_dynamic(toy::ALICE, 1, BoundConfig::ALL)
+        .execute(&QueryRequest::new(toy::ALICE, 1))
         .unwrap_err();
     assert!(err.to_string().contains("V2"), "{err}");
 }

@@ -2,11 +2,6 @@
 //! proximity) and the §2 doubling baseline, run against the realistic
 //! dataset generators rather than hand-built graphs.
 
-// NOTE: these tests deliberately keep driving the deprecated `query_*`
-// shims — they double as equivalence tests proving the shims and the
-// unified `QueryRequest`/`execute` path compute the same answers.
-#![allow(deprecated)]
-
 use reverse_k_ranks::prelude::*;
 use rkranks_core::ppr::{ppr_rank, reverse_k_ranks_ppr};
 use rkranks_core::simrank::reverse_k_ranks_simrank;
@@ -46,8 +41,9 @@ fn ppr_and_shortest_path_results_can_differ() {
     let g = toy::paper_example();
     let mut engine = QueryEngine::new(&g);
     let sp = engine
-        .query_dynamic(toy::ALICE, 2, BoundConfig::ALL)
-        .unwrap();
+        .execute(&QueryRequest::new(toy::ALICE, 2))
+        .unwrap()
+        .result;
     let ppr = reverse_k_ranks_ppr(&g, toy::ALICE, 2, &PprParams::default()).unwrap();
     assert_eq!(sp.entries.len(), 2);
     assert_eq!(ppr.entries.len(), 2);
@@ -75,7 +71,7 @@ fn doubling_baseline_agrees_with_framework_on_collab_graph() {
     let g = collab_graph(&CollabParams::with_authors(80, 4));
     let mut engine = QueryEngine::new(&g);
     for q in [NodeId(0), NodeId(17), NodeId(79)] {
-        let framework = engine.query_dynamic(q, 3, BoundConfig::ALL).unwrap();
+        let framework = engine.execute(&QueryRequest::new(q, 3)).unwrap().result;
         let doubled = reverse_k_ranks_by_doubling(&g, q, 3).unwrap();
         assert!(
             rkranks_core::results_equivalent(&framework, &doubled.result),
@@ -101,7 +97,7 @@ fn all_three_measures_return_fixed_size_results_for_cold_nodes() {
         .min_by_key(|&v| (g.degree(v), v))
         .unwrap();
     let mut engine = QueryEngine::new(&g);
-    let sp = engine.query_dynamic(cold, 4, BoundConfig::ALL).unwrap();
+    let sp = engine.execute(&QueryRequest::new(cold, 4)).unwrap().result;
     assert_eq!(
         sp.entries.len(),
         4,

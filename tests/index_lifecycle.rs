@@ -1,14 +1,25 @@
 //! Index lifecycle integration: build → query → update → re-query, with
 //! the §5 invariants checked against ground truth at every step.
 
-// NOTE: these tests deliberately keep driving the deprecated `query_*`
-// shims — they double as equivalence tests proving the shims and the
-// unified `QueryRequest`/`execute` path compute the same answers.
-#![allow(deprecated)]
-
 use reverse_k_ranks::prelude::*;
+use rkranks_core::assert_all_strategies_match;
 use rkranks_datasets::{dblp_like, toy};
+use rkranks_eval::runner::{run_indexed_batch, IndexedMode};
 use rkranks_graph::{rank_between, rank_matrix};
+
+/// The paper's §5 sequential mode: each query in turn, `idx` learning from
+/// all of them. Returns the summed stats.
+fn query_stream(
+    g: &Graph,
+    idx: &mut RkrIndex,
+    queries: &[NodeId],
+    k: u32,
+) -> rkranks_core::QueryStats {
+    let mode = IndexedMode::Sequential;
+    run_indexed_batch(g, None, idx, queries, k, BoundConfig::ALL, mode)
+        .unwrap()
+        .totals
+}
 
 /// The global index invariants:
 /// 1. every Reverse Rank Dictionary entry is an exact rank;
@@ -59,11 +70,8 @@ fn toy_index_invariants_hold_through_queries() {
         ..Default::default()
     });
     check_index_invariants(&g, &idx);
-    let mut engine = QueryEngine::new(&g);
     for q in g.nodes() {
-        engine
-            .query_indexed(&mut idx, q, 2, BoundConfig::ALL)
-            .unwrap();
+        query_stream(&g, &mut idx, &[q], 2);
         check_index_invariants(&g, &idx);
     }
 }
@@ -71,29 +79,14 @@ fn toy_index_invariants_hold_through_queries() {
 #[test]
 fn warm_index_reduces_refinements() {
     let g = dblp_like(Scale::Tiny, 4);
-    let mut engine = QueryEngine::new(&g);
-    let (mut idx, _) = engine.build_index(&IndexParams {
+    let (mut idx, _) = QueryEngine::new(&g).build_index(&IndexParams {
         k_max: 20,
         ..Default::default()
     });
     let queries: Vec<NodeId> = (0..60u32).map(|i| NodeId(i * 5 % g.num_nodes())).collect();
 
-    let mut first_pass = 0u64;
-    for &q in &queries {
-        first_pass += engine
-            .query_indexed(&mut idx, q, 10, BoundConfig::ALL)
-            .unwrap()
-            .stats
-            .refinement_calls;
-    }
-    let mut second_pass = 0u64;
-    for &q in &queries {
-        second_pass += engine
-            .query_indexed(&mut idx, q, 10, BoundConfig::ALL)
-            .unwrap()
-            .stats
-            .refinement_calls;
-    }
+    let first_pass = query_stream(&g, &mut idx, &queries, 10).refinement_calls;
+    let second_pass = query_stream(&g, &mut idx, &queries, 10).refinement_calls;
     assert!(
         second_pass < first_pass,
         "warm index should refine less: {first_pass} -> {second_pass}"
@@ -103,30 +96,23 @@ fn warm_index_reduces_refinements() {
 #[test]
 fn all_hub_strategies_build_and_answer() {
     let g = dblp_like(Scale::Tiny, 4);
-    let engine_ro = QueryEngine::new(&g);
     let mut engine = QueryEngine::new(&g);
-    let expect = engine
-        .query_dynamic(NodeId(5), 10, BoundConfig::ALL)
-        .unwrap();
+    let req = QueryRequest::new(NodeId(5), 10).with_strategy(Strategy::Naive);
+    let expect = engine.execute(&req).unwrap().result;
     for strategy in [
         HubStrategy::Random,
         HubStrategy::DegreeFirst,
         HubStrategy::ClosenessFirst,
     ] {
-        let (mut idx, stats) = engine_ro.build_index(&IndexParams {
+        let (idx, stats) = engine.build_index(&IndexParams {
             strategy,
             k_max: 20,
             ..Default::default()
         });
         assert!(stats.hubs > 0);
         assert!(idx.rrd_entries() > 0, "{strategy:?} built an empty index");
-        let got = engine
-            .query_indexed(&mut idx, NodeId(5), 10, BoundConfig::ALL)
-            .unwrap();
-        assert!(
-            rkranks_core::results_equivalent(&expect, &got),
-            "{strategy:?} index changed the answer"
-        );
+        // no hub choice may change any strategy's answer
+        assert_all_strategies_match(engine.context(), Some(&idx), NodeId(5), 10, &expect);
     }
 }
 
@@ -139,18 +125,13 @@ fn snapshot_bundle_preserves_index_invariants() {
     use rkranks_graph::{GraphDelta, GraphStore};
 
     let g = toy::paper_example();
-    let mut engine = QueryEngine::new(&g);
-    let (mut idx, _) = engine.build_index(&IndexParams {
+    let (mut idx, _) = QueryEngine::new(&g).build_index(&IndexParams {
         hub_fraction: 0.6,
         prefix_fraction: 0.5,
         k_max: 2,
         ..Default::default()
     });
-    for q in g.nodes() {
-        engine
-            .query_indexed(&mut idx, q, 2, BoundConfig::ALL)
-            .unwrap();
-    }
+    query_stream(&g, &mut idx, &g.nodes().collect::<Vec<_>>(), 2);
     check_index_invariants(&g, &idx);
 
     let mut store = GraphStore::new(g);
@@ -179,17 +160,13 @@ fn snapshot_bundle_preserves_index_invariants() {
 #[test]
 fn index_entries_survive_and_stay_exact_on_dblp() {
     let g = dblp_like(Scale::Tiny, 4);
-    let mut engine = QueryEngine::new(&g);
-    let (mut idx, _) = engine.build_index(&IndexParams {
+    let (mut idx, _) = QueryEngine::new(&g).build_index(&IndexParams {
         k_max: 10,
         ..Default::default()
     });
     // Hammer it with queries.
-    for i in 0..40u32 {
-        engine
-            .query_indexed(&mut idx, NodeId(i * 7 % g.num_nodes()), 5, BoundConfig::ALL)
-            .unwrap();
-    }
+    let queries: Vec<NodeId> = (0..40u32).map(|i| NodeId(i * 7 % g.num_nodes())).collect();
+    query_stream(&g, &mut idx, &queries, 5);
     // Sample-verify exactness of stored entries.
     let mut ws = DijkstraWorkspace::new(g.num_nodes());
     let mut checked = 0;

@@ -1,14 +1,12 @@
 //! Integration test: every claim the paper makes about the Figure 1 toy
 //! example, verified end to end through the public facade.
 
-// NOTE: these tests deliberately keep driving the deprecated `query_*`
-// shims — they double as equivalence tests proving the shims and the
-// unified `QueryRequest`/`execute` path compute the same answers.
-#![allow(deprecated)]
+use std::sync::Arc;
 
 use reverse_k_ranks::prelude::*;
+use rkranks_core::assert_all_strategies_match;
 use rkranks_datasets::toy::{self, ALICE, BOB, CAROLINE, ERIC, FRANK, GEORGE, NAMES, SID, TABLE1};
-use rkranks_graph::{rank_matrix, reverse_top_k};
+use rkranks_graph::{rank_matrix, reverse_top_k, HubLabels, HubOrder};
 
 #[test]
 fn table1_rank_matrix_is_exact() {
@@ -29,14 +27,32 @@ fn table1_rank_matrix_is_exact() {
 fn example1_reverse_2_ranks_of_alice() {
     // "a reverse 2-ranks query for Alice returns {Bob, Caroline}"
     let g = toy::paper_example();
-    let mut engine = QueryEngine::new(&g);
-    for result in [
-        engine.query_naive(ALICE, 2).unwrap(),
-        engine.query_static(ALICE, 2).unwrap(),
-        engine.query_dynamic(ALICE, 2, BoundConfig::ALL).unwrap(),
+    let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
+    let ctx = EngineContext::new(&g).with_oracle(Arc::new(labels));
+    let mut scratch = ctx.new_scratch();
+    for strategy in [
+        Strategy::Naive,
+        Strategy::Static,
+        Strategy::Dynamic(BoundConfig::ALL),
     ] {
+        let req = QueryRequest::new(ALICE, 2).with_strategy(strategy);
+        let result = ctx.execute(&mut scratch, &req).unwrap().result;
         assert_eq!(result.nodes(), vec![BOB, CAROLINE]);
         assert_eq!(result.ranks(), vec![3, 4]);
+    }
+    // Every query node, every strategy (hub members included), over a
+    // cold index and over a built one.
+    let (built, _) = ctx.build_index(&IndexParams {
+        hub_fraction: 0.6,
+        prefix_fraction: 0.5,
+        k_max: 2,
+        ..Default::default()
+    });
+    for q in g.nodes() {
+        let req = QueryRequest::new(q, 2).with_strategy(Strategy::Naive);
+        let naive = ctx.execute(&mut scratch, &req).unwrap().result;
+        assert_all_strategies_match(&ctx, None, q, 2, &naive);
+        assert_all_strategies_match(&ctx, Some(&built), q, 2, &naive);
     }
 }
 
@@ -46,7 +62,7 @@ fn example1_reverse_2_ranks_of_eric() {
     // Eric as 1st while others rank him as 2nd)"
     let g = toy::paper_example();
     let mut engine = QueryEngine::new(&g);
-    let result = engine.query_dynamic(ERIC, 2, BoundConfig::ALL).unwrap();
+    let result = engine.execute(&QueryRequest::new(ERIC, 2)).unwrap().result;
     assert_eq!(result.nodes(), vec![BOB, SID]);
     assert_eq!(result.ranks(), vec![1, 1]);
 }
@@ -89,8 +105,12 @@ fn section4_dynamic_prunes_frank_sid_george() {
     // dynamic variant refines only Bob, Eric, Caroline for Alice's query.
     let g = toy::paper_example();
     let mut engine = QueryEngine::new(&g);
-    let s = engine.query_static(ALICE, 2).unwrap();
-    let d = engine.query_dynamic(ALICE, 2, BoundConfig::ALL).unwrap();
+    let req = QueryRequest::new(ALICE, 2);
+    let s = engine
+        .execute(&req.with_strategy(Strategy::Static))
+        .unwrap()
+        .result;
+    let d = engine.execute(&req).unwrap().result;
     assert_eq!(
         d.stats.refinement_calls, 3,
         "dynamic refines Bob, Eric, Caroline only"
@@ -149,10 +169,13 @@ fn section5_index_walkthrough() {
     // Querying Alice with the warm index must agree with the plain dynamic
     // algorithm and must update the index along the way (Figure 4).
     let mut engine = QueryEngine::new(&g);
-    let expect = engine.query_dynamic(ALICE, 2, BoundConfig::ALL).unwrap();
+    let req = QueryRequest::new(ALICE, 2);
+    let expect = engine.execute(&req).unwrap().result;
+    let indexed = req.with_strategy(Strategy::Indexed(BoundConfig::ALL));
     let got = engine
-        .query_indexed(&mut idx, ALICE, 2, BoundConfig::ALL)
-        .unwrap();
+        .execute_with(Some(&mut IndexAccess::Live(&mut idx)), &indexed)
+        .unwrap()
+        .result;
     assert_eq!(expect.nodes(), got.nodes());
     // Figure 4 "Finish" state: Eric's refinement pushed {Eric: 6} into
     // Alice's list and raised check(Eric) to 6; Caroline's refinement
@@ -202,10 +225,11 @@ fn section4_walkthrough_trace_matches_paper_narrative() {
     // already larger than kRank."
     let g = toy::paper_example();
     let mut engine = QueryEngine::new(&g);
-    let (result, trace) = engine
-        .query_dynamic_traced(ALICE, 2, BoundConfig::ALL)
+    let out = engine
+        .execute(&QueryRequest::new(ALICE, 2).with_trace())
         .unwrap();
-    assert_eq!(result.nodes(), vec![BOB, CAROLINE]);
+    let trace = out.trace.expect("trace was requested");
+    assert_eq!(out.result.nodes(), vec![BOB, CAROLINE]);
     // refined: exactly Bob (rank 3), Eric (rank 6), Caroline (rank 4), in
     // distance order (Bob 1.0, Eric 1.2, Caroline 1.3)
     assert_eq!(trace.refined_nodes(), vec![BOB, ERIC, CAROLINE]);
@@ -266,7 +290,7 @@ fn doubling_baseline_agrees_on_toy() {
     let g = toy::paper_example();
     let mut engine = QueryEngine::new(&g);
     for q in g.nodes() {
-        let framework = engine.query_dynamic(q, 2, BoundConfig::ALL).unwrap();
+        let framework = engine.execute(&QueryRequest::new(q, 2)).unwrap().result;
         let doubled = rkranks_core::topk_baseline::reverse_k_ranks_by_doubling(&g, q, 2).unwrap();
         assert!(
             rkranks_core::results_equivalent(&framework, &doubled.result),
@@ -279,6 +303,6 @@ fn doubling_baseline_agrees_on_toy() {
 fn prelude_facade_works() {
     let g = toy::paper_example();
     let mut engine = QueryEngine::new(&g);
-    let r = engine.query_dynamic(ALICE, 2, BoundConfig::ALL).unwrap();
-    assert_eq!(r.nodes(), vec![BOB, CAROLINE]);
+    let r = engine.execute(&QueryRequest::new(ALICE, 2)).unwrap();
+    assert_eq!(r.result.nodes(), vec![BOB, CAROLINE]);
 }
