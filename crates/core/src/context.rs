@@ -49,7 +49,61 @@
 //! paper's sequential-dynamic mode) or reads a frozen snapshot and logs
 //! discoveries to a private [`crate::index::IndexDelta`] for a later
 //! merge — the shape that lets indexed serving run on many threads.
+//!
+//! ## Anchored refinement
+//!
+//! Theorem 2's parent bound (`Rank(p,q) ≥ Rank(parent(p),q)`) holds because
+//! of a set inclusion: if `a` is an SDS ancestor of `p` then
+//! `d(p,q) = d(p,a) + d(a,q)`, so everything strictly closer to `a` than
+//! `q` is, is strictly closer to `p` than `q` is —
+//! `S(p) ⊇ (S(a) ∪ {a}) ∖ {p}`. The bound keeps the *size* of that set;
+//! refining every descendant from scratch re-enumerates the *set*. When `q`
+//! hangs off a hub that is what a slow query consists of: thousands of
+//! refinements that each re-push the hub's row — ≈ `kRank` nodes — only to
+//! abort.
+//!
+//! **Rule.** The first plain refinement of a pass that completes with a
+//! rank above `k · LADDER_GUESS_PER_K + 1` (and `d(a,q) > 0`) makes its
+//! node `a` the pass's *anchor*: `refine_ws`, whose generation stamps at
+//! that instant are `S(a) ∪ {a}`, trades places with a spare workspace
+//! (`mem::swap`; nothing is copied, the spare is sized at the first
+//! anchor) and stays frozen for the rest of the pass. Every later
+//! candidate whose `pred` chain reaches `a` is refined *from* the ball
+//! ([`refine_rank`] with an [`Anchor`]): the count starts at the frozen
+//! size, `a`'s row is never relaxed, ball members are pushed but not
+//! counted again — whether or not `R` is full yet. The threshold is the
+//! largest ball the first rung's clamp can complete, so a pass the first
+//! rung accepts — the median query — never has an anchor and does the work
+//! it did before; `sds_pass` takes it as an argument only so tests can
+//! force it to 0 or `u32::MAX`.
+//!
+//! **Soundness.** (1) A ball member `t ≠ p` has
+//! `d(p,t) ≤ d(p,a) + d(a,t) < d(p,a) + d(a,q) = d(p,q)`: it belongs to
+//! `S(p)`. (2) A node `x` outside the ball has `d(a,x) ≥ d(a,q)`, so any
+//! path to it through `a` is `≥ d(p,q)`; `x ∈ S(p)` iff an `a`-avoiding
+//! path shorter than `d(p,q)` exists, which the traversal that skips `a`'s
+//! row finds. (3) So `count + 1` is `Rank(p,q)` exactly and an aborted
+//! count is a true lower bound, on directed graphs and bichromatic specs
+//! alike ([`crate::refine`] has the long form and the one-ulp caveat).
+//!
+//! **Not with an index binding.** Algorithm 4 offers every settled node's
+//! exact rank to the Reverse Rank Dictionary and raises the Check
+//! Dictionary from the frontier; both need the complete ordered
+//! enumeration that anchoring skips, so a pass with an [`IndexAccess`]
+//! never anchors and the `indexed-*` strategies are untouched.
+//!
+//! **Rules that were measured and lose** (`engine_cold`'s 120 nodes,
+//! 51.1 M refinement pushes without anchors, 20.4 M with the rule above):
+//! re-anchoring on a later plain ball at least twice the size — the new
+//! anchor is never an ancestor of the old one's subtree, which loses its
+//! anchor (25.4 M); a threshold of `k` instead of the first guess (23.0 M,
+//! and the median query no longer provably untouched); on that variant,
+//! engaging only when the ball covers half the prune bound (23.6 M, and
+//! slower); a per-node `under` flag written in `expand` instead of the
+//! `pred` walk (same work, one more stamped array); crediting the frozen
+//! ball to Lemma 4's counters (15 refinements fewer in 50,168).
 
+use std::mem;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -60,7 +114,7 @@ use rkranks_graph::{
 
 use crate::engine::BoundConfig;
 use crate::index::{IndexAccess, IndexBuildStats, IndexParams, RkrIndex};
-use crate::refine::{refine_rank, refine_rank_unbounded, RefineHooks, RefineOutcome};
+use crate::refine::{refine_rank, refine_rank_unbounded, Anchor, RefineHooks, RefineOutcome};
 use crate::request::{Completion, Limits, PartialReason, QueryOutcome, QueryRequest, Strategy};
 use crate::result::{QueryResult, TopKCollector};
 use crate::scratch::Stamped;
@@ -84,7 +138,8 @@ use crate::trace::{PassSummary, PopDecision, QueryTrace, TraceEvent};
 /// the quarter of the *previous* level (7.8 and 60) within which
 /// `BENCHMARK.json` can tell a change from noise. Two rungs spread 2–4
 /// and 25–38. Finer rungs are a follow-up against the level this one
-/// sets (ROADMAP item 1). On a shard slice, where a rejected pass costs as
+/// sets (ROADMAP item 2, once item 1 has re-levelled the ruler). On a
+/// shard slice, where a rejected pass costs as
 /// much as an accepted one, two rungs are also the fastest setting
 /// measured (`fleet_scatter` 56 queries/s against 46 with ×4 rungs).
 const LADDER_GUESS_PER_K: u32 = 8;
@@ -371,6 +426,9 @@ impl EngineContext {
         let start = Instant::now();
         let mut stats = QueryStats::default();
         let mut guess = k.saturating_mul(LADDER_GUESS_PER_K);
+        // The largest ball the first rung's clamp can complete: anchors
+        // start above it, so a first-rung pass never has one.
+        let anchor_above = guess.saturating_add(1);
         loop {
             // No rank exceeds |V|: such a guess prunes nothing, so run the
             // plain algorithm, whose pass is accepted unconditionally.
@@ -380,12 +438,13 @@ impl EngineContext {
             if let Some(t) = trace.as_deref_mut() {
                 t.events.clear();
             }
-            let (calls, settles) = (stats.refinement_calls, stats.refinement_settles);
-            let (collector, tripped) = self.sds_pass(
+            let before = stats.clone();
+            let (collector, tripped, anchor) = self.sds_pass(
                 scratch,
                 q,
                 k,
                 guess,
+                anchor_above,
                 dynamic,
                 index.as_deref_mut(),
                 trace.as_deref_mut(),
@@ -398,8 +457,11 @@ impl EngineContext {
                     guess,
                     k_rank: collector.k_rank(),
                     accepted,
-                    refinements: stats.refinement_calls - calls,
-                    settles: stats.refinement_settles - settles,
+                    refinements: stats.refinement_calls - before.refinement_calls,
+                    settles: stats.refinement_settles - before.refinement_settles,
+                    pushes: stats.refinement_pushes - before.refinement_pushes,
+                    anchored: stats.anchored_refinements - before.anchored_refinements,
+                    anchor,
                 });
             }
             let completion = match tripped {
@@ -426,7 +488,10 @@ impl EngineContext {
 
     /// One pass of the paper's SDS algorithm under a `kRank` guess
     /// (`u32::MAX`: none — Algorithms 1/3 as written). Returns the pass's
-    /// collector and the limit that cut it short, if any. The caller may
+    /// collector, the limit that cut it short, if any, and the pass's
+    /// anchor (node, counted ball size), if it froze one: the first plain
+    /// refinement to complete with a rank above `anchor_above` (module
+    /// docs, "Anchored refinement"). The caller may
     /// use the collector's entries only if a limit tripped (they are exact,
     /// `R` is merely incomplete) or [`TopKCollector::proves_guess`] holds.
     /// Counters accumulate into `stats`, which is also what `limits` is
@@ -438,12 +503,13 @@ impl EngineContext {
         q: NodeId,
         k: u32,
         guess: u32,
+        anchor_above: u32,
         dynamic: Option<BoundConfig>,
         mut index: Option<&mut IndexAccess<'_>>,
         mut trace: Option<&mut QueryTrace>,
         limits: &Limits,
         stats: &mut QueryStats,
-    ) -> Result<(TopKCollector, Option<PartialReason>)> {
+    ) -> Result<PassEnd> {
         // The hub strategies are meaningless without a distance substrate:
         // fail loudly rather than silently degrading to dynamic-three.
         let oracle = match dynamic {
@@ -459,6 +525,7 @@ impl EngineContext {
         stats.sds_passes += 1;
         let mut collector = TopKCollector::with_guess(k, guess);
         let mut tripped = None;
+        let mut anchor: Option<(NodeId, u32)> = None;
 
         let graph = &*self.graph;
         let spec = self.spec();
@@ -466,6 +533,7 @@ impl EngineContext {
         let QueryScratch {
             sds_ws,
             refine_ws,
+            anchor_ws,
             pred,
             depth2,
             eff_lb,
@@ -618,10 +686,31 @@ impl EngineContext {
                 index: index.as_deref_mut(),
             };
             let refine_start = Instant::now();
-            let refined = refine_rank(graph, spec, refine_ws, u, q, d, k_rank, &mut hooks, stats);
+            // Below the anchor (SDS depth is a handful of hops), refine
+            // from its frozen ball.
+            let from = anchor
+                .filter(|&(a, _)| descends_from(pred, u, a))
+                .map(|(node, counted)| Anchor {
+                    node,
+                    ball: anchor_ws,
+                    counted,
+                });
+            let refined = refine_rank(
+                graph, spec, refine_ws, u, q, d, k_rank, from, &mut hooks, stats,
+            );
             stats.refine_time += refine_start.elapsed();
             match refined {
                 RefineOutcome::Exact(r) => {
+                    // The pass's first big plain ball becomes its anchor:
+                    // `refine_ws`'s stamps are S(u) ∪ {u} at this instant
+                    // (every insertion was settled, `q` is never inserted).
+                    // `d > 0` is what puts `u` itself strictly inside
+                    // `d(p,q)` for everything below it.
+                    if anchor.is_none() && index.is_none() && r > anchor_above && d > 0.0 {
+                        anchor_ws.ensure_capacity(graph.num_nodes());
+                        mem::swap(refine_ws, anchor_ws);
+                        anchor = Some((u, r - 1 + spec.is_counted(u) as u32));
+                    }
                     eff_lb.set(u.index(), r);
                     let entered = collector.offer(u, r);
                     if entered {
@@ -652,9 +741,13 @@ impl EngineContext {
             }
         }
 
-        Ok((collector, tripped))
+        Ok((collector, tripped, anchor))
     }
 }
+
+/// What [`EngineContext::sds_pass`] hands back: the collector, the limit
+/// that cut the pass short, and its anchor (node, counted ball size).
+type PassEnd = (TopKCollector, Option<PartialReason>, Option<(NodeId, u32)>);
 
 fn check_k_max(k_max: u32, k: u32) -> Result<()> {
     if k > k_max {
@@ -675,6 +768,10 @@ pub struct QueryScratch {
     pub(crate) sds_ws: DijkstraWorkspace,
     /// Rank-refinement Dijkstra state.
     pub(crate) refine_ws: DijkstraWorkspace,
+    /// The spare `refine_ws` trades places with when a pass freezes its
+    /// anchor's ball. Empty until the first anchor, so a worker that never
+    /// anchors (every indexed one) never pays for it.
+    pub(crate) anchor_ws: DijkstraWorkspace,
     /// SDS-tree parent of each frontier/settled node.
     pub(crate) pred: Stamped<u32>,
     /// Counted-class intermediate-node depth (degenerates to `depth - 1`
@@ -697,6 +794,7 @@ impl QueryScratch {
         QueryScratch {
             sds_ws: DijkstraWorkspace::new(n),
             refine_ws: DijkstraWorkspace::new(n),
+            anchor_ws: DijkstraWorkspace::new(0),
             pred: Stamped::new(n as usize, u32::MAX),
             depth2: Stamped::new(n as usize, 0),
             eff_lb: Stamped::new(n as usize, 0),
@@ -746,6 +844,20 @@ fn expand(
             RelaxOutcome::Unchanged => {}
         }
     }
+}
+
+/// `true` when walking SDS parents from `u` reaches `a` (before the root,
+/// whose parent is unset). Every node on the walk is settled, so its
+/// parent is final.
+fn descends_from(pred: &Stamped<u32>, u: NodeId, a: NodeId) -> bool {
+    let mut v = pred.get(u.index());
+    while v != u32::MAX {
+        if v == a.0 {
+            return true;
+        }
+        v = pred.get(v as usize);
+    }
+    false
 }
 
 /// Table 11 bookkeeping: which component supplied the max. Ties resolve in

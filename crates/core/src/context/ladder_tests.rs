@@ -5,6 +5,11 @@
 //! pass the ladder is built from: a guess `≥` naive's `kRank` is accepted
 //! and yields naive's rank multiset; a guess below it is rejected, never
 //! returned short or wrong.
+//!
+//! Anchored refinement (same module docs) is tested through the same
+//! door: `sds_pass` takes the anchor threshold as an argument, so a pass
+//! can be run with every completed ball anchoring (`ANCHOR_ALL`), with the
+//! rule as shipped (`anchor_above(k)`), or with none (`ANCHOR_NONE`).
 
 use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
@@ -61,25 +66,38 @@ impl Binding {
     }
 }
 
-/// One pass under `guess`: the rank multiset if the pass was accepted.
+/// Anchor thresholds: every completed ball with `d(a,q) > 0` / none.
+const ANCHOR_ALL: u32 = 0;
+const ANCHOR_NONE: u32 = u32::MAX;
+
+/// The threshold `run_sds` passes.
+fn anchor_above(k: u32) -> u32 {
+    k * LADDER_GUESS_PER_K + 1
+}
+
+/// One unlimited pass under `guess`: its result (entries + the pass's
+/// own counters) if the pass was accepted.
+#[allow(clippy::too_many_arguments)]
 fn pass(
     ctx: &EngineContext,
     scratch: &mut QueryScratch,
     q: NodeId,
     k: u32,
     guess: u32,
+    anchor_above: u32,
     dynamic: Option<BoundConfig>,
     binding: &mut Binding,
-) -> Option<Vec<u32>> {
+) -> Option<QueryResult> {
     let limits = Limits::for_request(&QueryRequest::new(q, k));
     let mut stats = QueryStats::default();
     let mut access = binding.access();
-    let (collector, tripped) = ctx
+    let (collector, tripped, anchor) = ctx
         .sds_pass(
             scratch,
             q,
             k,
             guess,
+            anchor_above,
             dynamic,
             access.as_mut(),
             None,
@@ -88,13 +106,20 @@ fn pass(
         )
         .unwrap();
     assert_eq!(tripped, None);
+    assert!(
+        access.is_none() || anchor.is_none(),
+        "an indexed pass anchored"
+    );
+    assert!(anchor.is_some() || stats.anchored_refinements == 0);
     collector
         .proves_guess()
-        .then(|| collector.into_result(stats).ranks())
+        .then(|| collector.into_result(stats))
 }
 
 /// Every guess from 0 past the largest possible rank, plus the unbounded
-/// rung, against naive — for every query node `ctx` accepts.
+/// rung, against naive — for every query node `ctx` accepts, with no
+/// anchor and (index-free passes only: an indexed one never anchors) with
+/// every completed ball anchoring.
 fn check_every_guess(
     ctx: &EngineContext,
     k: u32,
@@ -111,20 +136,27 @@ fn check_every_guess(
         let truth = truth.result.ranks();
         // `None`: fewer than k candidates reach q, no finite guess holds.
         let k_rank = (truth.len() == k as usize).then(|| truth[truth.len() - 1]);
+        let anchoring: &[u32] = match binding {
+            Binding::None => &[ANCHOR_NONE, ANCHOR_ALL],
+            _ => &[ANCHOR_NONE],
+        };
         for guess in (0..=n + 1).chain([u32::MAX]) {
-            let got = pass(ctx, &mut scratch, q, k, guess, dynamic, binding);
-            if guess == u32::MAX || k_rank.is_some_and(|kr| guess >= kr) {
-                prop_assert_eq!(
-                    got.as_ref(),
-                    Some(&truth),
-                    "q={} k={} guess={} {:?}: a guess >= kRank {:?} must be accepted as naive's answer",
-                    q, k, guess, dynamic, k_rank
-                );
-            } else {
-                prop_assert!(
-                    got.is_none(),
-                    "q={q} k={k} guess={guess} {dynamic:?}: accepted {got:?} below kRank {k_rank:?}"
-                );
+            for &above in anchoring {
+                let got = pass(ctx, &mut scratch, q, k, guess, above, dynamic, binding);
+                let got = got.map(|r| r.ranks());
+                if guess == u32::MAX || k_rank.is_some_and(|kr| guess >= kr) {
+                    prop_assert_eq!(
+                        got.as_ref(),
+                        Some(&truth),
+                        "q={} k={} guess={} anchor>{} {:?}: a guess >= kRank {:?} must be accepted as naive's answer",
+                        q, k, guess, above, dynamic, k_rank
+                    );
+                } else {
+                    prop_assert!(
+                        got.is_none(),
+                        "q={q} k={k} guess={guess} anchor>{above} {dynamic:?}: accepted {got:?} below kRank {k_rank:?}"
+                    );
+                }
             }
         }
     }
@@ -375,6 +407,7 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
                 s.refinements_pruned,
                 s.refinement_settles,
                 s.refinement_pushes,
+                s.anchored_refinements,
                 s.pruned_by_bound,
             )
         };
@@ -397,7 +430,251 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
             trace.passes.iter().map(|p| p.settles).sum::<u64>(),
             stats.refinement_settles
         );
+        assert_eq!(
+            trace.passes.iter().map(|p| p.pushes).sum::<u64>(),
+            stats.refinement_pushes
+        );
+        assert_eq!(
+            trace.passes.iter().map(|p| p.anchored).sum::<u64>(),
+            stats.anchored_refinements
+        );
         assert_eq!(trace.refined_nodes().len() as u64, last.refinements);
         assert!(trace.render(None).starts_with("pass 1 guess "));
     }
+}
+
+/// One hub with `SPOKES` spokes of slowly growing weight, `q` the middle
+/// one, and a few chords among the spokes: short ones that put an
+/// *outside* spoke strictly within `d(p,q)` of its partner by a
+/// hub-avoiding path, and one between two inside spokes. Every candidate
+/// ranks about `SPOKES / 2`, far beyond the first guess for `k = 2`, so
+/// the unbounded rung refines the hub, then every spoke through it.
+const SPOKES: u32 = 300;
+const SPOKE_Q: NodeId = NodeId(SPOKES / 2);
+
+fn hub_and_spokes() -> Graph {
+    let mut b = GraphBuilder::new(EdgeDirection::Undirected);
+    for spoke in 1..=SPOKES {
+        b.add_edge(0, spoke, 1.0 + f64::from(spoke) / 1024.0)
+            .unwrap();
+    }
+    for (u, v, w) in [
+        (200, 250, 0.5),
+        (10, 260, 0.25),
+        (270, 271, 0.125),
+        (20, 30, 0.5),
+    ] {
+        b.add_edge(u, v, w).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// The host-independent work guard: below a frozen hub, refinements stop
+/// re-pushing the hub's row.
+#[test]
+fn anchoring_halves_the_pushes_of_a_hub_bound_pass_and_changes_no_rank() {
+    let g = hub_and_spokes();
+    let ctx = EngineContext::new(&g);
+    let mut scratch = ctx.new_scratch();
+    let k = 2;
+    let naive = QueryRequest::new(SPOKE_Q, k).with_strategy(Strategy::Naive);
+    let naive = ctx.execute(&mut scratch, &naive).unwrap().result;
+    for dynamic in [None, Some(BoundConfig::ALL)] {
+        let served = QueryRequest::new(SPOKE_Q, k).with_strategy(match dynamic {
+            None => Strategy::Static,
+            Some(b) => Strategy::Dynamic(b),
+        });
+        let served = ctx.execute(&mut scratch, &served.with_trace()).unwrap();
+        assert_eq!(served.result.ranks(), naive.ranks(), "{dynamic:?}");
+        assert_eq!(served.stats().sds_passes, 2);
+        assert!(served.stats().anchored_refinements > 0);
+        let last = *served.trace.as_ref().unwrap().passes.last().unwrap();
+        let ball = last.anchor.expect("the unbounded rung freezes the hub");
+        assert_eq!(ball, (NodeId(0), SPOKE_Q.0), "hub + the spokes before q");
+        assert_eq!(last.anchored, served.stats().anchored_refinements);
+
+        let mut run = |above| {
+            let none = &mut Binding::None;
+            pass(
+                &ctx,
+                &mut scratch,
+                SPOKE_Q,
+                k,
+                u32::MAX,
+                above,
+                dynamic,
+                none,
+            )
+            .unwrap()
+        };
+        let (anchored, plain) = (run(anchor_above(k)), run(ANCHOR_NONE));
+        assert_eq!(anchored.ranks(), naive.ranks());
+        assert_eq!(plain.ranks(), naive.ranks());
+        assert_eq!(anchored.stats.refinement_pushes, last.pushes);
+        assert_eq!(plain.stats.anchored_refinements, 0);
+        // The guard is Algorithm 1's, which refines every spoke; on this
+        // fixture Theorem 2's parent bound prunes them all once `R` is
+        // full, and anchoring only spares the second entry the hub's row.
+        let (anchored, plain) = (
+            anchored.stats.refinement_pushes,
+            plain.stats.refinement_pushes,
+        );
+        let factor = if dynamic.is_none() { 2 } else { 1 };
+        assert!(
+            factor * anchored <= plain,
+            "{dynamic:?}: {anchored} pushes anchored, {plain} plain"
+        );
+    }
+}
+
+/// The median query cannot move: a pass the first rung accepts never sees
+/// a ball big enough to anchor, so it does the same work instruction for
+/// instruction with the rule on and off.
+#[test]
+fn first_rung_queries_do_identical_work_with_and_without_the_rule() {
+    use rkranks_datasets::{dblp_like, Scale};
+    let g = dblp_like(Scale::Small, 42);
+    let ctx = EngineContext::new(&g);
+    let mut scratch = ctx.new_scratch();
+    let (k, dynamic) = (10, Some(BoundConfig::ALL));
+    let guess = k * LADDER_GUESS_PER_K;
+    let (mut first_rung, mut later) = (0, 0);
+    for q in g.nodes() {
+        let none = &mut Binding::None;
+        let Some(on) = pass(
+            &ctx,
+            &mut scratch,
+            q,
+            k,
+            guess,
+            anchor_above(k),
+            dynamic,
+            none,
+        ) else {
+            later += 1;
+            continue;
+        };
+        let off = pass(&ctx, &mut scratch, q, k, guess, ANCHOR_NONE, dynamic, none).unwrap();
+        first_rung += 1;
+        let work = |s: &QueryStats| {
+            (
+                s.refinement_calls,
+                s.refinement_settles,
+                s.refinement_pushes,
+                s.anchored_refinements,
+            )
+        };
+        assert_eq!(work(&on.stats), work(&off.stats), "q={q}");
+        assert_eq!(on.stats.anchored_refinements, 0, "q={q}");
+        assert_eq!(on.entries, off.entries, "q={q}");
+    }
+    assert!(first_rung > later && later > 0, "{first_rung} / {later}");
+}
+
+/// Algorithm 4's offers need the complete ordered enumeration, so a pass
+/// with an index binding never anchors — even with the threshold at 0 —
+/// and leaves the index exactly as it would without the rule.
+#[test]
+fn an_indexed_pass_never_anchors_and_writes_the_same_index() {
+    let g = hub_and_spokes();
+    let ctx = EngineContext::new(&g);
+    let mut scratch = ctx.new_scratch();
+    let all = Some(BoundConfig::ALL);
+    let mut run = |binding: &mut Binding, above| {
+        let got = pass(
+            &ctx,
+            &mut scratch,
+            SPOKE_Q,
+            2,
+            u32::MAX,
+            above,
+            all,
+            binding,
+        )
+        .unwrap();
+        assert_eq!(got.stats.anchored_refinements, 0);
+        got.stats.refinement_pushes
+    };
+
+    let bytes = |index: &RkrIndex| {
+        let mut out = Vec::new();
+        crate::index_io::write_index(index, &mut out).unwrap();
+        out
+    };
+
+    let live = || Binding::Live(RkrIndex::empty(g.num_nodes(), 16));
+    let (mut on, mut off) = (live(), live());
+    assert_eq!(run(&mut on, ANCHOR_ALL), run(&mut off, ANCHOR_NONE));
+    let (Binding::Live(on), Binding::Live(off)) = (on, off) else {
+        unreachable!()
+    };
+    assert!(on.rrd_entries() > 0);
+    assert_eq!(bytes(&on), bytes(&off));
+
+    let (built, _) = ctx.build_index(&IndexParams {
+        hub_fraction: 0.01,
+        prefix_fraction: 0.1,
+        k_max: 16,
+        ..Default::default()
+    });
+    let snapshot = || Binding::Snapshot(built.clone(), IndexDelta::for_index(&built));
+    let (mut on, mut off) = (snapshot(), snapshot());
+    assert_eq!(run(&mut on, ANCHOR_ALL), run(&mut off, ANCHOR_NONE));
+    let (Binding::Snapshot(_, on), Binding::Snapshot(_, off)) = (on, off) else {
+        unreachable!()
+    };
+    assert!(!on.is_empty());
+    assert_eq!(on.len(), off.len());
+    let merged = |delta: &IndexDelta| {
+        let mut index = built.clone();
+        index.merge_delta(delta);
+        bytes(&index)
+    };
+    assert_eq!(merged(&on), merged(&off));
+}
+
+/// A refine budget that trips among anchored refinements returns what a
+/// tripped budget always returns: exact entries and the collector's real
+/// k-th rank.
+#[test]
+fn budget_tripping_inside_an_anchored_stretch_keeps_entries_exact() {
+    let g = hub_and_spokes();
+    let ranks = rank_matrix(&g);
+    let ctx = EngineContext::new(&g);
+    let mut scratch = ctx.new_scratch();
+    // Pass 1 spends one refinement (the hub, aborted under the guess);
+    // pass 2 refines the hub, then spokes from its ball until the budget
+    // runs out.
+    let req = QueryRequest::new(SPOKE_Q, 2)
+        .with_strategy(Strategy::Static)
+        .with_refine_budget(40);
+    let out = ctx.execute(&mut scratch, &req).unwrap();
+    assert_eq!(out.stats().refinement_calls, 40);
+    assert_eq!(out.stats().anchored_refinements, 38);
+    assert_eq!(out.result.entries.len(), 2);
+    for e in &out.result.entries {
+        assert_eq!(
+            Some(e.rank),
+            ranks[e.node.index()][SPOKE_Q.index()],
+            "{}",
+            e.node
+        );
+    }
+    let naive = QueryRequest::new(SPOKE_Q, 2).with_strategy(Strategy::Naive);
+    let k_rank = *ctx
+        .execute(&mut scratch, &naive)
+        .unwrap()
+        .result
+        .ranks()
+        .last()
+        .unwrap();
+    let Completion::Partial {
+        reason: PartialReason::RefineBudgetExhausted,
+        k_rank_bound,
+    } = out.completion
+    else {
+        panic!("expected a tripped budget, got {:?}", out.completion);
+    };
+    assert_eq!(k_rank_bound, out.result.entries[1].rank);
+    assert!(k_rank_bound >= k_rank, "{k_rank_bound} bounds {k_rank}");
 }

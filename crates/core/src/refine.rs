@@ -3,8 +3,10 @@
 //! Given a candidate `p` with known `d(p,q)` (from the SDS-tree), compute
 //! `Rank(p,q)` by a **bounded** Dijkstra from `p`: only nodes with
 //! tentative distance strictly below `d(p,q)` ever enter the frontier, so
-//! the traversal enumerates exactly `S = {v : d(p,v) < d(p,q)}` and never
-//! needs to reach `q` itself. `Rank(p,q) = |S ∩ counted| + 1`.
+//! a plain call enumerates exactly `S = {v : d(p,v) < d(p,q)}` and never
+//! needs to reach `q` itself. `Rank(p,q) = |S ∩ counted| + 1`. An
+//! *anchored* call (below) is handed part of `S` already counted and
+//! enumerates only what is left of it.
 //!
 //! Early termination (the `kRank` bound): every frontier insertion is a
 //! node guaranteed to be in `S`, so `1 + inserted_counted` is a monotone
@@ -19,6 +21,42 @@
 //!   exact rank is offered to the Reverse Rank Dictionary, and the Check
 //!   Dictionary is raised with a tie-safe bound on everything not
 //!   enumerated (see [`rkranks_graph::RankCounter::unsettled_rank_lower_bound`]).
+//!
+//! ## Anchored refinement
+//!
+//! If `a` lies on `p`'s shortest path to `q` and `d(a,q) > 0`, then
+//! `d(p,q) = d(p,a) + d(a,q)` and every node of the ball
+//! `B = S(a) ∪ {a}` other than `p` is strictly closer to `p` than `q` is:
+//! `d(p,t) ≤ d(p,a) + d(a,t) < d(p,a) + d(a,q)`. Given an [`Anchor`] — the
+//! workspace a *completed* plain refinement of `a` left behind, whose
+//! stamped nodes are exactly `B` — [`refine_rank`] differs in four ways:
+//!
+//! 1. the count starts at `|B ∩ counted| − [p ∈ B ∧ p counted]`, and the
+//!    call prunes before touching the graph if that already exceeds
+//!    `kRank`;
+//! 2. `a`'s own row is never relaxed;
+//! 3. a node of `B` that enters the frontier is pushed (paths to the
+//!    outside run through it) but not counted a second time;
+//! 4. `Exact` is `count + 1`.
+//!
+//! Why skipping `a`'s row loses nothing: a node `x ∉ B` has
+//! `d(a,x) ≥ d(a,q)`, so every path to it through `a` is
+//! `≥ d(p,a) + d(a,x) ≥ d(p,q)` and cannot count; `x ∈ S(p)` iff an
+//! `a`-avoiding path shorter than `d(p,q)` exists, which is what the
+//! traversal finds (`a`'s in-budget edges lead into `B` anyway:
+//! `d_p(a) + w(a,t) < d(p,q) ⇒ w(a,t) < d(a,q)`). Hence `count + 1` is
+//! `Rank(p,q)` exactly and every aborted count a true lower bound — on
+//! directed graphs and bichromatic specs alike, since only forward
+//! distances from `a` and from `p` are used. The row cut, the `t == q`
+//! skip, the abort rule, `lcount` bumps on every insertion and the
+//! counters are those of the plain call. An anchored call cannot serve an
+//! index binding: Algorithm 4's per-settle offers need the complete ordered
+//! enumeration that anchoring skips.
+//!
+//! **One ulp.** Membership in `B` is decided by `a`'s summation order, as
+//! `d(p,q)` is by the transpose's (see the `t == q` note in the loop): on
+//! real-valued weights a node within one ulp of either boundary may be
+//! classed differently by the plain and the anchored call.
 
 use rkranks_graph::rank::RankCounter;
 use rkranks_graph::{DijkstraWorkspace, Distance, Graph, NodeId, RelaxOutcome};
@@ -62,8 +100,24 @@ impl RefineHooks<'_, '_> {
     }
 }
 
+/// The frozen ball of an SDS ancestor `a` of the candidate (module docs,
+/// "Anchored refinement"). The caller guarantees that `node` lies on the
+/// candidate's shortest path to `q` with `d(node, q) > 0`, and that `ball`
+/// is untouched since a plain, index-free [`refine_rank`] of `node` for
+/// the same `q` returned [`RefineOutcome::Exact`].
+#[derive(Clone, Copy, Debug)]
+pub struct Anchor<'a> {
+    /// The ancestor `a`.
+    pub node: NodeId,
+    /// `a`'s refinement workspace: a node is in the ball iff
+    /// [`DijkstraWorkspace::dist_of`] knows it.
+    pub ball: &'a DijkstraWorkspace,
+    /// `|S(a) ∩ counted| + [a counted]`.
+    pub counted: u32,
+}
+
 /// Bounded rank refinement of candidate `p` for query `q` at distance
-/// `dpq = d(p,q)`.
+/// `dpq = d(p,q)`, from `anchor`'s ball if one is given.
 ///
 /// `k_rank` is the current global bound (`u32::MAX` while `R` is not full).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's GetRank signature
@@ -75,11 +129,17 @@ pub fn refine_rank(
     q: NodeId,
     dpq: Distance,
     k_rank: u32,
+    anchor: Option<Anchor<'_>>,
     hooks: &mut RefineHooks<'_, '_>,
     stats: &mut QueryStats,
 ) -> RefineOutcome {
     debug_assert_ne!(p, q, "the query node is never refined");
     stats.refinement_calls += 1;
+    if let Some(anchor) = anchor {
+        debug_assert!(hooks.index.is_none(), "an indexed pass never anchors");
+        let lcount = hooks.lcount.as_deref_mut();
+        return refine_anchored(graph, spec, ws, p, q, dpq, k_rank, anchor, lcount, stats);
+    }
 
     ws.ensure_capacity(graph.num_nodes());
     ws.begin(p);
@@ -153,14 +213,79 @@ fn prune(
     hooks: &mut RefineHooks<'_, '_>,
     stats: &mut QueryStats,
 ) -> RefineOutcome {
-    stats.refinements_pruned += 1;
     if let Some(idx) = hooks.index.as_deref_mut() {
         let next = ws.peek_frontier().map(|(_, d)| d);
         idx.raise_check(p, counter.unsettled_rank_lower_bound(next));
     }
+    aborted(k_rank, stats)
+}
+
+/// The `kRank` abort: the candidate's rank is proven to exceed `k_rank`.
+fn aborted(k_rank: u32, stats: &mut QueryStats) -> RefineOutcome {
+    stats.refinements_pruned += 1;
     RefineOutcome::Pruned {
         lower_bound: k_rank.saturating_add(1),
     }
+}
+
+/// The anchored body of [`refine_rank`] (module docs). Out of line so the
+/// plain loop compiles as it did before anchors existed.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn refine_anchored(
+    graph: &Graph,
+    spec: QuerySpec<'_>,
+    ws: &mut DijkstraWorkspace,
+    p: NodeId,
+    q: NodeId,
+    dpq: Distance,
+    k_rank: u32,
+    anchor: Anchor<'_>,
+    mut lcount: Option<&mut Stamped<u32>>,
+    stats: &mut QueryStats,
+) -> RefineOutcome {
+    debug_assert_ne!(p, anchor.node, "the anchor is a proper ancestor");
+    stats.anchored_refinements += 1;
+    let inside = |t: NodeId| anchor.ball.dist_of(t).is_some();
+    let over = |count: u32| k_rank != u32::MAX && 1 + count > k_rank;
+    // Counted members of S(p) known so far: the ball less p itself, then
+    // every counted insertion from outside it.
+    let mut count = anchor.counted - (inside(p) && spec.is_counted(p)) as u32;
+    if over(count) {
+        return aborted(k_rank, stats);
+    }
+
+    ws.ensure_capacity(graph.num_nodes());
+    ws.begin(p);
+    while let Some((v, d)) = ws.settle_next() {
+        stats.refinement_settles += 1;
+        if v == anchor.node {
+            continue;
+        }
+        let (targets, weights) = graph.out_neighbors(v);
+        for (t, w) in targets.iter().zip(weights.iter()) {
+            let nd = d + *w;
+            if nd >= dpq {
+                break;
+            }
+            if *t == q {
+                continue;
+            }
+            if ws.relax(*t, nd) == RelaxOutcome::Inserted {
+                stats.refinement_pushes += 1;
+                if let Some(lc) = lcount.as_deref_mut() {
+                    lc.increment(t.index());
+                }
+                if !inside(*t) && spec.is_counted(*t) {
+                    count += 1;
+                    if over(count) {
+                        return aborted(k_rank, stats);
+                    }
+                }
+            }
+        }
+    }
+    RefineOutcome::Exact(count + 1)
 }
 
 /// Unbounded refinement for the naive baseline (§2): browse from `p` until
@@ -236,6 +361,7 @@ mod tests {
             NodeId(q),
             dpq,
             k_rank,
+            None,
             &mut RefineHooks::none(),
             &mut stats,
         )
@@ -293,6 +419,7 @@ mod tests {
             NodeId(0),
             dpq,
             1,
+            None,
             &mut RefineHooks::none(),
             &mut stats,
         );
@@ -321,6 +448,7 @@ mod tests {
             NodeId(0),
             dpq,
             u32::MAX,
+            None,
             &mut hooks,
             &mut stats,
         );
@@ -352,6 +480,7 @@ mod tests {
             NodeId(0),
             dpq,
             u32::MAX,
+            None,
             &mut hooks,
             &mut stats,
         );
@@ -386,6 +515,7 @@ mod tests {
             NodeId(0),
             dpq,
             1,
+            None,
             &mut hooks,
             &mut stats,
         );
@@ -420,6 +550,7 @@ mod tests {
             NodeId(0),
             dpq,
             u32::MAX,
+            None,
             &mut RefineHooks::none(),
             &mut stats,
         );
@@ -523,6 +654,7 @@ mod tests {
                 NodeId(0),
                 0.0,
                 u32::MAX,
+                None,
                 &mut RefineHooks::none(),
                 &mut stats,
             )
@@ -533,13 +665,46 @@ mod tests {
 
 /// The row cutoff is a `break`, which is exact only because rows are
 /// `(weight, target)`-sorted; ties and zero weights are where an
-/// off-by-one would show. Weights come from `{0, 1, 1, 2}` (so most rows
-/// are all-equal or zero-led) and parallel arcs are kept.
+/// off-by-one would show — in the plain loop and, for the anchored one, in
+/// which side of the frozen ball a node falls. Weights come from
+/// `{0, 1, 1, 2}` (so most rows are all-equal or zero-led) and parallel
+/// arcs are kept.
 #[cfg(test)]
 mod cutoff_props {
     use super::*;
+    use crate::spec::Partition;
     use proptest::prelude::*;
-    use rkranks_graph::{distance, rank_matrix, DedupPolicy, EdgeDirection, GraphBuilder};
+    use rkranks_graph::{distance, rank_matrix, DedupPolicy, EdgeDirection, GraphBuilder, INF};
+
+    fn multigraph(n: u32, raw: Vec<(u32, u32, usize)>, directed: bool) -> Graph {
+        let mut b = GraphBuilder::new(if directed {
+            EdgeDirection::Directed
+        } else {
+            EdgeDirection::Undirected
+        })
+        .dedup_policy(DedupPolicy::KeepAll);
+        b.reserve_nodes(n);
+        for (u, v, w) in raw {
+            if u % n != v % n {
+                b.add_edge(u % n, v % n, [0.0, 1.0, 1.0, 2.0][w]).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    fn refine(
+        g: &Graph,
+        spec: QuerySpec<'_>,
+        ws: &mut DijkstraWorkspace,
+        p: NodeId,
+        q: NodeId,
+        k_rank: u32,
+        anchor: Option<Anchor<'_>>,
+    ) -> RefineOutcome {
+        let dpq = distance(g, p, q);
+        let (hooks, stats) = (&mut RefineHooks::none(), &mut QueryStats::default());
+        refine_rank(g, spec, ws, p, q, dpq, k_rank, anchor, hooks, stats)
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -550,19 +715,7 @@ mod cutoff_props {
             raw in proptest::collection::vec((0u32..10, 0u32..10, 0usize..4), 1..40),
             directed in any::<bool>(),
         ) {
-            let mut b = GraphBuilder::new(if directed {
-                EdgeDirection::Directed
-            } else {
-                EdgeDirection::Undirected
-            })
-            .dedup_policy(DedupPolicy::KeepAll);
-            b.reserve_nodes(n);
-            for (u, v, w) in raw {
-                if u % n != v % n {
-                    b.add_edge(u % n, v % n, [0.0, 1.0, 1.0, 2.0][w]).unwrap();
-                }
-            }
-            let g = b.build().unwrap();
+            let g = multigraph(n, raw, directed);
             let truth = rank_matrix(&g);
             let mut ws = DijkstraWorkspace::new(n);
             for p in g.nodes() {
@@ -570,18 +723,59 @@ mod cutoff_props {
                     let Some(rank) = truth[p.index()][q.index()] else {
                         continue; // p == q, or q unreachable from p
                     };
-                    let got = refine_rank(
-                        &g,
-                        QuerySpec::Mono,
-                        &mut ws,
-                        p,
-                        q,
-                        distance(&g, p, q),
-                        u32::MAX,
-                        &mut RefineHooks::none(),
-                        &mut QueryStats::default(),
-                    );
+                    let got = refine(&g, QuerySpec::Mono, &mut ws, p, q, u32::MAX, None);
                     prop_assert_eq!(got, RefineOutcome::Exact(rank), "Rank({},{}) in {:?}", p, q, g);
+                }
+            }
+        }
+
+        /// Every `(a, p, q)` with `a` strictly inside a shortest `p → q`
+        /// path (`d(a,q) > 0`; `d(p,a)` may be 0 — a zero-weight edge into
+        /// `a`, which on an undirected graph puts `p` inside the ball):
+        /// from `a`'s frozen ball the outcome is the plain one, exact rank
+        /// and abort alike, under every cap. With a partition, `a` and `p`
+        /// fall on either side of "counted".
+        #[test]
+        fn anchored_refinement_equals_plain_on_tie_heavy_multigraphs(
+            n in 3u32..9,
+            raw in proptest::collection::vec((0u32..9, 0u32..9, 0usize..4), 1..36),
+            directed in any::<bool>(),
+            bichromatic in any::<bool>(),
+            v2 in proptest::collection::vec(any::<bool>(), 9),
+        ) {
+            let g = multigraph(n, raw, directed);
+            let part = bichromatic.then(|| Partition::from_v2_mask(v2[..n as usize].to_vec()));
+            let spec = part.as_ref().map_or(QuerySpec::Mono, QuerySpec::Bichromatic);
+            let (mut ball, mut ws) = (DijkstraWorkspace::new(n), DijkstraWorkspace::new(n));
+            for a in g.nodes() {
+                for q in g.nodes() {
+                    let daq = distance(&g, a, q);
+                    if a == q || daq == INF || daq == 0.0 {
+                        continue;
+                    }
+                    let RefineOutcome::Exact(r) = refine(&g, spec, &mut ball, a, q, u32::MAX, None)
+                    else {
+                        unreachable!("an uncapped refinement completes");
+                    };
+                    let anchor = Anchor {
+                        node: a,
+                        ball: &ball,
+                        counted: r - 1 + spec.is_counted(a) as u32,
+                    };
+                    for p in g.nodes() {
+                        let dpq = distance(&g, p, q);
+                        if p == a || p == q || dpq == INF || distance(&g, p, a) + daq != dpq {
+                            continue;
+                        }
+                        for cap in (1..=n).chain([u32::MAX]) {
+                            let plain = refine(&g, spec, &mut ws, p, q, cap, None);
+                            let anchored = refine(&g, spec, &mut ws, p, q, cap, Some(anchor));
+                            prop_assert_eq!(
+                                anchored, plain,
+                                "a={} p={} q={} cap={} v2={:?} in {:?}", a, p, q, cap, part, g
+                            );
+                        }
+                    }
                 }
             }
         }

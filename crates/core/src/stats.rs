@@ -74,8 +74,14 @@ pub struct QueryStats {
     pub refinements_pruned: u64,
     /// Total nodes settled across all refinements.
     pub refinement_settles: u64,
-    /// Total frontier insertions across all refinements.
+    /// Total frontier insertions across all refinements — what a
+    /// `kRank`-bounded refinement is bound by: an aborted one costs
+    /// ≈ `kRank` of them.
     pub refinement_pushes: u64,
+    /// Refinements that ran anchored: started from an SDS ancestor's
+    /// frozen ball instead of re-enumerating it (see [`crate::context`],
+    /// "Anchored refinement"). A subset of `refinement_calls`.
+    pub anchored_refinements: u64,
     /// Candidates pruned by the Theorem-2 lower bound *before* refinement
     /// (dynamic variants only).
     pub pruned_by_bound: u64,
@@ -114,6 +120,7 @@ impl QueryStats {
         self.refinements_pruned += other.refinements_pruned;
         self.refinement_settles += other.refinement_settles;
         self.refinement_pushes += other.refinement_pushes;
+        self.anchored_refinements += other.anchored_refinements;
         self.pruned_by_bound += other.pruned_by_bound;
         self.index_exact_hits += other.index_exact_hits;
         self.oracle_lookups += other.oracle_lookups;
@@ -134,6 +141,8 @@ impl QueryStats {
             pruned_by_bound: self.pruned_by_bound as f64 / n as f64,
             index_exact_hits: self.index_exact_hits as f64 / n as f64,
             refinement_settles: self.refinement_settles as f64 / n as f64,
+            refinement_pushes: self.refinement_pushes as f64 / n as f64,
+            anchored_refinements: self.anchored_refinements as f64 / n as f64,
             sds_passes: self.sds_passes as f64 / n as f64,
             max_k_rank_guess: self.k_rank_guess,
             seconds: self.elapsed.as_secs_f64() / n as f64,
@@ -200,6 +209,10 @@ pub struct MeanStats {
     pub index_exact_hits: f64,
     /// Mean refinement settles per query.
     pub refinement_settles: f64,
+    /// Mean refinement frontier insertions per query.
+    pub refinement_pushes: f64,
+    /// Mean anchored refinements per query.
+    pub anchored_refinements: f64,
     /// Mean ladder passes per query.
     pub sds_passes: f64,
     /// Largest accepted `kRank` guess among the queries (`u32::MAX`: some
@@ -239,6 +252,8 @@ mod tests {
         };
         let b = QueryStats {
             refinement_calls: 3,
+            refinement_pushes: 40,
+            anchored_refinements: 2,
             pruned_by_bound: 5,
             sds_passes: 3,
             k_rank_guess: 640,
@@ -254,6 +269,8 @@ mod tests {
         assert_eq!(a.sds_passes, 4);
         assert_eq!(a.k_rank_guess, 640); // the largest guess, not a sum
         assert_eq!(a.refinement_calls, 5);
+        assert_eq!(a.refinement_pushes, 40);
+        assert_eq!(a.anchored_refinements, 2);
         assert_eq!(a.pruned_by_bound, 5);
         assert_eq!(a.elapsed, Duration::from_millis(10));
     }
@@ -262,6 +279,8 @@ mod tests {
     fn mean_over_divides() {
         let total = QueryStats {
             refinement_calls: 10,
+            refinement_pushes: 30,
+            anchored_refinements: 2,
             sds_passes: 6,
             k_rank_guess: 160,
             elapsed: Duration::from_secs(2),
@@ -269,6 +288,8 @@ mod tests {
         };
         let m = total.mean_over(4);
         assert!((m.refinement_calls - 2.5).abs() < 1e-12);
+        assert!((m.refinement_pushes - 7.5).abs() < 1e-12);
+        assert!((m.anchored_refinements - 0.5).abs() < 1e-12);
         assert!((m.sds_passes - 1.5).abs() < 1e-12);
         assert_eq!(m.max_k_rank_guess, 160);
         assert!((m.seconds - 0.5).abs() < 1e-12);

@@ -77,6 +77,15 @@ pub struct PassSummary {
     pub refinements: u64,
     /// Nodes settled by this pass's refinements.
     pub settles: u64,
+    /// Frontier insertions made by this pass's refinements — the work an
+    /// aborted refinement is bound by.
+    pub pushes: u64,
+    /// How many of `refinements` ran anchored (see [`crate::context`],
+    /// "Anchored refinement").
+    pub anchored: u64,
+    /// The pass's anchor, if one was frozen: the node and the number of
+    /// counted nodes its ball credits to every candidate below it.
+    pub anchor: Option<(NodeId, u32)>,
 }
 
 /// An ordered trace of one query.
@@ -130,16 +139,21 @@ impl QueryTrace {
             r => r.to_string(),
         };
         for (i, p) in self.passes.iter().enumerate() {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "pass {} guess {:<9} {} (kRank {}; {} refinements, {} settles)",
+                "pass {} guess {:<9} {} (kRank {}; {} refinements, {} settles, {} pushes",
                 i + 1,
                 bound(p.guess),
                 if p.accepted { "accepted" } else { "rejected" },
                 bound(p.k_rank),
                 p.refinements,
                 p.settles,
+                p.pushes,
             );
+            if let Some((node, ball)) = p.anchor {
+                let _ = write!(out, "; {} anchored on {node}, ball {ball}", p.anchored);
+            }
+            let _ = writeln!(out, ")");
         }
         let name = |n: NodeId| -> String {
             match names {
@@ -235,6 +249,9 @@ mod tests {
                     accepted: false,
                     refinements: 3,
                     settles: 9,
+                    pushes: 12,
+                    anchored: 0,
+                    anchor: None,
                 },
                 PassSummary {
                     guess: 8,
@@ -242,6 +259,9 @@ mod tests {
                     accepted: true,
                     refinements: 2,
                     settles: 7,
+                    pushes: 8,
+                    anchored: 1,
+                    anchor: Some((NodeId(1), 2)),
                 },
             ],
         }
@@ -263,9 +283,11 @@ mod tests {
         assert!(plain.contains("entered R"));
         assert!(plain.contains("bound-pruned (LB 5 >= kRank 4)"));
         assert!(plain.contains("pass 1 guess 2         rejected (kRank unbounded; 3 refinements"));
-        assert!(
-            plain.contains("pass 2 guess 8         accepted (kRank 3; 2 refinements, 7 settles)")
-        );
+        assert!(plain.contains("(kRank unbounded; 3 refinements, 9 settles, 12 pushes)\n"));
+        assert!(plain.contains(
+            "pass 2 guess 8         accepted \
+             (kRank 3; 2 refinements, 7 settles, 8 pushes; 1 anchored on 1, ball 2)"
+        ));
         let named = t.render(Some(&["q", "Bob", "Carol", "Dan", "Eve"]));
         assert!(named.contains("pop Bob"));
         assert!(named.contains("index hit -> rank 2"));

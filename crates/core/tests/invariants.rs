@@ -280,7 +280,7 @@ proptest! {
                 if p == q || !dist[q.index()].is_finite() { continue; }
                 let out = refine_rank(
                     &g, QuerySpec::Mono, &mut ws, p, q, dist[q.index()],
-                    u32::MAX, &mut RefineHooks::none(), &mut QueryStats::default(),
+                    u32::MAX, None, &mut RefineHooks::none(), &mut QueryStats::default(),
                 );
                 prop_assert_eq!(out, RefineOutcome::Exact(m[p.index()][q.index()].unwrap()));
             }
@@ -298,7 +298,7 @@ proptest! {
                 if p == q || !dist[q.index()].is_finite() { continue; }
                 let out = refine_rank(
                     &g, QuerySpec::Mono, &mut ws, p, q, dist[q.index()],
-                    k_rank, &mut RefineHooks::none(), &mut QueryStats::default(),
+                    k_rank, None, &mut RefineHooks::none(), &mut QueryStats::default(),
                 );
                 let truth = m[p.index()][q.index()].unwrap();
                 match out {

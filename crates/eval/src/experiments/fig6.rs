@@ -1,5 +1,8 @@
 //! Figure 6: query time and rank refinements vs `k` for the three
-//! framework variants on the DBLP-like and Epinions-like graphs.
+//! framework variants on the DBLP-like and Epinions-like graphs. Beside
+//! the paper's refinement count the table prints frontier pushes per
+//! query — the work the refinements did — so the ordering can be read on
+//! work as well as on time.
 
 use std::sync::Arc;
 
@@ -45,6 +48,7 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
             "query time",
             "latency p50 / p95 / p99",
             "rank refinements",
+            "refinement pushes",
         ],
     );
     let engine = QueryEngine::new(Arc::clone(g));
@@ -59,6 +63,17 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
         if k >= g.num_nodes() {
             continue;
         }
+        let mut row = |method: String, out: &BatchOutcome| {
+            let mean = out.totals.mean_over(out.queries);
+            t.push_row(vec![
+                k.to_string(),
+                method,
+                fmt_secs(mean.seconds),
+                fmt_latency(out),
+                fmt_f64(mean.refinement_calls),
+                fmt_f64(mean.refinement_pushes),
+            ]);
+        };
         let s = run_batch(
             Arc::clone(g),
             None,
@@ -68,13 +83,7 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
             ctx.threads,
         )
         .expect("static batch");
-        t.push_row(vec![
-            k.to_string(),
-            "Static".into(),
-            fmt_secs(s.mean_seconds()),
-            fmt_latency(&s),
-            fmt_f64(s.mean_refinements()),
-        ]);
+        row("Static".into(), &s);
         let d = run_batch(
             Arc::clone(g),
             None,
@@ -84,13 +93,7 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
             ctx.threads,
         )
         .expect("dynamic batch");
-        t.push_row(vec![
-            k.to_string(),
-            "Dynamic".into(),
-            fmt_secs(d.mean_seconds()),
-            fmt_latency(&d),
-            fmt_f64(d.mean_refinements()),
-        ]);
+        row("Dynamic".into(), &d);
         // Fresh index per k so measurements are independent, as in the paper.
         let (mut idx, _) = engine.build_index(&params);
         let i = run_indexed_batch(
@@ -103,13 +106,7 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
             IndexedMode::Sequential,
         )
         .expect("indexed batch");
-        t.push_row(vec![
-            k.to_string(),
-            "Dynamic Indexed".into(),
-            fmt_secs(i.mean_seconds()),
-            fmt_latency(&i),
-            fmt_f64(i.mean_refinements()),
-        ]);
+        row("Dynamic Indexed".into(), &i);
         // The concurrent-serving mode: frozen snapshot + per-worker deltas.
         let (mut idx, _) = engine.build_index(&params);
         let p = run_indexed_batch(
@@ -125,13 +122,7 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
             },
         )
         .expect("snapshot-indexed batch");
-        t.push_row(vec![
-            k.to_string(),
-            format!("Indexed snapshot x{}", ctx.threads),
-            fmt_secs(p.mean_seconds()),
-            fmt_latency(&p),
-            fmt_f64(p.mean_refinements()),
-        ]);
+        row(format!("Indexed snapshot x{}", ctx.threads), &p);
     }
     t.note("shape target (paper Fig. 6): cost grows with k; Dynamic cuts refinements vs Static by orders of magnitude; the index cuts them further, with the biggest relative win at small k");
     t.note("Indexed snapshot runs the same queries concurrently against a frozen index (deltas merged at batch end): per-query ranks match Dynamic exactly; refinements can exceed the sequential-dynamic mode because intra-batch learning is deferred");

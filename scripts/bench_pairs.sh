@@ -16,6 +16,13 @@
 # wins at least 9 of 10 pairs and the medians differ by more than the
 # parent's own q1..q3 spread.
 #
+# Under the quartiles comes each side's exact-counter line — the harness's
+# own `script_hash … refine_calls … refinement_settles …` (or `cache_hits …
+# commits …`) — once per side: a work claim (choosing-metrics §8: a count
+# that repeats exactly) is read off the same report as the timing. A side
+# whose line differs between its own runs is flagged; such a count is not
+# exact and proves nothing.
+#
 # Last comes the check the acceptance driver makes before any of that: a
 # cell whose runs spread wider than its regression bound (`bound` in
 # BENCHMARK.json, times the parent's median) is "spread too widely to
@@ -71,12 +78,15 @@ if [ -z "$METRICS" ]; then
 fi
 
 # run SIDE PAIR: one acceptance-form run; appends "pair value..." to the
-# side's table and prints the run.
+# side's table, the run's exact-counter line to the side's counter file,
+# and prints the run.
 run() {
-    local side="$1" pair="$2" line row="" value
+    local side="$1" pair="$2" out line row="" value
     # The harness writes its results files under $CARGO_TARGET_DIR/bench.
-    line="$(CARGO_TARGET_DIR="$WORK/$side-target" "$WORK/$side-target/release/rkr-bench" \
-        --workload "$WORKLOAD" --seed "$SEED" --seconds 12 --trace 0 | tail -n 1)"
+    out="$(CARGO_TARGET_DIR="$WORK/$side-target" "$WORK/$side-target/release/rkr-bench" \
+        --workload "$WORKLOAD" --seed "$SEED" --seconds 12 --trace 0)"
+    line="$(printf '%s\n' "$out" | tail -n 1)"
+    printf '%s\n' "$out" | sed -n 's/^ *\(script_hash .*\)$/\1/p' | head -n 1 >> "$WORK/$side.counters"
     for m in $METRICS; do
         value="$(printf '%s\n' "$line" | sed -n "s/.*\"$m\":{\"value\":\([-0-9.eE+]*\).*/\1/p")"
         if [ -z "$value" ]; then
@@ -145,6 +155,16 @@ while read -r m better _; do
     done
     col=$((col + 1))
 done <<< "$END_TO_END"
+
+echo
+echo "exact counters (the harness's line; it must repeat within a side)"
+for side in parent change; do
+    printf '%-7s %s\n' "$side" "$(head -n 1 "$WORK/$side.counters")"
+    if [ "$(sort -u "$WORK/$side.counters" | wc -l)" -ne 1 ]; then
+        echo "        differs between this side's own runs: not an exact counter"
+        sort "$WORK/$side.counters" | uniq -c | sed 's/^/        /'
+    fi
+done
 
 echo
 echo "spread of each side's runs against the regression bound (bound x parent median)"

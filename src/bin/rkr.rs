@@ -1155,9 +1155,12 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     }
     if result.stats.sds_passes > 0 {
         println!(
-            "ladder: {} passes, {} refinement settles in all; accepted kRank guess {}",
+            "ladder: {} passes, {} refinement settles and {} pushes in all \
+             ({} refinements anchored); accepted kRank guess {}",
             result.stats.sds_passes,
             result.stats.refinement_settles,
+            result.stats.refinement_pushes,
+            result.stats.anchored_refinements,
             guess_label(result.stats.k_rank_guess)
         );
     }
