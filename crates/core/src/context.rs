@@ -108,8 +108,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rkranks_graph::{
-    DijkstraWorkspace, Distance, DistanceOracle, Graph, GraphError, NodeId, RelaxOutcome, Result,
-    ShardSlice,
+    DijkstraWorkspace, Distance, Graph, GraphError, NodeId, RelaxOutcome, Result, ShardSlice,
 };
 
 use crate::engine::BoundConfig;
@@ -169,12 +168,6 @@ pub struct EngineContext {
     /// over the owned candidate set, which is what makes the
     /// coordinator's scatter-gather merge rank-exact.
     shard: Option<ShardSlice>,
-    /// Pluggable distance substrate for the hub strategies
-    /// ([`BoundConfig::HUB`]): consulted during the SDS filter for a
-    /// certified rank lower bound (every hub strictly inside `d(u, q)` is
-    /// a member of `u`'s strictly-closer counted set). `None` means the
-    /// hub strategies are rejected; the other strategies never look at it.
-    oracle: Option<Arc<dyn DistanceOracle>>,
 }
 
 impl EngineContext {
@@ -195,7 +188,6 @@ impl EngineContext {
             transpose: OnceLock::new(),
             partition,
             shard: None,
-            oracle: None,
         }
     }
 
@@ -213,21 +205,6 @@ impl EngineContext {
         self.shard
     }
 
-    /// Attach a [`DistanceOracle`] (hub labels or on-demand Dijkstra),
-    /// enabling the `dynamic-hub` / `indexed-hub` strategies. The oracle
-    /// must describe the same graph snapshot as this context — epoch
-    /// discipline is the caller's job (the server rebuilds the oracle on
-    /// every `GraphStore` commit, exactly like the index).
-    pub fn with_oracle(mut self, oracle: Arc<dyn DistanceOracle>) -> Self {
-        self.oracle = Some(oracle);
-        self
-    }
-
-    /// The attached distance oracle, if any.
-    pub fn oracle(&self) -> Option<&Arc<dyn DistanceOracle>> {
-        self.oracle.as_ref()
-    }
-
     /// `true` when `v` may appear in results under both the query spec
     /// and the shard slice (if any).
     #[inline(always)]
@@ -237,11 +214,6 @@ impl EngineContext {
 
     /// The underlying graph.
     pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The underlying graph's `Arc` (cheap to clone and hand elsewhere).
-    pub fn graph_arc(&self) -> &Arc<Graph> {
         &self.graph
     }
 
@@ -450,7 +422,7 @@ impl EngineContext {
                 trace.as_deref_mut(),
                 limits,
                 &mut stats,
-            )?;
+            );
             let accepted = tripped.is_none() && collector.proves_guess();
             if let Some(t) = trace.as_deref_mut() {
                 t.passes.push(PassSummary {
@@ -509,19 +481,7 @@ impl EngineContext {
         mut trace: Option<&mut QueryTrace>,
         limits: &Limits,
         stats: &mut QueryStats,
-    ) -> Result<PassEnd> {
-        // The hub strategies are meaningless without a distance substrate:
-        // fail loudly rather than silently degrading to dynamic-three.
-        let oracle = match dynamic {
-            Some(b) if b.use_oracle => Some(self.oracle.as_deref().ok_or_else(|| {
-                GraphError::InvalidQuery(
-                    "the hub strategy needs a distance oracle \
-                     (EngineContext::with_oracle a DistanceOracle)"
-                        .into(),
-                )
-            })?),
-            _ => None,
-        };
+    ) -> PassEnd {
         stats.sds_passes += 1;
         let mut collector = TopKCollector::with_guess(k, guess);
         let mut tripped = None;
@@ -645,27 +605,10 @@ impl EngineContext {
                     0
                 };
                 let check_b = index.as_deref().map_or(0, |idx| idx.check(u));
-                // Oracle lower bound (hub strategies): every hub strictly
-                // inside `d(u, q)` on `u`'s out-label is a certified member
-                // of the strictly-closer counted set, so
-                // `1 + |{h : d(u,h) < d(u,q)}|` never exceeds the true rank.
-                // `q` itself is excluded (ranks never count the query node);
-                // `u` is excluded by the oracle. Sound on directed and
-                // bichromatic graphs alike, unlike Lemma 4.
-                let hub_b = match oracle {
-                    Some(o) => {
-                        stats.oracle_lookups += 1;
-                        1 + o.count_within(u, d, &mut |h| h != q && spec.is_counted(h))
-                    }
-                    None => 0,
-                };
                 record_bound_win(stats, parent_lb, height_b, count_b, check_b);
-                let lb = parent_lb.max(height_b).max(count_b).max(check_b).max(hub_b);
+                let lb = parent_lb.max(height_b).max(count_b).max(check_b);
                 if lb >= k_rank {
                     stats.pruned_by_bound += 1;
-                    if hub_b >= k_rank {
-                        stats.pruned_by_oracle += 1;
-                    }
                     record(
                         &mut trace,
                         u,
@@ -741,7 +684,7 @@ impl EngineContext {
             }
         }
 
-        Ok((collector, tripped, anchor))
+        (collector, tripped, anchor)
     }
 }
 
@@ -884,11 +827,9 @@ mod ladder_tests;
 mod tests {
     use super::*;
     use crate::index::IndexDelta;
-    use crate::validate::assert_all_strategies_match;
     use rkranks_graph::{graph_from_edges, EdgeDirection};
 
     const INDEXED: Strategy = Strategy::Indexed(BoundConfig::ALL);
-    const HUB: Strategy = Strategy::Dynamic(BoundConfig::HUB);
 
     fn star_tail() -> Graph {
         graph_from_edges(
@@ -1124,75 +1065,6 @@ mod tests {
             merged.truncate(2);
             let got: Vec<u32> = merged.iter().map(|&(r, _)| r).collect();
             assert_eq!(got, want.ranks(), "q={q}");
-        }
-    }
-
-    #[test]
-    fn hub_strategy_without_an_oracle_is_rejected() {
-        let g = star_tail();
-        let ctx = EngineContext::new(&g);
-        let mut s = ctx.new_scratch();
-        let req = QueryRequest::new(NodeId(0), 2).with_strategy(HUB);
-        let err = ctx.execute(&mut s, &req).unwrap_err();
-        assert!(err.to_string().contains("oracle"), "{err}");
-    }
-
-    #[test]
-    fn hub_oracle_queries_match_dynamic_exactly() {
-        use rkranks_graph::{HubLabels, HubOrder};
-        let g = chorded_ring();
-        let plain = EngineContext::new(&g);
-        let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
-        let hub = EngineContext::new(&g).with_oracle(Arc::new(labels));
-        let mut scratch = plain.new_scratch();
-        let mut lookups = 0;
-        for q in g.nodes() {
-            let req = QueryRequest::new(q, 4);
-            let want = plain.execute(&mut scratch, &req).unwrap().result;
-            let got = hub.execute(&mut scratch, &req.with_strategy(HUB));
-            let got = got.unwrap().result;
-            assert_eq!(want.ranks(), got.ranks(), "q={q}");
-            lookups += got.stats.oracle_lookups;
-        }
-        assert!(lookups > 0, "the hub strategy never consulted the oracle");
-    }
-
-    #[test]
-    fn hub_oracle_matches_on_directed_graphs() {
-        use rkranks_graph::{HubLabels, HubOrder};
-        let g = graph_from_edges(
-            EdgeDirection::Directed,
-            [
-                (0, 1, 1.0),
-                (1, 2, 1.0),
-                (2, 3, 1.0),
-                (3, 0, 1.0),
-                (1, 3, 2.0),
-                (3, 1, 4.0),
-            ],
-        )
-        .unwrap();
-        let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
-        let hub = EngineContext::new(&g).with_oracle(Arc::new(labels));
-        let mut scratch = hub.new_scratch();
-        for q in g.nodes() {
-            let req = QueryRequest::new(q, 2).with_strategy(Strategy::Naive);
-            let naive = hub.execute(&mut scratch, &req).unwrap().result;
-            assert_all_strategies_match(&hub, None, q, 2, &naive);
-        }
-    }
-
-    #[test]
-    fn dijkstra_oracle_backend_is_rank_identical_too() {
-        use rkranks_graph::DijkstraOracle;
-        let g = star_tail();
-        let oracle = DijkstraOracle::new(Arc::new(g.clone()), 0);
-        let hub = EngineContext::new(&g).with_oracle(Arc::new(oracle));
-        let mut scratch = hub.new_scratch();
-        for q in g.nodes() {
-            let req = QueryRequest::new(q, 2).with_strategy(Strategy::Naive);
-            let naive = hub.execute(&mut scratch, &req).unwrap().result;
-            assert_all_strategies_match(&hub, None, q, 2, &naive);
         }
     }
 

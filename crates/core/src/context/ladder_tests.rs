@@ -14,7 +14,7 @@
 use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
 use proptest::test_runner::TestCaseError;
-use rkranks_graph::{rank_matrix, EdgeDirection, GraphBuilder, HubLabels, HubOrder, ShardSlice};
+use rkranks_graph::{rank_matrix, EdgeDirection, GraphBuilder, ShardSlice};
 
 use super::*;
 use crate::index::IndexDelta;
@@ -91,20 +91,18 @@ fn pass(
     let limits = Limits::for_request(&QueryRequest::new(q, k));
     let mut stats = QueryStats::default();
     let mut access = binding.access();
-    let (collector, tripped, anchor) = ctx
-        .sds_pass(
-            scratch,
-            q,
-            k,
-            guess,
-            anchor_above,
-            dynamic,
-            access.as_mut(),
-            None,
-            &limits,
-            &mut stats,
-        )
-        .unwrap();
+    let (collector, tripped, anchor) = ctx.sds_pass(
+        scratch,
+        q,
+        k,
+        guess,
+        anchor_above,
+        dynamic,
+        access.as_mut(),
+        None,
+        &limits,
+        &mut stats,
+    );
     assert_eq!(tripped, None);
     assert!(
         access.is_none() || anchor.is_none(),
@@ -263,8 +261,7 @@ fn rungs(k: u32, n: u32, k_rank: Option<u32>) -> (u64, u32) {
 #[test]
 fn every_strategy_agrees_with_naive_on_either_rung() {
     let g = star_with_tail();
-    let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
-    let ctx = EngineContext::new(&g).with_oracle(Arc::new(labels));
+    let ctx = EngineContext::new(&g);
     let mut scratch = ctx.new_scratch();
     // k = 1, 2: kRank is beyond the guess, the unbounded rung answers;
     // k = 8: the guess holds.

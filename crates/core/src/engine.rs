@@ -45,13 +45,6 @@ pub struct BoundConfig {
     /// Lemma 4: `Rank(p,q) ≥ lcount(p)` (auto-disabled on directed graphs
     /// and in bichromatic mode, where the lemma does not hold).
     pub use_count: bool,
-    /// Distance-oracle bound: `Rank(p,q) ≥ 1 + count_within(p, d(p,q))`
-    /// from the context's [`rkranks_graph::DistanceOracle`] — each oracle
-    /// entry strictly inside `d(p,q)` is a certified member of the
-    /// strictly-closer counted set. Requires an oracle bound to the
-    /// context ([`EngineContext::with_oracle`]); sound on directed graphs
-    /// and in bichromatic mode (unlike `use_count`).
-    pub use_oracle: bool,
 }
 
 impl BoundConfig {
@@ -59,38 +52,25 @@ impl BoundConfig {
     pub const PARENT_ONLY: BoundConfig = BoundConfig {
         use_height: false,
         use_count: false,
-        use_oracle: false,
     };
     /// The paper's "Dynamic-Count" (parent + count).
     pub const PARENT_COUNT: BoundConfig = BoundConfig {
         use_height: false,
         use_count: true,
-        use_oracle: false,
     };
     /// The paper's "Dynamic-Height" (parent + height).
     pub const PARENT_HEIGHT: BoundConfig = BoundConfig {
         use_height: true,
         use_count: false,
-        use_oracle: false,
     };
     /// The paper's "Dynamic-Three" (all components).
     pub const ALL: BoundConfig = BoundConfig {
         use_height: true,
         use_count: true,
-        use_oracle: false,
-    };
-    /// Dynamic-Three plus the distance-oracle bound (hub labels).
-    pub const HUB: BoundConfig = BoundConfig {
-        use_height: true,
-        use_count: true,
-        use_oracle: true,
     };
 
-    /// Name matching Tables 12–13 (plus the post-paper "Dynamic-Hub").
+    /// Name matching Tables 12–13.
     pub fn name(self) -> &'static str {
-        if self.use_oracle {
-            return "Dynamic-Hub";
-        }
         match (self.use_height, self.use_count) {
             (false, false) => "Dynamic-Parent",
             (false, true) => "Dynamic-Count",
@@ -111,7 +91,7 @@ impl std::str::FromStr for BoundConfig {
 
     /// Parse a bound configuration, case-insensitively: either the
     /// Tables-12/13 name (`"Dynamic-Height"`, …) or its bare suffix
-    /// (`"parent"`, `"height"`, `"count"`, `"three"`, `"hub"`; `"all"` is
+    /// (`"parent"`, `"height"`, `"count"`, `"three"`; `"all"` is
     /// an alias for `"three"`). Round-trips with [`BoundConfig::name`].
     fn from_str(s: &str) -> std::result::Result<BoundConfig, String> {
         let lower = s.to_ascii_lowercase();
@@ -121,9 +101,8 @@ impl std::str::FromStr for BoundConfig {
             "height" => Ok(BoundConfig::PARENT_HEIGHT),
             "count" => Ok(BoundConfig::PARENT_COUNT),
             "three" | "all" => Ok(BoundConfig::ALL),
-            "hub" => Ok(BoundConfig::HUB),
             _ => Err(format!(
-                "unknown bound configuration '{s}' (expected parent, height, count, three, or hub)"
+                "unknown bound configuration '{s}' (expected parent, height, count, or three)"
             )),
         }
     }
@@ -208,7 +187,7 @@ mod tests {
     use crate::index::IndexDelta;
     use crate::request::Strategy;
     use crate::validate::assert_all_strategies_match;
-    use rkranks_graph::{graph_from_edges, EdgeDirection, HubLabels, HubOrder, NodeId};
+    use rkranks_graph::{graph_from_edges, EdgeDirection, NodeId};
 
     const NAIVE: Strategy = Strategy::Naive;
     const INDEXED: Strategy = Strategy::Indexed(BoundConfig::ALL);
@@ -225,9 +204,7 @@ mod tests {
     #[test]
     fn all_algorithms_agree_on_star_tail() {
         let g = star_tail();
-        let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
-        let mut engine =
-            QueryEngine::from_context(EngineContext::new(&g).with_oracle(Arc::new(labels)));
+        let mut engine = QueryEngine::new(&g);
         let (built, _) = engine.build_index(&IndexParams {
             hub_fraction: 0.5,
             prefix_fraction: 0.5,

@@ -81,19 +81,17 @@ pub enum Strategy {
 impl Strategy {
     /// Every distinct strategy value, in canonical-name order. Useful for
     /// exhaustive round-trip tests and `--help` listings.
-    pub const ALL: [Strategy; 12] = [
+    pub const ALL: [Strategy; 10] = [
         Strategy::Naive,
         Strategy::Static,
         Strategy::Dynamic(BoundConfig::PARENT_ONLY),
         Strategy::Dynamic(BoundConfig::PARENT_HEIGHT),
         Strategy::Dynamic(BoundConfig::PARENT_COUNT),
         Strategy::Dynamic(BoundConfig::ALL),
-        Strategy::Dynamic(BoundConfig::HUB),
         Strategy::Indexed(BoundConfig::PARENT_ONLY),
         Strategy::Indexed(BoundConfig::PARENT_HEIGHT),
         Strategy::Indexed(BoundConfig::PARENT_COUNT),
         Strategy::Indexed(BoundConfig::ALL),
-        Strategy::Indexed(BoundConfig::HUB),
     ];
 
     /// The canonical name: parses back to the same value via [`FromStr`].
@@ -101,14 +99,12 @@ impl Strategy {
         match self {
             Strategy::Naive => "naive",
             Strategy::Static => "static",
-            Strategy::Dynamic(b) if b.use_oracle => "dynamic-hub",
             Strategy::Dynamic(b) => match (b.use_height, b.use_count) {
                 (false, false) => "dynamic-parent",
                 (true, false) => "dynamic-height",
                 (false, true) => "dynamic-count",
                 (true, true) => "dynamic-three",
             },
-            Strategy::Indexed(b) if b.use_oracle => "indexed-hub",
             Strategy::Indexed(b) => match (b.use_height, b.use_count) {
                 (false, false) => "indexed-parent",
                 (true, false) => "indexed-height",
@@ -143,7 +139,8 @@ impl FromStr for Strategy {
 
     /// Parse a strategy name, case-insensitively. `"dynamic"` and
     /// `"indexed"` are accepted as aliases for the `-three` (all bounds)
-    /// variants — the paper's strongest configurations.
+    /// variants — the paper's strongest configurations. The error lists
+    /// every [`Strategy::ALL`] name.
     fn from_str(s: &str) -> Result<Strategy, String> {
         let lower = s.to_ascii_lowercase();
         match lower.as_str() {
@@ -160,10 +157,10 @@ impl FromStr for Strategy {
                     None
                 };
                 parsed.ok_or_else(|| {
+                    let names: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
                     format!(
-                        "unknown strategy '{s}' (expected naive, static, \
-                         dynamic[-parent|-height|-count|-three|-hub], or \
-                         indexed[-parent|-height|-count|-three|-hub])"
+                        "unknown strategy '{s}' (expected one of: {})",
+                        names.join(", ")
                     )
                 })
             }
@@ -372,11 +369,33 @@ mod tests {
         assert_eq!("Naive".parse::<Strategy>().unwrap(), Strategy::Naive);
     }
 
+    /// The retired hub-label spellings fail like any unknown name, and
+    /// each error lists exactly the accepted ones.
     #[test]
     fn unknown_strategies_are_rejected_with_a_listing() {
-        for bad in ["", "fast", "dynamic-", "dynamic-turbo", "indexed-naive"] {
+        let all: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
+        for bad in [
+            "",
+            "fast",
+            "dynamic-",
+            "dynamic-turbo",
+            "indexed-naive",
+            "dynamic-hub",
+            "indexed-hub",
+        ] {
             let err = bad.parse::<Strategy>().unwrap_err();
-            assert!(err.contains("expected"), "{bad}: {err}");
+            let listed = err
+                .split_once("expected one of: ")
+                .and_then(|(_, rest)| rest.strip_suffix(')'))
+                .unwrap_or_else(|| panic!("{bad}: no listing in {err}"));
+            assert_eq!(listed.split(", ").collect::<Vec<_>>(), all, "{bad}");
+        }
+        for bad in ["hub", "dynamic-hub", "turbo"] {
+            let err = bad.parse::<BoundConfig>().unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown bound configuration '{bad}' (expected parent, height, count, or three)")
+            );
         }
     }
 

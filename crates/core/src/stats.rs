@@ -88,12 +88,6 @@ pub struct QueryStats {
     /// Candidates whose exact rank came straight from the Reverse Rank
     /// Dictionary (indexed variant only).
     pub index_exact_hits: u64,
-    /// Distance-oracle consultations during the SDS filter (hub
-    /// strategies only).
-    pub oracle_lookups: u64,
-    /// Bound prunes where the oracle's certified lower bound alone met
-    /// `kRank` (a subset of `pruned_by_bound`).
-    pub pruned_by_oracle: u64,
     /// Which bound component supplied the max at each evaluation.
     pub bound_wins: BoundWins,
     /// Passes of the kRank ladder the SDS driver ran (0 for the
@@ -123,8 +117,6 @@ impl QueryStats {
         self.anchored_refinements += other.anchored_refinements;
         self.pruned_by_bound += other.pruned_by_bound;
         self.index_exact_hits += other.index_exact_hits;
-        self.oracle_lookups += other.oracle_lookups;
-        self.pruned_by_oracle += other.pruned_by_oracle;
         self.bound_wins += other.bound_wins;
         self.sds_passes += other.sds_passes;
         self.k_rank_guess = self.k_rank_guess.max(other.k_rank_guess);

@@ -58,9 +58,7 @@ pub fn assert_equivalent(context: &str, a: &QueryResult, b: &QueryResult) {
 /// Indexed members run twice: through [`IndexAccess::Live`] on a clone of
 /// `index`, and through [`IndexAccess::Snapshot`] over `index` itself with
 /// a fresh [`IndexDelta`]. `None` stands for a cold (empty) index of
-/// `K = k`; a given index needs `k ≤ K`. Hub members are compared like the
-/// rest when `ctx` carries a distance oracle and must fail with the
-/// documented "needs a distance oracle" error when it does not.
+/// `K = k`; a given index needs `k ≤ K`.
 pub fn assert_all_strategies_match(
     ctx: &EngineContext,
     index: Option<&RkrIndex>,
@@ -75,13 +73,10 @@ pub fn assert_all_strategies_match(
         let req = QueryRequest::new(q, k).with_strategy(strategy);
         let mut check = |binding: &str, access: Option<&mut IndexAccess<'_>>| {
             let label = format!("{strategy} ({binding}) q={q} k={k}");
-            let outcome = ctx.execute_with(&mut scratch, access, &req);
-            if strategy.bounds().is_some_and(|b| b.use_oracle) && ctx.oracle().is_none() {
-                let err = outcome.expect_err(&label).to_string();
-                assert!(err.contains("needs a distance oracle"), "{label}: {err}");
-                return;
-            }
-            let got = outcome.unwrap_or_else(|e| panic!("{label}: {e}")).result;
+            let got = ctx
+                .execute_with(&mut scratch, access, &req)
+                .unwrap_or_else(|e| panic!("{label}: {e}"))
+                .result;
             assert_equivalent(&label, reference, &got);
         };
         if strategy.needs_index() {

@@ -67,7 +67,7 @@ proptest! {
     /// does the bare suffix embedded in the strategy name.
     #[test]
     fn bound_config_name_round_trips(height in any::<bool>(), count in any::<bool>()) {
-        let b = BoundConfig { use_height: height, use_count: count, use_oracle: false };
+        let b = BoundConfig { use_height: height, use_count: count };
         prop_assert_eq!(b.name().parse::<BoundConfig>().unwrap(), b);
         let strategy_form = Strategy::Dynamic(b).name();
         let suffix = strategy_form.strip_prefix("dynamic-").unwrap();

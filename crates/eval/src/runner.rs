@@ -24,7 +24,7 @@ use rkranks_core::{
     BoundConfig, EngineContext, IndexAccess, IndexDelta, Partition, QueryRequest, QueryResult,
     QueryStats, RkrIndex, Strategy,
 };
-use rkranks_graph::{Graph, GraphError, HubOrder, NodeId, Result};
+use rkranks_graph::{Graph, GraphError, NodeId, Result};
 
 /// How an indexed batch is executed.
 #[derive(Clone, Copy, Debug)]
@@ -158,8 +158,7 @@ pub fn run_batch(
             "strategy '{strategy}' needs an index; use run_indexed_batch"
         )));
     }
-    let uses_oracle = matches!(strategy, Strategy::Dynamic(b) if b.use_oracle);
-    let ctx = make_context(graph.into(), partition, uses_oracle);
+    let ctx = make_context(graph.into(), partition);
     let threads = threads.clamp(1, queries.len().max(1));
     if threads == 1 {
         let mut scratch = ctx.new_scratch();
@@ -241,7 +240,7 @@ fn run_indexed_inner(
     mode: IndexedMode,
     collect: bool,
 ) -> Result<(BatchOutcome, Vec<QueryResult>)> {
-    let ctx = make_context(graph.into(), partition, bounds.use_oracle);
+    let ctx = make_context(graph.into(), partition);
     let mut out = BatchOutcome::default();
     let mut results = Vec::with_capacity(if collect { queries.len() } else { 0 });
     match mode {
@@ -323,11 +322,7 @@ fn run_indexed_inner(
     Ok((out, results))
 }
 
-fn make_context(
-    graph: Arc<Graph>,
-    partition: Option<&Partition>,
-    use_oracle: bool,
-) -> EngineContext {
+fn make_context(graph: Arc<Graph>, partition: Option<&Partition>) -> EngineContext {
     let ctx = match partition {
         Some(p) => EngineContext::bichromatic(graph, p.clone()),
         None => EngineContext::new(graph),
@@ -335,12 +330,6 @@ fn make_context(
     // Materialize the transpose now so the one-off O(n+m) build is never
     // charged to the first query's latency sample.
     ctx.sds_graph();
-    if use_oracle {
-        // Hub strategies: build 2-hop labels up front, like the transpose —
-        // the batch measures query cost, the one-off build is setup.
-        let (labels, _) = rkranks_graph::HubLabels::build(ctx.graph(), HubOrder::Degree, 0);
-        return ctx.with_oracle(Arc::new(labels));
-    }
     ctx
 }
 

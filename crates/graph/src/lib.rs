@@ -22,10 +22,6 @@
 //!   effectiveness analysis (§6.2);
 //! * closeness centrality (exact + sampled) for the Closeness-First hub
 //!   strategy (§5.1);
-//! * the pluggable distance substrate ([`DistanceOracle`]): on-demand
-//!   Dijkstra ([`DijkstraOracle`]) or a 2-hop hub-label index
-//!   ([`HubLabels`], pruned landmark labeling) answering exact
-//!   point-to-point distances as sorted-list merges;
 //! * personalized PageRank (forward push + power iteration) for the §8
 //!   future-work extension;
 //! * plain-text edge-list I/O.
@@ -46,7 +42,6 @@ pub mod heap;
 pub mod io;
 pub mod metrics;
 pub mod node;
-pub mod oracle;
 pub mod path;
 pub mod ppr;
 pub mod rank;
@@ -67,7 +62,6 @@ pub use graph::Graph;
 pub use heap::{IndexedHeap, PushOutcome};
 pub use io::{load_graph, read_graph, save_graph, write_atomic, write_graph};
 pub use node::NodeId;
-pub use oracle::{DijkstraOracle, DistanceOracle, HubLabelStats, HubLabels, HubOrder};
 pub use rank::{rank_between, rank_matrix, RankCounter};
 pub use shard::{ShardMap, ShardSlice};
 pub use store::{GraphDelta, GraphStore};

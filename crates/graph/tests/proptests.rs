@@ -221,137 +221,6 @@ proptest! {
     }
 }
 
-/// Hub-label oracle properties (the 2-hop distance substrate).
-///
-/// The oracle must be *exact*: `HubLabels::distance` agrees with a fresh
-/// Dijkstra for every ordered pair (to float tolerance — label sums add
-/// the same path weights in a different association order), including
-/// `INF` for unreachable pairs, on directed and undirected graphs, under
-/// both hub orderings, and across a stream of committed graph updates.
-mod hub_label_props {
-    use super::*;
-    use rkranks_graph::{DistanceOracle, GraphDelta, GraphStore, HubLabels, HubOrder};
-    use std::collections::BTreeMap;
-
-    fn pick_order(closeness: bool) -> HubOrder {
-        if closeness {
-            HubOrder::Closeness {
-                samples: 4,
-                seed: 7,
-            }
-        } else {
-            HubOrder::Degree
-        }
-    }
-
-    fn assert_labels_exact(g: &Graph, labels: &HubLabels) -> Result<(), TestCaseError> {
-        for s in g.nodes() {
-            let d = sssp(g, s);
-            for t in g.nodes() {
-                let (got, want) = (labels.distance(s, t), d[t.index()]);
-                prop_assert!(
-                    (got == want) || (got - want).abs() < 1e-9,
-                    "label d({s},{t}) = {got} vs sssp {want}"
-                );
-            }
-        }
-        Ok(())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn hub_distances_match_sssp(
-            (n, edges) in arb_edges(12, 20),
-            directed in any::<bool>(),
-            closeness in any::<bool>(),
-        ) {
-            let dir = if directed { EdgeDirection::Directed } else { EdgeDirection::Undirected };
-            let g = build(dir, n, &edges);
-            let (labels, stats) = HubLabels::build(&g, pick_order(closeness), 3);
-            prop_assert_eq!(labels.graph_epoch(), 3);
-            prop_assert!(stats.entries > 0);
-            assert_labels_exact(&g, &labels)?;
-        }
-
-        /// `count_within(s, d, counted)` must never exceed the true number
-        /// of counted nodes strictly inside `d` — it feeds a rank lower
-        /// bound, so an overcount would prune true results.
-        #[test]
-        fn count_within_is_sound(
-            (n, edges) in arb_edges(12, 20),
-            threshold in 0.0f64..30.0,
-            parity in any::<bool>(),
-        ) {
-            let g = build(EdgeDirection::Undirected, n, &edges);
-            let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
-            let counted = |v: NodeId| v.0.is_multiple_of(2) == parity;
-            for s in g.nodes() {
-                let d = sssp(&g, s);
-                let exact = g
-                    .nodes()
-                    .filter(|&v| v != s && counted(v) && d[v.index()] < threshold)
-                    .count() as u32;
-                let mut f = counted;
-                prop_assert!(
-                    labels.count_within(s, threshold, &mut f) <= exact,
-                    "count_within overcounted from {s} at {threshold}"
-                );
-            }
-        }
-
-        /// Update streams: stage random edge insertions/reweights through a
-        /// [`GraphStore`], and after every commit rebuild the labels at the
-        /// store's epoch — they must stay exact against the committed
-        /// snapshot. (The serving layer's retire-on-commit discipline lives
-        /// in the server tests; this pins the substrate it relies on.)
-        #[test]
-        fn hub_labels_track_update_streams(
-            (n, edges) in arb_edges(10, 12),
-            stream in proptest::collection::vec((0u32..10, 0u32..10, 0.25f64..8.0), 1..12),
-            directed in any::<bool>(),
-        ) {
-            let dir = if directed { EdgeDirection::Directed } else { EdgeDirection::Undirected };
-            let g = build(dir, n, &edges);
-            // Mirror the edge set so each stream element becomes a valid
-            // delta: insert when absent, reweight when present.
-            let mut present: BTreeMap<(u32, u32), ()> = BTreeMap::new();
-            for u in g.nodes() {
-                for (v, _) in g.edges(u) {
-                    present.insert((u.0, v.0), ());
-                }
-            }
-            let mut store = GraphStore::new(g);
-            for chunk in stream.chunks(4) {
-                let mut deltas = Vec::new();
-                for &(u, v, w) in chunk {
-                    let (u, v) = (u % n, v % n);
-                    if u == v {
-                        continue;
-                    }
-                    if present.contains_key(&(u, v)) {
-                        deltas.push(GraphDelta::Reweight { u, v, w });
-                    } else {
-                        deltas.push(GraphDelta::AddEdge { u, v, w });
-                        present.insert((u, v), ());
-                        if !directed {
-                            present.insert((v, u), ());
-                        }
-                    }
-                }
-                if deltas.is_empty() {
-                    continue;
-                }
-                let snapshot = store.apply(&deltas).unwrap();
-                let (labels, _) = HubLabels::build(&snapshot, HubOrder::Degree, store.graph_epoch());
-                prop_assert_eq!(labels.graph_epoch(), store.graph_epoch());
-                assert_labels_exact(&snapshot, &labels)?;
-            }
-        }
-    }
-}
-
 /// Row order — the invariant distance-bounded traversals rely on.
 ///
 /// Every row of every graph this crate hands out is sorted by

@@ -87,6 +87,5 @@ pub use protocol::{
     UpdateOp, PROTOCOL_VERSION,
 };
 pub use server::{
-    serve, serve_store, spawn, spawn_store, DistanceBackend, ServeOutcome, ServerConfig,
-    ServerHandle,
+    serve, serve_store, spawn, spawn_store, ServeOutcome, ServerConfig, ServerHandle,
 };

@@ -137,11 +137,6 @@ pub struct Metrics {
     /// Slow-query records captured (includes records the ring has since
     /// overwritten).
     pub slow_queries: Arc<Counter>,
-    /// Distance-oracle consultations during SDS filtering (hub
-    /// strategies).
-    pub oracle_lookups: Arc<Counter>,
-    /// Candidates pruned where the oracle's bound alone met `kRank`.
-    pub oracle_pruned: Arc<Counter>,
 
     // -- cache mirrors (authoritative values live inside the LRU's
     //    mutex; refreshed via [`Metrics::mirror_cache`]) --
@@ -175,11 +170,6 @@ pub struct Metrics {
     pub graph_nodes: Arc<Gauge>,
     /// Logical edges in the current graph snapshot.
     pub graph_edges: Arc<Gauge>,
-    /// Hub-label entries in the live distance oracle (0 for the
-    /// Dijkstra backend).
-    pub hub_label_entries: Arc<Gauge>,
-    /// Approximate heap footprint of the live hub labels, in bytes.
-    pub hub_label_bytes: Arc<Gauge>,
 
     // -- histograms (nanoseconds unless noted) --
     /// End-to-end query latency, `[strategy][outcome]` — indexed by
@@ -198,9 +188,6 @@ pub struct Metrics {
     /// Per-connection write-backlog high-water mark in bytes, recorded
     /// when the connection closes.
     pub conn_backlog_bytes: Arc<Histogram>,
-    /// Hub-label (re)build duration — one sample at startup plus one per
-    /// graph commit when the hub backend is configured.
-    pub hub_label_build_seconds: Arc<Histogram>,
 
     /// The slow-query ring buffer.
     pub slow_log: SlowQueryLog,
@@ -246,14 +233,6 @@ impl Metrics {
             ),
             oversize_lines: r.counter("rkrd_oversize_lines_total", "request lines over the cap"),
             slow_queries: r.counter("rkrd_slow_queries_total", "slow-query records captured"),
-            oracle_lookups: r.counter(
-                "rkrd_oracle_lookups_total",
-                "distance-oracle consultations during SDS filtering",
-            ),
-            oracle_pruned: r.counter(
-                "rkrd_oracle_pruned_total",
-                "candidates pruned by the oracle bound alone",
-            ),
             cache_hits: r.counter("rkrd_cache_hits_total", "result-cache hits"),
             cache_misses: r.counter("rkrd_cache_misses_total", "result-cache misses"),
             cache_evictions: r.counter("rkrd_cache_evictions_total", "LRU capacity evictions"),
@@ -269,8 +248,6 @@ impl Metrics {
             graph_epoch: r.gauge("rkrd_graph_epoch", "current graph epoch"),
             graph_nodes: r.gauge("rkrd_graph_nodes", "nodes in the serving graph"),
             graph_edges: r.gauge("rkrd_graph_edges", "edges in the serving graph"),
-            hub_label_entries: r.gauge("rkrd_hub_label_entries", "live hub-label entries"),
-            hub_label_bytes: r.gauge("rkrd_hub_label_bytes", "approximate hub-label bytes"),
             query_latency,
             filter_seconds: r.histogram_scaled(
                 "rkrd_filter_seconds",
@@ -301,11 +278,6 @@ impl Metrics {
                 "rkrd_conn_backlog_bytes",
                 "per-connection write-backlog high-water at close",
             ),
-            hub_label_build_seconds: r.histogram_scaled(
-                "rkrd_hub_label_build_seconds",
-                "hub-label (re)build duration",
-                ns,
-            ),
             slow_log: SlowQueryLog::new(slow_query_cap),
             registry: r,
         }
@@ -313,7 +285,7 @@ impl Metrics {
 
     /// Position of `strategy` in the `rkrd_query_seconds` family.
     ///
-    /// Every parseable strategy is one of [`Strategy::ALL`]'s twelve values
+    /// Every parseable strategy is one of [`Strategy::ALL`]'s ten values
     /// (canonical names cover all bound combinations), so this is a
     /// total mapping.
     pub fn strategy_index(strategy: Strategy) -> usize {
@@ -364,7 +336,7 @@ mod tests {
             .iter()
             .filter(|s| matches!(s.value, MetricValue::Histogram(_)))
             .count();
-        assert_eq!(hists, Strategy::ALL.len() * 3 + 7);
+        assert_eq!(hists, Strategy::ALL.len() * 3 + 6);
         let mut keys: Vec<_> = snap
             .samples
             .iter()

@@ -92,7 +92,7 @@ use crate::json::Json;
 /// incompatible wire change. Daemons predating the field decode as
 /// version 0, so mixed deployments fail with a one-line mismatch error
 /// instead of misparsing each other.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// One live graph update on the wire — the protocol face of
 /// `rkranks_graph::GraphDelta`. Encoded as a compact array:
@@ -538,21 +538,10 @@ pub struct StatsReply {
     /// Request lines rejected (connection closed) for exceeding the
     /// configured line cap.
     pub oversize_lines: u64,
-    /// Distance-oracle consultations during SDS filtering (hub
-    /// strategies only).
-    pub oracle_lookups: u64,
-    /// Candidates pruned where the oracle's certified bound alone met
-    /// `kRank`.
-    pub oracle_pruned: u64,
-    /// Hub-label entries in the live distance oracle (0 on the Dijkstra
-    /// backend).
-    pub hub_label_entries: u64,
-    /// Approximate heap footprint of the live hub labels, in bytes.
-    pub hub_label_bytes: u64,
 }
 
 impl StatsReply {
-    const FIELDS: [&'static str; 30] = [
+    const FIELDS: [&'static str; 26] = [
         "v",
         "queries",
         "cache_hits",
@@ -579,13 +568,9 @@ impl StatsReply {
         "batch_queries",
         "backpressure_pauses",
         "oversize_lines",
-        "oracle_lookups",
-        "oracle_pruned",
-        "hub_label_entries",
-        "hub_label_bytes",
     ];
 
-    fn values(&self) -> [u64; 30] {
+    fn values(&self) -> [u64; 26] {
         [
             self.v,
             self.queries,
@@ -613,10 +598,6 @@ impl StatsReply {
             self.batch_queries,
             self.backpressure_pauses,
             self.oversize_lines,
-            self.oracle_lookups,
-            self.oracle_pruned,
-            self.hub_label_entries,
-            self.hub_label_bytes,
         ]
     }
 
@@ -637,7 +618,7 @@ impl StatsReply {
             v: v.get("v").and_then(Json::as_u64).unwrap_or(0),
             ..Default::default()
         };
-        let slots: [&mut u64; 29] = [
+        let slots: [&mut u64; 25] = [
             &mut out.queries,
             &mut out.cache_hits,
             &mut out.cache_misses,
@@ -663,10 +644,6 @@ impl StatsReply {
             &mut out.batch_queries,
             &mut out.backpressure_pauses,
             &mut out.oversize_lines,
-            &mut out.oracle_lookups,
-            &mut out.oracle_pruned,
-            &mut out.hub_label_entries,
-            &mut out.hub_label_bytes,
         ];
         for (field, slot) in Self::FIELDS.iter().skip(1).zip(slots) {
             *slot = v
@@ -1275,7 +1252,9 @@ mod tests {
             v: PROTOCOL_VERSION,
             ..StatsReply::default()
         });
-        let line = modern.to_json().render().replace("\"v\":1,", "");
+        let full = modern.to_json().render();
+        let line = full.replace(&format!("\"v\":{PROTOCOL_VERSION},"), "");
+        assert_ne!(line, full, "the version field was not stripped");
         match Reply::from_line(&line).unwrap() {
             Reply::Stats(s) => assert_eq!(s.v, 0),
             other => panic!("unexpected reply {other:?}"),
@@ -1352,10 +1331,6 @@ mod tests {
             batch_queries: 12,
             backpressure_pauses: 2,
             oversize_lines: 1,
-            oracle_lookups: 17,
-            oracle_pruned: 5,
-            hub_label_entries: 900,
-            hub_label_bytes: 7200,
         }));
         round_trip_reply(Reply::Update {
             staged: 3,

@@ -78,10 +78,7 @@ use rkranks_core::{
     MetricsSnapshot, PartialReason, Partition, QueryRequest, QueryScratch, QueryStageStats,
     RkrIndex, Strategy,
 };
-use rkranks_graph::{
-    DijkstraOracle, DistanceOracle, Graph, GraphDelta, GraphStore, HubLabels, HubOrder, NodeId,
-    ShardSlice,
-};
+use rkranks_graph::{Graph, GraphDelta, GraphStore, NodeId, ShardSlice};
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::conn::{Conn, Fill, LineStatus};
@@ -97,47 +94,6 @@ use crate::protocol::{
 /// the yield ramp) — bounds both idle CPU and how quickly shutdown is
 /// observed.
 const POLL: Duration = Duration::from_millis(25);
-
-/// Which distance substrate the daemon installs on every engine context
-/// (`rkr serve --distance dijkstra|hub`). Either way the hub strategies
-/// (`dynamic-hub` / `indexed-hub`) are servable; the backend decides what
-/// the oracle costs and what it can prune.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DistanceBackend {
-    /// On-demand Dijkstra: no build cost, no label memory, but the
-    /// oracle certifies no rank bound — hub strategies degrade to plain
-    /// dynamic behavior.
-    #[default]
-    Dijkstra,
-    /// 2-hop hub labels (pruned landmark labeling): built at startup and
-    /// rebuilt on every graph commit, exact distances as sorted-list
-    /// merges, certified rank bounds for the SDS filter.
-    Hub,
-}
-
-impl DistanceBackend {
-    /// The `--distance` spelling of this backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            DistanceBackend::Dijkstra => "dijkstra",
-            DistanceBackend::Hub => "hub",
-        }
-    }
-}
-
-impl std::str::FromStr for DistanceBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<DistanceBackend, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "dijkstra" => Ok(DistanceBackend::Dijkstra),
-            "hub" => Ok(DistanceBackend::Hub),
-            other => Err(format!(
-                "unknown distance backend '{other}' (expected dijkstra or hub)"
-            )),
-        }
-    }
-}
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -199,11 +155,6 @@ pub struct ServerConfig {
     /// announces the slice in its `hello` reply so a coordinator can
     /// verify the topology. `None` (the default) serves every candidate.
     pub shard: Option<ShardSlice>,
-    /// Distance substrate installed on every engine context (`rkr serve
-    /// --distance`): the hub backend builds 2-hop labels at startup and
-    /// rebuilds them on every graph commit; the default Dijkstra backend
-    /// costs nothing and certifies nothing.
-    pub distance: DistanceBackend,
 }
 
 impl Default for ServerConfig {
@@ -220,7 +171,6 @@ impl Default for ServerConfig {
             slow_query_ms: None,
             slow_query_cap: SLOW_LOG_CAPACITY,
             shard: None,
-            distance: DistanceBackend::Dijkstra,
         }
     }
 }
@@ -285,49 +235,20 @@ struct Shared {
 /// is configured, and narrowed to a shard's owned candidates when this
 /// daemon serves one slice of a sharded deployment. Both the startup path
 /// and the merger's post-commit rebuild go through here so a shard never
-/// silently widens back to the full candidate set after a graph commit —
-/// and so the distance oracle is always rebuilt for (and epoch-tagged
-/// with) the snapshot it describes. Hub-label builds are timed into
-/// `rkrd_hub_label_build_seconds` and sized into the label gauges.
+/// silently widens back to the full candidate set after a graph commit.
 fn build_context(
     graph: Arc<Graph>,
     partition: &Option<Partition>,
     shard: Option<ShardSlice>,
-    distance: DistanceBackend,
-    graph_epoch: u64,
-    metrics: &Metrics,
 ) -> EngineContext {
     let ctx = match partition {
         Some(p) => EngineContext::bichromatic(graph, p.clone()),
         None => EngineContext::new(graph),
     };
-    let ctx = match shard {
+    match shard {
         Some(s) => ctx.with_shard_slice(s),
         None => ctx,
-    };
-    let oracle: Arc<dyn DistanceOracle> = match distance {
-        DistanceBackend::Dijkstra => Arc::new(DijkstraOracle::new(
-            Arc::clone(ctx.graph_arc()),
-            graph_epoch,
-        )),
-        DistanceBackend::Hub => {
-            let (labels, stats) = HubLabels::build(ctx.graph(), HubOrder::Degree, graph_epoch);
-            metrics
-                .hub_label_build_seconds
-                .record(duration_ns(stats.build_time));
-            metrics.hub_label_entries.set(stats.entries);
-            metrics.hub_label_bytes.set(stats.bytes as u64);
-            log_info!(
-                "hub labels: {} entries ({} bytes) built in {:?} for graph epoch {}",
-                stats.entries,
-                stats.bytes,
-                stats.build_time,
-                graph_epoch
-            );
-            Arc::new(labels)
-        }
-    };
-    ctx.with_oracle(oracle)
+    }
 }
 
 /// Serve until a client sends `shutdown`. Blocks the calling thread; use
@@ -378,17 +299,7 @@ pub fn serve_store(
     // Restored WAL deltas are already staged in the store; mirror them
     // into the merger's `due` hint so they commit on its first pass.
     let staged_at_start = store.pending_deltas() as u64;
-    // The metrics registry exists before the first context so the
-    // startup hub-label build lands in its histogram too.
-    let metrics = Metrics::new(config.slow_query_cap);
-    let ctx = build_context(
-        store.snapshot(),
-        &partition,
-        config.shard,
-        config.distance,
-        store.graph_epoch(),
-        &metrics,
-    );
+    let ctx = build_context(store.snapshot(), &partition, config.shard);
     // Pay the one-off transpose build before the first query is timed.
     ctx.sds_graph();
     let shared = Shared {
@@ -405,7 +316,7 @@ pub fn serve_store(
         merge_signal: Condvar::new(),
         cache: (config.cache_capacity > 0)
             .then(|| Mutex::new(ResultCache::new(config.cache_capacity))),
-        metrics,
+        metrics: Metrics::new(config.slow_query_cap),
         shutdown: AtomicBool::new(false),
         backend,
         accept_err_logged: AtomicBool::new(false),
@@ -510,7 +421,7 @@ pub fn spawn_store(
 
 /// Encode a [`BoundConfig`] for the cache key.
 fn bounds_bits(b: BoundConfig) -> u8 {
-    b.use_height as u8 | (b.use_count as u8) << 1 | (b.use_oracle as u8) << 2
+    b.use_height as u8 | (b.use_count as u8) << 1
 }
 
 /// Derive the cache-key strategy byte from a request's [`Strategy`]:
@@ -1247,16 +1158,6 @@ fn run_query(
         .iter()
         .map(|e| (e.node.0, e.rank))
         .collect();
-    if outcome.result.stats.oracle_lookups > 0 {
-        shared
-            .metrics
-            .oracle_lookups
-            .add(outcome.result.stats.oracle_lookups);
-        shared
-            .metrics
-            .oracle_pruned
-            .add(outcome.result.stats.pruned_by_oracle);
-    }
     pass.queries += 1;
     if !delta.is_empty() {
         pass.deltas.push(delta);
@@ -1418,14 +1319,7 @@ fn merge_pending(shared: &Shared) -> (u64, u64) {
             let mut fresh = RkrIndex::empty(snapshot.num_nodes(), write.master.k_max());
             fresh.set_graph_epoch(graph_epoch);
             write.master = fresh;
-            let ctx = build_context(
-                snapshot,
-                &shared.partition,
-                shared.config.shard,
-                shared.config.distance,
-                graph_epoch,
-                &shared.metrics,
-            );
+            let ctx = build_context(snapshot, &shared.partition, shared.config.shard);
             // The merger pays the transpose build, not the first query.
             ctx.sds_graph();
             new_ctx = Some(Arc::new(ctx));
@@ -1590,10 +1484,6 @@ fn stats_snapshot(shared: &Shared) -> StatsReply {
         batch_queries: m.batch_queries.get(),
         backpressure_pauses: m.backpressure_pauses.get(),
         oversize_lines: m.oversize_lines.get(),
-        oracle_lookups: m.oracle_lookups.get(),
-        oracle_pruned: m.oracle_pruned.get(),
-        hub_label_entries: m.hub_label_entries.get(),
-        hub_label_bytes: m.hub_label_bytes.get(),
     }
 }
 
@@ -2032,81 +1922,14 @@ mod tests {
         assert_eq!(handle.join().graph_epoch, 1);
     }
 
-    /// The hub distance backend over the wire: `dynamic-hub` answers are
-    /// rank-identical to the plain dynamic strategy, the label gauges and
-    /// oracle counters are live, and a graph commit rebuilds the labels
-    /// at the new epoch (answers stay rank-identical after).
+    /// The cache-key contract [`strategy_bits`] documents: distinct
+    /// strategies never share a byte, so they never share cache entries.
     #[test]
-    fn hub_backend_serves_hub_strategies_and_rebuilds_on_commit() {
-        let handle = spawn_grid(ServerConfig {
-            workers: 1,
-            cache_capacity: 0,
-            merge_every: 0,
-            bounds: BoundConfig::ALL,
-            snapshot: None,
-            distance: DistanceBackend::Hub,
-            ..Default::default()
-        });
-        let mut client = Client::connect(handle.addr()).unwrap();
-        let opts = |s: &str| QueryOptions {
-            strategy: Some(s.into()),
-            ..QueryOptions::default()
-        };
-        let ranks = |e: &[(u32, u32)]| e.iter().map(|&(_, r)| r).collect::<Vec<_>>();
-        for node in 0..4 {
-            let want = client.query_opts(node, 2, &opts("dynamic-three")).unwrap();
-            let got = client.query_opts(node, 2, &opts("dynamic-hub")).unwrap();
-            assert_eq!(ranks(&got.entries), ranks(&want.entries), "node {node}");
-        }
-        let stats = client.stats().unwrap();
-        assert!(stats.hub_label_entries > 0, "labels were built");
-        assert!(stats.hub_label_bytes > 0);
-        assert!(stats.oracle_lookups > 0, "hub queries consult the oracle");
-
-        // A committed graph change retires + rebuilds the labels at the
-        // new epoch; hub answers keep matching the dynamic strategy.
-        client
-            .update(&[UpdateOp::Reweight { u: 0, v: 1, w: 9.0 }])
-            .unwrap();
-        client.flush().unwrap();
-        for node in 0..4 {
-            let want = client.query_opts(node, 2, &opts("dynamic-three")).unwrap();
-            let got = client.query_opts(node, 2, &opts("dynamic-hub")).unwrap();
-            assert_eq!(got.graph_epoch, 1, "labels serve the committed epoch");
-            assert_eq!(
-                ranks(&got.entries),
-                ranks(&want.entries),
-                "node {node} after commit"
-            );
-        }
-        client.shutdown().unwrap();
-        handle.join();
-    }
-
-    /// The default (Dijkstra) backend still serves hub strategies — the
-    /// trivial oracle certifies nothing, so they degrade to dynamic
-    /// behavior instead of erroring.
-    #[test]
-    fn dijkstra_backend_serves_hub_strategies_too() {
-        let handle = spawn_grid(ServerConfig {
-            workers: 1,
-            cache_capacity: 0,
-            merge_every: 0,
-            bounds: BoundConfig::ALL,
-            snapshot: None,
-            ..Default::default()
-        });
-        let mut client = Client::connect(handle.addr()).unwrap();
-        let opts = QueryOptions {
-            strategy: Some("indexed-hub".into()),
-            ..QueryOptions::default()
-        };
-        let reply = client.query_opts(0, 2, &opts).unwrap();
-        assert_eq!(reply.entries.len(), 2);
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.hub_label_entries, 0, "no labels on this backend");
-        client.shutdown().unwrap();
-        handle.join();
+    fn strategy_bits_is_injective_over_every_strategy() {
+        let mut bytes: Vec<u8> = Strategy::ALL.iter().map(|&s| strategy_bits(s)).collect();
+        bytes.sort_unstable();
+        bytes.dedup();
+        assert_eq!(bytes.len(), Strategy::ALL.len(), "{bytes:?}");
     }
 
     #[test]

@@ -281,19 +281,22 @@ fn strategies_and_deadlines_over_the_wire() {
         assert_eq!(&got, &expected[&7], "{strategy}: ranks diverged");
     }
 
-    // An unknown strategy is a protocol-level error, not a dropped
-    // connection.
-    let err = client
-        .query_opts(
-            7,
-            K,
-            &QueryOptions {
-                strategy: Some("turbo".into()),
-                ..QueryOptions::default()
-            },
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("unknown strategy"), "{err}");
+    // An unknown strategy — a retired one (`dynamic-hub`, PR 25)
+    // included — is a protocol-level error, not a dropped connection: the
+    // same client serves the next query below.
+    for bad in ["turbo", "dynamic-hub"] {
+        let err = client
+            .query_opts(
+                7,
+                K,
+                &QueryOptions {
+                    strategy: Some(bad.into()),
+                    ..QueryOptions::default()
+                },
+            )
+            .unwrap_err();
+        assert!(err.to_string().contains("unknown strategy"), "{bad}: {err}");
+    }
 
     // A zero deadline always trips: the reply is flagged partial. Node 9
     // is fresh (never cached above), so the lookup misses and the

@@ -227,38 +227,4 @@ else
     echo "skipping the epoll leg: $(uname -s) has no epoll"
 fi
 
-# ---- hub-distance leg: the 2-hop label oracle end to end ---------------
-# Serve with --distance hub and assert the banner says so, a remote
-# dynamic-hub query is rank-identical to the in-process dynamic answer,
-# and the stats report label size + oracle traffic.
-"$RKR" serve "$WORK/g.edges" --addr 127.0.0.1:0 --workers 2 --cache 64 \
-    --merge-every 8 --distance hub > "$WORK/serve5.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-    ADDR="$(grep -oE '127\.0\.0\.1:[0-9]+' "$WORK/serve5.log" | head -1 || true)"
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "${ADDR:-}" ] || { echo "hub rkrd never printed its address"; cat "$WORK/serve5.log"; exit 1; }
-grep -q 'hub distance' "$WORK/serve5.log" || {
-    echo "banner must announce the hub distance backend"; cat "$WORK/serve5.log"; exit 1; }
-echo "hub rkrd up at $ADDR"
-
-"$RKR" query --remote "$ADDR" --node 5 --k 4 --algo dynamic-hub \
-    | grep ' rank ' | sort > "$WORK/hub.txt"
-diff -u "$WORK/local.txt" "$WORK/hub.txt"
-echo "hub remote == in-process"
-
-"$RKR" ctl "$ADDR" stats > "$WORK/stats-hub.txt"
-grep -Eq 'hub labels: *[1-9][0-9]* entries' "$WORK/stats-hub.txt" || {
-    echo "stats must report a nonempty hub label index"; cat "$WORK/stats-hub.txt"; exit 1; }
-grep -Eq 'oracle: *[1-9][0-9]* lookups' "$WORK/stats-hub.txt" || {
-    echo "a dynamic-hub query must drive oracle lookups"; cat "$WORK/stats-hub.txt"; exit 1; }
-"$RKR" ctl "$ADDR" metrics > "$WORK/metrics-hub.txt"
-grep -q 'rkrd_hub_label_entries' "$WORK/metrics-hub.txt" || {
-    echo "metrics must expose the hub label gauges"; exit 1; }
-"$RKR" ctl "$ADDR" shutdown
-wait "$SERVE_PID"
-SERVE_PID=""
-cat "$WORK/serve5.log"
 echo "serve smoke OK"

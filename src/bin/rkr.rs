@@ -106,8 +106,7 @@ const USAGE: &str = "usage:
             [--indexed-mode sequential|snapshot] [--merge-every M] [--index FILE] [--seed S]
   rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N] [--merge-every M]
             [--index FILE] [--kmax K] [--save-index] [--snapshot FILE]
-            [--event-loop auto|epoll|poll] [--distance dijkstra|hub]
-            [--high-water BYTES] [--max-line BYTES]
+            [--event-loop auto|epoll|poll] [--high-water BYTES] [--max-line BYTES]
             [--log-level error|warn|info|debug] [--slow-query-ms MS] [--slow-query-cap N]
             [--shard-id I --shard-count N [--shard-seed S]]
   rkr shard-plan <graph.edges> --shards N [--seed S]
@@ -118,8 +117,8 @@ const USAGE: &str = "usage:
   rkr ctl <HOST:PORT> add-edge U V W | rm-edge U V | reweight U V W | add-node
   rkr update <HOST:PORT> --from FILE [--batch N] [--no-flush]
 
-STRATEGY: naive | static | dynamic[-parent|-height|-count|-three|-hub]
-        | indexed[-parent|-height|-count|-three|-hub]
+STRATEGY: naive | static | dynamic[-parent|-height|-count|-three]
+        | indexed[-parent|-height|-count|-three]
 update files: one op per line — add U V W | rm U V | reweight U V W | add-node";
 
 fn main() -> ExitCode {
@@ -181,23 +180,68 @@ impl Flags {
     fn has(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
+
+    /// Every flag and switch name given, in that order.
+    fn names(&self) -> impl Iterator<Item = &str> {
+        let pairs = self.pairs.iter().map(|(n, _)| n.as_str());
+        pairs.chain(self.switches.iter().map(String::as_str))
+    }
 }
+
+type Command = fn(&Flags) -> Result<(), String>;
+
+/// Each command, its handler, and every flag or switch it accepts
+/// (space-separated): the one list a command line is checked against
+/// before any work starts, so a typo'd or retired flag fails instead of
+/// being ignored. A unit test keeps the lists equal to USAGE.
+const COMMANDS: [(&str, Command, &str); 10] = [
+    ("gen", cmd_gen, "scale seed out"),
+    ("stats", cmd_stats, ""),
+    (
+        "build-index",
+        cmd_build_index,
+        "out h m kmax strategy threads",
+    ),
+    (
+        "query",
+        cmd_query,
+        "remote node k algo deadline-ms refine-budget trace index save-index no-cache",
+    ),
+    (
+        "batch",
+        cmd_batch,
+        "queries k algo threads indexed-mode merge-every index seed",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "addr workers cache merge-every index kmax save-index snapshot event-loop high-water \
+         max-line log-level slow-query-ms slow-query-cap shard-id shard-count shard-seed",
+    ),
+    ("shard-plan", cmd_shard_plan, "shards seed"),
+    (
+        "coord",
+        cmd_coord,
+        "shards addr max-line shard-timeout-ms log-level",
+    ),
+    ("ctl", cmd_ctl, "json prom"),
+    ("update", cmd_update, "from batch no-flush"),
+];
 
 fn run(args: Vec<String>) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    match flags.positional.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&flags),
-        Some("stats") => cmd_stats(&flags),
-        Some("build-index") => cmd_build_index(&flags),
-        Some("query") => cmd_query(&flags),
-        Some("batch") => cmd_batch(&flags),
-        Some("serve") => cmd_serve(&flags),
-        Some("shard-plan") => cmd_shard_plan(&flags),
-        Some("coord") => cmd_coord(&flags),
-        Some("ctl") => cmd_ctl(&flags),
-        Some("update") => cmd_update(&flags),
-        _ => Err("missing or unknown command".into()),
+    let name = flags.positional.first().map(String::as_str);
+    let (cmd, handler, accepted) = COMMANDS
+        .iter()
+        .find(|(cmd, _, _)| Some(*cmd) == name)
+        .ok_or("missing or unknown command")?;
+    if let Some(bad) = flags
+        .names()
+        .find(|n| !accepted.split_whitespace().any(|a| a == *n))
+    {
+        return Err(format!("unknown flag --{bad} for 'rkr {cmd}'"));
     }
+    handler(&flags)
 }
 
 fn graph_arg(flags: &Flags) -> Result<Graph, String> {
@@ -523,11 +567,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         },
         slow_query_cap,
         shard,
-        distance: flags
-            .get("distance")
-            .unwrap_or("dijkstra")
-            .parse()
-            .map_err(|e: String| e)?,
     };
     let listener =
         std::net::TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -543,7 +582,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     println!(
         "rkrd listening on {local} ({} event loop, {} workers, cache {}, merge every {}, \
-         {} distance, k <= {})",
+         k <= {})",
         config.event_loop.resolved_name(),
         config.workers,
         if cache > 0 {
@@ -556,7 +595,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         } else {
             "flush-only".into()
         },
-        config.distance.name(),
         index.k_max(),
     );
     let outcome = rkranks_server::serve_store(store, None, index, listener, &config);
@@ -852,14 +890,6 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
                 "merges:         {} ({} deltas folded)",
                 s.merges, s.deltas_merged
             );
-            println!(
-                "hub labels:     {} entries (~{} bytes)",
-                s.hub_label_entries, s.hub_label_bytes
-            );
-            println!(
-                "oracle:         {} lookups, {} candidates pruned",
-                s.oracle_lookups, s.oracle_pruned
-            );
             println!("workers:        {}", s.workers);
             println!(
                 "event loop:     {} wakeups, {} batches / {} batched queries",
@@ -1082,23 +1112,7 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     if flags.has("trace") {
         req = req.with_trace();
     }
-    // Hub strategies need a distance oracle on the context; locally the
-    // labels are built on the spot (the daemon amortizes this per epoch).
-    let uses_oracle =
-        matches!(strategy, Strategy::Dynamic(b) | Strategy::Indexed(b) if b.use_oracle);
-    let mut engine = if uses_oracle {
-        use rkranks_graph::{HubLabels, HubOrder};
-        let (labels, lstats) = HubLabels::build(&g, HubOrder::Degree, 0);
-        eprintln!(
-            "(hub labels: {} entries, {} bytes, built in {:.2?})",
-            lstats.entries, lstats.bytes, lstats.build_time
-        );
-        QueryEngine::from_context(
-            rkranks_core::EngineContext::new(g).with_oracle(std::sync::Arc::new(labels)),
-        )
-    } else {
-        QueryEngine::new(g)
-    };
+    let mut engine = QueryEngine::new(g);
     let start = Instant::now();
     let (outcome, index_to_save): (QueryOutcome, Option<RkrIndex>) = if strategy.needs_index() {
         let mut index = match flags.get("index") {
@@ -1147,12 +1161,6 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
         result.stats.pruned_by_bound,
         result.stats.index_exact_hits
     );
-    if result.stats.oracle_lookups > 0 {
-        println!(
-            "oracle: {} lookups, {} candidates pruned by the hub bound",
-            result.stats.oracle_lookups, result.stats.pruned_by_oracle
-        );
-    }
     if result.stats.sds_passes > 0 {
         println!(
             "ladder: {} passes, {} refinement settles and {} pushes in all \
@@ -1175,4 +1183,61 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--flag` names USAGE shows for each command, continuation lines
+    /// included.
+    fn usage_flags() -> Vec<(&'static str, Vec<&'static str>)> {
+        let mut out: Vec<(&str, Vec<&str>)> = Vec::new();
+        let mut current = None;
+        for line in USAGE.lines() {
+            if let Some(rest) = line.strip_prefix("  rkr ") {
+                let cmd = rest.split_whitespace().next().unwrap();
+                if !out.iter().any(|(c, _)| *c == cmd) {
+                    out.push((cmd, Vec::new()));
+                }
+                current = out.iter().position(|(c, _)| *c == cmd);
+            } else if !line.starts_with("            ") {
+                current = None;
+            }
+            let Some(i) = current else { continue };
+            for (at, _) in line.match_indices("--") {
+                let name = &line[at + 2..];
+                let end = name
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(name.len());
+                if !out[i].1.contains(&&name[..end]) {
+                    out[i].1.push(&name[..end]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn usage_and_the_accepted_flag_lists_agree() {
+        let usage = usage_flags();
+        let commands: Vec<&str> = usage.iter().map(|(c, _)| *c).collect();
+        let listed: Vec<&str> = COMMANDS.iter().map(|(c, _, _)| *c).collect();
+        assert_eq!(
+            commands, listed,
+            "USAGE and COMMANDS name different commands"
+        );
+        for ((cmd, shown), (_, _, accepted)) in usage.iter().zip(&COMMANDS) {
+            let accepted: Vec<&str> = accepted.split_whitespace().collect();
+            for flag in shown {
+                assert!(accepted.contains(flag), "USAGE shows --{flag} for {cmd}");
+            }
+            for flag in &accepted {
+                assert!(
+                    shown.contains(flag),
+                    "{cmd} accepts --{flag}, USAGE omits it"
+                );
+            }
+        }
+    }
 }

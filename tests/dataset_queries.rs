@@ -2,12 +2,10 @@
 //! agree, results verify against independently computed ranks, and
 //! everything is deterministic per seed.
 
-use std::sync::Arc;
-
 use reverse_k_ranks::prelude::*;
 use rkranks_core::assert_all_strategies_match;
 use rkranks_datasets::{dblp_like, epinions_like, sf_like};
-use rkranks_graph::{rank_between, HubLabels, HubOrder};
+use rkranks_graph::rank_between;
 
 fn verify_result_ranks(g: &Graph, q: NodeId, result: &rkranks_core::QueryResult) {
     let mut ws = DijkstraWorkspace::new(g.num_nodes());
@@ -22,11 +20,8 @@ fn verify_result_ranks(g: &Graph, q: NodeId, result: &rkranks_core::QueryResult)
     }
 }
 
-/// `ctx` with hub labels attached — so [`assert_all_strategies_match`]
-/// runs the hub members too — and an index built for it.
-fn with_hub_labels_and_index(ctx: EngineContext) -> (EngineContext, RkrIndex) {
-    let (labels, _) = HubLabels::build(ctx.graph(), HubOrder::Degree, 0);
-    let ctx = ctx.with_oracle(Arc::new(labels));
+/// `ctx` and an index built for it.
+fn with_index(ctx: EngineContext) -> (EngineContext, RkrIndex) {
     let (built, _) = ctx.build_index(&IndexParams {
         k_max: 20,
         ..Default::default()
@@ -45,7 +40,7 @@ fn verified_naive(ctx: &EngineContext, q: NodeId, k: u32) -> QueryResult {
 #[test]
 fn dblp_like_all_algorithms_agree() {
     let g = dblp_like(Scale::Tiny, 5);
-    let (ctx, built) = with_hub_labels_and_index(EngineContext::new(&g));
+    let (ctx, built) = with_index(EngineContext::new(&g));
     for q in [NodeId(0), NodeId(7), NodeId(150), NodeId(299)] {
         let naive = verified_naive(&ctx, q, 10);
         assert_all_strategies_match(&ctx, None, q, 10, &naive);
@@ -57,7 +52,7 @@ fn dblp_like_all_algorithms_agree() {
 fn epinions_like_directed_agreement() {
     let g = epinions_like(Scale::Tiny, 5);
     assert!(g.is_directed());
-    let (ctx, built) = with_hub_labels_and_index(EngineContext::new(&g));
+    let (ctx, built) = with_index(EngineContext::new(&g));
     for q in [NodeId(1), NodeId(42), NodeId(250)] {
         let naive = verified_naive(&ctx, q, 5);
         assert_all_strategies_match(&ctx, None, q, 5, &naive);
@@ -70,7 +65,7 @@ fn road_network_bichromatic_agreement() {
     let net = sf_like(Scale::Tiny, 5);
     let g = &net.graph;
     let part = Partition::from_v2_nodes(g.num_nodes(), &net.stores);
-    let (ctx, built) = with_hub_labels_and_index(EngineContext::bichromatic(g, part.clone()));
+    let (ctx, built) = with_index(EngineContext::bichromatic(g, part.clone()));
     for &q in net.stores.iter().take(4) {
         let expect = rkranks_core::bichromatic::bichromatic_brute_force(g, &part, q, 5);
         assert_all_strategies_match(&ctx, None, q, 5, &expect);

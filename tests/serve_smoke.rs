@@ -696,161 +696,6 @@ fn parse_prometheus(text: &str) -> PromScrape {
     PromScrape { samples }
 }
 
-/// The distance substrate is selectable: `--distance hub` must come up
-/// announcing the hub backend, serve a remote `dynamic-hub` query
-/// rank-identical to the in-process dynamic answer, report label size
-/// and oracle traffic through `ctl stats`, and rebuild the labels at the
-/// next graph epoch after a committed update.
-#[test]
-fn hub_distance_backend_serves_and_reports_labels() {
-    let dir = temp_dir("hub");
-    rkr_ok(
-        &dir,
-        &[
-            "gen", "dblp", "--scale", "tiny", "--seed", "7", "--out", "g.edges",
-        ],
-    );
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rkr"))
-        .current_dir(&dir)
-        .args([
-            "serve",
-            "g.edges",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--cache",
-            "64",
-            "--merge-every",
-            "8",
-            "--distance",
-            "hub",
-        ])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("failed to spawn rkrd");
-    let stdout = child.stdout.take().expect("rkrd stdout piped");
-    let mut guard = DaemonGuard(child);
-    let mut reader = BufReader::new(stdout);
-    let mut banner = String::new();
-    reader.read_line(&mut banner).expect("rkrd banner");
-    assert!(
-        banner.contains("hub distance"),
-        "banner must announce the distance backend: {banner:?}"
-    );
-    let addr = banner
-        .split_whitespace()
-        .find(|tok| tok.starts_with("127.0.0.1:"))
-        .unwrap_or_else(|| panic!("no address in banner: {banner:?}"))
-        .to_string();
-
-    // remote dynamic-hub vs in-process dynamic: rank-identical
-    for node in ["0", "5", "17"] {
-        let remote = rkr_ok(
-            &dir,
-            &[
-                "query",
-                "--remote",
-                &addr,
-                "--node",
-                node,
-                "--k",
-                "4",
-                "--algo",
-                "dynamic-hub",
-            ],
-        );
-        let local = rkr_ok(
-            &dir,
-            &[
-                "query", "g.edges", "--node", node, "--k", "4", "--algo", "dynamic",
-            ],
-        );
-        assert_equivalent(
-            &format!("hub node {node}"),
-            &parse_result(&remote),
-            &parse_result(&local),
-        );
-    }
-
-    // stats report a nonempty label index and the oracle traffic it served
-    let stats = rkr_ok(&dir, &["ctl", &addr, "stats"]);
-    let labels_line = stats
-        .lines()
-        .find(|l| l.starts_with("hub labels:"))
-        .unwrap_or_else(|| panic!("no hub label line in stats:\n{stats}"));
-    assert!(
-        !labels_line.contains(" 0 entries"),
-        "hub backend must build a nonempty label index: {labels_line}"
-    );
-    let oracle_line = stats
-        .lines()
-        .find(|l| l.starts_with("oracle:"))
-        .unwrap_or_else(|| panic!("no oracle line in stats:\n{stats}"));
-    assert!(
-        !oracle_line.starts_with("oracle:         0 lookups"),
-        "dynamic-hub queries must drive oracle lookups: {oracle_line}"
-    );
-    let metrics = rkr_ok(&dir, &["ctl", &addr, "metrics"]);
-    assert!(metrics.contains("rkrd_hub_label_entries"), "{metrics}");
-
-    // a committed update retires the labels and rebuilds them at the new
-    // epoch — the post-commit dynamic-hub answer must track the new graph
-    let graph_stats = rkr_ok(&dir, &["stats", "g.edges"]);
-    let nodes: u32 = graph_stats
-        .lines()
-        .find_map(|l| l.strip_prefix("nodes:"))
-        .expect("stats prints the node count")
-        .trim()
-        .parse()
-        .unwrap();
-    rkr_ok(&dir, &["ctl", &addr, "add-node"]);
-    rkr_ok(
-        &dir,
-        &["ctl", &addr, "add-edge", "17", &nodes.to_string(), "0.01"],
-    );
-    let after_raw = rkr_ok(
-        &dir,
-        &[
-            "query",
-            "--remote",
-            &addr,
-            "--node",
-            "17",
-            "--k",
-            "4",
-            "--algo",
-            "dynamic-hub",
-        ],
-    );
-    assert!(
-        after_raw.contains("graph epoch 2"),
-        "two ctl commits must reach graph epoch 2:\n{after_raw}"
-    );
-    let after = parse_result(&after_raw);
-    assert!(
-        after.contains_key(&nodes),
-        "the rebuilt labels must see the new nearest node: {after:?}"
-    );
-
-    rkr_ok(&dir, &["ctl", &addr, "shutdown"]);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if let Some(status) = guard.0.try_wait().expect("try_wait") {
-            assert!(status.success(), "rkrd exited with {status}");
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "rkrd did not exit after shutdown"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn serve_rejects_unknown_event_loop_backend() {
     let dir = temp_dir("backend-arg");
@@ -878,6 +723,62 @@ fn serve_rejects_unknown_event_loop_backend() {
         stderr.contains("unknown event loop"),
         "unhelpful error: {stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flag the command does not accept fails the command before it does
+/// any work — a retired one (`--distance`, PR 25) or a typo alike —
+/// instead of being silently ignored.
+#[test]
+fn serve_rejects_the_retired_distance_flag() {
+    let dir = temp_dir("distance-arg");
+    rkr_ok(
+        &dir,
+        &["gen", "dblp", "--scale", "tiny", "--out", "g.edges"],
+    );
+    let out = rkr(
+        &dir,
+        &[
+            "serve",
+            "g.edges",
+            "--addr",
+            "127.0.0.1:0",
+            "--distance",
+            "hub",
+        ],
+    );
+    assert!(!out.status.success(), "--distance must be rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --distance for 'rkr serve'"),
+        "unhelpful error: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn query_rejects_a_misspelled_flag() {
+    let dir = temp_dir("typo-arg");
+    rkr_ok(
+        &dir,
+        &["gen", "dblp", "--scale", "tiny", "--out", "g.edges"],
+    );
+    // a misspelled valued flag, and a misspelled switch
+    for (args, bad) in [
+        (&["--algoo", "naive"][..], "algoo"),
+        (&["--tracee"][..], "tracee"),
+    ] {
+        let mut line = vec!["query", "g.edges", "--node", "5", "--k", "3"];
+        line.extend_from_slice(args);
+        let out = rkr(&dir, &line);
+        assert!(!out.status.success(), "--{bad} must be rejected");
+        assert!(out.stdout.is_empty(), "no query may run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag --{bad} for 'rkr query'")),
+            "unhelpful error: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,12 +1,10 @@
 //! Integration test: every claim the paper makes about the Figure 1 toy
 //! example, verified end to end through the public facade.
 
-use std::sync::Arc;
-
 use reverse_k_ranks::prelude::*;
 use rkranks_core::assert_all_strategies_match;
 use rkranks_datasets::toy::{self, ALICE, BOB, CAROLINE, ERIC, FRANK, GEORGE, NAMES, SID, TABLE1};
-use rkranks_graph::{rank_matrix, reverse_top_k, HubLabels, HubOrder};
+use rkranks_graph::{rank_matrix, reverse_top_k};
 
 #[test]
 fn table1_rank_matrix_is_exact() {
@@ -27,8 +25,7 @@ fn table1_rank_matrix_is_exact() {
 fn example1_reverse_2_ranks_of_alice() {
     // "a reverse 2-ranks query for Alice returns {Bob, Caroline}"
     let g = toy::paper_example();
-    let (labels, _) = HubLabels::build(&g, HubOrder::Degree, 0);
-    let ctx = EngineContext::new(&g).with_oracle(Arc::new(labels));
+    let ctx = EngineContext::new(&g);
     let mut scratch = ctx.new_scratch();
     for strategy in [
         Strategy::Naive,
@@ -40,7 +37,7 @@ fn example1_reverse_2_ranks_of_alice() {
         assert_eq!(result.nodes(), vec![BOB, CAROLINE]);
         assert_eq!(result.ranks(), vec![3, 4]);
     }
-    // Every query node, every strategy (hub members included), over a
+    // Every query node, every strategy, over a
     // cold index and over a built one.
     let (built, _) = ctx.build_index(&IndexParams {
         hub_fraction: 0.6,
