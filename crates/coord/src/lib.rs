@@ -72,7 +72,7 @@
 //! number of parked connections. Thread-per-connection stays for now
 //! because the alternative is the shard daemon's readiness loop, and
 //! sharing that loop between `rkrd` and the coordinator is a refactor of
-//! its own (ROADMAP item 2) that should not be half-done inside a latency
+//! its own (ROADMAP item 9) that should not be half-done inside a latency
 //! fix; blocking streams give the same "woken by the bytes" behaviour
 //! with the fan-out code unchanged.
 //!

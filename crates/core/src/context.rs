@@ -25,18 +25,22 @@
 //! algorithm (`sds_pass`) with the pruning bound clamped to
 //! `min(kRank, G + 1)` for a guess `G` and **accepts the pass only if `R`
 //! ends full with its real k-th rank `≤ G`**; otherwise it discards the
-//! pass and runs the next rung. The ladder has two rungs today: `G = 8k`,
-//! then `u32::MAX` — the paper's algorithm as written, accepted
-//! unconditionally (`LADDER_GUESS_PER_K` says why not more). Soundness
-//! in three lines: `kRank` only ever falls, so in an accepted pass every
-//! bound used, `min(kRank_t, G+1)`, is `≥` the final `kRank`; a prune under
-//! a bound `≥` the final `kRank` is one the paper's algorithm is also
-//! entitled to make (Theorem 1/2 argue from the *final* `kRank`); hence
-//! the rank multiset is the paper's (ties at the k-th rank excepted, as
-//! ever). A guess `≥ |V|` cannot prune anything a rank could reach and is
-//! run as `u32::MAX`, so small graphs pay nothing. Conversely any guess `≥`
-//! the true `kRank` is accepted, because no candidate ranked `≤ G` (nor any
-//! of its SDS ancestors) is ever pruned by the clamp.
+//! pass and runs the next rung under `G · LADDER_GROWTH`. The rungs are
+//! geometric — `8k`, `128k`, `2048k`, … (k = 10 on the 25k-node benchmark
+//! graph: 80, 1,280, 20,480) — until a guess reaches `|V|`: such a guess
+//! cannot prune anything a rank could reach and is run as `u32::MAX`, the
+//! paper's algorithm as written, accepted unconditionally. So the ladder
+//! always ends, and small graphs pay nothing. `LADDER_GUESS_PER_K` and
+//! `LADDER_GROWTH` carry the measurements behind the two constants.
+//! Soundness is per pass, so it holds for any ladder: `kRank` only ever
+//! falls, so in an accepted pass every bound used, `min(kRank_t, G+1)`, is
+//! `≥` the final `kRank`; a prune under a bound `≥` the final `kRank` is one
+//! the paper's algorithm is also entitled to make (Theorem 1/2 argue from
+//! the *final* `kRank`); hence the rank multiset is the paper's (ties at
+//! the k-th rank excepted, as ever). Conversely any guess `≥` the true
+//! `kRank` is accepted, because no candidate ranked `≤ G` (nor any of its
+//! SDS ancestors) is ever pruned by the clamp — so the first rung at or
+//! above the true `kRank` is the last one run.
 //!
 //! Stats, limits and traces span the whole ladder: [`QueryStats`] sums all
 //! passes (`sds_passes` says how many), a deadline or refine budget is
@@ -101,7 +105,13 @@
 //! engaging only when the ball covers half the prune bound (23.6 M, and
 //! slower); a per-node `under` flag written in `expand` instead of the
 //! `pred` walk (same work, one more stamped array); crediting the frozen
-//! ball to Lemma 4's counters (15 refinements fewer in 50,168).
+//! ball to Lemma 4's counters (15 refinements fewer in 50,168). And on the
+//! ×16 ladder (802,830 refinement settles): an exact-rank memo carried
+//! across rungs, so a rejected pass's completed refinements need not be
+//! repeated (−1 to −6 % of the accepted pass's pushes, no time saved);
+//! jumping the next guess straight to `R`'s k-th rank after a rejected
+//! pass (no counter moved: none of the 44 rejected passes ends with `R`
+//! full, so there is no k-th rank to jump to).
 
 use std::mem;
 use std::sync::{Arc, OnceLock};
@@ -121,27 +131,38 @@ use crate::spec::{Partition, QuerySpec};
 use crate::stats::{QueryStageStats, QueryStats};
 use crate::trace::{PassSummary, PopDecision, QueryTrace, TraceEvent};
 
-/// The guessed rung of the kRank ladder, as a multiple of `k`; a pass
-/// that does not prove it is followed by the unbounded one. Measured with
+/// The first rung of the kRank ladder, as a multiple of `k`. Measured with
 /// `rkr-bench` (25k-node DBLP-like graph, k = 10; 10.8 ms p50 and 30
 /// queries/s on `engine_cold` without the ladder), interleaved runs per
 /// setting. The median query's `kRank` is below `8k`: a `4k` guess sends
 /// it to the second pass (p50 0.60 ms), `8k` / `16k` / `64k` do not (0.31 /
-/// 0.38 / 0.62 ms), and the rejected guess costs next to nothing unsharded.
-/// More rungs (`4k`, ×4 per rung) prove a guess for the mid-weight
-/// queries too — 182 against 74 queries/s on `engine_cold`, 2,640 against
-/// 630 on `serve_churn`, same p50 — but they shrink the timed scripts to
-/// 0.65 s and 0.15 s, and on the shared reference host runs that short
-/// repeat no better than ±4–8 %: over ten runs `queries_per_s` spread
-/// (q3 − q1) 5–15 on `engine_cold` and 115–124 on `serve_churn`, beyond
-/// the quarter of the *previous* level (7.8 and 60) within which
-/// `BENCHMARK.json` can tell a change from noise. Two rungs spread 2–4
-/// and 25–38. Finer rungs are a follow-up against the level this one
-/// sets (ROADMAP item 2, once item 1 has re-levelled the ruler). On a
-/// shard slice, where a rejected pass costs as
-/// much as an accepted one, two rungs are also the fastest setting
-/// measured (`fleet_scatter` 56 queries/s against 46 with ×4 rungs).
+/// 0.38 / 0.62 ms), and a rejected first rung costs next to nothing
+/// unsharded. `8k + 1` is also the anchor threshold (module docs), so a
+/// pass the first rung accepts never anchors: the median query does the
+/// same work whatever the rungs above it are.
 const LADDER_GUESS_PER_K: u32 = 8;
+
+/// What a rejected rung's guess is multiplied by to give the next one.
+/// Sized on a scratch copy with the ladder selected at run time (2-vCPU
+/// host, harness pinned to one CPU, seed 1, interleaved runs; median of 10
+/// runs for `engine_cold`, of 6 for the others; `refinement_settles` is
+/// exact):
+///
+/// | ladder | `engine_cold` q/s | `refinement_settles` | `serve_churn` q/s | `fleet_scatter` q/s |
+/// |---|---|---|---|---|
+/// | `8k`, unbounded | 108 | 4,020,891 | 591 | 52.5 |
+/// | ×2 | 621 | 318,361 | 2,558 | 42 (−21 %) |
+/// | ×4 | 410 | 648,694 | 2,652 | 50 (−5 %) |
+/// | ×8 | 282 | 1,153,525 | — | — |
+/// | **×16** | **360** | **802,830** | **2,343** | **55.5** |
+///
+/// ×2 and ×4 are faster unsharded, but on a shard slice a rejected pass
+/// refines all ≈ 11k owned candidates (ROADMAP item 4), and ×2's 6× step is
+/// wider than the benchmark resolves against the parent's level (ROADMAP
+/// item 1). ×8's third rung (40,960) passes `|V|` = 25,000, so `q = 15886`
+/// (true `kRank` 7,367) runs unbounded in 131 ms; ×16 accepts it at 20,480
+/// in 65 ms.
+const LADDER_GROWTH: u32 = 16;
 
 /// Immutable, `Sync` query-evaluation state bound to one graph snapshot:
 /// share it across worker threads via `&` or `Arc`, give each worker its
@@ -288,17 +309,32 @@ impl EngineContext {
         index: Option<&mut IndexAccess<'_>>,
         req: &QueryRequest,
     ) -> Result<QueryOutcome> {
+        self.execute_on_ladder(scratch, index, req, (LADDER_GUESS_PER_K, LADDER_GROWTH))
+    }
+
+    /// [`EngineContext::execute_with`] on the kRank ladder `(first guess
+    /// per k, growth)`. Production passes the two constants; tests pass a
+    /// finer ladder so small graphs climb several rungs.
+    fn execute_on_ladder(
+        &self,
+        scratch: &mut QueryScratch,
+        index: Option<&mut IndexAccess<'_>>,
+        req: &QueryRequest,
+        ladder: (u32, u32),
+    ) -> Result<QueryOutcome> {
         let limits = Limits::for_request(req);
         let mut trace = req.trace.then(QueryTrace::default);
+        let (q, k) = (req.q, req.k);
         let (result, completion) = match req.strategy {
-            Strategy::Naive => self.run_naive(scratch, req.q, req.k, &limits)?,
+            Strategy::Naive => self.run_naive(scratch, q, k, &limits)?,
             Strategy::Static => {
-                self.run_sds(scratch, req.q, req.k, None, None, trace.as_mut(), &limits)?
+                self.run_sds(scratch, q, k, ladder, None, None, trace.as_mut(), &limits)?
             }
             Strategy::Dynamic(bounds) => self.run_sds(
                 scratch,
-                req.q,
-                req.k,
+                q,
+                k,
+                ladder,
                 Some(bounds),
                 None,
                 trace.as_mut(),
@@ -312,11 +348,12 @@ impl EngineContext {
                             .into(),
                     ));
                 };
-                check_k_max(access.k_max(), req.k)?;
+                check_k_max(access.k_max(), k)?;
                 self.run_sds(
                     scratch,
-                    req.q,
-                    req.k,
+                    q,
+                    k,
+                    ladder,
                     Some(bounds),
                     Some(access),
                     trace.as_mut(),
@@ -379,8 +416,9 @@ impl EngineContext {
         Ok((collector.into_result(stats), completion))
     }
 
-    /// The shared SDS driver: the kRank ladder (module docs)
-    /// over [`EngineContext::sds_pass`]. `dynamic = None` is the static
+    /// The shared SDS driver: the kRank ladder (module docs), first guess
+    /// `guess_per_k · k`, each rejected guess times `growth`, over
+    /// [`EngineContext::sds_pass`]. `dynamic = None` is the static
     /// algorithm.
     #[allow(clippy::too_many_arguments)] // the private hub every strategy configures
     fn run_sds(
@@ -388,16 +426,18 @@ impl EngineContext {
         scratch: &mut QueryScratch,
         q: NodeId,
         k: u32,
+        (guess_per_k, growth): (u32, u32),
         dynamic: Option<BoundConfig>,
         mut index: Option<&mut IndexAccess<'_>>,
         mut trace: Option<&mut QueryTrace>,
         limits: &Limits,
     ) -> Result<(QueryResult, Completion)> {
+        debug_assert!(guess_per_k > 0 && growth > 1, "the ladder must climb");
         self.validate(q, k)?;
         scratch.ensure_capacity(self.graph.num_nodes());
         let start = Instant::now();
         let mut stats = QueryStats::default();
-        let mut guess = k.saturating_mul(LADDER_GUESS_PER_K);
+        let mut guess = k.saturating_mul(guess_per_k);
         // The largest ball the first rung's clamp can complete: anchors
         // start above it, so a first-rung pass never has one.
         let anchor_above = guess.saturating_add(1);
@@ -444,8 +484,9 @@ impl EngineContext {
                     reason,
                     k_rank_bound: collector.k_rank(),
                 },
+                // Only a finite guess is ever rejected, and it grows.
                 None if !accepted => {
-                    guess = u32::MAX;
+                    guess = guess.saturating_mul(growth);
                     continue;
                 }
                 None => {

@@ -10,6 +10,11 @@
 //! door: `sds_pass` takes the anchor threshold as an argument, so a pass
 //! can be run with every completed ball anchoring (`ANCHOR_ALL`), with the
 //! rule as shipped (`anchor_above(k)`), or with none (`ANCHOR_NONE`).
+//!
+//! The ladder itself is one more argument: `execute_on_ladder` runs a
+//! request on any `(first guess per k, growth)`, so under `FINE` a
+//! 12-node graph climbs several rungs where the shipped ladder would run
+//! one or two.
 
 use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
@@ -218,14 +223,122 @@ proptest! {
     }
 }
 
+/// The ladder `execute_with` runs, and one whose rungs are `k`, `2k`,
+/// `4k`, …: on 12 nodes a query climbs up to five of them.
+const SHIPPED: (u32, u32) = (LADDER_GUESS_PER_K, LADDER_GROWTH);
+const FINE: (u32, u32) = (1, 2);
+
+/// The ladder as specified: how many passes a query with true `kRank`
+/// `k_rank` (`None`: `R` can never fill) takes on `n` nodes under `ladder`,
+/// and the guess the last one runs under — the first rung at or above
+/// `k_rank`, or the unbounded one once a rung reaches `n`.
+fn rungs((per_k, growth): (u32, u32), k: u32, n: u32, k_rank: Option<u32>) -> (u64, u32) {
+    let (mut guess, mut passes) = (k * per_k, 1);
+    while guess < n && k_rank.is_none_or(|kr| kr > guess) {
+        guess = guess.saturating_mul(growth);
+        passes += 1;
+    }
+    (passes, if guess >= n { u32::MAX } else { guess })
+}
+
+/// Every strategy on `FINE`, for every query node `ctx` accepts: naive's
+/// ranks, reached by exactly `rungs` passes under strictly growing guesses
+/// of which only the last is accepted. Indexed strategies run once on an
+/// evolving live index and once on a frozen built snapshot.
+fn check_fine_ladder(ctx: &EngineContext, k: u32) -> std::result::Result<(), TestCaseError> {
+    let n = ctx.graph().num_nodes();
+    let mut scratch = ctx.new_scratch();
+    let (built, _) = ctx.build_index(&IndexParams {
+        hub_fraction: 0.3,
+        prefix_fraction: 0.5,
+        k_max: 64,
+        ..Default::default()
+    });
+    let mut truths = Vec::new();
+    for q in ctx.graph().nodes() {
+        let naive = QueryRequest::new(q, k).with_strategy(Strategy::Naive);
+        if let Ok(truth) = ctx.execute(&mut scratch, &naive) {
+            truths.push((q, truth.result.ranks()));
+        }
+    }
+    for strategy in Strategy::ALL {
+        let bindings = match strategy {
+            Strategy::Naive => continue,
+            Strategy::Indexed(_) => vec![
+                Binding::Live(RkrIndex::empty(n, 64)),
+                Binding::Snapshot(built.clone(), IndexDelta::for_index(&built)),
+            ],
+            _ => vec![Binding::None],
+        };
+        for mut binding in bindings {
+            for (q, truth) in &truths {
+                let k_rank = (truth.len() == k as usize).then(|| truth[truth.len() - 1]);
+                let (passes, last_guess) = rungs(FINE, k, n, k_rank);
+                let req = QueryRequest::new(*q, k)
+                    .with_strategy(strategy)
+                    .with_trace();
+                let mut access = binding.access();
+                let out = ctx
+                    .execute_on_ladder(&mut scratch, access.as_mut(), &req, FINE)
+                    .unwrap();
+                let at = format!("q={q} k={k} {strategy} kRank={k_rank:?}");
+                prop_assert!(out.is_complete(), "{at}");
+                prop_assert_eq!(&out.result.ranks(), truth, "{}", at);
+                let trace = out.trace.as_ref().unwrap();
+                prop_assert_eq!(trace.passes.len() as u64, passes, "{}", at);
+                prop_assert_eq!(out.stats().sds_passes, passes, "{}", at);
+                prop_assert!(
+                    trace.passes.windows(2).all(|w| w[0].guess < w[1].guess),
+                    "{at}: {:?}",
+                    trace.passes
+                );
+                let (last, rejected) = trace.passes.split_last().unwrap();
+                prop_assert!(
+                    last.accepted && rejected.iter().all(|p| !p.accepted),
+                    "{at}"
+                );
+                prop_assert_eq!(last.guess, last_guess, "{}", at);
+                prop_assert_eq!(out.stats().k_rank_guess, last.guess, "{}", at);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The four families of the every-guess properties above, climbing
+    /// the fine ladder end to end.
+    #[test]
+    fn every_strategy_climbs_a_fine_ladder_to_naives_answer(
+        undirected in arb_graph(false, 12, 14),
+        directed in arb_graph(true, 11, 16),
+        v2 in proptest::collection::vec(any::<bool>(), 12),
+        seed in any::<u64>(),
+        k in 1u32..5,
+    ) {
+        check_fine_ladder(&EngineContext::new(&undirected), k)?;
+        check_fine_ladder(&EngineContext::new(directed), k)?;
+        let mask: Vec<bool> = v2.into_iter().take(undirected.num_nodes() as usize).collect();
+        let partition = Partition::from_v2_mask(mask);
+        check_fine_ladder(&EngineContext::bichromatic(&undirected, partition), k)?;
+        for slice in 0..2 {
+            let slice = ShardSlice::new(slice, 2, seed);
+            check_fine_ladder(&EngineContext::new(&undirected).with_shard_slice(slice), k)?;
+        }
+    }
+}
+
 /// A hub with `LEAVES` unit-weight leaves, a unit-weight tail of `TAIL`
 /// nodes hanging off the hub, and `q` a leaf five times as far out. The
 /// hub and every near leaf have the other near leaves and the first four
 /// tail nodes closer than `q` and tie at rank `K_RANK`, the true `kRank`
-/// for k up to `LEAVES` — beyond the guessed rung for small k, within it
-/// for larger k, with `|V|` large enough that the guess stays finite.
-const LEAVES: u32 = 40;
-const TAIL: u32 = 100;
+/// for k up to `LEAVES`. `K_RANK` lies just above the shipped ladder's
+/// second rung for k = 1 (128) and `|V|` just above its second rung for
+/// k = 2 (256), so the three k values below end on three different rungs.
+const LEAVES: u32 = 130;
+const TAIL: u32 = 200;
 const K_RANK: u32 = LEAVES + 5;
 const HUB: NodeId = NodeId(0);
 const Q: NodeId = NodeId(LEAVES + 1);
@@ -244,29 +357,15 @@ fn star_with_tail() -> Graph {
     b.build().unwrap()
 }
 
-/// The ladder as specified: how many passes a query with true `kRank`
-/// `k_rank` (`None`: `R` can never fill) takes on `n` nodes, and the guess
-/// the last one runs under.
-fn rungs(k: u32, n: u32, k_rank: Option<u32>) -> (u64, u32) {
-    let guess = k * LADDER_GUESS_PER_K;
-    if guess >= n {
-        (1, u32::MAX)
-    } else if k_rank.is_some_and(|kr| kr <= guess) {
-        (1, guess)
-    } else {
-        (2, u32::MAX)
-    }
-}
-
 #[test]
 fn every_strategy_agrees_with_naive_on_either_rung() {
     let g = star_with_tail();
     let ctx = EngineContext::new(&g);
     let mut scratch = ctx.new_scratch();
-    // k = 1, 2: kRank is beyond the guess, the unbounded rung answers;
-    // k = 8: the guess holds.
+    // k = 1: 8 and 128 fail, 2,048 passes |V|, the unbounded rung answers;
+    // k = 2: 16 fails, 256 holds; k = 17: the first guess, 136, holds.
     let mut seen = Vec::new();
-    for k in [1, 2, 8] {
+    for k in [1, 2, 17] {
         let naive = ctx
             .execute(
                 &mut scratch,
@@ -275,13 +374,13 @@ fn every_strategy_agrees_with_naive_on_either_rung() {
             .unwrap();
         assert_eq!(naive.result.ranks(), vec![K_RANK; k as usize]);
         assert_eq!(naive.stats().sds_passes, 0, "naive has no ladder");
-        let (passes, guess) = rungs(k, g.num_nodes(), Some(K_RANK));
-        seen.push((passes, guess == u32::MAX));
+        let (passes, guess) = rungs(SHIPPED, k, g.num_nodes(), Some(K_RANK));
+        seen.push((passes, guess));
         for strategy in Strategy::ALL {
             if strategy == Strategy::Naive {
                 continue;
             }
-            let mut index = RkrIndex::empty(g.num_nodes(), 16);
+            let mut index = RkrIndex::empty(g.num_nodes(), 32);
             let req = QueryRequest::new(Q, k).with_strategy(strategy);
             let out = ctx
                 .execute_with(&mut scratch, Some(&mut IndexAccess::Live(&mut index)), &req)
@@ -293,7 +392,7 @@ fn every_strategy_agrees_with_naive_on_either_rung() {
             assert_eq!(out.stage.sds_passes, passes);
         }
     }
-    assert_eq!(seen, [(2, true), (2, true), (1, false)]);
+    assert_eq!(seen, [(3, u32::MAX), (2, 256), (1, 136)]);
 }
 
 #[test]
@@ -309,7 +408,7 @@ fn too_few_reachable_candidates_end_on_the_unbounded_rung() {
     }
     let ctx = EngineContext::new(b.build().unwrap());
     let mut scratch = ctx.new_scratch();
-    let (passes, _) = rungs(5, 100, None);
+    let (passes, _) = rungs(SHIPPED, 5, 100, None);
     assert_eq!(passes, 2);
     for strategy in [Strategy::Static, Strategy::Dynamic(BoundConfig::ALL)] {
         let req = QueryRequest::new(NodeId(0), 5).with_strategy(strategy);
@@ -330,22 +429,22 @@ fn too_few_reachable_candidates_end_on_the_unbounded_rung() {
     assert_eq!(out.stats().k_rank_guess, u32::MAX);
 }
 
-/// Limits are charged against the whole ladder: the rejected pass spends
-/// one refinement (the hub, aborted under the guess), so a budget of two
-/// trips *inside* the second pass, after the hub's one completed
-/// refinement.
+/// Limits are charged against the whole ladder: each rejected pass spends
+/// one refinement (the hub, aborted under the guess), so for k = 1 a
+/// budget of three trips *inside* the third pass, after the hub's one
+/// completed refinement.
 #[test]
 fn budget_trips_in_a_later_pass_with_exact_entries_and_the_real_bound() {
     let g = star_with_tail();
     let ranks = rank_matrix(&g);
     let ctx = EngineContext::new(&g);
     let mut scratch = ctx.new_scratch();
-    let (passes, _) = rungs(1, g.num_nodes(), Some(K_RANK));
+    let (passes, _) = rungs(SHIPPED, 1, g.num_nodes(), Some(K_RANK));
     let req = QueryRequest::new(Q, 1)
         .with_refine_budget(passes)
         .with_trace();
     let out = ctx.execute(&mut scratch, &req).unwrap();
-    assert_eq!(passes, 2);
+    assert_eq!(passes, 3);
     assert_eq!(out.stats().sds_passes, passes);
     assert_eq!(
         out.stats().refinement_calls,
@@ -371,7 +470,7 @@ fn budget_trips_in_a_later_pass_with_exact_entries_and_the_real_bound() {
     assert!(trace.passes.iter().all(|p| !p.accepted));
 
     // Tripping before R fills leaves the bound open, whatever the guess.
-    let (passes, _) = rungs(2, g.num_nodes(), Some(K_RANK));
+    let (passes, _) = rungs(SHIPPED, 2, g.num_nodes(), Some(K_RANK));
     let req = QueryRequest::new(Q, 2).with_refine_budget(passes);
     let out = ctx.execute(&mut scratch, &req).unwrap();
     assert_eq!(out.stats().sds_passes, passes);
@@ -444,8 +543,9 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
 /// one, and a few chords among the spokes: short ones that put an
 /// *outside* spoke strictly within `d(p,q)` of its partner by a
 /// hub-avoiding path, and one between two inside spokes. Every candidate
-/// ranks about `SPOKES / 2`, far beyond the first guess for `k = 2`, so
-/// the unbounded rung refines the hub, then every spoke through it.
+/// ranks about `SPOKES / 2`, far beyond the first guess for `k = 2` and
+/// within the second (256), so the second rung refines the hub, then every
+/// spoke through it.
 const SPOKES: u32 = 300;
 const SPOKE_Q: NodeId = NodeId(SPOKES / 2);
 
@@ -486,7 +586,7 @@ fn anchoring_halves_the_pushes_of_a_hub_bound_pass_and_changes_no_rank() {
         assert_eq!(served.stats().sds_passes, 2);
         assert!(served.stats().anchored_refinements > 0);
         let last = *served.trace.as_ref().unwrap().passes.last().unwrap();
-        let ball = last.anchor.expect("the unbounded rung freezes the hub");
+        let ball = last.anchor.expect("the second rung freezes the hub");
         assert_eq!(ball, (NodeId(0), SPOKE_Q.0), "hub + the spokes before q");
         assert_eq!(last.anchored, served.stats().anchored_refinements);
 
@@ -497,7 +597,7 @@ fn anchoring_halves_the_pushes_of_a_hub_bound_pass_and_changes_no_rank() {
                 &mut scratch,
                 SPOKE_Q,
                 k,
-                u32::MAX,
+                last.guess,
                 above,
                 dynamic,
                 none,

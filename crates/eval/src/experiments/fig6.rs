@@ -2,7 +2,9 @@
 //! framework variants on the DBLP-like and Epinions-like graphs. Beside
 //! the paper's refinement count the table prints frontier pushes per
 //! query — the work the refinements did — so the ordering can be read on
-//! work as well as on time.
+//! work as well as on time, and SDS passes per query — what the kRank
+//! ladder (`rkranks_core::context`) spent to get there: 1.0 when every
+//! first guess held.
 
 use std::sync::Arc;
 
@@ -49,6 +51,7 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
             "latency p50 / p95 / p99",
             "rank refinements",
             "refinement pushes",
+            "SDS passes",
         ],
     );
     let engine = QueryEngine::new(Arc::clone(g));
@@ -72,6 +75,7 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
                 fmt_latency(out),
                 fmt_f64(mean.refinement_calls),
                 fmt_f64(mean.refinement_pushes),
+                fmt_f64(mean.sds_passes),
             ]);
         };
         let s = run_batch(
@@ -147,6 +151,11 @@ mod tests {
             // 4 methods per k (k values below the 300-node tiny graphs: all 5)
             assert_eq!(t.rows.len() % 4, 0);
             assert!(!t.rows.is_empty());
+            // every method runs the ladder: at least one pass per query
+            let passes = t.headers.iter().position(|h| h == "SDS passes").unwrap();
+            for row in &t.rows {
+                assert!(row[passes].parse::<f64>().unwrap() >= 1.0, "{row:?}");
+            }
         }
     }
 

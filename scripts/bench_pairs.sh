@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Alternating parent/change pairs of one rkr-bench workload — the procedure
+# Alternating parent/change pairs of rkr-bench workloads — the procedure
 # every perf PR reports (ROADMAP "Open items"; choosing-metrics §8) as one
 # command.
 #
-#   scripts/bench_pairs.sh PARENT_REF WORKLOAD [PAIRS=10] [SEED=1]
+#   scripts/bench_pairs.sh PARENT_REF WORKLOAD[,WORKLOAD...] [PAIRS=10] [SEED=1]
 #
 # PARENT_REF is any commit-ish; the change is the working tree as it
 # stands. The parent is exported with `git archive` (no worktree or branch
 # is left behind, and a dirty checkout is no obstacle) and each side is
-# built once into its own target directory. Each pair runs the acceptance
+# built once into its own target directory, whatever the number of
+# workloads. The workloads (comma-separated) then run one after another,
+# each printing its own block below. Each pair runs the acceptance
 # driver's form (`--workload W --seed S --seconds 12 --trace 0`) once per
 # side, alternating which side goes first. Every run is printed, then each
 # side's quartiles and the number of pairs the change wins per end-to-end
@@ -36,11 +38,11 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    echo "usage: $0 PARENT_REF WORKLOAD [PAIRS=10] [SEED=1]" >&2
+    echo "usage: $0 PARENT_REF WORKLOAD[,WORKLOAD...] [PAIRS=10] [SEED=1]" >&2
     exit 2
 fi
 PARENT_REF="$1"
-WORKLOAD="$2"
+IFS=, read -r -a WORKLOADS <<< "$2"
 PAIRS="${3:-10}"
 SEED="${4:-1}"
 
@@ -77,16 +79,16 @@ if [ -z "$METRICS" ]; then
     exit 1
 fi
 
-# run SIDE PAIR: one acceptance-form run; appends "pair value..." to the
-# side's table, the run's exact-counter line to the side's counter file,
-# and prints the run.
+# run SIDE PAIR: one acceptance-form run of $WORKLOAD; appends "pair
+# value..." to the side's table in $OUT, the run's exact-counter line to
+# the side's counter file there, and prints the run.
 run() {
     local side="$1" pair="$2" out line row="" value
     # The harness writes its results files under $CARGO_TARGET_DIR/bench.
     out="$(CARGO_TARGET_DIR="$WORK/$side-target" "$WORK/$side-target/release/rkr-bench" \
         --workload "$WORKLOAD" --seed "$SEED" --seconds 12 --trace 0)"
     line="$(printf '%s\n' "$out" | tail -n 1)"
-    printf '%s\n' "$out" | sed -n 's/^ *\(script_hash .*\)$/\1/p' | head -n 1 >> "$WORK/$side.counters"
+    printf '%s\n' "$out" | sed -n 's/^ *\(script_hash .*\)$/\1/p' | head -n 1 >> "$OUT/$side.counters"
     for m in $METRICS; do
         value="$(printf '%s\n' "$line" | sed -n "s/.*\"$m\":{\"value\":\([-0-9.eE+]*\).*/\1/p")"
         if [ -z "$value" ]; then
@@ -97,7 +99,7 @@ run() {
     done
     local failed
     failed="$(printf '%s\n' "$line" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')"
-    echo "$pair$row" >> "$WORK/$side.runs"
+    echo "$pair$row" >> "$OUT/$side.runs"
     printf '  %-6s' "$side"
     local i=2
     for m in $METRICS; do
@@ -107,22 +109,9 @@ run() {
     printf ' failed=%s\n' "$failed"
 }
 
-echo "workload $WORKLOAD, seed $SEED, $PAIRS pairs, parent $PARENT_SHA"
-for pair in $(seq 1 "$PAIRS"); do
-    if [ $((pair % 2)) -eq 1 ]; then
-        echo "pair $pair (parent first)"
-        run parent "$pair"
-        run change "$pair"
-    else
-        echo "pair $pair (change first)"
-        run change "$pair"
-        run parent "$pair"
-    fi
-done
-
 # stats SIDE COL: "q1 median q3 min max" of one column of a side's table.
 stats() {
-    cut -d' ' -f"$2" "$WORK/$1.runs" | sort -g | awk '
+    cut -d' ' -f"$2" "$OUT/$1.runs" | sort -g | awk '
         { v[NR] = $1 }
         # linear interpolation between order statistics (R type 7)
         function q(p,    h, lo) {
@@ -132,52 +121,76 @@ stats() {
         END { printf "%.6g %.6g %.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75), v[1], v[NR] }'
 }
 
-echo
-printf '%-14s %-7s %12s %12s %12s   %s\n' metric side q1 median q3 "change wins"
-columns=$(($(printf '%s\n' "$END_TO_END" | wc -l) + 1))
-col=2
-while read -r m better _; do
-    for side in parent change; do
-        read -r q1 median q3 _ _ <<< "$(stats "$side" "$col")"
-        printf '%-14s %-7s %12s %12s %12s' "$m" "$side" "$q1" "$median" "$q3"
-        if [ "$side" = change ]; then
-            # both tables are in pair order: line i of each is pair i
-            paste -d' ' "$WORK/parent.runs" "$WORK/change.runs" | awk -v c="$col" -v n="$columns" -v better="$better" '
-                {
-                    p = $(c); ch = $(c + n)
-                    if (ch == p) ties++
-                    else if ((better == "lower") == (ch < p)) wins++
-                }
-                END { printf "   %d of %d (%d ties, %s is better)\n", wins, NR, ties, better }'
+# block: PAIRS alternating pairs of $WORKLOAD and their report, kept in
+# the workload's own directory $OUT.
+block() {
+    echo "workload $WORKLOAD, seed $SEED, $PAIRS pairs, parent $PARENT_SHA"
+    for pair in $(seq 1 "$PAIRS"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            echo "pair $pair (parent first)"
+            run parent "$pair"
+            run change "$pair"
         else
-            echo
+            echo "pair $pair (change first)"
+            run change "$pair"
+            run parent "$pair"
         fi
     done
-    col=$((col + 1))
-done <<< "$END_TO_END"
 
-echo
-echo "exact counters (the harness's line; it must repeat within a side)"
-for side in parent change; do
-    printf '%-7s %s\n' "$side" "$(head -n 1 "$WORK/$side.counters")"
-    if [ "$(sort -u "$WORK/$side.counters" | wc -l)" -ne 1 ]; then
-        echo "        differs between this side's own runs: not an exact counter"
-        sort "$WORK/$side.counters" | uniq -c | sed 's/^/        /'
-    fi
-done
+    echo
+    printf '%-14s %-7s %12s %12s %12s   %s\n' metric side q1 median q3 "change wins"
+    columns=$(($(printf '%s\n' "$END_TO_END" | wc -l) + 1))
+    col=2
+    while read -r m better _; do
+        for side in parent change; do
+            read -r q1 median q3 _ _ <<< "$(stats "$side" "$col")"
+            printf '%-14s %-7s %12s %12s %12s' "$m" "$side" "$q1" "$median" "$q3"
+            if [ "$side" = change ]; then
+                # both tables are in pair order: line i of each is pair i
+                paste -d' ' "$OUT/parent.runs" "$OUT/change.runs" | awk -v c="$col" -v n="$columns" -v better="$better" '
+                    {
+                        p = $(c); ch = $(c + n)
+                        if (ch == p) ties++
+                        else if ((better == "lower") == (ch < p)) wins++
+                    }
+                    END { printf "   %d of %d (%d ties, %s is better)\n", wins, NR, ties, better }'
+            else
+                echo
+            fi
+        done
+        col=$((col + 1))
+    done <<< "$END_TO_END"
 
-echo
-echo "spread of each side's runs against the regression bound (bound x parent median)"
-printf '%-14s %-7s %12s %12s %12s\n' metric side "q3-q1" "max-min" bound
-col=2
-while read -r m _ bound; do
-    limit="$(stats parent "$col" | awk -v bound="$bound" '{ print bound * $2 }')"
+    echo
+    echo "exact counters (the harness's line; it must repeat within a side)"
     for side in parent change; do
-        stats "$side" "$col" | awk -v m="$m" -v side="$side" -v limit="$limit" '{
-            flag = ($3 - $1 > limit) ? "   q3-q1 exceeds the bound: unresolvable" \
-                 : ($5 - $4 > limit) ? "   max-min exceeds the bound" : ""
-            printf "%-14s %-7s %12.6g %12.6g %12.6g%s\n", m, side, $3 - $1, $5 - $4, limit, flag
-        }'
+        printf '%-7s %s\n' "$side" "$(head -n 1 "$OUT/$side.counters")"
+        if [ "$(sort -u "$OUT/$side.counters" | wc -l)" -ne 1 ]; then
+            echo "        differs between this side's own runs: not an exact counter"
+            sort "$OUT/$side.counters" | uniq -c | sed 's/^/        /'
+        fi
     done
-    col=$((col + 1))
-done <<< "$END_TO_END"
+
+    echo
+    echo "spread of each side's runs against the regression bound (bound x parent median)"
+    printf '%-14s %-7s %12s %12s %12s\n' metric side "q3-q1" "max-min" bound
+    col=2
+    while read -r m _ bound; do
+        limit="$(stats parent "$col" | awk -v bound="$bound" '{ print bound * $2 }')"
+        for side in parent change; do
+            stats "$side" "$col" | awk -v m="$m" -v side="$side" -v limit="$limit" '{
+                flag = ($3 - $1 > limit) ? "   q3-q1 exceeds the bound: unresolvable" \
+                     : ($5 - $4 > limit) ? "   max-min exceeds the bound" : ""
+                printf "%-14s %-7s %12.6g %12.6g %12.6g%s\n", m, side, $3 - $1, $5 - $4, limit, flag
+            }'
+        done
+        col=$((col + 1))
+    done <<< "$END_TO_END"
+}
+
+for WORKLOAD in "${WORKLOADS[@]}"; do
+    OUT="$WORK/$WORKLOAD"
+    mkdir "$OUT"
+    block
+    echo
+done
