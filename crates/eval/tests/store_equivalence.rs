@@ -10,7 +10,9 @@
 //!    test-side replay of the deltas over a hash map;
 //! 2. reverse k-ranks answers on that snapshot — via the unified
 //!    `execute` path with the dynamic strategy — match the
-//!    [`Strategy::Naive`] brute force on the same snapshot.
+//!    [`Strategy::Naive`] brute force on the same snapshot;
+//! 3. node-heavy streams with rolled-back batches between commits keep
+//!    (1), and the staged state's WAL replays to the same commit.
 //!
 //! Together these close the loop the serving daemon depends on: an
 //! updated graph answers queries exactly as if it had been loaded fresh.
@@ -150,6 +152,57 @@ proptest! {
         }
         prop_assert_eq!(store.graph_epoch(), commits, "one bump per changing commit");
         prop_assert_eq!(store.snapshot().num_nodes(), replay.nodes);
+    }
+
+    /// Appended rows, wired in while their ids are still staged, with a
+    /// rejected batch rolled back before every commit: each snapshot still
+    /// equals the from-scratch build, and the staged state written out as a
+    /// WAL (`staged_deltas`, read against the snapshot's rows) replays on a
+    /// fresh store to the same commit.
+    #[test]
+    fn add_node_heavy_stream_with_rollbacks_replays_its_wal(
+        (n, directed, edges) in arb_graph(8, 10),
+        ops in 1usize..40,
+        cadence in 1usize..8,
+        seed in 0u64..1000,
+    ) {
+        let direction = if directed {
+            EdgeDirection::Directed
+        } else {
+            EdgeDirection::Undirected
+        };
+        let base = build(n, direction, &edges);
+        let stream = update_stream(&base, &UpdateStreamParams {
+            ops,
+            seed,
+            add_nodes: 6,
+            ..UpdateStreamParams::default()
+        });
+
+        let mut replay = Replay::new(&base);
+        let mut store = GraphStore::new(base);
+        for chunk in stream.chunks(cadence) {
+            for &d in chunk {
+                replay.apply(d);
+            }
+            store.stage_all(chunk).expect("valid-by-construction stream");
+            let wal = store.staged_deltas();
+            // Valid up to a self-loop at the end: it stages nothing.
+            let fresh = store.effective_num_nodes();
+            let rejected = [
+                GraphDelta::AddNode,
+                GraphDelta::AddEdge { u: 0, v: fresh, w: 1.0 },
+                GraphDelta::AddEdge { u: 1, v: 1, w: 1.0 },
+            ];
+            prop_assert!(store.stage_all(&rejected).is_err());
+            prop_assert_eq!(store.staged_deltas(), wal.clone());
+
+            let mut restored = GraphStore::new((*store.snapshot()).clone());
+            restored.stage_all(&wal).expect("a WAL replays onto its snapshot");
+            let snapshot = store.commit();
+            prop_assert_eq!(&*snapshot, &replay.final_graph(direction));
+            prop_assert_eq!(&*restored.commit(), &*snapshot);
+        }
     }
 
     /// On the updated snapshot, the production query path (dynamic

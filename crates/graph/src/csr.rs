@@ -7,10 +7,14 @@
 //!
 //! **Row order is an invariant:** every row is sorted by `(weight, target)`
 //! ascending. Every `Csr` is born in `Csr::from_arcs` ([`Csr::transpose`]
-//! included), which establishes it, so a traversal that only wants edges
-//! with `d + w < bound` may stop at the first edge that fails the test
-//! (float addition is monotone: `w1 <= w2` implies `d + w1 <= d + w2`).
-//! `rkranks-core`'s rank refinement relies on exactly that.
+//! included), which establishes it, or in `Csr::patched`, which copies the
+//! untouched rows of a sorted `Csr` and re-sorts the ones it changes. A
+//! traversal that only wants edges with `d + w < bound` may therefore stop
+//! at the first edge that fails the test (float addition is monotone:
+//! `w1 <= w2` implies `d + w1 <= d + w2`). `rkranks-core`'s rank
+//! refinement relies on exactly that.
+
+use std::ops::Range;
 
 use crate::node::NodeId;
 use crate::weight::Distance;
@@ -60,7 +64,7 @@ impl Csr {
                     .copied()
                     .zip(targets[lo..hi].iter().copied()),
             );
-            row.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            sort_row(&mut row);
             for (slot, &(w, t)) in (lo..hi).zip(&row) {
                 weights[slot] = w;
                 targets[slot] = t;
@@ -73,6 +77,114 @@ impl Csr {
         };
         debug_assert!(csr.rows_are_sorted());
         csr
+    }
+
+    /// The CSR with `changes` applied, built by patching this one.
+    ///
+    /// `changes` are arc overlays `(source, target, overlay)`, sorted by
+    /// `(source, target)` with no pair repeated: `Some(w)` leaves the arc
+    /// `source -> target` at weight `w` (added or replaced), `None` removes
+    /// it (a no-op when absent). Rows `self.num_nodes()..num_nodes` are
+    /// appended empty first.
+    ///
+    /// Each run of untouched rows is copied with one `extend_from_slice`
+    /// and its offsets shifted; a touched row becomes its old arcs minus
+    /// every changed target, plus the `Some` overlays, sorted by
+    /// `(weight, target)`. `O(n + m)` sequential copy plus `Σ d log d` over
+    /// the touched rows, and the result equals `from_arcs` of the final arc
+    /// list.
+    pub(crate) fn patched(&self, num_nodes: u32, changes: &[(u32, u32, Option<f64>)]) -> Csr {
+        debug_assert!(num_nodes >= self.num_nodes());
+        debug_assert!(changes
+            .windows(2)
+            .all(|p| (p[0].0, p[0].1) < (p[1].0, p[1].1)));
+        let n = num_nodes as usize;
+        let capacity = self.num_arcs() + changes.len();
+        assert!(
+            u32::try_from(capacity).is_ok(),
+            "{capacity} arcs overflow the u32 row offsets"
+        );
+        let mut out = Csr {
+            offsets: Vec::with_capacity(n + 1),
+            targets: Vec::with_capacity(capacity),
+            weights: Vec::with_capacity(capacity),
+        };
+        out.offsets.push(0);
+        let mut row: Vec<(Distance, NodeId)> = Vec::new();
+        let mut copied = 0;
+        for group in changes.chunk_by(|a, b| a.0 == b.0) {
+            let u = group[0].0 as usize;
+            out.extend_rows(self, copied..u);
+            let (t, w) = if u < self.num_nodes() as usize {
+                self.neighbors(NodeId(u as u32))
+            } else {
+                (&[][..], &[][..])
+            };
+            let changed = |t: NodeId| group.binary_search_by_key(&t.0, |c| c.1).is_ok();
+            row.clear();
+            row.extend(
+                w.iter()
+                    .copied()
+                    .zip(t.iter().copied())
+                    .filter(|&(_, t)| !changed(t)),
+            );
+            row.extend(
+                group
+                    .iter()
+                    .filter_map(|&(_, v, w)| w.map(|w| (w, NodeId(v)))),
+            );
+            sort_row(&mut row);
+            out.weights.extend(row.iter().map(|&(w, _)| w));
+            out.targets.extend(row.iter().map(|&(_, t)| t));
+            out.offsets.push(out.targets.len() as u32);
+            copied = u + 1;
+        }
+        out.extend_rows(self, copied..n);
+        debug_assert!(out.rows_are_sorted());
+        out
+    }
+
+    /// Append `src`'s rows `rows` to this CSR under construction, whose
+    /// last row is `rows.start - 1`. Rows past `src`'s end are empty.
+    fn extend_rows(&mut self, src: &Csr, rows: Range<usize>) {
+        debug_assert_eq!(self.offsets.len(), rows.start + 1);
+        let src_n = src.num_nodes() as usize;
+        let (a, b) = (rows.start.min(src_n), rows.end.min(src_n));
+        let (lo, hi) = (src.offsets[a], src.offsets[b]);
+        let base = self.targets.len() as u32;
+        self.targets
+            .extend_from_slice(&src.targets[lo as usize..hi as usize]);
+        self.weights
+            .extend_from_slice(&src.weights[lo as usize..hi as usize]);
+        self.offsets
+            .extend(src.offsets[a + 1..=b].iter().map(|&o| o - lo + base));
+        self.offsets.resize(rows.end + 1, self.targets.len() as u32);
+    }
+
+    /// Drop parallel arcs, keeping the lightest of each `(source, target)`
+    /// pair — what the builder's default `DedupPolicy::KeepMin` keeps.
+    /// Rows are `(weight, target)`-sorted, so the lightest is the first
+    /// occurrence and the rows stay sorted. One in-place pass with a
+    /// stamp array; a CSR without parallel arcs is left as it was.
+    pub(crate) fn drop_parallel_arcs(&mut self) {
+        let mut stamp = vec![u32::MAX; self.num_nodes() as usize];
+        let (mut lo, mut kept) = (0, 0);
+        for u in 0..self.num_nodes() {
+            let hi = self.offsets[u as usize + 1] as usize;
+            for read in lo..hi {
+                let t = self.targets[read];
+                if stamp[t.index()] != u {
+                    stamp[t.index()] = u;
+                    self.targets[kept] = t;
+                    self.weights[kept] = self.weights[read];
+                    kept += 1;
+                }
+            }
+            lo = hi;
+            self.offsets[u as usize + 1] = kept as u32;
+        }
+        self.targets.truncate(kept);
+        self.weights.truncate(kept);
     }
 
     /// The row-order invariant, checked: every row ascends by
@@ -135,6 +247,11 @@ impl Csr {
     }
 }
 
+/// Order one row's `(weight, target)` pairs: the row-order invariant.
+fn sort_row(row: &mut [(Distance, NodeId)]) {
+    row.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,5 +309,192 @@ mod tests {
     #[test]
     fn heap_bytes_positive() {
         assert!(sample().heap_bytes() > 0);
+    }
+
+    type Change = (u32, u32, Option<f64>);
+
+    /// `arcs` with `changes` applied, built from scratch: the reference
+    /// `patched` must equal.
+    fn rebuilt(num_nodes: u32, arcs: &[(u32, u32, f64)], changes: &[Change]) -> Csr {
+        let mut map: std::collections::BTreeMap<(u32, u32), f64> =
+            arcs.iter().map(|&(u, v, w)| ((u, v), w)).collect();
+        for &(u, v, overlay) in changes {
+            match overlay {
+                Some(w) => map.insert((u, v), w),
+                None => map.remove(&(u, v)),
+            };
+        }
+        let arcs: Vec<_> = map.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+        Csr::from_arcs(num_nodes, &arcs)
+    }
+
+    fn assert_patch(num_nodes: u32, arcs: &[(u32, u32, f64)], new_n: u32, changes: &[Change]) {
+        let patched = Csr::from_arcs(num_nodes, arcs).patched(new_n, changes);
+        assert_eq!(patched, rebuilt(new_n, arcs, changes), "{changes:?}");
+    }
+
+    /// Row 0 of a tie-heavy star: weights `{0, 1, 1, 2}` to targets 1–4.
+    const TIED: [(u32, u32, f64); 5] = [
+        (0, 1, 0.0),
+        (0, 2, 1.0),
+        (0, 3, 1.0),
+        (0, 4, 2.0),
+        (1, 2, 1.0),
+    ];
+
+    #[test]
+    fn patch_removal_can_empty_a_row() {
+        let arcs = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5)];
+        let p = sample().patched(4, &[(1, 2, None)]);
+        assert_eq!(p.degree(NodeId(1)), 0);
+        assert_eq!(p, rebuilt(4, &arcs, &[(1, 2, None)]));
+        // removing an absent arc touches the row and changes nothing
+        assert_eq!(sample().patched(4, &[(3, 0, None)]), sample());
+    }
+
+    #[test]
+    fn patch_reweight_moves_an_edge_across_its_row() {
+        // 0 -> 1 from the front to the back, past the tied pair 2, 3
+        let p = Csr::from_arcs(5, &TIED).patched(5, &[(0, 1, Some(2.0))]);
+        assert_eq!(p.neighbors(NodeId(0)).0, &[2, 3, 1, 4].map(NodeId));
+        assert_patch(5, &TIED, 5, &[(0, 1, Some(2.0))]);
+        // 0 -> 4 into the tie, ordered by target inside it
+        assert_patch(5, &TIED, 5, &[(0, 4, Some(1.0))]);
+        // two moves in one row, crossing each other
+        assert_patch(5, &TIED, 5, &[(0, 1, Some(1.0)), (0, 3, Some(0.0))]);
+    }
+
+    #[test]
+    fn patch_reweight_to_zero_goes_first() {
+        let p = Csr::from_arcs(5, &TIED).patched(5, &[(0, 4, Some(0.0))]);
+        assert_eq!(
+            p.neighbors(NodeId(0)),
+            (&[1, 4, 2, 3].map(NodeId)[..], &[0.0, 0.0, 1.0, 1.0][..])
+        );
+        assert_patch(5, &TIED, 5, &[(0, 4, Some(0.0))]);
+    }
+
+    #[test]
+    fn patch_appends_rows_touched_and_untouched() {
+        // rows 5 and 7 appended untouched, row 6 appended and touched, and
+        // an old row gains an arc to an appended node
+        let changes = [(0, 7, Some(0.5)), (6, 1, Some(3.0)), (6, 2, Some(1.0))];
+        let p = Csr::from_arcs(5, &TIED).patched(8, &changes);
+        assert_eq!(p.num_nodes(), 8);
+        assert_eq!((p.degree(NodeId(5)), p.degree(NodeId(7))), (0, 0));
+        assert_eq!(p.neighbors(NodeId(6)).0, &[NodeId(2), NodeId(1)]);
+        assert_patch(5, &TIED, 8, &changes);
+        // appending with no change at all
+        assert_patch(5, &TIED, 6, &[]);
+    }
+
+    #[test]
+    fn patch_updates_both_rows_of_an_undirected_edge() {
+        let diamond = [(0, 1, 1.0), (0, 2, 2.0), (1, 3, 1.0), (2, 3, 1.0)];
+        let arcs: Vec<_> = diamond
+            .iter()
+            .flat_map(|&(u, v, w)| [(u, v, w), (v, u, w)])
+            .collect();
+        let changes = [(0, 2, Some(0.5)), (2, 0, Some(0.5))];
+        let p = Csr::from_arcs(4, &arcs).patched(4, &changes);
+        assert_eq!(p.neighbors(NodeId(0)).1, &[0.5, 1.0]);
+        assert_eq!(
+            p.neighbors(NodeId(2)),
+            (&[NodeId(0), NodeId(3)][..], &[0.5, 1.0][..])
+        );
+        assert_patch(4, &arcs, 4, &changes);
+    }
+
+    #[test]
+    fn drop_parallel_arcs_keeps_the_lightest() {
+        let arcs = [
+            (0, 1, 5.0),
+            (0, 1, 1.0),
+            (0, 2, 1.0),
+            (1, 0, 3.0),
+            (1, 0, 3.0),
+        ];
+        let mut c = Csr::from_arcs(3, &arcs);
+        c.drop_parallel_arcs();
+        assert_eq!(
+            c,
+            Csr::from_arcs(3, &[(0, 1, 1.0), (0, 2, 1.0), (1, 0, 3.0)])
+        );
+        let mut clean = sample();
+        clean.drop_parallel_arcs();
+        assert_eq!(clean, sample());
+    }
+
+    mod patch_props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        const WEIGHTS: [f64; 4] = [0.0, 1.0, 1.0, 2.0];
+
+        /// `(nodes, appended nodes, base edges, changed edges)`: weights from
+        /// `{0, 1, 1, 2}`, a change is a weight index or 4 for a removal,
+        /// and changes land on old and appended nodes alike.
+        #[allow(clippy::type_complexity)]
+        fn arb_patch(
+        ) -> impl Strategy<Value = (u32, u32, Vec<(u32, u32, usize)>, Vec<(u32, u32, usize)>)>
+        {
+            (1u32..=8, 0u32..3).prop_flat_map(|(n, extra)| {
+                let all = n + extra;
+                (
+                    Just(n),
+                    Just(extra),
+                    proptest::collection::vec((0..n, 0..n, 0usize..4), 0..=24),
+                    proptest::collection::vec((0..all, 0..all, 0usize..5), 0..=12),
+                )
+            })
+        }
+
+        /// Edge map -> arc list (both orientations when undirected).
+        fn arcs(edges: &BTreeMap<(u32, u32), f64>, undirected: bool) -> Vec<(u32, u32, f64)> {
+            edges
+                .iter()
+                .flat_map(|(&(u, v), &w)| {
+                    let back = undirected.then_some((v, u, w));
+                    std::iter::once((u, v, w)).chain(back)
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn patched_equals_from_arcs_of_the_result(
+                (n, extra, base, changes) in arb_patch(),
+                undirected in any::<bool>(),
+            ) {
+                let key = |u: u32, v: u32| if undirected { (u.min(v), u.max(v)) } else { (u, v) };
+                let mut edges = BTreeMap::new();
+                for (u, v, w) in base.into_iter().filter(|(u, v, _)| u != v) {
+                    edges.entry(key(u, v)).or_insert(WEIGHTS[w]);
+                }
+                let before = Csr::from_arcs(n, &arcs(&edges, undirected));
+                let mut overlay = BTreeMap::new();
+                for (u, v, w) in changes.into_iter().filter(|(u, v, _)| u != v) {
+                    overlay.insert(key(u, v), WEIGHTS.get(w).copied());
+                }
+                let mut arc_changes: Vec<Change> = Vec::new();
+                for (&(u, v), &w) in &overlay {
+                    arc_changes.push((u, v, w));
+                    if undirected {
+                        arc_changes.push((v, u, w));
+                    }
+                    match w {
+                        Some(w) => edges.insert((u, v), w),
+                        None => edges.remove(&(u, v)),
+                    };
+                }
+                arc_changes.sort_unstable_by_key(|&(u, v, _)| (u, v));
+                let patched = before.patched(n + extra, &arc_changes);
+                let want = Csr::from_arcs(n + extra, &arcs(&edges, undirected));
+                prop_assert_eq!(patched, want, "changes {:?}", arc_changes);
+            }
+        }
     }
 }

@@ -25,6 +25,14 @@ impl Graph {
         Graph { csr, direction }
     }
 
+    pub(crate) fn csr(&self) -> &Csr {
+        &self.csr
+    }
+
+    pub(crate) fn into_csr(self) -> Csr {
+        self.csr
+    }
+
     /// Number of nodes (including isolated ones).
     #[inline(always)]
     pub fn num_nodes(&self) -> u32 {
@@ -75,9 +83,11 @@ impl Graph {
     /// Neighbor slice pair `(targets, weights)` of `u`, sorted by
     /// `(weight, target)` ascending — lightest edge first.
     ///
-    /// The order is an invariant of every graph this crate produces
-    /// (builder, [`crate::GraphStore`] commits, [`Graph::transpose`], file
-    /// and snapshot loads all go through the same CSR constructors). A
+    /// The order is an invariant of every graph this crate produces: the
+    /// builder, [`Graph::transpose`], file and snapshot loads all sort rows
+    /// in the one CSR constructor, and a [`crate::GraphStore`] commit
+    /// copies the previous snapshot's untouched rows and re-sorts only the
+    /// rows it changes. A
     /// distance-bounded traversal may therefore `break` out of a row at the
     /// first edge with `d + w >= bound`; `rkranks-core`'s `refine_rank`
     /// does, and that early exit is most of its per-settle cost on hub rows.

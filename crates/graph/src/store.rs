@@ -4,7 +4,7 @@
 //! The query stack reads immutable CSR [`Graph`]s — that is what makes the
 //! SDS-tree, the transpose, and concurrent serving cheap. A mutable *live*
 //! graph therefore does not mutate the CSR in place; instead a
-//! `GraphStore` owns the canonical edge set, accumulates pending
+//! `GraphStore` holds the current snapshot, accumulates pending
 //! [`GraphDelta`]s (add/remove edge, add node, reweight), and on
 //! [`GraphStore::commit`] publishes a fresh immutable `Arc<Graph>`
 //! snapshot tagged with a monotonically increasing *graph epoch*.
@@ -12,27 +12,31 @@
 //! Readers keep whatever snapshot they cloned — queries in flight when a
 //! commit lands finish against the graph they started on, and the epoch
 //! tag tells every downstream layer (result caches, indexes) exactly which
-//! graph state an answer belongs to. Rebuild cost is amortized: deltas are
-//! staged in batches and one commit pays one `O(m log m)` CSR rebuild for
-//! the whole batch, reusing the same sorted-arc construction as
-//! [`crate::builder::GraphBuilder`].
+//! graph state an answer belongs to. The snapshot *is* the committed edge
+//! set; nothing else keeps a copy. A commit patches it: the untouched CSR
+//! rows are copied in runs, and only the rows a staged delta touches
+//! (both endpoints of an undirected edge) are rebuilt and re-sorted —
+//! `O(n + m)` sequential copy plus `Σ d log d` over the touched rows, for
+//! the whole batch.
 //!
-//! Staging validates eagerly against the *effective* state (committed
-//! edges plus already staged deltas), so a bad update is a one-line error
-//! at the boundary, never a panic mid-rebuild. [`GraphStore::stage_all`]
-//! is all-or-nothing for protocol batches.
+//! Staging validates eagerly against the *effective* state (the
+//! snapshot's rows under the staged overlay), so a bad update is a
+//! one-line error at the boundary, never a panic mid-commit.
+//! [`GraphStore::stage_all`] is all-or-nothing for protocol batches.
 //!
 //! The committed snapshot is *identical* to a from-scratch
 //! [`crate::builder::graph_from_edges`] build of the final edge list —
-//! byte-for-byte CSR equality, which the equivalence proptests assert.
+//! byte-for-byte CSR equality, which the equivalence proptests assert. A
+//! store opened on a multigraph keeps the lightest of each set of
+//! parallel arcs (the builder's default), so this holds from epoch 0.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::builder::EdgeDirection;
-use crate::csr::Csr;
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
+use crate::node::NodeId;
 use crate::weight::Weight;
 
 /// One live graph update. A batch of these is the unit the serving layer
@@ -141,8 +145,8 @@ impl GraphDelta {
     }
 }
 
-/// Owner of a live graph: canonical edge set + staged deltas, publishing
-/// immutable epoch-tagged [`Graph`] snapshots.
+/// Owner of a live graph: the committed snapshot + staged deltas,
+/// publishing immutable epoch-tagged [`Graph`] snapshots.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -160,17 +164,13 @@ impl GraphDelta {
 #[derive(Debug)]
 pub struct GraphStore {
     direction: EdgeDirection,
-    /// Committed logical edges, canonically keyed (undirected stores key
-    /// by `(min, max)`). `BTreeMap` keeps the arc list sorted for free.
-    edges: BTreeMap<(u32, u32), f64>,
-    /// Committed node count (covers isolated nodes).
-    num_nodes: u32,
-    /// Staged overlay: `Some(w)` = edge present with weight `w` after the
+    /// Staged overlay, canonically keyed (undirected stores key by
+    /// `(min, max)`): `Some(w)` = edge present with weight `w` after the
     /// next commit, `None` = edge deleted.
     staged: BTreeMap<(u32, u32), Option<f64>>,
     /// Nodes appended by staged [`GraphDelta::AddNode`]s.
     staged_new_nodes: u32,
-    /// The current published snapshot.
+    /// The current published snapshot: the committed edge set.
     snapshot: Arc<Graph>,
     /// Bumped by every commit that changed the graph.
     epoch: u64,
@@ -178,24 +178,20 @@ pub struct GraphStore {
 
 impl GraphStore {
     /// Take ownership of `graph` as the epoch-0 snapshot.
+    ///
+    /// Parallel arcs (a [`crate::DedupPolicy::KeepAll`] build) collapse to
+    /// the lightest one, as the builder's default policy would: they cannot
+    /// change a distance, and a commit only re-sorts the rows it touches,
+    /// so the snapshot must already be the edge set it stands for.
     pub fn new(graph: Graph) -> GraphStore {
         let direction = graph.direction();
-        // Collected, not inserted one by one: rows are weight-ordered, so
-        // keys arrive out of order, and `collect` sorts once and bulk-builds.
-        let edges = graph
-            .nodes()
-            .flat_map(|u| graph.edges(u).map(move |(v, w)| (u.0, v.0, w)))
-            // Undirected CSRs store both arcs; keep each edge once.
-            .filter(|&(u, v, _)| direction == EdgeDirection::Directed || u <= v)
-            .map(|(u, v, w)| (canonical(direction, u, v), w))
-            .collect();
+        let mut csr = graph.into_csr();
+        csr.drop_parallel_arcs();
         GraphStore {
             direction,
-            edges,
-            num_nodes: graph.num_nodes(),
             staged: BTreeMap::new(),
             staged_new_nodes: 0,
-            snapshot: Arc::new(graph),
+            snapshot: Arc::new(Graph::from_csr(csr, direction)),
             epoch: 0,
         }
     }
@@ -225,7 +221,7 @@ impl GraphStore {
         // Nodes first: staged edges may reference staged node ids.
         wal.extend((0..self.staged_new_nodes).map(|_| GraphDelta::AddNode));
         for (&(u, v), &overlay) in &self.staged {
-            let committed = self.edges.contains_key(&(u, v));
+            let committed = self.committed_weight((u, v)).is_some();
             match overlay {
                 Some(w) if committed => wal.push(GraphDelta::Reweight { u, v, w }),
                 Some(w) => wal.push(GraphDelta::AddEdge { u, v, w }),
@@ -256,17 +252,17 @@ impl GraphStore {
 
     /// Committed node count.
     pub fn num_nodes(&self) -> u32 {
-        self.num_nodes
+        self.snapshot.num_nodes()
     }
 
     /// Node count after the staged deltas commit.
     pub fn effective_num_nodes(&self) -> u32 {
-        self.num_nodes + self.staged_new_nodes
+        self.num_nodes() + self.staged_new_nodes
     }
 
     /// Committed logical edge count.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.snapshot.num_edges()
     }
 
     /// Staged deltas not yet committed (edge overlays + appended nodes).
@@ -280,16 +276,39 @@ impl GraphStore {
             .is_some()
     }
 
-    /// Iterate the committed logical edges in canonical order.
+    /// Iterate the committed logical edges in row order: by source node,
+    /// then by `(weight, target)`. An undirected edge comes once, from its
+    /// smaller endpoint's row.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
-        self.edges.iter().map(|(&(u, v), &w)| (u, v, w))
+        let g = &*self.snapshot;
+        let directed = g.is_directed();
+        g.nodes().flat_map(move |u| {
+            g.edges(u)
+                .filter(move |&(v, _)| directed || u.0 < v.0)
+                .map(move |(v, w)| (u.0, v.0, w))
+        })
     }
 
     fn effective_weight(&self, key: (u32, u32)) -> Option<f64> {
         match self.staged.get(&key) {
             Some(&overlay) => overlay,
-            None => self.edges.get(&key).copied(),
+            None => self.committed_weight(key),
         }
+    }
+
+    /// The snapshot's weight for the canonical edge `(u, v)`: a scan of
+    /// row `u` (undirected: of the shorter of rows `u` and `v`).
+    fn committed_weight(&self, (u, v): (u32, u32)) -> Option<f64> {
+        let g = &*self.snapshot;
+        if u.max(v) >= g.num_nodes() {
+            return None; // a staged node: no committed edges yet
+        }
+        let (from, to) = match self.direction {
+            EdgeDirection::Undirected if g.degree(NodeId(v)) < g.degree(NodeId(u)) => (v, u),
+            _ => (u, v),
+        };
+        let (targets, weights) = g.out_neighbors(NodeId(from));
+        targets.iter().position(|t| t.0 == to).map(|i| weights[i])
     }
 
     /// Validate one delta against the effective state and stage it.
@@ -297,7 +316,7 @@ impl GraphStore {
     /// Every rejection is a one-line [`GraphError`]: self-loops, invalid
     /// weights, out-of-range node ids, duplicate adds, and removals or
     /// reweights of unknown edges all fail *here*, at the boundary —
-    /// nothing invalid ever reaches the rebuild.
+    /// nothing invalid ever reaches a commit.
     pub fn stage(&mut self, delta: GraphDelta) -> Result<()> {
         let n = self.effective_num_nodes();
         let check_node = |node: u32| {
@@ -393,36 +412,39 @@ impl GraphStore {
         Ok(deltas.len())
     }
 
-    /// Apply every staged delta, rebuild the CSR, and publish a new
-    /// snapshot. One commit pays one rebuild no matter how many deltas
-    /// were staged. Returns the (possibly unchanged) current snapshot.
+    /// Apply every staged delta and publish a new snapshot, patched from
+    /// the current one: untouched rows are copied, and each row a staged
+    /// edge touches is rebuilt and re-sorted once, however many deltas the
+    /// batch holds. Returns the (possibly unchanged) current snapshot.
     ///
     /// The epoch bumps only when the graph actually changed: committing
     /// nothing — or only no-op reweights — keeps the old snapshot and
     /// epoch, so downstream caches are never invalidated for free.
     pub fn commit(&mut self) -> Arc<Graph> {
-        let mut changed = self.staged_new_nodes > 0;
-        for (&key, &overlay) in &self.staged {
-            changed |= self.edges.get(&key).copied() != overlay;
-        }
+        let staged = std::mem::take(&mut self.staged);
+        let changed = self.staged_new_nodes > 0
+            || staged
+                .iter()
+                .any(|(&key, &overlay)| self.committed_weight(key) != overlay);
         if !changed {
-            self.staged.clear();
             return self.snapshot();
         }
-        for (key, overlay) in std::mem::take(&mut self.staged) {
-            match overlay {
-                Some(w) => {
-                    self.edges.insert(key, w);
-                }
-                None => {
-                    self.edges.remove(&key);
-                }
+        // Arc overlays, one per CSR row an edge touches.
+        let mut changes = Vec::with_capacity(2 * staged.len());
+        for ((u, v), overlay) in staged {
+            changes.push((u, v, overlay));
+            if self.direction == EdgeDirection::Undirected {
+                changes.push((v, u, overlay));
             }
         }
-        self.num_nodes += self.staged_new_nodes;
+        changes.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        let csr = self
+            .snapshot
+            .csr()
+            .patched(self.effective_num_nodes(), &changes);
         self.staged_new_nodes = 0;
         self.epoch += 1;
-        self.snapshot = Arc::new(self.rebuild());
+        self.snapshot = Arc::new(Graph::from_csr(csr, self.direction));
         self.snapshot()
     }
 
@@ -431,24 +453,6 @@ impl GraphStore {
     pub fn apply(&mut self, deltas: &[GraphDelta]) -> Result<Arc<Graph>> {
         self.stage_all(deltas)?;
         Ok(self.commit())
-    }
-
-    /// Rebuild the CSR from the canonical edge set — the same
-    /// `Csr::from_arcs` construction `GraphBuilder` uses, so snapshots are
-    /// identical to from-scratch builds of the same edge list.
-    fn rebuild(&self) -> Graph {
-        let arcs: Vec<(u32, u32, f64)> = match self.direction {
-            EdgeDirection::Directed => self.edges().collect(),
-            EdgeDirection::Undirected => {
-                let mut a = Vec::with_capacity(self.edges.len() * 2);
-                for (u, v, w) in self.edges() {
-                    a.push((u, v, w));
-                    a.push((v, u, w));
-                }
-                a
-            }
-        };
-        Graph::from_csr(Csr::from_arcs(self.num_nodes, &arcs), self.direction)
     }
 }
 
@@ -476,8 +480,8 @@ fn canonical(direction: EdgeDirection, u: u32, v: u32) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{graph_from_edges, GraphBuilder};
-    use crate::node::NodeId;
+    use crate::builder::{graph_from_edges, DedupPolicy, GraphBuilder};
+    use crate::dijkstra::sssp;
 
     fn diamond() -> Graph {
         graph_from_edges(
@@ -770,5 +774,40 @@ mod tests {
             .unwrap();
         assert_eq!(store.snapshot().num_nodes(), 6);
         assert_eq!(store.snapshot().num_edges(), 2);
+    }
+
+    #[test]
+    fn multigraph_store_keeps_distances_across_an_unrelated_commit() {
+        // 0–1 twice (weights 1 and 5), then 1–2, 2–3
+        let mut b = GraphBuilder::new(EdgeDirection::Undirected).dedup_policy(DedupPolicy::KeepAll);
+        for (u, v, w) in [(0, 1, 1.0), (0, 1, 5.0), (1, 2, 1.0), (2, 3, 1.0)] {
+            b.add_edge(u, v, w).unwrap();
+        }
+        let mut store = GraphStore::new(b.build().unwrap());
+        assert_eq!(store.num_edges(), 3, "parallel arcs collapse at open");
+        assert_eq!(sssp(&store.snapshot(), NodeId(0))[1], 1.0);
+        let snap = store
+            .apply(&[GraphDelta::AddEdge { u: 0, v: 3, w: 9.0 }])
+            .unwrap();
+        let row0: Vec<_> = snap.edges(NodeId(0)).collect();
+        assert_eq!(row0, [(NodeId(1), 1.0), (NodeId(3), 9.0)]);
+        assert_eq!(sssp(&snap, NodeId(0))[1], 1.0);
+        let scratch = graph_from_edges(
+            EdgeDirection::Undirected,
+            [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 9.0)],
+        )
+        .unwrap();
+        assert_eq!(*snap, scratch);
+    }
+
+    #[test]
+    fn edges_come_in_row_order_once_each() {
+        let g = graph_from_edges(
+            EdgeDirection::Undirected,
+            [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)],
+        )
+        .unwrap();
+        let edges: Vec<_> = GraphStore::new(g).edges().collect();
+        assert_eq!(edges, [(0, 2, 1.0), (0, 1, 2.0), (1, 2, 1.0)]);
     }
 }

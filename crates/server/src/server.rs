@@ -33,7 +33,7 @@
 //!   waiting on a timer. Control ops flush the pass first, so pipelined
 //!   `flush`/`update` sequences keep sequential semantics.
 //! * **The graph is versioned, not frozen.** A
-//!   [`rkranks_graph::GraphStore`] owns the canonical edge set; `update`
+//!   [`rkranks_graph::GraphStore`] holds the committed graph; `update`
 //!   ops stage validated [`GraphDelta`] batches, and at every merge point
 //!   the merger commits them: it publishes a fresh immutable
 //!   `Arc<Graph>` snapshot tagged with a bumped *graph epoch*, builds a
@@ -1302,6 +1302,8 @@ fn merge_pending(shared: &Shared) -> (u64, u64) {
     let mut new_ctx = None;
     if staged > 0 {
         let epoch_before = write.store.graph_epoch();
+        // The store patches its previous snapshot: only the CSR rows the
+        // staged edges touch are rebuilt, the rest are copied.
         let snapshot = write.store.commit();
         let graph_epoch = write.store.graph_epoch();
         // The commit drained the store; every staging op happens under the

@@ -111,13 +111,36 @@ echo "5 $NODES 0.01" >> "$WORK/g2.edges"
 diff -u "$WORK/local2.txt" "$WORK/remote2.txt"
 echo "update round-trip == in-process rebuild"
 
-# batched updates from a file land too
-printf 'add-node\n' > "$WORK/ups.txt"
+# batched updates from a file land too: one batch (one commit) that
+# removes the hub's heaviest edge, reweights its lightest past every other
+# edge of its row, and adds a node wired to the hub and to node 5 — the
+# commit patches the hub's row, its neighbours' rows and an appended row
+HUB="$(awk 'NR > 1 {d[$1]++; d[$2]++} END {for (n in d) if (d[n] > best) {best = d[n]; hub = n}; print hub}' "$WORK/g.edges")"
+awk -v h="$HUB" 'NR > 1 && ($1 == h || $2 == h)' "$WORK/g.edges" | sort -k3,3g > "$WORK/hub.edges"
+read -r RW_U RW_V _ < <(head -1 "$WORK/hub.edges")
+read -r RM_U RM_V _ < <(tail -1 "$WORK/hub.edges")
+NEW=$((NODES + 1))
+printf 'add-node\nadd %s %s 0.05\nadd %s 5 0.3\nrm %s %s\nreweight %s %s 1.9\n' \
+    "$NEW" "$HUB" "$NEW" "$RM_U" "$RM_V" "$RW_U" "$RW_V" > "$WORK/ups.txt"
 "$RKR" update "$ADDR" --from "$WORK/ups.txt"
 "$RKR" ctl "$ADDR" stats > "$WORK/stats1.txt"
 grep -q "($((NODES + 2)) nodes" "$WORK/stats1.txt" || {
     echo "rkr update --from did not land"; cat "$WORK/stats1.txt"; exit 1; }
-echo "file-driven updates applied"
+awk -v n=$((NODES + 2)) -v ru="$RM_U" -v rv="$RM_V" -v wu="$RW_U" -v wv="$RW_V" '
+    NR == 1 { $2 = n; print; next }
+    $1 == ru && $2 == rv { next }
+    $1 == wu && $2 == wv { $3 = 1.9 }
+    { print }' "$WORK/g2.edges" > "$WORK/g3.edges"
+printf '%s %s 0.05\n%s 5 0.3\n' "$NEW" "$HUB" "$NEW" >> "$WORK/g3.edges"
+for q in 5 "$HUB" "$NEW"; do
+    "$RKR" query --remote "$ADDR" --node "$q" --k 4 > "$WORK/remote3.full"
+    grep -q 'graph epoch 3' "$WORK/remote3.full" || {
+        echo "the file batch must be one commit"; cat "$WORK/remote3.full"; exit 1; }
+    grep ' rank ' "$WORK/remote3.full" | sort > "$WORK/remote3.txt"
+    "$RKR" query "$WORK/g3.edges" --node "$q" --k 4 --algo dynamic | grep ' rank ' | sort > "$WORK/local3.txt"
+    diff -u "$WORK/local3.txt" "$WORK/remote3.txt"
+done
+echo "file-driven updates applied (hub $HUB): remote == in-process rebuild"
 
 "$RKR" ctl "$ADDR" stats
 "$RKR" ctl "$ADDR" flush
