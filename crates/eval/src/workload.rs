@@ -8,7 +8,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rkranks_datasets::zipf::Zipf;
 use rkranks_graph::{Graph, NodeId};
 
 /// Uniformly random query nodes (without replacement while possible).
@@ -36,28 +35,6 @@ pub fn random_queries(
         }
     }
     out
-}
-
-/// A Zipf-skewed query stream (with replacement): node "hotness" follows
-/// `P(i) ∝ 1/i^alpha` over the valid nodes ordered by descending degree,
-/// ties by id — hubs are hot, like real recommendation traffic. This is
-/// the serving-experiment workload: repeat probability is what a result
-/// cache's hit rate depends on.
-pub fn zipf_queries(
-    graph: &Graph,
-    count: usize,
-    seed: u64,
-    alpha: f64,
-    valid: impl Fn(NodeId) -> bool,
-) -> Vec<NodeId> {
-    let mut pool: Vec<NodeId> = graph.nodes().filter(|&v| valid(v)).collect();
-    if pool.is_empty() {
-        return Vec::new();
-    }
-    pool.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-    let z = Zipf::new(pool.len(), alpha);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count).map(|_| pool[z.sample(&mut rng) - 1]).collect()
 }
 
 /// The `count` valid nodes with the highest out-degree (Table 12's
@@ -128,27 +105,6 @@ mod tests {
         let qs = random_queries(&g, 6, 1, |v| v.0 <= 1);
         assert_eq!(qs.len(), 6);
         assert!(qs.iter().all(|q| q.0 <= 1));
-    }
-
-    #[test]
-    fn zipf_is_deterministic_and_skews_to_hubs() {
-        let g = star();
-        let a = zipf_queries(&g, 200, 7, 1.5, |_| true);
-        let b = zipf_queries(&g, 200, 7, 1.5, |_| true);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 200);
-        // node 0 is the hub (degree 3) and must dominate the stream
-        let hub_hits = a.iter().filter(|&&q| q == NodeId(0)).count();
-        assert!(hub_hits > 100, "hub drew only {hub_hits}/200");
-    }
-
-    #[test]
-    fn zipf_respects_filter_and_empty_pool() {
-        let g = star();
-        let qs = zipf_queries(&g, 50, 3, 2.0, |v| v.0 != 0);
-        assert_eq!(qs.len(), 50);
-        assert!(qs.iter().all(|q| q.0 != 0));
-        assert!(zipf_queries(&g, 10, 3, 2.0, |_| false).is_empty());
     }
 
     #[test]

@@ -33,7 +33,7 @@ const CHUNK: usize = 4096;
 /// One client connection: the stream plus its inbound and outbound
 /// buffers and flow-control state.
 pub struct Conn {
-    /// The underlying stream. The server's event loops run it
+    /// The underlying stream. The server's epoll workers run it
     /// non-blocking and multiplexed; the coordinator's per-connection
     /// handlers run it blocking, with no read timeout, one thread each.
     pub stream: TcpStream,
@@ -53,8 +53,8 @@ pub struct Conn {
     /// Terminal: flush what's queued (the error or farewell line), then
     /// close. Nothing further is read or parsed.
     pub closing: bool,
-    /// The interest mask this connection is registered with (epoll
-    /// backend only; the poll backend ignores it).
+    /// The epoll interest mask the server registered this connection
+    /// with (unused on the coordinator's blocking connections).
     pub interest: u32,
     /// Largest outbound backlog (unsent bytes) this connection ever
     /// queued — recorded into telemetry when the connection closes.
@@ -133,8 +133,8 @@ impl Conn {
 
     /// Read everything currently available, stopping early once the
     /// unconsumed inbound buffer exceeds `max_line` — the readiness loop
-    /// is level-triggered (and the poll loop revisits every pass), so the
-    /// rest is picked up after the buffered lines are served. A short
+    /// is level-triggered, so the rest is picked up after the buffered
+    /// lines are served. A short
     /// read ends the pass too: it drained the kernel buffer, and whatever
     /// arrives later raises readiness again.
     pub fn fill(&mut self, max_line: usize) -> io::Result<Fill> {

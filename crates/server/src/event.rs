@@ -1,132 +1,17 @@
-//! Readiness backend selection and the raw `epoll(7)` bindings.
+//! The raw `epoll(7)` bindings every `rkrd` worker's event loop runs on.
 //!
-//! The daemon multiplexes all of a worker's connections on one thread.
-//! *How* it learns which connection is ready is the backend:
-//!
-//! * [`EventBackend::Epoll`] — a readiness-based event loop on raw
-//!   `epoll_create1`/`epoll_ctl`/`epoll_wait` syscalls (Linux only). One
-//!   wake-up costs O(ready connections), no matter how many thousands of
-//!   idle keep-alive connections are parked, and an idle worker sleeps in
-//!   the kernel instead of spinning a yield ramp.
-//! * [`EventBackend::Poll`] — the portable fallback: a non-blocking
-//!   round-robin pass over every open connection. O(open connections)
-//!   per pass, but it works on every platform `std::net` does.
+//! The daemon multiplexes all of a worker's connections on one thread and
+//! learns which are ready from `epoll_create1`/`epoll_ctl`/`epoll_wait`:
+//! one wake-up costs O(ready connections), no matter how many thousands
+//! of idle keep-alive connections are parked, and an idle worker sleeps
+//! in the kernel.
 //!
 //! The workspace is deliberately dependency-free (it already hand-rolls
 //! JSON, an LRU, and RNGs), so the epoll layer is a ~hundred lines of
 //! `extern "C"` against symbols libstd already links, not a crate.
 
-use std::fmt;
-use std::str::FromStr;
-
-/// Which connection-multiplexing core the daemon runs
-/// (`rkr serve --event-loop auto|epoll|poll`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EventBackend {
-    /// Pick the best backend available at startup: `epoll` where the
-    /// kernel offers it (Linux), the portable poll loop everywhere else.
-    #[default]
-    Auto,
-    /// The readiness-based `epoll(7)` event loop (Linux only). Requesting
-    /// it where unavailable falls back to `poll` with a logged warning.
-    Epoll,
-    /// The portable non-blocking round-robin poll loop — the pre-epoll
-    /// core, kept as the fallback path and as the baseline the
-    /// connection-count sweep benches compare against.
-    Poll,
-}
-
-impl EventBackend {
-    /// The stable string form (`auto` / `epoll` / `poll`).
-    pub const fn name(self) -> &'static str {
-        match self {
-            EventBackend::Auto => "auto",
-            EventBackend::Epoll => "epoll",
-            EventBackend::Poll => "poll",
-        }
-    }
-
-    /// Whether the epoll backend can actually run on this host.
-    pub fn epoll_supported() -> bool {
-        epoll_available()
-    }
-
-    /// The name of the backend this request will actually run on this
-    /// host (`"epoll"` or `"poll"`) — what the daemon banner reports.
-    pub fn resolved_name(self) -> &'static str {
-        self.resolve().name()
-    }
-
-    /// Resolve the request against what the host supports. `Auto` and an
-    /// unavailable explicit `Epoll` both degrade to `Poll` (the caller
-    /// warns on the explicit degradation).
-    pub(crate) fn resolve(self) -> Backend {
-        match self {
-            EventBackend::Poll => Backend::Poll,
-            EventBackend::Auto | EventBackend::Epoll => {
-                if epoll_available() {
-                    Backend::Epoll
-                } else {
-                    Backend::Poll
-                }
-            }
-        }
-    }
-}
-
-impl FromStr for EventBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<EventBackend, String> {
-        match s {
-            "auto" => Ok(EventBackend::Auto),
-            "epoll" => Ok(EventBackend::Epoll),
-            "poll" => Ok(EventBackend::Poll),
-            other => Err(format!(
-                "unknown event loop '{other}' (expected auto, epoll, or poll)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for EventBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The backend a running daemon actually uses after [`EventBackend`]
-/// resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Backend {
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-    Epoll,
-    Poll,
-}
-
-impl Backend {
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            Backend::Epoll => "epoll",
-            Backend::Poll => "poll",
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_available() -> bool {
-    epoll::Epoll::new().is_ok()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn epoll_available() -> bool {
-    false
-}
-
-/// Raw `epoll(7)`: the four syscalls and a tiny RAII wrapper. Linux-only
-/// by construction; everything here is `pub(crate)` plumbing for the
-/// server's event loop.
-#[cfg(target_os = "linux")]
+/// Raw `epoll(7)`: the four syscalls and a tiny RAII wrapper;
+/// everything here is `pub(crate)` plumbing for the server's event loop.
 pub(crate) mod epoll {
     use std::io;
     use std::os::raw::c_int;
@@ -287,29 +172,5 @@ pub(crate) mod epoll {
             ep.delete(accepted.as_raw_fd()).unwrap();
             assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backend_names_round_trip() {
-        for b in [EventBackend::Auto, EventBackend::Epoll, EventBackend::Poll] {
-            assert_eq!(b.name().parse::<EventBackend>().unwrap(), b);
-        }
-        assert!("kqueue".parse::<EventBackend>().is_err());
-    }
-
-    #[test]
-    fn resolution_never_picks_an_unsupported_backend() {
-        let resolved = EventBackend::Auto.resolve();
-        if EventBackend::epoll_supported() {
-            assert_eq!(resolved, Backend::Epoll);
-        } else {
-            assert_eq!(resolved, Backend::Poll);
-        }
-        assert_eq!(EventBackend::Poll.resolve(), Backend::Poll);
     }
 }

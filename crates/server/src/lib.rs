@@ -2,8 +2,7 @@
 //!
 //! `rkrd` — a network serving subsystem for reverse k-ranks queries: a
 //! hand-rolled TCP daemon (the build environment is offline, so no tokio —
-//! a fixed pool of event-loop workers, `epoll` via raw syscalls on Linux
-//! with a portable non-blocking poll fallback, see [`EventBackend`])
+//! a fixed pool of event-loop workers on raw `epoll(7)` syscalls)
 //! speaking a newline-delimited JSON protocol, plus the blocking
 //! [`Client`] the `rkr serve` / `rkr query --remote` CLI paths use.
 //! Connections get per-connection write backpressure and bounded request
@@ -63,14 +62,25 @@
 //!
 //! See [`protocol`] for the wire format and [`server`] for the serving
 //! architecture (workers, snapshots, the merger).
+//!
+//! The daemon tier (this crate, `rkranks_coord`, and the `rkr` facade)
+//! is Linux-only; the engine and the paper's experiment harness build
+//! anywhere.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "rkranks_server is Linux-only: rkrd serves on epoll(7). The engine and the \
+     experiments crates (rkranks_graph, rkranks_core, rkranks_datasets, rkranks_eval) \
+     build anywhere."
+);
+
 pub mod cache;
 pub mod client;
 pub mod conn;
-pub mod event;
+pub(crate) mod event;
 pub mod json;
 pub mod log;
 pub mod metrics;
@@ -79,7 +89,6 @@ pub mod server;
 
 pub use cache::{CacheKey, ResultCache};
 pub use client::{Client, ClientError, ConnectPolicy, QueryOptions};
-pub use event::EventBackend;
 pub use log::LogLevel;
 pub use metrics::{Metrics, QueryOutcome, SlowQueryLog};
 pub use protocol::{

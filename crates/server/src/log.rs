@@ -6,7 +6,7 @@
 //! output grep-able and orderable:
 //!
 //! ```text
-//! rkrd[   12.045s] warn: epoll is not available on this host; ...
+//! rkrd[   12.045s] info: serving: 4 workers, epoll event loop, ...
 //! rkrd[  183.201s] error: checkpoint to /var/rkr.snap failed: ...
 //! ```
 //!
@@ -27,7 +27,7 @@ pub enum LogLevel {
     /// The daemon lost something it should not have (failed checkpoint,
     /// broken event loop, accept errors).
     Error = 0,
-    /// Degraded but serving (backend fallback, resource pressure).
+    /// Degraded but serving (resource pressure).
     Warn = 1,
     /// Lifecycle landmarks (merges, commits, checkpoints).
     Info = 2,
@@ -105,14 +105,6 @@ macro_rules! log_error {
     };
 }
 
-macro_rules! log_warn {
-    ($($arg:tt)*) => {
-        if $crate::log::enabled($crate::log::LogLevel::Warn) {
-            $crate::log::write($crate::log::LogLevel::Warn, format_args!($($arg)*));
-        }
-    };
-}
-
 macro_rules! log_info {
     ($($arg:tt)*) => {
         if $crate::log::enabled($crate::log::LogLevel::Info) {
@@ -121,7 +113,7 @@ macro_rules! log_info {
     };
 }
 
-pub(crate) use {log_error, log_info, log_warn};
+pub(crate) use {log_error, log_info};
 
 #[cfg(test)]
 mod tests {

@@ -522,8 +522,8 @@ pub struct StatsReply {
     /// fd exhaustion above all. Nonzero means clients are being turned
     /// away at the listener; raise the fd limit or shed connections.
     pub accept_errors: u64,
-    /// Event-loop wake-ups that surfaced ready work (epoll waits with
-    /// events, poll passes with progress).
+    /// Event-loop wake-ups that surfaced ready work (`epoll_wait`
+    /// returns with at least one event).
     pub wakeups: u64,
     /// Wake-up passes that served at least one query.
     pub batches: u64,

@@ -5,19 +5,18 @@
 //! ## Serving architecture
 //!
 //! * **Workers are event loops, not per-connection threads.** Each
-//!   worker owns an [`crate::event`] backend — `epoll` on Linux (raw
-//!   syscalls, O(ready) per wake-up, kernel sleep when idle), a
-//!   non-blocking round-robin poll pass everywhere else — and multiplexes
-//!   *all* of its accepted connections on one thread. Ten thousand
-//!   parked keep-alive connections cost a wake-up nothing: only ready
-//!   sockets are touched, so control ops and queries stay fast no matter
-//!   how many clients idle. Requests on one connection are served in
+//!   worker owns one `epoll(7)` instance (raw syscalls, O(ready) per
+//!   wake-up, kernel sleep when idle) and multiplexes *all* of its
+//!   accepted connections on one thread. Ten thousand parked keep-alive
+//!   connections cost a wake-up nothing: only ready sockets are touched,
+//!   so control ops and queries stay fast no matter how many clients
+//!   idle. Requests on one connection are served in
 //!   order. Each worker has its own [`QueryScratch`], so steady-state
 //!   queries allocate almost nothing.
 //! * **Write backpressure.** Replies queue in a per-connection outbound
 //!   buffer (the `conn` module) drained as the socket accepts them
-//!   (`EPOLLOUT` re-arming on the epoll backend). A connection whose
-//!   backlog reaches the configured high-water mark stops being *read* —
+//!   (`EPOLLOUT` re-arming). A connection whose backlog reaches the
+//!   configured high-water mark stops being *read* —
 //!   and stops having its buffered requests parsed — until the backlog
 //!   fully drains, so a slow client throttles itself instead of growing
 //!   the daemon's memory. Inbound lines are bounded too: a line over
@@ -68,6 +67,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -82,16 +82,16 @@ use rkranks_graph::{Graph, GraphDelta, GraphStore, NodeId, ShardSlice};
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::conn::{Conn, Fill, LineStatus};
-use crate::event::{Backend, EventBackend};
-use crate::log::{log_error, log_info, log_warn};
+use crate::event::epoll::{self, Epoll};
+use crate::log::{log_error, log_info};
 use crate::metrics::{duration_ns, Metrics, QueryOutcome, SLOW_LOG_CAPACITY};
 use crate::protocol::{
     BatchReply, HelloReply, QueryReply, Reply, Request, ShardIdentity, SlowQueryRecord, StatsReply,
     UpdateOp, PROTOCOL_VERSION,
 };
 
-/// How long a fully idle worker sleeps between event-loop passes (after
-/// the yield ramp) — bounds both idle CPU and how quickly shutdown is
+/// The `epoll_wait` timeout: how long an idle worker sleeps before it
+/// re-checks the shutdown flag, so it bounds how quickly shutdown is
 /// observed.
 const POLL: Duration = Duration::from_millis(25);
 
@@ -122,10 +122,6 @@ pub struct ServerConfig {
     /// resumes at the same epoch pair. `None` (the default) serves purely
     /// in memory.
     pub snapshot: Option<PathBuf>,
-    /// Connection-multiplexing backend (`rkr serve --event-loop`):
-    /// [`EventBackend::Auto`] picks `epoll` where the kernel offers it
-    /// and the portable poll loop everywhere else.
-    pub event_loop: EventBackend,
     /// Write-backpressure high-water mark (bytes). A connection whose
     /// queued outbound replies reach this stops being read (and parsed)
     /// until the backlog fully drains, so a slow client throttles itself
@@ -165,7 +161,6 @@ impl Default for ServerConfig {
             merge_every: 64,
             bounds: BoundConfig::ALL,
             snapshot: None,
-            event_loop: EventBackend::Auto,
             write_high_water: 256 * 1024,
             max_line_bytes: 1024 * 1024,
             slow_query_ms: None,
@@ -213,8 +208,6 @@ struct WriteState {
 /// Everything the worker, merger, and control paths share.
 struct Shared {
     config: ServerConfig,
-    /// The resolved event-loop backend every worker runs.
-    backend: Backend,
     /// Burst guard for accept-error logging: set on the first error of a
     /// burst (log it), cleared by the next successful accept.
     accept_err_logged: AtomicBool,
@@ -277,7 +270,9 @@ pub fn serve(
 /// The index must be tagged with the store's graph epoch — a bundle
 /// loaded through [`rkranks_core::load_snapshot`] guarantees this; a
 /// hand-assembled mismatched pair panics rather than serve ranks
-/// computed against a different graph.
+/// computed against a different graph. A worker whose `epoll_create1`
+/// or listener registration fails also panics, naming the syscall,
+/// before any thread starts.
 pub fn serve_store(
     store: GraphStore,
     partition: Option<Partition>,
@@ -292,10 +287,6 @@ pub fn serve_store(
     );
     let mut config = config.clone();
     config.workers = config.workers.max(1);
-    let backend = config.event_loop.resolve();
-    if config.event_loop == EventBackend::Epoll && backend == Backend::Poll {
-        log_warn!("epoll is not available on this host; serving with the poll backend");
-    }
     // Restored WAL deltas are already staged in the store; mirror them
     // into the merger's `due` hint so they commit on its first pass.
     let staged_at_start = store.pending_deltas() as u64;
@@ -318,7 +309,6 @@ pub fn serve_store(
             .then(|| Mutex::new(ResultCache::new(config.cache_capacity))),
         metrics: Metrics::new(config.slow_query_cap),
         shutdown: AtomicBool::new(false),
-        backend,
         accept_err_logged: AtomicBool::new(false),
         partition,
         config,
@@ -330,19 +320,31 @@ pub fn serve_store(
         .cache_capacity
         .set(shared.config.cache_capacity as u64);
     log_info!(
-        "serving: {} workers, {:?} backend, cache {}, merge every {}",
+        "serving: {} workers, epoll event loop, cache {}, merge every {}",
         shared.config.workers,
-        shared.backend,
         shared.config.cache_capacity,
         shared.config.merge_every
     );
     listener
         .set_nonblocking(true)
         .expect("cannot poll the listener");
+    // Every worker's epoll instance exists, with the listener registered
+    // `EPOLLEXCLUSIVE`, before any thread starts: a failure stops startup
+    // naming the syscall, never leaves a worker silently missing.
+    let epolls: Vec<Epoll> = (0..shared.config.workers)
+        .map(|_| {
+            let ep = Epoll::new()
+                .unwrap_or_else(|e| panic!("rkrd cannot start: epoll_create1 failed ({e})"));
+            ep.add_listener(listener.as_raw_fd(), LISTENER)
+                .unwrap_or_else(|e| panic!("rkrd cannot start: epoll_ctl(listener) failed ({e})"));
+            ep
+        })
+        .collect();
     std::thread::scope(|s| {
         s.spawn(|| merger_loop(&shared));
-        for _ in 0..shared.config.workers {
-            s.spawn(|| worker_loop(&shared, &listener));
+        for ep in epolls {
+            let (shared, listener) = (&shared, &listener);
+            s.spawn(move || worker_loop(shared, listener, ep));
         }
     });
     // Every worker has joined, so every in-flight query has pushed its
@@ -436,17 +438,6 @@ fn strategy_bits(s: Strategy) -> u8 {
     }
 }
 
-/// What one service pass over a connection produced.
-enum ConnPoll {
-    /// Nothing to do.
-    Idle,
-    /// Served requests, read bytes, or drained output.
-    Progressed,
-    /// EOF, I/O error, an oversize line, or an acknowledged `shutdown` —
-    /// drop it.
-    Closed,
-}
-
 /// One wake-up's worth of query work. The live `(context, snapshot)`
 /// pair is acquired lazily on the first query and reused for every ready
 /// query in the pass — one read-lock acquisition amortized over however
@@ -512,25 +503,6 @@ impl QueryPass {
     }
 }
 
-/// Dispatch a worker to the resolved backend. A worker whose epoll setup
-/// fails at runtime degrades to the poll loop alone — the daemon keeps
-/// serving either way.
-fn worker_loop(shared: &Shared, listener: &TcpListener) {
-    match shared.backend {
-        Backend::Epoll => {
-            #[cfg(target_os = "linux")]
-            {
-                if epoll_worker(shared, listener) {
-                    return;
-                }
-                log_warn!("worker falling back to the poll backend");
-            }
-            poll_worker(shared, listener);
-        }
-        Backend::Poll => poll_worker(shared, listener),
-    }
-}
-
 /// Drain the accept queue, registering each accepted stream via
 /// `on_conn`. `WouldBlock` ends the drain silently; real errors —
 /// `EMFILE`/`ENFILE` fd exhaustion above all — are counted in
@@ -564,111 +536,29 @@ fn accept_ready(shared: &Shared, listener: &TcpListener, mut on_conn: impl FnMut
     }
 }
 
-/// The portable fallback core: accept, then one non-blocking service
-/// pass over every connection — O(open connections) per pass. When a
-/// full pass makes no progress the worker yields briefly, then sleeps;
-/// the yield ramp keeps request/reply ping-pong latency low without
-/// busy-burning an idle core.
-fn poll_worker(shared: &Shared, listener: &TcpListener) {
-    let mut scratch = shared
-        .live
-        .read()
-        .expect("live lock poisoned")
-        .ctx
-        .new_scratch();
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut idle_passes = 0u32;
-    while !shared.shutdown.load(Ordering::Acquire) {
-        let woke = Instant::now();
-        let mut progressed = false;
-        accept_ready(shared, listener, |stream| {
-            conns.push(Conn::new(stream));
-            progressed = true;
-        });
-        let mut pass = QueryPass::new();
-        let mut i = 0;
-        while i < conns.len() {
-            match service_conn(shared, &mut scratch, &mut pass, &mut conns[i]) {
-                ConnPoll::Idle => i += 1,
-                ConnPoll::Progressed => {
-                    progressed = true;
-                    i += 1;
-                }
-                ConnPoll::Closed => {
-                    progressed = true;
-                    let conn = conns.swap_remove(i);
-                    shared
-                        .metrics
-                        .conn_backlog_bytes
-                        .record(conn.backlog_hw as u64);
-                    shared.metrics.connections_open.sub(1);
-                }
-            }
-            if shared.shutdown.load(Ordering::Acquire) {
-                pass.flush(shared);
-                return;
-            }
-        }
-        pass.flush(shared);
-        if progressed {
-            shared.metrics.wakeups.inc();
-            shared
-                .metrics
-                .wake_drain_seconds
-                .record(duration_ns(woke.elapsed()));
-            idle_passes = 0;
-        } else {
-            idle_passes += 1;
-            if idle_passes < 256 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(POLL);
-            }
-        }
-    }
-}
-
 /// The interest mask a connection's current state wants: reads unless
 /// paused (backpressure) or closing, writes while output is queued.
-#[cfg(target_os = "linux")]
 fn wanted_interest(conn: &Conn) -> u32 {
-    use crate::event::epoll::{EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-    let mut mask = EPOLLRDHUP;
+    let mut mask = epoll::EPOLLRDHUP;
     if !conn.paused && !conn.closing {
-        mask |= EPOLLIN;
+        mask |= epoll::EPOLLIN;
     }
     if conn.pending_out() > 0 {
-        mask |= EPOLLOUT;
+        mask |= epoll::EPOLLOUT;
     }
     mask
 }
 
-/// The readiness core: one epoll instance per worker, the shared
-/// listener registered `EPOLLEXCLUSIVE`, every connection level-triggered
-/// under a slab token. A wake-up touches only ready connections —
-/// O(ready), independent of how many thousands are parked — and an idle
-/// worker sleeps in `epoll_wait` (the short timeout is only so the
-/// shutdown flag is observed). Returns `false` if epoll setup failed and
-/// the caller should fall back to the poll loop.
-#[cfg(target_os = "linux")]
-fn epoll_worker(shared: &Shared, listener: &TcpListener) -> bool {
-    use crate::event::epoll::{self, Epoll};
-    use std::os::unix::io::AsRawFd;
+/// Slab tokens are indices; the listener gets the one value no slab slot
+/// can ever be.
+const LISTENER: u64 = u64::MAX;
 
-    /// Slab tokens are indices; the listener gets the one value no slab
-    /// slot can ever be.
-    const LISTENER: u64 = u64::MAX;
-    let ep = match Epoll::new() {
-        Ok(ep) => ep,
-        Err(e) => {
-            log_error!("epoll_create1 failed ({e})");
-            return false;
-        }
-    };
-    if let Err(e) = ep.add_listener(listener.as_raw_fd(), LISTENER) {
-        log_error!("epoll listener registration failed ({e})");
-        return false;
-    }
+/// A worker's event loop on its epoll instance (listener already
+/// registered): every connection level-triggered under a slab token. A
+/// wake-up touches only ready connections — O(ready), independent of how
+/// many thousands are parked — and an idle worker sleeps in `epoll_wait`
+/// (the short timeout is only so the shutdown flag is observed).
+fn worker_loop(shared: &Shared, listener: &TcpListener, ep: Epoll) {
     let mut scratch = shared
         .live
         .read()
@@ -685,7 +575,7 @@ fn epoll_worker(shared: &Shared, listener: &TcpListener) -> bool {
             Ok(n) => n,
             Err(e) => {
                 log_error!("epoll_wait failed ({e}); worker exiting");
-                return true;
+                return;
             }
         };
         if n == 0 {
@@ -727,14 +617,8 @@ fn epoll_worker(shared: &Shared, listener: &TcpListener) -> bool {
                 // leave a second queued event behind — skip it.
                 None => continue,
                 Some(conn) => {
-                    if bits & (epoll::EPOLLERR | epoll::EPOLLHUP) != 0 {
-                        true
-                    } else {
-                        matches!(
-                            service_conn(shared, &mut scratch, &mut pass, conn),
-                            ConnPoll::Closed
-                        )
-                    }
+                    bits & (epoll::EPOLLERR | epoll::EPOLLHUP) != 0
+                        || service_conn(shared, &mut scratch, &mut pass, conn)
                 }
             };
             if closed {
@@ -769,7 +653,6 @@ fn epoll_worker(shared: &Shared, listener: &TcpListener) -> bool {
             .record(duration_ns(woke.elapsed()));
         free.append(&mut freed);
     }
-    true
 }
 
 /// A parsed inbound line, decoupled from the buffer borrow.
@@ -787,47 +670,35 @@ enum Parsed {
 /// Never blocks (the one exception: the final shutdown ack is delivered
 /// with a blocking write — the daemon is exiting). Honors backpressure:
 /// a paused connection is only flushed until its backlog drains.
+/// Returns `true` once the connection is done — EOF, I/O error, an
+/// oversize line, or an acknowledged `shutdown` — and must be dropped.
 fn service_conn(
     shared: &Shared,
     scratch: &mut QueryScratch,
     pass: &mut QueryPass,
     conn: &mut Conn,
-) -> ConnPoll {
+) -> bool {
     let max_line = shared.config.max_line_bytes;
-    let mut progressed = false;
     // Drain queued replies first, whatever woke us.
-    let backlog = conn.pending_out();
-    match conn.try_flush() {
-        Ok(left) => progressed |= left < backlog,
-        Err(_) => return ConnPoll::Closed,
+    if conn.try_flush().is_err() {
+        return true;
     }
     loop {
         if conn.closing {
             // Terminal: the farewell line is out (or the peer is gone).
-            return if conn.pending_out() == 0 {
-                ConnPoll::Closed
-            } else if progressed {
-                ConnPoll::Progressed
-            } else {
-                ConnPoll::Idle
-            };
+            return conn.pending_out() == 0;
         }
         if conn.paused {
             if conn.pending_out() > 0 {
                 // Still backed up: no reads, no parsing.
-                return if progressed {
-                    ConnPoll::Progressed
-                } else {
-                    ConnPoll::Idle
-                };
+                return false;
             }
             conn.paused = false; // fully drained: resume
         }
         let fill = match conn.fill(max_line) {
             Ok(f) => f,
-            Err(_) => return ConnPoll::Closed,
+            Err(_) => return true,
         };
-        progressed |= fill == Fill::Progress;
         while !conn.paused && !conn.closing {
             let parsed = match conn.peek_line(max_line) {
                 LineStatus::Partial => break,
@@ -844,7 +715,6 @@ fn service_conn(
                     }
                 }
             };
-            progressed = true;
             let result = match parsed {
                 Parsed::Oversize => {
                     shared.metrics.oversize_lines.inc();
@@ -854,7 +724,7 @@ fn service_conn(
                             .render();
                     line.push('\n');
                     if conn.send(line.as_bytes()).is_err() {
-                        return ConnPoll::Closed;
+                        return true;
                     }
                     conn.closing = true;
                     break;
@@ -877,10 +747,10 @@ fn service_conn(
             out.push('\n');
             if is_shutdown {
                 conn.send_final(out.as_bytes());
-                return ConnPoll::Closed;
+                return true;
             }
             if conn.send(out.as_bytes()).is_err() {
-                return ConnPoll::Closed;
+                return true;
             }
             if !conn.paused && conn.pending_out() >= shared.config.write_high_water {
                 conn.paused = true;
@@ -889,7 +759,7 @@ fn service_conn(
         }
         conn.compact();
         if conn.try_flush().is_err() {
-            return ConnPoll::Closed;
+            return true;
         }
         if conn.closing || (conn.paused && conn.pending_out() == 0) {
             // Re-evaluate at the top: a drained pause resumes parsing
@@ -897,15 +767,8 @@ fn service_conn(
             // fully flushed and closable.
             continue;
         }
-        if fill == Fill::Eof {
-            // Orderly EOF, buffered lines all served: the peer is done.
-            return ConnPoll::Closed;
-        }
-        return if progressed {
-            ConnPoll::Progressed
-        } else {
-            ConnPoll::Idle
-        };
+        // Orderly EOF, buffered lines all served: the peer is done.
+        return fill == Fill::Eof;
     }
 }
 

@@ -13,7 +13,7 @@ use rkranks_datasets::workload::default_update_stream;
 use rkranks_datasets::zipf::Zipf;
 use rkranks_datasets::{collab_graph, CollabParams};
 use rkranks_graph::{Graph, GraphStore};
-use rkranks_server::{spawn, Client, EventBackend, ServerConfig, UpdateOp};
+use rkranks_server::{spawn, Client, ServerConfig, UpdateOp};
 
 const K: u32 = 5;
 const K_MAX: u32 = 16;
@@ -50,18 +50,8 @@ fn expected_ranks(g: &Graph) -> BTreeMap<u32, Vec<u32>> {
         .collect()
 }
 
-/// Both event-loop backends where the host supports them — every
-/// backend-sensitive scenario below runs the full matrix on each, so
-/// rank-identical serving on `epoll` and `poll` is asserted, not assumed.
-fn backends() -> Vec<EventBackend> {
-    let mut all = vec![EventBackend::Poll];
-    if EventBackend::epoll_supported() {
-        all.push(EventBackend::Epoll);
-    }
-    all
-}
-
-fn zipf_matrix(event_loop: EventBackend) {
+#[test]
+fn concurrent_zipf_clients_match_query_dynamic() {
     let g = test_graph();
     let n = g.num_nodes();
     let expected = expected_ranks(&g);
@@ -79,7 +69,6 @@ fn zipf_matrix(event_loop: EventBackend) {
                 merge_every,
                 bounds: BoundConfig::ALL,
                 snapshot: None,
-                event_loop,
                 ..Default::default()
             },
         )
@@ -148,17 +137,6 @@ fn zipf_matrix(event_loop: EventBackend) {
         // the shutdown fold may absorb a few last deltas, never lose any
         assert!(learned.epoch() >= stats.epoch);
     }
-}
-
-#[test]
-fn concurrent_zipf_clients_match_query_dynamic_poll() {
-    zipf_matrix(EventBackend::Poll);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn concurrent_zipf_clients_match_query_dynamic_epoll() {
-    zipf_matrix(EventBackend::Epoll);
 }
 
 /// Deterministic epoch-invalidation walk-through: hit, bump, miss — the
@@ -636,9 +614,8 @@ fn snapshot_restart_resumes_identical_serving_state() {
 
 /// Parked-connection fairness: several hundred idle keep-alive
 /// connections must cost nothing per request — control ops and queries
-/// on an active client stay fast and correct on both backends, and the
-/// parked connections are still live (not dropped, not starved) when
-/// they finally speak.
+/// on an active client stay fast and correct, and the parked connections
+/// are still live (not dropped, not starved) when they finally speak.
 #[test]
 fn parked_connections_do_not_slow_active_clients() {
     use std::io::{BufRead, BufReader, Write};
@@ -652,73 +629,64 @@ fn parked_connections_do_not_slow_active_clients() {
     let n = g.num_nodes();
     let expected = expected_ranks(&g);
 
-    for event_loop in backends() {
-        let handle = spawn(
-            test_graph(),
-            None,
-            RkrIndex::empty(n, K_MAX),
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 2,
-                cache_capacity: 64,
-                merge_every: 8,
-                bounds: BoundConfig::ALL,
-                snapshot: None,
-                event_loop,
-                ..Default::default()
-            },
-        )
-        .expect("bind loopback");
-        let addr = handle.addr();
+    let handle = spawn(
+        test_graph(),
+        None,
+        RkrIndex::empty(n, K_MAX),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            cache_capacity: 64,
+            merge_every: 8,
+            bounds: BoundConfig::ALL,
+            snapshot: None,
+            ..Default::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = handle.addr();
 
-        // Park connections that never send a byte.
-        let parked: Vec<TcpStream> = (0..PARKED)
-            .map(|i| {
-                TcpStream::connect(addr)
-                    .unwrap_or_else(|e| panic!("{event_loop}: parked conn {i}: {e}"))
-            })
-            .collect();
+    // Park connections that never send a byte.
+    let parked: Vec<TcpStream> = (0..PARKED)
+        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("parked conn {i}: {e}")))
+        .collect();
 
-        // An active client round-trips queries and control ops through the
-        // crowd. Every reply must still be rank-correct, and the whole run
-        // must stay far from any O(parked)-per-request pathology.
-        let mut client = Client::connect(addr).expect("connect active");
-        let workload = zipf_workload(n, ROUND_TRIPS, 0x1D1E);
-        let started = Instant::now();
-        for (i, node) in workload.into_iter().enumerate() {
-            let reply = client.query(node, K).expect("query");
-            let got: Vec<u32> = reply.entries.iter().map(|&(_, r)| r).collect();
-            assert_eq!(
-                &got, &expected[&node],
-                "{event_loop} i={i} node={node}: ranks diverged among parked conns"
-            );
-        }
-        client.flush().expect("flush");
-        let stats = client.stats().expect("stats");
-        let elapsed = started.elapsed();
-        assert_eq!(stats.queries, ROUND_TRIPS as u64);
-        assert!(
-            elapsed < Duration::from_secs(15),
-            "{event_loop}: {ROUND_TRIPS} round-trips took {elapsed:?} with {PARKED} parked conns"
+    // An active client round-trips queries and control ops through the
+    // crowd. Every reply must still be rank-correct, and the whole run
+    // must stay far from any O(parked)-per-request pathology.
+    let mut client = Client::connect(addr).expect("connect active");
+    let workload = zipf_workload(n, ROUND_TRIPS, 0x1D1E);
+    let started = Instant::now();
+    for (i, node) in workload.into_iter().enumerate() {
+        let reply = client.query(node, K).expect("query");
+        let got: Vec<u32> = reply.entries.iter().map(|&(_, r)| r).collect();
+        assert_eq!(
+            &got, &expected[&node],
+            "i={i} node={node}: ranks diverged among parked conns"
         );
-
-        // A parked connection is still serviced the moment it speaks.
-        let late = &parked[PARKED / 2];
-        let mut writer = late.try_clone().expect("clone parked");
-        let mut reader = BufReader::new(late);
-        writer
-            .write_all(b"{\"op\":\"stats\"}\n")
-            .expect("late write");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("late read");
-        assert!(
-            line.contains("\"ok\":true"),
-            "{event_loop}: parked conn got {line}"
-        );
-
-        client.shutdown().expect("shutdown");
-        handle.join();
     }
+    client.flush().expect("flush");
+    let stats = client.stats().expect("stats");
+    let elapsed = started.elapsed();
+    assert_eq!(stats.queries, ROUND_TRIPS as u64);
+    assert!(
+        elapsed < Duration::from_secs(15),
+        "{ROUND_TRIPS} round-trips took {elapsed:?} with {PARKED} parked conns"
+    );
+
+    // A parked connection is still serviced the moment it speaks.
+    let late = &parked[PARKED / 2];
+    let mut writer = late.try_clone().expect("clone parked");
+    let mut reader = BufReader::new(late);
+    writer
+        .write_all(b"{\"op\":\"stats\"}\n")
+        .expect("late write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("late read");
+    assert!(line.contains("\"ok\":true"), "parked conn got {line}");
+
+    client.shutdown().expect("shutdown");
+    handle.join();
 }
 
 /// Satellite: request lines over `max_line_bytes` get a one-line
@@ -732,59 +700,56 @@ fn oversize_request_lines_are_rejected_and_close_the_connection() {
     let g = test_graph();
     let n = g.num_nodes();
 
-    for event_loop in backends() {
-        let handle = spawn(
-            g.clone(),
-            None,
-            RkrIndex::empty(n, K_MAX),
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                cache_capacity: 0,
-                merge_every: 0,
-                bounds: BoundConfig::ALL,
-                snapshot: None,
-                event_loop,
-                max_line_bytes: 64,
-                ..Default::default()
-            },
-        )
-        .expect("bind loopback");
-        let addr = handle.addr();
+    let handle = spawn(
+        g,
+        None,
+        RkrIndex::empty(n, K_MAX),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            cache_capacity: 0,
+            merge_every: 0,
+            bounds: BoundConfig::ALL,
+            snapshot: None,
+            max_line_bytes: 64,
+            ..Default::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = handle.addr();
 
-        let stream = TcpStream::connect(addr).expect("connect raw");
-        let mut writer = stream.try_clone().expect("clone");
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
+    let stream = TcpStream::connect(addr).expect("connect raw");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
 
-        // under the cap: served normally
-        writer.write_all(b"{\"op\":\"stats\"}\n").expect("write");
-        reader.read_line(&mut line).expect("read");
-        assert!(line.contains("\"ok\":true"), "{event_loop}: {line}");
+    // under the cap: served normally
+    writer.write_all(b"{\"op\":\"stats\"}\n").expect("write");
+    reader.read_line(&mut line).expect("read");
+    assert!(line.contains("\"ok\":true"), "{line}");
 
-        // over the cap: one error line, then the connection is gone
-        let mut big = vec![b'x'; 200];
-        big.push(b'\n');
-        writer.write_all(&big).expect("write oversize");
-        line.clear();
-        reader.read_line(&mut line).expect("read error line");
-        assert!(
-            line.contains("\"ok\":false") && line.contains("exceeds 64 bytes"),
-            "{event_loop}: {line}"
-        );
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => {}
-            Ok(m) => panic!("{event_loop}: expected close, got {m} more bytes: {line}"),
-        }
-
-        // the daemon survives and counted the rejection
-        let mut ctl = Client::connect(addr).expect("connect ctl");
-        let stats = ctl.stats().expect("stats");
-        assert_eq!(stats.oversize_lines, 1, "{event_loop}");
-        ctl.shutdown().expect("shutdown");
-        handle.join();
+    // over the cap: one error line, then the connection is gone
+    let mut big = vec![b'x'; 200];
+    big.push(b'\n');
+    writer.write_all(&big).expect("write oversize");
+    line.clear();
+    reader.read_line(&mut line).expect("read error line");
+    assert!(
+        line.contains("\"ok\":false") && line.contains("exceeds 64 bytes"),
+        "{line}"
+    );
+    line.clear();
+    match reader.read_line(&mut line) {
+        Ok(0) | Err(_) => {}
+        Ok(m) => panic!("expected close, got {m} more bytes: {line}"),
     }
+
+    // the daemon survives and counted the rejection
+    let mut ctl = Client::connect(addr).expect("connect ctl");
+    let stats = ctl.stats().expect("stats");
+    assert_eq!(stats.oversize_lines, 1);
+    ctl.shutdown().expect("shutdown");
+    handle.join();
 }
 
 /// Pipelining + write backpressure: with the high-water mark at the
@@ -802,61 +767,58 @@ fn pipelined_queries_batch_and_survive_backpressure() {
     let g = test_graph();
     let n = g.num_nodes();
 
-    for event_loop in backends() {
-        let handle = spawn(
-            g.clone(),
-            None,
-            RkrIndex::empty(n, K_MAX),
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                cache_capacity: 0,
-                merge_every: 8,
-                bounds: BoundConfig::ALL,
-                snapshot: None,
-                event_loop,
-                write_high_water: 0,
-                ..Default::default()
-            },
-        )
-        .expect("bind loopback");
-        let addr = handle.addr();
+    let handle = spawn(
+        g,
+        None,
+        RkrIndex::empty(n, K_MAX),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            cache_capacity: 0,
+            merge_every: 8,
+            bounds: BoundConfig::ALL,
+            snapshot: None,
+            write_high_water: 0,
+            ..Default::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = handle.addr();
 
-        let stream = TcpStream::connect(addr).expect("connect raw");
-        let mut writer = stream.try_clone().expect("clone");
-        let mut reader = BufReader::new(stream);
+    let stream = TcpStream::connect(addr).expect("connect raw");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
 
-        // the whole pipeline goes out before a single reply is read
-        let workload = zipf_workload(n, PIPELINED, 0x9A9A);
-        let mut burst = String::new();
-        for &node in &workload {
-            burst.push_str(&format!("{{\"op\":\"query\",\"node\":{node},\"k\":{K}}}\n"));
-        }
-        writer.write_all(burst.as_bytes()).expect("write burst");
-        for (i, &node) in workload.iter().enumerate() {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read reply");
-            assert!(
-                line.contains("\"ok\":true") && line.contains("\"result\""),
-                "{event_loop} reply {i} (node {node}): {line}"
-            );
-        }
-
-        let mut ctl = Client::connect(addr).expect("connect ctl");
-        let stats = ctl.stats().expect("stats");
-        assert_eq!(stats.queries, PIPELINED as u64, "{event_loop}");
-        assert_eq!(
-            stats.batch_queries, stats.queries,
-            "{event_loop}: every query must flow through a batch pass"
-        );
-        assert!(stats.batches >= 1, "{event_loop}");
-        assert!(stats.wakeups >= 1, "{event_loop}");
-        assert!(
-            stats.backpressure_pauses >= PIPELINED as u64,
-            "{event_loop}: high-water 0 must pause after every reply, got {}",
-            stats.backpressure_pauses
-        );
-        ctl.shutdown().expect("shutdown");
-        handle.join();
+    // the whole pipeline goes out before a single reply is read
+    let workload = zipf_workload(n, PIPELINED, 0x9A9A);
+    let mut burst = String::new();
+    for &node in &workload {
+        burst.push_str(&format!("{{\"op\":\"query\",\"node\":{node},\"k\":{K}}}\n"));
     }
+    writer.write_all(burst.as_bytes()).expect("write burst");
+    for (i, &node) in workload.iter().enumerate() {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read reply");
+        assert!(
+            line.contains("\"ok\":true") && line.contains("\"result\""),
+            "reply {i} (node {node}): {line}"
+        );
+    }
+
+    let mut ctl = Client::connect(addr).expect("connect ctl");
+    let stats = ctl.stats().expect("stats");
+    assert_eq!(stats.queries, PIPELINED as u64);
+    assert_eq!(
+        stats.batch_queries, stats.queries,
+        "every query must flow through a batch pass"
+    );
+    assert!(stats.batches >= 1);
+    assert!(stats.wakeups >= 1);
+    assert!(
+        stats.backpressure_pauses >= PIPELINED as u64,
+        "high-water 0 must pause after every reply, got {}",
+        stats.backpressure_pauses
+    );
+    ctl.shutdown().expect("shutdown");
+    handle.join();
 }

@@ -22,6 +22,8 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "${ADDR:-}" ] || { echo "rkrd never printed its address"; cat "$WORK/serve.log"; exit 1; }
+grep -q 'epoll event loop' "$WORK/serve.log" || {
+    echo "banner must announce the epoll event loop"; cat "$WORK/serve.log"; exit 1; }
 echo "rkrd up at $ADDR"
 
 # remote result must be rank-identical to the in-process dynamic query
@@ -126,6 +128,8 @@ printf 'add-node\nadd %s %s 0.05\nadd %s 5 0.3\nrm %s %s\nreweight %s %s 1.9\n' 
 "$RKR" ctl "$ADDR" stats > "$WORK/stats1.txt"
 grep -q "($((NODES + 2)) nodes" "$WORK/stats1.txt" || {
     echo "rkr update --from did not land"; cat "$WORK/stats1.txt"; exit 1; }
+grep -q 'event loop:' "$WORK/stats1.txt" || {
+    echo "stats must report the event-loop counters"; cat "$WORK/stats1.txt"; exit 1; }
 awk -v n=$((NODES + 2)) -v ru="$RM_U" -v rv="$RM_V" -v wu="$RW_U" -v wv="$RW_V" '
     NR == 1 { $2 = n; print; next }
     $1 == ru && $2 == rv { next }
@@ -217,37 +221,5 @@ echo "post-restart answers == pre-restart answers"
 wait "$SERVE_PID"
 SERVE_PID=""
 cat "$WORK/serve3.log"
-
-# ---- explicit-epoll leg: the Linux readiness backend end to end --------
-# Force --event-loop epoll (instead of auto) and assert the banner says
-# so, the answers stay rank-identical, and the event-loop counters move.
-if [ "$(uname -s)" = "Linux" ]; then
-    "$RKR" serve "$WORK/g.edges" --addr 127.0.0.1:0 --workers 2 --cache 64 \
-        --merge-every 8 --event-loop epoll > "$WORK/serve4.log" &
-    SERVE_PID=$!
-    for _ in $(seq 1 100); do
-        ADDR="$(grep -oE '127\.0\.0\.1:[0-9]+' "$WORK/serve4.log" | head -1 || true)"
-        [ -n "$ADDR" ] && break
-        sleep 0.1
-    done
-    [ -n "${ADDR:-}" ] || { echo "epoll rkrd never printed its address"; cat "$WORK/serve4.log"; exit 1; }
-    grep -q 'epoll event loop' "$WORK/serve4.log" || {
-        echo "banner must announce the epoll backend"; cat "$WORK/serve4.log"; exit 1; }
-    echo "epoll rkrd up at $ADDR"
-
-    "$RKR" query --remote "$ADDR" --node 5 --k 4 | grep ' rank ' | sort > "$WORK/epoll.txt"
-    diff -u "$WORK/local.txt" "$WORK/epoll.txt"
-    echo "epoll remote == in-process"
-
-    "$RKR" ctl "$ADDR" stats > "$WORK/stats-epoll.txt"
-    grep -q 'event loop:' "$WORK/stats-epoll.txt" || {
-        echo "stats must report the event-loop counters"; exit 1; }
-    "$RKR" ctl "$ADDR" shutdown
-    wait "$SERVE_PID"
-    SERVE_PID=""
-    cat "$WORK/serve4.log"
-else
-    echo "skipping the epoll leg: $(uname -s) has no epoll"
-fi
 
 echo "serve smoke OK"

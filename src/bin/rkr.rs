@@ -14,7 +14,7 @@
 //!                 [--index index.rkri] [--seed S]
 //! rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N] [--merge-every M]
 //!                 [--index index.rkri] [--kmax K] [--save-index] [--snapshot FILE]
-//!                 [--event-loop auto|epoll|poll] [--high-water BYTES] [--max-line BYTES]
+//!                 [--high-water BYTES] [--max-line BYTES]
 //!                 [--log-level error|warn|info|debug] [--slow-query-ms MS] [--slow-query-cap N]
 //!                 [--shard-id I --shard-count N [--shard-seed S]]
 //! rkr shard-plan <graph.edges> --shards N [--seed S]
@@ -39,8 +39,7 @@
 //! runner: one shared `EngineContext`, per-worker scratch, and (for
 //! `--indexed-mode snapshot`) concurrent indexed serving against a frozen
 //! index with delta merges. `serve` runs the `rkrd` daemon (see
-//! `rkranks_server`): a pool of event-loop workers (`epoll` on Linux via
-//! raw syscalls, a portable poll fallback elsewhere — `--event-loop`)
+//! `rkranks_server`, Linux-only): a pool of `epoll` event-loop workers
 //! answering the line-delimited JSON protocol with write backpressure
 //! (`--high-water`), bounded request lines (`--max-line`), adaptive
 //! query batching, an LRU result cache and epoch-based invalidation;
@@ -106,7 +105,7 @@ const USAGE: &str = "usage:
             [--indexed-mode sequential|snapshot] [--merge-every M] [--index FILE] [--seed S]
   rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N] [--merge-every M]
             [--index FILE] [--kmax K] [--save-index] [--snapshot FILE]
-            [--event-loop auto|epoll|poll] [--high-water BYTES] [--max-line BYTES]
+            [--high-water BYTES] [--max-line BYTES]
             [--log-level error|warn|info|debug] [--slow-query-ms MS] [--slow-query-cap N]
             [--shard-id I --shard-count N [--shard-seed S]]
   rkr shard-plan <graph.edges> --shards N [--seed S]
@@ -215,8 +214,8 @@ const COMMANDS: [(&str, Command, &str); 10] = [
     (
         "serve",
         cmd_serve,
-        "addr workers cache merge-every index kmax save-index snapshot event-loop high-water \
-         max-line log-level slow-query-ms slow-query-cap shard-id shard-count shard-seed",
+        "addr workers cache merge-every index kmax save-index snapshot high-water max-line \
+         log-level slow-query-ms slow-query-cap shard-id shard-count shard-seed",
     ),
     ("shard-plan", cmd_shard_plan, "shards seed"),
     (
@@ -533,16 +532,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             (store, index)
         }
     };
-    let event_loop: rkranks_server::EventBackend = flags
-        .get("event-loop")
-        .unwrap_or("auto")
-        .parse()
-        .map_err(|e: String| e)?;
-    if event_loop == rkranks_server::EventBackend::Epoll
-        && !rkranks_server::EventBackend::epoll_supported()
-    {
-        return Err("--event-loop epoll is not supported on this host (use auto or poll)".into());
-    }
     let shard = parse_shard_identity(flags)?;
     let defaults = ServerConfig::default();
     let slow_query_cap: usize = flags.get_parsed("slow-query-cap", defaults.slow_query_cap)?;
@@ -555,7 +544,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         merge_every,
         bounds: BoundConfig::ALL,
         snapshot: snapshot.clone(),
-        event_loop,
         write_high_water: flags.get_parsed("high-water", defaults.write_high_water)?,
         max_line_bytes: flags.get_parsed("max-line", defaults.max_line_bytes)?,
         slow_query_ms: match flags.get("slow-query-ms") {
@@ -581,9 +569,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         );
     }
     println!(
-        "rkrd listening on {local} ({} event loop, {} workers, cache {}, merge every {}, \
+        "rkrd listening on {local} (epoll event loop, {} workers, cache {}, merge every {}, \
          k <= {})",
-        config.event_loop.resolved_name(),
         config.workers,
         if cache > 0 {
             cache.to_string()

@@ -62,6 +62,10 @@ fn remote_queries_match_in_process_and_shutdown_is_clean() {
     let mut reader = BufReader::new(stdout);
     let mut banner = String::new();
     reader.read_line(&mut banner).expect("rkrd banner");
+    assert!(
+        banner.contains("epoll event loop"),
+        "banner must announce the event loop: {banner:?}"
+    );
     let addr = banner
         .split_whitespace()
         .find(|tok| tok.starts_with("127.0.0.1:"))
@@ -94,11 +98,18 @@ fn remote_queries_match_in_process_and_shutdown_is_clean() {
     );
     assert!(repeat.contains("cached: true"), "expected a hit:\n{repeat}");
 
-    // control plane: stats shows traffic, flush reports an epoch
+    // control plane: stats shows traffic and the event-loop and
+    // flow-control counters, flush reports an epoch
     let stats = rkr_ok(&dir, &["ctl", &addr, "stats"]);
-    assert!(stats.contains("queries:"), "{stats}");
-    assert!(stats.contains("epoch:"), "{stats}");
-    assert!(stats.contains("graph:"), "{stats}");
+    for section in [
+        "queries:",
+        "epoch:",
+        "graph:",
+        "event loop:",
+        "flow control:",
+    ] {
+        assert!(stats.contains(section), "no {section:?} in:\n{stats}");
+    }
     let flush = rkr_ok(&dir, &["ctl", &addr, "flush"]);
     assert!(flush.contains("epoch"), "{flush}");
 
@@ -334,93 +345,6 @@ fn snapshot_restart_serves_identical_answers() {
     );
     rkr_ok(&dir, &["ctl", &addr, "shutdown"]);
     wait_for_exit(guard);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The event-loop backend is selectable: `--event-loop epoll` must come
-/// up announcing epoll in its banner, serve a rank-identical remote
-/// query, report the event-loop counters through `ctl stats`, and shut
-/// down cleanly. Linux-only by nature — other hosts use the poll
-/// backend, covered by the main smoke test's `auto` default.
-#[cfg(target_os = "linux")]
-#[test]
-fn explicit_epoll_backend_serves_and_reports_counters() {
-    let dir = temp_dir("epoll");
-    rkr_ok(
-        &dir,
-        &[
-            "gen", "dblp", "--scale", "tiny", "--seed", "7", "--out", "g.edges",
-        ],
-    );
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rkr"))
-        .current_dir(&dir)
-        .args([
-            "serve",
-            "g.edges",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--cache",
-            "64",
-            "--merge-every",
-            "8",
-            "--event-loop",
-            "epoll",
-        ])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("failed to spawn rkrd");
-    let stdout = child.stdout.take().expect("rkrd stdout piped");
-    let mut guard = DaemonGuard(child);
-    let mut reader = BufReader::new(stdout);
-    let mut banner = String::new();
-    reader.read_line(&mut banner).expect("rkrd banner");
-    assert!(
-        banner.contains("epoll event loop"),
-        "banner must announce the backend: {banner:?}"
-    );
-    let addr = banner
-        .split_whitespace()
-        .find(|tok| tok.starts_with("127.0.0.1:"))
-        .unwrap_or_else(|| panic!("no address in banner: {banner:?}"))
-        .to_string();
-
-    let remote = rkr_ok(
-        &dir,
-        &["query", "--remote", &addr, "--node", "5", "--k", "4"],
-    );
-    let local = rkr_ok(
-        &dir,
-        &[
-            "query", "g.edges", "--node", "5", "--k", "4", "--algo", "dynamic",
-        ],
-    );
-    assert_equivalent(
-        "epoll node 5",
-        &parse_result(&remote),
-        &parse_result(&local),
-    );
-
-    let stats = rkr_ok(&dir, &["ctl", &addr, "stats"]);
-    assert!(stats.contains("event loop:"), "{stats}");
-    assert!(stats.contains("flow control:"), "{stats}");
-
-    rkr_ok(&dir, &["ctl", &addr, "shutdown"]);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if let Some(status) = guard.0.try_wait().expect("try_wait") {
-            assert!(status.success(), "rkrd exited with {status}");
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "rkrd did not exit after shutdown"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -696,63 +620,37 @@ fn parse_prometheus(text: &str) -> PromScrape {
     PromScrape { samples }
 }
 
-#[test]
-fn serve_rejects_unknown_event_loop_backend() {
-    let dir = temp_dir("backend-arg");
-    rkr_ok(
-        &dir,
-        &["gen", "dblp", "--scale", "tiny", "--out", "g.edges"],
-    );
-    let out = rkr(
-        &dir,
-        &[
-            "serve",
-            "g.edges",
-            "--addr",
-            "127.0.0.1:0",
-            "--event-loop",
-            "turbo",
-        ],
-    );
-    assert!(
-        !out.status.success(),
-        "an unknown --event-loop backend must be rejected"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown event loop"),
-        "unhelpful error: {stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A flag the command does not accept fails the command before it does
-/// any work — a retired one (`--distance`, PR 25) or a typo alike —
-/// instead of being silently ignored.
+/// any work — a retired one (the hub-label `distance` flag, the
+/// `event-loop` backend flag) or a typo alike — instead of being
+/// silently ignored.
 #[test]
-fn serve_rejects_the_retired_distance_flag() {
-    let dir = temp_dir("distance-arg");
+fn serve_rejects_retired_flags() {
+    let dir = temp_dir("retired-arg");
     rkr_ok(
         &dir,
         &["gen", "dblp", "--scale", "tiny", "--out", "g.edges"],
     );
-    let out = rkr(
-        &dir,
-        &[
-            "serve",
-            "g.edges",
-            "--addr",
-            "127.0.0.1:0",
-            "--distance",
-            "hub",
-        ],
-    );
-    assert!(!out.status.success(), "--distance must be rejected");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown flag --distance for 'rkr serve'"),
-        "unhelpful error: {stderr}"
-    );
+    for (flag, value) in [("distance", "hub"), ("event-loop", "poll")] {
+        let out = rkr(
+            &dir,
+            &[
+                "serve",
+                "g.edges",
+                "--addr",
+                "127.0.0.1:0",
+                &format!("--{flag}"),
+                value,
+            ],
+        );
+        assert!(!out.status.success(), "--{flag} must be rejected");
+        assert!(out.stdout.is_empty(), "no daemon may start");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag --{flag} for 'rkr serve'")),
+            "unhelpful error: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
