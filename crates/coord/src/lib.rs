@@ -445,8 +445,8 @@ fn execute(shared: &CoordShared, pool: &mut ShardPool, req: Request) -> Reply {
                 }
             };
             // Commit immediately on every shard: staged writes that
-            // lingered would commit on each shard's own merge cadence
-            // and let graph epochs drift apart.
+            // lingered would commit on each shard's own merger pass and
+            // let graph epochs drift apart.
             match pool.broadcast(&Request::Flush) {
                 Ok(_) => {
                     // The coupled flush committed the staged batch, so the
@@ -469,6 +469,8 @@ fn execute(shared: &CoordShared, pool: &mut ShardPool, req: Request) -> Reply {
         Request::Flush => {
             let _write = shared.write_gate.write().expect("write gate poisoned");
             match pool.broadcast(&Request::Flush) {
+                // Every shard commits the same staged batch, so the fleet
+                // committed the max of the shards' counts, not their sum.
                 Ok(replies) => {
                     let (mut epoch, mut merged) = (0, 0);
                     for r in &replies {
@@ -478,7 +480,7 @@ fn execute(shared: &CoordShared, pool: &mut ShardPool, req: Request) -> Reply {
                         } = r
                         {
                             epoch = epoch.max(*e);
-                            merged += d;
+                            merged = merged.max(*d);
                         }
                     }
                     Reply::Flush { epoch, merged }

@@ -1,30 +1,29 @@
 //! The serving-side result cache: a hand-rolled O(1) LRU keyed by
 //! `(node, k, strategy, index epoch, graph epoch)`.
 //!
-//! Because both epochs are part of the key, a merge that bumps the index
-//! epoch — or a committed graph update that bumps the graph epoch — makes
-//! every older entry unreachable *immediately*: a lookup for the new
-//! epochs can never return a result computed against staler state, so
-//! cached answers are exactly as fresh as recomputed ones. The
-//! unreachable entries are reclaimed two ways: lazily by ordinary LRU
-//! eviction, and eagerly by [`ResultCache::purge_stale`], which the
-//! merger calls right after publishing a new snapshot.
+//! Because both epochs are part of the key, a committed graph update —
+//! which bumps the graph epoch and retires the index — makes every older
+//! entry unreachable *immediately*: a lookup for the new epochs can never
+//! return a result computed against staler state, so cached answers are
+//! exactly as fresh as recomputed ones. The unreachable entries are
+//! reclaimed two ways: lazily by ordinary LRU eviction, and eagerly by
+//! [`ResultCache::purge_stale`], which the daemon calls right after
+//! publishing a new snapshot.
 //!
-//! The two components invalidate *different* things. Index merges change
+//! The two components invalidate *different* things. A new index changes
 //! no answers (the index only prunes work), so graph-only strategies key
-//! their entries [`EPOCH_INDEPENDENT`] and survive them. Graph commits
-//! change the answers themselves, so the graph epoch is part of *every*
-//! key — there is no graph-independent result — and a graph-epoch bump
-//! strands the whole cache.
+//! their entries [`EPOCH_INDEPENDENT`] and ignore the index epoch. Graph
+//! commits change the answers themselves, so the graph epoch is part of
+//! *every* key — there is no graph-independent result — and a graph-epoch
+//! bump strands the whole cache.
 
 use std::collections::HashMap;
 
 /// Sentinel *index* epoch for answers that do not depend on the index at
 /// all (naive/static/dynamic strategies read only the graph snapshot):
 /// entries keyed with it are never considered stale by an index-epoch
-/// bump, so they survive merges. They still carry a real graph epoch —
-/// every answer depends on the graph — and a graph-epoch bump evicts
-/// them like everything else.
+/// change. They still carry a real graph epoch — every answer depends on
+/// the graph — and a graph-epoch bump evicts them like everything else.
 pub const EPOCH_INDEPENDENT: u64 = u64::MAX;
 
 /// Everything that distinguishes one cacheable answer from another.
@@ -204,12 +203,12 @@ impl ResultCache {
 
     /// Drop every entry that is stale for `(current_graph_epoch,
     /// current_epoch)`, returning how many were dropped. Called by the
-    /// merger after an epoch bump so stale entries release their memory
+    /// daemon after a graph commit so stale entries release their memory
     /// immediately instead of waiting to age out of the LRU order.
     ///
     /// An entry is stale when its graph epoch differs (the graph changed;
     /// *every* answer is invalid) or when its index epoch differs and is
-    /// not [`EPOCH_INDEPENDENT`] (index merges strand only index-derived
+    /// not [`EPOCH_INDEPENDENT`] (a new index strands only index-derived
     /// answers).
     pub fn purge_stale(&mut self, current_graph_epoch: u64, current_epoch: u64) -> usize {
         let stale: Vec<CacheKey> = self
@@ -368,7 +367,7 @@ mod tests {
         assert_eq!(c.purge_stale(0, 5), 1, "only the epoch-0 entry is stale");
         assert!(
             c.get(&key(1, EPOCH_INDEPENDENT)).is_some(),
-            "graph-only answers survive index merges"
+            "graph-only answers survive an index-epoch change"
         );
         let (_, _, _, stale) = c.counters();
         assert_eq!(stale, 1);

@@ -261,7 +261,7 @@ impl Client {
     }
 
     /// Stage live graph updates (validated server-side as a whole batch;
-    /// they go live at the daemon's next merge point — follow with
+    /// they go live at the daemon's next commit — follow with
     /// [`Client::flush`] to commit immediately). Returns
     /// `(staged, graph_epoch)`: how many deltas were staged and the graph
     /// epoch *before* the commit.
@@ -341,8 +341,9 @@ impl Client {
         Ok(reply_line.trim_end().to_string())
     }
 
-    /// Force a merge of all pending write-logs; returns `(epoch, merged)`
-    /// — the index epoch after the merge and how many logs it folded.
+    /// Commit the daemon's staged graph updates now; returns
+    /// `(epoch, merged)` — the index epoch after the commit and how many
+    /// staged deltas it committed (0: nothing was staged).
     pub fn flush(&mut self) -> Result<(u64, u64), ClientError> {
         match self.round_trip(&Request::Flush)? {
             Reply::Flush { epoch, merged } => Ok((epoch, merged)),
@@ -352,7 +353,7 @@ impl Client {
 
     /// Ask the daemon to persist its serving state as a snapshot bundle
     /// (staged-but-uncommitted updates land in the bundle's WAL; nothing
-    /// is merged or committed); returns `(epoch, graph_epoch)` — the
+    /// is committed); returns `(epoch, graph_epoch)` — the
     /// epoch pair the bundle on disk now holds. Fails with a server
     /// error on daemons running without a snapshot path.
     pub fn checkpoint(&mut self) -> Result<(u64, u64), ClientError> {

@@ -20,20 +20,18 @@
 //!   `(node, k, strategy, index epoch, graph epoch)`
 //!   ([`cache::ResultCache`]) answering repeated queries for hot nodes
 //!   without touching the graph, and
-//! * **epoch-based invalidation**: a background merger folds the
-//!   [`rkranks_core::IndexDelta`] write-logs produced by served queries
-//!   into the master [`rkranks_core::RkrIndex`] at a configurable cadence;
-//!   each non-empty merge bumps the index epoch, which keys the cache — so
-//!   cached results are never staler than the index while the index keeps
-//!   learning from the traffic it serves. A committed graph update instead
-//!   *retires* the index and strands the whole cache: stale rank knowledge
-//!   is unsound on a changed graph ([`rkranks_core::RkrIndex::merge_delta`]
+//! * **epoch-based invalidation**: requests are answered by `dynamic`
+//!   search by default; the [`rkranks_core::RkrIndex`] the daemon starts
+//!   with is held read-only for explicit `indexed-*` requests. A committed
+//!   graph update bumps the graph epoch, which keys the cache, *retires*
+//!   the index and strands the whole cache: stale rank knowledge is
+//!   unsound on a changed graph ([`rkranks_core::RkrIndex::graph_epoch`]
 //!   documents why);
 //! * **durable restarts**: with a snapshot path configured
 //!   ([`ServerConfig::snapshot`]) the daemon checkpoints its serving state
-//!   — committed graph, master index, epoch pair, and any staged WAL — as
-//!   a [`rkranks_core::snapshot`] bundle at every state-changing merge
-//!   point, on a `checkpoint` op, and at shutdown; a restart through
+//!   — committed graph, index, epoch pair, and any staged WAL — as a
+//!   [`rkranks_core::snapshot`] bundle after every commit of staged
+//!   updates, on a `checkpoint` op, and at shutdown; a restart through
 //!   [`rkranks_core::load_snapshot`] + [`serve_store`] resumes serving
 //!   rank-identical answers at the same epochs.
 //!
@@ -56,12 +54,12 @@
 //! assert!(client.query(0, 2).unwrap().cached); // hot node: cache hit
 //!
 //! client.shutdown().unwrap();
-//! let outcome = handle.join(); // the index kept what the queries taught it
-//! assert!(outcome.index.rrd_entries() > 0);
+//! let outcome = handle.join(); // the graph the daemon ended on
+//! assert_eq!(outcome.graph_epoch, 0);
 //! ```
 //!
 //! See [`protocol`] for the wire format and [`server`] for the serving
-//! architecture (workers, snapshots, the merger).
+//! architecture (workers, the read-only index, the merger).
 //!
 //! The daemon tier (this crate, `rkranks_coord`, and the `rkr` facade)
 //! is Linux-only; the engine and the paper's experiment harness build

@@ -29,7 +29,7 @@ pub enum LogLevel {
     Error = 0,
     /// Degraded but serving (resource pressure).
     Warn = 1,
-    /// Lifecycle landmarks (merges, commits, checkpoints).
+    /// Lifecycle landmarks (graph commits, checkpoints).
     Info = 2,
     /// Per-pass chatter for debugging.
     Debug = 3,

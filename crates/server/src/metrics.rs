@@ -110,10 +110,8 @@ pub struct Metrics {
     /// Queries answered (batch ops count each node; errored requests
     /// count too, matching the historical `stats.queries` semantics).
     pub queries: Arc<Counter>,
-    /// Merge rounds performed.
+    /// Commits of staged graph updates (merger, `flush`, shutdown).
     pub merges: Arc<Counter>,
-    /// Non-empty write-logs folded across merge rounds.
-    pub deltas_merged: Arc<Counter>,
     /// Queries answered with a partial result.
     pub partial_results: Arc<Counter>,
     /// Queries whose deadline elapsed (subset of `partial_results`).
@@ -179,7 +177,7 @@ pub struct Metrics {
     pub filter_seconds: Arc<Histogram>,
     /// Time in rank refinement (computed queries only).
     pub refine_seconds: Arc<Histogram>,
-    /// Full merger-pass duration (drain, commit, fold, publish).
+    /// Full commit duration (commit, retire, publish, checkpoint).
     pub merge_pass_seconds: Arc<Histogram>,
     /// Snapshot-bundle checkpoint duration.
     pub checkpoint_seconds: Arc<Histogram>,
@@ -217,8 +215,7 @@ impl Metrics {
                 "rkrd_queries_total",
                 "queries answered (batch counts each node)",
             ),
-            merges: r.counter("rkrd_merges_total", "merge rounds performed"),
-            deltas_merged: r.counter("rkrd_deltas_merged_total", "write-logs folded by merges"),
+            merges: r.counter("rkrd_merges_total", "commits of staged updates"),
             partial_results: r.counter("rkrd_partial_results_total", "partial query answers"),
             deadline_exceeded: r.counter("rkrd_deadline_exceeded_total", "queries cut by deadline"),
             graph_commits: r.counter("rkrd_graph_commits_total", "commits that changed the graph"),

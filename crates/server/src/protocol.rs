@@ -16,8 +16,7 @@
 //! {"op":"metrics"}                           full telemetry registry snapshot
 //!                                            (counters, gauges, histograms)
 //! {"op":"slow-queries"}                      recent slow-query log records
-//! {"op":"flush"}                             commit staged updates and fold
-//!                                            pending deltas now
+//! {"op":"flush"}                             commit staged updates now
 //! {"op":"checkpoint"}                        persist the serving state as a
 //!                                            snapshot bundle
 //! {"op":"shutdown"}                          drain and stop the daemon
@@ -30,12 +29,11 @@
 //! `["add-node"]`. The batch is validated as a whole at the protocol
 //! boundary (self-loops, negative weights, out-of-range ids, duplicate or
 //! unknown edges are one-line errors and stage *nothing*); valid batches
-//! take effect at the daemon's next merge point, where it commits a fresh
-//! graph snapshot, bumps `graph_epoch`, and retires the rank index. With
-//! a merge cadence configured the merger commits staged updates on its
-//! next pass — promptly, with no query traffic required; with
-//! flush-only merging (`merge_every` 0) they wait for the next `flush`
-//! or shutdown.
+//! take effect at the daemon's next commit, which publishes a fresh graph
+//! snapshot, bumps `graph_epoch`, and retires the rank index. By default
+//! the merger commits staged updates on its next pass — promptly, with no
+//! query traffic required; on a flush-only daemon (`merge_every` 0) they
+//! wait for the next `flush` or shutdown.
 //!
 //! `strategy` takes the unified [`rkranks_core::Strategy`] string form —
 //! the same names `rkr query --algo` accepts locally — so the remote path
@@ -51,7 +49,7 @@
 //! {"ok":true,"results":[[[node,rank],...],...],"cached":2,"epoch":3,"graph_epoch":1}
 //! {"ok":true,"stats":{"queries":12,"cache_hits":4,...,"epoch":3,"graph_epoch":1,...}}
 //! {"ok":true,"staged":2,"graph_epoch":1}     update (staged, not yet live)
-//! {"ok":true,"epoch":4,"merged":2}           flush
+//! {"ok":true,"epoch":0,"merged":2}           flush (staged deltas committed)
 //! {"ok":true,"checkpointed":true,"epoch":4,"graph_epoch":1}   checkpoint
 //! {"ok":true,"bye":true}                     shutdown
 //! {"ok":true,"metrics":[{"name":"rkrd_queries_total","type":"counter",...},...]}
@@ -72,7 +70,7 @@
 //!
 //! `checkpoint` persists the serving state *as it stands* — committed
 //! graph, rank index, and staged-but-uncommitted updates as a WAL — and
-//! deliberately does not merge first, so forcing durability never changes
+//! deliberately does not commit first, so forcing durability never changes
 //! commit semantics. It only succeeds on daemons started with a snapshot
 //! path (`rkr serve --snapshot FILE`); without one it is a one-line
 //! error.
@@ -92,7 +90,7 @@ use crate::json::Json;
 /// incompatible wire change. Daemons predating the field decode as
 /// version 0, so mixed deployments fail with a one-line mismatch error
 /// instead of misparsing each other.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// One live graph update on the wire — the protocol face of
 /// `rkranks_graph::GraphDelta`. Encoded as a compact array:
@@ -250,7 +248,7 @@ pub enum Request {
         cache: bool,
         /// Evaluation strategy name ([`rkranks_core::Strategy`] string
         /// form, e.g. `"dynamic-height"`). `None` uses the daemon's
-        /// default (indexed with its configured bounds). This is the same
+        /// default (dynamic with its configured bounds). This is the same
         /// spelling the local CLI accepts, so remote queries can express
         /// everything local ones can.
         strategy: Option<String>,
@@ -268,8 +266,8 @@ pub enum Request {
         /// Result size `k` shared by the batch.
         k: u32,
     },
-    /// Stage live graph updates (validated as a whole; committed at the
-    /// next merge point).
+    /// Stage live graph updates (validated as a whole; committed by the
+    /// merger's next pass or the next `flush`).
     Update {
         /// The deltas, staged atomically in order.
         ops: Vec<UpdateOp>,
@@ -282,14 +280,13 @@ pub enum Request {
     /// Read the slow-query ring buffer (empty unless the daemon runs
     /// with `--slow-query-ms`).
     SlowQueries,
-    /// Commit staged graph updates and synchronously fold all pending
-    /// write-logs into the index.
+    /// Commit staged graph updates now.
     Flush,
     /// Persist the daemon's serving state as a snapshot bundle (no
-    /// implicit merge — staged updates land in the bundle's WAL).
+    /// implicit commit — staged updates land in the bundle's WAL).
     /// Errors on daemons running without a snapshot path.
     Checkpoint,
-    /// Stop the daemon (pending deltas are merged first).
+    /// Stop the daemon (staged updates are committed first).
     Shutdown,
     /// Identify the peer: protocol version, role, shard identity (when
     /// the daemon serves one shard of a partitioned deployment), and
@@ -391,6 +388,9 @@ impl Request {
                     .iter()
                     .map(|n| n.as_u32().ok_or("non-integer entry in 'nodes'"))
                     .collect::<Result<Vec<u32>, _>>()?;
+                if nodes.is_empty() {
+                    return Err("'nodes' must contain at least one node".into());
+                }
                 Ok(Request::Batch {
                     nodes,
                     k: field_u32(&v, "k")?,
@@ -457,7 +457,8 @@ pub struct BatchReply {
     pub results: Vec<Vec<(u32, u32)>>,
     /// How many of the batch's answers were cache hits.
     pub cached: u64,
-    /// The index epoch the *last* answer saw (a merge may land mid-batch).
+    /// The index epoch the *last* answer saw (a commit may land
+    /// mid-batch).
     pub epoch: u64,
     /// The graph epoch the *last* answer saw.
     pub graph_epoch: u64,
@@ -491,10 +492,8 @@ pub struct StatsReply {
     pub cache_bytes: u64,
     /// Current index epoch ([`rkranks_core::RkrIndex::epoch`]).
     pub epoch: u64,
-    /// Merge rounds performed (cadence-triggered, flush, and shutdown).
+    /// Commits of staged graph updates (merger, `flush`, and shutdown).
     pub merges: u64,
-    /// Non-empty write-logs folded across all merge rounds.
-    pub deltas_merged: u64,
     /// Worker threads serving connections.
     pub workers: u64,
     /// Queries answered with a partial (limit-tripped) result.
@@ -541,7 +540,7 @@ pub struct StatsReply {
 }
 
 impl StatsReply {
-    const FIELDS: [&'static str; 26] = [
+    const FIELDS: [&'static str; 25] = [
         "v",
         "queries",
         "cache_hits",
@@ -553,7 +552,6 @@ impl StatsReply {
         "cache_bytes",
         "epoch",
         "merges",
-        "deltas_merged",
         "workers",
         "partial_results",
         "deadline_exceeded",
@@ -570,7 +568,7 @@ impl StatsReply {
         "oversize_lines",
     ];
 
-    fn values(&self) -> [u64; 26] {
+    fn values(&self) -> [u64; 25] {
         [
             self.v,
             self.queries,
@@ -583,7 +581,6 @@ impl StatsReply {
             self.cache_bytes,
             self.epoch,
             self.merges,
-            self.deltas_merged,
             self.workers,
             self.partial_results,
             self.deadline_exceeded,
@@ -618,7 +615,7 @@ impl StatsReply {
             v: v.get("v").and_then(Json::as_u64).unwrap_or(0),
             ..Default::default()
         };
-        let slots: [&mut u64; 25] = [
+        let slots: [&mut u64; 24] = [
             &mut out.queries,
             &mut out.cache_hits,
             &mut out.cache_misses,
@@ -629,7 +626,6 @@ impl StatsReply {
             &mut out.cache_bytes,
             &mut out.epoch,
             &mut out.merges,
-            &mut out.deltas_merged,
             &mut out.workers,
             &mut out.partial_results,
             &mut out.deadline_exceeded,
@@ -887,7 +883,7 @@ pub enum Reply {
     /// Answer to a `slow-queries` op: captured records, oldest first.
     SlowQueries(Vec<SlowQueryRecord>),
     /// Answer to an `update` op: the batch was validated and staged (it
-    /// goes live at the next merge point).
+    /// goes live at the next commit).
     Update {
         /// How many deltas this request staged.
         staged: u64,
@@ -895,12 +891,12 @@ pub enum Reply {
         /// publish `graph_epoch + 1` if the batch changes the graph).
         graph_epoch: u64,
     },
-    /// Answer to a `flush` op: the epoch after the merge and how many
-    /// write-logs it folded.
+    /// Answer to a `flush` op: the index epoch after the commit and how
+    /// many staged graph deltas it committed.
     Flush {
-        /// Index epoch after the merge.
+        /// Index epoch after the commit.
         epoch: u64,
-        /// Number of pending deltas folded (0 = nothing to do).
+        /// Staged graph deltas committed (0 = nothing was staged).
         merged: u64,
     },
     /// Answer to a `checkpoint` op: the snapshot bundle on disk now holds
@@ -1183,10 +1179,6 @@ mod tests {
             nodes: vec![3, 17, 5],
             k: 10,
         });
-        round_trip_request(Request::Batch {
-            nodes: vec![],
-            k: 2,
-        });
         round_trip_request(Request::Update {
             ops: vec![
                 UpdateOp::AddNode,
@@ -1316,7 +1308,6 @@ mod tests {
             cache_bytes: 4096,
             epoch: 3,
             merges: 2,
-            deltas_merged: 5,
             workers: 4,
             partial_results: 3,
             deadline_exceeded: 2,
@@ -1503,6 +1494,7 @@ mod tests {
             r#"{"op":"query","node":1,"k":2,"strategy":7}"#,
             r#"{"op":"batch","k":2}"#,
             r#"{"op":"batch","nodes":[1,"x"],"k":2}"#,
+            r#"{"op":"batch","nodes":[],"k":2}"#,
             r#"{"op":"explode"}"#,
             r#"{"op":"update"}"#,
             r#"{"op":"update","ops":[]}"#,

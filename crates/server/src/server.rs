@@ -25,43 +25,41 @@
 //! * **Adaptive query batching.** One wake-up often surfaces many ready
 //!   requests (pipelined on one connection or spread across several).
 //!   The worker runs them as one *pass* (`QueryPass`): the live
-//!   `(context, index snapshot)` pair is acquired once per pass and
-//!   reused for every query in it, and the write-logs + merge-cadence
-//!   bookkeeping are flushed to the merger once at pass end — one lock
-//!   acquisition amortized over however many requests were ready, never
-//!   waiting on a timer. Control ops flush the pass first, so pipelined
-//!   `flush`/`update` sequences keep sequential semantics.
+//!   `(context, index)` pair is acquired once per pass and reused for
+//!   every query in it, and the batching counters are recorded once at
+//!   pass end — one read-lock acquisition amortized over however many
+//!   requests were ready, never waiting on a timer. Control ops end the
+//!   pass first, so pipelined `update`/`flush` sequences keep sequential
+//!   semantics.
 //! * **The graph is versioned, not frozen.** A
 //!   [`rkranks_graph::GraphStore`] holds the committed graph; `update`
-//!   ops stage validated [`GraphDelta`] batches, and at every merge point
-//!   the merger commits them: it publishes a fresh immutable
-//!   `Arc<Graph>` snapshot tagged with a bumped *graph epoch*, builds a
-//!   new [`EngineContext`] for it, **retires** the rank index (fresh
-//!   empty index at the new graph epoch — see the soundness argument on
-//!   [`RkrIndex::merge_delta`]), and discards pending write-logs from the
-//!   old graph. Queries in flight keep the `(context, index)` pair they
-//!   started with and stay correct *for their epoch*.
-//! * **Index snapshots**: queries run against a frozen `Arc<RkrIndex>`
-//!   snapshot and log their discoveries to per-query [`IndexDelta`]
-//!   write-logs, which are queued for the merger. Reads never block
-//!   writes and vice versa.
-//! * **The merger** owns the master index and the graph store. It folds
-//!   queued same-epoch write-logs into the master at a configurable
-//!   cadence (every `merge_every` served queries, on a `flush` op, and
-//!   at shutdown) and commits staged graph deltas *promptly* — on its
-//!   next pass after they are staged, query traffic or not (with
-//!   `merge_every` 0, everything waits for `flush`/shutdown).
+//!   ops stage validated [`GraphDelta`] batches, and the merger commits
+//!   them: it publishes a fresh immutable `Arc<Graph>` snapshot tagged
+//!   with a bumped *graph epoch*, builds a new [`EngineContext`] for it,
+//!   and **retires** the rank index (fresh empty index at the new graph
+//!   epoch — rank knowledge is unsound on a changed graph, see
+//!   [`RkrIndex::graph_epoch`]). Queries in flight keep the
+//!   `(context, index)` pair they started with and stay correct *for
+//!   their epoch*.
+//! * **The index is held read-only.** A request without a `strategy`
+//!   runs `dynamic` with the configured bounds ([`ServerConfig::bounds`])
+//!   and never reads the index. Only explicit `indexed-*` requests
+//!   consult it, through [`IndexAccess::Snapshot`] with a write-log that
+//!   is dropped when the query returns: served traffic never changes the
+//!   index.
+//! * **The merger** owns the graph store and commits staged graph deltas
+//!   *promptly* — on its next pass after they are staged, query traffic
+//!   or not. With `merge_every` 0 it never runs, and staged deltas wait
+//!   for a `flush` op or shutdown.
 //! * **The result cache** is an LRU keyed by
 //!   `(node, k, strategy, index epoch, graph epoch)`
-//!   ([`crate::cache::ResultCache`]). Index merges strand only
-//!   index-derived entries (graph-only strategies are keyed
-//!   index-epoch-independently); a graph commit strands *every* entry —
-//!   the answers themselves changed. Partial (deadline-cut) answers are
-//!   never cached.
+//!   ([`crate::cache::ResultCache`]). A graph commit strands *every*
+//!   entry — the answers themselves changed. Partial (deadline-cut)
+//!   answers are never cached.
 //!
 //! Within one graph epoch, query results are rank-identical to the plain
-//! dynamic strategy regardless of snapshot staleness or cache state — the
-//! index only ever prunes work — so caching and concurrency never cost
+//! dynamic strategy regardless of strategy or cache state — the index
+//! only ever prunes work — so caching and concurrency never cost
 //! correctness. Across graph epochs, the epoch tag on every reply says
 //! exactly which graph answered.
 
@@ -103,21 +101,17 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Result-cache entries (`0` disables caching entirely).
     pub cache_capacity: usize,
-    /// Queries per merge epoch: the merger folds pending index
-    /// write-logs after every `merge_every` served queries (cache hits
-    /// included — under hit-heavy traffic pending work must still land).
-    /// Staged graph updates do not wait for the query cadence: with any
-    /// nonzero value here the merger commits them on its next pass. `0`
-    /// disables both paths — merges and update commits happen only on an
-    /// explicit `flush` op and at shutdown.
+    /// When staged graph updates commit: `0` means only on an explicit
+    /// `flush` op and at shutdown; any other value means on the merger's
+    /// next pass after they are staged, query traffic or not.
     pub merge_every: u64,
-    /// Bound configuration of the *default* strategy (snapshot-indexed
+    /// Bound configuration of the *default* strategy (the dynamic
     /// search) — used when a request names no `strategy` of its own;
     /// requests with an explicit strategy carry their own bounds.
     pub bounds: BoundConfig,
     /// Snapshot bundle path (`rkranks_core::snapshot` format). When set,
-    /// the daemon checkpoints its serving state there — at every merge
-    /// point that changed state, on a `checkpoint` op, and at shutdown —
+    /// the daemon checkpoints its serving state there — after every
+    /// commit of staged updates, on a `checkpoint` op, and at shutdown —
     /// so a restart via [`rkranks_core::load_snapshot`] + [`serve_store`]
     /// resumes at the same epoch pair. `None` (the default) serves purely
     /// in memory.
@@ -170,39 +164,23 @@ impl Default for ServerConfig {
     }
 }
 
-/// What a finished daemon hands back: everything it learned and became.
+/// What a finished daemon hands back: the graph it ended on.
 #[derive(Debug)]
 pub struct ServeOutcome {
-    /// The final master index (with every same-epoch discovery folded in;
-    /// freshly retired — mostly empty — if a graph commit landed late).
-    pub index: RkrIndex,
     /// The final committed graph snapshot.
     pub graph: Arc<Graph>,
     /// The final graph epoch (0 if no update ever committed).
     pub graph_epoch: u64,
 }
 
-/// Deltas waiting for the merger, plus the cadence bookkeeping.
-#[derive(Default)]
-struct PendingMerge {
-    deltas: Vec<IndexDelta>,
-    queries_since_merge: u64,
-}
-
-/// The consistent `(context, index snapshot)` pair queries read. Swapped
+/// The consistent `(context, index)` pair queries read. Swapped
 /// wholesale — under one lock — so a worker can never pair a new graph
-/// with a stale index or vice versa.
+/// with a stale index or vice versa. The index is read-only: only a graph
+/// commit replaces it (with an empty one at the new graph epoch).
 struct LiveState {
     ctx: Arc<EngineContext>,
-    snapshot: Arc<RkrIndex>,
+    index: Arc<RkrIndex>,
     graph_epoch: u64,
-}
-
-/// The write side the merger owns: the canonical graph and the evolving
-/// master index (always tagged with the store's current graph epoch).
-struct WriteState {
-    store: GraphStore,
-    master: RkrIndex,
 }
 
 /// Everything the worker, merger, and control paths share.
@@ -213,9 +191,12 @@ struct Shared {
     accept_err_logged: AtomicBool,
     partition: Option<Partition>,
     live: RwLock<LiveState>,
-    write: Mutex<WriteState>,
-    pending: Mutex<PendingMerge>,
-    merge_signal: Condvar,
+    /// The canonical graph and its staged deltas. Its lock is held from
+    /// staging or commit through publication, so `live` only ever changes
+    /// under it.
+    store: Mutex<GraphStore>,
+    /// Wakes the merger when a batch is staged (paired with `store`).
+    staged_signal: Condvar,
     cache: Option<Mutex<ResultCache>>,
     /// Every counter, gauge, and histogram the daemon exports — the
     /// registry behind both the `stats` and `metrics` ops, plus the
@@ -245,9 +226,9 @@ fn build_context(
 }
 
 /// Serve until a client sends `shutdown`. Blocks the calling thread; use
-/// [`spawn`] for a background daemon. Returns the final graph, graph
-/// epoch, and master index (callers can persist the index — it keeps
-/// learning from served queries until the graph changes).
+/// [`spawn`] for a background daemon. `index` is held read-only for
+/// explicit `indexed-*` requests until the first graph commit retires
+/// it. Returns the final graph and graph epoch.
 pub fn serve(
     graph: Graph,
     partition: Option<Partition>,
@@ -262,7 +243,7 @@ pub fn serve(
 
 /// [`serve`] for a pre-built [`GraphStore`] — the restart path. A store
 /// restored from a snapshot bundle keeps its graph epoch, and any WAL
-/// deltas re-staged into it commit at the daemon's first merge point,
+/// deltas re-staged into it commit at the daemon's first commit,
 /// exactly as the staged batch would have before the restart.
 ///
 /// # Panics
@@ -287,8 +268,8 @@ pub fn serve_store(
     );
     let mut config = config.clone();
     config.workers = config.workers.max(1);
-    // Restored WAL deltas are already staged in the store; mirror them
-    // into the merger's `due` hint so they commit on its first pass.
+    // Restored WAL deltas are already staged in the store; the merger
+    // commits them on its first pass.
     let staged_at_start = store.pending_deltas() as u64;
     let ctx = build_context(store.snapshot(), &partition, config.shard);
     // Pay the one-off transpose build before the first query is timed.
@@ -296,15 +277,11 @@ pub fn serve_store(
     let shared = Shared {
         live: RwLock::new(LiveState {
             ctx: Arc::new(ctx),
-            snapshot: Arc::new(index.clone()),
+            index: Arc::new(index),
             graph_epoch: store.graph_epoch(),
         }),
-        write: Mutex::new(WriteState {
-            store,
-            master: index,
-        }),
-        pending: Mutex::new(PendingMerge::default()),
-        merge_signal: Condvar::new(),
+        store: Mutex::new(store),
+        staged_signal: Condvar::new(),
         cache: (config.cache_capacity > 0)
             .then(|| Mutex::new(ResultCache::new(config.cache_capacity))),
         metrics: Metrics::new(config.slow_query_cap),
@@ -320,10 +297,14 @@ pub fn serve_store(
         .cache_capacity
         .set(shared.config.cache_capacity as u64);
     log_info!(
-        "serving: {} workers, epoll event loop, cache {}, merge every {}",
+        "serving: {} workers, epoll event loop, cache {}, {} commits",
         shared.config.workers,
         shared.config.cache_capacity,
-        shared.config.merge_every
+        if shared.config.merge_every > 0 {
+            "prompt"
+        } else {
+            "flush-only"
+        }
     );
     listener
         .set_nonblocking(true)
@@ -341,32 +322,31 @@ pub fn serve_store(
         })
         .collect();
     std::thread::scope(|s| {
-        s.spawn(|| merger_loop(&shared));
+        if shared.config.merge_every > 0 {
+            s.spawn(|| merger_loop(&shared));
+        }
         for ep in epolls {
             let (shared, listener) = (&shared, &listener);
             s.spawn(move || worker_loop(shared, listener, ep));
         }
     });
-    // Every worker has joined, so every in-flight query has pushed its
-    // write-log and every accepted update is staged; this final fold
-    // (here, not in the merger, which can observe the shutdown flag while
-    // workers are still mid-query) commits them all, so the returned
-    // state owns everything the served traffic produced.
-    merge_pending(&shared);
-    let write = shared.write.into_inner().expect("write lock poisoned");
-    // The shutdown checkpoint is unconditional (the merge-point ones only
-    // fire when a merge changed state): even a daemon that served nothing
-    // leaves a loadable bundle behind, so `--snapshot FILE` is
-    // load-or-create across its first restart.
+    // Every worker has joined, so every accepted update is staged; this
+    // final commit (here, not in the merger, which can observe the
+    // shutdown flag while a worker is still staging) lands them all.
+    let mut store = shared.store.lock().expect("store lock poisoned");
+    merge_pending(&shared, &mut store);
+    // The shutdown checkpoint is unconditional (the commit-point ones only
+    // fire when a commit ran): even a daemon that served nothing leaves a
+    // loadable bundle behind, so `--snapshot FILE` is load-or-create
+    // across its first restart.
     if shared.config.snapshot.is_some() {
-        if let Err(msg) = checkpoint_locked(&shared.config, &write) {
+        if let Err(msg) = checkpoint_locked(&shared, &store) {
             log_error!("{msg}");
         }
     }
     ServeOutcome {
-        index: write.master,
-        graph: write.store.snapshot(),
-        graph_epoch: write.store.graph_epoch(),
+        graph: store.snapshot(),
+        graph_epoch: store.graph_epoch(),
     }
 }
 
@@ -438,17 +418,15 @@ fn strategy_bits(s: Strategy) -> u8 {
     }
 }
 
-/// One wake-up's worth of query work. The live `(context, snapshot)`
-/// pair is acquired lazily on the first query and reused for every ready
-/// query in the pass — one read-lock acquisition amortized over however
-/// many requests the wake-up surfaced — and the write-logs plus
-/// merge-cadence bookkeeping are flushed to the merger once at pass end
-/// instead of once per query. Batch size adapts to readiness: a lone
-/// request is a pass of one, a pipelined burst is one pass, and nothing
-/// ever waits on a timer.
+/// One wake-up's worth of query work. The live `(context, index)` pair
+/// is acquired lazily on the first query and reused for every ready query
+/// in the pass — one read-lock acquisition amortized over however many
+/// requests the wake-up surfaced — and the batching counters are recorded
+/// once at pass end instead of once per query. Batch size adapts to
+/// readiness: a lone request is a pass of one, a pipelined burst is one
+/// pass, and nothing ever waits on a timer.
 struct QueryPass {
     live: Option<(Arc<EngineContext>, Arc<RkrIndex>, u64)>,
-    deltas: Vec<IndexDelta>,
     queries: u64,
 }
 
@@ -456,7 +434,6 @@ impl QueryPass {
     fn new() -> QueryPass {
         QueryPass {
             live: None,
-            deltas: Vec::new(),
             queries: 0,
         }
     }
@@ -467,12 +444,12 @@ impl QueryPass {
             let live = shared.live.read().expect("live lock poisoned");
             self.live = Some((
                 Arc::clone(&live.ctx),
-                Arc::clone(&live.snapshot),
+                Arc::clone(&live.index),
                 live.graph_epoch,
             ));
         }
-        let (ctx, snapshot, graph_epoch) = self.live.as_ref().expect("just set");
-        (Arc::clone(ctx), Arc::clone(snapshot), *graph_epoch)
+        let (ctx, index, graph_epoch) = self.live.as_ref().expect("just set");
+        (Arc::clone(ctx), Arc::clone(index), *graph_epoch)
     }
 
     /// Drop the cached live pair so the next query re-reads it — called
@@ -481,25 +458,14 @@ impl QueryPass {
         self.live = None;
     }
 
-    /// Hand the pass's write-logs and query count to the merger — one
-    /// pending-lock acquisition per wake-up, not per query — and wake it
-    /// if the cadence came due.
+    /// Record the pass's query count in the batching counters.
     fn flush(&mut self, shared: &Shared) {
-        if self.queries == 0 && self.deltas.is_empty() {
+        if self.queries == 0 {
             return;
         }
         shared.metrics.batches.inc();
         shared.metrics.batch_queries.add(self.queries);
-        let merge_due = {
-            let mut pending = shared.pending.lock().expect("pending lock poisoned");
-            pending.deltas.append(&mut self.deltas);
-            pending.queries_since_merge += self.queries;
-            merge_is_due(shared, &pending)
-        };
         self.queries = 0;
-        if merge_due {
-            shared.merge_signal.notify_one();
-        }
     }
 }
 
@@ -821,10 +787,9 @@ fn execute(
                 graph_epoch,
             })
         }
-        // Every control op flushes the pass first and drops its cached
-        // live pair: pipelined `query → flush → query` in one wake-up
-        // keeps sequential semantics — the flush sees the first query's
-        // write-log, the second query sees the flushed state.
+        // Every control op ends the pass first and drops its cached live
+        // pair: pipelined `update → flush → query` in one wake-up keeps
+        // sequential semantics — the query sees the committed state.
         req => {
             pass.flush(shared);
             pass.invalidate();
@@ -833,7 +798,7 @@ fn execute(
     }
 }
 
-/// The non-query ops (already pass-flushed by [`execute`]).
+/// The non-query ops (the pass already ended by [`execute`]).
 fn execute_control(shared: &Shared, req: Request) -> Reply {
     match req {
         Request::Query { .. } | Request::Batch { .. } => {
@@ -850,17 +815,22 @@ fn execute_control(shared: &Shared, req: Request) -> Reply {
         Request::Metrics => Reply::Metrics(metrics_snapshot(shared)),
         Request::SlowQueries => Reply::SlowQueries(shared.metrics.slow_log.snapshot()),
         Request::Flush => {
-            let (epoch, merged) = merge_pending(shared);
-            Reply::Flush { epoch, merged }
+            let mut store = shared.store.lock().expect("store lock poisoned");
+            let merged = merge_pending(shared, &mut store);
+            let live = shared.live.read().expect("live lock poisoned");
+            Reply::Flush {
+                epoch: live.index.epoch(),
+                merged,
+            }
         }
         Request::Checkpoint => {
-            // Deliberately no merge first: a checkpoint persists the
-            // serving state *as it stands* — committed graph, master
-            // index, and staged-but-uncommitted deltas as the WAL — so
-            // forcing durability never changes commit semantics (with
+            // Deliberately no commit first: a checkpoint persists the
+            // serving state *as it stands* — committed graph, index, and
+            // staged-but-uncommitted deltas as the WAL — so forcing
+            // durability never changes commit semantics (with
             // `merge_every` 0, staged updates still wait for `flush`).
-            let write = shared.write.lock().expect("write lock poisoned");
-            match checkpoint_timed(shared, &write) {
+            let store = shared.store.lock().expect("store lock poisoned");
+            match checkpoint_locked(shared, &store) {
                 Ok((epoch, graph_epoch)) => Reply::Checkpoint { epoch, graph_epoch },
                 Err(msg) => Reply::Error(msg),
             }
@@ -868,7 +838,7 @@ fn execute_control(shared: &Shared, req: Request) -> Reply {
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::Release);
             // Wake the merger so it notices the flag and exits promptly.
-            shared.merge_signal.notify_all();
+            shared.staged_signal.notify_all();
             Reply::Shutdown
         }
         Request::Hello => {
@@ -885,7 +855,7 @@ fn execute_control(shared: &Shared, req: Request) -> Reply {
                     shards: s.shards(),
                     seed: s.seed(),
                 }),
-                epoch: live.snapshot.epoch(),
+                epoch: live.index.epoch(),
                 graph_epoch: live.graph_epoch,
                 nodes: u64::from(live.ctx.graph().num_nodes()),
                 edges: live.ctx.graph().num_edges() as u64,
@@ -895,7 +865,7 @@ fn execute_control(shared: &Shared, req: Request) -> Reply {
 }
 
 /// Validate and stage a batch of graph updates (all-or-nothing; the
-/// commit happens at the next merge point).
+/// merger's next pass or the next `flush` commits it).
 fn stage_updates(shared: &Shared, ops: &[UpdateOp]) -> Result<(u64, u64), String> {
     if shared.partition.is_some() {
         // A partition is a fixed labelling of a fixed node set; growing or
@@ -903,24 +873,21 @@ fn stage_updates(shared: &Shared, ops: &[UpdateOp]) -> Result<(u64, u64), String
         return Err("live updates are not supported on bichromatic servers".into());
     }
     let deltas: Vec<GraphDelta> = ops.iter().map(|&op| op.into()).collect();
-    let mut write = shared.write.lock().expect("write lock poisoned");
-    let before = write.store.pending_deltas();
-    let staged = write.store.stage_all(&deltas).map_err(|e| e.to_string())? as u64;
+    let mut store = shared.store.lock().expect("store lock poisoned");
+    let before = store.pending_deltas();
+    let staged = store.stage_all(&deltas).map_err(|e| e.to_string())? as u64;
     // Count *effective* staged deltas, not ops: a batch's ops can collapse
-    // onto one overlay entry (rm X + re-add X), and the merger's `due`
-    // check and `updates_applied` must agree with what the store will
-    // actually hand to the commit — drift here would leave the merger
-    // waking forever on a count that can never drain.
+    // onto one overlay entry (rm X + re-add X), and the gauge must agree
+    // with what the store will actually hand to the commit.
     shared
         .metrics
         .updates_staged
-        .add((write.store.pending_deltas() - before) as u64);
-    let graph_epoch = write.store.graph_epoch();
-    drop(write);
-    // Wake the merger: with a cadence configured, staged updates commit
-    // on its next pass without waiting for query traffic (or the 50ms
-    // poll timeout).
-    shared.merge_signal.notify_one();
+        .add((store.pending_deltas() - before) as u64);
+    let graph_epoch = store.graph_epoch();
+    drop(store);
+    // Wake the merger: staged updates commit on its next pass without
+    // waiting for query traffic.
+    shared.staged_signal.notify_one();
     Ok((staged, graph_epoch))
 }
 
@@ -938,25 +905,24 @@ fn run_query(
     let start = Instant::now();
     // The request's strategy string maps straight onto the unified
     // Strategy; absent, the daemon serves its configured default — the
-    // snapshot-indexed search.
+    // dynamic search, which never reads the index.
     let strategy = match strategy {
         Some(name) => name.parse::<Strategy>()?,
-        None => Strategy::Indexed(shared.config.bounds),
+        None => Strategy::Dynamic(shared.config.bounds),
     };
     shared.metrics.queries.inc();
-    // One consistent pair per *pass*: the context and the index snapshot
-    // always belong to the same graph epoch, and every query the wake-up
-    // batched shares the one read-lock acquisition.
-    let (ctx, snapshot, graph_epoch) = pass.live(shared);
-    let epoch = snapshot.epoch();
+    // One consistent pair per *pass*: the context and the index always
+    // belong to the same graph epoch, and every query the wake-up batched
+    // shares the one read-lock acquisition.
+    let (ctx, index, graph_epoch) = pass.live(shared);
+    let epoch = index.epoch();
     let key = CacheKey {
         node,
         k,
         strategy: strategy_bits(strategy),
         // Graph-only strategies never read the index: key them with the
-        // index-epoch-independent sentinel so their entries survive index
-        // merges. The graph epoch is part of every key — nothing survives
-        // a graph commit.
+        // index-epoch-independent sentinel. The graph epoch is part of
+        // every key — nothing survives a graph commit.
         epoch: if strategy.needs_index() {
             epoch
         } else {
@@ -972,9 +938,6 @@ fn run_query(
                 .get(&key)
                 .cloned();
             if let Some(entries) = hit {
-                // Hits count toward the merge cadence too: "merge every N
-                // served queries" must hold under hit-heavy traffic, or
-                // pending deltas could sit unmerged indefinitely.
                 pass.queries += 1;
                 note_served(
                     shared,
@@ -1004,10 +967,12 @@ fn run_query(
     if let Some(ms) = deadline_ms {
         req = req.with_deadline(Duration::from_millis(ms));
     }
-    let mut delta = IndexDelta::for_index(&snapshot);
     let outcome = if strategy.needs_index() {
+        // The held index is read-only: what this query learns goes to a
+        // write-log that is dropped when it returns.
+        let mut delta = IndexDelta::for_index(&index);
         let mut access = IndexAccess::Snapshot {
-            snapshot: &snapshot,
+            snapshot: &index,
             delta: &mut delta,
         };
         ctx.execute_with(scratch, Some(&mut access), &req)
@@ -1022,9 +987,6 @@ fn run_query(
         .map(|e| (e.node.0, e.rank))
         .collect();
     pass.queries += 1;
-    if !delta.is_empty() {
-        pass.deltas.push(delta);
-    }
     let stage = outcome.stage;
     shared
         .metrics
@@ -1127,109 +1089,67 @@ fn note_served(
     });
 }
 
-/// Whether the merger has due work. Index write-logs wait for the query
-/// cadence (they only sharpen pruning, so batching them is free); staged
-/// graph updates are due *immediately* — an update must not wait for
-/// read traffic that may never come, so with any cadence configured the
-/// merger commits staged updates on its next pass. `merge_every == 0`
-/// disables both paths: only `flush` and shutdown merge.
-fn merge_is_due(shared: &Shared, pending: &PendingMerge) -> bool {
-    shared.config.merge_every > 0
-        && ((pending.queries_since_merge >= shared.config.merge_every
-            && !pending.deltas.is_empty())
-            || shared.metrics.updates_staged.get() > 0)
-}
-
-/// The one merge point: commit staged graph updates (publishing a new
-/// snapshot + context and retiring the index if the graph changed), then
-/// fold every same-epoch pending write-log into the master index, publish
-/// a fresh index snapshot, and purge newly stale cache entries. Returns
-/// the resulting index epoch and how many write-logs were folded. Safe to
-/// call from any thread.
-fn merge_pending(shared: &Shared) -> (u64, u64) {
-    let deltas: Vec<IndexDelta> = {
-        let mut pending = shared.pending.lock().expect("pending lock poisoned");
-        pending.queries_since_merge = 0;
-        std::mem::take(&mut pending.deltas)
-    };
-    // The write lock is held through snapshot publication so two
-    // concurrent merges cannot publish out of order.
-    let mut write = shared.write.lock().expect("write lock poisoned");
-    let staged = write.store.pending_deltas();
-    if deltas.is_empty() && staged == 0 {
-        return (write.master.epoch(), 0);
+/// The one commit point (the merger, `flush` and shutdown): commit the
+/// staged graph updates; if the graph changed, retire the index, publish
+/// the new `(context, index)` pair and purge the stranded cache entries;
+/// then checkpoint. The caller holds the store lock throughout, so two
+/// commits cannot publish out of order. Returns how many staged deltas it
+/// committed (0: nothing was staged).
+fn merge_pending(shared: &Shared, store: &mut GraphStore) -> u64 {
+    let staged = store.pending_deltas();
+    if staged == 0 {
+        return 0;
     }
-    // Timed from here: the no-op probe above is not a merger pass.
     let pass_start = Instant::now();
-
-    let mut new_ctx = None;
-    if staged > 0 {
-        let epoch_before = write.store.graph_epoch();
-        // The store patches its previous snapshot: only the CSR rows the
-        // staged edges touch are rebuilt, the rest are copied.
-        let snapshot = write.store.commit();
-        let graph_epoch = write.store.graph_epoch();
-        // The commit drained the store; every staging op happens under the
-        // write lock we still hold, so zero is the authoritative count.
-        shared.metrics.updates_staged.set(0);
-        if graph_epoch != epoch_before {
-            // Applied = committed by a graph-changing commit; a no-op
-            // commit (e.g. a reweight to the current weight) drains its
-            // staged deltas without counting them, so `updates_applied`
-            // always reconciles with `graph_commits`.
-            shared.metrics.updates_applied.add(staged as u64);
-            // The graph changed: retire the index (merging stale
-            // knowledge forward is unsound — see RkrIndex::merge_delta)
-            // and build a context for the new snapshot.
-            let mut fresh = RkrIndex::empty(snapshot.num_nodes(), write.master.k_max());
-            fresh.set_graph_epoch(graph_epoch);
-            write.master = fresh;
-            let ctx = build_context(snapshot, &shared.partition, shared.config.shard);
-            // The merger pays the transpose build, not the first query.
-            ctx.sds_graph();
-            new_ctx = Some(Arc::new(ctx));
-            shared.metrics.graph_commits.inc();
-            log_info!("graph commit: epoch {epoch_before} -> {graph_epoch}, {staged} deltas");
+    let epoch_before = store.graph_epoch();
+    // The store patches its previous snapshot: only the CSR rows the
+    // staged edges touch are rebuilt, the rest are copied.
+    let snapshot = store.commit();
+    let graph_epoch = store.graph_epoch();
+    // The commit drained the store; every staging op happens under the
+    // store lock we hold, so zero is the authoritative count.
+    shared.metrics.updates_staged.set(0);
+    if graph_epoch != epoch_before {
+        // Applied = committed by a graph-changing commit; a no-op commit
+        // (e.g. a reweight to the current weight) drains its staged deltas
+        // without counting them, so `updates_applied` always reconciles
+        // with `graph_commits`.
+        shared.metrics.updates_applied.add(staged as u64);
+        // The graph changed: retire the index (rank knowledge from the
+        // old graph is unsound on the new one) and build a context for
+        // the new snapshot.
+        let k_max = shared
+            .live
+            .read()
+            .expect("live lock poisoned")
+            .index
+            .k_max();
+        let mut index = RkrIndex::empty(snapshot.num_nodes(), k_max);
+        index.set_graph_epoch(graph_epoch);
+        let index_epoch = index.epoch();
+        let ctx = build_context(snapshot, &shared.partition, shared.config.shard);
+        // The merger pays the transpose build, not the first query.
+        ctx.sds_graph();
+        *shared.live.write().expect("live lock poisoned") = LiveState {
+            ctx: Arc::new(ctx),
+            index: Arc::new(index),
+            graph_epoch,
+        };
+        if let Some(cache) = &shared.cache {
+            cache
+                .lock()
+                .expect("cache lock poisoned")
+                .purge_stale(graph_epoch, index_epoch);
         }
-    }
-
-    // Fold write-logs. Cross-epoch logs no-op inside merge_delta (the
-    // graph-epoch guard), so a delta raced past a graph commit is
-    // harmless; count only the ones that belong to the current epoch.
-    let mut folded = 0u64;
-    for delta in &deltas {
-        if delta.graph_epoch() == write.master.graph_epoch() {
-            write.master.merge_delta(delta);
-            folded += 1;
-        }
-    }
-
-    let index_epoch = write.master.epoch();
-    let graph_epoch = write.store.graph_epoch();
-    {
-        let mut live = shared.live.write().expect("live lock poisoned");
-        if let Some(ctx) = new_ctx {
-            live.ctx = ctx;
-            live.graph_epoch = graph_epoch;
-        }
-        live.snapshot = Arc::new(write.master.clone());
-    }
-    if let Some(cache) = &shared.cache {
-        cache
-            .lock()
-            .expect("cache lock poisoned")
-            .purge_stale(graph_epoch, index_epoch);
+        shared.metrics.graph_commits.inc();
+        log_info!("graph commit: epoch {epoch_before} -> {graph_epoch}, {staged} deltas");
     }
     shared.metrics.merges.inc();
-    shared.metrics.deltas_merged.add(folded);
-    log_info!("merge: folded {folded} write-logs, index epoch {index_epoch}");
-    // A merge point that changed state refreshes the snapshot bundle
-    // (still under the write lock, so the bundle is a consistent cut): a
-    // crash after this point loses at most in-flight write-logs, which
-    // are pruning hints, never answers. Failures are logged and serving
+    // A commit refreshes the snapshot bundle (still under the store lock,
+    // so the bundle is a consistent cut). Failures are logged and serving
     // continues — durability is best-effort, availability is not.
     if shared.config.snapshot.is_some() {
-        if let Err(msg) = checkpoint_timed(shared, &write) {
+        if let Err(msg) = checkpoint_locked(shared, store) {
             log_error!("{msg}");
         }
     }
@@ -1237,59 +1157,50 @@ fn merge_pending(shared: &Shared) -> (u64, u64) {
         .metrics
         .merge_pass_seconds
         .record(duration_ns(pass_start.elapsed()));
-    (index_epoch, folded)
+    staged as u64
 }
 
-/// Persist the serving state — committed graph, master index, and any
+/// Persist the serving state — committed graph, live index, and any
 /// staged-but-uncommitted deltas as the WAL — to the configured snapshot
-/// path. The caller holds the write lock, so the bundle is a consistent
-/// cut. Returns the `(index epoch, graph epoch)` pair the bundle holds.
-fn checkpoint_locked(config: &ServerConfig, write: &WriteState) -> Result<(u64, u64), String> {
-    let path = config
+/// path, recording the duration in `rkrd_checkpoint_seconds` (successes
+/// only — a failed checkpoint is a logged error, not a latency sample).
+/// The caller holds the store lock, under which alone the index changes,
+/// so the bundle is a consistent cut. Returns the
+/// `(index epoch, graph epoch)` pair the bundle holds.
+fn checkpoint_locked(shared: &Shared, store: &GraphStore) -> Result<(u64, u64), String> {
+    let start = Instant::now();
+    let path = shared
+        .config
         .snapshot
         .as_deref()
         .ok_or("this daemon has no snapshot path (start it with --snapshot FILE)")?;
-    save_snapshot(&write.store, &write.master, path)
+    let index = Arc::clone(&shared.live.read().expect("live lock poisoned").index);
+    save_snapshot(store, &index, path)
         .map_err(|e| format!("checkpoint to {} failed: {e}", path.display()))?;
-    Ok((write.master.epoch(), write.store.graph_epoch()))
-}
-
-/// [`checkpoint_locked`] with the duration recorded in
-/// `rkrd_checkpoint_seconds` (successes only — a failed checkpoint is a
-/// logged error, not a latency sample).
-fn checkpoint_timed(shared: &Shared, write: &WriteState) -> Result<(u64, u64), String> {
-    let start = Instant::now();
-    let out = checkpoint_locked(&shared.config, write)?;
     shared
         .metrics
         .checkpoint_seconds
         .record(duration_ns(start.elapsed()));
-    Ok(out)
+    Ok((index.epoch(), store.graph_epoch()))
 }
 
+/// The merger (run only when `merge_every` is nonzero): commits staged
+/// updates as soon as a batch is staged, until shutdown. The final commit
+/// happens in `serve` after every worker has joined, so an update staged
+/// while the merger exits is not lost.
 fn merger_loop(shared: &Shared) {
-    let mut pending = shared.pending.lock().expect("pending lock poisoned");
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        if merge_is_due(shared, &pending) {
-            drop(pending);
-            merge_pending(shared);
-            pending = shared.pending.lock().expect("pending lock poisoned");
-            continue;
-        }
-        // Timed wait: a notify can be missed between the check and the
-        // wait, and shutdown may happen without a signal.
-        let (guard, _) = shared
-            .merge_signal
-            .wait_timeout(pending, Duration::from_millis(50))
-            .expect("pending lock poisoned");
-        pending = guard;
+    let mut store = shared.store.lock().expect("store lock poisoned");
+    while !shared.shutdown.load(Ordering::Acquire) {
+        merge_pending(shared, &mut store);
+        // Staging happens under this lock, so no batch slips in between
+        // the commit and the wait; the timeout only bounds how late an
+        // unsignalled shutdown is seen.
+        store = shared
+            .staged_signal
+            .wait_timeout(store, Duration::from_millis(50))
+            .expect("store lock poisoned")
+            .0;
     }
-    // The final shutdown fold happens in `serve` after every worker has
-    // joined — a fold here could race with workers still finishing their
-    // last queries and silently drop their write-logs.
 }
 
 /// Refresh every mirror and state gauge from its authoritative source —
@@ -1306,7 +1217,7 @@ fn refresh_mirrors(shared: &Shared) {
         m.cache_bytes.set(cache.approx_bytes() as u64);
     }
     let live = shared.live.read().expect("live lock poisoned");
-    m.index_epoch.set(live.snapshot.epoch());
+    m.index_epoch.set(live.index.epoch());
     m.graph_epoch.set(live.graph_epoch);
     m.graph_nodes.set(live.ctx.graph().num_nodes() as u64);
     m.graph_edges.set(live.ctx.graph().num_edges() as u64);
@@ -1334,7 +1245,6 @@ fn stats_snapshot(shared: &Shared) -> StatsReply {
         cache_bytes: m.cache_bytes.get(),
         epoch: m.index_epoch.get(),
         merges: m.merges.get(),
-        deltas_merged: m.deltas_merged.get(),
         workers: shared.config.workers as u64,
         partial_results: m.partial_results.get(),
         deadline_exceeded: m.deadline_exceeded.get(),
@@ -1401,35 +1311,64 @@ mod tests {
         assert!(second.cached);
         assert_eq!(second.entries, first.entries);
 
-        // flush merges the first query's discoveries and bumps the epoch
+        // nothing is staged, so a flush commits nothing and changes nothing
         let (epoch, merged) = client.flush().unwrap();
-        assert!(merged >= 1);
-        assert!(epoch >= 1);
+        assert_eq!((epoch, merged), (0, 0));
 
-        // the cached entry is stale now → a fresh miss, same ranks
+        // the cached entry is still current → a hit, same entries
         let third = client.query(0, 2).unwrap();
-        assert!(!third.cached, "epoch bump must evict the cached result");
+        assert!(third.cached, "a flush with nothing staged must not evict");
         assert_eq!(third.epoch, epoch);
-        let ranks = |e: &[(u32, u32)]| e.iter().map(|&(_, r)| r).collect::<Vec<_>>();
-        assert_eq!(ranks(&third.entries), ranks(&first.entries));
+        assert_eq!(third.entries, first.entries);
 
         let stats = client.stats().unwrap();
         assert_eq!(stats.queries, 3);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 2);
-        assert!(stats.cache_stale_evicted >= 1);
+        assert_eq!(stats.cache_hits, 2);
+        assert_eq!(stats.cache_misses, 1);
+        assert_eq!(stats.cache_stale_evicted, 0);
         assert_eq!(stats.epoch, epoch);
-        assert_eq!(stats.merges, 1);
+        assert_eq!(stats.merges, 0);
         assert_eq!(stats.graph_epoch, 0, "query-only traffic never bumps it");
         assert_eq!(stats.graph_commits, 0);
 
         client.shutdown().unwrap();
         let outcome = handle.join();
-        assert!(
-            outcome.index.rrd_entries() > 0,
-            "served discoveries persist"
-        );
         assert_eq!(outcome.graph_epoch, 0);
+    }
+
+    /// A request without a strategy is served by `dynamic-three`: it
+    /// shares the explicit strategy's cache entry, and it never reads the
+    /// held index, so a `k` above the index's `K` is answered — only an
+    /// explicit `indexed-*` request is bounded by it.
+    #[test]
+    fn default_strategy_is_dynamic_three_and_ignores_the_index() {
+        let handle = spawn_grid(ServerConfig {
+            workers: 1,
+            cache_capacity: 8,
+            ..Default::default()
+        });
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let explicit = |name: &str| QueryOptions {
+            strategy: Some(name.into()),
+            ..QueryOptions::default()
+        };
+
+        let default = client.query(0, 2).unwrap();
+        assert!(!default.cached);
+        let dynamic = client.query_opts(0, 2, &explicit("dynamic-three")).unwrap();
+        assert!(dynamic.cached, "default and dynamic-three share one entry");
+        assert_eq!(dynamic.entries, default.entries);
+
+        // The grid's index has K = 16.
+        let wide = client.query(1, 17).unwrap();
+        assert_eq!(wide.entries.len(), 3, "every other node ranks node 1");
+        let err = client
+            .query_opts(1, 17, &explicit("indexed-three"))
+            .unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+
+        client.shutdown().unwrap();
+        handle.join();
     }
 
     #[test]
@@ -1437,8 +1376,6 @@ mod tests {
         let handle = spawn_grid(ServerConfig {
             workers: 1,
             cache_capacity: 8,
-            // merges only on flush, so the repeated node's cache hit is
-            // deterministic (a cadence merge could bump the epoch mid-batch)
             merge_every: 0,
             bounds: BoundConfig::ALL,
             snapshot: None,
@@ -1453,7 +1390,11 @@ mod tests {
         // an invalid node is an error, and the connection survives it
         let err = client.query(99, 2).unwrap_err();
         assert!(err.to_string().contains("out of bounds"), "{err}");
-        let err = client.query(0, 99).unwrap_err();
+        let indexed = QueryOptions {
+            strategy: Some("indexed-three".into()),
+            ..QueryOptions::default()
+        };
+        let err = client.query_opts(0, 99, &indexed).unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
         assert!(client.stats().is_ok(), "connection must stay usable");
 
@@ -1617,7 +1558,6 @@ mod tests {
         let outcome = handle.join();
         assert_eq!(outcome.graph_epoch, 1);
         assert_eq!(outcome.graph.num_nodes(), 5);
-        assert_eq!(outcome.index.graph_epoch(), 1);
     }
 
     #[test]
@@ -1682,9 +1622,8 @@ mod tests {
     }
 
     /// Regression: a batch whose ops collapse onto one staged delta
-    /// (remove X, re-add X) must not leave the staged counter with a
-    /// remainder that can never drain — that would wake the merger on
-    /// every cadence boundary forever.
+    /// (remove X, re-add X) must count one effective delta, not leave the
+    /// staged counter with a remainder that can never drain.
     #[test]
     fn collapsed_update_batches_do_not_strand_the_staged_counter() {
         let handle = spawn_grid(ServerConfig {
@@ -1733,8 +1672,8 @@ mod tests {
         client
             .update(&[UpdateOp::Reweight { u: 0, v: 1, w: 9.0 }])
             .unwrap();
-        // enough queries to trip the cadence; the merger commits the
-        // staged reweight without any explicit flush
+        // the merger commits the staged reweight without any explicit
+        // flush while queries keep arriving
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
             for n in 0..4 {
@@ -1754,7 +1693,7 @@ mod tests {
     }
 
     /// Liveness: an update-only client (no query traffic at all) must
-    /// still see its staged updates commit when a cadence is configured —
+    /// still see its staged updates commit when `merge_every` is nonzero —
     /// updates are not allowed to wait for reads that may never come.
     #[test]
     fn updates_commit_without_query_traffic() {
@@ -2042,10 +1981,14 @@ mod tests {
         });
         let mut client = Client::connect(handle.addr()).unwrap();
         client.query(0, 2).unwrap();
-        let (epoch, _) = client.flush().unwrap();
+        client
+            .update(&[UpdateOp::Reweight { u: 0, v: 1, w: 9.0 }])
+            .unwrap();
+        let (epoch, merged) = client.flush().unwrap();
+        assert_eq!(merged, 1, "the flush commits the one staged delta");
         let snap = client.metrics().unwrap();
         assert_eq!(counter_value(&snap, "rkrd_index_epoch"), epoch);
-        assert_eq!(counter_value(&snap, "rkrd_graph_epoch"), 0);
+        assert_eq!(counter_value(&snap, "rkrd_graph_epoch"), 1);
         assert_eq!(counter_value(&snap, "rkrd_graph_nodes"), 4);
         assert_eq!(counter_value(&snap, "rkrd_workers"), 2);
         assert_eq!(counter_value(&snap, "rkrd_merges_total"), 1);
@@ -2053,7 +1996,7 @@ mod tests {
         let text = rkranks_core::render_prometheus(&snap);
         assert!(text.contains("# TYPE rkrd_queries_total counter"));
         assert!(text.contains("# TYPE rkrd_query_seconds histogram"));
-        assert!(text.contains("rkrd_query_seconds_bucket{strategy=\"indexed-three\","));
+        assert!(text.contains("rkrd_query_seconds_bucket{strategy=\"dynamic-three\","));
         client.shutdown().unwrap();
         handle.join();
     }

@@ -37,10 +37,10 @@ echo "shard plan rendered"
 
 # ---- fleet up: 2 shards + the coordinator ----------------------------
 "$RKR" serve "$WORK/g.edges" --addr 127.0.0.1:0 --workers 2 --cache 64 \
-    --merge-every 8 --shard-id 0 --shard-count 2 --shard-seed 7 > "$WORK/shard0.log" &
+    --shard-id 0 --shard-count 2 --shard-seed 7 > "$WORK/shard0.log" &
 SHARD0_PID=$!
 "$RKR" serve "$WORK/g.edges" --addr 127.0.0.1:0 --workers 2 --cache 64 \
-    --merge-every 8 --shard-id 1 --shard-count 2 --shard-seed 7 > "$WORK/shard1.log" &
+    --shard-id 1 --shard-count 2 --shard-seed 7 > "$WORK/shard1.log" &
 SHARD1_PID=$!
 SHARD0="$(scrape_addr "$WORK/shard0.log" "shard 0")"
 SHARD1="$(scrape_addr "$WORK/shard1.log" "shard 1")"

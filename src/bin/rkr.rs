@@ -12,8 +12,8 @@
 //! rkr batch <graph.edges> --queries N --k K [--algo STRATEGY] [--threads T]
 //!                 [--indexed-mode sequential|snapshot] [--merge-every M]
 //!                 [--index index.rkri] [--seed S]
-//! rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N] [--merge-every M]
-//!                 [--index index.rkri] [--kmax K] [--save-index] [--snapshot FILE]
+//! rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N]
+//!                 [--index index.rkri] [--kmax K] [--snapshot FILE]
 //!                 [--high-water BYTES] [--max-line BYTES]
 //!                 [--log-level error|warn|info|debug] [--slow-query-ms MS] [--slow-query-cap N]
 //!                 [--shard-id I --shard-count N [--shard-seed S]]
@@ -43,18 +43,20 @@
 //! answering the line-delimited JSON protocol with write backpressure
 //! (`--high-water`), bounded request lines (`--max-line`), adaptive
 //! query batching, an LRU result cache and epoch-based invalidation;
-//! `query --remote` and `ctl` are its clients. The daemon's graph is
-//! *live*: `ctl add-edge`/`rm-edge`/`reweight`/`add-node` stage single
-//! updates and `rkr update --from FILE` streams a whole update file in
-//! batches; each commit publishes a fresh graph snapshot under a bumped
-//! graph epoch and retires the learned index (stale rank knowledge is
-//! unsound on a changed graph).
+//! `query --remote` and `ctl` are its clients. A query without `--algo`
+//! runs `dynamic-three`; the index (`--index FILE`, the snapshot bundle's,
+//! or an empty one with `--kmax K`) is held read-only and consulted only by
+//! explicit `indexed-*` queries. The daemon's graph is *live*:
+//! `ctl add-edge`/`rm-edge`/`reweight`/`add-node` stage single updates and
+//! `rkr update --from FILE` streams a whole update file in batches; each
+//! commit publishes a fresh graph snapshot under a bumped graph epoch and
+//! retires the index (stale rank knowledge is unsound on a changed graph).
 //!
 //! `serve --snapshot FILE` makes the daemon durable: load-or-create — an
 //! existing bundle restores the exact serving state (committed graph,
-//! learned index, epoch pair, staged-but-uncommitted WAL), a missing one
-//! is created at the first checkpoint. The daemon checkpoints at every
-//! state-changing merge point and at shutdown; `rkr ctl ADDR checkpoint`
+//! index, epoch pair, staged-but-uncommitted WAL), a missing one is
+//! created at the first checkpoint. The daemon checkpoints after every
+//! commit of staged updates and at shutdown; `rkr ctl ADDR checkpoint`
 //! forces one over the wire.
 //!
 //! Observability: `rkr ctl ADDR metrics` dumps every registered counter,
@@ -103,8 +105,8 @@ const USAGE: &str = "usage:
   rkr query --remote HOST:PORT --node Q --k K [--algo STRATEGY] [--deadline-ms MS] [--no-cache]
   rkr batch <graph.edges> --queries N --k K [--algo STRATEGY] [--threads T]
             [--indexed-mode sequential|snapshot] [--merge-every M] [--index FILE] [--seed S]
-  rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N] [--merge-every M]
-            [--index FILE] [--kmax K] [--save-index] [--snapshot FILE]
+  rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N]
+            [--index FILE] [--kmax K] [--snapshot FILE]
             [--high-water BYTES] [--max-line BYTES]
             [--log-level error|warn|info|debug] [--slow-query-ms MS] [--slow-query-cap N]
             [--shard-id I --shard-count N [--shard-seed S]]
@@ -214,8 +216,8 @@ const COMMANDS: [(&str, Command, &str); 10] = [
     (
         "serve",
         cmd_serve,
-        "addr workers cache merge-every index kmax save-index snapshot high-water max-line \
-         log-level slow-query-ms slow-query-cap shard-id shard-count shard-seed",
+        "addr workers cache index kmax snapshot high-water max-line log-level \
+         slow-query-ms slow-query-cap shard-id shard-count shard-seed",
     ),
     ("shard-plan", cmd_shard_plan, "shards seed"),
     (
@@ -429,10 +431,9 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
 }
 
 /// `--merge-every` with an explicit `0` rejected: zero would mean "merge
-/// never" (batch) or "merge only on ctl flush" (serve), both of which are
-/// better expressed by omitting the flag — and an accidental 0 silently
-/// disabling merging is exactly the kind of foot-gun args validation
-/// exists for.
+/// only once, at the end of the batch", which is better expressed by
+/// omitting the flag — and an accidental 0 silently disabling merging is
+/// exactly the kind of foot-gun args validation exists for.
 fn parse_merge_every(flags: &Flags, default: usize) -> Result<usize, String> {
     let merge_every: usize = flags.get_parsed("merge-every", default)?;
     if flags.get("merge-every").is_some() && merge_every == 0 {
@@ -469,25 +470,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878");
     let workers: usize = flags.get_parsed("workers", 4)?;
     let cache: usize = flags.get_parsed("cache", 4096)?;
-    let merge_every = parse_merge_every(flags, 64)? as u64;
     let kmax: u32 = flags.get_parsed("kmax", 100)?;
     let snapshot = flags.get("snapshot").map(PathBuf::from);
-    // Validate the write-back path *before* serving: discovering the
-    // missing --index only at shutdown would throw away everything the
-    // daemon learned over its whole run.
-    let save_path = if flags.has("save-index") {
-        Some(
-            flags
-                .get("index")
-                .ok_or("--save-index needs --index FILE to write back to")?
-                .to_string(),
-        )
-    } else {
-        None
-    };
     // Resolve the serving state. An existing --snapshot bundle wins: it
-    // restores the exact pre-shutdown state (committed graph, learned
-    // index, epoch pair, staged WAL). Otherwise start fresh from the edge
+    // restores the exact pre-shutdown state (committed graph, index,
+    // epoch pair, staged WAL). Otherwise start fresh from the edge
     // file; a configured-but-missing bundle is created at the first
     // checkpoint (load-or-create).
     let (store, index) = match &snapshot {
@@ -522,9 +509,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             let g = graph_arg(flags)?;
             let mut index = match flags.get("index") {
                 Some(path) => load_index_for_edge_file(path)?,
-                // No prebuilt index: start empty and let the daemon learn
-                // from the queries it serves (every merge sharpens the
-                // snapshot).
+                // No prebuilt index: explicit indexed-* queries run on an
+                // empty one, bounded by --kmax.
                 None => RkrIndex::empty(g.num_nodes(), kmax),
             };
             let store = GraphStore::new(g);
@@ -541,7 +527,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let config = ServerConfig {
         workers: workers.max(1),
         cache_capacity: cache,
-        merge_every,
+        merge_every: defaults.merge_every,
         bounds: BoundConfig::ALL,
         snapshot: snapshot.clone(),
         write_high_water: flags.get_parsed("high-water", defaults.write_high_water)?,
@@ -569,49 +555,25 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         );
     }
     println!(
-        "rkrd listening on {local} (epoll event loop, {} workers, cache {}, merge every {}, \
-         k <= {})",
+        "rkrd listening on {local} (epoll event loop, {} workers, cache {}, default \
+         dynamic-three, indexed k <= {})",
         config.workers,
         if cache > 0 {
             cache.to_string()
         } else {
             "off".into()
         },
-        if merge_every > 0 {
-            merge_every.to_string()
-        } else {
-            "flush-only".into()
-        },
         index.k_max(),
     );
     let outcome = rkranks_server::serve_store(store, None, index, listener, &config);
     println!(
-        "rkrd stopped (graph epoch {}, {} nodes / {} edges, index epoch {}, {} rrd entries learned)",
+        "rkrd stopped (graph epoch {}, {} nodes / {} edges)",
         outcome.graph_epoch,
         outcome.graph.num_nodes(),
         outcome.graph.num_edges(),
-        outcome.index.epoch(),
-        outcome.index.rrd_entries()
     );
     if let Some(path) = &snapshot {
         println!("serving state checkpointed to {}", path.display());
-    }
-    if let Some(path) = save_path {
-        // Always safe: the index file's v2 header tags the graph epoch the
-        // index was learned at, so loading it against a graph it does not
-        // describe fails at load time instead of silently serving wrong
-        // ranks.
-        save_index(&outcome.index, &path).map_err(|e| e.to_string())?;
-        if outcome.graph_epoch > 0 {
-            println!(
-                "learned index written back to {path} (graph epoch {}: it describes the \
-                 daemon's final graph, not the original edge file — pair it with the \
-                 snapshot bundle, not --index on a plain edge file)",
-                outcome.graph_epoch
-            );
-        } else {
-            println!("learned index written back to {path}");
-        }
     }
     Ok(())
 }
@@ -818,7 +780,7 @@ fn cmd_update(flags: &Flags) -> Result<(), String> {
             if staged_total > 0 {
                 format!(
                     "{e} ({staged_total} updates from earlier --batch chunks remain staged \
-                     and will commit at the daemon's next merge point)"
+                     and commit at the daemon's next merger pass or flush)"
                 )
             } else {
                 format!("{e} (nothing was staged)")
@@ -827,7 +789,9 @@ fn cmd_update(flags: &Flags) -> Result<(), String> {
         staged_total += staged;
     }
     if flags.has("no-flush") {
-        println!("staged {staged_total} updates (commit at the daemon's next merge point)");
+        println!(
+            "staged {staged_total} updates (committed by the daemon's next merger pass or flush)"
+        );
     } else {
         client.flush().map_err(|e| e.to_string())?;
         let stats = client.stats().map_err(|e| e.to_string())?;
@@ -873,10 +837,7 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
                 s.updates_applied, s.graph_commits
             );
             println!("index epoch:    {}", s.epoch);
-            println!(
-                "merges:         {} ({} deltas folded)",
-                s.merges, s.deltas_merged
-            );
+            println!("merges:         {}", s.merges);
             println!("workers:        {}", s.workers);
             println!(
                 "event loop:     {} wakeups, {} batches / {} batched queries",
@@ -935,7 +896,7 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
         }
         "flush" => {
             let (epoch, merged) = client.flush().map_err(|e| e.to_string())?;
-            println!("flushed {merged} deltas (index epoch {epoch})");
+            println!("flushed: committed {merged} staged deltas (index epoch {epoch})");
         }
         "checkpoint" => {
             let (epoch, graph_epoch) = client.checkpoint().map_err(|e| e.to_string())?;

@@ -51,8 +51,6 @@ fn remote_queries_match_in_process_and_shutdown_is_clean() {
             "2",
             "--cache",
             "256",
-            "--merge-every",
-            "8",
         ])
         .stdout(Stdio::piped())
         .spawn()
@@ -272,8 +270,6 @@ fn snapshot_restart_serves_identical_answers() {
         "2",
         "--cache",
         "64",
-        "--merge-every",
-        "8",
         "--snapshot",
         "state.rkrsnap",
     ]);
@@ -301,10 +297,6 @@ fn snapshot_restart_serves_identical_answers() {
         checkpoint.contains("graph epoch 2"),
         "checkpoint must report the committed epoch pair:\n{checkpoint}"
     );
-    // Double flush drains pending work, so the shutdown checkpoint's
-    // index epoch is exactly what the next stats op reports.
-    rkr_ok(&dir, &["ctl", &addr, "flush"]);
-    rkr_ok(&dir, &["ctl", &addr, "flush"]);
     let stats_before = rkr_ok(&dir, &["ctl", &addr, "stats"]);
     let index_epoch_before = stat_field(&stats_before, "index epoch:");
     rkr_ok(&dir, &["ctl", &addr, "shutdown"]);
@@ -319,8 +311,6 @@ fn snapshot_restart_serves_identical_answers() {
         "2",
         "--cache",
         "64",
-        "--merge-every",
-        "8",
         "--snapshot",
         "state.rkrsnap",
     ]);
@@ -341,7 +331,7 @@ fn snapshot_restart_serves_identical_answers() {
     assert_eq!(
         stat_field(&stats_after, "index epoch:"),
         index_epoch_before,
-        "the learned index's epoch must survive the restart:\n{stats_after}"
+        "the index epoch must survive the restart:\n{stats_after}"
     );
     rkr_ok(&dir, &["ctl", &addr, "shutdown"]);
     wait_for_exit(guard);
@@ -375,8 +365,6 @@ fn metrics_scrape_is_monotone_and_prometheus_valid() {
             "2",
             "--cache",
             "64",
-            "--merge-every",
-            "8",
             "--slow-query-ms",
             "0",
         ])
@@ -622,8 +610,9 @@ fn parse_prometheus(text: &str) -> PromScrape {
 
 /// A flag the command does not accept fails the command before it does
 /// any work — a retired one (the hub-label `distance` flag, the
-/// `event-loop` backend flag) or a typo alike — instead of being
-/// silently ignored.
+/// `event-loop` backend flag, the served index's `save-index` write-back
+/// and `merge-every` cadence) or a typo alike — instead of being silently
+/// ignored.
 #[test]
 fn serve_rejects_retired_flags() {
     let dir = temp_dir("retired-arg");
@@ -631,18 +620,16 @@ fn serve_rejects_retired_flags() {
         &dir,
         &["gen", "dblp", "--scale", "tiny", "--out", "g.edges"],
     );
-    for (flag, value) in [("distance", "hub"), ("event-loop", "poll")] {
-        let out = rkr(
-            &dir,
-            &[
-                "serve",
-                "g.edges",
-                "--addr",
-                "127.0.0.1:0",
-                &format!("--{flag}"),
-                value,
-            ],
-        );
+    for (flag, value) in [
+        ("distance", Some("hub")),
+        ("event-loop", Some("poll")),
+        ("save-index", None),
+        ("merge-every", Some("8")),
+    ] {
+        let flag_arg = format!("--{flag}");
+        let mut line = vec!["serve", "g.edges", "--addr", "127.0.0.1:0", &flag_arg];
+        line.extend(value);
+        let out = rkr(&dir, &line);
         assert!(!out.status.success(), "--{flag} must be rejected");
         assert!(out.stdout.is_empty(), "no daemon may start");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -713,19 +700,6 @@ fn batch_rejects_explicit_merge_every_zero() {
         stderr.contains("--merge-every must be at least 1"),
         "unhelpful error: {stderr}"
     );
-    // serve validates the same flag
-    let out = rkr(
-        &dir,
-        &[
-            "serve",
-            "g.edges",
-            "--addr",
-            "127.0.0.1:0",
-            "--merge-every",
-            "0",
-        ],
-    );
-    assert!(!out.status.success());
     // omitting the flag still works (merge once at the end)
     let out = rkr(
         &dir,

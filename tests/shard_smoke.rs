@@ -104,8 +104,6 @@ fn fleet_scatter_gather_matches_single_box_and_degrades_on_shard_loss() {
             "2",
             "--cache",
             "64",
-            "--merge-every",
-            "8",
             "--shard-id",
             id,
             "--shard-count",
