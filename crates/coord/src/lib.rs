@@ -1,24 +1,22 @@
 //! # rkranks-coord
 //!
-//! The scatter-gather coordinator for **sharded rkrd serving**: one
-//! daemon (`rkr coord`) that speaks the same newline-delimited JSON
-//! protocol as `rkrd` on its front side and fans every request out to a
-//! fleet of per-partition `rkrd` shards behind it.
+//! The coordinator for **replicated rkrd serving**: one daemon
+//! (`rkr coord`) that speaks the same newline-delimited JSON protocol as
+//! `rkrd` on its front side and fans every request out to a fleet of
+//! `rkrd` replicas ("shards") behind it.
 //!
 //! ## Deployment model
 //!
-//! The fleet replicates the *edge list* and partitions the *candidate
-//! work*: every shard loads the full graph, but shard `i` of `n`
-//! (started with `rkr serve --shard-id i --shard-count n`) refines and
-//! returns only the query candidates the consistent-hash map
-//! ([`rkranks_graph::ShardMap`]) assigns to it. Replicating the edges
-//! costs memory but buys exactness — every owned candidate's rank is
-//! computed against the whole graph, so per-shard answers are exact over
-//! disjoint candidate slices and the coordinator's merge (concatenate,
-//! sort by `(rank, node)`, truncate to `k`) reproduces the single-box
-//! answer rank-for-rank. What sharding scales is the expensive part of a
-//! reverse k-ranks query: the per-candidate bounded Dijkstra refinements,
-//! divided `n` ways.
+//! Every shard is a full replica: it loads the whole graph and answers
+//! every query over the whole candidate set. Shard `i` of `n` (started
+//! with `rkr serve --shard-id i --shard-count n`) announces its place in
+//! its `hello` so the coordinator can verify the wiring; the place does
+//! not change any answer. A query goes to every live replica and the
+//! coordinator returns one replica's complete answer after checking that
+//! the replicas agree on the ranks (see [`pool`]). Candidates are not
+//! partitioned: a shard that ranked only a slice of them would fill its
+//! result set late and prune little, costing two orders of magnitude
+//! more engine work for the same answer.
 //!
 //! ## Consistency
 //!
@@ -34,16 +32,18 @@
 //!   the reply a loud error naming it: the fleet must be assumed
 //!   non-uniform until that shard is restored.
 //! * **Reads** — replies carry the graph epoch they were computed at;
-//!   the coordinator refuses to merge across epochs, flushing lagging
-//!   shards and re-asking them (bounded) instead.
-//! * **Failures** — a shard that stays unreachable after a reconnect is
-//!   dropped from single-query merges and the answer is flagged
-//!   `partial` (every returned rank still exact); batches, which have no
-//!   partial channel on the wire, fail loudly instead.
+//!   the answer comes from a replica at the highest epoch, and replicas
+//!   behind it are flushed (not re-asked). Complete replies at that
+//!   epoch must agree on the ranks, or the request fails naming both
+//!   replicas.
+//! * **Failures** — an unreachable replica is skipped: any live
+//!   replica's answer is complete, so shard loss never makes an answer
+//!   `partial` (that flag means a deadline). Writes, which must reach
+//!   every replica, fail loudly until the fleet is whole.
 //!
 //! The coordinator serves `stats`/`metrics` from its own registry
-//! (`rkrd_coord_*`: per-shard latency histograms, fan-out width, prune
-//! rate, shard error counters), answers `hello` with role `"coord"`, and
+//! (`rkrd_coord_*`: per-shard latency histograms, fan-out width, entry
+//! counts, shard error counters), answers `hello` with role `"coord"`, and
 //! forwards `flush`/`checkpoint` to the whole fleet. `shutdown` stops
 //! the coordinator only — shards are independent daemons with their own
 //! lifecycles.
@@ -88,7 +88,7 @@
 //! ]);
 //! let handle = spawn_coord("127.0.0.1:0", config).unwrap();
 //! let mut client = Client::connect(handle.addr()).unwrap();
-//! let reply = client.query(0, 5).unwrap(); // rank-identical to single-box
+//! let reply = client.query(0, 5).unwrap(); // rank-identical to one box
 //! # drop(reply);
 //! client.shutdown().unwrap();
 //! handle.join();
@@ -105,7 +105,7 @@ use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -153,8 +153,10 @@ struct CoordShared {
     /// The write gate: queries and batches hold it shared, update /
     /// flush / checkpoint broadcasts hold it exclusively. With all
     /// writes routed through the coordinator this keeps shard graph
-    /// epochs aligned outside a write window, so the epoch-retry loop
-    /// in [`ShardPool::scatter_query`] is a fallback, not the norm.
+    /// epochs aligned outside a write window, so the laggard flush in
+    /// [`ShardPool::scatter_query`] is a fallback, not the norm. It
+    /// guards no data, so a handler that panics while holding it leaves
+    /// nothing torn: later requests take it through the poison.
     write_gate: RwLock<()>,
     shutdown: AtomicBool,
     /// Where a loopback connection reaches the coordinator's own
@@ -400,7 +402,7 @@ fn send_reply(conn: &mut Conn, reply: &Reply) -> io::Result<()> {
 
 /// Serve one parsed request against the fleet.
 fn execute(shared: &CoordShared, pool: &mut ShardPool, req: Request) -> Reply {
-    let m = &shared.metrics;
+    let (m, gate) = (&shared.metrics, &shared.write_gate);
     match req {
         Request::Query {
             node,
@@ -409,17 +411,17 @@ fn execute(shared: &CoordShared, pool: &mut ShardPool, req: Request) -> Reply {
             strategy,
             deadline_ms,
         } => {
-            let _read = shared.write_gate.read().expect("write gate poisoned");
+            let _read = gate.read().unwrap_or_else(PoisonError::into_inner);
             m.queries.inc();
             pool.scatter_query(node, k, cache, strategy, deadline_ms)
         }
         Request::Batch { nodes, k } => {
-            let _read = shared.write_gate.read().expect("write gate poisoned");
+            let _read = gate.read().unwrap_or_else(PoisonError::into_inner);
             m.batches.inc();
             pool.scatter_batch(&nodes, k)
         }
         Request::Update { ops } => {
-            let _write = shared.write_gate.write().expect("write gate poisoned");
+            let _write = gate.write().unwrap_or_else(PoisonError::into_inner);
             m.updates.inc();
             // The merged reply mirrors the single-box shape: staged
             // count and the pre-commit graph epoch. Deterministic
@@ -467,7 +469,7 @@ fn execute(shared: &CoordShared, pool: &mut ShardPool, req: Request) -> Reply {
             }
         }
         Request::Flush => {
-            let _write = shared.write_gate.write().expect("write gate poisoned");
+            let _write = gate.write().unwrap_or_else(PoisonError::into_inner);
             match pool.broadcast(&Request::Flush) {
                 // Every shard commits the same staged batch, so the fleet
                 // committed the max of the shards' counts, not their sum.
@@ -489,7 +491,7 @@ fn execute(shared: &CoordShared, pool: &mut ShardPool, req: Request) -> Reply {
             }
         }
         Request::Checkpoint => {
-            let _write = shared.write_gate.write().expect("write gate poisoned");
+            let _write = gate.write().unwrap_or_else(PoisonError::into_inner);
             match pool.broadcast(&Request::Checkpoint) {
                 Ok(replies) => replies
                     .into_iter()
@@ -533,5 +535,54 @@ fn stats_snapshot(shared: &CoordShared) -> StatsReply {
         batches: m.batches.get(),
         updates_applied: m.updates.get(),
         ..StatsReply::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rkranks_core::RkrIndex;
+    use rkranks_server::{spawn, Client, ServerConfig};
+
+    /// A handler that panics holding the write gate poisons it; the gate
+    /// guards `()`, so later requests must still be served.
+    #[test]
+    fn a_poisoned_write_gate_still_serves() {
+        let g = rkranks_datasets::toy::paper_example();
+        let index = RkrIndex::empty(g.num_nodes(), 4);
+        let shard = spawn(g, None, index, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let config = CoordConfig::new(vec![shard.addr().to_string()]);
+        let shared = new_shared(config, shard.addr()).expect("one-shard fleet");
+        std::thread::scope(|s| {
+            let dying = s.spawn(|| {
+                let _write = shared.write_gate.write();
+                panic!("a handler dies holding the write gate");
+            });
+            assert!(dying.join().is_err());
+        });
+        assert!(shared.write_gate.is_poisoned());
+
+        let mut pool = ShardPool::new(&shared.config, Arc::clone(&shared.metrics));
+        let query = Request::Query {
+            node: 0,
+            k: 2,
+            cache: true,
+            strategy: None,
+            deadline_ms: None,
+        };
+        let reply = execute(&shared, &mut pool, query);
+        assert!(
+            matches!(&reply, Reply::Query(q) if q.entries.len() == 2),
+            "{reply:?}"
+        );
+        let reply = execute(&shared, &mut pool, Request::Stats);
+        assert!(
+            matches!(&reply, Reply::Stats(s) if s.queries == 1),
+            "{reply:?}"
+        );
+
+        drop(pool);
+        Client::connect(shard.addr()).unwrap().shutdown().unwrap();
+        shard.join();
     }
 }

@@ -26,15 +26,15 @@ pub struct CoordMetrics {
     pub updates: Arc<Counter>,
     /// Fan-out rounds issued (initial rounds plus every retry round).
     pub fanouts: Arc<Counter>,
-    /// Merged answers marked partial (a shard answered partial, or a
-    /// shard was unreachable and the merge soundly degraded).
+    /// Answers marked partial: a replica answered partial under a
+    /// deadline and no live replica had a complete answer.
     pub partials: Arc<Counter>,
-    /// Retry rounds forced by mixed graph epochs across shard replies.
+    /// Laggard flushes forced by mixed graph epochs across replies.
     pub epoch_retries: Arc<Counter>,
-    /// Candidate entries received from shards before the global merge.
+    /// Entries received from replicas, every live reply counted.
     pub candidates_received: Arc<Counter>,
-    /// Candidate entries surviving the merge truncation — together with
-    /// `candidates_received` this is the coordinator's prune rate.
+    /// Entries returned to the client (the one reply picked) — over
+    /// `candidates_received` it is one over the number of live replicas.
     pub candidates_returned: Arc<Counter>,
     /// Front-side `accept` failures (fd exhaustion above all): counted
     /// always, logged once per burst.
@@ -54,8 +54,8 @@ pub struct CoordMetrics {
     /// time; `request − slowest shard` is the coordinator's own cost.
     pub request_seconds: Arc<Histogram>,
 
-    /// Shards observed per fan-out round (drops below the fleet size
-    /// exactly when dead shards are being skipped).
+    /// Shards contacted per fan-out round: the whole fleet, except for
+    /// a flush of epoch laggards.
     pub fanout_width: Arc<Histogram>,
 
     /// Frontside client connections currently open.
@@ -100,18 +100,18 @@ impl CoordMetrics {
             batches: r.counter("rkrd_coord_batches_total", "batch requests answered"),
             updates: r.counter("rkrd_coord_updates_total", "update batches routed"),
             fanouts: r.counter("rkrd_coord_fanouts_total", "fan-out rounds issued"),
-            partials: r.counter("rkrd_coord_partials_total", "merged answers marked partial"),
+            partials: r.counter("rkrd_coord_partials_total", "deadline-cut answers"),
             epoch_retries: r.counter(
                 "rkrd_coord_epoch_retries_total",
-                "retry rounds forced by mixed shard graph epochs",
+                "laggard flushes forced by mixed replica graph epochs",
             ),
             candidates_received: r.counter(
                 "rkrd_coord_candidates_received_total",
-                "candidate entries received from shards",
+                "entries received from replicas",
             ),
             candidates_returned: r.counter(
                 "rkrd_coord_candidates_returned_total",
-                "candidate entries surviving the global merge",
+                "entries returned to clients",
             ),
             accept_errors: r.counter(
                 "rkrd_coord_accept_errors_total",

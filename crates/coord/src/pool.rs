@@ -1,45 +1,42 @@
 //! The per-connection shard pool: one [`Client`] per shard, connected
 //! lazily with retry/backoff, handshake-verified, and driven as a
-//! pipelined scatter-gather unit.
+//! pipelined fan-out unit.
 //!
-//! ## Why the merge is exact
+//! ## Why one reply is the answer
 //!
-//! Every shard serves the *full* replicated graph but refines and
-//! returns only the candidates it owns under the consistent-hash map
-//! ([`rkranks_graph::ShardMap`]). Ownership partitions the candidate
-//! set, and each owned candidate's rank is computed against the whole
-//! graph — so per-shard answers are exact over disjoint slices, and the
-//! global top-k rank multiset is contained in the union of the per-shard
-//! top-k sets. Concatenating the per-shard entries, sorting by
-//! `(rank, node)`, and truncating to `k` therefore reproduces the
-//! single-box answer exactly — provided every reply describes the *same
-//! graph*, which is why the fan-out refuses to merge replies whose graph
-//! epochs disagree and instead flushes the lagging shards and re-asks
-//! them (bounded).
+//! Every shard is a full replica: it loads the whole graph and answers
+//! every query over the whole candidate set, so each reply is already
+//! the single-box answer *for the graph epoch it carries*. The pool asks
+//! every live replica, keeps the replies at the highest graph epoch,
+//! prefers a complete reply to a deadline-cut one, and returns the
+//! lowest-index such reply. Every complete reply must carry the same rank
+//! sequence: Definition 2 leaves the choice among nodes tied at the k-th
+//! rank free, but not the ranks, so replicas whose ranks differ are
+//! refused with an error naming both, never answered from one side.
+//!
+//! A replica behind the highest epoch holds the missing commits as
+//! staged deltas (writes broadcast through the coordinator). It is
+//! flushed so the next request finds the fleet aligned, but not re-asked:
+//! a replica at the highest epoch has already answered.
 //!
 //! ## Degradation
 //!
-//! A shard that cannot be reached (after one in-round reconnect) is
-//! dropped from the merge and the answer is flagged
-//! [`partial`](rkranks_server::QueryReply::partial): every returned rank
-//! is still exact, but candidates owned by the dead shard may be
-//! missing — the same contract a deadline-tripped single-box partial
-//! already has. Batch replies have no partial channel on the wire, so a
-//! dead shard fails a batch loudly instead.
+//! A replica that cannot be reached is skipped. Any live replica's
+//! answer is complete, so a dead replica never makes an answer
+//! [`partial`](rkranks_server::QueryReply::partial) — `partial: true`
+//! means a deadline cut the answer short. Only when no replica answers
+//! is the failed set redialed once before the request fails. Batches
+//! skip dead replicas the same way, but fail when their live replies
+//! carry different graph epochs (a batch reply's epoch covers only its
+//! last answer, so no per-node realignment is sound).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rkranks_server::{Client, ConnectPolicy, QueryReply, Reply, Request};
+use rkranks_server::{BatchReply, Client, ConnectPolicy, Reply, Request};
 
 use crate::metrics::CoordMetrics;
 use crate::CoordConfig;
-
-/// How many epoch-realignment rounds a query tolerates before giving up.
-/// Writes serialize behind the coordinator's write gate, so a round of
-/// `flush` to the lagging shards converges in one pass; the bound only
-/// trips when something out-of-band keeps moving a shard's graph.
-const EPOCH_RETRIES: u32 = 3;
 
 /// One shard endpoint: its address and the (lazily established,
 /// re-established after failures) connection.
@@ -61,18 +58,10 @@ pub struct ShardPool {
     metrics: Arc<CoordMetrics>,
 }
 
-/// One shard's slot in a fan-out round.
-enum Slot {
-    /// Request written; a reply is owed.
-    Sent(Instant),
-    /// Connecting or writing failed before a reply was owed.
-    Failed(ShardError),
-}
-
-/// Why a shard slot failed: transient transport trouble is redialed and
-/// can soundly degrade a query to partial; a fatal misconfiguration
-/// (failed handshake verification) means serving would be *wrong*, so it
-/// refuses the request loudly instead.
+/// Why a shard slot failed: transient transport trouble skips the
+/// replica (another live one answers); a fatal misconfiguration (failed
+/// handshake verification) means serving would be *wrong*, so it refuses
+/// the request loudly instead.
 enum ShardError {
     /// Connect/read/write failure — the shard may come back.
     Transient(String),
@@ -107,16 +96,6 @@ impl ShardPool {
             seed: None,
             metrics,
         }
-    }
-
-    /// Fleet size.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True for an (invalid, rejected at config time) empty fleet.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
     }
 
     /// Connect shard `i` if it isn't connected, verifying the handshake:
@@ -159,7 +138,7 @@ impl ShardPool {
                     }
                     if *self.seed.get_or_insert(id.seed) != id.seed {
                         return Err(ShardError::Fatal(format!(
-                            "shard {i} ({addr}) was partitioned with seed {} but the fleet \
+                            "shard {i} ({addr}) announces map seed {} but the fleet \
                              agreed on {} — all shards must share one shard-plan",
                             id.seed,
                             self.seed.unwrap()
@@ -183,8 +162,10 @@ impl ShardPool {
         Ok(self.shards[i].client.as_mut().unwrap())
     }
 
-    /// Drop shard `i`'s connection so the next `ensure` redials it.
-    fn disconnect(&mut self, i: usize) {
+    /// Count a transport failure on shard `i` and drop its connection so
+    /// the next `ensure` redials it.
+    fn fail(&mut self, i: usize) {
+        self.metrics.shard_errors[i].inc();
         self.shards[i].client = None;
     }
 
@@ -197,28 +178,24 @@ impl ShardPool {
         self.metrics.fanouts.inc();
         self.metrics.fanout_width.record(idxs.len() as u64);
         let line = req.to_line();
-        let mut slots: Vec<Slot> = Vec::with_capacity(idxs.len());
+        // Per shard: when the request was written (a reply is owed), or
+        // why connecting or writing failed.
+        let mut sent: Vec<Result<Instant, ShardError>> = Vec::with_capacity(idxs.len());
         for &i in idxs {
-            let sent = self.ensure(i).and_then(|c| {
+            let wrote = self.ensure(i).and_then(|c| {
                 c.send_line(&line)
                     .map_err(|e| ShardError::Transient(e.to_string()))
             });
-            match sent {
-                Ok(()) => slots.push(Slot::Sent(Instant::now())),
-                Err(e) => {
-                    self.disconnect(i);
-                    if let Some(c) = self.metrics.shard_errors.get(i) {
-                        c.inc();
-                    }
-                    slots.push(Slot::Failed(e));
-                }
+            if wrote.is_err() {
+                self.fail(i);
             }
+            sent.push(wrote.map(|()| Instant::now()));
         }
         idxs.iter()
-            .zip(slots)
+            .zip(sent)
             .map(|(&i, slot)| match slot {
-                Slot::Failed(e) => Err(e),
-                Slot::Sent(start) => {
+                Err(e) => Err(e),
+                Ok(start) => {
                     let got = self.shards[i]
                         .client
                         .as_mut()
@@ -231,10 +208,7 @@ impl ShardPool {
                         // error — that is a reply, not a dead peer.
                         Err(rkranks_server::ClientError::Server(msg)) => Ok(Reply::Error(msg)),
                         Err(e) => {
-                            self.disconnect(i);
-                            if let Some(c) = self.metrics.shard_errors.get(i) {
-                                c.inc();
-                            }
+                            self.fail(i);
                             Err(ShardError::Transient(format!(
                                 "shard {i} ({}): {e}",
                                 self.shards[i].addr
@@ -246,12 +220,47 @@ impl ShardPool {
             .collect()
     }
 
-    /// Scatter one query across the fleet and gather the exact merge.
-    ///
-    /// Transport-dead shards get one fresh-connection retry, then are
-    /// soundly dropped (partial answer). Mixed graph epochs trigger a
-    /// bounded flush-and-reask loop against the lagging shards only —
-    /// fresh replies at the maximum epoch are kept, not recomputed.
+    /// Ask every live replica `req` and return what `extract` takes from
+    /// each reply, in shard order. A replica with transport trouble is
+    /// skipped; only when none answered is the failed set redialed, once.
+    /// A replica answering with an error or a reply `extract` refuses, or
+    /// a miswired fleet, fails the request.
+    fn gather<T>(
+        &mut self,
+        req: &Request,
+        extract: impl Fn(Reply) -> Option<T>,
+    ) -> Result<Vec<(usize, T)>, String> {
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        let mut dead = Vec::new();
+        for _ in 0..2 {
+            dead.clear();
+            let mut live = Vec::new();
+            for (&i, result) in all.iter().zip(self.fan_out(&all, req)) {
+                match result {
+                    Ok(Reply::Error(e)) => return Err(format!("shard {i}: {e}")),
+                    Ok(reply) => match extract(reply) {
+                        Some(answer) => live.push((i, answer)),
+                        None => {
+                            return Err(format!(
+                                "shard {i} ({}): unexpected reply shape",
+                                self.shards[i].addr
+                            ))
+                        }
+                    },
+                    Err(ShardError::Fatal(e)) => return Err(e),
+                    Err(ShardError::Transient(e)) => dead.push(e),
+                }
+            }
+            if !live.is_empty() {
+                return Ok(live);
+            }
+        }
+        Err(format!("no shard reachable: {}", dead.join("; ")))
+    }
+
+    /// Answer one query from the fleet: the lowest-index complete reply
+    /// at the highest graph epoch, once every complete reply agrees on
+    /// the ranks (module docs). Laggards are flushed, not re-asked.
     pub fn scatter_query(
         &mut self,
         node: u32,
@@ -267,158 +276,88 @@ impl ShardPool {
             strategy,
             deadline_ms,
         };
-        let n = self.len();
-        let mut replies: Vec<Option<QueryReply>> = (0..n).map(|_| None).collect();
-        let mut dead: Vec<String> = Vec::new();
-        let mut pending: Vec<usize> = (0..n).collect();
-        let mut transport_retry_spent = false;
-        let mut epoch_rounds = 0u32;
-        loop {
-            let mut failed = Vec::new();
-            for (&i, result) in pending.iter().zip(self.fan_out(&pending, &req)) {
-                match result {
-                    Ok(Reply::Query(q)) => replies[i] = Some(q),
-                    Ok(Reply::Error(e)) => return Reply::Error(format!("shard {i}: {e}")),
-                    Ok(_) => {
-                        return Reply::Error(format!(
-                            "shard {i} ({}): unexpected reply shape to a query",
-                            self.shards[i].addr
-                        ))
-                    }
-                    Err(ShardError::Fatal(e)) => return Reply::Error(e),
-                    Err(ShardError::Transient(e)) => failed.push((i, e)),
-                }
-            }
-            if !failed.is_empty() && !transport_retry_spent {
-                // One fresh-connection retry for the whole failed set.
-                transport_retry_spent = true;
-                pending = failed.iter().map(|&(i, _)| i).collect();
-                continue;
-            }
-            dead.extend(failed.into_iter().map(|(_, e)| e));
-            let live: Vec<(usize, &QueryReply)> = replies
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.as_ref().map(|q| (i, q)))
-                .collect();
-            if live.is_empty() {
-                return Reply::Error(format!("no shard reachable: {}", dead.join("; ")));
-            }
-            let max_epoch = live.iter().map(|(_, q)| q.graph_epoch).max().unwrap();
-            let lagging: Vec<usize> = live
-                .iter()
-                .filter(|(_, q)| q.graph_epoch < max_epoch)
-                .map(|&(i, _)| i)
-                .collect();
-            if lagging.is_empty() {
-                self.metrics.graph_epoch.set(max_epoch);
-                return self.merge_query(&replies, k, &dead);
-            }
-            if epoch_rounds >= EPOCH_RETRIES {
-                return Reply::Error(format!(
-                    "shard graph epochs diverged (behind: {lagging:?}, epoch {max_epoch} \
-                     elsewhere) and did not converge after {EPOCH_RETRIES} flush rounds — \
-                     are writes bypassing the coordinator?"
-                ));
-            }
-            // A lagging shard holds the missing commits as staged deltas
-            // (writes broadcast through the coordinator); flushing forces
-            // the commit, then only the laggards are re-asked.
+        let mut answers = match self.gather(&req, |r| match r {
+            Reply::Query(q) => Some(q),
+            _ => None,
+        }) {
+            Ok(answers) => answers,
+            Err(e) => return Reply::Error(e),
+        };
+        let received: usize = answers.iter().map(|(_, q)| q.entries.len()).sum();
+        self.metrics.candidates_received.add(received as u64);
+        let max_epoch = answers
+            .iter()
+            .map(|(_, q)| q.graph_epoch)
+            .max()
+            .expect("gather returns at least one reply");
+        let lagging: Vec<usize> = answers
+            .iter()
+            .filter(|(_, q)| q.graph_epoch < max_epoch)
+            .map(|&(i, _)| i)
+            .collect();
+        if !lagging.is_empty() {
+            // A flush failure shows up as a dead replica next time.
             self.metrics.epoch_retries.inc();
-            epoch_rounds += 1;
-            for r in self.fan_out(&lagging, &Request::Flush) {
-                // A flush failure surfaces as a dead shard on the re-ask.
-                let _ = r;
-            }
-            for &i in &lagging {
-                replies[i] = None;
-            }
-            pending = lagging;
+            let _ = self.fan_out(&lagging, &Request::Flush);
+            answers.retain(|(_, q)| q.graph_epoch == max_epoch);
         }
-    }
+        self.metrics.graph_epoch.set(max_epoch);
 
-    /// Merge per-shard query replies into the global answer. Ownership
-    /// partitions candidates, so concatenate + sort `(rank, node)` +
-    /// truncate is the exact single-box result (module docs prove it).
-    fn merge_query(&self, replies: &[Option<QueryReply>], k: u32, dead: &[String]) -> Reply {
-        let live: Vec<&QueryReply> = replies.iter().flatten().collect();
-        let mut entries: Vec<(u32, u32)> = Vec::new();
-        for q in &live {
-            entries.extend(q.entries.iter().copied());
+        let pick = answers.iter().position(|(_, q)| !q.partial).unwrap_or(0);
+        let (first, chosen) = &answers[pick];
+        // Finds nothing when `chosen` is partial: then no reply is complete.
+        let rival = answers
+            .iter()
+            .find(|(_, q)| !q.partial && !same_ranks(&q.entries, &chosen.entries));
+        if let Some((other, _)) = rival {
+            return disagreement(*first, *other, max_epoch);
         }
-        self.metrics.candidates_received.add(entries.len() as u64);
-        entries.sort_by_key(|&(node, rank)| (rank, node));
-        entries.truncate(k as usize);
-        self.metrics.candidates_returned.add(entries.len() as u64);
-        let partial = !dead.is_empty() || live.iter().any(|q| q.partial);
-        if partial {
+        self.metrics
+            .candidates_returned
+            .add(chosen.entries.len() as u64);
+        if chosen.partial {
             self.metrics.partials.inc();
         }
-        Reply::Query(QueryReply {
-            entries,
-            cached: live.iter().all(|q| q.cached),
-            epoch: live.iter().map(|q| q.epoch).max().unwrap_or(0),
-            graph_epoch: live.iter().map(|q| q.graph_epoch).max().unwrap_or(0),
-            partial,
-        })
+        Reply::Query(answers.swap_remove(pick).1)
     }
 
-    /// Scatter a batch and merge each node's per-shard lists. Batches
-    /// have no partial channel on the wire, so any shard failure fails
-    /// the batch loudly (single queries degrade instead).
+    /// Answer a batch from the fleet: the lowest-index live reply, once
+    /// every live reply is at the same graph epoch and agrees on every
+    /// node's ranks.
     pub fn scatter_batch(&mut self, nodes: &[u32], k: u32) -> Reply {
         let req = Request::Batch {
             nodes: nodes.to_vec(),
             k,
         };
-        let all: Vec<usize> = (0..self.len()).collect();
-        let mut batches = Vec::with_capacity(self.len());
-        for (&i, result) in all.iter().zip(self.fan_out(&all, &req)) {
-            match result {
-                Ok(Reply::Batch(b)) if b.results.len() == nodes.len() => batches.push(b),
-                Ok(Reply::Batch(_)) => {
-                    return Reply::Error(format!("shard {i}: batch reply length mismatch"))
-                }
-                Ok(Reply::Error(e)) => return Reply::Error(format!("shard {i}: {e}")),
-                Ok(_) => {
-                    return Reply::Error(format!(
-                        "shard {i} ({}): unexpected reply shape to a batch",
-                        self.shards[i].addr
-                    ))
-                }
-                Err(e) => return Reply::Error(e.into_message()),
+        let mut batches = match self.gather(&req, |r| match r {
+            Reply::Batch(b) if b.results.len() == nodes.len() => Some(b),
+            _ => None,
+        }) {
+            Ok(batches) => batches,
+            Err(e) => return Reply::Error(e),
+        };
+        let entries = |b: &BatchReply| -> usize { b.results.iter().map(Vec::len).sum() };
+        let received: usize = batches.iter().map(|(_, b)| entries(b)).sum();
+        self.metrics.candidates_received.add(received as u64);
+        let (first, chosen) = &batches[0];
+        for (i, b) in &batches[1..] {
+            if b.graph_epoch != chosen.graph_epoch {
+                return Reply::Error(
+                    "batch overlapped a graph commit (shard epochs diverged); retry the batch"
+                        .into(),
+                );
+            }
+            if !b
+                .results
+                .iter()
+                .zip(&chosen.results)
+                .all(|(x, y)| same_ranks(x, y))
+            {
+                return disagreement(*first, *i, chosen.graph_epoch);
             }
         }
-        let epochs: Vec<u64> = batches.iter().map(|b| b.graph_epoch).collect();
-        if epochs.iter().any(|&e| e != epochs[0]) {
-            // Unlike single queries there is no sound per-node retry (a
-            // shard's reported epoch covers only its *last* answer), so
-            // a batch overlapping a commit fails rather than merge
-            // entries computed on different graphs.
-            return Reply::Error(
-                "batch overlapped a graph commit (shard epochs diverged); retry the batch".into(),
-            );
-        }
-        let mut results: Vec<Vec<(u32, u32)>> = Vec::with_capacity(nodes.len());
-        for slot in 0..nodes.len() {
-            let mut entries: Vec<(u32, u32)> = Vec::new();
-            for b in &batches {
-                entries.extend(b.results[slot].iter().copied());
-            }
-            self.metrics.candidates_received.add(entries.len() as u64);
-            entries.sort_by_key(|&(node, rank)| (rank, node));
-            entries.truncate(k as usize);
-            self.metrics.candidates_returned.add(entries.len() as u64);
-            results.push(entries);
-        }
-        Reply::Batch(rkranks_server::BatchReply {
-            results,
-            // The merged answer is cache-served only where every shard's
-            // was; the minimum is that count's tight upper bound.
-            cached: batches.iter().map(|b| b.cached).min().unwrap_or(0),
-            epoch: batches.iter().map(|b| b.epoch).max().unwrap_or(0),
-            graph_epoch: epochs.first().copied().unwrap_or(0),
-        })
+        self.metrics.candidates_returned.add(entries(chosen) as u64);
+        Reply::Batch(batches.swap_remove(0).1)
     }
 
     /// Broadcast a request that must succeed on *every* shard (update /
@@ -426,8 +365,8 @@ impl ShardPool {
     /// replies, or the loud error naming which shards failed — in which
     /// case the caller must assume the fleet is no longer uniform.
     pub fn broadcast(&mut self, req: &Request) -> Result<Vec<Reply>, String> {
-        let all: Vec<usize> = (0..self.len()).collect();
-        let mut replies = Vec::with_capacity(self.len());
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        let mut replies = Vec::with_capacity(self.shards.len());
         let mut errors = Vec::new();
         for (&i, result) in all.iter().zip(self.fan_out(&all, req)) {
             match result {
@@ -442,4 +381,17 @@ impl ShardPool {
             Err(errors.join("; "))
         }
     }
+}
+
+/// Whether two answers carry the same rank sequence. Node ids may differ
+/// among nodes tied at the k-th rank (Definition 2); ranks may not.
+fn same_ranks(a: &[(u32, u32)], b: &[(u32, u32)]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.1 == y.1)
+}
+
+fn disagreement(a: usize, b: usize, graph_epoch: u64) -> Reply {
+    Reply::Error(format!(
+        "shards {a} and {b} disagree on the ranks at graph epoch {graph_epoch}: \
+         the replicas do not serve the same graph"
+    ))
 }

@@ -1,13 +1,13 @@
-//! Consistent-hashing node→shard assignment for scatter-gather serving.
+//! Consistent-hashing node→shard assignment.
 //!
-//! Reverse k-ranks answers are global shortest-path facts, so a shard
-//! cannot drop edges and stay exact: every shard serves the **full edge
-//! list** and instead owns a deterministic slice of the *candidate*
-//! space. Shard `i` of `n` refines (and may return) only the nodes this
-//! map assigns to it; every other node remains a conduit the SDS-tree
-//! Dijkstra still routes through. The union of per-shard top-k answers
-//! then contains the global top-k rank multiset, which is what the
-//! coordinator merges (see `rkranks_coord`).
+//! Reverse k-ranks answers are global shortest-path facts, so every
+//! shard of a serving fleet is a full replica of the graph and answers
+//! every query in full. The map names each node's *owning* replica: `rkr
+//! shard-plan` prints it, and routing a query to its owner is the use it
+//! is kept for. The one consumer of a [`ShardSlice`] as a candidate
+//! filter is `rkranks_core`'s sharded context, which only the engine
+//! probe and its tests build; serving never narrows a context to a
+//! slice.
 //!
 //! The assignment is Jump Consistent Hash (Lamping & Veach, "A Fast,
 //! Minimal Memory, Consistent Hash Algorithm") over a seeded

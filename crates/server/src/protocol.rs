@@ -289,9 +289,9 @@ pub enum Request {
     /// Stop the daemon (staged updates are committed first).
     Shutdown,
     /// Identify the peer: protocol version, role, shard identity (when
-    /// the daemon serves one shard of a partitioned deployment), and
-    /// the current epoch pair. The first thing a coordinator sends on a
-    /// fresh shard connection.
+    /// the daemon is one replica of a fleet), and the current epoch
+    /// pair. The first thing a coordinator sends on a fresh shard
+    /// connection.
     Hello,
 }
 
@@ -651,7 +651,7 @@ impl StatsReply {
     }
 }
 
-/// The shard identity a partitioned daemon announces in its `hello`.
+/// The place in a fleet a replica announces in its `hello`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardIdentity {
     /// This daemon's shard index, in `0..shards`.
@@ -667,7 +667,7 @@ pub struct ShardIdentity {
 pub struct HelloReply {
     /// Protocol generation ([`PROTOCOL_VERSION`]).
     pub v: u64,
-    /// `"shard"` when serving one partition, `"coord"` for a
+    /// `"shard"` when serving in a fleet, `"coord"` for a
     /// coordinator, `"server"` for a plain single-box daemon.
     pub role: String,
     /// Shard identity, present exactly when `role == "shard"`.

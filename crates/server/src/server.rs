@@ -139,11 +139,9 @@ pub struct ServerConfig {
     /// captured records the in-memory ring retains before overwriting
     /// the oldest.
     pub slow_query_cap: usize,
-    /// Candidate-ownership slice for sharded deployments (`rkr serve
-    /// --shard-id I --shard-count N`): the daemon serves the full graph
-    /// but refines/returns only the candidates this slice owns, and
-    /// announces the slice in its `hello` reply so a coordinator can
-    /// verify the topology. `None` (the default) serves every candidate.
+    /// This daemon's place in a fleet (`rkr serve --shard-id I
+    /// --shard-count N`), announced in `hello` so a coordinator can
+    /// verify the wiring; it does not change any answer.
     pub shard: Option<ShardSlice>,
 }
 
@@ -206,22 +204,12 @@ struct Shared {
 }
 
 /// Build the engine context for a snapshot: bichromatic when a partition
-/// is configured, and narrowed to a shard's owned candidates when this
-/// daemon serves one slice of a sharded deployment. Both the startup path
-/// and the merger's post-commit rebuild go through here so a shard never
-/// silently widens back to the full candidate set after a graph commit.
-fn build_context(
-    graph: Arc<Graph>,
-    partition: &Option<Partition>,
-    shard: Option<ShardSlice>,
-) -> EngineContext {
-    let ctx = match partition {
+/// is configured, plain otherwise. Both the startup path and the merger's
+/// post-commit rebuild go through here.
+fn build_context(graph: Arc<Graph>, partition: &Option<Partition>) -> EngineContext {
+    match partition {
         Some(p) => EngineContext::bichromatic(graph, p.clone()),
         None => EngineContext::new(graph),
-    };
-    match shard {
-        Some(s) => ctx.with_shard_slice(s),
-        None => ctx,
     }
 }
 
@@ -271,7 +259,7 @@ pub fn serve_store(
     // Restored WAL deltas are already staged in the store; the merger
     // commits them on its first pass.
     let staged_at_start = store.pending_deltas() as u64;
-    let ctx = build_context(store.snapshot(), &partition, config.shard);
+    let ctx = build_context(store.snapshot(), &partition);
     // Pay the one-off transpose build before the first query is timed.
     ctx.sds_graph();
     let shared = Shared {
@@ -1127,7 +1115,7 @@ fn merge_pending(shared: &Shared, store: &mut GraphStore) -> u64 {
         let mut index = RkrIndex::empty(snapshot.num_nodes(), k_max);
         index.set_graph_epoch(graph_epoch);
         let index_epoch = index.epoch();
-        let ctx = build_context(snapshot, &shared.partition, shared.config.shard);
+        let ctx = build_context(snapshot, &shared.partition);
         // The merger pays the transpose build, not the first query.
         ctx.sds_graph();
         *shared.live.write().expect("live lock poisoned") = LiveState {

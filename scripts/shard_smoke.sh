@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Sharded serving smoke: plan a 2-shard partition, start both shards and
-# the scatter-gather coordinator on ephemeral ports, assert a Zipf-skewed
+# Sharded serving smoke: plan a 2-shard fleet, start both shards (full
+# replicas) and the coordinator on ephemeral ports, assert a Zipf-skewed
 # query mix through the coordinator is rank-identical to the in-process
 # dynamic query, route a live update through the coordinator, kill one
-# shard and assert the surviving answers are sound partials (exactly the
-# survivor's slice), and shut everything down cleanly. Mirrors
+# shard and assert the survivor still answers completely (ranks equal to
+# the in-process answer), and shut everything down cleanly. Mirrors
 # tests/shard_smoke.rs for CI logs that show the real binaries doing the
 # real fan-out.
 set -euo pipefail
@@ -52,7 +52,7 @@ COORD_PID=$!
 COORD="$(scrape_addr "$WORK/coord.log" "coordinator")"
 echo "fleet up: shards $SHARD0 $SHARD1 behind coordinator $COORD"
 
-# ---- scatter-gather == single box over a Zipf-skewed mix -------------
+# ---- coordinator == single box over a Zipf-skewed mix ----------------
 # (a head-heavy node list: the repeats also exercise the per-shard caches)
 # Definition 1 allows any choice among tied ranks, so the invariant here
 # is the rank *multiset*; tests/shard_smoke.rs adds the tie-aware
@@ -66,7 +66,7 @@ for n in 5 17 5 0 3 5 17 8 2 5; do
     fi
     diff -u "$WORK/local-$n.txt" "$WORK/coord-$n.txt"
 done
-echo "scatter-gather == in-process over the Zipf mix"
+echo "coordinator == in-process over the Zipf mix"
 
 # a repeat of an already-served query is a fleet-wide cache hit
 "$RKR" query --remote "$COORD" --node 5 --k 4 > "$WORK/repeat.txt"
@@ -78,15 +78,15 @@ echo "fleet-wide cache hit observed"
 grep -q '^rkrd_coord_queries_total' "$WORK/coord-prom.txt"
 grep -q 'rkrd_coord_shard_seconds_count{shard="0"}' "$WORK/coord-prom.txt"
 grep -q 'rkrd_coord_shard_seconds_count{shard="1"}' "$WORK/coord-prom.txt"
-# the merge prunes: more candidates received from shards than returned
+# both replicas answered every query, and one reply went back each time
 awk '
     $1 == "rkrd_coord_candidates_received_total" { recv = $2 }
     $1 == "rkrd_coord_candidates_returned_total" { ret = $2 }
     END {
-        if (recv + 0 <= ret + 0) { print "no pruning: received " recv " returned " ret; exit 1 }
+        if (recv + 0 != 2 * ret) { print "received " recv " is not 2 x returned " ret; exit 1 }
     }
 ' "$WORK/coord-prom.txt"
-echo "coordinator metrics scraped (fan-out prunes at the merge)"
+echo "coordinator metrics scraped (both replicas answered every query)"
 
 # ---- a live update routed through the coordinator --------------------
 NODES="$("$RKR" stats "$WORK/g.edges" | awk '/^nodes:/ {print $2}')"
@@ -108,27 +108,27 @@ echo "5 $NODES 0.01" >> "$WORK/g2.edges"
 diff -u "$WORK/local-updated.txt" "$WORK/coord-updated.txt"
 echo "coordinator-routed update == in-process rebuild"
 
-# ---- kill one shard: answers degrade to sound partials ---------------
+# ---- kill one shard: the survivor still answers completely -----------
 kill -9 "$SHARD1_PID"
 wait "$SHARD1_PID" 2>/dev/null || true
 SHARD1_PID=""
 for n in 5 17 3; do
-    "$RKR" query --remote "$COORD" --node "$n" --k 4 > "$WORK/partial-$n.full"
-    grep -q 'PARTIAL' "$WORK/partial-$n.full" || {
-        echo "node $n: a dead shard must flag the merge partial"
-        cat "$WORK/partial-$n.full"; exit 1; }
-    # with one of two shards dead, the merge is exactly the survivor's
-    # owned slice — and every rank in it is still exact
-    grep ' rank ' "$WORK/partial-$n.full" | sort > "$WORK/partial-$n.txt"
-    "$RKR" query --remote "$SHARD0" --node "$n" --k 4 | grep ' rank ' | sort > "$WORK/survivor-$n.txt"
-    diff -u "$WORK/survivor-$n.txt" "$WORK/partial-$n.txt"
+    "$RKR" query --remote "$COORD" --node "$n" --k 4 > "$WORK/survivor-$n.full"
+    if grep -q 'PARTIAL' "$WORK/survivor-$n.full"; then
+        echo "node $n: a dead shard must not make the answer partial"
+        cat "$WORK/survivor-$n.full"; exit 1
+    fi
+    grep ' rank ' "$WORK/survivor-$n.full" | awk '{print $NF}' | sort -n > "$WORK/survivor-$n.txt"
+    "$RKR" query "$WORK/g2.edges" --node "$n" --k 4 --algo dynamic | grep ' rank ' \
+        | awk '{print $NF}' | sort -n > "$WORK/local2-$n.txt"
+    diff -u "$WORK/local2-$n.txt" "$WORK/survivor-$n.txt"
 done
-# batches have no partial channel on the wire: they fail loudly instead
+# writes must reach every replica: a fleet-wide flush fails loudly
 if "$RKR" ctl "$COORD" flush > "$WORK/flush-dead.txt" 2>&1; then
     echo "a fleet-wide flush with a dead shard must fail loudly"
     cat "$WORK/flush-dead.txt"; exit 1
 fi
-echo "killed shard: sound partials from the survivor, writes refused"
+echo "killed shard: complete answers from the survivor, writes refused"
 
 # ---- clean shutdown --------------------------------------------------
 "$RKR" ctl "$COORD" shutdown

@@ -67,15 +67,15 @@
 //! `rkr ctl ADDR slow-queries` reads back; and `--log-level` controls the
 //! daemon's stderr diagnostics (quiet `warn` by default).
 //!
-//! Sharded serving: `rkr shard-plan` previews the deterministic
-//! consistent-hash candidate partition for a graph; `rkr serve
-//! --shard-id I --shard-count N [--shard-seed S]` runs one daemon as
-//! shard `I` of `N` (it loads the full graph but refines and returns
-//! only the candidates it owns); `rkr coord --shards A,B,...` runs the
-//! scatter-gather coordinator that speaks the same wire protocol
-//! frontside, fans every query out to the fleet, and merges the
-//! per-shard answers into the exact single-box result (see
-//! `rkranks_coord`). `ctl` and `update` work unchanged against the
+//! Sharded serving: `rkr serve --shard-id I --shard-count N
+//! [--shard-seed S]` runs one daemon as replica `I` of `N` (it loads the
+//! full graph and answers every query in full; the identity only lets a
+//! coordinator verify the wiring); `rkr coord --shards A,B,...` runs the
+//! coordinator that speaks the same wire protocol frontside, asks every
+//! live replica, and returns one replica's complete answer once the
+//! replicas agree on the ranks (see `rkranks_coord`). `rkr shard-plan`
+//! previews which replica the deterministic consistent-hash map names as
+//! each node's owner. `ctl` and `update` work unchanged against the
 //! coordinator's address.
 
 use std::path::PathBuf;
@@ -547,8 +547,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     if let Some(s) = &config.shard {
         println!(
-            "serving as shard {}/{} (seed {:#x}): full graph loaded, answers cover only \
-             owned candidates — front with `rkr coord` for complete results",
+            "serving as shard {}/{} (seed {:#x}): full graph loaded, every answer complete",
             s.index(),
             s.shards(),
             s.seed()
@@ -581,8 +580,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 /// Resolve `--shard-id` / `--shard-count` / `--shard-seed` into the
 /// daemon's shard identity. The three flags travel together: a lone
 /// `--shard-seed` (or a missing half of the id/count pair) is a config
-/// mistake, and a daemon silently serving unsharded when the operator
-/// meant shard 3-of-8 would merge wrong answers upstream.
+/// mistake, and a daemon silently serving without an identity when the
+/// operator meant shard 3-of-8 would only surface at the coordinator.
 fn parse_shard_identity(flags: &Flags) -> Result<Option<ShardSlice>, String> {
     match (flags.get("shard-id"), flags.get("shard-count")) {
         (None, None) => {
@@ -612,9 +611,9 @@ fn parse_shard_identity(flags: &Flags) -> Result<Option<ShardSlice>, String> {
     }
 }
 
-/// `rkr shard-plan`: preview the deterministic consistent-hash candidate
-/// partition for a graph before deploying a fleet — per-shard load, the
-/// imbalance it implies, and copy-pasteable `serve`/`coord` commands.
+/// `rkr shard-plan`: preview which replica the deterministic
+/// consistent-hash map names as each node's owner — per-shard counts, the
+/// imbalance they imply, and copy-pasteable `serve`/`coord` commands.
 fn cmd_shard_plan(flags: &Flags) -> Result<(), String> {
     let g = graph_arg(flags)?;
     let shards: u32 = flags.get_parsed("shards", 0)?;
@@ -632,14 +631,14 @@ fn cmd_shard_plan(flags: &Flags) -> Result<(), String> {
     );
     for (i, &owned) in profile.iter().enumerate() {
         println!(
-            "  shard {i:>3}: {owned:>10} candidates ({:>6.2}%, {:+.2}% vs even split)",
+            "  shard {i:>3}: {owned:>10} nodes owned ({:>6.2}%, {:+.2}% vs even split)",
             owned as f64 / total * 100.0,
             (owned as f64 - ideal) / ideal * 100.0
         );
     }
     let max = profile.iter().copied().max().unwrap_or(0);
     println!(
-        "  hottest shard holds {max} candidates ({:.3}x the even split)",
+        "  largest shard owns {max} nodes ({:.3}x the even split)",
         max as f64 / ideal
     );
     let edges = flags
@@ -659,7 +658,7 @@ fn cmd_shard_plan(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `rkr coord`: run the scatter-gather coordinator in the foreground
+/// `rkr coord`: run the coordinator in the foreground
 /// (`rkr ctl ADDR shutdown` stops it, same as the daemon).
 fn cmd_coord(flags: &Flags) -> Result<(), String> {
     let log_level: LogLevel = flags.get_parsed("log-level", LogLevel::Warn)?;
@@ -1013,7 +1012,7 @@ fn cmd_query_remote(flags: &Flags, addr: &str) -> Result<(), String> {
         reply.graph_epoch,
         reply.epoch,
         if reply.partial {
-            ", PARTIAL (deadline exceeded or a shard dropped from the merge)"
+            ", PARTIAL (deadline exceeded)"
         } else {
             ""
         }
