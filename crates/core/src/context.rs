@@ -26,8 +26,8 @@
 //! `min(kRank, G + 1)` for a guess `G` and **accepts the pass only if `R`
 //! ends full with its real k-th rank `≤ G`**; otherwise it discards the
 //! pass and runs the next rung under `G · LADDER_GROWTH`. The rungs are
-//! geometric — `8k`, `128k`, `2048k`, … (k = 10 on the 25k-node benchmark
-//! graph: 80, 1,280, 20,480) — until a guess reaches `|V|`: such a guess
+//! geometric — `8k`, `16k`, `32k`, … (k = 10 on the 25k-node benchmark
+//! graph: 80, 160, 320, …, 20,480) — until a guess reaches `|V|`: such a guess
 //! cannot prune anything a rank could reach and is run as `u32::MAX`, the
 //! paper's algorithm as written, accepted unconditionally. So the ladder
 //! always ends, and small graphs pay nothing. `LADDER_GUESS_PER_K` and
@@ -137,32 +137,37 @@ use crate::trace::{PassSummary, PopDecision, QueryTrace, TraceEvent};
 /// setting. The median query's `kRank` is below `8k`: a `4k` guess sends
 /// it to the second pass (p50 0.60 ms), `8k` / `16k` / `64k` do not (0.31 /
 /// 0.38 / 0.62 ms), and a rejected first rung costs next to nothing
-/// unsharded. `8k + 1` is also the anchor threshold (module docs), so a
-/// pass the first rung accepts never anchors: the median query does the
-/// same work whatever the rungs above it are.
+/// unsharded. Re-sized under ×2 growth: a first rung of `4k` / `2k` / `1k`
+/// gave 627 / 630 / 602 queries/s against `8k`'s 652. `8k + 1` is also
+/// the anchor threshold (module docs), so a pass the first rung accepts
+/// never anchors: the median query does the same work whatever the rungs
+/// above it are.
 const LADDER_GUESS_PER_K: u32 = 8;
 
 /// What a rejected rung's guess is multiplied by to give the next one.
-/// Sized on a scratch copy with the ladder selected at run time (2-vCPU
-/// host, harness pinned to one CPU, seed 1, interleaved runs; median of 10
-/// runs for `engine_cold`, of 6 for the others; `refinement_settles` is
-/// exact):
+/// A rejected rung costs little (its refinements abort under a small
+/// clamp); the accepted one is the expense, because its refinements run up
+/// to the clamp `G + 1`, which can be up to `growth` times the true
+/// `kRank`. Under ×16, `q = 8627` (true `kRank` 1,774) was accepted at
+/// 20,480 in 42 ms, where one pass at its true `kRank` takes 2.8 ms.
+/// Sized on a scratch copy (2-vCPU host, harness pinned to one CPU, seed 1,
+/// 12 s runs, eight alternating runs a side, median; `refinement_settles`
+/// is exact, `refinement_pushes` from a probe over `engine_cold`'s 120
+/// nodes):
 ///
-/// | ladder | `engine_cold` q/s | `refinement_settles` | `serve_churn` q/s | `fleet_scatter` q/s |
-/// |---|---|---|---|---|
-/// | `8k`, unbounded | 108 | 4,020,891 | 591 | 52.5 |
-/// | ×2 | 621 | 318,361 | 2,558 | 42 (−21 %) |
-/// | ×4 | 410 | 648,694 | 2,652 | 50 (−5 %) |
-/// | ×8 | 282 | 1,153,525 | — | — |
-/// | **×16** | **360** | **802,830** | **2,343** | **55.5** |
+/// | metric | ×16 | ×2 | ×2 + row overflow (`crate::refine`) |
+/// |---|---|---|---|
+/// | `engine_cold` q/s | 367 | 651 | **700** |
+/// | `serve_churn` q/s | 4.24k | 5.78k | 5.88k |
+/// | `fleet_scatter` q/s | 2.75k | 3.24k | 3.67k |
+/// | `refinement_settles` | 802,830 | 318,361 | 318,361 |
+/// | `refinement_pushes` | 10,209,152 | 8,207,402 | 5,473,426 |
 ///
-/// ×2 and ×4 are faster unsharded, but on a shard slice a rejected pass
-/// refines all ≈ 11k owned candidates (ROADMAP item 4), and ×2's 6× step is
-/// wider than the benchmark resolves against the parent's level (ROADMAP
-/// item 1). ×8's third rung (40,960) passes `|V|` = 25,000, so `q = 15886`
-/// (true `kRank` 7,367) runs unbounded in 131 ms; ×16 accepts it at 20,480
-/// in 65 ms.
-const LADDER_GROWTH: u32 = 16;
+/// On the same probe ×1.5 gave 566 q/s and ×1.25 492, against ×2's 739
+/// that session; ×4 gave ≈ 450 on `engine_cold`. A single pass at each
+/// node's true `kRank` — the ceiling a per-query first guess could approach
+/// — reaches 1,203 q/s.
+const LADDER_GROWTH: u32 = 2;
 
 /// Immutable, `Sync` query-evaluation state bound to one graph snapshot:
 /// share it across worker threads via `&` or `Arc`, give each worker its

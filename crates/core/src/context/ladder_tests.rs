@@ -334,9 +334,9 @@ proptest! {
 /// nodes hanging off the hub, and `q` a leaf five times as far out. The
 /// hub and every near leaf have the other near leaves and the first four
 /// tail nodes closer than `q` and tie at rank `K_RANK`, the true `kRank`
-/// for k up to `LEAVES`. `K_RANK` lies just above the shipped ladder's
-/// second rung for k = 1 (128) and `|V|` just above its second rung for
-/// k = 2 (256), so the three k values below end on three different rungs.
+/// for k up to `LEAVES`. `K_RANK` lies just below the first rung for
+/// k = 17 (136), so that k takes one pass on any ladder, and far above
+/// the first rung for k = 1 and 2, which climb.
 const LEAVES: u32 = 130;
 const TAIL: u32 = 200;
 const K_RANK: u32 = LEAVES + 5;
@@ -362,8 +362,8 @@ fn every_strategy_agrees_with_naive_on_either_rung() {
     let g = star_with_tail();
     let ctx = EngineContext::new(&g);
     let mut scratch = ctx.new_scratch();
-    // k = 1: 8 and 128 fail, 2,048 passes |V|, the unbounded rung answers;
-    // k = 2: 16 fails, 256 holds; k = 17: the first guess, 136, holds.
+    // k = 1 and k = 2 climb to the first rung at or above K_RANK (or the
+    // unbounded one); k = 17: the first guess, 136, holds.
     let mut seen = Vec::new();
     for k in [1, 2, 17] {
         let naive = ctx
@@ -392,7 +392,10 @@ fn every_strategy_agrees_with_naive_on_either_rung() {
             assert_eq!(out.stage.sds_passes, passes);
         }
     }
-    assert_eq!(seen, [(3, u32::MAX), (2, 256), (1, 136)]);
+    assert_eq!(seen[2], (1, 17 * LADDER_GUESS_PER_K));
+    for &(passes, guess) in &seen[..2] {
+        assert!(passes > 1 && guess >= K_RANK, "{seen:?}");
+    }
 }
 
 #[test]
@@ -409,7 +412,7 @@ fn too_few_reachable_candidates_end_on_the_unbounded_rung() {
     let ctx = EngineContext::new(b.build().unwrap());
     let mut scratch = ctx.new_scratch();
     let (passes, _) = rungs(SHIPPED, 5, 100, None);
-    assert_eq!(passes, 2);
+    assert!(passes > 1, "finite guesses run first");
     for strategy in [Strategy::Static, Strategy::Dynamic(BoundConfig::ALL)] {
         let req = QueryRequest::new(NodeId(0), 5).with_strategy(strategy);
         let out = ctx.execute(&mut scratch, &req).unwrap();
@@ -431,8 +434,8 @@ fn too_few_reachable_candidates_end_on_the_unbounded_rung() {
 
 /// Limits are charged against the whole ladder: each rejected pass spends
 /// one refinement (the hub, aborted under the guess), so for k = 1 a
-/// budget of three trips *inside* the third pass, after the hub's one
-/// completed refinement.
+/// budget of one refinement per pass trips *inside* the last pass, after
+/// the hub's one completed refinement.
 #[test]
 fn budget_trips_in_a_later_pass_with_exact_entries_and_the_real_bound() {
     let g = star_with_tail();
@@ -444,7 +447,7 @@ fn budget_trips_in_a_later_pass_with_exact_entries_and_the_real_bound() {
         .with_refine_budget(passes)
         .with_trace();
     let out = ctx.execute(&mut scratch, &req).unwrap();
-    assert_eq!(passes, 3);
+    assert!(passes > 1, "the budget must span passes");
     assert_eq!(out.stats().sds_passes, passes);
     assert_eq!(
         out.stats().refinement_calls,
@@ -543,9 +546,9 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
 /// one, and a few chords among the spokes: short ones that put an
 /// *outside* spoke strictly within `d(p,q)` of its partner by a
 /// hub-avoiding path, and one between two inside spokes. Every candidate
-/// ranks about `SPOKES / 2`, far beyond the first guess for `k = 2` and
-/// within the second (256), so the second rung refines the hub, then every
-/// spoke through it.
+/// ranks about `SPOKES / 2`, far beyond the first guess for `k = 2`, so
+/// the ladder climbs; every rejected rung aborts the hub, and the accepted
+/// one refines the hub, then every spoke through it.
 const SPOKES: u32 = 300;
 const SPOKE_Q: NodeId = NodeId(SPOKES / 2);
 
@@ -576,6 +579,9 @@ fn anchoring_halves_the_pushes_of_a_hub_bound_pass_and_changes_no_rank() {
     let k = 2;
     let naive = QueryRequest::new(SPOKE_Q, k).with_strategy(Strategy::Naive);
     let naive = ctx.execute(&mut scratch, &naive).unwrap().result;
+    let k_rank = naive.ranks().last().copied();
+    let (passes, _) = rungs(SHIPPED, k, g.num_nodes(), k_rank);
+    assert!(passes > 1, "the first rung cannot hold the hub's ball");
     for dynamic in [None, Some(BoundConfig::ALL)] {
         let served = QueryRequest::new(SPOKE_Q, k).with_strategy(match dynamic {
             None => Strategy::Static,
@@ -583,10 +589,10 @@ fn anchoring_halves_the_pushes_of_a_hub_bound_pass_and_changes_no_rank() {
         });
         let served = ctx.execute(&mut scratch, &served.with_trace()).unwrap();
         assert_eq!(served.result.ranks(), naive.ranks(), "{dynamic:?}");
-        assert_eq!(served.stats().sds_passes, 2);
+        assert_eq!(served.stats().sds_passes, passes);
         assert!(served.stats().anchored_refinements > 0);
         let last = *served.trace.as_ref().unwrap().passes.last().unwrap();
-        let ball = last.anchor.expect("the second rung freezes the hub");
+        let ball = last.anchor.expect("the accepted rung freezes the hub");
         assert_eq!(ball, (NodeId(0), SPOKE_Q.0), "hub + the spokes before q");
         assert_eq!(last.anchored, served.stats().anchored_refinements);
 
@@ -739,15 +745,25 @@ fn budget_tripping_inside_an_anchored_stretch_keeps_entries_exact() {
     let ranks = rank_matrix(&g);
     let ctx = EngineContext::new(&g);
     let mut scratch = ctx.new_scratch();
-    // Pass 1 spends one refinement (the hub, aborted under the guess);
-    // pass 2 refines the hub, then spokes from its ball until the budget
-    // runs out.
+    let naive = QueryRequest::new(SPOKE_Q, 2).with_strategy(Strategy::Naive);
+    let k_rank = *ctx
+        .execute(&mut scratch, &naive)
+        .unwrap()
+        .result
+        .ranks()
+        .last()
+        .unwrap();
+    // Each rejected pass spends one refinement (the hub, aborted under the
+    // guess); the accepted pass refines the hub, then spokes from its ball
+    // until the budget runs out.
+    let (passes, _) = rungs(SHIPPED, 2, g.num_nodes(), Some(k_rank));
     let req = QueryRequest::new(SPOKE_Q, 2)
         .with_strategy(Strategy::Static)
         .with_refine_budget(40);
     let out = ctx.execute(&mut scratch, &req).unwrap();
+    assert_eq!(out.stats().sds_passes, passes);
     assert_eq!(out.stats().refinement_calls, 40);
-    assert_eq!(out.stats().anchored_refinements, 38);
+    assert_eq!(out.stats().anchored_refinements, 40 - passes);
     assert_eq!(out.result.entries.len(), 2);
     for e in &out.result.entries {
         assert_eq!(
@@ -757,14 +773,6 @@ fn budget_tripping_inside_an_anchored_stretch_keeps_entries_exact() {
             e.node
         );
     }
-    let naive = QueryRequest::new(SPOKE_Q, 2).with_strategy(Strategy::Naive);
-    let k_rank = *ctx
-        .execute(&mut scratch, &naive)
-        .unwrap()
-        .result
-        .ranks()
-        .last()
-        .unwrap();
     let Completion::Partial {
         reason: PartialReason::RefineBudgetExhausted,
         k_rank_bound,

@@ -57,6 +57,35 @@
 //! `d(p,q)` is by the transpose's (see the `t == q` note in the loop): on
 //! real-valued weights a node within one ulp of either boundary may be
 //! classed differently by the plain and the anchored call.
+//!
+//! ## Row overflow
+//!
+//! A plain call that settles `v` at `d` and finds that the under-budget
+//! part of `v`'s row — `d + w < d(p,q)`, one binary search of the sorted
+//! row with the loop's own comparison — holds at least `kRank + 2` targets
+//! is certain to abort inside that row. Those targets are distinct
+//! members of `S(p)` (no parallel arcs, no self-loops), so at least
+//! `kRank` of them are neither `p` nor `q`. Each such target is either
+//! unstamped, and the loop inserts and counts it, or stamped, and was
+//! counted when it was inserted: only `p` is stamped without an
+//! insertion, and `q` never is. So `1 + inserted_counted` passes `kRank` by
+//! the row's end at the latest. The call then walks those targets in row
+//! order doing what the loop does — skip `q` and stamped nodes, bump
+//! `lcount`, count — and aborts at the node the loop would, without
+//! pushing a node onto the heap. The outcome, the settles and Lemma 4's
+//! counters are the loop's; `refinement_pushes` counts only real frontier
+//! insertions, so it falls.
+//!
+//! The argument needs every target counted and every row entry a distinct
+//! node, so the shortcut is off in bichromatic mode and on a graph that
+//! [`Graph::may_have_parallel_arcs`] (a row's length over-counts its
+//! distinct targets there). It is off with an index binding, whose prune
+//! raises the Check Dictionary from the frontier the pushes would have
+//! built, and without a finite `kRank`. Anchored calls do without it:
+//! ball members are pushed but not counted, so the row alone proves
+//! nothing, and pre-scanning every row of an anchored call for
+//! out-of-ball targets measured 7 % slower on `rkr-bench`'s
+//! `engine_cold`.
 
 use rkranks_graph::rank::RankCounter;
 use rkranks_graph::{DijkstraWorkspace, Distance, Graph, NodeId, RelaxOutcome};
@@ -150,6 +179,17 @@ pub fn refine_rank(
     // from p (the §5.3 "until the rank value exceeds Check[u]" rule); in
     // snapshot mode the floor includes this worker's own logged raises.
     let check_at_start = hooks.index.as_deref().map_or(0, |idx| idx.offer_floor(p));
+    // A row with this many under-budget targets must abort the call (module
+    // docs, "Row overflow"); `usize::MAX` where that argument does not hold.
+    let overflow_row = if k_rank != u32::MAX
+        && hooks.index.is_none()
+        && !spec.is_bichromatic()
+        && !graph.may_have_parallel_arcs()
+    {
+        (k_rank as usize).saturating_add(2)
+    } else {
+        usize::MAX
+    };
 
     while let Some((v, d)) = ws.settle_next() {
         stats.refinement_settles += 1;
@@ -162,6 +202,22 @@ pub fn refine_rank(
             }
         }
         let (targets, weights) = graph.out_neighbors(v);
+        if targets.len() >= overflow_row {
+            // The loop's own cut-off, as one search of the sorted row.
+            let under = weights.partition_point(|w| d + *w < dpq);
+            if under >= overflow_row {
+                let lcount = hooks.lcount.as_deref_mut();
+                return overflow(
+                    ws,
+                    &targets[..under],
+                    q,
+                    k_rank,
+                    inserted_counted,
+                    lcount,
+                    stats,
+                );
+            }
+        }
         for (t, w) in targets.iter().zip(weights.iter()) {
             let nd = d + *w;
             // Algorithm 2 line 13: only distances strictly below d(p,q)
@@ -218,6 +274,35 @@ fn prune(
         idx.raise_check(p, counter.unsettled_rank_lower_bound(next));
     }
     aborted(k_rank, stats)
+}
+
+/// The plain loop's walk of a row it is certain to abort in (module docs,
+/// "Row overflow"): `targets` is the row's under-budget part, walked with
+/// the loop's skips, `lcount` bumps and abort test, but no heap push.
+#[cold]
+fn overflow(
+    ws: &DijkstraWorkspace,
+    targets: &[NodeId],
+    q: NodeId,
+    k_rank: u32,
+    mut inserted_counted: u32,
+    mut lcount: Option<&mut Stamped<u32>>,
+    stats: &mut QueryStats,
+) -> RefineOutcome {
+    for t in targets {
+        // The loop skips `q`, and relaxing a stamped node never inserts it.
+        if *t == q || ws.dist_of(*t).is_some() {
+            continue;
+        }
+        if let Some(lc) = lcount.as_deref_mut() {
+            lc.increment(t.index());
+        }
+        inserted_counted += 1;
+        if 1 + inserted_counted > k_rank {
+            return aborted(k_rank, stats);
+        }
+    }
+    unreachable!("a row of k_rank + 2 distinct under-budget targets aborts")
 }
 
 /// The `kRank` abort: the candidate's rank is proven to exceed `k_rank`.
@@ -639,6 +724,57 @@ mod tests {
         assert_eq!(exact, RefineOutcome::Exact(4));
     }
 
+    /// Row overflow (module docs): from leaf 1, `d(1,q) = 3` and the hub's
+    /// row holds six under-budget leaves, at least `cap + 2` for every cap
+    /// below. The `KeepAll` build of the same star has the shortcut off.
+    #[test]
+    fn an_overflowing_hub_row_aborts_where_the_loop_does_without_pushing() {
+        use rkranks_graph::{DedupPolicy, GraphBuilder};
+        let (p, q) = (NodeId(1), NodeId(7));
+        let star = |policy| {
+            let mut b = GraphBuilder::new(EdgeDirection::Undirected).dedup_policy(policy);
+            for leaf in 1..=6 {
+                b.add_edge(0, leaf, 1.0).unwrap();
+            }
+            b.add_edge(0, q.0, 2.0).unwrap();
+            b.build().unwrap()
+        };
+        let run = |g: &Graph, cap| {
+            let mut ws = DijkstraWorkspace::new(g.num_nodes());
+            let mut stats = QueryStats::default();
+            let hooks = &mut RefineHooks::none();
+            let out = refine_rank(
+                g,
+                QuerySpec::Mono,
+                &mut ws,
+                p,
+                q,
+                3.0,
+                cap,
+                None,
+                hooks,
+                &mut stats,
+            );
+            (out, stats)
+        };
+        let (shortcut, full) = (star(DedupPolicy::KeepMin), star(DedupPolicy::KeepAll));
+        // (a cap of 1 aborts on inserting the hub, before its row)
+        for cap in 2..=4 {
+            let (out, on) = run(&shortcut, cap);
+            let (looped, off) = run(&full, cap);
+            assert_eq!(
+                out,
+                RefineOutcome::Pruned {
+                    lower_bound: cap + 1
+                }
+            );
+            assert_eq!(out, looped);
+            assert_eq!(on.refinement_settles, off.refinement_settles);
+            assert_eq!(on.refinement_pushes, 1, "cap {cap}: only the hub");
+            assert_eq!(off.refinement_pushes, u64::from(cap), "cap {cap}");
+        }
+    }
+
     #[test]
     fn zero_distance_candidate() {
         // p at distance 0 from q (zero-weight edge): rank must be 1.
@@ -668,21 +804,28 @@ mod tests {
 /// off-by-one would show — in the plain loop and, for the anchored one, in
 /// which side of the frozen ball a node falls. Weights come from
 /// `{0, 1, 1, 2}` (so most rows are all-equal or zero-led) and parallel
-/// arcs are kept.
+/// arcs are kept, except where row overflow is compared with the loop.
 #[cfg(test)]
 mod cutoff_props {
     use super::*;
     use crate::spec::Partition;
     use proptest::prelude::*;
     use rkranks_graph::{distance, rank_matrix, DedupPolicy, EdgeDirection, GraphBuilder, INF};
+    use std::collections::BTreeMap;
 
-    fn multigraph(n: u32, raw: Vec<(u32, u32, usize)>, directed: bool) -> Graph {
+    /// `raw` taken modulo `n`, self-loops dropped, weights `{0, 1, 1, 2}`.
+    fn build(
+        n: u32,
+        raw: impl IntoIterator<Item = (u32, u32, usize)>,
+        directed: bool,
+        policy: DedupPolicy,
+    ) -> Graph {
         let mut b = GraphBuilder::new(if directed {
             EdgeDirection::Directed
         } else {
             EdgeDirection::Undirected
         })
-        .dedup_policy(DedupPolicy::KeepAll);
+        .dedup_policy(policy);
         b.reserve_nodes(n);
         for (u, v, w) in raw {
             if u % n != v % n {
@@ -690,6 +833,10 @@ mod cutoff_props {
             }
         }
         b.build().unwrap()
+    }
+
+    fn multigraph(n: u32, raw: Vec<(u32, u32, usize)>, directed: bool) -> Graph {
+        build(n, raw, directed, DedupPolicy::KeepAll)
     }
 
     fn refine(
@@ -725,6 +872,63 @@ mod cutoff_props {
                     };
                     let got = refine(&g, QuerySpec::Mono, &mut ws, p, q, u32::MAX, None);
                     prop_assert_eq!(got, RefineOutcome::Exact(rank), "Rank({},{}) in {:?}", p, q, g);
+                }
+            }
+        }
+
+        /// Row overflow (module docs) against the loop it replaces, with
+        /// no switch: one edge set with no parallel pair, built `KeepMin`
+        /// (shortcut on) and `KeepAll` (flagged, shortcut off) into the
+        /// same rows. Every pair under every cap decides alike, settles
+        /// alike and leaves Lemma 4's counters alike. Node 0 is a hub, so
+        /// rows that overflow after the first settle, with stamped nodes
+        /// in them, are common.
+        #[test]
+        fn row_overflow_decides_exactly_what_the_loop_decides(
+            n in 3u32..12,
+            spokes in proptest::collection::vec(0usize..4, 11),
+            raw in proptest::collection::vec((0u32..12, 0u32..12, 0usize..4), 0..16),
+            directed in any::<bool>(),
+        ) {
+            let mut edges = BTreeMap::new();
+            let hub = spokes.into_iter().zip(1..n).map(|(w, leaf)| (0, leaf, w));
+            for (u, v, w) in hub.chain(raw) {
+                let (u, v) = (u % n, v % n);
+                let pair = if directed { (u, v) } else { (u.min(v), u.max(v)) };
+                edges.entry(pair).or_insert(w);
+            }
+            let edges: Vec<_> = edges.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+            let on = build(n, edges.clone(), directed, DedupPolicy::KeepMin);
+            let off = build(n, edges, directed, DedupPolicy::KeepAll);
+            prop_assert!(!on.may_have_parallel_arcs() && off.may_have_parallel_arcs());
+            for v in on.nodes() {
+                prop_assert_eq!(on.out_neighbors(v), off.out_neighbors(v));
+            }
+            let mut ws = DijkstraWorkspace::new(n);
+            let mut lcount = Stamped::new(n as usize, 0u32);
+            let mut run = |g: &Graph, p, q, cap| {
+                lcount.reset();
+                let mut stats = QueryStats::default();
+                let mut hooks = RefineHooks { lcount: Some(&mut lcount), index: None };
+                let dpq = distance(g, p, q);
+                let out = refine_rank(g, QuerySpec::Mono, &mut ws, p, q, dpq, cap, None, &mut hooks, &mut stats);
+                let visits: Vec<u32> = (0..n as usize).map(|i| lcount.get(i)).collect();
+                (out, stats.refinement_settles, visits, stats.refinement_pushes)
+            };
+            for p in on.nodes() {
+                for q in on.nodes() {
+                    if p == q {
+                        continue;
+                    }
+                    for cap in 1..=n {
+                        let (out, settles, visits, pushes) = run(&on, p, q, cap);
+                        let (looped, loop_settles, loop_visits, loop_pushes) = run(&off, p, q, cap);
+                        let at = format!("p={p} q={q} cap={cap} in {on:?}");
+                        prop_assert_eq!(out, looped, "{}", at);
+                        prop_assert_eq!(settles, loop_settles, "{}", at);
+                        prop_assert_eq!(visits, loop_visits, "{}", at);
+                        prop_assert!(pushes <= loop_pushes, "{}", at);
+                    }
                 }
             }
         }

@@ -175,8 +175,11 @@ impl GraphBuilder {
         }
 
         // `from_arcs` orders every row: HashMap order never reaches the CSR.
-        let csr = Csr::from_arcs(num_nodes, &arcs);
-        Ok(Graph::from_csr(csr, direction))
+        let graph = Graph::from_csr(Csr::from_arcs(num_nodes, &arcs), direction);
+        Ok(match dedup {
+            DedupPolicy::KeepAll => graph.with_parallel_arcs(),
+            DedupPolicy::KeepMin | DedupPolicy::KeepLast => graph,
+        })
     }
 }
 
@@ -278,6 +281,26 @@ mod tests {
         b.add_edge(0, 1, 2.0).unwrap();
         let g = b.build().unwrap();
         assert_eq!(g.num_arcs(), 2);
+    }
+
+    #[test]
+    fn only_a_keep_all_build_may_have_parallel_arcs() {
+        for (policy, parallel) in [
+            (DedupPolicy::KeepMin, false),
+            (DedupPolicy::KeepLast, false),
+            (DedupPolicy::KeepAll, true),
+        ] {
+            for direction in [EdgeDirection::Directed, EdgeDirection::Undirected] {
+                // no parallel edge is added: the flag is the policy's
+                let mut b = GraphBuilder::new(direction).dedup_policy(policy);
+                b.add_edge(0, 1, 1.0).unwrap();
+                b.add_edge(1, 2, 2.0).unwrap();
+                let g = b.build().unwrap();
+                assert_eq!(g.may_have_parallel_arcs(), parallel, "{policy:?}");
+                let t = g.transpose();
+                assert_eq!(t.may_have_parallel_arcs(), parallel, "{policy:?} transpose");
+            }
+        }
     }
 
     #[test]

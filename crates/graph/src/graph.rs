@@ -18,11 +18,25 @@ use crate::weight::Distance;
 pub struct Graph {
     csr: Csr,
     direction: EdgeDirection,
+    /// Built with [`crate::DedupPolicy::KeepAll`]: a row may name a target
+    /// more than once.
+    parallel_arcs: bool,
 }
 
 impl Graph {
+    /// A graph over `csr` whose rows name each target at most once.
     pub(crate) fn from_csr(csr: Csr, direction: EdgeDirection) -> Graph {
-        Graph { csr, direction }
+        Graph {
+            csr,
+            direction,
+            parallel_arcs: false,
+        }
+    }
+
+    /// Mark this graph as one whose rows may repeat a target.
+    pub(crate) fn with_parallel_arcs(mut self) -> Graph {
+        self.parallel_arcs = true;
+        self
     }
 
     pub(crate) fn csr(&self) -> &Csr {
@@ -64,6 +78,16 @@ impl Graph {
     #[inline(always)]
     pub fn direction(&self) -> EdgeDirection {
         self.direction
+    }
+
+    /// `false` when every row names each target at most once, so a row's
+    /// length is its number of distinct neighbours. Only a
+    /// [`crate::DedupPolicy::KeepAll`] build (and its transpose) says
+    /// `true`; a [`crate::GraphStore`] collapses parallel arcs when it
+    /// opens, so its snapshots say `false`.
+    #[inline(always)]
+    pub fn may_have_parallel_arcs(&self) -> bool {
+        self.parallel_arcs
     }
 
     /// Out-degree of `u`.
@@ -128,7 +152,7 @@ impl Graph {
             EdgeDirection::Undirected => self.clone(),
             EdgeDirection::Directed => Graph {
                 csr: self.csr.transpose(),
-                direction: EdgeDirection::Directed,
+                ..*self
             },
         }
     }

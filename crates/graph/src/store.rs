@@ -783,12 +783,16 @@ mod tests {
         for (u, v, w) in [(0, 1, 1.0), (0, 1, 5.0), (1, 2, 1.0), (2, 3, 1.0)] {
             b.add_edge(u, v, w).unwrap();
         }
-        let mut store = GraphStore::new(b.build().unwrap());
+        let multigraph = b.build().unwrap();
+        assert!(multigraph.may_have_parallel_arcs());
+        let mut store = GraphStore::new(multigraph);
         assert_eq!(store.num_edges(), 3, "parallel arcs collapse at open");
+        assert!(!store.snapshot().may_have_parallel_arcs());
         assert_eq!(sssp(&store.snapshot(), NodeId(0))[1], 1.0);
         let snap = store
             .apply(&[GraphDelta::AddEdge { u: 0, v: 3, w: 9.0 }])
             .unwrap();
+        assert!(!snap.may_have_parallel_arcs());
         let row0: Vec<_> = snap.edges(NodeId(0)).collect();
         assert_eq!(row0, [(NodeId(1), 1.0), (NodeId(3), 9.0)]);
         assert_eq!(sssp(&snap, NodeId(0))[1], 1.0);
