@@ -48,33 +48,22 @@
 //! the coordinator only — shards are independent daemons with their own
 //! lifecycles.
 //!
-//! ## Threads, parking and wake-ups
+//! ## Front end
 //!
-//! The front side is thread-per-connection: one accept thread, and one
-//! handler thread per client connection that owns its own [`ShardPool`]
-//! (so the fan-out path takes no lock beyond the write gate). Every
-//! thread *parks in the kernel* and is woken by the event it waits for —
-//! there is no timer, tick or poll anywhere on the request path:
+//! The coordinator runs `rkrd`'s reactor ([`rkranks_server::reactor`]):
+//! the same epoll workers, write backpressure, line cap, accept-error
+//! policy and front-side instruments, with one [`ShardPool`] as each
+//! worker's state (so the fan-out path takes no lock beyond the write
+//! gate). It takes `rkrd`'s default worker count (4) and write high-water
+//! mark; neither is a coordinator knob.
 //!
-//! * a handler parks in a blocking `read` with no timeout, does exactly
-//!   one `read` per turn ([`Conn::fill_once`]) and serves every complete
-//!   line that read buffered before it reads again, so a request is
-//!   fanned out the moment its bytes arrive and a pipelined burst is
-//!   never left behind a blocked `read`;
-//! * the accept thread parks in a blocking `accept`;
-//! * `shutdown` (the protocol op or [`CoordHandle::stop`]) sets the flag
-//!   and wakes the accept thread with a loopback connection to the
-//!   listener's own port; the accept thread then calls
-//!   `shutdown(Both)` on its clone of every live front stream, which
-//!   turns each parked `read` into EOF, and joins the handlers.
-//!
-//! An idle coordinator therefore makes no wake-ups at all, whatever the
-//! number of parked connections. Thread-per-connection stays for now
-//! because the alternative is the shard daemon's readiness loop, and
-//! sharing that loop between `rkrd` and the coordinator is a refactor of
-//! its own (ROADMAP item 9) that should not be half-done inside a latency
-//! fix; blocking streams give the same "woken by the bytes" behaviour
-//! with the fan-out code unchanged.
+//! * A worker blocks for one fan-out, as an `rkrd` worker blocks for one
+//!   engine call: at most 4 requests are in flight at once, however many
+//!   connections are open. Parked connections cost a wake-up nothing.
+//! * Idle workers wake every 25 ms to check for shutdown; the request
+//!   path pays no timer. `shutdown` (the protocol op or
+//!   [`CoordHandle::stop`]) raises the flag, and each worker closes its
+//!   connections as it exits.
 //!
 //! ## Loopback quickstart
 //!
@@ -101,18 +90,16 @@ pub mod metrics;
 pub mod pool;
 
 use std::io;
-use std::net::{
-    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
-};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rkranks_server::conn::{Conn, Fill, LineStatus};
-use rkranks_server::log::{self, LogLevel};
-use rkranks_server::metrics::duration_ns;
-use rkranks_server::{ConnectPolicy, HelloReply, Reply, Request, StatsReply, PROTOCOL_VERSION};
+use rkranks_server::reactor::{Reactor, Service};
+use rkranks_server::{
+    ConnectPolicy, HelloReply, Reply, Request, ServerConfig, StatsReply, PROTOCOL_VERSION,
+};
 
 pub use metrics::CoordMetrics;
 pub use pool::ShardPool;
@@ -146,7 +133,7 @@ impl CoordConfig {
     }
 }
 
-/// State shared between the accept loop and every connection handler.
+/// State every reactor worker shares.
 struct CoordShared {
     config: CoordConfig,
     metrics: Arc<CoordMetrics>,
@@ -155,28 +142,13 @@ struct CoordShared {
     /// writes routed through the coordinator this keeps shard graph
     /// epochs aligned outside a write window, so the laggard flush in
     /// [`ShardPool::scatter_query`] is a fallback, not the norm. It
-    /// guards no data, so a handler that panics while holding it leaves
+    /// guards no data, so a worker that panics while holding it leaves
     /// nothing torn: later requests take it through the poison.
     write_gate: RwLock<()>,
     shutdown: AtomicBool,
-    /// Where a loopback connection reaches the coordinator's own
-    /// listener — how [`CoordShared::request_shutdown`] wakes the accept
-    /// thread out of its blocking `accept`.
-    wake_addr: SocketAddr,
 }
 
-impl CoordShared {
-    /// Raise the shutdown flag and wake the accept thread, which closes
-    /// every live front connection and joins the handlers.
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // The connection itself is the message; a failed connect means
-        // the listener is already gone.
-        let _ = TcpStream::connect(self.wake_addr);
-    }
-}
-
-/// A running coordinator's handle: its bound address and the accept
+/// A running coordinator's handle: its bound address and the reactor
 /// thread to join after a client sends `shutdown`.
 pub struct CoordHandle {
     addr: SocketAddr,
@@ -198,10 +170,10 @@ impl CoordHandle {
     /// Ask the coordinator to stop without a protocol `shutdown` (used
     /// by tests and signal handlers); pair with [`CoordHandle::join`].
     pub fn stop(&self) {
-        self.shared.request_shutdown();
+        self.shared.shutdown.store(true, Ordering::Release);
     }
 
-    /// Wait for the accept loop (and every handler it spawned) to exit.
+    /// Wait for every reactor worker to exit.
     pub fn join(self) {
         let _ = self.thread.join();
     }
@@ -210,14 +182,14 @@ impl CoordHandle {
 /// Bind `addr` and run the coordinator on a background thread.
 pub fn spawn_coord(addr: impl ToSocketAddrs, config: CoordConfig) -> io::Result<CoordHandle> {
     let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let shared = Arc::new(new_shared(config, local)?);
-    let accept_shared = Arc::clone(&shared);
+    let addr = listener.local_addr()?;
+    let (shared, reactor) = start(listener, config)?;
+    let serving = Arc::clone(&shared);
     let thread = std::thread::Builder::new()
-        .name("coord-accept".into())
-        .spawn(move || accept_loop(listener, accept_shared))?;
+        .name("coord".into())
+        .spawn(move || reactor.run(&*serving, &serving.metrics.front, &serving.shutdown))?;
     Ok(CoordHandle {
-        addr: local,
+        addr,
         thread,
         shared,
     })
@@ -226,12 +198,23 @@ pub fn spawn_coord(addr: impl ToSocketAddrs, config: CoordConfig) -> io::Result<
 /// Run the coordinator on the calling thread until a client sends
 /// `shutdown`. The CLI path (`rkr coord`).
 pub fn serve_coord(listener: TcpListener, config: CoordConfig) -> io::Result<()> {
-    let shared = Arc::new(new_shared(config, listener.local_addr()?)?);
-    accept_loop(listener, shared);
+    let (shared, reactor) = start(listener, config)?;
+    reactor.run(&*shared, &shared.metrics.front, &shared.shutdown);
     Ok(())
 }
 
-fn new_shared(config: CoordConfig, local: SocketAddr) -> io::Result<CoordShared> {
+/// The shared state and the reactor (`rkrd`'s default shape with the
+/// configured line cap) for one coordinator.
+fn start(listener: TcpListener, config: CoordConfig) -> io::Result<(Arc<CoordShared>, Reactor)> {
+    let front = ServerConfig {
+        max_line_bytes: config.max_line_bytes,
+        ..ServerConfig::default()
+    };
+    let shared = new_shared(config)?;
+    Ok((Arc::new(shared), Reactor::new(listener, &front)?))
+}
+
+fn new_shared(config: CoordConfig) -> io::Result<CoordShared> {
     if config.shards.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -244,286 +227,139 @@ fn new_shared(config: CoordConfig, local: SocketAddr) -> io::Result<CoordShared>
         metrics,
         write_gate: RwLock::new(()),
         shutdown: AtomicBool::new(false),
-        wake_addr: loopback_of(local),
     })
 }
 
-/// The address a local connection to a listener bound at `local` must
-/// dial: a wildcard bind (`0.0.0.0`, `::`) is reachable on loopback.
-fn loopback_of(local: SocketAddr) -> SocketAddr {
-    let ip = match local.ip() {
-        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
-    };
-    SocketAddr::new(ip, local.port())
-}
+impl Service for CoordShared {
+    type Worker = ShardPool;
 
-/// How long the accept thread backs off after an `accept` *error* (fd
-/// exhaustion, above all) before trying again — the one sleep in this
-/// crate, and only on that error path.
-const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
+    fn worker(&self) -> ShardPool {
+        ShardPool::new(&self.config, Arc::clone(&self.metrics))
+    }
 
-/// Accept front connections until shutdown: park in a blocking `accept`,
-/// spawn one handler thread per connection, and keep a clone of each live
-/// stream so shutdown can turn every handler's parked `read` into EOF.
-fn accept_loop(listener: TcpListener, shared: Arc<CoordShared>) {
-    let mut handlers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
-    // One log line per burst of accept errors; the next successful
-    // accept re-arms it (the discipline of rkrd's `accept_ready`).
-    let mut error_logged = false;
-    loop {
-        let accepted = listener
-            .accept()
-            .and_then(|(stream, _)| Ok((stream.try_clone()?, stream)));
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // What was accepted is the wake-up connection (or a client
-            // that raced it): dropped unserved either way.
-            break;
-        }
-        match accepted {
-            Ok((waker, stream)) => {
-                error_logged = false;
-                handlers.retain(|(_, h)| !h.is_finished());
-                let conn_shared = Arc::clone(&shared);
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("coord-conn".into())
-                    .spawn(move || handle_conn(stream, conn_shared))
-                {
-                    handlers.push((waker, h));
-                }
+    /// Serve one parsed request against the fleet.
+    fn execute(&self, pool: &mut ShardPool, req: Request) -> Reply {
+        let (m, gate) = (&self.metrics, &self.write_gate);
+        match req {
+            Request::Query {
+                node,
+                k,
+                cache,
+                strategy,
+                deadline_ms,
+            } => {
+                let _read = gate.read().unwrap_or_else(PoisonError::into_inner);
+                m.queries.inc();
+                pool.scatter_query(node, k, cache, strategy, deadline_ms)
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                shared.metrics.accept_errors.inc();
-                if !error_logged && log::enabled(LogLevel::Error) {
-                    log::write(
-                        LogLevel::Error,
-                        format_args!(
-                            "coordinator accept failed: {e} (fd limit? counting, not \
-                             logging, further errors in this burst)"
-                        ),
-                    );
-                }
-                error_logged = true;
-                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            Request::Batch { nodes, k } => {
+                let _read = gate.read().unwrap_or_else(PoisonError::into_inner);
+                m.batches.inc();
+                pool.scatter_batch(&nodes, k)
             }
-        }
-    }
-    for (waker, _) in &handlers {
-        let _ = waker.shutdown(Shutdown::Both);
-    }
-    for (_, h) in handlers {
-        let _ = h.join();
-    }
-}
-
-/// Serve one frontside connection: a blocking stream driven through the
-/// shard daemon's own [`Conn`] framing layer (in-place line extraction,
-/// bounded lines, buffered writes), so the coordinator and the shards
-/// reject oversize input and frame replies identically. The thread parks
-/// in `read` with no timeout; each turn is exactly one `read`, then every
-/// complete line it buffered is served before the next `read` — reading
-/// again first could block with requests already in hand. The connection
-/// ends on EOF, which is also how shutdown reaches a parked handler.
-fn handle_conn(stream: TcpStream, shared: Arc<CoordShared>) {
-    let max_line = shared.config.max_line_bytes;
-    if stream.set_nodelay(true).is_err() {
-        return;
-    }
-    shared.metrics.connections_open.add(1);
-    let mut conn = Conn::new(stream);
-    let mut pool = ShardPool::new(&shared.config, Arc::clone(&shared.metrics));
-    'serve: while let Ok(fill) = conn.fill_once() {
-        // A request's clock starts when the `read` that completed its
-        // line returns — or, for a pipelined successor, when the reply
-        // before it was handed to the socket.
-        let mut started = Instant::now();
-        loop {
-            let parsed = match conn.peek_line(max_line) {
-                LineStatus::Partial => break,
-                LineStatus::Oversize => {
-                    let _ = send_reply(
-                        &mut conn,
-                        &Reply::Error(format!("bad request: line exceeds {max_line} bytes")),
-                    );
-                    break 'serve;
-                }
-                LineStatus::Line(bytes) => {
-                    let text = String::from_utf8_lossy(bytes);
-                    let text = text.trim();
-                    if text.is_empty() {
-                        None
-                    } else {
-                        Some(Request::from_line(text).map_err(|m| format!("bad request: {m}")))
+            Request::Update { ops } => {
+                let _write = gate.write().unwrap_or_else(PoisonError::into_inner);
+                m.updates.inc();
+                // The merged reply mirrors the single-box shape: staged
+                // count and the pre-commit graph epoch. Deterministic
+                // validation against identical replicated graphs means the
+                // per-shard replies agree; max() is belt and braces.
+                let (staged, graph_epoch) = match pool.broadcast(&Request::Update { ops }) {
+                    Ok(replies) => replies
+                        .iter()
+                        .filter_map(|r| match r {
+                            Reply::Update {
+                                staged,
+                                graph_epoch,
+                            } => Some((*staged, *graph_epoch)),
+                            _ => None,
+                        })
+                        .max()
+                        .unwrap_or((0, 0)),
+                    Err(e) => {
+                        return Reply::Error(format!(
+                            "update did not reach the whole fleet ({e}); the fleet may be \
+                             non-uniform — restore the failed shard(s) before writing again"
+                        ))
                     }
-                }
-            };
-            conn.consume_line();
-            let Some(result) = parsed else { continue };
-            let reply = match result {
-                Ok(Request::Shutdown) => {
-                    let mut line = Reply::Shutdown.to_json().render();
-                    line.push('\n');
-                    // Farewell first: the wake-up makes the accept thread
-                    // close this socket along with the others.
-                    conn.send_final(line.as_bytes());
-                    shared.request_shutdown();
-                    break 'serve;
-                }
-                Ok(req) => execute(&shared, &mut pool, req),
-                Err(msg) => Reply::Error(msg),
-            };
-            if send_reply(&mut conn, &reply).is_err() {
-                break 'serve;
-            }
-            shared
-                .metrics
-                .request_seconds
-                .record(duration_ns(started.elapsed()));
-            started = Instant::now();
-        }
-        conn.compact();
-        if fill == Fill::Eof {
-            break;
-        }
-    }
-    // The accept thread still holds a clone of this socket; dropping ours
-    // alone would leave the peer waiting for a close that never comes.
-    let _ = conn.stream.shutdown(Shutdown::Both);
-    shared.metrics.connections_open.sub(1);
-}
-
-fn send_reply(conn: &mut Conn, reply: &Reply) -> io::Result<()> {
-    let mut line = reply.to_json().render();
-    line.push('\n');
-    conn.send(line.as_bytes())
-}
-
-/// Serve one parsed request against the fleet.
-fn execute(shared: &CoordShared, pool: &mut ShardPool, req: Request) -> Reply {
-    let (m, gate) = (&shared.metrics, &shared.write_gate);
-    match req {
-        Request::Query {
-            node,
-            k,
-            cache,
-            strategy,
-            deadline_ms,
-        } => {
-            let _read = gate.read().unwrap_or_else(PoisonError::into_inner);
-            m.queries.inc();
-            pool.scatter_query(node, k, cache, strategy, deadline_ms)
-        }
-        Request::Batch { nodes, k } => {
-            let _read = gate.read().unwrap_or_else(PoisonError::into_inner);
-            m.batches.inc();
-            pool.scatter_batch(&nodes, k)
-        }
-        Request::Update { ops } => {
-            let _write = gate.write().unwrap_or_else(PoisonError::into_inner);
-            m.updates.inc();
-            // The merged reply mirrors the single-box shape: staged
-            // count and the pre-commit graph epoch. Deterministic
-            // validation against identical replicated graphs means the
-            // per-shard replies agree; max() is belt and braces.
-            let (staged, graph_epoch) = match pool.broadcast(&Request::Update { ops }) {
-                Ok(replies) => replies
-                    .iter()
-                    .filter_map(|r| match r {
-                        Reply::Update {
-                            staged,
-                            graph_epoch,
-                        } => Some((*staged, *graph_epoch)),
-                        _ => None,
-                    })
-                    .max()
-                    .unwrap_or((0, 0)),
-                Err(e) => {
-                    return Reply::Error(format!(
-                        "update did not reach the whole fleet ({e}); the fleet may be \
-                         non-uniform — restore the failed shard(s) before writing again"
-                    ))
-                }
-            };
-            // Commit immediately on every shard: staged writes that
-            // lingered would commit on each shard's own merger pass and
-            // let graph epochs drift apart.
-            match pool.broadcast(&Request::Flush) {
-                Ok(_) => {
-                    // The coupled flush committed the staged batch, so the
-                    // fleet now serves the next epoch.
-                    m.graph_epoch.set(graph_epoch + 1);
-                }
-                Err(e) => {
+                };
+                // Commit immediately on every shard: staged writes that
+                // lingered would commit on each shard's own merger pass and
+                // let graph epochs drift apart.
+                if let Err(e) = pool.broadcast(&Request::Flush) {
                     return Reply::Error(format!(
                         "update staged everywhere but the commit flush failed ({e}); \
                          restore the failed shard(s) — the next query round will \
                          re-flush the laggards"
-                    ))
+                    ));
+                }
+                // A batch that nets to nothing commits nothing, so the
+                // fleet's graph is read back, not assumed.
+                pool.refresh_graph();
+                Reply::Update {
+                    staged,
+                    graph_epoch,
                 }
             }
-            Reply::Update {
-                staged,
-                graph_epoch,
-            }
-        }
-        Request::Flush => {
-            let _write = gate.write().unwrap_or_else(PoisonError::into_inner);
-            match pool.broadcast(&Request::Flush) {
-                // Every shard commits the same staged batch, so the fleet
-                // committed the max of the shards' counts, not their sum.
-                Ok(replies) => {
-                    let (mut epoch, mut merged) = (0, 0);
-                    for r in &replies {
-                        if let Reply::Flush {
-                            epoch: e,
-                            merged: d,
-                        } = r
-                        {
-                            epoch = epoch.max(*e);
-                            merged = merged.max(*d);
+            Request::Flush => {
+                let _write = gate.write().unwrap_or_else(PoisonError::into_inner);
+                match pool.broadcast(&Request::Flush) {
+                    // Every shard commits the same staged batch, so the fleet
+                    // committed the max of the shards' counts, not their sum.
+                    Ok(replies) => {
+                        let (mut epoch, mut merged) = (0, 0);
+                        for r in &replies {
+                            if let Reply::Flush {
+                                epoch: e,
+                                merged: d,
+                            } = r
+                            {
+                                epoch = epoch.max(*e);
+                                merged = merged.max(*d);
+                            }
                         }
+                        pool.refresh_graph();
+                        Reply::Flush { epoch, merged }
                     }
-                    Reply::Flush { epoch, merged }
+                    Err(e) => Reply::Error(e),
                 }
-                Err(e) => Reply::Error(e),
             }
-        }
-        Request::Checkpoint => {
-            let _write = gate.write().unwrap_or_else(PoisonError::into_inner);
-            match pool.broadcast(&Request::Checkpoint) {
-                Ok(replies) => replies
-                    .into_iter()
-                    .find(|r| matches!(r, Reply::Checkpoint { .. }))
-                    .unwrap_or(Reply::Error("empty checkpoint fan-out".into())),
-                Err(e) => Reply::Error(e),
+            Request::Checkpoint => {
+                let _write = gate.write().unwrap_or_else(PoisonError::into_inner);
+                match pool.broadcast(&Request::Checkpoint) {
+                    Ok(replies) => replies
+                        .into_iter()
+                        .find(|r| matches!(r, Reply::Checkpoint { .. }))
+                        .unwrap_or(Reply::Error("empty checkpoint fan-out".into())),
+                    Err(e) => Reply::Error(e),
+                }
             }
+            Request::Stats => Reply::Stats(stats_snapshot(self)),
+            Request::Metrics => Reply::Metrics(m.registry.snapshot()),
+            // The coordinator computes nothing itself; its slow-query story
+            // is the per-shard rings (`rkr ctl SHARD slow-queries`).
+            Request::SlowQueries => Reply::SlowQueries(Vec::new()),
+            Request::Hello => Reply::Hello(HelloReply {
+                v: PROTOCOL_VERSION,
+                role: "coord".into(),
+                shard: None,
+                epoch: 0,
+                graph_epoch: m.graph_epoch.get(),
+                nodes: m.graph_nodes.get(),
+                edges: m.graph_edges.get(),
+            }),
+            // The reactor delivers the farewell and raises the flag;
+            // shards keep running.
+            Request::Shutdown => Reply::Shutdown,
         }
-        Request::Stats => Reply::Stats(stats_snapshot(shared)),
-        Request::Metrics => Reply::Metrics(m.registry.snapshot()),
-        // The coordinator computes nothing itself; its slow-query story
-        // is the per-shard rings (`rkr ctl SHARD slow-queries`).
-        Request::SlowQueries => Reply::SlowQueries(Vec::new()),
-        Request::Hello => Reply::Hello(HelloReply {
-            v: PROTOCOL_VERSION,
-            role: "coord".into(),
-            shard: None,
-            epoch: 0,
-            graph_epoch: m.graph_epoch.get(),
-            nodes: m.graph_nodes.get(),
-            edges: m.graph_edges.get(),
-        }),
-        // Handled by the connection loop before execute.
-        Request::Shutdown => Reply::Shutdown,
     }
 }
 
-/// The coordinator's `stats` view: fan-out counters where they map onto
-/// the shared reply shape, zeros where a field is shard-only (cache,
-/// merger, event-loop internals — read those per shard).
+/// The coordinator's `stats` view: fan-out and front-side counters where
+/// they map onto the shared reply shape, zeros where a field is
+/// shard-only (cache, merger — read those per shard).
 fn stats_snapshot(shared: &CoordShared) -> StatsReply {
-    let m = &shared.metrics;
+    let (m, front) = (&shared.metrics, &shared.metrics.front);
     StatsReply {
         v: PROTOCOL_VERSION,
         queries: m.queries.get(),
@@ -531,9 +367,12 @@ fn stats_snapshot(shared: &CoordShared) -> StatsReply {
         graph_epoch: m.graph_epoch.get(),
         graph_nodes: m.graph_nodes.get(),
         graph_edges: m.graph_edges.get(),
-        workers: m.connections_open.get(),
-        batches: m.batches.get(),
+        workers: ServerConfig::default().workers as u64,
         updates_applied: m.updates.get(),
+        accept_errors: front.accept_errors.get(),
+        wakeups: front.wakeups.get(),
+        backpressure_pauses: front.backpressure_pauses.get(),
+        oversize_lines: front.oversize_lines.get(),
         ..StatsReply::default()
     }
 }
@@ -544,7 +383,7 @@ mod tests {
     use rkranks_core::RkrIndex;
     use rkranks_server::{spawn, Client, ServerConfig};
 
-    /// A handler that panics holding the write gate poisons it; the gate
+    /// A worker that panics holding the write gate poisons it; the gate
     /// guards `()`, so later requests must still be served.
     #[test]
     fn a_poisoned_write_gate_still_serves() {
@@ -552,11 +391,11 @@ mod tests {
         let index = RkrIndex::empty(g.num_nodes(), 4);
         let shard = spawn(g, None, index, "127.0.0.1:0", ServerConfig::default()).expect("bind");
         let config = CoordConfig::new(vec![shard.addr().to_string()]);
-        let shared = new_shared(config, shard.addr()).expect("one-shard fleet");
+        let shared = new_shared(config).expect("one-shard fleet");
         std::thread::scope(|s| {
             let dying = s.spawn(|| {
                 let _write = shared.write_gate.write();
-                panic!("a handler dies holding the write gate");
+                panic!("a worker dies holding the write gate");
             });
             assert!(dying.join().is_err());
         });
@@ -570,12 +409,12 @@ mod tests {
             strategy: None,
             deadline_ms: None,
         };
-        let reply = execute(&shared, &mut pool, query);
+        let reply = shared.execute(&mut pool, query);
         assert!(
             matches!(&reply, Reply::Query(q) if q.entries.len() == 2),
             "{reply:?}"
         );
-        let reply = execute(&shared, &mut pool, Request::Stats);
+        let reply = shared.execute(&mut pool, Request::Stats);
         assert!(
             matches!(&reply, Reply::Stats(s) if s.queries == 1),
             "{reply:?}"

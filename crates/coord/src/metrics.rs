@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use rkranks_core::{Counter, Gauge, Histogram, Registry};
 use rkranks_server::metrics::duration_ns;
+use rkranks_server::reactor::FrontMetrics;
 
 /// Registry-backed handles for everything the coordinator measures.
 ///
@@ -36,9 +37,6 @@ pub struct CoordMetrics {
     /// Entries returned to the client (the one reply picked) — over
     /// `candidates_received` it is one over the number of live replicas.
     pub candidates_returned: Arc<Counter>,
-    /// Front-side `accept` failures (fd exhaustion above all): counted
-    /// always, logged once per burst.
-    pub accept_errors: Arc<Counter>,
 
     /// Transport failures per shard, indexed by shard position.
     pub shard_errors: Vec<Arc<Counter>>,
@@ -47,26 +45,22 @@ pub struct CoordMetrics {
     /// includes time spent draining earlier ones — it is the observed
     /// straggler profile of the pipelined fan-out, not isolated RPC time.
     pub shard_seconds: Vec<Arc<Histogram>>,
-    /// The coordinator's own request time: from the `read` that completed
-    /// a request line returning to its reply being handed to the socket
-    /// (parse, fan-out, every shard round-trip, merge, encode, write).
-    /// What a client sees beyond this is the front connection's wire
-    /// time; `request − slowest shard` is the coordinator's own cost.
-    pub request_seconds: Arc<Histogram>,
-
     /// Shards contacted per fan-out round: the whole fleet, except for
     /// a flush of epoch laggards.
     pub fanout_width: Arc<Histogram>,
 
-    /// Frontside client connections currently open.
-    pub connections_open: Arc<Gauge>,
+    /// The reactor's instruments (`rkrd_coord_connections_open`, …).
+    /// `front.request_seconds` runs from a request line's parse to its
+    /// reply being queued (fan-out, every shard round-trip, merge,
+    /// encode); minus the slowest shard it is the coordinator's own cost.
+    pub front: FrontMetrics,
     /// Configured fleet size.
     pub shards: Arc<Gauge>,
     /// Highest graph epoch observed in any shard reply.
     pub graph_epoch: Arc<Gauge>,
-    /// Nodes reported by the fleet at the last shard handshake.
+    /// Nodes the fleet reported at the last handshake or write.
     pub graph_nodes: Arc<Gauge>,
-    /// Edges reported by the fleet at the last shard handshake.
+    /// Edges the fleet reported at the last handshake or write.
     pub graph_edges: Arc<Gauge>,
 }
 
@@ -113,30 +107,20 @@ impl CoordMetrics {
                 "rkrd_coord_candidates_returned_total",
                 "entries returned to clients",
             ),
-            accept_errors: r.counter(
-                "rkrd_coord_accept_errors_total",
-                "front-side accept failures (fd exhaustion?)",
-            ),
             shard_errors,
             shard_seconds,
-            request_seconds: r.histogram_scaled(
-                "rkrd_coord_request_seconds",
-                "request line read to reply handed to the socket; minus the slowest \
-                 rkrd_coord_shard_seconds it is the coordinator's own cost",
-                ns,
-            ),
             fanout_width: r.histogram(
                 "rkrd_coord_fanout_width",
                 "shards contacted per fan-out round",
             ),
-            connections_open: r.gauge("rkrd_coord_connections_open", "open client connections"),
+            front: FrontMetrics::register(&r, "rkrd_coord"),
             shards: r.gauge("rkrd_coord_shards", "configured fleet size"),
             graph_epoch: r.gauge(
                 "rkrd_coord_graph_epoch",
                 "highest graph epoch observed from the fleet",
             ),
-            graph_nodes: r.gauge("rkrd_coord_graph_nodes", "nodes reported at the handshake"),
-            graph_edges: r.gauge("rkrd_coord_graph_edges", "edges reported at the handshake"),
+            graph_nodes: r.gauge("rkrd_coord_graph_nodes", "nodes the fleet reported"),
+            graph_edges: r.gauge("rkrd_coord_graph_edges", "edges the fleet reported"),
             registry: r,
         };
         m.shards.set(shards as u64);
@@ -179,11 +163,12 @@ mod tests {
     #[test]
     fn request_latency_and_accept_errors_are_registered_and_record() {
         let m = CoordMetrics::new(2);
-        m.request_seconds
+        m.front
+            .request_seconds
             .record(duration_ns(Duration::from_micros(80)));
-        m.accept_errors.inc();
-        assert_eq!(m.request_seconds.count(), 1);
-        assert_eq!(m.request_seconds.sum(), 80_000);
+        m.front.accept_errors.inc();
+        assert_eq!(m.front.request_seconds.count(), 1);
+        assert_eq!(m.front.request_seconds.sum(), 80_000);
         let snap = m.registry.snapshot();
         let sample = |name: &str| {
             snap.samples
@@ -193,8 +178,8 @@ mod tests {
         };
         assert!(sample("rkrd_coord_request_seconds")
             .help
-            .contains("coordinator's own cost"));
+            .contains("reply queued"));
         sample("rkrd_coord_accept_errors_total");
-        assert_eq!(m.accept_errors.get(), 1);
+        assert_eq!(m.front.accept_errors.get(), 1);
     }
 }

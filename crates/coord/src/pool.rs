@@ -1,4 +1,4 @@
-//! The per-connection shard pool: one [`Client`] per shard, connected
+//! The per-worker shard pool: one [`Client`] per shard, connected
 //! lazily with retry/backoff, handshake-verified, and driven as a
 //! pipelined fan-out unit.
 //!
@@ -33,7 +33,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rkranks_server::{BatchReply, Client, ConnectPolicy, Reply, Request};
+use rkranks_server::{BatchReply, Client, ConnectPolicy, HelloReply, Reply, Request};
 
 use crate::metrics::CoordMetrics;
 use crate::CoordConfig;
@@ -46,8 +46,8 @@ struct ShardConn {
 }
 
 /// A verified connection pool over the whole fleet, owned by one
-/// coordinator connection handler (handlers don't share sockets, so no
-/// locking on the hot path).
+/// reactor worker (workers don't share sockets, so no locking on the hot
+/// path).
 pub struct ShardPool {
     shards: Vec<ShardConn>,
     policy: ConnectPolicy,
@@ -154,12 +154,30 @@ impl ShardPool {
                     )));
                 }
             }
-            self.metrics.graph_epoch.set(hello.graph_epoch);
-            self.metrics.graph_nodes.set(hello.nodes);
-            self.metrics.graph_edges.set(hello.edges);
+            self.note_graph(&hello);
             self.shards[i].client = Some(client);
         }
         Ok(self.shards[i].client.as_mut().unwrap())
+    }
+
+    /// Record a replica's graph (epoch, nodes, edges) as the fleet's.
+    fn note_graph(&self, hello: &HelloReply) {
+        self.metrics.graph_epoch.set(hello.graph_epoch);
+        self.metrics.graph_nodes.set(hello.nodes);
+        self.metrics.graph_edges.set(hello.edges);
+    }
+
+    /// Read the fleet's graph back after a commit: one `hello` round, the
+    /// live replica at the highest graph epoch speaking for the fleet. A
+    /// round no replica answers leaves the gauges as they were.
+    pub fn refresh_graph(&mut self) {
+        let hellos = self.gather(&Request::Hello, |r| match r {
+            Reply::Hello(h) => Some(h),
+            _ => None,
+        });
+        if let Some((_, newest)) = hellos.iter().flatten().max_by_key(|(_, h)| h.graph_epoch) {
+            self.note_graph(newest);
+        }
     }
 
     /// Count a transport failure on shard `i` and drop its connection so

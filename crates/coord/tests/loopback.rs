@@ -14,7 +14,9 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rkranks_coord::{spawn_coord, CoordConfig, CoordHandle};
-use rkranks_core::{BoundConfig, EngineContext, QueryRequest, RkrIndex};
+use rkranks_core::{
+    BoundConfig, EngineContext, MetricValue, MetricsSnapshot, QueryRequest, RkrIndex,
+};
 use rkranks_datasets::workload::default_update_stream;
 use rkranks_datasets::zipf::Zipf;
 use rkranks_datasets::{collab_graph, CollabParams};
@@ -473,8 +475,8 @@ fn cached_queries_through_the_coordinator_pay_no_timer() {
     coord.join();
     // The coordinator timed each of them itself (read only after the
     // join: a reply reaches the client before its sample is recorded).
-    assert_eq!(m.request_seconds.count(), 201);
-    assert_eq!(m.accept_errors.get(), 0);
+    assert_eq!(m.front.request_seconds.count(), 201);
+    assert_eq!(m.front.accept_errors.get(), 0);
     shutdown_fleet(fleet);
 }
 
@@ -562,7 +564,7 @@ fn shutdown_closes_parked_connections_promptly() {
             s.write_all(b"{\"op\":\"hello\"}\n").unwrap();
             read_reply(&mut BufReader::new(s.try_clone().unwrap()));
         }
-        assert_eq!(coord.metrics().connections_open.get(), 8);
+        assert_eq!(coord.metrics().front.connections_open.get(), 8);
 
         let started = Instant::now();
         if by_protocol {
@@ -586,4 +588,203 @@ fn shutdown_closes_parked_connections_promptly() {
         }
         shutdown_fleet(fleet);
     }
+}
+
+/// The coordinator's graph bookkeeping comes from the fleet after every
+/// write, not from arithmetic: a reweight to the current weight commits
+/// nothing on any replica, so the coordinator's `hello` keeps the shards'
+/// graph epoch, and an `add-node` raises its node count by one.
+#[test]
+fn writes_through_the_coordinator_report_the_fleets_graph() {
+    let g = test_graph();
+    let (hub, _) = g.max_degree().expect("a non-empty graph");
+    let (v, w) = g.edges(hub).next().expect("the hub has an edge");
+    let fleet = spawn_shards(&g, 2, 0, 0);
+    let coord =
+        spawn_coord("127.0.0.1:0", CoordConfig::new(shard_addrs(&fleet))).expect("bind coord");
+    let mut client = Client::connect(coord.addr()).expect("connect");
+    let mut direct = Client::connect(fleet[0].addr()).expect("connect shard");
+
+    client
+        .update(&[UpdateOp::Reweight {
+            u: hub.0,
+            v: v.0,
+            w,
+        }])
+        .expect("a no-op reweight");
+    let shard_hello = direct.hello().expect("shard hello");
+    assert_eq!(
+        shard_hello.graph_epoch, 0,
+        "a batch that nets to nothing commits nothing"
+    );
+    assert_eq!(
+        client.hello().expect("hello").graph_epoch,
+        shard_hello.graph_epoch
+    );
+
+    let before = client.stats().expect("stats");
+    assert_eq!(before.graph_nodes, u64::from(g.num_nodes()));
+    assert_eq!(
+        before.workers, 4,
+        "the reactor's workers, not open connections"
+    );
+    client.update(&[UpdateOp::AddNode]).expect("add-node");
+    let after = client.stats().expect("stats");
+    assert_eq!(after.graph_nodes, before.graph_nodes + 1);
+    assert_eq!(after.graph_epoch, 1);
+    assert_eq!(client.hello().expect("hello").nodes, before.graph_nodes + 1);
+
+    drop(direct);
+    client.shutdown().expect("coordinator shutdown");
+    coord.join();
+    shutdown_fleet(fleet);
+}
+
+/// Parked-connection fairness on the coordinator's reactor: far more idle
+/// connections than workers neither starve nor slow an active client, and
+/// a parked connection is served the moment it speaks.
+#[test]
+fn parked_connections_neither_starve_nor_slow_coordinator_clients() {
+    const PARKED: usize = 300;
+    const ROUND_TRIPS: usize = 100;
+
+    let g = test_graph();
+    let expected = expected_ranks(&g);
+    let (fleet, coord) = spawn_cached_pair(&g);
+    let parked: Vec<TcpStream> = (0..PARKED)
+        .map(|i| {
+            TcpStream::connect(coord.addr()).unwrap_or_else(|e| panic!("parked conn {i}: {e}"))
+        })
+        .collect();
+
+    let mut client = Client::connect(coord.addr()).expect("connect active");
+    let started = Instant::now();
+    for (i, node) in zipf_workload(g.num_nodes(), ROUND_TRIPS, 0x1D1E)
+        .into_iter()
+        .enumerate()
+    {
+        let reply = client.query(node, K).expect("query");
+        let got: Vec<u32> = reply.entries.iter().map(|&(_, r)| r).collect();
+        assert_eq!(&got, &expected[&node], "i={i} node={node}: ranks diverged");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(15),
+        "{ROUND_TRIPS} round-trips took {elapsed:?} with {PARKED} parked conns"
+    );
+
+    let late = &parked[PARKED / 2];
+    late.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    (&*late)
+        .write_all(b"{\"op\":\"stats\"}\n")
+        .expect("late write");
+    match read_reply(&mut BufReader::new(late.try_clone().unwrap())) {
+        Reply::Stats(s) => assert_eq!(s.queries, ROUND_TRIPS as u64),
+        other => panic!("parked conn got {other:?}"),
+    }
+
+    client.shutdown().expect("coordinator shutdown");
+    coord.join();
+    shutdown_fleet(fleet);
+}
+
+/// A counter out of a metrics snapshot.
+fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
+    snap.samples
+        .iter()
+        .find_map(|s| match s.value {
+            MetricValue::Counter(v) if s.name == name => Some(v),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no counter {name}"))
+}
+
+/// Write backpressure on the coordinator's reactor: a client pipelining
+/// megabytes of replies without reading pauses the coordinator's reads
+/// (the pause is counted), and once it reads, every reply arrives, in
+/// order — each `metrics` reply counts exactly the queries before it.
+#[test]
+fn pipelined_coordinator_replies_survive_backpressure() {
+    const PIPELINED: u64 = 4000;
+
+    let g = test_graph();
+    let (fleet, coord) = spawn_cached_pair(&g);
+    let stream = TcpStream::connect(coord.addr()).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let pair = format!("{{\"op\":\"query\",\"node\":7,\"k\":{K}}}\n{{\"op\":\"metrics\"}}\n");
+    let burst = pair.repeat(PIPELINED as usize);
+    let sender = std::thread::spawn(move || writer.write_all(burst.as_bytes()));
+
+    // Read nothing until the coordinator has paused this connection.
+    let m = coord.metrics();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while m.front.backpressure_pauses.get() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the backlog never reached the high-water mark"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut reader = BufReader::new(stream);
+    for i in 1..=PIPELINED {
+        match read_reply(&mut reader) {
+            Reply::Query(q) => assert!(!q.partial, "query {i}"),
+            other => panic!("reply {i} is not a query reply: {other:?}"),
+        }
+        match read_reply(&mut reader) {
+            Reply::Metrics(snap) => {
+                assert_eq!(
+                    counter(&snap, "rkrd_coord_queries_total"),
+                    i,
+                    "metrics reply {i}"
+                )
+            }
+            other => panic!("reply {i} is not a metrics reply: {other:?}"),
+        }
+    }
+    sender.join().unwrap().expect("the whole burst was written");
+
+    drop(reader);
+    coord.stop();
+    coord.join();
+    shutdown_fleet(fleet);
+}
+
+/// Oversize lines on the coordinator's reactor: one error line, then the
+/// close, the rejection counted in the coordinator's own `stats`, and
+/// everyone else still served.
+#[test]
+fn oversize_coordinator_lines_are_counted_and_close_the_connection() {
+    let g = test_graph();
+    let fleet = spawn_shards(&g, 2, 0, 0);
+    let small = CoordConfig {
+        max_line_bytes: 64,
+        ..CoordConfig::new(shard_addrs(&fleet))
+    };
+    let coord = spawn_coord("127.0.0.1:0", small).expect("bind coord");
+    let mut stream = TcpStream::connect(coord.addr()).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut big = vec![b'x'; 200];
+    big.push(b'\n');
+    stream.write_all(&big).unwrap();
+    let mut rest = String::new();
+    stream
+        .read_to_string(&mut rest)
+        .expect("error line, then EOF");
+    assert!(rest.contains("exceeds 64 bytes"), "got: {rest}");
+
+    let mut ctl = Client::connect(coord.addr()).expect("connect ctl");
+    assert_eq!(
+        ctl.query(3, K).expect("still serving").entries.len(),
+        K as usize
+    );
+    assert_eq!(ctl.stats().expect("stats").oversize_lines, 1);
+    ctl.shutdown().expect("coordinator shutdown");
+    coord.join();
+    shutdown_fleet(fleet);
 }

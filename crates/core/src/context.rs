@@ -187,12 +187,13 @@ pub struct EngineContext {
     /// the cell stays empty and the copy is never paid).
     transpose: OnceLock<Graph>,
     partition: Option<Partition>,
-    /// Candidate-ownership restriction for sharded serving: when set,
-    /// only nodes this slice owns may be refined or returned — every
-    /// other node is treated as a conduit (expandable, still counted in
-    /// ranks, never a result). Shard-local answers are therefore exact
-    /// over the owned candidate set, which is what makes the
-    /// coordinator's scatter-gather merge rank-exact.
+    /// Candidate-ownership restriction: when set, only nodes this slice
+    /// owns may be refined or returned — every other node is treated as a
+    /// conduit (expandable, still counted in ranks, never a result).
+    /// Slice-local answers are therefore exact over the owned candidate
+    /// set, so the slices' answers merge rank-exactly. The daemons never
+    /// set it (every shard is a full replica); it exists to measure what
+    /// partitioned candidates would cost.
     shard: Option<ShardSlice>,
 }
 

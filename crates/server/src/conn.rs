@@ -1,14 +1,11 @@
 //! Per-connection transport: buffered reads with in-place line
 //! extraction, and a buffered outbound side with write backpressure.
 //!
-//! A [`Conn`] never allocates per request line, and whether it blocks is
-//! the stream's mode, not the type's: `rkrd`'s event loops hand it a
-//! non-blocking stream and drive it with [`Conn::fill`], which never
-//! blocks there; the coordinator's per-connection handlers hand it a
-//! blocking stream and park in [`Conn::fill_once`] until a request
-//! arrives. Either way no call reads again once a `read` has come back
-//! short — the kernel buffer was drained, so a second `read` could only
-//! report `WouldBlock` (non-blocking) or sleep (blocking).
+//! A [`Conn`] never allocates per request line. It runs a non-blocking
+//! stream, driven by the reactor's event loop ([`crate::reactor`]), and
+//! never reads again once a `read` has come back short — the kernel
+//! buffer was drained, so a second `read` could only report
+//! `WouldBlock`.
 //!
 //! * **Inbound** bytes land in one growable buffer; complete lines are
 //!   handed to the protocol layer as borrowed slices ([`Conn::peek_line`])
@@ -33,9 +30,8 @@ const CHUNK: usize = 4096;
 /// One client connection: the stream plus its inbound and outbound
 /// buffers and flow-control state.
 pub struct Conn {
-    /// The underlying stream. The server's epoll workers run it
-    /// non-blocking and multiplexed; the coordinator's per-connection
-    /// handlers run it blocking, with no read timeout, one thread each.
+    /// The underlying stream, non-blocking and multiplexed by one of the
+    /// reactor's epoll workers.
     pub stream: TcpStream,
     /// Inbound bytes; `start..` is the unconsumed suffix.
     buf: Vec<u8>,
@@ -53,8 +49,8 @@ pub struct Conn {
     /// Terminal: flush what's queued (the error or farewell line), then
     /// close. Nothing further is read or parsed.
     pub closing: bool,
-    /// The epoll interest mask the server registered this connection
-    /// with (unused on the coordinator's blocking connections).
+    /// The epoll interest mask the reactor registered this connection
+    /// with.
     pub interest: u32,
     /// Largest outbound backlog (unsent bytes) this connection ever
     /// queued — recorded into telemetry when the connection closes.
@@ -110,47 +106,39 @@ impl Conn {
         self.out.len() - self.out_pos
     }
 
-    /// One `read` of up to `CHUNK` bytes into the inbound buffer: the
-    /// whole read side of a blocking connection (the caller serves what
-    /// is buffered, then calls again and parks), and the step
-    /// [`Conn::fill`] loops over. `Interrupted` is retried; other I/O
-    /// errors except `WouldBlock` surface as `Err`.
-    pub fn fill_once(&mut self) -> io::Result<Fill> {
-        let mut chunk = [0u8; CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Ok(Fill::Eof),
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    return Ok(Fill::Progress);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(Fill::Idle),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Read everything currently available, stopping early once the
     /// unconsumed inbound buffer exceeds `max_line` — the readiness loop
     /// is level-triggered, so the rest is picked up after the buffered
-    /// lines are served. A short
-    /// read ends the pass too: it drained the kernel buffer, and whatever
-    /// arrives later raises readiness again.
+    /// lines are served. A short read ends the pass too: it drained the
+    /// kernel buffer, and whatever arrives later raises readiness again.
+    /// `Interrupted` is retried; other I/O errors surface as `Err`.
     pub fn fill(&mut self, max_line: usize) -> io::Result<Fill> {
+        let mut chunk = [0u8; CHUNK];
         let mut progressed = false;
         loop {
             if self.buffered() > max_line {
                 // Enough buffered to either serve lines or reject one.
                 return Ok(Fill::Progress);
             }
-            let before = self.buf.len();
-            match self.fill_once()? {
-                // A full chunk may have left more behind: read on.
-                Fill::Progress if self.buf.len() - before == CHUNK => progressed = true,
-                Fill::Idle if progressed => return Ok(Fill::Progress),
-                // A short read, nothing at all, or EOF.
-                end => return Ok(end),
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return Ok(Fill::Eof),
+                Ok(n) => {
+                    self.buf.extend_from_slice(&chunk[..n]);
+                    if n < CHUNK {
+                        return Ok(Fill::Progress);
+                    }
+                    // A full chunk may have left more behind: read on.
+                    progressed = true;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return Ok(if progressed {
+                        Fill::Progress
+                    } else {
+                        Fill::Idle
+                    })
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
     }

@@ -1,6 +1,6 @@
-//! The raw `epoll(7)` bindings every `rkrd` worker's event loop runs on.
+//! The raw `epoll(7)` bindings every reactor worker's event loop runs on.
 //!
-//! The daemon multiplexes all of a worker's connections on one thread and
+//! The reactor multiplexes all of a worker's connections on one thread and
 //! learns which are ready from `epoll_create1`/`epoll_ctl`/`epoll_wait`:
 //! one wake-up costs O(ready connections), no matter how many thousands
 //! of idle keep-alive connections are parked, and an idle worker sleeps
@@ -11,7 +11,7 @@
 //! `extern "C"` against symbols libstd already links, not a crate.
 
 /// Raw `epoll(7)`: the four syscalls and a tiny RAII wrapper;
-/// everything here is `pub(crate)` plumbing for the server's event loop.
+/// everything here is `pub(crate)` plumbing for the reactor's event loop.
 pub(crate) mod epoll {
     use std::io;
     use std::os::raw::c_int;
@@ -25,7 +25,7 @@ pub(crate) mod epoll {
     #[derive(Clone, Copy)]
     pub struct Event {
         pub events: u32,
-        /// User token: the server stores a connection-slab slot here.
+        /// User token: the reactor stores a connection-slab slot here.
         pub data: u64,
     }
 

@@ -5,9 +5,10 @@
 //! a fixed pool of event-loop workers on raw `epoll(7)` syscalls)
 //! speaking a newline-delimited JSON protocol, plus the blocking
 //! [`Client`] the `rkr serve` / `rkr query --remote` CLI paths use.
-//! Connections get per-connection write backpressure and bounded request
-//! lines, and ready requests batch adaptively into shared-context engine
-//! passes ([`server`]).
+//! The event loop is the [`reactor`], generic over the [`reactor::Service`]
+//! that answers requests: `rkrd` ([`server`]) and the `rkr coord`
+//! coordinator both run it, with per-connection write backpressure and
+//! bounded request lines.
 //!
 //! On top of the transport sits the serving-side performance layer:
 //!
@@ -77,12 +78,13 @@ compile_error!(
 
 pub mod cache;
 pub mod client;
-pub mod conn;
+pub(crate) mod conn;
 pub(crate) mod event;
 pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod protocol;
+pub mod reactor;
 pub mod server;
 
 pub use cache::{CacheKey, ResultCache};

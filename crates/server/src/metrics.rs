@@ -15,8 +15,11 @@
 //! cut short by a deadline/budget); summing the family's counts gives
 //! exactly the number of *successfully answered* queries.
 //!
-//! The slow-query log is a fixed-size ring (capacity configurable via
-//! `rkr serve --slow-query-cap`, default [`SLOW_LOG_CAPACITY`]): when
+//! The front-side instruments (connections, wake-ups, flow control,
+//! request time) are the reactor's [`FrontMetrics`], registered here
+//! under the `rkrd_` prefix.
+//!
+//! The slow-query log is a ring of [`SLOW_LOG_CAPACITY`] records: when
 //! `--slow-query-ms` is set, any query serviced at or above the
 //! threshold leaves a [`SlowQueryRecord`]; `{"op":"slow-queries"}`
 //! returns the ring oldest-first.
@@ -28,9 +31,9 @@ use std::time::Duration;
 use rkranks_core::{Counter, Gauge, Histogram, Registry, Strategy};
 
 use crate::protocol::SlowQueryRecord;
+use crate::reactor::FrontMetrics;
 
-/// Default slow-query ring capacity (oldest records overwritten);
-/// override per daemon with `rkr serve --slow-query-cap`.
+/// Slow-query ring capacity (oldest records overwritten).
 pub const SLOW_LOG_CAPACITY: usize = 128;
 
 /// How a query was answered, for latency-histogram labelling.
@@ -57,35 +60,18 @@ impl QueryOutcome {
     const ALL: [QueryOutcome; 3] = [QueryOutcome::Hit, QueryOutcome::Miss, QueryOutcome::Partial];
 }
 
-/// A bounded ring of recently captured slow queries.
-#[derive(Debug)]
+/// A ring of the [`SLOW_LOG_CAPACITY`] most recently captured slow
+/// queries.
+#[derive(Debug, Default)]
 pub struct SlowQueryLog {
     inner: Mutex<VecDeque<SlowQueryRecord>>,
-    capacity: usize,
 }
 
 impl SlowQueryLog {
-    /// A ring retaining at most `capacity` records (a capacity of 0
-    /// disables capture entirely).
-    fn new(capacity: usize) -> SlowQueryLog {
-        SlowQueryLog {
-            inner: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-            capacity,
-        }
-    }
-
-    /// The configured ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Append a record, dropping the oldest once the ring is full.
     pub fn push(&self, record: SlowQueryRecord) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut ring = self.inner.lock().unwrap();
-        if ring.len() == self.capacity {
+        if ring.len() == SLOW_LOG_CAPACITY {
             ring.pop_front();
         }
         ring.push_back(record);
@@ -120,18 +106,6 @@ pub struct Metrics {
     pub graph_commits: Arc<Counter>,
     /// Effective staged deltas committed into the live graph.
     pub updates_applied: Arc<Counter>,
-    /// Accept-queue drains that ended in a real error.
-    pub accept_errors: Arc<Counter>,
-    /// Event-loop wake-ups that surfaced ready work.
-    pub wakeups: Arc<Counter>,
-    /// Wake-up passes that served at least one query.
-    pub batches: Arc<Counter>,
-    /// Queries served inside those passes.
-    pub batch_queries: Arc<Counter>,
-    /// Times a connection crossed the write high-water mark.
-    pub backpressure_pauses: Arc<Counter>,
-    /// Request lines rejected for exceeding the line cap.
-    pub oversize_lines: Arc<Counter>,
     /// Slow-query records captured (includes records the ring has since
     /// overwritten).
     pub slow_queries: Arc<Counter>,
@@ -156,8 +130,6 @@ pub struct Metrics {
     // -- gauges --
     /// Staged-but-uncommitted graph deltas.
     pub updates_staged: Arc<Gauge>,
-    /// Client connections currently open.
-    pub connections_open: Arc<Gauge>,
     /// Worker threads serving connections.
     pub workers: Arc<Gauge>,
     /// Current index epoch.
@@ -181,20 +153,17 @@ pub struct Metrics {
     pub merge_pass_seconds: Arc<Histogram>,
     /// Snapshot-bundle checkpoint duration.
     pub checkpoint_seconds: Arc<Histogram>,
-    /// Event-loop wake-to-drain time (wake-up until its pass flushed).
-    pub wake_drain_seconds: Arc<Histogram>,
-    /// Per-connection write-backlog high-water mark in bytes, recorded
-    /// when the connection closes.
-    pub conn_backlog_bytes: Arc<Histogram>,
+
+    /// The reactor's instruments (`rkrd_connections_open`, …).
+    pub front: FrontMetrics,
 
     /// The slow-query ring buffer.
     pub slow_log: SlowQueryLog,
 }
 
 impl Metrics {
-    /// Build the registry and pre-register every instrument, with a
-    /// slow-query ring holding at most `slow_query_cap` records.
-    pub fn new(slow_query_cap: usize) -> Metrics {
+    /// Build the registry and pre-register every instrument.
+    pub fn new() -> Metrics {
         let r = Registry::new();
         let ns = 1e-9; // raw nanoseconds, rendered as seconds
         let query_latency = Strategy::ALL
@@ -220,15 +189,6 @@ impl Metrics {
             deadline_exceeded: r.counter("rkrd_deadline_exceeded_total", "queries cut by deadline"),
             graph_commits: r.counter("rkrd_graph_commits_total", "commits that changed the graph"),
             updates_applied: r.counter("rkrd_updates_applied_total", "deltas committed live"),
-            accept_errors: r.counter("rkrd_accept_errors_total", "failed accept-queue drains"),
-            wakeups: r.counter("rkrd_wakeups_total", "event-loop wake-ups with ready work"),
-            batches: r.counter("rkrd_batches_total", "wake-up passes that served queries"),
-            batch_queries: r.counter("rkrd_batch_queries_total", "queries served inside passes"),
-            backpressure_pauses: r.counter(
-                "rkrd_backpressure_pauses_total",
-                "connections paused at the write high-water mark",
-            ),
-            oversize_lines: r.counter("rkrd_oversize_lines_total", "request lines over the cap"),
             slow_queries: r.counter("rkrd_slow_queries_total", "slow-query records captured"),
             cache_hits: r.counter("rkrd_cache_hits_total", "result-cache hits"),
             cache_misses: r.counter("rkrd_cache_misses_total", "result-cache misses"),
@@ -239,7 +199,6 @@ impl Metrics {
             cache_bytes: r.gauge("rkrd_cache_bytes", "approximate cached-result bytes"),
             cache_capacity: r.gauge("rkrd_cache_capacity", "configured cache capacity"),
             updates_staged: r.gauge("rkrd_updates_staged", "staged uncommitted graph deltas"),
-            connections_open: r.gauge("rkrd_connections_open", "open client connections"),
             workers: r.gauge("rkrd_workers", "worker threads"),
             index_epoch: r.gauge("rkrd_index_epoch", "current index epoch"),
             graph_epoch: r.gauge("rkrd_graph_epoch", "current graph epoch"),
@@ -266,16 +225,8 @@ impl Metrics {
                 "snapshot checkpoint duration",
                 ns,
             ),
-            wake_drain_seconds: r.histogram_scaled(
-                "rkrd_wake_drain_seconds",
-                "event-loop wake-to-drain time",
-                ns,
-            ),
-            conn_backlog_bytes: r.histogram(
-                "rkrd_conn_backlog_bytes",
-                "per-connection write-backlog high-water at close",
-            ),
-            slow_log: SlowQueryLog::new(slow_query_cap),
+            front: FrontMetrics::register(&r, "rkrd"),
+            slow_log: SlowQueryLog::default(),
             registry: r,
         }
     }
@@ -309,7 +260,7 @@ impl Metrics {
 
 impl Default for Metrics {
     fn default() -> Metrics {
-        Metrics::new(SLOW_LOG_CAPACITY)
+        Metrics::new()
     }
 }
 
@@ -333,7 +284,7 @@ mod tests {
             .iter()
             .filter(|s| matches!(s.value, MetricValue::Histogram(_)))
             .count();
-        assert_eq!(hists, Strategy::ALL.len() * 3 + 6);
+        assert_eq!(hists, Strategy::ALL.len() * 3 + 7);
         let mut keys: Vec<_> = snap
             .samples
             .iter()
@@ -372,7 +323,7 @@ mod tests {
 
     #[test]
     fn slow_log_is_a_bounded_ring() {
-        let log = SlowQueryLog::new(SLOW_LOG_CAPACITY);
+        let log = SlowQueryLog::default();
         for i in 0..(SLOW_LOG_CAPACITY as u32 + 10) {
             log.push(SlowQueryRecord {
                 node: i,

@@ -56,8 +56,9 @@
 //! {"ok":true,"slow_queries":[{"node":17,"k":10,"total_ns":51031,...},...]}
 //! ```
 //!
-//! `stats` is the fixed, byte-compatible counter block; `metrics` is its
-//! superset — every instrument in the daemon's telemetry registry, in
+//! `stats` is the fixed counter block ([`StatsReply`]; protocol v4 dropped
+//! the per-wake-up `batches` / `batch_queries` pair, and a `stats` reply
+//! decodes only with every field present); `metrics` is its superset — every instrument in the daemon's telemetry registry, in
 //! registration order. A counter/gauge sample is
 //! `{"name","help","type","value"}` (plus `"labels":{...}` when
 //! labelled); a histogram sample replaces `value` with
@@ -90,7 +91,7 @@ use crate::json::Json;
 /// incompatible wire change. Daemons predating the field decode as
 /// version 0, so mixed deployments fail with a one-line mismatch error
 /// instead of misparsing each other.
-pub const PROTOCOL_VERSION: u64 = 3;
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// One live graph update on the wire — the protocol face of
 /// `rkranks_graph::GraphDelta`. Encoded as a compact array:
@@ -457,10 +458,10 @@ pub struct BatchReply {
     pub results: Vec<Vec<(u32, u32)>>,
     /// How many of the batch's answers were cache hits.
     pub cached: u64,
-    /// The index epoch the *last* answer saw (a commit may land
-    /// mid-batch).
+    /// The index epoch every answer saw (`rkrd` answers a batch from one
+    /// live state).
     pub epoch: u64,
-    /// The graph epoch the *last* answer saw.
+    /// The graph epoch every answer saw.
     pub graph_epoch: u64,
 }
 
@@ -524,13 +525,6 @@ pub struct StatsReply {
     /// Event-loop wake-ups that surfaced ready work (`epoll_wait`
     /// returns with at least one event).
     pub wakeups: u64,
-    /// Wake-up passes that served at least one query.
-    pub batches: u64,
-    /// Queries served inside those passes — equals `queries` over time,
-    /// so `batch_queries / batches` is the realized adaptive-batching
-    /// factor (1.0 under request/response traffic, higher under
-    /// pipelining and fan-in).
-    pub batch_queries: u64,
     /// Times a connection crossed the write high-water mark and had its
     /// reads paused until the backlog drained.
     pub backpressure_pauses: u64,
@@ -540,7 +534,7 @@ pub struct StatsReply {
 }
 
 impl StatsReply {
-    const FIELDS: [&'static str; 25] = [
+    const FIELDS: [&'static str; 23] = [
         "v",
         "queries",
         "cache_hits",
@@ -562,13 +556,11 @@ impl StatsReply {
         "graph_edges",
         "accept_errors",
         "wakeups",
-        "batches",
-        "batch_queries",
         "backpressure_pauses",
         "oversize_lines",
     ];
 
-    fn values(&self) -> [u64; 25] {
+    fn values(&self) -> [u64; 23] {
         [
             self.v,
             self.queries,
@@ -591,8 +583,6 @@ impl StatsReply {
             self.graph_edges,
             self.accept_errors,
             self.wakeups,
-            self.batches,
-            self.batch_queries,
             self.backpressure_pauses,
             self.oversize_lines,
         ]
@@ -615,7 +605,7 @@ impl StatsReply {
             v: v.get("v").and_then(Json::as_u64).unwrap_or(0),
             ..Default::default()
         };
-        let slots: [&mut u64; 24] = [
+        let slots: [&mut u64; 22] = [
             &mut out.queries,
             &mut out.cache_hits,
             &mut out.cache_misses,
@@ -636,8 +626,6 @@ impl StatsReply {
             &mut out.graph_edges,
             &mut out.accept_errors,
             &mut out.wakeups,
-            &mut out.batches,
-            &mut out.batch_queries,
             &mut out.backpressure_pauses,
             &mut out.oversize_lines,
         ];
@@ -916,6 +904,14 @@ pub enum Reply {
 }
 
 impl Reply {
+    /// The reply as it travels: [`Reply::to_json`] rendered, plus the
+    /// terminating newline.
+    pub fn to_line(&self) -> String {
+        let mut line = self.to_json().render();
+        line.push('\n');
+        line
+    }
+
     /// Encode for the wire (without the trailing newline).
     pub fn to_json(&self) -> Json {
         let ok = |mut fields: Vec<(String, Json)>| {
@@ -1318,8 +1314,6 @@ mod tests {
             graph_edges: 1043,
             accept_errors: 1,
             wakeups: 40,
-            batches: 9,
-            batch_queries: 12,
             backpressure_pauses: 2,
             oversize_lines: 1,
         }));

@@ -1,36 +1,16 @@
-//! The `rkrd` daemon: a fixed pool of event-driven worker threads
-//! serving the newline-delimited JSON protocol over TCP against a *live*
-//! graph.
+//! The `rkrd` daemon: the engine behind the [`crate::reactor`], serving
+//! the newline-delimited JSON protocol over TCP against a *live* graph.
 //!
 //! ## Serving architecture
 //!
-//! * **Workers are event loops, not per-connection threads.** Each
-//!   worker owns one `epoll(7)` instance (raw syscalls, O(ready) per
-//!   wake-up, kernel sleep when idle) and multiplexes *all* of its
-//!   accepted connections on one thread. Ten thousand parked keep-alive
-//!   connections cost a wake-up nothing: only ready sockets are touched,
-//!   so control ops and queries stay fast no matter how many clients
-//!   idle. Requests on one connection are served in
-//!   order. Each worker has its own [`QueryScratch`], so steady-state
-//!   queries allocate almost nothing.
-//! * **Write backpressure.** Replies queue in a per-connection outbound
-//!   buffer (the `conn` module) drained as the socket accepts them
-//!   (`EPOLLOUT` re-arming). A connection whose backlog reaches the
-//!   configured high-water mark stops being *read* —
-//!   and stops having its buffered requests parsed — until the backlog
-//!   fully drains, so a slow client throttles itself instead of growing
-//!   the daemon's memory. Inbound lines are bounded too: a line over
-//!   [`ServerConfig::max_line_bytes`] gets a one-line `bad request`
-//!   error and the connection is closed.
-//! * **Adaptive query batching.** One wake-up often surfaces many ready
-//!   requests (pipelined on one connection or spread across several).
-//!   The worker runs them as one *pass* (`QueryPass`): the live
-//!   `(context, index)` pair is acquired once per pass and reused for
-//!   every query in it, and the batching counters are recorded once at
-//!   pass end — one read-lock acquisition amortized over however many
-//!   requests were ready, never waiting on a timer. Control ops end the
-//!   pass first, so pipelined `update`/`flush` sequences keep sequential
-//!   semantics.
+//! * **The reactor runs the connections.** Event-loop workers,
+//!   write backpressure ([`ServerConfig::write_high_water`]) and bounded
+//!   lines ([`ServerConfig::max_line_bytes`]) live in
+//!   [`crate::reactor`]; `rkrd` is its [`Service`]. Each worker owns one
+//!   [`QueryScratch`], so steady-state queries allocate almost nothing.
+//!   Each query takes the live `(context, index)` pair under one read
+//!   lock; a `batch` takes it once for all its nodes, so one batch
+//!   answers from one graph epoch.
 //! * **The graph is versioned, not frozen.** A
 //!   [`rkranks_graph::GraphStore`] holds the committed graph; `update`
 //!   ops stage validated [`GraphDelta`] batches, and the merger commits
@@ -64,8 +44,7 @@
 //! exactly which graph answered.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -79,19 +58,13 @@ use rkranks_core::{
 use rkranks_graph::{Graph, GraphDelta, GraphStore, NodeId, ShardSlice};
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::conn::{Conn, Fill, LineStatus};
-use crate::event::epoll::{self, Epoll};
 use crate::log::{log_error, log_info};
-use crate::metrics::{duration_ns, Metrics, QueryOutcome, SLOW_LOG_CAPACITY};
+use crate::metrics::{duration_ns, Metrics, QueryOutcome};
 use crate::protocol::{
     BatchReply, HelloReply, QueryReply, Reply, Request, ShardIdentity, SlowQueryRecord, StatsReply,
     UpdateOp, PROTOCOL_VERSION,
 };
-
-/// The `epoll_wait` timeout: how long an idle worker sleeps before it
-/// re-checks the shutdown flag, so it bounds how quickly shutdown is
-/// observed.
-const POLL: Duration = Duration::from_millis(25);
+use crate::reactor::{Reactor, Service};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -135,10 +108,6 @@ pub struct ServerConfig {
     /// disables capture entirely; `Some(0)` records every query — useful
     /// for tests and short traces.
     pub slow_query_ms: Option<u64>,
-    /// Slow-query ring capacity (`rkr serve --slow-query-cap`): how many
-    /// captured records the in-memory ring retains before overwriting
-    /// the oldest.
-    pub slow_query_cap: usize,
     /// This daemon's place in a fleet (`rkr serve --shard-id I
     /// --shard-count N`), announced in `hello` so a coordinator can
     /// verify the wiring; it does not change any answer.
@@ -156,7 +125,6 @@ impl Default for ServerConfig {
             write_high_water: 256 * 1024,
             max_line_bytes: 1024 * 1024,
             slow_query_ms: None,
-            slow_query_cap: SLOW_LOG_CAPACITY,
             shard: None,
         }
     }
@@ -175,6 +143,7 @@ pub struct ServeOutcome {
 /// wholesale — under one lock — so a worker can never pair a new graph
 /// with a stale index or vice versa. The index is read-only: only a graph
 /// commit replaces it (with an empty one at the new graph epoch).
+#[derive(Clone)]
 struct LiveState {
     ctx: Arc<EngineContext>,
     index: Arc<RkrIndex>,
@@ -184,9 +153,6 @@ struct LiveState {
 /// Everything the worker, merger, and control paths share.
 struct Shared {
     config: ServerConfig,
-    /// Burst guard for accept-error logging: set on the first error of a
-    /// burst (log it), cleared by the next successful accept.
-    accept_err_logged: AtomicBool,
     partition: Option<Partition>,
     live: RwLock<LiveState>,
     /// The canonical graph and its staged deltas. Its lock is held from
@@ -272,9 +238,8 @@ pub fn serve_store(
         staged_signal: Condvar::new(),
         cache: (config.cache_capacity > 0)
             .then(|| Mutex::new(ResultCache::new(config.cache_capacity))),
-        metrics: Metrics::new(config.slow_query_cap),
+        metrics: Metrics::new(),
         shutdown: AtomicBool::new(false),
-        accept_err_logged: AtomicBool::new(false),
         partition,
         config,
     };
@@ -294,29 +259,17 @@ pub fn serve_store(
             "flush-only"
         }
     );
-    listener
-        .set_nonblocking(true)
-        .expect("cannot poll the listener");
-    // Every worker's epoll instance exists, with the listener registered
-    // `EPOLLEXCLUSIVE`, before any thread starts: a failure stops startup
-    // naming the syscall, never leaves a worker silently missing.
-    let epolls: Vec<Epoll> = (0..shared.config.workers)
-        .map(|_| {
-            let ep = Epoll::new()
-                .unwrap_or_else(|e| panic!("rkrd cannot start: epoll_create1 failed ({e})"));
-            ep.add_listener(listener.as_raw_fd(), LISTENER)
-                .unwrap_or_else(|e| panic!("rkrd cannot start: epoll_ctl(listener) failed ({e})"));
-            ep
-        })
-        .collect();
+    // A failure stops startup naming the syscall before any thread starts,
+    // never leaves a worker silently missing.
+    let reactor =
+        Reactor::new(listener, &shared.config).unwrap_or_else(|e| panic!("rkrd cannot start: {e}"));
     std::thread::scope(|s| {
         if shared.config.merge_every > 0 {
             s.spawn(|| merger_loop(&shared));
         }
-        for ep in epolls {
-            let (shared, listener) = (&shared, &listener);
-            s.spawn(move || worker_loop(shared, listener, ep));
-        }
+        reactor.run(&shared, &shared.metrics.front, &shared.shutdown);
+        // Wake the merger so it sees the flag and exits promptly.
+        shared.staged_signal.notify_all();
     });
     // Every worker has joined, so every accepted update is staged; this
     // final commit (here, not in the merger, which can observe the
@@ -406,448 +359,110 @@ fn strategy_bits(s: Strategy) -> u8 {
     }
 }
 
-/// One wake-up's worth of query work. The live `(context, index)` pair
-/// is acquired lazily on the first query and reused for every ready query
-/// in the pass — one read-lock acquisition amortized over however many
-/// requests the wake-up surfaced — and the batching counters are recorded
-/// once at pass end instead of once per query. Batch size adapts to
-/// readiness: a lone request is a pass of one, a pipelined burst is one
-/// pass, and nothing ever waits on a timer.
-struct QueryPass {
-    live: Option<(Arc<EngineContext>, Arc<RkrIndex>, u64)>,
-    queries: u64,
-}
-
-impl QueryPass {
-    fn new() -> QueryPass {
-        QueryPass {
-            live: None,
-            queries: 0,
-        }
-    }
-
-    /// The pass's consistent live pair (first call locks; the rest reuse).
-    fn live(&mut self, shared: &Shared) -> (Arc<EngineContext>, Arc<RkrIndex>, u64) {
-        if self.live.is_none() {
-            let live = shared.live.read().expect("live lock poisoned");
-            self.live = Some((
-                Arc::clone(&live.ctx),
-                Arc::clone(&live.index),
-                live.graph_epoch,
-            ));
-        }
-        let (ctx, index, graph_epoch) = self.live.as_ref().expect("just set");
-        (Arc::clone(ctx), Arc::clone(index), *graph_epoch)
-    }
-
-    /// Drop the cached live pair so the next query re-reads it — called
-    /// after any control op that may have changed the published state.
-    fn invalidate(&mut self) {
-        self.live = None;
-    }
-
-    /// Record the pass's query count in the batching counters.
-    fn flush(&mut self, shared: &Shared) {
-        if self.queries == 0 {
-            return;
-        }
-        shared.metrics.batches.inc();
-        shared.metrics.batch_queries.add(self.queries);
-        self.queries = 0;
+impl Shared {
+    /// The consistent live `(context, index)` pair, under one read lock.
+    fn live(&self) -> LiveState {
+        self.live.read().expect("live lock poisoned").clone()
     }
 }
 
-/// Drain the accept queue, registering each accepted stream via
-/// `on_conn`. `WouldBlock` ends the drain silently; real errors —
-/// `EMFILE`/`ENFILE` fd exhaustion above all — are counted in
-/// `accept_errors` and logged once per burst (the log re-arms on the
-/// next successful accept), so operators see fd-limit pressure without
-/// a log flood.
-fn accept_ready(shared: &Shared, listener: &TcpListener, mut on_conn: impl FnMut(TcpStream)) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.accept_err_logged.store(false, Ordering::Relaxed);
-                if stream.set_nonblocking(true).is_ok() {
-                    let _ = stream.set_nodelay(true);
-                    shared.metrics.connections_open.add(1);
-                    on_conn(stream);
+impl Service for Shared {
+    type Worker = QueryScratch;
+
+    fn worker(&self) -> QueryScratch {
+        self.live().ctx.new_scratch()
+    }
+
+    fn execute(&self, scratch: &mut QueryScratch, req: Request) -> Reply {
+        match req {
+            Request::Query {
+                node,
+                k,
+                cache,
+                strategy,
+                deadline_ms,
+            } => {
+                let live = self.live();
+                let strategy = strategy.as_deref();
+                match run_query(self, scratch, &live, node, k, cache, strategy, deadline_ms) {
+                    Ok(q) => Reply::Query(q),
+                    Err(msg) => Reply::Error(msg),
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                shared.metrics.accept_errors.inc();
-                if !shared.accept_err_logged.swap(true, Ordering::Relaxed) {
-                    log_error!(
-                        "accept failed: {e} (fd limit? counting, not logging, \
-                         further errors in this burst)"
-                    );
-                }
-                break;
-            }
-        }
-    }
-}
-
-/// The interest mask a connection's current state wants: reads unless
-/// paused (backpressure) or closing, writes while output is queued.
-fn wanted_interest(conn: &Conn) -> u32 {
-    let mut mask = epoll::EPOLLRDHUP;
-    if !conn.paused && !conn.closing {
-        mask |= epoll::EPOLLIN;
-    }
-    if conn.pending_out() > 0 {
-        mask |= epoll::EPOLLOUT;
-    }
-    mask
-}
-
-/// Slab tokens are indices; the listener gets the one value no slab slot
-/// can ever be.
-const LISTENER: u64 = u64::MAX;
-
-/// A worker's event loop on its epoll instance (listener already
-/// registered): every connection level-triggered under a slab token. A
-/// wake-up touches only ready connections — O(ready), independent of how
-/// many thousands are parked — and an idle worker sleeps in `epoll_wait`
-/// (the short timeout is only so the shutdown flag is observed).
-fn worker_loop(shared: &Shared, listener: &TcpListener, ep: Epoll) {
-    let mut scratch = shared
-        .live
-        .read()
-        .expect("live lock poisoned")
-        .ctx
-        .new_scratch();
-    // Connection slab: the epoll token is the slot index, so readiness
-    // dispatch is an array index, not a map lookup.
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut events = vec![epoll::Event { events: 0, data: 0 }; 1024];
-    while !shared.shutdown.load(Ordering::Acquire) {
-        let n = match ep.wait(&mut events, POLL.as_millis() as i32) {
-            Ok(n) => n,
-            Err(e) => {
-                log_error!("epoll_wait failed ({e}); worker exiting");
-                return;
-            }
-        };
-        if n == 0 {
-            continue;
-        }
-        shared.metrics.wakeups.inc();
-        let woke = Instant::now();
-        let mut pass = QueryPass::new();
-        // Slots freed during this batch are not reused until the next
-        // wait: a queued event for a just-closed fd must never be
-        // delivered to a new tenant of its slot.
-        let mut freed: Vec<usize> = Vec::new();
-        for ev in events.iter().take(n) {
-            let (bits, token) = ({ ev.events }, { ev.data });
-            if token == LISTENER {
-                accept_ready(shared, listener, |stream| {
-                    let slot = free.pop().unwrap_or_else(|| {
-                        conns.push(None);
-                        conns.len() - 1
-                    });
-                    let mut conn = Conn::new(stream);
-                    conn.interest = epoll::EPOLLIN | epoll::EPOLLRDHUP;
-                    match ep.add(conn.stream.as_raw_fd(), slot as u64, conn.interest) {
-                        // Any bytes the client already sent surface on
-                        // the next (level-triggered) wait immediately.
-                        Ok(()) => conns[slot] = Some(conn),
-                        Err(_) => {
-                            // conn drops, fd closes
-                            shared.metrics.connections_open.sub(1);
-                            free.push(slot);
+            Request::Batch { nodes, k } => {
+                // One live pair for the whole batch: every answer comes from
+                // the same graph epoch.
+                let live = self.live();
+                let mut results = Vec::with_capacity(nodes.len());
+                let mut cached = 0u64;
+                for node in nodes {
+                    match run_query(self, scratch, &live, node, k, true, None, None) {
+                        Ok(q) => {
+                            cached += q.cached as u64;
+                            results.push(q.entries);
                         }
-                    }
-                });
-                continue;
-            }
-            let slot = token as usize;
-            let closed = match conns.get_mut(slot).and_then(Option::as_mut) {
-                // A connection closed earlier in this same batch can
-                // leave a second queued event behind — skip it.
-                None => continue,
-                Some(conn) => {
-                    bits & (epoll::EPOLLERR | epoll::EPOLLHUP) != 0
-                        || service_conn(shared, &mut scratch, &mut pass, conn)
-                }
-            };
-            if closed {
-                if let Some(conn) = conns[slot].take() {
-                    let _ = ep.delete(conn.stream.as_raw_fd());
-                    shared
-                        .metrics
-                        .conn_backlog_bytes
-                        .record(conn.backlog_hw as u64);
-                    shared.metrics.connections_open.sub(1);
-                }
-                freed.push(slot);
-            } else if let Some(conn) = conns[slot].as_mut() {
-                // Re-arm interest only when it actually changed
-                // (backpressure pausing reads, queued output wanting
-                // EPOLLOUT) — the steady state costs no epoll_ctl.
-                let wanted = wanted_interest(conn);
-                if wanted != conn.interest
-                    && ep.modify(conn.stream.as_raw_fd(), token, wanted).is_ok()
-                {
-                    conn.interest = wanted;
-                }
-            }
-            if shared.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-        }
-        pass.flush(shared);
-        shared
-            .metrics
-            .wake_drain_seconds
-            .record(duration_ns(woke.elapsed()));
-        free.append(&mut freed);
-    }
-}
-
-/// A parsed inbound line, decoupled from the buffer borrow.
-enum Parsed {
-    /// Blank line — consume and move on.
-    Empty,
-    /// A request line (or its parse error).
-    Req(Result<Request, String>),
-    /// Line over the cap: reject and close.
-    Oversize,
-}
-
-/// Serve everything a connection has ready: flush queued output, read
-/// what's available, answer every complete buffered line, re-flush.
-/// Never blocks (the one exception: the final shutdown ack is delivered
-/// with a blocking write — the daemon is exiting). Honors backpressure:
-/// a paused connection is only flushed until its backlog drains.
-/// Returns `true` once the connection is done — EOF, I/O error, an
-/// oversize line, or an acknowledged `shutdown` — and must be dropped.
-fn service_conn(
-    shared: &Shared,
-    scratch: &mut QueryScratch,
-    pass: &mut QueryPass,
-    conn: &mut Conn,
-) -> bool {
-    let max_line = shared.config.max_line_bytes;
-    // Drain queued replies first, whatever woke us.
-    if conn.try_flush().is_err() {
-        return true;
-    }
-    loop {
-        if conn.closing {
-            // Terminal: the farewell line is out (or the peer is gone).
-            return conn.pending_out() == 0;
-        }
-        if conn.paused {
-            if conn.pending_out() > 0 {
-                // Still backed up: no reads, no parsing.
-                return false;
-            }
-            conn.paused = false; // fully drained: resume
-        }
-        let fill = match conn.fill(max_line) {
-            Ok(f) => f,
-            Err(_) => return true,
-        };
-        while !conn.paused && !conn.closing {
-            let parsed = match conn.peek_line(max_line) {
-                LineStatus::Partial => break,
-                LineStatus::Oversize => Parsed::Oversize,
-                LineStatus::Line(bytes) => {
-                    let text = String::from_utf8_lossy(bytes);
-                    let text = text.trim();
-                    if text.is_empty() {
-                        Parsed::Empty
-                    } else {
-                        Parsed::Req(
-                            Request::from_line(text).map_err(|m| format!("bad request: {m}")),
-                        )
+                        Err(msg) => return Reply::Error(msg),
                     }
                 }
-            };
-            let result = match parsed {
-                Parsed::Oversize => {
-                    shared.metrics.oversize_lines.inc();
-                    let mut line =
-                        Reply::Error(format!("bad request: line exceeds {max_line} bytes"))
-                            .to_json()
-                            .render();
-                    line.push('\n');
-                    if conn.send(line.as_bytes()).is_err() {
-                        return true;
-                    }
-                    conn.closing = true;
-                    break;
-                }
-                Parsed::Empty => {
-                    conn.consume_line();
-                    continue;
-                }
-                Parsed::Req(result) => {
-                    conn.consume_line();
-                    result
-                }
-            };
-            let reply = match result {
-                Ok(req) => execute(shared, scratch, pass, req),
-                Err(msg) => Reply::Error(msg),
-            };
-            let is_shutdown = matches!(reply, Reply::Shutdown);
-            let mut out = reply.to_json().render();
-            out.push('\n');
-            if is_shutdown {
-                conn.send_final(out.as_bytes());
-                return true;
+                Reply::Batch(BatchReply {
+                    results,
+                    cached,
+                    epoch: live.index.epoch(),
+                    graph_epoch: live.graph_epoch,
+                })
             }
-            if conn.send(out.as_bytes()).is_err() {
-                return true;
-            }
-            if !conn.paused && conn.pending_out() >= shared.config.write_high_water {
-                conn.paused = true;
-                shared.metrics.backpressure_pauses.inc();
-            }
-        }
-        conn.compact();
-        if conn.try_flush().is_err() {
-            return true;
-        }
-        if conn.closing || (conn.paused && conn.pending_out() == 0) {
-            // Re-evaluate at the top: a drained pause resumes parsing
-            // the lines still buffered; a closing connection may now be
-            // fully flushed and closable.
-            continue;
-        }
-        // Orderly EOF, buffered lines all served: the peer is done.
-        return fill == Fill::Eof;
-    }
-}
-
-fn execute(
-    shared: &Shared,
-    scratch: &mut QueryScratch,
-    pass: &mut QueryPass,
-    req: Request,
-) -> Reply {
-    match req {
-        Request::Query {
-            node,
-            k,
-            cache,
-            strategy,
-            deadline_ms,
-        } => match run_query(
-            shared,
-            scratch,
-            pass,
-            node,
-            k,
-            cache,
-            strategy.as_deref(),
-            deadline_ms,
-        ) {
-            Ok(q) => Reply::Query(q),
-            Err(msg) => Reply::Error(msg),
-        },
-        Request::Batch { nodes, k } => {
-            let mut results = Vec::with_capacity(nodes.len());
-            let mut cached = 0u64;
-            let mut epoch = 0u64;
-            let mut graph_epoch = 0u64;
-            for node in nodes {
-                match run_query(shared, scratch, pass, node, k, true, None, None) {
-                    Ok(q) => {
-                        cached += q.cached as u64;
-                        epoch = q.epoch;
-                        graph_epoch = q.graph_epoch;
-                        results.push(q.entries);
-                    }
-                    Err(msg) => return Reply::Error(msg),
-                }
-            }
-            Reply::Batch(BatchReply {
-                results,
-                cached,
-                epoch,
-                graph_epoch,
-            })
-        }
-        // Every control op ends the pass first and drops its cached live
-        // pair: pipelined `update → flush → query` in one wake-up keeps
-        // sequential semantics — the query sees the committed state.
-        req => {
-            pass.flush(shared);
-            pass.invalidate();
-            execute_control(shared, req)
-        }
-    }
-}
-
-/// The non-query ops (the pass already ended by [`execute`]).
-fn execute_control(shared: &Shared, req: Request) -> Reply {
-    match req {
-        Request::Query { .. } | Request::Batch { .. } => {
-            unreachable!("query ops are handled by execute")
-        }
-        Request::Update { ops } => match stage_updates(shared, &ops) {
-            Ok((staged, graph_epoch)) => Reply::Update {
-                staged,
-                graph_epoch,
-            },
-            Err(msg) => Reply::Error(msg),
-        },
-        Request::Stats => Reply::Stats(stats_snapshot(shared)),
-        Request::Metrics => Reply::Metrics(metrics_snapshot(shared)),
-        Request::SlowQueries => Reply::SlowQueries(shared.metrics.slow_log.snapshot()),
-        Request::Flush => {
-            let mut store = shared.store.lock().expect("store lock poisoned");
-            let merged = merge_pending(shared, &mut store);
-            let live = shared.live.read().expect("live lock poisoned");
-            Reply::Flush {
-                epoch: live.index.epoch(),
-                merged,
-            }
-        }
-        Request::Checkpoint => {
-            // Deliberately no commit first: a checkpoint persists the
-            // serving state *as it stands* — committed graph, index, and
-            // staged-but-uncommitted deltas as the WAL — so forcing
-            // durability never changes commit semantics (with
-            // `merge_every` 0, staged updates still wait for `flush`).
-            let store = shared.store.lock().expect("store lock poisoned");
-            match checkpoint_locked(shared, &store) {
-                Ok((epoch, graph_epoch)) => Reply::Checkpoint { epoch, graph_epoch },
-                Err(msg) => Reply::Error(msg),
-            }
-        }
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::Release);
-            // Wake the merger so it notices the flag and exits promptly.
-            shared.staged_signal.notify_all();
-            Reply::Shutdown
-        }
-        Request::Hello => {
-            let live = shared.live.read().expect("live lock poisoned");
-            Reply::Hello(HelloReply {
-                v: PROTOCOL_VERSION,
-                role: if shared.config.shard.is_some() {
-                    "shard".into()
-                } else {
-                    "server".into()
+            Request::Update { ops } => match stage_updates(self, &ops) {
+                Ok((staged, graph_epoch)) => Reply::Update {
+                    staged,
+                    graph_epoch,
                 },
-                shard: shared.config.shard.map(|s| ShardIdentity {
-                    index: s.index(),
-                    shards: s.shards(),
-                    seed: s.seed(),
-                }),
-                epoch: live.index.epoch(),
-                graph_epoch: live.graph_epoch,
-                nodes: u64::from(live.ctx.graph().num_nodes()),
-                edges: live.ctx.graph().num_edges() as u64,
-            })
+                Err(msg) => Reply::Error(msg),
+            },
+            Request::Stats => Reply::Stats(stats_snapshot(self)),
+            Request::Metrics => Reply::Metrics(metrics_snapshot(self)),
+            Request::SlowQueries => Reply::SlowQueries(self.metrics.slow_log.snapshot()),
+            Request::Flush => {
+                let mut store = self.store.lock().expect("store lock poisoned");
+                let merged = merge_pending(self, &mut store);
+                Reply::Flush {
+                    epoch: self.live().index.epoch(),
+                    merged,
+                }
+            }
+            Request::Checkpoint => {
+                // Deliberately no commit first: a checkpoint persists the
+                // serving state *as it stands* — committed graph, index, and
+                // staged-but-uncommitted deltas as the WAL — so forcing
+                // durability never changes commit semantics (with
+                // `merge_every` 0, staged updates still wait for `flush`).
+                let store = self.store.lock().expect("store lock poisoned");
+                match checkpoint_locked(self, &store) {
+                    Ok((epoch, graph_epoch)) => Reply::Checkpoint { epoch, graph_epoch },
+                    Err(msg) => Reply::Error(msg),
+                }
+            }
+            // The reactor delivers the farewell and raises the flag.
+            Request::Shutdown => Reply::Shutdown,
+            Request::Hello => {
+                let live = self.live();
+                Reply::Hello(HelloReply {
+                    v: PROTOCOL_VERSION,
+                    role: if self.config.shard.is_some() {
+                        "shard".into()
+                    } else {
+                        "server".into()
+                    },
+                    shard: self.config.shard.map(|s| ShardIdentity {
+                        index: s.index(),
+                        shards: s.shards(),
+                        seed: s.seed(),
+                    }),
+                    epoch: live.index.epoch(),
+                    graph_epoch: live.graph_epoch,
+                    nodes: u64::from(live.ctx.graph().num_nodes()),
+                    edges: live.ctx.graph().num_edges() as u64,
+                })
+            }
         }
     }
 }
@@ -883,7 +498,7 @@ fn stage_updates(shared: &Shared, ops: &[UpdateOp]) -> Result<(u64, u64), String
 fn run_query(
     shared: &Shared,
     scratch: &mut QueryScratch,
-    pass: &mut QueryPass,
+    live: &LiveState,
     node: u32,
     k: u32,
     use_cache: bool,
@@ -899,11 +514,12 @@ fn run_query(
         None => Strategy::Dynamic(shared.config.bounds),
     };
     shared.metrics.queries.inc();
-    // One consistent pair per *pass*: the context and the index always
-    // belong to the same graph epoch, and every query the wake-up batched
-    // shares the one read-lock acquisition.
-    let (ctx, index, graph_epoch) = pass.live(shared);
-    let epoch = index.epoch();
+    let LiveState {
+        ctx,
+        index,
+        graph_epoch,
+    } = live;
+    let (epoch, graph_epoch) = (index.epoch(), *graph_epoch);
     let key = CacheKey {
         node,
         k,
@@ -926,7 +542,6 @@ fn run_query(
                 .get(&key)
                 .cloned();
             if let Some(entries) = hit {
-                pass.queries += 1;
                 note_served(
                     shared,
                     strategy,
@@ -958,9 +573,9 @@ fn run_query(
     let outcome = if strategy.needs_index() {
         // The held index is read-only: what this query learns goes to a
         // write-log that is dropped when it returns.
-        let mut delta = IndexDelta::for_index(&index);
+        let mut delta = IndexDelta::for_index(index);
         let mut access = IndexAccess::Snapshot {
-            snapshot: &index,
+            snapshot: index,
             delta: &mut delta,
         };
         ctx.execute_with(scratch, Some(&mut access), &req)
@@ -974,7 +589,6 @@ fn run_query(
         .iter()
         .map(|e| (e.node.0, e.rank))
         .collect();
-    pass.queries += 1;
     let stage = outcome.stage;
     shared
         .metrics
@@ -1241,12 +855,10 @@ fn stats_snapshot(shared: &Shared) -> StatsReply {
         updates_applied: m.updates_applied.get(),
         graph_nodes: m.graph_nodes.get(),
         graph_edges: m.graph_edges.get(),
-        accept_errors: m.accept_errors.get(),
-        wakeups: m.wakeups.get(),
-        batches: m.batches.get(),
-        batch_queries: m.batch_queries.get(),
-        backpressure_pauses: m.backpressure_pauses.get(),
-        oversize_lines: m.oversize_lines.get(),
+        accept_errors: m.front.accept_errors.get(),
+        wakeups: m.front.wakeups.get(),
+        backpressure_pauses: m.front.backpressure_pauses.get(),
+        oversize_lines: m.front.oversize_lines.get(),
     }
 }
 

@@ -740,9 +740,7 @@ fn oversize_request_lines_are_rejected_and_close_the_connection() {
 
 /// Pipelining + write backpressure: with the high-water mark at the
 /// degenerate `0`, every reply pauses reads and the pause/resume cycle
-/// must still serve a one-burst pipeline completely and in order — and
-/// every query must be accounted to an adaptive batch pass
-/// (`batch_queries == queries`, no timer involved).
+/// must still serve a one-burst pipeline completely and in order.
 #[test]
 fn pipelined_queries_batch_and_survive_backpressure() {
     use std::io::{BufRead, BufReader, Write};
@@ -794,11 +792,6 @@ fn pipelined_queries_batch_and_survive_backpressure() {
     let mut ctl = Client::connect(addr).expect("connect ctl");
     let stats = ctl.stats().expect("stats");
     assert_eq!(stats.queries, PIPELINED as u64);
-    assert_eq!(
-        stats.batch_queries, stats.queries,
-        "every query must flow through a batch pass"
-    );
-    assert!(stats.batches >= 1);
     assert!(stats.wakeups >= 1);
     assert!(
         stats.backpressure_pauses >= PIPELINED as u64,

@@ -15,7 +15,7 @@
 //! rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N]
 //!                 [--index index.rkri] [--kmax K] [--snapshot FILE]
 //!                 [--high-water BYTES] [--max-line BYTES]
-//!                 [--log-level error|warn|info|debug] [--slow-query-ms MS] [--slow-query-cap N]
+//!                 [--log-level error|warn|info|debug] [--slow-query-ms MS]
 //!                 [--shard-id I --shard-count N [--shard-seed S]]
 //! rkr shard-plan <graph.edges> --shards N [--seed S]
 //! rkr coord --shards ADDR,ADDR,... [--addr HOST:PORT] [--max-line BYTES]
@@ -41,8 +41,8 @@
 //! index with delta merges. `serve` runs the `rkrd` daemon (see
 //! `rkranks_server`, Linux-only): a pool of `epoll` event-loop workers
 //! answering the line-delimited JSON protocol with write backpressure
-//! (`--high-water`), bounded request lines (`--max-line`), adaptive
-//! query batching, an LRU result cache and epoch-based invalidation;
+//! (`--high-water`), bounded request lines (`--max-line`), an LRU result
+//! cache and epoch-based invalidation;
 //! `query --remote` and `ctl` are its clients. A query without `--algo`
 //! runs `dynamic-three`; the index (`--index FILE`, the snapshot bundle's,
 //! or an empty one with `--kmax K`) is held read-only and consulted only by
@@ -63,8 +63,8 @@
 //! gauge, and latency histogram (`--prom` renders the Prometheus text
 //! exposition for scrapers, `--json` the raw wire reply); `--slow-query-ms
 //! MS` on `serve` captures queries at or over the threshold in a bounded
-//! in-memory ring (`--slow-query-cap` sizes it) that
-//! `rkr ctl ADDR slow-queries` reads back; and `--log-level` controls the
+//! in-memory ring (the latest 128) that `rkr ctl ADDR slow-queries` reads
+//! back; and `--log-level` controls the
 //! daemon's stderr diagnostics (quiet `warn` by default).
 //!
 //! Sharded serving: `rkr serve --shard-id I --shard-count N
@@ -108,7 +108,7 @@ const USAGE: &str = "usage:
   rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N]
             [--index FILE] [--kmax K] [--snapshot FILE]
             [--high-water BYTES] [--max-line BYTES]
-            [--log-level error|warn|info|debug] [--slow-query-ms MS] [--slow-query-cap N]
+            [--log-level error|warn|info|debug] [--slow-query-ms MS]
             [--shard-id I --shard-count N [--shard-seed S]]
   rkr shard-plan <graph.edges> --shards N [--seed S]
   rkr coord --shards ADDR,ADDR,... [--addr HOST:PORT] [--max-line BYTES]
@@ -217,7 +217,7 @@ const COMMANDS: [(&str, Command, &str); 10] = [
         "serve",
         cmd_serve,
         "addr workers cache index kmax snapshot high-water max-line log-level \
-         slow-query-ms slow-query-cap shard-id shard-count shard-seed",
+         slow-query-ms shard-id shard-count shard-seed",
     ),
     ("shard-plan", cmd_shard_plan, "shards seed"),
     (
@@ -520,10 +520,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     };
     let shard = parse_shard_identity(flags)?;
     let defaults = ServerConfig::default();
-    let slow_query_cap: usize = flags.get_parsed("slow-query-cap", defaults.slow_query_cap)?;
-    if slow_query_cap == 0 {
-        return Err("--slow-query-cap must be at least 1".into());
-    }
     let config = ServerConfig {
         workers: workers.max(1),
         cache_capacity: cache,
@@ -539,7 +535,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             ),
             None => None,
         },
-        slow_query_cap,
         shard,
     };
     let listener =
@@ -838,10 +833,7 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
             println!("index epoch:    {}", s.epoch);
             println!("merges:         {}", s.merges);
             println!("workers:        {}", s.workers);
-            println!(
-                "event loop:     {} wakeups, {} batches / {} batched queries",
-                s.wakeups, s.batches, s.batch_queries
-            );
+            println!("event loop:     {} wakeups", s.wakeups);
             println!(
                 "flow control:   {} backpressure pauses, {} oversize lines, {} accept errors",
                 s.backpressure_pauses, s.oversize_lines, s.accept_errors

@@ -625,6 +625,7 @@ fn serve_rejects_retired_flags() {
         ("event-loop", Some("poll")),
         ("save-index", None),
         ("merge-every", Some("8")),
+        ("slow-query-cap", Some("8")),
     ] {
         let flag_arg = format!("--{flag}");
         let mut line = vec!["serve", "g.edges", "--addr", "127.0.0.1:0", &flag_arg];

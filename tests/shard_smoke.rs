@@ -259,8 +259,8 @@ fn fleet_matches_single_box_and_answers_completely_on_shard_loss() {
 }
 
 /// The shard flags travel together and are validated before any work:
-/// half a shard identity (or an out-of-range id, or a zero slow-query
-/// ring) must be refused with a pointed error, not served unsharded.
+/// half a shard identity (or an out-of-range id) must be refused with a
+/// pointed error, not served unsharded.
 #[test]
 fn serve_validates_shard_and_slow_query_flags() {
     let dir = temp_dir("args");
@@ -282,10 +282,6 @@ fn serve_validates_shard_and_slow_query_flags() {
             "--shard-seed needs --shard-id and --shard-count",
         ),
         (&["--shard-id", "2", "--shard-count", "2"], "out of range"),
-        (
-            &["--slow-query-cap", "0"],
-            "--slow-query-cap must be at least 1",
-        ),
     ];
     for (flags, needle) in cases {
         let mut args = vec!["serve", "g.edges", "--addr", "127.0.0.1:0"];
