@@ -5,8 +5,11 @@
 //! from the candidate, the index builder is a truncated Dijkstra from each
 //! hub. A reverse k-ranks query therefore runs *thousands* of short
 //! Dijkstras. [`DijkstraWorkspace`] makes each of them allocation-free and
-//! O(touched) instead of O(|V|) by stamping per-node state with a generation
-//! counter.
+//! proportional to the nodes it touches, not to |V|: a node's whole state —
+//! tentative distance, generation stamp, heap position or settled mark —
+//! is one 16-byte record that counts only while its stamp is current, so a
+//! reset bumps one counter and never walks the frontier it abandons (a
+//! refinement aborted at `kRank` leaves most of its pushes unpopped).
 //!
 //! ### Bounded truncated traversal
 //!
@@ -42,9 +45,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::graph::Graph;
-use crate::heap::{IndexedHeap, PushOutcome};
 use crate::node::NodeId;
-use crate::weight::{cmp_dist, Distance, INF};
+use crate::weight::{cmp_dist, dist_lt, Distance, INF};
 
 /// Outcome of relaxing an edge into the frontier.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,15 +59,38 @@ pub enum RelaxOutcome {
     Unchanged,
 }
 
-/// Reusable per-traversal state: tentative distances, settled marks, and the
-/// decrease-key frontier. Reset is O(1) via generation stamping.
+/// [`Slot::pos`] of a node that has been popped (its distance is final).
+const SETTLED: u32 = u32::MAX;
+
+/// One node's state in one traversal; it counts only while
+/// `stamp == generation`.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// Tentative distance while queued, final once settled.
+    dist: Distance,
+    stamp: u32,
+    /// Index into the heap while queued, [`SETTLED`] once popped.
+    pos: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
+/// A slot no traversal has touched (no traversal runs as generation 0).
+const UNTOUCHED: Slot = Slot {
+    dist: INF,
+    stamp: 0,
+    pos: SETTLED,
+};
+
+/// Reusable per-traversal state: one 16-byte record per node (tentative
+/// distance, generation stamp, heap position or settled mark) and the
+/// decrease-key binary min-heap over `(distance, node)`. Reset is O(1):
+/// [`DijkstraWorkspace::begin`] bumps the generation and clears the heap.
 #[derive(Debug)]
 pub struct DijkstraWorkspace {
-    dist: Vec<Distance>,
-    dist_stamp: Vec<u32>,
-    settled_stamp: Vec<u32>,
+    slots: Vec<Slot>,
     generation: u32,
-    heap: IndexedHeap,
+    heap: Vec<(Distance, u32)>,
     /// Storage of [`BoundedBrowser`]'s cut-off heap, parked here between
     /// traversals so a build's thousands of truncated SSSPs share one
     /// allocation.
@@ -76,103 +101,116 @@ impl DijkstraWorkspace {
     /// Workspace for graphs with up to `n` nodes.
     pub fn new(n: u32) -> Self {
         DijkstraWorkspace {
-            dist: vec![INF; n as usize],
-            dist_stamp: vec![0; n as usize],
-            settled_stamp: vec![0; n as usize],
+            slots: vec![UNTOUCHED; n as usize],
             generation: 0,
-            heap: IndexedHeap::new(n),
+            heap: Vec::with_capacity(64),
             cutoff_buf: BinaryHeap::new(),
         }
     }
 
     /// Grow to accommodate a larger graph (no-op if already large enough).
     pub fn ensure_capacity(&mut self, n: u32) {
-        let n = n as usize;
-        if self.dist.len() < n {
-            self.dist.resize(n, INF);
-            self.dist_stamp.resize(n, 0);
-            self.settled_stamp.resize(n, 0);
-            self.heap.ensure_capacity(n as u32);
+        if self.slots.len() < n as usize {
+            self.slots.resize(n as usize, UNTOUCHED);
         }
     }
 
     /// Number of nodes this workspace can traverse.
     pub fn capacity(&self) -> u32 {
-        self.dist.len() as u32
+        self.slots.len() as u32
     }
 
     /// Start a fresh traversal from `source`. Clears all prior state in
-    /// O(previous frontier size).
+    /// O(1): the previous frontier is dropped, not walked.
     pub fn begin(&mut self, source: NodeId) {
         self.heap.clear();
         if self.generation == u32::MAX {
             // Generation wrap: hard-reset the stamps once every 4 billion
             // traversals rather than branching in the hot path.
-            self.dist_stamp.fill(0);
-            self.settled_stamp.fill(0);
+            for slot in &mut self.slots {
+                slot.stamp = 0;
+            }
             self.generation = 0;
         }
         self.generation += 1;
-        self.set_dist(source, 0.0);
-        self.heap.push_or_decrease(source.0, 0.0);
+        self.slots[source.index()] = Slot {
+            dist: 0.0,
+            stamp: self.generation,
+            pos: 0,
+        };
+        self.heap.push((0.0, source.0));
     }
 
+    /// `v`'s slot if the current traversal has touched it.
     #[inline(always)]
-    fn set_dist(&mut self, v: NodeId, d: Distance) {
-        self.dist[v.index()] = d;
-        self.dist_stamp[v.index()] = self.generation;
+    fn slot(&self, v: NodeId) -> Option<&Slot> {
+        let slot = &self.slots[v.index()];
+        (slot.stamp == self.generation).then_some(slot)
     }
 
     /// Tentative (or final) distance of `v` in the current traversal.
     #[inline(always)]
     pub fn dist_of(&self, v: NodeId) -> Option<Distance> {
-        (self.dist_stamp[v.index()] == self.generation).then(|| self.dist[v.index()])
+        self.slot(v).map(|s| s.dist)
     }
 
     /// `true` once `v` has been popped (its distance is final).
     #[inline(always)]
     pub fn is_settled(&self, v: NodeId) -> bool {
-        self.settled_stamp[v.index()] == self.generation
+        self.slot(v).is_some_and(|s| s.pos == SETTLED)
     }
 
     /// `true` if `v` is currently queued in the frontier.
     #[inline(always)]
     pub fn in_frontier(&self, v: NodeId) -> bool {
-        self.heap.contains(v.0)
+        self.slot(v).is_some_and(|s| s.pos != SETTLED)
     }
 
     /// Relax `v` to tentative distance `d`.
     #[inline]
     pub fn relax(&mut self, v: NodeId, d: Distance) -> RelaxOutcome {
-        if self.is_settled(v) {
-            return RelaxOutcome::Unchanged;
-        }
-        if self.dist_stamp[v.index()] == self.generation && d >= self.dist[v.index()] {
-            return RelaxOutcome::Unchanged;
-        }
-        self.set_dist(v, d);
-        match self.heap.push_or_decrease(v.0, d) {
-            PushOutcome::Inserted => RelaxOutcome::Inserted,
-            PushOutcome::Decreased => RelaxOutcome::Decreased,
-            // dist check above already filtered equal/larger keys
-            PushOutcome::Unchanged => RelaxOutcome::Unchanged,
+        let generation = self.generation;
+        let slot = &mut self.slots[v.index()];
+        if slot.stamp != generation {
+            let i = self.heap.len();
+            *slot = Slot {
+                dist: d,
+                stamp: generation,
+                pos: i as u32,
+            };
+            self.heap.push((d, v.0));
+            self.sift_up(i);
+            RelaxOutcome::Inserted
+        } else if slot.pos == SETTLED || d >= slot.dist {
+            RelaxOutcome::Unchanged
+        } else {
+            slot.dist = d;
+            let i = slot.pos as usize;
+            self.heap[i].0 = d;
+            self.sift_up(i);
+            RelaxOutcome::Decreased
         }
     }
 
     /// Pop the closest frontier node, mark it settled, and return it.
     #[inline]
     pub fn settle_next(&mut self) -> Option<(NodeId, Distance)> {
-        let (item, key) = self.heap.pop()?;
-        let v = NodeId(item);
-        self.settled_stamp[v.index()] = self.generation;
-        Some((v, key))
+        if self.heap.is_empty() {
+            return None;
+        }
+        let (d, v) = self.heap.swap_remove(0);
+        self.slots[v as usize].pos = SETTLED;
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
+        Some((NodeId(v), d))
     }
 
     /// The next frontier distance without popping (the refinement
     /// tie-boundary check needs this).
     #[inline]
     pub fn peek_frontier(&self) -> Option<(NodeId, Distance)> {
-        self.heap.peek().map(|(i, k)| (NodeId(i), k))
+        self.heap.first().map(|&(d, v)| (NodeId(v), d))
     }
 
     /// Settle the next node and relax all its out-edges — one full Dijkstra
@@ -205,6 +243,71 @@ impl DijkstraWorkspace {
             tau = relaxed(*t, nd, self.relax(*t, nd));
         }
         Some((v, d))
+    }
+
+    /// `true` if heap entry `a` must sit above heap entry `b`. The heap
+    /// compares with [`dist_lt`]: distances are sums of finite non-negative
+    /// weights from `+0.0`, never NaN or `-0.0`, so it orders exactly as
+    /// [`cmp_dist`] would, at less cost.
+    #[inline(always)]
+    fn less(&self, a: usize, b: usize) -> bool {
+        dist_lt(self.heap[a].0, self.heap[b].0)
+    }
+
+    /// Move the entry at `i` up to its place. Binary sift with a hole: the
+    /// comparisons — hence the pop order, ties included — are a swap
+    /// sift's, but each level writes one entry and one position.
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let above = self.heap[parent];
+            if !dist_lt(entry.0, above.0) {
+                break;
+            }
+            self.put(i, above);
+            i = parent;
+        }
+        self.put(i, entry);
+    }
+
+    /// Move the entry at `i` down to its place (a hole sift, as above).
+    fn sift_down(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let l = 2 * i + 1;
+            if l >= n {
+                break;
+            }
+            let r = l + 1;
+            let child = if r < n && self.less(r, l) { r } else { l };
+            if !dist_lt(self.heap[child].0, entry.0) {
+                break;
+            }
+            self.put(i, self.heap[child]);
+            i = child;
+        }
+        self.put(i, entry);
+    }
+
+    #[inline(always)]
+    fn put(&mut self, i: usize, entry: (Distance, u32)) {
+        self.heap[i] = entry;
+        self.slots[entry.1 as usize].pos = i as u32;
+    }
+
+    /// Heap order, and every queued node's slot current and pointing at
+    /// its entry.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        for i in 1..self.heap.len() {
+            assert!(!self.less(i, (i - 1) / 2), "heap order violated at {i}");
+        }
+        for (i, &(d, v)) in self.heap.iter().enumerate() {
+            let slot = self.slot(NodeId(v)).expect("queued node not stamped");
+            assert_eq!((slot.pos, slot.dist), (i as u32, d), "slot of {v} stale");
+        }
     }
 }
 
@@ -740,6 +843,177 @@ mod tests {
         assert_eq!(dist[0], INF);
     }
 
+    /// Settle everything still queued.
+    fn drain(ws: &mut DijkstraWorkspace) -> Vec<(NodeId, Distance)> {
+        std::iter::from_fn(|| ws.settle_next()).collect()
+    }
+
+    #[test]
+    fn frontier_pops_in_distance_order() {
+        let mut ws = DijkstraWorkspace::new(6);
+        ws.begin(NodeId(0));
+        for (v, d) in [(1, 5.0), (2, 1.0), (3, 3.0), (4, 2.0), (5, 4.0)] {
+            assert_eq!(ws.relax(NodeId(v), d), RelaxOutcome::Inserted);
+        }
+        ws.check_invariants();
+        let dists: Vec<Distance> = drain(&mut ws).into_iter().map(|(_, d)| d).collect();
+        assert_eq!(dists, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn decrease_moves_a_node_up() {
+        let mut ws = DijkstraWorkspace::new(4);
+        ws.begin(NodeId(0));
+        ws.settle_next();
+        ws.relax(NodeId(1), 10.0);
+        ws.relax(NodeId(2), 20.0);
+        ws.relax(NodeId(3), 30.0);
+        assert_eq!(ws.relax(NodeId(3), 5.0), RelaxOutcome::Decreased);
+        ws.check_invariants();
+        assert_eq!(ws.settle_next(), Some((NodeId(3), 5.0)));
+    }
+
+    #[test]
+    fn relax_ignores_a_larger_distance() {
+        let mut ws = DijkstraWorkspace::new(2);
+        ws.begin(NodeId(0));
+        ws.relax(NodeId(1), 1.0);
+        assert_eq!(ws.relax(NodeId(1), 2.0), RelaxOutcome::Unchanged);
+        assert_eq!(ws.dist_of(NodeId(1)), Some(1.0));
+    }
+
+    #[test]
+    fn relax_leaves_an_equal_distance_unchanged() {
+        let mut ws = DijkstraWorkspace::new(2);
+        ws.begin(NodeId(0));
+        ws.relax(NodeId(1), 1.0);
+        assert_eq!(ws.relax(NodeId(1), 1.0), RelaxOutcome::Unchanged);
+        assert_eq!(ws.dist_of(NodeId(1)), Some(1.0));
+    }
+
+    #[test]
+    fn frontier_membership_tracks_relax_and_settle() {
+        let mut ws = DijkstraWorkspace::new(3);
+        ws.begin(NodeId(0));
+        ws.settle_next();
+        assert!(!ws.in_frontier(NodeId(1)));
+        assert_eq!(ws.dist_of(NodeId(1)), None);
+        ws.relax(NodeId(1), 7.0);
+        assert!(ws.in_frontier(NodeId(1)) && !ws.is_settled(NodeId(1)));
+        assert_eq!(ws.dist_of(NodeId(1)), Some(7.0));
+        ws.settle_next();
+        assert!(!ws.in_frontier(NodeId(1)) && ws.is_settled(NodeId(1)));
+        assert_eq!(ws.dist_of(NodeId(1)), Some(7.0));
+    }
+
+    #[test]
+    fn begin_drops_the_abandoned_frontier() {
+        let mut ws = DijkstraWorkspace::new(8);
+        ws.begin(NodeId(0));
+        ws.settle_next();
+        for v in 1..8 {
+            ws.relax(NodeId(v), f64::from(v));
+        }
+        // abandoned with seven nodes queued: their slots keep stale
+        // positions, which the new generation must ignore
+        ws.begin(NodeId(3));
+        ws.check_invariants();
+        for v in (0..8).filter(|&v| v != 3) {
+            assert!(!ws.in_frontier(NodeId(v)) && !ws.is_settled(NodeId(v)));
+            assert_eq!(ws.dist_of(NodeId(v)), None);
+        }
+        assert_eq!(ws.relax(NodeId(5), 1.0), RelaxOutcome::Inserted);
+        ws.check_invariants();
+        assert_eq!(drain(&mut ws), vec![(NodeId(3), 0.0), (NodeId(5), 1.0)]);
+    }
+
+    #[test]
+    fn randomized_against_reference_sort() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut ws = DijkstraWorkspace::new(1);
+        for trial in 0..50 {
+            let n = 2 + (trial % 64) as u32;
+            ws.ensure_capacity(n);
+            let source = rng.random_range(0..n);
+            // the reference: each node's best key and whether it was popped
+            let mut best: Vec<Option<f64>> = vec![None; n as usize];
+            let mut settled = vec![false; n as usize];
+            ws.begin(NodeId(source));
+            best[source as usize] = Some(0.0);
+            for _ in 0..200 {
+                if rng.random_range(0..4) == 0 {
+                    // a pop: the smallest queued key (any node of a tie)
+                    let min = (0..n as usize)
+                        .filter(|&v| !settled[v])
+                        .filter_map(|v| best[v])
+                        .min_by(f64::total_cmp);
+                    let got = ws.settle_next();
+                    assert_eq!(got.map(|(_, d)| d), min);
+                    if let Some((v, d)) = got {
+                        assert!(!settled[v.index()] && best[v.index()] == Some(d));
+                        settled[v.index()] = true;
+                    }
+                } else {
+                    let v = rng.random_range(0..n);
+                    let key: f64 = rng.random_range(0.0..100.0);
+                    let slot = &mut best[v as usize];
+                    let want = match *slot {
+                        _ if settled[v as usize] => RelaxOutcome::Unchanged,
+                        None => RelaxOutcome::Inserted,
+                        Some(old) if key < old => RelaxOutcome::Decreased,
+                        Some(_) => RelaxOutcome::Unchanged,
+                    };
+                    if want != RelaxOutcome::Unchanged {
+                        *slot = Some(key);
+                    }
+                    assert_eq!(ws.relax(NodeId(v), key), want);
+                }
+                ws.check_invariants();
+            }
+            let got = drain(&mut ws);
+            assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
+            let mut got: Vec<(f64, u32)> = got.into_iter().map(|(v, d)| (d, v.0)).collect();
+            let mut expected: Vec<(f64, u32)> = (0..n)
+                .filter(|&v| !settled[v as usize])
+                .filter_map(|v| best[v as usize].map(|k| (k, v)))
+                .collect();
+            got.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn generation_wrap_forgets_every_slot() {
+        let mut ws = DijkstraWorkspace::new(5);
+        // generation 1: node 0 settled, node 1 queued
+        ws.begin(NodeId(0));
+        ws.settle_next();
+        ws.relax(NodeId(1), 1.0);
+        // the last generation before the wrap: node 2 settled, node 3 queued
+        ws.generation = u32::MAX - 1;
+        ws.begin(NodeId(2));
+        ws.settle_next();
+        ws.relax(NodeId(3), 1.0);
+        assert_eq!(ws.generation, u32::MAX);
+        assert!(ws.is_settled(NodeId(2)) && ws.in_frontier(NodeId(3)));
+        // the wrap: generation 1 again, and nothing of either survives
+        ws.begin(NodeId(4));
+        assert_eq!(ws.generation, 1);
+        for v in (0..4).map(NodeId) {
+            assert_eq!(ws.dist_of(v), None, "{v}");
+            assert!(!ws.is_settled(v) && !ws.in_frontier(v), "{v}");
+        }
+        for v in (0..4).map(NodeId) {
+            assert_eq!(ws.relax(v, 2.0), RelaxOutcome::Inserted, "{v}");
+        }
+        ws.check_invariants();
+        let dists: Vec<Distance> = drain(&mut ws).into_iter().map(|(_, d)| d).collect();
+        assert_eq!(dists, vec![0.0, 2.0, 2.0, 2.0, 2.0]);
+    }
+
     #[test]
     fn ensure_capacity_grows_workspace() {
         let mut ws = DijkstraWorkspace::new(2);
@@ -748,5 +1022,16 @@ mod tests {
         let g = graph_from_edges(EdgeDirection::Undirected, [(8, 9, 1.0)]).unwrap();
         let order: Vec<_> = DistanceBrowser::new(&g, &mut ws, NodeId(8)).collect();
         assert_eq!(order, vec![(NodeId(8), 0.0), (NodeId(9), 1.0)]);
+    }
+
+    #[test]
+    fn ensure_capacity_grows_the_frontier() {
+        let mut ws = DijkstraWorkspace::new(1);
+        ws.ensure_capacity(5);
+        ws.begin(NodeId(0));
+        ws.settle_next();
+        assert_eq!(ws.relax(NodeId(4), 2.0), RelaxOutcome::Inserted);
+        ws.check_invariants();
+        assert_eq!(ws.settle_next(), Some((NodeId(4), 2.0)));
     }
 }

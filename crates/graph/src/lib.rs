@@ -10,8 +10,8 @@
 //!   (add/remove edge, add node, reweight) committed into immutable
 //!   epoch-tagged `Arc<Graph>` snapshots — the substrate for serving
 //!   queries while the graph changes;
-//! * a decrease-key [`IndexedHeap`] — the priority queue of Algorithms 1–4;
-//! * reusable, generation-stamped [`DijkstraWorkspace`]s, the lazy
+//! * reusable, generation-stamped [`DijkstraWorkspace`]s — one 16-byte
+//!   record per node and the decrease-key heap of Algorithms 1–4 — the lazy
 //!   [`DistanceBrowser`] ("distance browsing") for full SSSPs, and its
 //!   truncated form [`BoundedBrowser`], which stops feeding the frontier
 //!   at the `limit`-th nearest node — index building, k-NN and top-k sets
@@ -38,7 +38,6 @@ pub mod csr;
 pub mod dijkstra;
 pub mod error;
 pub mod graph;
-pub mod heap;
 pub mod io;
 pub mod metrics;
 pub mod node;
@@ -59,7 +58,6 @@ pub use dijkstra::{
 };
 pub use error::{GraphError, Result};
 pub use graph::Graph;
-pub use heap::{IndexedHeap, PushOutcome};
 pub use io::{load_graph, read_graph, save_graph, write_atomic, write_graph};
 pub use node::NodeId;
 pub use rank::{rank_between, rank_matrix, RankCounter};

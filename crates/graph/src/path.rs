@@ -46,19 +46,17 @@ pub fn bidirectional_distance(
                     break;
                 }
                 // expand the smaller frontier top
+                // (a node has a distance only once it is queued, so the
+                // other side's `dist_of` is the whole meeting test)
                 if df <= db {
                     if let Some((v, d)) = fwd.step(graph) {
                         if let Some(db_v) = bwd.dist_of(v) {
-                            if bwd.is_settled(v) || bwd.in_frontier(v) {
-                                best = best.min(d + db_v);
-                            }
+                            best = best.min(d + db_v);
                         }
                     }
                 } else if let Some((v, d)) = bwd.step(transpose) {
                     if let Some(df_v) = fwd.dist_of(v) {
-                        if fwd.is_settled(v) || fwd.in_frontier(v) {
-                            best = best.min(d + df_v);
-                        }
+                        best = best.min(d + df_v);
                     }
                 }
             }

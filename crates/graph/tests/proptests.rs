@@ -592,3 +592,164 @@ mod bounded_browser_props {
         }
     }
 }
+
+/// The workspace pops in exactly the order the position-indexed heap it
+/// replaced did — ties included — so no exact work counter downstream
+/// (settles, pushes, refinement outcomes) can move.
+///
+/// [`ReferenceHeap`] is a copy of that heap: binary, `total_cmp` keys,
+/// swap sifts. A Dijkstra over it is the reference;
+/// the workspace under test is reused across sources, and each full run
+/// follows a partial one that abandons its frontier.
+mod pop_order_props {
+    use super::*;
+    use rkranks_graph::{DedupPolicy, GraphBuilder};
+    use std::cmp::Ordering;
+
+    const ABSENT: u32 = u32::MAX;
+
+    struct ReferenceHeap {
+        keys: Vec<f64>,
+        items: Vec<u32>,
+        pos: Vec<u32>,
+    }
+
+    impl ReferenceHeap {
+        fn push_or_decrease(&mut self, item: u32, key: f64) {
+            let p = self.pos[item as usize];
+            if p == ABSENT {
+                self.keys.push(key);
+                self.items.push(item);
+                self.pos[item as usize] = self.items.len() as u32 - 1;
+                self.sift_up(self.items.len() - 1);
+            } else if key.total_cmp(&self.keys[p as usize]) == Ordering::Less {
+                self.keys[p as usize] = key;
+                self.sift_up(p as usize);
+            }
+        }
+
+        fn pop(&mut self) -> Option<(u32, f64)> {
+            let (item, key) = (*self.items.first()?, self.keys[0]);
+            self.pos[item as usize] = ABSENT;
+            let last = self.items.len() - 1;
+            if last > 0 {
+                self.items.swap(0, last);
+                self.keys.swap(0, last);
+                self.pos[self.items[0] as usize] = 0;
+            }
+            self.items.pop();
+            self.keys.pop();
+            if !self.items.is_empty() {
+                self.sift_down(0);
+            }
+            Some((item, key))
+        }
+
+        fn less(&self, a: usize, b: usize) -> bool {
+            self.keys[a].total_cmp(&self.keys[b]) == Ordering::Less
+        }
+
+        fn swap_slots(&mut self, a: usize, b: usize) {
+            self.items.swap(a, b);
+            self.keys.swap(a, b);
+            self.pos[self.items[a] as usize] = a as u32;
+            self.pos[self.items[b] as usize] = b as u32;
+        }
+
+        fn sift_up(&mut self, mut i: usize) {
+            while i > 0 && self.less(i, (i - 1) / 2) {
+                self.swap_slots(i, (i - 1) / 2);
+                i = (i - 1) / 2;
+            }
+        }
+
+        fn sift_down(&mut self, mut i: usize) {
+            loop {
+                let (l, r) = (2 * i + 1, 2 * i + 2);
+                let mut smallest = i;
+                if l < self.items.len() && self.less(l, smallest) {
+                    smallest = l;
+                }
+                if r < self.items.len() && self.less(r, smallest) {
+                    smallest = r;
+                }
+                if smallest == i {
+                    return;
+                }
+                self.swap_slots(i, smallest);
+                i = smallest;
+            }
+        }
+    }
+
+    /// The full settle sequence from `s` of a Dijkstra over [`ReferenceHeap`].
+    fn reference_settles(g: &Graph, s: NodeId) -> Vec<(NodeId, f64)> {
+        let n = g.num_nodes() as usize;
+        let mut heap = ReferenceHeap {
+            keys: Vec::new(),
+            items: Vec::new(),
+            pos: vec![ABSENT; n],
+        };
+        let mut dist: Vec<Option<f64>> = vec![None; n];
+        let mut settled = vec![false; n];
+        let mut out = Vec::new();
+        dist[s.index()] = Some(0.0);
+        heap.push_or_decrease(s.0, 0.0);
+        while let Some((v, d)) = heap.pop() {
+            settled[v as usize] = true;
+            out.push((NodeId(v), d));
+            let (targets, weights) = g.out_neighbors(NodeId(v));
+            for (t, w) in targets.iter().zip(weights) {
+                let nd = d + w;
+                if settled[t.index()] || dist[t.index()].is_some_and(|old| nd >= old) {
+                    continue;
+                }
+                dist[t.index()] = Some(nd);
+                heap.push_or_decrease(t.0, nd);
+            }
+        }
+        out
+    }
+
+    /// Weights from `{0, 1, 1, 2}`, parallel arcs kept: ties everywhere.
+    fn arb_tie_heavy_multigraph() -> impl Strategy<Value = Graph> {
+        let edges = (2u32..=14).prop_flat_map(|n| {
+            (
+                Just(n),
+                proptest::collection::vec((0..n, 0..n, 0usize..4), 0..=36),
+            )
+        });
+        (edges, any::<bool>()).prop_map(|((n, e), directed)| {
+            let dir = if directed {
+                EdgeDirection::Directed
+            } else {
+                EdgeDirection::Undirected
+            };
+            let mut b = GraphBuilder::new(dir).dedup_policy(DedupPolicy::KeepAll);
+            b.reserve_nodes(n);
+            for (u, v, w) in e.into_iter().filter(|(u, v, _)| u != v) {
+                b.add_edge(u, v, [0.0, 1.0, 1.0, 2.0][w]).unwrap();
+            }
+            b.build().unwrap()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn settle_sequence_matches_the_reference_heap(
+            g in arb_tie_heavy_multigraph(),
+            abandon_after in 0usize..6,
+        ) {
+            let n = g.num_nodes();
+            let mut ws = DijkstraWorkspace::new(n);
+            for s in g.nodes() {
+                let other = NodeId((s.0 + 1) % n);
+                DistanceBrowser::new(&g, &mut ws, other).take(abandon_after).for_each(drop);
+                let got: Vec<_> = DistanceBrowser::new(&g, &mut ws, s).collect();
+                prop_assert_eq!(got, reference_settles(&g, s), "source {}", s);
+            }
+        }
+    }
+}
