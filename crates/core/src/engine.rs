@@ -144,11 +144,6 @@ impl QueryEngine {
         &self.ctx
     }
 
-    /// Take the context back, dropping the scratch.
-    pub fn into_context(self) -> EngineContext {
-        self.ctx
-    }
-
     /// The underlying graph.
     pub fn graph(&self) -> &Graph {
         self.ctx.graph()

@@ -48,7 +48,7 @@
 //! — see [`request`].
 //!
 //! Bichromatic queries (§6.3.4) use [`QueryEngine::bichromatic`] with a
-//! [`Partition`]; the §8 future-work PPR variant lives in [`ppr`].
+//! [`Partition`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -58,17 +58,14 @@ pub mod context;
 pub mod engine;
 pub mod index;
 pub mod index_io;
-pub mod ppr;
 pub mod refine;
 pub mod request;
 pub mod result;
 pub mod scratch;
-pub mod simrank;
 pub mod snapshot;
 pub mod spec;
 pub mod stats;
 pub mod telemetry;
-pub mod topk_baseline;
 pub mod trace;
 pub mod validate;
 

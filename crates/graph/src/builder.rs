@@ -107,11 +107,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Number of raw edges added so far (before dedup / symmetrization).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalize into a CSR [`Graph`].
     pub fn build(self) -> Result<Graph> {
         let GraphBuilder {

@@ -168,13 +168,6 @@ impl Graph {
             .map(|u| (u, self.degree(u)))
             .max_by_key(|&(u, d)| (d, std::cmp::Reverse(u)))
     }
-
-    /// Total edge weight (each arc counted once).
-    pub fn total_arc_weight(&self) -> f64 {
-        self.nodes()
-            .map(|u| self.out_neighbors(u).1.iter().sum::<f64>())
-            .sum()
-    }
 }
 
 /// Clone a borrowed graph into a fresh `Arc` — the bridge that lets

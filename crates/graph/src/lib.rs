@@ -22,8 +22,6 @@
 //!   effectiveness analysis (§6.2);
 //! * closeness centrality (exact + sampled) for the Closeness-First hub
 //!   strategy (§5.1);
-//! * personalized PageRank (forward push + power iteration) for the §8
-//!   future-work extension;
 //! * plain-text edge-list I/O.
 //!
 //! The query algorithms themselves live in `rkranks-core`; synthetic
@@ -42,10 +40,8 @@ pub mod io;
 pub mod metrics;
 pub mod node;
 pub mod path;
-pub mod ppr;
 pub mod rank;
 pub mod shard;
-pub mod simrank;
 pub mod store;
 pub mod topk;
 pub mod traversal;

@@ -1,13 +1,10 @@
-//! Graph statistics: degree distributions, weight summaries, and diameter
-//! estimation.
+//! Graph statistics: degree and weight summaries.
 //!
 //! Used by the dataset generators' validation tests and by the harness's
 //! Table 2 reproduction (the paper's dataset-statistics table), and handy
 //! for anyone loading their own graphs.
 
-use crate::dijkstra::{DijkstraWorkspace, DistanceBrowser};
 use crate::graph::Graph;
-use crate::node::NodeId;
 
 /// Degree distribution summary.
 #[derive(Clone, Debug, PartialEq)]
@@ -39,17 +36,6 @@ pub fn degree_stats(graph: &Graph) -> Option<DegreeStats> {
         median: degrees[n / 2],
         p99: degrees[(n * 99 / 100).min(n - 1)],
     })
-}
-
-/// Histogram of out-degrees: `hist[d] = #nodes with degree d`, truncated at
-/// the maximum degree.
-pub fn degree_histogram(graph: &Graph) -> Vec<u32> {
-    let max = graph.nodes().map(|u| graph.degree(u)).max().unwrap_or(0);
-    let mut hist = vec![0u32; max as usize + 1];
-    for u in graph.nodes() {
-        hist[graph.degree(u) as usize] += 1;
-    }
-    hist
 }
 
 /// Weight summary over all stored arcs.
@@ -84,25 +70,6 @@ pub fn weight_stats(graph: &Graph) -> Option<WeightStats> {
     })
 }
 
-/// Weighted-eccentricity lower bound on the diameter by the double-sweep
-/// heuristic: run Dijkstra from `start`, then again from the farthest node
-/// found. Exact on trees; a tight lower bound in practice elsewhere.
-pub fn approx_diameter(graph: &Graph, start: NodeId) -> f64 {
-    let mut ws = DijkstraWorkspace::new(graph.num_nodes());
-    let far = |ws: &mut DijkstraWorkspace, s: NodeId| -> (NodeId, f64) {
-        let mut best = (s, 0.0);
-        for (v, d) in DistanceBrowser::new(graph, ws, s) {
-            if d > best.1 {
-                best = (v, d);
-            }
-        }
-        best
-    };
-    let (a, _) = far(&mut ws, start);
-    let (_, d) = far(&mut ws, a);
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,23 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_every_node() {
-        let h = degree_histogram(&path());
-        assert_eq!(h, vec![0, 2, 2]); // two endpoints (deg 1), two middles (deg 2)
-        assert_eq!(h.iter().sum::<u32>(), 4);
-    }
-
-    #[test]
-    fn histogram_with_isolated_nodes() {
-        let mut b = GraphBuilder::new(EdgeDirection::Undirected);
-        b.reserve_nodes(3);
-        b.add_edge(0, 1, 1.0).unwrap();
-        let h = degree_histogram(&b.build().unwrap());
-        assert_eq!(h[0], 1);
-        assert_eq!(h[1], 2);
-    }
-
-    #[test]
     fn weight_stats_on_path() {
         let s = weight_stats(&path()).unwrap();
         assert_eq!(s.min, 1.0);
@@ -161,23 +111,5 @@ mod tests {
         let mut b = GraphBuilder::new(EdgeDirection::Undirected);
         b.reserve_nodes(2);
         assert_eq!(weight_stats(&b.build().unwrap()), None);
-    }
-
-    #[test]
-    fn diameter_exact_on_path() {
-        // path 0-1-2-3 with weights 1+2+3: diameter 6, found from any start
-        for s in 0..4 {
-            assert_eq!(approx_diameter(&path(), NodeId(s)), 6.0);
-        }
-    }
-
-    #[test]
-    fn diameter_on_star_is_two_spokes() {
-        let g = graph_from_edges(
-            EdgeDirection::Undirected,
-            [(0, 1, 1.0), (0, 2, 5.0), (0, 3, 2.0)],
-        )
-        .unwrap();
-        assert_eq!(approx_diameter(&g, NodeId(0)), 7.0); // 1 -> 0 -> 2
     }
 }

@@ -21,16 +21,6 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Build from a `usize` index.
-    ///
-    /// # Panics
-    /// Panics if `i` does not fit in `u32`.
-    #[inline(always)]
-    pub fn from_index(i: usize) -> Self {
-        debug_assert!(i <= u32::MAX as usize, "node index {i} overflows u32");
-        NodeId(i as u32)
-    }
 }
 
 impl fmt::Debug for NodeId {
@@ -100,7 +90,7 @@ mod tests {
 
     #[test]
     fn index_round_trip() {
-        let id = NodeId::from_index(42);
+        let id = NodeId(42);
         assert_eq!(id.index(), 42);
         assert_eq!(u32::from(id), 42);
         assert_eq!(NodeId::from(42u32), id);

@@ -1,4 +1,4 @@
-//! Unweighted traversals: BFS, connectivity, component extraction.
+//! Unweighted traversals: weak connectivity and component labels.
 //!
 //! Dataset generators use these to guarantee the connectivity properties
 //! the paper's experiments rely on (queries are meaningful only inside a
@@ -8,26 +8,6 @@ use std::collections::VecDeque;
 
 use crate::graph::Graph;
 use crate::node::NodeId;
-
-/// BFS order from `source` following out-edges.
-pub fn bfs_order(graph: &Graph, source: NodeId) -> Vec<NodeId> {
-    let n = graph.num_nodes() as usize;
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    let mut order = Vec::new();
-    seen[source.index()] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for (v, _) in graph.edges(u) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
 
 /// Weakly connected component labels (directed arcs treated as
 /// bidirectional). Returns `(labels, component_count)`.
@@ -80,43 +60,10 @@ pub fn is_weakly_connected(graph: &Graph) -> bool {
     weakly_connected_components(graph).1 <= 1
 }
 
-/// Node ids of the largest weakly connected component, ascending.
-pub fn largest_component(graph: &Graph) -> Vec<NodeId> {
-    let (labels, count) = weakly_connected_components(graph);
-    if count == 0 {
-        return Vec::new();
-    }
-    let mut sizes = vec![0u32; count as usize];
-    for &l in &labels {
-        sizes[l as usize] += 1;
-    }
-    let biggest = (0..count)
-        .max_by_key(|&c| (sizes[c as usize], std::cmp::Reverse(c)))
-        .unwrap();
-    labels
-        .iter()
-        .enumerate()
-        .filter(|(_, &l)| l == biggest)
-        .map(|(i, _)| NodeId(i as u32))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{graph_from_edges, EdgeDirection};
-
-    #[test]
-    fn bfs_visits_reachable_set() {
-        let g = graph_from_edges(
-            EdgeDirection::Undirected,
-            [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)],
-        )
-        .unwrap();
-        let order = bfs_order(&g, NodeId(0));
-        assert_eq!(order.len(), 3);
-        assert_eq!(order[0], NodeId(0));
-    }
 
     #[test]
     fn components_undirected() {
@@ -142,16 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn largest_component_selection() {
-        let g = graph_from_edges(
-            EdgeDirection::Undirected,
-            [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)],
-        )
-        .unwrap();
-        assert_eq!(largest_component(&g), vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
     fn isolated_nodes_are_their_own_components() {
         let mut b = crate::builder::GraphBuilder::new(EdgeDirection::Undirected);
         b.reserve_nodes(3);
@@ -165,6 +102,5 @@ mod tests {
     fn empty_graph_is_connected() {
         let g = graph_from_edges(EdgeDirection::Undirected, std::iter::empty()).unwrap();
         assert!(is_weakly_connected(&g));
-        assert!(largest_component(&g).is_empty());
     }
 }

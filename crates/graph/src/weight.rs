@@ -59,13 +59,6 @@ pub fn dist_lt(a: Distance, b: Distance) -> bool {
     a < b
 }
 
-/// Compare `(distance, node)` pairs: by distance, ties by node id. Gives the
-/// deterministic settle order used by tests and the rank-matrix helper.
-#[inline]
-pub fn cmp_dist_node(a: (Distance, u32), b: (Distance, u32)) -> Ordering {
-    cmp_dist(a.0, b.0).then(a.1.cmp(&b.1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,11 +92,5 @@ mod tests {
         assert_eq!(cmp_dist(INF, 2.0), Ordering::Greater);
         assert!(dist_lt(1.0, INF));
         assert!(!dist_lt(INF, INF));
-    }
-
-    #[test]
-    fn dist_node_tiebreak() {
-        assert_eq!(cmp_dist_node((1.0, 5), (1.0, 3)), Ordering::Greater);
-        assert_eq!(cmp_dist_node((0.5, 9), (1.0, 0)), Ordering::Less);
     }
 }

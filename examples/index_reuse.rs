@@ -7,13 +7,10 @@
 //! Every query writes its refinement discoveries back into the index, so a
 //! long-lived index keeps getting cheaper to query. This example runs the
 //! same query workload in four segments and prints how the per-segment cost
-//! falls as the index warms; it also shows the PPR future-work extension on
-//! the same graph.
+//! falls as the index warms.
 
 use reverse_k_ranks::prelude::*;
-use rkranks_core::ppr::reverse_k_ranks_ppr;
 use rkranks_datasets::{collab_graph, CollabParams};
-use rkranks_graph::ppr::PprParams;
 use std::time::Instant;
 
 fn main() {
@@ -62,18 +59,4 @@ fn main() {
             index.rrd_entries()
         );
     }
-
-    // Bonus: the §8 future-work extension — same query, PPR proximity.
-    let q = queries[0];
-    let req = QueryRequest::new(q, 5).with_strategy(Strategy::Indexed(BoundConfig::ALL));
-    let shortest = engine
-        .execute_with(Some(&mut IndexAccess::Live(&mut index)), &req)
-        .unwrap()
-        .result;
-    let ppr = reverse_k_ranks_ppr(&g, q, 5, &PprParams::default()).unwrap();
-    println!("\nquery {q}: shortest-path vs personalized-PageRank proximity");
-    println!("  shortest-path reverse 5-ranks: {:?}", shortest.nodes());
-    println!("  PPR reverse 5-ranks:           {:?}", ppr.nodes());
-    println!("(different proximity measures surface different communities — the");
-    println!(" paper's closing future-work direction, prototyped in rkranks-core::ppr)");
 }

@@ -31,6 +31,9 @@
 //! `indexed[-parent|-height|-count|-three]` — and the *same* spelling
 //! works locally, over the wire (`--remote`), and in `batch`, so e.g.
 //! `--algo dynamic-height` replaces the old ad-hoc flag combinations.
+//! A flag the run would not read fails the command before it starts:
+//! `--index`, `--save-index` and `--indexed-mode` need a local `indexed-*`
+//! run, and `--merge-every` needs `--indexed-mode snapshot`.
 //!
 //! A thin shell over the library — everything it does is a few calls into
 //! the public API. Queries build a `QueryRequest` and go through the one
@@ -336,7 +339,6 @@ fn cmd_build_index(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_batch(flags: &Flags) -> Result<(), String> {
-    let g = graph_arg(flags)?;
     let count: usize = flags.get_parsed("queries", 100)?;
     let k: u32 = flags.get_parsed("k", 10)?;
     let seed: u64 = flags.get_parsed("seed", 42)?;
@@ -344,15 +346,48 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
         flags
             .get_parsed("threads", 0)
             .map(|t: usize| if t == 0 { runner::default_threads() } else { t })?;
+    let strategy: Strategy = flags.get("algo").unwrap_or("dynamic").parse()?;
+    // Validate the mode flags before loading the graph.
+    let indexed = match strategy {
+        Strategy::Indexed(bounds) => {
+            let mode = match flags.get("indexed-mode").unwrap_or("snapshot") {
+                "sequential" => {
+                    reject_unread(
+                        flags,
+                        &["merge-every"],
+                        "with --indexed-mode sequential (only snapshot mode merges)",
+                    )?;
+                    IndexedMode::Sequential
+                }
+                "snapshot" => IndexedMode::Snapshot {
+                    threads,
+                    // The internal 0 sentinel means "merge once at the end
+                    // of the batch"; it is reachable only by omitting the
+                    // flag, never by passing an explicit 0.
+                    merge_every: parse_merge_every(flags, 0)?,
+                },
+                other => return Err(format!("unknown indexed mode '{other}'")),
+            };
+            Some((bounds, mode))
+        }
+        _ => {
+            reject_unread(
+                flags,
+                &["index", "indexed-mode", "merge-every"],
+                &format!("with --algo {strategy} (only indexed-* strategies use an index)"),
+            )?;
+            None
+        }
+    };
+    let g = graph_arg(flags)?;
     let queries = random_queries(&g, count, seed, |_| true);
     // One Arc for the whole batch: the drivers share it instead of
     // deep-cloning the CSR per call.
     let g = std::sync::Arc::new(g);
-    let strategy: Strategy = flags.get("algo").unwrap_or("dynamic").parse()?;
     // Index preparation happens outside the timed region so wall time and
     // throughput measure serving only, comparable across --algo values.
-    let (out, detail, wall) = match strategy {
-        Strategy::Naive | Strategy::Static | Strategy::Dynamic(_) => {
+    let (out, detail, wall) = match indexed {
+        None => {
             let start = Instant::now();
             let out = run_batch(
                 std::sync::Arc::clone(&g),
@@ -369,19 +404,7 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
                 start.elapsed(),
             )
         }
-        Strategy::Indexed(bounds) => {
-            // Validate the mode flags before paying for index preparation.
-            let mode = match flags.get("indexed-mode").unwrap_or("snapshot") {
-                "sequential" => IndexedMode::Sequential,
-                "snapshot" => IndexedMode::Snapshot {
-                    threads,
-                    // The internal 0 sentinel means "merge once at the end
-                    // of the batch"; it is reachable only by omitting the
-                    // flag, never by passing an explicit 0.
-                    merge_every: parse_merge_every(flags, 0)?,
-                },
-                other => return Err(format!("unknown indexed mode '{other}'")),
-            };
+        Some((bounds, mode)) => {
             let mut index = match flags.get("index") {
                 Some(path) => load_index_for_edge_file(path)?,
                 None => {
@@ -428,6 +451,15 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
         out.totals.index_exact_hits
     );
     Ok(())
+}
+
+/// Fail on an index flag the run would not read instead of ignoring it,
+/// before any work starts.
+fn reject_unread(flags: &Flags, unread: &[&str], why: &str) -> Result<(), String> {
+    match flags.names().find(|given| unread.contains(given)) {
+        Some(name) => Err(format!("--{name} has no effect {why}")),
+        None => Ok(()),
+    }
 }
 
 /// `--merge-every` with an explicit `0` rejected: zero would mean "merge
@@ -964,6 +996,11 @@ fn cmd_query_remote(flags: &Flags, addr: &str) -> Result<(), String> {
         return Err("query needs --node Q".into());
     }
     let k: u32 = flags.get_parsed("k", 10)?;
+    reject_unread(
+        flags,
+        &["index", "save-index"],
+        "with --remote (the daemon reads its own index)",
+    )?;
     // The wire protocol carries strategy + deadline_ms; a silently
     // dropped budget would look like an unbounded query, so refuse it.
     if flags.get("refine-budget").is_some() {
@@ -1028,13 +1065,22 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     if let Some(addr) = flags.get("remote") {
         return cmd_query_remote(flags, addr);
     }
+    let strategy: Strategy = flags.get("algo").unwrap_or("dynamic").parse()?;
+    if !strategy.needs_index() {
+        reject_unread(
+            flags,
+            &["index", "save-index"],
+            &format!("with --algo {strategy} (only indexed-* strategies use an index)"),
+        )?;
+    } else if flags.has("save-index") && flags.get("index").is_none() {
+        return Err("--save-index needs --index FILE to write the index back to".into());
+    }
     let g = graph_arg(flags)?;
     let node: u32 = flags.get_parsed("node", u32::MAX)?;
     if node == u32::MAX {
         return Err("query needs --node Q".into());
     }
     let k: u32 = flags.get_parsed("k", 10)?;
-    let strategy: Strategy = flags.get("algo").unwrap_or("dynamic").parse()?;
     let mut req = QueryRequest::new(NodeId(node), k).with_strategy(strategy);
     if let Some(ms) = flags.get("deadline-ms") {
         let ms: u64 = ms

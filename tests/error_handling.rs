@@ -128,25 +128,6 @@ fn missing_files_surface_io_errors() {
 }
 
 #[test]
-fn ppr_and_simrank_extensions_validate_inputs() {
-    let g = toy::paper_example();
-    assert!(rkranks_core::ppr::reverse_k_ranks_ppr(
-        &g,
-        toy::ALICE,
-        0,
-        &rkranks_graph::ppr::PprParams::default()
-    )
-    .is_err());
-    assert!(rkranks_core::simrank::reverse_k_ranks_simrank(
-        &g,
-        NodeId(77),
-        1,
-        &rkranks_graph::simrank::SimRankParams::default()
-    )
-    .is_err());
-}
-
-#[test]
 fn snapshot_corruption_is_a_one_line_error() {
     // The durability acceptance bar: a damaged bundle must fail loudly
     // with a single descriptive line, never load into a wrong serving

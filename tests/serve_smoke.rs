@@ -649,21 +649,38 @@ fn query_rejects_a_misspelled_flag() {
         &dir,
         &["gen", "dblp", "--scale", "tiny", "--out", "g.edges"],
     );
-    // a misspelled valued flag, and a misspelled switch
-    for (args, bad) in [
-        (&["--algoo", "naive"][..], "algoo"),
-        (&["--tracee"][..], "tracee"),
+    // a misspelled valued flag, a misspelled switch, and index flags on
+    // runs that never read an index
+    for (args, expected) in [
+        (
+            &["--algoo", "naive"][..],
+            "unknown flag --algoo for 'rkr query'",
+        ),
+        (&["--tracee"][..], "unknown flag --tracee for 'rkr query'"),
+        (
+            &["--index", "missing.rkri"][..],
+            "--index has no effect with --algo dynamic",
+        ),
+        (
+            &["--algo", "naive", "--save-index"][..],
+            "--save-index has no effect with --algo naive",
+        ),
+        (
+            &["--algo", "indexed", "--save-index"][..],
+            "--save-index needs --index FILE",
+        ),
+        (
+            &["--remote", "127.0.0.1:1", "--index", "missing.rkri"][..],
+            "--index has no effect with --remote",
+        ),
     ] {
         let mut line = vec!["query", "g.edges", "--node", "5", "--k", "3"];
         line.extend_from_slice(args);
         let out = rkr(&dir, &line);
-        assert!(!out.status.success(), "--{bad} must be rejected");
+        assert!(!out.status.success(), "{args:?} must be rejected");
         assert!(out.stdout.is_empty(), "no query may run");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("unknown flag --{bad} for 'rkr query'")),
-            "unhelpful error: {stderr}"
-        );
+        assert!(stderr.contains(expected), "unhelpful error: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -675,32 +692,54 @@ fn batch_rejects_explicit_merge_every_zero() {
         &dir,
         &["gen", "dblp", "--scale", "tiny", "--out", "g.edges"],
     );
-    let out = rkr(
-        &dir,
-        &[
-            "batch",
-            "g.edges",
-            "--queries",
-            "4",
-            "--k",
-            "2",
-            "--algo",
-            "indexed",
-            "--indexed-mode",
-            "snapshot",
-            "--merge-every",
-            "0",
-        ],
-    );
-    assert!(
-        !out.status.success(),
-        "an explicit --merge-every 0 must be rejected"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--merge-every must be at least 1"),
-        "unhelpful error: {stderr}"
-    );
+    // an explicit zero cadence, and index flags on runs that never read them
+    for (args, expected) in [
+        (
+            &[
+                "--algo",
+                "indexed",
+                "--indexed-mode",
+                "snapshot",
+                "--merge-every",
+                "0",
+            ][..],
+            "--merge-every must be at least 1",
+        ),
+        (
+            &[
+                "--algo",
+                "dynamic",
+                "--index",
+                "missing.rkri",
+                "--indexed-mode",
+                "bogus",
+            ][..],
+            "--index has no effect with --algo dynamic",
+        ),
+        (
+            &["--algo", "dynamic", "--merge-every", "8"][..],
+            "--merge-every has no effect with --algo dynamic",
+        ),
+        (
+            &[
+                "--algo",
+                "indexed",
+                "--indexed-mode",
+                "sequential",
+                "--merge-every",
+                "8",
+            ][..],
+            "--merge-every has no effect with --indexed-mode sequential",
+        ),
+    ] {
+        let mut line = vec!["batch", "g.edges", "--queries", "4", "--k", "2"];
+        line.extend_from_slice(args);
+        let out = rkr(&dir, &line);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        assert!(out.stdout.is_empty(), "no batch may run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expected), "unhelpful error: {stderr}");
+    }
     // omitting the flag still works (merge once at the end)
     let out = rkr(
         &dir,

@@ -281,22 +281,6 @@ fn section4_walkthrough_trace_matches_paper_narrative() {
 }
 
 #[test]
-fn doubling_baseline_agrees_on_toy() {
-    // The §2 alternative baseline (repeated reverse top-k') must agree
-    // with the framework, at much higher cost.
-    let g = toy::paper_example();
-    let mut engine = QueryEngine::new(&g);
-    for q in g.nodes() {
-        let framework = engine.execute(&QueryRequest::new(q, 2)).unwrap().result;
-        let doubled = rkranks_core::topk_baseline::reverse_k_ranks_by_doubling(&g, q, 2).unwrap();
-        assert!(
-            rkranks_core::results_equivalent(&framework, &doubled.result),
-            "q={q}"
-        );
-    }
-}
-
-#[test]
 fn prelude_facade_works() {
     let g = toy::paper_example();
     let mut engine = QueryEngine::new(&g);
