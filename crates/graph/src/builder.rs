@@ -4,8 +4,14 @@
 //! requires non-negative weights), deduplicates parallel edges keeping the
 //! minimum weight (parallel edges cannot change any shortest-path distance
 //! except through their minimum), and produces the CSR [`Graph`].
-
-use std::collections::HashMap;
+//!
+//! **Memory contract:** `build()` holds its edge list, the CSR it returns
+//! and `O(n)`, and nothing else. The CSR's counting sort reads the edge
+//! list in place (both directions of an undirected edge, `(u, v)` then
+//! `(v, u)`), and parallel arcs are dropped inside the CSR: `KeepLast`
+//! before the rows are sorted, `KeepMin` after. No arc list is copied and
+//! no map of pairs is built, so a load peaks at its edge list plus the
+//! graph it returns.
 
 use crate::csr::Csr;
 use crate::error::{GraphError, Result};
@@ -126,51 +132,19 @@ impl GraphBuilder {
             }
         };
 
-        // Expand to arcs.
-        let mut arcs: Vec<(u32, u32, f64)> = match direction {
-            EdgeDirection::Directed => edges,
-            EdgeDirection::Undirected => {
-                let mut a = Vec::with_capacity(edges.len() * 2);
-                for (u, v, w) in edges {
-                    a.push((u, v, w));
-                    a.push((v, u, w));
-                }
-                a
-            }
-        };
-
-        match dedup {
-            DedupPolicy::KeepAll => {}
-            DedupPolicy::KeepMin | DedupPolicy::KeepLast => {
-                // HashMap dedup is fine here: construction is cold code.
-                let mut best: HashMap<(u32, u32), f64> = HashMap::with_capacity(arcs.len());
-                for (i, (u, v, w)) in arcs.iter().copied().enumerate() {
-                    match best.entry((u, v)) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(w);
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let keep = match dedup {
-                                DedupPolicy::KeepMin => w < *e.get(),
-                                DedupPolicy::KeepLast => {
-                                    // later raw edges win; arcs preserve input order
-                                    let _ = i;
-                                    true
-                                }
-                                DedupPolicy::KeepAll => unreachable!(),
-                            };
-                            if keep {
-                                e.insert(w);
-                            }
-                        }
-                    }
-                }
-                arcs = best.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-            }
+        let undirected = direction == EdgeDirection::Undirected;
+        let mut csr = Csr::from_emitter(num_nodes, dedup == DedupPolicy::KeepLast, || {
+            edges.iter().flat_map(move |&(u, v, w)| {
+                let back = undirected.then_some((v, u, w));
+                std::iter::once((u, v, w)).chain(back)
+            })
+        });
+        // freed before `drop_parallel_arcs` allocates its stamps
+        drop(edges);
+        if dedup == DedupPolicy::KeepMin {
+            csr.drop_parallel_arcs();
         }
-
-        // `from_arcs` orders every row: HashMap order never reaches the CSR.
-        let graph = Graph::from_csr(Csr::from_arcs(num_nodes, &arcs), direction);
+        let graph = Graph::from_csr(csr, direction);
         Ok(match dedup {
             DedupPolicy::KeepAll => graph.with_parallel_arcs(),
             DedupPolicy::KeepMin | DedupPolicy::KeepLast => graph,

@@ -6,7 +6,7 @@
 //! algorithm of the paper.
 //!
 //! **Row order is an invariant:** every row is sorted by `(weight, target)`
-//! ascending. Every `Csr` is born in `Csr::from_arcs` ([`Csr::transpose`]
+//! ascending. Every `Csr` is born in `Csr::from_emitter` ([`Csr::transpose`]
 //! included), which establishes it, or in `Csr::patched`, which copies the
 //! untouched rows of a sorted `Csr` and re-sorts the ones it changes. A
 //! traversal that only wants edges with `d + w < bound` may therefore stop
@@ -29,54 +29,97 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build from an arc list `(source, target, weight)` in any order.
+    /// Build from the arcs `(source, target, weight)` that `arcs()` yields,
+    /// in any order. Every `Csr` is born in this constructor
+    /// ([`Csr::transpose`] included) or in [`Csr::patched`].
     ///
-    /// Counting-sorts the arcs into their rows, then orders each row by
-    /// `(weight, target)`: `O(m + Σ d log d)`, and rows are short. Weights
-    /// must be valid (non-NaN); the public entry points
+    /// A two-pass counting sort straight into the CSR: `arcs` is called
+    /// twice and must yield the same arcs both times, once to count the
+    /// rows and once to place each arc at its row's cursor, so no arc list
+    /// is ever collected. A row holds its arcs in emission order until it
+    /// is sorted by `(weight, target)`; with `keep_last`, a reverse pass
+    /// over the row first keeps only the last-emitted arc to each target.
+    /// `O(n + m + Σ d log d)` time, and rows are short; beyond the CSR it
+    /// allocates only `O(n)` stamps and one row's sort buffer. Weights must
+    /// be valid (non-NaN); the public entry points
     /// ([`crate::builder::GraphBuilder`], [`crate::GraphStore`]) validate
     /// them.
-    pub(crate) fn from_arcs(num_nodes: u32, arcs: &[(u32, u32, f64)]) -> Csr {
+    pub(crate) fn from_emitter<I>(num_nodes: u32, keep_last: bool, arcs: impl Fn() -> I) -> Csr
+    where
+        I: IntoIterator<Item = (u32, u32, f64)>,
+    {
         let n = num_nodes as usize;
         let mut offsets = vec![0u32; n + 1];
-        for &(u, _, _) in arcs {
+        let mut m = 0usize;
+        for (u, _, _) in arcs() {
             offsets[u as usize + 1] += 1;
+            m += 1;
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+        assert!(
+            u32::try_from(m).is_ok(),
+            "{m} arcs overflow the u32 row offsets"
+        );
+        // Shifted prefix sum: `offsets[u + 1]` holds row `u`'s start, is its
+        // cursor while arcs are placed, and ends at the row's end, the value
+        // a CSR keeps there. No cursor array is needed.
+        let mut start = 0;
+        for o in &mut offsets[1..] {
+            (*o, start) = (start, start + *o);
         }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![NodeId(0); arcs.len()];
-        let mut weights = vec![0.0; arcs.len()];
-        for &(u, v, w) in arcs {
-            let slot = cursor[u as usize] as usize;
-            targets[slot] = NodeId(v);
-            weights[slot] = w;
-            cursor[u as usize] += 1;
-        }
-        let mut row: Vec<(Distance, NodeId)> = Vec::new();
-        for i in 0..n {
-            let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-            row.clear();
-            row.extend(
-                weights[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(targets[lo..hi].iter().copied()),
-            );
-            sort_row(&mut row);
-            for (slot, &(w, t)) in (lo..hi).zip(&row) {
-                weights[slot] = w;
-                targets[slot] = t;
-            }
-        }
-        let csr = Csr {
+        let mut csr = Csr {
             offsets,
-            targets,
-            weights,
+            targets: vec![NodeId(0); m],
+            weights: vec![0.0; m],
         };
+        for (u, v, w) in arcs() {
+            let cursor = &mut csr.offsets[u as usize + 1];
+            csr.targets[*cursor as usize] = NodeId(v);
+            csr.weights[*cursor as usize] = w;
+            *cursor += 1;
+        }
+        debug_assert_eq!(csr.offsets[n] as usize, m, "`arcs` changed between calls");
+        csr.sort_rows(keep_last);
         debug_assert!(csr.rows_are_sorted());
         csr
+    }
+
+    /// Sort every row by `(weight, target)`, compacting the CSR in place;
+    /// with `keep_last`, a row first drops every arc that a later arc of
+    /// the row to the same target overrides.
+    fn sort_rows(&mut self, keep_last: bool) {
+        let stamps = if keep_last {
+            self.num_nodes() as usize
+        } else {
+            0
+        };
+        let mut stamp = vec![u32::MAX; stamps];
+        let mut row: Vec<(Distance, NodeId)> = Vec::new();
+        let (mut lo, mut kept) = (0, 0);
+        for u in 0..self.num_nodes() {
+            let hi = self.offsets[u as usize + 1] as usize;
+            let arcs = self.weights[lo..hi]
+                .iter()
+                .copied()
+                .zip(self.targets[lo..hi].iter().copied());
+            row.clear();
+            if keep_last {
+                row.extend(
+                    arcs.rev()
+                        .filter(|&(_, t)| std::mem::replace(&mut stamp[t.index()], u) != u),
+                );
+            } else {
+                row.extend(arcs);
+            }
+            sort_row(&mut row);
+            for (slot, &(w, t)) in (kept..).zip(&row) {
+                self.weights[slot] = w;
+                self.targets[slot] = t;
+            }
+            kept += row.len();
+            lo = hi;
+            self.offsets[u as usize + 1] = kept as u32;
+        }
+        self.truncate(kept);
     }
 
     /// The CSR with `changes` applied, built by patching this one.
@@ -91,8 +134,8 @@ impl Csr {
     /// and its offsets shifted; a touched row becomes its old arcs minus
     /// every changed target, plus the `Some` overlays, sorted by
     /// `(weight, target)`. `O(n + m)` sequential copy plus `Σ d log d` over
-    /// the touched rows, and the result equals `from_arcs` of the final arc
-    /// list.
+    /// the touched rows, and the result equals `from_emitter` of the final
+    /// arc list.
     pub(crate) fn patched(&self, num_nodes: u32, changes: &[(u32, u32, Option<f64>)]) -> Csr {
         debug_assert!(num_nodes >= self.num_nodes());
         debug_assert!(changes
@@ -183,8 +226,17 @@ impl Csr {
             lo = hi;
             self.offsets[u as usize + 1] = kept as u32;
         }
-        self.targets.truncate(kept);
-        self.weights.truncate(kept);
+        self.truncate(kept);
+    }
+
+    /// Keep the first `arcs` arcs, releasing the rest of the storage.
+    fn truncate(&mut self, arcs: usize) {
+        if arcs < self.targets.len() {
+            self.targets.truncate(arcs);
+            self.targets.shrink_to_fit();
+            self.weights.truncate(arcs);
+            self.weights.shrink_to_fit();
+        }
     }
 
     /// The row-order invariant, checked: every row ascends by
@@ -233,10 +285,9 @@ impl Csr {
     /// Reverse every arc, producing the transpose adjacency (its rows
     /// `(weight, target)`-sorted like any other `Csr`'s).
     pub fn transpose(&self) -> Csr {
-        let arcs: Vec<_> = (0..self.num_nodes())
-            .flat_map(|u| self.edges(NodeId(u)).map(move |(t, w)| (t.0, u, w)))
-            .collect();
-        Csr::from_arcs(self.num_nodes(), &arcs)
+        Csr::from_emitter(self.num_nodes(), false, || {
+            (0..self.num_nodes()).flat_map(|u| self.edges(NodeId(u)).map(move |(t, w)| (t.0, u, w)))
+        })
     }
 
     /// Heap memory footprint in bytes (used by index-size accounting).
@@ -256,9 +307,14 @@ fn sort_row(row: &mut [(Distance, NodeId)]) {
 mod tests {
     use super::*;
 
+    /// The CSR of an arc list, no arc dropped.
+    fn csr(num_nodes: u32, arcs: &[(u32, u32, f64)]) -> Csr {
+        Csr::from_emitter(num_nodes, false, || arcs.iter().copied())
+    }
+
     fn sample() -> Csr {
         // 0 -> 1 (1.0), 0 -> 2 (2.0), 1 -> 2 (0.5), 3 isolated
-        Csr::from_arcs(4, &[(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5)])
+        csr(4, &[(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5)])
     }
 
     #[test]
@@ -325,11 +381,11 @@ mod tests {
             };
         }
         let arcs: Vec<_> = map.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-        Csr::from_arcs(num_nodes, &arcs)
+        csr(num_nodes, &arcs)
     }
 
     fn assert_patch(num_nodes: u32, arcs: &[(u32, u32, f64)], new_n: u32, changes: &[Change]) {
-        let patched = Csr::from_arcs(num_nodes, arcs).patched(new_n, changes);
+        let patched = csr(num_nodes, arcs).patched(new_n, changes);
         assert_eq!(patched, rebuilt(new_n, arcs, changes), "{changes:?}");
     }
 
@@ -355,7 +411,7 @@ mod tests {
     #[test]
     fn patch_reweight_moves_an_edge_across_its_row() {
         // 0 -> 1 from the front to the back, past the tied pair 2, 3
-        let p = Csr::from_arcs(5, &TIED).patched(5, &[(0, 1, Some(2.0))]);
+        let p = csr(5, &TIED).patched(5, &[(0, 1, Some(2.0))]);
         assert_eq!(p.neighbors(NodeId(0)).0, &[2, 3, 1, 4].map(NodeId));
         assert_patch(5, &TIED, 5, &[(0, 1, Some(2.0))]);
         // 0 -> 4 into the tie, ordered by target inside it
@@ -366,7 +422,7 @@ mod tests {
 
     #[test]
     fn patch_reweight_to_zero_goes_first() {
-        let p = Csr::from_arcs(5, &TIED).patched(5, &[(0, 4, Some(0.0))]);
+        let p = csr(5, &TIED).patched(5, &[(0, 4, Some(0.0))]);
         assert_eq!(
             p.neighbors(NodeId(0)),
             (&[1, 4, 2, 3].map(NodeId)[..], &[0.0, 0.0, 1.0, 1.0][..])
@@ -379,7 +435,7 @@ mod tests {
         // rows 5 and 7 appended untouched, row 6 appended and touched, and
         // an old row gains an arc to an appended node
         let changes = [(0, 7, Some(0.5)), (6, 1, Some(3.0)), (6, 2, Some(1.0))];
-        let p = Csr::from_arcs(5, &TIED).patched(8, &changes);
+        let p = csr(5, &TIED).patched(8, &changes);
         assert_eq!(p.num_nodes(), 8);
         assert_eq!((p.degree(NodeId(5)), p.degree(NodeId(7))), (0, 0));
         assert_eq!(p.neighbors(NodeId(6)).0, &[NodeId(2), NodeId(1)]);
@@ -396,7 +452,7 @@ mod tests {
             .flat_map(|&(u, v, w)| [(u, v, w), (v, u, w)])
             .collect();
         let changes = [(0, 2, Some(0.5)), (2, 0, Some(0.5))];
-        let p = Csr::from_arcs(4, &arcs).patched(4, &changes);
+        let p = csr(4, &arcs).patched(4, &changes);
         assert_eq!(p.neighbors(NodeId(0)).1, &[0.5, 1.0]);
         assert_eq!(
             p.neighbors(NodeId(2)),
@@ -414,15 +470,27 @@ mod tests {
             (1, 0, 3.0),
             (1, 0, 3.0),
         ];
-        let mut c = Csr::from_arcs(3, &arcs);
+        let mut c = csr(3, &arcs);
         c.drop_parallel_arcs();
-        assert_eq!(
-            c,
-            Csr::from_arcs(3, &[(0, 1, 1.0), (0, 2, 1.0), (1, 0, 3.0)])
-        );
+        assert_eq!(c, csr(3, &[(0, 1, 1.0), (0, 2, 1.0), (1, 0, 3.0)]));
         let mut clean = sample();
         clean.drop_parallel_arcs();
         assert_eq!(clean, sample());
+    }
+
+    #[test]
+    fn keep_last_keeps_each_targets_last_emitted_arc() {
+        let arcs = [
+            (0, 1, 5.0),
+            (0, 2, 1.0),
+            (0, 1, 1.0),
+            (1, 0, 3.0),
+            (0, 1, 4.0),
+        ];
+        let c = Csr::from_emitter(3, true, || arcs.iter().copied());
+        assert_eq!(c, csr(3, &[(0, 2, 1.0), (0, 1, 4.0), (1, 0, 3.0)]));
+        // the dropped arcs' storage is released
+        assert_eq!(c.targets.capacity(), 3);
     }
 
     mod patch_props {
@@ -465,7 +533,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             #[test]
-            fn patched_equals_from_arcs_of_the_result(
+            fn patched_equals_a_fresh_build_of_the_result(
                 (n, extra, base, changes) in arb_patch(),
                 undirected in any::<bool>(),
             ) {
@@ -474,7 +542,7 @@ mod tests {
                 for (u, v, w) in base.into_iter().filter(|(u, v, _)| u != v) {
                     edges.entry(key(u, v)).or_insert(WEIGHTS[w]);
                 }
-                let before = Csr::from_arcs(n, &arcs(&edges, undirected));
+                let before = csr(n, &arcs(&edges, undirected));
                 let mut overlay = BTreeMap::new();
                 for (u, v, w) in changes.into_iter().filter(|(u, v, _)| u != v) {
                     overlay.insert(key(u, v), WEIGHTS.get(w).copied());
@@ -492,7 +560,7 @@ mod tests {
                 }
                 arc_changes.sort_unstable_by_key(|&(u, v, _)| (u, v));
                 let patched = before.patched(n + extra, &arc_changes);
-                let want = Csr::from_arcs(n + extra, &arcs(&edges, undirected));
+                let want = csr(n + extra, &arcs(&edges, undirected));
                 prop_assert_eq!(patched, want, "changes {:?}", arc_changes);
             }
         }

@@ -3,7 +3,8 @@
 //! Format (one logical edge per line, `#` comments allowed):
 //!
 //! ```text
-//! # header: direction and node count (node count covers isolated nodes)
+//! # header: direction and node count (node count covers isolated nodes;
+//! # every endpoint must be below it)
 //! undirected 7
 //! 0 1 1.0
 //! 1 4 0.2
@@ -90,6 +91,9 @@ where
 }
 
 /// Parse a graph from the text format.
+///
+/// An endpoint at or past the header's node count is a
+/// [`GraphError::Parse`] naming the line, the node and the count.
 pub fn read_graph<R: Read>(input: R) -> Result<Graph> {
     let reader = BufReader::new(input);
     let mut lines = reader.lines().enumerate();
@@ -159,6 +163,11 @@ pub fn read_graph<R: Read>(input: R) -> Result<Graph> {
         if parts.next().is_some() {
             return Err(parse_err("trailing tokens".into()));
         }
+        if let Some(node) = [u, v].into_iter().find(|&x| x >= node_count) {
+            return Err(parse_err(format!(
+                "node {node} is out of range: the header declares {node_count} nodes"
+            )));
+        }
         b.add_edge(u, v, w)?;
     }
     b.build()
@@ -220,6 +229,24 @@ mod tests {
         match read_graph(text.as_bytes()) {
             Err(GraphError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn endpoints_past_the_header_count_are_rejected() {
+        for (text, node) in [
+            ("undirected 3\n0 1 1.0\n1 10 2.0\n", 10),
+            ("directed 3\n0 1 1.0\n3 1 2.0\n", 3),
+            ("undirected 3\n0 1 1.0\n1 400000000 2.0\n", 400_000_000),
+            ("directed 3\n# a comment\n4294967295 0 1.0\n", u32::MAX),
+        ] {
+            match read_graph(text.as_bytes()) {
+                Err(GraphError::Parse { line: 3, message }) => {
+                    assert!(message.contains(&format!("node {node} ")), "{message}");
+                    assert!(message.contains("3 nodes"), "{message}");
+                }
+                other => panic!("expected a parse error on line 3 for {text:?}, got {other:?}"),
+            }
         }
     }
 

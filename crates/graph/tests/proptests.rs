@@ -233,6 +233,7 @@ mod row_order_props {
     use rkranks_graph::{
         read_graph, write_graph, DedupPolicy, GraphBuilder, GraphDelta, GraphStore,
     };
+    use std::collections::BTreeMap;
 
     fn rows_sorted(g: &Graph) -> bool {
         g.nodes().all(|u| {
@@ -248,8 +249,69 @@ mod row_order_props {
             .collect()
     }
 
+    /// The arcs a build under `policy` keeps of `arcs` (in the order they
+    /// were added), as a sorted `(source, target, weight bits)` list:
+    /// `KeepMin` the lightest arc of each pair, `KeepLast` the last one
+    /// added, `KeepAll` every arc.
+    fn model(arcs: &[(u32, u32, f64)], policy: DedupPolicy) -> Vec<(u32, u32, u64)> {
+        let mut kept: BTreeMap<(u32, u32), Vec<f64>> = BTreeMap::new();
+        for &(u, v, w) in arcs {
+            let ws = kept.entry((u, v)).or_default();
+            match policy {
+                DedupPolicy::KeepAll => ws.push(w),
+                DedupPolicy::KeepLast => *ws = vec![w],
+                DedupPolicy::KeepMin if ws.first().is_none_or(|&min| w < min) => *ws = vec![w],
+                DedupPolicy::KeepMin => {}
+            }
+        }
+        let mut arcs: Vec<_> = kept
+            .into_iter()
+            .flat_map(|((u, v), ws)| ws.into_iter().map(move |w| (u, v, w.to_bits())))
+            .collect();
+        arcs.sort_unstable();
+        arcs
+    }
+
+    fn arcs_of(g: &Graph) -> Vec<(u32, u32, u64)> {
+        let mut arcs: Vec<_> = g
+            .nodes()
+            .flat_map(|u| g.edges(u).map(move |(v, w)| (u.0, v.0, w.to_bits())))
+            .collect();
+        arcs.sort_unstable();
+        arcs
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Which arc survives a parallel edge: every row of a build, and of
+        /// its transpose, holds exactly the `(target, weight)` multiset the
+        /// model keeps of the raw edges (of the reversed arcs, for the
+        /// transpose). Few nodes and weights from `{0, 1, 2}` make parallel
+        /// edges and ties common.
+        #[test]
+        fn build_and_transpose_match_a_model(
+            (n, edges) in arb_edges(8, 40),
+            directed in any::<bool>(),
+        ) {
+            let dir = if directed { EdgeDirection::Directed } else { EdgeDirection::Undirected };
+            let edges = tie_heavy(&edges);
+            let arcs: Vec<_> = edges
+                .iter()
+                .flat_map(|&(u, v, w)| std::iter::once((u, v, w)).chain((!directed).then_some((v, u, w))))
+                .collect();
+            let reversed: Vec<_> = arcs.iter().map(|&(u, v, w)| (v, u, w)).collect();
+            for policy in [DedupPolicy::KeepMin, DedupPolicy::KeepLast, DedupPolicy::KeepAll] {
+                let mut b = GraphBuilder::new(dir).dedup_policy(policy);
+                b.reserve_nodes(n);
+                for &(u, v, w) in &edges {
+                    b.add_edge(u, v, w).unwrap();
+                }
+                let g = b.build().unwrap();
+                prop_assert_eq!(arcs_of(&g), model(&arcs, policy), "{:?}", policy);
+                prop_assert_eq!(arcs_of(&g.transpose()), model(&reversed, policy), "{:?} transpose", policy);
+            }
+        }
 
         #[test]
         fn rows_sorted_after_build_transpose_and_reload(

@@ -84,6 +84,11 @@ fn graph_parse_failures_name_the_line() {
         ("undirected 3\n0 1 1.0\n0 2\n", 3usize),
         ("undirected x\n", 1),
         ("diagonal 3\n", 1),
+        // an endpoint past the header's count (it used to grow the graph:
+        // 16 GB of row offsets near u32::MAX)
+        ("undirected 3\n0 1 1.0\n1 10 2.0\n", 3),
+        ("undirected 3\n0 1 1.0\n1 400000000 2.0\n", 3),
+        ("directed 2\n# a comment\n4294967295 0 1.0\n", 3),
     ] {
         match read_graph(text.as_bytes()) {
             Err(GraphError::Parse { line: l, .. }) => assert_eq!(l, line, "for {text:?}"),
