@@ -166,7 +166,11 @@ const LADDER_GUESS_PER_K: u32 = 8;
 /// On the same probe ×1.5 gave 566 q/s and ×1.25 492, against ×2's 739
 /// that session; ×4 gave ≈ 450 on `engine_cold`. A single pass at each
 /// node's true `kRank` — the ceiling a per-query first guess could approach
-/// — reaches 1,203 q/s.
+/// — reached 1,203 q/s then. Re-measured once plain and anchored
+/// refinements ran first-in-first-out (`crate::refine`, "Order"; min of 8
+/// scripts, three alternating runs a side, one CPU, a noisy hour): the
+/// ceiling reads 2,088–2,633 q/s with the heap and 3,593–4,211 with FIFO,
+/// against the ×2 ladder's 975–1,239 and 1,368–1,796 on the same probe.
 const LADDER_GROWTH: u32 = 2;
 
 /// Immutable, `Sync` query-evaluation state bound to one graph snapshot:
@@ -478,6 +482,7 @@ impl EngineContext {
                     refinements: stats.refinement_calls - before.refinement_calls,
                     settles: stats.refinement_settles - before.refinement_settles,
                     pushes: stats.refinement_pushes - before.refinement_pushes,
+                    requeues: stats.refinement_requeues - before.refinement_requeues,
                     anchored: stats.anchored_refinements - before.anchored_refinements,
                     anchor,
                 });
@@ -693,7 +698,7 @@ impl EngineContext {
                 RefineOutcome::Exact(r) => {
                     // The pass's first big plain ball becomes its anchor:
                     // `refine_ws`'s stamps are S(u) ∪ {u} at this instant
-                    // (every insertion was settled, `q` is never inserted).
+                    // (the queue drained, `q` is never inserted).
                     // `d > 0` is what puts `u` itself strictly inside
                     // `d(p,q)` for everything below it.
                     if anchor.is_none() && index.is_none() && r > anchor_above && d > 0.0 {
@@ -826,12 +831,9 @@ fn expand(
     let (targets, weights) = tgraph.out_neighbors(u);
     for (t, w) in targets.iter().zip(weights.iter()) {
         stats.sds_relaxations += 1;
-        match sds_ws.relax(*t, d + *w) {
-            RelaxOutcome::Inserted | RelaxOutcome::Decreased => {
-                pred.set(t.index(), u.0);
-                depth2.set(t.index(), child_depth2);
-            }
-            RelaxOutcome::Unchanged => {}
+        if sds_ws.relax(*t, d + *w) != RelaxOutcome::Unchanged {
+            pred.set(t.index(), u.0);
+            depth2.set(t.index(), child_depth2);
         }
     }
 }

@@ -506,6 +506,7 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
                 s.refinements_pruned,
                 s.refinement_settles,
                 s.refinement_pushes,
+                s.refinement_requeues,
                 s.anchored_refinements,
                 s.pruned_by_bound,
             )
@@ -532,6 +533,10 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
         assert_eq!(
             trace.passes.iter().map(|p| p.pushes).sum::<u64>(),
             stats.refinement_pushes
+        );
+        assert_eq!(
+            trace.passes.iter().map(|p| p.requeues).sum::<u64>(),
+            stats.refinement_requeues
         );
         assert_eq!(
             trace.passes.iter().map(|p| p.anchored).sum::<u64>(),

@@ -1,26 +1,55 @@
 //! Rank refinement (Algorithms 2 and 4).
 //!
 //! Given a candidate `p` with known `d(p,q)` (from the SDS-tree), compute
-//! `Rank(p,q)` by a **bounded** Dijkstra from `p`: only nodes with
-//! tentative distance strictly below `d(p,q)` ever enter the frontier, so
-//! a plain call enumerates exactly `S = {v : d(p,v) < d(p,q)}` and never
+//! `Rank(p,q)` by a **bounded** traversal from `p`: only nodes with
+//! tentative distance strictly below `d(p,q)` ever enter the queue, so a
+//! plain call enumerates exactly `S = {v : d(p,v) < d(p,q)}` and never
 //! needs to reach `q` itself. `Rank(p,q) = |S ∩ counted| + 1`. An
 //! *anchored* call (below) is handed part of `S` already counted and
 //! enumerates only what is left of it.
 //!
-//! Early termination (the `kRank` bound): every frontier insertion is a
-//! node guaranteed to be in `S`, so `1 + inserted_counted` is a monotone
-//! lower bound on the final rank; once it exceeds `kRank` the candidate can
-//! never enter the result and refinement aborts (Algorithm 2, line 17).
+//! The whole proof is the insertion argument: a tentative distance is the
+//! length of a real path, so every node that enters the queue is a member
+//! of `S`, whatever order the traversal takes. Hence `1 + inserted_counted`
+//! is a monotone lower bound on the final rank; once it exceeds `kRank`
+//! the candidate can never enter the result and refinement aborts
+//! (Algorithm 2, line 17). When the queue drains, every node of `S` has
+//! been inserted (once: its stamp outlives any later re-queue), so
+//! `Exact` is `inserted_counted + 1`.
 //!
-//! Optional hooks make this the single refinement implementation for all
-//! variants:
+//! Hooks:
 //! * `lcount` — Algorithm 4 line 18: every inserted node's visit counter is
 //!   bumped, feeding the Lemma-4 lower bound of later candidates;
 //! * `index` — Algorithm 4 lines 8/20/22: every settled counted node's
 //!   exact rank is offered to the Reverse Rank Dictionary, and the Check
 //!   Dictionary is raised with a tie-safe bound on everything not
 //!   enumerated (see [`rkranks_graph::RankCounter::unsettled_rank_lower_bound`]).
+//!   Those need settle order, so a call with an index binding runs its own
+//!   ordered traversal (Dijkstra, the heap); every other call runs the one
+//!   below.
+//!
+//! ## Order
+//!
+//! Nothing in a plain or anchored call reads the order nodes are reached
+//! in: the abort tests insertions, and an insertion proves membership at
+//! any time. So those calls traverse first-in-first-out
+//! ([`DijkstraWorkspace::begin_fifo`]): a label-correcting search that
+//! queues a node again when its distance drops after it was dequeued, and
+//! pays no `log n` per push. When the queue drains, every label is the
+//! distance Dijkstra would have settled (both are the least fixpoint of the
+//! same monotone float relaxation), the row cut `d + w < d(p,q)` has
+//! admitted the same nodes, and the stamped set is exactly `S(p) ∪ {p}` — so
+//! an anchor frozen from it is the same ball. A re-queue is counted
+//! (`QueryStats::refinement_requeues`), and a re-dequeued node's row counts
+//! as another settle.
+//!
+//! FIFO is O(|V|·|E|) in the worst case. The guard lives in the workspace:
+//! once a call's re-queues exceed its insertions, the pending queue is
+//! heapified and the *same* call finishes in distance order, re-queuing a
+//! dequeued node whose distance still drops. It must not restart from `p`:
+//! `lcount` is bumped once per insertion, and a restart would insert — and
+//! bump — every node of the ball a second time, inflating Lemma 4's bound
+//! past the truth (unsound).
 //!
 //! ## Anchored refinement
 //!
@@ -35,8 +64,8 @@
 //!    call prunes before touching the graph if that already exceeds
 //!    `kRank`;
 //! 2. `a`'s own row is never relaxed;
-//! 3. a node of `B` that enters the frontier is pushed (paths to the
-//!    outside run through it) but not counted a second time;
+//! 3. a node of `B` that enters the queue is pushed (paths to the outside
+//!    run through it) but not counted a second time;
 //! 4. `Exact` is `count + 1`.
 //!
 //! Why skipping `a`'s row loses nothing: a node `x ∉ B` has
@@ -48,10 +77,10 @@
 //! `Rank(p,q)` exactly and every aborted count a true lower bound — on
 //! directed graphs and bichromatic specs alike, since only forward
 //! distances from `a` and from `p` are used. The row cut, the `t == q`
-//! skip, the abort rule, `lcount` bumps on every insertion and the
-//! counters are those of the plain call. An anchored call cannot serve an
-//! index binding: Algorithm 4's per-settle offers need the complete ordered
-//! enumeration that anchoring skips.
+//! skip, the abort rule, `lcount` bumps on every insertion, the order and
+//! the counters are those of the plain call. An anchored call cannot serve
+//! an index binding: Algorithm 4's per-settle offers need the complete
+//! ordered enumeration that anchoring skips.
 //!
 //! **One ulp.** Membership in `B` is decided by `a`'s summation order, as
 //! `d(p,q)` is by the transpose's (see the `t == q` note in the loop): on
@@ -60,28 +89,28 @@
 //!
 //! ## Row overflow
 //!
-//! A plain call that settles `v` at `d` and finds that the under-budget
+//! A plain call that dequeues `v` at `d` and finds that the under-budget
 //! part of `v`'s row — `d + w < d(p,q)`, one binary search of the sorted
 //! row with the loop's own comparison — holds at least `kRank + 2` targets
 //! is certain to abort inside that row. Those targets are distinct
-//! members of `S(p)` (no parallel arcs, no self-loops), so at least
-//! `kRank` of them are neither `p` nor `q`. Each such target is either
-//! unstamped, and the loop inserts and counts it, or stamped, and was
-//! counted when it was inserted: only `p` is stamped without an
-//! insertion, and `q` never is. So `1 + inserted_counted` passes `kRank` by
-//! the row's end at the latest. The call then walks those targets in row
-//! order doing what the loop does — skip `q` and stamped nodes, bump
-//! `lcount`, count — and aborts at the node the loop would, without
-//! pushing a node onto the heap. The outcome, the settles and Lemma 4's
-//! counters are the loop's; `refinement_pushes` counts only real frontier
-//! insertions, so it falls.
+//! members of `S(p)` (no parallel arcs, no self-loops; `d` is a real
+//! path's length, final or not), so at least `kRank` of them are neither
+//! `p` nor `q`. Each such target is either unstamped, and the loop inserts
+//! and counts it, or stamped, and was counted when it was inserted: only
+//! `p` is stamped without an insertion, and `q` never is. So
+//! `1 + inserted_counted` passes `kRank` by the row's end at the latest. The
+//! call then walks those targets in row order doing what the loop does —
+//! skip `q` and stamped nodes, bump `lcount`, count — and aborts at the
+//! node the loop would, without queuing a node. The outcome, the settles
+//! and Lemma 4's counters are the loop's; `refinement_pushes` counts only
+//! real queue insertions, so it falls.
 //!
 //! The argument needs every target counted and every row entry a distinct
 //! node, so the shortcut is off in bichromatic mode and on a graph that
 //! [`Graph::may_have_parallel_arcs`] (a row's length over-counts its
-//! distinct targets there). It is off with an index binding, whose prune
-//! raises the Check Dictionary from the frontier the pushes would have
-//! built, and without a finite `kRank`. Anchored calls do without it:
+//! distinct targets there). It is never taken with an index binding, whose
+//! prune raises the Check Dictionary from the frontier the pushes would
+//! have built, and without a finite `kRank`. Anchored calls do without it:
 //! ball members are pushed but not counted, so the row alone proves
 //! nothing, and pre-scanning every row of an anchored call for
 //! out-of-ball targets measured 7 % slower on `rkr-bench`'s
@@ -164,121 +193,174 @@ pub fn refine_rank(
 ) -> RefineOutcome {
     debug_assert_ne!(p, q, "the query node is never refined");
     stats.refinement_calls += 1;
-    if let Some(anchor) = anchor {
-        debug_assert!(hooks.index.is_none(), "an indexed pass never anchors");
-        let lcount = hooks.lcount.as_deref_mut();
-        return refine_anchored(graph, spec, ws, p, q, dpq, k_rank, anchor, lcount, stats);
-    }
-
     ws.ensure_capacity(graph.num_nodes());
-    ws.begin(p);
-    let mut counter = RankCounter::new();
-    // Counted frontier insertions: a monotone lower bound on |S ∩ counted|.
-    let mut inserted_counted: u32 = 0;
-    // Offers below the pre-existing check value were made by earlier runs
-    // from p (the §5.3 "until the rank value exceeds Check[u]" rule); in
-    // snapshot mode the floor includes this worker's own logged raises.
-    let check_at_start = hooks.index.as_deref().map_or(0, |idx| idx.offer_floor(p));
-    // A row with this many under-budget targets must abort the call (module
-    // docs, "Row overflow"); `usize::MAX` where that argument does not hold.
-    let overflow_row = if k_rank != u32::MAX
-        && hooks.index.is_none()
-        && !spec.is_bichromatic()
-        && !graph.may_have_parallel_arcs()
-    {
-        (k_rank as usize).saturating_add(2)
-    } else {
-        usize::MAX
-    };
-
-    while let Some((v, d)) = ws.settle_next() {
-        stats.refinement_settles += 1;
-        if v != p && spec.is_counted(v) {
-            let r = counter.on_settle(d);
-            if let Some(idx) = hooks.index.as_deref_mut() {
-                if r >= check_at_start {
-                    idx.offer(v, p, r);
-                }
-            }
-        }
-        let (targets, weights) = graph.out_neighbors(v);
-        if targets.len() >= overflow_row {
-            // The loop's own cut-off, as one search of the sorted row.
-            let under = weights.partition_point(|w| d + *w < dpq);
-            if under >= overflow_row {
-                let lcount = hooks.lcount.as_deref_mut();
-                return overflow(
-                    ws,
-                    &targets[..under],
-                    q,
-                    k_rank,
-                    inserted_counted,
-                    lcount,
-                    stats,
-                );
-            }
-        }
-        for (t, w) in targets.iter().zip(weights.iter()) {
-            let nd = d + *w;
-            // Algorithm 2 line 13: only distances strictly below d(p,q)
-            // can contribute to the rank. Rows are `(weight, target)`
-            // sorted (a `Graph` invariant) and float addition is
-            // monotone, so every later edge of the row fails too.
-            if nd >= dpq {
-                break;
-            }
-            // `q` itself is excluded outright: by Definition 1 it never
-            // counts toward its own rank, and floating-point summation
-            // order can make a forward path to q come out one ulp below
-            // the transpose-computed `dpq`.
-            if *t == q {
-                continue;
-            }
-            if ws.relax(*t, nd) == RelaxOutcome::Inserted {
-                stats.refinement_pushes += 1;
-                if let Some(lc) = hooks.lcount.as_deref_mut() {
-                    lc.increment(t.index());
-                }
-                if spec.is_counted(*t) {
-                    inserted_counted += 1;
-                    if k_rank != u32::MAX && 1 + inserted_counted > k_rank {
-                        return prune(ws, &counter, k_rank, p, hooks, stats);
-                    }
-                }
-            }
-        }
+    let lcount = hooks.lcount.as_deref_mut();
+    if let Some(index) = hooks.index.as_deref_mut() {
+        debug_assert!(anchor.is_none(), "an indexed pass never anchors");
+        return refine_indexed(graph, spec, ws, p, q, dpq, k_rank, index, lcount, stats);
     }
-
-    // Frontier drained: S is fully enumerated, the rank is exact. Every
-    // node not enumerated sits at distance ≥ d(p,q), so its rank from p is
-    // at least this one — exactly what the Check Dictionary stores.
-    let rank = counter.settled() + 1;
-    if let Some(idx) = hooks.index.as_deref_mut() {
-        idx.offer(q, p, rank);
-        idx.raise_check(p, rank);
-    }
-    RefineOutcome::Exact(rank)
+    ws.begin_fifo(p);
+    refine_begun(graph, spec, ws, p, q, dpq, k_rank, anchor, lcount, stats)
 }
 
-#[cold]
-fn prune(
-    ws: &DijkstraWorkspace,
-    counter: &RankCounter,
-    k_rank: u32,
+/// The plain or anchored call on a traversal already begun from `p`, in
+/// FIFO order by [`refine_rank`] (the property tests also begin it in
+/// distance order, which must decide alike).
+#[allow(clippy::too_many_arguments)]
+fn refine_begun(
+    graph: &Graph,
+    spec: QuerySpec<'_>,
+    ws: &mut DijkstraWorkspace,
     p: NodeId,
-    hooks: &mut RefineHooks<'_, '_>,
+    q: NodeId,
+    dpq: Distance,
+    k_rank: u32,
+    anchor: Option<Anchor<'_>>,
+    lcount: Option<&mut Stamped<u32>>,
     stats: &mut QueryStats,
 ) -> RefineOutcome {
-    if let Some(idx) = hooks.index.as_deref_mut() {
-        let next = ws.peek_frontier().map(|(_, d)| d);
-        idx.raise_check(p, counter.unsettled_rank_lower_bound(next));
+    if let Some(anchor) = anchor {
+        return refine_anchored(graph, spec, ws, p, q, dpq, k_rank, anchor, lcount, stats);
     }
-    aborted(k_rank, stats)
+    // A row with this many under-budget targets must abort the call (module
+    // docs, "Row overflow"); `usize::MAX` where that argument does not hold.
+    let overflow_row =
+        if k_rank != u32::MAX && !spec.is_bichromatic() && !graph.may_have_parallel_arcs() {
+            (k_rank as usize).saturating_add(2)
+        } else {
+            usize::MAX
+        };
+    // `q` is never queued, so skipping its row skips nothing.
+    let walk = Walk {
+        graph,
+        q,
+        dpq,
+        k_rank,
+        skip_row: q,
+        overflow_row,
+    };
+    walk.traverse(ws, 0, |t| spec.is_counted(t), lcount, stats)
+}
+
+/// The anchored body of [`refine_begun`] (module docs). Out of line so the
+/// plain loop compiles without the ball test.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn refine_anchored(
+    graph: &Graph,
+    spec: QuerySpec<'_>,
+    ws: &mut DijkstraWorkspace,
+    p: NodeId,
+    q: NodeId,
+    dpq: Distance,
+    k_rank: u32,
+    anchor: Anchor<'_>,
+    lcount: Option<&mut Stamped<u32>>,
+    stats: &mut QueryStats,
+) -> RefineOutcome {
+    debug_assert_ne!(p, anchor.node, "the anchor is a proper ancestor");
+    stats.anchored_refinements += 1;
+    let inside = |t: NodeId| anchor.ball.dist_of(t).is_some();
+    // Counted members of S(p) known so far: the ball less p itself, then
+    // every counted insertion from outside it.
+    let count = anchor.counted - (inside(p) && spec.is_counted(p)) as u32;
+    if k_rank != u32::MAX && 1 + count > k_rank {
+        return aborted(k_rank, stats);
+    }
+    let walk = Walk {
+        graph,
+        q,
+        dpq,
+        k_rank,
+        skip_row: anchor.node,
+        overflow_row: usize::MAX,
+    };
+    let fresh = |t: NodeId| !inside(t) && spec.is_counted(t);
+    walk.traverse(ws, count, fresh, lcount, stats)
+}
+
+/// What a plain and an anchored call share: the bound, the row never
+/// relaxed (the anchor's, or `q`'s — never queued) and the row-overflow
+/// threshold.
+struct Walk<'g> {
+    graph: &'g Graph,
+    q: NodeId,
+    dpq: Distance,
+    k_rank: u32,
+    skip_row: NodeId,
+    overflow_row: usize,
+}
+
+impl Walk<'_> {
+    /// Drain the queue from `count` counted members of `S(p)`, counting
+    /// every insertion that `fresh` admits and aborting once
+    /// `1 + count > kRank`.
+    #[inline(always)]
+    fn traverse(
+        &self,
+        ws: &mut DijkstraWorkspace,
+        mut count: u32,
+        fresh: impl Fn(NodeId) -> bool,
+        mut lcount: Option<&mut Stamped<u32>>,
+        stats: &mut QueryStats,
+    ) -> RefineOutcome {
+        let (q, dpq, k_rank) = (self.q, self.dpq, self.k_rank);
+        while let Some((v, d)) = ws.dequeue() {
+            stats.refinement_settles += 1;
+            if v == self.skip_row {
+                continue;
+            }
+            let (targets, weights) = self.graph.out_neighbors(v);
+            if targets.len() >= self.overflow_row {
+                // The loop's own cut-off, as one search of the sorted row.
+                let under = weights.partition_point(|w| d + *w < dpq);
+                if under >= self.overflow_row {
+                    let row = &targets[..under];
+                    return overflow(ws, row, q, k_rank, count, lcount, stats);
+                }
+            }
+            for (t, w) in targets.iter().zip(weights.iter()) {
+                let nd = d + *w;
+                // Algorithm 2 line 13: only distances strictly below d(p,q)
+                // can contribute to the rank. Rows are `(weight, target)`
+                // sorted (a `Graph` invariant) and float addition is
+                // monotone, so every later edge of the row fails too.
+                if nd >= dpq {
+                    break;
+                }
+                // `q` itself is excluded outright: by Definition 1 it never
+                // counts toward its own rank, and floating-point summation
+                // order can make a forward path to q come out one ulp below
+                // the transpose-computed `dpq`.
+                if *t == q {
+                    continue;
+                }
+                match ws.relax_correcting(*t, nd) {
+                    RelaxOutcome::Inserted => {
+                        stats.refinement_pushes += 1;
+                        if let Some(lc) = lcount.as_deref_mut() {
+                            lc.increment(t.index());
+                        }
+                        if fresh(*t) {
+                            count += 1;
+                            if k_rank != u32::MAX && 1 + count > k_rank {
+                                return aborted(k_rank, stats);
+                            }
+                        }
+                    }
+                    RelaxOutcome::Requeued => stats.refinement_requeues += 1,
+                    RelaxOutcome::Decreased | RelaxOutcome::Unchanged => {}
+                }
+            }
+        }
+        // Queue drained: S is fully enumerated, the rank is exact.
+        RefineOutcome::Exact(count + 1)
+    }
 }
 
 /// The plain loop's walk of a row it is certain to abort in (module docs,
 /// "Row overflow"): `targets` is the row's under-budget part, walked with
-/// the loop's skips, `lcount` bumps and abort test, but no heap push.
+/// the loop's skips, `lcount` bumps and abort test, but no queue push.
 #[cold]
 fn overflow(
     ws: &DijkstraWorkspace,
@@ -313,11 +395,13 @@ fn aborted(k_rank: u32, stats: &mut QueryStats) -> RefineOutcome {
     }
 }
 
-/// The anchored body of [`refine_rank`] (module docs). Out of line so the
-/// plain loop compiles as it did before anchors existed.
+/// Algorithm 4: the refinement of a pass with an index binding, in settle
+/// order (Dijkstra), because every settled counted node's exact rank is
+/// offered to the Reverse Rank Dictionary and an abort raises the Check
+/// Dictionary from the frontier's next distance.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn refine_anchored(
+fn refine_indexed(
     graph: &Graph,
     spec: QuerySpec<'_>,
     ws: &mut DijkstraWorkspace,
@@ -325,31 +409,30 @@ fn refine_anchored(
     q: NodeId,
     dpq: Distance,
     k_rank: u32,
-    anchor: Anchor<'_>,
+    idx: &mut IndexAccess<'_>,
     mut lcount: Option<&mut Stamped<u32>>,
     stats: &mut QueryStats,
 ) -> RefineOutcome {
-    debug_assert_ne!(p, anchor.node, "the anchor is a proper ancestor");
-    stats.anchored_refinements += 1;
-    let inside = |t: NodeId| anchor.ball.dist_of(t).is_some();
-    let over = |count: u32| k_rank != u32::MAX && 1 + count > k_rank;
-    // Counted members of S(p) known so far: the ball less p itself, then
-    // every counted insertion from outside it.
-    let mut count = anchor.counted - (inside(p) && spec.is_counted(p)) as u32;
-    if over(count) {
-        return aborted(k_rank, stats);
-    }
-
-    ws.ensure_capacity(graph.num_nodes());
     ws.begin(p);
+    let mut counter = RankCounter::new();
+    // Counted queue insertions: a monotone lower bound on |S ∩ counted|.
+    let mut inserted_counted: u32 = 0;
+    // Offers below the pre-existing check value were made by earlier runs
+    // from p (the §5.3 "until the rank value exceeds Check[u]" rule); in
+    // snapshot mode the floor includes this worker's own logged raises.
+    let check_at_start = idx.offer_floor(p);
     while let Some((v, d)) = ws.settle_next() {
         stats.refinement_settles += 1;
-        if v == anchor.node {
-            continue;
+        if v != p && spec.is_counted(v) {
+            let r = counter.on_settle(d);
+            if r >= check_at_start {
+                idx.offer(v, p, r);
+            }
         }
         let (targets, weights) = graph.out_neighbors(v);
         for (t, w) in targets.iter().zip(weights.iter()) {
             let nd = d + *w;
+            // The plain loop's row cut and `q` skip.
             if nd >= dpq {
                 break;
             }
@@ -361,16 +444,24 @@ fn refine_anchored(
                 if let Some(lc) = lcount.as_deref_mut() {
                     lc.increment(t.index());
                 }
-                if !inside(*t) && spec.is_counted(*t) {
-                    count += 1;
-                    if over(count) {
+                if spec.is_counted(*t) {
+                    inserted_counted += 1;
+                    if k_rank != u32::MAX && 1 + inserted_counted > k_rank {
+                        let next = ws.peek_frontier().map(|(_, d)| d);
+                        idx.raise_check(p, counter.unsettled_rank_lower_bound(next));
                         return aborted(k_rank, stats);
                     }
                 }
             }
         }
     }
-    RefineOutcome::Exact(count + 1)
+    // Frontier drained: S is fully enumerated, the rank is exact. Every
+    // node not enumerated sits at distance ≥ d(p,q), so its rank from p is
+    // at least this one — exactly what the Check Dictionary stores.
+    let rank = counter.settled() + 1;
+    idx.offer(q, p, rank);
+    idx.raise_check(p, rank);
+    RefineOutcome::Exact(rank)
 }
 
 /// Unbounded refinement for the naive baseline (§2): browse from `p` until
@@ -797,6 +888,88 @@ mod tests {
         };
         assert_eq!(out, RefineOutcome::Exact(1));
     }
+
+    /// The worst-case guard (module docs, "Order"). A zero-weight chain
+    /// `p = 0 → 1 → … → m`, every chain node `j` into the head of a
+    /// unit-weight tail `m+1 → … → m+r` at weight `m + 1 − j`, and `q` far
+    /// past the tail: FIFO alone re-queues the tail once per chain node
+    /// (`m · r / 2` times), the guarded call within its insertions plus one
+    /// row. It decides as the ordered call does under every cap, and
+    /// inserts — so bumps `lcount` for — every node exactly once.
+    #[test]
+    fn the_worst_case_guard_keeps_requeues_linear_and_the_outcome_ordered() {
+        let (m, r) = (50u32, 50u32);
+        let q = m + r + 1;
+        let chain = (0..m).map(|j| (j, j + 1, 0.0));
+        let into_tail = (1..=m).map(|j| (j, m + 1, f64::from(m + 1 - j)));
+        let tail = (m + 1..m + r).map(|i| (i, i + 1, 1.0));
+        let far = [(m + r, q, f64::from(10 * (m + r)))];
+        let edges = chain.chain(into_tail).chain(tail).chain(far);
+        let g = graph_from_edges(EdgeDirection::Directed, edges).unwrap();
+        let (p, q) = (NodeId(0), NodeId(q));
+        let dpq = distance(&g, p, q);
+        let n = g.num_nodes() as usize;
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        let mut lcount = Stamped::new(n, 0u32);
+        for cap in [u32::MAX, m + r, m + r + 1, m, 3] {
+            let mut run = |fifo: bool| {
+                lcount.reset();
+                let mut stats = QueryStats::default();
+                let out = if fifo {
+                    let mut hooks = RefineHooks {
+                        lcount: Some(&mut lcount),
+                        index: None,
+                    };
+                    refine_rank(
+                        &g,
+                        QuerySpec::Mono,
+                        &mut ws,
+                        p,
+                        q,
+                        dpq,
+                        cap,
+                        None,
+                        &mut hooks,
+                        &mut stats,
+                    )
+                } else {
+                    ws.begin(p);
+                    let lc = Some(&mut lcount);
+                    refine_begun(
+                        &g,
+                        QuerySpec::Mono,
+                        &mut ws,
+                        p,
+                        q,
+                        dpq,
+                        cap,
+                        None,
+                        lc,
+                        &mut stats,
+                    )
+                };
+                let visits: Vec<u32> = (0..n).map(|i| lcount.get(i)).collect();
+                (out, visits, stats)
+            };
+            let (ordered, ordered_visits, _) = run(false);
+            let (out, visits, stats) = run(true);
+            assert_eq!(out, ordered, "cap {cap}");
+            let row = 2; // the longest row
+            assert!(
+                stats.refinement_requeues <= stats.refinement_pushes + row,
+                "cap {cap}: {} re-queues for {} insertions",
+                stats.refinement_requeues,
+                stats.refinement_pushes
+            );
+            if cap == u32::MAX {
+                assert_eq!(out, RefineOutcome::Exact(m + r + 1));
+                assert!(!ws.is_fifo(), "the guard fired");
+                assert!(stats.refinement_requeues > 0);
+                assert_eq!(visits, ordered_visits);
+                assert!(visits[1..=(m + r) as usize].iter().all(|&c| c == 1));
+            }
+        }
+    }
 }
 
 /// The row cutoff is a `break`, which is exact only because rows are
@@ -810,7 +983,10 @@ mod cutoff_props {
     use super::*;
     use crate::spec::Partition;
     use proptest::prelude::*;
-    use rkranks_graph::{distance, rank_matrix, DedupPolicy, EdgeDirection, GraphBuilder, INF};
+    use proptest::test_runner::TestCaseError;
+    use rkranks_graph::{
+        distance, rank_matrix, sssp, DedupPolicy, EdgeDirection, GraphBuilder, INF,
+    };
     use std::collections::BTreeMap;
 
     /// `raw` taken modulo `n`, self-loops dropped, weights `{0, 1, 1, 2}`.
@@ -839,6 +1015,28 @@ mod cutoff_props {
         build(n, raw, directed, DedupPolicy::KeepAll)
     }
 
+    /// FIFO's worst case in `build`'s weights, for the guard to meet: a
+    /// zero chain `0 → 1 → 2 → 3 → 4`, the tail head `5` entered from `0`
+    /// at 2, from `2` at 1 and from `4` at 0, the tail's own edges weighted
+    /// `tail` (indices into `build`'s weights), then three 2-edges out of
+    /// it. Directed and from `0`, FIFO dequeues the tail under one entry
+    /// and re-queues it under each later one; most such graphs re-queue
+    /// more than they insert, and some `(0, q)` call switches to distance
+    /// order. Returns the node count and the edges.
+    fn fifo_trap(tail: &[usize]) -> (u32, Vec<(u32, u32, usize)>) {
+        let end = 5 + tail.len() as u32;
+        let chain = (0..4).map(|j| (j, j + 1, 0));
+        let entries = [(0, 5, 3), (2, 5, 1), (4, 5, 0)];
+        let tail = (5..end)
+            .zip(tail.iter().copied())
+            .map(|(i, w)| (i, i + 1, w));
+        let out = (end..end + 3).map(|i| (i, i + 1, 3));
+        (
+            end + 4,
+            chain.chain(entries).chain(tail).chain(out).collect(),
+        )
+    }
+
     fn refine(
         g: &Graph,
         spec: QuerySpec<'_>,
@@ -851,6 +1049,212 @@ mod cutoff_props {
         let dpq = distance(g, p, q);
         let (hooks, stats) = (&mut RefineHooks::none(), &mut QueryStats::default());
         refine_rank(g, spec, ws, p, q, dpq, k_rank, anchor, hooks, stats)
+    }
+
+    /// A FIFO call as [`refine_rank`] runs it and the same call begun in
+    /// distance order, with `lcount` bumped, side by side, on one graph.
+    struct Twin<'g> {
+        g: &'g Graph,
+        spec: QuerySpec<'g>,
+        /// All-pairs distances.
+        dist: Vec<Vec<Distance>>,
+        /// The longest row.
+        row: u64,
+        fifo: DijkstraWorkspace,
+        ordered: DijkstraWorkspace,
+        lcount: Stamped<u32>,
+    }
+
+    impl<'g> Twin<'g> {
+        fn new(g: &'g Graph, spec: QuerySpec<'g>) -> Twin<'g> {
+            let n = g.num_nodes();
+            Twin {
+                g,
+                spec,
+                dist: g.nodes().map(|s| sssp(g, s)).collect(),
+                row: g
+                    .nodes()
+                    .map(|v| g.out_neighbors(v).0.len())
+                    .max()
+                    .unwrap_or(0) as u64,
+                fifo: DijkstraWorkspace::new(n),
+                ordered: DijkstraWorkspace::new(n),
+                lcount: Stamped::new(n as usize, 0),
+            }
+        }
+
+        /// `lcount` after a call, as a vector.
+        fn visits(&self) -> Vec<u32> {
+            (0..self.g.num_nodes() as usize)
+                .map(|i| self.lcount.get(i))
+                .collect()
+        }
+
+        /// Run both calls of `p` for `q` under `cap` and compare them
+        /// ([`fifo_decides_as_ordered`]).
+        fn check(
+            &mut self,
+            p: NodeId,
+            q: NodeId,
+            cap: u32,
+            anchor: Option<Anchor<'_>>,
+            at: &dyn Fn() -> String,
+        ) -> Result<(), TestCaseError> {
+            let (g, spec) = (self.g, self.spec);
+            let dpq = self.dist[p.index()][q.index()];
+            let mut stats = QueryStats::default();
+            self.lcount.reset();
+            let mut hooks = RefineHooks {
+                lcount: Some(&mut self.lcount),
+                index: None,
+            };
+            let fifo = refine_rank(
+                g,
+                spec,
+                &mut self.fifo,
+                p,
+                q,
+                dpq,
+                cap,
+                anchor,
+                &mut hooks,
+                &mut stats,
+            );
+            let fifo_visits = self.visits();
+            self.lcount.reset();
+            self.ordered.begin(p);
+            let (lc, scratch) = (Some(&mut self.lcount), &mut QueryStats::default());
+            let ordered = refine_begun(
+                g,
+                spec,
+                &mut self.ordered,
+                p,
+                q,
+                dpq,
+                cap,
+                anchor,
+                lc,
+                scratch,
+            );
+            let ordered_visits = self.visits();
+
+            prop_assert_eq!(fifo, ordered, "{}", at());
+            if let RefineOutcome::Exact(_) = fifo {
+                for v in g.nodes() {
+                    let labels = (self.fifo.dist_of(v), self.ordered.dist_of(v));
+                    prop_assert_eq!(labels.0, labels.1, "label of {} {}", v, at());
+                }
+                prop_assert_eq!(fifo_visits, ordered_visits, "{}", at());
+            } else {
+                let in_s = |v: usize| v != q.index() && self.dist[p.index()][v] < dpq;
+                for visits in [fifo_visits, ordered_visits] {
+                    for (v, &c) in visits.iter().enumerate() {
+                        prop_assert!(c <= 1 && (c == 0 || in_s(v)), "visit of {} {}", v, at());
+                    }
+                }
+            }
+            let (requeues, pushes) = (stats.refinement_requeues, stats.refinement_pushes);
+            prop_assert!(
+                requeues <= 2 * pushes + self.row,
+                "{} re-queues {}",
+                requeues,
+                at()
+            );
+            Ok(())
+        }
+    }
+
+    /// FIFO ≡ ordered (module docs, "Order") on one generated graph: every
+    /// `(p, q)` under every cap, plain, and anchored on every `a` strictly
+    /// inside a shortest `p → q` path. Both calls decide alike. A completed
+    /// pair leaves the same labels — so the same stamped set, which is what
+    /// an anchor freezes — and the same `lcount` vector. An aborted pair
+    /// stops at different insertions, so there each side bumps only
+    /// members of `S(p)`, each at most once. Re-queues stay within twice
+    /// the insertions plus one row.
+    fn fifo_decides_as_ordered(
+        n: u32,
+        mut raw: Vec<(u32, u32, usize)>,
+        trap: Option<Vec<usize>>,
+        directed: bool,
+        keep_all: bool,
+        v2: Option<Vec<bool>>,
+    ) -> Result<(), TestCaseError> {
+        let n = match trap {
+            Some(tail) => {
+                let (n, trap) = fifo_trap(&tail);
+                raw.truncate(3);
+                raw.splice(0..0, trap);
+                n
+            }
+            None => n,
+        };
+        let policy = if keep_all {
+            DedupPolicy::KeepAll
+        } else {
+            DedupPolicy::KeepMin
+        };
+        let g = build(n, raw, directed, policy);
+        let part = v2.map(|mask| Partition::from_v2_mask(mask[..n as usize].to_vec()));
+        let spec = part
+            .as_ref()
+            .map_or(QuerySpec::Mono, QuerySpec::Bichromatic);
+        let caps = || (1..=n).chain([u32::MAX]);
+        let mut twin = Twin::new(&g, spec);
+        let dist = twin.dist.clone();
+        let mut ball = DijkstraWorkspace::new(n);
+        for p in g.nodes() {
+            for q in g.nodes() {
+                if p == q || dist[p.index()][q.index()] == INF {
+                    continue;
+                }
+                for cap in caps() {
+                    let at = || format!("p={p} q={q} cap={cap} v2={part:?} in {g:?}");
+                    twin.check(p, q, cap, None, &at)?;
+                }
+            }
+        }
+        for a in g.nodes() {
+            for q in g.nodes() {
+                let daq = dist[a.index()][q.index()];
+                if a == q || daq == INF || daq == 0.0 {
+                    continue;
+                }
+                let mut stats = QueryStats::default();
+                let hooks = &mut RefineHooks::none();
+                let out = refine_rank(
+                    &g,
+                    spec,
+                    &mut ball,
+                    a,
+                    q,
+                    daq,
+                    u32::MAX,
+                    None,
+                    hooks,
+                    &mut stats,
+                );
+                let RefineOutcome::Exact(r) = out else {
+                    unreachable!("an uncapped refinement completes");
+                };
+                let anchor = Anchor {
+                    node: a,
+                    ball: &ball,
+                    counted: r - 1 + spec.is_counted(a) as u32,
+                };
+                for p in g.nodes() {
+                    let dpq = dist[p.index()][q.index()];
+                    if p == a || p == q || dpq == INF || dist[p.index()][a.index()] + daq != dpq {
+                        continue;
+                    }
+                    for cap in caps() {
+                        let at = || format!("a={a} p={p} q={q} cap={cap} v2={part:?} in {g:?}");
+                        twin.check(p, q, cap, Some(anchor), &at)?;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     proptest! {
@@ -982,6 +1386,45 @@ mod cutoff_props {
                     }
                 }
             }
+        }
+
+        /// FIFO ≡ ordered ([`fifo_decides_as_ordered`]) on tie-heavy
+        /// multigraphs and their `KeepMin` builds (row overflow on),
+        /// directed and undirected, mono and bichromatic — and, half the
+        /// time, on a [`fifo_trap`] with up to three of those edges added.
+        /// About a fifth of all cases (221 of the 1,088 here and in the
+        /// 1,024-case twin) make some FIFO call meet the guard.
+        #[test]
+        fn fifo_refinement_decides_as_the_ordered_one(
+            n in 2u32..10,
+            raw in proptest::collection::vec((0u32..16, 0u32..16, 0usize..4), 1..40),
+            (trap, tail) in (any::<bool>(), proptest::collection::vec(0usize..2, 3..8)),
+            directed in any::<bool>(),
+            keep_all in any::<bool>(),
+            (bichromatic, v2) in (any::<bool>(), proptest::collection::vec(any::<bool>(), 16)),
+        ) {
+            let (trap, v2) = (trap.then_some(tail), bichromatic.then_some(v2));
+            fifo_decides_as_ordered(n, raw, trap, directed, keep_all, v2)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// [`fifo_refinement_decides_as_the_ordered_one`] at 1,024 cases
+        /// (CI runs it in the release test step, `--include-ignored`).
+        #[test]
+        #[ignore = "1,024 cases; run with --release --include-ignored"]
+        fn fifo_refinement_decides_as_the_ordered_one_at_1024_cases(
+            n in 2u32..10,
+            raw in proptest::collection::vec((0u32..16, 0u32..16, 0usize..4), 1..40),
+            (trap, tail) in (any::<bool>(), proptest::collection::vec(0usize..2, 3..8)),
+            directed in any::<bool>(),
+            keep_all in any::<bool>(),
+            (bichromatic, v2) in (any::<bool>(), proptest::collection::vec(any::<bool>(), 16)),
+        ) {
+            let (trap, v2) = (trap.then_some(tail), bichromatic.then_some(v2));
+            fifo_decides_as_ordered(n, raw, trap, directed, keep_all, v2)?;
         }
     }
 }

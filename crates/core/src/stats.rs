@@ -72,12 +72,19 @@ pub struct QueryStats {
     pub refinement_calls: u64,
     /// Refinements that terminated early on the `kRank` bound.
     pub refinements_pruned: u64,
-    /// Total nodes settled across all refinements.
+    /// Rows relaxed across all refinements: one per settled node, and one
+    /// more each time a first-in-first-out refinement dequeues a node again
+    /// (see `refinement_requeues`).
     pub refinement_settles: u64,
     /// Total frontier insertions across all refinements — what a
     /// `kRank`-bounded refinement is bound by: an aborted one costs
     /// ≈ `kRank` of them.
     pub refinement_pushes: u64,
+    /// Times a refinement queued a node again because its distance dropped
+    /// after it was dequeued (plain and anchored refinements traverse
+    /// first-in-first-out; see [`crate::refine`], "Order"). Not part of
+    /// `refinement_pushes`.
+    pub refinement_requeues: u64,
     /// Refinements that ran anchored: started from an SDS ancestor's
     /// frozen ball instead of re-enumerating it (see [`crate::context`],
     /// "Anchored refinement"). A subset of `refinement_calls`.
@@ -114,6 +121,7 @@ impl QueryStats {
         self.refinements_pruned += other.refinements_pruned;
         self.refinement_settles += other.refinement_settles;
         self.refinement_pushes += other.refinement_pushes;
+        self.refinement_requeues += other.refinement_requeues;
         self.anchored_refinements += other.anchored_refinements;
         self.pruned_by_bound += other.pruned_by_bound;
         self.index_exact_hits += other.index_exact_hits;
@@ -134,6 +142,7 @@ impl QueryStats {
             index_exact_hits: self.index_exact_hits as f64 / n as f64,
             refinement_settles: self.refinement_settles as f64 / n as f64,
             refinement_pushes: self.refinement_pushes as f64 / n as f64,
+            refinement_requeues: self.refinement_requeues as f64 / n as f64,
             anchored_refinements: self.anchored_refinements as f64 / n as f64,
             sds_passes: self.sds_passes as f64 / n as f64,
             max_k_rank_guess: self.k_rank_guess,
@@ -203,6 +212,8 @@ pub struct MeanStats {
     pub refinement_settles: f64,
     /// Mean refinement frontier insertions per query.
     pub refinement_pushes: f64,
+    /// Mean refinement re-queues per query.
+    pub refinement_requeues: f64,
     /// Mean anchored refinements per query.
     pub anchored_refinements: f64,
     /// Mean ladder passes per query.
@@ -245,6 +256,7 @@ mod tests {
         let b = QueryStats {
             refinement_calls: 3,
             refinement_pushes: 40,
+            refinement_requeues: 6,
             anchored_refinements: 2,
             pruned_by_bound: 5,
             sds_passes: 3,
@@ -262,6 +274,7 @@ mod tests {
         assert_eq!(a.k_rank_guess, 640); // the largest guess, not a sum
         assert_eq!(a.refinement_calls, 5);
         assert_eq!(a.refinement_pushes, 40);
+        assert_eq!(a.refinement_requeues, 6);
         assert_eq!(a.anchored_refinements, 2);
         assert_eq!(a.pruned_by_bound, 5);
         assert_eq!(a.elapsed, Duration::from_millis(10));
@@ -272,6 +285,7 @@ mod tests {
         let total = QueryStats {
             refinement_calls: 10,
             refinement_pushes: 30,
+            refinement_requeues: 2,
             anchored_refinements: 2,
             sds_passes: 6,
             k_rank_guess: 160,
@@ -281,6 +295,7 @@ mod tests {
         let m = total.mean_over(4);
         assert!((m.refinement_calls - 2.5).abs() < 1e-12);
         assert!((m.refinement_pushes - 7.5).abs() < 1e-12);
+        assert!((m.refinement_requeues - 0.5).abs() < 1e-12);
         assert!((m.anchored_refinements - 0.5).abs() < 1e-12);
         assert!((m.sds_passes - 1.5).abs() < 1e-12);
         assert_eq!(m.max_k_rank_guess, 160);

@@ -80,6 +80,9 @@ pub struct PassSummary {
     /// Frontier insertions made by this pass's refinements — the work an
     /// aborted refinement is bound by.
     pub pushes: u64,
+    /// Nodes this pass's refinements queued again after dequeuing them
+    /// ([`crate::QueryStats::refinement_requeues`]).
+    pub requeues: u64,
     /// How many of `refinements` ran anchored (see [`crate::context`],
     /// "Anchored refinement").
     pub anchored: u64,
@@ -141,7 +144,8 @@ impl QueryTrace {
         for (i, p) in self.passes.iter().enumerate() {
             let _ = write!(
                 out,
-                "pass {} guess {:<9} {} (kRank {}; {} refinements, {} settles, {} pushes",
+                "pass {} guess {:<9} {} (kRank {}; {} refinements, {} settles, {} pushes, \
+                 {} requeues",
                 i + 1,
                 bound(p.guess),
                 if p.accepted { "accepted" } else { "rejected" },
@@ -149,6 +153,7 @@ impl QueryTrace {
                 p.refinements,
                 p.settles,
                 p.pushes,
+                p.requeues,
             );
             if let Some((node, ball)) = p.anchor {
                 let _ = write!(out, "; {} anchored on {node}, ball {ball}", p.anchored);
@@ -250,6 +255,7 @@ mod tests {
                     refinements: 3,
                     settles: 9,
                     pushes: 12,
+                    requeues: 0,
                     anchored: 0,
                     anchor: None,
                 },
@@ -260,6 +266,7 @@ mod tests {
                     refinements: 2,
                     settles: 7,
                     pushes: 8,
+                    requeues: 1,
                     anchored: 1,
                     anchor: Some((NodeId(1), 2)),
                 },
@@ -283,10 +290,12 @@ mod tests {
         assert!(plain.contains("entered R"));
         assert!(plain.contains("bound-pruned (LB 5 >= kRank 4)"));
         assert!(plain.contains("pass 1 guess 2         rejected (kRank unbounded; 3 refinements"));
-        assert!(plain.contains("(kRank unbounded; 3 refinements, 9 settles, 12 pushes)\n"));
+        assert!(
+            plain.contains("(kRank unbounded; 3 refinements, 9 settles, 12 pushes, 0 requeues)\n")
+        );
         assert!(plain.contains(
             "pass 2 guess 8         accepted \
-             (kRank 3; 2 refinements, 7 settles, 8 pushes; 1 anchored on 1, ball 2)"
+             (kRank 3; 2 refinements, 7 settles, 8 pushes, 1 requeues; 1 anchored on 1, ball 2)"
         ));
         let named = t.render(Some(&["q", "Bob", "Carol", "Dan", "Eve"]));
         assert!(named.contains("pop Bob"));

@@ -67,6 +67,12 @@ pub fn update_stream(graph: &Graph, params: &UpdateStreamParams) -> Vec<GraphDel
         params.min_weight > 0.0 && params.max_weight >= params.min_weight,
         "weight range must be positive and non-empty"
     );
+    let total = params.add_edges + params.remove_edges + params.reweights + params.add_nodes;
+    assert!(total > 0, "at least one op kind must have a nonzero weight");
+    if params.ops == 0 {
+        // Nothing to sample: skip the edge list and set below.
+        return Vec::new();
+    }
     let undirected = !graph.is_directed();
     let key = |u: u32, v: u32| {
         if undirected {
@@ -89,8 +95,6 @@ pub fn update_stream(graph: &Graph, params: &UpdateStreamParams) -> Vec<GraphDel
     let mut num_nodes = graph.num_nodes();
 
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let total = params.add_edges + params.remove_edges + params.reweights + params.add_nodes;
-    assert!(total > 0, "at least one op kind must have a nonzero weight");
     let mut out = Vec::with_capacity(params.ops);
     let weight = |rng: &mut StdRng| rng.random_range(params.min_weight..=params.max_weight);
     while out.len() < params.ops {
@@ -191,6 +195,41 @@ mod tests {
             [(0, 1, 1.0), (1, 2, 1.5), (2, 3, 0.5), (3, 0, 2.0)],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn an_empty_stream_still_checks_its_params() {
+        let g = base();
+        assert!(default_update_stream(&g, 0, 7).is_empty());
+        let empty = |params: UpdateStreamParams| {
+            let params = UpdateStreamParams { ops: 0, ..params };
+            std::panic::catch_unwind(|| update_stream(&g, &params)).map_err(|e| {
+                e.downcast_ref::<&str>()
+                    .map_or_else(String::new, |m| m.to_string())
+            })
+        };
+        let bad_range = UpdateStreamParams {
+            min_weight: 2.0,
+            max_weight: 1.0,
+            ..UpdateStreamParams::default()
+        };
+        let no_kind = UpdateStreamParams {
+            add_edges: 0,
+            remove_edges: 0,
+            reweights: 0,
+            add_nodes: 0,
+            ..UpdateStreamParams::default()
+        };
+        let not_positive = UpdateStreamParams {
+            min_weight: 0.0,
+            ..UpdateStreamParams::default()
+        };
+        assert_eq!(empty(UpdateStreamParams::default()), Ok(Vec::new()));
+        for params in [bad_range, not_positive] {
+            let err = empty(params).unwrap_err();
+            assert!(err.contains("weight range"), "{err}");
+        }
+        assert!(empty(no_kind).unwrap_err().contains("op kind"));
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! Every algorithm in the paper is a Dijkstra variant: the SDS-tree is
 //! Dijkstra on the transpose graph, rank refinement is a bounded Dijkstra
-//! from the candidate, the index builder is a truncated Dijkstra from each
+//! from the candidate (run first-in-first-out where settle order is never
+//! read: see below), the index build runs a truncated Dijkstra from each
 //! hub. A reverse k-ranks query therefore runs *thousands* of short
-//! Dijkstras. [`DijkstraWorkspace`] makes each of them allocation-free and
+//! traversals. [`DijkstraWorkspace`] makes each of them allocation-free and
 //! proportional to the nodes it touches, not to |V|: a node's whole state —
-//! tentative distance, generation stamp, heap position or settled mark —
+//! tentative distance, generation stamp, queue position or settled mark —
 //! is one 16-byte record that counts only while its stamp is current, so a
 //! reset bumps one counter and never walks the frontier it abandons (a
 //! refinement aborted at `kRank` leaves most of its pushes unpopped).
@@ -40,6 +41,33 @@
 //! pending tie exactly when the unbounded run would. Only *which* members
 //! of a tie group straddling the cut settle first may differ — that is
 //! heap order, arbitrary on both sides.
+//!
+//! ### First-in-first-out traversal
+//!
+//! A caller that needs the *set* of nodes within a bound and not the order
+//! they are reached in (rank refinement counts `S(p)`; it never reads a
+//! settle order) begins with [`DijkstraWorkspace::begin_fifo`] and drives
+//! [`DijkstraWorkspace::dequeue`] / [`DijkstraWorkspace::relax_correcting`]:
+//! a label-correcting traversal. Its queue is a vector of node ids beside
+//! the heap, a node's slot position marks it queued, and a dequeue reads
+//! the node's current distance from its slot, so a decrease while queued
+//! writes one distance and moves nothing. A node whose label drops after it
+//! was dequeued is queued again ([`RelaxOutcome::Requeued`]), so when the
+//! queue drains every label is the shortest distance — the one Dijkstra
+//! computes: both are the least fixpoint of `label(v) = min fl(label(u) +
+//! w)`, and float addition is monotone.
+//!
+//! FIFO label correcting is O(|V|·|E|) in the worst case. The guard: before
+//! each dequeue, if the traversal's re-queues exceed its insertions, the
+//! pending nodes are heapified with their current labels and the *same*
+//! traversal finishes in distance order. Nothing is restarted: a dequeued
+//! node keeps its stamp and its label, and is queued once more if that
+//! label still drops. A node popped in distance order is final (were its
+//! label above its distance, the shortest path to it would hold a queued
+//! node with a smaller label), so the ordered finish re-queues each node at
+//! most once: a traversal's re-queues stay within its insertions plus one
+//! row before the switch, and within twice its insertions plus one row in
+//! all.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -55,12 +83,20 @@ pub enum RelaxOutcome {
     Inserted,
     /// The node was already queued and its tentative distance decreased.
     Decreased,
+    /// The node had been dequeued and its tentative distance decreased, so
+    /// it is queued again (label-correcting traversals only:
+    /// [`DijkstraWorkspace::relax_correcting`]).
+    Requeued,
     /// No improvement (already settled, or tentative distance not better).
     Unchanged,
 }
 
-/// [`Slot::pos`] of a node that has been popped (its distance is final).
+/// [`Slot::pos`] of a node that has been popped (its distance is final,
+/// except in a first-in-first-out traversal, which may queue it again).
 const SETTLED: u32 = u32::MAX;
+
+/// [`Slot::pos`] of a node waiting in a first-in-first-out queue.
+const QUEUED: u32 = 0;
 
 /// One node's state in one traversal; it counts only while
 /// `stamp == generation`.
@@ -69,7 +105,8 @@ struct Slot {
     /// Tentative distance while queued, final once settled.
     dist: Distance,
     stamp: u32,
-    /// Index into the heap while queued, [`SETTLED`] once popped.
+    /// Index into the heap while queued ([`QUEUED`] in a
+    /// first-in-first-out queue), [`SETTLED`] once popped.
     pos: u32,
 }
 
@@ -83,14 +120,23 @@ const UNTOUCHED: Slot = Slot {
 };
 
 /// Reusable per-traversal state: one 16-byte record per node (tentative
-/// distance, generation stamp, heap position or settled mark) and the
-/// decrease-key binary min-heap over `(distance, node)`. Reset is O(1):
+/// distance, generation stamp, heap position or queued / settled mark), the
+/// decrease-key binary min-heap over `(distance, node)`, and the node queue
+/// of a first-in-first-out traversal (module docs). Reset is O(1):
 /// [`DijkstraWorkspace::begin`] bumps the generation and clears the heap.
 #[derive(Debug)]
 pub struct DijkstraWorkspace {
     slots: Vec<Slot>,
     generation: u32,
     heap: Vec<(Distance, u32)>,
+    /// A FIFO traversal's queue: every node it was given, in arrival order
+    /// (the source, one per insertion, one per re-queue); `head` is next.
+    queue: Vec<u32>,
+    head: usize,
+    /// `true` while the traversal dequeues first-in-first-out.
+    fifo: bool,
+    /// Re-queues of the current traversal (module docs, the guard).
+    requeues: usize,
     /// Storage of [`BoundedBrowser`]'s cut-off heap, parked here between
     /// traversals so a build's thousands of truncated SSSPs share one
     /// allocation.
@@ -104,6 +150,10 @@ impl DijkstraWorkspace {
             slots: vec![UNTOUCHED; n as usize],
             generation: 0,
             heap: Vec::with_capacity(64),
+            queue: Vec::new(),
+            head: 0,
+            fifo: false,
+            requeues: 0,
             cutoff_buf: BinaryHeap::new(),
         }
     }
@@ -124,6 +174,8 @@ impl DijkstraWorkspace {
     /// O(1): the previous frontier is dropped, not walked.
     pub fn begin(&mut self, source: NodeId) {
         self.heap.clear();
+        self.fifo = false;
+        self.requeues = 0;
         if self.generation == u32::MAX {
             // Generation wrap: hard-reset the stamps once every 4 billion
             // traversals rather than branching in the hot path.
@@ -141,6 +193,19 @@ impl DijkstraWorkspace {
         self.heap.push((0.0, source.0));
     }
 
+    /// [`DijkstraWorkspace::begin`] a first-in-first-out traversal (module
+    /// docs): drive it with [`DijkstraWorkspace::dequeue`] and
+    /// [`DijkstraWorkspace::relax_correcting`].
+    pub fn begin_fifo(&mut self, source: NodeId) {
+        self.begin(source);
+        self.heap.clear();
+        self.slots[source.index()].pos = QUEUED;
+        self.queue.clear();
+        self.queue.push(source.0);
+        self.head = 0;
+        self.fifo = true;
+    }
+
     /// `v`'s slot if the current traversal has touched it.
     #[inline(always)]
     fn slot(&self, v: NodeId) -> Option<&Slot> {
@@ -154,7 +219,8 @@ impl DijkstraWorkspace {
         self.slot(v).map(|s| s.dist)
     }
 
-    /// `true` once `v` has been popped (its distance is final).
+    /// `true` once `v` has been popped (its distance is final, unless a
+    /// FIFO traversal queues it again).
     #[inline(always)]
     pub fn is_settled(&self, v: NodeId) -> bool {
         self.slot(v).is_some_and(|s| s.pos == SETTLED)
@@ -192,6 +258,106 @@ impl DijkstraWorkspace {
         }
     }
 
+    /// Label-correcting relax of `v` to tentative distance `d`: as
+    /// [`DijkstraWorkspace::relax`], except that a dequeued node whose
+    /// distance drops is queued again ([`RelaxOutcome::Requeued`]). In
+    /// distance order that never happens before a FIFO traversal's switch
+    /// (a popped distance is final).
+    #[inline]
+    pub fn relax_correcting(&mut self, v: NodeId, d: Distance) -> RelaxOutcome {
+        if !self.fifo {
+            return self.relax_correcting_ordered(v, d);
+        }
+        let generation = self.generation;
+        let slot = &mut self.slots[v.index()];
+        let outcome = if slot.stamp != generation {
+            RelaxOutcome::Inserted
+        } else if d >= slot.dist {
+            return RelaxOutcome::Unchanged;
+        } else if slot.pos != SETTLED {
+            // (the queue holds nodes; a dequeue reads the slot's distance)
+            slot.dist = d;
+            return RelaxOutcome::Decreased;
+        } else {
+            self.requeues += 1;
+            RelaxOutcome::Requeued
+        };
+        *slot = Slot {
+            dist: d,
+            stamp: generation,
+            pos: QUEUED,
+        };
+        self.queue.push(v.0);
+        outcome
+    }
+
+    /// [`DijkstraWorkspace::relax_correcting`] after the guard's switch.
+    #[cold]
+    #[inline(never)]
+    fn relax_correcting_ordered(&mut self, v: NodeId, d: Distance) -> RelaxOutcome {
+        let generation = self.generation;
+        let slot = &mut self.slots[v.index()];
+        if slot.stamp != generation || slot.pos != SETTLED || d >= slot.dist {
+            return self.relax(v, d);
+        }
+        let i = self.heap.len();
+        *slot = Slot {
+            dist: d,
+            stamp: generation,
+            pos: i as u32,
+        };
+        self.heap.push((d, v.0));
+        self.sift_up(i);
+        self.requeues += 1;
+        RelaxOutcome::Requeued
+    }
+
+    /// The next node of a traversal begun with
+    /// [`DijkstraWorkspace::begin_fifo`]: the oldest queued one, or — once
+    /// re-queues exceed insertions (module docs, the guard) — the closest
+    /// one, as [`DijkstraWorkspace::settle_next`] gives. Returns the node
+    /// and its current distance.
+    #[inline]
+    pub fn dequeue(&mut self) -> Option<(NodeId, Distance)> {
+        // The queue holds the source, the insertions and the re-queues, so
+        // `re-queues ≤ insertions` is `2 · re-queues < its length`.
+        if self.fifo && 2 * self.requeues < self.queue.len() {
+            let &v = self.queue.get(self.head)?;
+            self.head += 1;
+            let slot = &mut self.slots[v as usize];
+            slot.pos = SETTLED;
+            return Some((NodeId(v), slot.dist));
+        }
+        self.dequeue_ordered()
+    }
+
+    /// [`DijkstraWorkspace::dequeue`] in distance order, switching first if
+    /// the traversal is still FIFO: the pending nodes are heapified with
+    /// their current distances, and the traversal goes on from there.
+    #[cold]
+    #[inline(never)]
+    fn dequeue_ordered(&mut self) -> Option<(NodeId, Distance)> {
+        if self.fifo {
+            self.fifo = false;
+            self.heap.clear();
+            for &v in &self.queue[self.head..] {
+                let slot = &mut self.slots[v as usize];
+                slot.pos = self.heap.len() as u32;
+                self.heap.push((slot.dist, v));
+            }
+            for i in (0..self.heap.len() / 2).rev() {
+                self.sift_down(i);
+            }
+        }
+        self.settle_next()
+    }
+
+    /// `false` once a FIFO traversal has switched to distance order (and
+    /// for every traversal begun with [`DijkstraWorkspace::begin`]).
+    pub fn is_fifo(&self) -> bool {
+        self.fifo
+    }
+
     /// Pop the closest frontier node, mark it settled, and return it.
     #[inline]
     pub fn settle_next(&mut self) -> Option<(NodeId, Distance)> {
@@ -210,6 +376,7 @@ impl DijkstraWorkspace {
     /// tie-boundary check needs this).
     #[inline]
     pub fn peek_frontier(&self) -> Option<(NodeId, Distance)> {
+        debug_assert!(!self.fifo, "a FIFO queue has no closest node");
         self.heap.first().map(|&(d, v)| (NodeId(v), d))
     }
 
@@ -301,6 +468,16 @@ impl DijkstraWorkspace {
     /// its entry.
     #[cfg(test)]
     fn check_invariants(&self) {
+        if self.fifo {
+            // Every pending node queued once, and marked so.
+            let pending = &self.queue[self.head..];
+            for (i, &v) in pending.iter().enumerate() {
+                let slot = self.slot(NodeId(v)).expect("queued node not stamped");
+                assert_eq!(slot.pos, QUEUED, "slot of {v} stale");
+                assert!(!pending[..i].contains(&v), "{v} queued twice");
+            }
+            return;
+        }
         for i in 1..self.heap.len() {
             assert!(!self.less(i, (i - 1) / 2), "heap order violated at {i}");
         }
@@ -572,11 +749,8 @@ pub fn shortest_path_tree(graph: &Graph, source: NodeId) -> (Vec<Option<NodeId>>
         dist[v.index()] = d;
         let (targets, weights) = graph.out_neighbors(v);
         for (t, w) in targets.iter().zip(weights.iter()) {
-            match ws.relax(*t, d + *w) {
-                RelaxOutcome::Inserted | RelaxOutcome::Decreased => {
-                    parents[t.index()] = Some(v);
-                }
-                RelaxOutcome::Unchanged => {}
+            if ws.relax(*t, d + *w) != RelaxOutcome::Unchanged {
+                parents[t.index()] = Some(v);
             }
         }
     }
@@ -1033,5 +1207,137 @@ mod tests {
         assert_eq!(ws.relax(NodeId(4), 2.0), RelaxOutcome::Inserted);
         ws.check_invariants();
         assert_eq!(ws.settle_next(), Some((NodeId(4), 2.0)));
+    }
+
+    /// Drive a first-in-first-out traversal from `source` over the whole
+    /// graph. Returns its insertions, its re-queues, and both counts at
+    /// the dequeue where the guard switched it to distance order, if it did.
+    fn drain_fifo(g: &Graph, ws: &mut DijkstraWorkspace, source: NodeId) -> FifoRun {
+        ws.ensure_capacity(g.num_nodes());
+        ws.begin_fifo(source);
+        let mut run = FifoRun::default();
+        loop {
+            let was_fifo = ws.is_fifo();
+            let Some((v, d)) = ws.dequeue() else { break };
+            if was_fifo && !ws.is_fifo() {
+                run.switched = Some((run.requeues, run.insertions));
+            }
+            let (targets, weights) = g.out_neighbors(v);
+            for (t, w) in targets.iter().zip(weights.iter()) {
+                match ws.relax_correcting(*t, d + *w) {
+                    RelaxOutcome::Inserted => run.insertions += 1,
+                    RelaxOutcome::Requeued => run.requeues += 1,
+                    RelaxOutcome::Decreased | RelaxOutcome::Unchanged => {}
+                }
+            }
+            ws.check_invariants();
+        }
+        run
+    }
+
+    #[derive(Debug, Default)]
+    struct FifoRun {
+        insertions: u64,
+        requeues: u64,
+        switched: Option<(u64, u64)>,
+    }
+
+    /// FIFO's worst case, directed: a zero-weight chain `0 → 1 → … → m`,
+    /// every chain node `j` into the head of a unit-weight tail
+    /// `m+1 → … → m+r` at weight `m + 1 − j`. FIFO reaches the tail from
+    /// the chain's start first, and every later chain node improves its
+    /// head again: a wave of re-queues down the tail per chain node.
+    fn fifo_worst_case(m: u32, r: u32) -> Graph {
+        let chain = (0..m).map(|j| (j, j + 1, 0.0));
+        let into_tail = (1..=m).map(|j| (j, m + 1, f64::from(m + 1 - j)));
+        let tail = (m + 1..m + r).map(|i| (i, i + 1, 1.0));
+        graph_from_edges(EdgeDirection::Directed, chain.chain(into_tail).chain(tail)).unwrap()
+    }
+
+    #[test]
+    fn a_node_whose_distance_drops_after_its_dequeue_is_queued_again() {
+        // 0 → 2 → 3 → 1 at zero cost beats 0 → 1 at 2.0, but FIFO dequeues
+        // 1 before it reaches 3.
+        let mut ws = DijkstraWorkspace::new(4);
+        ws.begin_fifo(NodeId(0));
+        assert_eq!(ws.dequeue(), Some((NodeId(0), 0.0)));
+        assert_eq!(ws.relax_correcting(NodeId(2), 0.0), RelaxOutcome::Inserted);
+        assert_eq!(ws.relax_correcting(NodeId(1), 2.0), RelaxOutcome::Inserted);
+        assert_eq!(ws.dequeue(), Some((NodeId(2), 0.0)));
+        assert_eq!(ws.relax_correcting(NodeId(3), 0.0), RelaxOutcome::Inserted);
+        assert_eq!(ws.dequeue(), Some((NodeId(1), 2.0)), "first in, first out");
+        assert!(ws.is_settled(NodeId(1)));
+        assert_eq!(ws.dequeue(), Some((NodeId(3), 0.0)));
+        assert_eq!(ws.relax_correcting(NodeId(1), 0.0), RelaxOutcome::Requeued);
+        assert!(ws.in_frontier(NodeId(1)) && ws.is_fifo());
+        assert_eq!(ws.relax_correcting(NodeId(1), 0.0), RelaxOutcome::Unchanged);
+        ws.check_invariants();
+        assert_eq!(ws.dequeue(), Some((NodeId(1), 0.0)));
+        assert_eq!(ws.dequeue(), None);
+        // a queued node's drop is a decrease, and the entry reads it back
+        ws.begin_fifo(NodeId(0));
+        ws.dequeue();
+        ws.relax_correcting(NodeId(1), 5.0);
+        assert_eq!(ws.relax_correcting(NodeId(1), 4.0), RelaxOutcome::Decreased);
+        ws.check_invariants();
+        assert_eq!(ws.dequeue(), Some((NodeId(1), 4.0)));
+    }
+
+    #[test]
+    fn a_fifo_traversal_ends_at_the_shortest_distances() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut ws = DijkstraWorkspace::new(1);
+        let mut requeues = 0;
+        for trial in 0..200 {
+            let n: u32 = 2 + trial % 30;
+            let directed = trial % 2 == 0;
+            let edges: Vec<(u32, u32, f64)> = (0..3 * n)
+                .map(|_| {
+                    let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                    let w = if trial % 3 == 0 {
+                        rng.random_range(0.0..4.0)
+                    } else {
+                        [0.0, 1.0, 1.0, 2.0][rng.random_range(0..4usize)]
+                    };
+                    (u, v, w)
+                })
+                .filter(|&(u, v, _)| u != v)
+                .collect();
+            let dir = if directed {
+                EdgeDirection::Directed
+            } else {
+                EdgeDirection::Undirected
+            };
+            let Ok(g) = graph_from_edges(dir, edges) else {
+                continue;
+            };
+            let source = NodeId(rng.random_range(0..g.num_nodes()));
+            let run = drain_fifo(&g, &mut ws, source);
+            let got: Vec<Distance> = g.nodes().map(|v| ws.dist_of(v).unwrap_or(INF)).collect();
+            assert_eq!(got, sssp(&g, source), "trial {trial}");
+            let reached = got.iter().filter(|d| **d < INF).count() as u64;
+            assert_eq!(run.insertions, reached - 1, "each node inserted once");
+            requeues += run.requeues;
+        }
+        assert!(requeues > 0, "no trial exercised a re-queue");
+    }
+
+    /// The guard (module docs): FIFO alone re-queues `m · r / 2` times on
+    /// this graph, the guarded traversal a few dozen.
+    #[test]
+    fn the_guard_finishes_the_same_traversal_in_distance_order() {
+        let (m, r) = (50, 50);
+        let g = fifo_worst_case(m, r);
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        let run = drain_fifo(&g, &mut ws, NodeId(0));
+        let (at_switch, inserted_then) = run.switched.expect("the guard fired");
+        let row = 2; // the longest row
+        assert!(at_switch <= inserted_then + row, "{run:?}");
+        assert_eq!(run.insertions, u64::from(m + r), "nothing inserted twice");
+        assert!(run.requeues <= run.insertions, "{run:?}");
+        let got: Vec<Distance> = g.nodes().map(|v| ws.dist_of(v).unwrap()).collect();
+        assert_eq!(got, sssp(&g, NodeId(0)));
     }
 }

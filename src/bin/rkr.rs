@@ -1148,11 +1148,12 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     );
     if result.stats.sds_passes > 0 {
         println!(
-            "ladder: {} passes, {} refinement settles and {} pushes in all \
+            "ladder: {} passes, {} refinement settles, {} pushes and {} requeues in all \
              ({} refinements anchored); accepted kRank guess {}",
             result.stats.sds_passes,
             result.stats.refinement_settles,
             result.stats.refinement_pushes,
+            result.stats.refinement_requeues,
             result.stats.anchored_refinements,
             guess_label(result.stats.k_rank_guess)
         );
