@@ -13,10 +13,10 @@
 //! its `hello` so the coordinator can verify the wiring; the place does
 //! not change any answer. A query goes to every live replica and the
 //! coordinator returns one replica's complete answer after checking that
-//! the replicas agree on the ranks (see [`pool`]). Candidates are not
-//! partitioned: a shard that ranked only a slice of them would fill its
-//! result set late and prune little, costing two orders of magnitude
-//! more engine work for the same answer.
+//! the replicas agree on the ranks. Candidates are not partitioned: a
+//! shard that ranked only a slice of them would fill its result set late
+//! and prune little, costing two orders of magnitude more engine work for
+//! the same answer.
 //!
 //! ## Consistency
 //!
@@ -52,7 +52,7 @@
 //!
 //! The coordinator runs `rkrd`'s reactor ([`rkranks_server::reactor`]):
 //! the same epoll workers, write backpressure, line cap, accept-error
-//! policy and front-side instruments, with one [`ShardPool`] as each
+//! policy and front-side instruments, with one `ShardPool` as each
 //! worker's state (so the fan-out path takes no lock beyond the write
 //! gate). It takes `rkrd`'s default worker count (4) and write high-water
 //! mark; neither is a coordinator knob.
@@ -85,9 +85,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod metrics;
-pub mod pool;
+mod metrics;
+mod pool;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -97,12 +98,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rkranks_server::reactor::{Reactor, Service};
-use rkranks_server::{
-    ConnectPolicy, HelloReply, Reply, Request, ServerConfig, StatsReply, PROTOCOL_VERSION,
-};
+use rkranks_server::{HelloReply, Reply, Request, ServerConfig, StatsReply, PROTOCOL_VERSION};
 
 pub use metrics::CoordMetrics;
-pub use pool::ShardPool;
+use pool::ShardPool;
 
 /// Coordinator configuration.
 #[derive(Clone, Debug)]
@@ -111,8 +110,6 @@ pub struct CoordConfig {
     /// shard 0 of 3). Must be non-empty and must name every shard of
     /// the fleet exactly once — the handshake enforces it.
     pub shards: Vec<String>,
-    /// How shard connections are (re)established.
-    pub connect: ConnectPolicy,
     /// How long one shard reply may take before the shard counts as
     /// dead for this fan-out (and the connection is redialed next time).
     pub shard_reply_timeout: Duration,
@@ -121,12 +118,11 @@ pub struct CoordConfig {
 }
 
 impl CoordConfig {
-    /// A config for the given fleet with defaults: three connect
-    /// attempts with backoff, a 30 s reply timeout, 1 MiB lines.
+    /// A config for the given fleet with defaults: a 30 s reply timeout
+    /// and 1 MiB lines.
     pub fn new(shards: Vec<String>) -> CoordConfig {
         CoordConfig {
             shards,
-            connect: ConnectPolicy::retrying(3),
             shard_reply_timeout: Duration::from_secs(30),
             max_line_bytes: 1024 * 1024,
         }

@@ -128,7 +128,7 @@ impl CoordMetrics {
     }
 
     /// Record one shard's send-to-reply latency.
-    pub fn record_shard(&self, shard: usize, elapsed: Duration) {
+    pub(crate) fn record_shard(&self, shard: usize, elapsed: Duration) {
         if let Some(h) = self.shard_seconds.get(shard) {
             h.record(duration_ns(elapsed));
         }

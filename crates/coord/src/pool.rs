@@ -33,10 +33,14 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rkranks_server::{BatchReply, Client, ConnectPolicy, HelloReply, Reply, Request};
+use rkranks_server::{BatchReply, Client, HelloReply, Reply, Request};
 
 use crate::metrics::CoordMetrics;
 use crate::CoordConfig;
+
+/// Connect attempts per shard (re)dial, with the client's backoff between
+/// them, before the shard counts as down for this fan-out.
+const CONNECT_ATTEMPTS: u32 = 3;
 
 /// One shard endpoint: its address and the (lazily established,
 /// re-established after failures) connection.
@@ -48,9 +52,8 @@ struct ShardConn {
 /// A verified connection pool over the whole fleet, owned by one
 /// reactor worker (workers don't share sockets, so no locking on the hot
 /// path).
-pub struct ShardPool {
+pub(crate) struct ShardPool {
     shards: Vec<ShardConn>,
-    policy: ConnectPolicy,
     reply_timeout: Duration,
     /// Shard seed agreed at the first verified handshake; later
     /// handshakes must match it.
@@ -81,7 +84,7 @@ impl ShardError {
 impl ShardPool {
     /// A pool over the configured fleet. No connections are made yet —
     /// the first fan-out pays for them (and verifies each handshake).
-    pub fn new(config: &CoordConfig, metrics: Arc<CoordMetrics>) -> ShardPool {
+    pub(crate) fn new(config: &CoordConfig, metrics: Arc<CoordMetrics>) -> ShardPool {
         ShardPool {
             shards: config
                 .shards
@@ -91,7 +94,6 @@ impl ShardPool {
                     client: None,
                 })
                 .collect(),
-            policy: config.connect,
             reply_timeout: config.shard_reply_timeout,
             seed: None,
             metrics,
@@ -107,9 +109,10 @@ impl ShardPool {
     fn ensure(&mut self, i: usize) -> Result<&mut Client, ShardError> {
         if self.shards[i].client.is_none() {
             let addr = self.shards[i].addr.clone();
-            let mut client = Client::connect_with(addr.as_str(), &self.policy).map_err(|e| {
-                ShardError::Transient(format!("shard {i} ({addr}): connect failed: {e}"))
-            })?;
+            let mut client =
+                Client::connect_retrying(addr.as_str(), CONNECT_ATTEMPTS).map_err(|e| {
+                    ShardError::Transient(format!("shard {i} ({addr}): connect failed: {e}"))
+                })?;
             client
                 .set_read_timeout(Some(self.reply_timeout))
                 .map_err(|e| ShardError::Transient(format!("shard {i} ({addr}): {e}")))?;
@@ -170,7 +173,7 @@ impl ShardPool {
     /// Read the fleet's graph back after a commit: one `hello` round, the
     /// live replica at the highest graph epoch speaking for the fleet. A
     /// round no replica answers leaves the gauges as they were.
-    pub fn refresh_graph(&mut self) {
+    pub(crate) fn refresh_graph(&mut self) {
         let hellos = self.gather(&Request::Hello, |r| match r {
             Reply::Hello(h) => Some(h),
             _ => None,
@@ -279,7 +282,7 @@ impl ShardPool {
     /// Answer one query from the fleet: the lowest-index complete reply
     /// at the highest graph epoch, once every complete reply agrees on
     /// the ranks (module docs). Laggards are flushed, not re-asked.
-    pub fn scatter_query(
+    pub(crate) fn scatter_query(
         &mut self,
         node: u32,
         k: u32,
@@ -342,7 +345,7 @@ impl ShardPool {
     /// Answer a batch from the fleet: the lowest-index live reply, once
     /// every live reply is at the same graph epoch and agrees on every
     /// node's ranks.
-    pub fn scatter_batch(&mut self, nodes: &[u32], k: u32) -> Reply {
+    pub(crate) fn scatter_batch(&mut self, nodes: &[u32], k: u32) -> Reply {
         let req = Request::Batch {
             nodes: nodes.to_vec(),
             k,
@@ -382,7 +385,7 @@ impl ShardPool {
     /// flush / checkpoint / shutdown fan-out). Returns the per-shard
     /// replies, or the loud error naming which shards failed — in which
     /// case the caller must assume the fleet is no longer uniform.
-    pub fn broadcast(&mut self, req: &Request) -> Result<Vec<Reply>, String> {
+    pub(crate) fn broadcast(&mut self, req: &Request) -> Result<Vec<Reply>, String> {
         let all: Vec<usize> = (0..self.shards.len()).collect();
         let mut replies = Vec::with_capacity(self.shards.len());
         let mut errors = Vec::new();

@@ -17,11 +17,11 @@ use rkranks_coord::{spawn_coord, CoordConfig, CoordHandle};
 use rkranks_core::{
     BoundConfig, EngineContext, MetricValue, MetricsSnapshot, QueryRequest, RkrIndex,
 };
-use rkranks_datasets::workload::default_update_stream;
-use rkranks_datasets::zipf::Zipf;
+use rkranks_datasets::default_update_stream;
+use rkranks_datasets::Zipf;
 use rkranks_datasets::{collab_graph, CollabParams};
 use rkranks_graph::{Graph, GraphDelta, GraphStore, ShardMap, ShardSlice};
-use rkranks_server::{spawn, Client, Reply, ServerConfig, ServerHandle, UpdateOp};
+use rkranks_server::{spawn, Client, ClientError, Reply, ServerConfig, ServerHandle, UpdateOp};
 
 const K: u32 = 5;
 const K_MAX: u32 = 16;
@@ -541,6 +541,35 @@ fn framing_edges_of_the_one_read_then_serve_loop() {
         .expect("error line, then EOF, within the bound");
     assert!(rest.contains("exceeds 64 bytes"), "got: {rest}");
     coord.stop();
+    coord.join();
+    shutdown_fleet(fleet);
+}
+
+/// One request line of 100,000 `[`s — about 100 KB, far under the line
+/// cap — once overflowed a coordinator worker's stack while it parsed and
+/// aborted `rkr coord`. It now gets an error reply, and the same
+/// connection goes on answering queries.
+#[test]
+fn deeply_nested_coordinator_line_gets_an_error_reply() {
+    let g = test_graph();
+    let expected = expected_ranks(&g);
+    let (fleet, coord) = spawn_cached_pair(&g);
+    let mut client = Client::connect(coord.addr()).expect("connect");
+
+    let hostile = format!(
+        "{{\"op\":\"batch\",\"k\":3,\"nodes\":{}\n",
+        "[".repeat(100_000)
+    );
+    client.send_line(&hostile).expect("send");
+    match client.recv() {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("nesting"), "{msg}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    let reply = client.query(3, K).expect("query on the same connection");
+    let got: Vec<u32> = reply.entries.iter().map(|&(_, r)| r).collect();
+    assert_eq!(got, expected[&3]);
+
+    client.shutdown().expect("coordinator shutdown");
     coord.join();
     shutdown_fleet(fleet);
 }

@@ -5,7 +5,7 @@
 //! module adds the brute-force reference used by tests and a filtered rank
 //! helper mirroring Definition 3.
 
-use rkranks_graph::rank::RankCounter;
+use rkranks_graph::RankCounter;
 use rkranks_graph::{DijkstraWorkspace, DistanceBrowser, Graph, NodeId};
 
 use crate::result::{QueryResult, ResultEntry};

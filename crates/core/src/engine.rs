@@ -132,7 +132,7 @@ impl QueryEngine {
     /// The transpose is materialized here (as the pre-split `QueryEngine`
     /// did at construction) so no query's `stats.elapsed` includes the
     /// one-off O(n+m) build.
-    pub fn from_context(ctx: EngineContext) -> Self {
+    pub(crate) fn from_context(ctx: EngineContext) -> Self {
         ctx.sds_graph();
         let scratch = ctx.new_scratch();
         QueryEngine { ctx, scratch }
@@ -181,6 +181,7 @@ mod tests {
     use super::*;
     use crate::index::IndexDelta;
     use crate::request::Strategy;
+    use crate::trace::PopDecision;
     use crate::validate::assert_all_strategies_match;
     use rkranks_graph::{graph_from_edges, EdgeDirection, NodeId};
 
@@ -401,7 +402,10 @@ mod tests {
             .trace
             .unwrap();
         assert!(
-            !trace.index_hit_nodes().is_empty(),
+            trace
+                .events
+                .iter()
+                .any(|e| matches!(e.decision, PopDecision::IndexHit { .. })),
             "repeat indexed query should hit the dictionary"
         );
     }

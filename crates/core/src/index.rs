@@ -54,7 +54,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rkranks_graph::centrality::{closeness_sampled, top_by_score, top_degree_nodes};
-use rkranks_graph::rank::RankCounter;
+use rkranks_graph::RankCounter;
 use rkranks_graph::{BoundedBrowser, DijkstraWorkspace, Graph, NodeId};
 
 use crate::spec::QuerySpec;
@@ -331,7 +331,7 @@ impl RkrIndex {
 
     /// Fold another index's knowledge into this one (both must cover the
     /// same node universe and `k_max`).
-    pub fn merge_from(&mut self, other: &RkrIndex) {
+    pub(crate) fn merge_from(&mut self, other: &RkrIndex) {
         assert_eq!(
             self.num_nodes(),
             other.num_nodes(),
@@ -405,9 +405,9 @@ impl RkrIndex {
     /// computed (or cached) at epoch `e` reflects everything the index knew
     /// through its `e`-th effective merge, and an unchanged epoch
     /// guarantees an unchanged index. It is runtime state —
-    /// [`crate::index_io`] does not persist it, so a freshly loaded index
-    /// restarts at 0 — and build-time merges ([`RkrIndex::merge_from`])
-    /// leave it alone.
+    /// [`save_index`](crate::save_index) does not persist it, so a freshly
+    /// loaded index restarts at 0 — and build-time merges
+    /// (`RkrIndex::merge_from`) leave it alone.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -418,9 +418,10 @@ impl RkrIndex {
     /// The invalidation rule: when the serving graph commits to a new
     /// epoch, this index — and every unmerged [`IndexDelta`] logged
     /// against it — is *retired*, never merged forward (the soundness
-    /// argument lives on [`RkrIndex::merge_delta`]). [`crate::index_io`]
-    /// does not persist this tag: a loaded index belongs to whatever graph
-    /// the caller loads next, which restarts at epoch 0.
+    /// argument lives on [`RkrIndex::merge_delta`]).
+    /// [`save_index`](crate::save_index) does not persist this tag: a
+    /// loaded index belongs to whatever graph the caller loads next, which
+    /// restarts at epoch 0.
     pub fn graph_epoch(&self) -> u64 {
         self.graph_epoch
     }
@@ -439,7 +440,7 @@ impl RkrIndex {
     /// persisted epoch keeps the "unchanged epoch ⇒ unchanged index"
     /// guarantee across the restart. Everything else lets the counter
     /// advance through [`RkrIndex::merge_delta`] alone.
-    pub fn set_epoch(&mut self, e: u64) {
+    pub(crate) fn set_epoch(&mut self, e: u64) {
         self.epoch = e;
     }
 
@@ -514,7 +515,7 @@ impl RkrIndex {
 
     /// Iterate non-zero Check Dictionary entries (for serialization and
     /// diagnostics).
-    pub fn check_entries(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+    pub(crate) fn check_entries(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
         self.check
             .iter()
             .enumerate()
@@ -523,7 +524,7 @@ impl RkrIndex {
     }
 
     /// Iterate non-empty Reverse Rank Dictionary lists.
-    pub fn rrd_lists(&self) -> impl Iterator<Item = (NodeId, &[(u32, NodeId)])> + '_ {
+    pub(crate) fn rrd_lists(&self) -> impl Iterator<Item = (NodeId, &[(u32, NodeId)])> + '_ {
         self.rrd
             .iter()
             .enumerate()
@@ -607,7 +608,7 @@ impl IndexDelta {
 
     /// The max raise logged for `u` (0 when none).
     #[inline]
-    pub fn check_raise(&self, u: NodeId) -> u32 {
+    pub(crate) fn check_raise(&self, u: NodeId) -> u32 {
         self.check_raises.get(&u).copied().unwrap_or(0)
     }
 
@@ -681,7 +682,7 @@ impl IndexAccess<'_> {
     /// safe — and keeps the delta O(distinct discoveries) instead of
     /// O(total refinement settles) within an epoch.
     #[inline]
-    pub fn offer_floor(&self, u: NodeId) -> u32 {
+    pub(crate) fn offer_floor(&self, u: NodeId) -> u32 {
         match self {
             IndexAccess::Live(idx) => idx.check(u),
             IndexAccess::Snapshot { snapshot, delta } => {

@@ -45,42 +45,43 @@
 //! `rkr` CLI, the serving protocol, and the eval harness. Requests with a
 //! [`QueryRequest::deadline`] or [`QueryRequest::refine_budget`] may
 //! return a [`Completion::Partial`] outcome whose entries are still exact
-//! — see [`request`].
+//! — see [`Completion`].
 //!
 //! Bichromatic queries (§6.3.4) use [`QueryEngine::bichromatic`] with a
 //! [`Partition`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod bichromatic;
-pub mod context;
-pub mod engine;
-pub mod index;
-pub mod index_io;
+mod context;
+mod engine;
+mod index;
+mod index_io;
 pub mod refine;
-pub mod request;
-pub mod result;
-pub mod scratch;
-pub mod snapshot;
-pub mod spec;
-pub mod stats;
-pub mod telemetry;
-pub mod trace;
-pub mod validate;
+mod request;
+mod result;
+mod scratch;
+mod snapshot;
+mod spec;
+mod stats;
+mod telemetry;
+mod trace;
+mod validate;
 
 pub use context::{EngineContext, QueryScratch};
 pub use engine::{BoundConfig, QueryEngine};
-pub use index::{HubStrategy, IndexAccess, IndexBuildStats, IndexDelta, IndexParams, RkrIndex};
+pub use index::{HubStrategy, IndexAccess, IndexDelta, IndexParams, RkrIndex};
 pub use index_io::{load_index, read_index, save_index, write_index};
 pub use request::{Completion, PartialReason, QueryOutcome, QueryRequest, Strategy};
 pub use result::{QueryResult, ResultEntry, TopKCollector};
-pub use snapshot::{load_snapshot, read_snapshot, save_snapshot, write_snapshot};
+pub use snapshot::{load_snapshot, save_snapshot};
 pub use spec::{Partition, QuerySpec};
-pub use stats::{BoundWins, MeanStats, QueryStageStats, QueryStats};
+pub use stats::{QueryStageStats, QueryStats};
 pub use telemetry::{
     render_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, MetricSample, MetricValue,
     MetricsSnapshot, Registry,
 };
-pub use trace::{PassSummary, PopDecision, QueryTrace, TraceEvent};
+pub use trace::PopDecision;
 pub use validate::{assert_all_strategies_match, assert_equivalent, results_equivalent};

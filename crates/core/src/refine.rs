@@ -116,7 +116,7 @@
 //! out-of-ball targets measured 7 % slower on `rkr-bench`'s
 //! `engine_cold`.
 
-use rkranks_graph::rank::RankCounter;
+use rkranks_graph::RankCounter;
 use rkranks_graph::{DijkstraWorkspace, Distance, Graph, NodeId, RelaxOutcome};
 
 use crate::index::IndexAccess;

@@ -178,7 +178,7 @@ pub struct QueryRequest {
     pub k: u32,
     /// Which algorithm evaluates the query.
     pub strategy: Strategy,
-    /// Record a full [`QueryTrace`] of per-pop decisions (SDS strategies
+    /// Record a full `QueryTrace` of per-pop decisions (SDS strategies
     /// only; the naive baseline has no tree to trace).
     pub trace: bool,
     /// Best-effort wall-clock limit: when the elapsed time reaches it,
@@ -272,11 +272,6 @@ impl Completion {
     /// `true` if the search exhausted.
     pub fn is_complete(&self) -> bool {
         matches!(self, Completion::Complete)
-    }
-
-    /// `true` if a limit cut the search short.
-    pub fn is_partial(&self) -> bool {
-        !self.is_complete()
     }
 }
 
@@ -445,7 +440,7 @@ mod tests {
             reason: PartialReason::DeadlineExceeded,
             k_rank_bound: 4,
         };
-        assert!(p.is_partial() && !p.is_complete());
+        assert!(!p.is_complete());
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl TopKCollector {
     /// the final `kRank` were known to be at most `guess`. The caller must
     /// discard the pass unless [`TopKCollector::proves_guess`] holds at its
     /// end. `u32::MAX` means no guess.
-    pub fn with_guess(k: u32, guess: u32) -> Self {
+    pub(crate) fn with_guess(k: u32, guess: u32) -> Self {
         TopKCollector {
             k: k as usize,
             guess,
@@ -103,7 +103,7 @@ impl TopKCollector {
     /// guess become useless (pruning is `lower bound ≥ bound`, refinement
     /// aborts strictly above it — the same semantics `kRank` has).
     #[inline]
-    pub fn prune_bound(&self) -> u32 {
+    pub(crate) fn prune_bound(&self) -> u32 {
         self.k_rank().min(self.guess.saturating_add(1))
     }
 
@@ -111,7 +111,7 @@ impl TopKCollector {
     /// is justified in hindsight: `R` is full and its real k-th rank is
     /// within the guess, so each bound used was ≥ the final `kRank`.
     /// Always `true` without a guess.
-    pub fn proves_guess(&self) -> bool {
+    pub(crate) fn proves_guess(&self) -> bool {
         self.guess == u32::MAX || self.k_rank() <= self.guess
     }
 

@@ -88,7 +88,7 @@ impl<T: Copy> Stamped<T> {
 impl Stamped<u32> {
     /// Increment slot `i`, returning the new value.
     #[inline(always)]
-    pub fn increment(&mut self, i: usize) -> u32 {
+    pub(crate) fn increment(&mut self, i: usize) -> u32 {
         let v = self.get(i) + 1;
         self.set(i, v);
         v

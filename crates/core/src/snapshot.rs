@@ -1,12 +1,14 @@
 //! Durable serving-state snapshots: one integrity-checked bundle holding
-//! the committed graph, the learned index, the epoch pair, and the staged
+//! the committed graph, the index, the epoch pair, and the staged
 //! write-ahead log.
 //!
 //! The paper's index is the expensive asset (Table 15: hours of
-//! preprocessing on real DBLP) and it keeps sharpening as it serves
-//! queries (Table 14) — state a daemon must be able to lay down and pick
-//! back up. A [`rkranks_graph::GraphStore`] adds the second half of the
-//! problem: after live [`GraphDelta`] commits, the graph on disk and the
+//! preprocessing on real DBLP) — state a daemon must be able to lay down
+//! and pick back up. A serving daemon holds its index read-only until a
+//! graph commit retires it; the bundle keeps the index being served.
+//!
+//! A [`rkranks_graph::GraphStore`] adds the second half of the problem:
+//! after live [`GraphDelta`] commits, the graph on disk and the
 //! graph being served have diverged, and an index file alone cannot say
 //! which graph its ranks were measured on. The snapshot bundle stores all
 //! of it together, so a restarted daemon resumes at exactly the epoch pair
@@ -22,7 +24,7 @@
 //! section graph <byte_len> <fnv64-hex>
 //! <byte_len bytes: the committed graph, edge-list text>
 //! section index <byte_len> <fnv64-hex>
-//! <byte_len bytes: the learned index, rkr-index v1/v2 text>
+//! <byte_len bytes: the index, rkr-index v1/v2 text>
 //! section wal <byte_len> <fnv64-hex>
 //! <byte_len bytes: staged-but-uncommitted deltas, one per line>
 //! end
@@ -77,7 +79,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// layer maintains that invariant (a graph commit retires the index to a
 /// fresh one tagged with the new epoch), and persisting a violation would
 /// bake the very mismatch the bundle exists to rule out.
-pub fn write_snapshot<W: Write>(store: &GraphStore, index: &RkrIndex, out: W) -> Result<()> {
+pub(crate) fn write_snapshot<W: Write>(store: &GraphStore, index: &RkrIndex, out: W) -> Result<()> {
     assert_eq!(
         index.graph_epoch(),
         store.graph_epoch(),
@@ -169,7 +171,7 @@ impl<'a> Cursor<'a> {
 /// [`RkrIndex`] at the persisted epoch pair.
 ///
 /// Strict by design — see the module docs for everything this rejects.
-pub fn read_snapshot<R: Read>(mut input: R) -> Result<(GraphStore, RkrIndex)> {
+pub(crate) fn read_snapshot<R: Read>(mut input: R) -> Result<(GraphStore, RkrIndex)> {
     let mut buf = Vec::new();
     input.read_to_end(&mut buf)?;
     let mut cur = Cursor {

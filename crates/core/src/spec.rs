@@ -12,14 +12,12 @@ use rkranks_graph::{GraphError, NodeId, Result};
 #[derive(Clone, Debug)]
 pub struct Partition {
     is_v2: Vec<bool>,
-    v2_count: u32,
 }
 
 impl Partition {
     /// Build from the `V2` (counted / query class) membership mask.
     pub fn from_v2_mask(is_v2: Vec<bool>) -> Partition {
-        let v2_count = is_v2.iter().filter(|&&b| b).count() as u32;
-        Partition { is_v2, v2_count }
+        Partition { is_v2 }
     }
 
     /// Build from the list of `V2` node ids, given the total node count.
@@ -35,11 +33,6 @@ impl Partition {
     #[inline(always)]
     pub fn is_v2(&self, v: NodeId) -> bool {
         self.is_v2[v.index()]
-    }
-
-    /// Number of `V2` nodes.
-    pub fn v2_count(&self) -> u32 {
-        self.v2_count
     }
 
     /// Number of nodes covered by the partition.
@@ -65,7 +58,7 @@ pub enum QuerySpec<'a> {
 impl QuerySpec<'_> {
     /// May `v` appear in the result set?
     #[inline(always)]
-    pub fn is_candidate(&self, v: NodeId) -> bool {
+    pub(crate) fn is_candidate(&self, v: NodeId) -> bool {
         match self {
             QuerySpec::Mono => true,
             QuerySpec::Bichromatic(p) => !p.is_v2(v),
@@ -122,7 +115,7 @@ mod tests {
         let p = Partition::from_v2_nodes(4, &[NodeId(1), NodeId(3)]);
         assert!(p.is_v2(NodeId(1)));
         assert!(!p.is_v2(NodeId(0)));
-        assert_eq!(p.v2_count(), 2);
+        assert!(p.is_v2(NodeId(3)) && !p.is_v2(NodeId(2)));
         assert_eq!(p.len(), 4);
     }
 
@@ -146,8 +139,8 @@ mod tests {
     #[test]
     fn mask_round_trip() {
         let p = Partition::from_v2_mask(vec![true, false, true]);
-        assert_eq!(p.v2_count(), 2);
         assert!(p.is_v2(NodeId(0)));
         assert!(!p.is_v2(NodeId(1)));
+        assert!(p.is_v2(NodeId(2)));
     }
 }

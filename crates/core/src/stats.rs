@@ -86,8 +86,8 @@ pub struct QueryStats {
     /// `refinement_pushes`.
     pub refinement_requeues: u64,
     /// Refinements that ran anchored: started from an SDS ancestor's
-    /// frozen ball instead of re-enumerating it (see [`crate::context`],
-    /// "Anchored refinement"). A subset of `refinement_calls`.
+    /// frozen ball instead of re-enumerating it (see "Anchored refinement"
+    /// in `context.rs`). A subset of `refinement_calls`.
     pub anchored_refinements: u64,
     /// Candidates pruned by the Theorem-2 lower bound *before* refinement
     /// (dynamic variants only).
@@ -179,7 +179,7 @@ pub struct QueryStageStats {
 
 impl QueryStageStats {
     /// Derive the stage view from a query's raw counters.
-    pub fn from_stats(stats: &QueryStats) -> QueryStageStats {
+    pub(crate) fn from_stats(stats: &QueryStats) -> QueryStageStats {
         let refine = stats.refine_time.min(stats.elapsed);
         QueryStageStats {
             filter: stats.elapsed - refine,

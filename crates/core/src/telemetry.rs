@@ -24,7 +24,7 @@
 //! format.
 //!
 //! ```
-//! use rkranks_core::telemetry::{Registry, render_prometheus};
+//! use rkranks_core::{Registry, render_prometheus};
 //!
 //! let reg = Registry::new();
 //! let queries = reg.counter("queries_total", "queries served");
@@ -394,7 +394,7 @@ impl Registry {
     }
 
     /// Register (or fetch) a labeled gauge.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge_with(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Gauge> {
         match self.register(name, labels, help, || {
             Instrument::Gauge(Arc::new(Gauge::new()))
         }) {

@@ -124,15 +124,6 @@ impl QueryTrace {
             .collect()
     }
 
-    /// Nodes answered from the index without refinement.
-    pub fn index_hit_nodes(&self) -> Vec<NodeId> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.decision, PopDecision::IndexHit { .. }))
-            .map(|e| e.node)
-            .collect()
-    }
-
     /// Render a human-readable listing (used by examples and debugging).
     pub fn render(&self, names: Option<&[&str]>) -> String {
         use std::fmt::Write as _;
@@ -279,7 +270,13 @@ mod tests {
         let t = sample();
         assert_eq!(t.refined_nodes(), vec![NodeId(1), NodeId(4)]);
         assert_eq!(t.bound_pruned_nodes(), vec![NodeId(2)]);
-        assert_eq!(t.index_hit_nodes(), vec![NodeId(3)]);
+        let index_hits: Vec<NodeId> = t
+            .events
+            .iter()
+            .filter(|e| matches!(e.decision, PopDecision::IndexHit { .. }))
+            .map(|e| e.node)
+            .collect();
+        assert_eq!(index_hits, vec![NodeId(3)]);
     }
 
     #[test]

@@ -5,29 +5,30 @@
 //!
 //! | Paper dataset | Generator | Regime preserved |
 //! |---|---|---|
-//! | DBLP collaboration graph | [`collab::collab_graph`] | undirected, heavy-tailed, avg degree ≈ 14, the paper's exact weight formula |
-//! | Epinions trust network | [`social::trust_graph`] | directed, preferential in-degree, Zipf(α=2) weights |
-//! | SF road network + stores | [`road::road_network`] | sparse planar-like, avg degree ≈ 2.5, bichromatic store marking |
+//! | DBLP collaboration graph | [`collab_graph`] | undirected, heavy-tailed, avg degree ≈ 14, the paper's exact weight formula |
+//! | Epinions trust network | [`trust_graph`] | directed, preferential in-degree, Zipf(α=2) weights |
+//! | SF road network + stores | [`road_network`] | sparse planar-like, avg degree ≈ 2.5, bichromatic store marking |
 //!
 //! plus the exact Figure-1 toy graph ([`toy::paper_example`], verified
-//! against Table 1) and random-graph fuzzing substrates ([`random`]).
+//! against Table 1) and a random-graph fuzzing substrate ([`gnm_graph`]).
 //!
 //! Every generator is deterministic given its seed; [`Scale`] provides
 //! laptop-friendly presets used by the experiment harness.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod collab;
-pub mod random;
-pub mod road;
-pub mod social;
+mod collab;
+mod random;
+mod road;
+mod social;
 pub mod toy;
-pub mod workload;
-pub mod zipf;
+mod workload;
+mod zipf;
 
 pub use collab::{collab_graph, CollabParams};
-pub use random::{barabasi_albert, gnm_graph};
+pub use random::gnm_graph;
 pub use road::{road_network, RoadNetwork, RoadParams};
 pub use social::{trust_graph, trust_graph_undirected, TrustParams};
 pub use workload::{default_update_stream, update_stream, UpdateStreamParams};

@@ -44,39 +44,6 @@ pub fn gnm_graph(
     b.build().unwrap()
 }
 
-/// Barabási–Albert preferential attachment: each new node attaches to
-/// `m_per_node` existing nodes chosen by degree. Produces the heavy-tailed
-/// degree distributions where the paper's Height bound shines (Table 12).
-pub fn barabasi_albert(n: u32, m_per_node: usize, weight_range: (f64, f64), seed: u64) -> Graph {
-    assert!(n >= 2 && m_per_node >= 1);
-    let (lo, hi) = weight_range;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(EdgeDirection::Undirected, n as usize * m_per_node);
-    b.reserve_nodes(n);
-    let mut slots: Vec<u32> = vec![0];
-    for v in 1..n {
-        let mut chosen: Vec<u32> = Vec::with_capacity(m_per_node);
-        let mut guard = 0;
-        while chosen.len() < m_per_node.min(v as usize) && guard < 64 {
-            guard += 1;
-            let t = slots[rng.random_range(0..slots.len())];
-            if t != v && !chosen.contains(&t) {
-                chosen.push(t);
-            }
-        }
-        if chosen.is_empty() {
-            chosen.push(v - 1);
-        }
-        for t in chosen {
-            let w = rng.random_range(lo..hi);
-            b.add_edge(v, t, w).unwrap();
-            slots.push(t);
-            slots.push(v);
-        }
-    }
-    b.build().unwrap()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,20 +68,5 @@ mod tests {
         let a = gnm_graph(40, 80, EdgeDirection::Undirected, false, (0.0, 1.0), 3);
         let b = gnm_graph(40, 80, EdgeDirection::Undirected, false, (0.0, 1.0), 3);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ba_is_connected_and_heavy_tailed() {
-        let g = barabasi_albert(400, 2, (0.1, 1.0), 6);
-        assert!(is_weakly_connected(&g));
-        let (_, max_deg) = g.max_degree().unwrap();
-        assert!(max_deg as f64 > 3.0 * g.average_degree());
-    }
-
-    #[test]
-    fn ba_minimum_size() {
-        let g = barabasi_albert(2, 1, (0.1, 1.0), 0);
-        assert_eq!(g.num_nodes(), 2);
-        assert_eq!(g.num_edges(), 1);
     }
 }

@@ -21,7 +21,7 @@ use crate::ExpContext;
 const BOUND_KS: [u32; 6] = [1, 5, 10, 20, 50, 100];
 
 /// Table 11: share of bound evaluations won by each Theorem-2 component.
-pub fn bound_wins(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn bound_wins(ctx: &ExpContext) -> Vec<Table> {
     // One Arc up front: the per-k batches below then share the graph
     // instead of cloning the CSR per call.
     let g = Arc::new(epinions_like_undirected(ctx.scale, ctx.seed));
@@ -58,7 +58,7 @@ pub fn bound_wins(ctx: &ExpContext) -> Vec<Table> {
 }
 
 /// Table 12: the four bound strategies on the highest-degree queries.
-pub fn max_degree(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn max_degree(ctx: &ExpContext) -> Vec<Table> {
     let g = Arc::new(epinions_like_undirected(ctx.scale, ctx.seed));
     let queries = max_degree_queries(&g, ctx.queries, |_| true);
     vec![strategy_table(ctx, &g, &queries, "max-degree queries", "Table 12",
@@ -66,7 +66,7 @@ pub fn max_degree(ctx: &ExpContext) -> Vec<Table> {
 }
 
 /// Table 13: the four bound strategies on the lowest-degree queries.
-pub fn min_degree(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn min_degree(ctx: &ExpContext) -> Vec<Table> {
     let g = Arc::new(epinions_like_undirected(ctx.scale, ctx.seed));
     let queries = min_degree_queries(&g, ctx.queries, |_| true);
     vec![strategy_table(ctx, &g, &queries, "min-degree queries", "Table 13",

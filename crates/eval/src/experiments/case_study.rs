@@ -15,7 +15,7 @@ use crate::report::Table;
 use crate::ExpContext;
 
 /// Run the case study.
-pub fn run(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<Table> {
     let net = sf_like(ctx.scale, ctx.seed);
     let g = &net.graph;
     let part = Partition::from_v2_nodes(g.num_nodes(), &net.stores);

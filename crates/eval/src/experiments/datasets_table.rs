@@ -16,7 +16,7 @@ const PAPER: [(&str, u64, u64, f64); 3] = [
 ];
 
 /// Regenerate the dataset statistics table.
-pub fn run(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<Table> {
     let dblp = dblp_like(ctx.scale, ctx.seed);
     let epin = epinions_like(ctx.scale, ctx.seed);
     let road = sf_like(ctx.scale, ctx.seed);

@@ -5,7 +5,7 @@
 //! enormous ones), and top-k lists are not mutual.
 
 use rkranks_datasets::dblp_like;
-use rkranks_graph::topk::{agreement_rate, reverse_top_k_sizes, reverse_top_k_stats};
+use rkranks_graph::{agreement_rate, reverse_top_k_sizes, reverse_top_k_stats};
 
 use crate::experiments::K_VALUES;
 use crate::report::Table;
@@ -22,7 +22,7 @@ const PAPER_TABLE3: [(u32, u32, u32); 5] = [
 ];
 
 /// Table 3: reverse top-k result-set size statistics.
-pub fn table3(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn table3(ctx: &ExpContext) -> Vec<Table> {
     let g = dblp_like(ctx.scale, ctx.seed);
     let n = g.num_nodes();
     let mut t = Table::new(
@@ -68,7 +68,7 @@ const PAPER_TABLE4: [(u32, f64); 5] = [
 ];
 
 /// Table 4: agreement rate of top-k queries.
-pub fn table4(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn table4(ctx: &ExpContext) -> Vec<Table> {
     let g = dblp_like(ctx.scale, ctx.seed);
     let mut t = Table::new(
         format!("Top-k agreement rate (DBLP-like, {} nodes)", g.num_nodes()),

@@ -30,7 +30,7 @@ fn fmt_latency(out: &BatchOutcome) -> String {
 }
 
 /// Run Figure 6 for both datasets.
-pub fn run(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<Table> {
     let dblp = Arc::new(dblp_like(ctx.scale, ctx.seed));
     let epin = Arc::new(epinions_like(ctx.scale, ctx.seed));
     vec![

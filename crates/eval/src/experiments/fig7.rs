@@ -16,7 +16,7 @@ use crate::workload::random_queries;
 use crate::ExpContext;
 
 /// Run Figure 7.
-pub fn run(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<Table> {
     let net = sf_like(ctx.scale, ctx.seed);
     let stores = net.stores;
     let g = Arc::new(net.graph);

@@ -21,7 +21,7 @@ const GRID: [(f64, f64); 10] = [
 ];
 
 /// Build the index at every grid point and report cost.
-pub fn run(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<Table> {
     let dblp = dblp_like(ctx.scale, ctx.seed);
     let epin = epinions_like(ctx.scale, ctx.seed);
     let mut t = Table::new(

@@ -61,7 +61,7 @@ fn sweep(ctx: &ExpContext, label: &str, g: &Arc<Graph>, paper_ref: &str, vary_hu
 }
 
 /// Tables 6–7: hub percentage sweep on both datasets.
-pub fn hub_pct(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn hub_pct(ctx: &ExpContext) -> Vec<Table> {
     let dblp = Arc::new(dblp_like(ctx.scale, ctx.seed));
     let epin = Arc::new(epinions_like(ctx.scale, ctx.seed));
     vec![
@@ -71,7 +71,7 @@ pub fn hub_pct(ctx: &ExpContext) -> Vec<Table> {
 }
 
 /// Tables 8–9: prefix percentage sweep on both datasets.
-pub fn index_pct(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn index_pct(ctx: &ExpContext) -> Vec<Table> {
     let dblp = Arc::new(dblp_like(ctx.scale, ctx.seed));
     let epin = Arc::new(epinions_like(ctx.scale, ctx.seed));
     vec![
@@ -81,7 +81,7 @@ pub fn index_pct(ctx: &ExpContext) -> Vec<Table> {
 }
 
 /// Table 10: hub-selection strategies.
-pub fn hub_strategy(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn hub_strategy(ctx: &ExpContext) -> Vec<Table> {
     let mut tables = Vec::new();
     for (label, g) in [
         ("DBLP-like", Arc::new(dblp_like(ctx.scale, ctx.seed))),

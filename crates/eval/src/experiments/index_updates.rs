@@ -17,7 +17,7 @@ use crate::workload::random_queries;
 use crate::ExpContext;
 
 /// Run the Table 14 protocol on both datasets.
-pub fn run(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<Table> {
     let dblp = Arc::new(dblp_like(ctx.scale, ctx.seed));
     let epin = Arc::new(epinions_like(ctx.scale, ctx.seed));
     vec![

@@ -3,16 +3,16 @@
 use crate::report::Table;
 use crate::ExpContext;
 
-pub mod bounds;
-pub mod case_study;
-pub mod datasets_table;
-pub mod effectiveness;
-pub mod fig6;
-pub mod fig7;
-pub mod index_build;
-pub mod index_params;
-pub mod index_updates;
-pub mod naive;
+mod bounds;
+mod case_study;
+mod datasets_table;
+mod effectiveness;
+mod fig6;
+mod fig7;
+mod index_build;
+mod index_params;
+mod index_updates;
+mod naive;
 
 /// A registered experiment.
 pub struct Experiment {

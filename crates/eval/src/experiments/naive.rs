@@ -14,7 +14,7 @@ use crate::workload::random_queries;
 use crate::ExpContext;
 
 /// Compare naive vs static vs dynamic at k = 1.
-pub fn run(ctx: &ExpContext) -> Vec<Table> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<Table> {
     let g = Arc::new(epinions_like(ctx.scale, ctx.seed));
     // The naive method is brutally slow by design; a handful of queries is
     // enough to show the gap.

@@ -12,9 +12,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod experiments;
-pub mod report;
+mod report;
 pub mod runner;
 pub mod workload;
 

@@ -33,7 +33,7 @@ impl Table {
     }
 
     /// Append a row (must match the header count).
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub(crate) fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(
             row.len(),
             self.headers.len(),
@@ -111,7 +111,7 @@ impl Table {
 }
 
 /// Format a float with sensible precision for tables.
-pub fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v == 0.0 {
         "0".into()
     } else if v.abs() >= 1000.0 {
@@ -124,7 +124,7 @@ pub fn fmt_f64(v: f64) -> String {
 }
 
 /// Format seconds (scientific for very small values).
-pub fn fmt_secs(s: f64) -> String {
+pub(crate) fn fmt_secs(s: f64) -> String {
     if s == 0.0 {
         "0".into()
     } else if s < 0.0001 {
@@ -137,7 +137,7 @@ pub fn fmt_secs(s: f64) -> String {
 }
 
 /// Format a byte count.
-pub fn fmt_bytes(b: usize) -> String {
+pub(crate) fn fmt_bytes(b: usize) -> String {
     if b >= 1 << 30 {
         format!("{:.2}G", b as f64 / (1u64 << 30) as f64)
     } else if b >= 1 << 20 {

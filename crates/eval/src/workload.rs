@@ -39,7 +39,7 @@ pub fn random_queries(
 
 /// The `count` valid nodes with the highest out-degree (Table 12's
 /// workload), ties broken by id.
-pub fn max_degree_queries(
+pub(crate) fn max_degree_queries(
     graph: &Graph,
     count: usize,
     valid: impl Fn(NodeId) -> bool,
@@ -53,7 +53,7 @@ pub fn max_degree_queries(
 /// The `count` valid nodes with the lowest out-degree (Table 13's
 /// workload), ties broken by id. Degree-0 nodes are skipped — they cannot
 /// be reached by anyone and make empty queries.
-pub fn min_degree_queries(
+pub(crate) fn min_degree_queries(
     graph: &Graph,
     count: usize,
     valid: impl Fn(NodeId) -> bool,

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use rkranks_core::{EngineContext, QueryRequest, Strategy as QueryStrategy};
-use rkranks_datasets::workload::{update_stream, UpdateStreamParams};
+use rkranks_datasets::{update_stream, UpdateStreamParams};
 use rkranks_graph::{EdgeDirection, Graph, GraphBuilder, GraphDelta, GraphStore};
 
 /// Generator: a connected-ish random weighted graph as (node count,

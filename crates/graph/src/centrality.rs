@@ -1,10 +1,10 @@
-//! Closeness centrality (exact and sampled) and degree rankings.
+//! Sampled closeness centrality and degree rankings.
 //!
 //! The paper's "Closeness First" hub-selection strategy (§5.1) needs
 //! closeness centrality `C(v) = 1 / Σ_u d(u,v)`; because the exact
 //! computation is `O(|V|·|E|)`, the paper approximates it by sampling
-//! source vertices (citing Brandes & Pich / pruned-landmark ideas). Both
-//! variants live here.
+//! source vertices (citing Brandes & Pich / pruned-landmark ideas). The
+//! exact form is kept in the tests as the sampled one's reference.
 
 use crate::dijkstra::{DijkstraWorkspace, DistanceBrowser};
 use crate::graph::Graph;
@@ -12,38 +12,6 @@ use crate::node::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Exact closeness centrality for every node.
-///
-/// `C(v) = (reached - 1) / Σ_{u reached} d(u, v)` — farness sums distances
-/// **to** `v` (computed on the transpose), restricted to nodes that can
-/// reach `v`, and normalized by their count so that nodes in small
-/// components do not get inflated scores. On a strongly connected graph
-/// this is a positive multiple of the paper's `1/Σ_u d(u,v)`, so it induces
-/// the same hub ordering.
-pub fn closeness_exact(graph: &Graph) -> Vec<f64> {
-    let transpose = graph.transpose();
-    let n = graph.num_nodes();
-    let mut ws = DijkstraWorkspace::new(n);
-    let mut out = vec![0.0; n as usize];
-    for v in graph.nodes() {
-        let mut farness = 0.0;
-        let mut reached = 0u32;
-        for (u, d) in DistanceBrowser::new(&transpose, &mut ws, v) {
-            if u == v {
-                continue;
-            }
-            farness += d;
-            reached += 1;
-        }
-        out[v.index()] = if farness > 0.0 {
-            reached as f64 / farness
-        } else {
-            0.0
-        };
-    }
-    out
-}
 
 /// Sampled closeness centrality: run SSSP from `samples` random source
 /// nodes and estimate `farness(v) ≈ Σ_{sampled u} d(u,v)` over the sampled
@@ -101,6 +69,38 @@ pub fn top_degree_nodes(graph: &Graph, count: usize) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use crate::builder::{graph_from_edges, EdgeDirection};
+
+    /// Exact closeness centrality for every node.
+    ///
+    /// `C(v) = (reached - 1) / Σ_{u reached} d(u, v)` — farness sums distances
+    /// **to** `v` (computed on the transpose), restricted to nodes that can
+    /// reach `v`, and normalized by their count so that nodes in small
+    /// components do not get inflated scores. On a strongly connected graph
+    /// this is a positive multiple of the paper's `1/Σ_u d(u,v)`, so it induces
+    /// the same hub ordering.
+    fn closeness_exact(graph: &Graph) -> Vec<f64> {
+        let transpose = graph.transpose();
+        let n = graph.num_nodes();
+        let mut ws = DijkstraWorkspace::new(n);
+        let mut out = vec![0.0; n as usize];
+        for v in graph.nodes() {
+            let mut farness = 0.0;
+            let mut reached = 0u32;
+            for (u, d) in DistanceBrowser::new(&transpose, &mut ws, v) {
+                if u == v {
+                    continue;
+                }
+                farness += d;
+                reached += 1;
+            }
+            out[v.index()] = if farness > 0.0 {
+                reached as f64 / farness
+            } else {
+                0.0
+            };
+        }
+        out
+    }
 
     fn path() -> Graph {
         graph_from_edges(

@@ -22,7 +22,7 @@ use crate::weight::Distance;
 /// CSR adjacency: `offsets[u]..offsets[u+1]` indexes into `targets`/`weights`;
 /// each row is sorted by `(weight, target)` (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
-pub struct Csr {
+pub(crate) struct Csr {
     offsets: Vec<u32>,
     targets: Vec<NodeId>,
     weights: Vec<Distance>,
@@ -250,26 +250,26 @@ impl Csr {
 
     /// Number of nodes.
     #[inline(always)]
-    pub fn num_nodes(&self) -> u32 {
+    pub(crate) fn num_nodes(&self) -> u32 {
         (self.offsets.len() - 1) as u32
     }
 
     /// Number of stored arcs (directed edges).
     #[inline(always)]
-    pub fn num_arcs(&self) -> usize {
+    pub(crate) fn num_arcs(&self) -> usize {
         self.targets.len()
     }
 
     /// Out-degree of `u`.
     #[inline(always)]
-    pub fn degree(&self, u: NodeId) -> u32 {
+    pub(crate) fn degree(&self, u: NodeId) -> u32 {
         let i = u.index();
         self.offsets[i + 1] - self.offsets[i]
     }
 
     /// Neighbor slice pair for `u`: `(targets, weights)`.
     #[inline(always)]
-    pub fn neighbors(&self, u: NodeId) -> (&[NodeId], &[Distance]) {
+    pub(crate) fn neighbors(&self, u: NodeId) -> (&[NodeId], &[Distance]) {
         let i = u.index();
         let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
         (&self.targets[lo..hi], &self.weights[lo..hi])
@@ -277,21 +277,21 @@ impl Csr {
 
     /// Iterate `(neighbor, weight)` pairs of `u`.
     #[inline]
-    pub fn edges(&self, u: NodeId) -> impl Iterator<Item = (NodeId, Distance)> + '_ {
+    pub(crate) fn edges(&self, u: NodeId) -> impl Iterator<Item = (NodeId, Distance)> + '_ {
         let (t, w) = self.neighbors(u);
         t.iter().copied().zip(w.iter().copied())
     }
 
     /// Reverse every arc, producing the transpose adjacency (its rows
     /// `(weight, target)`-sorted like any other `Csr`'s).
-    pub fn transpose(&self) -> Csr {
+    pub(crate) fn transpose(&self) -> Csr {
         Csr::from_emitter(self.num_nodes(), false, || {
             (0..self.num_nodes()).flat_map(|u| self.edges(NodeId(u)).map(move |(t, w)| (t.0, u, w)))
         })
     }
 
     /// Heap memory footprint in bytes (used by index-size accounting).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.offsets.len() * size_of::<u32>()
             + self.targets.len() * size_of::<NodeId>()
             + self.weights.len() * size_of::<Distance>()

@@ -219,19 +219,6 @@ impl DijkstraWorkspace {
         self.slot(v).map(|s| s.dist)
     }
 
-    /// `true` once `v` has been popped (its distance is final, unless a
-    /// FIFO traversal queues it again).
-    #[inline(always)]
-    pub fn is_settled(&self, v: NodeId) -> bool {
-        self.slot(v).is_some_and(|s| s.pos == SETTLED)
-    }
-
-    /// `true` if `v` is currently queued in the frontier.
-    #[inline(always)]
-    pub fn in_frontier(&self, v: NodeId) -> bool {
-        self.slot(v).is_some_and(|s| s.pos != SETTLED)
-    }
-
     /// Relax `v` to tentative distance `d`.
     #[inline]
     pub fn relax(&mut self, v: NodeId, d: Distance) -> RelaxOutcome {
@@ -394,7 +381,7 @@ impl DijkstraWorkspace {
     /// relaxed — target, tentative distance, outcome — and returns the
     /// cut-off for the rest of the row. Returns the settled node.
     #[inline]
-    pub fn step_within(
+    pub(crate) fn step_within(
         &mut self,
         graph: &Graph,
         mut tau: Distance,
@@ -758,24 +745,21 @@ pub fn shortest_path_tree(graph: &Graph, source: NodeId) -> (Vec<Option<NodeId>>
     (parents, dist)
 }
 
-/// The `k` nearest nodes to `source` (excluding `source`), in nondecreasing
-/// distance order. Ties at the k-th position are truncated arbitrarily —
-/// the paper's datasets are weighted specifically to avoid ties (§6.1).
-pub fn k_nearest(
-    graph: &Graph,
-    ws: &mut DijkstraWorkspace,
-    source: NodeId,
-    k: usize,
-) -> Vec<(NodeId, Distance)> {
-    BoundedBrowser::new(graph, ws, source, k, |_| true)
-        .take(k)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{graph_from_edges, EdgeDirection};
+
+    /// `true` once `v` has been popped (its distance is final, unless a
+    /// FIFO traversal queues it again).
+    fn is_settled(ws: &DijkstraWorkspace, v: NodeId) -> bool {
+        ws.slot(v).is_some_and(|s| s.pos == SETTLED)
+    }
+
+    /// `true` if `v` is currently queued in the frontier.
+    fn in_frontier(ws: &DijkstraWorkspace, v: NodeId) -> bool {
+        ws.slot(v).is_some_and(|s| s.pos != SETTLED)
+    }
 
     fn paperish() -> Graph {
         // A small weighted graph with an indirect shortcut: 0-1 (4.0) is
@@ -855,17 +839,6 @@ mod tests {
         let g = graph_from_edges(EdgeDirection::Directed, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
         assert_eq!(distance(&g, NodeId(0), NodeId(2)), 2.0);
         assert_eq!(distance(&g, NodeId(2), NodeId(0)), INF);
-    }
-
-    #[test]
-    fn k_nearest_excludes_source_and_orders() {
-        let g = paperish();
-        let mut ws = DijkstraWorkspace::new(g.num_nodes());
-        let knn = k_nearest(&g, &mut ws, NodeId(0), 2);
-        assert_eq!(knn, vec![(NodeId(2), 1.0), (NodeId(1), 3.0)]);
-        // k larger than reachable set
-        let knn = k_nearest(&g, &mut ws, NodeId(0), 10);
-        assert_eq!(knn.len(), 3);
     }
 
     #[test]
@@ -964,12 +937,12 @@ mod tests {
         let g = paperish();
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
         ws.begin(NodeId(0));
-        assert!(ws.in_frontier(NodeId(0)));
+        assert!(in_frontier(&ws, NodeId(0)));
         let (v, d) = ws.step(&g).unwrap();
         assert_eq!((v, d), (NodeId(0), 0.0));
-        assert!(ws.is_settled(NodeId(0)));
-        assert!(!ws.in_frontier(NodeId(0)));
-        assert!(ws.in_frontier(NodeId(1)));
+        assert!(is_settled(&ws, NodeId(0)));
+        assert!(!in_frontier(&ws, NodeId(0)));
+        assert!(in_frontier(&ws, NodeId(1)));
         assert_eq!(ws.dist_of(NodeId(2)), Some(1.0));
         assert_eq!(ws.dist_of(NodeId(3)), None);
     }
@@ -1070,13 +1043,13 @@ mod tests {
         let mut ws = DijkstraWorkspace::new(3);
         ws.begin(NodeId(0));
         ws.settle_next();
-        assert!(!ws.in_frontier(NodeId(1)));
+        assert!(!in_frontier(&ws, NodeId(1)));
         assert_eq!(ws.dist_of(NodeId(1)), None);
         ws.relax(NodeId(1), 7.0);
-        assert!(ws.in_frontier(NodeId(1)) && !ws.is_settled(NodeId(1)));
+        assert!(in_frontier(&ws, NodeId(1)) && !is_settled(&ws, NodeId(1)));
         assert_eq!(ws.dist_of(NodeId(1)), Some(7.0));
         ws.settle_next();
-        assert!(!ws.in_frontier(NodeId(1)) && ws.is_settled(NodeId(1)));
+        assert!(!in_frontier(&ws, NodeId(1)) && is_settled(&ws, NodeId(1)));
         assert_eq!(ws.dist_of(NodeId(1)), Some(7.0));
     }
 
@@ -1093,7 +1066,7 @@ mod tests {
         ws.begin(NodeId(3));
         ws.check_invariants();
         for v in (0..8).filter(|&v| v != 3) {
-            assert!(!ws.in_frontier(NodeId(v)) && !ws.is_settled(NodeId(v)));
+            assert!(!in_frontier(&ws, NodeId(v)) && !is_settled(&ws, NodeId(v)));
             assert_eq!(ws.dist_of(NodeId(v)), None);
         }
         assert_eq!(ws.relax(NodeId(5), 1.0), RelaxOutcome::Inserted);
@@ -1172,13 +1145,13 @@ mod tests {
         ws.settle_next();
         ws.relax(NodeId(3), 1.0);
         assert_eq!(ws.generation, u32::MAX);
-        assert!(ws.is_settled(NodeId(2)) && ws.in_frontier(NodeId(3)));
+        assert!(is_settled(&ws, NodeId(2)) && in_frontier(&ws, NodeId(3)));
         // the wrap: generation 1 again, and nothing of either survives
         ws.begin(NodeId(4));
         assert_eq!(ws.generation, 1);
         for v in (0..4).map(NodeId) {
             assert_eq!(ws.dist_of(v), None, "{v}");
-            assert!(!ws.is_settled(v) && !ws.in_frontier(v), "{v}");
+            assert!(!is_settled(&ws, v) && !in_frontier(&ws, v), "{v}");
         }
         for v in (0..4).map(NodeId) {
             assert_eq!(ws.relax(v, 2.0), RelaxOutcome::Inserted, "{v}");
@@ -1266,10 +1239,10 @@ mod tests {
         assert_eq!(ws.dequeue(), Some((NodeId(2), 0.0)));
         assert_eq!(ws.relax_correcting(NodeId(3), 0.0), RelaxOutcome::Inserted);
         assert_eq!(ws.dequeue(), Some((NodeId(1), 2.0)), "first in, first out");
-        assert!(ws.is_settled(NodeId(1)));
+        assert!(is_settled(&ws, NodeId(1)));
         assert_eq!(ws.dequeue(), Some((NodeId(3), 0.0)));
         assert_eq!(ws.relax_correcting(NodeId(1), 0.0), RelaxOutcome::Requeued);
-        assert!(ws.in_frontier(NodeId(1)) && ws.is_fifo());
+        assert!(in_frontier(&ws, NodeId(1)) && ws.is_fifo());
         assert_eq!(ws.relax_correcting(NodeId(1), 0.0), RelaxOutcome::Unchanged);
         ws.check_invariants();
         assert_eq!(ws.dequeue(), Some((NodeId(1), 0.0)));

@@ -56,7 +56,7 @@ impl Graph {
     /// Number of stored arcs. For undirected graphs this is twice the number
     /// of logical edges.
     #[inline(always)]
-    pub fn num_arcs(&self) -> usize {
+    pub(crate) fn num_arcs(&self) -> usize {
         self.csr.num_arcs()
     }
 

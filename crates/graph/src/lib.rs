@@ -20,7 +20,7 @@
 //!   [`rank_matrix`]) implementing Definition 1 exactly;
 //! * the competitor queries (top-k, reverse top-k) used by the paper's
 //!   effectiveness analysis (§6.2);
-//! * closeness centrality (exact + sampled) for the Closeness-First hub
+//! * sampled closeness centrality for the Closeness-First hub
 //!   strategy (§5.1);
 //! * plain-text edge-list I/O.
 //!
@@ -29,28 +29,29 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod builder;
+mod builder;
 pub mod centrality;
-pub mod csr;
+mod csr;
 pub mod dijkstra;
-pub mod error;
-pub mod graph;
-pub mod io;
+mod error;
+mod graph;
+mod io;
 pub mod metrics;
-pub mod node;
+mod node;
 pub mod path;
-pub mod rank;
-pub mod shard;
-pub mod store;
-pub mod topk;
+mod rank;
+mod shard;
+mod store;
+mod topk;
 pub mod traversal;
-pub mod weight;
+mod weight;
 
 pub use builder::{graph_from_edges, DedupPolicy, EdgeDirection, GraphBuilder};
 pub use dijkstra::{
-    distance, k_nearest, shortest_path_tree, sssp, BoundedBrowser, DijkstraWorkspace,
-    DistanceBrowser, RelaxOutcome,
+    distance, shortest_path_tree, sssp, BoundedBrowser, DijkstraWorkspace, DistanceBrowser,
+    RelaxOutcome,
 };
 pub use error::{GraphError, Result};
 pub use graph::Graph;
@@ -60,7 +61,6 @@ pub use rank::{rank_between, rank_matrix, RankCounter};
 pub use shard::{ShardMap, ShardSlice};
 pub use store::{GraphDelta, GraphStore};
 pub use topk::{
-    agreement_rate, all_top_k_sets, reverse_top_k, reverse_top_k_sizes, reverse_top_k_stats,
-    top_k_set, ReverseTopKStats,
+    agreement_rate, reverse_top_k, reverse_top_k_sizes, reverse_top_k_stats, top_k_set,
 };
-pub use weight::{Distance, Weight, INF};
+pub use weight::{Distance, INF};

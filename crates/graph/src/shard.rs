@@ -54,7 +54,7 @@ impl ShardMap {
 
     /// The shard owning `node`, in `0..shards`.
     #[inline]
-    pub fn shard_of(&self, node: NodeId) -> u32 {
+    pub(crate) fn shard_of(&self, node: NodeId) -> u32 {
         jump_hash(splitmix64(self.seed ^ u64::from(node.0)), self.shards)
     }
 

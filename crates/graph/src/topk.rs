@@ -30,7 +30,7 @@ pub fn top_k_set(graph: &Graph, ws: &mut DijkstraWorkspace, source: NodeId, k: u
 
 /// Top-k sets for every node. O(|V| · k·log) — the cost the paper pays for
 /// its effectiveness analysis (§6.2.1).
-pub fn all_top_k_sets(graph: &Graph, k: u32) -> Vec<Vec<NodeId>> {
+pub(crate) fn all_top_k_sets(graph: &Graph, k: u32) -> Vec<Vec<NodeId>> {
     let mut ws = DijkstraWorkspace::new(graph.num_nodes());
     graph
         .nodes()

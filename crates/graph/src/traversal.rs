@@ -11,7 +11,7 @@ use crate::node::NodeId;
 
 /// Weakly connected component labels (directed arcs treated as
 /// bidirectional). Returns `(labels, component_count)`.
-pub fn weakly_connected_components(graph: &Graph) -> (Vec<u32>, u32) {
+pub(crate) fn weakly_connected_components(graph: &Graph) -> (Vec<u32>, u32) {
     let n = graph.num_nodes() as usize;
     const UNSET: u32 = u32::MAX;
     let mut label = vec![UNSET; n];

@@ -8,13 +8,13 @@ use std::cmp::Ordering;
 
 /// A validated edge weight: finite and non-negative.
 #[derive(Clone, Copy, PartialEq, PartialOrd, Debug)]
-pub struct Weight(f64);
+pub(crate) struct Weight(f64);
 
 impl Weight {
     /// Validate a raw weight. Returns `None` for NaN, infinite, or negative
     /// values.
     #[inline]
-    pub fn new(w: f64) -> Option<Weight> {
+    pub(crate) fn new(w: f64) -> Option<Weight> {
         if w.is_finite() && w >= 0.0 {
             Some(Weight(w))
         } else {
@@ -24,15 +24,8 @@ impl Weight {
 
     /// The raw value.
     #[inline(always)]
-    pub fn get(self) -> f64 {
+    pub(crate) fn get(self) -> f64 {
         self.0
-    }
-}
-
-impl From<Weight> for f64 {
-    #[inline]
-    fn from(w: Weight) -> f64 {
-        w.0
     }
 }
 
@@ -49,13 +42,13 @@ pub const INF: Distance = f64::INFINITY;
 /// Total order for distances (no NaN by construction; `total_cmp` keeps the
 /// comparator total anyway, which keeps heaps and sorts panic-free).
 #[inline(always)]
-pub fn cmp_dist(a: Distance, b: Distance) -> Ordering {
+pub(crate) fn cmp_dist(a: Distance, b: Distance) -> Ordering {
     a.total_cmp(&b)
 }
 
 /// `true` if `a` is strictly closer than `b`.
 #[inline(always)]
-pub fn dist_lt(a: Distance, b: Distance) -> bool {
+pub(crate) fn dist_lt(a: Distance, b: Distance) -> bool {
     a < b
 }
 
@@ -67,7 +60,6 @@ mod tests {
     fn accepts_valid_weights() {
         assert_eq!(Weight::new(0.0).unwrap().get(), 0.0);
         assert_eq!(Weight::new(1.5).unwrap().get(), 1.5);
-        assert_eq!(f64::from(Weight::new(2.0).unwrap()), 2.0);
     }
 
     #[test]

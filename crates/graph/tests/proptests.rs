@@ -384,7 +384,7 @@ mod row_order_props {
 mod bounded_browser_props {
     use super::*;
     use rkranks_graph::{
-        k_nearest, reverse_top_k, top_k_set, BoundedBrowser, DedupPolicy, GraphBuilder, RankCounter,
+        reverse_top_k, top_k_set, BoundedBrowser, DedupPolicy, GraphBuilder, RankCounter,
     };
 
     /// No backbone: isolated nodes and several components are the norm.
@@ -595,25 +595,6 @@ mod bounded_browser_props {
                     s,
                     k
                 );
-
-                // k_nearest: the same distance sequence, membership up to
-                // the last tie group
-                let knn = k_nearest(g, &mut ws, s, k as usize);
-                let want: Vec<f64> = DistanceBrowser::new(g, &mut ws_ref, s)
-                    .skip(1)
-                    .take(k as usize)
-                    .map(|(_, d)| d)
-                    .collect();
-                prop_assert_eq!(
-                    knn.iter().map(|&(_, d)| d).collect::<Vec<_>>(),
-                    want,
-                    "s={} k={}",
-                    s,
-                    k
-                );
-                for (v, d) in knn {
-                    prop_assert!(v != s && d == dist[v.index()]);
-                }
             }
         }
         Ok(())

@@ -134,7 +134,7 @@ impl ResultCache {
     /// Approximate heap footprint of the live entries in bytes: each
     /// entry's payload capacity plus fixed per-entry bookkeeping. Kept as
     /// a running total, so reading it is O(1).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.bytes
     }
 

@@ -71,49 +71,19 @@ impl Default for QueryOptions {
     }
 }
 
-/// How [`Client::connect_with`] establishes (and re-establishes) a
-/// connection: a per-attempt timeout plus bounded retries with
-/// exponential backoff. The old unbounded-blocking behavior is gone —
-/// a dead peer now fails the caller within
-/// `attempts × timeout + Σ backoff` instead of hanging.
-#[derive(Clone, Copy, Debug)]
-pub struct ConnectPolicy {
-    /// Per-attempt connect timeout.
-    pub timeout: Duration,
-    /// Total connection attempts (≥ 1).
-    pub attempts: u32,
-    /// Sleep before the second attempt; doubles per retry.
-    pub backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
+/// Per-attempt connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Sleep before the second connect attempt; doubles per retry.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
+/// Ceiling on the sleep between connect attempts.
+const MAX_CONNECT_BACKOFF: Duration = Duration::from_secs(2);
 
-impl Default for ConnectPolicy {
-    fn default() -> ConnectPolicy {
-        ConnectPolicy {
-            timeout: Duration::from_secs(5),
-            attempts: 1,
-            backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-        }
-    }
-}
-
-impl ConnectPolicy {
-    /// A policy that retries `attempts` times — what reconnecting pool
-    /// callers (the coordinator, `rkr ctl`) use.
-    pub fn retrying(attempts: u32) -> ConnectPolicy {
-        ConnectPolicy {
-            attempts: attempts.max(1),
-            ..ConnectPolicy::default()
-        }
-    }
-
-    /// The backoff to sleep after failed attempt `attempt` (0-based).
-    pub fn backoff_after(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.min(16);
-        self.backoff.saturating_mul(factor).min(self.max_backoff)
-    }
+/// The backoff to sleep after failed connect attempt `attempt` (0-based).
+fn backoff_after(attempt: u32) -> Duration {
+    let factor = 1u32 << attempt.min(16);
+    CONNECT_BACKOFF
+        .saturating_mul(factor)
+        .min(MAX_CONNECT_BACKOFF)
 }
 
 /// A blocking connection to an `rkrd` daemon.
@@ -123,16 +93,17 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect to a daemon with the default [`ConnectPolicy`] (5 s
-    /// timeout, no retries).
+    /// Connect to a daemon in one attempt (5 s timeout).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Client::connect_with(addr, &ConnectPolicy::default())
+        Client::connect_retrying(addr, 1)
     }
 
-    /// Connect under an explicit policy: each resolved address is tried
-    /// with `policy.timeout`; on failure the whole set is retried up to
-    /// `policy.attempts` times with exponential backoff in between.
-    pub fn connect_with(addr: impl ToSocketAddrs, policy: &ConnectPolicy) -> io::Result<Client> {
+    /// Connect in up to `attempts` attempts: each resolved address is
+    /// tried with a 5 s timeout, and the whole set is retried with
+    /// exponential backoff (50 ms, doubling, at most 2 s) in between. A
+    /// dead peer fails the caller within
+    /// `attempts × timeout + Σ backoff`.
+    pub fn connect_retrying(addr: impl ToSocketAddrs, attempts: u32) -> io::Result<Client> {
         let addrs: Vec<_> = addr.to_socket_addrs()?.collect();
         if addrs.is_empty() {
             return Err(io::Error::new(
@@ -141,12 +112,12 @@ impl Client {
             ));
         }
         let mut last_err = None;
-        for attempt in 0..policy.attempts.max(1) {
+        for attempt in 0..attempts.max(1) {
             if attempt > 0 {
-                std::thread::sleep(policy.backoff_after(attempt - 1));
+                std::thread::sleep(backoff_after(attempt - 1));
             }
             for a in &addrs {
-                match TcpStream::connect_timeout(a, policy.timeout) {
+                match TcpStream::connect_timeout(a, CONNECT_TIMEOUT) {
                     Ok(stream) => {
                         stream.set_nodelay(true)?;
                         let writer = stream.try_clone()?;
@@ -211,19 +182,6 @@ impl Client {
     /// One reverse k-ranks query with the default options.
     pub fn query(&mut self, node: u32, k: u32) -> Result<QueryReply, ClientError> {
         self.query_opts(node, k, &QueryOptions::default())
-    }
-
-    /// [`Client::query`] bypassing the server-side result cache (no
-    /// lookup, no insert) — for measurement traffic.
-    pub fn query_uncached(&mut self, node: u32, k: u32) -> Result<QueryReply, ClientError> {
-        self.query_opts(
-            node,
-            k,
-            &QueryOptions {
-                cache: false,
-                ..QueryOptions::default()
-            },
-        )
     }
 
     /// One reverse k-ranks query with explicit [`QueryOptions`] —
@@ -400,15 +358,12 @@ mod tests {
 
     #[test]
     fn connect_policy_backoff_doubles_and_caps() {
-        let p = ConnectPolicy {
-            backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(35),
-            ..ConnectPolicy::default()
-        };
-        assert_eq!(p.backoff_after(0), Duration::from_millis(10));
-        assert_eq!(p.backoff_after(1), Duration::from_millis(20));
-        assert_eq!(p.backoff_after(2), Duration::from_millis(35)); // capped
-        assert_eq!(p.backoff_after(30), Duration::from_millis(35));
+        assert_eq!(backoff_after(0), CONNECT_BACKOFF);
+        assert_eq!(backoff_after(1), CONNECT_BACKOFF * 2);
+        assert_eq!(backoff_after(5), CONNECT_BACKOFF * 32);
+        assert!(CONNECT_BACKOFF * 64 > MAX_CONNECT_BACKOFF);
+        assert_eq!(backoff_after(6), MAX_CONNECT_BACKOFF); // capped
+        assert_eq!(backoff_after(30), MAX_CONNECT_BACKOFF);
     }
 
     #[test]
@@ -418,20 +373,19 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let policy = ConnectPolicy {
-            timeout: Duration::from_millis(200),
-            attempts: 2,
-            backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(5),
-        };
         let start = Instant::now();
-        let err = Client::connect_with(addr, &policy);
+        let err = Client::connect_retrying(addr, 3);
         assert!(err.is_err(), "connected to a closed port");
-        // 2 attempts × 200ms + 5ms backoff, with generous slack.
+        // A refused connect returns at once, so the three attempts take
+        // the two backoffs (50 + 100 ms), with generous slack.
+        let elapsed = start.elapsed();
         assert!(
-            start.elapsed() < Duration::from_secs(3),
-            "retry loop not bounded: {:?}",
-            start.elapsed()
+            elapsed >= backoff_after(0) + backoff_after(1),
+            "no backoff: {elapsed:?}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(3),
+            "retry loop not bounded: {elapsed:?}"
         );
     }
 

@@ -29,7 +29,7 @@ const CHUNK: usize = 4096;
 
 /// One client connection: the stream plus its inbound and outbound
 /// buffers and flow-control state.
-pub struct Conn {
+pub(crate) struct Conn {
     /// The underlying stream, non-blocking and multiplexed by one of the
     /// reactor's epoll workers.
     pub stream: TcpStream,
@@ -59,7 +59,7 @@ pub struct Conn {
 
 /// What one fill pass observed on the socket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fill {
+pub(crate) enum Fill {
     /// New bytes arrived.
     Progress,
     /// Nothing available (`WouldBlock` with no bytes read).
@@ -69,7 +69,7 @@ pub enum Fill {
 }
 
 /// What [`Conn::peek_line`] found in the inbound buffer.
-pub enum LineStatus<'a> {
+pub(crate) enum LineStatus<'a> {
     /// A complete request line (newline and trailing `\r` stripped).
     /// Consume it with [`Conn::consume_line`] after parsing.
     Line(&'a [u8]),
@@ -81,7 +81,7 @@ pub enum LineStatus<'a> {
 
 impl Conn {
     /// Wrap a stream with empty buffers and default flow-control state.
-    pub fn new(stream: TcpStream) -> Conn {
+    pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             buf: Vec::new(),
@@ -102,7 +102,7 @@ impl Conn {
     }
 
     /// Unsent outbound bytes.
-    pub fn pending_out(&self) -> usize {
+    pub(crate) fn pending_out(&self) -> usize {
         self.out.len() - self.out_pos
     }
 
@@ -112,7 +112,7 @@ impl Conn {
     /// lines are served. A short read ends the pass too: it drained the
     /// kernel buffer, and whatever arrives later raises readiness again.
     /// `Interrupted` is retried; other I/O errors surface as `Err`.
-    pub fn fill(&mut self, max_line: usize) -> io::Result<Fill> {
+    pub(crate) fn fill(&mut self, max_line: usize) -> io::Result<Fill> {
         let mut chunk = [0u8; CHUNK];
         let mut progressed = false;
         loop {
@@ -147,7 +147,7 @@ impl Conn {
     /// caller parses the borrowed slice in place, then calls
     /// [`Conn::consume_line`]. Lines longer than `max_line` bytes
     /// (newline excluded) report [`LineStatus::Oversize`].
-    pub fn peek_line(&mut self, max_line: usize) -> LineStatus<'_> {
+    pub(crate) fn peek_line(&mut self, max_line: usize) -> LineStatus<'_> {
         let from = self.scanned.max(self.start);
         match self.buf[from..].iter().position(|&b| b == b'\n') {
             Some(off) => {
@@ -176,7 +176,7 @@ impl Conn {
     /// Consume the line last returned by [`Conn::peek_line`] (advance
     /// past its newline). No bytes move; [`Conn::compact`] reclaims the
     /// space once per service pass.
-    pub fn consume_line(&mut self) {
+    pub(crate) fn consume_line(&mut self) {
         let from = self.scanned.max(self.start);
         let nl = self.buf[from..]
             .iter()
@@ -189,7 +189,7 @@ impl Conn {
 
     /// Drop the consumed inbound prefix. Called once per service pass so
     /// pipelined bursts cost one memmove, not one per line.
-    pub fn compact(&mut self) {
+    pub(crate) fn compact(&mut self) {
         if self.start > 0 {
             self.buf.drain(..self.start);
             self.scanned -= self.start;
@@ -200,7 +200,7 @@ impl Conn {
     /// Queue a reply line and opportunistically flush it. The common case
     /// — an idle socket with room in the kernel buffer — writes straight
     /// through and leaves nothing queued.
-    pub fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
+    pub(crate) fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.out.extend_from_slice(bytes);
         self.backlog_hw = self.backlog_hw.max(self.pending_out());
         self.try_flush().map(|_| ())
@@ -208,7 +208,7 @@ impl Conn {
 
     /// Write as much queued output as the socket accepts right now.
     /// Returns how many bytes remain queued (0 = fully drained).
-    pub fn try_flush(&mut self) -> io::Result<usize> {
+    pub(crate) fn try_flush(&mut self) -> io::Result<usize> {
         while self.out_pos < self.out.len() {
             match self.stream.write(&self.out[self.out_pos..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -232,7 +232,7 @@ impl Conn {
     /// Deliver the final farewell (shutdown ack) with a blocking write:
     /// the daemon is exiting and this is the last byte this connection
     /// will ever see, so politeness beats strict non-blocking here.
-    pub fn send_final(&mut self, bytes: &[u8]) {
+    pub(crate) fn send_final(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
         if self.stream.set_nonblocking(false).is_ok() {
             let _ = self.stream.write_all(&self.out[self.out_pos..]);

@@ -23,20 +23,20 @@ pub(crate) mod epoll {
     #[cfg_attr(any(target_arch = "x86_64", target_arch = "x86"), repr(C, packed))]
     #[cfg_attr(not(any(target_arch = "x86_64", target_arch = "x86")), repr(C))]
     #[derive(Clone, Copy)]
-    pub struct Event {
+    pub(crate) struct Event {
         pub events: u32,
         /// User token: the reactor stores a connection-slab slot here.
         pub data: u64,
     }
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EPOLLIN: u32 = 0x001;
+    pub(crate) const EPOLLOUT: u32 = 0x004;
+    pub(crate) const EPOLLERR: u32 = 0x008;
+    pub(crate) const EPOLLHUP: u32 = 0x010;
+    pub(crate) const EPOLLRDHUP: u32 = 0x2000;
     /// Wake only one of the epoll instances sharing a listener (kernel
     /// ≥ 4.5) — the accept path's thundering-herd guard.
-    pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
+    pub(crate) const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
     const EPOLL_CTL_ADD: c_int = 1;
     const EPOLL_CTL_DEL: c_int = 2;
@@ -51,12 +51,12 @@ pub(crate) mod epoll {
     }
 
     /// One epoll instance (closed on drop).
-    pub struct Epoll {
+    pub(crate) struct Epoll {
         fd: c_int,
     }
 
     impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
+        pub(crate) fn new() -> io::Result<Epoll> {
             // SAFETY: plain syscall, no memory handed over.
             let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if fd < 0 {
@@ -78,14 +78,14 @@ pub(crate) mod epoll {
         }
 
         /// Register `fd` with the given interest mask and token.
-        pub fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        pub(crate) fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, events, token)
         }
 
         /// Register a shared listener for read readiness, exclusively if
         /// the kernel supports it (pre-4.5 kernels reject the flag with
         /// `EINVAL`; fall back to a plain — thundering — registration).
-        pub fn add_listener(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        pub(crate) fn add_listener(&self, fd: RawFd, token: u64) -> io::Result<()> {
             match self.add(fd, token, EPOLLIN | EPOLLEXCLUSIVE) {
                 Err(e) if e.raw_os_error() == Some(22) => self.add(fd, token, EPOLLIN),
                 other => other,
@@ -93,20 +93,20 @@ pub(crate) mod epoll {
         }
 
         /// Change the interest mask of an already-registered `fd`.
-        pub fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        pub(crate) fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, events, token)
         }
 
         /// Deregister `fd` (its close also deregisters implicitly; this
         /// keeps the interest list exact while the fd is still open).
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
         }
 
         /// Wait up to `timeout_ms` for readiness; fills `events` and
         /// returns how many fired. A signal interruption is an empty
         /// wake-up, not an error.
-        pub fn wait(&self, events: &mut [Event], timeout_ms: c_int) -> io::Result<usize> {
+        pub(crate) fn wait(&self, events: &mut [Event], timeout_ms: c_int) -> io::Result<usize> {
             // SAFETY: the kernel writes at most `events.len()` entries.
             let n = unsafe {
                 epoll_wait(

@@ -9,6 +9,13 @@
 
 use std::fmt;
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap one ~100 KB line of `[`s
+/// overflows a reactor worker's stack, and a stack overflow aborts the
+/// process instead of unwinding. The deepest message the protocol sends
+/// is 5 levels (the `metrics` reply's bucket pairs).
+const MAX_DEPTH: usize = 32;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -59,7 +66,7 @@ impl Json {
     }
 
     /// The boolean value, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -77,7 +84,7 @@ impl Json {
     }
 
     /// [`Json::as_u64`] narrowed to `u32`.
-    pub fn as_u32(&self) -> Option<u32> {
+    pub(crate) fn as_u32(&self) -> Option<u32> {
         self.as_u64()
             .filter(|&v| v <= u32::MAX as u64)
             .map(|v| v as u32)
@@ -113,6 +120,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -191,6 +199,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -240,11 +250,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(self.err(format!("unexpected character '{}'", b as char))),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -453,6 +478,23 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_it_can_overflow_the_stack() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // one request line far under the 1 MiB line cap
+        let hostile = format!(r#"{{"op":"batch","k":3,"nodes":{}"#, "[".repeat(100_000));
+        let err = Json::parse(&hostile).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

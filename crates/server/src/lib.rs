@@ -6,7 +6,7 @@
 //! speaking a newline-delimited JSON protocol, plus the blocking
 //! [`Client`] the `rkr serve` / `rkr query --remote` CLI paths use.
 //! The event loop is the [`reactor`], generic over the [`reactor::Service`]
-//! that answers requests: `rkrd` ([`server`]) and the `rkr coord`
+//! that answers requests: `rkrd` ([`serve_store`]) and the `rkr coord`
 //! coordinator both run it, with per-connection write backpressure and
 //! bounded request lines.
 //!
@@ -31,7 +31,7 @@
 //! * **durable restarts**: with a snapshot path configured
 //!   ([`ServerConfig::snapshot`]) the daemon checkpoints its serving state
 //!   — committed graph, index, epoch pair, and any staged WAL — as a
-//!   [`rkranks_core::snapshot`] bundle after every commit of staged
+//!   [`rkranks_core::save_snapshot`] bundle after every commit of staged
 //!   updates, on a `checkpoint` op, and at shutdown; a restart through
 //!   [`rkranks_core::load_snapshot`] + [`serve_store`] resumes serving
 //!   rank-identical answers at the same epochs.
@@ -59,8 +59,8 @@
 //! assert_eq!(outcome.graph_epoch, 0);
 //! ```
 //!
-//! See [`protocol`] for the wire format and [`server`] for the serving
-//! architecture (workers, the read-only index, the merger).
+//! [`Request`] and [`Reply`] are the wire messages, one JSON object per
+//! line; [`ServerConfig`] holds the daemon's settings.
 //!
 //! The daemon tier (this crate, `rkranks_coord`, and the `rkr` facade)
 //! is Linux-only; the engine and the paper's experiment harness build
@@ -68,6 +68,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 #[cfg(not(target_os = "linux"))]
 compile_error!(
@@ -77,24 +78,19 @@ compile_error!(
 );
 
 pub mod cache;
-pub mod client;
-pub(crate) mod conn;
-pub(crate) mod event;
+mod client;
+mod conn;
+mod event;
 pub mod json;
 pub mod log;
 pub mod metrics;
-pub mod protocol;
+mod protocol;
 pub mod reactor;
-pub mod server;
+mod server;
 
 pub use cache::{CacheKey, ResultCache};
-pub use client::{Client, ClientError, ConnectPolicy, QueryOptions};
-pub use log::LogLevel;
-pub use metrics::{Metrics, QueryOutcome, SlowQueryLog};
+pub use client::{Client, ClientError, QueryOptions};
 pub use protocol::{
-    BatchReply, HelloReply, QueryReply, Reply, Request, ShardIdentity, SlowQueryRecord, StatsReply,
-    UpdateOp, PROTOCOL_VERSION,
+    BatchReply, HelloReply, QueryReply, Reply, Request, StatsReply, UpdateOp, PROTOCOL_VERSION,
 };
-pub use server::{
-    serve, serve_store, spawn, spawn_store, ServeOutcome, ServerConfig, ServerHandle,
-};
+pub use server::{serve, serve_store, spawn, spawn_store, ServerConfig, ServerHandle};

@@ -83,7 +83,7 @@ pub fn level() -> LogLevel {
 
 /// Whether `level` would currently be printed — the macros check this
 /// before evaluating their format arguments.
-pub fn enabled(level: LogLevel) -> bool {
+pub(crate) fn enabled(level: LogLevel) -> bool {
     (level as u8) <= LEVEL.load(Ordering::Relaxed)
 }
 

@@ -21,7 +21,7 @@
 //!
 //! The slow-query log is a ring of [`SLOW_LOG_CAPACITY`] records: when
 //! `--slow-query-ms` is set, any query serviced at or above the
-//! threshold leaves a [`SlowQueryRecord`]; `{"op":"slow-queries"}`
+//! threshold leaves a `SlowQueryRecord`; `{"op":"slow-queries"}`
 //! returns the ring oldest-first.
 
 use std::collections::VecDeque;
@@ -143,7 +143,7 @@ pub struct Metrics {
 
     // -- histograms (nanoseconds unless noted) --
     /// End-to-end query latency, `[strategy][outcome]` — indexed by
-    /// [`Metrics::strategy_index`] and [`QueryOutcome`].
+    /// `Metrics::strategy_index` and [`QueryOutcome`].
     pub query_latency: Vec<[Arc<Histogram>; 3]>,
     /// Time in the SDS filter stage (computed queries only).
     pub filter_seconds: Arc<Histogram>,
@@ -236,7 +236,7 @@ impl Metrics {
     /// Every parseable strategy is one of [`Strategy::ALL`]'s ten values
     /// (canonical names cover all bound combinations), so this is a
     /// total mapping.
-    pub fn strategy_index(strategy: Strategy) -> usize {
+    pub(crate) fn strategy_index(strategy: Strategy) -> usize {
         Strategy::ALL
             .iter()
             .position(|s| *s == strategy)
@@ -244,13 +244,18 @@ impl Metrics {
     }
 
     /// Record one answered query's end-to-end latency.
-    pub fn record_query(&self, strategy: Strategy, outcome: QueryOutcome, elapsed: Duration) {
+    pub(crate) fn record_query(
+        &self,
+        strategy: Strategy,
+        outcome: QueryOutcome,
+        elapsed: Duration,
+    ) {
         let idx = Metrics::strategy_index(strategy);
         self.query_latency[idx][outcome as usize].record(duration_ns(elapsed));
     }
 
     /// Refresh the cache mirrors from the LRU's authoritative counters.
-    pub fn mirror_cache(&self, hits: u64, misses: u64, evictions: u64, stale: u64) {
+    pub(crate) fn mirror_cache(&self, hits: u64, misses: u64, evictions: u64, stale: u64) {
         self.cache_hits.mirror(hits);
         self.cache_misses.mirror(misses);
         self.cache_evictions.mirror(evictions);

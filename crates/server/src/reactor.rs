@@ -1,7 +1,7 @@
 //! The serving core both daemons run: a fixed pool of worker threads,
 //! each an `epoll(7)` event loop over its share of the connections,
 //! generic over the [`Service`] that answers requests. `rkrd`
-//! ([`crate::server`]) plugs in the engine with one query scratch per
+//! ([`crate::serve_store`]) plugs in the engine with one query scratch per
 //! worker; `rkr coord` (`rkranks_coord`) plugs in the fleet with one shard
 //! connection pool per worker.
 //!

@@ -1013,8 +1013,12 @@ mod tests {
             ..Default::default()
         });
         let mut client = Client::connect(handle.addr()).unwrap();
-        client.query_uncached(0, 2).unwrap();
-        let reply = client.query_uncached(0, 2).unwrap();
+        let uncached = QueryOptions {
+            cache: false,
+            ..QueryOptions::default()
+        };
+        client.query_opts(0, 2, &uncached).unwrap();
+        let reply = client.query_opts(0, 2, &uncached).unwrap();
         assert!(!reply.cached);
         let stats = client.stats().unwrap();
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);

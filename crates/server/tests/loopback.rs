@@ -9,11 +9,11 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rkranks_core::{BoundConfig, EngineContext, QueryRequest, RkrIndex, Strategy};
-use rkranks_datasets::workload::default_update_stream;
-use rkranks_datasets::zipf::Zipf;
+use rkranks_datasets::default_update_stream;
+use rkranks_datasets::Zipf;
 use rkranks_datasets::{collab_graph, CollabParams};
 use rkranks_graph::{Graph, GraphStore};
-use rkranks_server::{spawn, Client, ServerConfig, UpdateOp};
+use rkranks_server::{spawn, Client, ClientError, ServerConfig, UpdateOp};
 
 const K: u32 = 5;
 const K_MAX: u32 = 16;
@@ -735,6 +735,45 @@ fn oversize_request_lines_are_rejected_and_close_the_connection() {
     let stats = ctl.stats().expect("stats");
     assert_eq!(stats.oversize_lines, 1);
     ctl.shutdown().expect("shutdown");
+    handle.join();
+}
+
+/// One request line of 100,000 `[`s — about 100 KB, far under the line
+/// cap — once overflowed a worker's stack while it parsed and aborted the
+/// daemon. It now gets an error reply, and the same connection goes on
+/// answering queries.
+#[test]
+fn deeply_nested_request_line_gets_an_error_reply() {
+    let g = test_graph();
+    let n = g.num_nodes();
+    let expected = expected_ranks(&g);
+    let handle = spawn(
+        g,
+        None,
+        RkrIndex::empty(n, K_MAX),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    let hostile = format!(
+        "{{\"op\":\"batch\",\"k\":3,\"nodes\":{}\n",
+        "[".repeat(100_000)
+    );
+    client.send_line(&hostile).expect("send");
+    match client.recv() {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("nesting"), "{msg}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    let reply = client.query(3, K).expect("query on the same connection");
+    let got: Vec<u32> = reply.entries.iter().map(|&(_, r)| r).collect();
+    assert_eq!(got, expected[&3]);
+
+    client.shutdown().expect("shutdown");
     handle.join();
 }
 

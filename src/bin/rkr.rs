@@ -93,11 +93,12 @@ use rkranks_core::{
 use rkranks_datasets::{dblp_like, epinions_like, sf_like};
 use rkranks_eval::runner::{self, run_batch, run_indexed_batch, IndexedMode};
 use rkranks_eval::workload::random_queries;
-use rkranks_graph::io::{load_graph, save_graph};
 use rkranks_graph::metrics::{degree_stats, weight_stats};
 use rkranks_graph::traversal::is_weakly_connected;
+use rkranks_graph::{load_graph, save_graph};
 use rkranks_graph::{GraphStore, ShardMap, ShardSlice};
-use rkranks_server::{Client, LogLevel, QueryOptions, Request, ServerConfig};
+use rkranks_server::log::LogLevel;
+use rkranks_server::{Client, QueryOptions, Request, ServerConfig};
 
 const USAGE: &str = "usage:
   rkr gen <dblp|epinions|road> [--scale S] [--seed N] --out FILE

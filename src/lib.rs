@@ -7,8 +7,9 @@
 //! decrease-key Dijkstra, ranking primitives) and synthetic stand-ins for
 //! the paper's DBLP / Epinions / SF datasets.
 //!
-//! This crate is a facade: it re-exports the public APIs of the workspace
-//! crates so applications can depend on one name.
+//! This crate is a facade: its [`prelude`] re-exports the names
+//! applications use from the workspace crates, so they can depend on one
+//! name.
 //!
 //! ```
 //! use reverse_k_ranks::prelude::*;
@@ -25,25 +26,17 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub use rkranks_coord as coord;
-pub use rkranks_core as core;
-pub use rkranks_datasets as datasets;
-pub use rkranks_eval as eval;
-pub use rkranks_graph as graph;
-pub use rkranks_server as server;
-
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use rkranks_coord::{CoordConfig, CoordHandle};
+    pub use rkranks_coord::CoordConfig;
     pub use rkranks_core::{
-        BoundConfig, Completion, EngineContext, HubStrategy, IndexAccess, IndexDelta, IndexParams,
-        PartialReason, Partition, QueryEngine, QueryOutcome, QueryRequest, QueryResult,
-        QueryScratch, QuerySpec, RkrIndex, Strategy,
+        BoundConfig, Completion, EngineContext, HubStrategy, IndexAccess, IndexParams, Partition,
+        QueryEngine, QueryOutcome, QueryRequest, QueryResult, QuerySpec, RkrIndex, Strategy,
     };
     pub use rkranks_datasets::{toy, Scale};
     pub use rkranks_graph::{
-        graph_from_edges, DijkstraWorkspace, DistanceBrowser, EdgeDirection, Graph, GraphBuilder,
-        NodeId, ShardMap, ShardSlice,
+        DijkstraWorkspace, DistanceBrowser, EdgeDirection, Graph, GraphBuilder, NodeId, ShardMap,
+        ShardSlice,
     };
-    pub use rkranks_server::{Client, ConnectPolicy, QueryOptions, ServerConfig};
+    pub use rkranks_server::{Client, QueryOptions, ServerConfig};
 }

@@ -4,7 +4,7 @@
 use reverse_k_ranks::prelude::*;
 use rkranks_core::{load_index, save_index};
 use rkranks_datasets::toy;
-use rkranks_graph::io::read_graph;
+use rkranks_graph::read_graph;
 use rkranks_graph::GraphError;
 
 #[test]
@@ -127,7 +127,7 @@ fn missing_files_surface_io_errors() {
         Err(GraphError::Io(_))
     ));
     assert!(matches!(
-        rkranks_graph::io::load_graph("/definitely/not/here.edges"),
+        rkranks_graph::load_graph("/definitely/not/here.edges"),
         Err(GraphError::Io(_))
     ));
 }
