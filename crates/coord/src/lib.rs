@@ -2,8 +2,9 @@
 //!
 //! The coordinator for **replicated rkrd serving**: one daemon
 //! (`rkr coord`) that speaks the same newline-delimited JSON protocol as
-//! `rkrd` on its front side and fans every request out to a fleet of
-//! `rkrd` replicas ("shards") behind it.
+//! `rkrd` on its front side, sends each read to one `rkrd` replica
+//! ("shard") of the fleet behind it, and broadcasts each write to all of
+//! them.
 //!
 //! ## Deployment model
 //!
@@ -11,19 +12,26 @@
 //! every query over the whole candidate set. Shard `i` of `n` (started
 //! with `rkr serve --shard-id i --shard-count n`) announces its place in
 //! its `hello` so the coordinator can verify the wiring; the place does
-//! not change any answer. A query goes to every live replica and the
-//! coordinator returns one replica's complete answer after checking that
-//! the replicas agree on the ranks. Candidates are not partitioned: a
-//! shard that ranked only a slice of them would fill its result set late
-//! and prune little, costing two orders of magnitude more engine work for
-//! the same answer.
+//! not change any answer. A query goes to the lowest-index live replica,
+//! and its answer is the coordinator's: asking a second replica would run
+//! the same search twice for the same answer. Candidates are not
+//! partitioned: a shard that ranked only a slice of them would fill its
+//! result set late and prune little, costing two orders of magnitude more
+//! engine work for the same answer. Routing each query to its node's
+//! owner instead of replica 0 (ROADMAP item 4) waits for the benchmark's
+//! re-levelling (item 1(h)), whose traced probe expects replica 0 to have
+//! answered every read.
 //!
 //! ## Consistency
 //!
 //! * **Handshake** — each shard connection opens with a `hello`
 //!   exchange; the coordinator verifies the protocol version, that the
 //!   daemon's shard identity (index/count/seed) matches its slot in the
-//!   `--shards` list, and that the whole fleet shares one partition seed.
+//!   `--shards` list, that the whole fleet shares one partition seed, and
+//!   that every replica at the newest graph epoch announces the same graph
+//!   digest. Digests are compared on a worker's first read, after every
+//!   write and on every redial; replicas on different graphs are refused
+//!   with an error naming both, before either answers.
 //! * **Writes** — `update` batches broadcast to every shard behind a
 //!   write gate (readers share it, writers exclude them) and are
 //!   *flushed immediately*, so every accepted write commits on every
@@ -31,19 +39,20 @@
 //!   epochs advance in lockstep. A shard that fails mid-broadcast makes
 //!   the reply a loud error naming it: the fleet must be assumed
 //!   non-uniform until that shard is restored.
-//! * **Reads** — replies carry the graph epoch they were computed at;
-//!   the answer comes from a replica at the highest epoch, and replicas
-//!   behind it are flushed (not re-asked). Complete replies at that
-//!   epoch must agree on the ranks, or the request fails naming both
-//!   replicas.
-//! * **Failures** — an unreachable replica is skipped: any live
-//!   replica's answer is complete, so shard loss never makes an answer
-//!   `partial` (that flag means a deadline). Writes, which must reach
-//!   every replica, fail loudly until the fleet is whole.
+//! * **Reads** — replies carry the graph epoch they were computed at.
+//!   A replica whose reply is behind the newest epoch the fleet reported
+//!   is flushed and asked once more; still behind, the next replica
+//!   answers.
+//! * **Failures** — an unreachable replica is skipped and the next one in
+//!   index order answers: any live replica's answer is complete, so shard
+//!   loss never makes an answer `partial` (that flag means a deadline).
+//!   Writes, which must reach every replica, fail loudly until the fleet
+//!   is whole.
 //!
 //! The coordinator serves `stats`/`metrics` from its own registry
 //! (`rkrd_coord_*`: per-shard latency histograms, fan-out width, entry
-//! counts, shard error counters), answers `hello` with role `"coord"`, and
+//! counts, shard error counters), answers `hello` with role `"coord"` and
+//! the graph digest it last verified, and
 //! forwards `flush`/`checkpoint` to the whole fleet. `shutdown` stops
 //! the coordinator only — shards are independent daemons with their own
 //! lifecycles.
@@ -53,11 +62,11 @@
 //! The coordinator runs `rkrd`'s reactor ([`rkranks_server::reactor`]):
 //! the same epoll workers, write backpressure, line cap, accept-error
 //! policy and front-side instruments, with one `ShardPool` as each
-//! worker's state (so the fan-out path takes no lock beyond the write
+//! worker's state (so the read path takes no lock beyond the write
 //! gate). It takes `rkrd`'s default worker count (4) and write high-water
 //! mark; neither is a coordinator knob.
 //!
-//! * A worker blocks for one fan-out, as an `rkrd` worker blocks for one
+//! * A worker blocks for one request, as an `rkrd` worker blocks for one
 //!   engine call: at most 4 requests are in flight at once, however many
 //!   connections are open. Parked connections cost a wake-up nothing.
 //! * Idle workers wake every 25 ms to check for shutdown; the request
@@ -111,7 +120,7 @@ pub struct CoordConfig {
     /// the fleet exactly once — the handshake enforces it.
     pub shards: Vec<String>,
     /// How long one shard reply may take before the shard counts as
-    /// dead for this fan-out (and the connection is redialed next time).
+    /// dead for this request (and the connection is redialed next time).
     pub shard_reply_timeout: Duration,
     /// Frontside request-line cap, mirroring the shard daemon's.
     pub max_line_bytes: usize,
@@ -136,8 +145,8 @@ struct CoordShared {
     /// The write gate: queries and batches hold it shared, update /
     /// flush / checkpoint broadcasts hold it exclusively. With all
     /// writes routed through the coordinator this keeps shard graph
-    /// epochs aligned outside a write window, so the laggard flush in
-    /// [`ShardPool::scatter_query`] is a fallback, not the norm. It
+    /// epochs aligned outside a write window, so the laggard flush on the
+    /// read path ([`ShardPool::query`]) is a fallback, not the norm. It
     /// guards no data, so a worker that panics while holding it leaves
     /// nothing torn: later requests take it through the poison.
     write_gate: RwLock<()>,
@@ -246,12 +255,12 @@ impl Service for CoordShared {
             } => {
                 let _read = gate.read().unwrap_or_else(PoisonError::into_inner);
                 m.queries.inc();
-                pool.scatter_query(node, k, cache, strategy, deadline_ms)
+                pool.query(node, k, cache, strategy, deadline_ms)
             }
             Request::Batch { nodes, k } => {
                 let _read = gate.read().unwrap_or_else(PoisonError::into_inner);
                 m.batches.inc();
-                pool.scatter_batch(&nodes, k)
+                pool.batch(&nodes, k)
             }
             Request::Update { ops } => {
                 let _write = gate.write().unwrap_or_else(PoisonError::into_inner);
@@ -290,8 +299,10 @@ impl Service for CoordShared {
                     ));
                 }
                 // A batch that nets to nothing commits nothing, so the
-                // fleet's graph is read back, not assumed.
-                pool.refresh_graph();
+                // fleet's graph is read back, not assumed — and checked.
+                if let Err(e) = pool.hello_round() {
+                    return Reply::Error(format!("update committed, but {e}"));
+                }
                 Reply::Update {
                     staged,
                     graph_epoch,
@@ -314,8 +325,10 @@ impl Service for CoordShared {
                                 merged = merged.max(*d);
                             }
                         }
-                        pool.refresh_graph();
-                        Reply::Flush { epoch, merged }
+                        match pool.hello_round() {
+                            Ok(()) => Reply::Flush { epoch, merged },
+                            Err(e) => Reply::Error(format!("flush committed, but {e}")),
+                        }
                     }
                     Err(e) => Reply::Error(e),
                 }
@@ -343,6 +356,10 @@ impl Service for CoordShared {
                 graph_epoch: m.graph_epoch.get(),
                 nodes: m.graph_nodes.get(),
                 edges: m.graph_edges.get(),
+                graph_digest: *m
+                    .graph_digest
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
             }),
             // The reactor delivers the farewell and raises the flag;
             // shards keep running.

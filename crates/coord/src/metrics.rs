@@ -3,7 +3,7 @@
 //! the shards use, under the `rkrd_coord_` prefix so one Prometheus
 //! scrape config covers both tiers.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rkranks_core::{Counter, Gauge, Histogram, Registry};
@@ -27,41 +27,50 @@ pub struct CoordMetrics {
     pub updates: Arc<Counter>,
     /// Fan-out rounds issued (initial rounds plus every retry round).
     pub fanouts: Arc<Counter>,
-    /// Answers marked partial: a replica answered partial under a
-    /// deadline and no live replica had a complete answer.
+    /// Answers marked partial: a deadline cut the answering replica's
+    /// search short.
     pub partials: Arc<Counter>,
-    /// Laggard flushes forced by mixed graph epochs across replies.
+    /// Flushes of a replica whose reply was behind the fleet's graph
+    /// epoch (each followed by one re-ask).
     pub epoch_retries: Arc<Counter>,
-    /// Entries received from replicas, every live reply counted.
+    /// Entries received from replicas, every reply counted — including
+    /// one a replica behind the fleet's graph epoch gave before it was
+    /// re-asked.
     pub candidates_received: Arc<Counter>,
-    /// Entries returned to the client (the one reply picked) — over
-    /// `candidates_received` it is one over the number of live replicas.
+    /// Entries returned to the client. One replica answers each read, so
+    /// it equals `candidates_received` unless a stale reply was dropped.
     pub candidates_returned: Arc<Counter>,
 
     /// Transport failures per shard, indexed by shard position.
     pub shard_errors: Vec<Arc<Counter>>,
-    /// Send-to-reply latency per shard, indexed by shard position.
-    /// Replies are collected in shard order, so a later shard's reading
-    /// includes time spent draining earlier ones — it is the observed
-    /// straggler profile of the pipelined fan-out, not isolated RPC time.
+    /// Send-to-reply latency per shard, indexed by shard position. Reads
+    /// go to one replica, so this is its round trip; in a broadcast or
+    /// `hello` round replies are collected in shard order, and a later
+    /// shard's reading includes time spent draining earlier ones.
     pub shard_seconds: Vec<Arc<Histogram>>,
-    /// Shards contacted per fan-out round: the whole fleet, except for
-    /// a flush of epoch laggards.
+    /// Shards contacted per round: one for a read (and for each failover
+    /// step, flush or re-ask), the whole fleet for a write or `hello`
+    /// round.
     pub fanout_width: Arc<Histogram>,
 
     /// The reactor's instruments (`rkrd_coord_connections_open`, …).
     /// `front.request_seconds` runs from a request line's parse to its
-    /// reply being queued (fan-out, every shard round-trip, merge,
-    /// encode); minus the slowest shard it is the coordinator's own cost.
+    /// reply being queued (every shard round trip, encode); minus the
+    /// answering replica's round trip it is the coordinator's own cost.
     pub front: FrontMetrics,
     /// Configured fleet size.
     pub shards: Arc<Gauge>,
-    /// Highest graph epoch observed in any shard reply.
+    /// The fleet's graph epoch: the newest any live replica reported.
     pub graph_epoch: Arc<Gauge>,
     /// Nodes the fleet reported at the last handshake or write.
     pub graph_nodes: Arc<Gauge>,
     /// Edges the fleet reported at the last handshake or write.
     pub graph_edges: Arc<Gauge>,
+    /// The graph digest the replicas at the newest graph epoch last
+    /// agreed on (`None` before the first check); the coordinator's
+    /// `hello` reports it. Not a registry gauge: a metric sample is an
+    /// `f64`, which cannot hold 64 bits.
+    pub(crate) graph_digest: Mutex<Option<u64>>,
 }
 
 impl CoordMetrics {
@@ -84,7 +93,7 @@ impl CoordMetrics {
                 r.histogram_with(
                     "rkrd_coord_shard_seconds",
                     &[("shard", &i.to_string())],
-                    "send-to-reply latency per shard in the pipelined fan-out",
+                    "send-to-reply latency per shard",
                     ns,
                 )
             })
@@ -97,7 +106,7 @@ impl CoordMetrics {
             partials: r.counter("rkrd_coord_partials_total", "deadline-cut answers"),
             epoch_retries: r.counter(
                 "rkrd_coord_epoch_retries_total",
-                "laggard flushes forced by mixed replica graph epochs",
+                "flushes of a replica that answered behind the fleet graph epoch",
             ),
             candidates_received: r.counter(
                 "rkrd_coord_candidates_received_total",
@@ -111,16 +120,17 @@ impl CoordMetrics {
             shard_seconds,
             fanout_width: r.histogram(
                 "rkrd_coord_fanout_width",
-                "shards contacted per fan-out round",
+                "shards contacted per round (1 for a read)",
             ),
             front: FrontMetrics::register(&r, "rkrd_coord"),
             shards: r.gauge("rkrd_coord_shards", "configured fleet size"),
             graph_epoch: r.gauge(
                 "rkrd_coord_graph_epoch",
-                "highest graph epoch observed from the fleet",
+                "newest graph epoch a live replica reported",
             ),
             graph_nodes: r.gauge("rkrd_coord_graph_nodes", "nodes the fleet reported"),
             graph_edges: r.gauge("rkrd_coord_graph_edges", "edges the fleet reported"),
+            graph_digest: Mutex::new(None),
             registry: r,
         };
         m.shards.set(shards as u64);

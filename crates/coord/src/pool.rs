@@ -1,52 +1,75 @@
-//! The per-worker shard pool: one [`Client`] per shard, connected
-//! lazily with retry/backoff, handshake-verified, and driven as a
-//! pipelined fan-out unit.
+//! The per-worker replica pool: one [`Client`] per replica, connected
+//! lazily with retry/backoff and verified by its `hello`.
 //!
-//! ## Why one reply is the answer
+//! ## One replica answers each read
 //!
 //! Every shard is a full replica: it loads the whole graph and answers
-//! every query over the whole candidate set, so each reply is already
-//! the single-box answer *for the graph epoch it carries*. The pool asks
-//! every live replica, keeps the replies at the highest graph epoch,
-//! prefers a complete reply to a deadline-cut one, and returns the
-//! lowest-index such reply. Every complete reply must carry the same rank
-//! sequence: Definition 2 leaves the choice among nodes tied at the k-th
-//! rank free, but not the ranks, so replicas whose ranks differ are
-//! refused with an error naming both, never answered from one side.
+//! every query over the whole candidate set, so one reply is already the
+//! single-box answer *for the graph epoch it carries*. A query or a batch
+//! therefore goes to one replica, the lowest-index live one. A transport
+//! failure moves it to the next replica in index order; only when no
+//! replica answers is the fleet redialed once before the request fails.
+//! Any live replica's answer is complete, so a dead replica never makes
+//! an answer [`partial`](rkranks_server::QueryReply::partial) —
+//! `partial: true` means a deadline cut the answer short.
 //!
-//! A replica behind the highest epoch holds the missing commits as
-//! staged deltas (writes broadcast through the coordinator). It is
-//! flushed so the next request finds the fleet aligned, but not re-asked:
-//! a replica at the highest epoch has already answered.
+//! ## Epochs
 //!
-//! ## Degradation
+//! The pool remembers the graph epoch each live replica last reported,
+//! in a `hello` or a reply; the newest is the fleet's. A reply below it
+//! comes from a replica that holds the missing commits as staged deltas
+//! (writes broadcast through the coordinator), so that replica gets one
+//! flush and one re-ask. If it is still behind, it is skipped and the
+//! next replica is asked.
 //!
-//! A replica that cannot be reached is skipped. Any live replica's
-//! answer is complete, so a dead replica never makes an answer
-//! [`partial`](rkranks_server::QueryReply::partial) — `partial: true`
-//! means a deadline cut the answer short. Only when no replica answers
-//! is the failed set redialed once before the request fails. Batches
-//! skip dead replicas the same way, but fail when their live replies
-//! carry different graph epochs (a batch reply's epoch covers only its
-//! last answer, so no per-node realignment is sound).
+//! ## Which graph
+//!
+//! A replica's `hello` carries its graph digest
+//! ([`rkranks_graph::Graph::digest`]). The pool compares the digests of
+//! every replica at the newest graph epoch on its first read, in the
+//! `hello` round after every write, and on every (re)dial. Replicas that
+//! disagree fail the request with an error naming both, and every later
+//! read repeats the check (and fails) until a `hello` round finds the
+//! fleet agreeing. So a miswired fleet is refused before it answers
+//! anything, not when some query happens to expose it.
+//!
+//! ## Why the lowest index, not the owner
+//!
+//! Routing each query to its node's owner under the fleet's
+//! [`ShardMap`](rkranks_graph::ShardMap) (ROADMAP item 4) only changes
+//! where the failover order starts. It waits for the benchmark to be
+//! re-levelled (ROADMAP item 1(h)): `fleet_scatter`'s traced probe asks
+//! shard 0 directly for a hot key that shard 1 owns, and finds it cached
+//! only because shard 0 answers every read.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
-use rkranks_server::{BatchReply, Client, HelloReply, Reply, Request};
+use rkranks_server::{BatchReply, Client, HelloReply, QueryReply, Reply, Request};
 
 use crate::metrics::CoordMetrics;
 use crate::CoordConfig;
 
 /// Connect attempts per shard (re)dial, with the client's backoff between
-/// them, before the shard counts as down for this fan-out.
+/// them, before the shard counts as down for this request.
 const CONNECT_ATTEMPTS: u32 = 3;
 
-/// One shard endpoint: its address and the (lazily established,
-/// re-established after failures) connection.
+/// The graph a replica last reported: its graph epoch, and its digest when
+/// a `hello` reported one at that epoch (a reply can move the epoch on
+/// without one).
+#[derive(Clone, Copy)]
+struct ReplicaGraph {
+    epoch: u64,
+    digest: Option<u64>,
+}
+
+/// One shard endpoint: its address, the (lazily established,
+/// re-established after failures) connection, and the graph it reported
+/// while reachable.
 struct ShardConn {
     addr: String,
     client: Option<Client>,
+    graph: Option<ReplicaGraph>,
 }
 
 /// A verified connection pool over the whole fleet, owned by one
@@ -58,18 +81,21 @@ pub(crate) struct ShardPool {
     /// Shard seed agreed at the first verified handshake; later
     /// handshakes must match it.
     seed: Option<u64>,
+    /// A `hello` round found the fleet on one graph, and no disagreement
+    /// has been seen since. Reads run a round first while it is `false`.
+    verified: bool,
     metrics: Arc<CoordMetrics>,
 }
 
 /// Why a shard slot failed: transient transport trouble skips the
-/// replica (another live one answers); a fatal misconfiguration (failed
-/// handshake verification) means serving would be *wrong*, so it refuses
-/// the request loudly instead.
+/// replica (another live one answers); a fatal error fails the request
+/// as it is.
 enum ShardError {
     /// Connect/read/write failure — the shard may come back.
     Transient(String),
-    /// The fleet is miswired (identity/seed/role mismatch, protocol
-    /// skew); no amount of retrying makes merging sound.
+    /// The fleet is miswired (identity/seed/role mismatch, protocol skew,
+    /// replicas on different graphs), or the replica answered with an
+    /// error that any replica would give.
     Fatal(String),
 }
 
@@ -81,9 +107,33 @@ impl ShardError {
     }
 }
 
+/// A read reply: the graph epoch it was computed at and its entry count.
+trait Answer {
+    fn graph_epoch(&self) -> u64;
+    fn entries(&self) -> usize;
+}
+
+impl Answer for QueryReply {
+    fn graph_epoch(&self) -> u64 {
+        self.graph_epoch
+    }
+    fn entries(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+impl Answer for BatchReply {
+    fn graph_epoch(&self) -> u64 {
+        self.graph_epoch
+    }
+    fn entries(&self) -> usize {
+        self.results.iter().map(Vec::len).sum()
+    }
+}
+
 impl ShardPool {
     /// A pool over the configured fleet. No connections are made yet —
-    /// the first fan-out pays for them (and verifies each handshake).
+    /// the first read pays for them (and verifies each handshake).
     pub(crate) fn new(config: &CoordConfig, metrics: Arc<CoordMetrics>) -> ShardPool {
         ShardPool {
             shards: config
@@ -92,20 +142,23 @@ impl ShardPool {
                 .map(|a| ShardConn {
                     addr: a.clone(),
                     client: None,
+                    graph: None,
                 })
                 .collect(),
             reply_timeout: config.shard_reply_timeout,
             seed: None,
+            verified: false,
             metrics,
         }
     }
 
     /// Connect shard `i` if it isn't connected, verifying the handshake:
-    /// protocol version (via [`Client::hello`]), role, and that the
-    /// daemon's shard identity matches its position in the address list
-    /// and the fleet's agreed seed. A daemon without a shard identity is
-    /// accepted only as a single-member "fleet" (plain server behind the
-    /// coordinator).
+    /// protocol version (via [`Client::hello`]), role, that the daemon's
+    /// shard identity matches its position in the address list and the
+    /// fleet's agreed seed, and that its graph agrees with the other
+    /// replicas at the newest graph epoch. A daemon without a shard
+    /// identity is accepted only as a single-member "fleet" (plain server
+    /// behind the coordinator).
     fn ensure(&mut self, i: usize) -> Result<&mut Client, ShardError> {
         if self.shards[i].client.is_none() {
             let addr = self.shards[i].addr.clone();
@@ -157,44 +210,124 @@ impl ShardPool {
                     )));
                 }
             }
-            self.note_graph(&hello);
+            self.record(i, &hello)?;
+            self.verify()?;
             self.shards[i].client = Some(client);
         }
         Ok(self.shards[i].client.as_mut().unwrap())
     }
 
-    /// Record a replica's graph (epoch, nodes, edges) as the fleet's.
-    fn note_graph(&self, hello: &HelloReply) {
-        self.metrics.graph_epoch.set(hello.graph_epoch);
-        self.metrics.graph_nodes.set(hello.nodes);
-        self.metrics.graph_edges.set(hello.edges);
+    /// The newest graph epoch any live replica has reported.
+    fn fleet_epoch(&self) -> u64 {
+        self.shards
+            .iter()
+            .filter_map(|s| s.graph.map(|g| g.epoch))
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Read the fleet's graph back after a commit: one `hello` round, the
-    /// live replica at the highest graph epoch speaking for the fleet. A
-    /// round no replica answers leaves the gauges as they were.
-    pub(crate) fn refresh_graph(&mut self) {
-        let hellos = self.gather(&Request::Hello, |r| match r {
-            Reply::Hello(h) => Some(h),
-            _ => None,
+    /// Remember the graph replica `i`'s `hello` reports, and the fleet's
+    /// node and edge counts when it is at the newest graph epoch.
+    fn record(&mut self, i: usize, hello: &HelloReply) -> Result<(), ShardError> {
+        let digest = hello.graph_digest.ok_or_else(|| {
+            ShardError::Fatal(format!(
+                "shard {i} ({}) announced no graph digest",
+                self.shards[i].addr
+            ))
+        })?;
+        self.shards[i].graph = Some(ReplicaGraph {
+            epoch: hello.graph_epoch,
+            digest: Some(digest),
         });
-        if let Some((_, newest)) = hellos.iter().flatten().max_by_key(|(_, h)| h.graph_epoch) {
-            self.note_graph(newest);
+        if hello.graph_epoch == self.fleet_epoch() {
+            self.metrics.graph_nodes.set(hello.nodes);
+            self.metrics.graph_edges.set(hello.edges);
         }
+        Ok(())
     }
 
-    /// Count a transport failure on shard `i` and drop its connection so
-    /// the next `ensure` redials it.
+    /// Check that every replica at the newest graph epoch reported one
+    /// digest, and publish the fleet's epoch and digest. On disagreement
+    /// the pool is unverified until a `hello` round agrees again.
+    fn verify(&mut self) -> Result<(), ShardError> {
+        let newest = self.fleet_epoch();
+        let mut agreed: Option<(usize, u64)> = None;
+        for (i, s) in self.shards.iter().enumerate() {
+            let Some(ReplicaGraph {
+                epoch,
+                digest: Some(digest),
+            }) = s.graph
+            else {
+                continue;
+            };
+            match agreed {
+                _ if epoch != newest => {}
+                None => agreed = Some((i, digest)),
+                Some((first, d)) if d != digest => {
+                    self.verified = false;
+                    return Err(ShardError::Fatal(format!(
+                        "shards {first} and {i} disagree on the graph at graph epoch {newest} \
+                         (digests {d:016x} and {digest:016x}): the replicas do not serve the \
+                         same graph"
+                    )));
+                }
+                Some(_) => {}
+            }
+        }
+        self.metrics.graph_epoch.set(newest);
+        if let Some((_, digest)) = agreed {
+            *self
+                .metrics
+                .graph_digest
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = Some(digest);
+        }
+        Ok(())
+    }
+
+    /// One `hello` round over the fleet: record every reachable replica's
+    /// graph and check that those at the newest graph epoch agree. An
+    /// unreachable replica is skipped (its redial checks it); the round
+    /// fails when the replicas disagree or none answers. Reads run one
+    /// first while the pool is unverified, and every write runs one after
+    /// its commit, which also reads the fleet's graph back.
+    pub(crate) fn hello_round(&mut self) -> Result<(), String> {
+        self.verified = false;
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        let mut dead = Vec::new();
+        for (&i, result) in all.iter().zip(self.fan_out(&all, &Request::Hello)) {
+            match result {
+                Ok(Reply::Hello(hello)) => {
+                    self.record(i, &hello).map_err(ShardError::into_message)?
+                }
+                Ok(other) => {
+                    return Err(format!("shard {i}: unexpected reply to hello: {other:?}"))
+                }
+                Err(ShardError::Fatal(e)) => return Err(e),
+                Err(ShardError::Transient(e)) => dead.push(e),
+            }
+        }
+        if dead.len() == all.len() {
+            return Err(format!("no shard reachable: {}", dead.join("; ")));
+        }
+        self.verify().map_err(ShardError::into_message)?;
+        self.verified = true;
+        Ok(())
+    }
+
+    /// Count a transport failure on shard `i`, drop its connection so the
+    /// next `ensure` redials it, and forget its graph: a dead replica's
+    /// epoch is not the fleet's.
     fn fail(&mut self, i: usize) {
         self.metrics.shard_errors[i].inc();
         self.shards[i].client = None;
+        self.shards[i].graph = None;
     }
 
-    /// One pipelined fan-out round: render `req` once, write the same
-    /// bytes to every shard in `idxs`, then collect the replies in order.
-    /// A shard that fails at either phase gets its connection dropped
-    /// (the next round redials) and an `Err` slot; the round itself never
-    /// fails.
+    /// One pipelined round: render `req` once, write the same bytes to
+    /// every shard in `idxs`, then collect the replies in order. A shard
+    /// that fails at either phase gets its connection dropped (the next
+    /// round redials) and an `Err` slot; the round itself never fails.
     fn fan_out(&mut self, idxs: &[usize], req: &Request) -> Vec<Result<Reply, ShardError>> {
         self.metrics.fanouts.inc();
         self.metrics.fanout_width.record(idxs.len() as u64);
@@ -241,48 +374,93 @@ impl ShardPool {
             .collect()
     }
 
-    /// Ask every live replica `req` and return what `extract` takes from
-    /// each reply, in shard order. A replica with transport trouble is
-    /// skipped; only when none answered is the failed set redialed, once.
-    /// A replica answering with an error or a reply `extract` refuses, or
-    /// a miswired fleet, fails the request.
-    fn gather<T>(
+    /// Send `req` to shard `i` alone.
+    fn ask(&mut self, i: usize, req: &Request) -> Result<Reply, ShardError> {
+        self.fan_out(&[i], req)
+            .pop()
+            .expect("one slot per shard asked")
+    }
+
+    /// Ask replica `i` for a read: its answer, or `None` when the answer
+    /// is still behind the fleet's graph epoch after one flush.
+    fn read_from<A: Answer>(
+        &mut self,
+        i: usize,
+        req: &Request,
+        extract: &impl Fn(Reply) -> Option<A>,
+    ) -> Result<Option<A>, ShardError> {
+        for flushed in [false, true] {
+            let answer = match self.ask(i, req)? {
+                Reply::Error(e) => return Err(ShardError::Fatal(format!("shard {i}: {e}"))),
+                reply => extract(reply).ok_or_else(|| {
+                    ShardError::Fatal(format!(
+                        "shard {i} ({}): unexpected reply shape",
+                        self.shards[i].addr
+                    ))
+                })?,
+            };
+            self.metrics
+                .candidates_received
+                .add(answer.entries() as u64);
+            let epoch = answer.graph_epoch();
+            let graph = &mut self.shards[i].graph;
+            if graph.is_none_or(|g| g.epoch < epoch) {
+                // A commit no `hello` has reported yet: its digest is
+                // checked by the next `hello` round or redial.
+                *graph = Some(ReplicaGraph {
+                    epoch,
+                    digest: None,
+                });
+                self.metrics.graph_epoch.set(self.fleet_epoch());
+            }
+            if epoch >= self.fleet_epoch() {
+                return Ok(Some(answer));
+            }
+            if !flushed {
+                // The replica holds the missing commits staged; a flush
+                // error shows up in the re-ask.
+                self.metrics.epoch_retries.inc();
+                self.ask(i, &Request::Flush)?;
+            }
+        }
+        Ok(None)
+    }
+
+    /// Answer a read from one replica: the lowest-index live one at the
+    /// fleet's graph epoch (module docs). A replica answering with an
+    /// error, or a miswired fleet, fails the request.
+    fn read<A: Answer>(
         &mut self,
         req: &Request,
-        extract: impl Fn(Reply) -> Option<T>,
-    ) -> Result<Vec<(usize, T)>, String> {
-        let all: Vec<usize> = (0..self.shards.len()).collect();
+        extract: impl Fn(Reply) -> Option<A>,
+    ) -> Result<A, String> {
+        if !self.verified {
+            self.hello_round()?;
+        }
         let mut dead = Vec::new();
+        // The second pass redials the replicas the first found dead.
         for _ in 0..2 {
             dead.clear();
-            let mut live = Vec::new();
-            for (&i, result) in all.iter().zip(self.fan_out(&all, req)) {
-                match result {
-                    Ok(Reply::Error(e)) => return Err(format!("shard {i}: {e}")),
-                    Ok(reply) => match extract(reply) {
-                        Some(answer) => live.push((i, answer)),
-                        None => {
-                            return Err(format!(
-                                "shard {i} ({}): unexpected reply shape",
-                                self.shards[i].addr
-                            ))
-                        }
-                    },
+            for i in 0..self.shards.len() {
+                match self.read_from(i, req, &extract) {
+                    Ok(Some(answer)) => return Ok(answer),
+                    Ok(None) => {}
                     Err(ShardError::Fatal(e)) => return Err(e),
                     Err(ShardError::Transient(e)) => dead.push(e),
                 }
             }
-            if !live.is_empty() {
-                return Ok(live);
+            if dead.is_empty() {
+                return Err(format!(
+                    "no replica answered at graph epoch {}",
+                    self.fleet_epoch()
+                ));
             }
         }
         Err(format!("no shard reachable: {}", dead.join("; ")))
     }
 
-    /// Answer one query from the fleet: the lowest-index complete reply
-    /// at the highest graph epoch, once every complete reply agrees on
-    /// the ranks (module docs). Laggards are flushed, not re-asked.
-    pub(crate) fn scatter_query(
+    /// Answer one query from one replica.
+    pub(crate) fn query(
         &mut self,
         node: u32,
         k: u32,
@@ -297,88 +475,40 @@ impl ShardPool {
             strategy,
             deadline_ms,
         };
-        let mut answers = match self.gather(&req, |r| match r {
+        let answer = self.read(&req, |r| match r {
             Reply::Query(q) => Some(q),
             _ => None,
-        }) {
-            Ok(answers) => answers,
-            Err(e) => return Reply::Error(e),
-        };
-        let received: usize = answers.iter().map(|(_, q)| q.entries.len()).sum();
-        self.metrics.candidates_received.add(received as u64);
-        let max_epoch = answers
-            .iter()
-            .map(|(_, q)| q.graph_epoch)
-            .max()
-            .expect("gather returns at least one reply");
-        let lagging: Vec<usize> = answers
-            .iter()
-            .filter(|(_, q)| q.graph_epoch < max_epoch)
-            .map(|&(i, _)| i)
-            .collect();
-        if !lagging.is_empty() {
-            // A flush failure shows up as a dead replica next time.
-            self.metrics.epoch_retries.inc();
-            let _ = self.fan_out(&lagging, &Request::Flush);
-            answers.retain(|(_, q)| q.graph_epoch == max_epoch);
+        });
+        match answer {
+            Ok(q) => {
+                self.metrics.candidates_returned.add(q.entries.len() as u64);
+                if q.partial {
+                    self.metrics.partials.inc();
+                }
+                Reply::Query(q)
+            }
+            Err(e) => Reply::Error(e),
         }
-        self.metrics.graph_epoch.set(max_epoch);
-
-        let pick = answers.iter().position(|(_, q)| !q.partial).unwrap_or(0);
-        let (first, chosen) = &answers[pick];
-        // Finds nothing when `chosen` is partial: then no reply is complete.
-        let rival = answers
-            .iter()
-            .find(|(_, q)| !q.partial && !same_ranks(&q.entries, &chosen.entries));
-        if let Some((other, _)) = rival {
-            return disagreement(*first, *other, max_epoch);
-        }
-        self.metrics
-            .candidates_returned
-            .add(chosen.entries.len() as u64);
-        if chosen.partial {
-            self.metrics.partials.inc();
-        }
-        Reply::Query(answers.swap_remove(pick).1)
     }
 
-    /// Answer a batch from the fleet: the lowest-index live reply, once
-    /// every live reply is at the same graph epoch and agrees on every
-    /// node's ranks.
-    pub(crate) fn scatter_batch(&mut self, nodes: &[u32], k: u32) -> Reply {
+    /// Answer a batch from one replica: `rkrd` answers a whole batch from
+    /// one graph epoch.
+    pub(crate) fn batch(&mut self, nodes: &[u32], k: u32) -> Reply {
         let req = Request::Batch {
             nodes: nodes.to_vec(),
             k,
         };
-        let mut batches = match self.gather(&req, |r| match r {
+        let answer = self.read(&req, |r| match r {
             Reply::Batch(b) if b.results.len() == nodes.len() => Some(b),
             _ => None,
-        }) {
-            Ok(batches) => batches,
-            Err(e) => return Reply::Error(e),
-        };
-        let entries = |b: &BatchReply| -> usize { b.results.iter().map(Vec::len).sum() };
-        let received: usize = batches.iter().map(|(_, b)| entries(b)).sum();
-        self.metrics.candidates_received.add(received as u64);
-        let (first, chosen) = &batches[0];
-        for (i, b) in &batches[1..] {
-            if b.graph_epoch != chosen.graph_epoch {
-                return Reply::Error(
-                    "batch overlapped a graph commit (shard epochs diverged); retry the batch"
-                        .into(),
-                );
+        });
+        match answer {
+            Ok(b) => {
+                self.metrics.candidates_returned.add(b.entries() as u64);
+                Reply::Batch(b)
             }
-            if !b
-                .results
-                .iter()
-                .zip(&chosen.results)
-                .all(|(x, y)| same_ranks(x, y))
-            {
-                return disagreement(*first, *i, chosen.graph_epoch);
-            }
+            Err(e) => Reply::Error(e),
         }
-        self.metrics.candidates_returned.add(entries(chosen) as u64);
-        Reply::Batch(batches.swap_remove(0).1)
     }
 
     /// Broadcast a request that must succeed on *every* shard (update /
@@ -402,17 +532,4 @@ impl ShardPool {
             Err(errors.join("; "))
         }
     }
-}
-
-/// Whether two answers carry the same rank sequence. Node ids may differ
-/// among nodes tied at the k-th rank (Definition 2); ranks may not.
-fn same_ranks(a: &[(u32, u32)], b: &[(u32, u32)]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.1 == y.1)
-}
-
-fn disagreement(a: usize, b: usize, graph_epoch: u64) -> Reply {
-    Reply::Error(format!(
-        "shards {a} and {b} disagree on the ranks at graph epoch {graph_epoch}: \
-         the replicas do not serve the same graph"
-    ))
 }

@@ -3,8 +3,9 @@
 //! dynamic search, with the cache on and off as the single-daemon
 //! loopback suite runs — including live graph updates routed through the
 //! coordinator mid-traffic — must keep answering completely from the
-//! survivors when a replica is killed, and must refuse to answer when
-//! replicas disagree.
+//! survivors when any replica is killed, must never answer from a replica
+//! behind the fleet's graph epoch, and must refuse to answer when
+//! replicas serve different graphs.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -137,23 +138,31 @@ fn scatter_gather_matches_single_box_across_zipf_matrix() {
             }
         });
 
-        // The coordinator's own telemetry must show the fan-out working:
-        // full-width fan-outs, per-shard latency, and every replica's
-        // entries received but one reply's returned.
+        // The coordinator's own telemetry must show one replica answering:
+        // shard 0 timed every query, the others only the first-read
+        // `hello` round of each reactor worker, and every entry received
+        // was returned.
         let m = coord.metrics();
         let total = (CLIENTS * QUERIES_PER_CLIENT) as u64;
+        let workers = ServerConfig::default().workers as u64;
         assert_eq!(m.queries.get(), total);
         assert!(m.fanouts.get() >= total);
+        assert!(
+            m.shard_seconds[0].count() >= total,
+            "shard 0's latency histogram must record every query"
+        );
         for i in 0..SHARDS as usize {
-            assert!(
-                m.shard_seconds[i].count() >= total,
-                "shard {i} latency histogram must record every fan-out"
-            );
+            if i > 0 {
+                assert!(
+                    m.shard_seconds[i].count() <= workers,
+                    "shard {i} must see hello rounds only, not queries"
+                );
+            }
             assert_eq!(m.shard_errors[i].get(), 0);
         }
         let received = m.candidates_received.get();
         let returned = m.candidates_returned.get();
-        assert_eq!(received, SHARDS as u64 * returned);
+        assert_eq!(received, returned);
         assert_eq!(m.partials.get(), 0);
 
         let ctl = Client::connect(addr).expect("connect ctl");
@@ -255,65 +264,154 @@ fn live_updates_through_the_coordinator_stay_rank_identical() {
     }
 }
 
-/// Kill one replica: the survivors hold the whole graph, so single
-/// queries still come back complete and rank-identical to one box, a
-/// batch succeeds on the survivors, and the dead replica's error counter
-/// moves; nothing hangs.
+/// Kill one replica — the primary (shard 0, which answers every read
+/// while it lives) or a secondary: the survivors hold the whole graph, so
+/// single queries still come back complete and rank-identical to one box,
+/// a batch succeeds on the survivors, and nothing hangs.
 #[test]
 fn killed_replica_leaves_complete_answers_from_the_survivors() {
     let g = test_graph();
     let expected = expected_ranks(&g);
-    let mut fleet = spawn_fleet(&g, 0, 1);
+    for dead_shard in [0usize, 1] {
+        let mut fleet = spawn_fleet(&g, 0, 1);
+        let coord =
+            spawn_coord("127.0.0.1:0", CoordConfig::new(shard_addrs(&fleet))).expect("bind coord");
+        let mut client = Client::connect(coord.addr()).expect("connect");
+
+        // Warm the pool so the kill severs live connections (the harder
+        // path: a mid-flight transport error, then a refused reconnect).
+        let healthy = client.query(0, K).expect("healthy query");
+        assert!(!healthy.partial);
+
+        let dead = fleet.remove(dead_shard);
+        {
+            let c = Client::connect(dead.addr()).expect("connect doomed shard");
+            c.shutdown().expect("shard shutdown");
+        }
+        dead.join();
+
+        let started = Instant::now();
+        let ranks = |entries: &[(u32, u32)]| entries.iter().map(|&(_, r)| r).collect::<Vec<u32>>();
+        for node in [3u32, 17, 42, 99] {
+            let reply = client.query(node, K).expect("a survivor answers");
+            assert!(
+                !reply.partial,
+                "dead {dead_shard}, node {node}: a dead replica must not make the answer partial"
+            );
+            assert_eq!(
+                ranks(&reply.entries),
+                expected[&node],
+                "dead {dead_shard}, node {node}"
+            );
+        }
+        let nodes = [1u32, 2, 3];
+        let batch = client
+            .batch(&nodes, K)
+            .expect("a batch succeeds on the survivors");
+        for (node, entries) in nodes.iter().zip(&batch.results) {
+            assert_eq!(
+                ranks(entries),
+                expected[node],
+                "dead {dead_shard}, batch node {node}"
+            );
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "queries with a dead replica must not hang"
+        );
+
+        // Reads go to shard 0 while it lives, so only a dead primary is
+        // noticed (and counted); a dead secondary costs reads nothing.
+        let m = coord.metrics();
+        assert_eq!(m.partials.get(), 0);
+        for i in 0..SHARDS as usize {
+            let errors = m.shard_errors[i].get();
+            if i == dead_shard && i == 0 {
+                assert!(errors > 0, "the dead primary's error counter must move");
+            } else {
+                assert_eq!(errors, 0, "dead {dead_shard}: shard {i} saw errors");
+            }
+        }
+
+        drop(client);
+        let ctl = Client::connect(coord.addr()).expect("connect ctl");
+        ctl.shutdown().expect("coordinator shutdown");
+        coord.join();
+        shutdown_fleet(fleet);
+    }
+}
+
+/// Two replicas a commit apart: shard 1 has committed a hub-edge
+/// reweight written to it directly, so shard 0 — the one a read goes to
+/// first — holds the older graph with nothing staged to catch up with.
+/// Returns the fleet, the newer graph's ranks, and the nodes to ask.
+fn spawn_fleet_with_a_stale_primary(g: &Graph) -> (Vec<ServerHandle>, BTreeMap<u32, Vec<u32>>) {
+    let (hub, _) = g.max_degree().expect("a non-empty graph");
+    let (v, w) = g.edges(hub).next().expect("the hub has an edge");
+    let delta = GraphDelta::Reweight {
+        u: hub.0,
+        v: v.0,
+        w: w * 4.0 + 1.0,
+    };
+    let newer = GraphStore::new(g.clone())
+        .apply(&[delta])
+        .expect("reweight an existing edge");
+    let fleet = spawn_shards(g, 2, 1024, 0);
+    let mut direct = Client::connect(fleet[1].addr()).expect("connect shard 1");
+    direct.update(&[delta.into()]).expect("stage on shard 1");
+    direct.flush().expect("commit on shard 1");
+    assert_eq!(direct.hello().expect("hello").graph_epoch, 1);
+    (fleet, expected_ranks(&newer))
+}
+
+/// A replica one commit behind never answers a query: it must come back
+/// at the newer graph epoch with the newer graph's ranks, after one flush
+/// and re-ask of the laggard.
+#[test]
+fn a_replica_behind_the_fleets_graph_epoch_never_answers() {
+    let g = test_graph();
+    let (fleet, newer_truth) = spawn_fleet_with_a_stale_primary(&g);
     let coord =
         spawn_coord("127.0.0.1:0", CoordConfig::new(shard_addrs(&fleet))).expect("bind coord");
     let mut client = Client::connect(coord.addr()).expect("connect");
-
-    // Warm the pool so the kill severs live connections (the harder path:
-    // a mid-flight transport error, then a refused reconnect).
-    let healthy = client.query(0, K).expect("healthy query");
-    assert!(!healthy.partial);
-
-    const DEAD: usize = 1;
-    let dead = fleet.remove(DEAD);
-    {
-        let c = Client::connect(dead.addr()).expect("connect doomed shard");
-        c.shutdown().expect("shard shutdown");
-    }
-    dead.join();
-
-    let started = Instant::now();
-    let ranks = |entries: &[(u32, u32)]| entries.iter().map(|&(_, r)| r).collect::<Vec<u32>>();
-    for node in [3u32, 17, 42, 99] {
-        let reply = client.query(node, K).expect("a survivor answers");
-        assert!(
-            !reply.partial,
-            "node {node}: a dead replica must not make the answer partial"
+    let (hub, _) = g.max_degree().expect("a non-empty graph");
+    for node in [hub.0, 3, 17] {
+        let reply = client.query(node, K).expect("query");
+        assert_eq!(
+            reply.graph_epoch, 1,
+            "node {node}: a stale replica answered"
         );
-        assert_eq!(ranks(&reply.entries), expected[&node], "node {node}");
+        let got: Vec<u32> = reply.entries.iter().map(|&(_, r)| r).collect();
+        assert_eq!(got, newer_truth[&node], "node {node}");
     }
-    let nodes = [1u32, 2, 3];
-    let batch = client
-        .batch(&nodes, K)
-        .expect("a batch succeeds on the survivors");
+    assert!(
+        coord.metrics().epoch_retries.get() > 0,
+        "the laggard must have been flushed and re-asked"
+    );
+
+    client.shutdown().expect("coordinator shutdown");
+    coord.join();
+    shutdown_fleet(fleet);
+}
+
+/// A batch skips the stale replica the same way: one replica answers the
+/// whole batch, at the newer graph epoch.
+#[test]
+fn a_batch_skips_a_replica_behind_the_fleets_graph_epoch() {
+    let g = test_graph();
+    let (fleet, newer_truth) = spawn_fleet_with_a_stale_primary(&g);
+    let coord =
+        spawn_coord("127.0.0.1:0", CoordConfig::new(shard_addrs(&fleet))).expect("bind coord");
+    let mut client = Client::connect(coord.addr()).expect("connect");
+    let nodes = [3u32, 17, 42];
+    let batch = client.batch(&nodes, K).expect("batch");
+    assert_eq!(batch.graph_epoch, 1, "a stale replica answered the batch");
     for (node, entries) in nodes.iter().zip(&batch.results) {
-        assert_eq!(ranks(entries), expected[node], "batch node {node}");
+        let got: Vec<u32> = entries.iter().map(|&(_, r)| r).collect();
+        assert_eq!(got, newer_truth[node], "batch node {node}");
     }
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "queries with a dead replica must not hang"
-    );
 
-    let m = coord.metrics();
-    assert_eq!(m.partials.get(), 0);
-    assert!(
-        m.shard_errors[DEAD].get() > 0,
-        "the dead shard's error counter must move"
-    );
-    assert_eq!(m.shard_errors[0].get(), 0);
-
-    drop(client);
-    let ctl = Client::connect(coord.addr()).expect("connect ctl");
-    ctl.shutdown().expect("coordinator shutdown");
+    client.shutdown().expect("coordinator shutdown");
     coord.join();
     shutdown_fleet(fleet);
 }
@@ -337,6 +435,8 @@ fn replicas_that_disagree_are_refused() {
     let (truth, skewed_truth) = (expected_ranks(&g), expected_ranks(&skewed));
     let split = truth.keys().find(|&q| truth[q] != skewed_truth[q]);
     let split = *split.expect("reweighting a hub edge changes some answer");
+    let same = truth.keys().find(|&q| truth[q] == skewed_truth[q]);
+    let same = *same.expect("some answer does not see the reweighted edge");
 
     let map = ShardMap::new(2, SHARD_SEED);
     let fleet = vec![
@@ -354,6 +454,20 @@ fn replicas_that_disagree_are_refused() {
         ),
         other => panic!("node {split}: disagreeing replicas must be refused, got {other:?}"),
     }
+
+    // A node whose ranks the two graphs happen to agree on is refused too:
+    // the fleet is miswired whichever query exposes it, and on a fresh
+    // connection as on the one that was already refused.
+    for mut client in [client, Client::connect(coord.addr()).expect("connect")] {
+        match client.query(same, K) {
+            Err(rkranks_server::ClientError::Server(msg)) => assert!(
+                msg.contains("shards 0 and 1") && msg.contains("graph epoch 0"),
+                "the refusal must name both shards and the epoch, got: {msg}"
+            ),
+            other => panic!("node {same}: disagreeing replicas must be refused, got {other:?}"),
+        }
+    }
+    let client = Client::connect(coord.addr()).expect("connect");
 
     client.shutdown().expect("coordinator shutdown");
     coord.join();

@@ -372,6 +372,60 @@ mod row_order_props {
     }
 }
 
+/// `Graph::digest` names an edge set, not a history: a replica that
+/// reached its graph through committed update batches, one built fresh
+/// from the same edges, and one reloaded from a file must all announce
+/// the same digest, or a coordinator would refuse a healthy fleet.
+mod digest_props {
+    use super::*;
+    use rkranks_graph::{read_graph, write_graph, GraphDelta, GraphStore};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn digest_depends_only_on_the_edge_set(
+            (n, edges) in arb_edges(12, 24),
+            stream in proptest::collection::vec(
+                (0u32..12, 0u32..12, 0.0f64..10.0, 0u8..4), 1..24),
+            directed in any::<bool>(),
+        ) {
+            let dir = if directed { EdgeDirection::Directed } else { EdgeDirection::Undirected };
+            let mut store = GraphStore::new(build(dir, n, &edges));
+            for chunk in stream.chunks(6) {
+                for &(u, v, w, op) in chunk {
+                    let n = store.effective_num_nodes();
+                    let (u, v) = (u % n, v % n);
+                    let delta = match (op, store.contains_edge(u, v)) {
+                        (0, _) => GraphDelta::AddNode,
+                        (1, true) => GraphDelta::RemoveEdge { u, v },
+                        (_, true) => GraphDelta::Reweight { u, v, w },
+                        (_, false) => GraphDelta::AddEdge { u, v, w },
+                    };
+                    // A self-loop is refused and stages nothing.
+                    let _ = store.stage(delta);
+                }
+                let patched = store.commit();
+                let edges: Vec<_> = store.edges().collect();
+                let fresh = build(dir, store.num_nodes(), &edges);
+                prop_assert_eq!(patched.digest(), fresh.digest(), "epoch {}", store.graph_epoch());
+
+                let mut file = Vec::new();
+                write_graph(&patched, &mut file).unwrap();
+                let reloaded = read_graph(file.as_slice()).unwrap();
+                prop_assert_eq!(reloaded.digest(), patched.digest());
+
+                if let Some(&(u, v, w)) = edges.first() {
+                    let reweighted = GraphStore::new((*patched).clone())
+                        .apply(&[GraphDelta::Reweight { u, v, w: w + 0.5 }])
+                        .unwrap();
+                    prop_assert_ne!(reweighted.digest(), patched.digest());
+                }
+            }
+        }
+    }
+}
+
 /// The bounded truncated traversal against the unbounded one.
 ///
 /// [`BoundedBrowser`] stops feeding its frontier at the `limit`-th nearest

@@ -21,7 +21,8 @@
 //!                                            snapshot bundle
 //! {"op":"shutdown"}                          drain and stop the daemon
 //! {"op":"hello"}                             peer identity: protocol version,
-//!                                            role, shard identity, epoch pair
+//!                                            role, shard identity, epoch pair,
+//!                                            graph digest
 //! ```
 //!
 //! `update` stages one or more graph deltas, each encoded as a small
@@ -91,7 +92,7 @@ use crate::json::Json;
 /// incompatible wire change. Daemons predating the field decode as
 /// version 0, so mixed deployments fail with a one-line mismatch error
 /// instead of misparsing each other.
-pub const PROTOCOL_VERSION: u64 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// One live graph update on the wire — the protocol face of
 /// `rkranks_graph::GraphDelta`. Encoded as a compact array:
@@ -668,6 +669,13 @@ pub struct HelloReply {
     pub nodes: u64,
     /// Logical edges in the serving graph snapshot.
     pub edges: u64,
+    /// [`rkranks_graph::Graph::digest`] of the serving graph snapshot —
+    /// what lets a coordinator tell replicas on different graphs apart.
+    /// On the wire it is 16 lowercase hex digits (a JSON number cannot
+    /// hold 64 bits). A daemon always sends it; a coordinator sends the
+    /// digest it last verified across its fleet, and `None` before it
+    /// has verified one.
+    pub graph_digest: Option<u64>,
 }
 
 /// One captured slow query, as returned by the `slow-queries` op.
@@ -975,6 +983,9 @@ impl Reply {
                     ("nodes".into(), Json::num(h.nodes as f64)),
                     ("edges".into(), Json::num(h.edges as f64)),
                 ];
+                if let Some(d) = h.graph_digest {
+                    fields.push(("graph_digest".into(), Json::Str(format!("{d:016x}"))));
+                }
                 if let Some(s) = h.shard {
                     fields.push(("shard".into(), Json::num(s.index)));
                     fields.push(("shards".into(), Json::num(s.shards)));
@@ -1074,6 +1085,10 @@ impl Reply {
                 graph_epoch: field_u64(&v, "graph_epoch")?,
                 nodes: field_u64(&v, "nodes")?,
                 edges: field_u64(&v, "edges")?,
+                graph_digest: match v.get("graph_digest") {
+                    None => None,
+                    Some(d) => Some(digest_from_json(d)?),
+                },
             }));
         }
         if v.get("staged").is_some() {
@@ -1102,6 +1117,16 @@ fn field_u64(v: &Json, name: &str) -> Result<u64, String> {
     v.get(name)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing integer field '{name}'"))
+}
+
+/// A `graph_digest`: exactly 16 hex digits.
+fn digest_from_json(v: &Json) -> Result<u64, String> {
+    let bad = || "'graph_digest' is not 16 hex digits".to_string();
+    let text = v.as_str().ok_or_else(bad)?;
+    if text.len() != 16 || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(bad());
+    }
+    u64::from_str_radix(text, 16).map_err(|_| bad())
 }
 
 fn entries_to_json(entries: &[(u32, u32)]) -> Json {
@@ -1206,6 +1231,7 @@ mod tests {
             graph_epoch: 1,
             nodes: 150,
             edges: 1043,
+            graph_digest: Some(u64::MAX),
         }));
         round_trip_reply(Reply::Hello(HelloReply {
             v: PROTOCOL_VERSION,
@@ -1219,6 +1245,7 @@ mod tests {
             graph_epoch: 2,
             nodes: 10,
             edges: 9,
+            graph_digest: Some(0x0123_4567_89ab_cdef),
         }));
         round_trip_reply(Reply::Hello(HelloReply {
             v: PROTOCOL_VERSION,
@@ -1228,7 +1255,39 @@ mod tests {
             graph_epoch: 0,
             nodes: 0,
             edges: 0,
+            graph_digest: None,
         }));
+    }
+
+    /// The digest travels as 16 hex digits, leading zeros kept, and a
+    /// line whose digest is anything else is refused, not misread.
+    #[test]
+    fn graph_digests_are_sixteen_hex_digits() {
+        let hello = HelloReply {
+            v: PROTOCOL_VERSION,
+            role: "shard".into(),
+            graph_digest: Some(0xbeef),
+            ..HelloReply::default()
+        };
+        let line = Reply::Hello(hello).to_json().render();
+        assert!(
+            line.contains(r#""graph_digest":"000000000000beef""#),
+            "{line}"
+        );
+        for bad in [
+            "beef",
+            "000000000000beeg",
+            "0000000000000beef",
+            "-00000000000beef",
+        ] {
+            let line = line.replace("000000000000beef", bad);
+            assert!(Reply::from_line(&line).is_err(), "{line}");
+        }
+        let line = line.replace(
+            r#""graph_digest":"000000000000beef""#,
+            r#""graph_digest":48879"#,
+        );
+        assert!(Reply::from_line(&line).is_err(), "{line}");
     }
 
     #[test]

@@ -162,6 +162,10 @@ struct Shared {
     /// Wakes the merger when a batch is staged (paired with `store`).
     staged_signal: Condvar,
     cache: Option<Mutex<ResultCache>>,
+    /// `(graph epoch, Graph::digest)` of the live graph the last `hello`
+    /// saw: filled at start, then recomputed by the first `hello` after a
+    /// commit, so no commit pays for it.
+    digest: Mutex<(u64, u64)>,
     /// Every counter, gauge, and histogram the daemon exports — the
     /// registry behind both the `stats` and `metrics` ops, plus the
     /// slow-query ring.
@@ -226,8 +230,10 @@ pub fn serve_store(
     // commits them on its first pass.
     let staged_at_start = store.pending_deltas() as u64;
     let ctx = build_context(store.snapshot(), &partition);
-    // Pay the one-off transpose build before the first query is timed.
+    // Pay the one-off transpose build and the graph digest before the
+    // first query is timed.
     ctx.sds_graph();
+    let digest = Mutex::new((store.graph_epoch(), ctx.graph().digest()));
     let shared = Shared {
         live: RwLock::new(LiveState {
             ctx: Arc::new(ctx),
@@ -238,6 +244,7 @@ pub fn serve_store(
         staged_signal: Condvar::new(),
         cache: (config.cache_capacity > 0)
             .then(|| Mutex::new(ResultCache::new(config.cache_capacity))),
+        digest,
         metrics: Metrics::new(),
         shutdown: AtomicBool::new(false),
         partition,
@@ -364,6 +371,16 @@ impl Shared {
     fn live(&self) -> LiveState {
         self.live.read().expect("live lock poisoned").clone()
     }
+
+    /// The digest of `live`'s graph, computed only when the graph epoch
+    /// moved since the last `hello` (epochs never repeat within a run).
+    fn graph_digest(&self, live: &LiveState) -> u64 {
+        let mut cached = self.digest.lock().expect("digest lock poisoned");
+        if cached.0 != live.graph_epoch {
+            *cached = (live.graph_epoch, live.ctx.graph().digest());
+        }
+        cached.1
+    }
 }
 
 impl Service for Shared {
@@ -461,6 +478,7 @@ impl Service for Shared {
                     graph_epoch: live.graph_epoch,
                     nodes: u64::from(live.ctx.graph().num_nodes()),
                     edges: live.ctx.graph().num_edges() as u64,
+                    graph_digest: Some(self.graph_digest(&live)),
                 })
             }
         }
@@ -1115,6 +1133,8 @@ mod tests {
             ..Default::default()
         });
         let mut client = Client::connect(handle.addr()).unwrap();
+        let hello = client.hello().unwrap();
+        assert_eq!(hello.graph_digest, Some(grid().digest()));
 
         let before = client.query(0, 2).unwrap();
         assert_eq!(before.graph_epoch, 0);
@@ -1158,10 +1178,16 @@ mod tests {
         assert_eq!(stats.graph_nodes, 5);
         assert_eq!(stats.graph_edges, 6);
 
+        // the commit left the digest to the next hello, which names the
+        // new graph
+        let digest = client.hello().unwrap().graph_digest;
+        assert_ne!(digest, hello.graph_digest);
+
         client.shutdown().unwrap();
         let outcome = handle.join();
         assert_eq!(outcome.graph_epoch, 1);
         assert_eq!(outcome.graph.num_nodes(), 5);
+        assert_eq!(digest, Some(outcome.graph.digest()));
     }
 
     #[test]

@@ -235,6 +235,7 @@ impl Strategy for Replies {
                     graph_epoch: count(rng),
                     nodes: count(rng),
                     edges: count(rng),
+                    graph_digest: rng.random_bool(0.5).then(|| rng.random()),
                 };
                 if let Some(shard) = &mut hello.shard {
                     shard.index = rng.random();

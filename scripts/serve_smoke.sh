@@ -177,8 +177,12 @@ grep -q 'graph epoch 2' "$WORK/pre-restart.full" || {
 grep ' rank ' "$WORK/pre-restart.full" | sort > "$WORK/pre-restart.txt"
 "$RKR" ctl "$ADDR" checkpoint | grep -q 'graph epoch 2' || {
     echo "checkpoint must report the committed epoch pair"; exit 1; }
-# the index epoch must survive the restart
-"$RKR" ctl "$ADDR" stats | awk -F: '/^index epoch/ {print $2}' | tr -d ' ' > "$WORK/epoch-before.txt"
+# the index epoch and the graph digest must survive the restart
+"$RKR" ctl "$ADDR" stats > "$WORK/stats-before.txt"
+awk -F: '/^index epoch/ {print $2}' "$WORK/stats-before.txt" | tr -d ' ' > "$WORK/epoch-before.txt"
+awk '/^graph:/ {print $NF}' "$WORK/stats-before.txt" > "$WORK/digest-before.txt"
+grep -qE '^[0-9a-f]{16}$' "$WORK/digest-before.txt" || {
+    echo "stats must print a 16-hex-digit graph digest"; cat "$WORK/stats-before.txt"; exit 1; }
 "$RKR" ctl "$ADDR" shutdown
 wait "$SERVE_PID"
 SERVE_PID=""
@@ -203,7 +207,9 @@ awk -F: '/^index epoch/ {print $2}' "$WORK/stats-after.txt" | tr -d ' ' > "$WORK
 diff -u "$WORK/epoch-before.txt" "$WORK/epoch-after.txt"
 grep -q 'epoch 2 (' "$WORK/stats-after.txt" || {
     echo "stats must report graph epoch 2 after the restart"; cat "$WORK/stats-after.txt"; exit 1; }
-echo "epochs survived the restart"
+awk '/^graph:/ {print $NF}' "$WORK/stats-after.txt" > "$WORK/digest-after.txt"
+diff -u "$WORK/digest-before.txt" "$WORK/digest-after.txt"
+echo "epochs and graph digest survived the restart"
 
 "$RKR" query --remote "$ADDR" --node 5 --k 4 > "$WORK/post-restart.full"
 grep -q 'graph epoch 2' "$WORK/post-restart.full" || {

@@ -74,9 +74,10 @@
 //! [--shard-seed S]` runs one daemon as replica `I` of `N` (it loads the
 //! full graph and answers every query in full; the identity only lets a
 //! coordinator verify the wiring); `rkr coord --shards A,B,...` runs the
-//! coordinator that speaks the same wire protocol frontside, asks every
-//! live replica, and returns one replica's complete answer once the
-//! replicas agree on the ranks (see `rkranks_coord`). `rkr shard-plan`
+//! coordinator that speaks the same wire protocol frontside, sends each
+//! read to the lowest-index live replica, and refuses a fleet whose
+//! replicas announce different graph digests (see `rkranks_coord`).
+//! `rkr shard-plan`
 //! previews which replica the deterministic consistent-hash map names as
 //! each node's owner. `ctl` and `update` work unchanged against the
 //! coordinator's address.
@@ -846,6 +847,12 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
                 return Ok(());
             }
             let s = client.stats().map_err(|e| e.to_string())?;
+            // The digest rides on `hello`, not `stats`: a coordinator
+            // reports the one its fleet last agreed on.
+            let digest = match client.hello().map_err(|e| e.to_string())?.graph_digest {
+                Some(d) => format!("{d:016x}"),
+                None => "not yet verified".into(),
+            };
             println!("queries:        {}", s.queries);
             println!(
                 "cache:          {} hits / {} misses ({} entries, capacity {}, ~{} bytes)",
@@ -856,7 +863,7 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
                 s.cache_evictions, s.cache_stale_evicted
             );
             println!(
-                "graph:          epoch {} ({} nodes, {} edges)",
+                "graph:          epoch {} ({} nodes, {} edges), digest {digest}",
                 s.graph_epoch, s.graph_nodes, s.graph_edges
             );
             println!(

@@ -2,9 +2,9 @@
 //! binaries: plan a 2-shard fleet, start both shards and the coordinator
 //! on ephemeral ports, check a Zipf-skewed query mix through the
 //! coordinator is rank-identical (tie-aware) to the in-process dynamic
-//! query, route a live update through the coordinator, kill one shard and
-//! check the survivor still answers completely, and shut the fleet down
-//! cleanly. The CI loopback smoke job runs the same scenario
+//! query, route a live update through the coordinator, kill shard 0 (the
+//! replica every read goes to first) and check the survivor still answers
+//! completely, and shut the fleet down cleanly. The CI loopback smoke job runs the same scenario
 //! via `scripts/shard_smoke.sh`.
 
 use std::io::{BufRead, BufReader};
@@ -112,8 +112,8 @@ fn fleet_matches_single_box_and_answers_completely_on_shard_loss() {
             "7",
         ]
     };
-    let (shard0_guard, shard0, _keep0) = spawn_daemon(&dir, &shard_args("0"));
-    let (mut shard1_guard, shard1, _keep1) = spawn_daemon(&dir, &shard_args("1"));
+    let (mut shard0_guard, shard0, _keep0) = spawn_daemon(&dir, &shard_args("0"));
+    let (shard1_guard, shard1, _keep1) = spawn_daemon(&dir, &shard_args("1"));
     let fleet = format!("{shard0},{shard1}");
     let (coord_guard, coord, _keepc) = spawn_daemon(
         &dir,
@@ -164,6 +164,28 @@ fn fleet_matches_single_box_and_answers_completely_on_shard_loss() {
     ] {
         assert!(prom.contains(needle), "missing {needle}:\n{prom}");
     }
+    // one replica answered each query, and its whole reply went back
+    let counter = |name: &str| -> u64 {
+        prom.lines()
+            .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {name} sample:\n{prom}"))
+    };
+    assert_eq!(
+        counter("rkrd_coord_candidates_received_total"),
+        counter("rkrd_coord_candidates_returned_total")
+    );
+
+    // the coordinator reports the graph digest its fleet agreed on
+    let digest = |addr: &str| -> String {
+        let stats = rkr_ok(&dir, &["ctl", addr, "stats"]);
+        let line = stats.lines().find(|l| l.starts_with("graph:")).unwrap();
+        let (_, digest) = line.rsplit_once(" digest ").expect("stats prints a digest");
+        digest.to_string()
+    };
+    let fleet_digest = digest(&coord);
+    assert_eq!(fleet_digest.len(), 16, "{fleet_digest}");
+    assert_eq!(fleet_digest, digest(&shard0));
+    assert_eq!(fleet_digest, digest(&shard1));
 
     // a live update routed through the coordinator lands on every shard
     let graph_stats = rkr_ok(&dir, &["stats", "g.edges"]);
@@ -212,10 +234,11 @@ fn fleet_matches_single_box_and_answers_completely_on_shard_loss() {
     );
     assert_equivalent("post-update node 17", &updated, &parse_result(&local));
 
-    // kill shard 1: the survivor is a full replica, so every answer is
-    // still complete and equal to the in-process one on the updated graph
-    shard1_guard.0.kill().expect("kill shard 1");
-    let _ = shard1_guard.0.wait();
+    // kill shard 0: reads fail over to shard 1, a full replica, so every
+    // answer is still complete and equal to the in-process one on the
+    // updated graph
+    shard0_guard.0.kill().expect("kill shard 0");
+    let _ = shard0_guard.0.wait();
     for node in ["5", "17", "3"] {
         let remote = rkr_ok(
             &dir,
@@ -250,10 +273,10 @@ fn fleet_matches_single_box_and_answers_completely_on_shard_loss() {
     wait_for_exit(coord_guard, "coordinator");
     rkr_ok(
         &dir,
-        &["query", "--remote", &shard0, "--node", "5", "--k", "4"],
+        &["query", "--remote", &shard1, "--node", "5", "--k", "4"],
     );
-    rkr_ok(&dir, &["ctl", &shard0, "shutdown"]);
-    wait_for_exit(shard0_guard, "shard 0");
+    rkr_ok(&dir, &["ctl", &shard1, "shutdown"]);
+    wait_for_exit(shard1_guard, "shard 1");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
