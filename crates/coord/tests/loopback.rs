@@ -21,7 +21,7 @@ use rkranks_core::{
 use rkranks_datasets::default_update_stream;
 use rkranks_datasets::Zipf;
 use rkranks_datasets::{collab_graph, CollabParams};
-use rkranks_graph::{Graph, GraphDelta, GraphStore, ShardMap, ShardSlice};
+use rkranks_graph::{to_real, Graph, GraphDelta, GraphStore, ShardMap, ShardSlice};
 use rkranks_server::{spawn, Client, ClientError, Reply, ServerConfig, ServerHandle, UpdateOp};
 
 const K: u32 = 5;
@@ -351,7 +351,7 @@ fn spawn_fleet_with_a_stale_primary(g: &Graph) -> (Vec<ServerHandle>, BTreeMap<u
     let delta = GraphDelta::Reweight {
         u: hub.0,
         v: v.0,
-        w: w * 4.0 + 1.0,
+        w: to_real(w) * 4.0 + 1.0,
     };
     let newer = GraphStore::new(g.clone())
         .apply(&[delta])
@@ -752,7 +752,7 @@ fn writes_through_the_coordinator_report_the_fleets_graph() {
         .update(&[UpdateOp::Reweight {
             u: hub.0,
             v: v.0,
-            w,
+            w: to_real(w),
         }])
         .expect("a no-op reweight");
     let shard_hello = direct.hello().expect("shard hello");

@@ -88,7 +88,7 @@
 //! path shorter than `d(p,q)` exists, which the traversal that skips `a`'s
 //! row finds. (3) So `count + 1` is `Rank(p,q)` exactly and an aborted
 //! count is a true lower bound, on directed graphs and bichromatic specs
-//! alike ([`crate::refine`] has the long form and the one-ulp caveat).
+//! alike ([`crate::refine`] has the long form).
 //!
 //! **Not with an index binding.** Algorithm 4 offers every settled node's
 //! exact rank to the Reverse Rank Dictionary and raises the Check
@@ -701,7 +701,7 @@ impl EngineContext {
                     // (the queue drained, `q` is never inserted).
                     // `d > 0` is what puts `u` itself strictly inside
                     // `d(p,q)` for everything below it.
-                    if anchor.is_none() && index.is_none() && r > anchor_above && d > 0.0 {
+                    if anchor.is_none() && index.is_none() && r > anchor_above && d > 0 {
                         anchor_ws.ensure_capacity(graph.num_nodes());
                         mem::swap(refine_ws, anchor_ws);
                         anchor = Some((u, r - 1 + spec.is_counted(u) as u32));

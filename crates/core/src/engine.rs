@@ -217,6 +217,68 @@ mod tests {
         }
     }
 
+    /// The path `0–1–2–3` (0.1, 0.2, 0.3) ties with the edge `0–4` (0.6)
+    /// from 0. Summed in `f64`, the forward `0.1 + 0.2 + 0.3` came out a
+    /// bit above 0.6, so `naive` answered `(0, 4)` at `q = 3`, `k = 3` and
+    /// every strategy that takes `d(0,3)` from the transpose `(0, 3)`.
+    #[test]
+    fn every_strategy_sums_a_tie_alike() {
+        let g = graph_from_edges(
+            EdgeDirection::Undirected,
+            [(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3), (0, 4, 0.6)],
+        )
+        .unwrap();
+        let mut engine = QueryEngine::new(&g);
+        let (built, _) = engine.build_index(&IndexParams {
+            hub_fraction: 0.4,
+            prefix_fraction: 0.4,
+            k_max: 4,
+            ..Default::default()
+        });
+        let q = NodeId(3);
+        for k in [3, 4] {
+            let naive = engine
+                .execute(&QueryRequest::new(q, k).with_strategy(NAIVE))
+                .unwrap()
+                .result;
+            assert_all_strategies_match(engine.context(), None, q, k, &naive);
+            assert_all_strategies_match(engine.context(), Some(&built), q, k, &naive);
+        }
+    }
+
+    /// The only shortest path from `0` to `4` runs `0–3–2–4` (6). The pass
+    /// bound-prunes `3`, so it reaches `0` through `1` and pops it late, at
+    /// 8. That refinement's ball reaches `4` at 6, under budget: only
+    /// `refine_rank`'s `t == q` skip keeps `q` out of the count (without
+    /// it, `0` is pruned at a lower bound of 5).
+    #[test]
+    fn a_late_pop_never_counts_the_query_node() {
+        let g = graph_from_edges(
+            EdgeDirection::Undirected,
+            [
+                (0, 1, 4.0),
+                (1, 2, 2.0),
+                (2, 3, 1.0),
+                (1, 4, 4.0),
+                (2, 4, 4.0),
+                (0, 3, 1.0),
+            ],
+        )
+        .unwrap();
+        let mut engine = QueryEngine::new(&g);
+        let out = engine
+            .execute(&QueryRequest::new(NodeId(4), 2).with_trace())
+            .unwrap();
+        let events = out.trace.unwrap().events;
+        let pop = events.iter().find(|e| e.node == NodeId(0)).unwrap();
+        assert_eq!(pop.distance, 8 * rkranks_graph::UNIT);
+        // 1, 2 and 3 lie within 8 of 0, and 4 is not counted
+        assert!(
+            matches!(pop.decision, PopDecision::Refined { rank: 4, .. }),
+            "{events:?}"
+        );
+    }
+
     #[test]
     fn dynamic_never_refines_more_than_static() {
         let g = star_tail();

@@ -37,9 +37,9 @@
 //! queues a node again when its distance drops after it was dequeued, and
 //! pays no `log n` per push. When the queue drains, every label is the
 //! distance Dijkstra would have settled (both are the least fixpoint of the
-//! same monotone float relaxation), the row cut `d + w < d(p,q)` has
-//! admitted the same nodes, and the stamped set is exactly `S(p) ∪ {p}` — so
-//! an anchor frozen from it is the same ball. A re-queue is counted
+//! same relaxation, and integer sums are exact), the row cut
+//! `d + w < d(p,q)` has admitted the same nodes, and the stamped set is
+//! exactly `S(p) ∪ {p}` — so an anchor frozen from it is the same ball. A re-queue is counted
 //! (`QueryStats::refinement_requeues`), and a re-dequeued node's row counts
 //! as another settle.
 //!
@@ -81,11 +81,6 @@
 //! the counters are those of the plain call. An anchored call cannot serve
 //! an index binding: Algorithm 4's per-settle offers need the complete
 //! ordered enumeration that anchoring skips.
-//!
-//! **One ulp.** Membership in `B` is decided by `a`'s summation order, as
-//! `d(p,q)` is by the transpose's (see the `t == q` note in the loop): on
-//! real-valued weights a node within one ulp of either boundary may be
-//! classed differently by the plain and the anchored call.
 //!
 //! ## Row overflow
 //!
@@ -323,15 +318,18 @@ impl Walk<'_> {
                 let nd = d + *w;
                 // Algorithm 2 line 13: only distances strictly below d(p,q)
                 // can contribute to the rank. Rows are `(weight, target)`
-                // sorted (a `Graph` invariant) and float addition is
-                // monotone, so every later edge of the row fails too.
+                // sorted (a `Graph` invariant), so every later edge of the
+                // row fails too.
                 if nd >= dpq {
                     break;
                 }
                 // `q` itself is excluded outright: by Definition 1 it never
-                // counts toward its own rank, and floating-point summation
-                // order can make a forward path to q come out one ulp below
-                // the transpose-computed `dpq`.
+                // counts toward its own rank. The budget alone does not
+                // keep it out: `dpq` is the distance the SDS pass popped
+                // `p` at, and when every shortest path from `p` to `q` runs
+                // through a node the pass pruned (and so never expanded),
+                // `p` is popped late, above `d(p,q)`, and this ball reaches
+                // `q` under budget.
                 if *t == q {
                     continue;
                 }
@@ -840,7 +838,7 @@ mod tests {
                 &mut ws,
                 p,
                 q,
-                3.0,
+                3 << 32,
                 cap,
                 None,
                 hooks,
@@ -879,7 +877,7 @@ mod tests {
                 &mut ws,
                 NodeId(1),
                 NodeId(0),
-                0.0,
+                0,
                 u32::MAX,
                 None,
                 &mut RefineHooks::none(),
@@ -1217,7 +1215,7 @@ mod cutoff_props {
         for a in g.nodes() {
             for q in g.nodes() {
                 let daq = dist[a.index()][q.index()];
-                if a == q || daq == INF || daq == 0.0 {
+                if a == q || daq == INF || daq == 0 {
                     continue;
                 }
                 let mut stats = QueryStats::default();
@@ -1244,7 +1242,11 @@ mod cutoff_props {
                 };
                 for p in g.nodes() {
                     let dpq = dist[p.index()][q.index()];
-                    if p == a || p == q || dpq == INF || dist[p.index()][a.index()] + daq != dpq {
+                    if p == a
+                        || p == q
+                        || dpq == INF
+                        || dist[p.index()][a.index()].checked_add(daq) != Some(dpq)
+                    {
                         continue;
                     }
                     for cap in caps() {
@@ -1358,7 +1360,7 @@ mod cutoff_props {
             for a in g.nodes() {
                 for q in g.nodes() {
                     let daq = distance(&g, a, q);
-                    if a == q || daq == INF || daq == 0.0 {
+                    if a == q || daq == INF || daq == 0 {
                         continue;
                     }
                     let RefineOutcome::Exact(r) = refine(&g, spec, &mut ball, a, q, u32::MAX, None)
@@ -1372,7 +1374,7 @@ mod cutoff_props {
                     };
                     for p in g.nodes() {
                         let dpq = distance(&g, p, q);
-                        if p == a || p == q || dpq == INF || distance(&g, p, a) + daq != dpq {
+                        if p == a || p == q || dpq == INF || distance(&g, p, a).checked_add(daq) != Some(dpq) {
                             continue;
                         }
                         for cap in (1..=n).chain([u32::MAX]) {

@@ -296,7 +296,7 @@ pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<(GraphStore, RkrIndex)> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rkranks_graph::{graph_from_edges, EdgeDirection, NodeId};
+    use rkranks_graph::{graph_from_edges, to_real, EdgeDirection, NodeId};
 
     fn diamond_store() -> GraphStore {
         let g = graph_from_edges(
@@ -344,7 +344,7 @@ mod tests {
         // relies on: node 1's lightest edge is the 0.5 one just added
         let reloaded = store2.snapshot();
         let (targets, weights) = reloaded.out_neighbors(NodeId(1));
-        assert_eq!((targets[0], weights[0]), (NodeId(2), 0.5));
+        assert_eq!((targets[0], to_real(weights[0])), (NodeId(2), 0.5));
         assert!(weights.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(index2.graph_epoch(), 1);
         assert_eq!(index2.epoch(), 5, "index epoch must survive the restart");

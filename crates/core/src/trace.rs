@@ -12,7 +12,7 @@
 //! [`PassSummary`] per pass run, so "why was this query slow" can be
 //! answered with "its guess of 80 failed: kRank was 2,126".
 
-use rkranks_graph::{Distance, NodeId};
+use rkranks_graph::{to_real, Distance, NodeId};
 
 /// What happened to one node popped from the SDS priority queue.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -193,7 +193,8 @@ impl QueryTrace {
                     )
                 }
             };
-            let _ = writeln!(out, "pop {:<10} d={:<8.4} {what}", name(e.node), e.distance);
+            let d = to_real(e.distance);
+            let _ = writeln!(out, "pop {:<10} d={d:<8.4} {what}", name(e.node));
         }
         out
     }
@@ -208,12 +209,12 @@ mod tests {
             events: vec![
                 TraceEvent {
                     node: NodeId(0),
-                    distance: 0.0,
+                    distance: 0,
                     decision: PopDecision::Root,
                 },
                 TraceEvent {
                     node: NodeId(1),
-                    distance: 1.0,
+                    distance: 1 << 32,
                     decision: PopDecision::Refined {
                         rank: 3,
                         entered_result: true,
@@ -221,7 +222,7 @@ mod tests {
                 },
                 TraceEvent {
                     node: NodeId(2),
-                    distance: 1.5,
+                    distance: 3 << 31,
                     decision: PopDecision::BoundPruned {
                         lower_bound: 5,
                         k_rank: 4,
@@ -229,12 +230,12 @@ mod tests {
                 },
                 TraceEvent {
                     node: NodeId(3),
-                    distance: 2.0,
+                    distance: 2 << 32,
                     decision: PopDecision::IndexHit { rank: 2 },
                 },
                 TraceEvent {
                     node: NodeId(4),
-                    distance: 2.5,
+                    distance: 5 << 31,
                     decision: PopDecision::RefinementPruned { lower_bound: 6 },
                 },
             ],
@@ -284,6 +285,10 @@ mod tests {
         let t = sample();
         let plain = t.render(None);
         assert!(plain.contains("pop 1"));
+        assert!(
+            plain.contains("pop 2          d=1.5000   bound-pruned"),
+            "{plain}"
+        );
         assert!(plain.contains("entered R"));
         assert!(plain.contains("bound-pruned (LB 5 >= kRank 4)"));
         assert!(plain.contains("pass 1 guess 2         rejected (kRank unbounded; 3 refinements"));

@@ -9,8 +9,8 @@ use rkranks_core::{
     HubStrategy, IndexParams, Partition, QuerySpec, QueryStats, RkrIndex, TopKCollector,
 };
 use rkranks_graph::{
-    rank_matrix, sssp, DedupPolicy, DijkstraWorkspace, DistanceBrowser, EdgeDirection, Graph,
-    GraphBuilder, NodeId, RankCounter,
+    rank_matrix, sssp, DedupPolicy, DijkstraWorkspace, Distance, DistanceBrowser, EdgeDirection,
+    Graph, GraphBuilder, NodeId, RankCounter, INF,
 };
 
 /// The body of `RkrIndex::offer` before its fast reject lost the
@@ -120,7 +120,7 @@ fn true_ranks(g: &Graph, spec: QuerySpec<'_>, u: NodeId) -> Vec<Option<u32>> {
     let dist = sssp(g, u);
     g.nodes()
         .map(|v| {
-            (v != u && dist[v.index()].is_finite()).then(|| {
+            (v != u && dist[v.index()] != INF).then(|| {
                 let closer = g
                     .nodes()
                     .filter(|&p| p != u && spec.is_counted(p) && dist[p.index()] < dist[v.index()]);
@@ -190,8 +190,8 @@ fn assert_build_matches_reference(
     let (reference, offered) = reference_build(g, spec, &built, stats.prefix);
 
     let tie_free = built.hubs().iter().all(|&hub| {
-        let mut d: Vec<f64> = sssp(g, hub).into_iter().filter(|d| d.is_finite()).collect();
-        d.sort_by(f64::total_cmp);
+        let mut d: Vec<Distance> = sssp(g, hub).into_iter().filter(|&d| d != INF).collect();
+        d.sort_unstable();
         d.windows(2).all(|w| w[0] < w[1])
     });
     if tie_free || !spec.is_bichromatic() {
@@ -277,7 +277,7 @@ proptest! {
         for p in g.nodes() {
             let dist = sssp(&g, p);
             for q in g.nodes() {
-                if p == q || !dist[q.index()].is_finite() { continue; }
+                if p == q || dist[q.index()] == INF { continue; }
                 let out = refine_rank(
                     &g, QuerySpec::Mono, &mut ws, p, q, dist[q.index()],
                     u32::MAX, None, &mut RefineHooks::none(), &mut QueryStats::default(),
@@ -295,7 +295,7 @@ proptest! {
         for p in g.nodes() {
             let dist = sssp(&g, p);
             for q in g.nodes() {
-                if p == q || !dist[q.index()].is_finite() { continue; }
+                if p == q || dist[q.index()] == INF { continue; }
                 let out = refine_rank(
                     &g, QuerySpec::Mono, &mut ws, p, q, dist[q.index()],
                     k_rank, None, &mut RefineHooks::none(), &mut QueryStats::default(),

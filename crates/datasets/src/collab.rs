@@ -163,6 +163,7 @@ fn weights_from_counts(authors: u32, co_counts: &HashMap<(u32, u32), u32>) -> Gr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rkranks_graph::to_real;
     use rkranks_graph::traversal::is_weakly_connected;
 
     fn small() -> Graph {
@@ -208,6 +209,7 @@ mod tests {
         let g = small();
         for u in g.nodes() {
             for (_, w) in g.edges(u) {
+                let w = to_real(w);
                 // 1/c ≤ 1 plus normalized log term ≤ 1 ⇒ (0, 2]
                 assert!(w > 0.0 && w <= 2.0, "weight {w} out of expected band");
             }
@@ -232,6 +234,7 @@ mod tests {
         let mut max_w: f64 = 0.0;
         for u in g.nodes() {
             for (_, w) in g.edges(u) {
+                let w = to_real(w);
                 min_w = min_w.min(w);
                 max_w = max_w.max(w);
             }

@@ -183,6 +183,7 @@ impl Dsu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rkranks_graph::to_real;
     use rkranks_graph::traversal::is_weakly_connected;
 
     fn small() -> RoadNetwork {
@@ -222,6 +223,7 @@ mod tests {
         let r = small();
         for u in r.graph.nodes() {
             for (v, w) in r.graph.edges(u) {
+                let w = to_real(w);
                 let (ax, ay) = r.positions[u.index()];
                 let (bx, by) = r.positions[v.index()];
                 let dist = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();

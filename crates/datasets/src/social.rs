@@ -126,6 +126,7 @@ fn pick_target<R: Rng>(rng: &mut R, slots: &[u32], source: u32, users: u32) -> u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rkranks_graph::to_real;
     use rkranks_graph::traversal::is_weakly_connected;
     use rkranks_graph::NodeId;
 
@@ -171,6 +172,7 @@ mod tests {
         let mut total = 0usize;
         for u in g.nodes() {
             for (_, w) in g.edges(u) {
+                let w = to_real(w);
                 assert!((1.0..=100.0).contains(&w));
                 assert_eq!(w.fract(), 0.0, "weight {w} not integral");
                 total += 1;

@@ -60,7 +60,7 @@ pub const TABLE1: [[u32; 7]; 7] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rkranks_graph::{distance, rank_matrix};
+    use rkranks_graph::{distance, rank_matrix, to_real};
 
     #[test]
     fn structure_matches_figure1() {
@@ -74,14 +74,15 @@ mod tests {
 
     #[test]
     fn sds_tree_distances_match_figure2() {
-        // Figure 2 labels the SDS-tree rooted at Alice with these distances.
+        // Figure 2 labels the SDS-tree rooted at Alice with these distances
+        // (each weight is on the 2^-32 grid, within 2^-33 of its value).
         let g = paper_example();
-        assert!((distance(&g, BOB, ALICE) - 1.0).abs() < 1e-12);
-        assert!((distance(&g, ERIC, ALICE) - 1.2).abs() < 1e-12);
-        assert!((distance(&g, CAROLINE, ALICE) - 1.3).abs() < 1e-12);
-        assert!((distance(&g, FRANK, ALICE) - 2.1).abs() < 1e-12);
-        assert!((distance(&g, SID, ALICE) - 2.2).abs() < 1e-12);
-        assert!((distance(&g, GEORGE, ALICE) - 2.3).abs() < 1e-12);
+        assert!((to_real(distance(&g, BOB, ALICE)) - 1.0).abs() < 1e-9);
+        assert!((to_real(distance(&g, ERIC, ALICE)) - 1.2).abs() < 1e-9);
+        assert!((to_real(distance(&g, CAROLINE, ALICE)) - 1.3).abs() < 1e-9);
+        assert!((to_real(distance(&g, FRANK, ALICE)) - 2.1).abs() < 1e-9);
+        assert!((to_real(distance(&g, SID, ALICE)) - 2.2).abs() < 1e-9);
+        assert!((to_real(distance(&g, GEORGE, ALICE)) - 2.3).abs() < 1e-9);
     }
 
     #[test]

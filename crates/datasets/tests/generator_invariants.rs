@@ -7,15 +7,11 @@ use rkranks_datasets::{
     RoadParams, TrustParams,
 };
 use rkranks_graph::traversal::is_weakly_connected;
-use rkranks_graph::{EdgeDirection, Graph};
+use rkranks_graph::{EdgeDirection, Graph, UNIT};
 
+/// Every weight on the grid's range: below 2^21 real units.
 fn weights_valid(g: &Graph) -> bool {
-    g.nodes().all(|u| {
-        g.out_neighbors(u)
-            .1
-            .iter()
-            .all(|w| w.is_finite() && *w >= 0.0)
-    })
+    g.nodes().all(|u| g.edges(u).all(|(_, w)| w < 1 << 53))
 }
 
 fn no_self_loops(g: &Graph) -> bool {
@@ -52,7 +48,7 @@ proptest! {
         // Zipf weights are integers ≥ 1
         for u in g.nodes() {
             for (_, w) in g.edges(u) {
-                prop_assert!(w >= 1.0 && w.fract() == 0.0);
+                prop_assert!(w >= UNIT && w % UNIT == 0);
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use rkranks_core::{bichromatic::bichromatic_rank, Partition, QueryEngine, QueryRequest};
 use rkranks_datasets::sf_like;
-use rkranks_graph::{DijkstraWorkspace, DistanceBrowser, NodeId};
+use rkranks_graph::{DijkstraWorkspace, Distance, DistanceBrowser, NodeId};
 
 use crate::report::Table;
 use crate::ExpContext;
@@ -79,7 +79,7 @@ fn closest_store_pair(
     net: &rkranks_datasets::RoadNetwork,
     ws: &mut DijkstraWorkspace,
 ) -> (NodeId, NodeId) {
-    let mut best: Option<(f64, NodeId, NodeId)> = None;
+    let mut best: Option<(Distance, NodeId, NodeId)> = None;
     for &s in &net.stores {
         for (v, d) in DistanceBrowser::new(&net.graph, ws, s) {
             if v == s {

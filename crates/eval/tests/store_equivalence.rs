@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use rkranks_core::{EngineContext, QueryRequest, Strategy as QueryStrategy};
 use rkranks_datasets::{update_stream, UpdateStreamParams};
-use rkranks_graph::{EdgeDirection, Graph, GraphBuilder, GraphDelta, GraphStore};
+use rkranks_graph::{to_real, EdgeDirection, Graph, GraphBuilder, GraphDelta, GraphStore};
 
 /// Generator: a connected-ish random weighted graph as (node count,
 /// direction, edge list).
@@ -72,7 +72,7 @@ impl Replay {
         for u in g.nodes() {
             for (v, w) in g.edges(u) {
                 if !undirected || u.0 < v.0 {
-                    edges.insert((u.0, v.0), w);
+                    edges.insert((u.0, v.0), to_real(w));
                 }
             }
         }

@@ -16,7 +16,7 @@
 use crate::csr::Csr;
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
-use crate::weight::Weight;
+use crate::weight::{check_span, quantize, Distance};
 
 /// Whether edges are interpreted one-way or both ways.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -41,7 +41,7 @@ pub enum EdgeDirection {
 #[derive(Debug)]
 pub struct GraphBuilder {
     direction: EdgeDirection,
-    edges: Vec<(u32, u32, f64)>,
+    edges: Vec<(u32, u32, Distance)>,
     max_node: Option<u32>,
     dedup: DedupPolicy,
 }
@@ -99,21 +99,21 @@ impl GraphBuilder {
     /// Add an edge with validation.
     ///
     /// Rejects self-loops (they never affect `Rank`: `d(s,s) = 0` regardless)
-    /// and invalid weights.
+    /// and invalid weights; `w` is stored on the distance grid
+    /// (`crate::weight`).
     pub fn add_edge(&mut self, u: u32, v: u32, w: f64) -> Result<()> {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        let w = Weight::new(w)
-            .ok_or(GraphError::InvalidWeight { u, v, weight: w })?
-            .get();
+        let w = quantize(u, v, w)?;
         self.touch(u);
         self.touch(v);
         self.edges.push((u, v, w));
         Ok(())
     }
 
-    /// Finalize into a CSR [`Graph`].
+    /// Finalize into a CSR [`Graph`]; a [`GraphError::WeightSpan`] if the
+    /// nodes and the heaviest edge break the span bound (`crate::weight`).
     pub fn build(self) -> Result<Graph> {
         let GraphBuilder {
             direction,
@@ -131,6 +131,7 @@ impl GraphBuilder {
                 n as u32
             }
         };
+        check_span(num_nodes, edges.iter().map(|e| e.2).max().unwrap_or(0))?;
 
         let undirected = direction == EdgeDirection::Undirected;
         let mut csr = Csr::from_emitter(num_nodes, dedup == DedupPolicy::KeepLast, || {
@@ -169,6 +170,7 @@ where
 mod tests {
     use super::*;
     use crate::node::NodeId;
+    use crate::weight::UNIT;
 
     #[test]
     fn empty_build() {
@@ -218,6 +220,42 @@ mod tests {
             b.add_edge(0, 1, f64::NAN),
             Err(GraphError::InvalidWeight { .. })
         ));
+        assert!(matches!(
+            b.add_edge(0, 1, (1 << 21) as f64),
+            Err(GraphError::InvalidWeight { .. })
+        ));
+    }
+
+    /// A weight lands on the grid: the nearest quantum, and never 0 for a
+    /// positive weight, however small.
+    #[test]
+    fn weights_land_on_the_grid() {
+        let g = graph_from_edges(EdgeDirection::Directed, [(0, 1, 1e-12), (0, 2, 0.1)]).unwrap();
+        assert_eq!(g.out_neighbors(NodeId(0)).1, &[1, 429_496_730]);
+    }
+
+    /// `(n − 1) · max_q < 2^63`: at 2^20 real units (2^52 quanta) a graph
+    /// may have 2,048 nodes, not 2,049.
+    #[test]
+    fn the_span_bound_refuses_a_heavy_graph_with_too_many_nodes() {
+        let heavy = |nodes| {
+            let mut b = GraphBuilder::new(EdgeDirection::Undirected);
+            b.reserve_nodes(nodes);
+            b.add_edge(0, 1, (1 << 20) as f64).unwrap();
+            b.build()
+        };
+        assert!(heavy(2048).is_ok());
+        let err = heavy(2049).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                GraphError::WeightSpan {
+                    num_nodes: 2049,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -229,7 +267,7 @@ mod tests {
         .unwrap();
         assert_eq!(g.num_arcs(), 1);
         let (_, w) = g.out_neighbors(NodeId(0));
-        assert_eq!(w, &[2.0]);
+        assert_eq!(w, &[2 * UNIT]);
     }
 
     #[test]
@@ -240,7 +278,7 @@ mod tests {
         b.add_edge(0, 1, 9.0).unwrap();
         let g = b.build().unwrap();
         let (_, w) = g.out_neighbors(NodeId(0));
-        assert_eq!(w, &[9.0]);
+        assert_eq!(w, &[9 * UNIT]);
     }
 
     #[test]
@@ -278,8 +316,8 @@ mod tests {
         let g = graph_from_edges(EdgeDirection::Undirected, [(0, 1, 5.0), (1, 0, 2.0)]).unwrap();
         let (_, w01) = g.out_neighbors(NodeId(0));
         let (_, w10) = g.out_neighbors(NodeId(1));
-        assert_eq!(w01, &[2.0]);
-        assert_eq!(w10, &[2.0]);
+        assert_eq!(w01, &[2 * UNIT]);
+        assert_eq!(w10, &[2 * UNIT]);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::dijkstra::{DijkstraWorkspace, DistanceBrowser};
 use crate::graph::Graph;
 use crate::node::NodeId;
+use crate::weight::to_real;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -34,7 +35,7 @@ pub fn closeness_sampled(graph: &Graph, samples: usize, seed: u64) -> Vec<f64> {
             if v == u {
                 continue;
             }
-            farness[v.index()] += d;
+            farness[v.index()] += to_real(d);
             reached[v.index()] += 1;
         }
     }
@@ -90,7 +91,7 @@ mod tests {
                 if u == v {
                     continue;
                 }
-                farness += d;
+                farness += to_real(d);
                 reached += 1;
             }
             out[v.index()] = if farness > 0.0 {

@@ -10,8 +10,8 @@
 //! included), which establishes it, or in `Csr::patched`, which copies the
 //! untouched rows of a sorted `Csr` and re-sorts the ones it changes. A
 //! traversal that only wants edges with `d + w < bound` may therefore stop
-//! at the first edge that fails the test (float addition is monotone:
-//! `w1 <= w2` implies `d + w1 <= d + w2`). `rkranks-core`'s rank
+//! at the first edge that fails the test (`w1 <= w2` implies
+//! `d + w1 <= d + w2`). `rkranks-core`'s rank
 //! refinement relies on exactly that.
 
 use std::ops::Range;
@@ -40,13 +40,12 @@ impl Csr {
     /// is sorted by `(weight, target)`; with `keep_last`, a reverse pass
     /// over the row first keeps only the last-emitted arc to each target.
     /// `O(n + m + Σ d log d)` time, and rows are short; beyond the CSR it
-    /// allocates only `O(n)` stamps and one row's sort buffer. Weights must
-    /// be valid (non-NaN); the public entry points
-    /// ([`crate::builder::GraphBuilder`], [`crate::GraphStore`]) validate
-    /// them.
+    /// allocates only `O(n)` stamps and one row's sort buffer. Weights are
+    /// quanta; the public entry points ([`crate::builder::GraphBuilder`],
+    /// [`crate::GraphStore`]) convert and check them.
     pub(crate) fn from_emitter<I>(num_nodes: u32, keep_last: bool, arcs: impl Fn() -> I) -> Csr
     where
-        I: IntoIterator<Item = (u32, u32, f64)>,
+        I: IntoIterator<Item = (u32, u32, Distance)>,
     {
         let n = num_nodes as usize;
         let mut offsets = vec![0u32; n + 1];
@@ -69,7 +68,7 @@ impl Csr {
         let mut csr = Csr {
             offsets,
             targets: vec![NodeId(0); m],
-            weights: vec![0.0; m],
+            weights: vec![0; m],
         };
         for (u, v, w) in arcs() {
             let cursor = &mut csr.offsets[u as usize + 1];
@@ -136,7 +135,7 @@ impl Csr {
     /// `(weight, target)`. `O(n + m)` sequential copy plus `Σ d log d` over
     /// the touched rows, and the result equals `from_emitter` of the final
     /// arc list.
-    pub(crate) fn patched(&self, num_nodes: u32, changes: &[(u32, u32, Option<f64>)]) -> Csr {
+    pub(crate) fn patched(&self, num_nodes: u32, changes: &[(u32, u32, Option<Distance>)]) -> Csr {
         debug_assert!(num_nodes >= self.num_nodes());
         debug_assert!(changes
             .windows(2)
@@ -290,6 +289,11 @@ impl Csr {
         })
     }
 
+    /// The heaviest arc weight (0 without arcs).
+    pub(crate) fn max_weight(&self) -> Distance {
+        self.weights.iter().copied().max().unwrap_or(0)
+    }
+
     /// Heap memory footprint in bytes (used by index-size accounting).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.offsets.len() * size_of::<u32>()
@@ -300,7 +304,7 @@ impl Csr {
 
 /// Order one row's `(weight, target)` pairs: the row-order invariant.
 fn sort_row(row: &mut [(Distance, NodeId)]) {
-    row.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    row.sort_unstable();
 }
 
 #[cfg(test)]
@@ -308,13 +312,13 @@ mod tests {
     use super::*;
 
     /// The CSR of an arc list, no arc dropped.
-    fn csr(num_nodes: u32, arcs: &[(u32, u32, f64)]) -> Csr {
+    fn csr(num_nodes: u32, arcs: &[(u32, u32, Distance)]) -> Csr {
         Csr::from_emitter(num_nodes, false, || arcs.iter().copied())
     }
 
     fn sample() -> Csr {
-        // 0 -> 1 (1.0), 0 -> 2 (2.0), 1 -> 2 (0.5), 3 isolated
-        csr(4, &[(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5)])
+        // 0 -> 1 (2), 0 -> 2 (4), 1 -> 2 (1), 3 isolated
+        csr(4, &[(0, 1, 2), (0, 2, 4), (1, 2, 1)])
     }
 
     #[test]
@@ -332,7 +336,7 @@ mod tests {
         let c = sample();
         let (t, w) = c.neighbors(NodeId(0));
         assert_eq!(t, &[NodeId(1), NodeId(2)]);
-        assert_eq!(w, &[1.0, 2.0]);
+        assert_eq!(w, &[2, 4]);
         let (t, _) = c.neighbors(NodeId(3));
         assert!(t.is_empty());
     }
@@ -341,7 +345,7 @@ mod tests {
     fn edges_iterator() {
         let c = sample();
         let e: Vec<_> = c.edges(NodeId(1)).collect();
-        assert_eq!(e, vec![(NodeId(2), 0.5)]);
+        assert_eq!(e, vec![(NodeId(2), 1)]);
     }
 
     #[test]
@@ -350,9 +354,9 @@ mod tests {
         let t = c.transpose();
         assert_eq!(t.num_arcs(), 3);
         let (ts, ws) = t.neighbors(NodeId(2));
-        // incoming arcs of 2: from 1 (0.5) and from 0 (2.0), lightest first
+        // incoming arcs of 2: from 1 (1) and from 0 (4), lightest first
         assert_eq!(ts, &[NodeId(1), NodeId(0)]);
-        assert_eq!(ws, &[0.5, 2.0]);
+        assert_eq!(ws, &[1, 4]);
         assert_eq!(t.degree(NodeId(0)), 0);
     }
 
@@ -367,12 +371,12 @@ mod tests {
         assert!(sample().heap_bytes() > 0);
     }
 
-    type Change = (u32, u32, Option<f64>);
+    type Change = (u32, u32, Option<Distance>);
 
     /// `arcs` with `changes` applied, built from scratch: the reference
     /// `patched` must equal.
-    fn rebuilt(num_nodes: u32, arcs: &[(u32, u32, f64)], changes: &[Change]) -> Csr {
-        let mut map: std::collections::BTreeMap<(u32, u32), f64> =
+    fn rebuilt(num_nodes: u32, arcs: &[(u32, u32, Distance)], changes: &[Change]) -> Csr {
+        let mut map: std::collections::BTreeMap<(u32, u32), Distance> =
             arcs.iter().map(|&(u, v, w)| ((u, v), w)).collect();
         for &(u, v, overlay) in changes {
             match overlay {
@@ -384,23 +388,17 @@ mod tests {
         csr(num_nodes, &arcs)
     }
 
-    fn assert_patch(num_nodes: u32, arcs: &[(u32, u32, f64)], new_n: u32, changes: &[Change]) {
+    fn assert_patch(num_nodes: u32, arcs: &[(u32, u32, Distance)], new_n: u32, changes: &[Change]) {
         let patched = csr(num_nodes, arcs).patched(new_n, changes);
         assert_eq!(patched, rebuilt(new_n, arcs, changes), "{changes:?}");
     }
 
-    /// Row 0 of a tie-heavy star: weights `{0, 1, 1, 2}` to targets 1–4.
-    const TIED: [(u32, u32, f64); 5] = [
-        (0, 1, 0.0),
-        (0, 2, 1.0),
-        (0, 3, 1.0),
-        (0, 4, 2.0),
-        (1, 2, 1.0),
-    ];
+    /// Row 0 of a tie-heavy star: weights `{0, 2, 2, 4}` to targets 1–4.
+    const TIED: [(u32, u32, Distance); 5] = [(0, 1, 0), (0, 2, 2), (0, 3, 2), (0, 4, 4), (1, 2, 2)];
 
     #[test]
     fn patch_removal_can_empty_a_row() {
-        let arcs = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5)];
+        let arcs = [(0, 1, 2), (0, 2, 4), (1, 2, 1)];
         let p = sample().patched(4, &[(1, 2, None)]);
         assert_eq!(p.degree(NodeId(1)), 0);
         assert_eq!(p, rebuilt(4, &arcs, &[(1, 2, None)]));
@@ -411,30 +409,30 @@ mod tests {
     #[test]
     fn patch_reweight_moves_an_edge_across_its_row() {
         // 0 -> 1 from the front to the back, past the tied pair 2, 3
-        let p = csr(5, &TIED).patched(5, &[(0, 1, Some(2.0))]);
+        let p = csr(5, &TIED).patched(5, &[(0, 1, Some(4))]);
         assert_eq!(p.neighbors(NodeId(0)).0, &[2, 3, 1, 4].map(NodeId));
-        assert_patch(5, &TIED, 5, &[(0, 1, Some(2.0))]);
+        assert_patch(5, &TIED, 5, &[(0, 1, Some(4))]);
         // 0 -> 4 into the tie, ordered by target inside it
-        assert_patch(5, &TIED, 5, &[(0, 4, Some(1.0))]);
+        assert_patch(5, &TIED, 5, &[(0, 4, Some(2))]);
         // two moves in one row, crossing each other
-        assert_patch(5, &TIED, 5, &[(0, 1, Some(1.0)), (0, 3, Some(0.0))]);
+        assert_patch(5, &TIED, 5, &[(0, 1, Some(2)), (0, 3, Some(0))]);
     }
 
     #[test]
     fn patch_reweight_to_zero_goes_first() {
-        let p = csr(5, &TIED).patched(5, &[(0, 4, Some(0.0))]);
+        let p = csr(5, &TIED).patched(5, &[(0, 4, Some(0))]);
         assert_eq!(
             p.neighbors(NodeId(0)),
-            (&[1, 4, 2, 3].map(NodeId)[..], &[0.0, 0.0, 1.0, 1.0][..])
+            (&[1, 4, 2, 3].map(NodeId)[..], &[0, 0, 2, 2][..])
         );
-        assert_patch(5, &TIED, 5, &[(0, 4, Some(0.0))]);
+        assert_patch(5, &TIED, 5, &[(0, 4, Some(0))]);
     }
 
     #[test]
     fn patch_appends_rows_touched_and_untouched() {
         // rows 5 and 7 appended untouched, row 6 appended and touched, and
         // an old row gains an arc to an appended node
-        let changes = [(0, 7, Some(0.5)), (6, 1, Some(3.0)), (6, 2, Some(1.0))];
+        let changes = [(0, 7, Some(1)), (6, 1, Some(6)), (6, 2, Some(2))];
         let p = csr(5, &TIED).patched(8, &changes);
         assert_eq!(p.num_nodes(), 8);
         assert_eq!((p.degree(NodeId(5)), p.degree(NodeId(7))), (0, 0));
@@ -446,33 +444,27 @@ mod tests {
 
     #[test]
     fn patch_updates_both_rows_of_an_undirected_edge() {
-        let diamond = [(0, 1, 1.0), (0, 2, 2.0), (1, 3, 1.0), (2, 3, 1.0)];
+        let diamond = [(0, 1, 2), (0, 2, 4), (1, 3, 2), (2, 3, 2)];
         let arcs: Vec<_> = diamond
             .iter()
             .flat_map(|&(u, v, w)| [(u, v, w), (v, u, w)])
             .collect();
-        let changes = [(0, 2, Some(0.5)), (2, 0, Some(0.5))];
+        let changes = [(0, 2, Some(1)), (2, 0, Some(1))];
         let p = csr(4, &arcs).patched(4, &changes);
-        assert_eq!(p.neighbors(NodeId(0)).1, &[0.5, 1.0]);
+        assert_eq!(p.neighbors(NodeId(0)).1, &[1, 2]);
         assert_eq!(
             p.neighbors(NodeId(2)),
-            (&[NodeId(0), NodeId(3)][..], &[0.5, 1.0][..])
+            (&[NodeId(0), NodeId(3)][..], &[1, 2][..])
         );
         assert_patch(4, &arcs, 4, &changes);
     }
 
     #[test]
     fn drop_parallel_arcs_keeps_the_lightest() {
-        let arcs = [
-            (0, 1, 5.0),
-            (0, 1, 1.0),
-            (0, 2, 1.0),
-            (1, 0, 3.0),
-            (1, 0, 3.0),
-        ];
+        let arcs = [(0, 1, 10), (0, 1, 2), (0, 2, 2), (1, 0, 6), (1, 0, 6)];
         let mut c = csr(3, &arcs);
         c.drop_parallel_arcs();
-        assert_eq!(c, csr(3, &[(0, 1, 1.0), (0, 2, 1.0), (1, 0, 3.0)]));
+        assert_eq!(c, csr(3, &[(0, 1, 2), (0, 2, 2), (1, 0, 6)]));
         let mut clean = sample();
         clean.drop_parallel_arcs();
         assert_eq!(clean, sample());
@@ -480,15 +472,9 @@ mod tests {
 
     #[test]
     fn keep_last_keeps_each_targets_last_emitted_arc() {
-        let arcs = [
-            (0, 1, 5.0),
-            (0, 2, 1.0),
-            (0, 1, 1.0),
-            (1, 0, 3.0),
-            (0, 1, 4.0),
-        ];
+        let arcs = [(0, 1, 10), (0, 2, 2), (0, 1, 2), (1, 0, 6), (0, 1, 8)];
         let c = Csr::from_emitter(3, true, || arcs.iter().copied());
-        assert_eq!(c, csr(3, &[(0, 2, 1.0), (0, 1, 4.0), (1, 0, 3.0)]));
+        assert_eq!(c, csr(3, &[(0, 2, 2), (0, 1, 8), (1, 0, 6)]));
         // the dropped arcs' storage is released
         assert_eq!(c.targets.capacity(), 3);
     }
@@ -498,10 +484,10 @@ mod tests {
         use proptest::prelude::*;
         use std::collections::BTreeMap;
 
-        const WEIGHTS: [f64; 4] = [0.0, 1.0, 1.0, 2.0];
+        const WEIGHTS: [Distance; 4] = [0, 2, 2, 4];
 
         /// `(nodes, appended nodes, base edges, changed edges)`: weights from
-        /// `{0, 1, 1, 2}`, a change is a weight index or 4 for a removal,
+        /// `{0, 2, 2, 4}`, a change is a weight index or 4 for a removal,
         /// and changes land on old and appended nodes alike.
         #[allow(clippy::type_complexity)]
         fn arb_patch(
@@ -519,7 +505,10 @@ mod tests {
         }
 
         /// Edge map -> arc list (both orientations when undirected).
-        fn arcs(edges: &BTreeMap<(u32, u32), f64>, undirected: bool) -> Vec<(u32, u32, f64)> {
+        fn arcs(
+            edges: &BTreeMap<(u32, u32), Distance>,
+            undirected: bool,
+        ) -> Vec<(u32, u32, Distance)> {
             edges
                 .iter()
                 .flat_map(|(&(u, v), &w)| {

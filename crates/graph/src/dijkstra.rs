@@ -20,9 +20,8 @@
 //! `τ` — the `limit`-th smallest *insertion-time* tentative distance among
 //! the counted nodes discovered so far (`∞` until `limit` of them have
 //! been discovered) — and a settled node's row is relaxed only while
-//! `d + w ≤ τ`: rows are `(weight, target)`-sorted (the `Csr` invariant)
-//! and float addition is monotone, so the first edge past `τ` ends the
-//! row. Soundness:
+//! `d + w ≤ τ`: rows are `(weight, target)`-sorted (the `Csr` invariant),
+//! so the first edge past `τ` ends the row. Soundness:
 //!
 //! 1. at any moment `limit` distinct counted nodes have final distance ≤
 //!    their insertion-time tentative ≤ `τ`, so the `limit`-th nearest
@@ -54,8 +53,8 @@
 //! writes one distance and moves nothing. A node whose label drops after it
 //! was dequeued is queued again ([`RelaxOutcome::Requeued`]), so when the
 //! queue drains every label is the shortest distance — the one Dijkstra
-//! computes: both are the least fixpoint of `label(v) = min fl(label(u) +
-//! w)`, and float addition is monotone.
+//! computes: both are the least fixpoint of `label(v) = min label(u) + w`,
+//! and integer sums are exact.
 //!
 //! FIFO label correcting is O(|V|·|E|) in the worst case. The guard: before
 //! each dequeue, if the traversal's re-queues exceed its insertions, the
@@ -69,12 +68,11 @@
 //! row before the switch, and within twice its insertions plus one row in
 //! all.
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::graph::Graph;
 use crate::node::NodeId;
-use crate::weight::{cmp_dist, dist_lt, Distance, INF};
+use crate::weight::{Distance, INF};
 
 /// Outcome of relaxing an edge into the frontier.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -140,7 +138,7 @@ pub struct DijkstraWorkspace {
     /// Storage of [`BoundedBrowser`]'s cut-off heap, parked here between
     /// traversals so a build's thousands of truncated SSSPs share one
     /// allocation.
-    cutoff_buf: BinaryHeap<TotalDistance>,
+    cutoff_buf: BinaryHeap<Distance>,
 }
 
 impl DijkstraWorkspace {
@@ -186,11 +184,11 @@ impl DijkstraWorkspace {
         }
         self.generation += 1;
         self.slots[source.index()] = Slot {
-            dist: 0.0,
+            dist: 0,
             stamp: self.generation,
             pos: 0,
         };
-        self.heap.push((0.0, source.0));
+        self.heap.push((0, source.0));
     }
 
     /// [`DijkstraWorkspace::begin`] a first-in-first-out traversal (module
@@ -376,10 +374,10 @@ impl DijkstraWorkspace {
 
     /// The one Dijkstra step, under a cut-off: settle the next node and
     /// relax its out-edges in row order while `d + w ≤ tau`, ending the row
-    /// at the first edge past it (exact: rows are `(weight, target)`-sorted
-    /// and float addition is monotone). `relaxed` sees every edge that was
-    /// relaxed — target, tentative distance, outcome — and returns the
-    /// cut-off for the rest of the row. Returns the settled node.
+    /// at the first edge past it (exact: rows are `(weight, target)`-sorted).
+    /// `relaxed` sees every edge that was relaxed — target, tentative
+    /// distance, outcome — and returns the cut-off for the rest of the row.
+    /// Returns the settled node.
     #[inline]
     pub(crate) fn step_within(
         &mut self,
@@ -399,13 +397,10 @@ impl DijkstraWorkspace {
         Some((v, d))
     }
 
-    /// `true` if heap entry `a` must sit above heap entry `b`. The heap
-    /// compares with [`dist_lt`]: distances are sums of finite non-negative
-    /// weights from `+0.0`, never NaN or `-0.0`, so it orders exactly as
-    /// [`cmp_dist`] would, at less cost.
+    /// `true` if heap entry `a` must sit above heap entry `b`.
     #[inline(always)]
     fn less(&self, a: usize, b: usize) -> bool {
-        dist_lt(self.heap[a].0, self.heap[b].0)
+        self.heap[a].0 < self.heap[b].0
     }
 
     /// Move the entry at `i` up to its place. Binary sift with a hole: the
@@ -416,7 +411,7 @@ impl DijkstraWorkspace {
         while i > 0 {
             let parent = (i - 1) / 2;
             let above = self.heap[parent];
-            if !dist_lt(entry.0, above.0) {
+            if entry.0 >= above.0 {
                 break;
             }
             self.put(i, above);
@@ -436,7 +431,7 @@ impl DijkstraWorkspace {
             }
             let r = l + 1;
             let child = if r < n && self.less(r, l) { r } else { l };
-            if !dist_lt(self.heap[child].0, entry.0) {
+            if self.heap[child].0 >= entry.0 {
                 break;
             }
             self.put(i, self.heap[child]);
@@ -480,11 +475,11 @@ impl DijkstraWorkspace {
 /// with distance 0.
 ///
 /// ```
-/// use rkranks_graph::{graph_from_edges, EdgeDirection, DijkstraWorkspace, DistanceBrowser, NodeId};
+/// use rkranks_graph::{graph_from_edges, EdgeDirection, DijkstraWorkspace, DistanceBrowser, NodeId, UNIT};
 /// let g = graph_from_edges(EdgeDirection::Undirected, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
 /// let mut ws = DijkstraWorkspace::new(g.num_nodes());
 /// let order: Vec<_> = DistanceBrowser::new(&g, &mut ws, NodeId(0)).collect();
-/// assert_eq!(order, vec![(NodeId(0), 0.0), (NodeId(1), 1.0), (NodeId(2), 2.0)]);
+/// assert_eq!(order, vec![(NodeId(0), 0), (NodeId(1), UNIT), (NodeId(2), 2 * UNIT)]);
 /// ```
 pub struct DistanceBrowser<'g, 'w> {
     graph: &'g Graph,
@@ -515,30 +510,6 @@ impl Iterator for DistanceBrowser<'_, '_> {
     }
 }
 
-/// A distance under [`cmp_dist`]'s total order, so a std heap can hold it.
-#[derive(Clone, Copy, Debug)]
-struct TotalDistance(Distance);
-
-impl Ord for TotalDistance {
-    fn cmp(&self, other: &Self) -> Ordering {
-        cmp_dist(self.0, other.0)
-    }
-}
-
-impl PartialOrd for TotalDistance {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for TotalDistance {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for TotalDistance {}
-
 /// The cut-off `τ` of a bounded traversal: the `limit` smallest
 /// insertion-time tentative distances among the counted nodes discovered so
 /// far, in a max-heap — its top is `τ` once it is full.
@@ -546,19 +517,17 @@ impl Eq for TotalDistance {}
 struct Cutoff {
     limit: usize,
     /// Never longer than `limit`.
-    nearest: BinaryHeap<TotalDistance>,
+    nearest: BinaryHeap<Distance>,
 }
 
 impl Cutoff {
     /// `∞` until `limit` counted nodes have been discovered, then the
-    /// largest of the `limit` smallest tentative distances (nothing at all
-    /// is within a `limit` of 0).
+    /// largest of the `limit` smallest tentative distances.
     #[inline]
     fn tau(&self) -> Distance {
-        if self.nearest.len() < self.limit {
-            INF
-        } else {
-            self.nearest.peek().map_or(f64::NEG_INFINITY, |top| top.0)
+        match self.nearest.peek() {
+            Some(&top) if self.nearest.len() == self.limit => top,
+            _ => INF,
         }
     }
 
@@ -566,10 +535,10 @@ impl Cutoff {
     #[inline]
     fn discovered(&mut self, d: Distance) {
         if self.nearest.len() < self.limit {
-            self.nearest.push(TotalDistance(d));
+            self.nearest.push(d);
         } else if let Some(mut top) = self.nearest.peek_mut() {
-            if d < top.0 {
-                top.0 = d; // re-sifted when `top` drops
+            if d < *top {
+                *top = d; // re-sifted when `top` drops
             }
         }
     }
@@ -588,7 +557,7 @@ impl Cutoff {
 /// are reachable.
 ///
 /// ```
-/// use rkranks_graph::{graph_from_edges, BoundedBrowser, DijkstraWorkspace, EdgeDirection, NodeId};
+/// use rkranks_graph::{graph_from_edges, BoundedBrowser, DijkstraWorkspace, EdgeDirection, NodeId, UNIT};
 /// let g = graph_from_edges(
 ///     EdgeDirection::Undirected,
 ///     [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (3, 4, 1.0)],
@@ -596,8 +565,8 @@ impl Cutoff {
 /// .unwrap();
 /// let mut ws = DijkstraWorkspace::new(g.num_nodes());
 /// let mut nearest = BoundedBrowser::new(&g, &mut ws, NodeId(0), 2, |_| true);
-/// assert_eq!(nearest.next(), Some((NodeId(1), 1.0)));
-/// assert_eq!(nearest.next(), Some((NodeId(2), 2.0)));
+/// assert_eq!(nearest.next(), Some((NodeId(1), UNIT)));
+/// assert_eq!(nearest.next(), Some((NodeId(2), 2 * UNIT)));
 /// // node 3 lies past the cut-off and was never pushed
 /// assert_eq!(nearest.pushes(), 2);
 /// ```
@@ -633,7 +602,13 @@ impl<'g, 'w, F: Fn(NodeId) -> bool> BoundedBrowser<'g, 'w, F> {
             relaxations: 0,
             pushes: 0,
         };
-        browser.step(); // the source: settled and relaxed here, never yielded
+        // The source: settled and relaxed here, never yielded. Nothing at
+        // all is within a `limit` of 0, so then its row is not read.
+        if limit == 0 {
+            browser.ws.settle_next();
+        } else {
+            browser.step();
+        }
         browser
     }
 
@@ -711,7 +686,7 @@ pub fn sssp(graph: &Graph, source: NodeId) -> Vec<Distance> {
 /// Point-to-point shortest distance with early exit ([`INF`] if unreachable).
 pub fn distance(graph: &Graph, s: NodeId, t: NodeId) -> Distance {
     if s == t {
-        return 0.0;
+        return 0;
     }
     let mut ws = DijkstraWorkspace::new(graph.num_nodes());
     for (v, d) in DistanceBrowser::new(graph, &mut ws, s) {
@@ -749,6 +724,7 @@ pub fn shortest_path_tree(graph: &Graph, source: NodeId) -> (Vec<Option<NodeId>>
 mod tests {
     use super::*;
     use crate::builder::{graph_from_edges, EdgeDirection};
+    use crate::weight::UNIT;
 
     /// `true` once `v` has been popped (its distance is final, unless a
     /// FIFO traversal queues it again).
@@ -781,14 +757,14 @@ mod tests {
     fn sssp_finds_shortcuts() {
         let g = paperish();
         let d = sssp(&g, NodeId(0));
-        assert_eq!(d, vec![0.0, 3.0, 1.0, 4.0]);
+        assert_eq!(d, vec![0, 3 * UNIT, UNIT, 4 * UNIT]);
     }
 
     #[test]
     fn browser_yields_nondecreasing() {
         let g = paperish();
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
-        let dists: Vec<f64> = DistanceBrowser::new(&g, &mut ws, NodeId(0))
+        let dists: Vec<Distance> = DistanceBrowser::new(&g, &mut ws, NodeId(0))
             .map(|(_, d)| d)
             .collect();
         assert!(dists.windows(2).all(|w| w[0] <= w[1]));
@@ -800,11 +776,11 @@ mod tests {
         // Node 1 enters the frontier at 4.0 then is decreased to 3.0.
         let g = paperish();
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
-        let order: Vec<(NodeId, f64)> = DistanceBrowser::new(&g, &mut ws, NodeId(0)).collect();
-        assert_eq!(order[0], (NodeId(0), 0.0));
-        assert_eq!(order[1], (NodeId(2), 1.0));
-        assert_eq!(order[2], (NodeId(1), 3.0));
-        assert_eq!(order[3], (NodeId(3), 4.0));
+        let order: Vec<(NodeId, Distance)> = DistanceBrowser::new(&g, &mut ws, NodeId(0)).collect();
+        assert_eq!(order[0], (NodeId(0), 0));
+        assert_eq!(order[1], (NodeId(2), UNIT));
+        assert_eq!(order[2], (NodeId(1), 3 * UNIT));
+        assert_eq!(order[3], (NodeId(3), 4 * UNIT));
     }
 
     #[test]
@@ -816,14 +792,14 @@ mod tests {
         assert_eq!(first, second);
         // and from a different source
         let d3: Vec<_> = DistanceBrowser::new(&g, &mut ws, NodeId(3)).collect();
-        assert_eq!(d3[0], (NodeId(3), 0.0));
+        assert_eq!(d3[0], (NodeId(3), 0));
     }
 
     #[test]
     fn early_exit_distance() {
         let g = paperish();
-        assert_eq!(distance(&g, NodeId(0), NodeId(3)), 4.0);
-        assert_eq!(distance(&g, NodeId(2), NodeId(2)), 0.0);
+        assert_eq!(distance(&g, NodeId(0), NodeId(3)), 4 * UNIT);
+        assert_eq!(distance(&g, NodeId(2), NodeId(2)), 0);
     }
 
     #[test]
@@ -837,7 +813,7 @@ mod tests {
     #[test]
     fn directed_respects_arc_direction() {
         let g = graph_from_edges(EdgeDirection::Directed, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        assert_eq!(distance(&g, NodeId(0), NodeId(2)), 2.0);
+        assert_eq!(distance(&g, NodeId(0), NodeId(2)), 2 * UNIT);
         assert_eq!(distance(&g, NodeId(2), NodeId(0)), INF);
     }
 
@@ -848,18 +824,18 @@ mod tests {
             nearest: BinaryHeap::new(),
         };
         assert_eq!(c.tau(), INF);
-        for d in [5.0, 9.0] {
+        for d in [5 * UNIT, 9 * UNIT] {
             c.discovered(d);
             assert_eq!(c.tau(), INF, "fewer than `limit` discovered");
         }
-        c.discovered(7.0);
-        assert_eq!(c.tau(), 9.0);
-        c.discovered(9.0); // not below the top: no change
-        assert_eq!(c.tau(), 9.0);
-        c.discovered(1.0); // evicts 9.0
-        assert_eq!(c.tau(), 7.0);
-        c.discovered(2.0); // evicts 7.0
-        assert_eq!(c.tau(), 5.0);
+        c.discovered(7 * UNIT);
+        assert_eq!(c.tau(), 9 * UNIT);
+        c.discovered(9 * UNIT); // not below the top: no change
+        assert_eq!(c.tau(), 9 * UNIT);
+        c.discovered(UNIT); // evicts 9.0
+        assert_eq!(c.tau(), 7 * UNIT);
+        c.discovered(2 * UNIT); // evicts 7.0
+        assert_eq!(c.tau(), 5 * UNIT);
         assert_eq!(c.nearest.len(), 3);
     }
 
@@ -881,11 +857,14 @@ mod tests {
         let mut b = BoundedBrowser::new(&g, &mut ws, NodeId(0), 2, |_| true);
         // the cut is strict: the whole tie group at the 2nd distance is in
         assert_eq!(b.pushes(), 3);
-        assert_eq!(b.next(), Some((NodeId(1), 1.0)));
+        assert_eq!(b.next(), Some((NodeId(1), UNIT)));
         let (_, d) = b.next().unwrap();
-        assert_eq!(d, 2.0);
-        assert_eq!(b.workspace().peek_frontier().map(|(_, d)| d), Some(2.0));
-        assert_eq!(b.next().map(|(_, d)| d), Some(2.0));
+        assert_eq!(d, 2 * UNIT);
+        assert_eq!(
+            b.workspace().peek_frontier().map(|(_, d)| d),
+            Some(2 * UNIT)
+        );
+        assert_eq!(b.next().map(|(_, d)| d), Some(2 * UNIT));
         // node 4 was never pushed, so the stream ends here
         assert_eq!(b.next(), None);
         assert_eq!(b.pushes(), 3);
@@ -917,7 +896,7 @@ mod tests {
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
         let order: Vec<_> =
             BoundedBrowser::new(&g, &mut ws, NodeId(0), 1, |v| v.0 % 2 == 0).collect();
-        assert_eq!(order, vec![(NodeId(1), 1.0), (NodeId(2), 2.0)]);
+        assert_eq!(order, vec![(NodeId(1), UNIT), (NodeId(2), 2 * UNIT)]);
     }
 
     #[test]
@@ -939,11 +918,11 @@ mod tests {
         ws.begin(NodeId(0));
         assert!(in_frontier(&ws, NodeId(0)));
         let (v, d) = ws.step(&g).unwrap();
-        assert_eq!((v, d), (NodeId(0), 0.0));
+        assert_eq!((v, d), (NodeId(0), 0));
         assert!(is_settled(&ws, NodeId(0)));
         assert!(!in_frontier(&ws, NodeId(0)));
         assert!(in_frontier(&ws, NodeId(1)));
-        assert_eq!(ws.dist_of(NodeId(2)), Some(1.0));
+        assert_eq!(ws.dist_of(NodeId(2)), Some(UNIT));
         assert_eq!(ws.dist_of(NodeId(3)), None);
     }
 
@@ -952,12 +931,12 @@ mod tests {
         let g = paperish();
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
         ws.begin(NodeId(0));
-        assert_eq!(ws.relax(NodeId(1), 10.0), RelaxOutcome::Inserted);
-        assert_eq!(ws.relax(NodeId(1), 12.0), RelaxOutcome::Unchanged);
-        assert_eq!(ws.relax(NodeId(1), 5.0), RelaxOutcome::Decreased);
+        assert_eq!(ws.relax(NodeId(1), 10 * UNIT), RelaxOutcome::Inserted);
+        assert_eq!(ws.relax(NodeId(1), 12 * UNIT), RelaxOutcome::Unchanged);
+        assert_eq!(ws.relax(NodeId(1), 5 * UNIT), RelaxOutcome::Decreased);
         ws.settle_next(); // settles source (0.0)
         ws.settle_next(); // settles node 1 (5.0)
-        assert_eq!(ws.relax(NodeId(1), 1.0), RelaxOutcome::Unchanged);
+        assert_eq!(ws.relax(NodeId(1), UNIT), RelaxOutcome::Unchanged);
     }
 
     #[test]
@@ -979,7 +958,7 @@ mod tests {
         assert_eq!(parents[2], Some(NodeId(0)));
         assert_eq!(parents[1], Some(NodeId(2))); // shortcut 0-2-1 beats 0-1
         assert_eq!(parents[3], Some(NodeId(1)));
-        assert_eq!(dist, vec![0.0, 3.0, 1.0, 4.0]);
+        assert_eq!(dist, vec![0, 3 * UNIT, UNIT, 4 * UNIT]);
     }
 
     #[test]
@@ -999,12 +978,18 @@ mod tests {
     fn frontier_pops_in_distance_order() {
         let mut ws = DijkstraWorkspace::new(6);
         ws.begin(NodeId(0));
-        for (v, d) in [(1, 5.0), (2, 1.0), (3, 3.0), (4, 2.0), (5, 4.0)] {
+        for (v, d) in [
+            (1, 5 * UNIT),
+            (2, UNIT),
+            (3, 3 * UNIT),
+            (4, 2 * UNIT),
+            (5, 4 * UNIT),
+        ] {
             assert_eq!(ws.relax(NodeId(v), d), RelaxOutcome::Inserted);
         }
         ws.check_invariants();
         let dists: Vec<Distance> = drain(&mut ws).into_iter().map(|(_, d)| d).collect();
-        assert_eq!(dists, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(dists, vec![0, UNIT, 2 * UNIT, 3 * UNIT, 4 * UNIT, 5 * UNIT]);
     }
 
     #[test]
@@ -1012,30 +997,30 @@ mod tests {
         let mut ws = DijkstraWorkspace::new(4);
         ws.begin(NodeId(0));
         ws.settle_next();
-        ws.relax(NodeId(1), 10.0);
-        ws.relax(NodeId(2), 20.0);
-        ws.relax(NodeId(3), 30.0);
-        assert_eq!(ws.relax(NodeId(3), 5.0), RelaxOutcome::Decreased);
+        ws.relax(NodeId(1), 10 * UNIT);
+        ws.relax(NodeId(2), 20 * UNIT);
+        ws.relax(NodeId(3), 30 * UNIT);
+        assert_eq!(ws.relax(NodeId(3), 5 * UNIT), RelaxOutcome::Decreased);
         ws.check_invariants();
-        assert_eq!(ws.settle_next(), Some((NodeId(3), 5.0)));
+        assert_eq!(ws.settle_next(), Some((NodeId(3), 5 * UNIT)));
     }
 
     #[test]
     fn relax_ignores_a_larger_distance() {
         let mut ws = DijkstraWorkspace::new(2);
         ws.begin(NodeId(0));
-        ws.relax(NodeId(1), 1.0);
-        assert_eq!(ws.relax(NodeId(1), 2.0), RelaxOutcome::Unchanged);
-        assert_eq!(ws.dist_of(NodeId(1)), Some(1.0));
+        ws.relax(NodeId(1), UNIT);
+        assert_eq!(ws.relax(NodeId(1), 2 * UNIT), RelaxOutcome::Unchanged);
+        assert_eq!(ws.dist_of(NodeId(1)), Some(UNIT));
     }
 
     #[test]
     fn relax_leaves_an_equal_distance_unchanged() {
         let mut ws = DijkstraWorkspace::new(2);
         ws.begin(NodeId(0));
-        ws.relax(NodeId(1), 1.0);
-        assert_eq!(ws.relax(NodeId(1), 1.0), RelaxOutcome::Unchanged);
-        assert_eq!(ws.dist_of(NodeId(1)), Some(1.0));
+        ws.relax(NodeId(1), UNIT);
+        assert_eq!(ws.relax(NodeId(1), UNIT), RelaxOutcome::Unchanged);
+        assert_eq!(ws.dist_of(NodeId(1)), Some(UNIT));
     }
 
     #[test]
@@ -1045,12 +1030,12 @@ mod tests {
         ws.settle_next();
         assert!(!in_frontier(&ws, NodeId(1)));
         assert_eq!(ws.dist_of(NodeId(1)), None);
-        ws.relax(NodeId(1), 7.0);
+        ws.relax(NodeId(1), 7 * UNIT);
         assert!(in_frontier(&ws, NodeId(1)) && !is_settled(&ws, NodeId(1)));
-        assert_eq!(ws.dist_of(NodeId(1)), Some(7.0));
+        assert_eq!(ws.dist_of(NodeId(1)), Some(7 * UNIT));
         ws.settle_next();
         assert!(!in_frontier(&ws, NodeId(1)) && is_settled(&ws, NodeId(1)));
-        assert_eq!(ws.dist_of(NodeId(1)), Some(7.0));
+        assert_eq!(ws.dist_of(NodeId(1)), Some(7 * UNIT));
     }
 
     #[test]
@@ -1059,7 +1044,7 @@ mod tests {
         ws.begin(NodeId(0));
         ws.settle_next();
         for v in 1..8 {
-            ws.relax(NodeId(v), f64::from(v));
+            ws.relax(NodeId(v), u64::from(v));
         }
         // abandoned with seven nodes queued: their slots keep stale
         // positions, which the new generation must ignore
@@ -1069,9 +1054,9 @@ mod tests {
             assert!(!in_frontier(&ws, NodeId(v)) && !is_settled(&ws, NodeId(v)));
             assert_eq!(ws.dist_of(NodeId(v)), None);
         }
-        assert_eq!(ws.relax(NodeId(5), 1.0), RelaxOutcome::Inserted);
+        assert_eq!(ws.relax(NodeId(5), UNIT), RelaxOutcome::Inserted);
         ws.check_invariants();
-        assert_eq!(drain(&mut ws), vec![(NodeId(3), 0.0), (NodeId(5), 1.0)]);
+        assert_eq!(drain(&mut ws), vec![(NodeId(3), 0), (NodeId(5), UNIT)]);
     }
 
     #[test]
@@ -1085,17 +1070,17 @@ mod tests {
             ws.ensure_capacity(n);
             let source = rng.random_range(0..n);
             // the reference: each node's best key and whether it was popped
-            let mut best: Vec<Option<f64>> = vec![None; n as usize];
+            let mut best: Vec<Option<Distance>> = vec![None; n as usize];
             let mut settled = vec![false; n as usize];
             ws.begin(NodeId(source));
-            best[source as usize] = Some(0.0);
+            best[source as usize] = Some(0);
             for _ in 0..200 {
                 if rng.random_range(0..4) == 0 {
                     // a pop: the smallest queued key (any node of a tie)
                     let min = (0..n as usize)
                         .filter(|&v| !settled[v])
                         .filter_map(|v| best[v])
-                        .min_by(f64::total_cmp);
+                        .min();
                     let got = ws.settle_next();
                     assert_eq!(got.map(|(_, d)| d), min);
                     if let Some((v, d)) = got {
@@ -1104,7 +1089,7 @@ mod tests {
                     }
                 } else {
                     let v = rng.random_range(0..n);
-                    let key: f64 = rng.random_range(0.0..100.0);
+                    let key: Distance = rng.random_range(0..100 * UNIT);
                     let slot = &mut best[v as usize];
                     let want = match *slot {
                         _ if settled[v as usize] => RelaxOutcome::Unchanged,
@@ -1121,13 +1106,13 @@ mod tests {
             }
             let got = drain(&mut ws);
             assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
-            let mut got: Vec<(f64, u32)> = got.into_iter().map(|(v, d)| (d, v.0)).collect();
-            let mut expected: Vec<(f64, u32)> = (0..n)
+            let mut got: Vec<(Distance, u32)> = got.into_iter().map(|(v, d)| (d, v.0)).collect();
+            let mut expected: Vec<(Distance, u32)> = (0..n)
                 .filter(|&v| !settled[v as usize])
                 .filter_map(|v| best[v as usize].map(|k| (k, v)))
                 .collect();
-            got.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            got.sort_unstable();
+            expected.sort_unstable();
             assert_eq!(got, expected);
         }
     }
@@ -1138,12 +1123,12 @@ mod tests {
         // generation 1: node 0 settled, node 1 queued
         ws.begin(NodeId(0));
         ws.settle_next();
-        ws.relax(NodeId(1), 1.0);
+        ws.relax(NodeId(1), UNIT);
         // the last generation before the wrap: node 2 settled, node 3 queued
         ws.generation = u32::MAX - 1;
         ws.begin(NodeId(2));
         ws.settle_next();
-        ws.relax(NodeId(3), 1.0);
+        ws.relax(NodeId(3), UNIT);
         assert_eq!(ws.generation, u32::MAX);
         assert!(is_settled(&ws, NodeId(2)) && in_frontier(&ws, NodeId(3)));
         // the wrap: generation 1 again, and nothing of either survives
@@ -1154,11 +1139,11 @@ mod tests {
             assert!(!is_settled(&ws, v) && !in_frontier(&ws, v), "{v}");
         }
         for v in (0..4).map(NodeId) {
-            assert_eq!(ws.relax(v, 2.0), RelaxOutcome::Inserted, "{v}");
+            assert_eq!(ws.relax(v, 2 * UNIT), RelaxOutcome::Inserted, "{v}");
         }
         ws.check_invariants();
         let dists: Vec<Distance> = drain(&mut ws).into_iter().map(|(_, d)| d).collect();
-        assert_eq!(dists, vec![0.0, 2.0, 2.0, 2.0, 2.0]);
+        assert_eq!(dists, vec![0, 2 * UNIT, 2 * UNIT, 2 * UNIT, 2 * UNIT]);
     }
 
     #[test]
@@ -1168,7 +1153,7 @@ mod tests {
         assert_eq!(ws.capacity(), 10);
         let g = graph_from_edges(EdgeDirection::Undirected, [(8, 9, 1.0)]).unwrap();
         let order: Vec<_> = DistanceBrowser::new(&g, &mut ws, NodeId(8)).collect();
-        assert_eq!(order, vec![(NodeId(8), 0.0), (NodeId(9), 1.0)]);
+        assert_eq!(order, vec![(NodeId(8), 0), (NodeId(9), UNIT)]);
     }
 
     #[test]
@@ -1177,9 +1162,9 @@ mod tests {
         ws.ensure_capacity(5);
         ws.begin(NodeId(0));
         ws.settle_next();
-        assert_eq!(ws.relax(NodeId(4), 2.0), RelaxOutcome::Inserted);
+        assert_eq!(ws.relax(NodeId(4), 2 * UNIT), RelaxOutcome::Inserted);
         ws.check_invariants();
-        assert_eq!(ws.settle_next(), Some((NodeId(4), 2.0)));
+        assert_eq!(ws.settle_next(), Some((NodeId(4), 2 * UNIT)));
     }
 
     /// Drive a first-in-first-out traversal from `source` over the whole
@@ -1233,27 +1218,37 @@ mod tests {
         // 1 before it reaches 3.
         let mut ws = DijkstraWorkspace::new(4);
         ws.begin_fifo(NodeId(0));
-        assert_eq!(ws.dequeue(), Some((NodeId(0), 0.0)));
-        assert_eq!(ws.relax_correcting(NodeId(2), 0.0), RelaxOutcome::Inserted);
-        assert_eq!(ws.relax_correcting(NodeId(1), 2.0), RelaxOutcome::Inserted);
-        assert_eq!(ws.dequeue(), Some((NodeId(2), 0.0)));
-        assert_eq!(ws.relax_correcting(NodeId(3), 0.0), RelaxOutcome::Inserted);
-        assert_eq!(ws.dequeue(), Some((NodeId(1), 2.0)), "first in, first out");
+        assert_eq!(ws.dequeue(), Some((NodeId(0), 0)));
+        assert_eq!(ws.relax_correcting(NodeId(2), 0), RelaxOutcome::Inserted);
+        assert_eq!(
+            ws.relax_correcting(NodeId(1), 2 * UNIT),
+            RelaxOutcome::Inserted
+        );
+        assert_eq!(ws.dequeue(), Some((NodeId(2), 0)));
+        assert_eq!(ws.relax_correcting(NodeId(3), 0), RelaxOutcome::Inserted);
+        assert_eq!(
+            ws.dequeue(),
+            Some((NodeId(1), 2 * UNIT)),
+            "first in, first out"
+        );
         assert!(is_settled(&ws, NodeId(1)));
-        assert_eq!(ws.dequeue(), Some((NodeId(3), 0.0)));
-        assert_eq!(ws.relax_correcting(NodeId(1), 0.0), RelaxOutcome::Requeued);
+        assert_eq!(ws.dequeue(), Some((NodeId(3), 0)));
+        assert_eq!(ws.relax_correcting(NodeId(1), 0), RelaxOutcome::Requeued);
         assert!(in_frontier(&ws, NodeId(1)) && ws.is_fifo());
-        assert_eq!(ws.relax_correcting(NodeId(1), 0.0), RelaxOutcome::Unchanged);
+        assert_eq!(ws.relax_correcting(NodeId(1), 0), RelaxOutcome::Unchanged);
         ws.check_invariants();
-        assert_eq!(ws.dequeue(), Some((NodeId(1), 0.0)));
+        assert_eq!(ws.dequeue(), Some((NodeId(1), 0)));
         assert_eq!(ws.dequeue(), None);
         // a queued node's drop is a decrease, and the entry reads it back
         ws.begin_fifo(NodeId(0));
         ws.dequeue();
-        ws.relax_correcting(NodeId(1), 5.0);
-        assert_eq!(ws.relax_correcting(NodeId(1), 4.0), RelaxOutcome::Decreased);
+        ws.relax_correcting(NodeId(1), 5 * UNIT);
+        assert_eq!(
+            ws.relax_correcting(NodeId(1), 4 * UNIT),
+            RelaxOutcome::Decreased
+        );
         ws.check_invariants();
-        assert_eq!(ws.dequeue(), Some((NodeId(1), 4.0)));
+        assert_eq!(ws.dequeue(), Some((NodeId(1), 4 * UNIT)));
     }
 
     #[test]

@@ -7,8 +7,11 @@ use std::io;
 #[derive(Debug)]
 #[allow(missing_docs)] // field names are self-describing
 pub enum GraphError {
-    /// An edge weight was NaN, infinite, or negative.
+    /// An edge weight was NaN, infinite, negative, or not below 2^21.
     InvalidWeight { u: u32, v: u32, weight: f64 },
+    /// `(num_nodes − 1) · max_weight` reached 2^31 real units, so a path
+    /// sum could overflow the exact distance type.
+    WeightSpan { num_nodes: u32, max_weight: f64 },
     /// A node id referenced by an edge or query is out of bounds.
     NodeOutOfBounds { node: u32, num_nodes: u32 },
     /// The graph would exceed the `u32` node-count limit.
@@ -33,7 +36,13 @@ impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphError::InvalidWeight { u, v, weight } => {
-                write!(f, "edge ({u},{v}) has invalid weight {weight}; weights must be finite and non-negative")
+                write!(f, "edge ({u},{v}) has invalid weight {weight}; weights must be finite, non-negative and below 2^21")
+            }
+            GraphError::WeightSpan {
+                num_nodes,
+                max_weight,
+            } => {
+                write!(f, "{num_nodes} nodes with a heaviest edge of {max_weight}: (nodes - 1) x heaviest edge must stay below 2^31")
             }
             GraphError::NodeOutOfBounds { node, num_nodes } => {
                 write!(

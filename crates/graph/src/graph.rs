@@ -170,14 +170,13 @@ impl Graph {
     }
 
     /// A 64-bit digest of the graph: the node count, the direction, and
-    /// every row's length and `(target, weight bits)` pairs in stored
+    /// every row's length and `(target, weight)` pairs in stored
     /// order, folded one 64-bit word at a time FNV-1a style
     /// (`h = (h ^ word) · P`, a bijection of `h` per word, so no single
     /// changed word can cancel out). Rows are sorted by `(weight, target)`
     /// however the graph was built, loaded or patched, so two graphs with
     /// one edge set share a digest; any changed weight, edge or node count
-    /// changes it (up to hash collisions). `-0.0` hashes as `0.0`. One
-    /// pass over the CSR: ≈ 2.5 ms at 25k nodes and 290k edges.
+    /// changes it (up to hash collisions). One pass over the CSR: ≈ 2.5 ms at 25k nodes and 290k edges.
     pub fn digest(&self) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let eat = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
@@ -187,7 +186,7 @@ impl Graph {
             let (targets, weights) = self.out_neighbors(u);
             h = eat(h, targets.len() as u64);
             for (v, w) in targets.iter().zip(weights) {
-                h = eat(eat(h, u64::from(v.0)), (w + 0.0).to_bits());
+                h = eat(eat(h, u64::from(v.0)), *w);
             }
         }
         h
@@ -211,6 +210,7 @@ impl From<&Graph> for std::sync::Arc<Graph> {
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
+    use crate::weight::UNIT;
 
     fn diamond() -> Graph {
         // 0 - 1 - 3, 0 - 2 - 3 (undirected)
@@ -240,7 +240,7 @@ mod tests {
     }
 
     /// The digest sees direction, node count and row boundaries, not just
-    /// the arc sequence; a zero weight's sign does not count.
+    /// the arc sequence.
     #[test]
     fn digest_separates_what_the_arc_list_alone_would_not() {
         let arcs = [(0, 1, 1.0), (1, 2, 0.0)];
@@ -258,8 +258,6 @@ mod tests {
         let from_0 = graph_from_edges(EdgeDirection::Directed, [(0, 2, 1.0)]).unwrap();
         let from_1 = graph_from_edges(EdgeDirection::Directed, [(1, 2, 1.0)]).unwrap();
         assert_ne!(from_0.digest(), from_1.digest());
-        let signed = graph_from_edges(EdgeDirection::Directed, [(0, 1, 1.0), (1, 2, -0.0)]);
-        assert_eq!(directed.digest(), signed.unwrap().digest());
     }
 
     #[test]
@@ -270,7 +268,7 @@ mod tests {
         assert_eq!(t.degree(NodeId(1)), 1);
         let (ts, ws) = t.out_neighbors(NodeId(1));
         assert_eq!(ts, &[NodeId(0)]);
-        assert_eq!(ws, &[1.5]);
+        assert_eq!(ws, &[3 * UNIT / 2]);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::path::Path;
 use crate::builder::{EdgeDirection, GraphBuilder};
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
+use crate::weight::to_real;
 
 /// Serialize a graph to the text format.
 pub fn write_graph<W: Write>(graph: &Graph, out: W) -> Result<()> {
@@ -33,7 +34,7 @@ pub fn write_graph<W: Write>(graph: &Graph, out: W) -> Result<()> {
             if !graph.is_directed() && v.0 < u.0 {
                 continue;
             }
-            writeln!(w, "{} {} {}", u.0, v.0, weight)?;
+            writeln!(w, "{} {} {}", u.0, v.0, to_real(weight))?;
         }
     }
     w.flush()?;
@@ -205,6 +206,27 @@ mod tests {
         let g2 = read_graph(&buf[..]).unwrap();
         assert_eq!(g, g2);
         assert!(g2.is_directed());
+    }
+
+    /// Weights off the 2^-32 grid are printed as their grid value, which
+    /// reads back to the same quanta: the same graph, the same digest.
+    #[test]
+    fn off_grid_weights_round_trip() {
+        let g = graph_from_edges(
+            EdgeDirection::Undirected,
+            [
+                (0, 1, 0.1),
+                (1, 2, 1.0 / 3.0),
+                (0, 2, 1e-12),
+                (2, 3, 2e6 + 0.7),
+            ],
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        write_graph(&g, &mut buf).unwrap();
+        let g2 = read_graph(&buf[..]).unwrap();
+        assert_eq!(g, g2);
+        assert_eq!(g.digest(), g2.digest());
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!   truncated form [`BoundedBrowser`], which stops feeding the frontier
 //!   at the `limit`-th nearest node — index building, k-NN and top-k sets
 //!   all share it;
+//! * exact distances: every weight on one fixed grid of 2^-32 real units,
+//!   every [`Distance`] a `u64` count of them ([`UNIT`] per real unit,
+//!   [`to_real`] back for output), so a sum is the same in every order;
 //! * tie-aware rank semantics ([`RankCounter`], [`rank_between`],
 //!   [`rank_matrix`]) implementing Definition 1 exactly;
 //! * the competitor queries (top-k, reverse top-k) used by the paper's
@@ -63,4 +66,4 @@ pub use store::{GraphDelta, GraphStore};
 pub use topk::{
     agreement_rate, reverse_top_k, reverse_top_k_sizes, reverse_top_k_stats, top_k_set,
 };
-pub use weight::{Distance, INF};
+pub use weight::{to_real, Distance, INF, UNIT};

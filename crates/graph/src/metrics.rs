@@ -5,6 +5,7 @@
 //! for anyone loading their own graphs.
 
 use crate::graph::Graph;
+use crate::weight::{to_real, INF, UNIT};
 
 /// Degree distribution summary.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,22 +52,19 @@ pub struct WeightStats {
 
 /// Compute the weight summary (`None` for edgeless graphs).
 pub fn weight_stats(graph: &Graph) -> Option<WeightStats> {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut sum = 0.0;
-    let mut count = 0u64;
+    let (mut min, mut max, mut sum, mut count) = (INF, 0, 0u128, 0u64);
     for u in graph.nodes() {
         for &w in graph.out_neighbors(u).1 {
             min = min.min(w);
             max = max.max(w);
-            sum += w;
+            sum += u128::from(w);
             count += 1;
         }
     }
     (count > 0).then(|| WeightStats {
-        min,
-        max,
-        mean: sum / count as f64,
+        min: to_real(min),
+        max: to_real(max),
+        mean: sum as f64 / UNIT as f64 / count as f64,
     })
 }
 

@@ -55,16 +55,10 @@ mod tests {
 
     /// Total weight of a node path (`None` if any hop is not an edge).
     fn path_length(graph: &Graph, path: &[NodeId]) -> Option<Distance> {
-        let mut total = 0.0;
+        let mut total = 0;
         for hop in path.windows(2) {
-            let (targets, weights) = graph.out_neighbors(hop[0]);
-            let mut best: Option<f64> = None;
-            for (t, w) in targets.iter().zip(weights.iter()) {
-                if *t == hop[1] {
-                    best = Some(best.map_or(*w, |b: f64| b.min(*w)));
-                }
-            }
-            total += best?;
+            let edges = graph.edges(hop[0]);
+            total += edges.filter(|&(t, _)| t == hop[1]).map(|(_, w)| w).min()?;
         }
         Some(total)
     }
@@ -77,12 +71,7 @@ mod tests {
             let path = reconstruct_path(&parents, NodeId(0), t).unwrap();
             assert_eq!(path.first(), Some(&NodeId(0)));
             assert_eq!(path.last(), Some(&t));
-            let len = path_length(&g, &path).unwrap();
-            assert!(
-                (len - dist[t.index()]).abs() < 1e-12,
-                "t={t}: {len} vs {}",
-                dist[t.index()]
-            );
+            assert_eq!(path_length(&g, &path), Some(dist[t.index()]), "t={t}");
         }
     }
 
@@ -97,6 +86,6 @@ mod tests {
     fn path_length_rejects_non_edges() {
         let g = sample();
         assert_eq!(path_length(&g, &[NodeId(0), NodeId(4)]), None);
-        assert_eq!(path_length(&g, &[NodeId(0)]), Some(0.0));
+        assert_eq!(path_length(&g, &[NodeId(0)]), Some(0));
     }
 }

@@ -34,7 +34,7 @@ impl RankCounter {
         RankCounter {
             settled: 0,
             strictly_closer: 0,
-            last_dist: f64::NEG_INFINITY,
+            last_dist: 0,
         }
     }
 
@@ -138,50 +138,50 @@ mod tests {
     #[test]
     fn counter_without_ties_is_sequential() {
         let mut c = RankCounter::new();
-        assert_eq!(c.on_settle(1.0), 1);
-        assert_eq!(c.on_settle(2.0), 2);
-        assert_eq!(c.on_settle(3.0), 3);
+        assert_eq!(c.on_settle(1), 1);
+        assert_eq!(c.on_settle(2), 2);
+        assert_eq!(c.on_settle(3), 3);
         assert_eq!(c.settled(), 3);
     }
 
     #[test]
     fn counter_shares_rank_on_ties() {
         let mut c = RankCounter::new();
-        assert_eq!(c.on_settle(1.0), 1);
-        assert_eq!(c.on_settle(2.0), 2);
-        assert_eq!(c.on_settle(2.0), 2); // tie shares rank 2
-        assert_eq!(c.on_settle(2.0), 2);
-        assert_eq!(c.on_settle(3.0), 5); // 4 strictly closer
+        assert_eq!(c.on_settle(1), 1);
+        assert_eq!(c.on_settle(2), 2);
+        assert_eq!(c.on_settle(2), 2); // tie shares rank 2
+        assert_eq!(c.on_settle(2), 2);
+        assert_eq!(c.on_settle(3), 5); // 4 strictly closer
     }
 
     #[test]
     fn unsettled_bound_no_tie_pending() {
         let mut c = RankCounter::new();
-        c.on_settle(1.0);
-        c.on_settle(2.0);
-        assert_eq!(c.unsettled_rank_lower_bound(Some(3.0)), 3);
+        c.on_settle(1);
+        c.on_settle(2);
+        assert_eq!(c.unsettled_rank_lower_bound(Some(3)), 3);
         assert_eq!(c.unsettled_rank_lower_bound(None), 3);
     }
 
     #[test]
     fn unsettled_bound_with_tie_pending() {
         let mut c = RankCounter::new();
-        c.on_settle(1.0);
-        c.on_settle(2.0);
-        c.on_settle(2.0);
+        c.on_settle(1);
+        c.on_settle(2);
+        c.on_settle(2);
         // frontier top also at 2.0: only the single 1.0-node is guaranteed closer
-        assert_eq!(c.unsettled_rank_lower_bound(Some(2.0)), 2);
+        assert_eq!(c.unsettled_rank_lower_bound(Some(2)), 2);
         // frontier top past the tie group: all 3 settles are strictly closer
-        assert_eq!(c.unsettled_rank_lower_bound(Some(2.5)), 4);
+        assert_eq!(c.unsettled_rank_lower_bound(Some(3)), 4);
     }
 
     #[test]
     fn zero_distance_ties_at_start() {
         // Zero-weight edges: neighbors settle at distance 0 like the source.
         let mut c = RankCounter::new();
-        assert_eq!(c.on_settle(0.0), 1);
-        assert_eq!(c.on_settle(0.0), 1);
-        assert_eq!(c.unsettled_rank_lower_bound(Some(0.0)), 1);
+        assert_eq!(c.on_settle(0), 1);
+        assert_eq!(c.on_settle(0), 1);
+        assert_eq!(c.unsettled_rank_lower_bound(Some(0)), 1);
     }
 
     fn path_graph() -> Graph {

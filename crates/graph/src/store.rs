@@ -21,7 +21,9 @@
 //!
 //! Staging validates eagerly against the *effective* state (the
 //! snapshot's rows under the staged overlay), so a bad update is a
-//! one-line error at the boundary, never a panic mid-commit.
+//! one-line error at the boundary, never a panic mid-commit. It puts each
+//! weight on the distance grid and holds the span bound (`crate::weight`)
+//! against the heaviest weight, which the store tracks.
 //! [`GraphStore::stage_all`] is all-or-nothing for protocol batches.
 //!
 //! The committed snapshot is *identical* to a from-scratch
@@ -37,7 +39,7 @@ use crate::builder::EdgeDirection;
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
 use crate::node::NodeId;
-use crate::weight::Weight;
+use crate::weight::{check_span, quantize, to_real, Distance};
 
 /// One live graph update. A batch of these is the unit the serving layer
 /// stages and commits.
@@ -167,7 +169,10 @@ pub struct GraphStore {
     /// Staged overlay, canonically keyed (undirected stores key by
     /// `(min, max)`): `Some(w)` = edge present with weight `w` after the
     /// next commit, `None` = edge deleted.
-    staged: BTreeMap<(u32, u32), Option<f64>>,
+    staged: BTreeMap<(u32, u32), Option<Distance>>,
+    /// The heaviest weight of the snapshot and the staged overlay (an upper
+    /// bound between commits), for the span bound.
+    max_weight: Distance,
     /// Nodes appended by staged [`GraphDelta::AddNode`]s.
     staged_new_nodes: u32,
     /// The current published snapshot: the committed edge set.
@@ -190,6 +195,7 @@ impl GraphStore {
         GraphStore {
             direction,
             staged: BTreeMap::new(),
+            max_weight: csr.max_weight(),
             staged_new_nodes: 0,
             snapshot: Arc::new(Graph::from_csr(csr, direction)),
             epoch: 0,
@@ -222,7 +228,7 @@ impl GraphStore {
         wal.extend((0..self.staged_new_nodes).map(|_| GraphDelta::AddNode));
         for (&(u, v), &overlay) in &self.staged {
             let committed = self.committed_weight((u, v)).is_some();
-            match overlay {
+            match overlay.map(to_real) {
                 Some(w) if committed => wal.push(GraphDelta::Reweight { u, v, w }),
                 Some(w) => wal.push(GraphDelta::AddEdge { u, v, w }),
                 None if committed => wal.push(GraphDelta::RemoveEdge { u, v }),
@@ -278,18 +284,18 @@ impl GraphStore {
 
     /// Iterate the committed logical edges in row order: by source node,
     /// then by `(weight, target)`. An undirected edge comes once, from its
-    /// smaller endpoint's row.
+    /// smaller endpoint's row; weights are in real units.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
         let g = &*self.snapshot;
         let directed = g.is_directed();
         g.nodes().flat_map(move |u| {
             g.edges(u)
                 .filter(move |&(v, _)| directed || u.0 < v.0)
-                .map(move |(v, w)| (u.0, v.0, w))
+                .map(move |(v, w)| (u.0, v.0, to_real(w)))
         })
     }
 
-    fn effective_weight(&self, key: (u32, u32)) -> Option<f64> {
+    fn effective_weight(&self, key: (u32, u32)) -> Option<Distance> {
         match self.staged.get(&key) {
             Some(&overlay) => overlay,
             None => self.committed_weight(key),
@@ -298,7 +304,7 @@ impl GraphStore {
 
     /// The snapshot's weight for the canonical edge `(u, v)`: a scan of
     /// row `u` (undirected: of the shorter of rows `u` and `v`).
-    fn committed_weight(&self, (u, v): (u32, u32)) -> Option<f64> {
+    fn committed_weight(&self, (u, v): (u32, u32)) -> Option<Distance> {
         let g = &*self.snapshot;
         if u.max(v) >= g.num_nodes() {
             return None; // a staged node: no committed edges yet
@@ -314,9 +320,9 @@ impl GraphStore {
     /// Validate one delta against the effective state and stage it.
     ///
     /// Every rejection is a one-line [`GraphError`]: self-loops, invalid
-    /// weights, out-of-range node ids, duplicate adds, and removals or
-    /// reweights of unknown edges all fail *here*, at the boundary —
-    /// nothing invalid ever reaches a commit.
+    /// weights, a broken span bound, out-of-range node ids, duplicate adds,
+    /// and removals or reweights of unknown edges all fail *here*, at the
+    /// boundary — nothing invalid ever reaches a commit.
     pub fn stage(&mut self, delta: GraphDelta) -> Result<()> {
         let n = self.effective_num_nodes();
         let check_node = |node: u32| {
@@ -331,22 +337,26 @@ impl GraphStore {
                 if n as u64 + 1 > u32::MAX as u64 {
                     return Err(GraphError::TooManyNodes(n as usize + 1));
                 }
+                check_span(n + 1, self.max_weight)?;
                 self.staged_new_nodes += 1;
             }
-            GraphDelta::AddEdge { u, v, w } => {
-                if u == v {
+            GraphDelta::AddEdge { u, v, w } | GraphDelta::Reweight { u, v, w } => {
+                let add = matches!(delta, GraphDelta::AddEdge { .. });
+                if add && u == v {
                     return Err(GraphError::SelfLoop { node: u });
                 }
                 check_node(u)?;
                 check_node(v)?;
-                let w = Weight::new(w)
-                    .ok_or(GraphError::InvalidWeight { u, v, weight: w })?
-                    .get();
+                let w = quantize(u, v, w)?;
+                check_span(n, self.max_weight.max(w))?;
                 let key = canonical(self.direction, u, v);
-                if self.effective_weight(key).is_some() {
-                    return Err(GraphError::EdgeExists { u, v });
+                match self.effective_weight(key) {
+                    Some(_) if add => return Err(GraphError::EdgeExists { u, v }),
+                    None if !add => return Err(GraphError::UnknownEdge { u, v }),
+                    _ => {}
                 }
                 self.staged.insert(key, Some(w));
+                self.max_weight = self.max_weight.max(w);
             }
             GraphDelta::RemoveEdge { u, v } => {
                 check_node(u)?;
@@ -356,18 +366,6 @@ impl GraphStore {
                     return Err(GraphError::UnknownEdge { u, v });
                 }
                 self.staged.insert(key, None);
-            }
-            GraphDelta::Reweight { u, v, w } => {
-                check_node(u)?;
-                check_node(v)?;
-                let w = Weight::new(w)
-                    .ok_or(GraphError::InvalidWeight { u, v, weight: w })?
-                    .get();
-                let key = canonical(self.direction, u, v);
-                if self.effective_weight(key).is_none() {
-                    return Err(GraphError::UnknownEdge { u, v });
-                }
-                self.staged.insert(key, Some(w));
             }
         }
         Ok(())
@@ -381,11 +379,11 @@ impl GraphStore {
     /// overlay entries this batch touched are remembered and restored, so
     /// staging many batches between commits stays linear overall.
     pub fn stage_all(&mut self, deltas: &[GraphDelta]) -> Result<usize> {
-        let nodes_before = self.staged_new_nodes;
+        let (nodes_before, max_before) = (self.staged_new_nodes, self.max_weight);
         // First-touch undo log: the overlay state each key had before this
         // batch (`None` = the key was absent from the overlay, `Some`
         // wraps the prior present-with-weight / deleted entry).
-        type PriorOverlay = Option<Option<f64>>;
+        type PriorOverlay = Option<Option<Distance>>;
         let mut undo: Vec<((u32, u32), PriorOverlay)> = Vec::new();
         let mut touched: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
         for &d in deltas {
@@ -405,7 +403,7 @@ impl GraphStore {
                         }
                     }
                 }
-                self.staged_new_nodes = nodes_before;
+                (self.staged_new_nodes, self.max_weight) = (nodes_before, max_before);
                 return Err(e);
             }
         }
@@ -443,6 +441,7 @@ impl GraphStore {
             .csr()
             .patched(self.effective_num_nodes(), &changes);
         self.staged_new_nodes = 0;
+        self.max_weight = csr.max_weight();
         self.epoch += 1;
         self.snapshot = Arc::new(Graph::from_csr(csr, self.direction));
         self.snapshot()
@@ -482,6 +481,7 @@ mod tests {
     use super::*;
     use crate::builder::{graph_from_edges, DedupPolicy, GraphBuilder};
     use crate::dijkstra::sssp;
+    use crate::weight::UNIT;
 
     fn diamond() -> Graph {
         graph_from_edges(
@@ -551,7 +551,7 @@ mod tests {
             .unwrap();
         let snap = store.snapshot();
         let (_, w) = snap.out_neighbors(NodeId(2));
-        assert_eq!(w, &[0.25]); // only 0–2 left, reweighted
+        assert_eq!(w, &[UNIT / 4]); // only 0–2 left, reweighted
         assert_eq!(snap.num_edges(), 3);
     }
 
@@ -608,6 +608,53 @@ mod tests {
         // nothing staged by any of the rejected deltas
         assert_eq!(store.pending_deltas(), 0);
         assert_eq!(store.graph_epoch(), 0);
+    }
+
+    /// A weight at 2^21 is refused, and so is a batch that breaks the span
+    /// bound by adding nodes to a graph with a heavy edge; the batch rolls
+    /// back whole, the heavy weight included.
+    #[test]
+    fn stage_holds_the_weight_and_span_bounds() {
+        let mut store = GraphStore::new(diamond());
+        let at_bound = GraphDelta::Reweight {
+            u: 0,
+            v: 1,
+            w: (1 << 21) as f64,
+        };
+        assert!(matches!(
+            store.stage(at_bound),
+            Err(GraphError::InvalidWeight { .. })
+        ));
+        // 2^20 real units is 2^52 quanta: 2,048 nodes fit, 2,049 do not.
+        let heavy = GraphDelta::Reweight {
+            u: 0,
+            v: 1,
+            w: (1 << 20) as f64,
+        };
+        let mut batch = vec![heavy];
+        batch.resize(1 + 2049 - 4, GraphDelta::AddNode);
+        let err = store.stage_all(&batch).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                GraphError::WeightSpan {
+                    num_nodes: 2049,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(store.pending_deltas(), 0);
+        // the rollback restored the light maximum: the nodes alone stage
+        store.apply(&batch[1..]).unwrap();
+        assert_eq!(store.num_nodes(), 2049);
+        assert!(matches!(
+            store.stage(heavy),
+            Err(GraphError::WeightSpan {
+                num_nodes: 2049,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -743,6 +790,42 @@ mod tests {
         }
     }
 
+    /// Off-grid weights survive the WAL: a replayed store commits the
+    /// graph, and the digest, of the store that wrote it.
+    #[test]
+    fn off_grid_weights_survive_a_wal_round_trip() {
+        let mut store = GraphStore::new(diamond());
+        store
+            .stage_all(&[
+                GraphDelta::Reweight { u: 0, v: 1, w: 0.1 },
+                GraphDelta::AddEdge {
+                    u: 1,
+                    v: 2,
+                    w: 1.0 / 3.0,
+                },
+                GraphDelta::AddEdge {
+                    u: 0,
+                    v: 3,
+                    w: 1e-12,
+                },
+            ])
+            .unwrap();
+        let lines: Vec<String> = store
+            .staged_deltas()
+            .into_iter()
+            .map(GraphDelta::to_wal_line)
+            .collect();
+        let mut replayed = GraphStore::new(diamond());
+        for (i, line) in lines.iter().enumerate() {
+            replayed
+                .stage(GraphDelta::parse_wal_line(line, i + 1).unwrap())
+                .unwrap();
+        }
+        let (want, got) = (store.commit(), replayed.commit());
+        assert_eq!(got, want);
+        assert_eq!(got.digest(), want.digest());
+    }
+
     #[test]
     fn wal_parse_errors_are_one_liners() {
         for bad in [
@@ -788,14 +871,14 @@ mod tests {
         let mut store = GraphStore::new(multigraph);
         assert_eq!(store.num_edges(), 3, "parallel arcs collapse at open");
         assert!(!store.snapshot().may_have_parallel_arcs());
-        assert_eq!(sssp(&store.snapshot(), NodeId(0))[1], 1.0);
+        assert_eq!(sssp(&store.snapshot(), NodeId(0))[1], UNIT);
         let snap = store
             .apply(&[GraphDelta::AddEdge { u: 0, v: 3, w: 9.0 }])
             .unwrap();
         assert!(!snap.may_have_parallel_arcs());
         let row0: Vec<_> = snap.edges(NodeId(0)).collect();
-        assert_eq!(row0, [(NodeId(1), 1.0), (NodeId(3), 9.0)]);
-        assert_eq!(sssp(&snap, NodeId(0))[1], 1.0);
+        assert_eq!(row0, [(NodeId(1), UNIT), (NodeId(3), 9 * UNIT)]);
+        assert_eq!(sssp(&snap, NodeId(0))[1], UNIT);
         let scratch = graph_from_edges(
             EdgeDirection::Undirected,
             [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 9.0)],

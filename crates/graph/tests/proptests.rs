@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use rkranks_graph::{
-    rank_between, rank_matrix, sssp, DijkstraWorkspace, DistanceBrowser, EdgeDirection, Graph,
-    NodeId, INF,
+    rank_between, rank_matrix, sssp, to_real, DijkstraWorkspace, Distance, DistanceBrowser,
+    EdgeDirection, Graph, NodeId, INF,
 };
 
 /// Generator: a connected-ish random graph as (node count, edge list).
@@ -43,11 +43,11 @@ fn build(direction: EdgeDirection, n: u32, edges: &[(u32, u32, f64)]) -> Graph {
 }
 
 /// Brute-force all-pairs shortest paths.
-fn floyd_warshall(g: &Graph) -> Vec<Vec<f64>> {
+fn floyd_warshall(g: &Graph) -> Vec<Vec<Distance>> {
     let n = g.num_nodes() as usize;
     let mut d = vec![vec![INF; n]; n];
     for (i, row) in d.iter_mut().enumerate() {
-        row[i] = 0.0;
+        row[i] = 0;
     }
     for u in g.nodes() {
         for (v, w) in g.edges(u) {
@@ -62,7 +62,7 @@ fn floyd_warshall(g: &Graph) -> Vec<Vec<f64>> {
                 continue;
             }
             for j in 0..n {
-                let alt = d[i][k] + d[k][j];
+                let alt = d[i][k].saturating_add(d[k][j]);
                 if alt < d[i][j] {
                     d[i][j] = alt;
                 }
@@ -82,8 +82,7 @@ proptest! {
         for s in g.nodes() {
             let d = sssp(&g, s);
             for t in g.nodes() {
-                let (a, b) = (d[t.index()], fw[s.index()][t.index()]);
-                prop_assert!((a == b) || (a - b).abs() < 1e-9, "d({s},{t}) = {a} vs {b}");
+                prop_assert_eq!(d[t.index()], fw[s.index()][t.index()], "d({},{})", s, t);
             }
         }
     }
@@ -95,8 +94,7 @@ proptest! {
         for s in g.nodes() {
             let d = sssp(&g, s);
             for t in g.nodes() {
-                let (a, b) = (d[t.index()], fw[s.index()][t.index()]);
-                prop_assert!((a == b) || (a - b).abs() < 1e-9, "d({s},{t}) = {a} vs {b}");
+                prop_assert_eq!(d[t.index()], fw[s.index()][t.index()], "d({},{})", s, t);
             }
         }
     }
@@ -105,7 +103,7 @@ proptest! {
     fn browser_is_sorted_and_complete((n, edges) in arb_edges(16, 24)) {
         let g = build(EdgeDirection::Undirected, n, &edges);
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
-        let order: Vec<(NodeId, f64)> = DistanceBrowser::new(&g, &mut ws, NodeId(0)).collect();
+        let order: Vec<(NodeId, Distance)> = DistanceBrowser::new(&g, &mut ws, NodeId(0)).collect();
         // nondecreasing distances
         prop_assert!(order.windows(2).all(|w| w[0].1 <= w[1].1));
         // every node yielded at most once
@@ -116,10 +114,10 @@ proptest! {
         }
         // distances agree with sssp, and unreachable nodes are not yielded
         let d = sssp(&g, NodeId(0));
-        let reachable = d.iter().filter(|x| x.is_finite()).count();
+        let reachable = d.iter().filter(|&&x| x != INF).count();
         prop_assert_eq!(order.len(), reachable);
         for (v, dist) in order {
-            prop_assert!((d[v.index()] - dist).abs() < 1e-9);
+            prop_assert_eq!(d[v.index()], dist);
         }
     }
 
@@ -133,10 +131,7 @@ proptest! {
             // d_G(u, s) must equal d_{G^T}(s, u)
             for u in g.nodes() {
                 let fwd_to_s = sssp(&g, u)[s.index()];
-                prop_assert!(
-                    (fwd_to_s == d_rev[u.index()])
-                        || (fwd_to_s - d_rev[u.index()]).abs() < 1e-9
-                );
+                prop_assert_eq!(fwd_to_s, d_rev[u.index()]);
             }
             let _ = d_fwd;
         }
@@ -208,13 +203,13 @@ proptest! {
             };
             // the source itself is always the first pop, at distance 0
             prop_assert_eq!(first, s);
-            prop_assert_eq!(prev, 0.0);
+            prop_assert_eq!(prev, 0);
             for (v, d) in browser {
                 prop_assert!(
                     d >= prev,
                     "pop order regressed at {v}: {d} < {prev} (source {s})"
                 );
-                prop_assert!(d.is_finite(), "unreachable node {v} was yielded");
+                prop_assert!(d != INF, "unreachable node {v} was yielded");
                 prev = d;
             }
         }
@@ -275,7 +270,10 @@ mod row_order_props {
     fn arcs_of(g: &Graph) -> Vec<(u32, u32, u64)> {
         let mut arcs: Vec<_> = g
             .nodes()
-            .flat_map(|u| g.edges(u).map(move |(v, w)| (u.0, v.0, w.to_bits())))
+            .flat_map(|u| {
+                g.edges(u)
+                    .map(move |(v, w)| (u.0, v.0, to_real(w).to_bits()))
+            })
             .collect();
         arcs.sort_unstable();
         arcs
@@ -374,11 +372,19 @@ mod row_order_props {
 
 /// `Graph::digest` names an edge set, not a history: a replica that
 /// reached its graph through committed update batches, one built fresh
-/// from the same edges, and one reloaded from a file must all announce
-/// the same digest, or a coordinator would refuse a healthy fleet.
+/// from the same edges, one that replayed the batches from WAL lines, and
+/// one reloaded from a file must all announce the same digest, or a
+/// coordinator would refuse a healthy fleet. Weights are off the 2^-32
+/// grid, some of them below one quantum.
 mod digest_props {
     use super::*;
     use rkranks_graph::{read_graph, write_graph, GraphDelta, GraphStore};
+
+    /// A weight in `[0, 10)`, or one in `[0, 10^-9)`: a few quanta or
+    /// less than one.
+    fn off_grid_weight() -> impl Strategy<Value = f64> {
+        (0.0f64..10.0, any::<bool>()).prop_map(|(w, tiny)| if tiny { w * 1e-10 } else { w })
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -387,7 +393,7 @@ mod digest_props {
         fn digest_depends_only_on_the_edge_set(
             (n, edges) in arb_edges(12, 24),
             stream in proptest::collection::vec(
-                (0u32..12, 0u32..12, 0.0f64..10.0, 0u8..4), 1..24),
+                (0u32..12, 0u32..12, off_grid_weight(), 0u8..4), 1..24),
             directed in any::<bool>(),
         ) {
             let dir = if directed { EdgeDirection::Directed } else { EdgeDirection::Undirected };
@@ -405,7 +411,13 @@ mod digest_props {
                     // A self-loop is refused and stages nothing.
                     let _ = store.stage(delta);
                 }
+                let mut replayed = GraphStore::new((*store.snapshot()).clone());
+                for (i, d) in store.staged_deltas().into_iter().enumerate() {
+                    let line = d.to_wal_line();
+                    replayed.stage(GraphDelta::parse_wal_line(&line, i + 1).unwrap()).unwrap();
+                }
                 let patched = store.commit();
+                prop_assert_eq!(replayed.commit().digest(), patched.digest());
                 let edges: Vec<_> = store.edges().collect();
                 let fresh = build(dir, store.num_nodes(), &edges);
                 prop_assert_eq!(patched.digest(), fresh.digest(), "epoch {}", store.graph_epoch());
@@ -481,10 +493,10 @@ mod bounded_browser_props {
     /// Drive `browser` (already past the source) up to and including its
     /// `limit`-th counted settle; `true` when it got there.
     fn take_counted(
-        browser: &mut impl Iterator<Item = (NodeId, f64)>,
+        browser: &mut impl Iterator<Item = (NodeId, Distance)>,
         limit: usize,
         counted: &[bool],
-    ) -> (Vec<(NodeId, f64)>, bool) {
+    ) -> (Vec<(NodeId, Distance)>, bool) {
         let mut settles = Vec::new();
         let mut taken = 0;
         for (v, d) in browser {
@@ -499,11 +511,11 @@ mod bounded_browser_props {
 
     /// "A tie is pending at the cut": the frontier top ties with the last
     /// settle.
-    fn tie_pending(settles: &[(NodeId, f64)], ws: &DijkstraWorkspace) -> bool {
+    fn tie_pending(settles: &[(NodeId, Distance)], ws: &DijkstraWorkspace) -> bool {
         ws.peek_frontier().map(|(_, d)| d) == settles.last().map(|&(_, d)| d)
     }
 
-    fn counted_ranks(settles: &[(NodeId, f64)], counted: &[bool]) -> Vec<(f64, u32)> {
+    fn counted_ranks(settles: &[(NodeId, Distance)], counted: &[bool]) -> Vec<(Distance, u32)> {
         let mut counter = RankCounter::new();
         settles
             .iter()
@@ -519,10 +531,10 @@ mod bounded_browser_props {
         let mut ws_ref = DijkstraWorkspace::new(g.num_nodes());
         for s in g.nodes() {
             let dist = sssp(g, s);
-            let full: Vec<(NodeId, f64)> =
+            let full: Vec<(NodeId, Distance)> =
                 DistanceBrowser::new(g, &mut ws_ref, s).skip(1).collect();
             let reachable_counted = full.iter().filter(|(v, _)| counted[v.index()]).count();
-            let mut finite: Vec<f64> = full.iter().map(|&(_, d)| d).collect();
+            let mut finite: Vec<Distance> = full.iter().map(|&(_, d)| d).collect();
             finite.dedup();
             let tie_free = finite.len() == full.len();
 
@@ -564,7 +576,8 @@ mod bounded_browser_props {
                     // A counted node still unsettled at the cut distance
                     // must show as a pending tie (the Check Dictionary's
                     // soundness hangs on it) ...
-                    let is_at_cut = |v: NodeId, d: f64| v != s && counted[v.index()] && d == last;
+                    let is_at_cut =
+                        |v: NodeId, d: Distance| v != s && counted[v.index()] && d == last;
                     let settled_at_cut = got.iter().filter(|&&(v, d)| is_at_cut(v, d)).count();
                     let all_at_cut = g.nodes().filter(|&v| is_at_cut(v, dist[v.index()])).count();
                     if all_at_cut > settled_at_cut {
@@ -694,38 +707,36 @@ mod bounded_browser_props {
 /// replaced did — ties included — so no exact work counter downstream
 /// (settles, pushes, refinement outcomes) can move.
 ///
-/// [`ReferenceHeap`] is a copy of that heap: binary, `total_cmp` keys,
-/// swap sifts. A Dijkstra over it is the reference;
+/// [`ReferenceHeap`] is a copy of that heap: binary, swap sifts. A Dijkstra over it is the reference;
 /// the workspace under test is reused across sources, and each full run
 /// follows a partial one that abandons its frontier.
 mod pop_order_props {
     use super::*;
     use rkranks_graph::{DedupPolicy, GraphBuilder};
-    use std::cmp::Ordering;
 
     const ABSENT: u32 = u32::MAX;
 
     struct ReferenceHeap {
-        keys: Vec<f64>,
+        keys: Vec<Distance>,
         items: Vec<u32>,
         pos: Vec<u32>,
     }
 
     impl ReferenceHeap {
-        fn push_or_decrease(&mut self, item: u32, key: f64) {
+        fn push_or_decrease(&mut self, item: u32, key: Distance) {
             let p = self.pos[item as usize];
             if p == ABSENT {
                 self.keys.push(key);
                 self.items.push(item);
                 self.pos[item as usize] = self.items.len() as u32 - 1;
                 self.sift_up(self.items.len() - 1);
-            } else if key.total_cmp(&self.keys[p as usize]) == Ordering::Less {
+            } else if key < self.keys[p as usize] {
                 self.keys[p as usize] = key;
                 self.sift_up(p as usize);
             }
         }
 
-        fn pop(&mut self) -> Option<(u32, f64)> {
+        fn pop(&mut self) -> Option<(u32, Distance)> {
             let (item, key) = (*self.items.first()?, self.keys[0]);
             self.pos[item as usize] = ABSENT;
             let last = self.items.len() - 1;
@@ -743,7 +754,7 @@ mod pop_order_props {
         }
 
         fn less(&self, a: usize, b: usize) -> bool {
-            self.keys[a].total_cmp(&self.keys[b]) == Ordering::Less
+            self.keys[a] < self.keys[b]
         }
 
         fn swap_slots(&mut self, a: usize, b: usize) {
@@ -780,18 +791,18 @@ mod pop_order_props {
     }
 
     /// The full settle sequence from `s` of a Dijkstra over [`ReferenceHeap`].
-    fn reference_settles(g: &Graph, s: NodeId) -> Vec<(NodeId, f64)> {
+    fn reference_settles(g: &Graph, s: NodeId) -> Vec<(NodeId, Distance)> {
         let n = g.num_nodes() as usize;
         let mut heap = ReferenceHeap {
             keys: Vec::new(),
             items: Vec::new(),
             pos: vec![ABSENT; n],
         };
-        let mut dist: Vec<Option<f64>> = vec![None; n];
+        let mut dist: Vec<Option<Distance>> = vec![None; n];
         let mut settled = vec![false; n];
         let mut out = Vec::new();
-        dist[s.index()] = Some(0.0);
-        heap.push_or_decrease(s.0, 0.0);
+        dist[s.index()] = Some(0);
+        heap.push_or_decrease(s.0, 0);
         while let Some((v, d)) = heap.pop() {
             settled[v as usize] = true;
             out.push((NodeId(v), d));

@@ -12,7 +12,7 @@ use rkranks_core::{BoundConfig, EngineContext, QueryRequest, RkrIndex, Strategy}
 use rkranks_datasets::default_update_stream;
 use rkranks_datasets::Zipf;
 use rkranks_datasets::{collab_graph, CollabParams};
-use rkranks_graph::{Graph, GraphStore};
+use rkranks_graph::{graph_from_edges, EdgeDirection, Graph, GraphDelta, GraphStore};
 use rkranks_server::{spawn, Client, ClientError, ServerConfig, UpdateOp};
 
 const K: u32 = 5;
@@ -838,5 +838,71 @@ fn pipelined_queries_batch_and_survive_backpressure() {
         stats.backpressure_pauses
     );
     ctl.shutdown().expect("shutdown");
+    handle.join();
+}
+
+/// Weights cross the wire in real units and land on the distance grid: an
+/// off-grid batch commits to the digest an in-process store reaches. A
+/// weight at 2^21, and a batch that adds nodes to a graph with a heavy
+/// edge past the span bound, are error replies that keep the graph.
+#[test]
+fn updates_land_on_the_grid_and_past_its_bounds_are_refused() {
+    let g = graph_from_edges(EdgeDirection::Undirected, [(0, 1, 1.0), (1, 2, 2.0)]).unwrap();
+    let handle = spawn(
+        g.clone(),
+        None,
+        RkrIndex::empty(g.num_nodes(), K_MAX),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    let off_grid = [
+        UpdateOp::Reweight { u: 0, v: 1, w: 0.1 },
+        UpdateOp::AddEdge {
+            u: 0,
+            v: 2,
+            w: 1e-12,
+        },
+        UpdateOp::Reweight {
+            u: 1,
+            v: 2,
+            w: 1.0 / 3.0,
+        },
+    ];
+    client.update(&off_grid).expect("stage");
+    client.flush().expect("commit");
+    let mut store = GraphStore::new(g);
+    let want = store.apply(&off_grid.map(GraphDelta::from)).unwrap();
+    let digest = client.hello().expect("hello").graph_digest;
+    assert_eq!(digest, Some(want.digest()));
+
+    // 2^20 real units is 2^52 quanta: 2,048 nodes fit, 2,049 do not.
+    let mut heavy = vec![UpdateOp::Reweight {
+        u: 0,
+        v: 1,
+        w: (1 << 20) as f64,
+    }];
+    heavy.resize(1 + 2049 - 3, UpdateOp::AddNode);
+    let at_bound = vec![UpdateOp::Reweight {
+        u: 0,
+        v: 1,
+        w: (1 << 21) as f64,
+    }];
+    for (batch, bound) in [(at_bound, "2^21"), (heavy, "2^31")] {
+        match client.update(&batch) {
+            Err(ClientError::Server(msg)) => assert!(msg.contains(bound), "{msg}"),
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        client.flush().expect("flush");
+        let hello = client.hello().expect("hello");
+        assert_eq!((hello.graph_digest, hello.graph_epoch), (digest, 1));
+    }
+
+    client.shutdown().expect("shutdown");
     handle.join();
 }

@@ -13,6 +13,7 @@
 use reverse_k_ranks::prelude::*;
 use rkranks_core::bichromatic::bichromatic_rank;
 use rkranks_datasets::{road_network, RoadParams};
+use rkranks_graph::{to_real, Distance};
 
 fn main() {
     let net = road_network(&RoadParams::grid(40, 30, 25, 11));
@@ -29,7 +30,7 @@ fn main() {
 
     // Find the two stores closest to each other — direct competitors.
     let mut ws = DijkstraWorkspace::new(g.num_nodes());
-    let mut competitors: Option<(f64, NodeId, NodeId)> = None;
+    let mut competitors: Option<(Distance, NodeId, NodeId)> = None;
     for &s in &net.stores {
         for (v, d) in DistanceBrowser::new(g, &mut ws, s) {
             if v != s && net.is_store[v.index()] {
@@ -43,7 +44,7 @@ fn main() {
     let (dist, wellcome, parknshop) = competitors.expect("at least two stores");
     println!(
         "competing stores: {wellcome} ('Wellcome') and {parknshop} ('Parknshop'), {:.2} apart\n",
-        dist
+        to_real(dist)
     );
 
     for store in [wellcome, parknshop] {
@@ -64,7 +65,7 @@ fn main() {
                 e.rank,
                 net.stores.len(),
                 r,
-                dists[e.node.index()],
+                to_real(dists[e.node.index()]),
             );
         }
         println!("  ({} rank refinements)\n", result.stats.refinement_calls);

@@ -4,7 +4,7 @@
 use reverse_k_ranks::prelude::*;
 use rkranks_core::assert_all_strategies_match;
 use rkranks_datasets::toy::{self, ALICE, BOB, CAROLINE, ERIC, FRANK, GEORGE, NAMES, SID, TABLE1};
-use rkranks_graph::{rank_matrix, reverse_top_k};
+use rkranks_graph::{rank_matrix, reverse_top_k, to_real};
 
 #[test]
 fn table1_rank_matrix_is_exact() {
@@ -201,15 +201,15 @@ fn figure2_sds_tree_structure() {
     assert_eq!(parents[CAROLINE.index()], Some(BOB));
     assert_eq!(parents[SID.index()], Some(ERIC));
     assert_eq!(parents[FRANK.index()], Some(ERIC));
-    assert_eq!(parents[GEORGE.index()], Some(ERIC));
+    // George's paths through Eric (1.2 + 1.1) and through Frank (2.1 + 0.2)
+    // tie at 2.3; on the 2^-32 grid the one through Frank is a quantum
+    // shorter, and either is a shortest path of the figure's weights.
+    assert!(matches!(parents[GEORGE.index()], Some(ERIC | FRANK)));
+    // (each weight is on the 2^-32 grid, within 2^-33 of its value)
     let expected = [0.0, 1.0, 1.3, 2.2, 1.2, 2.1, 2.3];
     for (i, &d) in expected.iter().enumerate() {
-        assert!(
-            (dist[i] - d).abs() < 1e-12,
-            "dist[{}] = {} != {d}",
-            NAMES[i],
-            dist[i]
-        );
+        let got = to_real(dist[i]);
+        assert!((got - d).abs() < 1e-9, "dist[{}] = {got} != {d}", NAMES[i]);
     }
 }
 
