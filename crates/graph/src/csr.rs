@@ -289,11 +289,6 @@ impl Csr {
         })
     }
 
-    /// The heaviest arc weight (0 without arcs).
-    pub(crate) fn max_weight(&self) -> Distance {
-        self.weights.iter().copied().max().unwrap_or(0)
-    }
-
     /// Heap memory footprint in bytes (used by index-size accounting).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.offsets.len() * size_of::<u32>()

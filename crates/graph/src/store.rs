@@ -39,7 +39,7 @@ use crate::builder::EdgeDirection;
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
 use crate::node::NodeId;
-use crate::weight::{check_span, quantize, to_real, Distance};
+use crate::weight::{check_span, quantize, to_real, Distance, INF};
 
 /// One live graph update. A batch of these is the unit the serving layer
 /// stages and commits.
@@ -170,8 +170,10 @@ pub struct GraphStore {
     /// `(min, max)`): `Some(w)` = edge present with weight `w` after the
     /// next commit, `None` = edge deleted.
     staged: BTreeMap<(u32, u32), Option<Distance>>,
-    /// The heaviest weight of the snapshot and the staged overlay (an upper
-    /// bound between commits), for the span bound.
+    /// An upper bound on the heaviest weight of the snapshot and the staged
+    /// overlay, for the span bound ([`INF`] until a span check first needs
+    /// it): it grows as weights stage, and [`GraphStore::check_span_exact`]
+    /// makes it exact when it alone breaks the bound.
     max_weight: Distance,
     /// Nodes appended by staged [`GraphDelta::AddNode`]s.
     staged_new_nodes: u32,
@@ -195,7 +197,7 @@ impl GraphStore {
         GraphStore {
             direction,
             staged: BTreeMap::new(),
-            max_weight: csr.max_weight(),
+            max_weight: INF,
             staged_new_nodes: 0,
             snapshot: Arc::new(Graph::from_csr(csr, direction)),
             epoch: 0,
@@ -337,7 +339,7 @@ impl GraphStore {
                 if n as u64 + 1 > u32::MAX as u64 {
                     return Err(GraphError::TooManyNodes(n as usize + 1));
                 }
-                check_span(n + 1, self.max_weight)?;
+                self.check_span_exact(n + 1, 0)?;
                 self.staged_new_nodes += 1;
             }
             GraphDelta::AddEdge { u, v, w } | GraphDelta::Reweight { u, v, w } => {
@@ -348,13 +350,13 @@ impl GraphStore {
                 check_node(u)?;
                 check_node(v)?;
                 let w = quantize(u, v, w)?;
-                check_span(n, self.max_weight.max(w))?;
                 let key = canonical(self.direction, u, v);
                 match self.effective_weight(key) {
                     Some(_) if add => return Err(GraphError::EdgeExists { u, v }),
                     None if !add => return Err(GraphError::UnknownEdge { u, v }),
                     _ => {}
                 }
+                self.check_span_exact(n, w)?;
                 self.staged.insert(key, Some(w));
                 self.max_weight = self.max_weight.max(w);
             }
@@ -371,6 +373,26 @@ impl GraphStore {
         Ok(())
     }
 
+    /// The span bound for `num_nodes` nodes and a staged weight `w`. The
+    /// running maximum only grows, so when it breaks the bound, a scan of
+    /// the effective state makes it exact first: a batch that lowers or
+    /// removes the heaviest edge and then adds nodes stages whenever its
+    /// commit would fit. (The effective state always meets the bound, so
+    /// `w` replacing an edge breaks it only on its own.)
+    fn check_span_exact(&mut self, num_nodes: u32, w: Distance) -> Result<()> {
+        if check_span(num_nodes, self.max_weight.max(w)).is_err() {
+            let (g, staged, dir) = (&*self.snapshot, &self.staged, self.direction);
+            let committed = g.nodes().flat_map(|u| {
+                g.edges(u)
+                    .filter(move |&(v, _)| !staged.contains_key(&canonical(dir, u.0, v.0)))
+                    .map(|(_, w)| w)
+            });
+            let effective = committed.chain(staged.values().flatten().copied());
+            self.max_weight = effective.max().unwrap_or(0);
+        }
+        check_span(num_nodes, self.max_weight.max(w))
+    }
+
     /// Stage a batch atomically: either every delta stages or none does
     /// (the store is untouched when any delta is invalid). Returns how
     /// many deltas were staged.
@@ -379,7 +401,7 @@ impl GraphStore {
     /// overlay entries this batch touched are remembered and restored, so
     /// staging many batches between commits stays linear overall.
     pub fn stage_all(&mut self, deltas: &[GraphDelta]) -> Result<usize> {
-        let (nodes_before, max_before) = (self.staged_new_nodes, self.max_weight);
+        let nodes_before = self.staged_new_nodes;
         // First-touch undo log: the overlay state each key had before this
         // batch (`None` = the key was absent from the overlay, `Some`
         // wraps the prior present-with-weight / deleted entry).
@@ -403,7 +425,7 @@ impl GraphStore {
                         }
                     }
                 }
-                (self.staged_new_nodes, self.max_weight) = (nodes_before, max_before);
+                self.staged_new_nodes = nodes_before;
                 return Err(e);
             }
         }
@@ -441,7 +463,6 @@ impl GraphStore {
             .csr()
             .patched(self.effective_num_nodes(), &changes);
         self.staged_new_nodes = 0;
-        self.max_weight = csr.max_weight();
         self.epoch += 1;
         self.snapshot = Arc::new(Graph::from_csr(csr, self.direction));
         self.snapshot()
@@ -655,6 +676,38 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Lowering or removing the heaviest edge makes room for more nodes in
+    /// the same batch: the span check rescans instead of refusing on the
+    /// stale running maximum.
+    #[test]
+    fn lowering_the_heaviest_edge_makes_room_for_nodes() {
+        let heavy = GraphDelta::Reweight {
+            u: 0,
+            v: 1,
+            w: (1 << 20) as f64,
+        };
+        let mut batch = vec![heavy];
+        batch.resize(1 + 2048 - 4, GraphDelta::AddNode);
+        let mut store = GraphStore::new(diamond());
+        store.apply(&batch).unwrap();
+        assert_eq!(store.num_nodes(), 2048);
+        for lighten in [
+            GraphDelta::Reweight { u: 0, v: 1, w: 1.0 },
+            GraphDelta::RemoveEdge { u: 0, v: 1 },
+        ] {
+            let mut heavy_store = GraphStore::new((*store.snapshot()).clone());
+            assert!(matches!(
+                heavy_store.stage(GraphDelta::AddNode),
+                Err(GraphError::WeightSpan {
+                    num_nodes: 2049,
+                    ..
+                })
+            ));
+            heavy_store.apply(&[lighten, GraphDelta::AddNode]).unwrap();
+            assert_eq!(heavy_store.num_nodes(), 2049);
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ use crate::json::Json;
 /// incompatible wire change. Daemons predating the field decode as
 /// version 0, so mixed deployments fail with a one-line mismatch error
 /// instead of misparsing each other.
-pub const PROTOCOL_VERSION: u64 = 5;
+pub const PROTOCOL_VERSION: u64 = 6;
 
 /// One live graph update on the wire — the protocol face of
 /// `rkranks_graph::GraphDelta`. Encoded as a compact array:

@@ -201,10 +201,12 @@ fn figure2_sds_tree_structure() {
     assert_eq!(parents[CAROLINE.index()], Some(BOB));
     assert_eq!(parents[SID.index()], Some(ERIC));
     assert_eq!(parents[FRANK.index()], Some(ERIC));
-    // George's paths through Eric (1.2 + 1.1) and through Frank (2.1 + 0.2)
-    // tie at 2.3; on the 2^-32 grid the one through Frank is a quantum
-    // shorter, and either is a shortest path of the figure's weights.
-    assert!(matches!(parents[GEORGE.index()], Some(ERIC | FRANK)));
+    // Figure 2 hangs George off Eric; here he hangs off Frank. His paths
+    // through Eric (1.2 + 1.1) and through Frank (1.2 + 0.9 + 0.2) tie at
+    // 2.3 in real numbers, but on the 2^-32 grid q(0.9) + q(0.2) =
+    // 3865470566 + 858993459 = 4724464025 < q(1.1) = 4724464026, so the
+    // path through Frank is one quantum shorter.
+    assert_eq!(parents[GEORGE.index()], Some(FRANK));
     // (each weight is on the 2^-32 grid, within 2^-33 of its value)
     let expected = [0.0, 1.0, 1.3, 2.2, 1.2, 2.1, 2.3];
     for (i, &d) in expected.iter().enumerate() {
