@@ -12,8 +12,16 @@
 //! normalization (we normalize the degree term to `[0, 1]` across edges).
 //! The paper notes this weighting "can produce less ties ... which is
 //! important for unambiguous ranking".
-
-use std::collections::HashMap;
+//!
+//! **Memory contract:** the generator holds sequential vectors only, and
+//! no map of pairs. While papers arrive it holds one packed 8-byte key per
+//! co-authorship and the preferential-attachment `slots`. Then it frees
+//! `slots`, sorts the keys and counts their runs into one `(u, v, papers)`
+//! triple per distinct pair, and frees the keys. The weights go into the
+//! builder's edge list, and the triples are freed before
+//! [`GraphBuilder::build`] runs. So generation peaks at the larger of the
+//! keys plus `slots` and the builder's edge list plus the graph it returns
+//! plus `O(n)` (`crates/datasets/tests/generate_memory.rs` holds it to that).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,12 +69,12 @@ pub fn collab_graph(params: &CollabParams) -> Graph {
     assert!(max_team >= 2, "teams need at least two authors");
     let mut rng = StdRng::seed_from_u64(seed);
 
-    // Co-authorship counts per unordered pair.
-    let mut co_counts: HashMap<(u32, u32), u32> = HashMap::new();
+    // One packed key per co-authorship (`record_paper`).
+    let mut keys: Vec<u64> = Vec::new();
     // Preferential-attachment slots: one entry per past authorship.
     let mut slots: Vec<u32> = vec![0, 1];
     let mut pool: u32 = 2; // authors 0 and 1 exist from the seed paper
-    record_paper(&[0, 1], &mut co_counts, &mut slots);
+    record_paper(&[0, 1], &mut keys, &mut slots);
 
     let mut team: Vec<u32> = Vec::with_capacity(max_team);
     for paper in 1..papers {
@@ -99,7 +107,7 @@ pub fn collab_graph(params: &CollabParams) -> Graph {
             }
         }
         if team.len() >= 2 {
-            record_paper(&team, &mut co_counts, &mut slots);
+            record_paper(&team, &mut keys, &mut slots);
         }
     }
 
@@ -109,10 +117,11 @@ pub fn collab_graph(params: &CollabParams) -> Graph {
         let buddy = slots[rng.random_range(0..slots.len())];
         let newcomer = pool;
         pool += 1;
-        record_paper(&[newcomer, buddy], &mut co_counts, &mut slots);
+        record_paper(&[newcomer, buddy], &mut keys, &mut slots);
     }
 
-    weights_from_counts(authors, &co_counts)
+    drop(slots);
+    weights_from_counts(authors, count_pairs(keys))
 }
 
 fn sample_team_size<R: Rng>(rng: &mut R, max_team: usize) -> usize {
@@ -124,20 +133,35 @@ fn sample_team_size<R: Rng>(rng: &mut R, max_team: usize) -> usize {
     size
 }
 
-fn record_paper(team: &[u32], co_counts: &mut HashMap<(u32, u32), u32>, slots: &mut Vec<u32>) {
+/// Record one authorship slot per team member and one key
+/// `(min << 32) | max` per co-authoring pair.
+fn record_paper(team: &[u32], keys: &mut Vec<u64>, slots: &mut Vec<u32>) {
     for (i, &u) in team.iter().enumerate() {
         slots.push(u);
         for &v in &team[i + 1..] {
-            let key = if u < v { (u, v) } else { (v, u) };
-            *co_counts.entry(key).or_insert(0) += 1;
+            keys.push((u64::from(u.min(v)) << 32) | u64::from(u.max(v)));
         }
     }
 }
 
-/// Apply the paper's weight formula to raw co-authorship counts.
-fn weights_from_counts(authors: u32, co_counts: &HashMap<(u32, u32), u32>) -> Graph {
+/// `papers(u, v)` for every co-authoring pair `u < v`, as `(u, v, papers)`
+/// in ascending pair order: the runs of the sorted keys. The keys are freed
+/// on return.
+fn count_pairs(mut keys: Vec<u64>) -> Vec<(u32, u32, u32)> {
+    keys.sort_unstable();
+    let runs = || keys.chunk_by(|a, b| a == b);
+    // Sized by a counting pass: a growing push would hold spare capacity,
+    // and two buffers while it reallocates, beside the keys.
+    let mut pairs = Vec::with_capacity(runs().count());
+    pairs.extend(runs().map(|run| ((run[0] >> 32) as u32, run[0] as u32, run.len() as u32)));
+    pairs
+}
+
+/// Apply the paper's weight formula to raw co-authorship counts. The
+/// triples are freed before the builder runs.
+fn weights_from_counts(authors: u32, pairs: Vec<(u32, u32, u32)>) -> Graph {
     let mut degree = vec![0u32; authors as usize];
-    for &(u, v) in co_counts.keys() {
+    for &(u, v, _) in &pairs {
         degree[u as usize] += 1;
         degree[v as usize] += 1;
     }
@@ -145,15 +169,16 @@ fn weights_from_counts(authors: u32, co_counts: &HashMap<(u32, u32), u32>) -> Gr
     let log_term = |u: u32, v: u32| {
         (degree[u as usize].max(1) as f64).log2() + (degree[v as usize].max(1) as f64).log2()
     };
-    let max_log = co_counts
-        .keys()
-        .map(|&(u, v)| log_term(u, v))
+    let max_log = pairs
+        .iter()
+        .map(|&(u, v, _)| log_term(u, v))
         .fold(0.0f64, f64::max)
         .max(1e-9);
 
-    let mut b = GraphBuilder::with_capacity(EdgeDirection::Undirected, co_counts.len());
+    let mut b = GraphBuilder::with_capacity(EdgeDirection::Undirected, pairs.len());
     b.reserve_nodes(authors);
-    for (&(u, v), &c) in co_counts {
+    // Consumes `pairs`: its buffer is freed when the loop ends.
+    for (u, v, c) in pairs {
         let w = 1.0 / c as f64 + log_term(u, v) / max_log;
         b.add_edge(u, v, w).expect("generator produces valid edges");
     }

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use rkranks_datasets::{
-    collab_graph, gnm_graph, road_network, trust_graph, trust_graph_undirected, CollabParams,
-    RoadParams, TrustParams,
+    collab_graph, dblp_like, gnm_graph, road_network, trust_graph, trust_graph_undirected,
+    CollabParams, RoadParams, Scale, TrustParams,
 };
 use rkranks_graph::traversal::is_weakly_connected;
 use rkranks_graph::{EdgeDirection, Graph, UNIT};
@@ -16,6 +16,23 @@ fn weights_valid(g: &Graph) -> bool {
 
 fn no_self_loops(g: &Graph) -> bool {
     g.nodes().all(|u| g.edges(u).all(|(v, _)| v != u))
+}
+
+/// Every benchmark workload runs on `dblp_like(Medium, 42)`, so the
+/// fixture's digest is pinned: a change to the generator that moves it has
+/// to update these values on purpose.
+#[test]
+fn dblp_fixture_digests_are_pinned() {
+    assert_eq!(dblp_like(Scale::Tiny, 42).digest(), 0x8cf9_e0ef_b752_1765);
+    assert_eq!(dblp_like(Scale::Small, 42).digest(), 0x0f27_d9ac_f6b7_a6a4);
+}
+
+/// The benchmark's own fixture and a second seed (release build in CI).
+#[test]
+#[ignore = "Medium scale; run with --release --include-ignored"]
+fn dblp_medium_fixture_digests_are_pinned() {
+    assert_eq!(dblp_like(Scale::Medium, 42).digest(), 0x5832_5700_d170_78fe);
+    assert_eq!(dblp_like(Scale::Medium, 7).digest(), 0x14e2_3e8a_2fcc_d201);
 }
 
 proptest! {
