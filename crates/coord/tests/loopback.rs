@@ -22,7 +22,9 @@ use rkranks_datasets::default_update_stream;
 use rkranks_datasets::Zipf;
 use rkranks_datasets::{collab_graph, CollabParams};
 use rkranks_graph::{to_real, Graph, GraphDelta, GraphStore, ShardMap, ShardSlice};
-use rkranks_server::{spawn, Client, ClientError, Reply, ServerConfig, ServerHandle, UpdateOp};
+use rkranks_server::{
+    spawn, Client, ClientError, Reply, Request, ServerConfig, ServerHandle, UpdateOp,
+};
 
 const K: u32 = 5;
 const K_MAX: u32 = 16;
@@ -591,6 +593,36 @@ fn cached_queries_through_the_coordinator_pay_no_timer() {
     // join: a reply reaches the client before its sample is recorded).
     assert_eq!(m.front.request_seconds.count(), 201);
     assert_eq!(m.front.accept_errors.get(), 0);
+    shutdown_fleet(fleet);
+}
+
+/// A strategy `rkrd` does not serve is refused through the coordinator
+/// too: one error reply naming the in-process command, and the same
+/// connection keeps answering.
+#[test]
+fn unserved_strategies_are_refused_through_the_coordinator() {
+    let g = test_graph();
+    let expected = expected_ranks(&g);
+    let (fleet, coord) = spawn_cached_pair(&g);
+    let mut client = Client::connect(coord.addr()).expect("connect");
+    let line = client
+        .raw(&Request::Query {
+            node: 7,
+            k: K,
+            cache: true,
+            strategy: Some("indexed-three".into()),
+            deadline_ms: None,
+        })
+        .expect("one reply line");
+    let Reply::Error(msg) = Reply::from_line(&line).expect("a protocol reply line") else {
+        panic!("indexed-three must be refused: {line}");
+    };
+    assert!(msg.contains("rkr query"), "{msg}");
+    let reply = client.query(7, K).expect("the connection keeps answering");
+    let got: Vec<u32> = reply.entries.iter().map(|&(_, r)| r).collect();
+    assert_eq!(got, expected[&7]);
+    client.shutdown().expect("coordinator shutdown");
+    coord.join();
     shutdown_fleet(fleet);
 }
 

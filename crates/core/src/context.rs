@@ -50,9 +50,9 @@
 //!
 //! Indexed queries take an
 //! [`IndexAccess`], which either mutates a live [`RkrIndex`] in place (the
-//! paper's sequential-dynamic mode) or reads a frozen snapshot and logs
-//! discoveries to a private [`crate::index::IndexDelta`] for a later
-//! merge — the shape that lets indexed serving run on many threads.
+//! paper's sequential-dynamic mode, the one every product path runs) or
+//! reads a frozen snapshot and logs discoveries to a private
+//! [`crate::index::IndexDelta`] for a later merge.
 //!
 //! ## Anchored refinement
 //!
@@ -310,7 +310,7 @@ impl EngineContext {
     /// [`IndexAccess::Live`] is the paper's sequential-dynamic mode (the
     /// index sharpens in place), [`IndexAccess::Snapshot`] reads a frozen
     /// snapshot and logs discoveries to a per-worker delta for a later
-    /// [`RkrIndex::merge_delta`] — the shape concurrent serving uses.
+    /// [`RkrIndex::merge_delta`].
     /// Non-indexed strategies ignore the binding entirely. An `Indexed`
     /// request without a binding is an error.
     pub fn execute_with(

@@ -553,9 +553,11 @@ impl RkrIndex {
 /// A per-query (or per-worker) write-log of index discoveries.
 ///
 /// Snapshot-mode queries read a frozen [`RkrIndex`] and append every
-/// would-be mutation here; [`RkrIndex::merge_delta`] folds the log back in
-/// at a cadence the batch driver chooses. Logs from concurrent workers can
-/// be merged in any order — the index state they produce is identical.
+/// would-be mutation here; [`RkrIndex::merge_delta`] folds the log back
+/// in. Logs from concurrent workers can be merged in any order — the
+/// index state they produce is identical. No product path runs snapshot
+/// mode (the paper's §5 stream binds [`IndexAccess::Live`]); the
+/// benchmark's probe times it.
 #[derive(Clone, Debug)]
 pub struct IndexDelta {
     k_max: u32,
@@ -584,11 +586,6 @@ impl IndexDelta {
             offers: Vec::new(),
             check_raises: HashMap::new(),
         }
-    }
-
-    /// The graph epoch of the index this delta was created for.
-    pub fn graph_epoch(&self) -> u64 {
-        self.graph_epoch
     }
 
     /// Log an exact `(source, rank)` observation for `target`.
@@ -621,13 +618,6 @@ impl IndexDelta {
     pub fn is_empty(&self) -> bool {
         self.offers.is_empty() && self.check_raises.is_empty()
     }
-
-    /// Forget everything logged so far (the delta stays compatible with
-    /// its index and can be reused for the next epoch).
-    pub fn clear(&mut self) {
-        self.offers.clear();
-        self.check_raises.clear();
-    }
 }
 
 /// How a query touches index state: the live paper-faithful mode mutates
@@ -637,8 +627,8 @@ impl IndexDelta {
 pub enum IndexAccess<'a> {
     /// §5 as written: reads and writes go to the same evolving index.
     Live(&'a mut RkrIndex),
-    /// Concurrent serving: reads come from an immutable snapshot, writes
-    /// go to the worker's delta for a later [`RkrIndex::merge_delta`].
+    /// Frozen reads: reads come from an immutable snapshot, writes go to
+    /// the worker's delta for a later [`RkrIndex::merge_delta`].
     Snapshot {
         /// The frozen index all reads consult.
         snapshot: &'a RkrIndex,
@@ -999,8 +989,6 @@ mod tests {
         );
         assert_eq!(idx.check(NodeId(1)), 5);
         assert_eq!(idx.check(NodeId(2)), 4);
-        delta.clear();
-        assert!(delta.is_empty());
     }
 
     #[test]
@@ -1058,7 +1046,6 @@ mod tests {
         let mut stale = IndexDelta::for_index(&old_index);
         stale.offer(NodeId(0), NodeId(1), 2);
         stale.raise_check(NodeId(1), 4);
-        assert_eq!(stale.graph_epoch(), 0);
 
         // the graph committed: the serving layer retires to a fresh index
         // tagged with the new epoch
@@ -1071,7 +1058,6 @@ mod tests {
 
         // same-epoch deltas still merge, and for_index inherits the tag
         let mut fresh = IndexDelta::for_index(&retired);
-        assert_eq!(fresh.graph_epoch(), 1);
         fresh.offer(NodeId(0), NodeId(1), 2);
         retired.merge_delta(&fresh);
         assert_eq!(retired.rrd_entries(), 1);

@@ -16,13 +16,19 @@
 //! The Small legs (`sweep_small_*`) are ignored there, and CI runs them in
 //! a release build without `naive`. The Medium leg, ignored too, checks
 //! `k = 10` only (≈ 4 min in release) and samples every 250th node.
+//!
+//! The Tiny legs also keep the full `d(p, q)` and `Rank(p, q)` matrices
+//! and check Theorem 1 decision by decision: on the accepted pass of
+//! every `dynamic-three` query, a pop at its node's true distance must
+//! claim the true rank when refined, and no more than it when pruned.
+//! Pops above the true distance (late pops) are counted, not checked.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rkranks_core::{
-    BoundConfig, EngineContext, IndexAccess, IndexDelta, IndexParams, Partition, QueryRequest,
-    Strategy,
+    BoundConfig, EngineContext, IndexAccess, IndexDelta, IndexParams, Partition, PopDecision,
+    QueryRequest, Strategy,
 };
 use rkranks_datasets::{dblp_like, epinions_like, sf_like, Scale};
 use rkranks_graph::{Graph, NodeId};
@@ -33,13 +39,13 @@ const DYNAMIC_THREE: Strategy = Strategy::Dynamic(BoundConfig::ALL);
 /// Per query node, its `K_MAX` smallest `(Rank(p, q), p)` pairs, sorted.
 type Answers = Vec<Vec<(u32, u32)>>;
 
-/// The sweep. With a `V2` mask (bichromatic) the candidates `p` are the
-/// nodes outside `V2`, and only `V2` nodes count toward a rank or are
-/// queries.
-fn sweep(g: &Graph, v2: Option<&[bool]>) -> Answers {
+/// The sweep's traversals: one Dijkstra from every candidate `p`, calling
+/// `visit(p, v, d(p, v), Rank(p, v))` for every counted `v` it reaches.
+/// With a `V2` mask (bichromatic) the candidates `p` are the nodes
+/// outside `V2`, and only `V2` nodes count toward a rank or are queries.
+fn traverse(g: &Graph, v2: Option<&[bool]>, mut visit: impl FnMut(usize, usize, u64, u32)) {
     let n = g.num_nodes() as usize;
     let in_v2 = |v: usize| v2.is_none_or(|mask| mask[v]);
-    let mut best: Vec<BinaryHeap<(u32, u32)>> = vec![BinaryHeap::new(); n];
     let mut dist = vec![u64::MAX; n];
     let mut reached: Vec<usize> = Vec::new();
     let mut heap = BinaryHeap::new();
@@ -73,15 +79,97 @@ fn sweep(g: &Graph, v2: Option<&[bool]>) -> Answers {
                 (closer, last) = (counted, d);
             }
             counted += 1;
-            let (entry, kept) = ((closer + 1, p as u32), &mut best[v]);
-            if kept.len() < K_MAX {
-                kept.push(entry);
-            } else if let Some(mut top) = kept.peek_mut().filter(|top| entry < **top) {
-                *top = entry;
+            visit(p, v, d, closer + 1);
+        }
+    }
+}
+
+/// The sweep: each query node's `K_MAX` smallest `(Rank(p, q), p)` pairs.
+fn sweep(g: &Graph, v2: Option<&[bool]>) -> Answers {
+    let mut best: Vec<BinaryHeap<(u32, u32)>> = vec![BinaryHeap::new(); g.num_nodes() as usize];
+    traverse(g, v2, |p, v, _, rank| {
+        let (entry, kept) = ((rank, p as u32), &mut best[v]);
+        if kept.len() < K_MAX {
+            kept.push(entry);
+        } else if let Some(mut top) = kept.peek_mut().filter(|top| entry < **top) {
+            *top = entry;
+        }
+    });
+    best.into_iter().map(BinaryHeap::into_sorted_vec).collect()
+}
+
+/// `d(p, q)` and `Rank(p, q)` for every pair the sweep reaches, row `p`
+/// (`u64::MAX` / 0 where `p` does not reach a counted `q`).
+struct Truth {
+    n: usize,
+    dist: Vec<u64>,
+    rank: Vec<u32>,
+}
+
+impl Truth {
+    fn new(g: &Graph, v2: Option<&[bool]>) -> Truth {
+        let n = g.num_nodes() as usize;
+        let (mut dist, mut rank) = (vec![u64::MAX; n * n], vec![0; n * n]);
+        traverse(g, v2, |p, v, d, r| {
+            (dist[p * n + v], rank[p * n + v]) = (d, r);
+        });
+        Truth { n, dist, rank }
+    }
+
+    fn at(&self, p: NodeId, q: NodeId) -> (u64, u32) {
+        let i = p.index() * self.n + q.index();
+        (self.dist[i], self.rank[i])
+    }
+}
+
+/// Theorem 1 on the accepted pass of every `dynamic-three` query at
+/// `ks`: each pop at its node's true distance must claim the true rank
+/// (`Refined`) or at most it (`BoundPruned`, `RefinementPruned`), and no
+/// pop may sit below its true distance. Prints the leg's share of late
+/// pops and returns its over-claims, one line each.
+fn theorem_one(name: &str, ctx: &EngineContext, truth: &Truth, ks: &[u32]) -> Vec<String> {
+    let mut scratch = ctx.new_scratch();
+    let (mut pops, mut late, mut over) = (0u64, 0u64, Vec::new());
+    let queries = ctx
+        .graph()
+        .nodes()
+        .filter(|&q| ctx.partition().is_none_or(|part| part.is_v2(q)));
+    for q in queries {
+        for &k in ks {
+            let req = QueryRequest::new(q, k)
+                .with_strategy(DYNAMIC_THREE)
+                .with_trace();
+            let out = ctx.execute(&mut scratch, &req).unwrap();
+            for e in &out.trace.expect("traced").events {
+                let claim = match e.decision {
+                    PopDecision::Refined { rank, .. } => Ok(rank),
+                    PopDecision::BoundPruned { lower_bound, .. }
+                    | PopDecision::RefinementPruned { lower_bound } => Err(lower_bound),
+                    _ => continue,
+                };
+                pops += 1;
+                let (d, rank) = truth.at(e.node, q);
+                let wrong = if e.distance > d {
+                    late += 1;
+                    false
+                } else {
+                    e.distance < d || claim.map_or_else(|lb| lb > rank, |r| r != rank)
+                };
+                if wrong {
+                    over.push(format!(
+                        "{name} q={q} k={k} p={}: {:?} at {} vs Rank {rank} at {d}",
+                        e.node, e.decision, e.distance
+                    ));
+                }
             }
         }
     }
-    best.into_iter().map(BinaryHeap::into_sorted_vec).collect()
+    eprintln!(
+        "{name}: {pops} pops, {late} late ({:.1} %), {} over-claims",
+        100.0 * late as f64 / pops.max(1) as f64,
+        over.len()
+    );
+    over
 }
 
 /// `true` if `got` is a correct answer given the `k` smallest
@@ -112,12 +200,16 @@ fn leg(name: &str, ctx: &EngineContext, scale: Scale) -> Vec<String> {
         .partition()
         .map(|part| g.nodes().map(|v| part.is_v2(v)).collect());
     let want = sweep(g, mask.as_deref());
+    let mut mismatches = Vec::new();
+    if scale == Scale::Tiny {
+        let truth = Truth::new(g, mask.as_deref());
+        mismatches.extend(theorem_one(name, ctx, &truth, ks));
+    }
     let (built, _) = ctx.build_index(&IndexParams {
         k_max: K_MAX as u32,
         ..IndexParams::default()
     });
     let mut scratch = ctx.new_scratch();
-    let mut mismatches = Vec::new();
     let queries = g
         .nodes()
         .filter(|q| mask.as_ref().is_none_or(|m| m[q.index()]));
@@ -187,7 +279,7 @@ fn assert_no_mismatch(family_name: &str, scale: Scale) {
     let mismatches = family(family_name, scale);
     assert!(
         mismatches.is_empty(),
-        "{} answers differ from the sweep on {family_name} ({scale:?})",
+        "{} answers or Theorem-1 claims differ from the sweep on {family_name} ({scale:?})",
         mismatches.len()
     );
 }

@@ -14,7 +14,7 @@ use rkranks_graph::Graph;
 
 use crate::experiments::{DEFAULT_FRACTION, K_VALUES};
 use crate::report::{fmt_f64, fmt_secs, Table};
-use crate::runner::{run_batch, run_indexed_batch, BatchOutcome, IndexedMode};
+use crate::runner::{run_batch, run_indexed_batch, BatchOutcome};
 use crate::workload::random_queries;
 use crate::ExpContext;
 
@@ -100,36 +100,11 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
         row("Dynamic".into(), &d);
         // Fresh index per k so measurements are independent, as in the paper.
         let (mut idx, _) = engine.build_index(&params);
-        let i = run_indexed_batch(
-            Arc::clone(g),
-            None,
-            &mut idx,
-            &queries,
-            k,
-            BoundConfig::ALL,
-            IndexedMode::Sequential,
-        )
-        .expect("indexed batch");
+        let i = run_indexed_batch(Arc::clone(g), None, &mut idx, &queries, k, BoundConfig::ALL)
+            .expect("indexed batch");
         row("Dynamic Indexed".into(), &i);
-        // The concurrent-serving mode: frozen snapshot + per-worker deltas.
-        let (mut idx, _) = engine.build_index(&params);
-        let p = run_indexed_batch(
-            Arc::clone(g),
-            None,
-            &mut idx,
-            &queries,
-            k,
-            BoundConfig::ALL,
-            IndexedMode::Snapshot {
-                threads: ctx.threads,
-                merge_every: 0,
-            },
-        )
-        .expect("snapshot-indexed batch");
-        row(format!("Indexed snapshot x{}", ctx.threads), &p);
     }
     t.note("shape target (paper Fig. 6): cost grows with k; Dynamic cuts refinements vs Static by orders of magnitude; the index cuts them further, with the biggest relative win at small k");
-    t.note("Indexed snapshot runs the same queries concurrently against a frozen index (deltas merged at batch end): per-query ranks match Dynamic exactly; refinements can exceed the sequential-dynamic mode because intra-batch learning is deferred");
     t
 }
 
@@ -148,8 +123,8 @@ mod tests {
         let tables = run(&ctx);
         assert_eq!(tables.len(), 2);
         for t in &tables {
-            // 4 methods per k (k values below the 300-node tiny graphs: all 5)
-            assert_eq!(t.rows.len() % 4, 0);
+            // 3 methods per k (k values below the 300-node tiny graphs: all 5)
+            assert_eq!(t.rows.len() % 3, 0);
             assert!(!t.rows.is_empty());
             // every method runs the ladder: at least one pass per query
             let passes = t.headers.iter().position(|h| h == "SDS passes").unwrap();

@@ -11,7 +11,7 @@ use rkranks_datasets::sf_like;
 
 use crate::experiments::K_VALUES;
 use crate::report::{fmt_f64, fmt_secs, Table};
-use crate::runner::{run_batch, run_indexed_batch, IndexedMode};
+use crate::runner::{run_batch, run_indexed_batch};
 use crate::workload::random_queries;
 use crate::ExpContext;
 
@@ -77,7 +77,6 @@ pub(crate) fn run(ctx: &ExpContext) -> Vec<Table> {
             &queries,
             k,
             BoundConfig::ALL,
-            IndexedMode::Sequential,
         )
         .expect("indexed batch");
         t.push_row(vec![

@@ -9,7 +9,7 @@ use rkranks_graph::Graph;
 
 use crate::experiments::{DEFAULT_FRACTION, DEFAULT_K, FRACTIONS};
 use crate::report::{fmt_bytes, fmt_f64, fmt_secs, Table};
-use crate::runner::{run_indexed_batch, IndexedMode};
+use crate::runner::run_indexed_batch;
 use crate::workload::random_queries;
 use crate::ExpContext;
 
@@ -45,7 +45,6 @@ fn sweep(ctx: &ExpContext, label: &str, g: &Arc<Graph>, paper_ref: &str, vary_hu
             &queries,
             DEFAULT_K,
             BoundConfig::ALL,
-            IndexedMode::Sequential,
         )
         .expect("index-params batch");
         t.push_row(vec![
@@ -119,7 +118,6 @@ pub(crate) fn hub_strategy(ctx: &ExpContext) -> Vec<Table> {
                 &queries,
                 DEFAULT_K,
                 BoundConfig::ALL,
-                IndexedMode::Sequential,
             )
             .expect("hub-strategy batch");
             t.push_row(vec![

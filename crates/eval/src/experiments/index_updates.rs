@@ -12,7 +12,7 @@ use rkranks_graph::Graph;
 
 use crate::experiments::DEFAULT_K;
 use crate::report::{fmt_f64, fmt_secs, Table};
-use crate::runner::{run_indexed_batch, IndexedMode};
+use crate::runner::run_indexed_batch;
 use crate::workload::random_queries;
 use crate::ExpContext;
 
@@ -59,7 +59,6 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
                 chunk,
                 DEFAULT_K,
                 BoundConfig::ALL,
-                IndexedMode::Sequential,
             )
             .expect("index-updates batch");
             totals.absorb(&out.totals);

@@ -5,14 +5,9 @@
 //! worker thread only allocates a cheap [`rkranks_core::QueryScratch`].
 //! Batches dispatch on [`rkranks_core::Strategy`] values (the unified
 //! query API): naive / static / dynamic queries are embarrassingly
-//! parallel via [`run_batch`]. Indexed queries come in
-//! two modes ([`IndexedMode`]): the paper's sequential-dynamic stream,
-//! where each query's updates help the next, and a snapshot mode where
-//! workers query a frozen index concurrently, log discoveries to private
-//! [`IndexDelta`]s, and merge them back at a configurable cadence.
-//! Snapshot results are rank-identical to the dynamic strategy — the index
-//! only ever prunes work — so parallelism never costs correctness, only
-//! some intra-epoch sharpening.
+//! parallel via [`run_batch`]. Indexed queries run the paper's §5 stream
+//! via [`run_indexed_batch`]: one thread, each query learning into the
+//! index the next one reads.
 //!
 //! Errors (an invalid query node, `k > K`) propagate out of the batch as
 //! `Err` instead of panicking inside worker threads.
@@ -21,29 +16,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rkranks_core::{
-    BoundConfig, EngineContext, IndexAccess, IndexDelta, Partition, QueryRequest, QueryResult,
-    QueryStats, RkrIndex, Strategy,
+    BoundConfig, EngineContext, IndexAccess, Partition, QueryRequest, QueryResult, QueryStats,
+    RkrIndex, Strategy,
 };
 use rkranks_graph::{Graph, GraphError, NodeId, Result};
-
-/// How an indexed batch is executed.
-#[derive(Clone, Copy, Debug)]
-pub enum IndexedMode {
-    /// The paper's §5 mode: one thread, the index mutates in stream order,
-    /// every query sees everything earlier queries learned.
-    Sequential,
-    /// Concurrent serving: `threads` workers query a frozen snapshot of
-    /// the index and log discoveries to private deltas, which are merged
-    /// back into the index every `merge_every` queries (`0` = merge once
-    /// at the end of the batch). Larger cadences mean less merge overhead
-    /// but staler pruning state within the batch.
-    Snapshot {
-        /// Worker thread count.
-        threads: usize,
-        /// Queries per merge epoch (`0` = single epoch).
-        merge_every: usize,
-    },
-}
 
 /// Tail-latency percentiles over a batch (seconds).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -198,9 +174,11 @@ pub fn run_batch(
     Ok(out)
 }
 
-/// Run an indexed batch in the given [`IndexedMode`], keeping only the
-/// aggregate outcome (per-query results are never materialized). See
-/// [`run_batch`] for the `graph` conversion cost.
+/// Run an indexed batch as the paper's §5 stream, keeping only the
+/// aggregate outcome (per-query results are never materialized): one
+/// thread, the index mutates in stream order, and every query sees
+/// everything earlier queries learned. See [`run_batch`] for the `graph`
+/// conversion cost.
 pub fn run_indexed_batch(
     graph: impl Into<Arc<Graph>>,
     partition: Option<&Partition>,
@@ -208,9 +186,8 @@ pub fn run_indexed_batch(
     queries: &[NodeId],
     k: u32,
     bounds: BoundConfig,
-    mode: IndexedMode,
 ) -> Result<BatchOutcome> {
-    run_indexed_inner(graph, partition, index, queries, k, bounds, mode, false).map(|(out, _)| out)
+    run_indexed_inner(graph, partition, index, queries, k, bounds, false).map(|(out, _)| out)
 }
 
 /// [`run_indexed_batch`], additionally returning each query's result in
@@ -222,14 +199,12 @@ pub fn run_indexed_batch_collect(
     queries: &[NodeId],
     k: u32,
     bounds: BoundConfig,
-    mode: IndexedMode,
 ) -> Result<(BatchOutcome, Vec<QueryResult>)> {
-    run_indexed_inner(graph, partition, index, queries, k, bounds, mode, true)
+    run_indexed_inner(graph, partition, index, queries, k, bounds, true)
 }
 
 /// The one indexed-batch driver. `collect` gates whether per-query results
 /// are retained (an O(queries) cost nothing but equivalence tests want).
-#[allow(clippy::too_many_arguments)]
 fn run_indexed_inner(
     graph: impl Into<Arc<Graph>>,
     partition: Option<&Partition>,
@@ -237,86 +212,20 @@ fn run_indexed_inner(
     queries: &[NodeId],
     k: u32,
     bounds: BoundConfig,
-    mode: IndexedMode,
     collect: bool,
 ) -> Result<(BatchOutcome, Vec<QueryResult>)> {
     let ctx = make_context(graph.into(), partition);
     let mut out = BatchOutcome::default();
     let mut results = Vec::with_capacity(if collect { queries.len() } else { 0 });
-    match mode {
-        IndexedMode::Sequential => {
-            let mut scratch = ctx.new_scratch();
-            for &q in queries {
-                let req = QueryRequest::new(q, k).with_strategy(Strategy::Indexed(bounds));
-                let r = ctx
-                    .execute_with(&mut scratch, Some(&mut IndexAccess::Live(index)), &req)?
-                    .result;
-                out.absorb(&r.stats);
-                if collect {
-                    results.push(r);
-                }
-            }
-        }
-        IndexedMode::Snapshot {
-            threads,
-            merge_every,
-        } => {
-            let epoch_len = if merge_every == 0 {
-                queries.len().max(1)
-            } else {
-                merge_every
-            };
-            // Scratches and deltas are allocated once and reused across
-            // epochs — per-epoch cost is the thread spawn, not the O(n)
-            // workspace arrays. No epoch can occupy more workers than it
-            // has queries, so cap the pool at the epoch length too.
-            let threads = threads.clamp(1, queries.len().max(1)).min(epoch_len);
-            let mut scratches: Vec<_> = (0..threads).map(|_| ctx.new_scratch()).collect();
-            let mut deltas: Vec<_> = (0..threads).map(|_| IndexDelta::for_index(index)).collect();
-            for epoch in queries.chunks(epoch_len) {
-                let shard = epoch.len().div_ceil(threads);
-                let snapshot = &*index;
-                let mut partials: Vec<Result<(BatchOutcome, Vec<QueryResult>)>> = Vec::new();
-                std::thread::scope(|s| {
-                    let ctx = &ctx;
-                    let handles: Vec<_> = epoch
-                        .chunks(shard)
-                        .zip(scratches.iter_mut())
-                        .zip(deltas.iter_mut())
-                        .map(|((shard, scratch), delta)| {
-                            s.spawn(move || {
-                                let mut out = BatchOutcome::default();
-                                let mut results =
-                                    Vec::with_capacity(if collect { shard.len() } else { 0 });
-                                let mut access = IndexAccess::Snapshot { snapshot, delta };
-                                for &q in shard {
-                                    let req = QueryRequest::new(q, k)
-                                        .with_strategy(Strategy::Indexed(bounds));
-                                    let r =
-                                        ctx.execute_with(scratch, Some(&mut access), &req)?.result;
-                                    out.absorb(&r.stats);
-                                    if collect {
-                                        results.push(r);
-                                    }
-                                }
-                                Ok((out, results))
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        partials.push(h.join().expect("indexed batch worker panicked"));
-                    }
-                });
-                for p in partials {
-                    let (partial, shard_results) = p?;
-                    out.merge(partial);
-                    results.extend(shard_results);
-                }
-                for delta in &mut deltas {
-                    index.merge_delta(delta);
-                    delta.clear();
-                }
-            }
+    let mut scratch = ctx.new_scratch();
+    for &q in queries {
+        let req = QueryRequest::new(q, k).with_strategy(Strategy::Indexed(bounds));
+        let r = ctx
+            .execute_with(&mut scratch, Some(&mut IndexAccess::Live(index)), &req)?
+            .result;
+        out.absorb(&r.stats);
+        if collect {
+            results.push(r);
         }
     }
     Ok((out, results))
@@ -349,7 +258,7 @@ pub fn default_threads() -> usize {
 /// A positive thread count from the environment (`None` when the variable
 /// is unset or unparseable). CI uses `RKR_TEST_THREADS` to rerun the test
 /// suite with a different batch parallelism.
-pub fn env_threads(var: &str) -> Option<usize> {
+pub(crate) fn env_threads(var: &str) -> Option<usize> {
     std::env::var(var)
         .ok()?
         .parse()
@@ -427,16 +336,8 @@ mod tests {
             assert!(r.is_err(), "threads={threads}");
         }
         let mut idx = RkrIndex::empty(g.num_nodes(), 4);
-        for mode in [
-            IndexedMode::Sequential,
-            IndexedMode::Snapshot {
-                threads: 2,
-                merge_every: 1,
-            },
-        ] {
-            let r = run_indexed_batch(&g, None, &mut idx, &queries, 2, BoundConfig::ALL, mode);
-            assert!(r.is_err(), "mode={mode:?}");
-        }
+        let r = run_indexed_batch(&g, None, &mut idx, &queries, 2, BoundConfig::ALL);
+        assert!(r.is_err());
     }
 
     #[test]
@@ -444,87 +345,13 @@ mod tests {
         let g = grid();
         let queries: Vec<NodeId> = g.nodes().chain(g.nodes()).collect();
         let mut idx = RkrIndex::empty(g.num_nodes(), 16);
-        let out = run_indexed_batch(
-            &g,
-            None,
-            &mut idx,
-            &queries,
-            2,
-            BoundConfig::ALL,
-            IndexedMode::Sequential,
-        )
-        .unwrap();
+        let out = run_indexed_batch(&g, None, &mut idx, &queries, 2, BoundConfig::ALL).unwrap();
         assert_eq!(out.queries, 8);
         assert!(idx.rrd_entries() > 0);
         assert!(
             out.totals.index_exact_hits > 0,
             "second pass should hit the index"
         );
-    }
-
-    #[test]
-    fn snapshot_mode_matches_dynamic_ranks_and_merges() {
-        let g = grid();
-        let queries: Vec<NodeId> = g.nodes().chain(g.nodes()).collect();
-        let expected: Vec<Vec<u32>> = {
-            let ctx = EngineContext::new(&g);
-            let mut s = ctx.new_scratch();
-            queries
-                .iter()
-                .map(|&q| {
-                    ctx.execute(&mut s, &QueryRequest::new(q, 2))
-                        .unwrap()
-                        .result
-                        .ranks()
-                })
-                .collect()
-        };
-        for merge_every in [0, 1, 3] {
-            let mut idx = RkrIndex::empty(g.num_nodes(), 16);
-            let (out, results) = run_indexed_batch_collect(
-                &g,
-                None,
-                &mut idx,
-                &queries,
-                2,
-                BoundConfig::ALL,
-                IndexedMode::Snapshot {
-                    threads: test_threads(),
-                    merge_every,
-                },
-            )
-            .unwrap();
-            assert_eq!(out.queries, queries.len() as u64);
-            assert_eq!(results.len(), queries.len());
-            for (i, r) in results.iter().enumerate() {
-                assert_eq!(r.ranks(), expected[i], "merge_every={merge_every} i={i}");
-            }
-            // the merged deltas made it into the live index
-            assert!(idx.rrd_entries() > 0, "merge_every={merge_every}");
-        }
-    }
-
-    #[test]
-    fn snapshot_merge_cadence_enables_intra_batch_hits() {
-        let g = grid();
-        // Same queries twice: with per-query merging on one worker the
-        // second pass must hit the dictionary, like sequential mode.
-        let queries: Vec<NodeId> = g.nodes().chain(g.nodes()).collect();
-        let mut idx = RkrIndex::empty(g.num_nodes(), 16);
-        let out = run_indexed_batch(
-            &g,
-            None,
-            &mut idx,
-            &queries,
-            2,
-            BoundConfig::ALL,
-            IndexedMode::Snapshot {
-                threads: 1,
-                merge_every: 1,
-            },
-        )
-        .unwrap();
-        assert!(out.totals.index_exact_hits > 0);
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Property test: parallel snapshot-indexed serving is rank-identical to
+//! Property test: the paper's §5 indexed stream is rank-identical to
 //! single-threaded `execute` under the default strategy (`dynamic-three`).
 //!
 //! The index never decides correctness — it only seeds `R` with exact
-//! ranks and prunes candidates it can prove hopeless — so snapshot-mode
-//! queries must return exactly the ranks the plain dynamic search
-//! returns, for every thread count and delta-merge cadence. This is the
-//! invariant that makes the concurrent serving mode safe to deploy.
+//! ranks and prunes candidates it can prove hopeless — so indexed queries
+//! must return exactly the ranks the plain dynamic search returns, from a
+//! cold index and from a hub-built one alike.
 
 use proptest::prelude::*;
 use rkranks_core::{BoundConfig, EngineContext, HubStrategy, IndexParams, QueryRequest, RkrIndex};
-use rkranks_eval::runner::{env_threads, run_indexed_batch_collect, IndexedMode};
+use rkranks_eval::runner::run_indexed_batch_collect;
 use rkranks_graph::{EdgeDirection, Graph, GraphBuilder, NodeId};
 
 /// Generator: a connected-ish random weighted graph as (node count,
@@ -66,19 +65,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn snapshot_parallel_ranks_match_dynamic(
-        (n, directed, edges) in arb_graph(24, 40),
-        threads in 1usize..5,
-        merge_every in 0usize..7,
-        k in 1u32..6,
+    fn sequential_indexed_ranks_match_dynamic(
+        (n, directed, edges) in arb_graph(20, 30),
+        k in 1u32..5,
         warm_built in proptest::arbitrary::any::<bool>(),
     ) {
         let g = build(n, directed, &edges);
-        // Query every node twice: repeats exercise the index-hit fast path
-        // once deltas merge back between epochs.
+        // Query every node twice: repeats exercise the index-hit fast path.
         let queries: Vec<NodeId> = g.nodes().chain(g.nodes()).collect();
         let expected = dynamic_ranks(&g, &queries, k);
-
         // Both a hub-built index and an empty one must be transparent.
         let mut index = if warm_built {
             let params = IndexParams {
@@ -92,45 +87,6 @@ proptest! {
         } else {
             RkrIndex::empty(g.num_nodes(), 8)
         };
-
-        let (out, results) = run_indexed_batch_collect(
-            &g,
-            None,
-            &mut index,
-            &queries,
-            k,
-            BoundConfig::ALL,
-            IndexedMode::Snapshot { threads, merge_every },
-        )
-        .unwrap();
-
-        prop_assert_eq!(out.queries, queries.len() as u64);
-        prop_assert_eq!(results.len(), queries.len());
-        for (i, r) in results.iter().enumerate() {
-            prop_assert_eq!(
-                &r.ranks(),
-                &expected[i],
-                "q={} threads={} merge_every={} k={} warm={}",
-                queries[i],
-                threads,
-                merge_every,
-                k,
-                warm_built
-            );
-        }
-        // Merged deltas must have landed in the live index.
-        prop_assert!(index.rrd_entries() > 0 || expected.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn sequential_indexed_ranks_match_dynamic(
-        (n, directed, edges) in arb_graph(20, 30),
-        k in 1u32..5,
-    ) {
-        let g = build(n, directed, &edges);
-        let queries: Vec<NodeId> = g.nodes().collect();
-        let expected = dynamic_ranks(&g, &queries, k);
-        let mut index = RkrIndex::empty(g.num_nodes(), 8);
         let (_, results) = run_indexed_batch_collect(
             &g,
             None,
@@ -138,42 +94,10 @@ proptest! {
             &queries,
             k,
             BoundConfig::ALL,
-            IndexedMode::Sequential,
         )
         .unwrap();
         for (i, r) in results.iter().enumerate() {
-            prop_assert_eq!(&r.ranks(), &expected[i], "q={}", queries[i]);
+            prop_assert_eq!(&r.ranks(), &expected[i], "q={} warm={}", queries[i], warm_built);
         }
-    }
-}
-
-/// The CI matrix reruns the suite with `RKR_TEST_THREADS` set; make that
-/// thread count exercise the snapshot path directly too.
-#[test]
-fn env_thread_count_matches_dynamic() {
-    let threads = env_threads("RKR_TEST_THREADS").unwrap_or(4);
-    let edges: Vec<(u32, u32, f64)> = (0..30u32)
-        .map(|i| (i, (i + 1) % 30, 1.0 + (i % 7) as f64))
-        .chain((0..10u32).map(|i| (i, i + 15, 2.5)))
-        .collect();
-    let g = build(30, false, &edges);
-    let queries: Vec<NodeId> = g.nodes().collect();
-    let expected = dynamic_ranks(&g, &queries, 3);
-    let mut index = RkrIndex::empty(g.num_nodes(), 8);
-    let (_, results) = run_indexed_batch_collect(
-        &g,
-        None,
-        &mut index,
-        &queries,
-        3,
-        BoundConfig::ALL,
-        IndexedMode::Snapshot {
-            threads,
-            merge_every: 5,
-        },
-    )
-    .unwrap();
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(r.ranks(), expected[i], "q={} threads={threads}", queries[i]);
     }
 }

@@ -1,5 +1,8 @@
 //! The serving-side result cache: a hand-rolled O(1) LRU keyed by
-//! `(node, k, strategy, index epoch, graph epoch)`.
+//! `(node, k, strategy, index epoch, graph epoch)`. `rkrd` serves one
+//! strategy and reads no index, so it fills the strategy byte with a
+//! constant and the index epoch with [`EPOCH_INDEPENDENT`]: in effect its
+//! entries are keyed by `(node, k, graph epoch)`.
 //!
 //! Because both epochs are part of the key, a committed graph update —
 //! which bumps the graph epoch and retires the index — makes every older
@@ -11,8 +14,8 @@
 //! publishing a new snapshot.
 //!
 //! The two components invalidate *different* things. A new index changes
-//! no answers (the index only prunes work), so graph-only strategies key
-//! their entries [`EPOCH_INDEPENDENT`] and ignore the index epoch. Graph
+//! no answers (the index only prunes work), so answers that never read
+//! the index are keyed [`EPOCH_INDEPENDENT`] and ignore the index epoch. Graph
 //! commits change the answers themselves, so the graph epoch is part of
 //! *every* key — there is no graph-independent result — and a graph-epoch
 //! bump strands the whole cache.
@@ -33,10 +36,8 @@ pub struct CacheKey {
     pub node: u32,
     /// Result size.
     pub k: u32,
-    /// Encoded [`rkranks_core::Strategy`] (different strategies and
-    /// bound settings explore differently and must not share entries with
-    /// each other). Derived from the request — see
-    /// `server::strategy_bits`.
+    /// Encoded strategy: entries of different strategies must not share
+    /// a key. `rkrd` serves one strategy and always writes `0`.
     pub strategy: u8,
     /// Index epoch the answer was computed against, or
     /// [`EPOCH_INDEPENDENT`] for strategies that never read the index.

@@ -52,9 +52,6 @@ impl From<io::Error> for ClientError {
 pub struct QueryOptions {
     /// Consult/populate the server-side result cache (default `true`).
     pub cache: bool,
-    /// Evaluation strategy name ([`rkranks_core::Strategy`] string form,
-    /// e.g. `"dynamic-height"`); `None` uses the daemon's default.
-    pub strategy: Option<String>,
     /// Best-effort server-side deadline in milliseconds; an exceeded
     /// deadline answers with a partial result
     /// ([`crate::protocol::QueryReply::partial`]).
@@ -65,7 +62,6 @@ impl Default for QueryOptions {
     fn default() -> Self {
         QueryOptions {
             cache: true,
-            strategy: None,
             deadline_ms: None,
         }
     }
@@ -184,9 +180,9 @@ impl Client {
         self.query_opts(node, k, &QueryOptions::default())
     }
 
-    /// One reverse k-ranks query with explicit [`QueryOptions`] —
-    /// strategy selection and deadlines travel over the wire, so the
-    /// remote path can express everything the local path can.
+    /// One reverse k-ranks query with explicit [`QueryOptions`]: cache
+    /// use and a deadline travel over the wire; the daemon picks the
+    /// strategy (it serves one).
     pub fn query_opts(
         &mut self,
         node: u32,
@@ -197,7 +193,7 @@ impl Client {
             node,
             k,
             cache: opts.cache,
-            strategy: opts.strategy.clone(),
+            strategy: None,
             deadline_ms: opts.deadline_ms,
         };
         match self.round_trip(&req)? {

@@ -17,15 +17,17 @@
 //!   graph snapshots under a monotonically increasing *graph epoch* —
 //!   queries keep serving throughout, and every reply says which graph
 //!   epoch answered it;
-//! * an **LRU result cache** keyed by
-//!   `(node, k, strategy, index epoch, graph epoch)`
+//! * **one served strategy**: every query runs the §4 dynamic search
+//!   (`dynamic-three`); a request naming any other strategy gets an error
+//!   reply pointing at `rkr query` / `rkr batch`, which run every strategy
+//!   in-process;
+//! * an **LRU result cache** keyed by `(node, k, graph epoch)`
 //!   ([`cache::ResultCache`]) answering repeated queries for hot nodes
 //!   without touching the graph, and
-//! * **epoch-based invalidation**: requests are answered by `dynamic`
-//!   search by default; the [`rkranks_core::RkrIndex`] the daemon starts
-//!   with is held read-only for explicit `indexed-*` requests. A committed
-//!   graph update bumps the graph epoch, which keys the cache, *retires*
-//!   the index and strands the whole cache: stale rank knowledge is
+//! * **epoch-based invalidation**: a committed graph update bumps the
+//!   graph epoch, which keys the cache, strands the whole cache and
+//!   *retires* the [`rkranks_core::RkrIndex`] the daemon holds (no query
+//!   reads it; it rides along in checkpoints): stale rank knowledge is
 //!   unsound on a changed graph ([`rkranks_core::RkrIndex::graph_epoch`]
 //!   documents why);
 //! * **durable restarts**: with a snapshot path configured

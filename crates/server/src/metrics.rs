@@ -10,10 +10,11 @@
 //! Latency histograms record **nanoseconds** and carry a `1e-9` scale so
 //! they render as seconds — the Prometheus convention. The per-query
 //! histogram family `rkrd_query_seconds` is pre-registered for every
-//! `(strategy, outcome)` pair, where `outcome` is `hit` (served from the
-//! result cache), `miss` (computed, complete), or `partial` (computed,
-//! cut short by a deadline/budget); summing the family's counts gives
-//! exactly the number of *successfully answered* queries.
+//! `outcome`: `hit` (served from the result cache), `miss` (computed,
+//! complete), or `partial` (computed, cut short by a deadline/budget);
+//! summing the family's three counts gives exactly the number of
+//! *successfully answered* queries. The daemon serves one strategy, so
+//! the family carries no strategy label.
 //!
 //! The front-side instruments (connections, wake-ups, flow control,
 //! request time) are the reactor's [`FrontMetrics`], registered here
@@ -28,7 +29,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rkranks_core::{Counter, Gauge, Histogram, Registry, Strategy};
+use rkranks_core::{Counter, Gauge, Histogram, Registry};
 
 use crate::protocol::SlowQueryRecord;
 use crate::reactor::FrontMetrics;
@@ -142,9 +143,8 @@ pub struct Metrics {
     pub graph_edges: Arc<Gauge>,
 
     // -- histograms (nanoseconds unless noted) --
-    /// End-to-end query latency, `[strategy][outcome]` — indexed by
-    /// `Metrics::strategy_index` and [`QueryOutcome`].
-    pub query_latency: Vec<[Arc<Histogram>; 3]>,
+    /// End-to-end query latency, indexed by [`QueryOutcome`].
+    pub query_latency: [Arc<Histogram>; 3],
     /// Time in the SDS filter stage (computed queries only).
     pub filter_seconds: Arc<Histogram>,
     /// Time in rank refinement (computed queries only).
@@ -166,19 +166,14 @@ impl Metrics {
     pub fn new() -> Metrics {
         let r = Registry::new();
         let ns = 1e-9; // raw nanoseconds, rendered as seconds
-        let query_latency = Strategy::ALL
-            .iter()
-            .map(|s| {
-                QueryOutcome::ALL.map(|o| {
-                    r.histogram_with(
-                        "rkrd_query_seconds",
-                        &[("strategy", s.name()), ("outcome", o.label())],
-                        "end-to-end query service time",
-                        ns,
-                    )
-                })
-            })
-            .collect();
+        let query_latency = QueryOutcome::ALL.map(|o| {
+            r.histogram_with(
+                "rkrd_query_seconds",
+                &[("outcome", o.label())],
+                "end-to-end query service time",
+                ns,
+            )
+        });
         Metrics {
             queries: r.counter(
                 "rkrd_queries_total",
@@ -231,27 +226,9 @@ impl Metrics {
         }
     }
 
-    /// Position of `strategy` in the `rkrd_query_seconds` family.
-    ///
-    /// Every parseable strategy is one of [`Strategy::ALL`]'s ten values
-    /// (canonical names cover all bound combinations), so this is a
-    /// total mapping.
-    pub(crate) fn strategy_index(strategy: Strategy) -> usize {
-        Strategy::ALL
-            .iter()
-            .position(|s| *s == strategy)
-            .unwrap_or(0)
-    }
-
     /// Record one answered query's end-to-end latency.
-    pub(crate) fn record_query(
-        &self,
-        strategy: Strategy,
-        outcome: QueryOutcome,
-        elapsed: Duration,
-    ) {
-        let idx = Metrics::strategy_index(strategy);
-        self.query_latency[idx][outcome as usize].record(duration_ns(elapsed));
+    pub(crate) fn record_query(&self, outcome: QueryOutcome, elapsed: Duration) {
+        self.query_latency[outcome as usize].record(duration_ns(elapsed));
     }
 
     /// Refresh the cache mirrors from the LRU's authoritative counters.
@@ -283,13 +260,13 @@ mod tests {
     fn every_instrument_is_registered_once() {
         let m = Metrics::default();
         let snap = m.registry.snapshot();
-        // every strategy × 3 outcomes plus the scalar instruments.
+        // 3 outcomes plus the scalar instruments.
         let hists = snap
             .samples
             .iter()
             .filter(|s| matches!(s.value, MetricValue::Histogram(_)))
             .count();
-        assert_eq!(hists, Strategy::ALL.len() * 3 + 7);
+        assert_eq!(hists, 3 + 7);
         let mut keys: Vec<_> = snap
             .samples
             .iter()
@@ -301,29 +278,11 @@ mod tests {
     }
 
     #[test]
-    fn strategy_index_is_total_and_distinct() {
-        let mut seen = Vec::new();
-        for s in Strategy::ALL {
-            let idx = Metrics::strategy_index(s);
-            assert!(idx < Strategy::ALL.len());
-            seen.push(idx);
-        }
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), Strategy::ALL.len());
-    }
-
-    #[test]
     fn record_query_lands_in_the_right_family_member() {
         let m = Metrics::default();
-        m.record_query(
-            Strategy::Naive,
-            QueryOutcome::Miss,
-            Duration::from_micros(5),
-        );
-        let idx = Metrics::strategy_index(Strategy::Naive);
-        assert_eq!(m.query_latency[idx][QueryOutcome::Miss as usize].count(), 1);
-        assert_eq!(m.query_latency[idx][QueryOutcome::Hit as usize].count(), 0);
+        m.record_query(QueryOutcome::Miss, Duration::from_micros(5));
+        assert_eq!(m.query_latency[QueryOutcome::Miss as usize].count(), 1);
+        assert_eq!(m.query_latency[QueryOutcome::Hit as usize].count(), 0);
     }
 
     #[test]

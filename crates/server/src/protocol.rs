@@ -6,8 +6,8 @@
 //! ```text
 //! {"op":"query","node":17,"k":10}            single reverse k-ranks query
 //! {"op":"query","node":17,"k":10,"cache":false}   ... bypassing the cache
-//! {"op":"query","node":17,"k":10,"strategy":"dynamic-height"}
-//!                                            ... with an explicit strategy
+//! {"op":"query","node":17,"k":10,"strategy":"dynamic-three"}
+//!                                            ... naming the served strategy
 //! {"op":"query","node":17,"k":10,"deadline_ms":5}
 //!                                            ... best-effort within 5ms
 //! {"op":"batch","nodes":[3,17,5],"k":10}     several queries, one round-trip
@@ -36,11 +36,12 @@
 //! query traffic required; on a flush-only daemon (`merge_every` 0) they
 //! wait for the next `flush` or shutdown.
 //!
-//! `strategy` takes the unified [`rkranks_core::Strategy`] string form —
-//! the same names `rkr query --algo` accepts locally — so the remote path
-//! can express every bound configuration the local path can. A query cut
-//! short by its `deadline_ms` answers with `"partial":true` and the
-//! refined-so-far entries (each rank still exact).
+//! `rkrd` serves one strategy, the dynamic search (`dynamic-three`). An
+//! optional `strategy` takes the unified [`rkranks_core::Strategy`]
+//! string form; naming any other strategy is a one-line error pointing at
+//! `rkr query` / `rkr batch`, which run every strategy in-process. A
+//! query cut short by its `deadline_ms` answers with `"partial":true` and
+//! the refined-so-far entries (each rank still exact).
 //!
 //! Replies always carry `"ok"`; failures are `{"ok":false,"error":"..."}`
 //! and keep the connection open. Successful shapes:
@@ -92,7 +93,7 @@ use crate::json::Json;
 /// incompatible wire change. Daemons predating the field decode as
 /// version 0, so mixed deployments fail with a one-line mismatch error
 /// instead of misparsing each other.
-pub const PROTOCOL_VERSION: u64 = 6;
+pub const PROTOCOL_VERSION: u64 = 7;
 
 /// One live graph update on the wire — the protocol face of
 /// `rkranks_graph::GraphDelta`. Encoded as a compact array:
@@ -249,10 +250,9 @@ pub enum Request {
         /// lookup and the insert) — e.g. for measurement traffic.
         cache: bool,
         /// Evaluation strategy name ([`rkranks_core::Strategy`] string
-        /// form, e.g. `"dynamic-height"`). `None` uses the daemon's
-        /// default (dynamic with its configured bounds). This is the same
-        /// spelling the local CLI accepts, so remote queries can express
-        /// everything local ones can.
+        /// form). `None` and the served strategy (dynamic with the
+        /// daemon's configured bounds) are answered; any other name gets
+        /// an error reply.
         strategy: Option<String>,
         /// Best-effort deadline in milliseconds: when it elapses the
         /// daemon replies with the refined-so-far partial result
@@ -689,8 +689,6 @@ pub struct SlowQueryRecord {
     pub node: u32,
     /// Result size `k`.
     pub k: u32,
-    /// Strategy that served the query (canonical string form).
-    pub strategy: String,
     /// Whether the answer came from the result cache.
     pub cached: bool,
     /// Index epoch the answer was computed (or cached) against.
@@ -703,8 +701,7 @@ pub struct SlowQueryRecord {
     pub filter_ns: u64,
     /// Nanoseconds in rank refinement (0 for cache hits).
     pub refine_ns: u64,
-    /// Passes of the engine's kRank ladder (0 for cache hits
-    /// and the naive strategy) — with `k_rank_guess`, the usual answer to
+    /// Passes of the engine's kRank ladder (0 for cache hits) — with `k_rank_guess`, the usual answer to
     /// "why was this query slow": its true `kRank` is large.
     pub sds_passes: u64,
     /// The `kRank` guess the accepted pass ran under (`u32::MAX`: the
@@ -719,7 +716,6 @@ impl SlowQueryRecord {
         Json::Obj(vec![
             ("node".into(), Json::num(self.node)),
             ("k".into(), Json::num(self.k)),
-            ("strategy".into(), Json::Str(self.strategy.clone())),
             ("cached".into(), Json::Bool(self.cached)),
             ("epoch".into(), Json::num(self.epoch as f64)),
             ("graph_epoch".into(), Json::num(self.graph_epoch as f64)),
@@ -742,7 +738,6 @@ impl SlowQueryRecord {
         Ok(SlowQueryRecord {
             node: field_u32(v, "node")?,
             k: field_u32(v, "k")?,
-            strategy: text("strategy")?,
             cached: v
                 .get("cached")
                 .and_then(Json::as_bool)
@@ -1186,7 +1181,7 @@ mod tests {
             node: 4,
             k: 3,
             cache: true,
-            strategy: Some("dynamic-height".into()),
+            strategy: Some("dynamic-three".into()),
             deadline_ms: Some(25),
         });
         round_trip_request(Request::Query {
@@ -1412,10 +1407,7 @@ mod tests {
                 },
                 MetricSample {
                     name: "rkrd_query_seconds".into(),
-                    labels: vec![
-                        ("strategy".into(), "indexed-three".into()),
-                        ("outcome".into(), "miss".into()),
-                    ],
+                    labels: vec![("outcome".into(), "miss".into())],
                     help: "end-to-end query latency".into(),
                     value: MetricValue::Histogram(HistogramSnapshot {
                         count: 3,
@@ -1455,7 +1447,6 @@ mod tests {
             SlowQueryRecord {
                 node: 17,
                 k: 10,
-                strategy: "indexed-three".into(),
                 cached: false,
                 epoch: 3,
                 graph_epoch: 1,
@@ -1469,7 +1460,6 @@ mod tests {
             SlowQueryRecord {
                 node: 2,
                 k: 1,
-                strategy: "naive".into(),
                 cached: true,
                 epoch: 0,
                 graph_epoch: 0,

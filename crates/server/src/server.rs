@@ -21,27 +21,27 @@
 //!   [`RkrIndex::graph_epoch`]). Queries in flight keep the
 //!   `(context, index)` pair they started with and stay correct *for
 //!   their epoch*.
-//! * **The index is held read-only.** A request without a `strategy`
-//!   runs `dynamic` with the configured bounds ([`ServerConfig::bounds`])
-//!   and never reads the index. Only explicit `indexed-*` requests
-//!   consult it, through [`IndexAccess::Snapshot`] with a write-log that
-//!   is dropped when the query returns: served traffic never changes the
-//!   index.
+//! * **One strategy is served.** Every query runs the paper's §4 dynamic
+//!   search with the configured bounds ([`ServerConfig::bounds`];
+//!   `dynamic-three` at every configuration the CLI builds). A request
+//!   whose `strategy` names any other strategy gets one error reply
+//!   pointing at `rkr query` / `rkr batch`, which run the full strategy
+//!   matrix in-process. The daemon reads no index: the one it holds is
+//!   only checkpointed, so snapshot bundles keep their format.
 //! * **The merger** owns the graph store and commits staged graph deltas
 //!   *promptly* — on its next pass after they are staged, query traffic
 //!   or not. With `merge_every` 0 it never runs, and staged deltas wait
 //!   for a `flush` op or shutdown.
-//! * **The result cache** is an LRU keyed by
-//!   `(node, k, strategy, index epoch, graph epoch)`
-//!   ([`crate::cache::ResultCache`]). A graph commit strands *every*
-//!   entry — the answers themselves changed. Partial (deadline-cut)
-//!   answers are never cached.
+//! * **The result cache** is an LRU keyed by `(node, k, graph epoch)`
+//!   ([`crate::cache::ResultCache`]; the key's strategy and index-epoch
+//!   fields are constants here). A graph commit strands *every* entry —
+//!   the answers themselves changed. Partial (deadline-cut) answers are
+//!   never cached.
 //!
-//! Within one graph epoch, query results are rank-identical to the plain
-//! dynamic strategy regardless of strategy or cache state — the index
-//! only ever prunes work — so caching and concurrency never cost
-//! correctness. Across graph epochs, the epoch tag on every reply says
-//! exactly which graph answered.
+//! Caching and concurrency never cost correctness: within one graph
+//! epoch a cached answer is the answer the dynamic search computes.
+//! Across graph epochs, the epoch tag on every reply says exactly which
+//! graph answered.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -51,13 +51,12 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use rkranks_core::{
-    save_snapshot, BoundConfig, Completion, EngineContext, IndexAccess, IndexDelta,
-    MetricsSnapshot, PartialReason, Partition, QueryRequest, QueryScratch, QueryStageStats,
-    RkrIndex, Strategy,
+    save_snapshot, BoundConfig, Completion, EngineContext, MetricsSnapshot, PartialReason,
+    Partition, QueryRequest, QueryScratch, QueryStageStats, RkrIndex, Strategy,
 };
 use rkranks_graph::{Graph, GraphDelta, GraphStore, NodeId, ShardSlice};
 
-use crate::cache::{CacheKey, ResultCache};
+use crate::cache::{CacheKey, ResultCache, EPOCH_INDEPENDENT};
 use crate::log::{log_error, log_info};
 use crate::metrics::{duration_ns, Metrics, QueryOutcome};
 use crate::protocol::{
@@ -78,9 +77,8 @@ pub struct ServerConfig {
     /// `flush` op and at shutdown; any other value means on the merger's
     /// next pass after they are staged, query traffic or not.
     pub merge_every: u64,
-    /// Bound configuration of the *default* strategy (the dynamic
-    /// search) — used when a request names no `strategy` of its own;
-    /// requests with an explicit strategy carry their own bounds.
+    /// Bound configuration of the one served strategy, the dynamic
+    /// search: `Strategy::Dynamic(bounds)` answers every query.
     pub bounds: BoundConfig,
     /// Snapshot bundle path (`rkranks_core::snapshot` format). When set,
     /// the daemon checkpoints its serving state there — after every
@@ -139,10 +137,10 @@ pub struct ServeOutcome {
     pub graph_epoch: u64,
 }
 
-/// The consistent `(context, index)` pair queries read. Swapped
-/// wholesale — under one lock — so a worker can never pair a new graph
-/// with a stale index or vice versa. The index is read-only: only a graph
-/// commit replaces it (with an empty one at the new graph epoch).
+/// The consistent `(context, index)` pair a query takes. Swapped
+/// wholesale — under one lock — so a checkpoint can never pair a new
+/// graph with a stale index or vice versa. No query reads the index: only
+/// a graph commit replaces it (with an empty one at the new graph epoch).
 #[derive(Clone)]
 struct LiveState {
     ctx: Arc<EngineContext>,
@@ -184,9 +182,9 @@ fn build_context(graph: Arc<Graph>, partition: &Option<Partition>) -> EngineCont
 }
 
 /// Serve until a client sends `shutdown`. Blocks the calling thread; use
-/// [`spawn`] for a background daemon. `index` is held read-only for
-/// explicit `indexed-*` requests until the first graph commit retires
-/// it. Returns the final graph and graph epoch.
+/// [`spawn`] for a background daemon. No query reads `index`; it is
+/// checkpointed with the graph until the first graph commit retires it.
+/// Returns the final graph and graph epoch.
 pub fn serve(
     graph: Graph,
     partition: Option<Partition>,
@@ -349,23 +347,6 @@ pub fn spawn_store(
     Ok(ServerHandle { addr, thread })
 }
 
-/// Encode a [`BoundConfig`] for the cache key.
-fn bounds_bits(b: BoundConfig) -> u8 {
-    b.use_height as u8 | (b.use_count as u8) << 1
-}
-
-/// Derive the cache-key strategy byte from a request's [`Strategy`]:
-/// distinct strategies (and distinct bound configurations within one)
-/// must never share cache entries.
-fn strategy_bits(s: Strategy) -> u8 {
-    match s {
-        Strategy::Naive => 0x10,
-        Strategy::Static => 0x20,
-        Strategy::Dynamic(b) => 0x40 | bounds_bits(b),
-        Strategy::Indexed(b) => 0x80 | bounds_bits(b),
-    }
-}
-
 impl Shared {
     /// The consistent live `(context, index)` pair, under one read lock.
     fn live(&self) -> LiveState {
@@ -400,8 +381,9 @@ impl Service for Shared {
                 deadline_ms,
             } => {
                 let live = self.live();
-                let strategy = strategy.as_deref();
-                match run_query(self, scratch, &live, node, k, cache, strategy, deadline_ms) {
+                match check_served(self, strategy.as_deref())
+                    .and_then(|()| run_query(self, scratch, &live, node, k, cache, deadline_ms))
+                {
                     Ok(q) => Reply::Query(q),
                     Err(msg) => Reply::Error(msg),
                 }
@@ -413,7 +395,7 @@ impl Service for Shared {
                 let mut results = Vec::with_capacity(nodes.len());
                 let mut cached = 0u64;
                 for node in nodes {
-                    match run_query(self, scratch, &live, node, k, true, None, None) {
+                    match run_query(self, scratch, &live, node, k, true, None) {
                         Ok(q) => {
                             cached += q.cached as u64;
                             results.push(q.entries);
@@ -512,7 +494,23 @@ fn stage_updates(shared: &Shared, ops: &[UpdateOp]) -> Result<(u64, u64), String
     Ok((staged, graph_epoch))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Refuse a request's `strategy` unless it names the one served
+/// strategy, before the query is counted.
+fn check_served(shared: &Shared, strategy: Option<&str>) -> Result<(), String> {
+    let Some(name) = strategy else {
+        return Ok(());
+    };
+    let asked = name.parse::<Strategy>()?;
+    let served = Strategy::Dynamic(shared.config.bounds);
+    if asked == served {
+        return Ok(());
+    }
+    Err(format!(
+        "rkrd serves only '{served}'; run '{asked}' in-process with `rkr query --algo {asked}` \
+         or `rkr batch --algo {asked}`"
+    ))
+}
+
 fn run_query(
     shared: &Shared,
     scratch: &mut QueryScratch,
@@ -520,17 +518,9 @@ fn run_query(
     node: u32,
     k: u32,
     use_cache: bool,
-    strategy: Option<&str>,
     deadline_ms: Option<u64>,
 ) -> Result<QueryReply, String> {
     let start = Instant::now();
-    // The request's strategy string maps straight onto the unified
-    // Strategy; absent, the daemon serves its configured default — the
-    // dynamic search, which never reads the index.
-    let strategy = match strategy {
-        Some(name) => name.parse::<Strategy>()?,
-        None => Strategy::Dynamic(shared.config.bounds),
-    };
     shared.metrics.queries.inc();
     let LiveState {
         ctx,
@@ -538,18 +528,14 @@ fn run_query(
         graph_epoch,
     } = live;
     let (epoch, graph_epoch) = (index.epoch(), *graph_epoch);
+    // The served strategy reads no index, so the index epoch never keys
+    // an entry; the graph epoch keys every one — nothing survives a
+    // graph commit.
     let key = CacheKey {
         node,
         k,
-        strategy: strategy_bits(strategy),
-        // Graph-only strategies never read the index: key them with the
-        // index-epoch-independent sentinel. The graph epoch is part of
-        // every key — nothing survives a graph commit.
-        epoch: if strategy.needs_index() {
-            epoch
-        } else {
-            crate::cache::EPOCH_INDEPENDENT
-        },
+        strategy: 0,
+        epoch: EPOCH_INDEPENDENT,
         graph_epoch,
     };
     if use_cache {
@@ -562,7 +548,6 @@ fn run_query(
             if let Some(entries) = hit {
                 note_served(
                     shared,
-                    strategy,
                     QueryOutcome::Hit,
                     start,
                     node,
@@ -584,23 +569,12 @@ fn run_query(
             }
         }
     }
-    let mut req = QueryRequest::new(NodeId(node), k).with_strategy(strategy);
+    let mut req =
+        QueryRequest::new(NodeId(node), k).with_strategy(Strategy::Dynamic(shared.config.bounds));
     if let Some(ms) = deadline_ms {
         req = req.with_deadline(Duration::from_millis(ms));
     }
-    let outcome = if strategy.needs_index() {
-        // The held index is read-only: what this query learns goes to a
-        // write-log that is dropped when it returns.
-        let mut delta = IndexDelta::for_index(index);
-        let mut access = IndexAccess::Snapshot {
-            snapshot: index,
-            delta: &mut delta,
-        };
-        ctx.execute_with(scratch, Some(&mut access), &req)
-    } else {
-        ctx.execute(scratch, &req)
-    }
-    .map_err(|e| e.to_string())?;
+    let outcome = ctx.execute(scratch, &req).map_err(|e| e.to_string())?;
     let entries: Vec<(u32, u32)> = outcome
         .result
         .entries
@@ -644,7 +618,6 @@ fn run_query(
     };
     note_served(
         shared,
-        strategy,
         served_as,
         start,
         node,
@@ -663,7 +636,7 @@ fn run_query(
 }
 
 /// Post-answer accounting every successfully served query goes through:
-/// the end-to-end latency lands in the `(strategy, outcome)` histogram,
+/// the end-to-end latency lands in the `outcome` histogram,
 /// and — with a slow-query threshold configured — a query at or over it
 /// is captured in the slow-query ring. Cache hits pass no stage split
 /// (they did no filter or refine work), which keeps the exported
@@ -671,7 +644,6 @@ fn run_query(
 #[allow(clippy::too_many_arguments)]
 fn note_served(
     shared: &Shared,
-    strategy: Strategy,
     outcome: QueryOutcome,
     start: Instant,
     node: u32,
@@ -681,7 +653,7 @@ fn note_served(
     stage: Option<QueryStageStats>,
 ) {
     let total = start.elapsed();
-    shared.metrics.record_query(strategy, outcome, total);
+    shared.metrics.record_query(outcome, total);
     let Some(threshold_ms) = shared.config.slow_query_ms else {
         return;
     };
@@ -692,7 +664,6 @@ fn note_served(
     shared.metrics.slow_log.push(SlowQueryRecord {
         node,
         k,
-        strategy: strategy.name().to_string(),
         cached: outcome == QueryOutcome::Hit,
         epoch,
         graph_epoch,
@@ -883,7 +854,7 @@ fn stats_snapshot(shared: &Shared) -> StatsReply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Client, QueryOptions};
+    use crate::{Client, QueryOptions, Reply, Request};
     use rkranks_graph::{graph_from_edges, EdgeDirection};
 
     fn grid() -> Graph {
@@ -954,10 +925,24 @@ mod tests {
         assert_eq!(outcome.graph_epoch, 0);
     }
 
-    /// A request without a strategy is served by `dynamic-three`: it
-    /// shares the explicit strategy's cache entry, and it never reads the
-    /// held index, so a `k` above the index's `K` is answered — only an
-    /// explicit `indexed-*` request is bounded by it.
+    /// Send one query naming `strategy` and decode the reply line.
+    fn query_as(client: &mut Client, node: u32, k: u32, strategy: &str) -> Reply {
+        let line = client
+            .raw(&Request::Query {
+                node,
+                k,
+                cache: true,
+                strategy: Some(strategy.into()),
+                deadline_ms: None,
+            })
+            .unwrap();
+        Reply::from_line(&line).unwrap()
+    }
+
+    /// A request without a strategy is served by `dynamic-three`: naming
+    /// it shares the same cache entry, and no index bounds `k` — a `k`
+    /// above the held index's `K` is answered. Any other strategy is
+    /// refused, an `indexed-*` one included.
     #[test]
     fn default_strategy_is_dynamic_three_and_ignores_the_index() {
         let handle = spawn_grid(ServerConfig {
@@ -966,24 +951,22 @@ mod tests {
             ..Default::default()
         });
         let mut client = Client::connect(handle.addr()).unwrap();
-        let explicit = |name: &str| QueryOptions {
-            strategy: Some(name.into()),
-            ..QueryOptions::default()
-        };
 
         let default = client.query(0, 2).unwrap();
         assert!(!default.cached);
-        let dynamic = client.query_opts(0, 2, &explicit("dynamic-three")).unwrap();
+        let Reply::Query(dynamic) = query_as(&mut client, 0, 2, "dynamic-three") else {
+            panic!("dynamic-three must be answered");
+        };
         assert!(dynamic.cached, "default and dynamic-three share one entry");
         assert_eq!(dynamic.entries, default.entries);
 
         // The grid's index has K = 16.
         let wide = client.query(1, 17).unwrap();
         assert_eq!(wide.entries.len(), 3, "every other node ranks node 1");
-        let err = client
-            .query_opts(1, 17, &explicit("indexed-three"))
-            .unwrap_err();
-        assert!(err.to_string().contains("exceeds"), "{err}");
+        let Reply::Error(msg) = query_as(&mut client, 1, 17, "indexed-three") else {
+            panic!("indexed-three must be refused");
+        };
+        assert!(msg.contains("rkr query"), "{msg}");
 
         client.shutdown().unwrap();
         handle.join();
@@ -1008,12 +991,10 @@ mod tests {
         // an invalid node is an error, and the connection survives it
         let err = client.query(99, 2).unwrap_err();
         assert!(err.to_string().contains("out of bounds"), "{err}");
-        let indexed = QueryOptions {
-            strategy: Some("indexed-three".into()),
-            ..QueryOptions::default()
+        let Reply::Error(msg) = query_as(&mut client, 0, 2, "naive") else {
+            panic!("naive must be refused");
         };
-        let err = client.query_opts(0, 99, &indexed).unwrap_err();
-        assert!(err.to_string().contains("exceeds"), "{err}");
+        assert!(msg.contains("rkr batch"), "{msg}");
         assert!(client.stats().is_ok(), "connection must stay usable");
 
         client.shutdown().unwrap();
@@ -1356,16 +1337,6 @@ mod tests {
         assert_eq!(handle.join().graph_epoch, 1);
     }
 
-    /// The cache-key contract [`strategy_bits`] documents: distinct
-    /// strategies never share a byte, so they never share cache entries.
-    #[test]
-    fn strategy_bits_is_injective_over_every_strategy() {
-        let mut bytes: Vec<u8> = Strategy::ALL.iter().map(|&s| strategy_bits(s)).collect();
-        bytes.sort_unstable();
-        bytes.dedup();
-        assert_eq!(bytes.len(), Strategy::ALL.len(), "{bytes:?}");
-    }
-
     #[test]
     fn checkpoint_requires_a_snapshot_path() {
         let handle = spawn_grid(ServerConfig {
@@ -1547,16 +1518,7 @@ mod tests {
         let mut client = Client::connect(handle.addr()).unwrap();
         client.query(0, 2).unwrap();
         client.query(0, 2).unwrap(); // hit
-        client
-            .query_opts(
-                1,
-                2,
-                &QueryOptions {
-                    strategy: Some("naive".into()),
-                    ..QueryOptions::default()
-                },
-            )
-            .unwrap();
+        client.query(1, 3).unwrap();
 
         let log = client.slow_queries().unwrap();
         assert_eq!(log.len(), 3, "threshold 0 captures everything");
@@ -1569,8 +1531,8 @@ mod tests {
         assert_eq!(log[1].sds_passes, 0, "hits run no ladder");
         assert_eq!(log[1].filter_ns, 0, "hits do no stage work");
         assert_eq!(log[1].refine_ns, 0);
-        assert_eq!(log[2].strategy, "naive");
-        assert_eq!(log[2].sds_passes, 0, "naive has no ladder");
+        assert_eq!((log[2].node, log[2].k), (1, 3));
+        assert!(!log[2].cached);
 
         let snap = client.metrics().unwrap();
         assert_eq!(counter_value(&snap, "rkrd_slow_queries_total"), 3);
@@ -1626,7 +1588,7 @@ mod tests {
         let text = rkranks_core::render_prometheus(&snap);
         assert!(text.contains("# TYPE rkrd_queries_total counter"));
         assert!(text.contains("# TYPE rkrd_query_seconds histogram"));
-        assert!(text.contains("rkrd_query_seconds_bucket{strategy=\"dynamic-three\","));
+        assert!(text.contains("rkrd_query_seconds_bucket{outcome=\"miss\","));
         client.shutdown().unwrap();
         handle.join();
     }

@@ -13,7 +13,7 @@ use rkranks_datasets::default_update_stream;
 use rkranks_datasets::Zipf;
 use rkranks_datasets::{collab_graph, CollabParams};
 use rkranks_graph::{graph_from_edges, EdgeDirection, Graph, GraphDelta, GraphStore};
-use rkranks_server::{spawn, Client, ClientError, ServerConfig, UpdateOp};
+use rkranks_server::{spawn, Client, ClientError, Reply, Request, ServerConfig, UpdateOp};
 
 const K: u32 = 5;
 const K_MAX: u32 = 16;
@@ -197,11 +197,25 @@ fn epoch_bump_evicts_stale_entries() {
     handle.join();
 }
 
-/// The unified strategy strings travel over the wire: a remote query can
-/// select any algorithm/bound configuration the local path accepts, the
-/// ranks agree across all of them, deadline-bounded queries come back
-/// flagged partial, and the `stats` op reports the partial/deadline
-/// counters.
+/// Send one query naming `strategy` and decode the reply line.
+fn query_as(client: &mut Client, node: u32, strategy: &str) -> Reply {
+    let line = client
+        .raw(&Request::Query {
+            node,
+            k: K,
+            cache: true,
+            strategy: Some(strategy.into()),
+            deadline_ms: None,
+        })
+        .expect("query line");
+    Reply::from_line(&line).expect("reply line")
+}
+
+/// `rkrd` serves one strategy: naming it (or none) is answered, every
+/// other `Strategy::ALL` name gets one error reply pointing at the
+/// in-process commands, the connection keeps answering, and a refusal is
+/// not counted as a query. Deadline-bounded queries come back flagged
+/// partial, and the `stats` op reports the partial/deadline counters.
 #[test]
 fn strategies_and_deadlines_over_the_wire() {
     use rkranks_server::QueryOptions;
@@ -225,42 +239,37 @@ fn strategies_and_deadlines_over_the_wire() {
     )
     .expect("bind loopback");
     let mut client = Client::connect(handle.addr()).expect("connect");
+    let ranks = |e: &[(u32, u32)]| e.iter().map(|&(_, r)| r).collect::<Vec<_>>();
 
-    // Every strategy name resolves remotely and returns the same ranks
-    // the local dynamic search computes. Distinct strategies must not
-    // share cache entries, so each first call is a miss.
-    for strategy in Strategy::ALL {
-        let reply = client
-            .query_opts(
-                7,
-                K,
-                &QueryOptions {
-                    strategy: Some(strategy.name().into()),
-                    ..QueryOptions::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", strategy.name()));
-        assert!(!reply.cached, "{strategy}: fresh key must miss");
-        assert!(!reply.partial, "{strategy}: no limits were set");
-        let got: Vec<u32> = reply.entries.iter().map(|&(_, r)| r).collect();
-        assert_eq!(&got, &expected[&7], "{strategy}: ranks diverged");
+    let served = Strategy::Dynamic(BoundConfig::ALL);
+    for strategy in Strategy::ALL.into_iter().filter(|&s| s != served) {
+        let queries = client.stats().expect("stats").queries;
+        let Reply::Error(msg) = query_as(&mut client, 7, strategy.name()) else {
+            panic!("{strategy}: must be refused");
+        };
+        assert!(msg.contains("rkr query"), "{strategy}: {msg}");
+        let next = client.query(7, K).expect("the connection keeps answering");
+        assert_eq!(ranks(&next.entries), expected[&7], "{strategy}");
+        let after = client.stats().expect("stats").queries;
+        assert_eq!(after, queries + 1, "{strategy}: a refusal is no query");
     }
+
+    // The served strategy, by name or by default, answers from one entry.
+    let Reply::Query(named) = query_as(&mut client, 8, served.name()) else {
+        panic!("{served} must be answered");
+    };
+    assert!(!named.cached && !named.partial);
+    assert_eq!(ranks(&named.entries), expected[&8]);
+    assert!(client.query(8, K).expect("default").cached);
 
     // An unknown strategy — a retired one (`dynamic-hub`, PR 25)
     // included — is a protocol-level error, not a dropped connection: the
     // same client serves the next query below.
     for bad in ["turbo", "dynamic-hub"] {
-        let err = client
-            .query_opts(
-                7,
-                K,
-                &QueryOptions {
-                    strategy: Some(bad.into()),
-                    ..QueryOptions::default()
-                },
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("unknown strategy"), "{bad}: {err}");
+        let Reply::Error(msg) = query_as(&mut client, 7, bad) else {
+            panic!("{bad}: must be refused");
+        };
+        assert!(msg.contains("unknown strategy"), "{bad}: {msg}");
     }
 
     // A zero deadline always trips: the reply is flagged partial. Node 9

@@ -199,7 +199,6 @@ impl Strategy for Replies {
                     for r in records {
                         r.node = rng.random();
                         r.k = rng.random();
-                        r.strategy = text(rng, 12);
                         r.cached = rng.random();
                         r.epoch = count(rng);
                         r.graph_epoch = count(rng);

@@ -7,14 +7,11 @@
 //!                 [--strategy random|degree|closeness] [--threads N]
 //! rkr query <graph.edges> --node Q --k K [--algo STRATEGY] [--deadline-ms MS]
 //!                 [--refine-budget N] [--trace] [--index index.rkri] [--save-index]
-//! rkr query --remote HOST:PORT --node Q --k K [--algo STRATEGY] [--deadline-ms MS]
-//!                 [--no-cache]
+//! rkr query --remote HOST:PORT --node Q --k K [--deadline-ms MS] [--no-cache]
 //! rkr batch <graph.edges> --queries N --k K [--algo STRATEGY] [--threads T]
-//!                 [--indexed-mode sequential|snapshot] [--merge-every M]
 //!                 [--index index.rkri] [--seed S]
 //! rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N]
-//!                 [--index index.rkri] [--kmax K] [--snapshot FILE]
-//!                 [--high-water BYTES] [--max-line BYTES]
+//!                 [--snapshot FILE] [--high-water BYTES] [--max-line BYTES]
 //!                 [--log-level error|warn|info|debug] [--slow-query-ms MS]
 //!                 [--shard-id I --shard-count N [--shard-seed S]]
 //! rkr shard-plan <graph.edges> --shards N [--seed S]
@@ -29,27 +26,27 @@
 //! `STRATEGY` is the unified `rkranks_core::Strategy` string form —
 //! `naive`, `static`, `dynamic[-parent|-height|-count|-three]`,
 //! `indexed[-parent|-height|-count|-three]` — and the *same* spelling
-//! works locally, over the wire (`--remote`), and in `batch`, so e.g.
-//! `--algo dynamic-height` replaces the old ad-hoc flag combinations.
+//! works in local `query` and in `batch`, so e.g. `--algo dynamic-height`
+//! replaces the old ad-hoc flag combinations. The daemon serves one
+//! strategy, `dynamic-three`, so `query --remote` takes no `--algo`.
 //! A flag the run would not read fails the command before it starts:
-//! `--index`, `--save-index` and `--indexed-mode` need a local `indexed-*`
-//! run, and `--merge-every` needs `--indexed-mode snapshot`.
+//! `--index` and `--save-index` need a local `indexed-*` run.
 //!
 //! A thin shell over the library — everything it does is a few calls into
 //! the public API. Queries build a `QueryRequest` and go through the one
 //! `execute` entry point; `--deadline-ms` / `--refine-budget` make them
 //! best-effort (partial results are flagged). `batch` drives the eval
-//! runner: one shared `EngineContext`, per-worker scratch, and (for
-//! `--indexed-mode snapshot`) concurrent indexed serving against a frozen
-//! index with delta merges. `serve` runs the `rkrd` daemon (see
+//! runner: one shared `EngineContext` and per-worker scratch; an
+//! `indexed-*` batch runs the paper's §5 stream on one thread, each query
+//! learning into the index the next one reads. `serve` runs the `rkrd` daemon (see
 //! `rkranks_server`, Linux-only): a pool of `epoll` event-loop workers
 //! answering the line-delimited JSON protocol with write backpressure
 //! (`--high-water`), bounded request lines (`--max-line`), an LRU result
 //! cache and epoch-based invalidation;
-//! `query --remote` and `ctl` are its clients. A query without `--algo`
-//! runs `dynamic-three`; the index (`--index FILE`, the snapshot bundle's,
-//! or an empty one with `--kmax K`) is held read-only and consulted only by
-//! explicit `indexed-*` queries. The daemon's graph is *live*:
+//! `query --remote` and `ctl` are its clients. Every served query runs
+//! `dynamic-three`, and a request naming another strategy is refused;
+//! the daemon reads no index (it checkpoints the snapshot bundle's, or
+//! an empty one). The daemon's graph is *live*:
 //! `ctl add-edge`/`rm-edge`/`reweight`/`add-node` stage single updates and
 //! `rkr update --from FILE` streams a whole update file in batches; each
 //! commit publishes a fresh graph snapshot under a bumped graph epoch and
@@ -92,7 +89,7 @@ use rkranks_core::{
     MetricsSnapshot, QueryOutcome, QueryRequest, Strategy,
 };
 use rkranks_datasets::{dblp_like, epinions_like, sf_like};
-use rkranks_eval::runner::{self, run_batch, run_indexed_batch, IndexedMode};
+use rkranks_eval::runner::{self, run_batch, run_indexed_batch};
 use rkranks_eval::workload::random_queries;
 use rkranks_graph::metrics::{degree_stats, weight_stats};
 use rkranks_graph::traversal::is_weakly_connected;
@@ -107,12 +104,11 @@ const USAGE: &str = "usage:
   rkr build-index <graph.edges> --out FILE [--h F] [--m F] [--kmax K] [--strategy S] [--threads N]
   rkr query <graph.edges> --node Q --k K [--algo STRATEGY] [--deadline-ms MS]
             [--refine-budget N] [--trace] [--index FILE] [--save-index]
-  rkr query --remote HOST:PORT --node Q --k K [--algo STRATEGY] [--deadline-ms MS] [--no-cache]
+  rkr query --remote HOST:PORT --node Q --k K [--deadline-ms MS] [--no-cache]
   rkr batch <graph.edges> --queries N --k K [--algo STRATEGY] [--threads T]
-            [--indexed-mode sequential|snapshot] [--merge-every M] [--index FILE] [--seed S]
+            [--index FILE] [--seed S]
   rkr serve [<graph.edges>] [--addr HOST:PORT] [--workers N] [--cache N]
-            [--index FILE] [--kmax K] [--snapshot FILE]
-            [--high-water BYTES] [--max-line BYTES]
+            [--snapshot FILE] [--high-water BYTES] [--max-line BYTES]
             [--log-level error|warn|info|debug] [--slow-query-ms MS]
             [--shard-id I --shard-count N [--shard-seed S]]
   rkr shard-plan <graph.edges> --shards N [--seed S]
@@ -213,16 +209,12 @@ const COMMANDS: [(&str, Command, &str); 10] = [
         cmd_query,
         "remote node k algo deadline-ms refine-budget trace index save-index no-cache",
     ),
-    (
-        "batch",
-        cmd_batch,
-        "queries k algo threads indexed-mode merge-every index seed",
-    ),
+    ("batch", cmd_batch, "queries k algo threads index seed"),
     (
         "serve",
         cmd_serve,
-        "addr workers cache index kmax snapshot high-water max-line log-level \
-         slow-query-ms shard-id shard-count shard-seed",
+        "addr workers cache snapshot high-water max-line log-level slow-query-ms \
+         shard-id shard-count shard-seed",
     ),
     ("shard-plan", cmd_shard_plan, "shards seed"),
     (
@@ -349,33 +341,20 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
             .get_parsed("threads", 0)
             .map(|t: usize| if t == 0 { runner::default_threads() } else { t })?;
     let strategy: Strategy = flags.get("algo").unwrap_or("dynamic").parse()?;
-    // Validate the mode flags before loading the graph.
+    // Validate the index and thread flags before loading the graph.
     let indexed = match strategy {
         Strategy::Indexed(bounds) => {
-            let mode = match flags.get("indexed-mode").unwrap_or("snapshot") {
-                "sequential" => {
-                    reject_unread(
-                        flags,
-                        &["merge-every"],
-                        "with --indexed-mode sequential (only snapshot mode merges)",
-                    )?;
-                    IndexedMode::Sequential
-                }
-                "snapshot" => IndexedMode::Snapshot {
-                    threads,
-                    // The internal 0 sentinel means "merge once at the end
-                    // of the batch"; it is reachable only by omitting the
-                    // flag, never by passing an explicit 0.
-                    merge_every: parse_merge_every(flags, 0)?,
-                },
-                other => return Err(format!("unknown indexed mode '{other}'")),
-            };
-            Some((bounds, mode))
+            reject_unread(
+                flags,
+                &["threads"],
+                &format!("with --algo {strategy} (the §5 stream runs on one thread)"),
+            )?;
+            Some(bounds)
         }
         _ => {
             reject_unread(
                 flags,
-                &["index", "indexed-mode", "merge-every"],
+                &["index"],
                 &format!("with --algo {strategy} (only indexed-* strategies use an index)"),
             )?;
             None
@@ -406,7 +385,7 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
                 start.elapsed(),
             )
         }
-        Some((bounds, mode)) => {
+        Some(bounds) => {
             let mut index = match flags.get("index") {
                 Some(path) => load_index_for_edge_file(path)?,
                 None => {
@@ -429,10 +408,9 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
                 &queries,
                 k,
                 bounds,
-                mode,
             )
             .map_err(|e| e.to_string())?;
-            (out, format!("{strategy} {mode:?}"), start.elapsed())
+            (out, format!("{strategy}, one stream"), start.elapsed())
         }
     };
     let p = out.latency_percentiles();
@@ -464,20 +442,6 @@ fn reject_unread(flags: &Flags, unread: &[&str], why: &str) -> Result<(), String
     }
 }
 
-/// `--merge-every` with an explicit `0` rejected: zero would mean "merge
-/// only once, at the end of the batch", which is better expressed by
-/// omitting the flag — and an accidental 0 silently disabling merging is
-/// exactly the kind of foot-gun args validation exists for.
-fn parse_merge_every(flags: &Flags, default: usize) -> Result<usize, String> {
-    let merge_every: usize = flags.get_parsed("merge-every", default)?;
-    if flags.get("merge-every").is_some() && merge_every == 0 {
-        return Err(
-            "--merge-every must be at least 1 (omit the flag for the default cadence)".into(),
-        );
-    }
-    Ok(merge_every)
-}
-
 /// Load an `--index` file for use against a plain edge file. An index
 /// learned on an evolved graph (graph epoch > 0, tagged in its `v2`
 /// header) describes that evolved graph, not the edge file it was
@@ -504,7 +468,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878");
     let workers: usize = flags.get_parsed("workers", 4)?;
     let cache: usize = flags.get_parsed("cache", 4096)?;
-    let kmax: u32 = flags.get_parsed("kmax", 100)?;
     let snapshot = flags.get("snapshot").map(PathBuf::from);
     // Resolve the serving state. An existing --snapshot bundle wins: it
     // restores the exact pre-shutdown state (committed graph, index,
@@ -513,13 +476,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     // checkpoint (load-or-create).
     let (store, index) = match &snapshot {
         Some(path) if path.exists() => {
-            if flags.get("index").is_some() {
-                return Err(format!(
-                    "--index cannot be combined with the existing snapshot bundle {}: \
-                     the bundle already holds the index it was checkpointed with",
-                    path.display()
-                ));
-            }
             let (store, index) = load_snapshot(path)
                 .map_err(|e| format!("cannot restore snapshot {}: {e}", path.display()))?;
             println!(
@@ -540,16 +496,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             (store, index)
         }
         _ => {
+            // No query reads the daemon's index; it starts empty and only
+            // rides along in checkpoints.
             let g = graph_arg(flags)?;
-            let mut index = match flags.get("index") {
-                Some(path) => load_index_for_edge_file(path)?,
-                // No prebuilt index: explicit indexed-* queries run on an
-                // empty one, bounded by --kmax.
-                None => RkrIndex::empty(g.num_nodes(), kmax),
-            };
-            let store = GraphStore::new(g);
-            index.set_graph_epoch(store.graph_epoch());
-            (store, index)
+            let index = RkrIndex::empty(g.num_nodes(), IndexParams::default().k_max);
+            (GraphStore::new(g), index)
         }
     };
     let shard = parse_shard_identity(flags)?;
@@ -583,15 +534,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         );
     }
     println!(
-        "rkrd listening on {local} (epoll event loop, {} workers, cache {}, default \
-         dynamic-three, indexed k <= {})",
+        "rkrd listening on {local} (epoll event loop, {} workers, cache {}, serving \
+         dynamic-three)",
         config.workers,
         if cache > 0 {
             cache.to_string()
         } else {
             "off".into()
         },
-        index.k_max(),
     );
     let outcome = rkranks_server::serve_store(store, None, index, listener, &config);
     println!(
@@ -908,11 +858,10 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
             println!("{} slow quer(ies), oldest first:", records.len());
             for r in &records {
                 println!(
-                    "  node {:>8} k {:>4}  {:<14} {:>9.3}ms (filter {:.3}ms, refine {:.3}ms, \
+                    "  node {:>8} k {:>4}  {:>9.3}ms (filter {:.3}ms, refine {:.3}ms, \
                      {} passes to kRank guess {}) {}{} epoch {}/{}",
                     r.node,
                     r.k,
-                    r.strategy,
                     r.total_ns as f64 / 1e6,
                     r.filter_ns as f64 / 1e6,
                     r.refine_ns as f64 / 1e6,
@@ -955,9 +904,9 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
 
 /// The human `rkr ctl ADDR metrics` view: one line per instrument, with
 /// quantile summaries for histograms. Histograms that never recorded are
-/// skipped (the `rkrd_query_seconds` family alone has one member per
-/// `(strategy, outcome)` pair, most of them untouched on any one daemon);
-/// `--prom` and `--json` expose everything.
+/// skipped (a daemon without deadlines never fills the
+/// `rkrd_query_seconds{outcome="partial"}` member); `--prom` and `--json`
+/// expose everything.
 fn print_metrics_table(snap: &MetricsSnapshot) {
     for s in &snap.samples {
         let labels = if s.labels.is_empty() {
@@ -1007,23 +956,23 @@ fn cmd_query_remote(flags: &Flags, addr: &str) -> Result<(), String> {
     reject_unread(
         flags,
         &["index", "save-index"],
-        "with --remote (the daemon reads its own index)",
+        "with --remote (the daemon reads no index)",
     )?;
-    // The wire protocol carries strategy + deadline_ms; a silently
-    // dropped budget would look like an unbounded query, so refuse it.
+    reject_unread(
+        flags,
+        &["algo"],
+        "with --remote (rkrd serves dynamic-three only; run other strategies \
+         in-process with rkr query or rkr batch)",
+    )?;
+    // The wire protocol carries deadline_ms; a silently dropped budget
+    // would look like an unbounded query, so refuse it.
     if flags.get("refine-budget").is_some() {
         return Err(
             "--refine-budget is not supported over --remote (the wire protocol carries \
-             --algo and --deadline-ms only)"
+             --deadline-ms only)"
                 .into(),
         );
     }
-    // Parity with the local path: the unified strategy string is
-    // validated here for a fast error, then sent verbatim over the wire.
-    let strategy = match flags.get("algo") {
-        Some(name) => Some(name.parse::<Strategy>()?.name().to_string()),
-        None => None,
-    };
     let deadline_ms = match flags.get("deadline-ms") {
         Some(v) => Some(
             v.parse::<u64>()
@@ -1033,7 +982,6 @@ fn cmd_query_remote(flags: &Flags, addr: &str) -> Result<(), String> {
     };
     let opts = QueryOptions {
         cache: !flags.has("no-cache"),
-        strategy,
         deadline_ms,
     };
     let mut client = Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;

@@ -4,7 +4,7 @@
 use reverse_k_ranks::prelude::*;
 use rkranks_core::assert_all_strategies_match;
 use rkranks_datasets::{dblp_like, toy};
-use rkranks_eval::runner::{run_indexed_batch, IndexedMode};
+use rkranks_eval::runner::run_indexed_batch;
 use rkranks_graph::{rank_between, rank_matrix};
 
 /// The paper's §5 sequential mode: each query in turn, `idx` learning from
@@ -15,8 +15,7 @@ fn query_stream(
     queries: &[NodeId],
     k: u32,
 ) -> rkranks_core::QueryStats {
-    let mode = IndexedMode::Sequential;
-    run_indexed_batch(g, None, idx, queries, k, BoundConfig::ALL, mode)
+    run_indexed_batch(g, None, idx, queries, k, BoundConfig::ALL)
         .unwrap()
         .totals
 }

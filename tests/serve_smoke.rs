@@ -610,9 +610,9 @@ fn parse_prometheus(text: &str) -> PromScrape {
 
 /// A flag the command does not accept fails the command before it does
 /// any work — a retired one (the hub-label `distance` flag, the
-/// `event-loop` backend flag, the served index's `save-index` write-back
-/// and `merge-every` cadence) or a typo alike — instead of being silently
-/// ignored.
+/// `event-loop` backend flag, the served index's `index` / `kmax` /
+/// `save-index` and `merge-every` cadence) or a typo alike — instead of
+/// being silently ignored.
 #[test]
 fn serve_rejects_retired_flags() {
     let dir = temp_dir("retired-arg");
@@ -623,6 +623,8 @@ fn serve_rejects_retired_flags() {
     for (flag, value) in [
         ("distance", Some("hub")),
         ("event-loop", Some("poll")),
+        ("index", Some("g.rkri")),
+        ("kmax", Some("32")),
         ("save-index", None),
         ("merge-every", Some("8")),
         ("slow-query-cap", Some("8")),
@@ -673,6 +675,11 @@ fn query_rejects_a_misspelled_flag() {
             &["--remote", "127.0.0.1:1", "--index", "missing.rkri"][..],
             "--index has no effect with --remote",
         ),
+        // rkrd serves one strategy: refused before any connect is tried
+        (
+            &["--remote", "127.0.0.1:1", "--algo", "naive"][..],
+            "--algo has no effect with --remote",
+        ),
     ] {
         let mut line = vec!["query", "g.edges", "--node", "5", "--k", "3"];
         line.extend_from_slice(args);
@@ -685,51 +692,33 @@ fn query_rejects_a_misspelled_flag() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The snapshot mode's flags are retired: `--indexed-mode` and
+/// `--merge-every` are unknown flags, an index flag on a run that never
+/// reads it still fails, `--threads` on the one-thread indexed stream
+/// fails, and an indexed batch runs the paper's stream.
 #[test]
-fn batch_rejects_explicit_merge_every_zero() {
+fn batch_rejects_retired_index_flags() {
     let dir = temp_dir("args");
     rkr_ok(
         &dir,
         &["gen", "dblp", "--scale", "tiny", "--out", "g.edges"],
     );
-    // an explicit zero cadence, and index flags on runs that never read them
     for (args, expected) in [
         (
-            &[
-                "--algo",
-                "indexed",
-                "--indexed-mode",
-                "snapshot",
-                "--merge-every",
-                "0",
-            ][..],
-            "--merge-every must be at least 1",
+            &["--algo", "indexed", "--indexed-mode", "snapshot"][..],
+            "unknown flag --indexed-mode for 'rkr batch'",
         ),
         (
-            &[
-                "--algo",
-                "dynamic",
-                "--index",
-                "missing.rkri",
-                "--indexed-mode",
-                "bogus",
-            ][..],
+            &["--algo", "indexed", "--merge-every", "8"][..],
+            "unknown flag --merge-every for 'rkr batch'",
+        ),
+        (
+            &["--algo", "dynamic", "--index", "missing.rkri"][..],
             "--index has no effect with --algo dynamic",
         ),
         (
-            &["--algo", "dynamic", "--merge-every", "8"][..],
-            "--merge-every has no effect with --algo dynamic",
-        ),
-        (
-            &[
-                "--algo",
-                "indexed",
-                "--indexed-mode",
-                "sequential",
-                "--merge-every",
-                "8",
-            ][..],
-            "--merge-every has no effect with --indexed-mode sequential",
+            &["--algo", "indexed", "--threads", "4"][..],
+            "--threads has no effect with --algo indexed-three",
         ),
     ] {
         let mut line = vec!["batch", "g.edges", "--queries", "4", "--k", "2"];
@@ -740,7 +729,6 @@ fn batch_rejects_explicit_merge_every_zero() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(expected), "unhelpful error: {stderr}");
     }
-    // omitting the flag still works (merge once at the end)
     let out = rkr(
         &dir,
         &[
@@ -752,14 +740,16 @@ fn batch_rejects_explicit_merge_every_zero() {
             "2",
             "--algo",
             "indexed",
-            "--indexed-mode",
-            "snapshot",
         ],
     );
     assert!(
         out.status.success(),
-        "default cadence broke: {}",
+        "indexed batch broke: {}",
         String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("one stream"),
+        "the indexed batch names its mode"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
