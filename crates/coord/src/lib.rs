@@ -107,7 +107,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rkranks_server::reactor::{Reactor, Service};
-use rkranks_server::{HelloReply, Reply, Request, ServerConfig, StatsReply, PROTOCOL_VERSION};
+use rkranks_server::{
+    check_served, HelloReply, Reply, Request, ServerConfig, StatsReply, PROTOCOL_VERSION,
+};
 
 pub use metrics::CoordMetrics;
 use pool::ShardPool;
@@ -253,6 +255,12 @@ impl Service for CoordShared {
                 strategy,
                 deadline_ms,
             } => {
+                // Refused here as rkrd would refuse it, uncounted, before
+                // any shard sees the line.
+                let served = check_served(ServerConfig::default().bounds, strategy.as_deref());
+                if let Err(msg) = served {
+                    return Reply::Error(msg);
+                }
                 let _read = gate.read().unwrap_or_else(PoisonError::into_inner);
                 m.queries.inc();
                 pool.query(node, k, cache, strategy, deadline_ms)

@@ -209,7 +209,7 @@ fn live_updates_through_the_coordinator_stay_rank_identical() {
         .enumerate()
     {
         if let Some(batch) = batch {
-            let ops: Vec<UpdateOp> = batch.iter().map(|&d| d.into()).collect();
+            let ops: Vec<UpdateOp> = batch.to_vec();
             let (staged, pre_epoch) = ctl.update(&ops).expect("update through coordinator");
             assert_eq!(staged, ops.len() as u64);
             assert_eq!(pre_epoch, phase as u64 - 1, "staging reports the old epoch");
@@ -360,7 +360,7 @@ fn spawn_fleet_with_a_stale_primary(g: &Graph) -> (Vec<ServerHandle>, BTreeMap<u
         .expect("reweight an existing edge");
     let fleet = spawn_shards(g, 2, 1024, 0);
     let mut direct = Client::connect(fleet[1].addr()).expect("connect shard 1");
-    direct.update(&[delta.into()]).expect("stage on shard 1");
+    direct.update(&[delta]).expect("stage on shard 1");
     direct.flush().expect("commit on shard 1");
     assert_eq!(direct.hello().expect("hello").graph_epoch, 1);
     (fleet, expected_ranks(&newer))
@@ -604,20 +604,43 @@ fn unserved_strategies_are_refused_through_the_coordinator() {
     let g = test_graph();
     let expected = expected_ranks(&g);
     let (fleet, coord) = spawn_cached_pair(&g);
+    let unserved = Request::Query {
+        node: 7,
+        k: K,
+        cache: true,
+        strategy: Some("indexed-three".into()),
+        deadline_ms: None,
+    };
+    // rkrd's own refusal, asked of shard 1 directly.
+    let mut direct = Client::connect(fleet[1].addr()).expect("connect shard 1");
+    let rkrd_refusal = direct.raw(&unserved).expect("one reply line");
+    // Shard 0's request count, read twice to learn what one read adds.
+    let mut shard0 = Client::connect(fleet[0].addr()).expect("connect shard 0");
+    let mut requests_seen = || {
+        let snapshot = shard0.metrics().expect("shard 0 metrics");
+        let sample = snapshot
+            .samples
+            .iter()
+            .find(|s| s.name == "rkrd_request_seconds");
+        match sample.map(|s| &s.value) {
+            Some(MetricValue::Histogram(h)) => h.count,
+            other => panic!("no rkrd_request_seconds histogram: {other:?}"),
+        }
+    };
+    let (a, b) = (requests_seen(), requests_seen());
+
     let mut client = Client::connect(coord.addr()).expect("connect");
-    let line = client
-        .raw(&Request::Query {
-            node: 7,
-            k: K,
-            cache: true,
-            strategy: Some("indexed-three".into()),
-            deadline_ms: None,
-        })
-        .expect("one reply line");
+    let line = client.raw(&unserved).expect("one reply line");
     let Reply::Error(msg) = Reply::from_line(&line).expect("a protocol reply line") else {
         panic!("indexed-three must be refused: {line}");
     };
     assert!(msg.contains("rkr query"), "{msg}");
+    assert_eq!(line, rkrd_refusal, "the coordinator refuses as rkrd does");
+    assert_eq!(
+        requests_seen() - b,
+        b - a,
+        "the refused line reached shard 0"
+    );
     let reply = client.query(7, K).expect("the connection keeps answering");
     let got: Vec<u32> = reply.entries.iter().map(|&(_, r)| r).collect();
     assert_eq!(got, expected[&7]);

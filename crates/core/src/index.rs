@@ -645,14 +645,6 @@ impl IndexAccess<'_> {
         }
     }
 
-    /// The epoch of the readable index ([`RkrIndex::epoch`]): the live
-    /// index's own version in live mode, the frozen snapshot's version in
-    /// snapshot mode (a worker's unmerged delta never advances it).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.read().epoch()
-    }
-
     /// Check-dictionary value for `u`, as usable for the §5.3 *prune*.
     ///
     /// Snapshot reads deliberately ignore the delta here: a delta raise's
@@ -1096,25 +1088,6 @@ mod tests {
         let mut fresh = RkrIndex::empty(3, 2);
         fresh.merge_from(&idx);
         assert_eq!(fresh.epoch(), 0);
-    }
-
-    #[test]
-    fn index_access_reports_snapshot_epoch() {
-        let mut live = RkrIndex::empty(3, 2);
-        let mut d = IndexDelta::for_index(&live);
-        d.offer(NodeId(0), NodeId(1), 1);
-        live.merge_delta(&d);
-        let snapshot = live.clone();
-        let mut delta = IndexDelta::for_index(&snapshot);
-        let mut access = IndexAccess::Snapshot {
-            snapshot: &snapshot,
-            delta: &mut delta,
-        };
-        assert_eq!(access.epoch(), 1);
-        // logging to the delta never advances the visible epoch
-        access.offer(NodeId(2), NodeId(0), 1);
-        assert_eq!(access.epoch(), 1);
-        assert_eq!(IndexAccess::Live(&mut live).epoch(), 1);
     }
 
     /// Merging the same delta twice must not change pruning behavior: the

@@ -6,31 +6,23 @@
 //! an [`RkrIndex`] in a line-oriented text format:
 //!
 //! ```text
-//! rkr-index v1 <num_nodes> <k_max>
+//! rkr-index v3 <num_nodes> <k_max> <graph_epoch>
 //! H <hub> <hub> ...
 //! C <node> <check-value>
 //! R <target> <source> <rank>
 //! ```
 //!
-//! ### The `v2` header and the graph-epoch tag
-//!
-//! A `v1` file carries no statement about *which* graph its ranks were
-//! measured on — fine for indexes built against a static edge file, and a
-//! silent-mismatch hazard the moment the serving graph absorbs live
-//! updates. Indexes whose [`RkrIndex::graph_epoch`] is non-zero therefore
-//! serialize with a `v2` header that carries the tag:
-//!
-//! ```text
-//! rkr-index v2 <num_nodes> <k_max> <graph_epoch>
-//! ```
-//!
-//! Record lines are identical in both versions. [`write_index`] emits `v1`
-//! whenever `graph_epoch == 0` (so epoch-0 files stay byte-identical to
-//! what older readers expect) and `v2` otherwise; [`read_index`] accepts
-//! both, restoring the tag. Callers that pair a loaded index with a plain
-//! edge file must refuse `graph_epoch > 0` indexes — those belong inside a
-//! snapshot bundle ([`crate::snapshot`]) where the matching graph travels
+//! The header's graph epoch ([`RkrIndex::graph_epoch`]) says which graph
+//! the ranks were measured on: 0 for an index built against a static edge
+//! file. Callers that pair a loaded index with a plain edge file must
+//! refuse `graph_epoch > 0` indexes — those belong inside a snapshot
+//! bundle ([`crate::snapshot`]) where the matching graph travels
 //! alongside.
+//!
+//! `v3` marks ranks measured with exact integer distances. [`read_index`]
+//! refuses the older `v1` and `v2` headers: their ranks came from
+//! floating-point path sums, which can misorder near-tied distances, so
+//! such a file is rebuilt with `rkr build-index`, not loaded.
 //!
 //! Loading validates structure (ids in range, ranks ≥ 1, list caps) so a
 //! corrupted file cannot produce an index that silently mis-prunes.
@@ -45,21 +37,16 @@ use rkranks_graph::{write_atomic, GraphError, NodeId, Result};
 
 use crate::index::RkrIndex;
 
-/// Serialize an index (`v1` header when `graph_epoch == 0`, `v2`
-/// otherwise; see the module docs).
+/// Serialize an index (see the module docs for the format).
 pub fn write_index<W: Write>(index: &RkrIndex, out: W) -> Result<()> {
     let mut w = BufWriter::new(out);
-    if index.graph_epoch() == 0 {
-        writeln!(w, "rkr-index v1 {} {}", index.num_nodes(), index.k_max())?;
-    } else {
-        writeln!(
-            w,
-            "rkr-index v2 {} {} {}",
-            index.num_nodes(),
-            index.k_max(),
-            index.graph_epoch()
-        )?;
-    }
+    writeln!(
+        w,
+        "rkr-index v3 {} {} {}",
+        index.num_nodes(),
+        index.k_max(),
+        index.graph_epoch()
+    )?;
     if !index.hubs().is_empty() {
         write!(w, "H")?;
         for h in index.hubs() {
@@ -104,18 +91,23 @@ pub fn read_index<R: Read>(input: R) -> Result<RkrIndex> {
             continue;
         }
         let mut parts = t.split_whitespace();
-        let version = match (parts.next(), parts.next()) {
-            (Some("rkr-index"), Some("v1")) => 1,
-            (Some("rkr-index"), Some("v2")) => 2,
-            _ => {
+        match (parts.next(), parts.next()) {
+            (Some("rkr-index"), Some("v3")) => {}
+            (Some("rkr-index"), Some("v1" | "v2")) => {
                 return Err(parse_err(
                     idx,
-                    "expected 'rkr-index v1 <nodes> <k_max>' or \
-                     'rkr-index v2 <nodes> <k_max> <graph_epoch>' header"
+                    "this index predates exact integer distances; rebuild it with \
+                     `rkr build-index`"
                         .into(),
                 ))
             }
-        };
+            _ => {
+                return Err(parse_err(
+                    idx,
+                    "expected 'rkr-index v3 <nodes> <k_max> <graph_epoch>' header".into(),
+                ))
+            }
+        }
         let n: u32 = parts
             .next()
             .and_then(|s| s.parse().ok())
@@ -124,16 +116,10 @@ pub fn read_index<R: Read>(input: R) -> Result<RkrIndex> {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| parse_err(idx, "bad k_max".into()))?;
-        // v1 files predate live graphs: their knowledge belongs to
-        // whatever static graph the caller pairs them with (epoch 0).
-        let ge: u64 = if version == 1 {
-            0
-        } else {
-            parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| parse_err(idx, "bad graph epoch".into()))?
-        };
+        let ge: u64 = parts
+            .next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| parse_err(idx, "bad graph epoch".into()))?;
         break (n, k, ge);
     };
 
@@ -291,10 +277,11 @@ mod tests {
     fn rejects_garbage() {
         assert!(read_index("not an index\n".as_bytes()).is_err());
         assert!(read_index("".as_bytes()).is_err());
-        assert!(read_index("rkr-index v1 5\n".as_bytes()).is_err()); // missing k_max
-        assert!(read_index("rkr-index v1 5 3\nX 1 2 3\n".as_bytes()).is_err()); // bad tag
-        assert!(read_index("rkr-index v1 5 3\nR 9 0 1\n".as_bytes()).is_err()); // out of range
-        assert!(read_index("rkr-index v1 5 3\nR 0 1 0\n".as_bytes()).is_err()); // rank 0
+        assert!(read_index("rkr-index v3 5\n".as_bytes()).is_err()); // missing k_max
+        assert!(read_index("rkr-index v3 5 3 0\nX 1 2 3\n".as_bytes()).is_err()); // bad tag
+        assert!(read_index("rkr-index v3 5 3 0\nR 9 0 1\n".as_bytes()).is_err()); // out of range
+        assert!(read_index("rkr-index v3 5 3 0\nR 0 1 0\n".as_bytes()).is_err());
+        // rank 0
     }
 
     /// A write interrupted mid-stream (partial header, record cut short,
@@ -317,20 +304,20 @@ mod tests {
         );
         // header truncated before the dimensions
         assert!(read_index("rkr-index\n".as_bytes()).is_err());
-        assert!(read_index("rkr-index v1\n".as_bytes()).is_err());
+        assert!(read_index("rkr-index v3\n".as_bytes()).is_err());
         // records with missing fields
-        assert!(read_index("rkr-index v1 5 3\nC 1\n".as_bytes()).is_err());
-        assert!(read_index("rkr-index v1 5 3\nR 0 1\n".as_bytes()).is_err());
+        assert!(read_index("rkr-index v3 5 3 0\nC 1\n".as_bytes()).is_err());
+        assert!(read_index("rkr-index v3 5 3 0\nR 0 1\n".as_bytes()).is_err());
         // numeric garbage
-        assert!(read_index("rkr-index v1 5 3\nC x 2\n".as_bytes()).is_err());
-        assert!(read_index("rkr-index v1 5 3\nR 0 1 abc\n".as_bytes()).is_err());
-        assert!(read_index("rkr-index v1 5 3\nH 1 x\n".as_bytes()).is_err());
+        assert!(read_index("rkr-index v3 5 3 0\nC x 2\n".as_bytes()).is_err());
+        assert!(read_index("rkr-index v3 5 3 0\nR 0 1 abc\n".as_bytes()).is_err());
+        assert!(read_index("rkr-index v3 5 3 0\nH 1 x\n".as_bytes()).is_err());
         // hub id out of range
-        assert!(read_index("rkr-index v1 5 3\nH 9\n".as_bytes()).is_err());
+        assert!(read_index("rkr-index v3 5 3 0\nH 9\n".as_bytes()).is_err());
         // check-dictionary node out of range
-        assert!(read_index("rkr-index v1 5 3\nC 9 1\n".as_bytes()).is_err());
+        assert!(read_index("rkr-index v3 5 3 0\nC 9 1\n".as_bytes()).is_err());
         // non-UTF-8 bytes mid-file surface as an error, not a panic
-        let mut bad = b"rkr-index v1 5 3\nC 1 ".to_vec();
+        let mut bad = b"rkr-index v3 5 3 0\nC 1 ".to_vec();
         bad.extend_from_slice(&[0xFF, 0xFE, b'\n']);
         assert!(read_index(&bad[..]).is_err());
     }
@@ -338,7 +325,7 @@ mod tests {
     /// Parse errors carry the 1-based line number of the offending record.
     #[test]
     fn parse_errors_point_at_the_bad_line() {
-        let text = "rkr-index v1 5 3\nC 1 2\nR 0 1 oops\n";
+        let text = "rkr-index v3 5 3 0\nC 1 2\nR 0 1 oops\n";
         match read_index(text.as_bytes()) {
             Err(rkranks_graph::GraphError::Parse { line, .. }) => assert_eq!(line, 3),
             other => panic!("expected a parse error, got {other:?}"),
@@ -347,59 +334,50 @@ mod tests {
 
     #[test]
     fn comments_and_blanks_allowed() {
-        let text = "# persisted index\n\nrkr-index v1 3 2\nC 1 4\nR 0 1 2\n";
+        let text = "# persisted index\n\nrkr-index v3 3 2 0\nC 1 4\nR 0 1 2\n";
         let idx = read_index(text.as_bytes()).unwrap();
         assert_eq!(idx.check(NodeId(1)), 4);
         assert_eq!(idx.lookup(NodeId(0), NodeId(1)), Some(2));
     }
 
-    /// Epoch-0 indexes keep writing the `v1` header — old files and old
-    /// readers stay compatible — while a non-zero graph epoch switches to
-    /// `v2` and survives the round trip.
+    /// Every index writes the `v3` header, its graph epoch included, and
+    /// the epoch survives the round trip.
     #[test]
-    fn graph_epoch_round_trips_through_the_v2_header() {
+    fn graph_epoch_round_trips_through_the_v3_header() {
         let mut idx = sample_index();
-        assert_eq!(idx.graph_epoch(), 0);
-        let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
-        assert!(buf.starts_with(b"rkr-index v1 "), "epoch 0 must stay v1");
+        for epoch in [0, 3] {
+            idx.set_graph_epoch(epoch);
+            let mut buf = Vec::new();
+            write_index(&idx, &mut buf).unwrap();
+            let header = format!("rkr-index v3 {} {} {epoch}\n", idx.num_nodes(), idx.k_max());
+            assert!(buf.starts_with(header.as_bytes()), "expected {header:?}");
+            let back = read_index(&buf[..]).unwrap();
+            assert_eq!(back.graph_epoch(), epoch);
+            assert_eq!(back.rrd_entries(), idx.rrd_entries());
+        }
+    }
 
-        idx.set_graph_epoch(3);
-        let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
-        let text = String::from_utf8(buf.clone()).unwrap();
-        assert!(
-            text.starts_with(&format!(
-                "rkr-index v2 {} {} 3\n",
-                idx.num_nodes(),
-                idx.k_max()
-            )),
-            "unexpected v2 header: {}",
-            text.lines().next().unwrap()
-        );
-        let back = read_index(&buf[..]).unwrap();
-        assert_eq!(back.graph_epoch(), 3);
-        assert_eq!(back.rrd_entries(), idx.rrd_entries());
+    /// `v1` and `v2` files hold ranks from floating-point distances: each
+    /// is refused with one line that says so and names the rebuild.
+    #[test]
+    fn v1_and_v2_headers_are_refused() {
+        for text in ["rkr-index v1 3 2\nC 1 4\n", "rkr-index v2 3 2 9\nC 1 4\n"] {
+            let err = read_index(text.as_bytes()).unwrap_err().to_string();
+            assert!(err.contains("exact integer distances"), "{err}");
+            assert!(err.contains("rkr build-index"), "{err}");
+        }
     }
 
     #[test]
-    fn v1_files_load_at_graph_epoch_zero() {
-        let text = "rkr-index v1 3 2\nC 1 4\nR 0 1 2\n";
-        let idx = read_index(text.as_bytes()).unwrap();
-        assert_eq!(idx.graph_epoch(), 0);
-        assert_eq!(idx.check(NodeId(1)), 4);
-    }
-
-    #[test]
-    fn v2_header_is_validated() {
+    fn v3_header_is_validated() {
         // missing epoch field
-        assert!(read_index("rkr-index v2 5 3\n".as_bytes()).is_err());
+        assert!(read_index("rkr-index v3 5 3\n".as_bytes()).is_err());
         // numeric garbage in the epoch field
-        assert!(read_index("rkr-index v2 5 3 soon\n".as_bytes()).is_err());
+        assert!(read_index("rkr-index v3 5 3 soon\n".as_bytes()).is_err());
         // unknown versions are rejected outright
-        assert!(read_index("rkr-index v3 5 3 1\n".as_bytes()).is_err());
-        // well-formed v2 loads
-        let idx = read_index("rkr-index v2 5 3 9\nC 1 2\n".as_bytes()).unwrap();
+        assert!(read_index("rkr-index v4 5 3 1\n".as_bytes()).is_err());
+        // well-formed v3 loads
+        let idx = read_index("rkr-index v3 5 3 9\nC 1 2\n".as_bytes()).unwrap();
         assert_eq!(idx.graph_epoch(), 9);
     }
 

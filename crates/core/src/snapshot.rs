@@ -16,15 +16,15 @@
 //!
 //! ## Bundle layout (`rkr-snapshot v1`)
 //!
-//! Line-oriented text, in the spirit of [`crate::index_io`]'s `v1`/`v2`
-//! formats, with length- and checksum-guarded binary-safe sections:
+//! Line-oriented text, in the spirit of [`crate::index_io`]'s `v3`
+//! format, with length- and checksum-guarded binary-safe sections:
 //!
 //! ```text
 //! rkr-snapshot v1 <graph_epoch> <index_epoch>
 //! section graph <byte_len> <fnv64-hex>
 //! <byte_len bytes: the committed graph, edge-list text>
 //! section index <byte_len> <fnv64-hex>
-//! <byte_len bytes: the index, rkr-index v1/v2 text>
+//! <byte_len bytes: the index, rkr-index v3 text>
 //! section wal <byte_len> <fnv64-hex>
 //! <byte_len bytes: staged-but-uncommitted deltas, one per line>
 //! end

@@ -115,37 +115,41 @@ fn evolved_index_survives_save_load_save_cycle() {
 }
 
 #[test]
-fn graph_epoch_zero_keeps_the_v1_header() {
-    // Indexes that never saw a graph commit must stay byte-compatible
-    // with pre-snapshot tooling: the v1 header, no epoch column.
+fn graph_epoch_zero_writes_the_v3_header() {
+    // An index that never saw a graph commit states epoch 0 in the one
+    // header every index writes.
     let g = collab_graph(&CollabParams::with_authors(40, 3));
     let idx = RkrIndex::empty(g.num_nodes(), 8);
-    let path = temp_path("v1-header.rkri");
+    let path = temp_path("epoch0-header.rkri");
     save_index(&idx, &path).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert!(
-        text.starts_with("rkr-index v1 "),
-        "graph_epoch 0 must serialize as v1, got: {}",
+        text.starts_with(&format!("rkr-index v3 {} 8 0\n", g.num_nodes())),
+        "graph_epoch 0 must serialize as v3 with epoch 0, got: {}",
         text.lines().next().unwrap_or("")
     );
 }
 
 #[test]
-fn evolved_graph_epoch_round_trips_through_the_v2_header() {
+fn evolved_graph_epoch_round_trips_through_the_v3_header() {
     let g = collab_graph(&CollabParams::with_authors(40, 3));
     let mut idx = RkrIndex::empty(g.num_nodes(), 8);
     idx.set_graph_epoch(7);
-    let path = temp_path("v2-header.rkri");
+    let path = temp_path("epoch7-header.rkri");
     save_index(&idx, &path).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(
-        text.starts_with("rkr-index v2 "),
-        "graph_epoch > 0 must serialize as v2, got: {}",
+        text.starts_with(&format!("rkr-index v3 {} 8 7\n", g.num_nodes())),
+        "graph_epoch 7 must serialize in the v3 header, got: {}",
         text.lines().next().unwrap_or("")
     );
     let loaded = load_index(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(loaded.graph_epoch(), 7, "v2 header must carry the epoch");
+    assert_eq!(
+        loaded.graph_epoch(),
+        7,
+        "the v3 header must carry the epoch"
+    );
     assert_eq!(loaded.num_nodes(), idx.num_nodes());
 }

@@ -11,9 +11,10 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use rkranks_core::MetricsSnapshot;
+use rkranks_graph::GraphDelta;
 
 use crate::protocol::{
-    BatchReply, HelloReply, QueryReply, Reply, Request, SlowQueryRecord, StatsReply, UpdateOp,
+    BatchReply, HelloReply, QueryReply, Reply, Request, SlowQueryRecord, StatsReply,
     PROTOCOL_VERSION,
 };
 
@@ -219,7 +220,7 @@ impl Client {
     /// [`Client::flush`] to commit immediately). Returns
     /// `(staged, graph_epoch)`: how many deltas were staged and the graph
     /// epoch *before* the commit.
-    pub fn update(&mut self, ops: &[UpdateOp]) -> Result<(u64, u64), ClientError> {
+    pub fn update(&mut self, ops: &[GraphDelta]) -> Result<(u64, u64), ClientError> {
         let req = Request::Update { ops: ops.to_vec() };
         match self.round_trip(&req)? {
             Reply::Update {

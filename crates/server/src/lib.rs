@@ -95,4 +95,6 @@ pub use client::{Client, ClientError, QueryOptions};
 pub use protocol::{
     BatchReply, HelloReply, QueryReply, Reply, Request, StatsReply, UpdateOp, PROTOCOL_VERSION,
 };
-pub use server::{serve, serve_store, spawn, spawn_store, ServerConfig, ServerHandle};
+pub use server::{
+    check_served, serve, serve_store, spawn, spawn_store, ServerConfig, ServerHandle,
+};

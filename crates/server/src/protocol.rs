@@ -4,12 +4,8 @@
 //! Requests (`op` selects the operation):
 //!
 //! ```text
-//! {"op":"query","node":17,"k":10}            single reverse k-ranks query
-//! {"op":"query","node":17,"k":10,"cache":false}   ... bypassing the cache
-//! {"op":"query","node":17,"k":10,"strategy":"dynamic-three"}
-//!                                            ... naming the served strategy
-//! {"op":"query","node":17,"k":10,"deadline_ms":5}
-//!                                            ... best-effort within 5ms
+//! {"op":"query","node":17,"k":10}            single reverse k-ranks query,
+//!     optionally with "cache":false, "strategy":"dynamic-three", "deadline_ms":5
 //! {"op":"batch","nodes":[3,17,5],"k":10}     several queries, one round-trip
 //! {"op":"update","ops":[["add",3,9,0.5]]}    stage live graph updates
 //! {"op":"stats"}                             serving counters + epochs
@@ -25,67 +21,73 @@
 //!                                            graph digest
 //! ```
 //!
-//! `update` stages one or more graph deltas, each encoded as a small
-//! array: `["add",u,v,w]`, `["rm",u,v]`, `["reweight",u,v,w]`, or
-//! `["add-node"]`. The batch is validated as a whole at the protocol
-//! boundary (self-loops, negative weights, out-of-range ids, duplicate or
-//! unknown edges are one-line errors and stage *nothing*); valid batches
-//! take effect at the daemon's next commit, which publishes a fresh graph
-//! snapshot, bumps `graph_epoch`, and retires the rank index. By default
-//! the merger commits staged updates on its next pass — promptly, with no
-//! query traffic required; on a flush-only daemon (`merge_every` 0) they
-//! wait for the next `flush` or shutdown.
-//!
-//! `rkrd` serves one strategy, the dynamic search (`dynamic-three`). An
-//! optional `strategy` takes the unified [`rkranks_core::Strategy`]
-//! string form; naming any other strategy is a one-line error pointing at
-//! `rkr query` / `rkr batch`, which run every strategy in-process. A
-//! query cut short by its `deadline_ms` answers with `"partial":true` and
-//! the refined-so-far entries (each rank still exact).
-//!
 //! Replies always carry `"ok"`; failures are `{"ok":false,"error":"..."}`
 //! and keep the connection open. Successful shapes:
 //!
 //! ```text
 //! {"ok":true,"result":[[node,rank],...],"cached":false,"epoch":3,"graph_epoch":1}
 //! {"ok":true,"results":[[[node,rank],...],...],"cached":2,"epoch":3,"graph_epoch":1}
-//! {"ok":true,"stats":{"queries":12,"cache_hits":4,...,"epoch":3,"graph_epoch":1,...}}
+//! {"ok":true,"stats":{"v":7,"queries":12,"cache_hits":4,...}}
+//! {"ok":true,"metrics":[{"name":"rkrd_queries_total","help":"...","type":"counter","value":12},...]}
+//! {"ok":true,"slow_queries":[{"node":17,"k":10,"cached":false,...},...]}
+//! {"ok":true,"bye":true}                     shutdown
+//! {"ok":true,"role":"server","v":7,"epoch":0,"graph_epoch":1,...}   hello
 //! {"ok":true,"staged":2,"graph_epoch":1}     update (staged, not yet live)
 //! {"ok":true,"epoch":0,"merged":2}           flush (staged deltas committed)
 //! {"ok":true,"checkpointed":true,"epoch":4,"graph_epoch":1}   checkpoint
-//! {"ok":true,"bye":true}                     shutdown
-//! {"ok":true,"metrics":[{"name":"rkrd_queries_total","type":"counter",...},...]}
-//! {"ok":true,"slow_queries":[{"node":17,"k":10,"total_ns":51031,...},...]}
 //! ```
 //!
-//! `stats` is the fixed counter block ([`StatsReply`]; protocol v4 dropped
-//! the per-wake-up `batches` / `batch_queries` pair, and a `stats` reply
-//! decodes only with every field present); `metrics` is its superset — every instrument in the daemon's telemetry registry, in
-//! registration order. A counter/gauge sample is
-//! `{"name","help","type","value"}` (plus `"labels":{...}` when
-//! labelled); a histogram sample replaces `value` with
-//! `"count"`, `"sum"` (raw units), `"scale"` (raw → display multiplier,
-//! e.g. `1e-9` for nanoseconds shown as seconds), and `"buckets"` — the
-//! non-empty log-linear buckets as `[upper_bound, count]` pairs,
-//! ascending. `slow-queries` returns the daemon's ring buffer of
-//! recently captured slow queries (see `rkr serve --slow-query-ms`),
-//! oldest first, each a [`SlowQueryRecord`].
+//! # The wire table
 //!
-//! `checkpoint` persists the serving state *as it stands* — committed
-//! graph, rank index, and staged-but-uncommitted updates as a WAL — and
-//! deliberately does not commit first, so forcing durability never changes
-//! commit semantics. It only succeeds on daemons started with a snapshot
-//! path (`rkr serve --snapshot FILE`); without one it is a one-line
-//! error.
+//! Each message's shape is stated once, in the [`Request`] and [`Reply`]
+//! tables and one table per reply struct below. A row names a field (its
+//! wire key, unless the row renames it with `as`), its value shape and
+//! its policy: `req` is always sent and must be present; `or_default` is
+//! always sent and reads as the default when absent, so a peer predating
+//! the field stays readable; `omit` / `omit(d)` is sent only when it
+//! differs from its default and reads as that default when absent. A
+//! present field of the wrong type is an error naming the field. The
+//! tables generate both encoder and decoder, so the daemon and the
+//! [`crate::Client`] cannot drift apart. Hand code is left where the
+//! format is irregular: `hello`'s `graph_digest` (16 hex digits: a JSON
+//! number cannot hold 64 bits) and flattened shard identity, a metric
+//! sample's type tag, labels and buckets, and the rule that `nodes` and
+//! `ops` are not empty.
 //!
-//! Both ends of the protocol live here — [`Request`] / [`Reply`] encode to
-//! and decode from [`Json`] symmetrically — so the daemon and the
-//! [`crate::Client`] cannot drift apart.
+//! # Semantics
+//!
+//! An `update` batch is validated as a whole (self-loops, negative
+//! weights, out-of-range ids, duplicate or unknown edges are one-line
+//! errors and stage *nothing*) and takes effect at the daemon's next
+//! commit, which bumps `graph_epoch` and retires the rank index. The
+//! merger commits on its next pass; on a flush-only daemon (`merge_every`
+//! 0) staged updates wait for `flush` or shutdown.
+//!
+//! `rkrd` serves one strategy, the dynamic search (`dynamic-three`);
+//! naming any other is a one-line error ([`crate::check_served`]). A query
+//! cut short by its `deadline_ms` answers `"partial":true` with the
+//! refined-so-far entries, each rank still exact.
+//!
+//! `stats` is the fixed counter block ([`StatsReply`]). `metrics` is its
+//! superset, every instrument of the daemon's telemetry registry in
+//! registration order: a counter or gauge sample carries `value`; a
+//! histogram sample carries `count`, `sum` (raw units), `scale` (raw →
+//! display multiplier, e.g. `1e-9` for nanoseconds shown as seconds) and
+//! `buckets`, the non-empty log-linear `[upper_bound, count]` pairs,
+//! ascending. `slow-queries` returns the ring of recent slow queries (see
+//! `rkr serve --slow-query-ms`), oldest first.
+//!
+//! `checkpoint` persists the serving state *as it stands* (committed
+//! graph, index, and staged updates as a WAL) without committing first;
+//! it is an error on a daemon started without `--snapshot FILE`.
 
 use rkranks_core::{HistogramSnapshot, MetricSample, MetricValue, MetricsSnapshot};
 use rkranks_graph::GraphDelta;
 
 use crate::json::Json;
+
+/// The wire name of a graph delta; kept for callers that name it so.
+pub use rkranks_graph::GraphDelta as UpdateOp;
 
 /// The protocol generation this build speaks.
 ///
@@ -95,1028 +97,249 @@ use crate::json::Json;
 /// instead of misparsing each other.
 pub const PROTOCOL_VERSION: u64 = 7;
 
-/// One live graph update on the wire — the protocol face of
-/// `rkranks_graph::GraphDelta`. Encoded as a compact array:
-/// `["add",u,v,w]` / `["rm",u,v]` / `["reweight",u,v,w]` /
-/// `["add-node"]`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum UpdateOp {
-    /// Append one isolated node (its id is the node count at commit time).
-    AddNode,
-    /// Insert edge `u – v` with weight `w`.
-    AddEdge {
-        /// Source endpoint.
-        u: u32,
-        /// Target endpoint.
-        v: u32,
-        /// Non-negative finite weight.
-        w: f64,
-    },
-    /// Delete edge `u – v`.
-    RemoveEdge {
-        /// Source endpoint.
-        u: u32,
-        /// Target endpoint.
-        v: u32,
-    },
-    /// Set the weight of the existing edge `u – v` to `w`.
-    Reweight {
-        /// Source endpoint.
-        u: u32,
-        /// Target endpoint.
-        v: u32,
-        /// New non-negative finite weight.
-        w: f64,
-    },
+/// A value shape that travels as one JSON value.
+trait Field: Sized {
+    fn to_json(&self) -> Json;
+    /// The value, or what `v` should have been.
+    fn from_json(v: &Json) -> Result<Self, String>;
 }
 
-impl UpdateOp {
-    fn to_json(self) -> Json {
-        match self {
-            UpdateOp::AddNode => Json::Arr(vec![Json::Str("add-node".into())]),
-            UpdateOp::AddEdge { u, v, w } => Json::Arr(vec![
-                Json::Str("add".into()),
-                Json::num(u),
-                Json::num(v),
-                Json::num(w),
-            ]),
-            UpdateOp::RemoveEdge { u, v } => {
-                Json::Arr(vec![Json::Str("rm".into()), Json::num(u), Json::num(v)])
-            }
-            UpdateOp::Reweight { u, v, w } => Json::Arr(vec![
-                Json::Str("reweight".into()),
-                Json::num(u),
-                Json::num(v),
-                Json::num(w),
-            ]),
-        }
+/// A message whose fields travel flat, as keys of one JSON object.
+trait Body: Sized {
+    fn put(&self, out: &mut Vec<(String, Json)>);
+    fn take(obj: &Json) -> Result<Self, String>;
+}
+
+/// A nested message travels as its own object.
+impl<T: Body> Field for T {
+    fn to_json(&self) -> Json {
+        let mut fields = Vec::new();
+        self.put(&mut fields);
+        Json::Obj(fields)
     }
 
-    fn from_json(v: &Json) -> Result<UpdateOp, String> {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        T::take(v)
+    }
+}
+
+/// The scalars, each one JSON value: how it is written, the accessor
+/// that reads it back, and what a wrong value was expected to be.
+macro_rules! scalars {
+    ($($t:ty: |$x:ident| $to:expr, $from:expr, $shape:literal;)*) => {$(
+        impl Field for $t {
+            fn to_json(&self) -> Json {
+                let $x = self;
+                $to
+            }
+
+            fn from_json(v: &Json) -> Result<Self, String> {
+                $from(v).ok_or_else(|| concat!("not ", $shape).into())
+            }
+        }
+    )*};
+}
+
+scalars! {
+    u32: |x| Json::num(*x), Json::as_u32, "a 32-bit integer";
+    u64: |x| Json::num(*x as f64), Json::as_u64, "a non-negative integer";
+    f64: |x| Json::num(*x), Json::as_f64, "a number";
+    bool: |x| Json::Bool(*x), Json::as_bool, "a boolean";
+    String: |x| Json::Str(x.clone()), |v: &Json| v.as_str().map(str::to_string), "a string";
+}
+
+/// A pair is a two-element array: `(node, rank)` entries, histogram
+/// buckets.
+impl<A: Field, B: Field> Field for (A, B) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err("not a pair".into()),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let items = v.as_arr().ok_or("not an array")?;
+        items.iter().map(T::from_json).collect()
+    }
+}
+
+/// `None` is never sent: an `Option` row's policy is `omit`.
+impl<T: Field> Field for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        T::from_json(v).map(Some)
+    }
+}
+
+/// A delta travels as a small array: `["add",u,v,w]`, `["rm",u,v]`,
+/// `["reweight",u,v,w]` or `["add-node"]`.
+impl Field for GraphDelta {
+    fn to_json(&self) -> Json {
+        let kind = |name: &str| Json::Str(name.into());
+        Json::Arr(match *self {
+            GraphDelta::AddNode => vec![kind("add-node")],
+            GraphDelta::AddEdge { u, v, w } => {
+                vec![kind("add"), u.to_json(), v.to_json(), w.to_json()]
+            }
+            GraphDelta::RemoveEdge { u, v } => vec![kind("rm"), u.to_json(), v.to_json()],
+            GraphDelta::Reweight { u, v, w } => {
+                vec![kind("reweight"), u.to_json(), v.to_json(), w.to_json()]
+            }
+        })
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        fn arg<T: Field>(kind: &str, arr: &[Json], i: usize) -> Result<T, String> {
+            T::from_json(&arr[i]).map_err(|e| format!("'{kind}' op: argument {i} is {e}"))
+        }
         let arr = v.as_arr().ok_or("update op is not an array")?;
         let kind = arr
             .first()
             .and_then(Json::as_str)
             .ok_or("update op missing its kind tag")?;
-        let node = |i: usize| -> Result<u32, String> {
-            arr.get(i)
-                .and_then(Json::as_u32)
-                .ok_or_else(|| format!("'{kind}' op needs an integer node id at position {i}"))
+        let arity = match kind {
+            "add-node" => 0,
+            "rm" => 2,
+            "add" | "reweight" => 3,
+            other => return Err(format!("unknown update op '{other}'")),
         };
-        let weight = |i: usize| -> Result<f64, String> {
-            arr.get(i)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("'{kind}' op needs a numeric weight at position {i}"))
-        };
-        let arity = |want: usize| -> Result<(), String> {
-            if arr.len() == want {
-                Ok(())
-            } else {
-                Err(format!(
-                    "'{kind}' op takes {} arguments, got {}",
-                    want - 1,
-                    arr.len() - 1
-                ))
-            }
-        };
-        match kind {
-            "add-node" => {
-                arity(1)?;
-                Ok(UpdateOp::AddNode)
-            }
-            "add" => {
-                arity(4)?;
-                Ok(UpdateOp::AddEdge {
-                    u: node(1)?,
-                    v: node(2)?,
-                    w: weight(3)?,
-                })
-            }
-            "rm" => {
-                arity(3)?;
-                Ok(UpdateOp::RemoveEdge {
-                    u: node(1)?,
-                    v: node(2)?,
-                })
-            }
-            "reweight" => {
-                arity(4)?;
-                Ok(UpdateOp::Reweight {
-                    u: node(1)?,
-                    v: node(2)?,
-                    w: weight(3)?,
-                })
-            }
-            other => Err(format!("unknown update op '{other}'")),
+        if arr.len() != arity + 1 {
+            return Err(format!(
+                "'{kind}' op takes {arity} arguments, got {}",
+                arr.len() - 1
+            ));
         }
-    }
-}
-
-/// The wire op and the store delta carry the same four shapes; these are
-/// the one canonical pair of conversions (don't hand-roll the match at
-/// call sites — a new delta kind should only need these two arms added).
-impl From<UpdateOp> for GraphDelta {
-    fn from(op: UpdateOp) -> GraphDelta {
-        match op {
-            UpdateOp::AddNode => GraphDelta::AddNode,
-            UpdateOp::AddEdge { u, v, w } => GraphDelta::AddEdge { u, v, w },
-            UpdateOp::RemoveEdge { u, v } => GraphDelta::RemoveEdge { u, v },
-            UpdateOp::Reweight { u, v, w } => GraphDelta::Reweight { u, v, w },
-        }
-    }
-}
-
-impl From<GraphDelta> for UpdateOp {
-    fn from(d: GraphDelta) -> UpdateOp {
-        match d {
-            GraphDelta::AddNode => UpdateOp::AddNode,
-            GraphDelta::AddEdge { u, v, w } => UpdateOp::AddEdge { u, v, w },
-            GraphDelta::RemoveEdge { u, v } => UpdateOp::RemoveEdge { u, v },
-            GraphDelta::Reweight { u, v, w } => UpdateOp::Reweight { u, v, w },
-        }
-    }
-}
-
-/// A decoded client request.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// One reverse k-ranks query for `node`.
-    Query {
-        /// The query node id.
-        node: u32,
-        /// Result size `k`.
-        k: u32,
-        /// `false` bypasses the result cache for this request (both the
-        /// lookup and the insert) — e.g. for measurement traffic.
-        cache: bool,
-        /// Evaluation strategy name ([`rkranks_core::Strategy`] string
-        /// form). `None` and the served strategy (dynamic with the
-        /// daemon's configured bounds) are answered; any other name gets
-        /// an error reply.
-        strategy: Option<String>,
-        /// Best-effort deadline in milliseconds: when it elapses the
-        /// daemon replies with the refined-so-far partial result
-        /// ([`QueryReply::partial`]) instead of risking unbounded tail
-        /// latency.
-        deadline_ms: Option<u64>,
-    },
-    /// Several queries amortizing one round-trip; each node is answered
-    /// (and cached) exactly as a standalone `Query` would be.
-    Batch {
-        /// Query node ids, answered in order.
-        nodes: Vec<u32>,
-        /// Result size `k` shared by the batch.
-        k: u32,
-    },
-    /// Stage live graph updates (validated as a whole; committed by the
-    /// merger's next pass or the next `flush`).
-    Update {
-        /// The deltas, staged atomically in order.
-        ops: Vec<UpdateOp>,
-    },
-    /// Read the serving counters.
-    Stats,
-    /// Read the full telemetry registry (counters, gauges, latency
-    /// histograms) — the superset of `Stats`.
-    Metrics,
-    /// Read the slow-query ring buffer (empty unless the daemon runs
-    /// with `--slow-query-ms`).
-    SlowQueries,
-    /// Commit staged graph updates now.
-    Flush,
-    /// Persist the daemon's serving state as a snapshot bundle (no
-    /// implicit commit — staged updates land in the bundle's WAL).
-    /// Errors on daemons running without a snapshot path.
-    Checkpoint,
-    /// Stop the daemon (staged updates are committed first).
-    Shutdown,
-    /// Identify the peer: protocol version, role, shard identity (when
-    /// the daemon is one replica of a fleet), and the current epoch
-    /// pair. The first thing a coordinator sends on a fresh shard
-    /// connection.
-    Hello,
-}
-
-impl Request {
-    /// The request as it travels: [`Request::to_json`] rendered, plus the
-    /// terminating newline.
-    pub fn to_line(&self) -> String {
-        let mut line = self.to_json().render();
-        line.push('\n');
-        line
-    }
-
-    /// Encode for the wire (without the trailing newline).
-    pub fn to_json(&self) -> Json {
-        match self {
-            Request::Query {
-                node,
-                k,
-                cache,
-                strategy,
-                deadline_ms,
-            } => {
-                let mut fields = vec![
-                    ("op".into(), Json::Str("query".into())),
-                    ("node".into(), Json::num(*node)),
-                    ("k".into(), Json::num(*k)),
-                ];
-                if !cache {
-                    fields.push(("cache".into(), Json::Bool(false)));
-                }
-                if let Some(s) = strategy {
-                    fields.push(("strategy".into(), Json::Str(s.clone())));
-                }
-                if let Some(ms) = deadline_ms {
-                    fields.push(("deadline_ms".into(), Json::num(*ms as f64)));
-                }
-                Json::Obj(fields)
-            }
-            Request::Batch { nodes, k } => Json::Obj(vec![
-                ("op".into(), Json::Str("batch".into())),
-                (
-                    "nodes".into(),
-                    Json::Arr(nodes.iter().map(|&n| Json::num(n)).collect()),
-                ),
-                ("k".into(), Json::num(*k)),
-            ]),
-            Request::Update { ops } => Json::Obj(vec![
-                ("op".into(), Json::Str("update".into())),
-                (
-                    "ops".into(),
-                    Json::Arr(ops.iter().map(|op| op.to_json()).collect()),
-                ),
-            ]),
-            Request::Stats => op_only("stats"),
-            Request::Metrics => op_only("metrics"),
-            Request::SlowQueries => op_only("slow-queries"),
-            Request::Flush => op_only("flush"),
-            Request::Checkpoint => op_only("checkpoint"),
-            Request::Shutdown => op_only("shutdown"),
-            Request::Hello => op_only("hello"),
-        }
-    }
-
-    /// Decode one request line.
-    pub fn from_line(line: &str) -> Result<Request, String> {
-        let v = Json::parse(line).map_err(|e| e.to_string())?;
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("missing string field 'op'")?;
-        match op {
-            "query" => {
-                let deadline_ms = match v.get("deadline_ms") {
-                    None => None,
-                    Some(d) => Some(d.as_u64().ok_or("non-integer field 'deadline_ms'")?),
-                };
-                let strategy = match v.get("strategy") {
-                    None => None,
-                    Some(s) => Some(s.as_str().ok_or("non-string field 'strategy'")?.to_string()),
-                };
-                Ok(Request::Query {
-                    node: field_u32(&v, "node")?,
-                    k: field_u32(&v, "k")?,
-                    cache: v.get("cache").and_then(Json::as_bool).unwrap_or(true),
-                    strategy,
-                    deadline_ms,
-                })
-            }
-            "batch" => {
-                let nodes = v
-                    .get("nodes")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing array field 'nodes'")?
-                    .iter()
-                    .map(|n| n.as_u32().ok_or("non-integer entry in 'nodes'"))
-                    .collect::<Result<Vec<u32>, _>>()?;
-                if nodes.is_empty() {
-                    return Err("'nodes' must contain at least one node".into());
-                }
-                Ok(Request::Batch {
-                    nodes,
-                    k: field_u32(&v, "k")?,
-                })
-            }
-            "update" => {
-                let ops = v
-                    .get("ops")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing array field 'ops'")?
-                    .iter()
-                    .map(UpdateOp::from_json)
-                    .collect::<Result<Vec<UpdateOp>, _>>()?;
-                if ops.is_empty() {
-                    return Err("'ops' must contain at least one update".into());
-                }
-                Ok(Request::Update { ops })
-            }
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "slow-queries" => Ok(Request::SlowQueries),
-            "flush" => Ok(Request::Flush),
-            "checkpoint" => Ok(Request::Checkpoint),
-            "shutdown" => Ok(Request::Shutdown),
-            "hello" => Ok(Request::Hello),
-            other => Err(format!("unknown op '{other}'")),
-        }
-    }
-}
-
-fn op_only(op: &str) -> Json {
-    Json::Obj(vec![("op".into(), Json::Str(op.into()))])
-}
-
-fn field_u32(v: &Json, name: &str) -> Result<u32, String> {
-    v.get(name)
-        .and_then(Json::as_u32)
-        .ok_or_else(|| format!("missing integer field '{name}'"))
-}
-
-/// A successful single-query answer.
-#[derive(Clone, Debug, PartialEq)]
-pub struct QueryReply {
-    /// `(node, rank)` pairs, best rank first.
-    pub entries: Vec<(u32, u32)>,
-    /// Whether the result came from the cache.
-    pub cached: bool,
-    /// The index epoch the result was computed (or cached) against.
-    pub epoch: u64,
-    /// The graph epoch the result was computed (or cached) against: two
-    /// replies with different graph epochs answered against *different
-    /// graphs*.
-    pub graph_epoch: u64,
-    /// `true` when a deadline cut the query short: `entries` is the
-    /// refined-so-far set (every rank in it is still exact), not the
-    /// complete answer. Partial answers are never cached.
-    pub partial: bool,
-}
-
-/// A successful batch answer.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BatchReply {
-    /// Per-node `(node, rank)` result lists, in request order.
-    pub results: Vec<Vec<(u32, u32)>>,
-    /// How many of the batch's answers were cache hits.
-    pub cached: u64,
-    /// The index epoch every answer saw (`rkrd` answers a batch from one
-    /// live state).
-    pub epoch: u64,
-    /// The graph epoch every answer saw.
-    pub graph_epoch: u64,
-}
-
-/// The serving counters returned by the `stats` op.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsReply {
-    /// Protocol generation the daemon speaks ([`PROTOCOL_VERSION`]).
-    /// Decodes as 0 from daemons predating the field, which is exactly
-    /// what lets the client turn a mixed deployment into a one-line
-    /// version-mismatch error.
-    pub v: u64,
-    /// Queries answered (batch ops count each node).
-    pub queries: u64,
-    /// Result-cache hits.
-    pub cache_hits: u64,
-    /// Result-cache misses (lookups only; `cache:false` traffic counts
-    /// neither a hit nor a miss).
-    pub cache_misses: u64,
-    /// Entries currently cached.
-    pub cache_entries: u64,
-    /// Entries evicted by LRU capacity pressure.
-    pub cache_evictions: u64,
-    /// Entries evicted because their epoch went stale.
-    pub cache_stale_evicted: u64,
-    /// Result-cache capacity (0 = caching disabled).
-    pub cache_capacity: u64,
-    /// Approximate heap footprint of the cached results, in bytes
-    /// (entry payloads plus per-slot bookkeeping).
-    pub cache_bytes: u64,
-    /// Current index epoch ([`rkranks_core::RkrIndex::epoch`]).
-    pub epoch: u64,
-    /// Commits of staged graph updates (merger, `flush`, and shutdown).
-    pub merges: u64,
-    /// Worker threads serving connections.
-    pub workers: u64,
-    /// Queries answered with a partial (limit-tripped) result.
-    pub partial_results: u64,
-    /// Queries whose deadline elapsed before the search finished (a
-    /// subset of `partial_results`).
-    pub deadline_exceeded: u64,
-    /// Current graph epoch (`rkranks_graph::GraphStore::graph_epoch`):
-    /// bumps exactly when a committed update batch changed the graph —
-    /// query-only traffic never moves it.
-    pub graph_epoch: u64,
-    /// Commits that changed the graph (each bumped `graph_epoch`,
-    /// published a fresh snapshot, and retired the index).
-    pub graph_commits: u64,
-    /// Effective staged deltas committed into the live graph so far
-    /// (staged deltas are not counted until their commit, and a batch's
-    /// ops can collapse onto fewer effective deltas — e.g. removing and
-    /// re-adding the same edge counts once).
-    pub updates_applied: u64,
-    /// Nodes in the current graph snapshot.
-    pub graph_nodes: u64,
-    /// Logical edges in the current graph snapshot.
-    pub graph_edges: u64,
-    /// Accept-queue drains that ended in a real error — `EMFILE`/`ENFILE`
-    /// fd exhaustion above all. Nonzero means clients are being turned
-    /// away at the listener; raise the fd limit or shed connections.
-    pub accept_errors: u64,
-    /// Event-loop wake-ups that surfaced ready work (`epoll_wait`
-    /// returns with at least one event).
-    pub wakeups: u64,
-    /// Times a connection crossed the write high-water mark and had its
-    /// reads paused until the backlog drained.
-    pub backpressure_pauses: u64,
-    /// Request lines rejected (connection closed) for exceeding the
-    /// configured line cap.
-    pub oversize_lines: u64,
-}
-
-impl StatsReply {
-    const FIELDS: [&'static str; 23] = [
-        "v",
-        "queries",
-        "cache_hits",
-        "cache_misses",
-        "cache_entries",
-        "cache_evictions",
-        "cache_stale_evicted",
-        "cache_capacity",
-        "cache_bytes",
-        "epoch",
-        "merges",
-        "workers",
-        "partial_results",
-        "deadline_exceeded",
-        "graph_epoch",
-        "graph_commits",
-        "updates_applied",
-        "graph_nodes",
-        "graph_edges",
-        "accept_errors",
-        "wakeups",
-        "backpressure_pauses",
-        "oversize_lines",
-    ];
-
-    fn values(&self) -> [u64; 23] {
-        [
-            self.v,
-            self.queries,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_entries,
-            self.cache_evictions,
-            self.cache_stale_evicted,
-            self.cache_capacity,
-            self.cache_bytes,
-            self.epoch,
-            self.merges,
-            self.workers,
-            self.partial_results,
-            self.deadline_exceeded,
-            self.graph_epoch,
-            self.graph_commits,
-            self.updates_applied,
-            self.graph_nodes,
-            self.graph_edges,
-            self.accept_errors,
-            self.wakeups,
-            self.backpressure_pauses,
-            self.oversize_lines,
-        ]
-    }
-
-    fn to_json(self) -> Json {
-        Json::Obj(
-            Self::FIELDS
-                .iter()
-                .zip(self.values())
-                .map(|(&f, v)| (f.to_string(), Json::num(v as f64)))
-                .collect(),
-        )
-    }
-
-    fn from_json(v: &Json) -> Result<StatsReply, String> {
-        // `v` is read leniently (absent ⇒ 0) so version skew surfaces as
-        // a mismatch error, not a parse failure.
-        let mut out = StatsReply {
-            v: v.get("v").and_then(Json::as_u64).unwrap_or(0),
-            ..Default::default()
-        };
-        let slots: [&mut u64; 22] = [
-            &mut out.queries,
-            &mut out.cache_hits,
-            &mut out.cache_misses,
-            &mut out.cache_entries,
-            &mut out.cache_evictions,
-            &mut out.cache_stale_evicted,
-            &mut out.cache_capacity,
-            &mut out.cache_bytes,
-            &mut out.epoch,
-            &mut out.merges,
-            &mut out.workers,
-            &mut out.partial_results,
-            &mut out.deadline_exceeded,
-            &mut out.graph_epoch,
-            &mut out.graph_commits,
-            &mut out.updates_applied,
-            &mut out.graph_nodes,
-            &mut out.graph_edges,
-            &mut out.accept_errors,
-            &mut out.wakeups,
-            &mut out.backpressure_pauses,
-            &mut out.oversize_lines,
-        ];
-        for (field, slot) in Self::FIELDS.iter().skip(1).zip(slots) {
-            *slot = v
-                .get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing counter '{field}'"))?;
-        }
-        Ok(out)
-    }
-}
-
-/// The place in a fleet a replica announces in its `hello`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardIdentity {
-    /// This daemon's shard index, in `0..shards`.
-    pub index: u32,
-    /// Total shard count in the deployment's node→shard map.
-    pub shards: u32,
-    /// The map's seed (all shards and the coordinator must agree).
-    pub seed: u64,
-}
-
-/// Answer to a `hello` op: who the peer is and what it speaks.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HelloReply {
-    /// Protocol generation ([`PROTOCOL_VERSION`]).
-    pub v: u64,
-    /// `"shard"` when serving in a fleet, `"coord"` for a
-    /// coordinator, `"server"` for a plain single-box daemon.
-    pub role: String,
-    /// Shard identity, present exactly when `role == "shard"`.
-    pub shard: Option<ShardIdentity>,
-    /// Current index epoch.
-    pub epoch: u64,
-    /// Current graph epoch.
-    pub graph_epoch: u64,
-    /// Nodes in the serving graph snapshot.
-    pub nodes: u64,
-    /// Logical edges in the serving graph snapshot.
-    pub edges: u64,
-    /// [`rkranks_graph::Graph::digest`] of the serving graph snapshot —
-    /// what lets a coordinator tell replicas on different graphs apart.
-    /// On the wire it is 16 lowercase hex digits (a JSON number cannot
-    /// hold 64 bits). A daemon always sends it; a coordinator sends the
-    /// digest it last verified across its fleet, and `None` before it
-    /// has verified one.
-    pub graph_digest: Option<u64>,
-}
-
-/// One captured slow query, as returned by the `slow-queries` op.
-///
-/// The daemon records one of these for every query whose end-to-end
-/// service time reaches the `--slow-query-ms` threshold, into a
-/// fixed-size ring buffer (oldest records are overwritten).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SlowQueryRecord {
-    /// The query node id.
-    pub node: u32,
-    /// Result size `k`.
-    pub k: u32,
-    /// Whether the answer came from the result cache.
-    pub cached: bool,
-    /// Index epoch the answer was computed (or cached) against.
-    pub epoch: u64,
-    /// Graph epoch the answer was computed (or cached) against.
-    pub graph_epoch: u64,
-    /// End-to-end service time in nanoseconds (parse to reply).
-    pub total_ns: u64,
-    /// Nanoseconds in the SDS filter stage (0 for cache hits).
-    pub filter_ns: u64,
-    /// Nanoseconds in rank refinement (0 for cache hits).
-    pub refine_ns: u64,
-    /// Passes of the engine's kRank ladder (0 for cache hits) — with `k_rank_guess`, the usual answer to
-    /// "why was this query slow": its true `kRank` is large.
-    pub sds_passes: u64,
-    /// The `kRank` guess the accepted pass ran under (`u32::MAX`: the
-    /// unbounded last rung; 0: none, e.g. a partial answer).
-    pub k_rank_guess: u32,
-    /// `"complete"` or `"partial"` (deadline or budget tripped).
-    pub completion: String,
-}
-
-impl SlowQueryRecord {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("node".into(), Json::num(self.node)),
-            ("k".into(), Json::num(self.k)),
-            ("cached".into(), Json::Bool(self.cached)),
-            ("epoch".into(), Json::num(self.epoch as f64)),
-            ("graph_epoch".into(), Json::num(self.graph_epoch as f64)),
-            ("total_ns".into(), Json::num(self.total_ns as f64)),
-            ("filter_ns".into(), Json::num(self.filter_ns as f64)),
-            ("refine_ns".into(), Json::num(self.refine_ns as f64)),
-            ("sds_passes".into(), Json::num(self.sds_passes as f64)),
-            ("k_rank_guess".into(), Json::num(self.k_rank_guess)),
-            ("completion".into(), Json::Str(self.completion.clone())),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<SlowQueryRecord, String> {
-        let text = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("slow query record missing string '{name}'"))
-        };
-        Ok(SlowQueryRecord {
-            node: field_u32(v, "node")?,
-            k: field_u32(v, "k")?,
-            cached: v
-                .get("cached")
-                .and_then(Json::as_bool)
-                .ok_or("slow query record missing boolean 'cached'")?,
-            epoch: field_u64(v, "epoch")?,
-            graph_epoch: field_u64(v, "graph_epoch")?,
-            total_ns: field_u64(v, "total_ns")?,
-            filter_ns: field_u64(v, "filter_ns")?,
-            refine_ns: field_u64(v, "refine_ns")?,
-            sds_passes: field_u64(v, "sds_passes")?,
-            k_rank_guess: field_u32(v, "k_rank_guess")?,
-            completion: text("completion")?,
+        let node = |i| arg::<u32>(kind, arr, i);
+        let weight = || arg::<f64>(kind, arr, 3);
+        Ok(match kind {
+            "add-node" => GraphDelta::AddNode,
+            "rm" => GraphDelta::RemoveEdge {
+                u: node(1)?,
+                v: node(2)?,
+            },
+            "add" => GraphDelta::AddEdge {
+                u: node(1)?,
+                v: node(2)?,
+                w: weight()?,
+            },
+            _ => GraphDelta::Reweight {
+                u: node(1)?,
+                v: node(2)?,
+                w: weight()?,
+            },
         })
     }
 }
 
-fn metric_sample_to_json(s: &MetricSample) -> Json {
-    let mut fields = vec![
-        ("name".into(), Json::Str(s.name.clone())),
-        ("help".into(), Json::Str(s.help.clone())),
-    ];
-    if !s.labels.is_empty() {
-        fields.push((
-            "labels".into(),
-            Json::Obj(
-                s.labels
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ));
+/// The metric sample's irregular shape: `type` says which fields follow
+/// (`value`, or a histogram's `count`, `sum`, `scale` and `buckets`), and
+/// `labels` is an object sent only when there are any.
+impl Field for MetricSample {
+    fn to_json(&self) -> Json {
+        let mut fields = Vec::with_capacity(8);
+        let out = &mut fields;
+        put(out, "name", &self.name);
+        put(out, "help", &self.help);
+        if !self.labels.is_empty() {
+            let labels = self.labels.iter().map(|(k, v)| (k.clone(), v.to_json()));
+            out.push(("labels".into(), Json::Obj(labels.collect())));
+        }
+        let kind = |name: &str| ("type".to_string(), Json::Str(name.into()));
+        match &self.value {
+            MetricValue::Counter(v) => {
+                out.push(kind("counter"));
+                put(out, "value", v);
+            }
+            MetricValue::Gauge(v) => {
+                out.push(kind("gauge"));
+                put(out, "value", v);
+            }
+            MetricValue::Histogram(h) => {
+                out.push(kind("histogram"));
+                put(out, "count", &h.count);
+                put(out, "sum", &h.sum);
+                put(out, "scale", &h.scale);
+                put(out, "buckets", &h.buckets);
+            }
+        }
+        Json::Obj(fields)
     }
-    match &s.value {
-        MetricValue::Counter(v) => {
-            fields.push(("type".into(), Json::Str("counter".into())));
-            fields.push(("value".into(), Json::num(*v as f64)));
-        }
-        MetricValue::Gauge(v) => {
-            fields.push(("type".into(), Json::Str("gauge".into())));
-            fields.push(("value".into(), Json::num(*v as f64)));
-        }
-        MetricValue::Histogram(h) => {
-            fields.push(("type".into(), Json::Str("histogram".into())));
-            fields.push(("count".into(), Json::num(h.count as f64)));
-            fields.push(("sum".into(), Json::num(h.sum as f64)));
-            fields.push(("scale".into(), Json::num(h.scale)));
-            fields.push((
-                "buckets".into(),
-                Json::Arr(
-                    h.buckets
-                        .iter()
-                        .map(|&(upper, n)| {
-                            Json::Arr(vec![Json::num(upper as f64), Json::num(n as f64)])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-    }
-    Json::Obj(fields)
-}
 
-fn metric_sample_from_json(v: &Json) -> Result<MetricSample, String> {
-    let text = |name: &str| -> Result<String, String> {
-        v.get(name)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("metric sample missing string '{name}'"))
-    };
-    let labels = match v.get("labels") {
-        None => Vec::new(),
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .map(|(k, val)| {
-                val.as_str()
-                    .map(|s| (k.clone(), s.to_string()))
-                    .ok_or_else(|| format!("non-string label value for '{k}'"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return Err("'labels' is not an object".into()),
-    };
-    let value = match text("type")?.as_str() {
-        "counter" => MetricValue::Counter(field_u64(v, "value")?),
-        "gauge" => MetricValue::Gauge(field_u64(v, "value")?),
-        "histogram" => {
-            let buckets = v
-                .get("buckets")
-                .and_then(Json::as_arr)
-                .ok_or("histogram sample missing array 'buckets'")?
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let labels = match v.get("labels") {
+            None => Vec::new(),
+            Some(Json::Obj(pairs)) => pairs
                 .iter()
-                .map(|pair| {
-                    let pair = pair
-                        .as_arr()
-                        .filter(|p| p.len() == 2)
-                        .ok_or("bad histogram bucket")?;
-                    Ok::<(u64, u64), String>((
-                        pair[0].as_u64().ok_or("bad bucket upper bound")?,
-                        pair[1].as_u64().ok_or("bad bucket count")?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            MetricValue::Histogram(HistogramSnapshot {
-                count: field_u64(v, "count")?,
-                sum: field_u64(v, "sum")?,
-                scale: v
-                    .get("scale")
-                    .and_then(Json::as_f64)
-                    .ok_or("histogram sample missing number 'scale'")?,
-                buckets,
-            })
-        }
-        other => return Err(format!("unknown metric type '{other}'")),
-    };
-    Ok(MetricSample {
-        name: text("name")?,
-        labels,
-        help: text("help")?,
-        value,
-    })
-}
-
-/// A decoded server reply.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Reply {
-    /// Answer to a `query` op.
-    Query(QueryReply),
-    /// Answer to a `batch` op.
-    Batch(BatchReply),
-    /// Answer to a `stats` op.
-    Stats(StatsReply),
-    /// Answer to a `metrics` op: every registered instrument's reading,
-    /// in registration order.
-    Metrics(MetricsSnapshot),
-    /// Answer to a `slow-queries` op: captured records, oldest first.
-    SlowQueries(Vec<SlowQueryRecord>),
-    /// Answer to an `update` op: the batch was validated and staged (it
-    /// goes live at the next commit).
-    Update {
-        /// How many deltas this request staged.
-        staged: u64,
-        /// The graph epoch *before* the batch commits (the commit will
-        /// publish `graph_epoch + 1` if the batch changes the graph).
-        graph_epoch: u64,
-    },
-    /// Answer to a `flush` op: the index epoch after the commit and how
-    /// many staged graph deltas it committed.
-    Flush {
-        /// Index epoch after the commit.
-        epoch: u64,
-        /// Staged graph deltas committed (0 = nothing was staged).
-        merged: u64,
-    },
-    /// Answer to a `checkpoint` op: the snapshot bundle on disk now holds
-    /// exactly this epoch pair.
-    Checkpoint {
-        /// Index epoch captured by the bundle.
-        epoch: u64,
-        /// Graph epoch captured by the bundle.
-        graph_epoch: u64,
-    },
-    /// Acknowledgement of a `shutdown` op.
-    Shutdown,
-    /// Answer to a `hello` op: peer identity and protocol version.
-    Hello(HelloReply),
-    /// The request failed; the connection stays usable.
-    Error(String),
-}
-
-impl Reply {
-    /// The reply as it travels: [`Reply::to_json`] rendered, plus the
-    /// terminating newline.
-    pub fn to_line(&self) -> String {
-        let mut line = self.to_json().render();
-        line.push('\n');
-        line
-    }
-
-    /// Encode for the wire (without the trailing newline).
-    pub fn to_json(&self) -> Json {
-        let ok = |mut fields: Vec<(String, Json)>| {
-            fields.insert(0, ("ok".into(), Json::Bool(true)));
-            Json::Obj(fields)
+                .map(|(k, l)| Ok((k.clone(), take_value(l, k)?)))
+                .collect::<Result<_, String>>()?,
+            Some(_) => return Err("field 'labels': not an object".into()),
         };
-        match self {
-            Reply::Query(q) => {
-                let mut fields = vec![
-                    ("result".into(), entries_to_json(&q.entries)),
-                    ("cached".into(), Json::Bool(q.cached)),
-                    ("epoch".into(), Json::num(q.epoch as f64)),
-                    ("graph_epoch".into(), Json::num(q.graph_epoch as f64)),
-                ];
-                if q.partial {
-                    fields.push(("partial".into(), Json::Bool(true)));
-                }
-                ok(fields)
-            }
-            Reply::Batch(b) => ok(vec![
-                (
-                    "results".into(),
-                    Json::Arr(b.results.iter().map(|r| entries_to_json(r)).collect()),
-                ),
-                ("cached".into(), Json::num(b.cached as f64)),
-                ("epoch".into(), Json::num(b.epoch as f64)),
-                ("graph_epoch".into(), Json::num(b.graph_epoch as f64)),
-            ]),
-            Reply::Stats(s) => ok(vec![("stats".into(), s.to_json())]),
-            Reply::Metrics(snap) => ok(vec![(
-                "metrics".into(),
-                Json::Arr(snap.samples.iter().map(metric_sample_to_json).collect()),
-            )]),
-            Reply::SlowQueries(records) => ok(vec![(
-                "slow_queries".into(),
-                Json::Arr(records.iter().map(SlowQueryRecord::to_json).collect()),
-            )]),
-            Reply::Update {
-                staged,
-                graph_epoch,
-            } => ok(vec![
-                ("staged".into(), Json::num(*staged as f64)),
-                ("graph_epoch".into(), Json::num(*graph_epoch as f64)),
-            ]),
-            Reply::Flush { epoch, merged } => ok(vec![
-                ("epoch".into(), Json::num(*epoch as f64)),
-                ("merged".into(), Json::num(*merged as f64)),
-            ]),
-            Reply::Checkpoint { epoch, graph_epoch } => ok(vec![
-                ("checkpointed".into(), Json::Bool(true)),
-                ("epoch".into(), Json::num(*epoch as f64)),
-                ("graph_epoch".into(), Json::num(*graph_epoch as f64)),
-            ]),
-            Reply::Shutdown => ok(vec![("bye".into(), Json::Bool(true))]),
-            Reply::Hello(h) => {
-                let mut fields = vec![
-                    ("role".into(), Json::Str(h.role.clone())),
-                    ("v".into(), Json::num(h.v as f64)),
-                    ("epoch".into(), Json::num(h.epoch as f64)),
-                    ("graph_epoch".into(), Json::num(h.graph_epoch as f64)),
-                    ("nodes".into(), Json::num(h.nodes as f64)),
-                    ("edges".into(), Json::num(h.edges as f64)),
-                ];
-                if let Some(d) = h.graph_digest {
-                    fields.push(("graph_digest".into(), Json::Str(format!("{d:016x}"))));
-                }
-                if let Some(s) = h.shard {
-                    fields.push(("shard".into(), Json::num(s.index)));
-                    fields.push(("shards".into(), Json::num(s.shards)));
-                    fields.push(("shard_seed".into(), Json::num(s.seed as f64)));
-                }
-                ok(fields)
-            }
-            Reply::Error(msg) => Json::Obj(vec![
-                ("ok".into(), Json::Bool(false)),
-                ("error".into(), Json::Str(msg.clone())),
-            ]),
-        }
-    }
-
-    /// Decode one reply line.
-    pub fn from_line(line: &str) -> Result<Reply, String> {
-        let v = Json::parse(line).map_err(|e| e.to_string())?;
-        match v.get("ok").and_then(Json::as_bool) {
-            Some(true) => {}
-            Some(false) => {
-                let msg = v
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unspecified server error");
-                return Ok(Reply::Error(msg.to_string()));
-            }
-            None => return Err("missing boolean field 'ok'".into()),
-        }
-        if let Some(result) = v.get("result") {
-            return Ok(Reply::Query(QueryReply {
-                entries: entries_from_json(result)?,
-                cached: v
-                    .get("cached")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing boolean field 'cached'")?,
-                epoch: field_u64(&v, "epoch")?,
-                graph_epoch: v.get("graph_epoch").and_then(Json::as_u64).unwrap_or(0),
-                partial: v.get("partial").and_then(Json::as_bool).unwrap_or(false),
-            }));
-        }
-        if let Some(results) = v.get("results") {
-            let results = results
-                .as_arr()
-                .ok_or("'results' is not an array")?
-                .iter()
-                .map(entries_from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Reply::Batch(BatchReply {
-                results,
-                cached: field_u64(&v, "cached")?,
-                epoch: field_u64(&v, "epoch")?,
-                graph_epoch: v.get("graph_epoch").and_then(Json::as_u64).unwrap_or(0),
-            }));
-        }
-        if let Some(stats) = v.get("stats") {
-            return Ok(Reply::Stats(StatsReply::from_json(stats)?));
-        }
-        if let Some(metrics) = v.get("metrics") {
-            let samples = metrics
-                .as_arr()
-                .ok_or("'metrics' is not an array")?
-                .iter()
-                .map(metric_sample_from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Reply::Metrics(MetricsSnapshot { samples }));
-        }
-        if let Some(slow) = v.get("slow_queries") {
-            let records = slow
-                .as_arr()
-                .ok_or("'slow_queries' is not an array")?
-                .iter()
-                .map(SlowQueryRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Reply::SlowQueries(records));
-        }
-        if v.get("bye").is_some() {
-            return Ok(Reply::Shutdown);
-        }
-        if v.get("role").is_some() {
-            let shard = match v.get("shard") {
-                None => None,
-                Some(_) => Some(ShardIdentity {
-                    index: field_u32(&v, "shard")?,
-                    shards: field_u32(&v, "shards")?,
-                    seed: field_u64(&v, "shard_seed")?,
-                }),
-            };
-            return Ok(Reply::Hello(HelloReply {
-                v: v.get("v").and_then(Json::as_u64).unwrap_or(0),
-                role: v
-                    .get("role")
-                    .and_then(Json::as_str)
-                    .ok_or("non-string field 'role'")?
-                    .to_string(),
-                shard,
-                epoch: field_u64(&v, "epoch")?,
-                graph_epoch: field_u64(&v, "graph_epoch")?,
-                nodes: field_u64(&v, "nodes")?,
-                edges: field_u64(&v, "edges")?,
-                graph_digest: match v.get("graph_digest") {
-                    None => None,
-                    Some(d) => Some(digest_from_json(d)?),
-                },
-            }));
-        }
-        if v.get("staged").is_some() {
-            return Ok(Reply::Update {
-                staged: field_u64(&v, "staged")?,
-                graph_epoch: field_u64(&v, "graph_epoch")?,
-            });
-        }
-        if v.get("merged").is_some() {
-            return Ok(Reply::Flush {
-                epoch: field_u64(&v, "epoch")?,
-                merged: field_u64(&v, "merged")?,
-            });
-        }
-        if v.get("checkpointed").is_some() {
-            return Ok(Reply::Checkpoint {
-                epoch: field_u64(&v, "epoch")?,
-                graph_epoch: field_u64(&v, "graph_epoch")?,
-            });
-        }
-        Err("unrecognized reply shape".into())
+        let value = match take::<String>(v, "type", None)?.as_str() {
+            "counter" => MetricValue::Counter(take(v, "value", None)?),
+            "gauge" => MetricValue::Gauge(take(v, "value", None)?),
+            "histogram" => MetricValue::Histogram(HistogramSnapshot {
+                count: take(v, "count", None)?,
+                sum: take(v, "sum", None)?,
+                scale: take(v, "scale", None)?,
+                buckets: take(v, "buckets", None)?,
+            }),
+            other => return Err(format!("unknown metric type '{other}'")),
+        };
+        Ok(MetricSample {
+            name: take(v, "name", None)?,
+            labels,
+            help: take(v, "help", None)?,
+            value,
+        })
     }
 }
 
-fn field_u64(v: &Json, name: &str) -> Result<u64, String> {
-    v.get(name)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing integer field '{name}'"))
+impl Field for MetricsSnapshot {
+    fn to_json(&self) -> Json {
+        self.samples.to_json()
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(MetricsSnapshot {
+            samples: Field::from_json(v)?,
+        })
+    }
 }
 
-/// A `graph_digest`: exactly 16 hex digits.
+fn put<T: Field>(out: &mut Vec<(String, Json)>, key: &str, value: &T) {
+    out.push((key.into(), value.to_json()));
+}
+
+/// Field `key` of `obj`: `absent` when it is missing (`None`: required),
+/// an error naming `key` when it has the wrong shape.
+fn take<T: Field>(obj: &Json, key: &str, absent: Option<T>) -> Result<T, String> {
+    match obj.get(key) {
+        Some(v) => take_value(v, key),
+        None => absent.ok_or_else(|| format!("missing field '{key}'")),
+    }
+}
+
+fn take_value<T: Field>(v: &Json, key: &str) -> Result<T, String> {
+    T::from_json(v).map_err(|e| format!("field '{key}': {e}"))
+}
+
+/// `hello`'s `graph_digest`: exactly 16 hex digits.
 fn digest_from_json(v: &Json) -> Result<u64, String> {
-    let bad = || "'graph_digest' is not 16 hex digits".to_string();
+    let bad = || "field 'graph_digest': not 16 hex digits".to_string();
     let text = v.as_str().ok_or_else(bad)?;
     if text.len() != 16 || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(bad());
@@ -1124,27 +347,539 @@ fn digest_from_json(v: &Json) -> Result<u64, String> {
     u64::from_str_radix(text, 16).map_err(|_| bad())
 }
 
-fn entries_to_json(entries: &[(u32, u32)]) -> Json {
-    Json::Arr(
-        entries
-            .iter()
-            .map(|&(n, r)| Json::Arr(vec![Json::num(n), Json::num(r)]))
-            .collect(),
-    )
+/// One table row under its policy: how the field goes out into `out`
+/// (`put`) and comes back from `obj` (`take`). `hex` and `flatten` are
+/// `hello`'s two irregular rows.
+macro_rules! row {
+    (put $out:ident, $key:expr, $val:expr, omit $(($d:expr))?) => {
+        if *$val != row!(default $($d)?) {
+            put($out, $key, $val)
+        }
+    };
+    (put $out:ident, $key:expr, $val:expr, hex) => {
+        if let Some(digest) = $val {
+            $out.push(($key.into(), Json::Str(format!("{digest:016x}"))))
+        }
+    };
+    (put $out:ident, $key:expr, $val:expr, flatten) => {
+        if let Some(inner) = $val {
+            inner.put($out)
+        }
+    };
+    (put $out:ident, $key:expr, $val:expr, $policy:ident) => {
+        put($out, $key, $val)
+    };
+    (take $obj:ident, $key:expr, req) => {
+        take($obj, $key, None)?
+    };
+    (take $obj:ident, $key:expr, hex) => {
+        match $obj.get($key) {
+            Some(v) => Some(digest_from_json(v)?),
+            None => None,
+        }
+    };
+    (take $obj:ident, $key:expr, flatten) => {
+        match $obj.get($key) {
+            Some(_) => Some(Body::take($obj)?),
+            None => None,
+        }
+    };
+    (take $obj:ident, $key:expr, $policy:ident $(($d:expr))?) => {
+        take($obj, $key, Some(row!(default $($d)?)))?
+    };
+    (default) => {
+        Default::default()
+    };
+    (default $d:expr) => {
+        $d
+    };
 }
 
-fn entries_from_json(v: &Json) -> Result<Vec<(u32, u32)>, String> {
-    v.as_arr()
-        .ok_or("result list is not an array")?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or("bad entry")?;
-            Ok((
-                pair[0].as_u32().ok_or("bad node id")?,
-                pair[1].as_u32().ok_or("bad rank")?,
-            ))
-        })
-        .collect()
+/// A row's wire key: the field's name, or the row's `as` rename.
+macro_rules! key {
+    ($f:ident) => {
+        stringify!($f)
+    };
+    ($f:ident $key:literal) => {
+        $key
+    };
+}
+
+/// A reply struct's table: the struct, and its fields travelling flat in
+/// row order.
+macro_rules! message {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* $f:ident: $t:ty => $policy:ident $(($d:expr))? $(as $key:literal)?,)*
+    }) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $f: $t,)*
+        }
+
+        impl Body for $name {
+            fn put(&self, out: &mut Vec<(String, Json)>) {
+                $(row!(put out, key!($f $($key)?), &self.$f, $policy $(($d))?);)*
+            }
+
+            fn take(obj: &Json) -> Result<Self, String> {
+                Ok($name {
+                    $($f: row!(take obj, key!($f $($key)?), $policy $(($d))?),)*
+                })
+            }
+        }
+    };
+}
+
+/// The request table: each variant's `op` name, then its rows.
+macro_rules! requests {
+    ($(#[$meta:meta])* pub enum Request {
+        $($(#[$vmeta:meta])* $variant:ident $op:literal $({
+            $($(#[$fmeta:meta])* $f:ident: $t:ty => $policy:ident $(($d:expr))?,)*
+        })?,)*
+    }) => {
+        $(#[$meta])*
+        pub enum Request {
+            $($(#[$vmeta])* $variant $({ $($(#[$fmeta])* $f: $t,)* })?,)*
+        }
+
+        impl Request {
+            /// Encode for the wire (without the trailing newline).
+            pub fn to_json(&self) -> Json {
+                let mut fields = Vec::with_capacity(6);
+                let out = &mut fields;
+                match self {
+                    $(Request::$variant $({ $($f),* })? => {
+                        out.push(("op".into(), Json::Str($op.into())));
+                        $($(row!(put out, stringify!($f), $f, $policy $(($d))?);)*)?
+                    })*
+                }
+                Json::Obj(fields)
+            }
+
+            fn decode(obj: &Json) -> Result<Request, String> {
+                let op = obj.get("op").and_then(Json::as_str);
+                Ok(match op.ok_or("missing string field 'op'")? {
+                    $($op => Request::$variant $({
+                        $($f: row!(take obj, stringify!($f), $policy $(($d))?),)*
+                    })?,)*
+                    other => return Err(format!("unknown op '{other}'")),
+                })
+            }
+        }
+    };
+}
+
+/// The reply table, in decode order: a line is the first variant whose
+/// discriminating key it carries. A tuple variant names its payload. `when "k"`: the variant's fields travel
+/// flat and `k` is one of them; `under "k"`: the payload is the value of
+/// `k`; `marked "k"`: `"k":true` comes first, then the fields.
+macro_rules! replies {
+    ($(#[$meta:meta])* pub enum Reply {
+        $($(#[$vmeta:meta])* $variant:ident $(($body:ident: $payload:ty))? $({
+            $($(#[$fmeta:meta])* $f:ident: $t:ty => $policy:ident,)*
+        })? $how:ident $key:literal,)*
+    }) => {
+        $(#[$meta])*
+        pub enum Reply {
+            $($(#[$vmeta])* $variant $(($payload))? $({ $($(#[$fmeta])* $f: $t,)* })?,)*
+            /// The request failed; the connection stays usable.
+            Error(String),
+        }
+
+        impl Reply {
+            /// Encode for the wire (without the trailing newline).
+            pub fn to_json(&self) -> Json {
+                let mut fields = Vec::with_capacity(8);
+                let out = &mut fields;
+                match self {
+                    $(Reply::$variant $(($body))? $({ $($f),* })? => {
+                        out.push(("ok".into(), Json::Bool(true)));
+                        how!(put $how $key, out $(, $body)?);
+                        $($(row!(put out, stringify!($f), $f, $policy);)*)?
+                    })*
+                    Reply::Error(msg) => {
+                        out.push(("ok".into(), Json::Bool(false)));
+                        put(out, "error", msg);
+                    }
+                }
+                Json::Obj(fields)
+            }
+
+            fn decode(obj: &Json) -> Result<Reply, String> {
+                $(if obj.get($key).is_some() {
+                    return Ok(Reply::$variant $((how!(take $how $key, obj, $payload)))? $({
+                        $($f: row!(take obj, stringify!($f), $policy),)*
+                    })?);
+                })*
+                Err("unrecognized reply shape".into())
+            }
+        }
+    };
+}
+
+/// A reply variant's discriminating key: see `replies!`.
+macro_rules! how {
+    (put when $key:literal, $out:ident $(, $body:ident)?) => {
+        $($body.put($out))?
+    };
+    (put under $key:literal, $out:ident, $body:ident) => {
+        put($out, $key, $body)
+    };
+    (put marked $key:literal, $out:ident) => {
+        $out.push(($key.into(), Json::Bool(true)))
+    };
+    (take when $key:literal, $obj:ident, $t:ty) => {
+        <$t as Body>::take($obj)?
+    };
+    (take under $key:literal, $obj:ident, $t:ty) => {
+        take::<$t>($obj, $key, None)?
+    };
+}
+
+requests! {
+    /// A decoded client request.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request {
+        /// One reverse k-ranks query for `node`.
+        Query "query" {
+            /// The query node id.
+            node: u32 => req,
+            /// Result size `k`.
+            k: u32 => req,
+            /// `false` bypasses the result cache for this request (both the
+            /// lookup and the insert) — e.g. for measurement traffic.
+            cache: bool => omit(true),
+            /// Evaluation strategy name ([`rkranks_core::Strategy`] string
+            /// form). `None` and the served strategy (dynamic with the
+            /// daemon's configured bounds) are answered; any other name gets
+            /// an error reply.
+            strategy: Option<String> => omit,
+            /// Best-effort deadline in milliseconds: when it elapses the
+            /// daemon replies with the refined-so-far partial result
+            /// ([`QueryReply::partial`]) instead of risking unbounded tail
+            /// latency.
+            deadline_ms: Option<u64> => omit,
+        },
+        /// Several queries amortizing one round-trip; each node is answered
+        /// (and cached) exactly as a standalone `Query` would be.
+        Batch "batch" {
+            /// Query node ids, answered in order (at least one).
+            nodes: Vec<u32> => req,
+            /// Result size `k` shared by the batch.
+            k: u32 => req,
+        },
+        /// Stage live graph updates (validated as a whole; committed by the
+        /// merger's next pass or the next `flush`).
+        Update "update" {
+            /// The deltas, staged atomically in order (at least one).
+            ops: Vec<GraphDelta> => req,
+        },
+        /// Read the serving counters.
+        Stats "stats",
+        /// Read the full telemetry registry (counters, gauges, latency
+        /// histograms) — the superset of `Stats`.
+        Metrics "metrics",
+        /// Read the slow-query ring buffer (empty unless the daemon runs
+        /// with `--slow-query-ms`).
+        SlowQueries "slow-queries",
+        /// Commit staged graph updates now.
+        Flush "flush",
+        /// Persist the daemon's serving state as a snapshot bundle (no
+        /// implicit commit — staged updates land in the bundle's WAL).
+        /// Errors on daemons running without a snapshot path.
+        Checkpoint "checkpoint",
+        /// Stop the daemon (staged updates are committed first).
+        Shutdown "shutdown",
+        /// Identify the peer: protocol version, role, shard identity (when
+        /// the daemon is one replica of a fleet), and the current epoch
+        /// pair. The first thing a coordinator sends on a fresh shard
+        /// connection.
+        Hello "hello",
+    }
+}
+
+impl Request {
+    /// The request as it travels: [`Request::to_json`] rendered, plus the
+    /// terminating newline.
+    pub fn to_line(&self) -> String {
+        line(self.to_json())
+    }
+
+    /// Decode one request line.
+    pub fn from_line(line: &str) -> Result<Request, String> {
+        let req = Request::decode(&Json::parse(line).map_err(|e| e.to_string())?)?;
+        match &req {
+            Request::Batch { nodes, .. } if nodes.is_empty() => {
+                Err("'nodes' must contain at least one node".into())
+            }
+            Request::Update { ops } if ops.is_empty() => {
+                Err("'ops' must contain at least one update".into())
+            }
+            _ => Ok(req),
+        }
+    }
+}
+
+fn line(json: Json) -> String {
+    let mut line = json.render();
+    line.push('\n');
+    line
+}
+
+message! {
+    /// A successful single-query answer.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct QueryReply {
+        /// `(node, rank)` pairs, best rank first.
+        entries: Vec<(u32, u32)> => req as "result",
+        /// Whether the result came from the cache.
+        cached: bool => req,
+        /// The index epoch the result was computed (or cached) against.
+        epoch: u64 => req,
+        /// The graph epoch the result was computed (or cached) against: two
+        /// replies with different graph epochs answered against *different
+        /// graphs*.
+        graph_epoch: u64 => or_default,
+        /// `true` when a deadline cut the query short: `entries` is the
+        /// refined-so-far set (every rank in it is still exact), not the
+        /// complete answer. Partial answers are never cached.
+        partial: bool => omit,
+    }
+}
+
+message! {
+    /// A successful batch answer.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct BatchReply {
+        /// Per-node `(node, rank)` result lists, in request order.
+        results: Vec<Vec<(u32, u32)>> => req,
+        /// How many of the batch's answers were cache hits.
+        cached: u64 => req,
+        /// The index epoch every answer saw (`rkrd` answers a batch from one
+        /// live state).
+        epoch: u64 => req,
+        /// The graph epoch every answer saw.
+        graph_epoch: u64 => or_default,
+    }
+}
+
+message! {
+    /// The serving counters returned by the `stats` op.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct StatsReply {
+        /// Protocol generation the daemon speaks ([`PROTOCOL_VERSION`]).
+        /// Decodes as 0 from daemons predating the field, which is exactly
+        /// what lets the client turn a mixed deployment into a one-line
+        /// version-mismatch error.
+        v: u64 => or_default,
+        /// Queries answered (batch ops count each node).
+        queries: u64 => req,
+        /// Result-cache hits.
+        cache_hits: u64 => req,
+        /// Result-cache misses (lookups only; `cache:false` traffic counts
+        /// neither a hit nor a miss).
+        cache_misses: u64 => req,
+        /// Entries currently cached.
+        cache_entries: u64 => req,
+        /// Entries evicted by LRU capacity pressure.
+        cache_evictions: u64 => req,
+        /// Entries evicted because their epoch went stale.
+        cache_stale_evicted: u64 => req,
+        /// Result-cache capacity (0 = caching disabled).
+        cache_capacity: u64 => req,
+        /// Approximate heap footprint of the cached results, in bytes
+        /// (entry payloads plus per-slot bookkeeping).
+        cache_bytes: u64 => req,
+        /// Current index epoch ([`rkranks_core::RkrIndex::epoch`]).
+        epoch: u64 => req,
+        /// Commits of staged graph updates (merger, `flush`, and shutdown).
+        merges: u64 => req,
+        /// Worker threads serving connections.
+        workers: u64 => req,
+        /// Queries answered with a partial (limit-tripped) result.
+        partial_results: u64 => req,
+        /// Queries whose deadline elapsed before the search finished (a
+        /// subset of `partial_results`).
+        deadline_exceeded: u64 => req,
+        /// Current graph epoch (`rkranks_graph::GraphStore::graph_epoch`):
+        /// bumps exactly when a committed update batch changed the graph —
+        /// query-only traffic never moves it.
+        graph_epoch: u64 => req,
+        /// Commits that changed the graph (each bumped `graph_epoch`,
+        /// published a fresh snapshot, and retired the index).
+        graph_commits: u64 => req,
+        /// Effective staged deltas committed into the live graph so far
+        /// (staged deltas are not counted until their commit, and a batch's
+        /// ops can collapse onto fewer effective deltas — e.g. removing and
+        /// re-adding the same edge counts once).
+        updates_applied: u64 => req,
+        /// Nodes in the current graph snapshot.
+        graph_nodes: u64 => req,
+        /// Logical edges in the current graph snapshot.
+        graph_edges: u64 => req,
+        /// Accept-queue drains that ended in a real error — `EMFILE`/`ENFILE`
+        /// fd exhaustion above all. Nonzero means clients are being turned
+        /// away at the listener; raise the fd limit or shed connections.
+        accept_errors: u64 => req,
+        /// Event-loop wake-ups that surfaced ready work (`epoll_wait`
+        /// returns with at least one event).
+        wakeups: u64 => req,
+        /// Times a connection crossed the write high-water mark and had its
+        /// reads paused until the backlog drained.
+        backpressure_pauses: u64 => req,
+        /// Request lines rejected (connection closed) for exceeding the
+        /// configured line cap.
+        oversize_lines: u64 => req,
+    }
+}
+
+message! {
+    /// The place in a fleet a replica announces in its `hello`.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ShardIdentity {
+        /// This daemon's shard index, in `0..shards`.
+        index: u32 => req as "shard",
+        /// Total shard count in the deployment's node→shard map.
+        shards: u32 => req,
+        /// The map's seed (all shards and the coordinator must agree).
+        seed: u64 => req as "shard_seed",
+    }
+}
+
+message! {
+    /// Answer to a `hello` op: who the peer is and what it speaks.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct HelloReply {
+        /// `"shard"` when serving in a fleet, `"coord"` for a
+        /// coordinator, `"server"` for a plain single-box daemon.
+        role: String => req,
+        /// Protocol generation ([`PROTOCOL_VERSION`]).
+        v: u64 => or_default,
+        /// Current index epoch.
+        epoch: u64 => req,
+        /// Current graph epoch.
+        graph_epoch: u64 => req,
+        /// Nodes in the serving graph snapshot.
+        nodes: u64 => req,
+        /// Logical edges in the serving graph snapshot.
+        edges: u64 => req,
+        /// [`rkranks_graph::Graph::digest`] of the serving graph snapshot —
+        /// what lets a coordinator tell replicas on different graphs apart.
+        /// On the wire it is 16 lowercase hex digits (a JSON number cannot
+        /// hold 64 bits). A daemon always sends it; a coordinator sends the
+        /// digest it last verified across its fleet, and `None` before it
+        /// has verified one.
+        graph_digest: Option<u64> => hex,
+        /// Shard identity, present exactly when `role == "shard"`; its
+        /// fields travel flat in the `hello` reply.
+        shard: Option<ShardIdentity> => flatten,
+    }
+}
+
+message! {
+    /// One captured slow query, as returned by the `slow-queries` op.
+    ///
+    /// The daemon records one of these for every query whose end-to-end
+    /// service time reaches the `--slow-query-ms` threshold, into a
+    /// fixed-size ring buffer (oldest records are overwritten).
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct SlowQueryRecord {
+        /// The query node id.
+        node: u32 => req,
+        /// Result size `k`.
+        k: u32 => req,
+        /// Whether the answer came from the result cache.
+        cached: bool => req,
+        /// Index epoch the answer was computed (or cached) against.
+        epoch: u64 => req,
+        /// Graph epoch the answer was computed (or cached) against.
+        graph_epoch: u64 => req,
+        /// End-to-end service time in nanoseconds (parse to reply).
+        total_ns: u64 => req,
+        /// Nanoseconds in the SDS filter stage (0 for cache hits).
+        filter_ns: u64 => req,
+        /// Nanoseconds in rank refinement (0 for cache hits).
+        refine_ns: u64 => req,
+        /// Passes of the engine's kRank ladder (0 for cache hits) — with
+        /// `k_rank_guess`, the usual answer to "why was this query slow":
+        /// its true `kRank` is large.
+        sds_passes: u64 => req,
+        /// The `kRank` guess the accepted pass ran under (`u32::MAX`: the
+        /// unbounded last rung; 0: none, e.g. a partial answer).
+        k_rank_guess: u32 => req,
+        /// `"complete"` or `"partial"` (deadline or budget tripped).
+        completion: String => req,
+    }
+}
+
+replies! {
+    /// A decoded server reply.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Reply {
+        /// Answer to a `query` op.
+        Query(reply: QueryReply) when "result",
+        /// Answer to a `batch` op.
+        Batch(reply: BatchReply) when "results",
+        /// Answer to a `stats` op.
+        Stats(reply: StatsReply) under "stats",
+        /// Answer to a `metrics` op: every registered instrument's reading,
+        /// in registration order.
+        Metrics(reply: MetricsSnapshot) under "metrics",
+        /// Answer to a `slow-queries` op: captured records, oldest first.
+        SlowQueries(reply: Vec<SlowQueryRecord>) under "slow_queries",
+        /// Acknowledgement of a `shutdown` op.
+        Shutdown marked "bye",
+        /// Answer to a `hello` op: peer identity and protocol version.
+        Hello(reply: HelloReply) when "role",
+        /// Answer to an `update` op: the batch was validated and staged (it
+        /// goes live at the next commit).
+        Update {
+            /// How many deltas this request staged.
+            staged: u64 => req,
+            /// The graph epoch *before* the batch commits (the commit will
+            /// publish `graph_epoch + 1` if the batch changes the graph).
+            graph_epoch: u64 => req,
+        } when "staged",
+        /// Answer to a `flush` op: the index epoch after the commit and how
+        /// many staged graph deltas it committed.
+        Flush {
+            /// Index epoch after the commit.
+            epoch: u64 => req,
+            /// Staged graph deltas committed (0 = nothing was staged).
+            merged: u64 => req,
+        } when "merged",
+        /// Answer to a `checkpoint` op: the snapshot bundle on disk now holds
+        /// exactly this epoch pair.
+        Checkpoint {
+            /// Index epoch captured by the bundle.
+            epoch: u64 => req,
+            /// Graph epoch captured by the bundle.
+            graph_epoch: u64 => req,
+        } marked "checkpointed",
+    }
+}
+
+impl Reply {
+    /// The reply as it travels: [`Reply::to_json`] rendered, plus the
+    /// terminating newline.
+    pub fn to_line(&self) -> String {
+        line(self.to_json())
+    }
+
+    /// Decode one reply line.
+    pub fn from_line(line: &str) -> Result<Reply, String> {
+        let v = Json::parse(line).map_err(|e| e.to_string())?;
+        match v.get("ok").and_then(Json::as_bool) {
+            Some(true) => Reply::decode(&v),
+            Some(false) => {
+                let msg = v.get("error").and_then(Json::as_str);
+                Ok(Reply::Error(
+                    msg.unwrap_or("unspecified server error").into(),
+                ))
+            }
+            None => Err("missing boolean field 'ok'".into()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1550,6 +1285,10 @@ mod tests {
             r#"{"op":"update","ops":[["rm",1,2,3]]}"#,
             r#"{"op":"update","ops":[["add-node",1]]}"#,
             r#"{"op":"update","ops":[["reweight",1,2]]}"#,
+            // a present field of the wrong type is an error, not its default
+            r#"{"op":"query","node":1,"k":5,"cache":0}"#,
+            r#"{"op":"query","node":1,"k":5,"cache":"false"}"#,
+            r#"{"op":"query","node":1,"k":5,"cache":null}"#,
         ] {
             assert!(Request::from_line(line).is_err(), "accepted {line:?}");
         }
@@ -1557,7 +1296,16 @@ mod tests {
 
     #[test]
     fn bad_replies_are_errors() {
-        for line in ["{}", r#"{"ok":true}"#, r#"{"ok":true,"result":[[1]]}"#] {
+        for line in [
+            "{}",
+            r#"{"ok":true}"#,
+            r#"{"ok":true,"result":[[1]]}"#,
+            // a present field of the wrong type is an error, not its default
+            r#"{"ok":true,"result":[[1,2]],"cached":false,"epoch":0,"partial":1}"#,
+            r#"{"ok":true,"result":[[1,2]],"cached":false,"epoch":0,"graph_epoch":"3"}"#,
+            r#"{"ok":true,"results":[[[1,2]]],"cached":0,"epoch":0,"graph_epoch":"3"}"#,
+            r#"{"ok":true,"role":"server","v":"7","epoch":0,"graph_epoch":0,"nodes":1,"edges":0}"#,
+        ] {
             assert!(Reply::from_line(line).is_err(), "accepted {line:?}");
         }
     }

@@ -61,7 +61,7 @@ use crate::log::{log_error, log_info};
 use crate::metrics::{duration_ns, Metrics, QueryOutcome};
 use crate::protocol::{
     BatchReply, HelloReply, QueryReply, Reply, Request, ShardIdentity, SlowQueryRecord, StatsReply,
-    UpdateOp, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use crate::reactor::{Reactor, Service};
 
@@ -381,7 +381,7 @@ impl Service for Shared {
                 deadline_ms,
             } => {
                 let live = self.live();
-                match check_served(self, strategy.as_deref())
+                match check_served(self.config.bounds, strategy.as_deref())
                     .and_then(|()| run_query(self, scratch, &live, node, k, cache, deadline_ms))
                 {
                     Ok(q) => Reply::Query(q),
@@ -469,16 +469,15 @@ impl Service for Shared {
 
 /// Validate and stage a batch of graph updates (all-or-nothing; the
 /// merger's next pass or the next `flush` commits it).
-fn stage_updates(shared: &Shared, ops: &[UpdateOp]) -> Result<(u64, u64), String> {
+fn stage_updates(shared: &Shared, deltas: &[GraphDelta]) -> Result<(u64, u64), String> {
     if shared.partition.is_some() {
         // A partition is a fixed labelling of a fixed node set; growing or
         // rewiring the graph under it has no defined semantics (yet).
         return Err("live updates are not supported on bichromatic servers".into());
     }
-    let deltas: Vec<GraphDelta> = ops.iter().map(|&op| op.into()).collect();
     let mut store = shared.store.lock().expect("store lock poisoned");
     let before = store.pending_deltas();
-    let staged = store.stage_all(&deltas).map_err(|e| e.to_string())? as u64;
+    let staged = store.stage_all(deltas).map_err(|e| e.to_string())? as u64;
     // Count *effective* staged deltas, not ops: a batch's ops can collapse
     // onto one overlay entry (rm X + re-add X), and the gauge must agree
     // with what the store will actually hand to the commit.
@@ -494,14 +493,16 @@ fn stage_updates(shared: &Shared, ops: &[UpdateOp]) -> Result<(u64, u64), String
     Ok((staged, graph_epoch))
 }
 
-/// Refuse a request's `strategy` unless it names the one served
-/// strategy, before the query is counted.
-fn check_served(shared: &Shared, strategy: Option<&str>) -> Result<(), String> {
+/// Refuse a query's `strategy` unless it names the one strategy `rkrd`
+/// serves, the dynamic search under `bounds`; `None` is always served.
+/// `rkrd` checks before a query is counted, `rkr coord` before a line
+/// reaches any shard.
+pub fn check_served(bounds: BoundConfig, strategy: Option<&str>) -> Result<(), String> {
     let Some(name) = strategy else {
         return Ok(());
     };
     let asked = name.parse::<Strategy>()?;
-    let served = Strategy::Dynamic(shared.config.bounds);
+    let served = Strategy::Dynamic(bounds);
     if asked == served {
         return Ok(());
     }
@@ -1125,8 +1126,8 @@ mod tests {
         // a new node at distance 0.01 from node 0 must enter its answer
         let (staged, graph_epoch) = client
             .update(&[
-                UpdateOp::AddNode,
-                UpdateOp::AddEdge {
+                GraphDelta::AddNode,
+                GraphDelta::AddEdge {
                     u: 4,
                     v: 0,
                     w: 0.01,
@@ -1184,9 +1185,12 @@ mod tests {
         let mut client = Client::connect(handle.addr()).unwrap();
 
         for (ops, needle) in [
-            (vec![UpdateOp::AddEdge { u: 1, v: 1, w: 1.0 }], "self-loop"),
             (
-                vec![UpdateOp::AddEdge {
+                vec![GraphDelta::AddEdge { u: 1, v: 1, w: 1.0 }],
+                "self-loop",
+            ),
+            (
+                vec![GraphDelta::AddEdge {
                     u: 0,
                     v: 99,
                     w: 1.0,
@@ -1194,7 +1198,7 @@ mod tests {
                 "out of bounds",
             ),
             (
-                vec![UpdateOp::AddEdge {
+                vec![GraphDelta::AddEdge {
                     u: 0,
                     v: 2,
                     w: -3.0,
@@ -1202,15 +1206,15 @@ mod tests {
                 "invalid weight",
             ),
             (
-                vec![UpdateOp::AddEdge { u: 0, v: 1, w: 1.0 }],
+                vec![GraphDelta::AddEdge { u: 0, v: 1, w: 1.0 }],
                 "already exists",
             ),
-            (vec![UpdateOp::RemoveEdge { u: 0, v: 2 }], "no edge"),
+            (vec![GraphDelta::RemoveEdge { u: 0, v: 2 }], "no edge"),
             (
                 // the valid first op must roll back with the invalid second
                 vec![
-                    UpdateOp::AddEdge { u: 0, v: 2, w: 1.0 },
-                    UpdateOp::AddEdge { u: 2, v: 0, w: 5.0 },
+                    GraphDelta::AddEdge { u: 0, v: 2, w: 1.0 },
+                    GraphDelta::AddEdge { u: 2, v: 0, w: 5.0 },
                 ],
                 "already exists",
             ),
@@ -1248,8 +1252,8 @@ mod tests {
         let mut client = Client::connect(handle.addr()).unwrap();
         let (staged, _) = client
             .update(&[
-                UpdateOp::RemoveEdge { u: 0, v: 1 },
-                UpdateOp::AddEdge { u: 0, v: 1, w: 7.0 },
+                GraphDelta::RemoveEdge { u: 0, v: 1 },
+                GraphDelta::AddEdge { u: 0, v: 1, w: 7.0 },
             ])
             .unwrap();
         assert_eq!(staged, 2, "both ops were accepted");
@@ -1281,7 +1285,7 @@ mod tests {
         });
         let mut client = Client::connect(handle.addr()).unwrap();
         client
-            .update(&[UpdateOp::Reweight { u: 0, v: 1, w: 9.0 }])
+            .update(&[GraphDelta::Reweight { u: 0, v: 1, w: 9.0 }])
             .unwrap();
         // the merger commits the staged reweight without any explicit
         // flush while queries keep arriving
@@ -1318,7 +1322,7 @@ mod tests {
         });
         let mut client = Client::connect(handle.addr()).unwrap();
         client
-            .update(&[UpdateOp::RemoveEdge { u: 0, v: 1 }])
+            .update(&[GraphDelta::RemoveEdge { u: 0, v: 1 }])
             .unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
@@ -1397,7 +1401,7 @@ mod tests {
         .expect("bind loopback");
         let mut client = Client::connect(handle.addr()).unwrap();
         let err = client
-            .update(&[UpdateOp::RemoveEdge { u: 0, v: 1 }])
+            .update(&[GraphDelta::RemoveEdge { u: 0, v: 1 }])
             .unwrap_err();
         assert!(err.to_string().contains("bichromatic"), "{err}");
         client.shutdown().unwrap();
@@ -1574,7 +1578,7 @@ mod tests {
         let mut client = Client::connect(handle.addr()).unwrap();
         client.query(0, 2).unwrap();
         client
-            .update(&[UpdateOp::Reweight { u: 0, v: 1, w: 9.0 }])
+            .update(&[GraphDelta::Reweight { u: 0, v: 1, w: 9.0 }])
             .unwrap();
         let (epoch, merged) = client.flush().unwrap();
         assert_eq!(merged, 1, "the flush commits the one staged delta");

@@ -364,7 +364,7 @@ fn updates_match_single_threaded_replay() {
         .enumerate()
     {
         if let Some(batch) = batch {
-            let ops: Vec<UpdateOp> = batch.iter().map(|&d| d.into()).collect();
+            let ops: Vec<UpdateOp> = batch.to_vec();
             let (staged, pre_epoch) = ctl.update(&ops).expect("update");
             assert_eq!(staged, ops.len() as u64);
             assert_eq!(pre_epoch, phase as u64 - 1, "staging reports the old epoch");
@@ -483,7 +483,7 @@ fn concurrent_readers_stay_consistent_across_commits() {
         // the writer commits the phases while the readers run
         let mut writer = Client::connect(addr).expect("connect writer");
         for batch in stream.chunks(PHASE_OPS) {
-            let ops: Vec<UpdateOp> = batch.iter().map(|&d| d.into()).collect();
+            let ops: Vec<UpdateOp> = batch.to_vec();
             writer.update(&ops).expect("update");
             writer.flush().expect("flush");
             std::thread::sleep(std::time::Duration::from_millis(5));
@@ -535,7 +535,7 @@ fn snapshot_restart_resumes_identical_serving_state() {
     )
     .expect("bind loopback");
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let ops: Vec<UpdateOp> = stream.iter().map(|&d| d.into()).collect();
+    let ops: Vec<UpdateOp> = stream.to_vec();
     client.update(&ops).expect("stage batch A");
     client.flush().expect("commit batch A");
     let ranks = |e: &[(u32, u32)]| e.iter().map(|&(_, r)| r).collect::<Vec<u32>>();

@@ -94,7 +94,7 @@ use rkranks_eval::workload::random_queries;
 use rkranks_graph::metrics::{degree_stats, weight_stats};
 use rkranks_graph::traversal::is_weakly_connected;
 use rkranks_graph::{load_graph, save_graph};
-use rkranks_graph::{GraphStore, ShardMap, ShardSlice};
+use rkranks_graph::{GraphDelta, GraphError, GraphStore, ShardMap, ShardSlice};
 use rkranks_server::log::LogLevel;
 use rkranks_server::{Client, QueryOptions, Request, ServerConfig};
 
@@ -677,53 +677,20 @@ fn cmd_coord(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the positional tail of a `ctl` update op into one wire op.
-fn parse_ctl_update(op: &str, args: &[String]) -> Result<rkranks_server::UpdateOp, String> {
-    use rkranks_server::UpdateOp;
-    let node = |i: usize| -> Result<u32, String> {
-        args.get(i)
-            .ok_or_else(|| format!("{op} is missing a node id"))?
-            .parse()
-            .map_err(|_| format!("bad node id '{}'", args[i]))
+/// One update in the write-ahead log's grammar
+/// ([`GraphDelta::parse_wal_line`]); `add-edge` and `rm-edge`, the
+/// `rkr ctl` spellings, stand for `add` and `rm`.
+fn parse_update(text: &str) -> Result<GraphDelta, String> {
+    let (op, rest) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
+    let op = match op {
+        "add-edge" => "add",
+        "rm-edge" => "rm",
+        op => op,
     };
-    let weight = |i: usize| -> Result<f64, String> {
-        args.get(i)
-            .ok_or_else(|| format!("{op} is missing a weight"))?
-            .parse()
-            .map_err(|_| format!("bad weight '{}'", args[i]))
-    };
-    match op {
-        "add-edge" => Ok(UpdateOp::AddEdge {
-            u: node(0)?,
-            v: node(1)?,
-            w: weight(2)?,
-        }),
-        "rm-edge" => Ok(UpdateOp::RemoveEdge {
-            u: node(0)?,
-            v: node(1)?,
-        }),
-        "reweight" => Ok(UpdateOp::Reweight {
-            u: node(0)?,
-            v: node(1)?,
-            w: weight(2)?,
-        }),
-        "add-node" => Ok(UpdateOp::AddNode),
-        other => Err(format!("unknown ctl operation '{other}'")),
+    match GraphDelta::parse_wal_line(&format!("{op} {rest}"), 0) {
+        Err(GraphError::Parse { message, .. }) => Err(format!("'{text}': {message}")),
+        parsed => parsed.map_err(|e| e.to_string()),
     }
-}
-
-/// Parse one line of an update file (`rkr update --from FILE`).
-fn parse_update_line(line: &str) -> Result<rkranks_server::UpdateOp, String> {
-    let fields: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-    let (op, rest) = fields.split_first().ok_or("empty update line")?;
-    // The file spells ops like the wire ("add"/"rm"), the ctl like flags
-    // ("add-edge"/"rm-edge"); accept both spellings in both places.
-    let op = match op.as_str() {
-        "add" => "add-edge",
-        "rm" => "rm-edge",
-        other => other,
-    };
-    parse_ctl_update(op, rest)
 }
 
 fn cmd_update(flags: &Flags) -> Result<(), String> {
@@ -745,7 +712,7 @@ fn cmd_update(flags: &Flags) -> Result<(), String> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        ops.push(parse_update_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?);
+        ops.push(parse_update(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?);
     }
     if ops.is_empty() {
         return Err(format!("{path} contains no update ops"));
@@ -787,6 +754,15 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
         .positional
         .get(2)
         .ok_or("ctl needs an operation (stats|metrics|slow-queries|flush|checkpoint|shutdown)")?;
+    // An update is parsed before connecting: a bad one never reaches the
+    // daemon, and a token it would not read fails the run.
+    let update = match op.as_str() {
+        "stats" | "metrics" | "slow-queries" | "flush" | "checkpoint" | "shutdown" => None,
+        "add-edge" | "rm-edge" | "reweight" | "add-node" => {
+            Some(parse_update(&flags.positional[2..].join(" "))?)
+        }
+        other => return Err(format!("unknown ctl operation '{other}'")),
+    };
     let mut client =
         Client::connect(addr.as_str()).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     match op.as_str() {
@@ -889,7 +865,7 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
         op => {
             // single-op update path: stage it, then flush so the effect
             // is visible to the next query
-            let update = parse_ctl_update(op, &flags.positional[3..])?;
+            let update = update.expect("an update op was parsed above");
             client.update(&[update]).map_err(|e| e.to_string())?;
             client.flush().map_err(|e| e.to_string())?;
             let stats = client.stats().map_err(|e| e.to_string())?;

@@ -128,8 +128,8 @@ fn road_gen_and_directed_epinions_stats() {
 
 #[test]
 fn evolved_index_is_rejected_against_a_plain_edge_file() {
-    // An index saved after live graph commits carries its graph epoch in a
-    // v2 header; pairing it with a plain edge file would silently serve
+    // An index saved after live graph commits carries its graph epoch in
+    // its header; pairing it with a plain edge file would silently serve
     // ranks measured on a different graph, so every edge-file loader must
     // refuse it with a pointer at the snapshot bundle.
     let dir = scratch_dir("evolved-index");
@@ -173,6 +173,44 @@ fn evolved_index_is_rejected_against_a_plain_edge_file() {
         stderr.contains("--snapshot"),
         "must point at the bundle workflow: {stderr}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `rkr update` and `rkr ctl` parse updates in the write-ahead log's
+/// grammar before they connect: a bad line is named by file and line with
+/// no daemon running, a token an op would not read is refused, and both
+/// spellings of each op parse (those runs fail only at the connect).
+#[test]
+fn updates_parse_before_connecting() {
+    let dir = scratch_dir("update-parse");
+    let dead = "127.0.0.1:1";
+    let stderr_of = |args: &[&str]| {
+        let out = rkr(&dir, args);
+        assert!(!out.status.success(), "rkr {args:?} unexpectedly succeeded");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    std::fs::write(dir.join("bad.txt"), "add 0 1 0.5\nadd-node\nrm 0 1 7\n").unwrap();
+    let err = stderr_of(&["update", dead, "--from", "bad.txt"]);
+    assert!(err.contains("bad.txt:3: "), "{err}");
+    assert!(!err.contains("cannot connect"), "{err}");
+
+    let both = "add 0 1 0.5\nadd-edge 1 2 0.5\nrm 0 1\nrm-edge 1 2\nreweight 2 3 1.5\nadd-node\n";
+    std::fs::write(dir.join("ok.txt"), both).unwrap();
+    let err = stderr_of(&["update", dead, "--from", "ok.txt"]);
+    assert!(err.contains("cannot connect"), "{err}");
+
+    let err = stderr_of(&["ctl", dead, "add-edge", "1", "2", "0.5", "9"]);
+    assert!(err.contains("trailing tokens"), "{err}");
+    assert!(!err.contains("cannot connect"), "{err}");
+    for op in [
+        &["add-edge", "1", "2", "0.5"][..],
+        &["rm-edge", "1", "2"][..],
+        &["reweight", "1", "2", "0.5"][..],
+        &["add-node"][..],
+    ] {
+        let err = stderr_of(&[&["ctl", dead][..], op].concat());
+        assert!(err.contains("cannot connect"), "ctl {op:?}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
