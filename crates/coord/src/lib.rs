@@ -296,9 +296,10 @@ impl Service for CoordShared {
                         ))
                     }
                 };
-                // Commit immediately on every shard: staged writes that
-                // lingered would commit on each shard's own merger pass and
-                // let graph epochs drift apart.
+                // Commit on every shard now: a prompt shard committed the
+                // batch before replying and commits nothing here, but a
+                // flush-only one (`merge_every` 0) would hold it until its
+                // own next flush and let graph epochs drift apart.
                 if let Err(e) = pool.broadcast(&Request::Flush) {
                     return Reply::Error(format!(
                         "update staged everywhere but the commit flush failed ({e}); \
@@ -378,7 +379,7 @@ impl Service for CoordShared {
 
 /// The coordinator's `stats` view: fan-out and front-side counters where
 /// they map onto the shared reply shape, zeros where a field is
-/// shard-only (cache, merger — read those per shard).
+/// shard-only (cache, commits — read those per shard).
 fn stats_snapshot(shared: &CoordShared) -> StatsReply {
     let (m, front) = (&shared.metrics, &shared.metrics.front);
     StatsReply {

@@ -113,7 +113,7 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Merge another query's counters into this one (used for averaging).
+    /// Merge another query's counters into this one (a batch's totals).
     pub fn absorb(&mut self, other: &QueryStats) {
         self.sds_popped += other.sds_popped;
         self.sds_relaxations += other.sds_relaxations;
@@ -130,24 +130,6 @@ impl QueryStats {
         self.k_rank_guess = self.k_rank_guess.max(other.k_rank_guess);
         self.elapsed += other.elapsed;
         self.refine_time += other.refine_time;
-    }
-
-    /// Average per-query view after absorbing `n` queries.
-    pub fn mean_over(&self, n: u64) -> MeanStats {
-        let n = n.max(1);
-        MeanStats {
-            queries: n,
-            refinement_calls: self.refinement_calls as f64 / n as f64,
-            pruned_by_bound: self.pruned_by_bound as f64 / n as f64,
-            index_exact_hits: self.index_exact_hits as f64 / n as f64,
-            refinement_settles: self.refinement_settles as f64 / n as f64,
-            refinement_pushes: self.refinement_pushes as f64 / n as f64,
-            refinement_requeues: self.refinement_requeues as f64 / n as f64,
-            anchored_refinements: self.anchored_refinements as f64 / n as f64,
-            sds_passes: self.sds_passes as f64 / n as f64,
-            max_k_rank_guess: self.k_rank_guess,
-            seconds: self.elapsed.as_secs_f64() / n as f64,
-        }
     }
 }
 
@@ -195,34 +177,6 @@ impl QueryStageStats {
     pub fn total(&self) -> Duration {
         self.filter + self.refine
     }
-}
-
-/// Averaged statistics over a batch of queries.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MeanStats {
-    /// Number of queries averaged.
-    pub queries: u64,
-    /// Mean rank-refinement calls per query.
-    pub refinement_calls: f64,
-    /// Mean bound-pruned candidates per query.
-    pub pruned_by_bound: f64,
-    /// Mean index exact hits per query.
-    pub index_exact_hits: f64,
-    /// Mean refinement settles per query.
-    pub refinement_settles: f64,
-    /// Mean refinement frontier insertions per query.
-    pub refinement_pushes: f64,
-    /// Mean refinement re-queues per query.
-    pub refinement_requeues: f64,
-    /// Mean anchored refinements per query.
-    pub anchored_refinements: f64,
-    /// Mean ladder passes per query.
-    pub sds_passes: f64,
-    /// Largest accepted `kRank` guess among the queries (`u32::MAX`: some
-    /// query needed the unbounded rung).
-    pub max_k_rank_guess: u32,
-    /// Mean seconds per query.
-    pub seconds: f64,
 }
 
 #[cfg(test)]
@@ -281,28 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_over_divides() {
-        let total = QueryStats {
-            refinement_calls: 10,
-            refinement_pushes: 30,
-            refinement_requeues: 2,
-            anchored_refinements: 2,
-            sds_passes: 6,
-            k_rank_guess: 160,
-            elapsed: Duration::from_secs(2),
-            ..Default::default()
-        };
-        let m = total.mean_over(4);
-        assert!((m.refinement_calls - 2.5).abs() < 1e-12);
-        assert!((m.refinement_pushes - 7.5).abs() < 1e-12);
-        assert!((m.refinement_requeues - 0.5).abs() < 1e-12);
-        assert!((m.anchored_refinements - 0.5).abs() < 1e-12);
-        assert!((m.sds_passes - 1.5).abs() < 1e-12);
-        assert_eq!(m.max_k_rank_guess, 160);
-        assert!((m.seconds - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn stage_split_covers_elapsed() {
         let stats = QueryStats {
             elapsed: Duration::from_micros(100),
@@ -326,11 +258,5 @@ mod tests {
         let stage = QueryStageStats::from_stats(&odd);
         assert_eq!(stage.filter, Duration::ZERO);
         assert!(stage.total() <= odd.elapsed);
-    }
-
-    #[test]
-    fn mean_over_zero_is_safe() {
-        let m = QueryStats::default().mean_over(0);
-        assert_eq!(m.queries, 1);
     }
 }

@@ -67,15 +67,15 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
             continue;
         }
         let mut row = |method: String, out: &BatchOutcome| {
-            let mean = out.totals.mean_over(out.queries);
+            let per_query = |total: u64| total as f64 / out.queries.max(1) as f64;
             t.push_row(vec![
                 k.to_string(),
                 method,
-                fmt_secs(mean.seconds),
+                fmt_secs(out.mean_seconds()),
                 fmt_latency(out),
-                fmt_f64(mean.refinement_calls),
-                fmt_f64(mean.refinement_pushes),
-                fmt_f64(mean.sds_passes),
+                fmt_f64(out.mean_refinements()),
+                fmt_f64(per_query(out.totals.refinement_pushes)),
+                fmt_f64(per_query(out.totals.sds_passes)),
             ]);
         };
         let s = run_batch(

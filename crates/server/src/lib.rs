@@ -15,8 +15,10 @@
 //! * a **live graph**: the daemon owns a [`rkranks_graph::GraphStore`];
 //!   `update` ops stage edge/node deltas that commit into fresh immutable
 //!   graph snapshots under a monotonically increasing *graph epoch* —
-//!   queries keep serving throughout, and every reply says which graph
-//!   epoch answered it;
+//!   where a commit is asked for: in the worker that stages an `update`
+//!   before it replies (every `rkr serve` daemon), on a `flush`, and at
+//!   shutdown; queries keep serving throughout, and every reply says
+//!   which graph epoch answered it;
 //! * **one served strategy**: every query runs the §4 dynamic search
 //!   (`dynamic-three`); a request naming any other strategy gets an error
 //!   reply pointing at `rkr query` / `rkr batch`, which run every strategy
@@ -27,7 +29,8 @@
 //! * **epoch-based invalidation**: a committed graph update bumps the
 //!   graph epoch, which keys the cache, strands the whole cache and
 //!   *retires* the [`rkranks_core::RkrIndex`] the daemon holds (no query
-//!   reads it; it rides along in checkpoints): stale rank knowledge is
+//!   reads it; it sits beside the graph store and rides along in
+//!   checkpoints): stale rank knowledge is
 //!   unsound on a changed graph ([`rkranks_core::RkrIndex::graph_epoch`]
 //!   documents why);
 //! * **durable restarts**: with a snapshot path configured
@@ -95,6 +98,4 @@ pub use client::{Client, ClientError, QueryOptions};
 pub use protocol::{
     BatchReply, HelloReply, QueryReply, Reply, Request, StatsReply, UpdateOp, PROTOCOL_VERSION,
 };
-pub use server::{
-    check_served, serve, serve_store, spawn, spawn_store, ServerConfig, ServerHandle,
-};
+pub use server::{check_served, serve_store, spawn, spawn_store, ServerConfig, ServerHandle};

@@ -97,7 +97,8 @@ pub struct Metrics {
     /// Queries answered (batch ops count each node; errored requests
     /// count too, matching the historical `stats.queries` semantics).
     pub queries: Arc<Counter>,
-    /// Commits of staged graph updates (merger, `flush`, shutdown).
+    /// Commits of staged graph updates (a prompt daemon's `update`,
+    /// `flush`, shutdown).
     pub merges: Arc<Counter>,
     /// Queries answered with a partial result.
     pub partial_results: Arc<Counter>,
@@ -212,7 +213,7 @@ impl Metrics {
             ),
             merge_pass_seconds: r.histogram_scaled(
                 "rkrd_merge_pass_seconds",
-                "merger pass duration",
+                "commit duration of staged graph updates",
                 ns,
             ),
             checkpoint_seconds: r.histogram_scaled(

@@ -32,7 +32,7 @@
 //! {"ok":true,"slow_queries":[{"node":17,"k":10,"cached":false,...},...]}
 //! {"ok":true,"bye":true}                     shutdown
 //! {"ok":true,"role":"server","v":7,"epoch":0,"graph_epoch":1,...}   hello
-//! {"ok":true,"staged":2,"graph_epoch":1}     update (staged, not yet live)
+//! {"ok":true,"staged":2,"graph_epoch":1}     update (epoch it was staged at)
 //! {"ok":true,"epoch":0,"merged":2}           flush (staged deltas committed)
 //! {"ok":true,"checkpointed":true,"epoch":4,"graph_epoch":1}   checkpoint
 //! ```
@@ -59,9 +59,12 @@
 //! An `update` batch is validated as a whole (self-loops, negative
 //! weights, out-of-range ids, duplicate or unknown edges are one-line
 //! errors and stage *nothing*) and takes effect at the daemon's next
-//! commit, which bumps `graph_epoch` and retires the rank index. The
-//! merger commits on its next pass; on a flush-only daemon (`merge_every`
-//! 0) staged updates wait for `flush` or shutdown.
+//! commit, which bumps `graph_epoch` and retires the rank index. A prompt
+//! daemon (`merge_every` > 0, every `rkr serve` daemon) commits the batch
+//! before it replies, so the reply's `graph_epoch` is the epoch the batch
+//! was staged at and the next request on any connection sees the new
+//! graph; on a flush-only daemon (`merge_every` 0) staged updates wait
+//! for `flush` or shutdown.
 //!
 //! `rkrd` serves one strategy, the dynamic search (`dynamic-three`);
 //! naming any other is a one-line error ([`crate::check_served`]). A query
@@ -568,8 +571,8 @@ requests! {
             /// Result size `k` shared by the batch.
             k: u32 => req,
         },
-        /// Stage live graph updates (validated as a whole; committed by the
-        /// merger's next pass or the next `flush`).
+        /// Stage live graph updates (validated as a whole; committed before
+        /// the reply on a prompt daemon, by the next `flush` otherwise).
         Update "update" {
             /// The deltas, staged atomically in order (at least one).
             ops: Vec<GraphDelta> => req,
@@ -692,7 +695,8 @@ message! {
         cache_bytes: u64 => req,
         /// Current index epoch ([`rkranks_core::RkrIndex::epoch`]).
         epoch: u64 => req,
-        /// Commits of staged graph updates (merger, `flush`, and shutdown).
+        /// Commits of staged graph updates (a prompt daemon's `update`,
+        /// `flush`, and shutdown).
         merges: u64 => req,
         /// Worker threads serving connections.
         workers: u64 => req,
@@ -831,13 +835,15 @@ replies! {
         Shutdown marked "bye",
         /// Answer to a `hello` op: peer identity and protocol version.
         Hello(reply: HelloReply) when "role",
-        /// Answer to an `update` op: the batch was validated and staged (it
-        /// goes live at the next commit).
+        /// Answer to an `update` op: the batch was validated and staged (a
+        /// prompt daemon has committed it before replying; a flush-only one
+        /// commits it at the next `flush`).
         Update {
             /// How many deltas this request staged.
             staged: u64 => req,
-            /// The graph epoch *before* the batch commits (the commit will
-            /// publish `graph_epoch + 1` if the batch changes the graph).
+            /// The graph epoch the batch was staged at, *before* it commits
+            /// (the commit publishes `graph_epoch + 1` if the batch changes
+            /// the graph).
             graph_epoch: u64 => req,
         } when "staged",
         /// Answer to a `flush` op: the index epoch after the commit and how

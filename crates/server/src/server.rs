@@ -8,30 +8,33 @@
 //!   lines ([`ServerConfig::max_line_bytes`]) live in
 //!   [`crate::reactor`]; `rkrd` is its [`Service`]. Each worker owns one
 //!   [`QueryScratch`], so steady-state queries allocate almost nothing.
-//!   Each query takes the live `(context, index)` pair under one read
-//!   lock; a `batch` takes it once for all its nodes, so one batch
+//!   Each query takes the live context and its epoch pair under one read
+//!   lock; a `batch` takes them once for all its nodes, so one batch
 //!   answers from one graph epoch.
 //! * **The graph is versioned, not frozen.** A
 //!   [`rkranks_graph::GraphStore`] holds the committed graph; `update`
-//!   ops stage validated [`GraphDelta`] batches, and the merger commits
-//!   them: it publishes a fresh immutable `Arc<Graph>` snapshot tagged
-//!   with a bumped *graph epoch*, builds a new [`EngineContext`] for it,
-//!   and **retires** the rank index (fresh empty index at the new graph
-//!   epoch — rank knowledge is unsound on a changed graph, see
-//!   [`RkrIndex::graph_epoch`]). Queries in flight keep the
-//!   `(context, index)` pair they started with and stay correct *for
-//!   their epoch*.
+//!   ops stage validated [`GraphDelta`] batches, and a commit publishes a
+//!   fresh immutable `Arc<Graph>` snapshot tagged with a bumped *graph
+//!   epoch*, builds a new [`EngineContext`] for it, and **retires** the
+//!   rank index (fresh empty index at the new graph epoch — rank
+//!   knowledge is unsound on a changed graph, see
+//!   [`RkrIndex::graph_epoch`]). Queries in flight keep the context they
+//!   started with and stay correct *for their epoch*.
 //! * **One strategy is served.** Every query runs the paper's §4 dynamic
 //!   search with the configured bounds ([`ServerConfig::bounds`];
 //!   `dynamic-three` at every configuration the CLI builds). A request
 //!   whose `strategy` names any other strategy gets one error reply
 //!   pointing at `rkr query` / `rkr batch`, which run the full strategy
-//!   matrix in-process. The daemon reads no index: the one it holds is
-//!   only checkpointed, so snapshot bundles keep their format.
-//! * **The merger** owns the graph store and commits staged graph deltas
-//!   *promptly* — on its next pass after they are staged, query traffic
-//!   or not. With `merge_every` 0 it never runs, and staged deltas wait
-//!   for a `flush` op or shutdown.
+//!   matrix in-process. The daemon reads no index: the one it holds sits
+//!   under the store lock beside the graph store, where only a
+//!   checkpoint reads it and only a commit replaces it, so snapshot
+//!   bundles keep their format.
+//! * **Commits happen where they are asked for**, each by the worker
+//!   that asked, under the store lock: an `update` on a prompt daemon
+//!   ([`ServerConfig::merge_every`] > 0) before its reply, a `flush`, and
+//!   shutdown; a prompt daemon also commits restored WAL deltas before
+//!   it serves. With `merge_every` 0 staged deltas wait for a `flush` op
+//!   or shutdown.
 //! * **The result cache** is an LRU keyed by `(node, k, graph epoch)`
 //!   ([`crate::cache::ResultCache`]; the key's strategy and index-epoch
 //!   fields are constants here). A graph commit strands *every* entry —
@@ -46,8 +49,8 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use rkranks_core::{
@@ -74,8 +77,10 @@ pub struct ServerConfig {
     /// Result-cache entries (`0` disables caching entirely).
     pub cache_capacity: usize,
     /// When staged graph updates commit: `0` means only on an explicit
-    /// `flush` op and at shutdown; any other value means on the merger's
-    /// next pass after they are staged, query traffic or not.
+    /// `flush` op and at shutdown; any other value makes the daemon
+    /// *prompt*: the worker that stages an `update` commits it before
+    /// replying, and WAL deltas restored into the store commit before the
+    /// daemon serves. Only zero versus nonzero matters.
     pub merge_every: u64,
     /// Bound configuration of the one served strategy, the dynamic
     /// search: `Strategy::Dynamic(bounds)` answers every query.
@@ -137,28 +142,32 @@ pub struct ServeOutcome {
     pub graph_epoch: u64,
 }
 
-/// The consistent `(context, index)` pair a query takes. Swapped
-/// wholesale — under one lock — so a checkpoint can never pair a new
-/// graph with a stale index or vice versa. No query reads the index: only
-/// a graph commit replaces it (with an empty one at the new graph epoch).
+/// What a query takes: the live context and the epoch pair it answers
+/// at, swapped wholesale under one lock at each graph commit. It holds no
+/// index — no query reads one.
 #[derive(Clone)]
 struct LiveState {
     ctx: Arc<EngineContext>,
-    index: Arc<RkrIndex>,
     graph_epoch: u64,
+    index_epoch: u64,
 }
 
-/// Everything the worker, merger, and control paths share.
+/// The canonical graph, its staged deltas and the index that describes
+/// it. Only a checkpoint reads the index and only a commit replaces it,
+/// both under the one lock that guards this.
+struct Store {
+    graph: GraphStore,
+    index: RkrIndex,
+}
+
+/// Everything the workers and control paths share.
 struct Shared {
     config: ServerConfig,
     partition: Option<Partition>,
     live: RwLock<LiveState>,
-    /// The canonical graph and its staged deltas. Its lock is held from
-    /// staging or commit through publication, so `live` only ever changes
-    /// under it.
-    store: Mutex<GraphStore>,
-    /// Wakes the merger when a batch is staged (paired with `store`).
-    staged_signal: Condvar,
+    /// Held from staging or commit through publication, so `live` only
+    /// ever changes under it.
+    store: Mutex<Store>,
     cache: Option<Mutex<ResultCache>>,
     /// `(graph epoch, Graph::digest)` of the live graph the last `hello`
     /// saw: filled at start, then recomputed by the first `hello` after a
@@ -172,7 +181,7 @@ struct Shared {
 }
 
 /// Build the engine context for a snapshot: bichromatic when a partition
-/// is configured, plain otherwise. Both the startup path and the merger's
+/// is configured, plain otherwise. Both the startup path and the
 /// post-commit rebuild go through here.
 fn build_context(graph: Arc<Graph>, partition: &Option<Partition>) -> EngineContext {
     match partition {
@@ -181,26 +190,15 @@ fn build_context(graph: Arc<Graph>, partition: &Option<Partition>) -> EngineCont
     }
 }
 
-/// Serve until a client sends `shutdown`. Blocks the calling thread; use
-/// [`spawn`] for a background daemon. No query reads `index`; it is
-/// checkpointed with the graph until the first graph commit retires it.
-/// Returns the final graph and graph epoch.
-pub fn serve(
-    graph: Graph,
-    partition: Option<Partition>,
-    mut index: RkrIndex,
-    listener: TcpListener,
-    config: &ServerConfig,
-) -> ServeOutcome {
-    let store = GraphStore::new(graph);
-    index.set_graph_epoch(store.graph_epoch());
-    serve_store(store, partition, index, listener, config)
-}
-
-/// [`serve`] for a pre-built [`GraphStore`] — the restart path. A store
-/// restored from a snapshot bundle keeps its graph epoch, and any WAL
-/// deltas re-staged into it commit at the daemon's first commit,
-/// exactly as the staged batch would have before the restart.
+/// Serve `store` until a client sends `shutdown`. Blocks the calling
+/// thread; use [`spawn`] or [`spawn_store`] for a background daemon. No
+/// query reads `index`; it is checkpointed with the graph until the first
+/// graph commit retires it. A store restored from a snapshot bundle keeps
+/// its graph epoch, and any WAL deltas re-staged into it commit before
+/// the first reply on a prompt daemon ([`ServerConfig::merge_every`] >
+/// 0), at the first `flush` or shutdown otherwise — exactly as the staged
+/// batch would have before the restart. Returns the final graph and
+/// graph epoch.
 ///
 /// # Panics
 ///
@@ -224,8 +222,6 @@ pub fn serve_store(
     );
     let mut config = config.clone();
     config.workers = config.workers.max(1);
-    // Restored WAL deltas are already staged in the store; the merger
-    // commits them on its first pass.
     let staged_at_start = store.pending_deltas() as u64;
     let ctx = build_context(store.snapshot(), &partition);
     // Pay the one-off transpose build and the graph digest before the
@@ -235,11 +231,13 @@ pub fn serve_store(
     let shared = Shared {
         live: RwLock::new(LiveState {
             ctx: Arc::new(ctx),
-            index: Arc::new(index),
             graph_epoch: store.graph_epoch(),
+            index_epoch: index.epoch(),
         }),
-        store: Mutex::new(store),
-        staged_signal: Condvar::new(),
+        store: Mutex::new(Store {
+            graph: store,
+            index,
+        }),
         cache: (config.cache_capacity > 0)
             .then(|| Mutex::new(ResultCache::new(config.cache_capacity))),
         digest,
@@ -264,21 +262,21 @@ pub fn serve_store(
             "flush-only"
         }
     );
+    // A prompt daemon serves no state older than what it was handed:
+    // restored WAL deltas commit before the first reply.
+    if shared.config.merge_every > 0 {
+        merge_pending(
+            &shared,
+            &mut shared.store.lock().expect("store lock poisoned"),
+        );
+    }
     // A failure stops startup naming the syscall before any thread starts,
     // never leaves a worker silently missing.
     let reactor =
         Reactor::new(listener, &shared.config).unwrap_or_else(|e| panic!("rkrd cannot start: {e}"));
-    std::thread::scope(|s| {
-        if shared.config.merge_every > 0 {
-            s.spawn(|| merger_loop(&shared));
-        }
-        reactor.run(&shared, &shared.metrics.front, &shared.shutdown);
-        // Wake the merger so it sees the flag and exits promptly.
-        shared.staged_signal.notify_all();
-    });
+    reactor.run(&shared, &shared.metrics.front, &shared.shutdown);
     // Every worker has joined, so every accepted update is staged; this
-    // final commit (here, not in the merger, which can observe the
-    // shutdown flag while a worker is still staging) lands them all.
+    // final commit lands any a flush-only daemon still holds.
     let mut store = shared.store.lock().expect("store lock poisoned");
     merge_pending(&shared, &mut store);
     // The shutdown checkpoint is unconditional (the commit-point ones only
@@ -291,8 +289,8 @@ pub fn serve_store(
         }
     }
     ServeOutcome {
-        graph: store.snapshot(),
-        graph_epoch: store.graph_epoch(),
+        graph: store.graph.snapshot(),
+        graph_epoch: store.graph.graph_epoch(),
     }
 }
 
@@ -321,13 +319,17 @@ impl ServerHandle {
 pub fn spawn(
     graph: Graph,
     partition: Option<Partition>,
-    index: RkrIndex,
+    mut index: RkrIndex,
     addr: impl ToSocketAddrs,
     config: ServerConfig,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let thread = std::thread::spawn(move || serve(graph, partition, index, listener, &config));
+    let thread = std::thread::spawn(move || {
+        let store = GraphStore::new(graph);
+        index.set_graph_epoch(store.graph_epoch());
+        serve_store(store, partition, index, listener, &config)
+    });
     Ok(ServerHandle { addr, thread })
 }
 
@@ -348,7 +350,7 @@ pub fn spawn_store(
 }
 
 impl Shared {
-    /// The consistent live `(context, index)` pair, under one read lock.
+    /// The live context and its epoch pair, under one read lock.
     fn live(&self) -> LiveState {
         self.live.read().expect("live lock poisoned").clone()
     }
@@ -389,8 +391,8 @@ impl Service for Shared {
                 }
             }
             Request::Batch { nodes, k } => {
-                // One live pair for the whole batch: every answer comes from
-                // the same graph epoch.
+                // One live state for the whole batch: every answer comes
+                // from the same graph epoch.
                 let live = self.live();
                 let mut results = Vec::with_capacity(nodes.len());
                 let mut cached = 0u64;
@@ -406,7 +408,7 @@ impl Service for Shared {
                 Reply::Batch(BatchReply {
                     results,
                     cached,
-                    epoch: live.index.epoch(),
+                    epoch: live.index_epoch,
                     graph_epoch: live.graph_epoch,
                 })
             }
@@ -424,7 +426,7 @@ impl Service for Shared {
                 let mut store = self.store.lock().expect("store lock poisoned");
                 let merged = merge_pending(self, &mut store);
                 Reply::Flush {
-                    epoch: self.live().index.epoch(),
+                    epoch: store.index.epoch(),
                     merged,
                 }
             }
@@ -456,7 +458,7 @@ impl Service for Shared {
                         shards: s.shards(),
                         seed: s.seed(),
                     }),
-                    epoch: live.index.epoch(),
+                    epoch: live.index_epoch,
                     graph_epoch: live.graph_epoch,
                     nodes: u64::from(live.ctx.graph().num_nodes()),
                     edges: live.ctx.graph().num_edges() as u64,
@@ -467,8 +469,10 @@ impl Service for Shared {
     }
 }
 
-/// Validate and stage a batch of graph updates (all-or-nothing; the
-/// merger's next pass or the next `flush` commits it).
+/// Validate and stage a batch of graph updates (all-or-nothing). A prompt
+/// daemon commits it here, before the reply; a flush-only one leaves it
+/// for the next `flush` or shutdown. Returns the staged op count and the
+/// graph epoch it was staged at.
 fn stage_updates(shared: &Shared, deltas: &[GraphDelta]) -> Result<(u64, u64), String> {
     if shared.partition.is_some() {
         // A partition is a fixed labelling of a fixed node set; growing or
@@ -476,20 +480,19 @@ fn stage_updates(shared: &Shared, deltas: &[GraphDelta]) -> Result<(u64, u64), S
         return Err("live updates are not supported on bichromatic servers".into());
     }
     let mut store = shared.store.lock().expect("store lock poisoned");
-    let before = store.pending_deltas();
-    let staged = store.stage_all(deltas).map_err(|e| e.to_string())? as u64;
+    let before = store.graph.pending_deltas();
+    let staged = store.graph.stage_all(deltas).map_err(|e| e.to_string())? as u64;
     // Count *effective* staged deltas, not ops: a batch's ops can collapse
     // onto one overlay entry (rm X + re-add X), and the gauge must agree
     // with what the store will actually hand to the commit.
     shared
         .metrics
         .updates_staged
-        .add((store.pending_deltas() - before) as u64);
-    let graph_epoch = store.graph_epoch();
-    drop(store);
-    // Wake the merger: staged updates commit on its next pass without
-    // waiting for query traffic.
-    shared.staged_signal.notify_one();
+        .add((store.graph.pending_deltas() - before) as u64);
+    let graph_epoch = store.graph.graph_epoch();
+    if shared.config.merge_every > 0 {
+        merge_pending(shared, &mut store);
+    }
     Ok((staged, graph_epoch))
 }
 
@@ -523,12 +526,7 @@ fn run_query(
 ) -> Result<QueryReply, String> {
     let start = Instant::now();
     shared.metrics.queries.inc();
-    let LiveState {
-        ctx,
-        index,
-        graph_epoch,
-    } = live;
-    let (epoch, graph_epoch) = (index.epoch(), *graph_epoch);
+    let (ctx, epoch, graph_epoch) = (&live.ctx, live.index_epoch, live.graph_epoch);
     // The served strategy reads no index, so the index epoch never keys
     // an entry; the graph epoch keys every one — nothing survives a
     // graph commit.
@@ -681,23 +679,24 @@ fn note_served(
     });
 }
 
-/// The one commit point (the merger, `flush` and shutdown): commit the
+/// The one commit function (an `update` on a prompt daemon, a restored
+/// WAL on a prompt daemon's start, `flush` and shutdown): commit the
 /// staged graph updates; if the graph changed, retire the index, publish
-/// the new `(context, index)` pair and purge the stranded cache entries;
-/// then checkpoint. The caller holds the store lock throughout, so two
+/// the new live context and purge the stranded cache entries; then
+/// checkpoint. The caller holds the store lock throughout, so two
 /// commits cannot publish out of order. Returns how many staged deltas it
 /// committed (0: nothing was staged).
-fn merge_pending(shared: &Shared, store: &mut GraphStore) -> u64 {
-    let staged = store.pending_deltas();
+fn merge_pending(shared: &Shared, store: &mut Store) -> u64 {
+    let staged = store.graph.pending_deltas();
     if staged == 0 {
         return 0;
     }
     let pass_start = Instant::now();
-    let epoch_before = store.graph_epoch();
+    let epoch_before = store.graph.graph_epoch();
     // The store patches its previous snapshot: only the CSR rows the
     // staged edges touch are rebuilt, the rest are copied.
-    let snapshot = store.commit();
-    let graph_epoch = store.graph_epoch();
+    let snapshot = store.graph.commit();
+    let graph_epoch = store.graph.graph_epoch();
     // The commit drained the store; every staging op happens under the
     // store lock we hold, so zero is the authoritative count.
     shared.metrics.updates_staged.set(0);
@@ -710,22 +709,18 @@ fn merge_pending(shared: &Shared, store: &mut GraphStore) -> u64 {
         // The graph changed: retire the index (rank knowledge from the
         // old graph is unsound on the new one) and build a context for
         // the new snapshot.
-        let k_max = shared
-            .live
-            .read()
-            .expect("live lock poisoned")
-            .index
-            .k_max();
-        let mut index = RkrIndex::empty(snapshot.num_nodes(), k_max);
+        let mut index = RkrIndex::empty(snapshot.num_nodes(), store.index.k_max());
         index.set_graph_epoch(graph_epoch);
         let index_epoch = index.epoch();
+        store.index = index;
         let ctx = build_context(snapshot, &shared.partition);
-        // The merger pays the transpose build, not the first query.
+        // The committing worker pays the transpose build, not the first
+        // query.
         ctx.sds_graph();
         *shared.live.write().expect("live lock poisoned") = LiveState {
             ctx: Arc::new(ctx),
-            index: Arc::new(index),
             graph_epoch,
+            index_epoch,
         };
         if let Some(cache) = &shared.cache {
             cache
@@ -752,47 +747,26 @@ fn merge_pending(shared: &Shared, store: &mut GraphStore) -> u64 {
     staged as u64
 }
 
-/// Persist the serving state — committed graph, live index, and any
+/// Persist the serving state — committed graph, index, and any
 /// staged-but-uncommitted deltas as the WAL — to the configured snapshot
 /// path, recording the duration in `rkrd_checkpoint_seconds` (successes
 /// only — a failed checkpoint is a logged error, not a latency sample).
-/// The caller holds the store lock, under which alone the index changes,
-/// so the bundle is a consistent cut. Returns the
-/// `(index epoch, graph epoch)` pair the bundle holds.
-fn checkpoint_locked(shared: &Shared, store: &GraphStore) -> Result<(u64, u64), String> {
+/// The caller holds the store lock, so the bundle is a consistent cut.
+/// Returns the `(index epoch, graph epoch)` pair the bundle holds.
+fn checkpoint_locked(shared: &Shared, store: &Store) -> Result<(u64, u64), String> {
     let start = Instant::now();
     let path = shared
         .config
         .snapshot
         .as_deref()
         .ok_or("this daemon has no snapshot path (start it with --snapshot FILE)")?;
-    let index = Arc::clone(&shared.live.read().expect("live lock poisoned").index);
-    save_snapshot(store, &index, path)
+    save_snapshot(&store.graph, &store.index, path)
         .map_err(|e| format!("checkpoint to {} failed: {e}", path.display()))?;
     shared
         .metrics
         .checkpoint_seconds
         .record(duration_ns(start.elapsed()));
-    Ok((index.epoch(), store.graph_epoch()))
-}
-
-/// The merger (run only when `merge_every` is nonzero): commits staged
-/// updates as soon as a batch is staged, until shutdown. The final commit
-/// happens in `serve` after every worker has joined, so an update staged
-/// while the merger exits is not lost.
-fn merger_loop(shared: &Shared) {
-    let mut store = shared.store.lock().expect("store lock poisoned");
-    while !shared.shutdown.load(Ordering::Acquire) {
-        merge_pending(shared, &mut store);
-        // Staging happens under this lock, so no batch slips in between
-        // the commit and the wait; the timeout only bounds how late an
-        // unsignalled shutdown is seen.
-        store = shared
-            .staged_signal
-            .wait_timeout(store, Duration::from_millis(50))
-            .expect("store lock poisoned")
-            .0;
-    }
+    Ok((store.index.epoch(), store.graph.graph_epoch()))
 }
 
 /// Refresh every mirror and state gauge from its authoritative source —
@@ -809,7 +783,7 @@ fn refresh_mirrors(shared: &Shared) {
         m.cache_bytes.set(cache.approx_bytes() as u64);
     }
     let live = shared.live.read().expect("live lock poisoned");
-    m.index_epoch.set(live.index.epoch());
+    m.index_epoch.set(live.index_epoch);
     m.graph_epoch.set(live.graph_epoch);
     m.graph_nodes.set(live.ctx.graph().num_nodes() as u64);
     m.graph_edges.set(live.ctx.graph().num_edges() as u64);
@@ -1273,72 +1247,117 @@ mod tests {
         handle.join();
     }
 
+    /// Under any nonzero `merge_every` a staged update commits without an
+    /// explicit `flush`: every query that follows it on the connection is
+    /// answered on the new graph, and a later flush finds nothing to do.
     #[test]
     fn cadence_commits_staged_updates_without_flush() {
         let handle = spawn_grid(ServerConfig {
             workers: 1,
             cache_capacity: 8,
             merge_every: 2,
-            bounds: BoundConfig::ALL,
-            snapshot: None,
             ..Default::default()
         });
         let mut client = Client::connect(handle.addr()).unwrap();
         client
             .update(&[GraphDelta::Reweight { u: 0, v: 1, w: 9.0 }])
             .unwrap();
-        // the merger commits the staged reweight without any explicit
-        // flush while queries keep arriving
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            for n in 0..4 {
-                client.query(n, 2).unwrap();
-            }
-            let stats = client.stats().unwrap();
-            if stats.graph_epoch >= 1 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "cadence never committed the staged update: {stats:?}"
-            );
+        for n in 0..4 {
+            let reply = client.query(n, 2).unwrap();
+            assert_eq!(reply.graph_epoch, 1, "query {n} saw the staged graph");
         }
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.graph_epoch, stats.graph_commits), (1, 1));
+        let (_, merged) = client.flush().unwrap();
+        assert_eq!(merged, 0, "the cadence already committed the reweight");
         client.shutdown().unwrap();
         assert_eq!(handle.join().graph_epoch, 1);
     }
 
-    /// Liveness: an update-only client (no query traffic at all) must
-    /// still see its staged updates commit when `merge_every` is nonzero —
-    /// updates are not allowed to wait for reads that may never come.
+    /// A prompt daemon commits an `update` before replying: with no
+    /// `flush` and no query traffic, the next request on the connection
+    /// already sees the new graph. The reply still names the epoch the
+    /// batch was staged at.
     #[test]
     fn updates_commit_without_query_traffic() {
         let handle = spawn_grid(ServerConfig {
             workers: 1,
             cache_capacity: 8,
             merge_every: 64,
-            bounds: BoundConfig::ALL,
-            snapshot: None,
             ..Default::default()
         });
         let mut client = Client::connect(handle.addr()).unwrap();
-        client
-            .update(&[GraphDelta::RemoveEdge { u: 0, v: 1 }])
+        let (staged, staged_at) = client
+            .update(&[
+                GraphDelta::AddNode,
+                GraphDelta::AddEdge {
+                    u: 4,
+                    v: 0,
+                    w: 0.01,
+                },
+            ])
             .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            let stats = client.stats().unwrap();
-            if stats.graph_epoch == 1 {
-                assert_eq!(stats.queries, 0, "stats must not count as queries");
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "update never committed without query traffic: {stats:?}"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        assert_eq!((staged, staged_at), (2, 0));
+
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            stats.graph_epoch, 1,
+            "the update committed before its reply"
+        );
+        assert_eq!(stats.graph_commits, 1);
+        assert_eq!(stats.merges, 1);
+        assert_eq!(stats.queries, 0, "stats must not count as queries");
+        let snap = client.metrics().unwrap();
+        assert_eq!(counter_value(&snap, "rkrd_updates_staged"), 0);
+
+        let reply = client.query(0, 2).unwrap();
+        assert_eq!(reply.graph_epoch, 1);
+        assert!(
+            reply.entries.iter().any(|&(n, _)| n == 4),
+            "node 4 sits at distance 0.01 from the query node: {:?}",
+            reply.entries
+        );
+        let (_, merged) = client.flush().unwrap();
+        assert_eq!(merged, 0, "nothing is left for a flush to commit");
         client.shutdown().unwrap();
         assert_eq!(handle.join().graph_epoch, 1);
+    }
+
+    /// A prompt daemon commits the WAL deltas a restored bundle carries
+    /// before it answers anything; a flush-only one leaves them staged
+    /// until asked.
+    #[test]
+    fn restored_wal_commits_before_the_first_reply_on_a_prompt_daemon() {
+        let path = std::env::temp_dir().join(format!("rkr-srv-wal-{}.rkrsnap", std::process::id()));
+        let mut store = GraphStore::new(grid());
+        store
+            .stage_all(&[GraphDelta::Reweight { u: 0, v: 1, w: 9.0 }])
+            .unwrap();
+        save_snapshot(&store, &RkrIndex::empty(4, 16), &path).unwrap();
+        for (merge_every, graph_epoch) in [(64, 1), (0, 0)] {
+            let (store, index) = rkranks_core::load_snapshot(&path).unwrap();
+            assert_eq!(store.pending_deltas(), 1, "the bundle carries the WAL");
+            let handle = spawn_store(
+                store,
+                None,
+                index,
+                "127.0.0.1:0",
+                ServerConfig {
+                    workers: 1,
+                    merge_every,
+                    ..Default::default()
+                },
+            )
+            .expect("bind loopback");
+            let mut client = Client::connect(handle.addr()).unwrap();
+            let stats = client.stats().unwrap();
+            assert_eq!(stats.graph_epoch, graph_epoch, "merge_every {merge_every}");
+            let staged = counter_value(&client.metrics().unwrap(), "rkrd_updates_staged");
+            assert_eq!(staged, 1 - graph_epoch, "merge_every {merge_every}");
+            client.shutdown().unwrap();
+            assert_eq!(handle.join().graph_epoch, 1, "shutdown commits the rest");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! The daemon checkpoints one self-describing bundle — committed graph,
-//! learned index, the epoch pair, and a WAL of staged-but-uncommitted
-//! deltas — after every state-changing merge and at shutdown. This example
+//! index, the epoch pair, and a WAL of staged-but-uncommitted deltas —
+//! after every commit of staged updates and at shutdown. This example
 //! runs two daemon "lives" in one process: the first absorbs a live graph
 //! update and shuts down; the second starts from nothing but the bundle
 //! and must answer rank-identically at the same graph epoch.
@@ -33,7 +33,7 @@ fn main() {
         ..Default::default()
     };
 
-    // First life: serve, commit a live update, learn from queries, die.
+    // First life: serve, commit a live update, die.
     let handle = spawn_store(
         GraphStore::new(g),
         None,
@@ -52,8 +52,7 @@ fn main() {
                 w: 0.05,
             },
         ])
-        .expect("stage the live update");
-    client.flush().expect("commit it");
+        .expect("the live update commits before its reply");
     let before = client.query(5, 10).expect("pre-restart query");
     println!(
         "life 1: answered at graph epoch {} -> {:?}",

@@ -20,7 +20,7 @@
 //! rkr ctl <HOST:PORT> stats [--json] | flush | checkpoint | shutdown
 //! rkr ctl <HOST:PORT> metrics [--prom|--json] | slow-queries [--json]
 //! rkr ctl <HOST:PORT> add-edge U V W | rm-edge U V | reweight U V W | add-node
-//! rkr update <HOST:PORT> --from FILE [--batch N] [--no-flush]
+//! rkr update <HOST:PORT> --from FILE [--batch N]
 //! ```
 //!
 //! `STRATEGY` is the unified `rkranks_core::Strategy` string form —
@@ -30,7 +30,8 @@
 //! replaces the old ad-hoc flag combinations. The daemon serves one
 //! strategy, `dynamic-three`, so `query --remote` takes no `--algo`.
 //! A flag the run would not read fails the command before it starts:
-//! `--index` and `--save-index` need a local `indexed-*` run.
+//! `--index` and `--save-index` need a local `indexed-*` run, and a
+//! positional argument past the ones a command reads fails too.
 //!
 //! A thin shell over the library — everything it does is a few calls into
 //! the public API. Queries build a `QueryRequest` and go through the one
@@ -48,8 +49,10 @@
 //! the daemon reads no index (it checkpoints the snapshot bundle's, or
 //! an empty one). The daemon's graph is *live*:
 //! `ctl add-edge`/`rm-edge`/`reweight`/`add-node` stage single updates and
-//! `rkr update --from FILE` streams a whole update file in batches; each
-//! commit publishes a fresh graph snapshot under a bumped graph epoch and
+//! `rkr update --from FILE` streams a whole update file in batches. The
+//! daemon commits each update before it replies, and both commands flush
+//! before they print, so a change is live when they return; each commit
+//! publishes a fresh graph snapshot under a bumped graph epoch and
 //! retires the index (stale rank knowledge is unsound on a changed graph).
 //!
 //! `serve --snapshot FILE` makes the daemon durable: load-or-create — an
@@ -117,7 +120,7 @@ const USAGE: &str = "usage:
   rkr ctl <HOST:PORT> stats [--json] | flush | checkpoint | shutdown
   rkr ctl <HOST:PORT> metrics [--prom|--json] | slow-queries [--json]
   rkr ctl <HOST:PORT> add-edge U V W | rm-edge U V | reweight U V W | add-node
-  rkr update <HOST:PORT> --from FILE [--batch N] [--no-flush]
+  rkr update <HOST:PORT> --from FILE [--batch N]
 
 STRATEGY: naive | static | dynamic[-parent|-height|-count|-three]
         | indexed[-parent|-height|-count|-three]
@@ -192,52 +195,61 @@ impl Flags {
 
 type Command = fn(&Flags) -> Result<(), String>;
 
-/// Each command, its handler, and every flag or switch it accepts
-/// (space-separated): the one list a command line is checked against
-/// before any work starts, so a typo'd or retired flag fails instead of
-/// being ignored. A unit test keeps the lists equal to USAGE.
-const COMMANDS: [(&str, Command, &str); 10] = [
-    ("gen", cmd_gen, "scale seed out"),
-    ("stats", cmd_stats, ""),
+/// Each command, its handler, the most positional arguments it reads
+/// after its name, and every flag or switch it accepts (space-separated):
+/// the one list a command line is checked against before any work
+/// starts, so a typo'd or retired flag, or an argument the command would
+/// not read, fails instead of being ignored. `ctl`'s operation decides
+/// its own count (`cmd_ctl`). A unit test keeps the lists equal to USAGE.
+const COMMANDS: [(&str, Command, usize, &str); 10] = [
+    ("gen", cmd_gen, 1, "scale seed out"),
+    ("stats", cmd_stats, 1, ""),
     (
         "build-index",
         cmd_build_index,
+        1,
         "out h m kmax strategy threads",
     ),
     (
         "query",
         cmd_query,
+        1,
         "remote node k algo deadline-ms refine-budget trace index save-index no-cache",
     ),
-    ("batch", cmd_batch, "queries k algo threads index seed"),
+    ("batch", cmd_batch, 1, "queries k algo threads index seed"),
     (
         "serve",
         cmd_serve,
+        1,
         "addr workers cache snapshot high-water max-line log-level slow-query-ms \
          shard-id shard-count shard-seed",
     ),
-    ("shard-plan", cmd_shard_plan, "shards seed"),
+    ("shard-plan", cmd_shard_plan, 1, "shards seed"),
     (
         "coord",
         cmd_coord,
+        0,
         "shards addr max-line shard-timeout-ms log-level",
     ),
-    ("ctl", cmd_ctl, "json prom"),
-    ("update", cmd_update, "from batch no-flush"),
+    ("ctl", cmd_ctl, usize::MAX, "json prom"),
+    ("update", cmd_update, 1, "from batch"),
 ];
 
 fn run(args: Vec<String>) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     let name = flags.positional.first().map(String::as_str);
-    let (cmd, handler, accepted) = COMMANDS
+    let (cmd, handler, arity, accepted) = COMMANDS
         .iter()
-        .find(|(cmd, _, _)| Some(*cmd) == name)
+        .find(|(cmd, _, _, _)| Some(*cmd) == name)
         .ok_or("missing or unknown command")?;
     if let Some(bad) = flags
         .names()
         .find(|n| !accepted.split_whitespace().any(|a| a == *n))
     {
         return Err(format!("unknown flag --{bad} for 'rkr {cmd}'"));
+    }
+    if let Some(extra) = flags.positional.get(arity.saturating_add(1)) {
+        return Err(format!("unexpected argument '{extra}' for 'rkr {cmd}'"));
     }
     handler(&flags)
 }
@@ -724,8 +736,8 @@ fn cmd_update(flags: &Flags) -> Result<(), String> {
         let (staged, _) = client.update(chunk).map_err(|e| {
             if staged_total > 0 {
                 format!(
-                    "{e} ({staged_total} updates from earlier --batch chunks remain staged \
-                     and commit at the daemon's next merger pass or flush)"
+                    "{e} ({staged_total} updates from earlier --batch chunks were accepted \
+                     and are not rolled back)"
                 )
             } else {
                 format!("{e} (nothing was staged)")
@@ -733,18 +745,14 @@ fn cmd_update(flags: &Flags) -> Result<(), String> {
         })?;
         staged_total += staged;
     }
-    if flags.has("no-flush") {
-        println!(
-            "staged {staged_total} updates (committed by the daemon's next merger pass or flush)"
-        );
-    } else {
-        client.flush().map_err(|e| e.to_string())?;
-        let stats = client.stats().map_err(|e| e.to_string())?;
-        println!(
-            "applied {staged_total} updates (graph epoch {}, {} nodes / {} edges)",
-            stats.graph_epoch, stats.graph_nodes, stats.graph_edges
-        );
-    }
+    // A prompt daemon has committed every chunk already; the flush commits
+    // what a flush-only one still holds.
+    client.flush().map_err(|e| e.to_string())?;
+    let stats = client.stats().map_err(|e| e.to_string())?;
+    println!(
+        "applied {staged_total} updates (graph epoch {}, {} nodes / {} edges)",
+        stats.graph_epoch, stats.graph_nodes, stats.graph_edges
+    );
     Ok(())
 }
 
@@ -754,10 +762,18 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
         .positional
         .get(2)
         .ok_or("ctl needs an operation (stats|metrics|slow-queries|flush|checkpoint|shutdown)")?;
-    // An update is parsed before connecting: a bad one never reaches the
-    // daemon, and a token it would not read fails the run.
+    // Every argument is checked before connecting: an update is parsed, so
+    // a bad one never reaches the daemon, and a token no operation would
+    // read fails the run.
     let update = match op.as_str() {
-        "stats" | "metrics" | "slow-queries" | "flush" | "checkpoint" | "shutdown" => None,
+        "stats" | "metrics" | "slow-queries" | "flush" | "checkpoint" | "shutdown" => {
+            if let Some(extra) = flags.positional.get(3) {
+                return Err(format!(
+                    "unexpected argument '{extra}' for 'rkr ctl ADDR {op}'"
+                ));
+            }
+            None
+        }
         "add-edge" | "rm-edge" | "reweight" | "add-node" => {
             Some(parse_update(&flags.positional[2..].join(" "))?)
         }
@@ -940,6 +956,11 @@ fn cmd_query_remote(flags: &Flags, addr: &str) -> Result<(), String> {
         "with --remote (rkrd serves dynamic-three only; run other strategies \
          in-process with rkr query or rkr batch)",
     )?;
+    if let Some(graph) = flags.positional.get(1) {
+        return Err(format!(
+            "a graph file ('{graph}') has no effect with --remote (the daemon holds its own)"
+        ));
+    }
     // The wire protocol carries deadline_ms; a silently dropped budget
     // would look like an unbounded query, so refuse it.
     if flags.get("refine-budget").is_some() {
@@ -1140,12 +1161,12 @@ mod tests {
     fn usage_and_the_accepted_flag_lists_agree() {
         let usage = usage_flags();
         let commands: Vec<&str> = usage.iter().map(|(c, _)| *c).collect();
-        let listed: Vec<&str> = COMMANDS.iter().map(|(c, _, _)| *c).collect();
+        let listed: Vec<&str> = COMMANDS.iter().map(|(c, _, _, _)| *c).collect();
         assert_eq!(
             commands, listed,
             "USAGE and COMMANDS name different commands"
         );
-        for ((cmd, shown), (_, _, accepted)) in usage.iter().zip(&COMMANDS) {
+        for ((cmd, shown), (_, _, _, accepted)) in usage.iter().zip(&COMMANDS) {
             let accepted: Vec<&str> = accepted.split_whitespace().collect();
             for flag in shown {
                 assert!(accepted.contains(flag), "USAGE shows --{flag} for {cmd}");
@@ -1156,6 +1177,18 @@ mod tests {
                     "{cmd} accepts --{flag}, USAGE omits it"
                 );
             }
+        }
+    }
+
+    /// A command reads as many positional arguments as the `<…>`
+    /// placeholders on its first USAGE line (`ctl`'s operation decides
+    /// its own count).
+    #[test]
+    fn usage_and_the_positional_arities_agree() {
+        for (cmd, _, arity, _) in COMMANDS.iter().filter(|c| c.0 != "ctl") {
+            let prefix = format!("  rkr {cmd} ");
+            let line = USAGE.lines().find(|l| l.starts_with(&prefix)).unwrap();
+            assert_eq!(line.matches('<').count(), *arity, "{line}");
         }
     }
 }

@@ -214,6 +214,65 @@ fn updates_parse_before_connecting() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A positional argument no command would read fails the run before any
+/// connect or load: `ctl`'s non-update operations take exactly an address
+/// and an operation, `update` an address, `stats` a graph file, and a
+/// remote query none.
+#[test]
+fn extra_positional_arguments_fail_before_any_work() {
+    let dir = scratch_dir("extra-args");
+    let dead = "127.0.0.1:1";
+    std::fs::write(dir.join("ups.txt"), "add-node\n").unwrap();
+    let ops = [
+        "stats",
+        "metrics",
+        "slow-queries",
+        "flush",
+        "checkpoint",
+        "shutdown",
+    ];
+    let mut cases: Vec<(Vec<&str>, &str)> = ops
+        .into_iter()
+        .map(|op| {
+            (
+                vec!["ctl", dead, op, "extra"],
+                "unexpected argument 'extra'",
+            )
+        })
+        .collect();
+    cases.extend([
+        (
+            vec!["ctl", dead, "shutdown", "now", "please"],
+            "unexpected argument 'now'",
+        ),
+        (
+            vec!["update", dead, "extra", "--from", "ups.txt"],
+            "unexpected argument 'extra' for 'rkr update'",
+        ),
+        (
+            vec!["stats", "/x.edges", "extra"],
+            "unexpected argument 'extra' for 'rkr stats'",
+        ),
+        (
+            vec!["query", "--remote", dead, "g.edges", "--node", "1"],
+            "a graph file ('g.edges') has no effect with --remote",
+        ),
+    ]);
+    for (args, expected) in cases {
+        let out = rkr(&dir, &args);
+        assert!(!out.status.success(), "rkr {args:?} unexpectedly succeeded");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expected), "rkr {args:?}: {stderr}");
+        for later in ["cannot connect", "cannot load", "cannot read"] {
+            assert!(
+                !stderr.contains(later),
+                "rkr {args:?} got as far as: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn bad_usage_fails_with_usage_message() {
     let dir = scratch_dir("usage");

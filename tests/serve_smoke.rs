@@ -1,8 +1,10 @@
 //! End-to-end smoke test of the serving path through the real `rkr`
 //! binary: start `rkrd` on an ephemeral port, query it remotely, check the
 //! result is rank-identical to the in-process dynamic query, exercise the
-//! cache and the control ops, and shut it down cleanly. The CI loopback
-//! smoke job runs this same scenario via `scripts/serve_smoke.sh`.
+//! cache, the control ops, live updates (single ops and one file batch
+//! that patches a hub's row), metrics and a snapshot restart, and shut it
+//! down cleanly. CI's loopback smoke job runs this suite in release
+//! mode.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -112,8 +114,7 @@ fn remote_queries_match_in_process_and_shutdown_is_clean() {
     assert!(flush.contains("epoch"), "{flush}");
 
     // live update round-trip: a new node at distance 0.01 from node 17
-    // has rank 1 and must change that query's answer (mirrors the
-    // scripts/serve_smoke.sh scenario)
+    // has rank 1 and must change that query's answer
     let before = parse_result(&rkr_ok(
         &dir,
         &["query", "--remote", &addr, "--node", "17", "--k", "4"],
@@ -170,15 +171,84 @@ fn remote_queries_match_in_process_and_shutdown_is_clean() {
     ));
     assert_equivalent("post-update node 17", &after, &local);
 
-    // file-driven batched updates land too
-    std::fs::write(dir.join("ups.txt"), "add-node\n").unwrap();
+    // File-driven updates land as one commit: a batch that removes the
+    // hub's heaviest edge, reweights its lightest past every other edge of
+    // its row, and adds a node wired to the hub and to node 17 patches the
+    // hub's row, its neighbours' rows and an appended row.
+    let edge = |l: &str| -> (u32, u32, f64) {
+        let mut it = l.split_whitespace().map(str::parse::<f64>);
+        let mut next = || it.next().unwrap().unwrap();
+        (next() as u32, next() as u32, next())
+    };
+    let mut degree = vec![0u32; nodes as usize];
+    for (u, v, _) in edges.lines().skip(1).map(edge) {
+        degree[u as usize] += 1;
+        degree[v as usize] += 1;
+    }
+    let hub = (0..nodes)
+        .max_by_key(|&n| (degree[n as usize], u32::MAX - n))
+        .unwrap();
+    assert_ne!(hub, 17, "the batch wires the new node to both");
+    let hub_edges: Vec<(u32, u32, f64)> = edges
+        .lines()
+        .skip(1)
+        .map(edge)
+        .filter(|&(u, v, _)| u == hub || v == hub)
+        .collect();
+    let by_weight = |a: &&(u32, u32, f64), b: &&(u32, u32, f64)| a.2.total_cmp(&b.2);
+    let (rw_u, rw_v, _) = *hub_edges.iter().min_by(by_weight).unwrap();
+    let (rm_u, rm_v, _) = *hub_edges.iter().max_by(by_weight).unwrap();
+    let new = nodes + 1;
+    std::fs::write(
+        dir.join("ups.txt"),
+        format!(
+            "add-node\nadd {new} {hub} 0.05\nadd {new} 17 0.3\nrm {rm_u} {rm_v}\n\
+             reweight {rw_u} {rw_v} 1.9\n"
+        ),
+    )
+    .unwrap();
     let update_out = rkr_ok(&dir, &["update", &addr, "--from", "ups.txt"]);
-    assert!(update_out.contains("applied 1 updates"), "{update_out}");
+    assert!(update_out.contains("applied 5 updates"), "{update_out}");
     let stats = rkr_ok(&dir, &["ctl", &addr, "stats"]);
     assert!(
         stats.contains(&format!("({} nodes", nodes + 2)),
         "rkr update --from did not land:\n{stats}"
     );
+    let mut rebuilt = format!("undirected {}\n", nodes + 2);
+    for l in std::fs::read_to_string(dir.join("g2.edges"))
+        .unwrap()
+        .lines()
+        .skip(1)
+    {
+        match edge(l) {
+            (u, v, _) if (u, v) == (rm_u, rm_v) => continue,
+            (u, v, _) if (u, v) == (rw_u, rw_v) => rebuilt.push_str(&format!("{u} {v} 1.9\n")),
+            _ => rebuilt.push_str(&format!("{l}\n")),
+        }
+    }
+    rebuilt.push_str(&format!("{new} {hub} 0.05\n{new} 17 0.3\n"));
+    std::fs::write(dir.join("g3.edges"), rebuilt).unwrap();
+    for q in [17, hub, new].map(|n| n.to_string()) {
+        let remote = rkr_ok(
+            &dir,
+            &["query", "--remote", &addr, "--node", &q, "--k", "4"],
+        );
+        assert!(
+            remote.contains("graph epoch 3"),
+            "the file batch must be one commit:\n{remote}"
+        );
+        let local = rkr_ok(
+            &dir,
+            &[
+                "query", "g3.edges", "--node", &q, "--k", "4", "--algo", "dynamic",
+            ],
+        );
+        assert_equivalent(
+            &format!("file batch, node {q} (hub {hub})"),
+            &parse_result(&remote),
+            &parse_result(&local),
+        );
+    }
 
     // clean shutdown: the ctl op succeeds and the daemon exits 0
     rkr_ok(&dir, &["ctl", &addr, "shutdown"]);
@@ -199,9 +269,10 @@ fn remote_queries_match_in_process_and_shutdown_is_clean() {
 }
 
 /// Durability end-to-end through the real binary: a daemon started with
-/// `--snapshot` absorbs live updates, checkpoints, and shuts down; a
-/// second daemon restarted from the bundle (no edge file at all) serves
-/// rank-identical answers at the same graph/index epochs.
+/// `--snapshot` absorbs live updates, checkpoints, and shuts down, leaving
+/// the bundle; a second daemon restarted from the bundle (no edge file at
+/// all) announces the restore and serves rank-identical answers at the
+/// same graph/index epochs and graph digest.
 #[test]
 fn snapshot_restart_serves_identical_answers() {
     let dir = temp_dir("restart");
@@ -214,7 +285,13 @@ fn snapshot_restart_serves_identical_answers() {
 
     // The reader must stay alive until the daemon exits: dropping it
     // closes the pipe and the daemon's shutdown banner would hit EPIPE.
-    type Daemon = (DaemonGuard, String, BufReader<std::process::ChildStdout>);
+    // The last field is what the daemon printed up to its address.
+    type Daemon = (
+        DaemonGuard,
+        String,
+        BufReader<std::process::ChildStdout>,
+        String,
+    );
     let spawn_daemon = |args: &[&str]| -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_rkr"))
             .current_dir(&dir)
@@ -227,15 +304,16 @@ fn snapshot_restart_serves_identical_answers() {
         let mut reader = BufReader::new(stdout);
         // On restart a "restored snapshot ..." note precedes the listening
         // banner; scan a few lines for the bound address.
+        let mut banner = String::new();
         for _ in 0..8 {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("rkrd banner");
-            if let Some(tok) = line
+            reader.read_line(&mut banner).expect("rkrd banner");
+            let last = banner.lines().last().unwrap_or_default();
+            if let Some(tok) = last
                 .split_whitespace()
                 .find(|tok| tok.starts_with("127.0.0.1:"))
             {
                 let addr = tok.to_string();
-                return (guard, addr, reader);
+                return (guard, addr, reader, banner);
             }
         }
         panic!("rkrd never printed its bound address");
@@ -261,7 +339,7 @@ fn snapshot_restart_serves_identical_answers() {
     };
 
     // First life: commit two live updates, checkpoint, shut down.
-    let (guard, addr, _keep_stdout) = spawn_daemon(&[
+    let (guard, addr, _keep_stdout, _) = spawn_daemon(&[
         "serve",
         "g.edges",
         "--addr",
@@ -299,11 +377,27 @@ fn snapshot_restart_serves_identical_answers() {
     );
     let stats_before = rkr_ok(&dir, &["ctl", &addr, "stats"]);
     let index_epoch_before = stat_field(&stats_before, "index epoch:");
+    let digest = |stats: &str| {
+        stat_field(stats, "graph:")
+            .rsplit(' ')
+            .next()
+            .unwrap()
+            .to_string()
+    };
+    let digest_before = digest(&stats_before);
+    assert!(
+        digest_before.len() == 16 && digest_before.chars().all(|c| c.is_ascii_hexdigit()),
+        "stats must print a 16-hex-digit graph digest:\n{stats_before}"
+    );
     rkr_ok(&dir, &["ctl", &addr, "shutdown"]);
     wait_for_exit(guard);
+    assert!(
+        dir.join("state.rkrsnap").is_file(),
+        "shutdown left no snapshot bundle"
+    );
 
     // Second life: restart from the bundle alone — no edge file argument.
-    let (guard, addr, _keep_stdout2) = spawn_daemon(&[
+    let (guard, addr, _keep_stdout2, banner) = spawn_daemon(&[
         "serve",
         "--addr",
         "127.0.0.1:0",
@@ -314,6 +408,10 @@ fn snapshot_restart_serves_identical_answers() {
         "--snapshot",
         "state.rkrsnap",
     ]);
+    assert!(
+        banner.contains("restored snapshot"),
+        "the restart must announce the restore:\n{banner}"
+    );
     let after_raw = rkr_ok(
         &dir,
         &["query", "--remote", &addr, "--node", "17", "--k", "4"],
@@ -332,6 +430,11 @@ fn snapshot_restart_serves_identical_answers() {
         stat_field(&stats_after, "index epoch:"),
         index_epoch_before,
         "the index epoch must survive the restart:\n{stats_after}"
+    );
+    assert_eq!(
+        digest(&stats_after),
+        digest_before,
+        "the graph digest must survive the restart"
     );
     rkr_ok(&dir, &["ctl", &addr, "shutdown"]);
     wait_for_exit(guard);
@@ -611,8 +714,8 @@ fn parse_prometheus(text: &str) -> PromScrape {
 /// A flag the command does not accept fails the command before it does
 /// any work — a retired one (the hub-label `distance` flag, the
 /// `event-loop` backend flag, the served index's `index` / `kmax` /
-/// `save-index` and `merge-every` cadence) or a typo alike — instead of
-/// being silently ignored.
+/// `save-index` and `merge-every` cadence, and `rkr update`'s
+/// `no-flush`) or a typo alike — instead of being silently ignored.
 #[test]
 fn serve_rejects_retired_flags() {
     let dir = temp_dir("retired-arg");
@@ -641,6 +744,19 @@ fn serve_rejects_retired_flags() {
             "unhelpful error: {stderr}"
         );
     }
+    // `rkr update` commits what it sends (the daemon commits each update
+    // before replying), so its `--no-flush` is retired too — refused
+    // before the file is read or any daemon is dialled.
+    let out = rkr(
+        &dir,
+        &["update", "127.0.0.1:1", "--from", "ups.txt", "--no-flush"],
+    );
+    assert!(!out.status.success(), "--no-flush must be rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --no-flush for 'rkr update'"),
+        "unhelpful error: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

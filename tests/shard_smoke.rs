@@ -4,10 +4,10 @@
 //! coordinator is rank-identical (tie-aware) to the in-process dynamic
 //! query, route a live update through the coordinator, kill shard 0 (the
 //! replica every read goes to first) and check the survivor still answers
-//! completely, and shut the fleet down cleanly. The CI loopback smoke job runs the same scenario
-//! via `scripts/shard_smoke.sh`.
+//! completely, and shut the fleet down cleanly. CI's loopback smoke job
+//! runs this suite in release mode.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -33,10 +33,13 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 /// Spawn an `rkr` daemon (shard or coordinator) and scrape the bound
-/// address from its banner. The stdout reader is returned alongside:
-/// dropping it closes the pipe and the daemon's shutdown banner would
-/// hit EPIPE.
-fn spawn_daemon(dir: &PathBuf, args: &[&str]) -> (DaemonGuard, String, BufReader<ChildStdout>) {
+/// address from its banner. The stdout reader is returned alongside
+/// (dropping it closes the pipe and the daemon's shutdown banner would
+/// hit EPIPE), and so is everything the daemon printed up to its address.
+fn spawn_daemon(
+    dir: &PathBuf,
+    args: &[&str],
+) -> (DaemonGuard, String, BufReader<ChildStdout>, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_rkr"))
         .current_dir(dir)
         .args(args)
@@ -49,15 +52,16 @@ fn spawn_daemon(dir: &PathBuf, args: &[&str]) -> (DaemonGuard, String, BufReader
     // A shard prints its identity line before the listening banner; scan
     // a few lines for the first bound address (it may carry punctuation,
     // e.g. the coordinator's "listening on ADDR, fronting ...").
+    let mut banner = String::new();
     for _ in 0..8 {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("daemon banner");
-        if let Some(tok) = line
+        reader.read_line(&mut banner).expect("daemon banner");
+        let last = banner.lines().last().unwrap_or_default();
+        if let Some(tok) = last
             .split_whitespace()
             .find(|tok| tok.starts_with("127.0.0.1:"))
         {
             let addr = tok.trim_end_matches(',').to_string();
-            return (guard, addr, reader);
+            return (guard, addr, reader, banner);
         }
     }
     panic!("daemon never printed its bound address");
@@ -90,8 +94,14 @@ fn fleet_matches_single_box_and_answers_completely_on_shard_loss() {
         &dir,
         &["shard-plan", "g.edges", "--shards", "2", "--seed", "7"],
     );
-    assert!(plan.contains("shard plan for"), "{plan}");
-    assert!(plan.contains("rkr coord --shards"), "{plan}");
+    for needle in [
+        "shard plan for",
+        "shard   0:",
+        "shard   1:",
+        "rkr coord --shards",
+    ] {
+        assert!(plan.contains(needle), "no {needle:?} in:\n{plan}");
+    }
 
     // fleet up: 2 shards + the coordinator, all on ephemeral ports
     let shard_args = |id: &'static str| {
@@ -112,10 +122,12 @@ fn fleet_matches_single_box_and_answers_completely_on_shard_loss() {
             "7",
         ]
     };
-    let (mut shard0_guard, shard0, _keep0) = spawn_daemon(&dir, &shard_args("0"));
-    let (shard1_guard, shard1, _keep1) = spawn_daemon(&dir, &shard_args("1"));
+    let (mut shard0_guard, shard0, _keep0, banner0) = spawn_daemon(&dir, &shard_args("0"));
+    let (shard1_guard, shard1, _keep1, banner1) = spawn_daemon(&dir, &shard_args("1"));
+    assert!(banner0.contains("serving as shard 0/2"), "{banner0}");
+    assert!(banner1.contains("serving as shard 1/2"), "{banner1}");
     let fleet = format!("{shard0},{shard1}");
-    let (coord_guard, coord, _keepc) = spawn_daemon(
+    let (coord_guard, coord, mut coord_out, _) = spawn_daemon(
         &dir,
         &["coord", "--shards", &fleet, "--addr", "127.0.0.1:0"],
     );
@@ -271,6 +283,9 @@ fn fleet_matches_single_box_and_answers_completely_on_shard_loss() {
     // surviving shard keeps serving until told otherwise
     rkr_ok(&dir, &["ctl", &coord, "shutdown"]);
     wait_for_exit(coord_guard, "coordinator");
+    let mut farewell = String::new();
+    coord_out.read_to_string(&mut farewell).unwrap();
+    assert!(farewell.contains("coordinator stopped"), "{farewell}");
     rkr_ok(
         &dir,
         &["query", "--remote", &shard1, "--node", "5", "--k", "4"],
