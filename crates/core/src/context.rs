@@ -112,6 +112,60 @@
 //! jumping the next guess straight to `R`'s k-th rank after a rejected
 //! pass (no counter moved: none of the 44 rejected passes ends with `R`
 //! full, so there is no k-th rank to jump to).
+//!
+//! ## Pendant leaves
+//!
+//! Theorem 2's parent bound is *exact* for a pendant leaf (ROADMAP 29).
+//! Take an undirected graph and a node `t ≠ q` whose only neighbour is
+//! `u`, at weight `w`. Every path from `t` leaves through `u`, so
+//! `d(t,x) = w + d(u,x)` for every `x ≠ t`, `d(t,q) = w + d(u,q)` among
+//! them, and `x ∈ S(t)` iff `d(u,x) < d(u,q)`:
+//! `S(t) = (S(u) ∪ {u}) ∖ {t}`, that is
+//!
+//! `Rank(t,q) = Rank(u,q) + [u counted ∧ d(u,q) > 0] − [t counted ∧ w < d(u,q)]`,
+//!
+//! and `Rank(t,q) = 1` when `u = q` (nothing is closer to `t` than `q`).
+//! The `d(u,q) > 0` guard is the anchor's zero-weight corner again: at
+//! `d(u,q) = 0`, `u` is exactly as far from `t` as `q` is, not closer. `t`
+//! leaves the count only if it was in `S(u)`, at `w < d(u,q)`.
+//!
+//! **Rule.** When a dynamic pass's refinement of `u`, popped at `d`,
+//! returns `Exact(r)`, `sds_pass` scans `u`'s row and offers each pendant
+//! candidate `t ≠ q` this context owns to `R` at that rank, and records it
+//! as `t`'s `eff_lb`; the `Root` pop offers `q`'s own pendants at 1. What
+//! pays is *when*: `R` fills and `kRank` tightens before the leaves are
+//! popped, so more of the pass prunes (ranking a leaf at its own pop
+//! instead cut 0.2 % of the pushes). A popped pendant records
+//! [`PopDecision::Pendant`] and is neither refined nor expanded: its only
+//! arc leads back to `u`. No scratch array marks the offered leaves: a
+//! popped candidate of degree 1 whose SDS parent is `q` or a candidate
+//! this context owns was offered, because in a pass with the rule a
+//! candidate is expanded only after an `Exact` refinement. (A stamped
+//! flag for it raised `serve_churn`'s `peak_rss_mb` from 43.3 to 43.8 MB:
+//! the daemon keeps one scratch per worker.) Nor is there a per-context
+//! list of each node's pendants: the row scan measured the whole gain, and
+//! a table would be one more structure per context, rebuilt on every
+//! commit.
+//!
+//! **Late pops.** A refinement at pop distance `d` counts what lies
+//! strictly within `d` of its node, whether `d` is the true distance or a
+//! late one (ROADMAP 28). `t` is reachable only through `u`, so it is
+//! popped at `d + w`, where a refinement of `t` would count
+//! `{x : d(u,x) < d}`: the formula above, evaluated on `u`'s count at `d`.
+//! So the offer is the rank `t`'s own refinement would have claimed at
+//! its pop, late or not — exact at the true distance, and at a late one an
+//! over-count for a node dominated by a pruned ancestor, as before.
+//!
+//! **Not for `static`, an index binding or a directed graph.** `static`
+//! keeps Algorithm 1 as written, the independent reference the
+//! benchmark's answer check compares against. Algorithm 4 offers every
+//! settled node's rank to the Reverse Rank Dictionary from the full
+//! enumeration, so a pass with an [`IndexAccess`] keeps it. On a directed
+//! graph, whether `t` is in `S(u)` needs `d(u,t)`, which `t`'s one
+//! out-arc `t → u` does not give (and `epinions_like(Medium)` has 50
+//! out-degree-1 nodes in 15,000). Bichromatic specs and shard slices take
+//! the rule through `is_counted`, `is_candidate` and `owns`: a pendant
+//! another shard owns stays a conduit.
 
 use std::mem;
 use std::sync::{Arc, OnceLock};
@@ -467,6 +521,7 @@ impl EngineContext {
                 k,
                 guess,
                 anchor_above,
+                true,
                 dynamic,
                 index.as_deref_mut(),
                 trace.as_deref_mut(),
@@ -484,6 +539,7 @@ impl EngineContext {
                     pushes: stats.refinement_pushes - before.refinement_pushes,
                     requeues: stats.refinement_requeues - before.refinement_requeues,
                     anchored: stats.anchored_refinements - before.anchored_refinements,
+                    pendants: stats.pendant_offers - before.pendant_offers,
                     anchor,
                 });
             }
@@ -515,7 +571,10 @@ impl EngineContext {
     /// collector, the limit that cut it short, if any, and the pass's
     /// anchor (node, counted ball size), if it froze one: the first plain
     /// refinement to complete with a rank above `anchor_above` (module
-    /// docs, "Anchored refinement"). The caller may
+    /// docs, "Anchored refinement"). `pendants` allows the pendant-leaf
+    /// rule (module docs, "Pendant leaves"), which still runs only where it
+    /// applies: `run_sds` passes `true`, tests `false` for the rule-off
+    /// path. The caller may
     /// use the collector's entries only if a limit tripped (they are exact,
     /// `R` is merely incomplete) or [`TopKCollector::proves_guess`] holds.
     /// Counters accumulate into `stats`, which is also what `limits` is
@@ -528,6 +587,7 @@ impl EngineContext {
         k: u32,
         guess: u32,
         anchor_above: u32,
+        pendants: bool,
         dynamic: Option<BoundConfig>,
         mut index: Option<&mut IndexAccess<'_>>,
         mut trace: Option<&mut QueryTrace>,
@@ -555,6 +615,8 @@ impl EngineContext {
         // Lemma 4 is proven for undirected monochromatic graphs only.
         let count_enabled =
             dynamic.is_some_and(|b| b.use_count) && !graph.is_directed() && !spec.is_bichromatic();
+        // Pendant leaves (module docs): dynamic, index-free, undirected.
+        let pendants = pendants && dynamic.is_some() && index.is_none() && !graph.is_directed();
 
         pred.reset();
         depth2.reset();
@@ -597,12 +659,17 @@ impl EngineContext {
             stats.sds_popped += 1;
             if u == q {
                 record(&mut trace, u, d, PopDecision::Root);
+                if pendants {
+                    // `q`'s pendants rank it first: d = 0 credits nothing.
+                    self.offer_pendants(q, u, 0, 1, &mut collector, eff_lb, in_result, stats);
+                }
                 expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
                 continue;
             }
-            let parent_lb = match pred.get(u.index()) {
-                p if p == u32::MAX || NodeId(p) == q => 0,
-                p => eff_lb.get(p as usize),
+            let parent = NodeId(pred.get(u.index()));
+            let parent_lb = match parent {
+                p if p.0 == u32::MAX || p == q => 0,
+                p => eff_lb.get(p.index()),
             };
             // Every prune below compares against the guess-clamped bound;
             // `collector.k_rank()` stays the real k-th rank.
@@ -627,6 +694,19 @@ impl EngineContext {
                 if !subtree_pruned {
                     expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
                 }
+                continue;
+            }
+
+            // A pendant below `q` or below a candidate this pass refined
+            // (in a pass with the rule, nothing else expands a candidate)
+            // was offered then: its rank is `eff_lb`, its only arc leads
+            // back to `parent`.
+            if pendants
+                && graph.degree(u) == 1
+                && (parent == q || spec.is_candidate(parent) && self.owns(parent))
+            {
+                let rank = eff_lb.get(u.index());
+                record(&mut trace, u, d, PopDecision::Pendant { via: parent, rank });
                 continue;
             }
 
@@ -720,6 +800,9 @@ impl EngineContext {
                             entered_result: entered,
                         },
                     );
+                    if pendants {
+                        self.offer_pendants(q, u, d, r, &mut collector, eff_lb, in_result, stats);
+                    }
                     // Algorithm 1/3: completed refinement ⇒ expand.
                     expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
                 }
@@ -737,6 +820,40 @@ impl EngineContext {
         }
 
         (collector, tripped, anchor)
+    }
+
+    /// Pendant leaves (module docs): offer every degree-1 neighbour `t` of
+    /// `u` to `R` at `Rank(t,q)`, given `u`'s exact rank `r` at its pop
+    /// distance `d` (for `u = q`: `r = 1`, `d = 0`), and record it as `t`'s
+    /// `eff_lb` for `t`'s own pop.
+    #[allow(clippy::too_many_arguments)]
+    fn offer_pendants(
+        &self,
+        q: NodeId,
+        u: NodeId,
+        d: Distance,
+        r: u32,
+        collector: &mut TopKCollector,
+        eff_lb: &mut Stamped<u32>,
+        in_result: &mut Stamped<bool>,
+        stats: &mut QueryStats,
+    ) {
+        let (graph, spec) = (&*self.graph, self.spec());
+        // S(t) = (S(u) ∪ {u}) ∖ {t}: `u` joins when it is strictly closer
+        // to `t` than `q` is, and `t` leaves when it was in `S(u)`.
+        let with_u = r + (spec.is_counted(u) && d > 0) as u32;
+        let (targets, weights) = graph.out_neighbors(u);
+        for (&t, &w) in targets.iter().zip(weights) {
+            if t == q || t == u || graph.degree(t) != 1 || !spec.is_candidate(t) || !self.owns(t) {
+                continue;
+            }
+            let rank = with_u - (spec.is_counted(t) && w < d) as u32;
+            stats.pendant_offers += 1;
+            eff_lb.set(t.index(), rank);
+            if collector.offer(t, rank) {
+                in_result.set(t.index(), true);
+            }
+        }
     }
 }
 

@@ -93,6 +93,36 @@ fn pass(
     dynamic: Option<BoundConfig>,
     binding: &mut Binding,
 ) -> Option<QueryResult> {
+    let (pendants, trace) = (true, None);
+    ruled_pass(
+        ctx,
+        scratch,
+        q,
+        k,
+        guess,
+        anchor_above,
+        pendants,
+        dynamic,
+        binding,
+        trace,
+    )
+}
+
+/// [`pass`] with the pendant rule allowed or not (`sds_pass` still runs it
+/// only where it applies), traced into `trace` if one is given.
+#[allow(clippy::too_many_arguments)]
+fn ruled_pass(
+    ctx: &EngineContext,
+    scratch: &mut QueryScratch,
+    q: NodeId,
+    k: u32,
+    guess: u32,
+    anchor_above: u32,
+    pendants: bool,
+    dynamic: Option<BoundConfig>,
+    binding: &mut Binding,
+    trace: Option<&mut QueryTrace>,
+) -> Option<QueryResult> {
     let limits = Limits::for_request(&QueryRequest::new(q, k));
     let mut stats = QueryStats::default();
     let mut access = binding.access();
@@ -102,9 +132,10 @@ fn pass(
         k,
         guess,
         anchor_above,
+        pendants,
         dynamic,
         access.as_mut(),
-        None,
+        trace,
         &limits,
         &mut stats,
     );
@@ -337,6 +368,10 @@ proptest! {
 /// for k up to `LEAVES`. `K_RANK` lies just below the first rung for
 /// k = 17 (136), so that k takes one pass on any ladder, and far above
 /// the first rung for k = 1 and 2, which climb.
+///
+/// The near leaves are pendants, so a dynamic pass ranks them all the
+/// moment the hub's refinement completes (module docs, "Pendant leaves").
+/// [`ringed_star_with_tail`] is its twin without pendant leaves.
 const LEAVES: u32 = 130;
 const TAIL: u32 = 200;
 const K_RANK: u32 = LEAVES + 5;
@@ -344,6 +379,22 @@ const HUB: NodeId = NodeId(0);
 const Q: NodeId = NodeId(LEAVES + 1);
 
 fn star_with_tail() -> Graph {
+    star_with_tail_builder().build().unwrap()
+}
+
+/// [`star_with_tail`] with a ring of weight 3 through the near leaves. Two
+/// leaves are 2 apart through the hub, so the ring is on no shortest path
+/// and every rank is unchanged, but no near leaf is a pendant: each one is
+/// refined or pruned at its own pop, as in the static algorithm.
+fn ringed_star_with_tail() -> Graph {
+    let mut b = star_with_tail_builder();
+    for leaf in 1..=LEAVES {
+        b.add_edge(leaf, leaf % LEAVES + 1, 3.0).unwrap();
+    }
+    b.build().unwrap()
+}
+
+fn star_with_tail_builder() -> GraphBuilder {
     let mut b = GraphBuilder::new(EdgeDirection::Undirected);
     for leaf in 1..=LEAVES {
         b.add_edge(HUB.0, leaf, 1.0).unwrap();
@@ -354,7 +405,7 @@ fn star_with_tail() -> Graph {
         b.add_edge(prev, t, 1.0).unwrap();
         prev = t;
     }
-    b.build().unwrap()
+    b
 }
 
 #[test]
@@ -435,10 +486,11 @@ fn too_few_reachable_candidates_end_on_the_unbounded_rung() {
 /// Limits are charged against the whole ladder: each rejected pass spends
 /// one refinement (the hub, aborted under the guess), so for k = 1 a
 /// budget of one refinement per pass trips *inside* the last pass, after
-/// the hub's one completed refinement.
+/// the hub's one completed refinement. The leaves are ringed: pendant
+/// leaves would fill `R` from the hub's refinement alone.
 #[test]
 fn budget_trips_in_a_later_pass_with_exact_entries_and_the_real_bound() {
-    let g = star_with_tail();
+    let g = ringed_star_with_tail();
     let ranks = rank_matrix(&g);
     let ctx = EngineContext::new(&g);
     let mut scratch = ctx.new_scratch();
@@ -508,6 +560,7 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
                 s.refinement_pushes,
                 s.refinement_requeues,
                 s.anchored_refinements,
+                s.pendant_offers,
                 s.pruned_by_bound,
             )
         };
@@ -542,6 +595,10 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
             trace.passes.iter().map(|p| p.anchored).sum::<u64>(),
             stats.anchored_refinements
         );
+        assert_eq!(
+            trace.passes.iter().map(|p| p.pendants).sum::<u64>(),
+            stats.pendant_offers
+        );
         assert_eq!(trace.refined_nodes().len() as u64, last.refinements);
         assert!(trace.render(None).starts_with("pass 1 guess "));
     }
@@ -553,7 +610,12 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
 /// hub-avoiding path, and one between two inside spokes. Every candidate
 /// ranks about `SPOKES / 2`, far beyond the first guess for `k = 2`, so
 /// the ladder climbs; every rejected rung aborts the hub, and the accepted
-/// one refines the hub, then every spoke through it.
+/// one refines the hub, then every spoke through it. Heavy chords (3)
+/// join every spoke but `q` to another: two spokes are under 2.6 apart
+/// through the hub, so no chord is on a shortest path, but no spoke is a
+/// pendant that the hub's refinement would rank on the spot (module docs,
+/// "Pendant leaves"). `q` keeps the hub as its only neighbour, so a pass
+/// that prunes the hub reaches nothing else.
 const SPOKES: u32 = 300;
 const SPOKE_Q: NodeId = NodeId(SPOKES / 2);
 
@@ -563,6 +625,10 @@ fn hub_and_spokes() -> Graph {
         b.add_edge(0, spoke, 1.0 + f64::from(spoke) / 1024.0)
             .unwrap();
     }
+    for spoke in 1..SPOKE_Q.0 {
+        b.add_edge(spoke, spoke + SPOKE_Q.0, 3.0).unwrap();
+    }
+    b.add_edge(SPOKES, 1, 3.0).unwrap();
     for (u, v, w) in [
         (200, 250, 0.5),
         (10, 260, 0.25),
@@ -787,4 +853,315 @@ fn budget_tripping_inside_an_anchored_stretch_keeps_entries_exact() {
     };
     assert_eq!(k_rank_bound, out.result.entries[1].rank);
     assert!(k_rank_bound >= k_rank, "{k_rank_bound} bounds {k_rank}");
+}
+
+// Pendant leaves (module docs): a degree-1 candidate takes its neighbour's
+// rank the moment the neighbour's refinement completes.
+
+const DYNAMIC_THREE: Strategy = Strategy::Dynamic(BoundConfig::ALL);
+
+/// Every `Strategy::ALL` member (the indexed ones on a fresh live index)
+/// answers `q` with naive's ranks, and every entry's rank is `rank_matrix`'s
+/// `Rank(p, q)` (monochromatic contexts; a bichromatic one is held to naive
+/// alone). Returns `dynamic-three`'s traced outcome.
+fn agrees_with_the_matrix(ctx: &EngineContext, q: NodeId, k: u32) -> QueryOutcome {
+    let g = ctx.graph();
+    let matrix = (!ctx.spec().is_bichromatic()).then(|| rank_matrix(g));
+    let mut scratch = ctx.new_scratch();
+    let naive = QueryRequest::new(q, k).with_strategy(Strategy::Naive);
+    let naive = ctx.execute(&mut scratch, &naive).unwrap().result.ranks();
+    for strategy in Strategy::ALL {
+        let mut index = RkrIndex::empty(g.num_nodes(), 16);
+        let mut access = strategy
+            .needs_index()
+            .then_some(IndexAccess::Live(&mut index));
+        let req = QueryRequest::new(q, k).with_strategy(strategy);
+        let out = ctx
+            .execute_with(&mut scratch, access.as_mut(), &req)
+            .unwrap();
+        assert_eq!(out.result.ranks(), naive, "{strategy} q={q} k={k}");
+        let Some(matrix) = &matrix else { continue };
+        for e in &out.result.entries {
+            let truth = matrix[e.node.index()][q.index()];
+            assert_eq!(Some(e.rank), truth, "{strategy}: {}", e.node);
+        }
+    }
+    let req = QueryRequest::new(q, k)
+        .with_strategy(DYNAMIC_THREE)
+        .with_trace();
+    ctx.execute(&mut scratch, &req).unwrap()
+}
+
+/// The accepted pass's decision for `node`.
+fn decision(out: &QueryOutcome, node: u32) -> PopDecision {
+    let events = &out.trace.as_ref().unwrap().events;
+    let event = events.iter().find(|e| e.node == NodeId(node));
+    event
+        .unwrap_or_else(|| panic!("{node} never popped: {events:?}"))
+        .decision
+}
+
+/// The rank `node` has in `out`'s answer.
+fn rank_in(out: &QueryOutcome, node: u32) -> u32 {
+    let entries = &out.result.entries;
+    let entry = entries.iter().find(|e| e.node == NodeId(node));
+    entry
+        .unwrap_or_else(|| panic!("{node} not in {entries:?}"))
+        .rank
+}
+
+/// `q –0– u –1– t`: `d(u,q) = 0`, so `u` is not strictly closer to `t` than
+/// `q` is, and `t` ranks `q` first, as `u` does. Crediting `u` anyway (the
+/// `d > 0` guard dropped) ranks `t` second.
+#[test]
+fn a_pendant_of_a_node_at_distance_zero_takes_its_rank_unchanged() {
+    let g = rkranks_graph::graph_from_edges(
+        EdgeDirection::Undirected,
+        [(0, 1, 0.0), (1, 2, 1.0), (0, 3, 2.0), (3, 4, 2.0)],
+    )
+    .unwrap();
+    let ctx = EngineContext::new(&g);
+    // k = 4: every candidate is in the answer, `t` included.
+    let out = agrees_with_the_matrix(&ctx, NodeId(0), 4);
+    let via = NodeId(1);
+    assert_eq!(decision(&out, 2), PopDecision::Pendant { via, rank: 1 });
+    assert_eq!(rank_in(&out, 2), 1);
+    assert_eq!(rank_in(&out, 1), 1);
+}
+
+/// `u` at `d(u,q) = 2` with two pendants: `t1` at weight 1 lies in `S(u)`
+/// and leaves the count, `t2` at weight 3 ≥ 2 never was in it. Dropping
+/// the `w < d` test ranks `t2` one too low; dropping the whole term ranks
+/// `t1` one too high.
+#[test]
+fn a_pendant_leaves_its_neighbours_count_only_if_it_was_in_it() {
+    let g = rkranks_graph::graph_from_edges(
+        EdgeDirection::Undirected,
+        [
+            (0, 1, 2.0),
+            (1, 2, 1.0),
+            (1, 3, 3.0),
+            (0, 4, 1.0),
+            (4, 5, 1.0),
+        ],
+    )
+    .unwrap();
+    let ctx = EngineContext::new(&g);
+    let out = agrees_with_the_matrix(&ctx, NodeId(0), 5);
+    let via = NodeId(1);
+    assert_eq!(rank_in(&out, 1), 2, "t1 is closer to u than q is");
+    assert_eq!(decision(&out, 2), PopDecision::Pendant { via, rank: 2 });
+    assert_eq!(decision(&out, 3), PopDecision::Pendant { via, rank: 3 });
+    assert_eq!(out.stats().pendant_offers, 3, "t1, t2 and 5");
+}
+
+/// `q`'s own pendants rank it first, and nothing refines them.
+#[test]
+fn the_query_nodes_own_pendants_rank_it_first() {
+    let g = rkranks_graph::graph_from_edges(
+        EdgeDirection::Undirected,
+        [
+            (0, 1, 1.0),
+            (0, 2, 2.0),
+            (0, 3, 3.0),
+            (0, 4, 0.5),
+            (4, 5, 0.5),
+            (5, 0, 2.0),
+        ],
+    )
+    .unwrap();
+    let ctx = EngineContext::new(&g);
+    let out = agrees_with_the_matrix(&ctx, NodeId(0), 5);
+    for t in 1..=3 {
+        let via = NodeId(0);
+        assert_eq!(decision(&out, t), PopDecision::Pendant { via, rank: 1 });
+        assert_eq!(rank_in(&out, t), 1);
+    }
+    assert!(!out
+        .trace
+        .as_ref()
+        .unwrap()
+        .refined_nodes()
+        .contains(&NodeId(1)));
+    assert_eq!(out.stats().pendant_offers, 3);
+}
+
+/// Bichromatic: only a candidate (uncounted) `u` is refined, so only its
+/// pendants are offered, and only candidate pendants: a counted pendant is
+/// a conduit that stays in `u`'s count, and a candidate pendant of a
+/// counted `u` is refined at its own pop.
+#[test]
+fn bichromatic_pendants_follow_the_counted_terms() {
+    // q = 0 counted; u1 = 1 a candidate with a candidate pendant 2 and a
+    // counted pendant 3; u2 = 4 counted with a candidate pendant 5; 6
+    // counted with a candidate pendant 7, further out.
+    let g = rkranks_graph::graph_from_edges(
+        EdgeDirection::Undirected,
+        [
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (1, 3, 0.5),
+            (0, 4, 1.0),
+            (4, 5, 1.0),
+            (0, 6, 3.0),
+            (6, 7, 1.0),
+        ],
+    )
+    .unwrap();
+    let v2 = [true, false, false, true, true, false, true, false];
+    let ctx = EngineContext::bichromatic(&g, Partition::from_v2_mask(v2.to_vec()));
+    let out = agrees_with_the_matrix(&ctx, NodeId(0), 4);
+    // Rank(1, q) counts 3 (0.5 < 1); so does Rank(2, q) (1.5 < 2), and 1
+    // itself is not counted.
+    assert_eq!(rank_in(&out, 1), 2);
+    let via = NodeId(1);
+    assert_eq!(decision(&out, 2), PopDecision::Pendant { via, rank: 2 });
+    assert!(matches!(decision(&out, 3), PopDecision::Conduit { .. }));
+    // Rank(5, q): 4 is counted and 1 < 2.
+    assert!(matches!(
+        decision(&out, 5),
+        PopDecision::Refined { rank: 2, .. }
+    ));
+    assert_eq!(rank_in(&out, 5), 2);
+    assert_eq!(out.stats().pendant_offers, 1);
+}
+
+/// A shard that owns `u` but not its pendant `t` keeps `t` a conduit: it
+/// is neither offered nor returned, and the slices still merge to the
+/// whole answer.
+#[test]
+fn a_pendant_another_shard_owns_stays_a_conduit() {
+    let g = rkranks_graph::graph_from_edges(
+        EdgeDirection::Undirected,
+        [
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (0, 3, 1.0),
+            (3, 4, 1.0),
+            (4, 0, 1.5),
+        ],
+    )
+    .unwrap();
+    let (q, u, t, k) = (NodeId(0), NodeId(1), NodeId(2), 4);
+    let seed = (0..)
+        .find(|&s| {
+            let slice = ShardSlice::new(0, 2, s);
+            slice.owns(u) && !slice.owns(t)
+        })
+        .unwrap();
+    let whole = agrees_with_the_matrix(&EngineContext::new(&g), q, k);
+    assert_eq!(
+        decision(&whole, 2),
+        PopDecision::Pendant { via: u, rank: 2 }
+    );
+    let mut merged = Vec::new();
+    for i in 0..2 {
+        let ctx = EngineContext::new(&g).with_shard_slice(ShardSlice::new(i, 2, seed));
+        let out = agrees_with_the_matrix(&ctx, q, k);
+        if i == 0 {
+            assert!(matches!(decision(&out, 2), PopDecision::Conduit { .. }));
+            assert!(!out.result.contains(t));
+            assert_eq!(out.stats().pendant_offers, 0);
+        }
+        merged.extend(out.result.ranks());
+    }
+    merged.sort_unstable();
+    merged.truncate(k as usize);
+    assert_eq!(merged, whole.result.ranks());
+}
+
+/// Where the rule does not apply — the static algorithm, a pass with an
+/// index binding, a directed graph — a pass allowed the rule does exactly
+/// the work of one that is not, and offers nothing. The dynamic pass on the
+/// same undirected fixture shows the two paths do differ where it applies.
+#[test]
+fn static_indexed_and_directed_passes_do_the_rule_off_work() {
+    let undirected = star_with_tail();
+    let directed = {
+        let mut b = GraphBuilder::new(EdgeDirection::Directed);
+        for u in undirected.nodes() {
+            for (v, w) in undirected.edges(u) {
+                b.add_edge(u.0, v.0, rkranks_graph::to_real(w)).unwrap();
+            }
+        }
+        b.build().unwrap()
+    };
+    assert!(directed.is_directed() && directed.degree(NodeId(1)) == 1);
+    let work = |s: &QueryStats| {
+        (
+            s.sds_popped,
+            s.sds_relaxations,
+            s.refinement_calls,
+            s.refinements_pruned,
+            s.refinement_settles,
+            s.refinement_pushes,
+            s.anchored_refinements,
+            s.pruned_by_bound,
+            s.index_exact_hits,
+            s.pendant_offers,
+        )
+    };
+    let k = 17;
+    let run = |ctx: &EngineContext, dynamic, live: bool, pendants| {
+        let mut binding = match live {
+            true => Binding::Live(RkrIndex::empty(ctx.graph().num_nodes(), 32)),
+            false => Binding::None,
+        };
+        let mut scratch = ctx.new_scratch();
+        let (guess, above) = (u32::MAX, anchor_above(k));
+        ruled_pass(
+            ctx,
+            &mut scratch,
+            Q,
+            k,
+            guess,
+            above,
+            pendants,
+            dynamic,
+            &mut binding,
+            None,
+        )
+        .unwrap()
+    };
+    let all = Some(BoundConfig::ALL);
+    let (u, d) = (
+        EngineContext::new(&undirected),
+        EngineContext::new(&directed),
+    );
+    for (ctx, dynamic, live, what) in [
+        (&u, None, false, "static"),
+        (&u, all, true, "indexed-three"),
+        (&d, None, false, "directed static"),
+        (&d, all, false, "directed dynamic-three"),
+        (&d, all, true, "directed indexed-three"),
+    ] {
+        let (on, off) = (
+            run(ctx, dynamic, live, true),
+            run(ctx, dynamic, live, false),
+        );
+        assert_eq!(work(&on.stats), work(&off.stats), "{what}");
+        assert_eq!(on.stats.pendant_offers, 0, "{what}");
+        assert_eq!(on.entries, off.entries, "{what}");
+    }
+    let (on, off) = (run(&u, all, false, true), run(&u, all, false, false));
+    assert_eq!(on.ranks(), off.ranks());
+    assert_eq!(on.stats.pendant_offers, u64::from(LEAVES));
+    assert!(on.stats.refinement_calls < off.stats.refinement_calls);
+    assert_eq!(off.stats.pendant_offers, 0);
+
+    // Through `execute` too: the ladder offers nothing for these strategies.
+    let mut scratch = u.new_scratch();
+    let mut index = RkrIndex::empty(undirected.num_nodes(), 32);
+    let indexed = QueryRequest::new(Q, k).with_strategy(Strategy::Indexed(BoundConfig::ALL));
+    let indexed = u.execute_with(
+        &mut scratch,
+        Some(&mut IndexAccess::Live(&mut index)),
+        &indexed,
+    );
+    let fixed = QueryRequest::new(Q, k).with_strategy(Strategy::Static);
+    let fixed = u.execute(&mut scratch, &fixed).unwrap();
+    let across = d.execute(&mut scratch, &QueryRequest::new(Q, k)).unwrap();
+    for out in [indexed.unwrap(), fixed, across] {
+        assert_eq!(out.stats().pendant_offers, 0);
+    }
 }

@@ -89,6 +89,11 @@ pub struct QueryStats {
     /// frozen ball instead of re-enumerating it (see "Anchored refinement"
     /// in `context.rs`). A subset of `refinement_calls`.
     pub anchored_refinements: u64,
+    /// Pendant leaves offered to `R` at their exact rank when their only
+    /// neighbour's refinement completed, without a refinement of their own
+    /// (see "Pendant leaves" in `context.rs`). Dynamic, index-free passes
+    /// on undirected graphs only.
+    pub pendant_offers: u64,
     /// Candidates pruned by the Theorem-2 lower bound *before* refinement
     /// (dynamic variants only).
     pub pruned_by_bound: u64,
@@ -123,6 +128,7 @@ impl QueryStats {
         self.refinement_pushes += other.refinement_pushes;
         self.refinement_requeues += other.refinement_requeues;
         self.anchored_refinements += other.anchored_refinements;
+        self.pendant_offers += other.pendant_offers;
         self.pruned_by_bound += other.pruned_by_bound;
         self.index_exact_hits += other.index_exact_hits;
         self.bound_wins += other.bound_wins;
@@ -212,6 +218,7 @@ mod tests {
             refinement_pushes: 40,
             refinement_requeues: 6,
             anchored_refinements: 2,
+            pendant_offers: 7,
             pruned_by_bound: 5,
             sds_passes: 3,
             k_rank_guess: 640,
@@ -230,6 +237,7 @@ mod tests {
         assert_eq!(a.refinement_pushes, 40);
         assert_eq!(a.refinement_requeues, 6);
         assert_eq!(a.anchored_refinements, 2);
+        assert_eq!(a.pendant_offers, 7);
         assert_eq!(a.pruned_by_bound, 5);
         assert_eq!(a.elapsed, Duration::from_millis(10));
     }

@@ -39,6 +39,15 @@ pub enum PopDecision {
         /// The `kRank` it met.
         k_rank: u32,
     },
+    /// A degree-1 candidate whose exact rank was offered to `R` when its
+    /// only neighbour's refinement completed (see "Pendant leaves" in
+    /// `context.rs`); neither refined nor expanded at its pop.
+    Pendant {
+        /// The only neighbour: `q`, or the refined candidate it hangs off.
+        via: NodeId,
+        /// The rank it was offered at.
+        rank: u32,
+    },
     /// The exact rank came from the Reverse Rank Dictionary (§5.3).
     IndexHit {
         /// The stored exact rank.
@@ -86,6 +95,9 @@ pub struct PassSummary {
     /// How many of `refinements` ran anchored (see [`crate::context`],
     /// "Anchored refinement").
     pub anchored: u64,
+    /// Pendant leaves this pass offered to `R` without a refinement
+    /// ([`crate::QueryStats::pendant_offers`]).
+    pub pendants: u64,
     /// The pass's anchor, if one was frozen: the node and the number of
     /// counted nodes its ball credits to every candidate below it.
     pub anchor: Option<(NodeId, u32)>,
@@ -146,6 +158,9 @@ impl QueryTrace {
                 p.pushes,
                 p.requeues,
             );
+            if p.pendants > 0 {
+                let _ = write!(out, "; {} pendant offers", p.pendants);
+            }
             if let Some((node, ball)) = p.anchor {
                 let _ = write!(out, "; {} anchored on {node}, ball {ball}", p.anchored);
             }
@@ -180,6 +195,9 @@ impl QueryTrace {
                     k_rank,
                 } => {
                     format!("bound-pruned (LB {lower_bound} >= kRank {k_rank})")
+                }
+                PopDecision::Pendant { via, rank } => {
+                    format!("pendant of {} -> rank {rank}", name(via))
                 }
                 PopDecision::IndexHit { rank } => format!("index hit -> rank {rank}"),
                 PopDecision::Conduit { subtree_pruned } => {
@@ -238,6 +256,14 @@ mod tests {
                     distance: 5 << 31,
                     decision: PopDecision::RefinementPruned { lower_bound: 6 },
                 },
+                TraceEvent {
+                    node: NodeId(5),
+                    distance: 2 << 32,
+                    decision: PopDecision::Pendant {
+                        via: NodeId(1),
+                        rank: 4,
+                    },
+                },
             ],
             passes: vec![
                 PassSummary {
@@ -249,6 +275,7 @@ mod tests {
                     pushes: 12,
                     requeues: 0,
                     anchored: 0,
+                    pendants: 0,
                     anchor: None,
                 },
                 PassSummary {
@@ -260,6 +287,7 @@ mod tests {
                     pushes: 8,
                     requeues: 1,
                     anchored: 1,
+                    pendants: 3,
                     anchor: Some((NodeId(1), 2)),
                 },
             ],
@@ -290,6 +318,10 @@ mod tests {
             "{plain}"
         );
         assert!(plain.contains("entered R"));
+        assert!(
+            plain.contains("pop 5          d=2.0000   pendant of 1 -> rank 4"),
+            "{plain}"
+        );
         assert!(plain.contains("bound-pruned (LB 5 >= kRank 4)"));
         assert!(plain.contains("pass 1 guess 2         rejected (kRank unbounded; 3 refinements"));
         assert!(
@@ -297,10 +329,12 @@ mod tests {
         );
         assert!(plain.contains(
             "pass 2 guess 8         accepted \
-             (kRank 3; 2 refinements, 7 settles, 8 pushes, 1 requeues; 1 anchored on 1, ball 2)"
+             (kRank 3; 2 refinements, 7 settles, 8 pushes, 1 requeues; 3 pendant offers; \
+             1 anchored on 1, ball 2)"
         ));
-        let named = t.render(Some(&["q", "Bob", "Carol", "Dan", "Eve"]));
+        let named = t.render(Some(&["q", "Bob", "Carol", "Dan", "Eve", "Fay"]));
         assert!(named.contains("pop Bob"));
+        assert!(named.contains("pop Fay        d=2.0000   pendant of Bob -> rank 4"));
         assert!(named.contains("index hit -> rank 2"));
     }
 }

@@ -2,9 +2,12 @@
 //! framework variants on the DBLP-like and Epinions-like graphs. Beside
 //! the paper's refinement count the table prints frontier pushes per
 //! query — the work the refinements did — so the ordering can be read on
-//! work as well as on time, and SDS passes per query — what the kRank
+//! work as well as on time, SDS passes per query — what the kRank
 //! ladder (`rkranks_core::context`) spent to get there: 1.0 when every
-//! first guess held.
+//! first guess held — and pendant offers per query: degree-1 candidates
+//! ranked from their neighbour's refinement instead of by their own (0 for
+//! Static, the indexed method and every directed graph, which never take
+//! that rule).
 
 use std::sync::Arc;
 
@@ -52,6 +55,7 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
             "rank refinements",
             "refinement pushes",
             "SDS passes",
+            "pendant offers",
         ],
     );
     let engine = QueryEngine::new(Arc::clone(g));
@@ -76,6 +80,7 @@ fn one_dataset(ctx: &ExpContext, label: &str, g: &Arc<Graph>) -> Table {
                 fmt_f64(out.mean_refinements()),
                 fmt_f64(per_query(out.totals.refinement_pushes)),
                 fmt_f64(per_query(out.totals.sds_passes)),
+                fmt_f64(per_query(out.totals.pendant_offers)),
             ]);
         };
         let s = run_batch(
@@ -130,6 +135,18 @@ mod tests {
             let passes = t.headers.iter().position(|h| h == "SDS passes").unwrap();
             for row in &t.rows {
                 assert!(row[passes].parse::<f64>().unwrap() >= 1.0, "{row:?}");
+            }
+            // only Dynamic on the undirected DBLP-like graph takes the
+            // pendant rule
+            let offers = t
+                .headers
+                .iter()
+                .position(|h| h == "pendant offers")
+                .unwrap();
+            for row in &t.rows {
+                let offered = row[offers].parse::<f64>().unwrap() > 0.0;
+                let dynamic_dblp = row[1] == "Dynamic" && t.title.starts_with("DBLP");
+                assert_eq!(offered, dynamic_dblp, "{}: {row:?}", t.title);
             }
         }
     }

@@ -143,7 +143,11 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: Vec<String>) -> Result<Flags, String> {
+    /// Split `args` into positional arguments, `--flag value` pairs and
+    /// switches. A name `is_switch` accepts never takes the next argument
+    /// as its value; any other flag does, unless it is last or the next
+    /// argument is a flag itself.
+    fn parse(args: Vec<String>, is_switch: impl Fn(&str) -> bool) -> Flags {
         let mut f = Flags {
             positional: Vec::new(),
             pairs: Vec::new(),
@@ -153,7 +157,7 @@ impl Flags {
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
                 match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
+                    Some(v) if !is_switch(name) && !v.starts_with("--") => {
                         f.pairs.push((name.to_string(), it.next().unwrap()));
                     }
                     _ => f.switches.push(name.to_string()),
@@ -162,7 +166,7 @@ impl Flags {
                 f.positional.push(a);
             }
         }
-        Ok(f)
+        f
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -196,11 +200,13 @@ impl Flags {
 type Command = fn(&Flags) -> Result<(), String>;
 
 /// Each command, its handler, the most positional arguments it reads
-/// after its name, and every flag or switch it accepts (space-separated):
-/// the one list a command line is checked against before any work
-/// starts, so a typo'd or retired flag, or an argument the command would
-/// not read, fails instead of being ignored. `ctl`'s operation decides
-/// its own count (`cmd_ctl`). A unit test keeps the lists equal to USAGE.
+/// after its name, and every flag or switch it accepts (space-separated,
+/// a switch marked by a trailing `!`): the one list a command line is
+/// checked against before any work starts, so a typo'd or retired flag,
+/// or an argument the command would not read, fails instead of being
+/// ignored. A switch never takes the next argument as a value. `ctl`'s
+/// operation decides its own count (`cmd_ctl`). A unit test keeps the
+/// lists equal to USAGE.
 const COMMANDS: [(&str, Command, usize, &str); 10] = [
     ("gen", cmd_gen, 1, "scale seed out"),
     ("stats", cmd_stats, 1, ""),
@@ -214,7 +220,7 @@ const COMMANDS: [(&str, Command, usize, &str); 10] = [
         "query",
         cmd_query,
         1,
-        "remote node k algo deadline-ms refine-budget trace index save-index no-cache",
+        "remote node k algo deadline-ms refine-budget trace! index save-index! no-cache!",
     ),
     ("batch", cmd_batch, 1, "queries k algo threads index seed"),
     (
@@ -231,20 +237,31 @@ const COMMANDS: [(&str, Command, usize, &str); 10] = [
         0,
         "shards addr max-line shard-timeout-ms log-level",
     ),
-    ("ctl", cmd_ctl, usize::MAX, "json prom"),
+    ("ctl", cmd_ctl, usize::MAX, "json! prom!"),
     ("update", cmd_update, 1, "from batch"),
 ];
 
+/// The names a `COMMANDS` flag list accepts, each with whether it is a
+/// switch.
+fn flag_names(accepted: &str) -> impl Iterator<Item = (&str, bool)> {
+    accepted
+        .split_whitespace()
+        .map(|a| match a.strip_suffix('!') {
+            Some(name) => (name, true),
+            None => (a, false),
+        })
+}
+
 fn run(args: Vec<String>) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    let name = flags.positional.first().map(String::as_str);
+    let name = args.first().map(String::as_str);
     let (cmd, handler, arity, accepted) = COMMANDS
         .iter()
         .find(|(cmd, _, _, _)| Some(*cmd) == name)
         .ok_or("missing or unknown command")?;
+    let flags = Flags::parse(args, |name| flag_names(accepted).any(|a| a == (name, true)));
     if let Some(bad) = flags
         .names()
-        .find(|n| !accepted.split_whitespace().any(|a| a == *n))
+        .find(|n| !flag_names(accepted).any(|(a, _)| a == *n))
     {
         return Err(format!("unknown flag --{bad} for 'rkr {cmd}'"));
     }
@@ -1102,12 +1119,13 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     if result.stats.sds_passes > 0 {
         println!(
             "ladder: {} passes, {} refinement settles, {} pushes and {} requeues in all \
-             ({} refinements anchored); accepted kRank guess {}",
+             ({} refinements anchored, {} pendant offers); accepted kRank guess {}",
             result.stats.sds_passes,
             result.stats.refinement_settles,
             result.stats.refinement_pushes,
             result.stats.refinement_requeues,
             result.stats.anchored_refinements,
+            result.stats.pendant_offers,
             guess_label(result.stats.k_rank_guess)
         );
     }
@@ -1129,9 +1147,10 @@ mod tests {
     use super::*;
 
     /// The `--flag` names USAGE shows for each command, continuation lines
-    /// included.
-    fn usage_flags() -> Vec<(&'static str, Vec<&'static str>)> {
-        let mut out: Vec<(&str, Vec<&str>)> = Vec::new();
+    /// included, each with whether it is a switch: shown with no value
+    /// after it (`[--trace]`, `[--prom|--json]`).
+    fn usage_flags() -> Vec<(&'static str, Vec<(&'static str, bool)>)> {
+        let mut out: Vec<(&str, Vec<(&str, bool)>)> = Vec::new();
         let mut current = None;
         for line in USAGE.lines() {
             if let Some(rest) = line.strip_prefix("  rkr ") {
@@ -1149,8 +1168,9 @@ mod tests {
                 let end = name
                     .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
                     .unwrap_or(name.len());
-                if !out[i].1.contains(&&name[..end]) {
-                    out[i].1.push(&name[..end]);
+                let flag = (&name[..end], name[end..].starts_with([']', '|']));
+                if !out[i].1.contains(&flag) {
+                    out[i].1.push(flag);
                 }
             }
         }
@@ -1167,17 +1187,40 @@ mod tests {
             "USAGE and COMMANDS name different commands"
         );
         for ((cmd, shown), (_, _, _, accepted)) in usage.iter().zip(&COMMANDS) {
-            let accepted: Vec<&str> = accepted.split_whitespace().collect();
+            let accepted: Vec<(&str, bool)> = flag_names(accepted).collect();
             for flag in shown {
-                assert!(accepted.contains(flag), "USAGE shows --{flag} for {cmd}");
+                assert!(
+                    accepted.contains(flag),
+                    "USAGE shows --{} for {cmd} (a switch: {})",
+                    flag.0,
+                    flag.1
+                );
             }
             for flag in &accepted {
                 assert!(
                     shown.contains(flag),
-                    "{cmd} accepts --{flag}, USAGE omits it"
+                    "{cmd} accepts --{} (a switch: {}), USAGE omits it",
+                    flag.0,
+                    flag.1
                 );
             }
         }
+    }
+
+    /// A switch leaves the next argument positional; a valued flag takes
+    /// it, unless it is a flag itself.
+    #[test]
+    fn a_switch_never_takes_the_next_argument() {
+        let args = "query g --trace extra --k 3 --save-index --node --no-cache x";
+        let args = args.split(' ').map(String::from).collect();
+        let flags = Flags::parse(args, |n| ["trace", "save-index", "no-cache"].contains(&n));
+        assert_eq!(flags.positional, ["query", "g", "extra", "x"]);
+        assert_eq!(flags.get("k"), Some("3"));
+        assert!(flags.has("trace") && flags.has("save-index") && flags.has("no-cache"));
+        assert!(
+            flags.has("node"),
+            "a valued flag followed by a flag has no value"
+        );
     }
 
     /// A command reads as many positional arguments as the `<…>`

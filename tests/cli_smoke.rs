@@ -63,6 +63,18 @@ fn gen_stats_index_query_round_trip() {
         ],
     ));
     assert_eq!(naive.len(), 5, "naive returned {naive:?}");
+    // The trace shows pendant leaves ranked from their neighbour's
+    // refinement, and the switch keeps the answer unchanged.
+    let traced = rkr_ok(
+        &dir,
+        &[
+            "query", "g.edges", "--node", "17", "--k", "5", "--algo", "dynamic", "--trace",
+        ],
+    );
+    assert!(traced.contains("decision trace:"), "{traced}");
+    assert!(traced.contains("pendant of "), "{traced}");
+    assert!(traced.contains("pendant offers"), "{traced}");
+    assert_equivalent("dynamic --trace", &parse_result(&traced), &naive);
     for algo in ["static", "dynamic"] {
         let got = parse_result(&rkr_ok(
             &dir,
@@ -256,6 +268,37 @@ fn extra_positional_arguments_fail_before_any_work() {
         (
             vec!["query", "--remote", dead, "g.edges", "--node", "1"],
             "a graph file ('g.edges') has no effect with --remote",
+        ),
+        // A switch takes no value, so what follows it is positional.
+        (
+            vec![
+                "query", "g.edges", "--node", "5", "--k", "3", "--trace", "extra",
+            ],
+            "unexpected argument 'extra' for 'rkr query'",
+        ),
+        (
+            vec!["query", "g.edges", "--node", "5", "--save-index", "extra"],
+            "unexpected argument 'extra' for 'rkr query'",
+        ),
+        (
+            vec![
+                "query",
+                "--remote",
+                dead,
+                "--node",
+                "1",
+                "--no-cache",
+                "extra",
+            ],
+            "a graph file ('extra') has no effect with --remote",
+        ),
+        (
+            vec!["ctl", dead, "stats", "--json", "extra"],
+            "unexpected argument 'extra'",
+        ),
+        (
+            vec!["ctl", dead, "metrics", "--prom", "extra"],
+            "unexpected argument 'extra'",
         ),
     ]);
     for (args, expected) in cases {
