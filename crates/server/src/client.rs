@@ -87,6 +87,10 @@ fn backoff_after(attempt: u32) -> Duration {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The request being written, reused across sends.
+    out: Vec<u8>,
+    /// The reply being read, reused across receives.
+    line: String,
 }
 
 impl Client {
@@ -121,6 +125,8 @@ impl Client {
                         return Ok(Client {
                             reader: BufReader::new(stream),
                             writer,
+                            out: Vec::new(),
+                            line: String::new(),
                         });
                     }
                     Err(e) => last_err = Some(e),
@@ -142,7 +148,11 @@ impl Client {
     /// Send `req` without waiting for the reply — half of a pipelined
     /// exchange; pair each send with one [`Client::recv`] in order.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        self.send_line(&req.to_line())
+        self.out.clear();
+        req.write_line(&mut self.out);
+        self.writer.write_all(&self.out)?;
+        self.writer.flush()?;
+        Ok(())
     }
 
     /// [`Client::send`] for a line rendered beforehand with
@@ -160,11 +170,11 @@ impl Client {
     /// [`ClientError::Server`], exactly like [`Client::query`] and
     /// friends.
     pub fn recv(&mut self) -> Result<Reply, ClientError> {
-        let mut reply_line = String::new();
-        if self.reader.read_line(&mut reply_line)? == 0 {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             return Err(ClientError::Protocol("server closed the connection".into()));
         }
-        match Reply::from_line(reply_line.trim()) {
+        match Reply::from_line(&self.line) {
             Ok(Reply::Error(msg)) => Err(ClientError::Server(msg)),
             Ok(reply) => Ok(reply),
             Err(msg) => Err(ClientError::Protocol(msg)),

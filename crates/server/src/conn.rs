@@ -197,11 +197,12 @@ impl Conn {
         }
     }
 
-    /// Queue a reply line and opportunistically flush it. The common case
-    /// — an idle socket with room in the kernel buffer — writes straight
-    /// through and leaves nothing queued.
-    pub(crate) fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.out.extend_from_slice(bytes);
+    /// Queue a reply line, which `write` appends straight onto the send
+    /// buffer, and opportunistically flush it. The common case — an idle
+    /// socket with room in the kernel buffer — writes straight through and
+    /// leaves nothing queued.
+    pub(crate) fn send(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        write(&mut self.out);
         self.backlog_hw = self.backlog_hw.max(self.pending_out());
         self.try_flush().map(|_| ())
     }
@@ -232,8 +233,8 @@ impl Conn {
     /// Deliver the final farewell (shutdown ack) with a blocking write:
     /// the daemon is exiting and this is the last byte this connection
     /// will ever see, so politeness beats strict non-blocking here.
-    pub(crate) fn send_final(&mut self, bytes: &[u8]) {
-        self.out.extend_from_slice(bytes);
+    pub(crate) fn send_final(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        write(&mut self.out);
         if self.stream.set_nonblocking(false).is_ok() {
             let _ = self.stream.write_all(&self.out[self.out_pos..]);
             let _ = self.stream.flush();
@@ -343,7 +344,7 @@ mod tests {
     fn send_tracks_the_backlog_high_water() {
         let (_client, mut conn) = pair();
         assert_eq!(conn.backlog_hw, 0);
-        conn.send(b"hello\n").unwrap();
+        conn.send(|out| out.extend_from_slice(b"hello\n")).unwrap();
         // the mark captures the queued size even when the socket drains
         // the bytes immediately
         assert!(conn.backlog_hw >= 6, "got {}", conn.backlog_hw);

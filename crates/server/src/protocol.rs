@@ -47,12 +47,23 @@
 //! the field stays readable; `omit` / `omit(d)` is sent only when it
 //! differs from its default and reads as that default when absent. A
 //! present field of the wrong type is an error naming the field. The
-//! tables generate both encoder and decoder, so the daemon and the
+//! tables generate both the writer and the reader, so the daemon and the
 //! [`crate::Client`] cannot drift apart. Hand code is left where the
 //! format is irregular: `hello`'s `graph_digest` (16 hex digits: a JSON
 //! number cannot hold 64 bits) and flattened shard identity, a metric
-//! sample's type tag, labels and buckets, and the rule that `nodes` and
-//! `ops` are not empty.
+//! sample's type tag, labels and buckets, a delta's array, and the rule
+//! that `nodes` and `ops` are not empty.
+//!
+//! No `Json` tree stands between a message and its bytes. The writer
+//! appends each row's `"key":value` straight onto the line (the reactor's
+//! send buffer, or the [`crate::Client`]'s), with the one number rule
+//! [`Json::render`] uses. The reader indexes the line's object once,
+//! checking all of it as [`Json::parse`] would, picks the request's `op`
+//! or the reply's variant from that index in table order, and reads each
+//! row's value in place: a number by the same integer rule, a string
+//! unescaped only when it holds a `\`, a duplicate key as its first
+//! occurrence. [`Request::to_json`] and [`Reply::to_json`] are views: the
+//! written line, parsed.
 //!
 //! # Semantics
 //!
@@ -84,10 +95,12 @@
 //! graph, index, and staged updates as a WAL) without committing first;
 //! it is an error on a daemon started without `--snapshot FILE`.
 
+use std::borrow::Cow;
+
 use rkranks_core::{HistogramSnapshot, MetricSample, MetricValue, MetricsSnapshot};
 use rkranks_graph::GraphDelta;
 
-use crate::json::Json;
+use crate::json::{u32_of, u64_of, write_num, write_str, Json, Members, ObjWriter, Parser};
 
 /// The wire name of a graph delta; kept for callers that name it so.
 pub use rkranks_graph::GraphDelta as UpdateOp;
@@ -100,135 +113,191 @@ pub use rkranks_graph::GraphDelta as UpdateOp;
 /// instead of misparsing each other.
 pub const PROTOCOL_VERSION: u64 = 7;
 
+/// Room a line's buffer starts with: a `k = 10` query reply, or any
+/// request but a long `batch` or `update`, is written without regrowing.
+const LINE_CAPACITY: usize = 256;
+
 /// A value shape that travels as one JSON value.
 trait Field: Sized {
-    fn to_json(&self) -> Json;
-    /// The value, or what `v` should have been.
-    fn from_json(v: &Json) -> Result<Self, String>;
+    /// Append the value to the line.
+    fn write(&self, out: &mut Vec<u8>);
+    /// Read the value at `p` (in a line [`Members`] has checked), or say
+    /// what it should have been.
+    fn read(p: &mut Parser<'_>) -> Result<Self, String>;
 }
 
-/// A message whose fields travel flat, as keys of one JSON object.
+/// A message whose fields travel flat, as members of one JSON object.
 trait Body: Sized {
-    fn put(&self, out: &mut Vec<(String, Json)>);
-    fn take(obj: &Json) -> Result<Self, String>;
+    fn put(&self, obj: &mut ObjWriter<'_>);
+    fn take(m: &Members<'_>) -> Result<Self, String>;
 }
 
 /// A nested message travels as its own object.
 impl<T: Body> Field for T {
-    fn to_json(&self) -> Json {
-        let mut fields = Vec::new();
-        self.put(&mut fields);
-        Json::Obj(fields)
+    fn write(&self, out: &mut Vec<u8>) {
+        let mut obj = ObjWriter::open(out);
+        self.put(&mut obj);
+        obj.close();
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
-        T::take(v)
+    fn read(p: &mut Parser<'_>) -> Result<Self, String> {
+        T::take(&Members::read(p)?)
     }
 }
 
-/// The scalars, each one JSON value: how it is written, the accessor
-/// that reads it back, and what a wrong value was expected to be.
+/// The scalars, each one JSON value: how it is written, how it is read
+/// back, and what a wrong value was expected to be.
 macro_rules! scalars {
-    ($($t:ty: |$x:ident| $to:expr, $from:expr, $shape:literal;)*) => {$(
+    ($($t:ty: |$x:ident, $out:ident| $write:expr, |$p:ident| $read:expr, $shape:literal;)*) => {$(
         impl Field for $t {
-            fn to_json(&self) -> Json {
+            fn write(&self, $out: &mut Vec<u8>) {
                 let $x = self;
-                $to
+                $write
             }
 
-            fn from_json(v: &Json) -> Result<Self, String> {
-                $from(v).ok_or_else(|| concat!("not ", $shape).into())
+            fn read($p: &mut Parser<'_>) -> Result<Self, String> {
+                $read.ok_or_else(|| concat!("not ", $shape).into())
             }
         }
     )*};
 }
 
 scalars! {
-    u32: |x| Json::num(*x), Json::as_u32, "a 32-bit integer";
-    u64: |x| Json::num(*x as f64), Json::as_u64, "a non-negative integer";
-    f64: |x| Json::num(*x), Json::as_f64, "a number";
-    bool: |x| Json::Bool(*x), Json::as_bool, "a boolean";
-    String: |x| Json::Str(x.clone()), |v: &Json| v.as_str().map(str::to_string), "a string";
+    u32: |x, out| write_num(out, f64::from(*x)), |p| p.read_num().and_then(u32_of), "a 32-bit integer";
+    u64: |x, out| write_num(out, *x as f64), |p| p.read_num().and_then(u64_of), "a non-negative integer";
+    f64: |x, out| write_num(out, *x), |p| p.read_num(), "a number";
+    bool: |x, out| out.extend_from_slice(if *x { b"true" } else { b"false" }), |p| p.read_bool(), "a boolean";
+    String: |x, out| write_str(out, x), |p| p.read_str().map(Cow::into_owned), "a string";
 }
 
 /// A pair is a two-element array: `(node, rank)` entries, histogram
-/// buckets.
+/// buckets. An array of any other length is not a pair, whatever its
+/// elements hold.
 impl<A: Field, B: Field> Field for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    fn write(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        self.0.write(out);
+        out.push(b',');
+        self.1.write(out);
+        out.push(b']');
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_arr() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
-            _ => Err("not a pair".into()),
+    fn read(p: &mut Parser<'_>) -> Result<Self, String> {
+        if p.peek() != Some(b'[') || p.count_items() != 2 {
+            return Err("not a pair".into());
         }
+        let (mut a, mut b) = (None, None);
+        p.array(|p| {
+            match a {
+                None => a = Some(A::read(p)?),
+                Some(_) => b = Some(B::read(p)?),
+            }
+            Ok::<_, String>(())
+        })?;
+        a.zip(b).ok_or_else(|| "not a pair".into())
     }
 }
 
 impl<T: Field> Field for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(T::to_json).collect())
+    fn write(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            item.write(out);
+        }
+        out.push(b']');
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let items = v.as_arr().ok_or("not an array")?;
-        items.iter().map(T::from_json).collect()
+    fn read(p: &mut Parser<'_>) -> Result<Self, String> {
+        if p.peek() != Some(b'[') {
+            return Err("not an array".into());
+        }
+        let mut items = Vec::with_capacity(p.count_items());
+        p.array(|p| {
+            items.push(T::read(p)?);
+            Ok::<_, String>(())
+        })?;
+        Ok(items)
     }
 }
 
 /// `None` is never sent: an `Option` row's policy is `omit`.
 impl<T: Field> Field for Option<T> {
-    fn to_json(&self) -> Json {
-        self.as_ref().map_or(Json::Null, T::to_json)
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.extend_from_slice(b"null"),
+        }
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
-        T::from_json(v).map(Some)
+    fn read(p: &mut Parser<'_>) -> Result<Self, String> {
+        T::read(p).map(Some)
     }
 }
 
 /// A delta travels as a small array: `["add",u,v,w]`, `["rm",u,v]`,
 /// `["reweight",u,v,w]` or `["add-node"]`.
 impl Field for GraphDelta {
-    fn to_json(&self) -> Json {
-        let kind = |name: &str| Json::Str(name.into());
-        Json::Arr(match *self {
-            GraphDelta::AddNode => vec![kind("add-node")],
-            GraphDelta::AddEdge { u, v, w } => {
-                vec![kind("add"), u.to_json(), v.to_json(), w.to_json()]
+    fn write(&self, out: &mut Vec<u8>) {
+        let (kind, edge, w) = match *self {
+            GraphDelta::AddNode => ("add-node", None, None),
+            GraphDelta::AddEdge { u, v, w } => ("add", Some((u, v)), Some(w)),
+            GraphDelta::RemoveEdge { u, v } => ("rm", Some((u, v)), None),
+            GraphDelta::Reweight { u, v, w } => ("reweight", Some((u, v)), Some(w)),
+        };
+        out.push(b'[');
+        write_str(out, kind);
+        if let Some((u, v)) = edge {
+            for node in [u, v] {
+                out.push(b',');
+                node.write(out);
             }
-            GraphDelta::RemoveEdge { u, v } => vec![kind("rm"), u.to_json(), v.to_json()],
-            GraphDelta::Reweight { u, v, w } => {
-                vec![kind("reweight"), u.to_json(), v.to_json(), w.to_json()]
-            }
-        })
+        }
+        if let Some(w) = w {
+            out.push(b',');
+            w.write(out);
+        }
+        out.push(b']');
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
-        fn arg<T: Field>(kind: &str, arr: &[Json], i: usize) -> Result<T, String> {
-            T::from_json(&arr[i]).map_err(|e| format!("'{kind}' op: argument {i} is {e}"))
+    fn read(p: &mut Parser<'_>) -> Result<Self, String> {
+        if p.peek() != Some(b'[') {
+            return Err("update op is not an array".into());
         }
-        let arr = v.as_arr().ok_or("update op is not an array")?;
-        let kind = arr
-            .first()
-            .and_then(Json::as_str)
+        // A cursor at each of the first four elements, and how many there are.
+        let mut at = [p.clone(), p.clone(), p.clone(), p.clone()];
+        let mut len = 0;
+        p.array(|p| {
+            if let Some(slot) = at.get_mut(len) {
+                *slot = p.clone();
+            }
+            len += 1;
+            p.skip_value()
+        })?;
+        let kind = (len > 0)
+            .then(|| at[0].read_str())
+            .flatten()
             .ok_or("update op missing its kind tag")?;
-        let arity = match kind {
+        let arity = match &*kind {
             "add-node" => 0,
             "rm" => 2,
             "add" | "reweight" => 3,
             other => return Err(format!("unknown update op '{other}'")),
         };
-        if arr.len() != arity + 1 {
+        if len != arity + 1 {
             return Err(format!(
                 "'{kind}' op takes {arity} arguments, got {}",
-                arr.len() - 1
+                len - 1
             ));
         }
-        let node = |i| arg::<u32>(kind, arr, i);
-        let weight = || arg::<f64>(kind, arr, 3);
-        Ok(match kind {
+        fn arg<T: Field>(kind: &str, at: &[Parser<'_>], i: usize) -> Result<T, String> {
+            T::read(&mut at[i].clone()).map_err(|e| format!("'{kind}' op: argument {i} is {e}"))
+        }
+        let node = |i| arg::<u32>(&kind, &at, i);
+        let weight = || arg::<f64>(&kind, &at, 3);
+        Ok(match &*kind {
             "add-node" => GraphDelta::AddNode,
             "rm" => GraphDelta::RemoveEdge {
                 u: node(1)?,
@@ -252,143 +321,152 @@ impl Field for GraphDelta {
 /// (`value`, or a histogram's `count`, `sum`, `scale` and `buckets`), and
 /// `labels` is an object sent only when there are any.
 impl Field for MetricSample {
-    fn to_json(&self) -> Json {
-        let mut fields = Vec::with_capacity(8);
-        let out = &mut fields;
-        put(out, "name", &self.name);
-        put(out, "help", &self.help);
+    fn write(&self, out: &mut Vec<u8>) {
+        let mut obj = ObjWriter::open(out);
+        let o = &mut obj;
+        put(o, "name", &self.name);
+        put(o, "help", &self.help);
         if !self.labels.is_empty() {
-            let labels = self.labels.iter().map(|(k, v)| (k.clone(), v.to_json()));
-            out.push(("labels".into(), Json::Obj(labels.collect())));
+            let mut labels = ObjWriter::open(o.key("labels"));
+            for (k, v) in &self.labels {
+                put(&mut labels, k, v);
+            }
+            labels.close();
         }
-        let kind = |name: &str| ("type".to_string(), Json::Str(name.into()));
+        let kind = match &self.value {
+            MetricValue::Counter(_) => "counter",
+            MetricValue::Gauge(_) => "gauge",
+            MetricValue::Histogram(_) => "histogram",
+        };
+        write_str(o.key("type"), kind);
         match &self.value {
-            MetricValue::Counter(v) => {
-                out.push(kind("counter"));
-                put(out, "value", v);
-            }
-            MetricValue::Gauge(v) => {
-                out.push(kind("gauge"));
-                put(out, "value", v);
-            }
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => put(o, "value", v),
             MetricValue::Histogram(h) => {
-                out.push(kind("histogram"));
-                put(out, "count", &h.count);
-                put(out, "sum", &h.sum);
-                put(out, "scale", &h.scale);
-                put(out, "buckets", &h.buckets);
+                put(o, "count", &h.count);
+                put(o, "sum", &h.sum);
+                put(o, "scale", &h.scale);
+                put(o, "buckets", &h.buckets);
             }
         }
-        Json::Obj(fields)
+        obj.close();
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let labels = match v.get("labels") {
+    fn read(p: &mut Parser<'_>) -> Result<Self, String> {
+        let m = Members::read(p)?;
+        let labels = match m.get("labels") {
             None => Vec::new(),
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, l)| Ok((k.clone(), take_value(l, k)?)))
+            Some(mut p) if p.peek() == Some(b'{') => Members::read(&mut p)?
+                .entries()
+                .map(|(k, mut v)| {
+                    let value = String::read(&mut v).map_err(|e| format!("field '{k}': {e}"))?;
+                    Ok((k.into_owned(), value))
+                })
                 .collect::<Result<_, String>>()?,
             Some(_) => return Err("field 'labels': not an object".into()),
         };
-        let value = match take::<String>(v, "type", None)?.as_str() {
-            "counter" => MetricValue::Counter(take(v, "value", None)?),
-            "gauge" => MetricValue::Gauge(take(v, "value", None)?),
+        let value = match take::<String>(&m, "type", None)?.as_str() {
+            "counter" => MetricValue::Counter(take(&m, "value", None)?),
+            "gauge" => MetricValue::Gauge(take(&m, "value", None)?),
             "histogram" => MetricValue::Histogram(HistogramSnapshot {
-                count: take(v, "count", None)?,
-                sum: take(v, "sum", None)?,
-                scale: take(v, "scale", None)?,
-                buckets: take(v, "buckets", None)?,
+                count: take(&m, "count", None)?,
+                sum: take(&m, "sum", None)?,
+                scale: take(&m, "scale", None)?,
+                buckets: take(&m, "buckets", None)?,
             }),
             other => return Err(format!("unknown metric type '{other}'")),
         };
         Ok(MetricSample {
-            name: take(v, "name", None)?,
+            name: take(&m, "name", None)?,
             labels,
-            help: take(v, "help", None)?,
+            help: take(&m, "help", None)?,
             value,
         })
     }
 }
 
 impl Field for MetricsSnapshot {
-    fn to_json(&self) -> Json {
-        self.samples.to_json()
+    fn write(&self, out: &mut Vec<u8>) {
+        self.samples.write(out);
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
+    fn read(p: &mut Parser<'_>) -> Result<Self, String> {
         Ok(MetricsSnapshot {
-            samples: Field::from_json(v)?,
+            samples: Field::read(p)?,
         })
     }
 }
 
-fn put<T: Field>(out: &mut Vec<(String, Json)>, key: &str, value: &T) {
-    out.push((key.into(), value.to_json()));
+fn put<T: Field>(obj: &mut ObjWriter<'_>, key: &str, value: &T) {
+    value.write(obj.key(key));
 }
 
-/// Field `key` of `obj`: `absent` when it is missing (`None`: required),
+/// Field `key` of `m`: `absent` when it is missing (`None`: required),
 /// an error naming `key` when it has the wrong shape.
-fn take<T: Field>(obj: &Json, key: &str, absent: Option<T>) -> Result<T, String> {
-    match obj.get(key) {
-        Some(v) => take_value(v, key),
+fn take<T: Field>(m: &Members<'_>, key: &str, absent: Option<T>) -> Result<T, String> {
+    match m.get(key) {
+        Some(mut p) => T::read(&mut p).map_err(|e| format!("field '{key}': {e}")),
         None => absent.ok_or_else(|| format!("missing field '{key}'")),
     }
 }
 
-fn take_value<T: Field>(v: &Json, key: &str) -> Result<T, String> {
-    T::from_json(v).map_err(|e| format!("field '{key}': {e}"))
+/// `hello`'s `graph_digest`: exactly 16 lowercase hex digits, in quotes.
+fn write_digest(out: &mut Vec<u8>, digest: u64) {
+    out.push(b'"');
+    for shift in (0..16).rev() {
+        out.push(b"0123456789abcdef"[(digest >> (4 * shift)) as usize & 0xf]);
+    }
+    out.push(b'"');
 }
 
 /// `hello`'s `graph_digest`: exactly 16 hex digits.
-fn digest_from_json(v: &Json) -> Result<u64, String> {
+fn read_digest(p: &mut Parser<'_>) -> Result<u64, String> {
     let bad = || "field 'graph_digest': not 16 hex digits".to_string();
-    let text = v.as_str().ok_or_else(bad)?;
+    let text = p.read_str().ok_or_else(bad)?;
     if text.len() != 16 || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(bad());
     }
-    u64::from_str_radix(text, 16).map_err(|_| bad())
+    u64::from_str_radix(&text, 16).map_err(|_| bad())
 }
 
-/// One table row under its policy: how the field goes out into `out`
-/// (`put`) and comes back from `obj` (`take`). `hex` and `flatten` are
-/// `hello`'s two irregular rows.
+/// One table row under its policy: how the field is written onto the
+/// object `obj` (`put`) and read back from the index `m` (`take`). `hex`
+/// and `flatten` are `hello`'s two irregular rows.
 macro_rules! row {
-    (put $out:ident, $key:expr, $val:expr, omit $(($d:expr))?) => {
+    (put $obj:ident, $key:expr, $val:expr, omit $(($d:expr))?) => {
         if *$val != row!(default $($d)?) {
-            put($out, $key, $val)
+            put($obj, $key, $val)
         }
     };
-    (put $out:ident, $key:expr, $val:expr, hex) => {
+    (put $obj:ident, $key:expr, $val:expr, hex) => {
         if let Some(digest) = $val {
-            $out.push(($key.into(), Json::Str(format!("{digest:016x}"))))
+            write_digest($obj.key($key), *digest)
         }
     };
-    (put $out:ident, $key:expr, $val:expr, flatten) => {
+    (put $obj:ident, $key:expr, $val:expr, flatten) => {
         if let Some(inner) = $val {
-            inner.put($out)
+            inner.put($obj)
         }
     };
-    (put $out:ident, $key:expr, $val:expr, $policy:ident) => {
-        put($out, $key, $val)
+    (put $obj:ident, $key:expr, $val:expr, $policy:ident) => {
+        put($obj, $key, $val)
     };
-    (take $obj:ident, $key:expr, req) => {
-        take($obj, $key, None)?
+    (take $m:ident, $key:expr, req) => {
+        take($m, $key, None)?
     };
-    (take $obj:ident, $key:expr, hex) => {
-        match $obj.get($key) {
-            Some(v) => Some(digest_from_json(v)?),
+    (take $m:ident, $key:expr, hex) => {
+        match $m.get($key) {
+            Some(mut p) => Some(read_digest(&mut p)?),
             None => None,
         }
     };
-    (take $obj:ident, $key:expr, flatten) => {
-        match $obj.get($key) {
-            Some(_) => Some(Body::take($obj)?),
+    (take $m:ident, $key:expr, flatten) => {
+        match $m.get($key) {
+            Some(_) => Some(Body::take($m)?),
             None => None,
         }
     };
-    (take $obj:ident, $key:expr, $policy:ident $(($d:expr))?) => {
-        take($obj, $key, Some(row!(default $($d)?)))?
+    (take $m:ident, $key:expr, $policy:ident $(($d:expr))?) => {
+        take($m, $key, Some(row!(default $($d)?)))?
     };
     (default) => {
         Default::default()
@@ -420,13 +498,13 @@ macro_rules! message {
         }
 
         impl Body for $name {
-            fn put(&self, out: &mut Vec<(String, Json)>) {
-                $(row!(put out, key!($f $($key)?), &self.$f, $policy $(($d))?);)*
+            fn put(&self, obj: &mut ObjWriter<'_>) {
+                $(row!(put obj, key!($f $($key)?), &self.$f, $policy $(($d))?);)*
             }
 
-            fn take(obj: &Json) -> Result<Self, String> {
+            fn take(m: &Members<'_>) -> Result<Self, String> {
                 Ok($name {
-                    $($f: row!(take obj, key!($f $($key)?), $policy $(($d))?),)*
+                    $($f: row!(take m, key!($f $($key)?), $policy $(($d))?),)*
                 })
             }
         }
@@ -446,24 +524,25 @@ macro_rules! requests {
         }
 
         impl Request {
-            /// Encode for the wire (without the trailing newline).
-            pub fn to_json(&self) -> Json {
-                let mut fields = Vec::with_capacity(6);
-                let out = &mut fields;
+            /// Append the request's line, newline included, to `out`.
+            pub(crate) fn write_line(&self, out: &mut Vec<u8>) {
+                let mut obj = ObjWriter::open(out);
+                let o = &mut obj;
                 match self {
                     $(Request::$variant $({ $($f),* })? => {
-                        out.push(("op".into(), Json::Str($op.into())));
-                        $($(row!(put out, stringify!($f), $f, $policy $(($d))?);)*)?
+                        write_str(o.key("op"), $op);
+                        $($(row!(put o, stringify!($f), $f, $policy $(($d))?);)*)?
                     })*
                 }
-                Json::Obj(fields)
+                obj.close();
+                out.push(b'\n');
             }
 
-            fn decode(obj: &Json) -> Result<Request, String> {
-                let op = obj.get("op").and_then(Json::as_str);
-                Ok(match op.ok_or("missing string field 'op'")? {
+            fn decode(m: &Members<'_>) -> Result<Request, String> {
+                let op = m.get("op").and_then(|mut p| p.read_str());
+                Ok(match op.as_deref().ok_or("missing string field 'op'")? {
                     $($op => Request::$variant $({
-                        $($f: row!(take obj, stringify!($f), $policy $(($d))?),)*
+                        $($f: row!(take m, stringify!($f), $policy $(($d))?),)*
                     })?,)*
                     other => return Err(format!("unknown op '{other}'")),
                 })
@@ -490,28 +569,29 @@ macro_rules! replies {
         }
 
         impl Reply {
-            /// Encode for the wire (without the trailing newline).
-            pub fn to_json(&self) -> Json {
-                let mut fields = Vec::with_capacity(8);
-                let out = &mut fields;
+            /// Append the reply's line, newline included, to `out`.
+            pub(crate) fn write_line(&self, out: &mut Vec<u8>) {
+                let mut obj = ObjWriter::open(out);
+                let o = &mut obj;
                 match self {
                     $(Reply::$variant $(($body))? $({ $($f),* })? => {
-                        out.push(("ok".into(), Json::Bool(true)));
-                        how!(put $how $key, out $(, $body)?);
-                        $($(row!(put out, stringify!($f), $f, $policy);)*)?
+                        put(o, "ok", &true);
+                        how!(put $how $key, o $(, $body)?);
+                        $($(row!(put o, stringify!($f), $f, $policy);)*)?
                     })*
                     Reply::Error(msg) => {
-                        out.push(("ok".into(), Json::Bool(false)));
-                        put(out, "error", msg);
+                        put(o, "ok", &false);
+                        put(o, "error", msg);
                     }
                 }
-                Json::Obj(fields)
+                obj.close();
+                out.push(b'\n');
             }
 
-            fn decode(obj: &Json) -> Result<Reply, String> {
-                $(if obj.get($key).is_some() {
-                    return Ok(Reply::$variant $((how!(take $how $key, obj, $payload)))? $({
-                        $($f: row!(take obj, stringify!($f), $policy),)*
+            fn decode(m: &Members<'_>) -> Result<Reply, String> {
+                $(if m.get($key).is_some() {
+                    return Ok(Reply::$variant $((how!(take $how $key, m, $payload)))? $({
+                        $($f: row!(take m, stringify!($f), $policy),)*
                     })?);
                 })*
                 Err("unrecognized reply shape".into())
@@ -522,20 +602,20 @@ macro_rules! replies {
 
 /// A reply variant's discriminating key: see `replies!`.
 macro_rules! how {
-    (put when $key:literal, $out:ident $(, $body:ident)?) => {
-        $($body.put($out))?
+    (put when $key:literal, $obj:ident $(, $body:ident)?) => {
+        $($body.put($obj))?
     };
-    (put under $key:literal, $out:ident, $body:ident) => {
-        put($out, $key, $body)
+    (put under $key:literal, $obj:ident, $body:ident) => {
+        put($obj, $key, $body)
     };
-    (put marked $key:literal, $out:ident) => {
-        $out.push(($key.into(), Json::Bool(true)))
+    (put marked $key:literal, $obj:ident) => {
+        put($obj, $key, &true)
     };
-    (take when $key:literal, $obj:ident, $t:ty) => {
-        <$t as Body>::take($obj)?
+    (take when $key:literal, $m:ident, $t:ty) => {
+        <$t as Body>::take($m)?
     };
-    (take under $key:literal, $obj:ident, $t:ty) => {
-        take::<$t>($obj, $key, None)?
+    (take under $key:literal, $m:ident, $t:ty) => {
+        take::<$t>($m, $key, None)?
     };
 }
 
@@ -602,15 +682,20 @@ requests! {
 }
 
 impl Request {
-    /// The request as it travels: [`Request::to_json`] rendered, plus the
-    /// terminating newline.
+    /// The request as it travels, terminating newline included.
     pub fn to_line(&self) -> String {
-        line(self.to_json())
+        line(|out| self.write_line(out))
+    }
+
+    /// The request's line as a [`Json`] tree, for a caller that wants one
+    /// (the wire codec builds none).
+    pub fn to_json(&self) -> Json {
+        view(&self.to_line())
     }
 
     /// Decode one request line.
     pub fn from_line(line: &str) -> Result<Request, String> {
-        let req = Request::decode(&Json::parse(line).map_err(|e| e.to_string())?)?;
+        let req = Request::decode(&Members::of_line(line)?)?;
         match &req {
             Request::Batch { nodes, .. } if nodes.is_empty() => {
                 Err("'nodes' must contain at least one node".into())
@@ -623,10 +708,17 @@ impl Request {
     }
 }
 
-fn line(json: Json) -> String {
-    let mut line = json.render();
-    line.push('\n');
-    line
+/// A line `write` writes, in a buffer sized for the common messages.
+fn line(write: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::with_capacity(LINE_CAPACITY);
+    write(&mut out);
+    String::from_utf8(out).expect("the writer writes UTF-8")
+}
+
+/// A written line read back as a tree. Panics on a message holding a
+/// non-finite weight, which has no JSON form.
+fn view(line: &str) -> Json {
+    Json::parse(line).expect("the writer writes JSON")
 }
 
 message! {
@@ -866,22 +958,28 @@ replies! {
 }
 
 impl Reply {
-    /// The reply as it travels: [`Reply::to_json`] rendered, plus the
-    /// terminating newline.
+    /// The reply as it travels, terminating newline included.
     pub fn to_line(&self) -> String {
-        line(self.to_json())
+        line(|out| self.write_line(out))
+    }
+
+    /// The reply's line as a [`Json`] tree, for a caller that wants one
+    /// (the wire codec builds none).
+    pub fn to_json(&self) -> Json {
+        view(&self.to_line())
     }
 
     /// Decode one reply line.
     pub fn from_line(line: &str) -> Result<Reply, String> {
-        let v = Json::parse(line).map_err(|e| e.to_string())?;
-        match v.get("ok").and_then(Json::as_bool) {
-            Some(true) => Reply::decode(&v),
+        let m = Members::of_line(line)?;
+        match m.get("ok").and_then(|mut p| p.read_bool()) {
+            Some(true) => Reply::decode(&m),
             Some(false) => {
-                let msg = v.get("error").and_then(Json::as_str);
-                Ok(Reply::Error(
-                    msg.unwrap_or("unspecified server error").into(),
-                ))
+                let msg = m.get("error").and_then(|mut p| p.read_str());
+                Ok(Reply::Error(msg.map_or_else(
+                    || "unspecified server error".into(),
+                    Cow::into_owned,
+                )))
             }
             None => Err("missing boolean field 'ok'".into()),
         }
@@ -1297,6 +1395,267 @@ mod tests {
             r#"{"op":"query","node":1,"k":5,"cache":null}"#,
         ] {
             assert!(Request::from_line(line).is_err(), "accepted {line:?}");
+        }
+    }
+
+    fn query(node: u32, k: u32) -> Request {
+        Request::Query {
+            node,
+            k,
+            cache: true,
+            strategy: None,
+            deadline_ms: None,
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_read_their_first_occurrence() {
+        let req = Request::from_line(r#"{"op":"query","node":1,"k":2,"node":5,"op":"stats"}"#);
+        assert_eq!(req, Ok(query(1, 2)));
+        let line =
+            r#"{"ok":true,"result":[[1,2]],"result":"x","cached":false,"epoch":3,"ok":false}"#;
+        match Reply::from_line(line) {
+            Ok(Reply::Query(q)) => assert_eq!((q.entries, q.epoch), (vec![(1, 2)], 3)),
+            other => panic!("{other:?}"),
+        }
+        let stats = Reply::Stats(StatsReply {
+            queries: 1,
+            ..StatsReply::default()
+        })
+        .to_line();
+        let nested = stats.replace(r#""queries":1,"#, r#""queries":1,"queries":"x","#);
+        assert_ne!(nested, stats);
+        match Reply::from_line(&nested) {
+            Ok(Reply::Stats(s)) => assert_eq!(s.queries, 1),
+            other => panic!("{other:?}"),
+        }
+        let sample = r#"{"ok":true,"metrics":[{"name":"a","name":7,"help":"h","type":"gauge","value":4,"value":"x"}]}"#;
+        match Reply::from_line(sample) {
+            Ok(Reply::Metrics(m)) => {
+                assert_eq!(m.samples[0].name, "a");
+                assert_eq!(m.samples[0].value, MetricValue::Gauge(4));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_skipped_whatever_they_hold() {
+        let line = r#"{"x":{"a":[1,{"b":null,"c":[true,false]}],"d":"\"}"},"op":"query","y":[],"node":1,"k":2,"z":-0.5e3}"#;
+        assert_eq!(Request::from_line(line), Ok(query(1, 2)));
+        let line = r#"{"ok":true,"note":{"x":[[]]},"staged":2,"graph_epoch":1,"more":"y"}"#;
+        assert_eq!(
+            Reply::from_line(line),
+            Ok(Reply::Update {
+                staged: 2,
+                graph_epoch: 1
+            })
+        );
+    }
+
+    #[test]
+    fn whitespace_is_accepted_between_every_pair_of_tokens() {
+        let ws = " \t\r\n ";
+        let spaced = |tokens: &[&str]| format!("{ws}{}{ws}", tokens.join(ws));
+        let req = spaced(&[
+            "{",
+            r#""op""#,
+            ":",
+            r#""query""#,
+            ",",
+            r#""node""#,
+            ":",
+            "17",
+            ",",
+            r#""k""#,
+            ":",
+            "10",
+            ",",
+            r#""cache""#,
+            ":",
+            "false",
+            "}",
+        ]);
+        let mut want = query(17, 10);
+        if let Request::Query { cache, .. } = &mut want {
+            *cache = false;
+        }
+        assert_eq!(Request::from_line(&req), Ok(want));
+        let req = spaced(&[
+            "{",
+            r#""op""#,
+            ":",
+            r#""update""#,
+            ",",
+            r#""ops""#,
+            ":",
+            "[",
+            "[",
+            r#""add""#,
+            ",",
+            "1",
+            ",",
+            "2",
+            ",",
+            "0.5",
+            "]",
+            ",",
+            "[",
+            r#""add-node""#,
+            "]",
+            "]",
+            "}",
+        ]);
+        assert_eq!(
+            Request::from_line(&req),
+            Ok(Request::Update {
+                ops: vec![UpdateOp::AddEdge { u: 1, v: 2, w: 0.5 }, UpdateOp::AddNode],
+            })
+        );
+        let reply = spaced(&[
+            "{",
+            r#""ok""#,
+            ":",
+            "true",
+            ",",
+            r#""result""#,
+            ":",
+            "[",
+            "[",
+            "1",
+            ",",
+            "2",
+            "]",
+            ",",
+            "[",
+            "3",
+            ",",
+            "4",
+            "]",
+            "]",
+            ",",
+            r#""cached""#,
+            ":",
+            "true",
+            ",",
+            r#""epoch""#,
+            ":",
+            "7",
+            "}",
+        ]);
+        assert_eq!(
+            Reply::from_line(&reply),
+            Ok(Reply::Query(QueryReply {
+                entries: vec![(1, 2), (3, 4)],
+                cached: true,
+                epoch: 7,
+                graph_epoch: 0,
+                partial: false,
+            }))
+        );
+    }
+
+    #[test]
+    fn escaped_keys_and_strings_read_unescaped() {
+        assert_eq!(
+            Request::from_line(r#"{"\u006fp":"stats"}"#),
+            Ok(Request::Stats)
+        );
+        assert_eq!(
+            Request::from_line(r#"{"\u006f\u0070":"query","n\u006fde":4,"k":1,"node":9}"#),
+            Ok(query(4, 1))
+        );
+        assert_eq!(
+            Request::from_line(r#"{"op":"\u0073tats"}"#),
+            Ok(Request::Stats)
+        );
+        let line = r#"{"ok":false,"error":"a\"b\\c\né"}"#;
+        assert_eq!(
+            Reply::from_line(line),
+            Ok(Reply::Error("a\"b\\c\né".into()))
+        );
+        let line = r#"{"ok":true,"metrics":[{"name":"x","help":"","labels":{"k\u0031":"v\t"},"type":"counter","value":1}]}"#;
+        match Reply::from_line(line) {
+            Ok(Reply::Metrics(m)) => {
+                assert_eq!(m.samples[0].name, "x");
+                assert_eq!(m.samples[0].labels, vec![("k1".into(), "v\t".into())]);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn integers_read_by_value_not_by_spelling() {
+        let read =
+            |node: &str| Request::from_line(&format!(r#"{{"op":"query","node":{node},"k":3e0}}"#));
+        assert_eq!(read("3.0"), Ok(query(3, 3)));
+        assert_eq!(read("3e0"), Ok(query(3, 3)));
+        assert_eq!(read("30E-1"), Ok(query(3, 3)));
+        assert_eq!(read("4294967295"), Ok(query(u32::MAX, 3)));
+        for bad in ["-1", "3.5", "4294967296", "1e10"] {
+            let err = read(bad).unwrap_err();
+            assert!(err.contains("'node'"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_values_obey_the_nesting_cap() {
+        // the message object is level 1, so `depth` arrays under it reach
+        // level `depth + 1`
+        let line = |depth: usize| {
+            format!(
+                r#"{{"op":"stats","x":{}{}}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            )
+        };
+        assert_eq!(Request::from_line(&line(31)), Ok(Request::Stats));
+        let err = Request::from_line(&line(32)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let reply = format!(
+            r#"{{"ok":true,"bye":true,"x":{}1{}}}"#,
+            r#"{"a":"#.repeat(32),
+            "}".repeat(32)
+        );
+        assert!(Reply::from_line(&reply).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn a_wrong_typed_field_is_an_error_naming_it() {
+        for (line, key) in [
+            (r#"{"op":"query","node":"1","k":2}"#, "node"),
+            (r#"{"op":"query","node":1,"k":[2]}"#, "k"),
+            (
+                r#"{"op":"query","node":1,"k":2,"deadline_ms":"5"}"#,
+                "deadline_ms",
+            ),
+            (r#"{"op":"batch","nodes":7,"k":2}"#, "nodes"),
+            (r#"{"op":"update","ops":[["add",1,2,"w"]]}"#, "ops"),
+        ] {
+            let err = Request::from_line(line).unwrap_err();
+            assert!(err.contains(&format!("'{key}'")), "{line}: {err}");
+        }
+        for (line, key) in [
+            (
+                r#"{"ok":true,"result":[[1,2]],"cached":false,"epoch":"1"}"#,
+                "epoch",
+            ),
+            (
+                r#"{"ok":true,"result":{},"cached":false,"epoch":1}"#,
+                "result",
+            ),
+            (r#"{"ok":true,"stats":[]}"#, "stats"),
+            (
+                r#"{"ok":true,"staged":2,"graph_epoch":null}"#,
+                "graph_epoch",
+            ),
+            (
+                r#"{"ok":true,"role":"shard","epoch":0,"graph_epoch":0,"nodes":1,"edges":0,"shard":1,"shards":true,"shard_seed":0}"#,
+                "shards",
+            ),
+        ] {
+            let err = Reply::from_line(line).unwrap_err();
+            assert!(err.contains(&format!("'{key}'")), "{line}: {err}");
         }
     }
 

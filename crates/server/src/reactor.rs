@@ -346,7 +346,7 @@ impl<S: Service> Core<'_, S> {
                         self.front.oversize_lines.inc();
                         let reply =
                             Reply::Error(format!("bad request: line exceeds {max_line} bytes"));
-                        if conn.send(reply.to_line().as_bytes()).is_err() {
+                        if conn.send(|out| reply.write_line(out)).is_err() {
                             return true;
                         }
                         conn.closing = true;
@@ -372,11 +372,11 @@ impl<S: Service> Core<'_, S> {
                     Err(msg) => Reply::Error(msg),
                 };
                 if matches!(reply, Reply::Shutdown) {
-                    conn.send_final(reply.to_line().as_bytes());
+                    conn.send_final(|out| reply.write_line(out));
                     self.shutdown.store(true, Ordering::Release);
                     return true;
                 }
-                if conn.send(reply.to_line().as_bytes()).is_err() {
+                if conn.send(|out| reply.write_line(out)).is_err() {
                     return true;
                 }
                 self.front

@@ -2,6 +2,9 @@
 //! `Request::from_line` and `Reply::from_line` return `Ok` or `Err`;
 //! every generated request and reply survives `to_line` → `from_line`
 //! unchanged; and every strict byte-prefix of such a line is an `Err`.
+//! The codec's writer and the `Json` tree agree: every line `to_line`
+//! writes, counters past 2^53 and arbitrary float weights included, is
+//! the line `Json::parse` of it renders back.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -47,6 +50,42 @@ fn weight(rng: &mut TestRng) -> f64 {
     }
 }
 
+/// Any counter value: past 2^53 (where a JSON number rounds it), around
+/// the 9e15 edge of the integer rule, or anywhere in `u64`.
+fn any_count(rng: &mut TestRng) -> u64 {
+    match rng.random_range(0..4) {
+        0 => count(rng),
+        1 => (1 << 53) + rng.random_range(0..1000u64),
+        2 => 9_000_000_000_000_000 - 500 + rng.random_range(0..1000u64),
+        _ => rng.random(),
+    }
+}
+
+/// Any finite weight, from far below 1 to far above 2^53.
+fn any_weight(rng: &mut TestRng) -> f64 {
+    match rng.random_range(0..3) {
+        0 => weight(rng),
+        1 => rng.random::<f64>() * 10f64.powi(rng.random_range(-30..30)),
+        _ => rng.random_range(0..u64::MAX) as f64,
+    }
+}
+
+/// How a generator draws its numbers.
+#[derive(Clone, Copy)]
+struct Numbers {
+    count: fn(&mut TestRng) -> u64,
+    weight: fn(&mut TestRng) -> f64,
+}
+
+/// Numbers a line carries exactly, so a message survives its round trip.
+const EXACT: Numbers = Numbers { count, weight };
+
+/// Any numbers, for properties of the line itself.
+const WIDE: Numbers = Numbers {
+    count: any_count,
+    weight: any_weight,
+};
+
 fn entries(rng: &mut TestRng) -> Vec<(u32, u32)> {
     let len = rng.random_range(0..6);
     (0..len).map(|_| (rng.random(), rng.random())).collect()
@@ -73,12 +112,13 @@ impl Strategy for Bytes {
 }
 
 /// Every request shape.
-struct Requests;
+struct Requests(Numbers);
 
 impl Strategy for Requests {
     type Value = Request;
 
     fn generate(&self, rng: &mut TestRng) -> Request {
+        let Numbers { count, weight } = self.0;
         match rng.random_range(0..10) {
             0 => Request::Query {
                 node: rng.random(),
@@ -124,12 +164,13 @@ impl Strategy for Requests {
 }
 
 /// Every reply shape, errors with control characters included.
-struct Replies;
+struct Replies(Numbers);
 
 impl Strategy for Replies {
     type Value = Reply;
 
     fn generate(&self, rng: &mut TestRng) -> Reply {
+        let Numbers { count, weight } = self.0;
         match rng.random_range(0..11) {
             0 => Reply::Query(QueryReply {
                 entries: entries(rng),
@@ -280,13 +321,13 @@ proptest! {
     }
 
     #[test]
-    fn decoders_never_panic_on_mutated_lines(req in Requests, reply in Replies, edits in Bytes) {
+    fn decoders_never_panic_on_mutated_lines(req in Requests(EXACT), reply in Replies(EXACT), edits in Bytes) {
         decode_all(&mutate(&req.to_line(), &edits));
         decode_all(&mutate(&reply.to_line(), &edits));
     }
 
     #[test]
-    fn requests_round_trip_and_their_prefixes_are_errors(req in Requests) {
+    fn requests_round_trip_and_their_prefixes_are_errors(req in Requests(EXACT)) {
         let line = req.to_line();
         prop_assert_eq!(Request::from_line(&line), Ok(req));
         for prefix in strict_prefixes(&line) {
@@ -295,11 +336,19 @@ proptest! {
     }
 
     #[test]
-    fn replies_round_trip_and_their_prefixes_are_errors(reply in Replies) {
+    fn replies_round_trip_and_their_prefixes_are_errors(reply in Replies(EXACT)) {
         let line = reply.to_line();
         prop_assert_eq!(Reply::from_line(&line), Ok(reply));
         for prefix in strict_prefixes(&line) {
             prop_assert!(Reply::from_line(&prefix).is_err(), "accepted {:?}", prefix);
+        }
+    }
+
+    #[test]
+    fn the_writer_writes_what_the_tree_renders(req in Requests(WIDE), reply in Replies(WIDE)) {
+        for line in [req.to_line(), reply.to_line()] {
+            let tree = Json::parse(&line).map_err(|e| TestCaseError::fail(format!("{e}: {line}")))?;
+            prop_assert_eq!(format!("{}\n", tree.render()), line);
         }
     }
 }
