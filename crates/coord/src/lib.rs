@@ -392,7 +392,7 @@ fn stats_snapshot(shared: &CoordShared) -> StatsReply {
         workers: ServerConfig::default().workers as u64,
         updates_applied: m.updates.get(),
         accept_errors: front.accept_errors.get(),
-        wakeups: front.wakeups.get(),
+        wakeups: front.wake_drain_seconds.count(),
         backpressure_pauses: front.backpressure_pauses.get(),
         oversize_lines: front.oversize_lines.get(),
         ..StatsReply::default()

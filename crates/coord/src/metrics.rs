@@ -2,6 +2,13 @@
 //! into, exposed through the same [`rkranks_core::Registry`] machinery
 //! the shards use, under the `rkrd_coord_` prefix so one Prometheus
 //! scrape config covers both tiers.
+//!
+//! Each number is recorded once, where it happens: the request counters
+//! as the request is served, the entry counters as a reply is read and
+//! returned, a shard's error and latency where its round trip ends, and
+//! the fleet gauges where a `hello` or a reply reports the fleet's graph.
+//! A round is counted by its `rkrd_coord_fanout_width` sample, and
+//! `stats.wakeups` is the count of `rkrd_coord_wake_drain_seconds`.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -25,8 +32,6 @@ pub struct CoordMetrics {
     pub batches: Arc<Counter>,
     /// Update batches routed to the shard fleet.
     pub updates: Arc<Counter>,
-    /// Fan-out rounds issued (initial rounds plus every retry round).
-    pub fanouts: Arc<Counter>,
     /// Answers marked partial: a deadline cut the answering replica's
     /// search short.
     pub partials: Arc<Counter>,
@@ -50,7 +55,7 @@ pub struct CoordMetrics {
     pub shard_seconds: Vec<Arc<Histogram>>,
     /// Shards contacted per round: one for a read (and for each failover
     /// step, flush or re-ask), the whole fleet for a write or `hello`
-    /// round.
+    /// round. Its count is the number of rounds.
     pub fanout_width: Arc<Histogram>,
 
     /// The reactor's instruments (`rkrd_coord_connections_open`, …).
@@ -102,7 +107,6 @@ impl CoordMetrics {
             queries: r.counter("rkrd_coord_queries_total", "queries answered"),
             batches: r.counter("rkrd_coord_batches_total", "batch requests answered"),
             updates: r.counter("rkrd_coord_updates_total", "update batches routed"),
-            fanouts: r.counter("rkrd_coord_fanouts_total", "fan-out rounds issued"),
             partials: r.counter("rkrd_coord_partials_total", "deadline-cut answers"),
             epoch_retries: r.counter(
                 "rkrd_coord_epoch_retries_total",

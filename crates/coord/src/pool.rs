@@ -45,7 +45,7 @@
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
-use rkranks_server::{BatchReply, Client, HelloReply, QueryReply, Reply, Request};
+use rkranks_server::{BatchReply, Client, ClientError, HelloReply, QueryReply, Reply, Request};
 
 use crate::metrics::CoordMetrics;
 use crate::CoordConfig;
@@ -324,61 +324,64 @@ impl ShardPool {
         self.shards[i].graph = None;
     }
 
-    /// One pipelined round: render `req` once, write the same bytes to
-    /// every shard in `idxs`, then collect the replies in order. A shard
-    /// that fails at either phase gets its connection dropped (the next
-    /// round redials) and an `Err` slot; the round itself never fails.
+    /// One pipelined round over the whole fleet: write `req` to every
+    /// shard in `idxs`, then collect the replies in order. A shard that
+    /// fails at either phase gets its connection dropped (the next round
+    /// redials) and an `Err` slot; the round itself never fails.
     fn fan_out(&mut self, idxs: &[usize], req: &Request) -> Vec<Result<Reply, ShardError>> {
-        self.metrics.fanouts.inc();
         self.metrics.fanout_width.record(idxs.len() as u64);
-        let line = req.to_line();
         // Per shard: when the request was written (a reply is owed), or
         // why connecting or writing failed.
-        let mut sent: Vec<Result<Instant, ShardError>> = Vec::with_capacity(idxs.len());
-        for &i in idxs {
-            let wrote = self.ensure(i).and_then(|c| {
-                c.send_line(&line)
-                    .map_err(|e| ShardError::Transient(e.to_string()))
-            });
-            if wrote.is_err() {
-                self.fail(i);
-            }
-            sent.push(wrote.map(|()| Instant::now()));
-        }
+        let sent: Vec<_> = idxs.iter().map(|&i| self.send(i, req)).collect();
         idxs.iter()
             .zip(sent)
-            .map(|(&i, slot)| match slot {
-                Err(e) => Err(e),
-                Ok(start) => {
-                    let got = self.shards[i]
-                        .client
-                        .as_mut()
-                        .expect("sent on a live connection")
-                        .recv();
-                    self.metrics.record_shard(i, start.elapsed());
-                    match got {
-                        Ok(reply) => Ok(reply),
-                        // The shard is healthy and *answered* with an
-                        // error — that is a reply, not a dead peer.
-                        Err(rkranks_server::ClientError::Server(msg)) => Ok(Reply::Error(msg)),
-                        Err(e) => {
-                            self.fail(i);
-                            Err(ShardError::Transient(format!(
-                                "shard {i} ({}): {e}",
-                                self.shards[i].addr
-                            )))
-                        }
-                    }
-                }
-            })
+            .map(|(&i, slot)| self.collect(i, slot?))
             .collect()
     }
 
-    /// Send `req` to shard `i` alone.
+    /// Send `req` to replica `i` alone and read its reply: a read, or the
+    /// flush of a replica behind the fleet's epoch.
     fn ask(&mut self, i: usize, req: &Request) -> Result<Reply, ShardError> {
-        self.fan_out(&[i], req)
-            .pop()
-            .expect("one slot per shard asked")
+        self.metrics.fanout_width.record(1);
+        let start = self.send(i, req)?;
+        self.collect(i, start)
+    }
+
+    /// Write `req` to replica `i` through its client's kept buffer,
+    /// connecting first if needed: when it was written, or why connecting
+    /// or writing failed (the replica is failed then).
+    fn send(&mut self, i: usize, req: &Request) -> Result<Instant, ShardError> {
+        let wrote = self.ensure(i).and_then(|c| {
+            c.send(req)
+                .map_err(|e| ShardError::Transient(e.to_string()))
+        });
+        if wrote.is_err() {
+            self.fail(i);
+        }
+        wrote.map(|()| Instant::now())
+    }
+
+    /// Read replica `i`'s reply to a request written at `start`, timing
+    /// the wait. A replica that answered with an error gave a reply, not a
+    /// dead peer; any other failure fails the replica.
+    fn collect(&mut self, i: usize, start: Instant) -> Result<Reply, ShardError> {
+        let got = self.shards[i]
+            .client
+            .as_mut()
+            .expect("sent on a live connection")
+            .recv();
+        self.metrics.record_shard(i, start.elapsed());
+        match got {
+            Ok(reply) => Ok(reply),
+            Err(ClientError::Server(msg)) => Ok(Reply::Error(msg)),
+            Err(e) => {
+                self.fail(i);
+                Err(ShardError::Transient(format!(
+                    "shard {i} ({}): {e}",
+                    self.shards[i].addr
+                )))
+            }
+        }
     }
 
     /// Ask replica `i` for a read: its answer, or `None` when the answer

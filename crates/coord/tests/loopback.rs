@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -24,6 +24,7 @@ use rkranks_datasets::{collab_graph, CollabParams};
 use rkranks_graph::{to_real, Graph, GraphDelta, GraphStore, ShardMap, ShardSlice};
 use rkranks_server::{
     spawn, Client, ClientError, Reply, Request, ServerConfig, ServerHandle, UpdateOp,
+    MAX_REPLY_BYTES,
 };
 
 const K: u32 = 5;
@@ -148,7 +149,7 @@ fn scatter_gather_matches_single_box_across_zipf_matrix() {
         let total = (CLIENTS * QUERIES_PER_CLIENT) as u64;
         let workers = ServerConfig::default().workers as u64;
         assert_eq!(m.queries.get(), total);
-        assert!(m.fanouts.get() >= total);
+        assert!(m.fanout_width.count() >= total);
         assert!(
             m.shard_seconds[0].count() >= total,
             "shard 0's latency histogram must record every query"
@@ -983,6 +984,87 @@ fn oversize_coordinator_lines_are_counted_and_close_the_connection() {
     );
     assert_eq!(ctl.stats().expect("stats").oversize_lines, 1);
     ctl.shutdown().expect("coordinator shutdown");
+    coord.join();
+    shutdown_fleet(fleet);
+}
+
+/// A replica that answers `hello` as the real shard at `real` does, then
+/// answers anything else with a reply line that never ends: it streams
+/// [`MAX_REPLY_BYTES`] plus 16 MiB with no newline, then stalls until the
+/// peer hangs up. (The bound keeps a client without a cap from reading
+/// without limit: it waits out its reply timeout instead.)
+fn spawn_streaming_replica(real: SocketAddr) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { return };
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(conn.try_clone().unwrap());
+                let mut upstream = Client::connect(real).expect("connect the real shard");
+                let mut line = String::new();
+                while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+                    if !line.contains("\"hello\"") {
+                        let chunk = vec![b'x'; 1 << 20];
+                        for _ in 0..(MAX_REPLY_BYTES >> 20) + 16 {
+                            if conn.write_all(&chunk).is_err() {
+                                return;
+                            }
+                        }
+                        let _ = reader.read_to_end(&mut Vec::new());
+                        return;
+                    }
+                    let hello = upstream.raw(&Request::Hello).expect("real hello");
+                    conn.write_all(format!("{hello}\n").as_bytes()).unwrap();
+                    line.clear();
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A replica whose reply line never ends is cut at the client's reply cap:
+/// the coordinator fails it, counts one error against it, and answers
+/// from the next replica.
+#[test]
+fn a_replica_streaming_an_endless_reply_line_fails_over() {
+    let g = test_graph();
+    let expected = expected_ranks(&g);
+    let fleet = spawn_shards(&g, 2, 0, 0);
+    let addrs = vec![
+        spawn_streaming_replica(fleet[0].addr()).to_string(),
+        fleet[1].addr().to_string(),
+    ];
+    let coord = spawn_coord("127.0.0.1:0", CoordConfig::new(addrs)).expect("bind coord");
+    let mut client = Client::connect(coord.addr()).expect("connect");
+    // Without the cap the coordinator reads on until its 30 s shard reply
+    // timeout; this bound fails the test first.
+    client
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+
+    let reply = client.query(17, K).expect("replica 1 answers");
+    let ranks: Vec<u32> = reply.entries.iter().map(|&(_, r)| r).collect();
+    assert_eq!(ranks, expected[&17]);
+    assert!(!reply.partial);
+    let errors = client
+        .metrics()
+        .expect("metrics")
+        .samples
+        .into_iter()
+        .find_map(|s| match s.value {
+            MetricValue::Counter(v)
+                if s.name == "rkrd_coord_shard_errors_total"
+                    && s.labels == [("shard".to_string(), "0".to_string())] =>
+            {
+                Some(v)
+            }
+            _ => None,
+        });
+    assert_eq!(errors, Some(1), "one failure counted against replica 0");
+
+    client.shutdown().expect("coordinator shutdown");
     coord.join();
     shutdown_fleet(fleet);
 }

@@ -267,7 +267,9 @@ impl EngineContext {
         Self::with_partition(graph.into(), Some(partition))
     }
 
-    fn with_partition(graph: Arc<Graph>, partition: Option<Partition>) -> Self {
+    /// Bichromatic context when `partition` is `Some`, monochromatic
+    /// otherwise — for callers that carry the partition as an option.
+    pub fn with_partition(graph: Arc<Graph>, partition: Option<Partition>) -> Self {
         EngineContext {
             graph,
             transpose: OnceLock::new(),

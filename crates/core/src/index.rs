@@ -221,50 +221,43 @@ impl RkrIndex {
         let prefix = ((n as f64 * params.prefix_fraction).round() as u32).clamp(1, n);
 
         let hubs = select_hubs(graph, spec, params, hub_count);
-        let mut index = RkrIndex::empty(n, params.k_max);
-        index.hubs = hubs.clone();
-
         let threads = threads.clamp(1, hubs.len().max(1));
-        // The work counters sum over hubs, and over workers below.
-        let mut stats = IndexBuildStats {
-            hubs: hub_count,
-            prefix,
-            ..Default::default()
-        };
-        if threads == 1 {
-            let mut ws = DijkstraWorkspace::new(n);
-            for &hub in &hubs {
-                index.enumerate_from(graph, spec, &mut ws, hub, prefix, &mut stats);
-            }
-        } else {
-            let chunk = hubs.len().div_ceil(threads);
-            let mut partials: Vec<(RkrIndex, IndexBuildStats)> = Vec::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = hubs
-                    .chunks(chunk)
-                    .map(|chunk| {
-                        s.spawn(move || {
-                            let mut part = RkrIndex::empty(n, params.k_max);
-                            let mut ws = DijkstraWorkspace::new(n);
-                            let mut work = IndexBuildStats::default();
-                            for &hub in chunk {
-                                part.enumerate_from(graph, spec, &mut ws, hub, prefix, &mut work);
-                            }
-                            (part, work)
-                        })
+        let chunk = hubs.len().div_ceil(threads).max(1);
+        let mut partials: Vec<(RkrIndex, IndexBuildStats)> = Vec::new();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = hubs
+                .chunks(chunk)
+                .map(|chunk| {
+                    s.spawn(move || {
+                        let mut part = RkrIndex::empty(n, params.k_max);
+                        let mut ws = DijkstraWorkspace::new(n);
+                        let mut work = IndexBuildStats::default();
+                        for &hub in chunk {
+                            part.enumerate_from(graph, spec, &mut ws, hub, prefix, &mut work);
+                        }
+                        (part, work)
                     })
-                    .collect();
-                for h in handles {
-                    partials.push(h.join().expect("index build worker panicked"));
-                }
-            });
-            for (part, work) in partials {
-                stats.settles += work.settles;
-                stats.relaxations += work.relaxations;
-                stats.pushes += work.pushes;
-                index.merge_from(&part);
+                })
+                .collect();
+            for h in handles {
+                partials.push(h.join().expect("index build worker panicked"));
             }
+        });
+        // The first worker's index is the base, taken whole; the rest
+        // merge into it, and the work counters sum over workers.
+        let mut partials = partials.into_iter();
+        let (mut index, mut stats) = partials
+            .next()
+            .unwrap_or_else(|| (RkrIndex::empty(n, params.k_max), IndexBuildStats::default()));
+        for (part, work) in partials {
+            stats.settles += work.settles;
+            stats.relaxations += work.relaxations;
+            stats.pushes += work.pushes;
+            index.merge_from(&part);
         }
+        index.hubs = hubs;
+        stats.hubs = hub_count;
+        stats.prefix = prefix;
         stats.build_time = start.elapsed();
         (index, stats)
     }

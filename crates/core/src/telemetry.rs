@@ -1,27 +1,28 @@
 //! Hand-rolled telemetry: lock-free histograms and a typed metric registry.
 //!
-//! The serving daemon needs to answer "where does time go, per strategy?"
-//! without pulling in a metrics crate (the build is offline). This module
+//! The serving daemons need to answer "where does time go?" without
+//! pulling in a metrics crate (the build is offline). This module
 //! provides the three classic instrument kinds:
 //!
-//! - [`Counter`] — a monotone `AtomicU64` (queries served, merges run).
-//! - [`Gauge`] — a set-to-current-value `AtomicU64` (cache bytes, open
-//!   connections).
+//! - [`Counter`] — a monotone `AtomicU64`, added to where its event
+//!   happens (a query answered, a cache miss).
+//! - [`Gauge`] — a set-to-current-value `AtomicU64`, set where the state
+//!   it reports changes (cache bytes, open connections).
 //! - [`Histogram`] — a **lock-free log-linear-bucketed** distribution of
 //!   `u64` observations (latencies in nanoseconds, backlog bytes). Every
 //!   bucket is an `AtomicU64`, so recording is a single relaxed
-//!   `fetch_add` from any thread and histograms merge across workers
-//!   without locks. Counts are exact; quantiles are estimated with
-//!   bounded relative error (see [`Histogram`]).
+//!   `fetch_add` from any thread. Counts are exact; quantiles are
+//!   estimated with bounded relative error (see [`Histogram`]). A
+//!   histogram's count is also the count of the events it times, so no
+//!   counter beside it repeats that number.
 //!
 //! Instruments live in a [`Registry`] under stable `snake_case` names
-//! plus optional `(key, value)` labels. Registration is idempotent — the
-//! same `(name, labels)` pair always returns the same handle — so
-//! independent subsystems can share an instrument by spelling its name.
-//! [`Registry::snapshot`] produces a plain-data [`MetricsSnapshot`]
-//! (no JSON, no I/O) that callers serialize however they like;
-//! [`render_prometheus`] renders it in the Prometheus text exposition
-//! format.
+//! plus optional `(key, value)` labels. Each `(name, labels)` pair is
+//! registered once, by the owner that records into it; a second
+//! registration panics. Reading never writes: [`Registry::snapshot`]
+//! produces a plain-data [`MetricsSnapshot`] (no JSON, no I/O) that
+//! callers serialize however they like; [`render_prometheus`] renders it
+//! in the Prometheus text exposition format.
 //!
 //! ```
 //! use rkranks_core::{Registry, render_prometheus};
@@ -113,13 +114,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrite the value. Only for mirroring an *external* monotone
-    /// counter (one owned by another data structure) into a registry;
-    /// callers must preserve monotonicity themselves.
-    pub fn mirror(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -175,10 +169,10 @@ impl Gauge {
 /// (exact below 32, where every value has its own bucket). Values at or
 /// above `2^40` share one overflow bucket whose estimate is `u64::MAX`.
 ///
-/// Recording is one relaxed `fetch_add` per observation plus two for the
-/// running count and sum — safe from any number of threads. Histograms
-/// merge exactly: bucket counts are added, so
-/// [`Histogram::absorb`] is associative and commutative.
+/// Recording is two relaxed `fetch_add`s per observation, one for the
+/// bucket and one for the running sum — safe from any number of threads.
+/// The count is the sum of the bucket counts; quantiles are read from a
+/// [`HistogramSnapshot`].
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; NUM_BUCKETS],
@@ -215,27 +209,6 @@ impl Histogram {
     /// Sum of all recorded values (wraps on `u64` overflow).
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Merge another histogram's buckets into this one. Exact: the
-    /// result is identical to having recorded every observation here,
-    /// so merging is associative across worker-local histograms.
-    pub fn absorb(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Estimate the `q`-quantile (`q` in `[0, 1]`): the upper bound of
-    /// the bucket holding the `ceil(q·count)`-th smallest observation.
-    /// Never below the true order statistic; above it by < 3.125%.
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.snapshot(1.0).quantile(q)
     }
 
     /// Freeze the current state into a plain-data [`HistogramSnapshot`].
@@ -278,8 +251,10 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Estimate the `q`-quantile in raw units (see
-    /// [`Histogram::quantile`]). Returns 0 when empty.
+    /// Estimate the `q`-quantile (`q` in `[0, 1]`) in raw units: the
+    /// upper bound of the bucket holding the `ceil(q·count)`-th smallest
+    /// observation. Never below the true order statistic; above it by
+    /// < 3.125%. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -338,16 +313,6 @@ enum Instrument {
     Histogram { hist: Arc<Histogram>, scale: f64 },
 }
 
-impl Instrument {
-    fn kind(&self) -> &'static str {
-        match self {
-            Instrument::Counter(_) => "counter",
-            Instrument::Gauge(_) => "gauge",
-            Instrument::Histogram { .. } => "histogram",
-        }
-    }
-}
-
 struct Entry {
     name: String,
     labels: Vec<(String, String)>,
@@ -357,9 +322,9 @@ struct Entry {
 
 /// A typed registry of named instruments.
 ///
-/// Names must be `snake_case` (`[a-z][a-z0-9_]*`); registering the same
-/// `(name, labels)` pair twice returns the existing handle (and panics
-/// if the kinds disagree — that is always a programming error). The
+/// Names must be `snake_case` (`[a-z][a-z0-9_]*`), and each
+/// `(name, labels)` pair is registered once: a second registration
+/// panics, whatever its kind — that is always a programming error. The
 /// registry itself takes a mutex only at registration and snapshot
 /// time; recording through the returned `Arc` handles is lock-free.
 #[derive(Default)]
@@ -373,49 +338,38 @@ impl Registry {
         Registry::default()
     }
 
-    /// Register (or fetch) an unlabeled counter.
+    /// Register an unlabeled counter.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
         self.counter_with(name, &[], help)
     }
 
-    /// Register (or fetch) a labeled counter.
+    /// Register a labeled counter.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Counter> {
-        match self.register(name, labels, help, || {
-            Instrument::Counter(Arc::new(Counter::new()))
-        }) {
-            Instrument::Counter(c) => c,
-            _ => unreachable!(),
-        }
+        let c = Arc::new(Counter::new());
+        self.register(name, labels, help, Instrument::Counter(Arc::clone(&c)));
+        c
     }
 
-    /// Register (or fetch) an unlabeled gauge.
+    /// Register an unlabeled gauge.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.gauge_with(name, &[], help)
+        let g = Arc::new(Gauge::new());
+        self.register(name, &[], help, Instrument::Gauge(Arc::clone(&g)));
+        g
     }
 
-    /// Register (or fetch) a labeled gauge.
-    pub(crate) fn gauge_with(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Gauge> {
-        match self.register(name, labels, help, || {
-            Instrument::Gauge(Arc::new(Gauge::new()))
-        }) {
-            Instrument::Gauge(g) => g,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Register (or fetch) an unlabeled histogram of raw `u64` values
-    /// (scale 1 — rendered as-is).
+    /// Register an unlabeled histogram of raw `u64` values (scale 1 —
+    /// rendered as-is).
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
         self.histogram_with(name, &[], help, 1.0)
     }
 
-    /// Register (or fetch) an unlabeled histogram with a display scale
-    /// (e.g. `1e-9` to record nanoseconds and expose seconds).
+    /// Register an unlabeled histogram with a display scale (e.g. `1e-9`
+    /// to record nanoseconds and expose seconds).
     pub fn histogram_scaled(&self, name: &str, help: &str, scale: f64) -> Arc<Histogram> {
         self.histogram_with(name, &[], help, scale)
     }
 
-    /// Register (or fetch) a labeled, scaled histogram.
+    /// Register a labeled, scaled histogram.
     pub fn histogram_with(
         &self,
         name: &str,
@@ -423,52 +377,35 @@ impl Registry {
         help: &str,
         scale: f64,
     ) -> Arc<Histogram> {
-        match self.register(name, labels, help, || Instrument::Histogram {
-            hist: Arc::new(Histogram::new()),
+        let hist = Arc::new(Histogram::new());
+        let instrument = Instrument::Histogram {
+            hist: Arc::clone(&hist),
             scale,
-        }) {
-            Instrument::Histogram { hist, .. } => hist,
-            _ => unreachable!(),
-        }
+        };
+        self.register(name, labels, help, instrument);
+        hist
     }
 
-    fn register(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-        make: impl FnOnce() -> Instrument,
-    ) -> Instrument {
+    fn register(&self, name: &str, labels: &[(&str, &str)], help: &str, instrument: Instrument) {
         assert!(
             valid_name(name),
             "metric name {name:?} is not snake_case ([a-z][a-z0-9_]*)"
         );
-        let mut entries = self.entries.lock().expect("telemetry registry poisoned");
-        if let Some(e) = entries
+        let labels: Vec<(String, String)> = labels
             .iter()
-            .find(|e| e.name == name && label_eq(&e.labels, labels))
-        {
-            let made = make();
-            assert!(
-                std::mem::discriminant(&e.instrument) == std::mem::discriminant(&made),
-                "metric {name:?} already registered as a {}, not a {}",
-                e.instrument.kind(),
-                made.kind(),
-            );
-            return clone_instrument(&e.instrument);
-        }
-        let instrument = make();
-        let out = clone_instrument(&instrument);
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        let mut entries = self.entries.lock().expect("telemetry registry poisoned");
+        assert!(
+            !entries.iter().any(|e| e.name == name && e.labels == labels),
+            "metric {name:?} {labels:?} already registered"
+        );
         entries.push(Entry {
             name: name.to_string(),
-            labels: labels
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            labels,
             help: help.to_string(),
             instrument,
         });
-        out
     }
 
     /// Freeze every instrument's current reading.
@@ -492,25 +429,6 @@ impl Registry {
                 .collect(),
         }
     }
-}
-
-fn clone_instrument(i: &Instrument) -> Instrument {
-    match i {
-        Instrument::Counter(c) => Instrument::Counter(Arc::clone(c)),
-        Instrument::Gauge(g) => Instrument::Gauge(Arc::clone(g)),
-        Instrument::Histogram { hist, scale } => Instrument::Histogram {
-            hist: Arc::clone(hist),
-            scale: *scale,
-        },
-    }
-}
-
-fn label_eq(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
-    have.len() == want.len()
-        && have
-            .iter()
-            .zip(want.iter())
-            .all(|((hk, hv), &(wk, wv))| hk == wk && hv == wv)
 }
 
 fn valid_name(s: &str) -> bool {
@@ -672,7 +590,7 @@ mod tests {
         assert_eq!(h.count(), 1000);
         for &(q, rank) in &[(0.5, 500usize), (0.95, 950), (0.99, 990), (1.0, 1000)] {
             let exact = values[rank - 1];
-            let est = h.quantile(q);
+            let est = h.snapshot(1.0).quantile(q);
             assert!(est >= exact, "q={q}: {est} < exact {exact}");
             assert!(
                 est as f64 <= exact as f64 * (1.0 + 1.0 / SUB as f64) + 1.0,
@@ -683,45 +601,19 @@ mod tests {
 
     #[test]
     fn empty_histogram_quantile_is_zero() {
-        assert_eq!(Histogram::new().quantile(0.5), 0);
+        assert_eq!(Histogram::new().snapshot(1.0).quantile(0.5), 0);
         assert_eq!(Histogram::new().snapshot(1.0).count, 0);
     }
 
     #[test]
-    fn absorb_matches_direct_recording() {
-        let (a, b, all) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for v in [0u64, 7, 31, 32, 100, 5_000, 1 << 20, u64::MAX] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [3u64, 64, 1_000_000, (1 << 40) + 5] {
-            b.record(v);
-            all.record(v);
-        }
-        a.absorb(&b);
-        assert_eq!(a.snapshot(1.0), all.snapshot(1.0));
-    }
-
-    #[test]
-    fn registry_is_idempotent_per_name_and_labels() {
+    #[should_panic(expected = "already registered")]
+    fn registry_refuses_a_second_registration() {
         let reg = Registry::new();
-        let c1 = reg.counter("hits_total", "hits");
-        let c2 = reg.counter("hits_total", "hits");
-        c1.inc();
-        assert_eq!(c2.get(), 1);
-        let l1 = reg.counter_with("hits_total", &[("kind", "a")], "hits");
-        l1.add(5);
-        assert_eq!(
-            reg.counter_with("hits_total", &[("kind", "a")], "hits")
-                .get(),
-            5
-        );
-        // Distinct labels are distinct instruments.
-        assert_eq!(
-            reg.counter_with("hits_total", &[("kind", "b")], "hits")
-                .get(),
-            0
-        );
+        reg.counter_with("hits_total", &[("kind", "a")], "hits");
+        // Distinct labels are distinct instruments...
+        reg.counter_with("hits_total", &[("kind", "b")], "hits");
+        // ...but the same pair twice is a programming error.
+        reg.counter_with("hits_total", &[("kind", "a")], "hits");
     }
 
     #[test]

@@ -136,16 +136,7 @@ pub fn run_batch(
     }
     let ctx = make_context(graph.into(), partition);
     let threads = threads.clamp(1, queries.len().max(1));
-    if threads == 1 {
-        let mut scratch = ctx.new_scratch();
-        let mut out = BatchOutcome::default();
-        for &q in queries {
-            let req = QueryRequest::new(q, k).with_strategy(strategy);
-            out.absorb(&ctx.execute(&mut scratch, &req)?.result.stats);
-        }
-        return Ok(out);
-    }
-    let chunk = queries.len().div_ceil(threads);
+    let chunk = queries.len().div_ceil(threads).max(1);
     let mut partials: Vec<Result<BatchOutcome>> = Vec::new();
     std::thread::scope(|s| {
         let ctx = &ctx;
@@ -167,7 +158,11 @@ pub fn run_batch(
             partials.push(h.join().expect("batch worker panicked"));
         }
     });
-    let mut out = BatchOutcome::default();
+    // The first worker's outcome is the base; the rest merge into it.
+    let mut partials = partials.into_iter();
+    let mut out = partials
+        .next()
+        .unwrap_or_else(|| Ok(BatchOutcome::default()))?;
     for p in partials {
         out.merge(p?);
     }
@@ -232,10 +227,7 @@ fn run_indexed_inner(
 }
 
 fn make_context(graph: Arc<Graph>, partition: Option<&Partition>) -> EngineContext {
-    let ctx = match partition {
-        Some(p) => EngineContext::bichromatic(graph, p.clone()),
-        None => EngineContext::new(graph),
-    };
+    let ctx = EngineContext::with_partition(graph, partition.cloned());
     // Materialize the transpose now so the one-off O(n+m) build is never
     // charged to the first query's latency sample.
     ctx.sds_graph();

@@ -19,6 +19,13 @@
 //! commits change the answers themselves, so the graph epoch is part of
 //! *every* key — there is no graph-independent result — and a graph-epoch
 //! bump strands the whole cache.
+//!
+//! The cache keeps no counters of its own. Each operation reports its
+//! outcome to the caller, and `rkrd` records it in its registry where it
+//! happens: [`ResultCache::get`] returning `None` is a miss (a hit is the
+//! `rkrd_query_seconds{outcome="hit"}` sample the daemon records anyway),
+//! [`ResultCache::insert`] returning `true` is an LRU eviction, and
+//! [`ResultCache::purge_stale`] returns how many stale entries it dropped.
 
 use std::collections::HashMap;
 
@@ -70,8 +77,7 @@ struct Slot {
     next: usize,
 }
 
-/// A fixed-capacity LRU map from [`CacheKey`] to result lists, with the
-/// hit/miss/eviction counters the `stats` op reports.
+/// A fixed-capacity LRU map from [`CacheKey`] to result lists.
 pub struct ResultCache {
     capacity: usize,
     map: HashMap<CacheKey, usize>,
@@ -81,10 +87,6 @@ pub struct ResultCache {
     head: usize,
     /// Least recently used slot (NIL when empty).
     tail: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    stale_evicted: u64,
     /// Running approximate heap footprint of the live entries.
     bytes: usize,
 }
@@ -104,10 +106,6 @@ impl ResultCache {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            stale_evicted: 0,
             bytes: 0,
         }
     }
@@ -127,11 +125,6 @@ impl ResultCache {
         self.capacity
     }
 
-    /// Counters in stats order: `(hits, misses, evictions, stale_evicted)`.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (self.hits, self.misses, self.evictions, self.stale_evicted)
-    }
-
     /// Approximate heap footprint of the live entries in bytes: each
     /// entry's payload capacity plus fixed per-entry bookkeeping. Kept as
     /// a running total, so reading it is O(1).
@@ -139,35 +132,27 @@ impl ResultCache {
         self.bytes
     }
 
-    /// Look `key` up, refreshing its recency on a hit. Counts one hit or
-    /// one miss.
+    /// Look `key` up, refreshing its recency on a hit; `None` is a miss.
     pub fn get(&mut self, key: &CacheKey) -> Option<&Entry> {
-        match self.map.get(key).copied() {
-            Some(slot) => {
-                self.hits += 1;
-                self.detach(slot);
-                self.push_front(slot);
-                Some(&self.slots[slot].value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let slot = *self.map.get(key)?;
+        self.detach(slot);
+        self.push_front(slot);
+        Some(&self.slots[slot].value)
     }
 
     /// Insert (or refresh) an entry, evicting the least recently used one
-    /// if the cache is full.
-    pub fn insert(&mut self, key: CacheKey, value: Entry) {
+    /// if the cache is full. Returns `true` when it evicted one.
+    pub fn insert(&mut self, key: CacheKey, value: Entry) -> bool {
         if let Some(&slot) = self.map.get(&key) {
             self.bytes -= entry_cost(&self.slots[slot].value);
             self.bytes += entry_cost(&value);
             self.slots[slot].value = value;
             self.detach(slot);
             self.push_front(slot);
-            return;
+            return false;
         }
-        if self.map.len() == self.capacity {
+        let evicted = self.map.len() == self.capacity;
+        if evicted {
             let lru = self.tail;
             debug_assert_ne!(lru, NIL);
             self.detach(lru);
@@ -175,7 +160,6 @@ impl ResultCache {
             self.bytes -= entry_cost(&self.slots[lru].value);
             self.slots[lru].value = Vec::new();
             self.free.push(lru);
-            self.evictions += 1;
         }
         self.bytes += entry_cost(&value);
         let slot = match self.free.pop() {
@@ -200,6 +184,7 @@ impl ResultCache {
         };
         self.map.insert(key, slot);
         self.push_front(slot);
+        evicted
     }
 
     /// Drop every entry that is stale for `(current_graph_epoch,
@@ -228,7 +213,6 @@ impl ResultCache {
             self.slots[slot].value = Vec::new();
             self.free.push(slot);
         }
-        self.stale_evicted += stale.len() as u64;
         stale.len()
     }
 
@@ -288,28 +272,29 @@ mod tests {
         let mut c = ResultCache::new(4);
         assert!(c.is_empty());
         assert_eq!(c.get(&key(1, 0)), None);
-        c.insert(key(1, 0), vec![(2, 1)]);
+        assert!(!c.insert(key(1, 0), vec![(2, 1)]), "room left: no eviction");
         assert_eq!(c.get(&key(1, 0)), Some(&vec![(2, 1)]));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.counters(), (1, 1, 0, 0));
+        assert!(
+            !c.insert(key(1, 0), vec![(3, 1)]),
+            "a refresh evicts nothing"
+        );
     }
 
     #[test]
     fn lru_eviction_order() {
         let mut c = ResultCache::new(3);
         for n in 0..3 {
-            c.insert(key(n, 0), vec![(n, 1)]);
+            assert!(!c.insert(key(n, 0), vec![(n, 1)]));
         }
         // touch 0 so 1 becomes the LRU
         assert!(c.get(&key(0, 0)).is_some());
-        c.insert(key(3, 0), vec![(3, 1)]);
+        assert!(c.insert(key(3, 0), vec![(3, 1)]), "a full cache evicts");
         assert_eq!(c.len(), 3);
         assert_eq!(c.get(&key(1, 0)), None, "LRU entry should be gone");
         assert!(c.get(&key(0, 0)).is_some());
         assert!(c.get(&key(2, 0)).is_some());
         assert!(c.get(&key(3, 0)).is_some());
-        let (_, _, evictions, _) = c.counters();
-        assert_eq!(evictions, 1);
     }
 
     #[test]
@@ -343,8 +328,6 @@ mod tests {
         assert_eq!(c.purge_stale(0, 1), 3);
         assert_eq!(c.len(), 1);
         assert!(c.get(&key(9, 1)).is_some());
-        let (_, _, _, stale) = c.counters();
-        assert_eq!(stale, 3);
     }
 
     #[test]
@@ -370,8 +353,6 @@ mod tests {
             c.get(&key(1, EPOCH_INDEPENDENT)).is_some(),
             "graph-only answers survive an index-epoch change"
         );
-        let (_, _, _, stale) = c.counters();
-        assert_eq!(stale, 1);
         // purged slots are reused
         for n in 0..7 {
             c.insert(key(n, 5), vec![(n, 1)]);
@@ -429,7 +410,9 @@ mod tests {
             let n = (step() % 20) as u32;
             let e = step() % 3;
             match step() % 4 {
-                0 | 1 => c.insert(gkey(n, e, e % 2), vec![(n, 1)]),
+                0 | 1 => {
+                    c.insert(gkey(n, e, e % 2), vec![(n, 1)]);
+                }
                 2 => {
                     let _ = c.get(&gkey(n, e, e % 2));
                 }

@@ -4,9 +4,13 @@
 //! order. It is deliberately synchronous — callers that want concurrency
 //! open one client per thread, exactly like the daemon's workers own one
 //! connection each.
+//!
+//! A reply line longer than [`MAX_REPLY_BYTES`] is refused, so a peer that
+//! streams bytes without a newline cannot grow the client's buffer until
+//! memory runs out.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -68,6 +72,30 @@ impl Default for QueryOptions {
     }
 }
 
+/// The longest reply line (newline excluded) a client reads. A longer
+/// line is a [`ClientError::Protocol`] naming the cap, and the connection
+/// should be dropped. For scale, a 1,000-node `batch` reply at `k = 10`
+/// is about 130 KB.
+pub const MAX_REPLY_BYTES: usize = 64 << 20;
+
+/// Read one line from `reader` into `line` (cleared first, newline kept),
+/// refusing a line longer than `cap` bytes before its newline. Returns
+/// the bytes read; 0 means the peer closed the connection.
+pub(crate) fn read_line_capped(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> Result<usize, ClientError> {
+    line.clear();
+    let n = reader.take(cap as u64 + 1).read_until(b'\n', line)?;
+    if n > cap && line.last() != Some(&b'\n') {
+        return Err(ClientError::Protocol(format!(
+            "reply line exceeds {cap} bytes"
+        )));
+    }
+    Ok(n)
+}
+
 /// Per-attempt connect timeout.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Sleep before the second connect attempt; doubles per retry.
@@ -90,7 +118,7 @@ pub struct Client {
     /// The request being written, reused across sends.
     out: Vec<u8>,
     /// The reply being read, reused across receives.
-    line: String,
+    line: Vec<u8>,
 }
 
 impl Client {
@@ -126,7 +154,7 @@ impl Client {
                             reader: BufReader::new(stream),
                             writer,
                             out: Vec::new(),
-                            line: String::new(),
+                            line: Vec::new(),
                         });
                     }
                     Err(e) => last_err = Some(e),
@@ -155,9 +183,8 @@ impl Client {
         Ok(())
     }
 
-    /// [`Client::send`] for a line rendered beforehand with
-    /// [`Request::to_line`] — a fan-out renders once and writes the same
-    /// bytes to every peer.
+    /// [`Client::send`] for a line written beforehand, byte for byte —
+    /// one [`Request::to_line`] rendered, or one no encoder would write.
     pub fn send_line(&mut self, line: &str) -> Result<(), ClientError> {
         debug_assert!(line.ends_with('\n'), "a request line ends in a newline");
         self.writer.write_all(line.as_bytes())?;
@@ -170,15 +197,22 @@ impl Client {
     /// [`ClientError::Server`], exactly like [`Client::query`] and
     /// friends.
     pub fn recv(&mut self) -> Result<Reply, ClientError> {
-        self.line.clear();
-        if self.reader.read_line(&mut self.line)? == 0 {
-            return Err(ClientError::Protocol("server closed the connection".into()));
-        }
-        match Reply::from_line(&self.line) {
+        let line = self.read_reply()?;
+        match Reply::from_line(line) {
             Ok(Reply::Error(msg)) => Err(ClientError::Server(msg)),
             Ok(reply) => Ok(reply),
             Err(msg) => Err(ClientError::Protocol(msg)),
         }
+    }
+
+    /// Read the next reply line into the kept buffer, at most
+    /// [`MAX_REPLY_BYTES`] long.
+    fn read_reply(&mut self) -> Result<&str, ClientError> {
+        if read_line_capped(&mut self.reader, &mut self.line, MAX_REPLY_BYTES)? == 0 {
+            return Err(ClientError::Protocol("server closed the connection".into()));
+        }
+        std::str::from_utf8(&self.line)
+            .map_err(|e| ClientError::Protocol(format!("reply is not UTF-8: {e}")))
     }
 
     fn round_trip(&mut self, req: &Request) -> Result<Reply, ClientError> {
@@ -299,11 +333,7 @@ impl Client {
     /// line is returned verbatim, not converted.
     pub fn raw(&mut self, req: &Request) -> Result<String, ClientError> {
         self.send(req)?;
-        let mut reply_line = String::new();
-        if self.reader.read_line(&mut reply_line)? == 0 {
-            return Err(ClientError::Protocol("server closed the connection".into()));
-        }
-        Ok(reply_line.trim_end().to_string())
+        Ok(self.read_reply()?.trim_end().to_string())
     }
 
     /// Commit the daemon's staged graph updates now; returns
@@ -394,6 +424,29 @@ mod tests {
             elapsed < Duration::from_secs(3),
             "retry loop not bounded: {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn a_reply_line_past_the_cap_is_a_protocol_error_naming_it() {
+        let read = |bytes: &[u8], cap| {
+            let mut line = Vec::new();
+            read_line_capped(&mut io::Cursor::new(bytes), &mut line, cap).map(|n| (n, line))
+        };
+        assert_eq!(read(b"abcd\nrest", 4).unwrap(), (5, b"abcd\n".to_vec()));
+        assert_eq!(
+            read(b"abc", 4).unwrap(),
+            (3, b"abc".to_vec()),
+            "EOF ends a line"
+        );
+        assert_eq!(read(b"", 4).unwrap(), (0, Vec::new()));
+        match read(b"abcde\n", 4) {
+            Err(ClientError::Protocol(msg)) => assert!(msg.contains("exceeds 4 bytes"), "{msg}"),
+            other => panic!("a 5-byte line passed a 4-byte cap: {other:?}"),
+        }
+        // A peer streaming without a newline is cut at the cap, not read
+        // to its end.
+        let endless = vec![b'x'; 1 << 16];
+        assert!(matches!(read(&endless, 4), Err(ClientError::Protocol(_))));
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub mod reactor;
 mod server;
 
 pub use cache::{CacheKey, ResultCache};
-pub use client::{Client, ClientError, QueryOptions};
+pub use client::{Client, ClientError, QueryOptions, MAX_REPLY_BYTES};
 pub use protocol::{
     BatchReply, HelloReply, QueryReply, Reply, Request, StatsReply, UpdateOp, PROTOCOL_VERSION,
 };

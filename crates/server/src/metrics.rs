@@ -1,20 +1,35 @@
 //! The daemon's telemetry: every counter, gauge, and histogram `rkrd`
 //! maintains, pre-registered in one [`Registry`] with stable names.
 //!
-//! [`Metrics`] replaces the old ad-hoc `Counters` struct. Each field is
-//! a cheap `Arc` handle into the registry, so the hot paths record
-//! lock-free while `{"op":"metrics"}` snapshots the whole registry in
-//! registration order (and `render_prometheus` turns that snapshot into
-//! text exposition format for `rkr ctl ADDR metrics --prom`).
+//! Each field is a cheap `Arc` handle into the registry, and each number
+//! is recorded once, where its event happens or its state changes:
 //!
-//! Latency histograms record **nanoseconds** and carry a `1e-9` scale so
-//! they render as seconds — the Prometheus convention. The per-query
-//! histogram family `rkrd_query_seconds` is pre-registered for every
-//! `outcome`: `hit` (served from the result cache), `miss` (computed,
-//! complete), or `partial` (computed, cut short by a deadline/budget);
-//! summing the family's three counts gives exactly the number of
-//! *successfully answered* queries. The daemon serves one strategy, so
-//! the family carries no strategy label.
+//! - **Counters** are added to at the event: `rkrd_queries_total` as a
+//!   query starts, `rkrd_cache_misses_total` where the cache lookup comes
+//!   back empty, `rkrd_cache_evictions_total` where an insert evicts,
+//!   `rkrd_cache_stale_evicted_total` from the count a purge returns, and
+//!   the commit counters inside the commit.
+//! - **Gauges** are set where their state changes: the epoch pair and
+//!   graph size at start and at each graph commit, the cache's entries
+//!   and bytes under its lock at each insert or purge, the staged-delta
+//!   count at each stage and commit.
+//! - **Histograms** record nanoseconds and carry a `1e-9` scale so they
+//!   render as seconds — the Prometheus convention. A histogram's count
+//!   is also the count of the events it times, so no counter repeats it:
+//!   `rkrd_query_seconds` is pre-registered for every `outcome` — `hit`
+//!   (served from the result cache, so its count is the cache-hit
+//!   count), `miss` (computed, complete) and `partial` (computed, cut
+//!   short by the deadline, rkrd's only limit) — and
+//!   `rkrd_merge_pass_seconds` counts commits. Summing the query family's
+//!   three counts gives exactly the number of *successfully answered*
+//!   queries. The daemon serves one strategy, so the family carries no
+//!   strategy label.
+//!
+//! `stats` and `metrics` only read: `stats` picks its fields from these
+//! handles (a histogram's count where a field counts timed events), and
+//! `metrics` snapshots the whole registry in registration order
+//! (`render_prometheus` turns that snapshot into text exposition format
+//! for `rkr ctl ADDR metrics --prom`).
 //!
 //! The front-side instruments (connections, wake-ups, flow control,
 //! request time) are the reactor's [`FrontMetrics`], registered here
@@ -85,25 +100,14 @@ impl SlowQueryLog {
 }
 
 /// Every instrument the daemon records into, as registry-backed handles.
-///
-/// The counter fields mirror the `stats` op one-for-one (same counting
-/// semantics as the pre-registry daemon), so `stats` is served straight
-/// from these handles and `metrics` is the superset.
 pub struct Metrics {
     /// The registry behind every handle (snapshot source).
     pub registry: Registry,
 
-    // -- counters, one per `stats` field --
+    // -- counters --
     /// Queries answered (batch ops count each node; errored requests
-    /// count too, matching the historical `stats.queries` semantics).
+    /// count too).
     pub queries: Arc<Counter>,
-    /// Commits of staged graph updates (a prompt daemon's `update`,
-    /// `flush`, shutdown).
-    pub merges: Arc<Counter>,
-    /// Queries answered with a partial result.
-    pub partial_results: Arc<Counter>,
-    /// Queries whose deadline elapsed (subset of `partial_results`).
-    pub deadline_exceeded: Arc<Counter>,
     /// Commits that changed the graph.
     pub graph_commits: Arc<Counter>,
     /// Effective staged deltas committed into the live graph.
@@ -111,25 +115,20 @@ pub struct Metrics {
     /// Slow-query records captured (includes records the ring has since
     /// overwritten).
     pub slow_queries: Arc<Counter>,
-
-    // -- cache mirrors (authoritative values live inside the LRU's
-    //    mutex; refreshed via [`Metrics::mirror_cache`]) --
-    /// Result-cache hits.
-    pub cache_hits: Arc<Counter>,
-    /// Result-cache misses.
+    /// Cache lookups that found nothing.
     pub cache_misses: Arc<Counter>,
     /// Entries evicted by LRU capacity pressure.
     pub cache_evictions: Arc<Counter>,
-    /// Entries evicted because their epoch went stale.
+    /// Entries dropped because their epoch went stale.
     pub cache_stale_evicted: Arc<Counter>,
+
+    // -- gauges --
     /// Entries currently cached.
     pub cache_entries: Arc<Gauge>,
     /// Approximate heap footprint of the cached results, in bytes.
     pub cache_bytes: Arc<Gauge>,
     /// Configured cache capacity (0 = disabled).
     pub cache_capacity: Arc<Gauge>,
-
-    // -- gauges --
     /// Staged-but-uncommitted graph deltas.
     pub updates_staged: Arc<Gauge>,
     /// Worker threads serving connections.
@@ -143,14 +142,15 @@ pub struct Metrics {
     /// Logical edges in the current graph snapshot.
     pub graph_edges: Arc<Gauge>,
 
-    // -- histograms (nanoseconds unless noted) --
+    // -- histograms (nanoseconds) --
     /// End-to-end query latency, indexed by [`QueryOutcome`].
     pub query_latency: [Arc<Histogram>; 3],
     /// Time in the SDS filter stage (computed queries only).
     pub filter_seconds: Arc<Histogram>,
     /// Time in rank refinement (computed queries only).
     pub refine_seconds: Arc<Histogram>,
-    /// Full commit duration (commit, retire, publish, checkpoint).
+    /// Full commit duration (commit, retire, publish, checkpoint); its
+    /// count is the number of commits.
     pub merge_pass_seconds: Arc<Histogram>,
     /// Snapshot-bundle checkpoint duration.
     pub checkpoint_seconds: Arc<Histogram>,
@@ -180,13 +180,9 @@ impl Metrics {
                 "rkrd_queries_total",
                 "queries answered (batch counts each node)",
             ),
-            merges: r.counter("rkrd_merges_total", "commits of staged updates"),
-            partial_results: r.counter("rkrd_partial_results_total", "partial query answers"),
-            deadline_exceeded: r.counter("rkrd_deadline_exceeded_total", "queries cut by deadline"),
             graph_commits: r.counter("rkrd_graph_commits_total", "commits that changed the graph"),
             updates_applied: r.counter("rkrd_updates_applied_total", "deltas committed live"),
             slow_queries: r.counter("rkrd_slow_queries_total", "slow-query records captured"),
-            cache_hits: r.counter("rkrd_cache_hits_total", "result-cache hits"),
             cache_misses: r.counter("rkrd_cache_misses_total", "result-cache misses"),
             cache_evictions: r.counter("rkrd_cache_evictions_total", "LRU capacity evictions"),
             cache_stale_evicted: r
@@ -232,12 +228,9 @@ impl Metrics {
         self.query_latency[outcome as usize].record(duration_ns(elapsed));
     }
 
-    /// Refresh the cache mirrors from the LRU's authoritative counters.
-    pub(crate) fn mirror_cache(&self, hits: u64, misses: u64, evictions: u64, stale: u64) {
-        self.cache_hits.mirror(hits);
-        self.cache_misses.mirror(misses);
-        self.cache_evictions.mirror(evictions);
-        self.cache_stale_evicted.mirror(stale);
+    /// Queries answered with `outcome`: the count of its latency histogram.
+    pub(crate) fn answered(&self, outcome: QueryOutcome) -> u64 {
+        self.query_latency[outcome as usize].count()
     }
 }
 
@@ -299,16 +292,6 @@ mod tests {
         assert_eq!(snap.len(), SLOW_LOG_CAPACITY);
         assert_eq!(snap.first().unwrap().node, 10); // oldest 10 dropped
         assert_eq!(snap.last().unwrap().node, SLOW_LOG_CAPACITY as u32 + 9);
-    }
-
-    #[test]
-    fn cache_mirrors_overwrite() {
-        let m = Metrics::default();
-        m.mirror_cache(3, 4, 1, 0);
-        m.mirror_cache(5, 6, 1, 2);
-        assert_eq!(m.cache_hits.get(), 5);
-        assert_eq!(m.cache_misses.get(), 6);
-        assert_eq!(m.cache_stale_evicted.get(), 2);
     }
 
     #[test]

@@ -769,7 +769,8 @@ message! {
         v: u64 => or_default,
         /// Queries answered (batch ops count each node).
         queries: u64 => req,
-        /// Result-cache hits.
+        /// Result-cache hits: the count of
+        /// `rkrd_query_seconds{outcome="hit"}`.
         cache_hits: u64 => req,
         /// Result-cache misses (lookups only; `cache:false` traffic counts
         /// neither a hit nor a miss).
@@ -788,14 +789,16 @@ message! {
         /// Current index epoch ([`rkranks_core::RkrIndex::epoch`]).
         epoch: u64 => req,
         /// Commits of staged graph updates (a prompt daemon's `update`,
-        /// `flush`, and shutdown).
+        /// `flush`, and shutdown): the count of `rkrd_merge_pass_seconds`.
         merges: u64 => req,
         /// Worker threads serving connections.
         workers: u64 => req,
-        /// Queries answered with a partial (limit-tripped) result.
+        /// Queries answered with a partial (limit-tripped) result: the
+        /// count of `rkrd_query_seconds{outcome="partial"}`.
         partial_results: u64 => req,
-        /// Queries whose deadline elapsed before the search finished (a
-        /// subset of `partial_results`).
+        /// Queries whose deadline elapsed before the search finished. The
+        /// deadline is `rkrd`'s only limit, so this equals
+        /// `partial_results`.
         deadline_exceeded: u64 => req,
         /// Current graph epoch (`rkranks_graph::GraphStore::graph_epoch`):
         /// bumps exactly when a committed update batch changed the graph —
@@ -817,8 +820,9 @@ message! {
         /// fd exhaustion above all. Nonzero means clients are being turned
         /// away at the listener; raise the fd limit or shed connections.
         accept_errors: u64 => req,
-        /// Event-loop wake-ups that surfaced ready work (`epoll_wait`
-        /// returns with at least one event).
+        /// Completed event-loop wake-ups that surfaced ready work
+        /// (`epoll_wait` returned at least one event): the count of
+        /// `*_wake_drain_seconds`.
         wakeups: u64 => req,
         /// Times a connection crossed the write high-water mark and had its
         /// reads paused until the backlog drained.

@@ -71,13 +71,12 @@ pub struct FrontMetrics {
     pub accept_errors: Arc<Counter>,
     /// Client connections currently open.
     pub connections_open: Arc<Gauge>,
-    /// Event-loop wake-ups that surfaced ready work.
-    pub wakeups: Arc<Counter>,
     /// Request lines rejected for exceeding the line cap.
     pub oversize_lines: Arc<Counter>,
     /// Times a connection crossed the write high-water mark.
     pub backpressure_pauses: Arc<Counter>,
-    /// Wake-to-drain time: one wake-up's full service pass.
+    /// Wake-to-drain time: one wake-up's full service pass. Its count is
+    /// the number of completed wake-ups that surfaced ready work.
     pub wake_drain_seconds: Arc<Histogram>,
     /// Per-connection write-backlog high-water mark in bytes, recorded
     /// when the connection closes.
@@ -95,10 +94,6 @@ impl FrontMetrics {
         FrontMetrics {
             accept_errors: r.counter(&name("accept_errors_total"), "failed accept-queue drains"),
             connections_open: r.gauge(&name("connections_open"), "open client connections"),
-            wakeups: r.counter(
-                &name("wakeups_total"),
-                "event-loop wake-ups with ready work",
-            ),
             oversize_lines: r.counter(&name("oversize_lines_total"), "request lines over the cap"),
             backpressure_pauses: r.counter(
                 &name("backpressure_pauses_total"),
@@ -242,7 +237,6 @@ impl<S: Service> Core<'_, S> {
             if n == 0 {
                 continue;
             }
-            self.front.wakeups.inc();
             let woke = Instant::now();
             // Slots freed during this batch are not reused until the next
             // wait: a queued event for a just-closed fd must never be

@@ -54,8 +54,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use rkranks_core::{
-    save_snapshot, BoundConfig, Completion, EngineContext, MetricsSnapshot, PartialReason,
-    Partition, QueryRequest, QueryScratch, QueryStageStats, RkrIndex, Strategy,
+    save_snapshot, BoundConfig, Completion, EngineContext, Partition, QueryRequest, QueryScratch,
+    QueryStageStats, RkrIndex, Strategy,
 };
 use rkranks_graph::{Graph, GraphDelta, GraphStore, NodeId, ShardSlice};
 
@@ -174,20 +174,27 @@ struct Shared {
     /// commit, so no commit pays for it.
     digest: Mutex<(u64, u64)>,
     /// Every counter, gauge, and histogram the daemon exports — the
-    /// registry behind both the `stats` and `metrics` ops, plus the
+    /// registry both the `stats` and `metrics` ops read, plus the
     /// slow-query ring.
     metrics: Metrics,
     shutdown: AtomicBool,
 }
 
-/// Build the engine context for a snapshot: bichromatic when a partition
-/// is configured, plain otherwise. Both the startup path and the
-/// post-commit rebuild go through here.
-fn build_context(graph: Arc<Graph>, partition: &Option<Partition>) -> EngineContext {
-    match partition {
-        Some(p) => EngineContext::bichromatic(graph, p.clone()),
-        None => EngineContext::new(graph),
-    }
+/// Set the gauges that report the live state: its epoch pair and graph
+/// size. Called at start and at each graph commit.
+fn gauge_live(m: &Metrics, live: &LiveState) {
+    let graph = live.ctx.graph();
+    m.index_epoch.set(live.index_epoch);
+    m.graph_epoch.set(live.graph_epoch);
+    m.graph_nodes.set(u64::from(graph.num_nodes()));
+    m.graph_edges.set(graph.num_edges() as u64);
+}
+
+/// Set the gauges that report the cache's size, under its lock, after an
+/// insert or a purge.
+fn gauge_cache(m: &Metrics, cache: &ResultCache) {
+    m.cache_entries.set(cache.len() as u64);
+    m.cache_bytes.set(cache.approx_bytes() as u64);
 }
 
 /// Serve `store` until a client sends `shutdown`. Blocks the calling
@@ -222,18 +229,23 @@ pub fn serve_store(
     );
     let mut config = config.clone();
     config.workers = config.workers.max(1);
-    let staged_at_start = store.pending_deltas() as u64;
-    let ctx = build_context(store.snapshot(), &partition);
+    let ctx = EngineContext::with_partition(store.snapshot(), partition.clone());
     // Pay the one-off transpose build and the graph digest before the
     // first query is timed.
     ctx.sds_graph();
     let digest = Mutex::new((store.graph_epoch(), ctx.graph().digest()));
+    let live = LiveState {
+        ctx: Arc::new(ctx),
+        graph_epoch: store.graph_epoch(),
+        index_epoch: index.epoch(),
+    };
+    let metrics = Metrics::new();
+    gauge_live(&metrics, &live);
+    metrics.updates_staged.set(store.pending_deltas() as u64);
+    metrics.workers.set(config.workers as u64);
+    metrics.cache_capacity.set(config.cache_capacity as u64);
     let shared = Shared {
-        live: RwLock::new(LiveState {
-            ctx: Arc::new(ctx),
-            graph_epoch: store.graph_epoch(),
-            index_epoch: index.epoch(),
-        }),
+        live: RwLock::new(live),
         store: Mutex::new(Store {
             graph: store,
             index,
@@ -241,17 +253,11 @@ pub fn serve_store(
         cache: (config.cache_capacity > 0)
             .then(|| Mutex::new(ResultCache::new(config.cache_capacity))),
         digest,
-        metrics: Metrics::new(),
+        metrics,
         shutdown: AtomicBool::new(false),
         partition,
         config,
     };
-    shared.metrics.updates_staged.set(staged_at_start);
-    shared.metrics.workers.set(shared.config.workers as u64);
-    shared
-        .metrics
-        .cache_capacity
-        .set(shared.config.cache_capacity as u64);
     log_info!(
         "serving: {} workers, epoll event loop, cache {}, {} commits",
         shared.config.workers,
@@ -420,7 +426,7 @@ impl Service for Shared {
                 Err(msg) => Reply::Error(msg),
             },
             Request::Stats => Reply::Stats(stats_snapshot(self)),
-            Request::Metrics => Reply::Metrics(metrics_snapshot(self)),
+            Request::Metrics => Reply::Metrics(self.metrics.registry.snapshot()),
             Request::SlowQueries => Reply::SlowQueries(self.metrics.slow_log.snapshot()),
             Request::Flush => {
                 let mut store = self.store.lock().expect("store lock poisoned");
@@ -480,15 +486,13 @@ fn stage_updates(shared: &Shared, deltas: &[GraphDelta]) -> Result<(u64, u64), S
         return Err("live updates are not supported on bichromatic servers".into());
     }
     let mut store = shared.store.lock().expect("store lock poisoned");
-    let before = store.graph.pending_deltas();
     let staged = store.graph.stage_all(deltas).map_err(|e| e.to_string())? as u64;
-    // Count *effective* staged deltas, not ops: a batch's ops can collapse
-    // onto one overlay entry (rm X + re-add X), and the gauge must agree
-    // with what the store will actually hand to the commit.
+    // The store's count of *effective* staged deltas, not ops: a batch's
+    // ops can collapse onto one overlay entry (rm X + re-add X).
     shared
         .metrics
         .updates_staged
-        .add((store.graph.pending_deltas() - before) as u64);
+        .set(store.graph.pending_deltas() as u64);
     let graph_epoch = store.graph.graph_epoch();
     if shared.config.merge_every > 0 {
         merge_pending(shared, &mut store);
@@ -537,14 +541,16 @@ fn run_query(
         epoch: EPOCH_INDEPENDENT,
         graph_epoch,
     };
-    if use_cache {
-        if let Some(cache) = &shared.cache {
-            let hit = cache
-                .lock()
-                .expect("cache lock poisoned")
-                .get(&key)
-                .cloned();
-            if let Some(entries) = hit {
+    if let (true, Some(cache)) = (use_cache, &shared.cache) {
+        let hit = cache
+            .lock()
+            .expect("cache lock poisoned")
+            .get(&key)
+            .cloned();
+        match hit {
+            None => shared.metrics.cache_misses.inc(),
+            Some(entries) => {
+                // The hit is counted by its `outcome="hit"` latency sample.
                 note_served(
                     shared,
                     QueryOutcome::Hit,
@@ -589,26 +595,18 @@ fn run_query(
         .metrics
         .refine_seconds
         .record(duration_ns(stage.refine));
-    let partial = match outcome.completion {
-        Completion::Complete => false,
-        Completion::Partial { reason, .. } => {
-            shared.metrics.partial_results.inc();
-            if reason == PartialReason::DeadlineExceeded {
-                shared.metrics.deadline_exceeded.inc();
-            }
-            true
-        }
-    };
+    // A partial answer is counted by its `outcome="partial"` latency
+    // sample; the deadline is the only limit rkrd sets.
+    let partial = matches!(outcome.completion, Completion::Partial { .. });
     // Partial answers are never cached: a later, un-deadlined query for
     // the same key must not be short-changed by an earlier caller's
     // latency budget.
-    if use_cache && !partial {
-        if let Some(cache) = &shared.cache {
-            cache
-                .lock()
-                .expect("cache lock poisoned")
-                .insert(key, entries.clone());
+    if let (true, false, Some(cache)) = (use_cache, partial, &shared.cache) {
+        let mut cache = cache.lock().expect("cache lock poisoned");
+        if cache.insert(key, entries.clone()) {
+            shared.metrics.cache_evictions.inc();
         }
+        gauge_cache(&shared.metrics, &cache);
     }
     let served_as = if partial {
         QueryOutcome::Partial
@@ -697,9 +695,10 @@ fn merge_pending(shared: &Shared, store: &mut Store) -> u64 {
     // staged edges touch are rebuilt, the rest are copied.
     let snapshot = store.graph.commit();
     let graph_epoch = store.graph.graph_epoch();
-    // The commit drained the store; every staging op happens under the
-    // store lock we hold, so zero is the authoritative count.
-    shared.metrics.updates_staged.set(0);
+    shared
+        .metrics
+        .updates_staged
+        .set(store.graph.pending_deltas() as u64);
     if graph_epoch != epoch_before {
         // Applied = committed by a graph-changing commit; a no-op commit
         // (e.g. a reweight to the current weight) drains its staged deltas
@@ -713,25 +712,26 @@ fn merge_pending(shared: &Shared, store: &mut Store) -> u64 {
         index.set_graph_epoch(graph_epoch);
         let index_epoch = index.epoch();
         store.index = index;
-        let ctx = build_context(snapshot, &shared.partition);
+        let ctx = EngineContext::with_partition(snapshot, shared.partition.clone());
         // The committing worker pays the transpose build, not the first
         // query.
         ctx.sds_graph();
-        *shared.live.write().expect("live lock poisoned") = LiveState {
+        let live = LiveState {
             ctx: Arc::new(ctx),
             graph_epoch,
             index_epoch,
         };
+        gauge_live(&shared.metrics, &live);
+        *shared.live.write().expect("live lock poisoned") = live;
         if let Some(cache) = &shared.cache {
-            cache
-                .lock()
-                .expect("cache lock poisoned")
-                .purge_stale(graph_epoch, index_epoch);
+            let mut cache = cache.lock().expect("cache lock poisoned");
+            let purged = cache.purge_stale(graph_epoch, index_epoch);
+            shared.metrics.cache_stale_evicted.add(purged as u64);
+            gauge_cache(&shared.metrics, &cache);
         }
         shared.metrics.graph_commits.inc();
         log_info!("graph commit: epoch {epoch_before} -> {graph_epoch}, {staged} deltas");
     }
-    shared.metrics.merges.inc();
     // A commit refreshes the snapshot bundle (still under the store lock,
     // so the bundle is a consistent cut). Failures are logged and serving
     // continues — durability is best-effort, availability is not.
@@ -769,40 +769,17 @@ fn checkpoint_locked(shared: &Shared, store: &Store) -> Result<(u64, u64), Strin
     Ok((store.index.epoch(), store.graph.graph_epoch()))
 }
 
-/// Refresh every mirror and state gauge from its authoritative source —
-/// the LRU's own counters and byte estimate, and the live epoch pair —
-/// so a snapshot taken right after is current, not
-/// last-time-anyone-asked stale.
-fn refresh_mirrors(shared: &Shared) {
-    let m = &shared.metrics;
-    if let Some(cache) = &shared.cache {
-        let cache = cache.lock().expect("cache lock poisoned");
-        let (h, mi, e, s) = cache.counters();
-        m.mirror_cache(h, mi, e, s);
-        m.cache_entries.set(cache.len() as u64);
-        m.cache_bytes.set(cache.approx_bytes() as u64);
-    }
-    let live = shared.live.read().expect("live lock poisoned");
-    m.index_epoch.set(live.index_epoch);
-    m.graph_epoch.set(live.graph_epoch);
-    m.graph_nodes.set(live.ctx.graph().num_nodes() as u64);
-    m.graph_edges.set(live.ctx.graph().num_edges() as u64);
-}
-
-/// The full registry snapshot the `metrics` op serves (the superset of
-/// `stats`: every counter and gauge plus the latency histograms).
-fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
-    refresh_mirrors(shared);
-    shared.metrics.registry.snapshot()
-}
-
+/// The `stats` reply: each field read from the one instrument that
+/// records it — a counter or gauge, or a histogram's count where the
+/// field counts timed events (cache hits, partial answers, commits,
+/// wake-ups).
 fn stats_snapshot(shared: &Shared) -> StatsReply {
-    refresh_mirrors(shared);
     let m = &shared.metrics;
+    let partial = m.answered(QueryOutcome::Partial);
     StatsReply {
         v: PROTOCOL_VERSION,
         queries: m.queries.get(),
-        cache_hits: m.cache_hits.get(),
+        cache_hits: m.answered(QueryOutcome::Hit),
         cache_misses: m.cache_misses.get(),
         cache_entries: m.cache_entries.get(),
         cache_evictions: m.cache_evictions.get(),
@@ -810,17 +787,17 @@ fn stats_snapshot(shared: &Shared) -> StatsReply {
         cache_capacity: shared.config.cache_capacity as u64,
         cache_bytes: m.cache_bytes.get(),
         epoch: m.index_epoch.get(),
-        merges: m.merges.get(),
+        merges: m.merge_pass_seconds.count(),
         workers: shared.config.workers as u64,
-        partial_results: m.partial_results.get(),
-        deadline_exceeded: m.deadline_exceeded.get(),
+        partial_results: partial,
+        deadline_exceeded: partial,
         graph_epoch: m.graph_epoch.get(),
         graph_commits: m.graph_commits.get(),
         updates_applied: m.updates_applied.get(),
         graph_nodes: m.graph_nodes.get(),
         graph_edges: m.graph_edges.get(),
         accept_errors: m.front.accept_errors.get(),
-        wakeups: m.front.wakeups.get(),
+        wakeups: m.front.wake_drain_seconds.count(),
         backpressure_pauses: m.front.backpressure_pauses.get(),
         oversize_lines: m.front.oversize_lines.get(),
     }
@@ -1510,10 +1487,9 @@ mod tests {
             total_sum
         );
 
-        // Mirrors agree with stats, and the byte gauge is live.
+        // Stats reads the hit histogram's count, and the byte gauge is live.
         let stats = client.stats().unwrap();
-        assert_eq!(counter_value(&snap, "rkrd_cache_hits_total"), 2);
-        assert_eq!(stats.cache_hits, 2);
+        assert_eq!(stats.cache_hits, hits);
         assert!(stats.cache_bytes > 0, "4 cached entries occupy bytes");
         assert_eq!(counter_value(&snap, "rkrd_cache_bytes"), stats.cache_bytes);
 
@@ -1606,7 +1582,10 @@ mod tests {
         assert_eq!(counter_value(&snap, "rkrd_graph_epoch"), 1);
         assert_eq!(counter_value(&snap, "rkrd_graph_nodes"), 4);
         assert_eq!(counter_value(&snap, "rkrd_workers"), 2);
-        assert_eq!(counter_value(&snap, "rkrd_merges_total"), 1);
+        match &sample(&snap, "rkrd_merge_pass_seconds").value {
+            rkranks_core::MetricValue::Histogram(h) => assert_eq!(h.count, 1, "one commit"),
+            other => panic!("rkrd_merge_pass_seconds must be a histogram: {other:?}"),
+        }
         assert!(counter_value(&snap, "rkrd_connections_open") >= 1);
         let text = rkranks_core::render_prometheus(&snap);
         assert!(text.contains("# TYPE rkrd_queries_total counter"));

@@ -8,12 +8,17 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rkranks_core::{BoundConfig, EngineContext, QueryRequest, RkrIndex, Strategy};
+use rkranks_core::{
+    BoundConfig, EngineContext, MetricValue, MetricsSnapshot, QueryRequest, RkrIndex, Strategy,
+};
 use rkranks_datasets::default_update_stream;
 use rkranks_datasets::Zipf;
 use rkranks_datasets::{collab_graph, CollabParams};
 use rkranks_graph::{graph_from_edges, EdgeDirection, Graph, GraphDelta, GraphStore};
-use rkranks_server::{spawn, Client, ClientError, Reply, Request, ServerConfig, UpdateOp};
+use rkranks_server::{
+    spawn, Client, ClientError, QueryOptions, QueryReply, Reply, Request, ServerConfig, StatsReply,
+    UpdateOp,
+};
 
 const K: u32 = 5;
 const K_MAX: u32 = 16;
@@ -197,6 +202,259 @@ fn epoch_bump_evicts_stale_entries() {
     handle.join();
 }
 
+/// `stats` and `metrics` answered in one wake-up: both request lines go
+/// out in one write, so every instrument reads the same in both replies.
+fn stats_and_metrics(client: &mut Client) -> (StatsReply, MetricsSnapshot) {
+    let both = Request::Stats.to_line() + &Request::Metrics.to_line();
+    client.send_line(&both).expect("send stats + metrics");
+    let Ok(Reply::Stats(stats)) = client.recv() else {
+        panic!("stats reply expected");
+    };
+    let Ok(Reply::Metrics(snap)) = client.recv() else {
+        panic!("metrics reply expected");
+    };
+    (stats, snap)
+}
+
+/// A sample's `(key, value)` labels.
+type Labels<'a> = &'a [(&'a str, &'a str)];
+
+/// A sample's reading: a counter or gauge's value, a histogram's count.
+fn reading(snap: &MetricsSnapshot, name: &str, labels: Labels<'_>) -> u64 {
+    let sample = snap
+        .samples
+        .iter()
+        .find(|s| {
+            s.name == name
+                && s.labels.len() == labels.len()
+                && s.labels
+                    .iter()
+                    .zip(labels)
+                    .all(|(a, b)| (a.0.as_str(), a.1.as_str()) == *b)
+        })
+        .unwrap_or_else(|| panic!("no sample {name} {labels:?}"));
+    match &sample.value {
+        MetricValue::Counter(v) | MetricValue::Gauge(v) => *v,
+        MetricValue::Histogram(h) => h.count,
+    }
+}
+
+/// What the client saw: its replies, and the LRU of capacity 2 they
+/// imply (a complete uncached answer is inserted, a hit refreshes, a
+/// commit purges everything).
+#[derive(Default)]
+struct Tally {
+    queries: u64,
+    cached: u64,
+    uncached: u64,
+    partial: u64,
+    commits: u64,
+    lru: Vec<u32>,
+    evictions: u64,
+    purged: u64,
+}
+
+impl Tally {
+    fn query(&mut self, client: &mut Client, node: u32, deadline_ms: Option<u64>) -> QueryReply {
+        let opts = QueryOptions {
+            deadline_ms,
+            ..QueryOptions::default()
+        };
+        let reply = client.query_opts(node, K, &opts).expect("query");
+        self.queries += 1;
+        self.lru.retain(|&n| n != node);
+        if reply.cached {
+            self.cached += 1;
+            self.lru.insert(0, node);
+        } else {
+            self.uncached += 1;
+            if reply.partial {
+                self.partial += 1;
+            } else {
+                self.lru.insert(0, node);
+                if self.lru.len() > 2 {
+                    self.lru.pop();
+                    self.evictions += 1;
+                }
+            }
+        }
+        reply
+    }
+
+    /// Every `stats` field equals its `metrics` sample and the tally.
+    fn check(&self, client: &mut Client) {
+        let (stats, snap) = stats_and_metrics(client);
+        let hit = [("outcome", "hit")];
+        let partial = [("outcome", "partial")];
+        let fields: [(&str, u64, &str, Labels<'_>); 22] = [
+            ("queries", stats.queries, "rkrd_queries_total", &[]),
+            ("cache_hits", stats.cache_hits, "rkrd_query_seconds", &hit),
+            (
+                "cache_misses",
+                stats.cache_misses,
+                "rkrd_cache_misses_total",
+                &[],
+            ),
+            (
+                "cache_entries",
+                stats.cache_entries,
+                "rkrd_cache_entries",
+                &[],
+            ),
+            (
+                "cache_evictions",
+                stats.cache_evictions,
+                "rkrd_cache_evictions_total",
+                &[],
+            ),
+            (
+                "cache_stale_evicted",
+                stats.cache_stale_evicted,
+                "rkrd_cache_stale_evicted_total",
+                &[],
+            ),
+            (
+                "cache_capacity",
+                stats.cache_capacity,
+                "rkrd_cache_capacity",
+                &[],
+            ),
+            ("cache_bytes", stats.cache_bytes, "rkrd_cache_bytes", &[]),
+            ("epoch", stats.epoch, "rkrd_index_epoch", &[]),
+            ("merges", stats.merges, "rkrd_merge_pass_seconds", &[]),
+            ("workers", stats.workers, "rkrd_workers", &[]),
+            (
+                "partial_results",
+                stats.partial_results,
+                "rkrd_query_seconds",
+                &partial,
+            ),
+            (
+                "deadline_exceeded",
+                stats.deadline_exceeded,
+                "rkrd_query_seconds",
+                &partial,
+            ),
+            ("graph_epoch", stats.graph_epoch, "rkrd_graph_epoch", &[]),
+            (
+                "graph_commits",
+                stats.graph_commits,
+                "rkrd_graph_commits_total",
+                &[],
+            ),
+            (
+                "updates_applied",
+                stats.updates_applied,
+                "rkrd_updates_applied_total",
+                &[],
+            ),
+            ("graph_nodes", stats.graph_nodes, "rkrd_graph_nodes", &[]),
+            ("graph_edges", stats.graph_edges, "rkrd_graph_edges", &[]),
+            (
+                "accept_errors",
+                stats.accept_errors,
+                "rkrd_accept_errors_total",
+                &[],
+            ),
+            ("wakeups", stats.wakeups, "rkrd_wake_drain_seconds", &[]),
+            (
+                "backpressure_pauses",
+                stats.backpressure_pauses,
+                "rkrd_backpressure_pauses_total",
+                &[],
+            ),
+            (
+                "oversize_lines",
+                stats.oversize_lines,
+                "rkrd_oversize_lines_total",
+                &[],
+            ),
+        ];
+        for (field, value, name, labels) in fields {
+            assert_eq!(
+                value,
+                reading(&snap, name, labels),
+                "stats.{field} vs {name}"
+            );
+        }
+        let tally = [
+            ("queries", stats.queries, self.queries),
+            ("cache_hits", stats.cache_hits, self.cached),
+            ("cache_misses", stats.cache_misses, self.uncached),
+            ("cache_entries", stats.cache_entries, self.lru.len() as u64),
+            ("cache_evictions", stats.cache_evictions, self.evictions),
+            (
+                "cache_stale_evicted",
+                stats.cache_stale_evicted,
+                self.purged,
+            ),
+            ("partial_results", stats.partial_results, self.partial),
+            ("deadline_exceeded", stats.deadline_exceeded, self.partial),
+            ("merges", stats.merges, self.commits),
+            ("graph_commits", stats.graph_commits, self.commits),
+            ("graph_epoch", stats.graph_epoch, self.commits),
+        ];
+        for (field, value, seen) in tally {
+            assert_eq!(value, seen, "stats.{field} vs the client's tally");
+        }
+    }
+}
+
+/// Each number the daemon serves has one source. Through hits, misses,
+/// one LRU eviction, one deadline-cut answer and one commit that purges
+/// the cache, every `stats` field equals its `metrics` sample (a counter
+/// or gauge's value, or a histogram's count where the field counts timed
+/// events) and what the client counted from its own replies.
+#[test]
+fn every_served_number_has_one_source() {
+    let g = test_graph();
+    let n = g.num_nodes();
+    let handle = spawn(
+        g,
+        None,
+        RkrIndex::empty(n, K_MAX),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            cache_capacity: 2,
+            merge_every: 0,
+            bounds: BoundConfig::ALL,
+            ..Default::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut tally = Tally::default();
+    tally.check(&mut client);
+
+    for node in [0, 0, 1, 1, 2, 2] {
+        tally.query(&mut client, node, None);
+    }
+    assert_eq!(tally.evictions, 1, "the third entry evicts the first");
+    // A zero deadline cuts a node that needs a refinement: the lookup
+    // misses, and the partial answer is not cached.
+    assert!(
+        tally.query(&mut client, 9, Some(0)).partial,
+        "a 0 ms deadline must trip"
+    );
+    tally.check(&mut client);
+
+    client.update(&[UpdateOp::AddNode]).expect("stage");
+    let (_, merged) = client.flush().expect("commit");
+    assert_eq!(merged, 1);
+    tally.commits += 1;
+    tally.purged += tally.lru.len() as u64;
+    tally.lru.clear();
+    assert_eq!(tally.purged, 2, "the commit strands both entries");
+    for node in [1, 1, 3] {
+        tally.query(&mut client, node, None);
+    }
+    tally.check(&mut client);
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
 /// Send one query naming `strategy` and decode the reply line.
 fn query_as(client: &mut Client, node: u32, strategy: &str) -> Reply {
     let line = client
@@ -218,8 +476,6 @@ fn query_as(client: &mut Client, node: u32, strategy: &str) -> Reply {
 /// partial, and the `stats` op reports the partial/deadline counters.
 #[test]
 fn strategies_and_deadlines_over_the_wire() {
-    use rkranks_server::QueryOptions;
-
     let g = test_graph();
     let n = g.num_nodes();
     let expected = expected_ranks(&g);
