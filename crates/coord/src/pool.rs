@@ -351,14 +351,15 @@ impl ShardPool {
     /// connecting first if needed: when it was written, or why connecting
     /// or writing failed (the replica is failed then).
     fn send(&mut self, i: usize, req: &Request) -> Result<Instant, ShardError> {
-        let wrote = self.ensure(i).and_then(|c| {
-            c.send(req)
-                .map_err(|e| ShardError::Transient(e.to_string()))
-        });
-        if wrote.is_err() {
-            self.fail(i);
-        }
-        wrote.map(|()| Instant::now())
+        let failed = match self.ensure(i).map(|c| c.send(req)) {
+            Ok(Ok(())) => return Ok(Instant::now()),
+            Ok(Err(e)) => {
+                ShardError::Transient(format!("shard {i} ({}): {e}", self.shards[i].addr))
+            }
+            Err(e) => e,
+        };
+        self.fail(i);
+        Err(failed)
     }
 
     /// Read replica `i`'s reply to a request written at `start`, timing

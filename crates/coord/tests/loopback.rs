@@ -344,6 +344,119 @@ fn killed_replica_leaves_complete_answers_from_the_survivors() {
     }
 }
 
+/// A line-by-line relay in front of one replica that can be cut with a
+/// TCP reset, so the coordinator's kept connection fails at its next
+/// write, not at a read.
+#[cfg(target_os = "linux")]
+struct Relay {
+    addr: SocketAddr,
+    cut: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+#[cfg(target_os = "linux")]
+impl Relay {
+    /// Relay one coordinator connection to `target`, one request line and
+    /// one reply line at a time, until [`Relay::cut`]; then refuse more.
+    fn start(target: SocketAddr) -> Relay {
+        use std::sync::atomic::Ordering;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+        let addr = listener.local_addr().unwrap();
+        let cut = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = std::sync::Arc::clone(&cut);
+        let thread = std::thread::spawn(move || {
+            let (front, _) = listener.accept().expect("the coordinator dials");
+            let back = TcpStream::connect(target).expect("dial the replica");
+            front
+                .set_read_timeout(Some(Duration::from_millis(10)))
+                .unwrap();
+            let (mut from_front, mut from_back) = (BufReader::new(&front), BufReader::new(&back));
+            let mut line = String::new();
+            while !stop.load(Ordering::SeqCst) {
+                match from_front.read_line(&mut line) {
+                    Ok(0) => return,
+                    Ok(_) => {
+                        (&back).write_all(line.as_bytes()).unwrap();
+                        line.clear();
+                        from_back.read_line(&mut line).unwrap();
+                        (&front).write_all(line.as_bytes()).unwrap();
+                        line.clear();
+                    }
+                    Err(_) => {} // the timeout: look at `stop` again
+                }
+            }
+            // Closing with a zero linger sends a reset instead of a FIN.
+            #[repr(C)]
+            struct Linger {
+                on: i32,
+                seconds: i32,
+            }
+            extern "C" {
+                fn setsockopt(
+                    fd: i32,
+                    level: i32,
+                    name: i32,
+                    value: *const Linger,
+                    len: u32,
+                ) -> i32;
+            }
+            const SOL_SOCKET: i32 = 1;
+            const SO_LINGER: i32 = 13;
+            let zero = Linger { on: 1, seconds: 0 };
+            let size = std::mem::size_of::<Linger>() as u32;
+            use std::os::fd::AsRawFd;
+            let set = unsafe { setsockopt(front.as_raw_fd(), SOL_SOCKET, SO_LINGER, &zero, size) };
+            assert_eq!(set, 0, "SO_LINGER");
+        });
+        Relay { addr, cut, thread }
+    }
+
+    /// Reset the relayed connection and close the listener.
+    fn cut(self) {
+        self.cut.store(true, std::sync::atomic::Ordering::SeqCst);
+        self.thread.join().expect("relay thread");
+    }
+}
+
+/// Every replica dead under live connections: a write fails at its send,
+/// a read at its redial, and each error names every replica by index and
+/// the address the coordinator dials.
+#[cfg(target_os = "linux")]
+#[test]
+fn dead_replicas_are_named_by_writes_and_reads() {
+    let g = test_graph();
+    let fleet = spawn_fleet(&g, 0, 1);
+    let relays: Vec<Relay> = fleet.iter().map(|h| Relay::start(h.addr())).collect();
+    let addrs: Vec<String> = relays.iter().map(|r| r.addr.to_string()).collect();
+    let coord = spawn_coord("127.0.0.1:0", CoordConfig::new(addrs.clone())).expect("bind coord");
+    let mut client = Client::connect(coord.addr()).expect("connect");
+    // The first read's hello round opens a connection through every relay.
+    client.query(0, K).expect("healthy query");
+    relays.into_iter().for_each(Relay::cut);
+    let names_each = |what: &str, msg: &str| {
+        for (i, addr) in addrs.iter().enumerate() {
+            assert!(
+                msg.contains(&format!("shard {i} ({addr}): ")),
+                "{what}: shard {i} is not named: {msg}"
+            );
+        }
+    };
+    let Err(ClientError::Server(msg)) = client.flush() else {
+        panic!("a flush must fail when no replica is left");
+    };
+    names_each("flush", &msg);
+    let Err(ClientError::Server(msg)) = client.query(3, K) else {
+        panic!("a read must fail when no replica is left");
+    };
+    assert!(msg.starts_with("no shard reachable: "), "{msg}");
+    names_each("read", &msg);
+    drop(client);
+    let ctl = Client::connect(coord.addr()).expect("connect ctl");
+    ctl.shutdown().expect("coordinator shutdown");
+    coord.join();
+    shutdown_fleet(fleet);
+}
+
 /// Two replicas a commit apart: shard 1 has committed a hub-edge
 /// reweight written to it directly, so shard 0 — the one a read goes to
 /// first — holds the older graph with nothing staged to catch up with.

@@ -1,8 +1,5 @@
 //! Shared engine context and per-worker query scratch.
 //!
-//! Concurrent serving splits the old monolithic `QueryEngine` state along
-//! its sharing boundary:
-//!
 //! * [`EngineContext`] — everything a query only *reads*: the graph, the
 //!   transpose (built lazily, at most once, even under concurrency), and
 //!   the mono/bichromatic partition. It is `Sync`, so one context behind an
@@ -14,7 +11,29 @@
 //!
 //! One private SDS driver (`run_sds`) is the single implementation
 //! behind the static, dynamic, and indexed variants; each [`Strategy`] is
-//! a thin configuration of it.
+//! a [`BoundConfig`] of it, the static one the empty set.
+//!
+//! ## One pop, one decision
+//!
+//! Each node `sds_pass` pops becomes one [`PopDecision`]: the root, a
+//! conduit (its subtree expanded or pruned), a pendant leaf, an index hit,
+//! a bound prune, a completed refinement or an aborted one. A candidate
+//! that reaches Theorem 2 takes its lower bound from `lower_bound`: the
+//! `max` over the pass's rows, each valued by its arm of `row`, ties going
+//! to the first row in [`BoundSource::ALL`] order. The decision is then
+//! read in one place, a table with one row per decision: its kind
+//! (`PopKind`) and the winning row (if a bound was evaluated) bump one
+//! cell of [`QueryStats::pops`], the trace records the decision itself as
+//! the pop's event, and the table says whether the node is expanded and
+//! which exact rank, if any, ranks its pendant leaves. Every pop count the
+//! library reports is a read of that tally.
+//!
+//! **A new bound is a row:** a [`BoundSource`] variant, placed in tie
+//! order; its formula, one arm of `row`; its guard, if it holds only on
+//! some graphs or needs an index, in `BoundConfig::rows`; and its
+//! soundness case, which `ladder_tests`' `each_row_alone_is_sound` runs
+//! against `rank_matrix` for every source alone. Its prunes and wins are
+//! counted and traced with no new counter, trace variant or flag.
 //!
 //! ## The kRank ladder
 //!
@@ -175,7 +194,7 @@ use rkranks_graph::{
     DijkstraWorkspace, Distance, Graph, GraphError, NodeId, RelaxOutcome, Result, ShardSlice,
 };
 
-use crate::engine::BoundConfig;
+use crate::engine::{BoundConfig, BoundSource};
 use crate::index::{IndexAccess, IndexBuildStats, IndexParams, RkrIndex};
 use crate::refine::{refine_rank, refine_rank_unbounded, Anchor, RefineHooks, RefineOutcome};
 use crate::request::{Completion, Limits, PartialReason, QueryOutcome, QueryRequest, Strategy};
@@ -183,7 +202,7 @@ use crate::result::{QueryResult, TopKCollector};
 use crate::scratch::Stamped;
 use crate::spec::{Partition, QuerySpec};
 use crate::stats::{QueryStageStats, QueryStats};
-use crate::trace::{PassSummary, PopDecision, QueryTrace, TraceEvent};
+use crate::trace::{PassSummary, PopDecision, PopKind, QueryTrace, TraceEvent};
 
 /// The first rung of the kRank ladder, as a multiple of `k`. Measured with
 /// `rkr-bench` (25k-node DBLP-like graph, k = 10; 10.8 ms p50 and 30
@@ -393,35 +412,29 @@ impl EngineContext {
         let (q, k) = (req.q, req.k);
         let (result, completion) = match req.strategy {
             Strategy::Naive => self.run_naive(scratch, q, k, &limits)?,
-            Strategy::Static => {
-                self.run_sds(scratch, q, k, ladder, None, None, trace.as_mut(), &limits)?
-            }
-            Strategy::Dynamic(bounds) => self.run_sds(
-                scratch,
-                q,
-                k,
-                ladder,
-                Some(bounds),
-                None,
-                trace.as_mut(),
-                &limits,
-            )?,
-            Strategy::Indexed(bounds) => {
-                let Some(access) = index else {
-                    return Err(GraphError::InvalidQuery(
-                        "the indexed strategy needs an index binding \
-                         (EngineContext::execute_with an IndexAccess)"
-                            .into(),
-                    ));
+            strategy => {
+                let index = match (strategy.needs_index(), index) {
+                    (false, _) => None,
+                    (true, Some(access)) => {
+                        check_k_max(access.k_max(), k)?;
+                        Some(access)
+                    }
+                    (true, None) => {
+                        return Err(GraphError::InvalidQuery(
+                            "the indexed strategy needs an index binding \
+                             (EngineContext::execute_with an IndexAccess)"
+                                .into(),
+                        ))
+                    }
                 };
-                check_k_max(access.k_max(), k)?;
+                let bounds = strategy.bounds().unwrap_or(BoundConfig::STATIC);
                 self.run_sds(
                     scratch,
                     q,
                     k,
                     ladder,
-                    Some(bounds),
-                    Some(access),
+                    bounds,
+                    index,
                     trace.as_mut(),
                     &limits,
                 )?
@@ -484,7 +497,7 @@ impl EngineContext {
 
     /// The shared SDS driver: the kRank ladder (module docs), first guess
     /// `guess_per_k · k`, each rejected guess times `growth`, over
-    /// [`EngineContext::sds_pass`]. `dynamic = None` is the static
+    /// [`EngineContext::sds_pass`]. [`BoundConfig::STATIC`] is the static
     /// algorithm.
     #[allow(clippy::too_many_arguments)] // the private hub every strategy configures
     fn run_sds(
@@ -493,7 +506,7 @@ impl EngineContext {
         q: NodeId,
         k: u32,
         (guess_per_k, growth): (u32, u32),
-        dynamic: Option<BoundConfig>,
+        bounds: BoundConfig,
         mut index: Option<&mut IndexAccess<'_>>,
         mut trace: Option<&mut QueryTrace>,
         limits: &Limits,
@@ -516,7 +529,10 @@ impl EngineContext {
             if let Some(t) = trace.as_deref_mut() {
                 t.events.clear();
             }
-            let before = stats.clone();
+            // The pass counts into its own stats, charged against the
+            // limits less what earlier passes spent; its summary reads them
+            // before they join the query's totals.
+            let mut pass = QueryStats::default();
             let (collector, tripped, anchor) = self.sds_pass(
                 scratch,
                 q,
@@ -524,24 +540,25 @@ impl EngineContext {
                 guess,
                 anchor_above,
                 true,
-                dynamic,
+                bounds,
                 index.as_deref_mut(),
                 trace.as_deref_mut(),
-                limits,
-                &mut stats,
+                &limits.after(stats.refinement_calls),
+                &mut pass,
             );
+            stats.absorb(&pass);
             let accepted = tripped.is_none() && collector.proves_guess();
             if let Some(t) = trace.as_deref_mut() {
                 t.passes.push(PassSummary {
                     guess,
                     k_rank: collector.k_rank(),
                     accepted,
-                    refinements: stats.refinement_calls - before.refinement_calls,
-                    settles: stats.refinement_settles - before.refinement_settles,
-                    pushes: stats.refinement_pushes - before.refinement_pushes,
-                    requeues: stats.refinement_requeues - before.refinement_requeues,
-                    anchored: stats.anchored_refinements - before.anchored_refinements,
-                    pendants: stats.pendant_offers - before.pendant_offers,
+                    refinements: pass.refinement_calls,
+                    settles: pass.refinement_settles,
+                    pushes: pass.refinement_pushes,
+                    requeues: pass.refinement_requeues,
+                    anchored: pass.anchored_refinements,
+                    pendants: pass.pendant_offers,
                     anchor,
                 });
             }
@@ -590,7 +607,7 @@ impl EngineContext {
         guess: u32,
         anchor_above: u32,
         pendants: bool,
-        dynamic: Option<BoundConfig>,
+        bounds: BoundConfig,
         mut index: Option<&mut IndexAccess<'_>>,
         mut trace: Option<&mut QueryTrace>,
         limits: &Limits,
@@ -614,11 +631,16 @@ impl EngineContext {
             lcount,
             in_result,
         } = scratch;
-        // Lemma 4 is proven for undirected monochromatic graphs only.
-        let count_enabled =
-            dynamic.is_some_and(|b| b.use_count) && !graph.is_directed() && !spec.is_bichromatic();
-        // Pendant leaves (module docs): dynamic, index-free, undirected.
-        let pendants = pendants && dynamic.is_some() && index.is_none() && !graph.is_directed();
+        let rows = bounds.rows(
+            !graph.is_directed() && !spec.is_bichromatic(),
+            index.is_some(),
+        );
+        // Pendant leaves (module docs): the parent row made exact, on
+        // index-free undirected passes.
+        let pendants = pendants
+            && rows.contains(BoundSource::Parent)
+            && index.is_none()
+            && !graph.is_directed();
 
         pred.reset();
         depth2.reset();
@@ -639,16 +661,6 @@ impl EngineContext {
             }
         }
 
-        let record = |trace: &mut Option<&mut QueryTrace>, node: NodeId, distance, decision| {
-            if let Some(t) = trace.as_deref_mut() {
-                t.events.push(TraceEvent {
-                    node,
-                    distance,
-                    decision,
-                });
-            }
-        };
-
         sds_ws.begin(q);
         while let Some((u, d)) = sds_ws.settle_next() {
             // Best-effort limits, checked at refinement granularity: a
@@ -658,16 +670,6 @@ impl EngineContext {
             if tripped.is_some() {
                 break;
             }
-            stats.sds_popped += 1;
-            if u == q {
-                record(&mut trace, u, d, PopDecision::Root);
-                if pendants {
-                    // `q`'s pendants rank it first: d = 0 credits nothing.
-                    self.offer_pendants(q, u, 0, 1, &mut collector, eff_lb, in_result, stats);
-                }
-                expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
-                continue;
-            }
             let parent = NodeId(pred.get(u.index()));
             let parent_lb = match parent {
                 p if p.0 == u32::MAX || p == q => 0,
@@ -676,148 +678,150 @@ impl EngineContext {
             // Every prune below compares against the guess-clamped bound;
             // `collector.k_rank()` stays the real k-th rank.
             let k_rank = collector.prune_bound();
+            // Theorem 2's rows at `u`, one arm per source.
+            let row = |source| match source {
+                BoundSource::Parent => parent_lb,
+                BoundSource::Height => depth2.get(u.index()) + 1,
+                BoundSource::Count => lcount.get(u.index()),
+                BoundSource::Check => index.as_deref().map_or(0, |idx| idx.check(u)),
+            };
 
-            if !spec.is_candidate(u) || !self.owns(u) {
-                // Conduit node (bichromatic `V2`, or a candidate another
-                // shard owns): it cannot be a result here, but shortest
-                // paths run through it. Propagate the ancestor bound;
-                // prune the subtree when even the weakest candidate
-                // descendant bound meets kRank.
-                eff_lb.set(u.index(), parent_lb);
-                let descendant_lb = if dynamic.is_some_and(|b| b.use_height) {
-                    // any candidate below u has at least depth2(u) + [u
-                    // counted] counted intermediates
-                    parent_lb.max(depth2.get(u.index()) + spec.is_counted(u) as u32 + 1)
-                } else {
-                    parent_lb
-                };
-                let subtree_pruned = dynamic.is_some() && descendant_lb >= k_rank;
-                record(&mut trace, u, d, PopDecision::Conduit { subtree_pruned });
-                if !subtree_pruned {
-                    expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
+            let (decision, won) = 'pop: {
+                if u == q {
+                    break 'pop (PopDecision::Root, None);
                 }
-                continue;
-            }
-
-            // A pendant below `q` or below a candidate this pass refined
-            // (in a pass with the rule, nothing else expands a candidate)
-            // was offered then: its rank is `eff_lb`, its only arc leads
-            // back to `parent`.
-            if pendants
-                && graph.degree(u) == 1
-                && (parent == q || spec.is_candidate(parent) && self.owns(parent))
-            {
-                let rank = eff_lb.get(u.index());
-                record(&mut trace, u, d, PopDecision::Pendant { via: parent, rank });
-                continue;
-            }
-
-            if let Some(bounds) = dynamic {
+                if !spec.is_candidate(u) || !self.owns(u) {
+                    // Conduit node (bichromatic `V2`, or a candidate another
+                    // shard owns): it cannot be a result here, but shortest
+                    // paths run through it. Propagate the ancestor bound;
+                    // prune the subtree when even the weakest candidate
+                    // descendant bound meets kRank: the parent row, and the
+                    // height row with `u` among the intermediates (as
+                    // `expand` counts it).
+                    eff_lb.set(u.index(), parent_lb);
+                    let below = lower_bound(rows, |source| match source {
+                        BoundSource::Parent => parent_lb,
+                        BoundSource::Height => row(source) + (d > 0 && spec.is_counted(u)) as u32,
+                        BoundSource::Count | BoundSource::Check => 0,
+                    });
+                    let subtree_pruned = below.is_some_and(|(lb, _)| lb >= k_rank);
+                    break 'pop (PopDecision::Conduit { subtree_pruned }, None);
+                }
+                // A pendant below `q` or below a candidate this pass refined
+                // (in a pass with the rule, nothing else expands a candidate)
+                // was offered then: its rank is `eff_lb`, its only arc leads
+                // back to `parent`.
+                if pendants
+                    && graph.degree(u) == 1
+                    && (parent == q || spec.is_candidate(parent) && self.owns(parent))
+                {
+                    let rank = eff_lb.get(u.index());
+                    break 'pop (PopDecision::Pendant { via: parent, rank }, None);
+                }
                 // Index fast path: the exact rank is already known.
                 if let Some(r) = index.as_deref().and_then(|idx| idx.lookup(q, u)) {
-                    stats.index_exact_hits += 1;
-                    record(&mut trace, u, d, PopDecision::IndexHit { rank: r });
                     eff_lb.set(u.index(), r);
                     if !in_result.get(u.index()) && collector.offer(u, r) {
                         in_result.set(u.index(), true);
                     }
-                    if r <= collector.prune_bound() {
-                        expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
-                    }
-                    continue;
+                    break 'pop (PopDecision::IndexHit { rank: r }, None);
                 }
-
-                // Theorem 2 (+ check dictionary) lower bound.
-                let height_b = if bounds.use_height {
-                    depth2.get(u.index()) + 1
-                } else {
-                    0
-                };
-                let count_b = if count_enabled {
-                    lcount.get(u.index())
-                } else {
-                    0
-                };
-                let check_b = index.as_deref().map_or(0, |idx| idx.check(u));
-                record_bound_win(stats, parent_lb, height_b, count_b, check_b);
-                let lb = parent_lb.max(height_b).max(count_b).max(check_b);
-                if lb >= k_rank {
-                    stats.pruned_by_bound += 1;
-                    record(
-                        &mut trace,
-                        u,
-                        d,
-                        PopDecision::BoundPruned {
-                            lower_bound: lb,
-                            k_rank,
-                        },
-                    );
+                let won = lower_bound(rows, row);
+                if let Some((lb, source)) = won.filter(|&(lb, _)| lb >= k_rank) {
                     eff_lb.set(u.index(), lb);
-                    continue; // Theorem 1: the subtree is pruned with it
+                    let decision = PopDecision::BoundPruned {
+                        lower_bound: lb,
+                        k_rank,
+                        source,
+                    };
+                    break 'pop (decision, Some(source));
                 }
-            }
+                let won = won.map(|(_, source)| source);
 
-            // Rank refinement (Algorithm 2 / 4).
-            let mut hooks = RefineHooks {
-                lcount: count_enabled.then_some(&mut *lcount),
-                index: index.as_deref_mut(),
-            };
-            let refine_start = Instant::now();
-            // Below the anchor (SDS depth is a handful of hops), refine
-            // from its frozen ball.
-            let from = anchor
-                .filter(|&(a, _)| descends_from(pred, u, a))
-                .map(|(node, counted)| Anchor {
-                    node,
-                    ball: anchor_ws,
-                    counted,
-                });
-            let refined = refine_rank(
-                graph, spec, refine_ws, u, q, d, k_rank, from, &mut hooks, stats,
-            );
-            stats.refine_time += refine_start.elapsed();
-            match refined {
-                RefineOutcome::Exact(r) => {
-                    // The pass's first big plain ball becomes its anchor:
-                    // `refine_ws`'s stamps are S(u) ∪ {u} at this instant
-                    // (the queue drained, `q` is never inserted).
-                    // `d > 0` is what puts `u` itself strictly inside
-                    // `d(p,q)` for everything below it.
-                    if anchor.is_none() && index.is_none() && r > anchor_above && d > 0 {
-                        anchor_ws.ensure_capacity(graph.num_nodes());
-                        mem::swap(refine_ws, anchor_ws);
-                        anchor = Some((u, r - 1 + spec.is_counted(u) as u32));
-                    }
-                    eff_lb.set(u.index(), r);
-                    let entered = collector.offer(u, r);
-                    if entered {
-                        in_result.set(u.index(), true);
-                    }
-                    record(
-                        &mut trace,
-                        u,
-                        d,
-                        PopDecision::Refined {
+                // Rank refinement (Algorithm 2 / 4).
+                let mut hooks = RefineHooks {
+                    lcount: rows.contains(BoundSource::Count).then_some(&mut *lcount),
+                    index: index.as_deref_mut(),
+                };
+                let refine_start = Instant::now();
+                // Below the anchor (SDS depth is a handful of hops), refine
+                // from its frozen ball.
+                let from =
+                    anchor
+                        .filter(|&(a, _)| descends_from(pred, u, a))
+                        .map(|(node, counted)| Anchor {
+                            node,
+                            ball: anchor_ws,
+                            counted,
+                        });
+                let refined = refine_rank(
+                    graph, spec, refine_ws, u, q, d, k_rank, from, &mut hooks, stats,
+                );
+                stats.refine_time += refine_start.elapsed();
+                match refined {
+                    RefineOutcome::Exact(r) => {
+                        // The pass's first big plain ball becomes its anchor:
+                        // `refine_ws`'s stamps are S(u) ∪ {u} at this instant
+                        // (the queue drained, `q` is never inserted).
+                        // `d > 0` is what puts `u` itself strictly inside
+                        // `d(p,q)` for everything below it.
+                        if anchor.is_none() && index.is_none() && r > anchor_above && d > 0 {
+                            anchor_ws.ensure_capacity(graph.num_nodes());
+                            mem::swap(refine_ws, anchor_ws);
+                            anchor = Some((u, r - 1 + spec.is_counted(u) as u32));
+                        }
+                        eff_lb.set(u.index(), r);
+                        let entered_result = collector.offer(u, r);
+                        if entered_result {
+                            in_result.set(u.index(), true);
+                        }
+                        let decision = PopDecision::Refined {
                             rank: r,
-                            entered_result: entered,
-                        },
-                    );
-                    if pendants {
-                        self.offer_pendants(q, u, d, r, &mut collector, eff_lb, in_result, stats);
+                            entered_result,
+                        };
+                        (decision, won)
                     }
-                    // Algorithm 1/3: completed refinement ⇒ expand.
-                    expand(tgraph, spec, q, sds_ws, pred, depth2, stats, u, d);
+                    RefineOutcome::Pruned { lower_bound } => {
+                        eff_lb.set(u.index(), lower_bound.max(parent_lb));
+                        (PopDecision::RefinementPruned { lower_bound }, won)
+                    }
                 }
-                RefineOutcome::Pruned { lower_bound } => {
-                    record(
-                        &mut trace,
-                        u,
-                        d,
-                        PopDecision::RefinementPruned { lower_bound },
-                    );
-                    eff_lb.set(u.index(), lower_bound.max(parent_lb));
-                    // Theorem 1: no expansion.
+            };
+
+            // The decision's consequences, one row each: its tally row,
+            // whether the node is expanded (Algorithms 1/3: a known rank,
+            // or a conduit whose subtree survives; Theorem 1 prunes the
+            // rest with their subtrees), and the exact rank (`q`'s: 1)
+            // that ranks its pendant leaves.
+            let (kind, expands, exact) = match decision {
+                PopDecision::Root => (PopKind::Root, true, Some(1)),
+                PopDecision::Conduit {
+                    subtree_pruned: false,
+                } => (PopKind::Conduit, true, None),
+                PopDecision::Conduit {
+                    subtree_pruned: true,
+                } => (PopKind::ConduitPruned, false, None),
+                PopDecision::Pendant { .. } => (PopKind::Pendant, false, None),
+                PopDecision::IndexHit { rank } => {
+                    (PopKind::IndexHit, rank <= collector.prune_bound(), None)
                 }
+                PopDecision::BoundPruned { .. } => (PopKind::BoundPruned, false, None),
+                PopDecision::Refined { rank, .. } => (PopKind::Refined, true, Some(rank)),
+                PopDecision::RefinementPruned { .. } => (PopKind::RefinementPruned, false, None),
+            };
+            stats.pops.bump(kind, won);
+            if let Some(t) = trace.as_deref_mut() {
+                t.events.push(TraceEvent {
+                    node: u,
+                    distance: d,
+                    decision,
+                });
+            }
+            if let Some(r) = exact.filter(|_| pendants) {
+                self.offer_pendants(q, u, d, r, &mut collector, eff_lb, in_result, stats);
+            }
+            if expands {
+                expand(tgraph, spec, sds_ws, pred, depth2, stats, u, d);
             }
         }
 
@@ -935,7 +939,6 @@ impl QueryScratch {
 fn expand(
     tgraph: &Graph,
     spec: QuerySpec<'_>,
-    q: NodeId,
     sds_ws: &mut DijkstraWorkspace,
     pred: &mut Stamped<u32>,
     depth2: &mut Stamped<u32>,
@@ -944,9 +947,10 @@ fn expand(
     d: Distance,
 ) {
     // `u` becomes an intermediate node of everything routed through it; it
-    // contributes to the Lemma-2 bound only if it is counted and not `q`
-    // (ranks never count the query node or the candidate itself).
-    let child_depth2 = depth2.get(u.index()) + (u != q && spec.is_counted(u)) as u32;
+    // contributes to the Lemma-2 bound only if it is counted and strictly
+    // closer to them than `q` is, that is `d(u,q) > 0` (which also leaves
+    // out `q` itself: ranks never count the query node).
+    let child_depth2 = depth2.get(u.index()) + (d > 0 && spec.is_counted(u)) as u32;
     let (targets, weights) = tgraph.out_neighbors(u);
     for (t, w) in targets.iter().zip(weights.iter()) {
         stats.sds_relaxations += 1;
@@ -971,21 +975,18 @@ fn descends_from(pred: &Stamped<u32>, u: NodeId, a: NodeId) -> bool {
     false
 }
 
-/// Table 11 bookkeeping: which component supplied the max. Ties resolve in
-/// the paper's "tight-most first" narrative order: parent, height, count,
-/// check.
-fn record_bound_win(stats: &mut QueryStats, parent: u32, height: u32, count: u32, check: u32) {
-    let best = parent.max(height).max(count).max(check);
-    let w = &mut stats.bound_wins;
-    if parent == best {
-        w.parent += 1;
-    } else if height == best {
-        w.height += 1;
-    } else if count == best {
-        w.count += 1;
-    } else {
-        w.check += 1;
+/// Theorem 2's `max` over the enabled `rows`, each valued by `row`: the
+/// bound and the first source in [`BoundSource::ALL`] order to reach it,
+/// or `None` when no row is enabled (the static strategy).
+fn lower_bound(rows: BoundConfig, row: impl Fn(BoundSource) -> u32) -> Option<(u32, BoundSource)> {
+    let mut best: Option<(u32, BoundSource)> = None;
+    for source in BoundSource::ALL.into_iter().filter(|&s| rows.contains(s)) {
+        let lb = row(source);
+        if best.is_none_or(|(top, _)| lb > top) {
+            best = Some((lb, source));
+        }
     }
+    best
 }
 
 #[cfg(test)]
@@ -1110,7 +1111,7 @@ mod tests {
         let r = ctx
             .execute_with(&mut scratch, Some(&mut IndexAccess::Live(&mut index)), &req)
             .unwrap();
-        assert!(r.stats().index_exact_hits > 0);
+        assert!(r.stats().index_exact_hits() > 0);
     }
 
     #[test]
@@ -1237,16 +1238,21 @@ mod tests {
     }
 
     #[test]
-    fn record_bound_win_tie_precedence() {
-        let mut stats = QueryStats::default();
-        record_bound_win(&mut stats, 2, 2, 1, 0);
-        assert_eq!(stats.bound_wins.parent, 1); // parent wins ties
-        record_bound_win(&mut stats, 1, 2, 2, 2);
-        assert_eq!(stats.bound_wins.height, 1); // then height
-        record_bound_win(&mut stats, 0, 1, 2, 2);
-        assert_eq!(stats.bound_wins.count, 1); // then count
-        record_bound_win(&mut stats, 0, 0, 0, 1);
-        assert_eq!(stats.bound_wins.check, 1);
+    fn ties_go_to_the_first_row() {
+        let all = BoundConfig::ALL.rows(true, true);
+        let of = |values: [u32; 4]| move |s: BoundSource| values[s as usize];
+        let won = |values| lower_bound(all, of(values));
+        assert_eq!(won([2, 2, 1, 0]), Some((2, BoundSource::Parent)));
+        assert_eq!(won([1, 2, 2, 2]), Some((2, BoundSource::Height)));
+        assert_eq!(won([0, 1, 2, 2]), Some((2, BoundSource::Count)));
+        assert_eq!(won([0, 0, 0, 1]), Some((1, BoundSource::Check)));
+        // A row that is off never wins, and no row at all is no bound.
+        let parent_only = BoundConfig::PARENT_ONLY.rows(true, false);
+        assert_eq!(
+            lower_bound(parent_only, of([0, 5, 5, 5])),
+            Some((0, BoundSource::Parent))
+        );
+        assert_eq!(lower_bound(BoundConfig::STATIC, of([3, 3, 3, 3])), None);
     }
 
     #[test]

@@ -52,6 +52,31 @@ fn arb_graph(directed: bool, max_nodes: u32, max_extra: usize) -> impl PropStrat
     })
 }
 
+/// [`arb_graph`] with its weight-1 edges at weight 0: nodes at distance 0
+/// from `q` and from each other, where `d(a,q) > 0` and its kin guard the
+/// anchor, the pendant rule and the height row.
+fn arb_zero_graph(
+    directed: bool,
+    max_nodes: u32,
+    max_extra: usize,
+) -> impl PropStrategy<Value = Graph> {
+    arb_graph(directed, max_nodes, max_extra).prop_map(move |g| {
+        let mut b = GraphBuilder::new(g.direction());
+        b.reserve_nodes(g.num_nodes());
+        for u in g.nodes() {
+            for (v, w) in g.edges(u).filter(|&(v, _)| directed || u < v) {
+                let w = if w == rkranks_graph::UNIT {
+                    0.0
+                } else {
+                    rkranks_graph::to_real(w)
+                };
+                b.add_edge(u.0, v.0, w).unwrap();
+            }
+        }
+        b.build().unwrap()
+    })
+}
+
 /// Where an indexed pass reads and writes.
 enum Binding {
     None,
@@ -90,7 +115,7 @@ fn pass(
     k: u32,
     guess: u32,
     anchor_above: u32,
-    dynamic: Option<BoundConfig>,
+    bounds: BoundConfig,
     binding: &mut Binding,
 ) -> Option<QueryResult> {
     let (pendants, trace) = (true, None);
@@ -102,7 +127,7 @@ fn pass(
         guess,
         anchor_above,
         pendants,
-        dynamic,
+        bounds,
         binding,
         trace,
     )
@@ -119,7 +144,7 @@ fn ruled_pass(
     guess: u32,
     anchor_above: u32,
     pendants: bool,
-    dynamic: Option<BoundConfig>,
+    bounds: BoundConfig,
     binding: &mut Binding,
     trace: Option<&mut QueryTrace>,
 ) -> Option<QueryResult> {
@@ -133,7 +158,7 @@ fn ruled_pass(
         guess,
         anchor_above,
         pendants,
-        dynamic,
+        bounds,
         access.as_mut(),
         trace,
         &limits,
@@ -157,7 +182,7 @@ fn ruled_pass(
 fn check_every_guess(
     ctx: &EngineContext,
     k: u32,
-    dynamic: Option<BoundConfig>,
+    bounds: BoundConfig,
     binding: &mut Binding,
 ) -> std::result::Result<(), TestCaseError> {
     let n = ctx.graph().num_nodes();
@@ -176,19 +201,19 @@ fn check_every_guess(
         };
         for guess in (0..=n + 1).chain([u32::MAX]) {
             for &above in anchoring {
-                let got = pass(ctx, &mut scratch, q, k, guess, above, dynamic, binding);
+                let got = pass(ctx, &mut scratch, q, k, guess, above, bounds, binding);
                 let got = got.map(|r| r.ranks());
                 if guess == u32::MAX || k_rank.is_some_and(|kr| guess >= kr) {
                     prop_assert_eq!(
                         got.as_ref(),
                         Some(&truth),
                         "q={} k={} guess={} anchor>{} {:?}: a guess >= kRank {:?} must be accepted as naive's answer",
-                        q, k, guess, above, dynamic, k_rank
+                        q, k, guess, above, bounds, k_rank
                     );
                 } else {
                     prop_assert!(
                         got.is_none(),
-                        "q={q} k={k} guess={guess} anchor>{above} {dynamic:?}: accepted {got:?} below kRank {k_rank:?}"
+                        "q={q} k={k} guess={guess} anchor>{above} {bounds:?}: accepted {got:?} below kRank {k_rank:?}"
                     );
                 }
             }
@@ -197,19 +222,19 @@ fn check_every_guess(
     Ok(())
 }
 
-const UNINDEXED: [Option<BoundConfig>; 5] = [
-    None, // static
-    Some(BoundConfig::PARENT_ONLY),
-    Some(BoundConfig::PARENT_HEIGHT),
-    Some(BoundConfig::PARENT_COUNT),
-    Some(BoundConfig::ALL),
+const UNINDEXED: [BoundConfig; 5] = [
+    BoundConfig::STATIC,
+    BoundConfig::PARENT_ONLY,
+    BoundConfig::PARENT_HEIGHT,
+    BoundConfig::PARENT_COUNT,
+    BoundConfig::ALL,
 ];
 
 fn check_context(ctx: &EngineContext, k: u32) -> std::result::Result<(), TestCaseError> {
-    for dynamic in UNINDEXED {
-        check_every_guess(ctx, k, dynamic, &mut Binding::None)?;
+    for bounds in UNINDEXED {
+        check_every_guess(ctx, k, bounds, &mut Binding::None)?;
     }
-    let all = Some(BoundConfig::ALL);
+    let all = BoundConfig::ALL;
     let live = RkrIndex::empty(ctx.graph().num_nodes(), 64);
     check_every_guess(ctx, k, all, &mut Binding::Live(live))?;
     let (built, _) = ctx.build_index(&IndexParams {
@@ -222,11 +247,86 @@ fn check_context(ctx: &EngineContext, k: u32) -> std::result::Result<(), TestCas
     check_every_guess(ctx, k, all, &mut Binding::Snapshot(built, delta))
 }
 
+/// Each row of Theorem 2 alone: under a bound set holding that one
+/// source, every query answers with naive's ranks, and every pop the row
+/// prunes at its node's true distance claims at most `rank_matrix`'s true
+/// rank. The check row runs on a built index, the others on none.
+fn each_row_alone_is_sound(g: &Graph, k: u32) -> std::result::Result<(), TestCaseError> {
+    let ranks = rank_matrix(g);
+    let ctx = EngineContext::new(g);
+    let mut scratch = ctx.new_scratch();
+    let (built, _) = ctx.build_index(&IndexParams {
+        hub_fraction: 0.3,
+        prefix_fraction: 0.5,
+        k_max: 8,
+        ..Default::default()
+    });
+    for q in g.nodes() {
+        let naive = QueryRequest::new(q, k).with_strategy(Strategy::Naive);
+        let naive = ctx.execute(&mut scratch, &naive).unwrap().result.ranks();
+        let to_q: Vec<Distance> = g
+            .nodes()
+            .map(|p| rkranks_graph::distance(g, p, q))
+            .collect();
+        for source in BoundSource::ALL {
+            let only = BoundConfig::only(source);
+            let (strategy, mut index) = match source {
+                BoundSource::Check => (Strategy::Indexed(only), Some(built.clone())),
+                _ => (Strategy::Dynamic(only), None),
+            };
+            let req = QueryRequest::new(q, k).with_strategy(strategy).with_trace();
+            let mut access = index.as_mut().map(IndexAccess::Live);
+            let out = ctx
+                .execute_with(&mut scratch, access.as_mut(), &req)
+                .unwrap();
+            prop_assert_eq!(out.result.ranks(), naive.clone(), "q={} {:?}", q, source);
+            for e in out.trace.unwrap().events {
+                let PopDecision::BoundPruned {
+                    lower_bound,
+                    source: won,
+                    ..
+                } = e.decision
+                else {
+                    continue;
+                };
+                prop_assert_eq!(won, source);
+                let rank = ranks[e.node.index()][q.index()].unwrap();
+                prop_assert!(
+                    e.distance > to_q[e.node.index()] || lower_bound <= rank,
+                    "q={} k={} p={}: {:?} claims {} at Rank {}",
+                    q,
+                    k,
+                    e.node,
+                    source,
+                    lower_bound,
+                    rank
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn undirected_guesses(g in arb_graph(false, 12, 14), k in 1u32..5) {
+        check_context(&EngineContext::new(g), k)?;
+    }
+
+    #[test]
+    fn undirected_rows_alone(g in arb_graph(false, 12, 14), k in 1u32..5) {
+        each_row_alone_is_sound(&g, k)?;
+    }
+
+    #[test]
+    fn directed_rows_alone(g in arb_graph(true, 11, 16), k in 1u32..5) {
+        each_row_alone_is_sound(&g, k)?;
+    }
+
+    #[test]
+    fn zero_weight_guesses(g in arb_zero_graph(false, 12, 14), k in 1u32..5) {
         check_context(&EngineContext::new(g), k)?;
     }
 
@@ -553,7 +653,7 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
             (
                 s.sds_passes,
                 s.k_rank_guess,
-                s.sds_popped,
+                s.sds_popped(),
                 s.refinement_calls,
                 s.refinements_pruned,
                 s.refinement_settles,
@@ -561,7 +661,7 @@ fn tracing_changes_neither_the_answer_nor_the_counters() {
                 s.refinement_requeues,
                 s.anchored_refinements,
                 s.pendant_offers,
-                s.pruned_by_bound,
+                s.pruned_by_bound(),
             )
         };
         assert_eq!(counters(plain.stats()), counters(traced.stats()));
@@ -653,13 +753,13 @@ fn anchoring_halves_the_pushes_of_a_hub_bound_pass_and_changes_no_rank() {
     let k_rank = naive.ranks().last().copied();
     let (passes, _) = rungs(SHIPPED, k, g.num_nodes(), k_rank);
     assert!(passes > 1, "the first rung cannot hold the hub's ball");
-    for dynamic in [None, Some(BoundConfig::ALL)] {
-        let served = QueryRequest::new(SPOKE_Q, k).with_strategy(match dynamic {
-            None => Strategy::Static,
-            Some(b) => Strategy::Dynamic(b),
-        });
+    for (bounds, strategy) in [
+        (BoundConfig::STATIC, Strategy::Static),
+        (BoundConfig::ALL, Strategy::Dynamic(BoundConfig::ALL)),
+    ] {
+        let served = QueryRequest::new(SPOKE_Q, k).with_strategy(strategy);
         let served = ctx.execute(&mut scratch, &served.with_trace()).unwrap();
-        assert_eq!(served.result.ranks(), naive.ranks(), "{dynamic:?}");
+        assert_eq!(served.result.ranks(), naive.ranks(), "{bounds:?}");
         assert_eq!(served.stats().sds_passes, passes);
         assert!(served.stats().anchored_refinements > 0);
         let last = *served.trace.as_ref().unwrap().passes.last().unwrap();
@@ -676,7 +776,7 @@ fn anchoring_halves_the_pushes_of_a_hub_bound_pass_and_changes_no_rank() {
                 k,
                 last.guess,
                 above,
-                dynamic,
+                bounds,
                 none,
             )
             .unwrap()
@@ -693,10 +793,10 @@ fn anchoring_halves_the_pushes_of_a_hub_bound_pass_and_changes_no_rank() {
             anchored.stats.refinement_pushes,
             plain.stats.refinement_pushes,
         );
-        let factor = if dynamic.is_none() { 2 } else { 1 };
+        let factor = if bounds == BoundConfig::STATIC { 2 } else { 1 };
         assert!(
             factor * anchored <= plain,
-            "{dynamic:?}: {anchored} pushes anchored, {plain} plain"
+            "{bounds:?}: {anchored} pushes anchored, {plain} plain"
         );
     }
 }
@@ -710,7 +810,7 @@ fn first_rung_queries_do_identical_work_with_and_without_the_rule() {
     let g = dblp_like(Scale::Small, 42);
     let ctx = EngineContext::new(&g);
     let mut scratch = ctx.new_scratch();
-    let (k, dynamic) = (10, Some(BoundConfig::ALL));
+    let (k, bounds) = (10, BoundConfig::ALL);
     let guess = k * LADDER_GUESS_PER_K;
     let (mut first_rung, mut later) = (0, 0);
     for q in g.nodes() {
@@ -722,13 +822,13 @@ fn first_rung_queries_do_identical_work_with_and_without_the_rule() {
             k,
             guess,
             anchor_above(k),
-            dynamic,
+            bounds,
             none,
         ) else {
             later += 1;
             continue;
         };
-        let off = pass(&ctx, &mut scratch, q, k, guess, ANCHOR_NONE, dynamic, none).unwrap();
+        let off = pass(&ctx, &mut scratch, q, k, guess, ANCHOR_NONE, bounds, none).unwrap();
         first_rung += 1;
         let work = |s: &QueryStats| {
             (
@@ -753,7 +853,7 @@ fn an_indexed_pass_never_anchors_and_writes_the_same_index() {
     let g = hub_and_spokes();
     let ctx = EngineContext::new(&g);
     let mut scratch = ctx.new_scratch();
-    let all = Some(BoundConfig::ALL);
+    let all = BoundConfig::ALL;
     let mut run = |binding: &mut Binding, above| {
         let got = pass(
             &ctx,
@@ -1089,20 +1189,20 @@ fn static_indexed_and_directed_passes_do_the_rule_off_work() {
     assert!(directed.is_directed() && directed.degree(NodeId(1)) == 1);
     let work = |s: &QueryStats| {
         (
-            s.sds_popped,
+            s.sds_popped(),
             s.sds_relaxations,
             s.refinement_calls,
             s.refinements_pruned,
             s.refinement_settles,
             s.refinement_pushes,
             s.anchored_refinements,
-            s.pruned_by_bound,
-            s.index_exact_hits,
+            s.pruned_by_bound(),
+            s.index_exact_hits(),
             s.pendant_offers,
         )
     };
     let k = 17;
-    let run = |ctx: &EngineContext, dynamic, live: bool, pendants| {
+    let run = |ctx: &EngineContext, bounds, live: bool, pendants| {
         let mut binding = match live {
             true => Binding::Live(RkrIndex::empty(ctx.graph().num_nodes(), 32)),
             false => Binding::None,
@@ -1117,28 +1217,25 @@ fn static_indexed_and_directed_passes_do_the_rule_off_work() {
             guess,
             above,
             pendants,
-            dynamic,
+            bounds,
             &mut binding,
             None,
         )
         .unwrap()
     };
-    let all = Some(BoundConfig::ALL);
+    let all = BoundConfig::ALL;
     let (u, d) = (
         EngineContext::new(&undirected),
         EngineContext::new(&directed),
     );
-    for (ctx, dynamic, live, what) in [
-        (&u, None, false, "static"),
+    for (ctx, bounds, live, what) in [
+        (&u, BoundConfig::STATIC, false, "static"),
         (&u, all, true, "indexed-three"),
-        (&d, None, false, "directed static"),
+        (&d, BoundConfig::STATIC, false, "directed static"),
         (&d, all, false, "directed dynamic-three"),
         (&d, all, true, "directed indexed-three"),
     ] {
-        let (on, off) = (
-            run(ctx, dynamic, live, true),
-            run(ctx, dynamic, live, false),
-        );
+        let (on, off) = (run(ctx, bounds, live, true), run(ctx, bounds, live, false));
         assert_eq!(work(&on.stats), work(&off.stats), "{what}");
         assert_eq!(on.stats.pendant_offers, 0, "{what}");
         assert_eq!(on.entries, off.entries, "{what}");

@@ -33,45 +33,91 @@ use crate::index::{IndexAccess, IndexBuildStats, IndexParams, RkrIndex};
 use crate::request::{QueryOutcome, QueryRequest};
 use crate::spec::{Partition, QuerySpec};
 
-/// Which Theorem-2 components the dynamic search uses. The parent-rank
-/// bound (Lemma 1) is always on — it is what makes the SDS-tree a
-/// filter-and-refine structure at all; `height` and `count` match the
-/// paper's Dynamic-Height / Dynamic-Count / Dynamic-Three strategies
-/// (Tables 12–13).
+/// One lower bound on a candidate's rank at its pop: a row of Theorem 2's
+/// `max`, or the index's check dictionary. The order of
+/// [`BoundSource::ALL`] is the order ties resolve in, so the first of two
+/// equal rows is the one credited with the win (Table 11).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BoundSource {
+    /// Lemma 1: `Rank(p,q) ≥ Rank(parent(p),q)`.
+    Parent,
+    /// Lemma 2: `Rank(p,q) ≥ depth(p)`.
+    Height,
+    /// Lemma 4: `Rank(p,q) ≥ lcount(p)`; it holds on undirected
+    /// monochromatic graphs only, and is off elsewhere.
+    Count,
+    /// §5.3: the check dictionary's bound; on only when an index is bound.
+    Check,
+}
+
+impl BoundSource {
+    /// Every source, in tie order.
+    pub const ALL: [BoundSource; 4] = [
+        BoundSource::Parent,
+        BoundSource::Height,
+        BoundSource::Count,
+        BoundSource::Check,
+    ];
+
+    const fn bit(self) -> u8 {
+        1 << self as u8
+    }
+}
+
+/// The set of [`BoundSource`]s a search evaluates at each pop. Every
+/// dynamic configuration holds the parent row (Lemma 1 is what makes the
+/// SDS-tree a filter-and-refine structure at all) and the check row; the
+/// height and count rows make the paper's Dynamic-Height / Dynamic-Count /
+/// Dynamic-Three strategies (Tables 12–13). The static strategy is the
+/// empty set.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BoundConfig {
-    /// Lemma 2: `Rank(p,q) ≥ depth(p)`.
-    pub use_height: bool,
-    /// Lemma 4: `Rank(p,q) ≥ lcount(p)` (auto-disabled on directed graphs
-    /// and in bichromatic mode, where the lemma does not hold).
-    pub use_count: bool,
+    sources: u8,
 }
 
 impl BoundConfig {
+    /// The static strategy: no row, so nothing is pruned before refinement.
+    pub(crate) const STATIC: BoundConfig = BoundConfig { sources: 0 };
     /// The paper's "Dynamic-Parent".
     pub const PARENT_ONLY: BoundConfig = BoundConfig {
-        use_height: false,
-        use_count: false,
+        sources: BoundSource::Parent.bit() | BoundSource::Check.bit(),
     };
     /// The paper's "Dynamic-Count" (parent + count).
     pub const PARENT_COUNT: BoundConfig = BoundConfig {
-        use_height: false,
-        use_count: true,
+        sources: BoundConfig::PARENT_ONLY.sources | BoundSource::Count.bit(),
     };
     /// The paper's "Dynamic-Height" (parent + height).
     pub const PARENT_HEIGHT: BoundConfig = BoundConfig {
-        use_height: true,
-        use_count: false,
+        sources: BoundConfig::PARENT_ONLY.sources | BoundSource::Height.bit(),
     };
     /// The paper's "Dynamic-Three" (all components).
     pub const ALL: BoundConfig = BoundConfig {
-        use_height: true,
-        use_count: true,
+        sources: BoundConfig::PARENT_HEIGHT.sources | BoundSource::Count.bit(),
     };
+
+    /// Whether `source` is in the set.
+    pub fn contains(self, source: BoundSource) -> bool {
+        self.sources & source.bit() != 0
+    }
+
+    /// The rows a pass evaluates: this set less the rows whose guard fails
+    /// (Lemma 4 needs an undirected monochromatic graph, the check row a
+    /// bound index).
+    pub(crate) fn rows(self, count_holds: bool, indexed: bool) -> BoundConfig {
+        let off = |source: BoundSource, holds: bool| if holds { 0 } else { source.bit() };
+        BoundConfig {
+            sources: self.sources
+                & !off(BoundSource::Count, count_holds)
+                & !off(BoundSource::Check, indexed),
+        }
+    }
 
     /// Name matching Tables 12–13.
     pub fn name(self) -> &'static str {
-        match (self.use_height, self.use_count) {
+        match (
+            self.contains(BoundSource::Height),
+            self.contains(BoundSource::Count),
+        ) {
             (false, false) => "Dynamic-Parent",
             (false, true) => "Dynamic-Count",
             (true, false) => "Dynamic-Height",
@@ -173,6 +219,16 @@ impl QueryEngine {
         req: &QueryRequest,
     ) -> Result<QueryOutcome> {
         self.ctx.execute_with(&mut self.scratch, index, req)
+    }
+}
+
+#[cfg(test)]
+impl BoundConfig {
+    /// The set holding `source` alone, so a test can check one row.
+    pub(crate) const fn only(source: BoundSource) -> BoundConfig {
+        BoundConfig {
+            sources: source.bit(),
+        }
     }
 }
 
@@ -419,13 +475,15 @@ mod tests {
     fn bound_wins_are_recorded_in_dynamic_mode() {
         let g = star_tail();
         let mut engine = QueryEngine::new(&g);
+        let wins =
+            |s: &crate::QueryStats| BoundSource::ALL.map(|b| s.pops.wins(b)).iter().sum::<u64>();
         let req = QueryRequest::new(NodeId(0), 1);
         let r = engine.execute(&req).unwrap();
-        assert!(r.stats().bound_wins.total() > 0);
+        assert!(wins(r.stats()) > 0);
         let s = engine
             .execute(&req.with_strategy(Strategy::Static))
             .unwrap();
-        assert_eq!(s.stats().bound_wins.total(), 0);
+        assert_eq!(wins(s.stats()), 0);
     }
 
     #[test]
@@ -447,7 +505,7 @@ mod tests {
             // every pop produced exactly one event
             assert_eq!(
                 traced.trace.unwrap().events.len() as u64,
-                traced.result.stats.sds_popped
+                traced.result.stats.sds_popped()
             );
 
             let req = req.with_strategy(Strategy::Static);

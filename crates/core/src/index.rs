@@ -1156,8 +1156,16 @@ mod tests {
             let a = snapshot_query(&mut scratch, &merged_once, &mut d1, q);
             let b = snapshot_query(&mut s2, &merged_twice, &mut d2, q);
             assert_eq!(a.entries, b.entries, "q={q}");
-            assert_eq!(a.stats.pruned_by_bound, b.stats.pruned_by_bound, "q={q}");
-            assert_eq!(a.stats.index_exact_hits, b.stats.index_exact_hits, "q={q}");
+            assert_eq!(
+                a.stats.pruned_by_bound(),
+                b.stats.pruned_by_bound(),
+                "q={q}"
+            );
+            assert_eq!(
+                a.stats.index_exact_hits(),
+                b.stats.index_exact_hits(),
+                "q={q}"
+            );
         }
     }
 

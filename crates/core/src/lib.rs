@@ -71,7 +71,7 @@ mod trace;
 mod validate;
 
 pub use context::{EngineContext, QueryScratch};
-pub use engine::{BoundConfig, QueryEngine};
+pub use engine::{BoundConfig, BoundSource, QueryEngine};
 pub use index::{HubStrategy, IndexAccess, IndexDelta, IndexParams, RkrIndex};
 pub use index_io::{load_index, read_index, save_index, write_index};
 pub use request::{Completion, PartialReason, QueryOutcome, QueryRequest, Strategy};

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use rkranks_graph::NodeId;
 
-use crate::engine::BoundConfig;
+use crate::engine::{BoundConfig, BoundSource};
 use crate::result::QueryResult;
 use crate::stats::{QueryStageStats, QueryStats};
 use crate::trace::QueryTrace;
@@ -99,13 +99,19 @@ impl Strategy {
         match self {
             Strategy::Naive => "naive",
             Strategy::Static => "static",
-            Strategy::Dynamic(b) => match (b.use_height, b.use_count) {
+            Strategy::Dynamic(b) => match (
+                b.contains(BoundSource::Height),
+                b.contains(BoundSource::Count),
+            ) {
                 (false, false) => "dynamic-parent",
                 (true, false) => "dynamic-height",
                 (false, true) => "dynamic-count",
                 (true, true) => "dynamic-three",
             },
-            Strategy::Indexed(b) => match (b.use_height, b.use_count) {
+            Strategy::Indexed(b) => match (
+                b.contains(BoundSource::Height),
+                b.contains(BoundSource::Count),
+            ) {
                 (false, false) => "indexed-parent",
                 (true, false) => "indexed-height",
                 (false, true) => "indexed-count",
@@ -315,6 +321,15 @@ impl Limits {
             // An unrepresentable deadline (`now + huge`) means "never".
             deadline_at: req.deadline.and_then(|d| Instant::now().checked_add(d)),
             refine_budget: req.refine_budget,
+        }
+    }
+
+    /// These limits less `spent` refinements: what a later ladder pass,
+    /// counting from zero, is charged against.
+    pub(crate) fn after(&self, spent: u64) -> Limits {
+        Limits {
+            deadline_at: self.deadline_at,
+            refine_budget: self.refine_budget.map(|b| b.saturating_sub(spent)),
         }
     }
 

@@ -6,66 +6,63 @@
 //! lower-level counters the bound analysis (Table 11) and our ablations
 //! need.
 //!
+//! Two kinds of number live here. What happened at each SDS pop is
+//! counted once, in [`PopTally`]: one cell per decision kind and winning
+//! bound row, bumped where `sds_pass` decides (see `context.rs`, "One pop,
+//! one decision"); popped nodes, bound prunes, index hits and Table 11's
+//! wins are sums over it. Work that is not a pop — edge relaxations,
+//! refinement settles and pushes, pendant offers — is a plain counter,
+//! bumped where the work is done.
+//!
 //! An SDS query may take several passes of the kRank ladder
 //! (see [`crate::context`]). Every counter and timer here is the **sum
 //! over all passes** — the work the query actually did — and
 //! [`QueryStats::sds_passes`] / [`QueryStats::k_rank_guess`] say how many
 //! passes that was and under which guess the last one was accepted.
 
-use std::ops::AddAssign;
 use std::time::Duration;
 
-/// Which lower-bound component of Theorem 2 (plus the index's check
-/// dictionary) won the `max` at each bound evaluation — the paper's
-/// Table 11 measurement.
+use crate::engine::BoundSource;
+use crate::trace::PopKind;
+
+/// The SDS pops of a query, by decision kind (`PopKind`) and by the
+/// [`BoundSource`] that won the pop's lower bound (the last column: no
+/// bound was evaluated).
+/// `sds_pass` bumps one cell per pop; every pop count the library reports
+/// is a sum over this table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BoundWins {
-    /// Parent-rank component (Lemma 1).
-    pub parent: u64,
-    /// Tree-depth component (Lemma 2).
-    pub height: u64,
-    /// Visit-count component (Lemma 4, undirected monochromatic only).
-    pub count: u64,
-    /// Check-dictionary component (§5.3, indexed queries only).
-    pub check: u64,
-}
+pub struct PopTally([[u64; BoundSource::ALL.len() + 1]; PopKind::RefinementPruned as usize + 1]);
 
-impl BoundWins {
-    /// Total bound evaluations recorded.
-    pub fn total(&self) -> u64 {
-        self.parent + self.height + self.count + self.check
+impl PopTally {
+    pub(crate) fn bump(&mut self, kind: PopKind, won: Option<BoundSource>) {
+        self.0[kind as usize][won.map_or(BoundSource::ALL.len(), |s| s as usize)] += 1;
     }
 
-    /// Percentage share of each component `(parent, height, count, check)`.
-    pub fn shares(&self) -> (f64, f64, f64, f64) {
-        let t = self.total();
-        if t == 0 {
-            return (0.0, 0.0, 0.0, 0.0);
+    /// Pops decided as `kind`.
+    pub(crate) fn pops(&self, kind: PopKind) -> u64 {
+        self.0[kind as usize].iter().sum()
+    }
+
+    /// Pops whose lower bound `source` won, pruned or not (Table 11).
+    pub fn wins(&self, source: BoundSource) -> u64 {
+        self.0.iter().map(|row| row[source as usize]).sum()
+    }
+
+    fn absorb(&mut self, other: &PopTally) {
+        for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
         }
-        let pct = |v: u64| 100.0 * v as f64 / t as f64;
-        (
-            pct(self.parent),
-            pct(self.height),
-            pct(self.count),
-            pct(self.check),
-        )
-    }
-}
-
-impl AddAssign for BoundWins {
-    fn add_assign(&mut self, rhs: BoundWins) {
-        self.parent += rhs.parent;
-        self.height += rhs.height;
-        self.count += rhs.count;
-        self.check += rhs.check;
     }
 }
 
 /// Counters and timing for one reverse k-ranks query.
 #[derive(Clone, Debug, Default)]
 pub struct QueryStats {
-    /// Nodes popped from the SDS-tree priority queue.
-    pub sds_popped: u64,
+    /// Every pop from the SDS-tree priority queue, by decision and winning
+    /// bound.
+    pub pops: PopTally,
     /// Edge relaxations performed while building the SDS-tree.
     pub sds_relaxations: u64,
     /// Rank-refinement invocations (the paper's pruning-power metric).
@@ -94,14 +91,6 @@ pub struct QueryStats {
     /// (see "Pendant leaves" in `context.rs`). Dynamic, index-free passes
     /// on undirected graphs only.
     pub pendant_offers: u64,
-    /// Candidates pruned by the Theorem-2 lower bound *before* refinement
-    /// (dynamic variants only).
-    pub pruned_by_bound: u64,
-    /// Candidates whose exact rank came straight from the Reverse Rank
-    /// Dictionary (indexed variant only).
-    pub index_exact_hits: u64,
-    /// Which bound component supplied the max at each evaluation.
-    pub bound_wins: BoundWins,
     /// Passes of the kRank ladder the SDS driver ran (0 for the
     /// naive baseline, which has no ladder).
     pub sds_passes: u64,
@@ -118,9 +107,26 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
+    /// Nodes popped from the SDS-tree priority queue.
+    pub fn sds_popped(&self) -> u64 {
+        self.pops.0.iter().flatten().sum()
+    }
+
+    /// Candidates pruned by the Theorem-2 lower bound *before* refinement
+    /// (dynamic variants only).
+    pub fn pruned_by_bound(&self) -> u64 {
+        self.pops.pops(PopKind::BoundPruned)
+    }
+
+    /// Candidates whose exact rank came straight from the Reverse Rank
+    /// Dictionary (indexed variant only).
+    pub fn index_exact_hits(&self) -> u64 {
+        self.pops.pops(PopKind::IndexHit)
+    }
+
     /// Merge another query's counters into this one (a batch's totals).
     pub fn absorb(&mut self, other: &QueryStats) {
-        self.sds_popped += other.sds_popped;
+        self.pops.absorb(&other.pops);
         self.sds_relaxations += other.sds_relaxations;
         self.refinement_calls += other.refinement_calls;
         self.refinements_pruned += other.refinements_pruned;
@@ -129,9 +135,6 @@ impl QueryStats {
         self.refinement_requeues += other.refinement_requeues;
         self.anchored_refinements += other.anchored_refinements;
         self.pendant_offers += other.pendant_offers;
-        self.pruned_by_bound += other.pruned_by_bound;
-        self.index_exact_hits += other.index_exact_hits;
-        self.bound_wins += other.bound_wins;
         self.sds_passes += other.sds_passes;
         self.k_rank_guess = self.k_rank_guess.max(other.k_rank_guess);
         self.elapsed += other.elapsed;
@@ -172,7 +175,7 @@ impl QueryStageStats {
         QueryStageStats {
             filter: stats.elapsed - refine,
             refine,
-            candidates_pruned: stats.pruned_by_bound + stats.index_exact_hits,
+            candidates_pruned: stats.pruned_by_bound() + stats.index_exact_hits(),
             refine_calls: stats.refinement_calls,
             sds_passes: stats.sds_passes,
             k_rank_guess: stats.k_rank_guess,
@@ -189,28 +192,40 @@ impl QueryStageStats {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bound_shares_sum_to_100() {
-        let w = BoundWins {
-            parent: 60,
-            height: 30,
-            count: 10,
-            check: 0,
-        };
-        let (p, h, c, k) = w.shares();
-        assert!((p + h + c + k - 100.0).abs() < 1e-9);
-        assert!((p - 60.0).abs() < 1e-9);
+    fn tally(cells: &[(PopKind, Option<BoundSource>, u64)]) -> PopTally {
+        let mut t = PopTally::default();
+        for &(kind, won, n) in cells {
+            (0..n).for_each(|_| t.bump(kind, won));
+        }
+        t
     }
 
     #[test]
-    fn empty_bound_shares_are_zero() {
-        assert_eq!(BoundWins::default().shares(), (0.0, 0.0, 0.0, 0.0));
+    fn the_tally_reads_by_kind_and_by_winner() {
+        let t = tally(&[
+            (PopKind::Root, None, 1),
+            (PopKind::BoundPruned, Some(BoundSource::Height), 3),
+            (PopKind::Refined, Some(BoundSource::Parent), 2),
+            (PopKind::RefinementPruned, Some(BoundSource::Height), 1),
+            (PopKind::IndexHit, None, 4),
+        ]);
+        let stats = QueryStats {
+            pops: t,
+            ..Default::default()
+        };
+        assert_eq!(stats.sds_popped(), 11);
+        assert_eq!(stats.pruned_by_bound(), 3);
+        assert_eq!(stats.index_exact_hits(), 4);
+        assert_eq!(t.wins(BoundSource::Height), 4);
+        assert_eq!(t.wins(BoundSource::Parent), 2);
+        assert_eq!(t.wins(BoundSource::Check), 0);
     }
 
     #[test]
     fn absorb_accumulates() {
         let mut a = QueryStats {
             refinement_calls: 2,
+            pops: tally(&[(PopKind::Root, None, 1)]),
             ..Default::default()
         };
         let b = QueryStats {
@@ -219,7 +234,7 @@ mod tests {
             refinement_requeues: 6,
             anchored_refinements: 2,
             pendant_offers: 7,
-            pruned_by_bound: 5,
+            pops: tally(&[(PopKind::BoundPruned, Some(BoundSource::Count), 5)]),
             sds_passes: 3,
             k_rank_guess: 640,
             elapsed: Duration::from_millis(10),
@@ -238,7 +253,9 @@ mod tests {
         assert_eq!(a.refinement_requeues, 6);
         assert_eq!(a.anchored_refinements, 2);
         assert_eq!(a.pendant_offers, 7);
-        assert_eq!(a.pruned_by_bound, 5);
+        assert_eq!(a.pruned_by_bound(), 5);
+        assert_eq!(a.sds_popped(), 6);
+        assert_eq!(a.pops.wins(BoundSource::Count), 5);
         assert_eq!(a.elapsed, Duration::from_millis(10));
     }
 
@@ -248,8 +265,10 @@ mod tests {
             elapsed: Duration::from_micros(100),
             refine_time: Duration::from_micros(30),
             refinement_calls: 4,
-            pruned_by_bound: 7,
-            index_exact_hits: 2,
+            pops: tally(&[
+                (PopKind::BoundPruned, Some(BoundSource::Parent), 7),
+                (PopKind::IndexHit, None, 2),
+            ]),
             ..Default::default()
         };
         let stage = QueryStageStats::from_stats(&stats);

@@ -1,10 +1,11 @@
 //! Query tracing: an event log of every decision the SDS driver makes.
 //!
-//! Production engines need observability; a reproduction doubly so — the
-//! trace is how tests assert the paper's §3/§4 walkthroughs ("the process
-//! can terminate here, since the lower bounds of ranks for Frank, Sid and
-//! George are already larger than kRank") decision by decision rather than
-//! only by final answer.
+//! The trace is how tests assert the paper's §3/§4 walkthroughs ("the
+//! process can terminate here, since the lower bounds of ranks for Frank,
+//! Sid and George are already larger than kRank") decision by decision
+//! rather than only by final answer. Each event is the very
+//! [`PopDecision`] `sds_pass` counted in [`crate::QueryStats::pops`] under
+//! its kind, so a trace and the tally never disagree.
 //!
 //! The driver may run several passes of its kRank ladder (see
 //! [`crate::context`]). `events` holds the **accepted (last) pass** — the
@@ -13,6 +14,8 @@
 //! answered with "its guess of 80 failed: kRank was 2,126".
 
 use rkranks_graph::{to_real, Distance, NodeId};
+
+use crate::engine::BoundSource;
 
 /// What happened to one node popped from the SDS priority queue.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,6 +41,8 @@ pub enum PopDecision {
         lower_bound: u32,
         /// The `kRank` it met.
         k_rank: u32,
+        /// The row that won it.
+        source: BoundSource,
     },
     /// A degree-1 candidate whose exact rank was offered to `R` when its
     /// only neighbour's refinement completed (see "Pendant leaves" in
@@ -58,6 +63,29 @@ pub enum PopDecision {
         /// Whether its subtree was pruned.
         subtree_pruned: bool,
     },
+}
+
+/// A [`PopDecision`] without its data, conduits split by whether their
+/// subtree was pruned: the row of the pop tally (`QueryStats::pops`) the
+/// pop is counted in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PopKind {
+    /// [`PopDecision::Root`].
+    Root,
+    /// [`PopDecision::Conduit`], its subtree expanded.
+    Conduit,
+    /// [`PopDecision::Conduit`], its subtree pruned.
+    ConduitPruned,
+    /// [`PopDecision::Pendant`].
+    Pendant,
+    /// [`PopDecision::IndexHit`].
+    IndexHit,
+    /// [`PopDecision::BoundPruned`].
+    BoundPruned,
+    /// [`PopDecision::Refined`].
+    Refined,
+    /// [`PopDecision::RefinementPruned`].
+    RefinementPruned,
 }
 
 /// One trace event: a pop from the SDS queue and its outcome.
@@ -193,6 +221,7 @@ impl QueryTrace {
                 PopDecision::BoundPruned {
                     lower_bound,
                     k_rank,
+                    ..
                 } => {
                     format!("bound-pruned (LB {lower_bound} >= kRank {k_rank})")
                 }
@@ -244,6 +273,7 @@ mod tests {
                     decision: PopDecision::BoundPruned {
                         lower_bound: 5,
                         k_rank: 4,
+                        source: BoundSource::Height,
                     },
                 },
                 TraceEvent {

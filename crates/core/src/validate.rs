@@ -94,7 +94,7 @@ pub fn assert_all_strategies_match(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BoundConfig;
+    use crate::engine::{BoundConfig, BoundSource};
     use crate::index::IndexParams;
     use crate::result::ResultEntry;
     use crate::stats::QueryStats;
@@ -177,7 +177,7 @@ mod tests {
         (ctx, naive)
     }
 
-    /// Lemma 4 does not hold on directed graphs, so `use_count` is switched
+    /// Lemma 4 does not hold on directed graphs, so the count row is switched
     /// off there: the count members must still match naive, cold and built,
     /// and the count bound must never be credited with a prune.
     #[test]
@@ -196,7 +196,7 @@ mod tests {
             let req =
                 QueryRequest::new(q, 2).with_strategy(Strategy::Dynamic(BoundConfig::PARENT_COUNT));
             let out = ctx.execute(&mut scratch, &req).unwrap();
-            assert_eq!(out.stats().bound_wins.count, 0, "q={q}");
+            assert_eq!(out.stats().pops.wins(BoundSource::Count), 0, "q={q}");
         }
     }
 

@@ -66,8 +66,13 @@ proptest! {
     /// `BoundConfig::name` (the Tables-12/13 spelling) parses back, as
     /// does the bare suffix embedded in the strategy name.
     #[test]
-    fn bound_config_name_round_trips(height in any::<bool>(), count in any::<bool>()) {
-        let b = BoundConfig { use_height: height, use_count: count };
+    fn bound_config_name_round_trips(i in 0usize..4) {
+        let b = [
+            BoundConfig::PARENT_ONLY,
+            BoundConfig::PARENT_HEIGHT,
+            BoundConfig::PARENT_COUNT,
+            BoundConfig::ALL,
+        ][i];
         prop_assert_eq!(b.name().parse::<BoundConfig>().unwrap(), b);
         let strategy_form = Strategy::Dynamic(b).name();
         let suffix = strategy_form.strip_prefix("dynamic-").unwrap();

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use rkranks_core::{BoundConfig, Strategy};
+use rkranks_core::{BoundConfig, BoundSource, Strategy};
 use rkranks_datasets::epinions_like_undirected;
 use rkranks_graph::{Graph, NodeId};
 
@@ -44,7 +44,9 @@ pub(crate) fn bound_wins(ctx: &ExpContext) -> Vec<Table> {
             ctx.threads,
         )
         .expect("bound-wins batch");
-        let (parent, height, count, _) = out.totals.bound_wins.shares();
+        let wins = BoundSource::ALL.map(|source| out.totals.pops.wins(source));
+        let evaluations = wins.iter().sum::<u64>().max(1) as f64;
+        let [parent, height, count, _] = wins.map(|w| 100.0 * w as f64 / evaluations);
         t.push_row(vec![
             k.to_string(),
             format!("{height:.2}%"),

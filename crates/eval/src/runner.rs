@@ -305,7 +305,7 @@ mod tests {
         .unwrap();
         assert_eq!(seq.queries, par.queries);
         assert_eq!(seq.totals.refinement_calls, par.totals.refinement_calls);
-        assert_eq!(seq.totals.sds_popped, par.totals.sds_popped);
+        assert_eq!(seq.totals.sds_popped(), par.totals.sds_popped());
     }
 
     #[test]
@@ -341,7 +341,7 @@ mod tests {
         assert_eq!(out.queries, 8);
         assert!(idx.rrd_entries() > 0);
         assert!(
-            out.totals.index_exact_hits > 0,
+            out.totals.index_exact_hits() > 0,
             "second pass should hit the index"
         );
     }

@@ -65,7 +65,8 @@ fn main() {
         }
         println!(
             "  ({} refinements, {} exact index hits)\n",
-            rkr.stats.refinement_calls, rkr.stats.index_exact_hits
+            rkr.stats.refinement_calls,
+            rkr.stats.index_exact_hits()
         );
     }
 

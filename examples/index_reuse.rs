@@ -49,7 +49,7 @@ fn main() {
                 .unwrap()
                 .result;
             refinements += r.stats.refinement_calls;
-            hits += r.stats.index_exact_hits;
+            hits += r.stats.index_exact_hits();
         }
         println!(
             "wave {wave}: {:>6.2?} total, {:>6.1} refinements/query, {:>5.1} index hits/query, {} rrd entries",

@@ -47,7 +47,9 @@ fn main() {
     }
     println!(
         "\nstats: {} refinements, {} pruned by Theorem-2 bounds, {} SDS pops",
-        result.stats.refinement_calls, result.stats.pruned_by_bound, result.stats.sds_popped
+        result.stats.refinement_calls,
+        result.stats.pruned_by_bound(),
+        result.stats.sds_popped()
     );
 
     // Show that directedness matters: a barely-trusted user still gets k

@@ -456,8 +456,8 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
     println!(
         "work:         {:.1} refinements/query, {} bound-pruned, {} index hits",
         out.mean_refinements(),
-        out.totals.pruned_by_bound,
-        out.totals.index_exact_hits
+        out.totals.pruned_by_bound(),
+        out.totals.index_exact_hits()
     );
     Ok(())
 }
@@ -1113,8 +1113,8 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
         "stats: {} refinements ({} pruned early), {} bound-pruned, {} index hits",
         result.stats.refinement_calls,
         result.stats.refinements_pruned,
-        result.stats.pruned_by_bound,
-        result.stats.index_exact_hits
+        result.stats.pruned_by_bound(),
+        result.stats.index_exact_hits()
     );
     if result.stats.sds_passes > 0 {
         println!(

@@ -119,7 +119,7 @@ fn section4_dynamic_prunes_frank_sid_george() {
         d.stats.refinement_calls
     );
     assert!(
-        d.stats.pruned_by_bound >= 3,
+        d.stats.pruned_by_bound() >= 3,
         "Frank, Sid, George pruned by bounds"
     );
 }
